@@ -49,7 +49,9 @@ type Topology = cluster.Topology
 // NodeID identifies a cluster node.
 type NodeID = cluster.NodeID
 
-// FileSystem is the HDFS-model filesystem.
+// FileSystem is the HDFS-model filesystem. Write takes ownership of the
+// record slice it is given — blocks alias it instead of copying — so do
+// not modify the records after the call.
 type FileSystem = hdfs.FileSystem
 
 // FSConfig configures block size, replication and placement.

@@ -1,6 +1,7 @@
 package elasticmap
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -215,6 +216,51 @@ func TestCodecRoundtrip(t *testing.T) {
 	}
 	if arr.MemoryBits() != back.MemoryBits() {
 		t.Errorf("memory mismatch after roundtrip: %d vs %d", arr.MemoryBits(), back.MemoryBits())
+	}
+}
+
+// Encode is canonical: hash-map entries are written in key order, so one
+// array always encodes to the same bytes and a decoded array re-encodes to
+// the bytes it came from (Go's map iteration order must not leak).
+func TestEncodeCanonical(t *testing.T) {
+	var blocks [][]records.Record
+	for b := 0; b < 4; b++ {
+		var blk []records.Record
+		for s := 0; s < 200; s++ {
+			blk = append(blk, records.Record{
+				Sub:     fmt.Sprintf("sub-%03d", (s*7+b)%200),
+				Payload: strings.Repeat("p", 20+(s*37+b*11)%900),
+			})
+		}
+		blocks = append(blocks, blk)
+	}
+	arr := Build(blocks, Options{Alpha: 0.5, BucketBounds: []int64{0, 64, 128, 256, 512, 1024}})
+	if n := arr.Block(0).NumHashed(); n < 50 {
+		t.Fatalf("fixture too small to expose map order: %d hashed subs", n)
+	}
+	first, err := Encode(arr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		again, err := Encode(arr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, again) {
+			t.Fatalf("Encode call %d of the same array produced different bytes", i+2)
+		}
+	}
+	back, err := Decode(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	re, err := Encode(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, re) {
+		t.Error("Encode(Decode(Encode(a))) differs from Encode(a)")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"datanet/internal/bloom"
 )
@@ -45,10 +46,17 @@ func encodeMeta(buf *bytes.Buffer, m *BlockMeta) error {
 	putVarint(buf, m.delta)
 	putVarint(buf, m.rawBytes)
 	putUvarint(buf, uint64(len(m.hash)))
-	for sub, sz := range m.hash {
+	// Sorted keys make the encoding canonical: equal arrays encode to
+	// equal bytes, in this process and any other.
+	subs := make([]string, 0, len(m.hash))
+	for sub := range m.hash {
+		subs = append(subs, sub)
+	}
+	slices.Sort(subs)
+	for _, sub := range subs {
 		putUvarint(buf, uint64(len(sub)))
 		buf.WriteString(sub)
-		putVarint(buf, sz)
+		putVarint(buf, m.hash[sub])
 	}
 	fb, err := m.filter.MarshalBinary()
 	if err != nil {

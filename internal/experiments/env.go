@@ -14,6 +14,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"datanet/internal/apps"
 	"datanet/internal/cluster"
@@ -163,17 +164,38 @@ func NewMovieEnv(p MovieParams) (*Env, error) {
 	if p.Nodes <= 0 {
 		p = DefaultMovieParams()
 	}
-	// Size the review count so the dataset fills ~p.Blocks blocks; the
-	// mean generated record measures ≈ 305 bytes on disk.
-	const meanRecordBytes = 305
-	reviews := int(p.BlockBytes) * p.Blocks / meanRecordBytes
-	recs := gen.Movies(gen.MovieConfig{
+	return buildEnv(movieLog(p), p.Nodes, p.Racks, p.BlockBytes, p.Alpha, p.Seed, gen.MovieID(0))
+}
+
+// meanMovieRecordBytes is the mean on-disk footprint of a generated
+// review, used to size a review log in blocks.
+const meanMovieRecordBytes = 305
+
+// movieLog returns the review log that fills ~p.Blocks blocks of
+// p.BlockBytes, the dataset of every movie experiment.
+func movieLog(p MovieParams) []records.Record {
+	return movieRecords(gen.MovieConfig{
 		Movies:   p.Movies,
-		Reviews:  reviews,
+		Reviews:  int(p.BlockBytes) * p.Blocks / meanMovieRecordBytes,
 		SpanDays: 365,
 		Seed:     p.Seed,
 	})
-	return buildEnv(recs, p.Nodes, p.Racks, p.BlockBytes, p.Alpha, p.Seed, gen.MovieID(0))
+}
+
+// movieFixtures memoises generated review logs by configuration
+// (gen.MovieConfig -> func() []records.Record). The suite names six
+// distinct configurations and sweeps cluster shape, block size, placement
+// and fault plans over them, so each is generated once per process and
+// never evicted.
+var movieFixtures sync.Map
+
+// movieRecords returns gen.Movies(cfg), generated on first use. The slice
+// is shared by every caller and every filesystem it is written to
+// (hdfs.Write aliases its input), on any number of goroutines: it is
+// immutable, and nothing may write to, sort or append to it.
+func movieRecords(cfg gen.MovieConfig) []records.Record {
+	once, _ := movieFixtures.LoadOrStore(cfg, sync.OnceValue(func() []records.Record { return gen.Movies(cfg) }))
+	return once.(func() []records.Record)()
 }
 
 // NewEventEnv generates the GitHub-style event dataset and builds the

@@ -140,13 +140,7 @@ func Heterogeneity(p MovieParams) (*HeterogeneityResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	const meanRecordBytes = 305
-	recs := gen.Movies(gen.MovieConfig{
-		Movies:   p.Movies,
-		Reviews:  int(p.BlockBytes) * p.Blocks / meanRecordBytes,
-		SpanDays: 365,
-		Seed:     p.Seed,
-	})
+	recs := movieLog(p)
 	if _, err := fs.Write("data", recs); err != nil {
 		return nil, err
 	}

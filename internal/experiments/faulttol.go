@@ -96,13 +96,7 @@ func FaultTolerance(p MovieParams) (*FaultTolResult, error) {
 	if p.Nodes <= 0 {
 		p = DefaultFaultParams()
 	}
-	const meanRecordBytes = 305
-	recs := gen.Movies(gen.MovieConfig{
-		Movies:   p.Movies,
-		Reviews:  int(p.BlockBytes) * p.Blocks / meanRecordBytes,
-		SpanDays: 365,
-		Seed:     p.Seed,
-	})
+	recs := movieLog(p)
 	target := gen.MovieID(0)
 	app := apps.WordCount{}
 

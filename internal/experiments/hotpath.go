@@ -54,7 +54,7 @@ func MeasureHotPaths() (*HotPathBench, error) {
 		estimates = 200000
 		requests  = 5000
 	)
-	recs := gen.Movies(gen.MovieConfig{Movies: movies, Reviews: reviews, SpanDays: 365, Seed: 17})
+	recs := movieRecords(gen.MovieConfig{Movies: movies, Reviews: reviews, SpanDays: 365, Seed: 17})
 	var blocks [][]records.Record
 	var rawBytes int64
 	for i := 0; i < len(recs); i += blockRecs {

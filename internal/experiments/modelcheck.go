@@ -86,9 +86,9 @@ func ModelCheck(env *Env, alphas []float64) (*ModelCheckResult, error) {
 
 	// One genuine 64 MiB block: ~220k movie reviews in a single block.
 	const paperBlock = 64 << 20
-	recs := gen.Movies(gen.MovieConfig{
+	recs := movieRecords(gen.MovieConfig{
 		Movies:   20000, // a big catalogue so the block holds many subs
-		Reviews:  paperBlock / 305,
+		Reviews:  paperBlock / meanMovieRecordBytes,
 		SpanDays: 7, // one block covers a short window of the log
 		Seed:     99,
 	})

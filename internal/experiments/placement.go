@@ -36,13 +36,7 @@ func Placement(p MovieParams) (*PlacementResult, error) {
 	if p.Nodes == 0 {
 		p = DefaultMovieParams()
 	}
-	const meanRecordBytes = 305
-	recs := gen.Movies(gen.MovieConfig{
-		Movies:   p.Movies,
-		Reviews:  int(p.BlockBytes) * p.Blocks / meanRecordBytes,
-		SpanDays: 365,
-		Seed:     p.Seed,
-	})
+	recs := movieLog(p)
 	policies := []hdfs.PlacementPolicy{
 		hdfs.RandomPlacement{},
 		hdfs.RackAwarePlacement{},

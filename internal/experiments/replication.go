@@ -40,13 +40,7 @@ func Replication(factors []int, p MovieParams) (*ReplicationResult, error) {
 	if len(factors) == 0 {
 		factors = []int{1, 2, 3, 5}
 	}
-	const meanRecordBytes = 305
-	recs := gen.Movies(gen.MovieConfig{
-		Movies:   p.Movies,
-		Reviews:  int(p.BlockBytes) * p.Blocks / meanRecordBytes,
-		SpanDays: 365,
-		Seed:     p.Seed,
-	})
+	recs := movieLog(p)
 	app := apps.NewTopKSearch(10, "plot twist ending amazing director")
 	res := &ReplicationResult{}
 	for _, rf := range factors {

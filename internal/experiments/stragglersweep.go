@@ -147,7 +147,6 @@ func StragglerSweep(scales []int, p MovieParams) (*StragglerSweepResult, error) 
 	}
 	res := &StragglerSweepResult{}
 	app := apps.WordCount{}
-	const meanRecordBytes = 305
 	for _, nodes := range scales {
 		q := p
 		q.Nodes = nodes
@@ -157,12 +156,7 @@ func StragglerSweep(scales []int, p MovieParams) (*StragglerSweepResult, error) 
 		// One block per node on average (×3 replicas keeps every node busy)
 		// so the completion tail is one task wave, not queueing noise.
 		q.Blocks = nodes
-		recs := gen.Movies(gen.MovieConfig{
-			Movies:   q.Movies,
-			Reviews:  int(q.BlockBytes) * q.Blocks / meanRecordBytes,
-			SpanDays: 365,
-			Seed:     q.Seed,
-		})
+		recs := movieLog(q)
 		target := gen.MovieID(0)
 		runOne := func(plan *faults.Plan, det detect.Config, mit *straggle.Config) (*mapreduce.Result, error) {
 			fs, err := faultFS(recs, q)

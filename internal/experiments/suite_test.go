@@ -5,16 +5,35 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+
+	"datanet/internal/gen"
+	"datanet/internal/records"
 )
 
 var updateSuiteGolden = flag.Bool("update-suite", false, "rewrite testdata/suite.golden from the current sequential run")
 
+// memoisedLogs returns every review log memoised so far.
+func memoisedLogs() map[gen.MovieConfig][]records.Record {
+	out := map[gen.MovieConfig][]records.Record{}
+	movieFixtures.Range(func(k, _ any) bool {
+		out[k.(gen.MovieConfig)] = movieRecords(k.(gen.MovieConfig))
+		return true
+	})
+	return out
+}
+
 // TestSuiteGoldenAndParallel pins the whole suite's rendered output
 // (sequential run vs. the golden file) and verifies the parallel runner is
 // byte-identical to it — the kernel-based engine is job-isolated, so
-// concurrency must not change a single byte.
+// concurrency must not change a single byte. Sections share memoised,
+// aliased review logs, so it also checks that no section wrote to one:
+// after the sequential run each still equals a fresh generation, and
+// after the 4-worker run too (strings are immutable, so comparing records
+// compares everything a section could have changed).
 func TestSuiteGoldenAndParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite is seconds-long; skipped in -short")
@@ -46,10 +65,26 @@ func TestSuiteGoldenAndParallel(t *testing.T) {
 			golden, seq.Len(), len(want))
 	}
 
+	fresh := map[gen.MovieConfig][]records.Record{}
+	for cfg, recs := range memoisedLogs() {
+		fresh[cfg] = gen.Movies(cfg)
+		if !slices.Equal(recs, fresh[cfg]) {
+			t.Errorf("memoised %+v was modified by the sequential suite", cfg)
+		}
+	}
+	if len(fresh) < 6 {
+		t.Errorf("suite memoised %d review logs, want its six configurations", len(fresh))
+	}
+
 	var par bytes.Buffer
 	rep, err := RunSuiteBench(&par, 4)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for cfg, recs := range memoisedLogs() {
+		if !slices.Equal(recs, fresh[cfg]) {
+			t.Errorf("memoised %+v was modified (or first generated) under the 4-worker suite", cfg)
+		}
 	}
 	if !bytes.Equal(par.Bytes(), seq.Bytes()) {
 		t.Errorf("parallel suite output differs from sequential (%d vs %d bytes)", par.Len(), seq.Len())
@@ -68,5 +103,35 @@ func TestSuiteGoldenAndParallel(t *testing.T) {
 	}
 	if !haveMakespans {
 		t.Error("no section reported simulated makespans")
+	}
+}
+
+// movieRecords is reached from every suite worker at once: concurrent
+// first uses of one configuration must all get the same single generation.
+func TestMovieRecordsGeneratesOncePerConfig(t *testing.T) {
+	cfg := gen.MovieConfig{Movies: 30, Reviews: 2000, SpanDays: 30, Seed: 1234}
+	const callers = 8
+	got := make([][]records.Record, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = movieRecords(cfg)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if len(got[i]) != cfg.Reviews || &got[i][0] != &got[0][0] {
+			t.Fatalf("caller %d got its own generation (%d records)", i, len(got[i]))
+		}
+	}
+	if !slices.Equal(got[0], gen.Movies(cfg)) {
+		t.Error("memoised log differs from gen.Movies")
+	}
+	other := cfg
+	other.Seed++
+	if &movieRecords(other)[0] == &got[0][0] {
+		t.Error("a different configuration returned the same log")
 	}
 }

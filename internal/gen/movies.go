@@ -13,9 +13,10 @@
 package gen
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 
 	"datanet/internal/records"
@@ -100,6 +101,10 @@ func Movies(cfg MovieConfig) []records.Record {
 	}
 
 	vocab := buildVocabulary()
+	// A movie's key and tag token are formatted on its first review and
+	// shared by the rest.
+	ids := make([]string, cfg.Movies)
+	tags := make([]string, cfg.Movies)
 	recs := make([]records.Record, 0, cfg.Reviews)
 	horizon := int64(cfg.SpanDays) * secondsPerDay
 	for len(recs) < cfg.Reviews {
@@ -121,20 +126,24 @@ func Movies(cfg MovieConfig) []records.Record {
 				continue
 			}
 		}
+		if ids[m] == "" {
+			ids[m] = MovieID(m)
+			tags[m] = fmt.Sprintf("tag%04d", m%10000)
+		}
 		recs = append(recs, records.Record{
-			Sub:     MovieID(m),
+			Sub:     ids[m],
 			Time:    t,
 			Rating:  1 + float64(rng.Intn(9))/2, // 1.0 .. 5.0 in 0.5 steps
-			Payload: reviewText(rng, vocab, m, cfg.PayloadWords),
+			Payload: reviewText(rng, vocab, tags[m], cfg.PayloadWords),
 		})
 	}
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time < recs[j].Time })
+	slices.SortStableFunc(recs, func(a, b records.Record) int { return cmp.Compare(a.Time, b.Time) })
 	return recs
 }
 
-// reviewText produces a pseudo-review. A few movie-specific tokens are
-// mixed in so Top-K similarity search has genuine signal to find.
-func reviewText(rng *rand.Rand, vocab []string, movie, meanWords int) string {
+// reviewText produces a pseudo-review. The movie's tag token is mixed in
+// so Top-K similarity search has genuine signal to find.
+func reviewText(rng *rand.Rand, vocab []string, tag string, meanWords int) string {
 	n := meanWords/2 + rng.Intn(meanWords+1)
 	var sb strings.Builder
 	sb.Grow(n * 7)
@@ -143,7 +152,7 @@ func reviewText(rng *rand.Rand, vocab []string, movie, meanWords int) string {
 			sb.WriteByte(' ')
 		}
 		if rng.Intn(8) == 0 {
-			fmt.Fprintf(&sb, "tag%04d", movie%10000)
+			sb.WriteString(tag)
 			continue
 		}
 		sb.WriteString(vocab[rng.Intn(len(vocab))])

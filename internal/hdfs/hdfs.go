@@ -141,22 +141,27 @@ func (fs *FileSystem) Topology() *cluster.Topology { return fs.topo }
 
 // Write stores recs as file name, splitting into blocks of at most
 // BlockSize bytes and placing Replication copies of each block.
+//
+// Write takes ownership of recs: each block's Records is a
+// capacity-clipped sub-slice recs[i:j:j] of it, not a copy, so the caller
+// must not modify the records afterwards. Several filesystems may store
+// the same slice, since stored records are never written to.
 func (fs *FileSystem) Write(name string, recs []records.Record) (*FileInfo, error) {
 	if _, ok := fs.files[name]; ok {
 		return nil, ErrExists
 	}
-	info := &FileInfo{Name: name}
-	var cur []records.Record
+	info := &FileInfo{Name: name, Records: int64(len(recs))}
+	start := 0
 	var curBytes int64
-	flush := func() {
-		if len(cur) == 0 {
+	flush := func(end int) {
+		if end == start {
 			return
 		}
 		b := &Block{
 			ID:      BlockID(len(fs.blocks)),
 			File:    name,
 			Index:   len(info.Blocks),
-			Records: cur,
+			Records: recs[start:end:end],
 			Bytes:   curBytes,
 		}
 		// Partial keeps the legacy contract: NewFileSystem guarantees
@@ -167,18 +172,16 @@ func (fs *FileSystem) Write(name string, recs []records.Record) (*FileInfo, erro
 		fs.blocks = append(fs.blocks, b)
 		info.Blocks = append(info.Blocks, b.ID)
 		info.Bytes += curBytes
-		cur, curBytes = nil, 0
+		start, curBytes = end, 0
 	}
-	for _, r := range recs {
-		sz := r.Size()
+	for i := range recs {
+		sz := recs[i].Size()
 		if curBytes > 0 && curBytes+sz > fs.cfg.BlockSize {
-			flush()
+			flush(i)
 		}
-		cur = append(cur, r)
 		curBytes += sz
-		info.Records++
 	}
-	flush()
+	flush(len(recs))
 	fs.files[name] = info
 	return info, nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"datanet/internal/cluster"
+	"datanet/internal/placement"
 	"datanet/internal/records"
 )
 
@@ -257,5 +258,114 @@ func TestWritePreservesRecordsQuick(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(11))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// referenceWrite is Write as it stood when every block grew its own copy
+// of the records by append; the aliasing Write must cut the same blocks
+// and draw the same replicas.
+func referenceWrite(fs *FileSystem, name string, recs []records.Record) {
+	info := &FileInfo{Name: name}
+	var cur []records.Record
+	var curBytes int64
+	flush := func() {
+		if len(cur) == 0 {
+			return
+		}
+		b := &Block{ID: BlockID(len(fs.blocks)), File: name, Index: len(info.Blocks), Records: cur, Bytes: curBytes}
+		b.Replicas, _ = fs.cfg.Placement.Choose(placement.Request{
+			Topo: fs.topo, RNG: fs.rng, Want: fs.cfg.Replication, Partial: true,
+		})
+		fs.blocks = append(fs.blocks, b)
+		info.Blocks = append(info.Blocks, b.ID)
+		info.Bytes += curBytes
+		cur, curBytes = nil, 0
+	}
+	for _, r := range recs {
+		sz := r.Size()
+		if curBytes > 0 && curBytes+sz > fs.cfg.BlockSize {
+			flush()
+		}
+		cur = append(cur, r)
+		curBytes += sz
+		info.Records++
+	}
+	flush()
+	fs.files[name] = info
+}
+
+// Write hands each block a window of its input instead of a copy. The
+// windows must tile the input, be closed to growth (cap == len, so an
+// append to one block reallocates instead of overwriting the next block's
+// first record), and be cut and placed exactly as the copying Write did —
+// on the benchmark's two filesystem shapes and under every write policy.
+func TestWriteAliasesInputLikeCopyingWrite(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	recs := make([]records.Record, 20000)
+	for i := range recs {
+		recs[i] = records.Record{
+			Sub:     fmt.Sprintf("sub-%d", rng.Intn(40)),
+			Time:    int64(i),
+			Payload: string(make([]byte, 100+rng.Intn(400))),
+		}
+	}
+	shapes := []struct {
+		name         string
+		nodes, racks int
+		block        int64
+	}{
+		{"FS-A", 128, 4, 64 << 10},
+		{"FS-E", 1024, 32, 16 << 10},
+	}
+	for _, sh := range shapes {
+		for _, pol := range []func() PlacementPolicy{
+			func() PlacementPolicy { return RandomPlacement{} },
+			func() PlacementPolicy { return RackAwarePlacement{} },
+			func() PlacementPolicy { return &RoundRobinPlacement{} },
+		} {
+			topo := cluster.MustHomogeneous(sh.nodes, sh.racks)
+			cfg := Config{BlockSize: sh.block, Placement: pol(), Seed: 9}
+			fs, err := NewFileSystem(topo, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Placement = pol()
+			ref, err := NewFileSystem(topo, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			info, err := fs.Write("f", recs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			referenceWrite(ref, "f", append([]records.Record(nil), recs...))
+			refInfo, _ := ref.Stat("f")
+			if !reflect.DeepEqual(info, refInfo) {
+				t.Fatalf("%s/%s: FileInfo %+v, copying Write %+v", sh.name, cfg.Placement.Name(), info, refInfo)
+			}
+			next := 0
+			for i, b := range fs.blocks {
+				rb := ref.blocks[i]
+				if b.Bytes != rb.Bytes || !reflect.DeepEqual(b.Replicas, rb.Replicas) || !reflect.DeepEqual(b.Records, rb.Records) {
+					t.Fatalf("%s/%s: block %d differs from the copying Write", sh.name, cfg.Placement.Name(), i)
+				}
+				if cap(b.Records) != len(b.Records) {
+					t.Fatalf("%s: block %d has cap %d > len %d", sh.name, i, cap(b.Records), len(b.Records))
+				}
+				if &b.Records[0] != &recs[next] {
+					t.Fatalf("%s: block %d does not start at input record %d", sh.name, i, next)
+				}
+				next += len(b.Records)
+			}
+			if next != len(recs) {
+				t.Fatalf("%s: blocks cover %d of %d records", sh.name, next, len(recs))
+			}
+			// Growing a block must leave its neighbour untouched.
+			first := fs.blocks[1].Records[0]
+			_ = append(fs.blocks[0].Records, records.Record{Sub: "intruder"})
+			if fs.blocks[1].Records[0] != first {
+				t.Fatalf("%s: append to block 0 overwrote block 1", sh.name)
+			}
+		}
 	}
 }
