@@ -6,201 +6,69 @@
 // Usage:
 //
 //	datanet-bench            # run the full suite
-//	datanet-bench -only fig5 # run one experiment (fig1,fig2,table1,fig5,
-//	                         # fig6,fig7,fig8,table2,fig9,fig10,migration,
-//	                         # ablation)
+//	datanet-bench -only fig5 # run one experiment; -h lists the names
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"time"
+	"strings"
 
 	"datanet/internal/experiments"
-	"datanet/internal/stats"
 )
 
 func main() {
-	only := flag.String("only", "", "run a single experiment (fig1, fig2, table1, fig5, fig6, fig7, fig8, table2, fig9, fig10, migration, ablation, theory, sweep, hetero, reactive, iosaving, selectivity, weblog, placement, placement-sweep, straggler-sweep, partition-sweep, modelcheck, aggregation, amortization, blocksize, replication, faulttol, detect)")
-	csvDir := flag.String("csv", "", "also write the figure series as CSV files into this directory")
-	htmlOut := flag.String("html", "", "also write a self-contained HTML report (inline SVG) to this path")
-	workers := flag.Int("parallel", 1, "worker-pool size for independent suite experiments (output is identical at any count)")
-	benchOut := flag.String("json-bench", "", "run the suite plus the hot-path microbenches (build MB/s, estimates/sec, HTTP p50/p99) and write the benchmark record to this JSON file")
-	flag.Parse()
-
-	if *benchOut != "" && *only != "" {
-		// Single-experiment benchmark record: run just the named experiment
-		// and write its makespans/counters (e.g. the placement sweep's
-		// bytes-moved bill into BENCH_8.json).
-		start := time.Now()
-		var secs []experiments.BenchSection
-		if err := runOne(*only, func(name string, out fmt.Stringer) {
-			secs = append(secs, experiments.SectionFor(name, time.Since(start), out))
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "datanet-bench:", err)
-			os.Exit(1)
-		}
-		rep := &experiments.BenchReport{Workers: 1, WallSeconds: time.Since(start).Seconds(), Sections: secs}
-		if err := rep.WriteJSON(*benchOut); err != nil {
-			fmt.Fprintln(os.Stderr, "datanet-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote", *benchOut)
-		return
-	}
-
-	if *benchOut != "" {
-		rep, err := experiments.RunSuiteBench(os.Stdout, *workers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "datanet-bench:", err)
-			os.Exit(1)
-		}
-		if rep.HotPath, err = experiments.MeasureHotPaths(); err != nil {
-			fmt.Fprintln(os.Stderr, "datanet-bench:", err)
-			os.Exit(1)
-		}
-		if err := rep.WriteJSON(*benchOut); err != nil {
-			fmt.Fprintln(os.Stderr, "datanet-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote", *benchOut)
-		return
-	}
-
-	if *htmlOut != "" {
-		if err := experiments.WriteHTMLReport(*htmlOut); err != nil {
-			fmt.Fprintln(os.Stderr, "datanet-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote", *htmlOut)
-		if *csvDir == "" && *only == "" {
-			return
-		}
-	}
-
-	if *csvDir != "" {
-		files, err := experiments.WriteCSVSuite(*csvDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "datanet-bench:", err)
-			os.Exit(1)
-		}
-		for _, f := range files {
-			fmt.Println("wrote", f)
-		}
-		if *only == "" {
-			return
-		}
-	}
-
-	if *only == "" {
-		if err := experiments.RunSuiteParallel(os.Stdout, *workers); err != nil {
-			fmt.Fprintln(os.Stderr, "datanet-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := runOne(*only, nil); err != nil {
-		fmt.Fprintln(os.Stderr, "datanet-bench:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// runOne executes one named experiment, printing each result and — when
-// emit is non-nil — handing it over for benchmark-record collection.
-func runOne(name string, emit func(string, fmt.Stringer)) error {
-	printAs := func(section string, s fmt.Stringer, err error) error {
+// run is main without the process: it returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("datanet-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	only := fs.String("only", "", "run a single experiment of the suite: "+strings.Join(experiments.SectionNames(), ", "))
+	csvDir := fs.String("csv", "", "also write the figure series as CSV files into this directory")
+	htmlOut := fs.String("html", "", "also write a self-contained HTML report (inline SVG) to this path")
+	workers := fs.Int("parallel", 1, "worker-pool size for independent suite experiments (output is identical at any count)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if err := bench(stdout, *only, *csvDir, *htmlOut, *workers); err != nil {
+		fmt.Fprintln(stderr, "datanet-bench:", err)
+		return 1
+	}
+	return 0
+}
+
+// bench writes the requested artifacts, then runs the named experiment;
+// with no artifact and no name it runs the whole suite.
+func bench(stdout io.Writer, only, csvDir, htmlOut string, workers int) error {
+	if htmlOut != "" {
+		if err := experiments.WriteHTMLReport(htmlOut); err != nil {
+			return err
+		}
+		fmt.Fprintln(stdout, "wrote", htmlOut)
+	}
+	if csvDir != "" {
+		files, err := experiments.WriteCSVSuite(csvDir)
 		if err != nil {
 			return err
 		}
-		fmt.Println(s.String())
-		if emit != nil {
-			emit(section, s)
+		for _, f := range files {
+			fmt.Fprintln(stdout, "wrote", f)
 		}
+	}
+	if only != "" {
+		return experiments.RunSection(stdout, only)
+	}
+	if htmlOut != "" || csvDir != "" {
 		return nil
 	}
-	print := func(s fmt.Stringer, err error) error {
-		return printAs(name, s, err)
-	}
-	switch name {
-	case "fig1":
-		p := experiments.DefaultMovieParams()
-		p.Blocks = 128
-		return print(experiments.Fig1(p))
-	case "fig2":
-		fmt.Println(experiments.Fig2(stats.Gamma{}, 0, nil).String())
-		return nil
-	case "table1":
-		return print(experiments.Table1(nil))
-	case "fig5":
-		return print(experiments.Fig5(experiments.MovieParams{}))
-	case "fig6":
-		return print(experiments.Fig6(nil))
-	case "fig7":
-		return print(experiments.Fig7(nil))
-	case "fig8":
-		return print(experiments.Fig8(experiments.EventParams{}))
-	case "table2":
-		return print(experiments.Table2(nil, nil))
-	case "fig9":
-		return print(experiments.Fig9(nil, 50))
-	case "fig10":
-		return print(experiments.Fig10(nil, nil))
-	case "migration":
-		return print(experiments.Migration(nil))
-	case "ablation":
-		env, err := experiments.NewMovieEnv(experiments.DefaultMovieParams())
-		if err != nil {
-			return err
-		}
-		if err := print(experiments.BucketAblation(env)); err != nil {
-			return err
-		}
-		return print(experiments.SchedulerAblation(env))
-	case "theory":
-		return print(experiments.Theory(stats.Gamma{}, 0, 0, 0))
-	case "sweep":
-		return print(experiments.ClusterSweep(nil, experiments.MovieParams{}))
-	case "hetero":
-		return print(experiments.Heterogeneity(experiments.MovieParams{}))
-	case "reactive":
-		return print(experiments.Reactive(nil))
-	case "iosaving":
-		return print(experiments.IOSaving(nil, nil))
-	case "selectivity":
-		return print(experiments.Selectivity(nil, nil))
-	case "weblog":
-		return print(experiments.WebLog(experiments.WebLogParams{}))
-	case "placement":
-		// The static policy comparison plus the online rebalancer sweep:
-		// together they are the placement benchmark surface.
-		pr, err := experiments.Placement(experiments.MovieParams{})
-		if err := printAs("placement", pr, err); err != nil {
-			return err
-		}
-		sw, err := experiments.PlacementSweep(experiments.MovieParams{})
-		return printAs("placement-sweep", sw, err)
-	case "placement-sweep":
-		return print(experiments.PlacementSweep(experiments.MovieParams{}))
-	case "straggler-sweep":
-		return print(experiments.StragglerSweep(nil, experiments.MovieParams{}))
-	case "partition-sweep":
-		return print(experiments.PartitionSweep(experiments.MovieParams{}))
-	case "modelcheck":
-		return print(experiments.ModelCheck(nil, nil))
-	case "aggregation":
-		return print(experiments.Aggregation(nil, nil))
-	case "blocksize":
-		return print(experiments.BlockSize(nil, experiments.MovieParams{}))
-	case "replication":
-		return print(experiments.Replication(nil, experiments.MovieParams{}))
-	case "amortization":
-		return print(experiments.Amortization(nil))
-	case "faulttol":
-		return print(experiments.FaultTolerance(experiments.MovieParams{}))
-	case "detect":
-		return print(experiments.DetectorSweep(experiments.MovieParams{}))
-	default:
-		return fmt.Errorf("unknown experiment %q", name)
-	}
+	_, err := experiments.RunSuiteBench(stdout, workers)
+	return err
 }

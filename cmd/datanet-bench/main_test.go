@@ -1,0 +1,63 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+
+	"datanet/internal/experiments"
+)
+
+func TestOnlyPrintsTheRegistrySection(t *testing.T) {
+	var want bytes.Buffer
+	if err := experiments.RunSection(&want, "fig2"); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-only", "fig2"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-only fig2 exited %d: %s", code, stderr.String())
+	}
+	if !bytes.Equal(stdout.Bytes(), want.Bytes()) || stdout.Len() == 0 {
+		t.Errorf("-only fig2 printed %d bytes, the registry's section is %d bytes", stdout.Len(), want.Len())
+	}
+	if stderr.Len() != 0 {
+		t.Errorf("-only fig2 wrote to stderr: %s", stderr.String())
+	}
+}
+
+func TestUnknownExperimentListsTheValidNames(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	// "detect" was an alias of the retired hand-written switch.
+	if code := run([]string{"-only", "detect"}, &stdout, &stderr); code == 0 {
+		t.Fatal("-only detect exited 0")
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("unknown experiment printed to stdout: %s", stdout.String())
+	}
+	for _, name := range experiments.SectionNames() {
+		if !strings.Contains(stderr.String(), name) {
+			t.Errorf("error does not list %q: %s", name, stderr.String())
+		}
+	}
+}
+
+func TestUsageIsGeneratedFromTheRegistry(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-h exited %d", code)
+	}
+	names := experiments.SectionNames()
+	if !strings.Contains(stderr.String(), strings.Join(names, ", ")) {
+		t.Errorf("-only usage does not carry the registry's name list:\n%s", stderr.String())
+	}
+	seen := map[string]bool{}
+	for _, name := range names {
+		if seen[name] {
+			t.Errorf("section name %q is declared twice", name)
+		}
+		seen[name] = true
+	}
+	if code := run([]string{"-no-such-flag"}, &stdout, &stderr); code != 2 {
+		t.Errorf("an unknown flag exited %d, want 2", code)
+	}
+}

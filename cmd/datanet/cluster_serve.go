@@ -265,7 +265,7 @@ func (r *loadgenRouter) baseFor(name string) string {
 // the loadgen mix and count retries. The returned status and body are
 // the final exchange — what the digest should hash; retryKinds lists the
 // typed-503 kind behind each retry, for the retries-by-kind report.
-func (r *loadgenRouter) do(hc *http.Client, q genRequest, name string) (status int, body []byte, retryKinds []string, err error) {
+func (r *loadgenRouter) do(q genRequest, name string) (status int, body []byte, retryKinds []string, err error) {
 	for attempt := 1; ; attempt++ {
 		req, err := http.NewRequest(q.method, r.baseFor(name)+q.path, bytes.NewReader(q.body))
 		if err != nil {
@@ -275,7 +275,7 @@ func (r *loadgenRouter) do(hc *http.Client, q genRequest, name string) (status i
 			req.Header.Set(obs.RequestIDHeader, q.id)
 			req.Header.Set(obs.AttemptHeader, strconv.Itoa(attempt))
 		}
-		resp, err := hc.Do(req)
+		resp, err := r.client.Do(req)
 		if err != nil {
 			return 0, nil, retryKinds, err
 		}

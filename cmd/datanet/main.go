@@ -10,7 +10,7 @@
 //	datanet query   -data reviews.dnr -sub movie-00000 [-meta reviews.em]
 //	datanet analyze -data reviews.dnr -sub movie-00000 -app wordcount [-sched datanet]
 //	datanet top     -data reviews.dnr [-n 10]
-//	datanet suite   [-parallel N] [-json-bench BENCH_suite.json]
+//	datanet suite   [-parallel N]
 //	datanet chaos   [-runs 200] [-seed 1] [-detect heartbeat] [-mitigate speculative] [-shrink]
 //	datanet chaos   -cluster 4 -replicas 2 [-runs 200] [-seed 1]
 //	datanet serve   -meta reviews=reviews.em [-addr 127.0.0.1:8080] [-cache 1024]
@@ -87,7 +87,7 @@ func usage() {
           [-trace OUT [-trace-format jsonl|chrome]] [-json]
   top     -data FILE [-n N] | -meta FILE [-n N]
   verify  -data FILE -meta FILE [-samples N]
-  suite   [-parallel N] [-json-bench FILE]
+  suite   [-parallel N]
   chaos   [-runs N] [-seed S] [-detect heartbeat|phi|oracle] [-shrink]
           [-rebalance off|hotspot|anneal|both]  (no-lost-blocks invariant)
           [-mitigate off|speculative|coded]  (mitigation invariants)
@@ -652,28 +652,16 @@ func runVerify(args []string) error {
 
 // runSuite executes the full paper experiment suite. -parallel fans
 // independent experiments out on a bounded worker pool (the output bytes
-// are identical regardless of the worker count); -json-bench additionally
-// writes the machine-readable benchmark report.
+// are identical regardless of the worker count).
 func runSuite(args []string) error {
 	fs := flag.NewFlagSet("suite", flag.ExitOnError)
 	workers := fs.Int("parallel", 1, "worker-pool size for independent experiments (1 = sequential)")
-	benchOut := fs.String("json-bench", "", "write per-experiment wall-clock and simulated makespans to this JSON file")
 	fs.Parse(args)
 	if *workers < 1 {
 		return fmt.Errorf("-parallel must be at least 1")
 	}
-	if *benchOut == "" {
-		return experiments.RunSuiteParallel(stdout, *workers)
-	}
-	rep, err := experiments.RunSuiteBench(stdout, *workers)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(*benchOut); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "datanet: benchmark report written to %s\n", *benchOut)
-	return nil
+	_, err := experiments.RunSuiteBench(stdout, *workers)
+	return err
 }
 
 // runChaos drives the randomized robustness harness: N seeded fault

@@ -249,7 +249,12 @@ func runLoadgen(args []string) error {
 	}
 	clients, requests, seed, planNodes := f.clients, f.requests, f.seed, f.planNodes
 	base := "http://" + *f.addr
-	client := &http.Client{Timeout: 30 * time.Second}
+	// One transport for every loadgen client, its idle connections closed
+	// on the way out: a keep-alive connection dialed but never used stays in
+	// StateNew on the server, and http.Server.Shutdown waits on those.
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	defer tr.CloseIdleConnections()
+	client := &http.Client{Transport: tr, Timeout: 30 * time.Second}
 	// The router probes /admin/topology: against `serve -cluster` it
 	// shard-routes every request to the array's primary and retries the
 	// typed failover 503s; against a single server it is a passthrough.
@@ -336,11 +341,10 @@ func runLoadgen(args []string) error {
 			st.lat = metrics.NewHistogram()
 			st.perKind = map[string]*metrics.Histogram{}
 			st.retryKinds = map[string]int{}
-			hc := &http.Client{Timeout: 30 * time.Second}
 			for i := c; i < len(reqs); i += *clients {
 				q := reqs[i]
 				t0 := time.Now()
-				status, body, retryKinds, err := router.do(hc, q, name)
+				status, body, retryKinds, err := router.do(q, name)
 				if err != nil {
 					st.transport++
 					continue

@@ -4,15 +4,20 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"datanet/internal/elasticmap"
 	"datanet/internal/gen"
 	"datanet/internal/records"
+	"datanet/internal/server"
 )
 
 // compareGolden checks output against testdata/<name>; -update (shared
@@ -155,6 +160,72 @@ func TestServeLoadgenSmoke(t *testing.T) {
 	if out := serveOut.String(); !strings.Contains(out, "serve: listening on http://") ||
 		!strings.Contains(out, `serve: loaded "reviews"`) {
 		t.Fatalf("unexpected serve output:\n%s", out)
+	}
+}
+
+// TestLoadgenLeavesNoOpenConnections pins the fix for the shutdown flake:
+// loadgen must close its keep-alive connections before returning, or a
+// server's Shutdown waits out its deadline on the ones it never saw a
+// request on. The server counts connections through ConnState.
+func TestLoadgenLeavesNoOpenConnections(t *testing.T) {
+	blob, err := os.ReadFile(writeEncodedMeta(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr, err := elasticmap.Decode(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := server.NewStore(64)
+	store.Put("reviews", arr)
+
+	var mu sync.Mutex
+	open, opened := map[net.Conn]bool{}, 0
+	changed := make(chan struct{}, 1)
+	ts := httptest.NewUnstartedServer(server.New(store))
+	ts.Config.ConnState = func(c net.Conn, st http.ConnState) {
+		mu.Lock()
+		switch st {
+		case http.StateNew:
+			open[c] = true
+			opened++
+		case http.StateClosed, http.StateHijacked:
+			delete(open, c)
+		}
+		mu.Unlock()
+		select {
+		case changed <- struct{}{}:
+		default:
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+
+	buf := &bytes.Buffer{}
+	stdout = buf
+	defer func() { stdout = os.Stdout }()
+	if err := runLoadgen([]string{"-addr", strings.TrimPrefix(ts.URL, "http://"), "-clients", "4",
+		"-requests", "80", "-seed", "7", "-plan-nodes", "4"}); err != nil {
+		t.Fatalf("loadgen: %v\n%s", err, buf)
+	}
+	// The server learns of a closed connection when its read returns, a
+	// moment after the client closed it: wait for the count, not a sleep.
+	deadline := time.After(5 * time.Second)
+	for {
+		mu.Lock()
+		n, total := len(open), opened
+		mu.Unlock()
+		if total == 0 {
+			t.Fatal("the server saw no connection at all")
+		}
+		if n == 0 {
+			return
+		}
+		select {
+		case <-changed:
+		case <-deadline:
+			t.Fatalf("%d of %d connections still open after runLoadgen returned", n, total)
+		}
 	}
 }
 

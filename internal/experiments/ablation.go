@@ -30,13 +30,6 @@ type BucketAblationRow struct {
 
 // BucketAblation runs the comparison at the default α.
 func BucketAblation(env *Env) (*BucketAblationResult, error) {
-	if env == nil {
-		var err error
-		env, err = NewMovieEnv(DefaultMovieParams())
-		if err != nil {
-			return nil, err
-		}
-	}
 	blocks, err := env.FS.Blocks(env.File)
 	if err != nil {
 		return nil, err
@@ -110,13 +103,6 @@ type SchedulerAblationRow struct {
 // SchedulerAblation runs the comparison with Top-K (the compute-heavy app
 // where scheduling matters most).
 func SchedulerAblation(env *Env) (*SchedulerAblationResult, error) {
-	if env == nil {
-		var err error
-		env, err = NewMovieEnv(DefaultMovieParams())
-		if err != nil {
-			return nil, err
-		}
-	}
 	app := apps.NewTopKSearch(10, "plot twist ending amazing director")
 	weights := env.EstimatedWeights(env.Target)
 	factories := []struct {

@@ -36,13 +36,6 @@ type AggregationRow struct {
 // shares off the network. (Under DataNet's balanced scheduling every node
 // holds a similar share and placement hardly matters — itself a finding.)
 func Aggregation(env *Env, reducerCounts []int) (*AggregationResult, error) {
-	if env == nil {
-		var err error
-		env, err = NewMovieEnv(DefaultMovieParams())
-		if err != nil {
-			return nil, err
-		}
-	}
 	if len(reducerCounts) == 0 {
 		reducerCounts = []int{2, 4, 8}
 	}
@@ -133,13 +126,6 @@ type AmortizationResult struct {
 
 // Amortization computes the break-even point.
 func Amortization(env *Env) (*AmortizationResult, error) {
-	if env == nil {
-		var err error
-		env, err = NewMovieEnv(DefaultMovieParams())
-		if err != nil {
-			return nil, err
-		}
-	}
 	app := apps.NewTopKSearch(10, "plot twist ending amazing director")
 	base, err := env.RunBaseline(app)
 	if err != nil {

@@ -1,52 +1,37 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 )
 
-// BenchReport is the machine-readable benchmark record of one suite run,
-// seeding the performance trajectory: per-section wall-clock cost plus the
-// simulated makespans the sections expose. Written as BENCH_suite.json by
-// `datanet suite -json-bench`.
+// BenchReport is the record of one suite run that RunSuiteBench returns:
+// per-section wall-clock cost (what bench/ times) plus the simulated
+// makespans and counters the sections expose (what the gate table checks).
 type BenchReport struct {
 	// Workers is the worker-pool size the suite ran with.
-	Workers int `json:"workers"`
+	Workers int
 	// WallSeconds is the whole suite's wall-clock time.
-	WallSeconds float64 `json:"wall_seconds"`
+	WallSeconds float64
 	// Sections lists every experiment in suite order.
-	Sections []BenchSection `json:"sections"`
-	// HotPath carries the serving hot-path microbenches when the emitter
-	// ran them (datanet-bench -json-bench).
-	HotPath *HotPathBench `json:"hot_path,omitempty"`
+	Sections []BenchSection
 }
 
 // BenchSection is one experiment's benchmark record.
 type BenchSection struct {
-	Name        string  `json:"name"`
-	WallSeconds float64 `json:"wall_seconds"`
+	Name        string
+	WallSeconds float64
 	// SimMakespans are named simulated job makespans (seconds on the
 	// simulated clock) for sections that expose them — wall-clock
 	// measures the simulator, these measure the simulated cluster.
-	SimMakespans map[string]float64 `json:"sim_makespans,omitempty"`
+	SimMakespans map[string]float64
 	// Counters are named integer outcomes (replica moves, bytes shipped)
 	// for sections that expose them.
-	Counters map[string]int64 `json:"counters,omitempty"`
-}
-
-// WriteJSON writes the report to path (indented, trailing newline).
-func (r *BenchReport) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	Counters map[string]int64
 }
 
 // SimMakespanner is implemented by experiment results that can report
-// simulated job makespans for the benchmark emitter.
+// simulated job makespans for the suite report.
 type SimMakespanner interface {
 	SimMakespans() map[string]float64
 }
@@ -55,12 +40,6 @@ type SimMakespanner interface {
 // outcome counters (e.g. the placement sweep's moves and bytes shipped).
 type Counterer interface {
 	Counters() map[string]int64
-}
-
-// SectionFor builds a benchmark record for one experiment result measured
-// outside the suite runner (`datanet-bench -only <name> -json-bench`).
-func SectionFor(name string, wall time.Duration, out fmt.Stringer) BenchSection {
-	return benchSection(name, wall, out)
 }
 
 // benchSection builds one section record from a finished experiment.

@@ -129,7 +129,7 @@ func WriteCSVSuite(dir string) ([]string, error) {
 	if err != nil {
 		return written, err
 	}
-	r5, err := Fig5WithEnv(env)
+	r5, err := Fig5(env)
 	if err != nil {
 		return written, err
 	}

@@ -12,7 +12,7 @@ import (
 func TestFigureCSVMethods(t *testing.T) {
 	env := smallEnv(t)
 
-	r5, err := Fig5WithEnv(env)
+	r5, err := Fig5(env)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,7 +146,7 @@ func TestTable1(t *testing.T) {
 
 func TestFig5CoreClaims(t *testing.T) {
 	env := smallEnv(t)
-	r, err := Fig5WithEnv(env)
+	r, err := Fig5(env)
 	if err != nil {
 		t.Fatal(err)
 	}

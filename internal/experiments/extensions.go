@@ -222,13 +222,6 @@ type ReactiveRow struct {
 // Reactive compares: locality baseline, baseline + SkewTune-style
 // migration, baseline + speculative execution, and DataNet.
 func Reactive(env *Env) (*ReactiveResult, error) {
-	if env == nil {
-		var err error
-		env, err = NewMovieEnv(DefaultMovieParams())
-		if err != nil {
-			return nil, err
-		}
-	}
 	app := apps.NewTopKSearch(10, "plot twist ending amazing director")
 	res := &ReactiveResult{Env: env}
 	add := func(name string, cfg mapreduce.Config) error {
@@ -307,13 +300,6 @@ type IOSavingResult struct {
 // target sub-dataset shrinks ("we don't need to process blocks that don't
 // contain our target data").
 func IOSaving(env *Env, ranks []int) (*IOSavingResult, error) {
-	if env == nil {
-		var err error
-		env, err = NewMovieEnv(DefaultMovieParams())
-		if err != nil {
-			return nil, err
-		}
-	}
 	if len(ranks) == 0 {
 		ranks = []int{0, 5, 20, 100, 500}
 	}

@@ -35,13 +35,6 @@ type Fig10Row struct {
 
 // Fig10 sweeps α.
 func Fig10(env *Env, alphas []float64) (*Fig10Result, error) {
-	if env == nil {
-		var err error
-		env, err = NewMovieEnv(DefaultMovieParams())
-		if err != nil {
-			return nil, err
-		}
-	}
 	if len(alphas) == 0 {
 		for a := 0.10; a <= 1.0001; a += 0.05 {
 			alphas = append(alphas, a)

@@ -39,22 +39,7 @@ type Fig5Result struct {
 }
 
 // Fig5 runs all four applications under both schedulers.
-func Fig5(p MovieParams) (*Fig5Result, error) {
-	var env *Env
-	var err error
-	if p.Nodes == 0 {
-		env, err = NewMovieEnv(DefaultMovieParams())
-	} else {
-		env, err = NewMovieEnv(p)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return Fig5WithEnv(env)
-}
-
-// Fig5WithEnv runs the comparison on an existing environment.
-func Fig5WithEnv(env *Env) (*Fig5Result, error) {
+func Fig5(env *Env) (*Fig5Result, error) {
 	res := &Fig5Result{Env: env}
 	blockScale := float64(64<<20) / float64(env.FS.Config().BlockSize)
 	for _, b := range env.BlockTruth {
@@ -154,13 +139,6 @@ type Fig6Bar struct {
 // Fig6 derives the map-time analysis from fresh runs on env (reuse the
 // Fig5 env to match the paper's workflow).
 func Fig6(env *Env) (*Fig6Result, error) {
-	if env == nil {
-		var err error
-		env, err = NewMovieEnv(DefaultMovieParams())
-		if err != nil {
-			return nil, err
-		}
-	}
 	res := &Fig6Result{Env: env}
 	for _, app := range []apps.App{apps.NewTopKSearch(10, "plot twist ending amazing director"), apps.NewMovingAverage(86400), apps.WordCount{}} {
 		without, err := env.RunBaseline(app)
@@ -229,13 +207,6 @@ type Fig7Row struct {
 
 // Fig7 runs the shuffle comparison.
 func Fig7(env *Env) (*Fig7Result, error) {
-	if env == nil {
-		var err error
-		env, err = NewMovieEnv(DefaultMovieParams())
-		if err != nil {
-			return nil, err
-		}
-	}
 	res := &Fig7Result{Env: env}
 	for _, app := range []apps.App{apps.WordCount{}, apps.NewTopKSearch(10, "plot twist ending amazing director")} {
 		without, err := env.RunBaseline(app)

@@ -32,13 +32,6 @@ type Fig9Point struct {
 
 // Fig9 samples movies across the size spectrum.
 func Fig9(env *Env, samples int) (*Fig9Result, error) {
-	if env == nil {
-		var err error
-		env, err = NewMovieEnv(DefaultMovieParams())
-		if err != nil {
-			return nil, err
-		}
-	}
 	if samples <= 0 {
 		samples = 50
 	}

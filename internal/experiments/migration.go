@@ -29,13 +29,6 @@ type MigrationResult struct {
 
 // Migration runs the comparison.
 func Migration(env *Env) (*MigrationResult, error) {
-	if env == nil {
-		var err error
-		env, err = NewMovieEnv(DefaultMovieParams())
-		if err != nil {
-			return nil, err
-		}
-	}
 	app := apps.WordCount{}
 	baseline, err := env.RunBaseline(app)
 	if err != nil {

@@ -38,13 +38,6 @@ type ModelCheckResult struct {
 // ModelCheck runs the validation on env's blocks plus one synthetic
 // paper-scale block.
 func ModelCheck(env *Env, alphas []float64) (*ModelCheckResult, error) {
-	if env == nil {
-		var err error
-		env, err = NewMovieEnv(DefaultMovieParams())
-		if err != nil {
-			return nil, err
-		}
-	}
 	if len(alphas) == 0 {
 		alphas = []float64{0.1, 0.3, 0.5, 0.8, 1.0}
 	}

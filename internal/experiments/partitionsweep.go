@@ -234,8 +234,8 @@ func (r *PartitionSweepResult) String() string {
 	return sb.String()
 }
 
-// SimMakespans exposes each cell's reduce-phase makespan to the benchmark
-// emitter (the BENCH_10 gate compares zipfian/skew against zipfian/hash).
+// SimMakespans exposes each cell's reduce-phase makespan to the suite
+// report (a suite gate compares zipfian/skew against zipfian/hash).
 func (r *PartitionSweepResult) SimMakespans() map[string]float64 {
 	m := make(map[string]float64, len(r.Rows))
 	for _, row := range r.Rows {
@@ -245,7 +245,7 @@ func (r *PartitionSweepResult) SimMakespans() map[string]float64 {
 }
 
 // Counters exposes per-cell loads, split counts and the sweep-wide
-// divergence tally to the benchmark emitter.
+// divergence tally to the suite report.
 func (r *PartitionSweepResult) Counters() map[string]int64 {
 	c := make(map[string]int64, 2*len(r.Rows)+1)
 	var diverged int64

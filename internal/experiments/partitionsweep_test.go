@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// The partition sweep's headline claims, asserted at test time exactly as
-// the BENCH_10 CI gate asserts them from the JSON record: the skew-aware
+// The partition sweep's headline claims, the ones the suite gates assert
+// on the full suite's report: the skew-aware
 // planner beats hash by ≥10% on the zipfian reduce makespan, and no cell
 // ever diverges from the partitioning-off output.
 func TestPartitionSweep(t *testing.T) {

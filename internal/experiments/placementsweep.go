@@ -213,8 +213,8 @@ func (r *PlacementSweepResult) String() string {
 	return sb.String()
 }
 
-// SimMakespans exposes per-workload, per-arm makespans to the benchmark
-// emitter.
+// SimMakespans exposes per-workload, per-arm makespans to the suite
+// report.
 func (r *PlacementSweepResult) SimMakespans() map[string]float64 {
 	m := make(map[string]float64)
 	for _, wl := range r.Workloads {
@@ -225,7 +225,7 @@ func (r *PlacementSweepResult) SimMakespans() map[string]float64 {
 	return m
 }
 
-// Counters exposes the data-movement bill to the benchmark emitter.
+// Counters exposes the data-movement bill to the suite report.
 func (r *PlacementSweepResult) Counters() map[string]int64 {
 	m := make(map[string]int64)
 	for _, wl := range r.Workloads {

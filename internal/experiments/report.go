@@ -56,7 +56,7 @@ func WriteHTMLReport(path string) error {
 	if err != nil {
 		return err
 	}
-	r5, err := Fig5WithEnv(env)
+	r5, err := Fig5(env)
 	if err != nil {
 		return err
 	}

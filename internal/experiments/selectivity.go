@@ -35,13 +35,6 @@ type SelectivityResult struct {
 
 // Selectivity sweeps target ranks on one environment.
 func Selectivity(env *Env, ranks []int) (*SelectivityResult, error) {
-	if env == nil {
-		var err error
-		env, err = NewMovieEnv(DefaultMovieParams())
-		if err != nil {
-			return nil, err
-		}
-	}
 	if len(ranks) == 0 {
 		ranks = []int{0, 2, 10, 50, 200}
 	}

@@ -225,7 +225,7 @@ func (r *StragglerSweepResult) String() string {
 	return sb.String()
 }
 
-// SimMakespans exposes every cell's job makespan to the benchmark emitter.
+// SimMakespans exposes every cell's job makespan to the suite report.
 func (r *StragglerSweepResult) SimMakespans() map[string]float64 {
 	m := make(map[string]float64, len(r.Rows))
 	for _, row := range r.Rows {
@@ -234,8 +234,8 @@ func (r *StragglerSweepResult) SimMakespans() map[string]float64 {
 	return m
 }
 
-// Counters exposes the sweep-wide mitigation bill to the benchmark
-// emitter (the BENCH_9 gate's counters).
+// Counters exposes the sweep-wide mitigation bill to the suite report
+// (the suite gates require wins, waste and decodes, and no divergence).
 func (r *StragglerSweepResult) Counters() map[string]int64 {
 	var launches, wins, decodes, diverged int64
 	var wasted float64

@@ -26,7 +26,7 @@ func TestPaperScaleStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Fig5WithEnv(env)
+	r, err := Fig5(env)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,9 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"datanet/internal/stats"
@@ -40,7 +42,7 @@ func suiteSections() []suiteSection {
 			return r, err
 		}},
 		{"fig5", true, func(env *Env) (fmt.Stringer, error) {
-			r, err := Fig5WithEnv(env)
+			r, err := Fig5(env)
 			return r, err
 		}},
 		{"fig6", true, func(env *Env) (fmt.Stringer, error) {
@@ -159,127 +161,132 @@ func suiteSections() []suiteSection {
 	}
 }
 
-// RunSuite executes every paper experiment in order and streams the
-// rendered results to w. It shares one movie environment across the
-// experiments that the paper derives from the same runs, exactly as the
-// paper does.
-func RunSuite(w io.Writer) error {
-	return RunSuiteParallel(w, 1)
-}
-
-// RunSuiteParallel runs the suite on up to workers concurrent goroutines.
-// The kernel-based engine is job-isolated (each job runs on its own event
-// queue and clock), so independent sections fan out freely; sections
-// sharing the movie environment keep their declared order on a single
-// chain. Output is streamed in the fixed suite order regardless of
-// completion order, so the bytes written to w are identical to the
-// sequential run. workers <= 1 runs fully sequentially on the calling
-// goroutine.
-func RunSuiteParallel(w io.Writer, workers int) error {
-	_, err := runSuite(w, workers, false)
-	return err
-}
-
-// RunSuiteBench runs the suite like RunSuiteParallel and additionally
-// collects the per-section benchmark report (wall-clock seconds and, where
-// a section exposes them, simulated makespans).
-func RunSuiteBench(w io.Writer, workers int) (*BenchReport, error) {
-	return runSuite(w, workers, true)
-}
-
-func runSuite(w io.Writer, workers int, bench bool) (*BenchReport, error) {
+// SectionNames lists the suite's experiments in output order: the names
+// RunSection accepts.
+func SectionNames() []string {
 	secs := suiteSections()
-	suiteStart := time.Now()
-	outs := make([]fmt.Stringer, len(secs))
-	errs := make([]error, len(secs))
-	wall := make([]float64, len(secs))
-
-	if workers <= 1 {
-		// Fully sequential: no goroutines, results printed as they finish.
-		// The shared environment is built lazily, right before its first
-		// consumer (preserving the legacy section/error interleaving).
-		var env *Env
-		var rep *BenchReport
-		if bench {
-			rep = &BenchReport{Workers: 1}
-		}
-		for _, s := range secs {
-			if s.shared && env == nil {
-				var err error
-				if env, err = NewMovieEnv(DefaultMovieParams()); err != nil {
-					return rep, err
-				}
-			}
-			t0 := time.Now()
-			out, err := s.run(env)
-			if err != nil {
-				return rep, err
-			}
-			if rep != nil {
-				rep.Sections = append(rep.Sections, benchSection(s.name, time.Since(t0), out))
-			}
-			if _, err := fmt.Fprintln(w, out.String()); err != nil {
-				return rep, err
-			}
-		}
-		if rep != nil {
-			rep.WallSeconds = time.Since(suiteStart).Seconds()
-		}
-		return rep, nil
+	names := make([]string, len(secs))
+	for i, s := range secs {
+		names[i] = s.name
 	}
+	return names
+}
 
+// RunSection runs one experiment by its suite name and writes to w exactly
+// the bytes the full suite prints for it. The shared movie environment is
+// built only for the sections that consume it.
+func RunSection(w io.Writer, name string) error {
+	for _, s := range suiteSections() {
+		if s.name != name {
+			continue
+		}
+		var env *Env
+		if s.shared {
+			var err error
+			if env, err = NewMovieEnv(DefaultMovieParams()); err != nil {
+				return err
+			}
+		}
+		out, err := s.run(env)
+		if err != nil {
+			return err
+		}
+		_, err = fmt.Fprintln(w, out.String())
+		return err
+	}
+	return fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(SectionNames(), ", "))
+}
+
+// RunSuiteBench executes every paper experiment on up to workers
+// goroutines, streams the rendered results to w in the fixed suite order
+// and returns the per-section benchmark report (wall-clock seconds and,
+// where a section exposes them, simulated makespans and counters). The
+// kernel-based engine is job-isolated (each job runs on its own event
+// queue and clock), so independent sections fan out freely; the sections
+// sharing the movie environment run one at a time in their declared order,
+// exactly as the paper derives them from the same runs. The bytes written
+// to w are identical at any worker count.
+func RunSuiteBench(w io.Writer, workers int) (*BenchReport, error) {
+	start := time.Now()
+	secs := suiteSections()
 	env, err := NewMovieEnv(DefaultMovieParams())
 	if err != nil {
 		return nil, err
 	}
-	sem := make(chan struct{}, workers)
-	runOne := func(i int) {
-		sem <- struct{}{}
-		defer func() { <-sem }()
+	if workers < 1 {
+		workers = 1
+	}
+
+	// One worker takes every section in suite order, so output streams as
+	// it runs. More workers take the independent sections in suite order,
+	// and the first to find none left runs the shared chain by itself: the
+	// chain is serial anyway, and started last it fills the slot beside the
+	// last long independent sweep instead of delaying that sweep's start.
+	// No worker ever waits for another section to finish.
+	queue := make(chan int, len(secs))
+	var chain []int
+	for i, s := range secs {
+		if s.shared && workers > 1 {
+			chain = append(chain, i)
+		} else {
+			queue <- i
+		}
+	}
+	close(queue)
+
+	type result struct {
+		out  fmt.Stringer
+		err  error
+		wall time.Duration
+	}
+	results := make([]result, len(secs))
+	done := make([]chan struct{}, len(secs)) // done[i] is closed once results[i] is set
+	for i := range done {
+		done[i] = make(chan struct{})
+	}
+	var stop, chainTaken atomic.Bool
+	run := func(i int) {
+		if stop.Load() {
+			return
+		}
 		t0 := time.Now()
-		outs[i], errs[i] = secs[i].run(env)
-		wall[i] = time.Since(t0).Seconds()
+		out, err := secs[i].run(env)
+		results[i] = result{out, err, time.Since(t0)}
+		close(done[i])
 	}
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // the shared-env chain: declared order, one at a time
-		defer wg.Done()
-		for i := range secs {
-			if secs[i].shared {
-				runOne(i)
+	for k := 0; k < workers; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range queue {
+				run(i)
 			}
-		}
+			if chainTaken.CompareAndSwap(false, true) {
+				for _, i := range chain {
+					run(i)
+				}
+			}
+		}()
+	}
+	// On a failure the sections already running finish and no other starts.
+	defer func() {
+		stop.Store(true)
+		wg.Wait()
 	}()
-	for i := range secs {
-		if !secs[i].shared {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				runOne(i)
-			}(i)
-		}
-	}
-	wg.Wait()
 
-	var rep *BenchReport
-	if bench {
-		rep = &BenchReport{Workers: workers}
-	}
+	rep := &BenchReport{Workers: workers}
 	for i, s := range secs {
-		if errs[i] != nil {
-			return rep, errs[i]
+		<-done[i]
+		r := results[i]
+		if r.err != nil {
+			return rep, r.err
 		}
-		if rep != nil {
-			sec := benchSection(s.name, 0, outs[i])
-			sec.WallSeconds = wall[i]
-			rep.Sections = append(rep.Sections, sec)
-		}
-		if _, err := fmt.Fprintln(w, outs[i].String()); err != nil {
+		rep.Sections = append(rep.Sections, benchSection(s.name, r.wall, r.out))
+		if _, err := fmt.Fprintln(w, r.out.String()); err != nil {
 			return rep, err
 		}
 	}
-	if rep != nil {
-		rep.WallSeconds = time.Since(suiteStart).Seconds()
-	}
+	rep.WallSeconds = time.Since(start).Seconds()
 	return rep, nil
 }

@@ -39,7 +39,7 @@ func TestSuiteGoldenAndParallel(t *testing.T) {
 		t.Skip("suite is seconds-long; skipped in -short")
 	}
 	var seq bytes.Buffer
-	if err := RunSuite(&seq); err != nil {
+	if _, err := RunSuiteBench(&seq, 1); err != nil {
 		t.Fatal(err)
 	}
 	out := seq.String()
@@ -103,6 +103,33 @@ func TestSuiteGoldenAndParallel(t *testing.T) {
 	}
 	if !haveMakespans {
 		t.Error("no section reported simulated makespans")
+	}
+	for _, g := range failedGates(rep, suiteGates) {
+		t.Errorf("suite gate does not hold: %v", g)
+	}
+}
+
+// RunSection is what `datanet-bench -only` prints: for an independent and
+// for shared-environment sections (the chain's first and last) it must be
+// that section's bytes of the full suite. cmd/datanet-bench tests the
+// unknown-name error.
+func TestRunSectionPrintsTheSuitesBytes(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "suite.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := SectionNames()
+	for _, name := range []string{"fig2", "table1", "amortization"} {
+		if !slices.Contains(names, name) {
+			t.Fatalf("SectionNames() lacks %q: %v", name, names)
+		}
+		var out bytes.Buffer
+		if err := RunSection(&out, name); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if out.Len() == 0 || !bytes.Contains(golden, out.Bytes()) {
+			t.Errorf("RunSection(%q) printed %d bytes that are not a slice of suite.golden:\n%s", name, out.Len(), out.Bytes())
+		}
 	}
 }
 

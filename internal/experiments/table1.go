@@ -27,13 +27,6 @@ type Table1Entry struct {
 
 // Table1 runs the experiment (reusing an existing env when provided).
 func Table1(env *Env) (*Table1Result, error) {
-	if env == nil {
-		var err error
-		env, err = NewMovieEnv(DefaultMovieParams())
-		if err != nil {
-			return nil, err
-		}
-	}
 	// Pick the block with the most target data.
 	best, bestVal := 0, int64(-1)
 	for i, v := range env.BlockTruth {

@@ -35,13 +35,6 @@ var PaperAlphas = []float64{0.51, 0.40, 0.31, 0.25, 0.21}
 
 // Table2 sweeps α over the movie environment.
 func Table2(env *Env, alphas []float64) (*Table2Result, error) {
-	if env == nil {
-		var err error
-		env, err = NewMovieEnv(DefaultMovieParams())
-		if err != nil {
-			return nil, err
-		}
-	}
 	if len(alphas) == 0 {
 		alphas = PaperAlphas
 	}
