@@ -275,16 +275,12 @@ type Meta struct {
 // filesystem's block size are used (the paper's 1 kb unit corresponds to
 // 64 MB blocks).
 func BuildMeta(fs *FileSystem, file string, opts MetaOptions) (*Meta, error) {
-	blocks, err := fs.Blocks(file)
+	perBlock, err := fs.BlockRecords(file)
 	if err != nil {
 		return nil, err
 	}
 	if opts.BucketBounds == nil {
 		opts.BucketBounds = elasticmap.ScaledFibonacciBounds(fs.Config().BlockSize)
-	}
-	perBlock := make([][]records.Record, len(blocks))
-	for i, b := range blocks {
-		perBlock[i] = b.Records
 	}
 	return &Meta{arr: elasticmap.Build(perBlock, opts), file: file}, nil
 }
@@ -297,13 +293,7 @@ func (m *Meta) Estimate(sub string) int64 { return m.arr.Estimate(sub) }
 
 // Weights returns per-block |b ∩ sub| estimates in block order — the
 // scheduler input.
-func (m *Meta) Weights(sub string) []int64 {
-	w := make([]int64, m.arr.Len())
-	for _, be := range m.arr.Distribution(sub) {
-		w[be.Block] = be.Size
-	}
-	return w
-}
+func (m *Meta) Weights(sub string) []int64 { return m.arr.Weights(sub) }
 
 // HeatProfile returns the per-block concentration of sub in block order —
 // the access-heat signal the distribution-aware rebalancer consumes.
@@ -487,13 +477,9 @@ func SubDatasetJoin(buildSub string, windowSeconds int64, build map[string]strin
 // distribution reports non-empty — the meta-data prunes the build-side
 // scan exactly as it prunes analysis scheduling.
 func BuildJoinSide(fs *FileSystem, file string, meta *Meta, buildSub string, windowSeconds int64) (map[string]string, error) {
-	blocks, err := fs.Blocks(file)
+	byBlock, err := fs.BlockRecords(file)
 	if err != nil {
 		return nil, err
-	}
-	byBlock := make([][]Record, len(blocks))
-	for i, b := range blocks {
-		byBlock[i] = b.Records
 	}
 	return apps.BuildJoinSide(byBlock, meta.Array().Distribution(buildSub), buildSub, windowSeconds), nil
 }

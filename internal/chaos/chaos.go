@@ -155,7 +155,7 @@ func (h *Harness) schedulers() []schedulerArm {
 // partitionArms returns one arm per configured partitioning mode. Each
 // arm runs under the DataNet scheduler (the paper's configuration) with
 // key-aware partitioning on; the reducer count is rotated per seed by
-// CheckPlan so independence is exercised across widths, and the range
+// runArm so independence is exercised across widths, and the range
 // sampler's seed is fixed so replays are bit-identical. When the campaign
 // is mitigated, the partition arms inherit the mitigation mode —
 // independence must survive speculative backups and coded recovery, not
@@ -321,6 +321,47 @@ func typedFailure(err error) bool {
 		errors.Is(err, mapreduce.ErrNoLiveNodes)
 }
 
+// failFunc records one invariant breach.
+type failFunc func(sched, inv, format string, args ...any)
+
+// armsFor lists the arms one seed runs: every scheduler arm plus, when
+// partitioning is under test, one partition arm rotated per seed (a
+// campaign covers every mode).
+func (h *Harness) armsFor(seed uint64) []schedulerArm {
+	arms := h.schedulers()
+	if parts := h.partitionArms(); len(parts) > 0 {
+		arms = append(arms, parts[int(seed%uint64(len(parts)))])
+	}
+	return arms
+}
+
+// runArm executes the plan under one arm on a fresh fixture instance.
+// fail receives the rebalance invariant's breaches (nil discards them).
+func (h *Harness) runArm(s schedulerArm, seed uint64, plan *faults.Plan, fail failFunc) (*mapreduce.Result, error) {
+	fs, err := chaosFS(h.p)
+	if err != nil {
+		return nil, err
+	}
+	if h.p.Rebalance != "" && h.p.Rebalance != hdfs.RebalanceOff {
+		if fail == nil {
+			fail = func(string, string, string, ...any) {}
+		}
+		if err := h.rebalance(fs, seed, fail, s.name); err != nil {
+			return nil, err
+		}
+	}
+	cfg := h.baseConfig(fs)
+	s.tweak(&cfg)
+	if s.part != "" {
+		// The reducer count rotates with the seed: independence must hold
+		// at any width, not just the default one-per-node.
+		cfg.Reducers = 1 + int(seed>>3%13)
+	}
+	cfg.Faults = plan
+	cfg.Detect = h.p.Detect
+	return mapreduce.Run(cfg)
+}
+
 // CheckPlan runs one fault plan under every scheduler (twice each, for
 // the replay invariant) and returns every invariant breach. It is the
 // predicate the shrinker re-runs, so it must be deterministic.
@@ -337,42 +378,11 @@ func (h *Harness) CheckPlan(seed uint64, plan *faults.Plan) []Violation {
 		return out
 	}
 	armErr := map[string]error{}
-	arms := h.schedulers()
-	if len(h.partModes) > 0 {
-		// Rotate one partitioning arm per seed (a campaign covers every
-		// mode) and rotate the reducer count with it: independence must
-		// hold at any width, not just the default one-per-node.
-		parts := h.partitionArms()
-		arms = append(arms, parts[int(seed%uint64(len(parts)))])
-	}
-	for _, s := range arms {
-		run := func(report bool) (*mapreduce.Result, error) {
-			fs, err := chaosFS(h.p)
-			if err != nil {
-				return nil, err
-			}
-			if h.p.Rebalance != "" && h.p.Rebalance != hdfs.RebalanceOff {
-				// The invariant is checked once; the replay run still
-				// rebalances so both runs see the same layout.
-				reb := fail
-				if !report {
-					reb = func(string, string, string, ...any) {}
-				}
-				if err := h.rebalance(fs, seed, reb, s.name); err != nil {
-					return nil, err
-				}
-			}
-			cfg := h.baseConfig(fs)
-			s.tweak(&cfg)
-			if s.part != "" {
-				cfg.Reducers = 1 + int(seed>>3%13)
-			}
-			cfg.Faults = plan
-			cfg.Detect = h.p.Detect
-			return mapreduce.Run(cfg)
-		}
-		res, err := run(true)
-		res2, err2 := run(false)
+	for _, s := range h.armsFor(seed) {
+		// The rebalance invariant is checked once; the replay run still
+		// rebalances so both runs see the same layout.
+		res, err := h.runArm(s, seed, plan, fail)
+		res2, err2 := h.runArm(s, seed, plan, nil)
 		armErr[s.name] = err
 
 		// Replay: identical (seed, plan, config) must reproduce the run
@@ -398,6 +408,11 @@ func (h *Harness) CheckPlan(seed uint64, plan *faults.Plan) []Violation {
 		if !reflect.DeepEqual(res.Output, healthy.Output) {
 			fail(s.name, "records-lost", "output diverges from fault-free run (%d vs %d keys)",
 				len(res.Output), len(healthy.Output))
+		}
+		// Exactly-once commit: every block has at most one surviving filter
+		// output, whatever was retried, duplicated or decoded along the way.
+		if dup := duplicateLiveBlocks(res); len(dup) > 0 {
+			fail(s.name, "unique-live-stat", "blocks with more than one live output: %v", dup)
 		}
 		// Workload conservation: recovery may move filtered bytes between
 		// nodes but never create or destroy them.
@@ -495,11 +510,28 @@ func (h *Harness) CheckPlan(seed uint64, plan *faults.Plan) []Violation {
 	return out
 }
 
+// duplicateLiveBlocks lists the blocks that appear in more than one
+// non-Lost TaskStat (in first-seen order; empty on a correct run).
+func duplicateLiveBlocks(res *mapreduce.Result) []hdfs.BlockID {
+	live := make(map[hdfs.BlockID]int, len(res.Tasks))
+	var dup []hdfs.BlockID
+	for _, st := range res.Tasks {
+		if st.Lost {
+			continue
+		}
+		live[st.Task.Block]++
+		if live[st.Task.Block] == 2 {
+			dup = append(dup, st.Task.Block)
+		}
+	}
+	return dup
+}
+
 // rebalance runs the distribution-aware maintenance loop on one fixture
 // instance and checks the no-lost-blocks invariant: every block keeps at
 // least one replica and no block ends with two replicas on one node. The
 // annealing seed derives from the run seed, so replays are identical.
-func (h *Harness) rebalance(fs *hdfs.FileSystem, seed uint64, fail func(sched, inv, format string, args ...any), schedName string) error {
+func (h *Harness) rebalance(fs *hdfs.FileSystem, seed uint64, fail failFunc, schedName string) error {
 	rb := hdfs.NewRebalancer(fs, hdfs.RebalancerConfig{
 		Mode:       h.p.Rebalance,
 		AnnealSeed: int64(seed),

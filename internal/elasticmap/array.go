@@ -61,6 +61,17 @@ func (a *Array) Distribution(sub string) []BlockEstimate {
 	return out
 }
 
+// Weights returns the dense form of Distribution: sub's estimated size in
+// every block, in block order, zero where the meta-data reports absence —
+// the scheduler's weight vector.
+func (a *Array) Weights(sub string) []int64 {
+	w := make([]int64, len(a.metas))
+	for _, be := range a.Distribution(sub) {
+		w[be.Block] = be.Size
+	}
+	return w
+}
+
 // Estimate evaluates paper Eq. 6 for sub: the exact sizes of hash-resident
 // blocks (τ1) plus δ per Bloom-resident block (τ2).
 func (a *Array) Estimate(sub string) int64 {

@@ -58,6 +58,13 @@ func TestArrayDistribution(t *testing.T) {
 	if dist[1].Block != 1 || dist[1].Class != Bloomed {
 		t.Errorf("block-1 estimate = %+v, want Bloomed", dist[1])
 	}
+	// Weights is the same estimate, dense: zero where the sub is absent.
+	if w := arr.Weights("hero"); len(w) != 2 || w[0] != dist[0].Size || w[1] != dist[1].Size {
+		t.Errorf("Weights(hero) = %v, want the distribution's sizes %v", w, dist)
+	}
+	if w := arr.Weights("nobody"); len(w) != 2 || w[0] != 0 || w[1] != 0 {
+		t.Errorf("Weights of an absent sub = %v, want zeros", w)
+	}
 }
 
 func TestArrayEstimateEq6(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"datanet/internal/apps"
 	"datanet/internal/elasticmap"
 	"datanet/internal/metrics"
-	"datanet/internal/records"
 	"datanet/internal/sched"
 	"datanet/internal/stats"
 )
@@ -30,13 +29,9 @@ type BucketAblationRow struct {
 
 // BucketAblation runs the comparison at the default α.
 func BucketAblation(env *Env) (*BucketAblationResult, error) {
-	blocks, err := env.FS.Blocks(env.File)
+	perBlock, err := env.FS.BlockRecords(env.File)
 	if err != nil {
 		return nil, err
-	}
-	perBlock := make([][]records.Record, len(blocks))
-	for i, b := range blocks {
-		perBlock[i] = b.Records
 	}
 	allSubs := make([]string, 0, len(env.Truth))
 	for sub := range env.Truth {

@@ -8,12 +8,11 @@ import (
 	"datanet/internal/apps"
 	"datanet/internal/cluster"
 	"datanet/internal/detect"
-	"datanet/internal/elasticmap"
 	"datanet/internal/faults"
 	"datanet/internal/gen"
+	"datanet/internal/hdfs"
 	"datanet/internal/mapreduce"
 	"datanet/internal/metrics"
-	"datanet/internal/records"
 	"datanet/internal/sched"
 )
 
@@ -60,26 +59,11 @@ func DetectorSweep(p MovieParams) (*DetectSweepResult, error) {
 	target := gen.MovieID(0)
 	app := apps.WordCount{}
 
-	seedFS, err := faultFS(recs, p)
+	env, err := buildEnv(recs, p.Nodes, p.Racks, hdfs.Config{BlockSize: p.BlockBytes, Seed: p.Seed}, p.Alpha, target)
 	if err != nil {
 		return nil, err
 	}
-	blocks, err := seedFS.Blocks("dataset.log")
-	if err != nil {
-		return nil, err
-	}
-	perBlock := make([][]records.Record, len(blocks))
-	for i, b := range blocks {
-		perBlock[i] = b.Records
-	}
-	arr := elasticmap.Build(perBlock, elasticmap.Options{
-		Alpha:        p.Alpha,
-		BucketBounds: elasticmap.ScaledFibonacciBounds(p.BlockBytes),
-	})
-	weights := make([]int64, arr.Len())
-	for _, be := range arr.Distribution(target) {
-		weights[be.Block] = be.Size
-	}
+	weights := env.EstimatedWeights(target)
 
 	baseCfg := func() (mapreduce.Config, error) {
 		fs, err := faultFS(recs, p)

@@ -109,19 +109,15 @@ func scaledTopology(n, racks int, blockBytes int64) (*cluster.Topology, error) {
 	return cluster.NewHeterogeneous(specs, racks)
 }
 
-// buildEnv stores recs on a fresh filesystem and constructs the ElasticMap
-// array plus ground truth.
-func buildEnv(recs []records.Record, nodes, racks int, blockBytes int64, alpha float64, seed int64, target string) (*Env, error) {
-	topo, err := scaledTopology(nodes, racks, blockBytes)
+// buildEnv stores recs on a fresh filesystem (cfg's zero fields take the
+// HDFS defaults: 3 replicas, random placement) and constructs the
+// ElasticMap array plus ground truth.
+func buildEnv(recs []records.Record, nodes, racks int, cfg hdfs.Config, alpha float64, target string) (*Env, error) {
+	topo, err := scaledTopology(nodes, racks, cfg.BlockSize)
 	if err != nil {
 		return nil, err
 	}
-	fs, err := hdfs.NewFileSystem(topo, hdfs.Config{
-		BlockSize:   blockBytes,
-		Replication: hdfs.DefaultReplication,
-		Placement:   hdfs.RandomPlacement{},
-		Seed:        seed,
-	})
+	fs, err := hdfs.NewFileSystem(topo, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -129,15 +125,11 @@ func buildEnv(recs []records.Record, nodes, racks int, blockBytes int64, alpha f
 	if _, err := fs.Write(file, recs); err != nil {
 		return nil, err
 	}
-	blocks, err := fs.Blocks(file)
+	perBlock, err := fs.BlockRecords(file)
 	if err != nil {
 		return nil, err
 	}
-	opts := elasticmap.Options{Alpha: alpha, BucketBounds: elasticmap.ScaledFibonacciBounds(blockBytes)}
-	perBlock := make([][]records.Record, len(blocks))
-	for i, b := range blocks {
-		perBlock[i] = b.Records
-	}
+	opts := elasticmap.Options{Alpha: alpha, BucketBounds: elasticmap.ScaledFibonacciBounds(cfg.BlockSize)}
 	arr := elasticmap.Build(perBlock, opts)
 
 	env := &Env{
@@ -164,7 +156,7 @@ func NewMovieEnv(p MovieParams) (*Env, error) {
 	if p.Nodes <= 0 {
 		p = DefaultMovieParams()
 	}
-	return buildEnv(movieLog(p), p.Nodes, p.Racks, p.BlockBytes, p.Alpha, p.Seed, gen.MovieID(0))
+	return buildEnv(movieLog(p), p.Nodes, p.Racks, hdfs.Config{BlockSize: p.BlockBytes, Seed: p.Seed}, p.Alpha, gen.MovieID(0))
 }
 
 // meanMovieRecordBytes is the mean on-disk footprint of a generated
@@ -211,18 +203,12 @@ func NewEventEnv(p EventParams) (*Env, error) {
 		SpanDays: 120,
 		Seed:     p.Seed,
 	})
-	return buildEnv(recs, p.Nodes, p.Racks, p.BlockBytes, p.Alpha, p.Seed, "IssueEvent")
+	return buildEnv(recs, p.Nodes, p.Racks, hdfs.Config{BlockSize: p.BlockBytes, Seed: p.Seed}, p.Alpha, "IssueEvent")
 }
 
 // EstimatedWeights returns the per-block |b ∩ sub| estimates from the
 // ElasticMap array — the knowledge DataNet's scheduler consumes.
-func (e *Env) EstimatedWeights(sub string) []int64 {
-	w := make([]int64, e.Array.Len())
-	for _, be := range e.Array.Distribution(sub) {
-		w[be.Block] = be.Size
-	}
-	return w
-}
+func (e *Env) EstimatedWeights(sub string) []int64 { return e.Array.Weights(sub) }
 
 // TruthWeights returns the ground-truth per-block sizes of sub.
 func (e *Env) TruthWeights(sub string) ([]int64, error) {

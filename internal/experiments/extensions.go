@@ -11,7 +11,6 @@ import (
 	"datanet/internal/hdfs"
 	"datanet/internal/mapreduce"
 	"datanet/internal/metrics"
-	"datanet/internal/records"
 	"datanet/internal/sched"
 	"datanet/internal/stats"
 )
@@ -144,23 +143,16 @@ func Heterogeneity(p MovieParams) (*HeterogeneityResult, error) {
 	if _, err := fs.Write("data", recs); err != nil {
 		return nil, err
 	}
-	blocks, err := fs.Blocks("data")
+	perBlock, err := fs.BlockRecords("data")
 	if err != nil {
 		return nil, err
-	}
-	perBlock := make([][]records.Record, len(blocks))
-	for i, b := range blocks {
-		perBlock[i] = b.Records
 	}
 	arr := elasticmap.Build(perBlock, elasticmap.Options{
 		Alpha:        p.Alpha,
 		BucketBounds: elasticmap.ScaledFibonacciBounds(p.BlockBytes),
 	})
 	target := gen.MovieID(0)
-	weights := make([]int64, arr.Len())
-	for _, be := range arr.Distribution(target) {
-		weights[be.Block] = be.Size
-	}
+	weights := arr.Weights(target)
 
 	app := apps.NewTopKSearch(10, "plot twist ending amazing director")
 	run := func(f sched.Factory) (*mapreduce.Result, error) {

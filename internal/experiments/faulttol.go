@@ -76,12 +76,7 @@ func faultFS(recs []records.Record, p MovieParams) (*hdfs.FileSystem, error) {
 	if err != nil {
 		return nil, err
 	}
-	fs, err := hdfs.NewFileSystem(topo, hdfs.Config{
-		BlockSize:   p.BlockBytes,
-		Replication: hdfs.DefaultReplication,
-		Placement:   hdfs.RandomPlacement{},
-		Seed:        p.Seed,
-	})
+	fs, err := hdfs.NewFileSystem(topo, hdfs.Config{BlockSize: p.BlockBytes, Seed: p.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -102,26 +97,11 @@ func FaultTolerance(p MovieParams) (*FaultTolResult, error) {
 
 	// ElasticMap weights, built once: the block split is a pure function
 	// of block size and record stream, identical across fs instances.
-	seedFS, err := faultFS(recs, p)
+	env, err := buildEnv(recs, p.Nodes, p.Racks, hdfs.Config{BlockSize: p.BlockBytes, Seed: p.Seed}, p.Alpha, target)
 	if err != nil {
 		return nil, err
 	}
-	blocks, err := seedFS.Blocks("dataset.log")
-	if err != nil {
-		return nil, err
-	}
-	perBlock := make([][]records.Record, len(blocks))
-	for i, b := range blocks {
-		perBlock[i] = b.Records
-	}
-	arr := elasticmap.Build(perBlock, elasticmap.Options{
-		Alpha:        p.Alpha,
-		BucketBounds: elasticmap.ScaledFibonacciBounds(p.BlockBytes),
-	})
-	weights := make([]int64, arr.Len())
-	for _, be := range arr.Distribution(target) {
-		weights[be.Block] = be.Size
-	}
+	weights := env.EstimatedWeights(target)
 
 	baseCfg := func(fs *hdfs.FileSystem) mapreduce.Config {
 		return mapreduce.Config{

@@ -7,7 +7,6 @@ import (
 	"datanet/internal/apps"
 	"datanet/internal/elasticmap"
 	"datanet/internal/metrics"
-	"datanet/internal/records"
 	"datanet/internal/sched"
 	"datanet/internal/stats"
 )
@@ -40,13 +39,9 @@ func Fig10(env *Env, alphas []float64) (*Fig10Result, error) {
 			alphas = append(alphas, a)
 		}
 	}
-	blocks, err := env.FS.Blocks(env.File)
+	perBlock, err := env.FS.BlockRecords(env.File)
 	if err != nil {
 		return nil, err
-	}
-	perBlock := make([][]records.Record, len(blocks))
-	for i, b := range blocks {
-		perBlock[i] = b.Records
 	}
 	app := apps.NewTopKSearch(10, "plot twist ending amazing director")
 	res := &Fig10Result{Env: env}
@@ -54,10 +49,7 @@ func Fig10(env *Env, alphas []float64) (*Fig10Result, error) {
 		opts := env.Opts
 		opts.Alpha = a
 		arr := elasticmap.Build(perBlock, opts)
-		weights := make([]int64, arr.Len())
-		for _, be := range arr.Distribution(env.Target) {
-			weights[be.Block] = be.Size
-		}
+		weights := arr.Weights(env.Target)
 		run, err := env.RunWith(app, sched.NewDataNetPicker, weights, false)
 		if err != nil {
 			return nil, err

@@ -41,13 +41,9 @@ func ModelCheck(env *Env, alphas []float64) (*ModelCheckResult, error) {
 	if len(alphas) == 0 {
 		alphas = []float64{0.1, 0.3, 0.5, 0.8, 1.0}
 	}
-	blocks, err := env.FS.Blocks(env.File)
+	perBlock, err := env.FS.BlockRecords(env.File)
 	if err != nil {
 		return nil, err
-	}
-	perBlock := make([][]records.Record, len(blocks))
-	for i, b := range blocks {
-		perBlock[i] = b.Records
 	}
 	res := &ModelCheckResult{}
 	for _, a := range alphas {

@@ -5,11 +5,9 @@ import (
 	"strings"
 
 	"datanet/internal/apps"
-	"datanet/internal/elasticmap"
 	"datanet/internal/gen"
 	"datanet/internal/hdfs"
 	"datanet/internal/metrics"
-	"datanet/internal/records"
 	"datanet/internal/stats"
 )
 
@@ -44,33 +42,9 @@ func Replication(factors []int, p MovieParams) (*ReplicationResult, error) {
 	app := apps.NewTopKSearch(10, "plot twist ending amazing director")
 	res := &ReplicationResult{}
 	for _, rf := range factors {
-		topo, err := scaledTopology(p.Nodes, p.Racks, p.BlockBytes)
-		if err != nil {
-			return nil, err
-		}
-		fs, err := hdfs.NewFileSystem(topo, hdfs.Config{
+		env, err := buildEnv(recs, p.Nodes, p.Racks, hdfs.Config{
 			BlockSize: p.BlockBytes, Replication: rf, Seed: p.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if _, err := fs.Write("data", recs); err != nil {
-			return nil, err
-		}
-		env := &Env{Topo: topo, FS: fs, File: "data", Target: gen.MovieID(0)}
-		blocks, err := fs.Blocks("data")
-		if err != nil {
-			return nil, err
-		}
-		perBlock := make([][]records.Record, len(blocks))
-		for i, b := range blocks {
-			perBlock[i] = b.Records
-		}
-		env.Array = elasticmap.Build(perBlock, elasticmap.Options{
-			Alpha:        p.Alpha,
-			BucketBounds: elasticmap.ScaledFibonacciBounds(p.BlockBytes),
-		})
-		env.BlockTruth, err = fs.SubDistribution("data", env.Target)
+		}, p.Alpha, gen.MovieID(0))
 		if err != nil {
 			return nil, err
 		}
@@ -83,8 +57,8 @@ func Replication(factors []int, p MovieParams) (*ReplicationResult, error) {
 			return nil, err
 		}
 		row := ReplicationRow{Replication: rf}
-		row.BaselineMaxAvg = stats.Summarize(NodeSeries(topo, base.NodeWorkload)).ImbalanceRatio()
-		row.DataNetMaxAvg = stats.Summarize(NodeSeries(topo, dn.NodeWorkload)).ImbalanceRatio()
+		row.BaselineMaxAvg = stats.Summarize(NodeSeries(env.Topo, base.NodeWorkload)).ImbalanceRatio()
+		row.DataNetMaxAvg = stats.Summarize(NodeSeries(env.Topo, dn.NodeWorkload)).ImbalanceRatio()
 		if dn.LocalTasks+dn.RemoteTasks > 0 {
 			row.DataNetLocal = float64(dn.LocalTasks) / float64(dn.LocalTasks+dn.RemoteTasks)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"datanet/internal/apps"
 	"datanet/internal/gen"
+	"datanet/internal/hdfs"
 	"datanet/internal/metrics"
 	"datanet/internal/stats"
 )
@@ -130,7 +131,7 @@ func WebLog(p WebLogParams) (*WebLogResult, error) {
 		Requests: int(p.BlockBytes) * p.Blocks / meanRecordBytes,
 		Seed:     p.Seed,
 	})
-	env, err := buildEnv(recs, p.Nodes, p.Racks, p.BlockBytes, p.Alpha, p.Seed, gen.TeamID(0))
+	env, err := buildEnv(recs, p.Nodes, p.Racks, hdfs.Config{BlockSize: p.BlockBytes, Seed: p.Seed}, p.Alpha, gen.TeamID(0))
 	if err != nil {
 		return nil, err
 	}

@@ -208,11 +208,21 @@ func RunSection(w io.Writer, name string) error {
 // to w are identical at any worker count.
 func RunSuiteBench(w io.Writer, workers int) (*BenchReport, error) {
 	start := time.Now()
-	secs := suiteSections()
 	env, err := NewMovieEnv(DefaultMovieParams())
 	if err != nil {
 		return nil, err
 	}
+	rep, err := runSections(w, suiteSections(), env, workers)
+	if err != nil {
+		return rep, err
+	}
+	rep.WallSeconds = time.Since(start).Seconds()
+	return rep, nil
+}
+
+// runSections is RunSuiteBench over a given section list and shared
+// environment.
+func runSections(w io.Writer, secs []suiteSection, env *Env, workers int) (*BenchReport, error) {
 	if workers < 1 {
 		workers = 1
 	}
@@ -287,6 +297,5 @@ func RunSuiteBench(w io.Writer, workers int) (*BenchReport, error) {
 			return rep, err
 		}
 	}
-	rep.WallSeconds = time.Since(start).Seconds()
 	return rep, nil
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -14,7 +15,7 @@ import (
 	"datanet/internal/records"
 )
 
-var updateSuiteGolden = flag.Bool("update-suite", false, "rewrite testdata/suite.golden from the current sequential run")
+var updateSuiteGolden = flag.Bool("update-suite", false, "rewrite testdata/suite.golden from the current run")
 
 // memoisedLogs returns every review log memoised so far.
 func memoisedLogs() map[gen.MovieConfig][]records.Record {
@@ -26,23 +27,25 @@ func memoisedLogs() map[gen.MovieConfig][]records.Record {
 	return out
 }
 
-// TestSuiteGoldenAndParallel pins the whole suite's rendered output
-// (sequential run vs. the golden file) and verifies the parallel runner is
-// byte-identical to it — the kernel-based engine is job-isolated, so
-// concurrency must not change a single byte. Sections share memoised,
-// aliased review logs, so it also checks that no section wrote to one:
-// after the sequential run each still equals a fresh generation, and
-// after the 4-worker run too (strings are immutable, so comparing records
-// compares everything a section could have changed).
+// TestSuiteGoldenAndParallel pins the whole suite's rendered output: one
+// 4-worker run against the golden file — the kernel-based engine is
+// job-isolated, so concurrency must not change a single byte. (The
+// 1-worker queue order is TestOneWorkerRunsSectionsInSuiteOrder's, and
+// TestRunSectionPrintsTheSuitesBytes runs sections alone.) Sections share
+// memoised, aliased review logs, so it also checks that no section wrote
+// to one: after the run each still equals a fresh generation (strings are
+// immutable, so comparing records compares everything a section could
+// have changed).
 func TestSuiteGoldenAndParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite is seconds-long; skipped in -short")
 	}
-	var seq bytes.Buffer
-	if _, err := RunSuiteBench(&seq, 1); err != nil {
+	var got bytes.Buffer
+	rep, err := RunSuiteBench(&got, 4)
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := seq.String()
+	out := got.String()
 	for _, want := range []string{"Figure 1", "Figure 2", "Table I", "Figure 5", "Figure 6",
 		"Figure 7", "Figure 8", "Table II", "Figure 9", "Figure 10", "Ablation"} {
 		if !strings.Contains(out, want) {
@@ -52,7 +55,7 @@ func TestSuiteGoldenAndParallel(t *testing.T) {
 
 	golden := filepath.Join("testdata", "suite.golden")
 	if *updateSuiteGolden {
-		if err := os.WriteFile(golden, seq.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -60,35 +63,21 @@ func TestSuiteGoldenAndParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(seq.Bytes(), want) {
-		t.Errorf("sequential suite output deviates from %s (run with -update-suite to rebless); got %d bytes, want %d",
-			golden, seq.Len(), len(want))
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("4-worker suite output deviates from %s (run with -update-suite to rebless); got %d bytes, want %d",
+			golden, got.Len(), len(want))
 	}
 
-	fresh := map[gen.MovieConfig][]records.Record{}
-	for cfg, recs := range memoisedLogs() {
-		fresh[cfg] = gen.Movies(cfg)
-		if !slices.Equal(recs, fresh[cfg]) {
-			t.Errorf("memoised %+v was modified by the sequential suite", cfg)
+	logs := memoisedLogs()
+	for cfg, recs := range logs {
+		if !slices.Equal(recs, gen.Movies(cfg)) {
+			t.Errorf("memoised %+v was modified by the suite", cfg)
 		}
 	}
-	if len(fresh) < 6 {
-		t.Errorf("suite memoised %d review logs, want its six configurations", len(fresh))
+	if len(logs) < 6 {
+		t.Errorf("suite memoised %d review logs, want its six configurations", len(logs))
 	}
 
-	var par bytes.Buffer
-	rep, err := RunSuiteBench(&par, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cfg, recs := range memoisedLogs() {
-		if !slices.Equal(recs, fresh[cfg]) {
-			t.Errorf("memoised %+v was modified (or first generated) under the 4-worker suite", cfg)
-		}
-	}
-	if !bytes.Equal(par.Bytes(), seq.Bytes()) {
-		t.Errorf("parallel suite output differs from sequential (%d vs %d bytes)", par.Len(), seq.Len())
-	}
 	if rep == nil || rep.Workers != 4 || len(rep.Sections) != len(suiteSections()) {
 		t.Fatalf("bench report incomplete: %+v", rep)
 	}
@@ -106,6 +95,47 @@ func TestSuiteGoldenAndParallel(t *testing.T) {
 	}
 	for _, g := range failedGates(rep, suiteGates) {
 		t.Errorf("suite gate does not hold: %v", g)
+	}
+}
+
+type fakeResult string
+
+func (f fakeResult) String() string { return string(f) }
+
+// One worker takes every section, shared or not, in suite order; more
+// workers run the shared chain in its declared order beside the
+// independent sections. Either way the output is in suite order.
+func TestOneWorkerRunsSectionsInSuiteOrder(t *testing.T) {
+	var mu sync.Mutex
+	var started []string
+	var secs []suiteSection
+	for _, sec := range []suiteSection{{name: "a"}, {name: "b", shared: true}, {name: "c"}, {name: "d", shared: true}} {
+		name := sec.name
+		sec.run = func(*Env) (fmt.Stringer, error) {
+			mu.Lock()
+			started = append(started, name)
+			mu.Unlock()
+			return fakeResult(name), nil
+		}
+		secs = append(secs, sec)
+	}
+	for _, workers := range []int{1, 3} {
+		started = nil
+		var out bytes.Buffer
+		rep, err := runSections(&out, secs, nil, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != "a\nb\nc\nd\n" || len(rep.Sections) != len(secs) {
+			t.Errorf("%d workers: output %q, %d report sections", workers, out.String(), len(rep.Sections))
+		}
+		order := strings.Join(started, "")
+		if workers == 1 && order != "abcd" {
+			t.Errorf("1 worker started sections in order %q, want suite order", order)
+		}
+		if strings.Index(order, "b") > strings.Index(order, "d") {
+			t.Errorf("%d workers: shared chain ran out of order: %q", workers, order)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"datanet/internal/elasticmap"
 	"datanet/internal/metrics"
-	"datanet/internal/records"
 )
 
 // Table2Result reproduces paper Table II: ElasticMap memory efficiency and
@@ -38,13 +37,9 @@ func Table2(env *Env, alphas []float64) (*Table2Result, error) {
 	if len(alphas) == 0 {
 		alphas = PaperAlphas
 	}
-	blocks, err := env.FS.Blocks(env.File)
+	perBlock, err := env.FS.BlockRecords(env.File)
 	if err != nil {
 		return nil, err
-	}
-	perBlock := make([][]records.Record, len(blocks))
-	for i, b := range blocks {
-		perBlock[i] = b.Records
 	}
 	allSubs := make([]string, 0, len(env.Truth))
 	for sub := range env.Truth {

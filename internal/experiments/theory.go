@@ -7,6 +7,7 @@ import (
 
 	"datanet/internal/apps"
 	"datanet/internal/gen"
+	"datanet/internal/hdfs"
 	"datanet/internal/metrics"
 	"datanet/internal/records"
 	"datanet/internal/stats"
@@ -80,7 +81,7 @@ func Theory(model stats.Gamma, nBlocks, nodes, trials int) (*TheoryResult, error
 				sample = append(sample, kb)
 			}
 		}
-		env, err := buildEnv(gen.Flatten(blocks), nodes, 4, 64<<10, 0.3, int64(trial), "target")
+		env, err := buildEnv(gen.Flatten(blocks), nodes, 4, hdfs.Config{BlockSize: 64 << 10, Seed: int64(trial)}, 0.3, "target")
 		if err != nil {
 			return nil, err
 		}

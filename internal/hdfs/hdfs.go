@@ -227,6 +227,20 @@ func (fs *FileSystem) Blocks(name string) ([]*Block, error) {
 	return out, nil
 }
 
+// BlockRecords returns the records of each block of a file, in block
+// order — the input of an ElasticMap build.
+func (fs *FileSystem) BlockRecords(name string) ([][]records.Record, error) {
+	blocks, err := fs.Blocks(name)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]records.Record, len(blocks))
+	for i, b := range blocks {
+		out[i] = b.Records
+	}
+	return out, nil
+}
+
 // NumBlocks returns the filesystem-wide block count.
 func (fs *FileSystem) NumBlocks() int { return len(fs.blocks) }
 

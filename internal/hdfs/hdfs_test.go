@@ -79,6 +79,15 @@ func TestWriteSplitsIntoBlocks(t *testing.T) {
 	if !reflect.DeepEqual(reassembled, recs) {
 		t.Error("blocks do not reassemble to the original records in order")
 	}
+	perBlock, err := fs.BlockRecords("f")
+	if err != nil || len(perBlock) != len(blocks) {
+		t.Fatalf("BlockRecords: %d blocks, err %v; want %d", len(perBlock), err, len(blocks))
+	}
+	for i, b := range blocks {
+		if !reflect.DeepEqual(perBlock[i], b.Records) {
+			t.Errorf("BlockRecords[%d] differs from block %d's records", i, i)
+		}
+	}
 }
 
 func TestWriteSingleOversizedRecord(t *testing.T) {
@@ -106,6 +115,9 @@ func TestWriteErrors(t *testing.T) {
 	}
 	if _, err := fs.Blocks("missing"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Blocks missing err = %v", err)
+	}
+	if _, err := fs.BlockRecords("missing"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("BlockRecords missing err = %v", err)
 	}
 }
 

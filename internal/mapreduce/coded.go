@@ -47,15 +47,6 @@ type codedState struct {
 	// decoded marks systematic units whose output was produced by the
 	// barrier decode instead of a real attempt.
 	decoded []bool // per systematic unit
-	decodes int    // groups decoded
-}
-
-// Name implements straggle.Mitigator.
-func (c *codedState) Name() string { return string(straggle.ModeCoded) }
-
-// Stats implements straggle.Mitigator.
-func (c *codedState) Stats() straggle.Stats {
-	return straggle.Stats{Launches: c.layout.ParityUnits(), Wins: c.decodes}
 }
 
 // buildCoded rewrites the task list for coded execution: groups of
@@ -176,14 +167,21 @@ func (s *filterSim) codedUncommit(li int, t float64) {
 	}
 	c.satisfied[g] = false
 	c.satCount--
-	s.reviveGroup(g, t)
+	s.reviveGroup(g, t, li)
 }
 
-// reviveGroup requeues every unit of the group that is neither done,
-// running, queued nor abandoned. When the group was satisfied, its
-// unfinished units were killed or dropped; after an un-commit those are
-// the only spare redundancy the group has left.
-func (s *filterSim) reviveGroup(g int, t float64) {
+// reviveGroup requeues the units of a re-opened group that were killed or
+// dropped while it looked complete — after an un-commit they are the only
+// spare redundancy the group has left. It is the one producer of queue
+// entries outside an attempt's own lifecycle, so the engine's invariant —
+// at most one live non-duplicate attempt or queue entry per unit — is
+// kept here: a unit is left alone when it is done or abandoned, when the
+// master believes it running (an attempt in flight, or voided by a crash
+// the master has yet to respond to: respond requeues it), when it is
+// already queued, when the picker has not handed it out yet (it will),
+// and when it is the un-committed unit itself (the caller requeues it,
+// with the failure backoff).
+func (s *filterSim) reviveGroup(g int, t float64, uncommitted int) {
 	grp := s.coded.layout.Groups[g]
 	units := make([]int, 0, grp.N())
 	for u := grp.SysStart; u < grp.SysStart+grp.K; u++ {
@@ -199,8 +197,13 @@ func (s *filterSim) reviveGroup(g int, t float64) {
 	for _, it := range s.retries {
 		active[it.li] = true
 	}
+	for _, voided := range s.pendingVoided {
+		for _, li := range voided {
+			active[li] = true
+		}
+	}
 	for _, u := range units {
-		if s.done[u] || s.coded.abandoned[u] || active[u] {
+		if u == uncommitted || !s.handed[u] || s.done[u] || s.coded.abandoned[u] || active[u] {
 			continue
 		}
 		if s.attempts[u] >= s.retry.MaxAttempts || s.replicasGone(u) {
@@ -218,8 +221,7 @@ func (s *filterSim) reviveGroup(g int, t float64) {
 // immediately, and the burned time is charged to wasted work — exactly
 // the cost the makespan win is bought with.
 func (s *filterSim) killGroup(g int, now float64) {
-	keys := sortedRunningKeys(s.running)
-	for _, k := range keys {
+	for _, k := range sortedRunningKeys(s.running) {
 		r := s.running[k]
 		if s.coded.layout.GroupOf(r.li) != g || s.done[r.li] {
 			continue
@@ -227,14 +229,7 @@ func (s *filterSim) killGroup(g int, now float64) {
 		r.ev.Hide()
 		delete(s.running, k)
 		s.gens[k]++
-		s.res.WastedTaskSeconds += now - r.start
-		s.res.NodeBusy[k.node] += now - r.start
-		if s.rec.Enabled() {
-			s.rec.Record(trace.Event{T: r.start, Type: trace.EvTaskKilled,
-				Node: int(k.node), Block: int(r.task.Block), Attempt: r.attempt,
-				Dur: now - r.start, Local: r.local, Detail: "coded-k-of-n"})
-			s.assigned[k.node] -= r.task.Weight
-		}
+		s.kill(k.node, r, now, 0, "coded-k-of-n")
 		s.postSlotFree(now, k.node, k.slot, s.gens[k])
 	}
 }
@@ -247,9 +242,6 @@ func (s *filterSim) killGroup(g int, now float64) {
 // filter output (the analysis phase processes them there; a later crash
 // of that node loses them like any other fragment).
 func (s *filterSim) codedDecode() {
-	if s.coded == nil {
-		return
-	}
 	c := s.coded
 	for gi, g := range c.layout.Groups {
 		var missing []int
@@ -294,7 +286,6 @@ func (s *filterSim) codedDecode() {
 		if end > s.res.FilterEnd {
 			s.res.FilterEnd = end
 		}
-		c.decodes++
 		s.res.CodedDecodes++
 		s.res.CodedDecodedBytes += missingBytes
 		if s.rec.Enabled() {
@@ -303,19 +294,6 @@ func (s *filterSim) codedDecode() {
 				Count: len(missing), Detail: fmt.Sprintf("group %d: %d of %d fragments rebuilt", gi, len(missing), g.K)})
 		}
 	}
-}
-
-// codedUnfinished counts systematic units with no surviving output after
-// the decode pass (the coded-mode failure condition; parity units are
-// never required).
-func (s *filterSim) codedUnfinished() int {
-	n := 0
-	for u := 0; u < s.coded.layout.Sys; u++ {
-		if !s.done[u] {
-			n++
-		}
-	}
-	return n
 }
 
 // codedReplay produces the exactly-once application output for a coded

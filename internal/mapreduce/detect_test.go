@@ -1,10 +1,12 @@
 package mapreduce
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
 	"datanet/internal/apps"
+	"datanet/internal/cluster"
 	"datanet/internal/detect"
 	"datanet/internal/faults"
 	"datanet/internal/sched"
@@ -170,6 +172,34 @@ func TestFalseSuspicionDuplicateDedupe(t *testing.T) {
 	}
 	if suspects := countEvents(rec, trace.EvNodeSuspect); suspects == 0 {
 		t.Error("no node.suspect events traced")
+	}
+	// Kill accounting: attempts made redundant by a first finisher are
+	// still in flight when the phase completes. The barrier cuts them off,
+	// and the slot time they burned from their start until then is a traced
+	// span charged to their node like every other attempt's.
+	spans := map[cluster.NodeID]float64{}
+	cutOff := 0
+	for _, ev := range rec.Events() {
+		switch {
+		case ev.Type == trace.EvTaskKilled && ev.Detail == "phase-end-kill":
+			cutOff++
+			burned := got.FilterEnd - ev.T
+			if burned <= 0 || math.Abs(ev.Dur-burned) > 1e-9 {
+				t.Errorf("phase-end kill on node %d carries dur %g, burned %g", ev.Node, ev.Dur, burned)
+			}
+			spans[cluster.NodeID(ev.Node)] += burned
+		case ev.Type == trace.EvTaskFinish, ev.Type == trace.EvTaskFail,
+			ev.Type == trace.EvTaskKilled, ev.Type == trace.EvAnalysisSpan:
+			spans[cluster.NodeID(ev.Node)] += ev.Dur
+		}
+	}
+	if cutOff == 0 {
+		t.Error("no attempt was still in flight at the barrier")
+	}
+	for id, sum := range spans {
+		if got.NodeBusy[id] < sum-1e-9 {
+			t.Errorf("node %d: NodeBusy %g below its traced spans %g", id, got.NodeBusy[id], sum)
+		}
 	}
 }
 

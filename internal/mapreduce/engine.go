@@ -96,19 +96,9 @@ type Config struct {
 	// shuffle bytes and reduce workloads from the planned shares. Nil or
 	// off keeps the legacy volumetric model byte-identical.
 	Partition *partition.Config
-	// FilterCostFactor scales CPU time per matched byte during the filter
-	// phase (default 0.2: predicate evaluation plus local write).
-	FilterCostFactor float64
-	// ReduceCostFactor scales reduce CPU time per shuffled byte
-	// (default 1).
-	ReduceCostFactor float64
 	// TaskOverhead is the fixed per-task startup cost in seconds
 	// (JVM/task-setup analogue; default 0.1 s).
 	TaskOverhead float64
-	// CrossRackPenalty divides the NIC rate for remote reads whose source
-	// replicas all sit in other racks (two-tier fabric oversubscription;
-	// default 2).
-	CrossRackPenalty float64
 	// OutputAwareReducers places reduce tasks on the nodes holding the most
 	// map output instead of round-robin, so their own partition share never
 	// crosses the network — the aggregation-transfer optimization the paper
@@ -124,9 +114,9 @@ type Config struct {
 	// Hadoop-like defaults (4 attempts, 0.5 s base backoff, doubling).
 	Retry faults.RetryPolicy
 	// Detect selects how the master learns of node failures. The zero value
-	// (detect.Oracle) keeps the historical behavior: crashes are reacted to
-	// at the crash instant. Heartbeat/Phi modes run a failure detector on
-	// the filter kernel — the master pays real detection latency, may
+	// (detect.Oracle) is the zero-latency detector: the master responds to a
+	// crash at the crash instant. Heartbeat/Phi modes run a failure detector
+	// on the filter kernel — the master pays real detection latency, may
 	// falsely suspect slowed nodes, and reconciles duplicate completions
 	// first-finisher-wins.
 	Detect detect.Config
@@ -152,6 +142,18 @@ type Config struct {
 	// means "oracle truth" as before.)
 	WeightsErr error
 }
+
+// The calibrated cost model's fixed rates.
+const (
+	// filterCostFactor is CPU seconds per matched byte in the filter phase
+	// (predicate evaluation plus local write), before the node's CPU rate.
+	filterCostFactor = 0.2
+	// reduceCostFactor is reduce CPU seconds per shuffled byte.
+	reduceCostFactor = 1.0
+	// crossRackPenalty divides the NIC rate for remote reads whose source
+	// replicas all sit in other racks (two-tier fabric oversubscription).
+	crossRackPenalty = 2.0
+)
 
 // sameRackAsAnyReplica reports whether node shares a rack with any replica
 // holder of t.
@@ -312,8 +314,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	retry := cfg.Retry.WithDefaults()
 	// Heartbeat modes run a failure detector on the filter kernel; the
-	// oracle (zero value) builds none and keeps the historical instant
-	// reaction, byte-identical to pre-detector schedules.
+	// oracle (zero value) builds none.
 	var det *detect.Detector
 	if cfg.Detect.Mode != detect.Oracle {
 		det, err = detect.New(cfg.Detect, inj, topo.N())
@@ -324,17 +325,8 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Reducers <= 0 {
 		cfg.Reducers = topo.N()
 	}
-	if cfg.FilterCostFactor <= 0 {
-		cfg.FilterCostFactor = 0.2
-	}
-	if cfg.ReduceCostFactor <= 0 {
-		cfg.ReduceCostFactor = 1
-	}
 	if cfg.TaskOverhead <= 0 {
 		cfg.TaskOverhead = 0.1
-	}
-	if cfg.CrossRackPenalty < 1 {
-		cfg.CrossRackPenalty = 2
 	}
 	// Straggler mitigation is strictly opt-in; normalize and validate the
 	// knobs once here so the filter phase only sees defaulted values. The
@@ -507,8 +499,9 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-func isLocalTask(t sched.Task, node cluster.NodeID) bool {
-	for _, n := range t.Locations {
+// holdsReplica reports whether node is one of a block's replica holders.
+func holdsReplica(locations []cluster.NodeID, node cluster.NodeID) bool {
+	for _, n := range locations {
 		if n == node {
 			return true
 		}

@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"datanet/internal/cluster"
@@ -99,7 +100,6 @@ type runAttempt struct {
 	local      bool
 	attempt    int
 	failed     bool // transient read error: the attempt burns its slot time and retries
-	voided     bool // killed by a crash before completion
 	dup        bool // speculative duplicate of an attempt believed lost
 	// quant marks a duplicate launched by the quantile trigger (its win is
 	// a SpeculativeWin; a suspicion-triggered dup's win is not).
@@ -108,7 +108,7 @@ type runAttempt struct {
 	// bumps its generation, orphaning whatever was still queued for it.
 	gen int
 	// ev is the queued completion event, hidden from the kernel horizon
-	// when the attempt is voided (a dead attempt no longer creates work).
+	// when a crash voids the attempt (a dead attempt no longer creates work).
 	ev *sim.Event
 }
 
@@ -152,6 +152,7 @@ type filterSim struct {
 	byIndex   map[int]int                      // task.Index -> li
 	byBlock   map[hdfs.BlockID]int             // block -> li
 	attempts  []int
+	handed    []bool // li -> the picker has handed the task out
 	done      []bool
 	doneCount int
 	trackStat []int // li -> position of its live stat in res.Tasks, -1 when none
@@ -174,22 +175,25 @@ type filterSim struct {
 	// this).
 	idleRetries int
 
-	// Failure-detector state (all nil/empty in oracle mode — det == nil is
-	// the byte-identical historical path). The detector separates *truth*
-	// (the injector's physics, applied at the crash instant) from *belief*
-	// (the master's reaction, deferred to a matured suspicion or a
-	// re-registration beat); the gap is the detection latency.
+	// Failure handling separates *truth* (the injector's physics, applied
+	// at the crash instant) from *belief* (the master's response: requeues,
+	// re-replication, un-committed outputs). A detector defers the response
+	// to a matured suspicion or a re-registration beat, and the gap is the
+	// detection latency; the oracle (det == nil) is its zero-latency case
+	// and responds inside the crash event.
 	det *detect.Detector
 	// pendingResp maps a physically crashed node to its crash instant
-	// while the master has not yet responded. The phase cannot settle while
-	// a response is outstanding: it may still un-commit destroyed outputs.
+	// while the master has not yet responded (always empty between events
+	// under the oracle). The phase cannot settle while a response is
+	// outstanding: it may still un-commit destroyed outputs.
 	pendingResp map[cluster.NodeID]float64
 	// pendingVoided lists, per crashed node, the task indices whose
 	// in-flight attempts died with it; the master requeues them only when
 	// it responds (it cannot requeue work it does not know was lost).
 	pendingVoided map[cluster.NodeID][]int
 	// slotsDown marks nodes whose slots were physically killed by a crash;
-	// the node's re-registration beat revives them.
+	// the node's re-registration beat revives them (detector modes — under
+	// the oracle a dead node's slots poll again at its rejoin instant).
 	slotsDown map[cluster.NodeID]bool
 	// dupOutstanding caps speculative duplicates at one per task.
 	dupOutstanding []bool
@@ -199,19 +203,15 @@ type filterSim struct {
 	lastDup   bool
 	lastQuant bool
 
-	// Straggler mitigation (both nil with mitigation off — the
-	// byte-identical historical path; the modes are mutually exclusive).
-	// spec is the quantile-trigger speculation engine: a periodic
-	// evSpecCheck scan projects running attempts and launches budgeted
-	// backups through the same duplicate machinery the suspicion trigger
-	// uses. coded is the k-of-n execution state: the task list carries
-	// parity units and each group needs only k completions (see coded.go).
+	// Straggler mitigation (both nil with mitigation off; the modes are
+	// mutually exclusive). spec is the quantile-trigger speculation engine:
+	// a periodic evSpecCheck scan projects running attempts and launches
+	// budgeted backups through the same duplicate machinery the suspicion
+	// trigger uses. coded is the k-of-n execution state: the task list
+	// carries parity units and each group needs only k completions (see
+	// coded.go).
 	spec  *straggle.SpecEngine
 	coded *codedState
-	// wakeKinds is the parked-slot horizon: the event kinds that can create
-	// new work (detector modes add beats and timeouts, whose responses may
-	// requeue tasks).
-	wakeKinds []sim.Kind
 
 	// Tracing state (all nil/zero when tracing is off — the fast path).
 	// rec receives timeline events; lastRule carries the acquire path's
@@ -226,6 +226,11 @@ type filterSim struct {
 }
 
 const maxIdleRetries = 1 << 20
+
+// wakeKinds is the parked-slot horizon: every event kind that can create
+// new work — all but a slot's own poll (a beat's, a timeout's or a
+// spec-check's handler may queue retries).
+var wakeKinds = []sim.Kind{evRetryReady, evAttemptDone, evCrash, evBeat, evDetTimeout, evSpecCheck}
 
 func newFilterSim(cfg Config, topo *cluster.Topology, inj *faults.Injector, retry faults.RetryPolicy, tasks []sched.Task, truth []int64, picker sched.Picker, res *Result, det *detect.Detector, spec *straggle.SpecEngine, coded *codedState) *filterSim {
 	s := &filterSim{
@@ -247,25 +252,16 @@ func newFilterSim(cfg Config, topo *cluster.Topology, inj *faults.Injector, retr
 		byIndex:   make(map[int]int, len(tasks)),
 		byBlock:   make(map[hdfs.BlockID]int, len(tasks)),
 		attempts:  make([]int, len(tasks)),
+		handed:    make([]bool, len(tasks)),
 		done:      make([]bool, len(tasks)),
 		trackStat: make([]int, len(tasks)),
 		crashes:   inj.Crashes(),
 		nodeTasks: make(map[cluster.NodeID]int, topo.N()),
-		wakeKinds: []sim.Kind{evRetryReady, evAttemptDone, evCrash},
-	}
-	if det != nil {
-		s.pendingResp = make(map[cluster.NodeID]float64)
-		s.pendingVoided = make(map[cluster.NodeID][]int)
-		s.slotsDown = make(map[cluster.NodeID]bool)
-		s.wakeKinds = append(s.wakeKinds, evBeat, evDetTimeout)
-	}
-	if det != nil || spec != nil {
-		s.dupOutstanding = make([]bool, len(tasks))
-	}
-	if spec != nil {
-		// Spec-check instants can create retries, so parked slots must wake
-		// for them.
-		s.wakeKinds = append(s.wakeKinds, evSpecCheck)
+
+		pendingResp:    make(map[cluster.NodeID]float64),
+		pendingVoided:  make(map[cluster.NodeID][]int),
+		slotsDown:      make(map[cluster.NodeID]bool),
+		dupOutstanding: make([]bool, len(tasks)),
 	}
 	for li, t := range tasks {
 		s.byIndex[t.Index] = li
@@ -349,7 +345,7 @@ func (s *filterSim) postRetry(it retryItem) {
 }
 
 // noteWasted charges one redundant completed attempt to the wasted-work
-// counters (mitigation modes only — the historical paths stay untouched).
+// counters (mitigation modes only: a detector-only run reports none).
 func (s *filterSim) noteWasted(seconds float64, bytes int64) {
 	if s.spec == nil && s.coded == nil {
 		return
@@ -384,25 +380,16 @@ func (s *filterSim) run() error {
 	// instant, ordered before slot activity at the same time.
 	s.inj.Schedule(s.kern, evCrash, -1)
 	if s.slotLive > 0 {
+		// The kernel stops via slot accounting or maybeSettle — under a
+		// detector possibly while a crash response is still outstanding (the
+		// master has not discovered the destroyed outputs yet). Resume until
+		// belief catches up with truth, the phase is wedged, or the queue
+		// drains.
 		for {
 			if err := s.kern.Run(); err != nil {
 				return err
 			}
-			if s.det == nil {
-				break
-			}
-			// Detector modes: heartbeats chain forever, so the kernel stops
-			// via maybeSettle or slot accounting — possibly while a crash
-			// response is still outstanding (the master has not discovered
-			// the destroyed outputs yet). Resume until belief catches up
-			// with truth, the phase is wedged, or the queue drains.
-			if s.phaseComplete() && len(s.pendingResp) == 0 {
-				break
-			}
-			if s.slotLive == 0 && len(s.pendingResp) == 0 && !s.anyRevivable() {
-				break
-			}
-			if s.kern.Len() == 0 {
+			if s.settled() || s.kern.Len() == 0 {
 				break
 			}
 		}
@@ -421,20 +408,23 @@ func (s *filterSim) run() error {
 	return nil
 }
 
-// maybeSettle stops the kernel once nothing further can happen: the phase
-// is complete with no crash response outstanding, or no slot can ever
-// serve again. Detector modes only — without this, the beat chains would
-// run the kernel forever.
+// settled reports that nothing further can happen: no crash response is
+// outstanding and the phase is complete, or wedged — no slot can ever
+// request work again.
+func (s *filterSim) settled() bool {
+	if len(s.pendingResp) > 0 {
+		return false
+	}
+	return s.phaseComplete() || (s.slotLive == 0 && !s.anyRevivable())
+}
+
+// maybeSettle stops a detector-mode kernel once it is settled — its beat
+// chains would otherwise run forever. The oracle's kernel has no such
+// chains: it drains the attempts still in flight and stops by slot
+// accounting.
 func (s *filterSim) maybeSettle() {
-	if s.det == nil {
-		return
-	}
-	if s.phaseComplete() && len(s.pendingResp) == 0 {
+	if s.det != nil && s.settled() {
 		s.kern.Stop()
-		return
-	}
-	if s.slotLive == 0 && len(s.pendingResp) == 0 && !s.anyRevivable() {
-		s.kern.Stop() // wedged: nothing can request work again
 	}
 }
 
@@ -460,11 +450,10 @@ func (s *filterSim) anyRevivable() bool {
 // killDuplicates sweeps attempts still in flight after the kernel stops
 // whose task already committed elsewhere: the master kills the redundant
 // attempts at the phase barrier (speculation-style), so they neither
-// extend the makespan nor double-count work.
+// extend the makespan nor double-count work. The attempt burned its slot
+// from start until the barrier cut it off (or until its own end, if
+// earlier).
 func (s *filterSim) killDuplicates() {
-	if (s.det == nil && s.spec == nil && s.coded == nil) || len(s.running) == 0 {
-		return
-	}
 	for _, k := range sortedRunningKeys(s.running) {
 		r := s.running[k]
 		if !s.done[r.li] && !s.groupObsolete(r.li) {
@@ -473,21 +462,22 @@ func (s *filterSim) killDuplicates() {
 		r.ev.Hide()
 		delete(s.running, k)
 		s.res.DuplicateKills++
-		// The attempt burned its slot from start until the barrier cut it
-		// off (or until its own end, if earlier).
-		cut := s.res.FilterEnd
-		if r.end < cut {
-			cut = r.end
-		}
-		if cut > r.start {
-			s.noteWasted(cut-r.start, 0)
-		}
-		if s.rec.Enabled() {
-			s.rec.Record(trace.Event{T: r.start, Type: trace.EvTaskKilled,
-				Node: int(k.node), Block: int(r.task.Block), Attempt: r.attempt,
-				Local: r.local, Detail: "phase-end-kill"})
-			s.assigned[k.node] -= r.task.Weight
-		}
+		s.kill(k.node, r, math.Min(s.res.FilterEnd, r.end), 0, "phase-end-kill")
+	}
+}
+
+// kill retires one redundant attempt — its task committed elsewhere, or
+// its coded group is satisfied. The slot time burned up to cut is charged
+// to the node and, with the bytes a completed attempt produced, to the
+// wasted-work counters; the work itself is never double-counted.
+func (s *filterSim) kill(node cluster.NodeID, r *runAttempt, cut float64, bytes int64, detail string) {
+	s.res.NodeBusy[node] += cut - r.start
+	s.noteWasted(cut-r.start, bytes)
+	if s.rec.Enabled() {
+		s.rec.Record(trace.Event{T: r.start, Type: trace.EvTaskKilled,
+			Node: int(node), Block: int(r.task.Block), Attempt: r.attempt,
+			Dur: cut - r.start, Local: r.local, Detail: detail})
+		s.assigned[node] -= r.task.Weight
 	}
 }
 
@@ -534,19 +524,17 @@ func (s *filterSim) postSlotFree(at float64, node cluster.NodeID, slot, gen int)
 	s.slotLive++
 }
 
-// onCrash delivers one group of simultaneous crashes. Once the last
-// output is committed the filter barrier has passed, and later crashes
-// belong to the analysis phase (recoverAnalysis), so they are left
-// unapplied for it. Oracle mode applies physics and master response in
-// one step at the crash instant; detector modes apply only the physics
-// here and defer the response to the failure detector.
+// onCrash delivers one group of simultaneous crashes: the physics of every
+// victim first, then the master's response for the victims it learns of
+// at once — all of them under the oracle (the zero-latency detector); under
+// a detector only nodes it had already written off (a false suspicion
+// turning true, or crash–rejoin–crash within one suspicion: no further
+// beat will arrive to mature a new timeout), while the rest wait for
+// their suspicion or re-registration beat. Once the last output is
+// committed and no response can re-open the barrier, later crashes belong
+// to the analysis phase (recoverAnalysis) and are left unapplied for it.
 func (s *filterSim) onCrash(ev *sim.Event) error {
-	if s.det == nil {
-		if s.phaseComplete() || s.slotLive == 0 {
-			return nil
-		}
-	} else if s.phaseComplete() && len(s.pendingResp) == 0 {
-		// The barrier looks passed and no response can re-open it.
+	if s.phaseComplete() && len(s.pendingResp) == 0 {
 		return nil
 	}
 	t0 := ev.At
@@ -555,48 +543,48 @@ func (s *filterSim) onCrash(ev *sim.Event) error {
 		group = append(group, s.crashes[s.crashIdx].Node)
 		s.crashIdx++
 	}
-	if len(group) == 0 {
-		return nil
-	}
-	if s.det == nil {
-		return s.applyCrashGroup(t0, group)
-	}
 	sort.Slice(group, func(i, j int) bool { return group[i] < group[j] })
+	var known []cluster.NodeID
 	for _, d := range group {
-		if err := s.applyCrashPhysics(d, t0); err != nil {
-			return err
+		s.applyCrashPhysics(d, t0)
+		if s.det == nil || s.det.State(d) == detect.Suspected {
+			known = append(known, d)
 		}
 	}
-	return nil
+	return s.respond(known, t0)
 }
 
 // applyCrashPhysics applies the *physical* half of one node's crash:
 // attempts running on the victim die, its slots stop requesting work, and
 // its stored outputs are (silently, for now) destroyed. The master's
 // belief — requeues, re-replication, un-committing outputs, latency
-// accounting — waits for the detector: a matured suspicion or the node's
-// re-registration beat triggers respond. Detector modes only.
-func (s *filterSim) applyCrashPhysics(d cluster.NodeID, t0 float64) error {
+// accounting — is respond's half.
+func (s *filterSim) applyCrashPhysics(d cluster.NodeID, t0 float64) {
 	s.res.NodeCrashes++
-	if s.rec.Enabled() {
-		ev := trace.At(t0, trace.EvNodeCrash)
-		ev.Node = int(d)
-		s.rec.Record(ev)
-		if rj, ok := s.inj.RejoinAfter(d, t0); ok {
-			rje := trace.At(rj, trace.EvNodeRejoin)
-			rje.Node = int(d)
-			s.rec.Record(rje)
-		}
+	rejoinAt, rejoins := s.inj.RejoinAfter(d, t0)
+	s.rec.Record(trace.Event{T: t0, Type: trace.EvNodeCrash, Node: int(d), Block: -1})
+	if rejoins {
+		s.rec.Record(trace.Event{T: rejoinAt, Type: trace.EvNodeRejoin, Node: int(d), Block: -1})
 	}
-	s.slotsDown[d] = true
+	// Slot revival is where the modes differ in what they model. A
+	// detector's master hears from a rebooted node at its re-registration
+	// beat, which revives every slot (onDetBeat). Under the oracle a slot
+	// that lost an attempt asks for work again at the rejoin instant, and
+	// an idle slot finds its node dead on its next poll (serveSlot).
+	s.slotsDown[d] = s.det != nil
 	for slot := 0; slot < s.topo.Node(d).Slots; slot++ {
 		key := slotKey{d, slot}
-		s.gens[key]++ // every queued slot event of the victim is now stale
 		r := s.running[key]
+		if r == nil && s.det == nil {
+			continue
+		}
+		s.gens[key]++ // every queued event of the slot is now stale
 		if r == nil {
 			continue
 		}
-		r.voided = true
+		if s.det == nil && rejoins {
+			s.postSlotFree(rejoinAt, d, slot, s.gens[key])
+		}
 		r.ev.Hide() // a dead attempt's end no longer creates work
 		delete(s.running, key)
 		if s.rec.Enabled() {
@@ -612,95 +600,111 @@ func (s *filterSim) applyCrashPhysics(d cluster.NodeID, t0 float64) error {
 	if _, ok := s.pendingResp[d]; !ok {
 		s.pendingResp[d] = t0 // latency counts from the first unresponded crash
 	}
-	// A node crashing while already written off (a false suspicion turning
-	// true, or crash–rejoin–crash within one suspicion) gets its response
-	// now: no further beat will arrive to mature a new timeout for it.
-	if s.det.State(d) == detect.Suspected {
-		return s.respond(d, t0)
-	}
-	return nil
 }
 
-// respond is the master's reaction to a node it now believes dead (or,
-// for a re-registration, knows rebooted): the name-node repairs
-// replication, the attempts and outputs lost with the node are requeued,
-// and the crash→response gap is recorded as detection latency.
-func (s *filterSim) respond(d cluster.NodeID, t float64) error {
-	crashAt, ok := s.pendingResp[d]
-	if !ok {
-		return nil
+// believedDead is the master's view of a node when it repairs
+// replication: physics under the oracle, suspicion under a detector.
+func (s *filterSim) believedDead(id cluster.NodeID, t float64) bool {
+	if s.det == nil {
+		return s.inj.DeadAt(id, t)
 	}
-	delete(s.pendingResp, d)
-	s.layoutDirty = true
-	s.res.DetectionLatency = append(s.res.DetectionLatency, t-crashAt)
+	return s.det.State(id) == detect.Suspected
+}
+
+// noteLatency reports one crash→response gap under a detector; the
+// oracle's is zero by construction and not reported.
+func (s *filterSim) noteLatency(d cluster.NodeID, crashAt, respAt float64) {
+	if s.det == nil {
+		return
+	}
+	s.res.DetectionLatency = append(s.res.DetectionLatency, respAt-crashAt)
 	if s.rec.Enabled() {
-		s.cfg.FS.SetTraceTime(t)
-		ev := trace.At(t, trace.EvDetectLatency)
+		ev := trace.At(respAt, trace.EvDetectLatency)
 		ev.Node = int(d)
-		ev.Dur = t - crashAt
+		ev.Dur = respAt - crashAt
 		s.rec.Record(ev)
 	}
+}
+
+// respond is the master's reaction to nodes it now believes dead (or, for
+// a re-registration, knows rebooted): the name-node repairs replication —
+// once for the whole group, so blocks losing all replicas at once are
+// detected as unrecoverable — the attempts and outputs lost with the
+// nodes are requeued, and the crash→response gap is the detection
+// latency.
+func (s *filterSim) respond(group []cluster.NodeID, t float64) error {
+	if len(group) == 0 {
+		return nil
+	}
+	s.layoutDirty = true
+	if s.rec.Enabled() {
+		s.cfg.FS.SetTraceTime(t)
+	}
 	// The repair pass excludes every node that cannot hold replicas right
-	// now: the suspected ones (belief) plus crashed nodes whose response is
-	// still pending — a copy targeted at a corpse fails at the transport
-	// layer immediately, so the name-node skips them without needing to
-	// have suspected them yet.
+	// now: the ones the master believes dead plus crashed nodes whose
+	// response is pending (the group included) — a copy targeted at a corpse
+	// fails at the transport layer immediately, so the name-node skips them
+	// without needing to have suspected them yet.
 	var dead []cluster.NodeID
 	for _, id := range s.topo.IDs() {
-		if id == d || s.det.State(id) == detect.Suspected {
-			dead = append(dead, id)
-			continue
-		}
-		if _, pending := s.pendingResp[id]; pending {
+		if _, pending := s.pendingResp[id]; pending || s.believedDead(id, t) {
 			dead = append(dead, id)
 		}
+	}
+	for _, d := range group {
+		s.noteLatency(d, s.pendingResp[d], t)
+		delete(s.pendingResp, d)
 	}
 	moved, lost := s.cfg.FS.FailNodes(dead)
 	s.res.ReplicasRepaired += moved
-	// The attempts that died with the node are requeued now — the master
-	// just learned they will never report back.
-	for _, li := range s.pendingVoided[d] {
-		if s.done[li] {
-			continue // a duplicate finished the task in the meantime
-		}
-		if err := s.requeue(li, t, "crash-voided"); err != nil {
-			return err
-		}
-	}
-	delete(s.pendingVoided, d)
-	// Committed outputs stored on the victim are discovered destroyed.
-	for _, r := range s.byNode[d] {
-		if s.trackStat[r.li] >= 0 {
-			s.res.Tasks[s.trackStat[r.li]].Lost = true
-			s.trackStat[r.li] = -1
-		}
-		if !s.isParity(r.li) {
-			s.res.NodeWorkload[d] -= r.matched
-			s.nodeTasks[d]--
-		}
-		if s.done[r.li] {
-			s.done[r.li] = false
-			s.doneCount--
-			if s.coded != nil {
-				s.codedUncommit(r.li, t)
+	for _, d := range group {
+		// The attempts that died with the node are requeued now — the master
+		// just learned they will never report back.
+		for _, li := range s.pendingVoided[d] {
+			if s.done[li] {
+				continue // a duplicate finished the task in the meantime
+			}
+			if err := s.requeue(li, t, "crash-voided"); err != nil {
+				return err
 			}
 		}
-		s.res.LostOutputs++
-		if s.rec.Enabled() {
-			le := trace.Event{T: t, Type: trace.EvOutputLost,
-				Node: int(d), Block: int(r.task.Block), Attempt: r.attempt,
-				Bytes: r.matched}
-			s.rec.Record(le)
-			s.assigned[d] -= r.task.Weight
+		delete(s.pendingVoided, d)
+		// Committed outputs stored on the victim are discovered destroyed.
+		for _, r := range s.byNode[d] {
+			if s.trackStat[r.li] >= 0 {
+				s.res.Tasks[s.trackStat[r.li]].Lost = true
+				s.trackStat[r.li] = -1
+			}
+			if !s.isParity(r.li) {
+				s.res.NodeWorkload[d] -= r.matched
+				s.nodeTasks[d]--
+			}
+			if s.done[r.li] {
+				s.done[r.li] = false
+				s.doneCount--
+				if s.coded != nil {
+					s.codedUncommit(r.li, t)
+				}
+			}
+			s.res.LostOutputs++
+			if s.rec.Enabled() {
+				le := trace.Event{T: t, Type: trace.EvOutputLost,
+					Node: int(d), Block: int(r.task.Block), Attempt: r.attempt,
+					Bytes: r.matched}
+				s.rec.Record(le)
+				s.assigned[d] -= r.task.Weight
+			}
+			if err := s.requeue(r.li, t, "output-lost"); err != nil {
+				return err
+			}
 		}
-		if err := s.requeue(r.li, t, "output-lost"); err != nil {
-			return err
-		}
+		s.byNode[d] = nil
 	}
-	s.byNode[d] = nil
-	// Blocks with no surviving replica are gone for good unless their
-	// filter output survives on a live node — or, coded mode, the block's
-	// group is satisfied (its fragment is reconstructable from the code).
+	// Blocks with no surviving replica are gone for good; the job fails
+	// (typed) unless their filter output survives on a live node or — coded
+	// mode — the block's group is satisfied (its fragment is
+	// reconstructable from the code). Blocks skipped by the meta-data are
+	// not needed at all.
 	for _, b := range lost {
 		if li, ok := s.byBlock[b]; ok && !s.done[li] && !s.groupObsolete(li) {
 			return &BlockFailure{Block: b, Attempts: s.attempts[li], Cause: ErrDataLost}
@@ -716,7 +720,7 @@ func (s *filterSim) respond(d cluster.NodeID, t float64) error {
 // rejoined tracker starts requesting work again.
 func (s *filterSim) onDetBeat(id cluster.NodeID, t float64) error {
 	if _, crashed := s.pendingResp[id]; crashed {
-		if err := s.respond(id, t); err != nil {
+		if err := s.respond([]cluster.NodeID{id}, t); err != nil {
 			return err
 		}
 	}
@@ -738,22 +742,17 @@ func (s *filterSim) onDetBeat(id cluster.NodeID, t float64) error {
 // assigning it work and speculates duplicates of whatever it believes
 // lost in flight, first finisher wins.
 func (s *filterSim) onSuspect(id cluster.NodeID, t float64) error {
-	if s.rec.Enabled() {
-		ev := trace.At(t, trace.EvNodeSuspect)
-		ev.Node = int(id)
-		s.rec.Record(ev)
-	}
+	s.rec.Record(trace.Event{T: t, Type: trace.EvNodeSuspect, Node: int(id), Block: -1})
 	if _, crashed := s.pendingResp[id]; crashed {
-		if err := s.respond(id, t); err != nil {
+		if err := s.respond([]cluster.NodeID{id}, t); err != nil {
 			return err
 		}
-		s.maybeSettle()
-		return nil
-	}
-	s.res.FalseSuspicions++
-	for slot := 0; slot < s.topo.Node(id).Slots; slot++ {
-		if r := s.running[slotKey{id, slot}]; r != nil {
-			s.requeueDup(r.li, t)
+	} else {
+		s.res.FalseSuspicions++
+		for slot := 0; slot < s.topo.Node(id).Slots; slot++ {
+			if r := s.running[slotKey{id, slot}]; r != nil {
+				s.requeueDup(r.li, t)
+			}
 		}
 	}
 	s.maybeSettle()
@@ -763,11 +762,7 @@ func (s *filterSim) onSuspect(id cluster.NodeID, t float64) error {
 // onClear is the detector's Clear hook: a beat proved a suspected node
 // alive (rejoin or false alarm); it becomes assignable again.
 func (s *filterSim) onClear(id cluster.NodeID, t float64) error {
-	if s.rec.Enabled() {
-		ev := trace.At(t, trace.EvNodeClear)
-		ev.Node = int(id)
-		s.rec.Record(ev)
-	}
+	s.rec.Record(trace.Event{T: t, Type: trace.EvNodeClear, Node: int(id), Block: -1})
 	return nil
 }
 
@@ -780,10 +775,7 @@ func (s *filterSim) requeueDup(li int, t float64) {
 	if s.done[li] || s.dupOutstanding[li] {
 		return
 	}
-	if s.attempts[li] >= s.retry.MaxAttempts {
-		return
-	}
-	if s.layoutDirty && !s.isParity(li) && len(s.cfg.FS.Locations(s.tasks[li].Block)) == 0 {
+	if s.attempts[li] >= s.retry.MaxAttempts || s.replicasGone(li) {
 		return
 	}
 	s.dupOutstanding[li] = true
@@ -825,13 +817,13 @@ func (s *filterSim) onSpecCheck(ev *sim.Event) error {
 	projs := make([]straggle.Projection, 0, len(keys))
 	for _, k := range keys {
 		r := s.running[k]
-		if s.done[r.li] || r.voided {
+		if s.done[r.li] {
 			continue
 		}
 		projs = append(projs, straggle.Projection{Unit: r.li, Projected: r.end})
 	}
 	for _, li := range s.spec.Decide(now, projs) {
-		s.launchQuantileDup(li, now)
+		s.launchQuantileDup(li, now, keys)
 	}
 	s.postSpecCheck(now + s.spec.Interval())
 	return nil
@@ -842,7 +834,9 @@ func (s *filterSim) onSpecCheck(ev *sim.Event) error {
 // a failure backoff), that must land away from the straggling original.
 // Like the suspicion trigger it never fails the job — at the attempt
 // cap, with replicas gone, or over budget the master simply declines.
-func (s *filterSim) launchQuantileDup(li int, now float64) {
+// keys is the scan's sorted view of the running attempts (launching a
+// backup only queues a retry, so it stays current across one scan).
+func (s *filterSim) launchQuantileDup(li int, now float64, keys []slotKey) {
 	if s.done[li] || s.dupOutstanding[li] || !s.spec.Allow(li) {
 		return
 	}
@@ -853,7 +847,7 @@ func (s *filterSim) launchQuantileDup(li int, now float64) {
 	// this task (deterministic scan order).
 	avoid := cluster.NodeID(-1)
 	worst := -1.0
-	for _, k := range sortedRunningKeys(s.running) {
+	for _, k := range keys {
 		r := s.running[k]
 		if r.li == li && r.end > worst {
 			worst = r.end
@@ -896,36 +890,17 @@ func (s *filterSim) onAttemptDone(ev *sim.Event) error {
 	}
 	now := ev.At
 	delete(s.running, key)
-	if r.voided {
-		return nil
-	}
-	if (s.det != nil || s.spec != nil) && s.done[r.li] {
-		// Another attempt committed first; this one is redundant. The
-		// master kills it on arrival (speculation-style dedupe): its slot
-		// time was burned but the work is not double-counted.
-		s.res.DuplicateKills++
-		s.res.NodeBusy[node] += r.end - r.start
-		s.noteWasted(r.end-r.start, r.matched)
-		if s.rec.Enabled() {
-			s.rec.Record(trace.Event{T: r.start, Type: trace.EvTaskKilled,
-				Node: int(node), Block: int(r.task.Block), Attempt: r.attempt,
-				Dur: r.end - r.start, Local: r.local, Detail: "duplicate-completion"})
-			s.assigned[node] -= r.task.Weight
+	if s.done[r.li] || s.groupObsolete(r.li) {
+		// Redundant: another attempt committed first (first-finisher-wins
+		// dedupe), or — coded — the unit's group satisfied in this very
+		// delivery instant, before killGroup's generation bump. The master
+		// kills it on arrival.
+		detail := "coded-k-of-n"
+		if s.done[r.li] {
+			s.res.DuplicateKills++
+			detail = "duplicate-completion"
 		}
-		return s.serveSlot(node, slot, r.gen, now)
-	}
-	if s.groupObsolete(r.li) {
-		// Coded mode: the unit's group satisfied while this attempt ran
-		// (possible only in the same delivery instant as the k-th commit,
-		// before killGroup's generation bump — treat it identically).
-		s.res.NodeBusy[node] += r.end - r.start
-		s.noteWasted(r.end-r.start, r.matched)
-		if s.rec.Enabled() {
-			s.rec.Record(trace.Event{T: r.start, Type: trace.EvTaskKilled,
-				Node: int(node), Block: int(r.task.Block), Attempt: r.attempt,
-				Dur: r.end - r.start, Local: r.local, Detail: "coded-k-of-n"})
-			s.assigned[node] -= r.task.Weight
-		}
+		s.kill(node, r, r.end, r.matched, detail)
 		return s.serveSlot(node, slot, r.gen, now)
 	}
 	if r.failed {
@@ -972,7 +947,7 @@ func (s *filterSim) serveSlot(node cluster.NodeID, slot, gen int, now float64) e
 		s.postSlotFree(now+s.det.Interval(), node, slot, gen)
 		return nil
 	}
-	if s.phaseComplete() && (s.det == nil || len(s.pendingResp) == 0) {
+	if s.phaseComplete() && len(s.pendingResp) == 0 {
 		return nil // filter phase complete: the slot retires
 	}
 	if t, li, ok := s.acquire(node, now); ok {
@@ -990,7 +965,7 @@ func (s *filterSim) serveSlot(node cluster.NodeID, slot, gen int, now float64) e
 		// earliest queued retry maturity, in-flight completion, crash or
 		// (detector modes) beat/timeout whose response may requeue work —
 		// since only those can create work for this slot.
-		w, ok := s.kern.NextAt(s.wakeKinds...)
+		w, ok := s.kern.NextAt(wakeKinds...)
 		if !ok {
 			return nil // nothing can ever create work for this slot
 		}
@@ -1029,6 +1004,7 @@ func (s *filterSim) acquire(node cluster.NodeID, now float64) (sched.Task, int, 
 			break
 		}
 		li := s.byIndex[t.Index]
+		s.handed[li] = true
 		if s.groupObsolete(li) {
 			continue // coded: the unit's group is already satisfied
 		}
@@ -1068,17 +1044,8 @@ func (s *filterSim) takeRetry(node cluster.NodeID, now float64, localOnly bool) 
 		if it.quant && it.avoid == node {
 			continue // a backup beside the straggler gains nothing
 		}
-		if localOnly {
-			local := false
-			for _, n := range s.locations(it.li) {
-				if n == node {
-					local = true
-					break
-				}
-			}
-			if !local {
-				continue
-			}
+		if localOnly && !holdsReplica(s.locations(it.li), node) {
+			continue
 		}
 		it.ev.Hide() // taken: its maturity no longer creates work
 		s.retries = append(s.retries[:i], s.retries[i+1:]...)
@@ -1127,24 +1094,24 @@ func (s *filterSim) dispatch(nid cluster.NodeID, slot, gen int, t sched.Task, li
 	if s.layoutDirty && !s.isParity(li) {
 		t.Locations = s.cfg.FS.Locations(t.Block)
 	}
-	local := isLocalTask(t, nid)
+	local := holdsReplica(t.Locations, nid)
 	matched := s.truth[t.Index]
 	scan := float64(t.Bytes) / s.inj.DiskRate(nid, node.DiskRate)
 	if !local {
 		// Remote read: full NIC rate within the rack; cross-rack links
-		// are oversubscribed by CrossRackPenalty (classic two-tier
+		// are oversubscribed by crossRackPenalty (classic two-tier
 		// datacenter fabric). The read is rack-local when any replica
 		// shares the requester's rack.
 		rate := s.inj.NetRate(nid, node.NetRate)
 		if !sameRackAsAnyReplica(s.topo, t, nid) {
-			rate /= s.cfg.CrossRackPenalty
+			rate /= crossRackPenalty
 		}
 		scan += float64(t.Bytes) / rate
 	}
 	failed := s.inj.ReadFails(int(t.Block), int(nid), attempt)
 	compute := 0.0
 	if !failed {
-		compute = float64(matched) * s.cfg.FilterCostFactor / s.inj.CPURate(nid, node.CPURate)
+		compute = float64(matched) * filterCostFactor / s.inj.CPURate(nid, node.CPURate)
 	}
 	run := &runAttempt{
 		li: li, task: t, start: now, end: now + s.cfg.TaskOverhead + scan + compute,
@@ -1209,7 +1176,6 @@ func (s *filterSim) commit(id cluster.NodeID, r *runAttempt) {
 	if r.quant {
 		// A quantile-trigger backup beat its straggling original.
 		s.res.SpeculativeWins++
-		s.spec.NoteWin()
 	}
 	if s.spec != nil {
 		// Every real completion anchors the quantile.
@@ -1218,106 +1184,8 @@ func (s *filterSim) commit(id cluster.NodeID, r *runAttempt) {
 	if s.coded != nil {
 		s.codedCommit(id, r)
 	}
-	if s.dupOutstanding != nil {
-		s.dupOutstanding[r.li] = false
-	}
-	if s.det != nil {
-		s.maybeSettle()
-	}
-}
-
-// applyCrashGroup kills the group's nodes at time t0: the name-node
-// repairs replication from surviving copies, in-flight attempts are
-// voided, and completed filter outputs stored on the victims are
-// re-queued (their local sub-dataset fragments are gone). Simultaneous
-// crashes arrive as one group so that blocks losing all replicas at once
-// are correctly detected as unrecoverable.
-func (s *filterSim) applyCrashGroup(t0 float64, group []cluster.NodeID) error {
-	s.layoutDirty = true
-	sort.Slice(group, func(i, j int) bool { return group[i] < group[j] })
-	if s.rec.Enabled() {
-		s.cfg.FS.SetTraceTime(t0)
-		for _, d := range group {
-			ev := trace.At(t0, trace.EvNodeCrash)
-			ev.Node = int(d)
-			s.rec.Record(ev)
-			if rj, ok := s.inj.RejoinAfter(d, t0); ok {
-				rje := trace.At(rj, trace.EvNodeRejoin)
-				rje.Node = int(d)
-				s.rec.Record(rje)
-			}
-		}
-	}
-	var dead []cluster.NodeID
-	for _, id := range s.topo.IDs() {
-		if s.inj.DeadAt(id, t0) {
-			dead = append(dead, id)
-		}
-	}
-	moved, lost := s.cfg.FS.FailNodes(dead)
-	s.res.ReplicasRepaired += moved
-	for _, d := range group {
-		s.res.NodeCrashes++
-		for slot := 0; slot < s.topo.Node(d).Slots; slot++ {
-			key := slotKey{d, slot}
-			r := s.running[key]
-			if r == nil {
-				continue
-			}
-			r.voided = true
-			r.ev.Hide() // a dead attempt's end no longer creates work
-			delete(s.running, key)
-			s.gens[key]++
-			if rj, ok := s.inj.RejoinAfter(d, t0); ok {
-				s.postSlotFree(rj, d, slot, s.gens[key])
-			}
-			if s.rec.Enabled() {
-				ve := trace.Event{T: t0, Type: trace.EvTaskVoided,
-					Node: int(d), Block: int(r.task.Block), Attempt: r.attempt}
-				s.rec.Record(ve)
-				s.assigned[d] -= r.task.Weight
-			}
-			if err := s.requeue(r.li, t0, "crash-voided"); err != nil {
-				return err
-			}
-		}
-		for _, r := range s.byNode[d] {
-			s.res.Tasks[s.trackStat[r.li]].Lost = true
-			s.trackStat[r.li] = -1
-			if !s.isParity(r.li) {
-				s.res.NodeWorkload[d] -= r.matched
-				s.nodeTasks[d]--
-			}
-			s.done[r.li] = false
-			s.doneCount--
-			if s.coded != nil {
-				s.codedUncommit(r.li, t0)
-			}
-			s.res.LostOutputs++
-			if s.rec.Enabled() {
-				le := trace.Event{T: t0, Type: trace.EvOutputLost,
-					Node: int(d), Block: int(r.task.Block), Attempt: r.attempt,
-					Bytes: r.matched}
-				s.rec.Record(le)
-				s.assigned[d] -= r.task.Weight
-			}
-			if err := s.requeue(r.li, t0, "output-lost"); err != nil {
-				return err
-			}
-		}
-		s.byNode[d] = nil
-	}
-	// Blocks that lost every replica in this group are gone for good; the
-	// job fails (typed) unless their filter output already survives on a
-	// live node or — coded mode — their group is satisfied (the fragment
-	// is reconstructable). Blocks skipped by the meta-data are not needed
-	// at all.
-	for _, b := range lost {
-		if li, ok := s.byBlock[b]; ok && !s.done[li] && !s.groupObsolete(li) {
-			return &BlockFailure{Block: b, Attempts: s.attempts[li], Cause: ErrDataLost}
-		}
-	}
-	return nil
+	s.dupOutstanding[r.li] = false
+	s.maybeSettle()
 }
 
 // recoverAnalysis handles crashes that strike after the filter barrier:
@@ -1332,27 +1200,19 @@ func (s *filterSim) recoverAnalysis(analysisStart float64, durations map[cluster
 		s.crashIdx++
 		d := c.Node
 		s.layoutDirty = true
-		// Detector modes: the master learns of the crash only when the
-		// victim's beat chain goes quiet past its timeout — recovery cannot
-		// start before that (the nil detector responds at the crash
-		// instant, the oracle's historical behavior).
+		// A detector's master learns of the crash only when the victim's
+		// beat chain goes quiet past its timeout — recovery cannot start
+		// before that (the oracle, a nil detector, responds at the crash
+		// instant).
 		respAt := s.det.ResponseAt(d, c.At)
-		if s.det != nil {
-			s.res.DetectionLatency = append(s.res.DetectionLatency, respAt-c.At)
-		}
 		if s.rec.Enabled() {
 			s.cfg.FS.SetTraceTime(c.At)
 			ev := trace.At(c.At, trace.EvNodeCrash)
 			ev.Node = int(d)
 			ev.Detail = "analysis-phase"
 			s.rec.Record(ev)
-			if s.det != nil {
-				le := trace.At(respAt, trace.EvDetectLatency)
-				le.Node = int(d)
-				le.Dur = respAt - c.At
-				s.rec.Record(le)
-			}
 		}
+		s.noteLatency(d, c.At, respAt)
 		var dead []cluster.NodeID
 		for _, id := range s.topo.IDs() {
 			if s.inj.DeadAt(id, c.At) {
@@ -1405,7 +1265,7 @@ func (s *filterSim) recoverAnalysis(analysisStart float64, durations map[cluster
 		hn := s.topo.Node(helper)
 		redo := float64(nt)*s.cfg.TaskOverhead +
 			float64(blockBytes)/s.inj.NetRate(helper, hn.NetRate) +
-			float64(w)*s.cfg.FilterCostFactor/s.inj.CPURate(helper, hn.CPURate) +
+			float64(w)*filterCostFactor/s.inj.CPURate(helper, hn.CPURate) +
 			float64(w)*s.cfg.App.CostFactor()/s.inj.CPURate(helper, hn.CPURate)
 		start := respAt // the helper cannot react before the master knows
 		if analysisStart+durations[helper] > start {

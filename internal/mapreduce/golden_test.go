@@ -2,10 +2,12 @@ package mapreduce
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -192,6 +194,74 @@ func TestGoldenSchedulerFaultMatrix(t *testing.T) {
 					checkGolden(t, name+".trace.golden", buf.Bytes())
 				}
 			})
+		}
+	}
+}
+
+// The crash-path collapse (PR 18) re-blessed two traced goldens: the
+// oracle now runs the same physics → respond sequence as the detectors,
+// so inside a crash instant every victim attempt is voided before the
+// name-node repairs and the master requeues, where the old handler
+// interleaved them. testdata/pre_collapse keeps the previous files; this
+// is the equivalence argument — same events (equal as multisets once the
+// recorder's sequence number is dropped), and every line that moved is
+// stamped with a crash instant, so no event changed its time or its order
+// relative to any other instant.
+func TestCrashInstantReorderIsAPermutation(t *testing.T) {
+	type line struct {
+		T    float64 `json:"t"`
+		Type string  `json:"type"`
+		text string
+	}
+	seq := regexp.MustCompile(`^\{"seq":\d+,`)
+	load := func(path string) []line {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []line
+		for _, l := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+			var ln line
+			if err := json.Unmarshal([]byte(l), &ln); err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			ln.text = seq.ReplaceAllString(l, "{")
+			out = append(out, ln)
+		}
+		return out
+	}
+	for _, name := range []string{"datanet_crash2", "locality_rejoin"} {
+		old := load(filepath.Join("testdata", "pre_collapse", name+".trace.golden"))
+		cur := load(filepath.Join("testdata", "golden", name+".trace.golden"))
+		if len(old) != len(cur) {
+			t.Fatalf("%s: %d lines, was %d", name, len(cur), len(old))
+		}
+		count := map[string]int{}
+		crashAt := map[float64]bool{}
+		for i := range old {
+			count[old[i].text]++
+			count[cur[i].text]--
+			if old[i].Type == string(trace.EvNodeCrash) {
+				crashAt[old[i].T] = true
+			}
+		}
+		for text, n := range count {
+			if n != 0 {
+				t.Errorf("%s: line count differs by %d: %s", name, n, text)
+			}
+		}
+		moved := 0
+		for i := range old {
+			if old[i].text == cur[i].text {
+				continue
+			}
+			moved++
+			if !crashAt[old[i].T] || !crashAt[cur[i].T] {
+				t.Errorf("%s line %d moved outside a crash instant:\n old %s\n new %s", name, i, old[i].text, cur[i].text)
+			}
+		}
+		if moved == 0 {
+			t.Errorf("%s: identical to its pre-collapse copy; delete the copy", name)
 		}
 	}
 }

@@ -57,58 +57,42 @@ func (jc *jobContext) believedDeadAt(id cluster.NodeID, t float64) bool {
 	return det != nil && det.State(id) == detect.Suspected
 }
 
-// Phase is one stage of the simulated job. Each phase advances the shared
-// pipeline clock to its completion instant before returning, so the
-// driver can stamp phase barriers without knowing any phase's internals.
-type Phase interface {
-	Name() string
-	Run(jc *jobContext) error
-}
-
-// stage pairs a phase with the barrier event the driver emits after it
-// ("" emits none; the rebalance phase records its own migration event).
-type stage struct {
-	phase   Phase
-	barrier string
-}
-
-// jobPipeline is the job's phase order.
-func jobPipeline() []stage {
-	return []stage{
-		{filterPhase{}, "filter-end"},
-		{rebalancePhase{}, ""},
-		{analysisPhase{}, "map-end"},
-		{shufflePhase{}, "shuffle-end"},
-		{reducePhase{}, "reduce-end"},
-	}
-}
-
-// runPipeline drives the phases in order on the shared clock, emitting a
-// phase-barrier trace event at each phase's completion instant.
+// runPipeline runs the job's five phases in order on the shared clock.
+// Each phase advances the clock to its completion instant before
+// returning, and a phase-barrier trace event is stamped there (the
+// rebalance records its own migration event instead).
 func runPipeline(jc *jobContext) error {
-	for _, st := range jobPipeline() {
-		if err := st.phase.Run(jc); err != nil {
-			return err
-		}
-		if st.barrier != "" && jc.rec.Enabled() {
-			ev := trace.At(jc.clock.Now(), trace.EvPhase)
-			ev.Detail = st.barrier
-			jc.rec.Record(ev)
-		}
+	if err := runFilter(jc); err != nil {
+		return err
 	}
+	jc.barrier("filter-end")
+	runRebalance(jc)
+	if err := runAnalysis(jc); err != nil {
+		return err
+	}
+	jc.barrier("map-end")
+	if err := runShuffle(jc); err != nil {
+		return err
+	}
+	jc.barrier("shuffle-end")
+	runReduce(jc)
+	jc.barrier("reduce-end")
 	return nil
 }
 
-// filterPhase runs the event-driven slot simulation under the pull model,
+// barrier stamps a phase-barrier trace event at the clock's instant.
+func (jc *jobContext) barrier(name string) {
+	ev := trace.At(jc.clock.Now(), trace.EvPhase)
+	ev.Detail = name
+	jc.rec.Record(ev)
+}
+
+// runFilter runs the event-driven slot simulation under the pull model,
 // with failure-aware execution (crash detection, re-replication, retry
 // with backoff on surviving replica holders) — see filter.go. The kernel
 // advances its own internal clock; the pipeline clock jumps to the filter
 // barrier once the phase completes.
-type filterPhase struct{}
-
-func (filterPhase) Name() string { return "filter" }
-
-func (filterPhase) Run(jc *jobContext) error {
+func runFilter(jc *jobContext) error {
 	if err := jc.fsim.run(); err != nil {
 		return err
 	}
@@ -130,16 +114,12 @@ func (filterPhase) Run(jc *jobContext) error {
 	return nil
 }
 
-// rebalancePhase is the optional reactive comparator (§V-A.4,
+// runRebalance is the optional reactive comparator (§V-A.4,
 // SkewTune-style): level the filtered workloads by migrating bytes,
 // paying the network time of the busiest endpoint, before analysis
 // starts. DataNet makes this migration unnecessary by scheduling the
 // imbalance away up front.
-type rebalancePhase struct{}
-
-func (rebalancePhase) Name() string { return "rebalance" }
-
-func (rebalancePhase) Run(jc *jobContext) error {
+func runRebalance(jc *jobContext) {
 	res, cfg, inj := jc.res, jc.cfg, jc.inj
 	if cfg.RebalanceAfterFilter {
 		plan := sched.PlanRebalance(res.NodeWorkload)
@@ -166,10 +146,9 @@ func (rebalancePhase) Run(jc *jobContext) error {
 		}
 	}
 	jc.clock.Advance(res.MigrationTime)
-	return nil
 }
 
-// analysisPhase processes the locally stored filtered data. The data
+// runAnalysis processes the locally stored filtered data. The data
 // cannot move, so stragglers are exactly the overloaded nodes. Each node
 // runs one analysis map per filtered fragment it stored (one per filter
 // task it executed — per-task setup is therefore balanced across nodes),
@@ -178,11 +157,7 @@ func (rebalancePhase) Run(jc *jobContext) error {
 // compute-bound: light applications (MovingAverage) are dominated by the
 // balanced setup term and gain little from balancing, heavy ones
 // (TopKSearch) gain the most — the Fig. 5(a)/6 gradient.
-type analysisPhase struct{}
-
-func (analysisPhase) Name() string { return "analysis" }
-
-func (analysisPhase) Run(jc *jobContext) error {
+func runAnalysis(jc *jobContext) error {
 	res, cfg, inj, topo := jc.res, jc.cfg, jc.inj, jc.topo
 	analysisStart := jc.clock.Now() // filter barrier plus any migration
 	nodeTasks := jc.fsim.nodeTasks
@@ -236,18 +211,14 @@ func (analysisPhase) Run(jc *jobContext) error {
 	return nil
 }
 
-// shufflePhase opens at the first analysis-map completion and cannot
+// runShuffle: the shuffle window opens at the first analysis-map completion and cannot
 // close before the last (§V-A.3). Each reducer fetches its share of the
 // total map output at its NIC rate, minus whatever was produced on its
 // own node (local output never crosses the network). Placement is
 // round-robin by default; with OutputAwareReducers the reduce tasks land
 // on the highest-output nodes, maximizing that local share — the paper's
 // future-work aggregation optimization.
-type shufflePhase struct{}
-
-func (shufflePhase) Name() string { return "shuffle" }
-
-func (shufflePhase) Run(jc *jobContext) error {
+func runShuffle(jc *jobContext) error {
 	res, cfg, inj, topo := jc.res, jc.cfg, jc.inj, jc.topo
 	var totalMatched int64
 	for _, w := range res.NodeWorkload {
@@ -325,13 +296,9 @@ func (shufflePhase) Run(jc *jobContext) error {
 	return nil
 }
 
-// reducePhase runs per-reducer compute on its shuffle share and closes
+// runReduce runs per-reducer compute on its shuffle share and closes
 // the job's timeline.
-type reducePhase struct{}
-
-func (reducePhase) Name() string { return "reduce" }
-
-func (reducePhase) Run(jc *jobContext) error {
+func runReduce(jc *jobContext) {
 	res, cfg, inj, topo := jc.res, jc.cfg, jc.inj, jc.topo
 	reduceEnd := res.ShuffleEnd
 	res.ReduceWorkloads = make([]float64, cfg.Reducers)
@@ -344,7 +311,7 @@ func (reducePhase) Run(jc *jobContext) error {
 			vol = jc.totalOut / float64(cfg.Reducers)
 		}
 		res.ReduceWorkloads[r] = vol
-		end := res.ShuffleEnd + vol*cfg.ReduceCostFactor/inj.CPURate(nid, topo.Node(nid).CPURate)
+		end := res.ShuffleEnd + vol*reduceCostFactor/inj.CPURate(nid, topo.Node(nid).CPURate)
 		if end > reduceEnd {
 			reduceEnd = end
 		}
@@ -357,5 +324,4 @@ func (reducePhase) Run(jc *jobContext) error {
 	res.JobTime = reduceEnd
 	res.AnalysisTime = reduceEnd - res.FilterEnd
 	jc.clock.AdvanceTo(res.ReduceEnd)
-	return nil
 }

@@ -246,7 +246,7 @@ func TestTiedDuplicateCompletionLowestNodeWins(t *testing.T) {
 			task := sched.Task{Block: 0, Index: 0, Weight: 100, Bytes: 2048,
 				Locations: []cluster.NodeID{a, b}}
 			tasks := []sched.Task{task}
-			cfg := Config{TaskOverhead: 0.1, FilterCostFactor: 0.2, CrossRackPenalty: 2}
+			cfg := Config{TaskOverhead: 0.1}
 			res := &Result{
 				NodeBusy:     make(map[cluster.NodeID]float64),
 				NodeCompute:  make(map[cluster.NodeID]float64),

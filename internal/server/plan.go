@@ -131,11 +131,10 @@ func buildPlan(sn *Snapshot, req *PlanRequest) (*PlanResponse, error) {
 	if err := req.validate(nb); err != nil {
 		return nil, err
 	}
-	weights := make([]int64, nb)
+	weights := sn.Arr.Weights(req.Sub)
 	var total int64
-	for _, be := range sn.Arr.Distribution(req.Sub) {
-		weights[be.Block] = be.Size
-		total += be.Size
+	for _, w := range weights {
+		total += w
 	}
 	locs := req.locations(nb)
 

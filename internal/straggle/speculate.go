@@ -25,7 +25,6 @@ type SpecEngine struct {
 	launched []int // per task, quantile-trigger launches
 	total    int   // quantile-trigger launches job-wide
 	byTrig   [3]int
-	wins     int
 	finished []float64 // committed attempt end times, observation order
 }
 
@@ -53,12 +52,6 @@ func NewSpecEngine(cfg Config, tasks int) *SpecEngine {
 // Interval is the speculation-scan cadence in simulated seconds.
 func (e *SpecEngine) Interval() float64 { return e.every }
 
-// Name implements Mitigator.
-func (e *SpecEngine) Name() string { return string(ModeSpeculative) }
-
-// Stats implements Mitigator.
-func (e *SpecEngine) Stats() Stats { return Stats{Launches: e.total, Wins: e.wins} }
-
 // Budget reports the effective (perTask, perJob) quantile budgets.
 func (e *SpecEngine) Budget() (perTask, perJob int) { return e.perTask, e.perJob }
 
@@ -75,9 +68,6 @@ func (e *SpecEngine) ByTrigger(t Trigger) int { return e.byTrig[t] }
 // attempts anchor the quantile so a lone straggler (no running peers)
 // still triggers against the population that already finished.
 func (e *SpecEngine) ObserveFinish(end float64) { e.finished = append(e.finished, end) }
-
-// NoteWin records a backup that beat its original.
-func (e *SpecEngine) NoteWin() { e.wins++ }
 
 // Allow reports whether the quantile budgets permit a backup of task.
 func (e *SpecEngine) Allow(task int) bool {

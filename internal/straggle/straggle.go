@@ -4,7 +4,9 @@
 // disk, oversubscribed CPU — is never suspected by the failure detector,
 // so without mitigation it stalls the phase barrier indefinitely.
 //
-// Two interchangeable strategies live behind the Mitigator interface:
+// Two strategies, integrated by the engine at structurally different
+// points (a periodic trigger scan versus a task-list rewrite plus a
+// decode pass), so they share a Config and a Mode but no interface:
 //
 //   - Speculative execution (SpecEngine): one speculation engine with
 //     three triggers. The *suspicion* trigger is the failure detector's
@@ -184,24 +186,4 @@ func (c Config) Validate() error {
 		return nil
 	}
 	return fmt.Errorf("%w: %q", ErrMode, c.Mode)
-}
-
-// Stats is a mitigator's accounting snapshot.
-type Stats struct {
-	// Launches counts speculative backups launched (speculative mode) or
-	// parity units scheduled (coded mode).
-	Launches int
-	// Wins counts backups that beat their original (speculative mode) or
-	// groups completed by a decode (coded mode).
-	Wins int
-}
-
-// Mitigator is the interface both strategies present to the engine: a
-// name for reports and an accounting snapshot for invariant checks. The
-// engine type-switches for the strategy-specific hooks (the two designs
-// need structurally different integration points — a periodic trigger
-// scan versus a task-list rewrite plus a decode pass).
-type Mitigator interface {
-	Name() string
-	Stats() Stats
 }

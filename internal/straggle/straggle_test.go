@@ -127,9 +127,6 @@ func TestSpecEngineDecide(t *testing.T) {
 	if got := e3.Decide(9, []Projection{{Unit: 0, Projected: 10}}); len(got) != 0 {
 		t.Fatalf("minGain ignored: got %v", got)
 	}
-	if s := e3.Name(); s != "speculative" {
-		t.Fatalf("name %q", s)
-	}
 }
 
 func TestQuantileNearestRank(t *testing.T) {
