@@ -11,8 +11,8 @@
 //	datanet analyze -data reviews.dnr -sub movie-00000 -app wordcount [-sched datanet]
 //	datanet top     -data reviews.dnr [-n 10]
 //	datanet suite   [-parallel N]
-//	datanet chaos   [-runs 200] [-seed 1] [-detect heartbeat] [-mitigate speculative] [-shrink]
-//	datanet chaos   -cluster 4 -replicas 2 [-runs 200] [-seed 1]
+//	datanet chaos   [-runs 1000] [-seed 1] [-shrink]
+//	datanet chaos   -cluster 4 -replicas 2 [-runs 200] [-seed 1] [-detect heartbeat]
 //	datanet serve   -meta reviews=reviews.em [-addr 127.0.0.1:8080] [-cache 1024]
 //	datanet serve   -meta reviews=reviews.em -cluster 3 -replicas 2 [-shards 4]
 //	datanet loadgen -addr 127.0.0.1:8080 [-clients 8] [-requests 1000] [-seed 1]
@@ -88,11 +88,10 @@ func usage() {
   top     -data FILE [-n N] | -meta FILE [-n N]
   verify  -data FILE -meta FILE [-samples N]
   suite   [-parallel N]
-  chaos   [-runs N] [-seed S] [-detect heartbeat|phi|oracle] [-shrink]
-          [-rebalance off|hotspot|anneal|both]  (no-lost-blocks invariant)
-          [-mitigate off|speculative|coded]  (mitigation invariants)
-          [-partition off|hash|skew|range|rotate]  (partition-independence invariant)
-          [-cluster N [-replicas K] [-shards S]]  (sharded-cluster invariants)
+  chaos   [-runs N] [-seed S] [-shrink]  (every seed draws its detector, rebalancer,
+          mitigation and partitioner; all engine invariants armed)
+          [-cluster N [-replicas K] [-shards S] [-detect heartbeat|phi|oracle]]
+          (sharded-cluster invariants)
   serve   -meta NAME=FILE [-meta NAME=FILE ...] [-addr HOST:PORT] [-cache N]
           [-cluster N [-replicas K] [-shards S]]  (sharded, replicated serving)
           [-log-level off|debug|info|warn|error] [-pprof]
@@ -664,56 +663,39 @@ func runSuite(args []string) error {
 	return err
 }
 
-// runChaos drives the randomized robustness harness: N seeded fault
-// plans, every scheduler, every invariant. Violations are printed with
-// their replay seed and fail the command; -shrink additionally reduces
-// the first violating plan to a minimal counterexample.
+// runChaos drives the randomized robustness harness: N seeds, each
+// drawing its own fault plan and policy bundle (detector, rebalancer,
+// mitigation, partitioner), every arm, every invariant. Violations are
+// printed with their replay seed and bundle and fail the command; -shrink
+// additionally reduces the first violating plan to a minimal
+// counterexample under that seed's bundle.
 func runChaos(args []string) error {
 	fs := flag.NewFlagSet("chaos", flag.ExitOnError)
-	runs := fs.Int("runs", 100, "number of seeded fault plans to check")
-	seed := fs.Uint64("seed", 1, "base seed of the campaign (plans derive from it)")
-	detectMode := fs.String("detect", "heartbeat", "failure detector under test: oracle | heartbeat | phi")
+	runs := fs.Int("runs", 100, "number of seeds to check")
+	seed := fs.Uint64("seed", 1, "base seed of the campaign (plans and policy bundles derive from it)")
 	shrink := fs.Bool("shrink", false, "reduce the first violating plan to a minimal counterexample")
-	rebalance := fs.String("rebalance", "off", "run the distribution-aware rebalancer before each job and check the no-lost-blocks invariant: off | hotspot | anneal | both")
-	mitigate := fs.String("mitigate", "off", "add a straggler-mitigated arm and check the mitigation invariants: off | speculative | coded")
-	partitionMode := fs.String("partition", "off", "add key-aware partitioning arms and check the partition-independence invariant: off | hash | skew | range | rotate")
 	clusterN := fs.Int("cluster", 0, "check the sharded metadata cluster with N nodes instead of the job engine (0 = engine)")
 	replicas := fs.Int("replicas", 2, "followers per shard in cluster chaos")
 	shards := fs.Int("shards", 4, "catalog shards in cluster chaos")
+	detectMode := fs.String("detect", "heartbeat", "failure detector in cluster chaos: oracle | heartbeat | phi")
 	fs.Parse(args)
 	if *runs < 1 {
 		return fmt.Errorf("-runs must be at least 1")
 	}
-	mode, err := datanet.ParseDetectorMode(*detectMode)
-	if err != nil {
-		return err
-	}
 	if *clusterN > 0 {
-		return runClusterChaos(*runs, *seed, *clusterN, *shards, *replicas, mode, *shrink)
-	}
-	rebalanceMode, err := datanet.ParseRebalanceMode(*rebalance)
-	if err != nil {
-		return err
-	}
-	if _, err := datanet.ParseMitigationMode(*mitigate); err != nil {
-		return err
-	}
-	if *partitionMode != "" && *partitionMode != "off" && *partitionMode != "rotate" {
-		if _, err := datanet.ParsePartitionMode(*partitionMode); err != nil {
+		mode, err := datanet.ParseDetectorMode(*detectMode)
+		if err != nil {
 			return err
 		}
+		return runClusterChaos(*runs, *seed, *clusterN, *shards, *replicas, mode, *shrink)
 	}
 	p := chaos.DefaultParams()
-	p.Detect.Mode = mode
-	p.Rebalance = rebalanceMode
-	p.Mitigate = *mitigate
-	p.Partition = *partitionMode
 	rep, err := chaos.Run(*runs, *seed, p)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "chaos: %d runs under %s detection (%d crashes, %d slowdowns, %d read-error runs): %d violations\n",
-		rep.Runs, mode, rep.Crashes, rep.Slowdowns, rep.ReadErrorRuns, len(rep.Violations))
+	fmt.Fprintf(stdout, "chaos: %d runs (%d crashes, %d slowdowns, %d read-error runs; %s): %d violations\n",
+		rep.Runs, rep.Crashes, rep.Slowdowns, rep.ReadErrorRuns, rep.Census(), len(rep.Violations))
 	if len(rep.Violations) == 0 {
 		return nil
 	}

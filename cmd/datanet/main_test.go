@@ -1,8 +1,13 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
 	"testing"
 
 	"datanet/internal/gen"
@@ -167,5 +172,39 @@ func TestRunVerify(t *testing.T) {
 func TestRunSuiteFlagValidation(t *testing.T) {
 	if err := runSuite([]string{"-parallel", "0"}); err == nil {
 		t.Fatal("want error for -parallel 0")
+	}
+}
+
+// The engine campaign takes a seed and nothing else: its summary line
+// carries the census of the policy bundles the seeds drew.
+func TestRunChaosPrintsBundleCensus(t *testing.T) {
+	buf := &bytes.Buffer{}
+	stdout = buf
+	defer func() { stdout = os.Stdout }()
+	if err := runChaos([]string{"-runs", "12", "-seed", "1"}); err != nil {
+		t.Fatalf("chaos: %v\n%s", err, buf)
+	}
+	census := regexp.MustCompile(`^chaos: 12 runs \(\d+ crashes, \d+ slowdowns, \d+ read-error runs; ` +
+		`detect oracle=\d+ heartbeat=\d+ phi=\d+; rebalance off=\d+ hotspot=\d+ anneal=\d+ both=\d+; ` +
+		`mitigate off=\d+ speculative=\d+ coded=\d+; partition off=\d+ hash=\d+ skew=\d+ range=\d+\): 0 violations\n$`)
+	if !census.Match(buf.Bytes()) {
+		t.Fatalf("unexpected chaos output: %s", buf)
+	}
+}
+
+// The per-policy switches are gone from the chaos subcommand: passing one
+// is a usage error (exit status 2). The flag set exits the process, so the
+// test re-executes its own binary with the flag's name as an argument.
+func TestRunChaosRejectsPolicyFlags(t *testing.T) {
+	if args := flag.Args(); len(args) == 1 {
+		runChaos([]string{"-" + args[0], "x"})
+		return
+	}
+	for _, name := range []string{"mitigate", "rebalance", "partition"} {
+		err := exec.Command(os.Args[0], "-test.run=^TestRunChaosRejectsPolicyFlags$", name).Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("chaos -%s x: %v, want exit status 2", name, err)
+		}
 	}
 }

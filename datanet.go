@@ -138,8 +138,8 @@ func ParseMitigationMode(s string) (MitigationMode, error) { return straggle.Par
 
 // PartitionConfig configures key-aware reduce partitioning: the strategy,
 // the weighted-reservoir sample size and seed (range mode), and the
-// per-key split cap (skew mode). A nil pointer or Mode "off" keeps the
-// legacy volumetric 1/R shuffle split bit-identically.
+// per-key split cap (skew mode). A nil pointer or Mode "off" gives
+// every reducer the uniform 1/R shuffle share.
 type PartitionConfig = partition.Config
 
 // PartitionMode enumerates reduce-partitioning strategies.
@@ -403,7 +403,7 @@ type Job struct {
 	Mitigate *MitigationConfig
 	// Partition, when non-nil and not off, plans the key → reducer
 	// assignment from key frequencies harvested during the analysis-map
-	// phase instead of the uniform volumetric split. Which strategy runs
+	// phase instead of the uniform 1/R split. Which strategy runs
 	// never changes the merged output — only the shuffle/reduce timing.
 	Partition *PartitionConfig
 	// MetaErr records that meta-data for this job failed to load (e.g. a

@@ -1,12 +1,14 @@
 // Package chaos is a randomized robustness harness for the simulated
 // MapReduce engine: from one seed it derives a reproducible fault plan
-// (crashes, rejoins, degraded hardware, transient read errors), runs every
-// scheduler under the failure detector, and checks execution invariants
-// that must hold no matter what the plan did — no records silently lost,
-// workload conserved, phase timestamps monotonic, runs bit-identical on
-// replay, and makespan bounded relative to the healthy run. A violating
-// seed is a bug; the shrinker (see shrink.go) reduces its plan to a
-// minimal counterexample before a human ever looks at it.
+// (crashes, rejoins, degraded hardware, transient read errors) and a
+// policy bundle (failure detector, rebalancer, straggler mitigation,
+// reduce partitioning), runs every scheduler arm under both, and checks
+// execution invariants that must hold no matter what the plan did — no
+// records silently lost, workload conserved, phase timestamps monotonic,
+// runs bit-identical on replay, and makespan bounded relative to the
+// healthy run. A violating seed is a bug; the shrinker (see shrink.go)
+// reduces its plan to a minimal counterexample before a human ever looks
+// at it.
 package chaos
 
 import (
@@ -28,6 +30,8 @@ import (
 )
 
 // Params sizes the chaos fixture and bounds the generated fault plans.
+// The policies a run executes under are not parameters: every seed draws
+// its own bundle (see drawBundle).
 type Params struct {
 	// Nodes, Racks, BlockSize and Records size the cluster and dataset.
 	Nodes, Racks int
@@ -38,27 +42,11 @@ type Params struct {
 	// RejoinProb is the chance a crash rejoins; MaxReadErrProb caps the
 	// transient read-error probability.
 	RejoinProb, MaxReadErrProb float64
-	// Detect selects the failure-detector mode the runs execute under.
-	Detect detect.Config
 	// MakespanBound and SlackSeconds bound a faulted run's job time:
 	// JobTime ≤ healthy × MakespanBound + SlackSeconds. The additive term
 	// absorbs fixed costs (detection timeouts, retry backoff) that dwarf
 	// this small fixture's sub-second healthy makespan.
 	MakespanBound, SlackSeconds float64
-	// Rebalance, when not "" / "off", runs the distribution-aware
-	// rebalancer (hdfs.Rebalancer in that mode) on each run's filesystem
-	// before the job, and activates the no-lost-blocks invariant:
-	// rebalancing must never leave a block without replicas or with two
-	// replicas co-located on one node, and the run's output must still
-	// match the fault-free reference.
-	Rebalance string
-	// Mitigate, when not "" / "off", adds a straggler-mitigated arm
-	// ("speculative" = quantile-triggered backups, "coded" = k-of-n
-	// redundancy) that runs every plan under all the standard invariants
-	// plus the mitigation ones: a mitigated run must succeed whenever the
-	// unmitigated baseline does, and its extra work must stay within the
-	// configured budget (launch cap / fixed parity layout).
-	Mitigate string
 	// PayloadBytes overrides the fixture's per-record payload size and
 	// TaskOverhead the engine's fixed per-task cost (zero = defaults).
 	// Together they let a mitigation campaign build a scan-dominated
@@ -66,30 +54,86 @@ type Params struct {
 	// default fixture's 2 KiB blocks are overhead-dominated.
 	PayloadBytes int
 	TaskOverhead float64
-	// Partition, when not "" / "off", adds key-aware reduce-partitioning
-	// arms that inherit every existing invariant plus partition
-	// independence: the merged reduce output must stay byte-identical to
-	// the partitioning-off baseline, under any fault plan and any reducer
-	// count (rotated per seed). "hash", "skew" or "range" pins one
-	// strategy; "rotate" cycles through all three across seeds.
-	Partition string
 }
 
 // DefaultParams is the CI-sized configuration: an 8-node fixture small
-// enough that hundreds of seeds run in seconds.
+// enough that a thousand seeds run in seconds.
 func DefaultParams() Params {
 	return Params{
 		Nodes: 8, Racks: 2, BlockSize: 2048, Records: 800,
 		MaxCrashes: 2, MaxSlow: 2, RejoinProb: 0.5, MaxReadErrProb: 0.15,
-		Detect:        detect.Config{Mode: detect.Heartbeat, Interval: 0.02},
 		MakespanBound: 50, SlackSeconds: 10,
 	}
 }
 
-// Violation is one invariant breach: the seed to replay it, the scheduler
-// it broke under, which invariant, and the plan that provoked it.
+// beatInterval is the heartbeat period the detector modes run at.
+const beatInterval = 0.02
+
+const off = "off"
+
+// The bundle's policy axes, in draw order.
+const (
+	axDetect = iota
+	axRebalance
+	axMitigate
+	axPartition
+)
+
+// axes lists each axis's values. Every axis is drawn uniformly.
+var axes = [4]struct {
+	name   string
+	values []string
+}{
+	{"detect", []string{"oracle", "heartbeat", "phi"}},
+	{"rebalance", []string{off, hdfs.RebalanceHotSpot, hdfs.RebalanceAnneal, hdfs.RebalanceBoth}},
+	{"mitigate", []string{off, string(straggle.ModeSpeculative), string(straggle.ModeCoded)}},
+	{"partition", []string{off, string(partition.ModeHash), string(partition.ModeSkew), string(partition.ModeRange)}},
+}
+
+// bundle is the policy configuration every arm of one seed runs under:
+// the failure detector, the distribution-aware rebalancer run on the
+// filesystem before the job (no-lost-blocks invariant), the straggler
+// mitigation (adds the mitigated arm and its invariants) and the reduce
+// partitioner (adds the partition arm, which inherits the mitigation,
+// runs with `reducers` reduce tasks and must reproduce the
+// partitioning-off output byte for byte).
+type bundle struct {
+	detect, rebalance, mitigate, partition string
+	reducers                               int
+}
+
+// bundleStream separates the bundle's hash stream from GenPlan's, so the
+// bundle draw never disturbs the fault plan a seed has always produced.
+const bundleStream = 0x62756e646c65 // "bundle"
+
+// drawBundle derives the seed's policy bundle — a pure function of the
+// seed, so a violation replays from the seed alone.
+func drawBundle(seed uint64) bundle {
+	r := newRNG(seed ^ bundleStream)
+	var v [len(axes)]string
+	for a, ax := range axes {
+		v[a] = ax.values[r.intn(len(ax.values))]
+	}
+	// Partition independence must hold at any reducer width, not just the
+	// default one-per-node.
+	return bundle{v[axDetect], v[axRebalance], v[axMitigate], v[axPartition], 1 + r.intn(13)}
+}
+
+func (b bundle) values() [len(axes)]string {
+	return [len(axes)]string{b.detect, b.rebalance, b.mitigate, b.partition}
+}
+
+func (b bundle) String() string {
+	return fmt.Sprintf("detect=%s rebalance=%s mitigate=%s partition=%s/%d",
+		b.detect, b.rebalance, b.mitigate, b.partition, b.reducers)
+}
+
+// Violation is one invariant breach: the seed to replay it (which also
+// fixes the bundle it ran under), the scheduler arm it broke under, which
+// invariant, and the plan that provoked it.
 type Violation struct {
 	Seed      uint64
+	Bundle    string
 	Scheduler string
 	Invariant string
 	Detail    string
@@ -97,8 +141,8 @@ type Violation struct {
 }
 
 func (v Violation) String() string {
-	return fmt.Sprintf("seed=%d scheduler=%s invariant=%s: %s",
-		v.Seed, v.Scheduler, v.Invariant, v.Detail)
+	return fmt.Sprintf("seed=%d [%s] scheduler=%s invariant=%s: %s",
+		v.Seed, v.Bundle, v.Scheduler, v.Invariant, v.Detail)
 }
 
 // Report summarizes one chaos campaign.
@@ -107,78 +151,68 @@ type Report struct {
 	Violations []Violation
 	// Census of what the generated plans contained.
 	Crashes, Slowdowns, ReadErrorRuns int
+	// Bundles counts the runs per drawn policy value, keyed "axis=value".
+	Bundles map[string]int
 }
 
-// Harness holds the precomputed fixture — healthy reference results per
-// scheduler and the ground-truth scheduling weights — so each seed only
-// pays for its own faulted runs.
+// Census renders Bundles in axis order, every value of every axis listed,
+// so a value the campaign never drew shows as a zero.
+func (r *Report) Census() string {
+	var sb strings.Builder
+	for a, ax := range axes {
+		if a > 0 {
+			sb.WriteString("; ")
+		}
+		sb.WriteString(ax.name)
+		for _, v := range ax.values {
+			fmt.Fprintf(&sb, " %s=%d", v, r.Bundles[ax.name+"="+v])
+		}
+	}
+	return sb.String()
+}
+
+// Harness holds the precomputed fixture — the healthy reference result of
+// every arm any bundle can select and the ground-truth scheduling weights
+// — so each seed only pays for its own faulted runs.
 type Harness struct {
 	p       Params
 	weights []int64
-	healthy map[string]*mapreduce.Result
+	healthy map[arm]*mapreduce.Result
 	horizon float64
-	// mit is the parsed Params.Mitigate config (nil when off) and mitArm
-	// the name of the mitigated scheduler arm it adds.
-	mit    *straggle.Config
-	mitArm string
-	// partModes lists the reduce-partitioning strategies under test (empty
-	// when Params.Partition is off).
-	partModes []partition.Mode
 }
 
-type schedulerArm struct {
-	name  string
-	tweak func(*mapreduce.Config)
-	// part marks a key-aware partitioning arm (the zero value "" is a
-	// legacy volumetric arm).
-	part partition.Mode
+// arm is one engine configuration a seed's plan runs under. Arms are
+// comparable: an arm is its own key into the healthy references.
+type arm struct {
+	name string
+	// datanet selects the DataNet scheduler (the paper's configuration)
+	// over Hadoop locality; barrier adds Hadoop's analysis-barrier backups.
+	datanet, barrier bool
+	// mitigate and partition are the arm's filter-phase mitigation and
+	// reduce partitioner (off on the three scheduler arms).
+	mitigate, partition string
 }
 
-func (h *Harness) schedulers() []schedulerArm {
-	arms := []schedulerArm{
-		{name: "hadoop-locality", tweak: func(c *mapreduce.Config) {}},
-		{name: "datanet", tweak: func(c *mapreduce.Config) {
-			c.Picker = sched.NewDataNetPicker
-			c.Weights = h.weights
-		}},
-		{name: "speculative", tweak: func(c *mapreduce.Config) { c.Speculative = true }},
-	}
-	if h.mit != nil {
-		arms = append(arms, schedulerArm{name: h.mitArm, tweak: func(c *mapreduce.Config) {
-			mit := *h.mit
-			c.Mitigate = &mit
-		}})
-	}
-	return arms
-}
+var baseline = arm{name: "hadoop-locality", mitigate: off, partition: off}
 
-// partitionArms returns one arm per configured partitioning mode. Each
-// arm runs under the DataNet scheduler (the paper's configuration) with
-// key-aware partitioning on; the reducer count is rotated per seed by
-// runArm so independence is exercised across widths, and the range
-// sampler's seed is fixed so replays are bit-identical. When the campaign
-// is mitigated, the partition arms inherit the mitigation mode —
+// arms lists the arms a bundle runs: the three scheduler arms, the
+// mitigated arm when the bundle mitigates, and the partition arm when it
+// partitions — under DataNet scheduling and inheriting the mitigation, so
 // independence must survive speculative backups and coded recovery, not
 // just plain crash/slowdown plans.
-func (h *Harness) partitionArms() []schedulerArm {
-	arms := make([]schedulerArm, 0, len(h.partModes))
-	for _, mode := range h.partModes {
-		mode := mode
-		arms = append(arms, schedulerArm{
-			name: "partition-" + string(mode),
-			part: mode,
-			tweak: func(c *mapreduce.Config) {
-				c.Picker = sched.NewDataNetPicker
-				c.Weights = h.weights
-				c.Partition = &partition.Config{Mode: mode, Seed: 20160523}
-				if h.mit != nil {
-					mit := *h.mit
-					c.Mitigate = &mit
-				}
-			},
-		})
+func arms(b bundle) []arm {
+	out := []arm{
+		baseline,
+		{name: "datanet", datanet: true, mitigate: off, partition: off},
+		{name: "speculative", barrier: true, mitigate: off, partition: off},
 	}
-	return arms
+	if b.mitigate != off {
+		out = append(out, arm{name: "mitigate-" + b.mitigate, mitigate: b.mitigate, partition: off})
+	}
+	if b.partition != off {
+		out = append(out, arm{name: "partition-" + b.partition, datanet: true, mitigate: b.mitigate, partition: b.partition})
+	}
+	return out
 }
 
 // chaosFS builds the fixture filesystem. The layout is a pure function of
@@ -216,44 +250,31 @@ func chaosFS(p Params) (*hdfs.FileSystem, error) {
 	return fs, nil
 }
 
-func (h *Harness) baseConfig(fs *hdfs.FileSystem) mapreduce.Config {
-	return mapreduce.Config{
+// config builds the arm's engine configuration over one fixture instance.
+// The range sampler's seed is fixed so replays are bit-identical.
+func (h *Harness) config(a arm, fs *hdfs.FileSystem) mapreduce.Config {
+	cfg := mapreduce.Config{
 		FS: fs, File: "log", TargetSub: "movie-A",
 		App: apps.WordCount{}, Picker: sched.NewLocalityPicker,
 		ExecuteApp: true, TaskOverhead: h.p.TaskOverhead,
+		Speculative: a.barrier,
+		Mitigate:    &straggle.Config{Mode: straggle.Mode(a.mitigate)},
+		Partition:   &partition.Config{Mode: partition.Mode(a.partition), Seed: 20160523},
 	}
+	if a.datanet {
+		cfg.Picker = sched.NewDataNetPicker
+		cfg.Weights = h.weights
+	}
+	return cfg
 }
 
-// NewHarness builds the fixture and runs the fault-free reference for
-// every scheduler.
+// NewHarness builds the fixture and runs the fault-free reference of
+// every arm any bundle can select.
 func NewHarness(p Params) (*Harness, error) {
 	if p.Nodes == 0 {
 		p = DefaultParams()
 	}
-	h := &Harness{p: p, healthy: map[string]*mapreduce.Result{}}
-	if p.Mitigate != "" {
-		mode, err := straggle.ParseMode(p.Mitigate)
-		if err != nil {
-			return nil, fmt.Errorf("chaos: %w", err)
-		}
-		if mode != straggle.ModeOff {
-			h.mit = &straggle.Config{Mode: mode}
-			h.mitArm = "mitigate-" + string(mode)
-		}
-	}
-	switch p.Partition {
-	case "", "off":
-	case "rotate":
-		h.partModes = []partition.Mode{partition.ModeHash, partition.ModeSkew, partition.ModeRange}
-	default:
-		mode, err := partition.ParseMode(p.Partition)
-		if err != nil {
-			return nil, fmt.Errorf("chaos: %w", err)
-		}
-		if mode != partition.ModeOff {
-			h.partModes = []partition.Mode{mode}
-		}
-	}
+	h := &Harness{p: p, healthy: map[arm]*mapreduce.Result{}}
 
 	// Ground-truth weights for the DataNet arm, from the block split
 	// (identical across fixture instances).
@@ -274,42 +295,48 @@ func NewHarness(p Params) (*Harness, error) {
 		}
 	}
 
-	for _, s := range append(h.schedulers(), h.partitionArms()...) {
-		fs, err := chaosFS(p)
-		if err != nil {
-			return nil, err
-		}
-		cfg := h.baseConfig(fs)
-		s.tweak(&cfg)
-		res, err := mapreduce.Run(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("chaos: healthy reference (%s): %w", s.name, err)
-		}
-		h.healthy[s.name] = res
-	}
-	// The mitigated arm must be output-transparent even before any fault
-	// is injected: redundancy may change the schedule, never the answer.
-	if h.mit != nil {
-		if !reflect.DeepEqual(h.healthy[h.mitArm].Output, h.healthy["hadoop-locality"].Output) {
-			return nil, fmt.Errorf("chaos: healthy %s output diverges from the unmitigated baseline", h.mitArm)
+	for _, mit := range axes[axMitigate].values {
+		for _, part := range axes[axPartition].values {
+			for _, a := range arms(bundle{mitigate: mit, partition: part}) {
+				if h.healthy[a] != nil {
+					continue
+				}
+				fs, err := chaosFS(p)
+				if err != nil {
+					return nil, err
+				}
+				res, err := mapreduce.Run(h.config(a, fs))
+				if err != nil {
+					return nil, fmt.Errorf("chaos: healthy reference (%s): %w", a.name, err)
+				}
+				h.healthy[a] = res
+			}
 		}
 	}
-	// Partition independence starts at the healthy runs: every partitioner
-	// must reproduce the volumetric baseline's merged output exactly.
-	for _, s := range h.partitionArms() {
-		if !reflect.DeepEqual(h.healthy[s.name].Output, h.healthy["hadoop-locality"].Output) {
-			return nil, fmt.Errorf("chaos: healthy %s output diverges from the partitioning-off baseline", s.name)
+	// Every policy must be output-transparent even before any fault is
+	// injected: scheduling, redundancy and partitioning may change the
+	// schedule, never the answer.
+	for a, res := range h.healthy {
+		if !reflect.DeepEqual(res.Output, h.healthy[baseline].Output) {
+			return nil, fmt.Errorf("chaos: healthy %s (mitigate %s) output diverges from the baseline", a.name, a.mitigate)
 		}
 	}
-	h.horizon = h.healthy["hadoop-locality"].FilterEnd
+	h.horizon = h.healthy[baseline].FilterEnd
 	return h, nil
 }
 
-// CheckSeed generates the seed's plan and checks it under every
-// scheduler, returning any violations.
+// CheckSeed generates the seed's plan and checks it under the seed's
+// bundle, returning any violations.
 func (h *Harness) CheckSeed(seed uint64) ([]Violation, *faults.Plan) {
 	plan := GenPlan(seed, h.horizon, h.p)
 	return h.CheckPlan(seed, plan), plan
+}
+
+// CheckPlan checks one fault plan under the seed's bundle. It is the
+// predicate the shrinker re-runs — the seed holds the bundle fixed while
+// the plan shrinks — so it must be deterministic.
+func (h *Harness) CheckPlan(seed uint64, plan *faults.Plan) []Violation {
+	return h.check(seed, plan, drawBundle(seed))
 }
 
 // typedFailure reports whether err is one of the engine's declared
@@ -324,52 +351,37 @@ func typedFailure(err error) bool {
 // failFunc records one invariant breach.
 type failFunc func(sched, inv, format string, args ...any)
 
-// armsFor lists the arms one seed runs: every scheduler arm plus, when
-// partitioning is under test, one partition arm rotated per seed (a
-// campaign covers every mode).
-func (h *Harness) armsFor(seed uint64) []schedulerArm {
-	arms := h.schedulers()
-	if parts := h.partitionArms(); len(parts) > 0 {
-		arms = append(arms, parts[int(seed%uint64(len(parts)))])
-	}
-	return arms
-}
-
-// runArm executes the plan under one arm on a fresh fixture instance.
-// fail receives the rebalance invariant's breaches (nil discards them).
-func (h *Harness) runArm(s schedulerArm, seed uint64, plan *faults.Plan, fail failFunc) (*mapreduce.Result, error) {
+// runArm executes the plan under one arm of the bundle on a fresh fixture
+// instance. fail receives the rebalance invariant's breaches.
+func (h *Harness) runArm(a arm, seed uint64, plan *faults.Plan, b bundle, fail failFunc) (*mapreduce.Result, error) {
 	fs, err := chaosFS(h.p)
 	if err != nil {
 		return nil, err
 	}
-	if h.p.Rebalance != "" && h.p.Rebalance != hdfs.RebalanceOff {
-		if fail == nil {
-			fail = func(string, string, string, ...any) {}
-		}
-		if err := h.rebalance(fs, seed, fail, s.name); err != nil {
+	if b.rebalance != off {
+		if err := h.rebalance(fs, seed, b.rebalance, fail, a.name); err != nil {
 			return nil, err
 		}
 	}
-	cfg := h.baseConfig(fs)
-	s.tweak(&cfg)
-	if s.part != "" {
-		// The reducer count rotates with the seed: independence must hold
-		// at any width, not just the default one-per-node.
-		cfg.Reducers = 1 + int(seed>>3%13)
+	cfg := h.config(a, fs)
+	if a.partition != off {
+		cfg.Reducers = b.reducers
 	}
 	cfg.Faults = plan
-	cfg.Detect = h.p.Detect
+	cfg.Detect.Interval = beatInterval
+	if cfg.Detect.Mode, err = detect.ParseMode(b.detect); err != nil {
+		return nil, err
+	}
 	return mapreduce.Run(cfg)
 }
 
-// CheckPlan runs one fault plan under every scheduler (twice each, for
-// the replay invariant) and returns every invariant breach. It is the
-// predicate the shrinker re-runs, so it must be deterministic.
-func (h *Harness) CheckPlan(seed uint64, plan *faults.Plan) []Violation {
+// check runs one fault plan under every arm of the bundle (twice each,
+// for the replay invariant) and returns every invariant breach.
+func (h *Harness) check(seed uint64, plan *faults.Plan, b bundle) []Violation {
 	var out []Violation
 	fail := func(sched, inv, format string, args ...any) {
 		out = append(out, Violation{
-			Seed: seed, Scheduler: sched, Invariant: inv,
+			Seed: seed, Bundle: b.String(), Scheduler: sched, Invariant: inv,
 			Detail: fmt.Sprintf(format, args...), Plan: plan,
 		})
 	}
@@ -377,42 +389,68 @@ func (h *Harness) CheckPlan(seed uint64, plan *faults.Plan) []Violation {
 		fail("-", "plan-validate", "generated plan invalid: %v", err)
 		return out
 	}
-	armErr := map[string]error{}
-	for _, s := range h.armsFor(seed) {
+	discard := func(string, string, string, ...any) {}
+	var baseErr error
+	for _, a := range arms(b) {
+		// The mitigated arm proper: the partition arm inherits the mitigation
+		// but runs under another scheduler, so the locality baseline is not
+		// its counterfactual.
+		mitigated := a.mitigate != off && a.partition == off
 		// The rebalance invariant is checked once; the replay run still
 		// rebalances so both runs see the same layout.
-		res, err := h.runArm(s, seed, plan, fail)
-		res2, err2 := h.runArm(s, seed, plan, nil)
-		armErr[s.name] = err
+		res, err := h.runArm(a, seed, plan, b, fail)
+		res2, err2 := h.runArm(a, seed, plan, b, discard)
+		if a == baseline {
+			baseErr = err
+		}
 
 		// Replay: identical (seed, plan, config) must reproduce the run
 		// bit for bit — errors included.
 		if (err == nil) != (err2 == nil) || (err != nil && err.Error() != err2.Error()) {
-			fail(s.name, "replay", "errors diverge across replays: %v vs %v", err, err2)
+			fail(a.name, "replay", "errors diverge across replays: %v vs %v", err, err2)
 			continue
 		}
 		if err == nil && !reflect.DeepEqual(res, res2) {
-			fail(s.name, "replay", "results diverge across identical replays")
+			fail(a.name, "replay", "results diverge across identical replays")
 			continue
 		}
 		if err != nil {
 			if !typedFailure(err) {
-				fail(s.name, "typed-error", "untyped failure: %v", err)
+				fail(a.name, "typed-error", "untyped failure: %v", err)
+			}
+			// A straggler mitigation must never turn a survivable plan into
+			// a failure: if the unmitigated baseline finished, the mitigated
+			// run has strictly more ways to finish. The one exception is a
+			// block exhausting its own retries on transient read errors:
+			// each attempt's outcome is a draw keyed by (block, node,
+			// attempt), any change of schedule re-rolls them, and backups
+			// never spend that budget — the same bad luck the baseline is
+			// exposed to, not a failure the mitigation introduced.
+			badLuck := plan.Read.Prob > 0 && errors.Is(err, mapreduce.ErrRetriesExhausted)
+			if mitigated && baseErr == nil && !badLuck {
+				fail(a.name, "mitigation-no-new-failure",
+					"baseline succeeded but mitigated run failed: %v", err)
 			}
 			continue
 		}
 
-		healthy := h.healthy[s.name]
+		healthy := h.healthy[a]
 		// No records lost: a run that claims success must produce the
-		// fault-free output.
+		// fault-free output. On the partition arm that is partition
+		// independence — the partitioning-off baseline's merged output byte
+		// for byte, since NewHarness proved every healthy output equal.
+		lost := "records-lost"
+		if a.partition != off {
+			lost = "partition-independence"
+		}
 		if !reflect.DeepEqual(res.Output, healthy.Output) {
-			fail(s.name, "records-lost", "output diverges from fault-free run (%d vs %d keys)",
+			fail(a.name, lost, "output diverges from fault-free run (%d vs %d keys)",
 				len(res.Output), len(healthy.Output))
 		}
 		// Exactly-once commit: every block has at most one surviving filter
 		// output, whatever was retried, duplicated or decoded along the way.
 		if dup := duplicateLiveBlocks(res); len(dup) > 0 {
-			fail(s.name, "unique-live-stat", "blocks with more than one live output: %v", dup)
+			fail(a.name, "unique-live-stat", "blocks with more than one live output: %v", dup)
 		}
 		// Workload conservation: recovery may move filtered bytes between
 		// nodes but never create or destroy them.
@@ -424,7 +462,7 @@ func (h *Harness) CheckPlan(seed uint64, plan *faults.Plan) []Violation {
 			got += w
 		}
 		if want != got {
-			fail(s.name, "workload-conservation", "filtered bytes %d, want %d", got, want)
+			fail(a.name, "workload-conservation", "filtered bytes %d, want %d", got, want)
 		}
 		// Phase timestamps must stay monotonic under any fault schedule.
 		if !(res.FilterEnd > 0 &&
@@ -433,7 +471,7 @@ func (h *Harness) CheckPlan(seed uint64, plan *faults.Plan) []Violation {
 			res.ShuffleEnd >= res.MapEnd &&
 			res.ReduceEnd >= res.ShuffleEnd &&
 			res.JobTime == res.ReduceEnd) {
-			fail(s.name, "phase-monotonic",
+			fail(a.name, "phase-monotonic",
 				"filter=%g firstMap=%g map=%g shuffle=%g reduce=%g job=%g",
 				res.FilterEnd, res.FirstMapEnd, res.MapEnd, res.ShuffleEnd, res.ReduceEnd, res.JobTime)
 		}
@@ -441,70 +479,52 @@ func (h *Harness) CheckPlan(seed uint64, plan *faults.Plan) []Violation {
 		// they cannot be negative, and under a non-oracle detector they
 		// cannot be zero.
 		for _, l := range res.DetectionLatency {
-			if l < 0 || (h.p.Detect.Mode != detect.Oracle && l == 0) {
-				fail(s.name, "detect-latency", "latency %g out of range", l)
+			if l < 0 || (b.detect != "oracle" && l == 0) {
+				fail(a.name, "detect-latency", "latency %g out of range", l)
 			}
 		}
 		// A successful run must finish in bounded time relative to the
 		// healthy run — a "recovered" job that took forever is a hang.
 		bound := healthy.JobTime*h.p.MakespanBound + h.p.SlackSeconds
 		if res.JobTime > bound {
-			fail(s.name, "makespan-bound", "job time %g exceeds %g (healthy %g)",
+			fail(a.name, "makespan-bound", "job time %g exceeds %g (healthy %g)",
 				res.JobTime, bound, healthy.JobTime)
 		}
 		// Shuffle-byte conservation: the per-reducer attribution must sum
 		// exactly to the total that crossed the network, on every arm.
 		var perReducer int64
-		for _, b := range res.ShuffleBytesPerReducer {
-			perReducer += b
+		for _, n := range res.ShuffleBytesPerReducer {
+			perReducer += n
 		}
 		if perReducer != res.ShuffleBytes {
-			fail(s.name, "shuffle-conservation", "per-reducer bytes sum %d, ShuffleBytes %d",
+			fail(a.name, "shuffle-conservation", "per-reducer bytes sum %d, ShuffleBytes %d",
 				perReducer, res.ShuffleBytes)
 		}
-		// Partition independence: a key-aware arm must report its strategy
-		// and reproduce the partitioning-off baseline's merged output
-		// byte-for-byte, whatever the plan did.
-		if s.part != "" {
-			if res.PartitionName != string(s.part) {
-				fail(s.name, "partition-independence", "run reports partitioner %q, want %q",
-					res.PartitionName, s.part)
-			}
-			if !reflect.DeepEqual(res.Output, h.healthy["hadoop-locality"].Output) {
-				fail(s.name, "partition-independence",
-					"merged output diverges from the partitioning-off baseline (%d vs %d keys)",
-					len(res.Output), len(h.healthy["hadoop-locality"].Output))
-			}
+		// A key-aware arm must report the strategy the bundle asked for.
+		if a.partition != off && res.PartitionName != a.partition {
+			fail(a.name, "partition-independence", "run reports partitioner %q, want %q",
+				res.PartitionName, a.partition)
 		}
-		// Mitigation arm: work amplification stays within the declared
+		// Mitigated arm: work amplification stays within the declared
 		// budget — the launch cap for speculation, the fixed parity
 		// layout for coding (faults must never inflate redundancy).
-		if h.mit != nil && s.name == h.mitArm {
-			switch h.mit.Mode {
+		if mitigated {
+			switch straggle.Mode(a.mitigate) {
 			case straggle.ModeSpeculative:
 				budget := len(healthy.Tasks) / 4
 				if budget < 1 {
 					budget = 1
 				}
 				if res.SpeculativeLaunches > budget {
-					fail(s.name, "mitigation-budget", "%d backups launched, budget %d",
+					fail(a.name, "mitigation-budget", "%d backups launched, budget %d",
 						res.SpeculativeLaunches, budget)
 				}
 			case straggle.ModeCoded:
 				if res.CodedGroups != healthy.CodedGroups || res.CodedParityUnits != healthy.CodedParityUnits {
-					fail(s.name, "mitigation-budget", "coded layout %d groups / %d parity, healthy %d / %d",
+					fail(a.name, "mitigation-budget", "coded layout %d groups / %d parity, healthy %d / %d",
 						res.CodedGroups, res.CodedParityUnits, healthy.CodedGroups, healthy.CodedParityUnits)
 				}
 			}
-		}
-	}
-	// A straggler mitigation must never turn a survivable plan into a
-	// failure: if the unmitigated baseline finished, the mitigated run
-	// has strictly more ways to finish.
-	if h.mit != nil {
-		if base, mit := armErr["hadoop-locality"], armErr[h.mitArm]; base == nil && mit != nil {
-			fail(h.mitArm, "mitigation-no-new-failure",
-				"baseline succeeded but mitigated run failed: %v", mit)
 		}
 	}
 	return out
@@ -531,9 +551,9 @@ func duplicateLiveBlocks(res *mapreduce.Result) []hdfs.BlockID {
 // instance and checks the no-lost-blocks invariant: every block keeps at
 // least one replica and no block ends with two replicas on one node. The
 // annealing seed derives from the run seed, so replays are identical.
-func (h *Harness) rebalance(fs *hdfs.FileSystem, seed uint64, fail failFunc, schedName string) error {
+func (h *Harness) rebalance(fs *hdfs.FileSystem, seed uint64, mode string, fail failFunc, schedName string) error {
 	rb := hdfs.NewRebalancer(fs, hdfs.RebalancerConfig{
-		Mode:       h.p.Rebalance,
+		Mode:       mode,
 		AnnealSeed: int64(seed),
 	})
 	profile := make([]float64, len(h.weights))
@@ -570,13 +590,13 @@ func (h *Harness) rebalance(fs *hdfs.FileSystem, seed uint64, fail failFunc, sch
 }
 
 // Run executes a chaos campaign: runs seeds derived from the base seed,
-// checking every invariant under every scheduler.
+// each checking every invariant under every arm of the bundle it draws.
 func Run(runs int, seed uint64, p Params) (*Report, error) {
 	h, err := NewHarness(p)
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{}
+	rep := &Report{Bundles: map[string]int{}}
 	r := newRNG(seed)
 	for i := 0; i < runs; i++ {
 		runSeed := r.next()
@@ -588,6 +608,9 @@ func Run(runs int, seed uint64, p Params) (*Report, error) {
 			rep.ReadErrorRuns++
 		}
 		rep.Violations = append(rep.Violations, vs...)
+		for a, v := range drawBundle(runSeed).values() {
+			rep.Bundles[axes[a].name+"="+v]++
+		}
 	}
 	return rep, nil
 }

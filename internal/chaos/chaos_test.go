@@ -1,12 +1,14 @@
 package chaos
 
 import (
+	"crypto/sha256"
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"datanet/internal/faults"
 	"datanet/internal/mapreduce"
-	"datanet/internal/straggle"
 )
 
 // Every generated plan must pass the hardened faults.Plan.Validate: the
@@ -32,66 +34,102 @@ func TestGenPlanDeterministic(t *testing.T) {
 	}
 }
 
-// The harness itself: a campaign over the default fixture must find zero
-// violations — the engine's recovery paths uphold every invariant under
-// randomized crash/rejoin/slowdown/read-error schedules.
-func TestChaosCampaignZeroViolations(t *testing.T) {
-	runs := 40
-	if testing.Short() {
-		runs = 10
-	}
-	rep, err := Run(runs, 1, DefaultParams())
+// The composed campaign: every seed draws its whole policy bundle, so one
+// run of the default fixture exercises the detectors, the rebalancer, both
+// mitigations and every partitioner together, all invariants armed, and
+// must find zero violations. TestBundleDraw proves these seeds cover every
+// axis value and the pairs the per-switch campaigns used to pin.
+func TestChaosCampaignComposed(t *testing.T) {
+	rep, err := Run(campaignRuns, campaignSeed, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Runs != runs {
-		t.Errorf("Runs = %d, want %d", rep.Runs, runs)
+	if rep.Runs != campaignRuns {
+		t.Errorf("Runs = %d, want %d", rep.Runs, campaignRuns)
 	}
 	for _, v := range rep.Violations {
 		t.Errorf("violation: %s\nplan: %+v", v, v.Plan)
 	}
 	// The campaign must actually have exercised faults, or zero
 	// violations proves nothing.
-	if rep.Crashes == 0 {
-		t.Error("campaign generated no crashes")
-	}
-	if rep.Slowdowns == 0 {
-		t.Error("campaign generated no slowdowns")
-	}
-	if rep.ReadErrorRuns == 0 {
-		t.Error("campaign generated no read-error runs")
+	if rep.Crashes == 0 || rep.Slowdowns == 0 || rep.ReadErrorRuns == 0 {
+		t.Errorf("campaign census %d crashes / %d slowdowns / %d read-error runs: a fault kind is missing",
+			rep.Crashes, rep.Slowdowns, rep.ReadErrorRuns)
 	}
 }
 
-// Mitigated campaigns: the speculative and coded arms must uphold every
-// invariant — replay, records-lost, workload conservation, budget, and
-// baseline-success ⇒ mitigated-success — under randomized fault plans.
-func TestChaosCampaignMitigated(t *testing.T) {
-	runs := 15
-	if testing.Short() {
-		runs = 5
+// The tier-1 campaign above and the CI smoke (`datanet chaos -runs 1000
+// -seed 1`).
+const (
+	campaignRuns, campaignSeed = 150, 2
+	smokeRuns, smokeSeed       = 1000, 1
+)
+
+// The bundle is a pure function of the seed, drawn from its own stream —
+// the fault plan a seed generates is what it was before bundles existed —
+// and both campaigns cover every value of every axis plus the pairs the
+// seam bugs lived at: the oracle with each mitigation, and each mitigation
+// with each partitioner.
+func TestBundleDraw(t *testing.T) {
+	sum := sha256.New()
+	r := newRNG(99)
+	for i := 0; i < 400; i++ {
+		seed := r.next()
+		if a, b := drawBundle(seed), drawBundle(seed); a != b {
+			t.Fatalf("seed %d drew %v then %v", seed, a, b)
+		}
+		fmt.Fprintf(sum, "%+v\n", *GenPlan(seed, 0.2, DefaultParams()))
 	}
-	for _, mode := range []string{"speculative", "coded"} {
-		t.Run(mode, func(t *testing.T) {
-			p := DefaultParams()
-			p.Mitigate = mode
-			rep, err := Run(runs, 3, p)
-			if err != nil {
-				t.Fatal(err)
+	// Recorded at the commit before the bundle draw existed.
+	const plans = "e867999617bbdeafcafd7262daa3f2940491d7a777053909f4e429c7f7326019"
+	if got := fmt.Sprintf("%x", sum.Sum(nil)); got != plans {
+		t.Errorf("plan corpus digest = %s, want %s", got, plans)
+	}
+
+	for _, c := range []struct {
+		name string
+		runs int
+		seed uint64
+	}{{"tier-1", campaignRuns, campaignSeed}, {"smoke", smokeRuns, smokeSeed}} {
+		seen := map[string]bool{}
+		r := newRNG(c.seed)
+		for i := 0; i < c.runs; i++ {
+			b := drawBundle(r.next())
+			for a, v := range b.values() {
+				seen[axes[a].name+"="+v] = true
 			}
-			for _, v := range rep.Violations {
-				t.Errorf("violation: %s\nplan: %+v", v, v.Plan)
+			seen[b.detect+"×"+b.mitigate] = true
+			seen[b.mitigate+"×"+b.partition] = true
+			if b.reducers < 1 || b.reducers > 13 {
+				t.Fatalf("%s: reducer count %d out of range", c.name, b.reducers)
 			}
-		})
+		}
+		for _, ax := range axes {
+			for _, v := range ax.values {
+				if !seen[ax.name+"="+v] {
+					t.Errorf("%s campaign never draws %s=%s", c.name, ax.name, v)
+				}
+			}
+		}
+		for _, mit := range []string{"speculative", "coded"} {
+			for _, with := range []string{"oracle", "hash", "skew", "range"} {
+				if !seen[with+"×"+mit] && !seen[mit+"×"+with] {
+					t.Errorf("%s campaign never composes %s with %s", c.name, mit, with)
+				}
+			}
+		}
 	}
 }
+
+// mitigatedArm is the arm a mitigating, non-partitioning bundle adds to the
+// three scheduler arms.
+func mitigatedArm(b bundle) arm { return arms(b)[3] }
 
 // stragglerParams sizes a fixture whose filter tasks are scan-dominated,
 // so hard slowdown plans create genuine stragglers and quantile backups
 // actually launch (the default 2 KiB-block fixture is overhead-bound).
-func stragglerParams(mode string) Params {
+func stragglerParams() Params {
 	p := DefaultParams()
-	p.Mitigate = mode
 	p.BlockSize = 1 << 18
 	p.Records = 600
 	p.PayloadBytes = 4096
@@ -105,8 +143,7 @@ func stragglerParams(mode string) Params {
 // run must stay exactly-once, produce the baseline output, and uphold
 // every harness invariant.
 func TestMitigationCorpusBackupNodeCrash(t *testing.T) {
-	p := stragglerParams("speculative")
-	h, err := NewHarness(p)
+	h, err := NewHarness(stragglerParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,21 +158,14 @@ func TestMitigationCorpusBackupNodeCrash(t *testing.T) {
 			{Node: 6, At: 0.008, RejoinAt: 0.2},
 		},
 	}
-	for _, v := range h.CheckPlan(77, plan) {
+	b := bundle{"heartbeat", off, "speculative", off, 0}
+	for _, v := range h.check(77, plan, b) {
 		t.Errorf("violation: %s", v)
 	}
 	// The plan must actually exercise the scenario, or the zero
 	// violations above prove nothing: run the mitigated arm directly and
 	// demand live backups plus exactly one surviving output per block.
-	fs, err := chaosFS(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := h.baseConfig(fs)
-	cfg.Faults = plan
-	cfg.Detect = p.Detect
-	cfg.Mitigate = &straggle.Config{Mode: straggle.ModeSpeculative}
-	res, err := mapreduce.Run(cfg)
+	res, err := h.runArm(mitigatedArm(b), 77, plan, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,18 +194,44 @@ func TestMitigationCorpusBackupNodeCrash(t *testing.T) {
 // locations — this exact seed once panicked with "block out of range"
 // in the 200-run coded CLI smoke.
 func TestMitigationCorpusSuspectedParityUnit(t *testing.T) {
-	p := DefaultParams()
-	p.Mitigate = "coded"
-	h, err := NewHarness(p)
+	h, err := NewHarness(DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	violations, plan := h.CheckSeed(0x497305c5d1aab99f)
-	for _, v := range violations {
+	const seed = 0x497305c5d1aab99f
+	plan := GenPlan(seed, h.horizon, h.p)
+	for _, v := range h.check(seed, plan, bundle{"heartbeat", off, "coded", off, 0}) {
 		t.Errorf("violation: %s", v)
 	}
 	if len(plan.Crashes) == 0 || len(plan.Slow) == 0 {
 		t.Fatalf("corpus seed lost its crash+slowdown shape: %+v", plan)
+	}
+}
+
+// Corpus: the seed behind the long-open oracle × speculative
+// mitigation-no-new-failure report. No backup ever launches in it: the
+// speculation scan's cadence wakes a parked slot one beat early, block 3's
+// retries land on other (node, attempt) read-error draws than in the
+// unmitigated run, and all four fail. Exhausting a block's own retries on
+// transient read errors is the plan's luck, not the mitigation's doing —
+// the harness must not report it, and must still see it for what it is.
+func TestMitigationCorpusReadErrorReroll(t *testing.T) {
+	h, err := NewHarness(DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed = 6984485933356600607
+	plan := GenPlan(seed, h.horizon, h.p)
+	b := bundle{"oracle", off, "speculative", off, 0}
+	for _, v := range h.check(seed, plan, b) {
+		t.Errorf("violation: %s", v)
+	}
+	if _, err := h.runArm(baseline, seed, plan, b, nil); err != nil {
+		t.Fatalf("corpus seed lost its shape: the baseline fails: %v", err)
+	}
+	_, err = h.runArm(mitigatedArm(b), seed, plan, b, nil)
+	if !errors.Is(err, mapreduce.ErrRetriesExhausted) || plan.Read.Prob == 0 {
+		t.Fatalf("corpus seed lost its shape: mitigated run %v under read-error probability %g", err, plan.Read.Prob)
 	}
 }
 

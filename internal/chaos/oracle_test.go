@@ -4,19 +4,16 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"testing"
-
-	"datanet/internal/detect"
 )
 
-// oracleParams is the default fixture under the oracle detector (the
-// master reacts at the crash instant) with one rotating partition arm, so
-// every arm the harness knows runs on every seed.
-func oracleParams(mitigate string) Params {
-	p := DefaultParams()
-	p.Detect = detect.Config{}
-	p.Mitigate = mitigate
-	p.Partition = "rotate"
-	return p
+// oracleBundle is the configuration the digests below were recorded
+// under: the oracle detector (the master reacts at the crash instant), no
+// rebalancer, one mitigation for the whole corpus, and the partitioner and
+// reducer count rotating with the seed — so every arm the harness knows
+// runs on every seed.
+func oracleBundle(seed uint64, mitigate string) bundle {
+	return bundle{"oracle", off, mitigate,
+		[]string{"hash", "skew", "range"}[seed%3], 1 + int(seed>>3%13)}
 }
 
 // oracleDigest hashes the full Result (or the error text) of every arm
@@ -24,7 +21,7 @@ func oracleParams(mitigate string) Params {
 // schedule, counter or failure moves it.
 func oracleDigest(t *testing.T, mitigate string, plans int) string {
 	t.Helper()
-	h, err := NewHarness(oracleParams(mitigate))
+	h, err := NewHarness(DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,13 +30,14 @@ func oracleDigest(t *testing.T, mitigate string, plans int) string {
 	for i := 0; i < plans; i++ {
 		seed := r.next()
 		plan := GenPlan(seed, h.horizon, h.p)
-		for _, s := range h.armsFor(seed) {
-			res, err := h.runArm(s, seed, plan, nil)
+		b := oracleBundle(seed, mitigate)
+		for _, a := range arms(b) {
+			res, err := h.runArm(a, seed, plan, b, nil)
 			if err != nil {
-				fmt.Fprintf(sum, "%d %s error %v\n", seed, s.name, err)
+				fmt.Fprintf(sum, "%d %s error %v\n", seed, a.name, err)
 				continue
 			}
-			fmt.Fprintf(sum, "%d %s %+v\n", seed, s.name, *res)
+			fmt.Fprintf(sum, "%d %s %+v\n", seed, a.name, *res)
 		}
 	}
 	return fmt.Sprintf("%x", sum.Sum(nil))
@@ -61,27 +59,11 @@ func TestOracleDifferential(t *testing.T) {
 		mode, digest := mode, digest
 		t.Run("mitigate="+mode, func(t *testing.T) {
 			t.Parallel()
+			if mode == "" { // the subtest's recorded name
+				mode = off
+			}
 			if got := oracleDigest(t, mode, 400); got != digest {
 				t.Errorf("oracle digest (mitigate %q) = %s, want %s", mode, got, digest)
-			}
-		})
-	}
-}
-
-// All CI chaos smokes run under the heartbeat detector; the coded
-// double-commit lived under the oracle. This is the oracle × mitigation
-// campaign, every invariant on every arm.
-func TestChaosCampaignOracleMitigated(t *testing.T) {
-	for _, mode := range []string{"speculative", "coded"} {
-		mode := mode
-		t.Run(mode, func(t *testing.T) {
-			t.Parallel()
-			rep, err := Run(100, 1, oracleParams(mode))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, v := range rep.Violations {
-				t.Errorf("violation: %s\nplan: %+v", v, v.Plan)
 			}
 		})
 	}
@@ -93,13 +75,14 @@ func TestChaosCampaignOracleMitigated(t *testing.T) {
 // counted one unit as two of its k.
 func TestCodedUnitCommitsOnce(t *testing.T) {
 	const seed = 8147491702576048091
-	h, err := NewHarness(oracleParams("coded"))
+	h, err := NewHarness(DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	plan := GenPlan(seed, h.horizon, h.p)
-	for _, s := range h.armsFor(seed) {
-		res, err := h.runArm(s, seed, plan, nil)
+	b := oracleBundle(seed, "coded")
+	for _, s := range arms(b) {
+		res, err := h.runArm(s, seed, plan, b, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}

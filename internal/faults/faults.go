@@ -169,7 +169,8 @@ func (p *Plan) TraceEvents() []trace.Event {
 
 // RetryPolicy bounds task re-execution after crashes and read errors.
 type RetryPolicy struct {
-	// MaxAttempts caps total executions of one task (first run included).
+	// MaxAttempts caps a task's own executions (first run included;
+	// speculative backups are bounded separately and never spend it).
 	// Zero selects DefaultMaxAttempts.
 	MaxAttempts int
 	// Backoff is the delay before the first retry, in simulated seconds;

@@ -2,7 +2,6 @@ package hdfs
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 
 	"datanet/internal/cluster"
@@ -186,19 +185,16 @@ type floodPlacement struct{ i int }
 
 func (f *floodPlacement) Name() string { return "flood" }
 
-func (f *floodPlacement) Place(_ *rand.Rand, topo *cluster.Topology, replication int) []cluster.NodeID {
-	out := make([]cluster.NodeID, replication)
+func (f *floodPlacement) Choose(req placement.Request) ([]cluster.NodeID, error) {
+	n := req.Topo.N()
+	out := make([]cluster.NodeID, req.Want)
 	out[0] = cluster.NodeID(f.i % 2) // always node 0 or 1
-	for k := 1; k < replication; k++ {
-		out[k] = cluster.NodeID((2 + f.i + k) % topo.N())
+	for k := 1; k < req.Want; k++ {
+		out[k] = cluster.NodeID((2 + f.i + k) % n)
 		if out[k] == out[0] {
-			out[k] = cluster.NodeID((int(out[k]) + 1) % topo.N())
+			out[k] = cluster.NodeID((int(out[k]) + 1) % n)
 		}
 	}
 	f.i++
-	return out
-}
-
-func (f *floodPlacement) Choose(req placement.Request) ([]cluster.NodeID, error) {
-	return f.Place(req.RNG, req.Topo, req.Want), nil
+	return out, nil
 }

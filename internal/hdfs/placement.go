@@ -5,8 +5,7 @@ import "datanet/internal/placement"
 // Replica placement lives in internal/placement since the unified-policy
 // refactor; the historical hdfs names are aliases so existing callers
 // (experiments, the public facade, tests) keep compiling against the
-// same types. The legacy Place entry points survive on the policy types
-// themselves; the filesystem write path now goes through Policy.Choose.
+// same types. The filesystem write path goes through Policy.Choose.
 
 // PlacementPolicy picks the replica nodes for a new block.
 type PlacementPolicy = placement.Policy

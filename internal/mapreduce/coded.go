@@ -206,7 +206,7 @@ func (s *filterSim) reviveGroup(g int, t float64, uncommitted int) {
 		if u == uncommitted || !s.handed[u] || s.done[u] || s.coded.abandoned[u] || active[u] {
 			continue
 		}
-		if s.attempts[u] >= s.retry.MaxAttempts || s.replicasGone(u) {
+		if s.exhausted(u) || s.replicasGone(u) {
 			if s.isParity(u) {
 				s.coded.abandoned[u] = true
 			}

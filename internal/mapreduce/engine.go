@@ -88,13 +88,13 @@ type Config struct {
 	// (straggle.ModeCoded). Nil or off leaves every schedule
 	// byte-identical to the unmitigated engine. See internal/straggle.
 	Mitigate *straggle.Config
-	// Partition, when enabled, replaces the volumetric 1/R shuffle split
+	// Partition, when enabled, replaces the uniform 1/R shuffle shares
 	// with key-aware reduce partitioning: the engine harvests the
 	// intermediate key frequencies during the analysis-map phase, plans a
 	// key → reducer assignment (hash baseline, skew-aware bin-packing, or
 	// sampled range cuts — see internal/partition), and drives per-reducer
 	// shuffle bytes and reduce workloads from the planned shares. Nil or
-	// off keeps the legacy volumetric model byte-identical.
+	// off gives every reducer the same 1/R share.
 	Partition *partition.Config
 	// TaskOverhead is the fixed per-task startup cost in seconds
 	// (JVM/task-setup analogue; default 0.1 s).
@@ -214,7 +214,7 @@ type Result struct {
 	// ShuffleBytesPerReducer attributes ShuffleBytes to individual
 	// reducers (same indexing as ShuffleDurations; the entries sum exactly
 	// to ShuffleBytes). With partitioning off every reducer gets the
-	// volumetric 1/R share; with it on, its planned key share.
+	// uniform 1/R share; with it on, its planned key share.
 	ShuffleBytesPerReducer []int64
 	// ReduceWorkloads is the per-reducer reduce-phase input volume in
 	// output bytes (the workload its compute time scales with).
@@ -346,10 +346,9 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
-	// Key-aware partitioning is equally opt-in: nil/off keeps the legacy
-	// volumetric shuffle model and a byte-identical schedule. The mode is
-	// validated up front so a typo fails the job instead of silently
-	// hashing.
+	// Key-aware partitioning is equally opt-in: nil/off shuffles by
+	// uniform 1/R shares. The mode is validated up front so a typo fails
+	// the job instead of silently hashing.
 	var part partition.Partitioner
 	if cfg.Partition.Enabled() {
 		if _, err := partition.ParseMode(string(cfg.Partition.Mode)); err != nil {

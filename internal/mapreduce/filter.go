@@ -152,6 +152,7 @@ type filterSim struct {
 	byIndex   map[int]int                      // task.Index -> li
 	byBlock   map[hdfs.BlockID]int             // block -> li
 	attempts  []int
+	dupTries  []int  // li -> how many of its attempts were duplicates
 	handed    []bool // li -> the picker has handed the task out
 	done      []bool
 	doneCount int
@@ -252,6 +253,7 @@ func newFilterSim(cfg Config, topo *cluster.Topology, inj *faults.Injector, retr
 		byIndex:   make(map[int]int, len(tasks)),
 		byBlock:   make(map[hdfs.BlockID]int, len(tasks)),
 		attempts:  make([]int, len(tasks)),
+		dupTries:  make([]int, len(tasks)),
 		handed:    make([]bool, len(tasks)),
 		done:      make([]bool, len(tasks)),
 		trackStat: make([]int, len(tasks)),
@@ -779,12 +781,6 @@ func (s *filterSim) requeueDup(li int, t float64) {
 		return
 	}
 	s.dupOutstanding[li] = true
-	if s.spec != nil {
-		// Suspicion launches flow through the shared engine's accounting
-		// (no quantile budget burned — the one-dup-per-task rule above is
-		// this trigger's own cap).
-		s.spec.NoteLaunch(straggle.TriggerSuspicion, li)
-	}
 	s.res.TasksRetried++
 	if s.rec.Enabled() {
 		ev := trace.At(t, trace.EvTaskRetry)
@@ -855,7 +851,7 @@ func (s *filterSim) launchQuantileDup(li int, now float64, keys []slotKey) {
 		}
 	}
 	s.dupOutstanding[li] = true
-	s.spec.NoteLaunch(straggle.TriggerQuantile, li)
+	s.spec.NoteLaunch(li)
 	s.res.SpeculativeLaunches++
 	if s.rec.Enabled() {
 		ev := trace.At(now, trace.EvSpeculate)
@@ -1056,12 +1052,21 @@ func (s *filterSim) takeRetry(node cluster.NodeID, now float64, localOnly bool) 
 	return 0, false
 }
 
+// exhausted reports whether the task has spent its retry budget. Backups
+// never spend it — a burned duplicate must not turn a survivable plan
+// into ErrRetriesExhausted; they are bounded by their own caps (one
+// outstanding per task, the speculation budgets, and the total-attempt
+// decline in requeueDup and launchQuantileDup).
+func (s *filterSim) exhausted(li int) bool {
+	return s.attempts[li]-s.dupTries[li] >= s.retry.MaxAttempts
+}
+
 // requeue schedules a failed task for re-execution with exponential
 // backoff, enforcing the attempt cap and detecting unrecoverable blocks.
 // reason qualifies the retry event ("read-error", "crash-voided",
 // "output-lost").
 func (s *filterSim) requeue(li int, now float64, reason string) error {
-	if s.isParity(li) && s.attempts[li] >= s.retry.MaxAttempts {
+	if s.isParity(li) && s.exhausted(li) {
 		// Parity units are pure redundancy: running out of attempts
 		// abandons the unit instead of failing the job — the group can
 		// still be satisfied by its other units.
@@ -1071,7 +1076,7 @@ func (s *filterSim) requeue(li int, now float64, reason string) error {
 	if s.replicasGone(li) {
 		return &BlockFailure{Block: s.tasks[li].Block, Attempts: s.attempts[li], Cause: ErrDataLost}
 	}
-	if s.attempts[li] >= s.retry.MaxAttempts {
+	if s.exhausted(li) {
 		return &BlockFailure{Block: s.tasks[li].Block, Attempts: s.attempts[li], Cause: ErrRetriesExhausted}
 	}
 	s.res.TasksRetried++
@@ -1091,6 +1096,9 @@ func (s *filterSim) dispatch(nid cluster.NodeID, slot, gen int, t sched.Task, li
 	node := s.topo.Node(nid)
 	s.attempts[li]++
 	attempt := s.attempts[li]
+	if s.lastDup {
+		s.dupTries[li]++
+	}
 	if s.layoutDirty && !s.isParity(li) {
 		t.Locations = s.cfg.FS.Locations(t.Block)
 	}

@@ -26,16 +26,20 @@ func (jc *jobContext) harvestKeyFreqs() map[string]int64 {
 	return freqs
 }
 
-// planPartition fixes the key → reducer assignment when key-aware
-// partitioning is enabled: harvest frequencies, plan, convert the planned
-// per-reducer loads into output-volume shares, and audit the plan into
-// the Result and the trace. With partitioning off it does nothing, so
-// legacy runs stay byte-identical.
+// planPartition fixes each reducer's share of the map output volume:
+// the uniform 1/R unless a partitioner is configured. With one, it fixes
+// the key → reducer assignment: harvest frequencies, plan, convert the
+// planned per-reducer loads into shares, and audit the plan into the
+// Result and the trace.
 func (jc *jobContext) planPartition() error {
+	res, cfg := jc.res, jc.cfg
+	jc.shares = make([]float64, cfg.Reducers)
+	for r := range jc.shares {
+		jc.shares[r] = 1 / float64(cfg.Reducers)
+	}
 	if jc.part == nil {
 		return nil
 	}
-	res, cfg := jc.res, jc.cfg
 	freqs := jc.harvestKeyFreqs()
 	if err := jc.part.Plan(freqs, cfg.Reducers); err != nil {
 		return err
@@ -49,17 +53,14 @@ func (jc *jobContext) planPartition() error {
 		}
 	}
 	// Planned key bytes → volume shares. A job with no intermediate keys
-	// has nothing to skew, so it degrades to the uniform split.
+	// has nothing to skew, so it keeps the uniform split.
 	var total int64
 	for _, l := range loads {
 		total += l
 	}
-	jc.shares = make([]float64, cfg.Reducers)
-	for r := range jc.shares {
-		if total > 0 {
+	if total > 0 {
+		for r := range jc.shares {
 			jc.shares[r] = float64(loads[r]) / float64(total)
-		} else {
-			jc.shares[r] = 1 / float64(cfg.Reducers)
 		}
 	}
 	if jc.rec.Enabled() {

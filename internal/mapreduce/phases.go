@@ -38,7 +38,7 @@ type jobContext struct {
 	mapBlocks []int
 
 	// Shuffle → reduce hand-off. shares is each reducer's fraction of the
-	// map output volume; nil means the legacy volumetric 1/R split.
+	// map output volume (uniform 1/R with no partitioner).
 	totalOut    float64
 	reducerNode []cluster.NodeID
 	shares      []float64
@@ -251,10 +251,6 @@ func runShuffle(jc *jobContext) error {
 			jc.reducerNode[r] = liveAtShuffle[r%len(liveAtShuffle)]
 		}
 	}
-	// With key-aware partitioning on, plan the key → reducer assignment
-	// from the harvested frequencies and shuffle by planned share; off
-	// keeps the exact legacy volumetric expression (1/R of the remote
-	// output), byte-for-byte.
 	if err := jc.planPartition(); err != nil {
 		return err
 	}
@@ -265,12 +261,7 @@ func runShuffle(jc *jobContext) error {
 		nid := jc.reducerNode[r]
 		// This reducer's partition share of every node's output; the share
 		// from its own node stays local.
-		var remoteOut float64
-		if jc.shares != nil {
-			remoteOut = (jc.totalOut - float64(res.NodeWorkload[nid])*cfg.App.OutputRatio()) * jc.shares[r]
-		} else {
-			remoteOut = (jc.totalOut - float64(res.NodeWorkload[nid])*cfg.App.OutputRatio()) / float64(cfg.Reducers)
-		}
+		remoteOut := (jc.totalOut - float64(res.NodeWorkload[nid])*cfg.App.OutputRatio()) * jc.shares[r]
 		if remoteOut < 0 {
 			remoteOut = 0
 		}
@@ -304,12 +295,7 @@ func runReduce(jc *jobContext) {
 	res.ReduceWorkloads = make([]float64, cfg.Reducers)
 	for r := 0; r < cfg.Reducers; r++ {
 		nid := jc.reducerNode[r]
-		var vol float64
-		if jc.shares != nil {
-			vol = jc.totalOut * jc.shares[r]
-		} else {
-			vol = jc.totalOut / float64(cfg.Reducers)
-		}
+		vol := jc.totalOut * jc.shares[r]
 		res.ReduceWorkloads[r] = vol
 		end := res.ShuffleEnd + vol*reduceCostFactor/inj.CPURate(nid, topo.Node(nid).CPURate)
 		if end > reduceEnd {

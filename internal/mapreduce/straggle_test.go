@@ -294,3 +294,28 @@ func TestSpecCheckTranslation(t *testing.T) {
 		t.Errorf("spec-check translation = %+v, %v", ev, ok)
 	}
 }
+
+// A backup never spends the original's retry budget. Under this plan a
+// quantile backup of a straggler burns on a read error and the straggler's
+// own attempt then fails too: with two attempts allowed the task must
+// still get its second own execution — committing on attempt 3, which a
+// budget shared with backups turns into ErrRetriesExhausted.
+func TestBackupDoesNotSpendRetryBudget(t *testing.T) {
+	plan := slowHeavyPlan()
+	plan.Seed = 4
+	plan.Read.Prob = 0.2
+	cfg := mitigationCfg(t, &straggle.Config{Mode: straggle.ModeSpeculative, Quantile: 0.9}, plan)
+	cfg.Retry.MaxAttempts = 2
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outlived := false
+	for _, st := range res.Tasks {
+		outlived = outlived || (!st.Lost && st.Attempt > cfg.Retry.MaxAttempts)
+	}
+	if !outlived {
+		t.Error("no task committed beyond MaxAttempts: the plan no longer burns a backup")
+	}
+	exactlyOnce(t, res, -1)
+}

@@ -46,8 +46,7 @@ type Mode string
 // Modes.
 const (
 	// ModeOff disables key-aware partitioning (the zero value ""): the
-	// engine keeps its legacy volumetric shuffle model, byte-identical to
-	// runs before this package existed.
+	// engine gives every reducer the same 1/R share of the map output.
 	ModeOff Mode = "off"
 	// ModeHash assigns keys blindly by FNV-1a mod reducers.
 	ModeHash Mode = "hash"

@@ -1,16 +1,11 @@
 package placement
 
-import (
-	"math/rand"
+import "datanet/internal/cluster"
 
-	"datanet/internal/cluster"
-)
-
-// The write-path policies ported from internal/hdfs/placement.go. Each
-// keeps the legacy Place entry point with its exact pre-refactor draw
-// sequence — the 61 golden schedules replay through it — and adds the
-// generalized Choose, which consumes the same RNG draws whenever no veto
-// or existing-replica constraint is active.
+// The write-path policies ported from internal/hdfs/placement.go. Choose
+// consumes the pre-refactor write path's exact RNG draw sequence whenever
+// no veto or existing-replica constraint is active — the 61 golden
+// schedules replay through it.
 
 // Random picks replicas uniformly at random without replacement — the
 // paper's characterization of HDFS writes ("randomly distribute them
@@ -20,19 +15,8 @@ type Random struct{}
 // Name implements Policy.
 func (Random) Name() string { return "random" }
 
-// Place is the legacy write-path entry point.
-func (Random) Place(rng *rand.Rand, topo *cluster.Topology, replication int) []cluster.NodeID {
-	perm := rng.Perm(topo.N())
-	out := make([]cluster.NodeID, replication)
-	for i := 0; i < replication; i++ {
-		out[i] = cluster.NodeID(perm[i])
-	}
-	return out
-}
-
 // Choose implements Policy: one permutation over the universe, first
-// Want eligible entries. With no veto and no existing replicas this is
-// draw-for-draw identical to Place.
+// Want eligible entries.
 func (Random) Choose(req Request) ([]cluster.NodeID, error) {
 	ids := req.universe()
 	out := make([]cluster.NodeID, 0, req.Want)
@@ -55,17 +39,10 @@ type RackAware struct{}
 // Name implements Policy.
 func (RackAware) Name() string { return "rack-aware" }
 
-// Place is the legacy write-path entry point.
-func (RackAware) Place(rng *rand.Rand, topo *cluster.Topology, replication int) []cluster.NodeID {
-	out, _ := RackAware{}.Choose(Request{Topo: topo, RNG: rng, Want: replication, Partial: true})
-	return out
-}
-
-// Choose implements Policy. The draw sequence — one Intn for the first
-// replica, one Perm scan per subsequent pick — matches the pre-refactor
-// Place exactly when nothing is vetoed; vetoes and existing replicas only
-// shrink the acceptable set inside each scan (plus one extra scan if the
-// Intn draw itself lands on an ineligible node).
+// Choose implements Policy. The draw sequence is one Intn for the first
+// replica and one Perm scan per subsequent pick; vetoes and existing
+// replicas only shrink the acceptable set inside each scan (plus one
+// extra scan if the Intn draw itself lands on an ineligible node).
 func (RackAware) Choose(req Request) ([]cluster.NodeID, error) {
 	topo, rng := req.Topo, req.RNG
 	n := topo.N()
@@ -145,23 +122,8 @@ type RoundRobin struct {
 // Name implements Policy.
 func (p *RoundRobin) Name() string { return "round-robin" }
 
-// Place is the legacy write-path entry point.
-func (p *RoundRobin) Place(_ *rand.Rand, topo *cluster.Topology, replication int) []cluster.NodeID {
-	stride := p.Stride
-	if stride <= 0 {
-		stride = 1
-	}
-	n := topo.N()
-	out := make([]cluster.NodeID, replication)
-	for i := range out {
-		out[i] = cluster.NodeID((p.next + i*stride) % n)
-	}
-	p.next = (p.next + 1) % n
-	return out
-}
-
-// Choose implements Policy. Unconstrained requests reproduce Place's
-// stripe exactly; under vetoes the stripe is walked further (then the id
+// Choose implements Policy. Unconstrained requests take the stripe as
+// is; under vetoes the stripe is walked further (then the id
 // space ascending, in case the stride cycle misses nodes) skipping
 // ineligible or repeated candidates.
 func (p *RoundRobin) Choose(req Request) ([]cluster.NodeID, error) {

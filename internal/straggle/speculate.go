@@ -10,11 +10,9 @@ import (
 	"datanet/internal/trace"
 )
 
-// SpecEngine is the one speculation engine behind the three triggers.
-// The quantile trigger (Decide) owns the LATE-style launch rule and the
-// budgets; the suspicion and barrier triggers keep their historical
-// launch rules but flow through the same accounting, so a chaos
-// invariant can bound total work amplification in one place.
+// SpecEngine is the quantile-trigger speculation engine: Decide owns the
+// LATE-style launch rule, Allow and NoteLaunch the per-task and per-job
+// budgets.
 type SpecEngine struct {
 	quantile float64
 	perTask  int // max backups per task (quantile trigger)
@@ -22,9 +20,8 @@ type SpecEngine struct {
 	minGain  float64
 	every    float64 // check cadence in simulated seconds
 
-	launched []int // per task, quantile-trigger launches
-	total    int   // quantile-trigger launches job-wide
-	byTrig   [3]int
+	launched []int     // per task, quantile-trigger launches
+	total    int       // quantile-trigger launches job-wide
 	finished []float64 // committed attempt end times, observation order
 }
 
@@ -52,18 +49,6 @@ func NewSpecEngine(cfg Config, tasks int) *SpecEngine {
 // Interval is the speculation-scan cadence in simulated seconds.
 func (e *SpecEngine) Interval() float64 { return e.every }
 
-// Budget reports the effective (perTask, perJob) quantile budgets.
-func (e *SpecEngine) Budget() (perTask, perJob int) { return e.perTask, e.perJob }
-
-// TotalLaunched reports quantile-trigger launches so far.
-func (e *SpecEngine) TotalLaunched() int { return e.total }
-
-// LaunchedFor reports quantile-trigger launches for one task.
-func (e *SpecEngine) LaunchedFor(task int) int { return e.launched[task] }
-
-// ByTrigger reports launches attributed to the trigger (all three).
-func (e *SpecEngine) ByTrigger(t Trigger) int { return e.byTrig[t] }
-
 // ObserveFinish records one committed attempt's end time; completed
 // attempts anchor the quantile so a lone straggler (no running peers)
 // still triggers against the population that already finished.
@@ -77,17 +62,10 @@ func (e *SpecEngine) Allow(task int) bool {
 	return e.perJob < 0 || e.total < e.perJob
 }
 
-// NoteLaunch burns budget for one launched backup. Suspicion- and
-// barrier-trigger launches are recorded for the amplification invariant
-// but spend no quantile budget (their own caps — the attempt limit and
-// the one-backup-per-straggler rule — predate this layer and are
-// preserved exactly).
-func (e *SpecEngine) NoteLaunch(t Trigger, task int) {
-	e.byTrig[t]++
-	if t == TriggerQuantile {
-		e.launched[task]++
-		e.total++
-	}
+// NoteLaunch burns budget for one launched backup.
+func (e *SpecEngine) NoteLaunch(task int) {
+	e.launched[task]++
+	e.total++
 }
 
 // Projection is the master's estimate of one running attempt: with

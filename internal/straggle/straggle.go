@@ -8,15 +8,13 @@
 // points (a periodic trigger scan versus a task-list rewrite plus a
 // decode pass), so they share a Config and a Mode but no interface:
 //
-//   - Speculative execution (SpecEngine): one speculation engine with
-//     three triggers. The *suspicion* trigger is the failure detector's
-//     false-positive path (a suspected-but-alive node gets its in-flight
-//     work duplicated); the *barrier* trigger is the classic
-//     Hadoop-style whole-phase backup at the analysis barrier; the
-//     *quantile* trigger is LATE-style: a backup launches when an
-//     attempt's projected finish exceeds the running-attempt quantile,
-//     subject to per-task and per-job budgets. All three feed the same
-//     first-finisher-wins dedupe.
+//   - Speculative execution (SpecEngine): the LATE-style *quantile*
+//     trigger — a backup launches when an attempt's projected finish
+//     exceeds the running-attempt quantile, subject to per-task and
+//     per-job budgets. Its backups share the engine's duplicate machinery
+//     and first-finisher-wins dedupe with the failure detector's
+//     false-suspicion duplicates. BarrierSpeculate is the separate
+//     Hadoop-style whole-phase backup at the analysis barrier.
 //
 //   - Coded k-of-n execution (Layout + Code): a phase's T tasks are
 //     encoded into n > T redundant units (MDS over the filter output
@@ -47,36 +45,6 @@ const (
 	// ModeCoded enables coded k-of-n redundant execution.
 	ModeCoded Mode = "coded"
 )
-
-// Trigger identifies which rule launched a speculative backup. The three
-// triggers share one engine, one dedupe path and one accounting plane.
-type Trigger uint8
-
-// Triggers.
-const (
-	// TriggerSuspicion duplicates in-flight work of a suspected-but-alive
-	// node (the failure detector's false-positive path).
-	TriggerSuspicion Trigger = iota
-	// TriggerBarrier is the whole-phase backup at the analysis barrier
-	// (classic Hadoop speculative execution).
-	TriggerBarrier
-	// TriggerQuantile is the LATE-style rule: projected finish beyond the
-	// running-attempt quantile.
-	TriggerQuantile
-)
-
-// String names the trigger for trace details.
-func (t Trigger) String() string {
-	switch t {
-	case TriggerSuspicion:
-		return "suspicion"
-	case TriggerBarrier:
-		return "barrier"
-	case TriggerQuantile:
-		return "quantile"
-	}
-	return fmt.Sprintf("trigger(%d)", uint8(t))
-}
 
 // Config selects and parameterizes a mitigation strategy. The zero value
 // (and nil) means off; WithDefaults fills unset knobs.

@@ -96,12 +96,12 @@ func TestSpecEngineDecide(t *testing.T) {
 		t.Fatalf("lone straggler: got %v", got)
 	}
 	// Budgets: per-task cap stops a relaunch.
-	e.NoteLaunch(TriggerQuantile, 7)
+	e.NoteLaunch(7)
 	if got := e.Decide(20, lone); len(got) != 0 {
 		t.Fatalf("per-task budget ignored: got %v", got)
 	}
-	if e.TotalLaunched() != 1 || e.LaunchedFor(7) != 1 || e.ByTrigger(TriggerQuantile) != 1 {
-		t.Fatalf("accounting: %d %d", e.TotalLaunched(), e.LaunchedFor(7))
+	if e.Allow(7) {
+		t.Fatal("per-task budget exhausted but Allow true")
 	}
 	// Per-job budget.
 	e2 := NewSpecEngine(Config{Mode: ModeSpeculative, Quantile: 0.5, PerTask: 1, PerJob: 1}.WithDefaults(), 8)
@@ -112,14 +112,9 @@ func TestSpecEngineDecide(t *testing.T) {
 	if got := e2.Decide(2, two); len(got) != 1 {
 		t.Fatalf("per-job budget: got %v", got)
 	}
-	e2.NoteLaunch(TriggerQuantile, 0)
+	e2.NoteLaunch(0)
 	if e2.Allow(1) {
 		t.Fatal("per-job budget exhausted but Allow true")
-	}
-	// Suspicion launches spend no quantile budget.
-	e2.NoteLaunch(TriggerSuspicion, 1)
-	if e2.ByTrigger(TriggerSuspicion) != 1 || e2.TotalLaunched() != 1 {
-		t.Fatal("suspicion launch burned quantile budget")
 	}
 	// MinGain suppresses near-finished stragglers.
 	e3 := NewSpecEngine(Config{Mode: ModeSpeculative, Quantile: 0.5, PerTask: 1, MinGain: 5}.WithDefaults(), 2)
