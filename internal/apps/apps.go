@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"datanet/internal/records"
 )
@@ -46,6 +47,86 @@ type App interface {
 	// harness and TestReduceOrderAndSplitInsensitive enforce the contract
 	// for every registered app.
 	Reduce(key string, values []string) string
+}
+
+// Combiner is optionally implemented by an App whose partial results can
+// stand in for the values they cover: the engine's collector folds a key's
+// buffered values into one whenever the buffer fills, instead of holding
+// every emitted value until the final Reduce.
+//
+// Contract: for any split of a key's values into a and b,
+//
+//	Reduce(k, append([]string{Combine(k, a)}, b...)) == Reduce(k, append(a, b...))
+//
+// which, with Reduce's own multiset contract, also covers partials of
+// partials and partials dealt across a split key's shards. Counting folds
+// satisfy it; an average (of averages) or a truncated top-K does not.
+type Combiner interface {
+	Combine(key string, values []string) string
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// eachField calls fn with every token of s, in order — exactly the
+// sequence strings.Fields(s) returns, without building the slice. The
+// index walk covers ASCII; the first byte outside it hands the unconsumed
+// tail (from the start of the token in progress) to strings.Fields, so
+// Unicode spaces and invalid UTF-8 split precisely as they do there.
+func eachField(s string, fn func(tok string)) {
+	start := -1
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c >= utf8.RuneSelf:
+			if start < 0 {
+				start = i
+			}
+			for _, tok := range strings.Fields(s[start:]) {
+				fn(tok)
+			}
+			return
+		case asciiSpace[c]:
+			if start >= 0 {
+				fn(s[start:i])
+				start = -1
+			}
+		case start < 0:
+			start = i
+		}
+	}
+	if start >= 0 {
+		fn(s[start:])
+	}
+}
+
+// appendPadded appends v in decimal, zero-padded to width — byte-identical
+// to fmt's %0<width>d. Negative values (fmt counts the sign in the width)
+// take the fmt path itself rather than re-deriving its rule; record times
+// are never negative in generated data.
+func appendPadded(dst []byte, v int64, width int) []byte {
+	if v < 0 {
+		return append(dst, fmt.Sprintf("%0*d", width, v)...)
+	}
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], v, 10)
+	for n := len(d); n < width; n++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, d...)
+}
+
+// paddedKey renders prefix + %0<width>d of v in one allocation.
+func paddedKey(prefix string, v int64, width int) string {
+	var buf [32]byte
+	return string(appendPadded(append(buf[:0], prefix...), v, width))
+}
+
+// ratingValue renders a rating to three decimals, as the map value of the
+// rating-carrying apps, in one allocation.
+func ratingValue(rating float64) string {
+	var buf [24]byte
+	return string(strconv.AppendFloat(buf[:0], rating, 'f', 3, 64))
 }
 
 // All returns the four paper applications with their default settings.
@@ -90,11 +171,19 @@ func (MovingAverage) OutputRatio() float64 { return 0.05 }
 // Map implements App: emit (window, rating).
 func (a MovingAverage) Map(r records.Record, emit Emit) {
 	w := r.Time / a.WindowSeconds
-	emit(fmt.Sprintf("w%08d", w), strconv.FormatFloat(r.Rating, 'f', 3, 64))
+	emit(paddedKey("w", w, 8), ratingValue(r.Rating))
 }
 
 // Reduce implements App: average the ratings in a window.
 func (MovingAverage) Reduce(key string, values []string) string {
+	_, avg := meanOfParsed(values)
+	return avg
+}
+
+// meanOfParsed folds the values that parse as floats: how many did, and
+// their mean rendered to four decimals ("0" when none parsed). A malformed
+// value is skipped from the sum and the count alike.
+func meanOfParsed(values []string) (n int, avg string) {
 	var sum float64
 	for _, v := range values {
 		f, err := strconv.ParseFloat(v, 64)
@@ -102,11 +191,12 @@ func (MovingAverage) Reduce(key string, values []string) string {
 			continue
 		}
 		sum += f
+		n++
 	}
-	if len(values) == 0 {
-		return "0"
+	if n == 0 {
+		return 0, "0"
 	}
-	return strconv.FormatFloat(sum/float64(len(values)), 'f', 4, 64)
+	return n, strconv.FormatFloat(sum/float64(n), 'f', 4, 64)
 }
 
 // ---------------------------------------------------------------------------
@@ -151,13 +241,17 @@ func (TopKSearch) OutputRatio() float64 { return 0.02 }
 // reducer can take the global top K.
 func (a TopKSearch) Map(r records.Record, emit Emit) {
 	score := 0
-	for _, tok := range strings.Fields(r.Payload) {
+	eachField(r.Payload, func(tok string) {
 		if a.queryTokens[tok] {
 			score++
 		}
-	}
+	})
 	if score > 0 {
-		emit("topk", fmt.Sprintf("%06d|%s@%d", score, r.Sub, r.Time))
+		var buf [64]byte
+		v := appendPadded(buf[:0], int64(score), 6)
+		v = append(append(v, '|'), r.Sub...)
+		v = strconv.AppendInt(append(v, '@'), r.Time, 10)
+		emit("topk", string(v))
 	}
 }
 
@@ -191,9 +285,7 @@ func (WordCount) OutputRatio() float64 { return 0.5 }
 
 // Map implements App.
 func (WordCount) Map(r records.Record, emit Emit) {
-	for _, tok := range strings.Fields(r.Payload) {
-		emit(tok, "1")
-	}
+	eachField(r.Payload, func(tok string) { emit(tok, "1") })
 }
 
 // Reduce implements App.
@@ -208,6 +300,10 @@ func (WordCount) Reduce(key string, values []string) string {
 	}
 	return strconv.Itoa(total)
 }
+
+// Combine implements Combiner: a partial count parses as the sum of the
+// "1"s it replaced.
+func (a WordCount) Combine(key string, values []string) string { return a.Reduce(key, values) }
 
 // ---------------------------------------------------------------------------
 // Aggregate Word Histogram
@@ -227,19 +323,29 @@ func (WordHistogram) CostFactor() float64 { return 3.2 }
 // WordCount's full-word keys.
 func (WordHistogram) OutputRatio() float64 { return 0.3 }
 
+// histKeys are WordHistogram's 33 keys, len00 … len32 (longer words
+// share the last bucket), rendered once.
+var histKeys = func() (keys [33]string) {
+	for l := range keys {
+		keys[l] = fmt.Sprintf("len%02d", l)
+	}
+	return keys
+}()
+
 // Map implements App: emit (len(word), 1).
 func (WordHistogram) Map(r records.Record, emit Emit) {
-	for _, tok := range strings.Fields(r.Payload) {
-		l := len(tok)
-		if l > 32 {
-			l = 32
-		}
-		emit(fmt.Sprintf("len%02d", l), "1")
-	}
+	eachField(r.Payload, func(tok string) {
+		emit(histKeys[min(len(tok), len(histKeys)-1)], "1")
+	})
 }
 
 // Reduce implements App.
 func (WordHistogram) Reduce(key string, values []string) string {
+	return WordCount{}.Reduce(key, values)
+}
+
+// Combine implements Combiner.
+func (WordHistogram) Combine(key string, values []string) string {
 	return WordCount{}.Reduce(key, values)
 }
 
@@ -278,10 +384,15 @@ func (Sessionize) OutputRatio() float64 { return 0.1 }
 // per-sub-dataset filtering upstream, windows approximate sessions of the
 // selected entity.
 func (a Sessionize) Map(r records.Record, emit Emit) {
-	emit(fmt.Sprintf("sess%010d", r.Time/a.Gap), "1")
+	emit(paddedKey("sess", r.Time/a.Gap, 10), "1")
 }
 
 // Reduce implements App: events per session window.
 func (Sessionize) Reduce(key string, values []string) string {
+	return WordCount{}.Reduce(key, values)
+}
+
+// Combine implements Combiner.
+func (Sessionize) Combine(key string, values []string) string {
 	return WordCount{}.Reduce(key, values)
 }

@@ -106,6 +106,32 @@ func TestMovingAverage(t *testing.T) {
 	}
 }
 
+// TestMeanReduceCountsOnlyParsedValues: a malformed value leaves a
+// window's average alone — it is skipped from the count as well as the
+// sum — in MovingAverage and SubDatasetJoin alike.
+func TestMeanReduceCountsOnlyParsedValues(t *testing.T) {
+	ma := NewMovingAverage(100)
+	join := NewSubDatasetJoin("b", 100, nil)
+	for _, tc := range []struct {
+		values   []string
+		avg      string
+		joinSide string
+	}{
+		{[]string{"4.000", "2.000"}, "3.0000", "n=2 avg=3.0000 b=-"},
+		{[]string{"4.000", "junk", "2.000"}, "3.0000", "n=2 avg=3.0000 b=-"},
+		{[]string{"", "5.000", "4.5.0"}, "5.0000", "n=1 avg=5.0000 b=-"},
+		{[]string{"junk"}, "0", "n=0 avg=0 b=-"},
+		{nil, "0", "n=0 avg=0 b=-"},
+	} {
+		if got := ma.Reduce("w00000000", tc.values); got != tc.avg {
+			t.Errorf("MovingAverage.Reduce(%q) = %q, want %q", tc.values, got, tc.avg)
+		}
+		if got := join.Reduce("j0000000000", tc.values); got != tc.joinSide {
+			t.Errorf("SubDatasetJoin.Reduce(%q) = %q, want %q", tc.values, got, tc.joinSide)
+		}
+	}
+}
+
 func TestTopKSearch(t *testing.T) {
 	app := NewTopKSearch(2, "alpha beta gamma")
 	recs := []records.Record{

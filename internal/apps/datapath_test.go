@@ -1,0 +1,134 @@
+package apps
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"datanet/internal/records"
+)
+
+// fieldsOf collects eachField's token sequence.
+func fieldsOf(s string) []string {
+	var toks []string
+	eachField(s, func(tok string) { toks = append(toks, tok) })
+	return toks
+}
+
+// checkEachField is the oracle TestEachFieldMatchesStringsFields and
+// FuzzEachField share: the token sequence is strings.Fields', exactly.
+func checkEachField(t *testing.T, s string) {
+	t.Helper()
+	if got, want := fieldsOf(s), strings.Fields(s); !slices.Equal(got, want) {
+		t.Fatalf("eachField(%q)\n got %q\nwant %q", s, got, want)
+	}
+}
+
+// fieldAlphabet mixes letters with every ASCII space, the Latin-1 and
+// multi-byte Unicode spaces strings.Fields honours (U+0085, U+00A0,
+// U+2003), a non-space multi-byte rune and a lone invalid byte.
+var fieldAlphabet = []string{
+	"a", "b", "z", "Q", "7", "-",
+	" ", " ", "\t", "\n", "\v", "\f", "\r",
+	"\u0085", "\u00a0", "\u2003", "é", "\xff",
+}
+
+func TestEachFieldMatchesStringsFields(t *testing.T) {
+	for _, s := range []string{"", " ", "a", " a ", "a  b", "\u2003", "ab\u00a0c", "ab\xffcd e", "é", "x é\u0085y"} {
+		checkEachField(t, s)
+	}
+	rng := rand.New(rand.NewSource(20))
+	for i := 0; i < 5000; i++ {
+		var b strings.Builder
+		for n := rng.Intn(24); n > 0; n-- {
+			b.WriteString(fieldAlphabet[rng.Intn(len(fieldAlphabet))])
+		}
+		checkEachField(t, b.String())
+	}
+}
+
+func FuzzEachField(f *testing.F) {
+	for _, s := range []string{"", "the plot  twist", " lead\ttrail\n", "a\u00a0b\u2003c", "café au lait", "\xff \xc3", "x\u0085"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) { checkEachField(t, s) })
+}
+
+// TestPaddedRenderMatchesFmt pins the strconv-based key renders to the
+// fmt verbs they replaced, at every width the apps use, over the digit
+// count boundaries, the over-width range and negative times.
+func TestPaddedRenderMatchesFmt(t *testing.T) {
+	vals := []int64{0, 1, math.MaxInt64, math.MinInt64, -1, -7, -99999999, -123456789012345}
+	for p := int64(10); p > 0 && p < math.MaxInt64/10; p *= 10 {
+		vals = append(vals, p-1, p, -p)
+	}
+	for _, v := range vals {
+		for _, width := range []int{2, 6, 8, 10, 12} {
+			want := fmt.Sprintf("%0*d", width, v)
+			if got := string(appendPadded(nil, v, width)); got != want {
+				t.Errorf("appendPadded(%d, width %d) = %q, want %q", v, width, got, want)
+			}
+		}
+		const day = 3600 * 24
+		r := records.Record{Sub: "movie-00003", Time: v, Rating: 3.5}
+		keyOf := func(app App) string {
+			key := ""
+			app.Map(r, func(k, _ string) { key = k })
+			return key
+		}
+		if got, want := keyOf(NewMovingAverage(day)), fmt.Sprintf("w%08d", v/day); got != want {
+			t.Errorf("MovingAverage key at %d = %q, want %q", v, got, want)
+		}
+		if got, want := keyOf(NewSessionize(1800)), fmt.Sprintf("sess%010d", v/1800); got != want {
+			t.Errorf("Sessionize key at %d = %q, want %q", v, got, want)
+		}
+		if got, want := keyOf(DistributedSort{}), fmt.Sprintf("t%012d|%s", v, r.Sub); got != want {
+			t.Errorf("DistributedSort key at %d = %q, want %q", v, got, want)
+		}
+		if got, want := (SubDatasetJoin{}).JoinKey(v), fmt.Sprintf("j%010d", v/day); got != want {
+			t.Errorf("JoinKey(%d) = %q, want %q", v, got, want)
+		}
+		r.Payload = "plot plot twist"
+		value := ""
+		NewTopKSearch(3, "plot twist").Map(r, func(_, val string) { value = val })
+		if want := fmt.Sprintf("%06d|%s@%d", 3, r.Sub, v); value != want {
+			t.Errorf("TopKSearch value at %d = %q, want %q", v, value, want)
+		}
+	}
+	for l, k := range histKeys {
+		if want := fmt.Sprintf("len%02d", l); k != want {
+			t.Errorf("histKeys[%d] = %q, want %q", l, k, want)
+		}
+	}
+}
+
+// TestMapAllocations pins the per-record allocation budget of every Map
+// with a discarding emit: the token walkers allocate nothing, the keyed
+// apps nothing beyond the key and value strings they hand to emit.
+func TestMapAllocations(t *testing.T) {
+	r := records.Record{
+		Sub: "movie-00003", Time: 1_400_000_000, Rating: 3.5,
+		Payload: "a slow scene then the plot twist ending nobody saw coming",
+	}
+	discard := func(string, string) {}
+	for _, tc := range []struct {
+		app App
+		max float64
+	}{
+		{WordCount{}, 0},
+		{WordHistogram{}, 0},
+		{NewTopKSearch(10, "absent words only"), 0}, // non-matching: no emit
+		{NewTopKSearch(10, "plot twist"), 1},
+		{NewSessionize(1800), 1},
+		{NewMovingAverage(3600 * 24), 2},
+		{DistributedSort{}, 2},
+		{NewSubDatasetJoin("movie-00001", 3600*24, nil), 2},
+	} {
+		if got := testing.AllocsPerRun(200, func() { tc.app.Map(r, discard) }); got > tc.max {
+			t.Errorf("%s.Map allocates %.0f per record, want at most %.0f", tc.app.Name(), got, tc.max)
+		}
+	}
+}

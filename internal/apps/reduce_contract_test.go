@@ -95,6 +95,63 @@ func TestReduceOrderAndSplitInsensitive(t *testing.T) {
 	}
 }
 
+// TestCombinerContract enforces apps.Combiner for every app that
+// implements it: a partial produced by Combine stands in for the values it
+// covered. For every key the app emits, Reduce stays byte-identical when
+// any prefix is combined, when every round-robin shard is combined (the
+// partials a split key's reducers would hold), and when partials are
+// combined again (a partial of partials, as a refilled collector buffer
+// produces).
+func TestCombinerContract(t *testing.T) {
+	recs := contractRecords()
+	for _, app := range Extended() {
+		comb, ok := app.(Combiner)
+		if !ok {
+			continue
+		}
+		t.Run(app.Name(), func(t *testing.T) {
+			for key, vs := range collect(app, recs) {
+				want := app.Reduce(key, vs)
+				for cut := 0; cut <= len(vs); cut++ {
+					folded := append([]string{comb.Combine(key, vs[:cut])}, vs[cut:]...)
+					if got := app.Reduce(key, folded); got != want {
+						t.Fatalf("key %q: combining the first %d of %d values: Reduce = %q, want %q", key, cut, len(vs), got, want)
+					}
+				}
+				for _, shardsN := range []int{2, 3, 5} {
+					shards := make([][]string, shardsN)
+					for i, v := range vs {
+						shards[i%shardsN] = append(shards[i%shardsN], v)
+					}
+					partials := make([]string, shardsN)
+					for i, shard := range shards {
+						partials[i] = comb.Combine(key, shard)
+					}
+					if got := app.Reduce(key, partials); got != want {
+						t.Fatalf("key %q: %d combined shards: Reduce = %q, want %q", key, shardsN, got, want)
+					}
+					twice := []string{comb.Combine(key, partials[:2]), comb.Combine(key, partials[2:])}
+					if got := app.Reduce(key, twice); got != want {
+						t.Fatalf("key %q: partials of %d partials: Reduce = %q, want %q", key, shardsN, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestCombinerMembership pins which apps fold: the three counts do; an
+// average of averages, a truncated top-K, a sorted render or a count+mean
+// join would corrupt output, so those must not grow a Combine by accident.
+func TestCombinerMembership(t *testing.T) {
+	want := map[string]bool{"WordCount": true, "WordHistogram": true, "Sessionize": true}
+	for _, app := range Extended() {
+		if _, ok := app.(Combiner); ok != want[app.Name()] {
+			t.Errorf("%s implements Combiner = %v, want %v", app.Name(), ok, want[app.Name()])
+		}
+	}
+}
+
 // TestDistributedSortGlobalOrder pins the property range partitioning
 // exists for: reducer outputs concatenated in reducer order are globally
 // sorted, because DistributedSort keys sort lexically as (time, sub).

@@ -42,7 +42,10 @@ func (DistributedSort) OutputRatio() float64 { return 0.9 }
 
 // Map implements App: emit (sort key, rating).
 func (DistributedSort) Map(r records.Record, emit Emit) {
-	emit(fmt.Sprintf("t%012d|%s", r.Time, r.Sub), strconv.FormatFloat(r.Rating, 'f', 3, 64))
+	var buf [64]byte
+	k := appendPadded(append(buf[:0], 't'), r.Time, 12)
+	k = append(append(k, '|'), r.Sub...)
+	emit(string(k), ratingValue(r.Rating))
 }
 
 // Reduce implements App: ascending render of the key's ratings. Sorting
@@ -98,12 +101,12 @@ func (a SubDatasetJoin) JoinKey(t int64) string {
 	if w <= 0 {
 		w = 3600 * 24
 	}
-	return fmt.Sprintf("j%010d", t/w)
+	return paddedKey("j", t/w, 10)
 }
 
 // Map implements App: emit (window, rating) for the probe record.
 func (a SubDatasetJoin) Map(r records.Record, emit Emit) {
-	emit(a.JoinKey(r.Time), strconv.FormatFloat(r.Rating, 'f', 3, 64))
+	emit(a.JoinKey(r.Time), ratingValue(r.Rating))
 }
 
 // Reduce implements App: fold the window's probe side and join the build
@@ -111,20 +114,7 @@ func (a SubDatasetJoin) Map(r records.Record, emit Emit) {
 // dyadic grids, so the float sum is exact in any order), keeping the
 // contract.
 func (a SubDatasetJoin) Reduce(key string, values []string) string {
-	var sum float64
-	n := 0
-	for _, v := range values {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			continue
-		}
-		sum += f
-		n++
-	}
-	avg := "0"
-	if n > 0 {
-		avg = strconv.FormatFloat(sum/float64(n), 'f', 4, 64)
-	}
+	n, avg := meanOfParsed(values)
 	build, ok := a.build[key]
 	if !ok {
 		build = "-"
@@ -176,14 +166,15 @@ func BuildJoinSide(blocks [][]records.Record, dist []elasticmap.BlockEstimate, b
 }
 
 // Extended returns every registered application: the four paper apps plus
-// the shuffle-heavy additions (DistributedSort; SubDatasetJoin with a
-// fixed demo build table so the instance is deterministic). All() is left
-// unchanged so existing experiment goldens keep their app set.
+// Sessionize and the shuffle-heavy additions (DistributedSort;
+// SubDatasetJoin with a fixed demo build table so the instance is
+// deterministic). All() is left unchanged so existing experiment goldens
+// keep their app set.
 func Extended() []App {
 	build := map[string]string{}
 	join := NewSubDatasetJoin("movie-00001", 3600*24, build)
 	for w := int64(0); w < 64; w++ {
 		build[join.JoinKey(w*3600*24)] = fmt.Sprintf("%dx%s", w+1, strconv.FormatFloat(3.5, 'f', 4, 64))
 	}
-	return append(All(), DistributedSort{}, join)
+	return append(All(), NewSessionize(1800), DistributedSort{}, join)
 }

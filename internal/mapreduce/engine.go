@@ -508,20 +508,45 @@ func holdsReplica(locations []cluster.NodeID, node cluster.NodeID) bool {
 	return false
 }
 
-// collector accumulates real intermediate pairs when ExecuteApp is set.
+// combineAt is the number of buffered values at which the collector folds
+// a key's buffer through the application's Combiner.
+const combineAt = 64
+
+// collector accumulates real intermediate pairs when ExecuteApp is set:
+// one buffer of values per key, reached by a single map lookup per emit.
+// For an application that implements apps.Combiner a full buffer is folded
+// into one partial value, so a hot key holds at most combineAt strings
+// instead of every value it was ever emitted with. The fold is an
+// execution detail of producing Result.Output — the simulated shuffle
+// volume is OutputRatio × matched bytes either way.
 type collector struct {
-	groups map[string][]string
+	groups   map[string]*[]string
+	combiner apps.Combiner // nil when the application's values cannot be folded
 }
 
 func newCollector(cfg Config) *collector {
 	if !cfg.ExecuteApp {
 		return &collector{}
 	}
-	return &collector{groups: make(map[string][]string)}
+	combiner, _ := cfg.App.(apps.Combiner)
+	return &collector{groups: make(map[string]*[]string), combiner: combiner}
+}
+
+func (c *collector) emit(k, v string) {
+	buf := c.groups[k]
+	if buf == nil {
+		buf = new([]string)
+		c.groups[k] = buf
+	}
+	*buf = append(*buf, v)
+	if c.combiner != nil && len(*buf) >= combineAt {
+		partial := c.combiner.Combine(k, *buf)
+		*buf = append((*buf)[:0], partial)
+	}
 }
 
 func (c *collector) runMap(b *hdfs.Block, cfg Config) {
-	emit := func(k, v string) { c.groups[k] = append(c.groups[k], v) }
+	emit := c.emit // one method value per block, not one per record
 	for _, r := range b.Records {
 		if cfg.TargetSub != "" && r.Sub != cfg.TargetSub {
 			continue
@@ -534,24 +559,26 @@ func (c *collector) runMap(b *hdfs.Block, cfg Config) {
 // fragment) through the application map — the fragment was filtered when
 // it was encoded, so no predicate is re-applied.
 func (c *collector) runRecords(recs []records.Record, cfg Config) {
-	emit := func(k, v string) { c.groups[k] = append(c.groups[k], v) }
+	emit := c.emit
 	for _, r := range recs {
 		cfg.App.Map(r, emit)
 	}
 }
 
 // reduce runs the final reduce over the grouped pairs. When a partitioner
-// split a heavy key across reducers (skew mode), the key's values are
-// dealt round-robin to the split shards exactly as the shuffle would
-// deliver them, then the merge reducer re-concatenates the shards in
-// split order and reduces once — so the value order the final Reduce sees
-// genuinely depends on the split layout. An order- or split-sensitive
-// Reduce (violating the apps.App contract) therefore surfaces as an
-// output divergence in the partition-independence harness instead of
-// hiding behind a canonical ordering.
+// split a heavy key across reducers (skew mode), the key's values (folded
+// partials among them, for a Combiner app) are dealt round-robin to the
+// split shards exactly as the shuffle would deliver them, then the merge
+// reducer re-concatenates the shards in split order and reduces once — so
+// the value order the final Reduce sees genuinely depends on the split
+// layout. An order- or split-sensitive Reduce (violating the apps.App
+// contract) therefore surfaces as an output divergence in the
+// partition-independence harness instead of hiding behind a canonical
+// ordering.
 func (c *collector) reduce(app apps.App, part partition.Partitioner) map[string]string {
 	out := make(map[string]string, len(c.groups))
-	for k, vs := range c.groups {
+	for k, buf := range c.groups {
+		vs := *buf
 		if part != nil {
 			if splits := part.Splits(k); len(splits) > 1 {
 				shards := make([][]string, len(splits))
