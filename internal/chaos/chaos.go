@@ -171,11 +171,15 @@ func (r *Report) Census() string {
 	return sb.String()
 }
 
-// Harness holds the precomputed fixture — the healthy reference result of
-// every arm any bundle can select and the ground-truth scheduling weights
-// — so each seed only pays for its own faulted runs.
+// Harness holds the precomputed fixture — the written filesystem (every
+// run gets a Clone: crashes and rebalancing mutate replica placement), its
+// per-block map output, the healthy reference result of every arm any
+// bundle can select and the ground-truth scheduling weights — so each seed
+// only pays for its own faulted simulations.
 type Harness struct {
 	p       Params
+	fs      *hdfs.FileSystem
+	out     *mapreduce.MapOutput
 	weights []int64
 	healthy map[arm]*mapreduce.Result
 	horizon float64
@@ -215,9 +219,7 @@ func arms(b bundle) []arm {
 	return out
 }
 
-// chaosFS builds the fixture filesystem. The layout is a pure function of
-// the parameters, so every call yields an indistinguishable instance —
-// required because crashes mutate replica placement.
+// chaosFS builds the fixture filesystem.
 func chaosFS(p Params) (*hdfs.FileSystem, error) {
 	topo, err := cluster.NewHomogeneous(p.Nodes, p.Racks)
 	if err != nil {
@@ -250,13 +252,13 @@ func chaosFS(p Params) (*hdfs.FileSystem, error) {
 	return fs, nil
 }
 
-// config builds the arm's engine configuration over one fixture instance.
-// The range sampler's seed is fixed so replays are bit-identical.
-func (h *Harness) config(a arm, fs *hdfs.FileSystem) mapreduce.Config {
+// config builds the arm's engine configuration over a fresh clone of the
+// fixture. The range sampler's seed is fixed so replays are bit-identical.
+func (h *Harness) config(a arm) mapreduce.Config {
 	cfg := mapreduce.Config{
-		FS: fs, File: "log", TargetSub: "movie-A",
+		FS: h.fs.Clone(), File: "log", TargetSub: "movie-A",
 		App: apps.WordCount{}, Picker: sched.NewLocalityPicker,
-		ExecuteApp: true, TaskOverhead: h.p.TaskOverhead,
+		ExecuteApp: true, MapOutput: h.out, TaskOverhead: h.p.TaskOverhead,
 		Speculative: a.barrier,
 		Mitigate:    &straggle.Config{Mode: straggle.Mode(a.mitigate)},
 		Partition:   &partition.Config{Mode: partition.Mode(a.partition), Seed: 20160523},
@@ -276,13 +278,15 @@ func NewHarness(p Params) (*Harness, error) {
 	}
 	h := &Harness{p: p, healthy: map[arm]*mapreduce.Result{}}
 
-	// Ground-truth weights for the DataNet arm, from the block split
-	// (identical across fixture instances).
-	fs, err := chaosFS(p)
-	if err != nil {
+	var err error
+	if h.fs, err = chaosFS(p); err != nil {
 		return nil, err
 	}
-	blocks, err := fs.Blocks("log")
+	if h.out, err = mapreduce.MapFile(h.fs, "log", apps.WordCount{}, "movie-A"); err != nil {
+		return nil, err
+	}
+	// Ground-truth weights for the DataNet arm, from the block split.
+	blocks, err := h.fs.Blocks("log")
 	if err != nil {
 		return nil, err
 	}
@@ -301,11 +305,7 @@ func NewHarness(p Params) (*Harness, error) {
 				if h.healthy[a] != nil {
 					continue
 				}
-				fs, err := chaosFS(p)
-				if err != nil {
-					return nil, err
-				}
-				res, err := mapreduce.Run(h.config(a, fs))
+				res, err := mapreduce.Run(h.config(a))
 				if err != nil {
 					return nil, fmt.Errorf("chaos: healthy reference (%s): %w", a.name, err)
 				}
@@ -351,24 +351,21 @@ func typedFailure(err error) bool {
 // failFunc records one invariant breach.
 type failFunc func(sched, inv, format string, args ...any)
 
-// runArm executes the plan under one arm of the bundle on a fresh fixture
-// instance. fail receives the rebalance invariant's breaches.
+// runArm executes the plan under one arm of the bundle on a fresh clone of
+// the fixture. fail receives the rebalance invariant's breaches.
 func (h *Harness) runArm(a arm, seed uint64, plan *faults.Plan, b bundle, fail failFunc) (*mapreduce.Result, error) {
-	fs, err := chaosFS(h.p)
-	if err != nil {
-		return nil, err
-	}
+	cfg := h.config(a)
 	if b.rebalance != off {
-		if err := h.rebalance(fs, seed, b.rebalance, fail, a.name); err != nil {
+		if err := h.rebalance(cfg.FS, seed, b.rebalance, fail, a.name); err != nil {
 			return nil, err
 		}
 	}
-	cfg := h.config(a, fs)
 	if a.partition != off {
 		cfg.Reducers = b.reducers
 	}
 	cfg.Faults = plan
 	cfg.Detect.Interval = beatInterval
+	var err error
 	if cfg.Detect.Mode, err = detect.ParseMode(b.detect); err != nil {
 		return nil, err
 	}

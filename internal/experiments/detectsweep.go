@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"strings"
 
-	"datanet/internal/apps"
 	"datanet/internal/cluster"
 	"datanet/internal/detect"
 	"datanet/internal/faults"
@@ -57,7 +56,10 @@ func DetectorSweep(p MovieParams) (*DetectSweepResult, error) {
 	}
 	recs := movieLog(p)
 	target := gen.MovieID(0)
-	app := apps.WordCount{}
+	fix, err := newFaultFixture(recs, p)
+	if err != nil {
+		return nil, err
+	}
 
 	env, err := buildEnv(recs, p.Nodes, p.Racks, hdfs.Config{BlockSize: p.BlockBytes, Seed: p.Seed}, p.Alpha, target)
 	if err != nil {
@@ -65,16 +67,6 @@ func DetectorSweep(p MovieParams) (*DetectSweepResult, error) {
 	}
 	weights := env.EstimatedWeights(target)
 
-	baseCfg := func() (mapreduce.Config, error) {
-		fs, err := faultFS(recs, p)
-		if err != nil {
-			return mapreduce.Config{}, err
-		}
-		return mapreduce.Config{
-			FS: fs, File: "dataset.log", TargetSub: target,
-			App: app, Picker: sched.NewLocalityPicker, ExecuteApp: true,
-		}, nil
-	}
 	schedulers := []struct {
 		name  string
 		tweak func(*mapreduce.Config)
@@ -88,10 +80,7 @@ func DetectorSweep(p MovieParams) (*DetectSweepResult, error) {
 
 	res := &DetectSweepResult{}
 	for _, s := range schedulers {
-		cfg, err := baseCfg()
-		if err != nil {
-			return nil, err
-		}
+		cfg := fix.config()
 		s.tweak(&cfg)
 		clean, err := mapreduce.Run(cfg)
 		if err != nil {
@@ -123,10 +112,7 @@ func DetectorSweep(p MovieParams) (*DetectSweepResult, error) {
 
 		var oracleTime float64
 		for _, a := range arms {
-			cfg, err := baseCfg()
-			if err != nil {
-				return nil, err
-			}
+			cfg := fix.config()
 			s.tweak(&cfg)
 			cfg.Faults = plan
 			cfg.Detect = a.det

@@ -67,11 +67,18 @@ func DefaultFaultParams() MovieParams {
 	}
 }
 
-// faultFS builds a fresh filesystem with an identical layout on every
-// call. Crashes mutate the replica map, so each run needs its own
-// instance; determinism of (topology seed, placement seed) guarantees the
-// instances are indistinguishable.
-func faultFS(recs []records.Record, p MovieParams) (*hdfs.FileSystem, error) {
+// faultFixture is the dataset a fault sweep runs its many executed jobs
+// over, built once: the written filesystem and WordCount's per-block map
+// output for the analysed movie (a block's content is a fixed property of
+// the stored data, as ElasticMap's is). Crashes mutate the replica map, so
+// each job runs on its own Clone of the filesystem; the record slices and
+// the map output are immutable and shared.
+type faultFixture struct {
+	fs  *hdfs.FileSystem
+	out *mapreduce.MapOutput
+}
+
+func newFaultFixture(recs []records.Record, p MovieParams) (*faultFixture, error) {
 	topo, err := scaledTopology(p.Nodes, p.Racks, p.BlockBytes)
 	if err != nil {
 		return nil, err
@@ -83,7 +90,21 @@ func faultFS(recs []records.Record, p MovieParams) (*hdfs.FileSystem, error) {
 	if _, err := fs.Write("dataset.log", recs); err != nil {
 		return nil, err
 	}
-	return fs, nil
+	out, err := mapreduce.MapFile(fs, "dataset.log", apps.WordCount{}, gen.MovieID(0))
+	if err != nil {
+		return nil, err
+	}
+	return &faultFixture{fs, out}, nil
+}
+
+// config is the executed locality job every sweep cell starts from, over a
+// fresh clone of the fixture.
+func (f *faultFixture) config() mapreduce.Config {
+	return mapreduce.Config{
+		FS: f.fs.Clone(), File: "dataset.log", TargetSub: gen.MovieID(0),
+		App: apps.WordCount{}, Picker: sched.NewLocalityPicker, ExecuteApp: true,
+		MapOutput: f.out,
+	}
 }
 
 // FaultTolerance sweeps crash count and timing across schedulers.
@@ -93,7 +114,10 @@ func FaultTolerance(p MovieParams) (*FaultTolResult, error) {
 	}
 	recs := movieLog(p)
 	target := gen.MovieID(0)
-	app := apps.WordCount{}
+	fix, err := newFaultFixture(recs, p)
+	if err != nil {
+		return nil, err
+	}
 
 	// ElasticMap weights, built once: the block split is a pure function
 	// of block size and record stream, identical across fs instances.
@@ -103,16 +127,6 @@ func FaultTolerance(p MovieParams) (*FaultTolResult, error) {
 	}
 	weights := env.EstimatedWeights(target)
 
-	baseCfg := func(fs *hdfs.FileSystem) mapreduce.Config {
-		return mapreduce.Config{
-			FS:         fs,
-			File:       "dataset.log",
-			TargetSub:  target,
-			App:        app,
-			Picker:     sched.NewLocalityPicker,
-			ExecuteApp: true,
-		}
-	}
 	schedulers := []struct {
 		name  string
 		tweak func(*mapreduce.Config)
@@ -128,11 +142,7 @@ func FaultTolerance(p MovieParams) (*FaultTolResult, error) {
 	res := &FaultTolResult{}
 	for _, s := range schedulers {
 		// Fault-free reference run (also calibrates the crash clock).
-		fs, err := faultFS(recs, p)
-		if err != nil {
-			return nil, err
-		}
-		cfg := baseCfg(fs)
+		cfg := fix.config()
 		s.tweak(&cfg)
 		clean, err := mapreduce.Run(cfg)
 		if err != nil {
@@ -145,11 +155,7 @@ func FaultTolerance(p MovieParams) (*FaultTolResult, error) {
 		}
 		arms := []arm{{0, 0.5}, {1, 0.5}, {2, 0.5}, {4, 0.5}, {2, 0.25}, {2, 0.75}}
 		for _, a := range arms {
-			fs, err := faultFS(recs, p)
-			if err != nil {
-				return nil, err
-			}
-			cfg := baseCfg(fs)
+			cfg := fix.config()
 			s.tweak(&cfg)
 			plan := &faults.Plan{Seed: p.Seed}
 			at := clean.FilterEnd * a.frac
@@ -186,19 +192,11 @@ func FaultTolerance(p MovieParams) (*FaultTolResult, error) {
 	// Degraded-metadata arm: the DataNet job's ElasticMap encoding is
 	// corrupt; the run must demote itself to the locality baseline,
 	// record the fallback, and still produce the right answer.
-	fs, err := faultFS(recs, p)
+	ref, err := mapreduce.Run(fix.config())
 	if err != nil {
 		return nil, err
 	}
-	refFS, err := faultFS(recs, p)
-	if err != nil {
-		return nil, err
-	}
-	ref, err := mapreduce.Run(baseCfg(refFS))
-	if err != nil {
-		return nil, err
-	}
-	cfg := baseCfg(fs)
+	cfg := fix.config()
 	cfg.Picker = sched.NewDataNetPicker
 	cfg.WeightsErr = elasticmap.ErrCodec
 	fb, err := mapreduce.Run(cfg)

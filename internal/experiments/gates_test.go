@@ -2,8 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
+
+	"datanet/internal/apps"
+	"datanet/internal/gen"
 )
 
 // suiteGate is one claim about the suite's simulated outcomes that must
@@ -144,5 +148,48 @@ func TestSuiteGatesCatchDoctoredReport(t *testing.T) {
 	want = append([]suiteGate{suiteGates[0]}, suiteGates[2:8]...)
 	if got := failedGates(edge, suiteGates); !slices.Equal(got, want) {
 		t.Errorf("edge report fails %v, want exactly %v", got, want)
+	}
+}
+
+// The sweeps' output column is a fold over the ids the simulation
+// committed, so exactly-once reaches the gate table: a straggler row whose
+// output was folded from a ledger with one committed id dropped, or one
+// doubled, trips the output_divergences row and nothing else.
+func TestOutputGateCatchesLedgerMutation(t *testing.T) {
+	p := DefaultFaultParams()
+	fix, err := newFaultFixture(movieLog(p), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth, err := fix.fs.SubDistribution("dataset.log", gen.MovieID(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	unit := slices.IndexFunc(truth, func(b int64) bool { return b > 0 })
+	if unit < 0 {
+		t.Fatal("no block holds the analysed movie")
+	}
+	ledger := func(commits int) []int {
+		l := make([]int, len(truth))
+		for i := range l {
+			l[i] = 1
+		}
+		l[unit] = commits
+		return l
+	}
+	reference := fix.out.Output(apps.WordCount{}, ledger(1))
+	gate := suiteGates[7:8]
+	if gate[0].lhs != "output_divergences" {
+		t.Fatalf("gate row 7 is %v, want the straggler sweep's output_divergences row", gate[0])
+	}
+	for commits, want := range map[int][]suiteGate{1: nil, 0: gate, 2: gate} {
+		row := StragglerRow{Nodes: 128, Plan: "slow-heavy", Detector: "oracle", Arm: "none",
+			OutputOK: reflect.DeepEqual(fix.out.Output(apps.WordCount{}, ledger(commits)), reference)}
+		sweep := &StragglerSweepResult{Rows: []StragglerRow{row}}
+		rep := &BenchReport{Sections: []BenchSection{{Name: "straggler-sweep",
+			SimMakespans: sweep.SimMakespans(), Counters: sweep.Counters()}}}
+		if got := failedGates(rep, gate); !slices.Equal(got, want) {
+			t.Errorf("unit %d committed %d times: failed gates %v, want %v", unit, commits, got, want)
+		}
 	}
 }

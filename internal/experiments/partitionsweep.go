@@ -175,13 +175,18 @@ func PartitionSweep(p MovieParams) (*PartitionSweepResult, error) {
 		if _, err := fs.Write("dataset.log", partitionRecords(d, p.Seed+int64(di))); err != nil {
 			return nil, err
 		}
+		// One map pass per distribution: every strategy's job folds it.
+		out, err := mapreduce.MapFile(fs, "dataset.log", apps.WordCount{}, "sub-main")
+		if err != nil {
+			return nil, err
+		}
 		var reference map[string]string
 		for _, s := range partitionStrategies(p.Seed) {
 			r, err := mapreduce.Run(mapreduce.Config{
 				FS: fs, File: "dataset.log", TargetSub: "sub-main",
 				App: apps.WordCount{}, Picker: sched.NewDataNetPicker,
 				ExecuteApp: true, Reducers: partitionReducers,
-				Partition: s.cfg,
+				Partition: s.cfg, MapOutput: out,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("partition sweep %s/%s: %w", d.name, s.name, err)

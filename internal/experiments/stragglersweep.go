@@ -7,14 +7,11 @@ import (
 	"sort"
 	"strings"
 
-	"datanet/internal/apps"
 	"datanet/internal/cluster"
 	"datanet/internal/detect"
 	"datanet/internal/faults"
-	"datanet/internal/gen"
 	"datanet/internal/mapreduce"
 	"datanet/internal/metrics"
-	"datanet/internal/sched"
 	"datanet/internal/straggle"
 )
 
@@ -146,7 +143,6 @@ func StragglerSweep(scales []int, p MovieParams) (*StragglerSweepResult, error) 
 		p = DefaultFaultParams()
 	}
 	res := &StragglerSweepResult{}
-	app := apps.WordCount{}
 	for _, nodes := range scales {
 		q := p
 		q.Nodes = nodes
@@ -156,18 +152,14 @@ func StragglerSweep(scales []int, p MovieParams) (*StragglerSweepResult, error) 
 		// One block per node on average (×3 replicas keeps every node busy)
 		// so the completion tail is one task wave, not queueing noise.
 		q.Blocks = nodes
-		recs := movieLog(q)
-		target := gen.MovieID(0)
+		fix, err := newFaultFixture(movieLog(q), q)
+		if err != nil {
+			return nil, err
+		}
 		runOne := func(plan *faults.Plan, det detect.Config, mit *straggle.Config) (*mapreduce.Result, error) {
-			fs, err := faultFS(recs, q)
-			if err != nil {
-				return nil, err
-			}
-			return mapreduce.Run(mapreduce.Config{
-				FS: fs, File: "dataset.log", TargetSub: target,
-				App: app, Picker: sched.NewLocalityPicker, ExecuteApp: true,
-				Faults: plan, Detect: det, Mitigate: mit,
-			})
+			cfg := fix.config()
+			cfg.Faults, cfg.Detect, cfg.Mitigate = plan, det, mit
+			return mapreduce.Run(cfg)
 		}
 		healthy, err := runOne(nil, detect.Config{}, nil)
 		if err != nil {

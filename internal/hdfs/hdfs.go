@@ -86,7 +86,7 @@ type FileInfo struct {
 type FileSystem struct {
 	cfg    Config
 	topo   *cluster.Topology
-	rng    *rand.Rand
+	rng    *rand.Rand // placement draws of Write; nil on a Clone
 	blocks []*Block
 	files  map[string]*FileInfo
 	// rec, when non-nil, receives maintenance events (re-replication,
@@ -101,6 +101,9 @@ var (
 	ErrNotFound    = errors.New("hdfs: no such file")
 	ErrNoTopology  = errors.New("hdfs: nil topology")
 	ErrReplication = errors.New("hdfs: replication exceeds cluster size")
+	// ErrCloneWrite refuses a Write on a Clone: a clone carries no placement
+	// RNG, so it could not continue the original's placement sequence.
+	ErrCloneWrite = errors.New("hdfs: write to a cloned filesystem")
 )
 
 // NewFileSystem creates an empty filesystem over the given cluster.
@@ -118,6 +121,33 @@ func NewFileSystem(topo *cluster.Topology, cfg Config) (*FileSystem, error) {
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 		files: make(map[string]*FileInfo),
 	}, nil
+}
+
+// Clone returns an independent name-node view of the same stored data:
+// block headers, replica lists and file infos are copied, so maintenance
+// on the clone (FailNodes, rebalancing) leaves fs untouched, while the
+// immutable record slices are shared. It lets many jobs that crash nodes
+// run over one written fixture without re-placing every block. A clone is
+// complete as written: Write on it fails with ErrCloneWrite, and no trace
+// recorder is carried over.
+func (fs *FileSystem) Clone() *FileSystem {
+	c := &FileSystem{
+		cfg:    fs.cfg,
+		topo:   fs.topo,
+		blocks: make([]*Block, len(fs.blocks)),
+		files:  make(map[string]*FileInfo, len(fs.files)),
+	}
+	for i, b := range fs.blocks {
+		nb := *b
+		nb.Replicas = append([]cluster.NodeID(nil), b.Replicas...)
+		c.blocks[i] = &nb
+	}
+	for name, info := range fs.files {
+		ni := *info
+		ni.Blocks = append([]BlockID(nil), info.Blocks...)
+		c.files[name] = &ni
+	}
+	return c
 }
 
 // Config returns the effective configuration.
@@ -147,6 +177,9 @@ func (fs *FileSystem) Topology() *cluster.Topology { return fs.topo }
 // must not modify the records afterwards. Several filesystems may store
 // the same slice, since stored records are never written to.
 func (fs *FileSystem) Write(name string, recs []records.Record) (*FileInfo, error) {
+	if fs.rng == nil {
+		return nil, ErrCloneWrite
+	}
 	if _, ok := fs.files[name]; ok {
 		return nil, ErrExists
 	}

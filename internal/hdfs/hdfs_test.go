@@ -381,3 +381,56 @@ func TestWriteAliasesInputLikeCopyingWrite(t *testing.T) {
 		}
 	}
 }
+
+// A clone is an independent name-node view of the same stored data: equal
+// layout, shared record slices, its own replica map — and it refuses to
+// grow, since it has no placement RNG to continue the original's sequence.
+func TestCloneIsIndependent(t *testing.T) {
+	fs := newFS(t, 8, Config{BlockSize: 1024, Seed: 3})
+	recs := mkRecords(200, 60)
+	if _, err := fs.Write("f", recs); err != nil {
+		t.Fatal(err)
+	}
+	layout := func(fs *FileSystem) [][]cluster.NodeID {
+		out := make([][]cluster.NodeID, fs.NumBlocks())
+		for i := range out {
+			out[i] = fs.Locations(BlockID(i))
+		}
+		return out
+	}
+	before := layout(fs)
+	c := fs.Clone()
+	if !reflect.DeepEqual(layout(c), before) {
+		t.Fatal("clone's replica map differs from the original's")
+	}
+	origInfo, _ := fs.Stat("f")
+	cloneInfo, err := c.Stat("f")
+	if err != nil || !reflect.DeepEqual(cloneInfo, origInfo) || cloneInfo == origInfo {
+		t.Fatalf("clone's file info = %+v (%v), want a copy of %+v", cloneInfo, err, origInfo)
+	}
+	if &c.Block(0).Records[0] != &fs.Block(0).Records[0] {
+		t.Error("clone copied the record slices; they are immutable and must be shared")
+	}
+
+	// A crash applied to the clone repairs the clone's replicas only.
+	if moved, _ := c.FailNodes([]cluster.NodeID{1, 4}); moved == 0 {
+		t.Fatal("FailNodes on the clone moved no replica; the test exercises nothing")
+	}
+	if reflect.DeepEqual(layout(c), before) {
+		t.Error("clone's replica map unchanged after FailNodes")
+	}
+	if !reflect.DeepEqual(layout(fs), before) {
+		t.Error("FailNodes on a clone changed the original's replica map")
+	}
+
+	// A later Write is refused, typed; the original still accepts it.
+	if _, err := c.Write("g", mkRecords(10, 60)); !errors.Is(err, ErrCloneWrite) {
+		t.Errorf("Write on a clone: err = %v, want ErrCloneWrite", err)
+	}
+	if _, err := c.Stat("g"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("refused Write left a file behind: %v", err)
+	}
+	if _, err := fs.Write("g", mkRecords(10, 60)); err != nil {
+		t.Errorf("Write on the original after cloning: %v", err)
+	}
+}

@@ -1,7 +1,6 @@
 package mapreduce
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -133,7 +132,7 @@ func (s *filterSim) isParity(li int) bool {
 // groupObsolete reports whether the unit's group is already satisfied,
 // making further attempts of the unit redundant.
 func (s *filterSim) groupObsolete(li int) bool {
-	return s.coded != nil && !s.done[li] && s.coded.satisfied[s.coded.layout.GroupOf(li)]
+	return s.coded != nil && !s.done(li) && s.coded.satisfied[s.coded.layout.GroupOf(li)]
 }
 
 // codedCommit is the commit hook: the unit's group gains one live
@@ -203,7 +202,7 @@ func (s *filterSim) reviveGroup(g int, t float64, uncommitted int) {
 		}
 	}
 	for _, u := range units {
-		if u == uncommitted || !s.handed[u] || s.done[u] || s.coded.abandoned[u] || active[u] {
+		if u == uncommitted || !s.handed[u] || s.done(u) || s.coded.abandoned[u] || active[u] {
 			continue
 		}
 		if s.exhausted(u) || s.replicasGone(u) {
@@ -223,7 +222,7 @@ func (s *filterSim) reviveGroup(g int, t float64, uncommitted int) {
 func (s *filterSim) killGroup(g int, now float64) {
 	for _, k := range sortedRunningKeys(s.running) {
 		r := s.running[k]
-		if s.coded.layout.GroupOf(r.li) != g || s.done[r.li] {
+		if s.coded.layout.GroupOf(r.li) != g || s.done(r.li) {
 			continue
 		}
 		r.ev.Hide()
@@ -246,7 +245,7 @@ func (s *filterSim) codedDecode() {
 	for gi, g := range c.layout.Groups {
 		var missing []int
 		for u := g.SysStart; u < g.SysStart+g.K; u++ {
-			if !s.done[u] {
+			if !s.done(u) {
 				missing = append(missing, u)
 			}
 		}
@@ -274,7 +273,7 @@ func (s *filterSim) codedDecode() {
 			s.trackStat[u] = len(s.res.Tasks) - 1
 			s.res.NodeWorkload[id] += matched
 			s.nodeTasks[id]++
-			s.done[u] = true
+			s.live[u]++
 			s.doneCount++
 			c.decoded[u] = true
 			s.byNode[id] = append(s.byNode[id], &runAttempt{
@@ -296,114 +295,93 @@ func (s *filterSim) codedDecode() {
 	}
 }
 
-// codedReplay produces the exactly-once application output for a coded
-// run: fragments that completed normally replay their block; fragments
-// the simulation decoded are reconstructed here with the real
-// Reed–Solomon arithmetic — encode the group's fragments, erase the
-// ones the simulation lost, reconstruct from the k survivors, and feed
-// the decoded records to the collector. A decode bug therefore shows up
-// as an output mismatch against the uncoded run, not as a silently
-// correct simulation.
-func (s *filterSim) codedReplay(blocks []*hdfs.Block, coll *collector) error {
-	c := s.coded
-	for gi, g := range c.layout.Groups {
-		decodeAny := false
-		for u := g.SysStart; u < g.SysStart+g.K; u++ {
-			if c.decoded[u] {
-				decodeAny = true
-				break
+// rebuildDecoded returns the systematic unit count (parity units follow and
+// carry no records) and, for a coded run, every fragment the simulation
+// decoded, rebuilt with the real Reed–Solomon arithmetic: the executed
+// output maps the reconstructed bytes, not the block, so a decode bug is an
+// output mismatch against the uncoded run, not a silently correct simulation.
+func (s *filterSim) rebuildDecoded(blocks []*hdfs.Block) (int, map[int][]records.Record, error) {
+	if s.coded == nil {
+		return len(s.tasks), nil, nil
+	}
+	rebuilt := make(map[int][]records.Record)
+	for u, decoded := range s.coded.decoded {
+		if _, ok := rebuilt[u]; decoded && !ok {
+			if err := s.reconstruct(blocks, s.coded.layout.GroupOf(u), rebuilt); err != nil {
+				return 0, nil, err
 			}
 		}
-		if !decodeAny {
-			for u := g.SysStart; u < g.SysStart+g.K; u++ {
-				coll.runMap(blocks[s.tasks[u].Index], s.cfg)
-			}
-			continue
+	}
+	return s.coded.layout.Sys, rebuilt, nil
+}
+
+// reconstruct rebuilds one group's decoded fragments into rebuilt: encode
+// the group's fragments, erase the ones the simulation lost, reconstruct
+// from the k survivors and parse the decoded units' records back out.
+func (s *filterSim) reconstruct(blocks []*hdfs.Block, gi int, rebuilt map[int][]records.Record) error {
+	c, g := s.coded, s.coded.layout.Groups[gi]
+	// Systematic fragments as byte shards (the filter output each unit would
+	// have produced), zero-padded to the group's longest.
+	data := make([][]byte, g.K)
+	shardLen := 0
+	for i := range data {
+		data[i] = encodeFragment(blocks[s.tasks[g.SysStart+i].Index], s.cfg)
+		shardLen = max(shardLen, len(data[i]))
+	}
+	for i, sh := range data {
+		data[i] = append(sh, make([]byte, shardLen-len(sh))...)
+	}
+	code, err := straggle.NewCode(g.K, g.N())
+	if err != nil {
+		return fmt.Errorf("mapreduce: coded group %d: %w", gi, err)
+	}
+	parity, err := code.ParityShards(data)
+	if err != nil {
+		return fmt.Errorf("mapreduce: coded group %d: %w", gi, err)
+	}
+	// Erase everything the simulation did not complete; keep only the
+	// units whose output physically survived.
+	shards := make([][]byte, g.N())
+	for i := 0; i < g.K; i++ {
+		u := g.SysStart + i
+		if s.done(u) && !c.decoded[u] {
+			shards[i] = data[i] // Reconstruct only fills the nil entries
 		}
-		// Systematic fragments as byte shards (the filter output each unit
-		// would have produced), padded to the group's max shard size.
-		frags := make([][]byte, g.K)
-		maxLen := 0
-		for i := 0; i < g.K; i++ {
-			frags[i] = encodeFragment(blocks[s.tasks[g.SysStart+i].Index], s.cfg)
-			if len(frags[i]) > maxLen {
-				maxLen = len(frags[i])
-			}
+	}
+	for j := 0; j < g.Par; j++ {
+		if s.done(g.ParStart + j) {
+			shards[g.K+j] = parity[j]
 		}
-		shardLen := maxLen + 4
-		data := make([][]byte, g.K)
-		for i, f := range frags {
-			sh := make([]byte, shardLen)
-			binary.BigEndian.PutUint32(sh[:4], uint32(len(f)))
-			copy(sh[4:], f)
-			data[i] = sh
-		}
-		code, err := straggle.NewCode(g.K, g.N())
-		if err != nil {
-			return fmt.Errorf("mapreduce: coded group %d: %w", gi, err)
-		}
-		parity, err := code.ParityShards(data)
-		if err != nil {
-			return fmt.Errorf("mapreduce: coded group %d: %w", gi, err)
-		}
-		// Erase everything the simulation did not complete; keep only the
-		// units whose output physically survived.
-		shards := make([][]byte, g.N())
-		for i := 0; i < g.K; i++ {
-			u := g.SysStart + i
-			if s.done[u] && !c.decoded[u] {
-				shards[i] = append([]byte(nil), data[i]...)
-			}
-		}
-		for j := 0; j < g.Par; j++ {
-			if s.done[g.ParStart+j] {
-				shards[g.K+j] = append([]byte(nil), parity[j]...)
-			}
-		}
-		if err := code.Reconstruct(shards); err != nil {
-			return fmt.Errorf("mapreduce: coded group %d decode: %w", gi, err)
-		}
-		for i := 0; i < g.K; i++ {
-			u := g.SysStart + i
-			if !c.decoded[u] {
-				coll.runMap(blocks[s.tasks[u].Index], s.cfg)
-				continue
-			}
-			recs, err := decodeFragment(shards[i])
-			if err != nil {
+	}
+	if err := code.Reconstruct(shards); err != nil {
+		return fmt.Errorf("mapreduce: coded group %d decode: %w", gi, err)
+	}
+	for i := 0; i < g.K; i++ {
+		if u := g.SysStart + i; c.decoded[u] {
+			if rebuilt[u], err = decodeFragment(shards[i]); err != nil {
 				return fmt.Errorf("mapreduce: coded group %d unit %d: %w", gi, u, err)
 			}
-			coll.runRecords(recs, s.cfg)
 		}
 	}
 	return nil
 }
 
 // encodeFragment serializes one block's filtered records exactly (full
-// float bits, no quantization): the byte stream a filter unit stores
-// locally and the erasure code protects.
+// float bits, no quantization) behind a 4-byte length: the byte stream a
+// filter unit stores locally and the erasure code protects.
 func encodeFragment(b *hdfs.Block, cfg Config) []byte {
-	var buf bytes.Buffer
-	var scratch [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) {
-		n := binary.PutUvarint(scratch[:], v)
-		buf.Write(scratch[:n])
-	}
+	buf := make([]byte, 4) // room for the length prefix
 	for _, r := range b.Records {
 		if cfg.TargetSub != "" && r.Sub != cfg.TargetSub {
 			continue
 		}
-		putUvarint(uint64(len(r.Sub)))
-		buf.WriteString(r.Sub)
-		n := binary.PutVarint(scratch[:], r.Time)
-		buf.Write(scratch[:n])
-		var fb [8]byte
-		binary.BigEndian.PutUint64(fb[:], math.Float64bits(r.Rating))
-		buf.Write(fb[:])
-		putUvarint(uint64(len(r.Payload)))
-		buf.WriteString(r.Payload)
+		buf = append(binary.AppendUvarint(buf, uint64(len(r.Sub))), r.Sub...)
+		buf = binary.AppendVarint(buf, r.Time)
+		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(r.Rating))
+		buf = append(binary.AppendUvarint(buf, uint64(len(r.Payload))), r.Payload...)
 	}
-	return buf.Bytes()
+	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
+	return buf
 }
 
 // decodeFragment parses a reconstructed shard (4-byte length prefix plus

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -53,7 +54,11 @@ func foldEnv(t *testing.T) *hdfs.FileSystem {
 // emitted value of a key held in a map[string][]string, then one Reduce —
 // whether the collector's values reach Reduce directly, dealt across a
 // split heavy key's shards (where they are partials, for a Combiner app),
-// or partly through a decoded coded fragment.
+// partly through a decoded coded fragment, after a mid-filter crash
+// destroyed committed outputs, or after a post-barrier crash had the
+// analysis recovery commit a node's fragments again — and whether the job
+// mapped the records itself or folded a MapOutput handed in, which must
+// also leave the partition plan untouched.
 func TestExecutedOutputMatchesNaivePath(t *testing.T) {
 	fs := foldEnv(t)
 	target, err := FilteredRecords(fs, "log", "movie-A")
@@ -61,14 +66,15 @@ func TestExecutedOutputMatchesNaivePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	slow := &faults.Plan{Slow: []faults.Slowdown{{Node: 3, CPU: 0.05, Disk: 0.05}, {Node: 6, CPU: 0.15, Disk: 0.15}}}
-	modes := []struct {
+	type mode struct {
 		name string
 		cfg  Config
 		// ran reports whether the run exercised the path the mode is for;
 		// only an app that folds must have a split key (DistributedSort's
 		// keys are all distinct, so none of them is heavy).
 		ran func(res *Result, folds bool) bool
-	}{
+	}
+	modes := []mode{
 		{"plain", Config{}, func(*Result, bool) bool { return true }},
 		{"skew-split", Config{Reducers: 5, Partition: &partition.Config{Mode: partition.ModeSkew}},
 			func(res *Result, folds bool) bool { return !folds || res.PartitionSplitKeys > 0 }},
@@ -93,22 +99,233 @@ func TestExecutedOutputMatchesNaivePath(t *testing.T) {
 			if folds && !(below && exact && several) {
 				t.Fatalf("fixture lacks a key below (%v), at (%v) or several times (%v) combineAt", below, exact, several)
 			}
-			for _, m := range modes {
+			mo, err := MapFile(fs, "log", app, "movie-A")
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(m mode, mo *MapOutput) *Result {
 				cfg := m.cfg
-				cfg.FS, cfg.File, cfg.TargetSub = fs, "log", "movie-A"
-				cfg.App, cfg.Picker, cfg.ExecuteApp = app, sched.NewLocalityPicker, true
+				cfg.FS, cfg.File, cfg.TargetSub = fs.Clone(), "log", "movie-A" // crashes mutate the replica map
+				cfg.App, cfg.Picker, cfg.ExecuteApp, cfg.MapOutput = app, sched.NewLocalityPicker, true, mo
 				res, err := Run(cfg)
 				if err != nil {
 					t.Fatalf("%s: %v", m.name, err)
 				}
-				if !m.ran(res, folds) {
-					t.Errorf("%s: the run never took the path under test (split keys %d, decodes %d)",
-						m.name, res.PartitionSplitKeys, res.CodedDecodes)
+				return res
+			}
+			// The crash modes are timed off this app's own runs. Mid-filter: the
+			// slowed nodes stretch the phase, so late in it a healthy node holds
+			// committed outputs for its crash to destroy.
+			// Post-barrier: half-way through the analysis of the node that
+			// computes longest, so only recoverAnalysis can commit again what
+			// the crash destroys.
+			slowed := run(mode{cfg: Config{Faults: slow, TaskOverhead: 0.001}}, nil)
+			midFilter := &faults.Plan{Slow: slow.Slow, Crashes: []faults.Crash{{Node: 2, At: 0.8 * slowed.FilterEnd}}}
+			healthy := run(modes[0], nil)
+			busiest := cluster.NodeID(0)
+			for id, d := range healthy.NodeCompute {
+				if d > healthy.NodeCompute[busiest] || (d == healthy.NodeCompute[busiest] && id < busiest) {
+					busiest = id
 				}
-				if !reflect.DeepEqual(res.Output, want) {
-					t.Errorf("%s: executed output differs from the naive path (%d keys vs %d)", m.name, len(res.Output), len(want))
+			}
+			postBarrier := &faults.Plan{Crashes: []faults.Crash{{Node: busiest, At: healthy.FilterEnd + healthy.NodeCompute[busiest]/2}}}
+			all := append(modes[:len(modes):len(modes)],
+				mode{"mid-filter-crash", Config{Faults: midFilter, TaskOverhead: 0.001},
+					func(res *Result, _ bool) bool { return res.LostOutputs > 0 && res.FilterEnd > 0.8*slowed.FilterEnd }},
+				mode{"post-barrier-crash", Config{Faults: postBarrier},
+					func(res *Result, _ bool) bool { return res.LostOutputs > 0 && res.FilterEnd == healthy.FilterEnd }})
+			for _, m := range all {
+				mapped, folded := run(m, nil), run(m, mo)
+				for _, res := range []*Result{mapped, folded} {
+					if !m.ran(res, folds) {
+						t.Errorf("%s: the run never took the path under test (split keys %d, decodes %d, lost outputs %d)",
+							m.name, res.PartitionSplitKeys, res.CodedDecodes, res.LostOutputs)
+					}
+					if !reflect.DeepEqual(res.Output, want) {
+						t.Errorf("%s: executed output differs from the naive path (%d keys vs %d)", m.name, len(res.Output), len(want))
+					}
+				}
+				// The MapOutput is an input, not a model change: every other
+				// field — the partition plan from the pre-fold key bytes among
+				// them — is the same.
+				if !reflect.DeepEqual(folded.PartitionLoads, mapped.PartitionLoads) || folded.PartitionSplitKeys != mapped.PartitionSplitKeys {
+					t.Errorf("%s: partition plan differs with a MapOutput: loads %v vs %v, split keys %d vs %d", m.name,
+						folded.PartitionLoads, mapped.PartitionLoads, folded.PartitionSplitKeys, mapped.PartitionSplitKeys)
+				}
+				if !reflect.DeepEqual(folded, mapped) {
+					t.Errorf("%s: Result differs between a folded MapOutput and mapped records", m.name)
 				}
 			}
 		})
+	}
+}
+
+// countingApp counts Map invocations of the application it wraps.
+type countingApp struct {
+	apps.App
+	maps *int
+}
+
+func (a countingApp) Map(r records.Record, emit apps.Emit) {
+	*a.maps++
+	a.App.Map(r, emit)
+}
+
+// TestSharedMapOutputMapsOnce is the executed-plane fixture-regression
+// guard, by count and not by clock: K executed jobs sharing one MapOutput
+// invoke Map once per matching record in MapFile plus once per record of a
+// fragment a coded job decoded (mapped from its reconstructed bytes) — not
+// K times, and not twice under a partitioner; without a MapOutput each job
+// is exactly one pass, the partitioner no longer adding a second.
+func TestSharedMapOutputMapsOnce(t *testing.T) {
+	fs := foldEnv(t)
+	target, err := FilteredRecords(fs, "log", "movie-A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks, _ := fs.Blocks("log")
+	slow := &faults.Plan{Slow: []faults.Slowdown{{Node: 3, CPU: 0.05, Disk: 0.05}, {Node: 6, CPU: 0.15, Disk: 0.15}}}
+	jobs := make([]Config, 8)
+	jobs[2] = Config{Mitigate: &straggle.Config{Mode: straggle.ModeCoded, Rate: 0.7}, Faults: slow, TaskOverhead: 0.001}
+	jobs[5] = Config{Reducers: 5, Partition: &partition.Config{Mode: partition.ModeSkew}}
+	var maps int
+	app := countingApp{apps.WordCount{}, &maps}
+	runAll := func(mo *MapOutput) (decoded int) {
+		for i, cfg := range jobs {
+			cfg.FS, cfg.File, cfg.TargetSub = fs.Clone(), "log", "movie-A"
+			cfg.App, cfg.Picker, cfg.ExecuteApp, cfg.MapOutput = app, sched.NewLocalityPicker, true, mo
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("job %d: %v", i, err)
+			}
+			// A decoded unit's live stat is the only one with no scan time.
+			for _, st := range res.Tasks {
+				if !st.Lost && st.Scan == 0 {
+					for _, r := range blocks[st.Task.Index].Records {
+						if r.Sub == "movie-A" {
+							decoded++
+						}
+					}
+				}
+			}
+			if i == 5 && res.PartitionSplitKeys == 0 {
+				t.Error("the skew job split no key")
+			}
+		}
+		return decoded
+	}
+
+	mo, err := MapFile(fs, "log", app, "movie-A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if maps != len(target) {
+		t.Fatalf("MapFile invoked Map %d times, want once per matching record (%d)", maps, len(target))
+	}
+	maps = 0
+	decoded := runAll(mo)
+	if decoded == 0 {
+		t.Fatal("the coded job decoded nothing; the guard has no decoded records to count")
+	}
+	if maps != decoded {
+		t.Errorf("%d jobs sharing a MapOutput invoked Map %d times, want only the %d decoded records", len(jobs), maps, decoded)
+	}
+	maps = 0
+	if runAll(nil) != decoded {
+		t.Error("the coded job decoded different units without a MapOutput")
+	}
+	if want := len(jobs) * len(target); maps != want {
+		t.Errorf("%d jobs without a MapOutput invoked Map %d times, want one pass each (%d)", len(jobs), maps, want)
+	}
+}
+
+// TestMapOutputMismatchIsTyped: a MapOutput computed for another target,
+// app, block size or file is rejected before the simulation starts — it
+// must never silently produce another job's answer.
+func TestMapOutputMismatchIsTyped(t *testing.T) {
+	fs := foldEnv(t)
+	write := func(blockSize int64, recs []records.Record) *hdfs.FileSystem {
+		other, err := hdfs.NewFileSystem(cluster.MustHomogeneous(8, 2), hdfs.Config{BlockSize: blockSize, Replication: 3, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := other.Write("log", recs); err != nil {
+			t.Fatal(err)
+		}
+		return other
+	}
+	all, err := FilteredRecords(fs, "log", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The same records but for one payload, a byte longer.
+	edited := append([]records.Record(nil), all...)
+	edited[1].Payload += "x"
+	cases := []struct {
+		name   string
+		fs     *hdfs.FileSystem
+		app    apps.App
+		target string
+		ok     bool
+	}{
+		{"same job", fs, apps.WordCount{}, "movie-A", true},
+		{"another target", fs, apps.WordCount{}, "movie-B", false},
+		{"another app", fs, apps.WordHistogram{}, "movie-A", false},
+		{"another block size", write(4096, all), apps.WordCount{}, "movie-A", false},
+		{"another file", write(2048, edited), apps.WordCount{}, "movie-A", false},
+	}
+	for _, c := range cases {
+		mo, err := MapFile(c.fs, "log", c.app, c.target)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		res, err := Run(Config{FS: fs, File: "log", TargetSub: "movie-A", App: apps.WordCount{},
+			Picker: sched.NewLocalityPicker, ExecuteApp: true, MapOutput: mo})
+		if c.ok {
+			if err != nil || len(res.Output) == 0 {
+				t.Errorf("%s: err %v, %d output keys", c.name, err, len(res.Output))
+			}
+		} else if !errors.Is(err, ErrMapOutputMismatch) || res != nil {
+			t.Errorf("%s: err = %v (result %v), want ErrMapOutputMismatch and no result", c.name, err, res != nil)
+		}
+	}
+}
+
+// TestLedgerFoldSeesLostAndDoubleCommits: the executed output is a pure
+// function of (commit ledger, block source). With every unit committed
+// once it is the job's Output; with one committed id dropped, or one
+// doubled, it is not — for a counting application and for one whose keys
+// are all distinct — so an engine that lost or double-committed a filter
+// unit could not report the reference output.
+func TestLedgerFoldSeesLostAndDoubleCommits(t *testing.T) {
+	fs := foldEnv(t)
+	for _, app := range []apps.App{apps.WordCount{}, apps.DistributedSort{}} {
+		mo, err := MapFile(fs, "log", app, "movie-A")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(Config{FS: fs, File: "log", TargetSub: "movie-A", App: app,
+			Picker: sched.NewLocalityPicker, ExecuteApp: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ledger := func(unit, commits int) []int {
+			l := make([]int, len(mo.blocks))
+			for i := range l {
+				l[i] = 1
+			}
+			l[unit] = commits
+			return l
+		}
+		if got := mo.Output(app, ledger(0, 1)); !reflect.DeepEqual(got, res.Output) {
+			t.Fatalf("%s: the all-ones ledger folds to %d keys, the job's Output has %d", app.Name(), len(got), len(res.Output))
+		}
+		for unit := range mo.blocks {
+			for _, commits := range []int{0, 2} {
+				if got := mo.Output(app, ledger(unit, commits)); reflect.DeepEqual(got, res.Output) {
+					t.Errorf("%s: unit %d committed %d times still folds to the reference output", app.Name(), unit, commits)
+				}
+			}
+		}
 	}
 }

@@ -28,6 +28,7 @@ package mapreduce
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 
 	"datanet/internal/apps"
@@ -141,6 +142,10 @@ type Config struct {
 	// scheduling on garbage. (A nil Weights with a nil WeightsErr still
 	// means "oracle truth" as before.)
 	WeightsErr error
+	// MapOutput, when non-nil, is MapFile's per-block map output for this
+	// (File, App, TargetSub): the job folds the stored pairs instead of mapping
+	// the records again. A data input, not a switch: no Result field differs.
+	MapOutput *MapOutput
 }
 
 // The calibrated cost model's fixed rates.
@@ -293,6 +298,8 @@ type Result struct {
 var (
 	ErrNoApp    = errors.New("mapreduce: config needs an App")
 	ErrNoPicker = errors.New("mapreduce: config needs a Picker factory")
+	// ErrMapOutputMismatch: Config.MapOutput is another app's, target's or file's.
+	ErrMapOutputMismatch = errors.New("mapreduce: MapOutput does not match the job")
 )
 
 // Run executes the job.
@@ -306,6 +313,9 @@ func Run(cfg Config) (*Result, error) {
 	blocks, err := cfg.FS.Blocks(cfg.File)
 	if err != nil {
 		return nil, err
+	}
+	if mo := cfg.MapOutput; mo != nil && !mo.matches(cfg, blocks) {
+		return nil, fmt.Errorf("%w: built for %s on %q over %d blocks", ErrMapOutputMismatch, mo.app, mo.target, len(mo.blocks))
 	}
 	topo := cfg.FS.Topology()
 	inj, err := faults.NewInjector(cfg.Faults, topo.N())
@@ -441,14 +451,6 @@ func Run(cfg Config) (*Result, error) {
 		})
 	}
 
-	// The analysis-map phase runs over the blocks of the *pre-coded* task
-	// list (coded mode adds parity units that carry no new records), so
-	// the key-frequency harvest remembers those indices now.
-	mapBlocks := make([]int, len(tasks))
-	for i, t := range tasks {
-		mapBlocks[i] = t.Index
-	}
-
 	// Coded k-of-n execution rewrites the task list before scheduling:
 	// every group of k consecutive tasks gains parity units (redundant
 	// coded blocks pre-placed across the cluster), and the phase barrier
@@ -482,10 +484,8 @@ func Run(cfg Config) (*Result, error) {
 		blocks: blocks,
 		tasks:  tasks,
 		fsim:   newFilterSim(cfg, topo, inj, retry, tasks, truth, picker, res, det, spec, coded),
-		coll:   newCollector(cfg),
+		coll:   newCollector(cfg.App, cfg.ExecuteApp),
 		part:   part,
-
-		mapBlocks: mapBlocks,
 	}
 	if err := runPipeline(jc); err != nil {
 		return nil, err
@@ -498,70 +498,137 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// holdsReplica reports whether node is one of a block's replica holders.
-func holdsReplica(locations []cluster.NodeID, node cluster.NodeID) bool {
-	for _, n := range locations {
-		if n == node {
-			return true
-		}
-	}
-	return false
-}
-
 // combineAt is the number of buffered values at which the collector folds
 // a key's buffer through the application's Combiner.
 const combineAt = 64
 
-// collector accumulates real intermediate pairs when ExecuteApp is set:
-// one buffer of values per key, reached by a single map lookup per emit.
-// For an application that implements apps.Combiner a full buffer is folded
-// into one partial value, so a hot key holds at most combineAt strings
-// instead of every value it was ever emitted with. The fold is an
-// execution detail of producing Result.Output — the simulated shuffle
-// volume is OutputRatio × matched bytes either way.
-type collector struct {
-	groups   map[string]*[]string
-	combiner apps.Combiner // nil when the application's values cannot be folded
+// group is one key's intermediate state: the values Reduce will see, and
+// the bytes of every pair emitted under the key counted before any fold —
+// the key frequency a partitioner plans from.
+type group struct {
+	vals  []string
+	bytes int64
 }
 
-func newCollector(cfg Config) *collector {
-	if !cfg.ExecuteApp {
-		return &collector{}
-	}
-	combiner, _ := cfg.App.(apps.Combiner)
-	return &collector{groups: make(map[string]*[]string), combiner: combiner}
+// collector accumulates intermediate pairs: one group per key, reached by
+// a single map lookup per emit. Only an executed job keeps the values; one
+// that merely partitions needs the bytes. For an apps.Combiner application
+// a full buffer is folded into one partial value, so a hot key holds at
+// most combineAt strings. The fold is an execution detail of producing
+// Result.Output — the shuffle volume is OutputRatio × matched bytes anyway.
+type collector struct {
+	groups   map[string]*group
+	combiner apps.Combiner // nil when the application's values cannot be folded
+	keep     bool
+}
+
+func newCollector(app apps.App, keep bool) *collector {
+	combiner, _ := app.(apps.Combiner)
+	return &collector{groups: make(map[string]*group), combiner: combiner, keep: keep}
 }
 
 func (c *collector) emit(k, v string) {
-	buf := c.groups[k]
-	if buf == nil {
-		buf = new([]string)
-		c.groups[k] = buf
-	}
-	*buf = append(*buf, v)
-	if c.combiner != nil && len(*buf) >= combineAt {
-		partial := c.combiner.Combine(k, *buf)
-		*buf = append((*buf)[:0], partial)
+	g := c.at(k)
+	g.bytes += int64(len(k) + len(v))
+	if c.keep {
+		c.hold(g, k, v)
 	}
 }
 
-func (c *collector) runMap(b *hdfs.Block, cfg Config) {
+func (c *collector) at(k string) *group {
+	g := c.groups[k]
+	if g == nil {
+		g = new(group)
+		c.groups[k] = g
+	}
+	return g
+}
+
+// hold appends one value to an executed job's group.
+func (c *collector) hold(g *group, k, v string) {
+	g.vals = append(g.vals, v)
+	if c.combiner != nil && len(g.vals) >= combineAt {
+		g.vals = append(g.vals[:0], c.combiner.Combine(k, g.vals))
+	}
+}
+
+// mapRecords maps the target sub-dataset's records (all, if target is empty).
+func (c *collector) mapRecords(recs []records.Record, app apps.App, target string) {
 	emit := c.emit // one method value per block, not one per record
-	for _, r := range b.Records {
-		if cfg.TargetSub != "" && r.Sub != cfg.TargetSub {
-			continue
+	for _, r := range recs {
+		if target == "" || r.Sub == target {
+			app.Map(r, emit)
 		}
-		cfg.App.Map(r, emit)
 	}
 }
 
-// runRecords feeds already-filtered records (a reconstructed coded
-// fragment) through the application map — the fragment was filtered when
-// it was encoded, so no predicate is re-applied.
-func (c *collector) runRecords(recs []records.Record, cfg Config) {
-	emit := c.emit
-	for _, r := range recs {
-		cfg.App.Map(r, emit)
+// MapOutput is one file's map output under one (App, TargetSub), block by
+// block. A block's map output is a pure function of its immutable records,
+// so the caller that owns a fixture computes it once (MapFile) and every
+// job over the fixture folds it through Config.MapOutput. Read-only.
+type MapOutput struct {
+	app, target string
+	blocks      []blockOutput
+}
+
+// blockOutput is one block's groups plus what matches compares to the file.
+type blockOutput struct {
+	records int
+	bytes   int64
+	groups  map[string]*group
+}
+
+// MapFile maps every block of the file once.
+func MapFile(fs *hdfs.FileSystem, file string, app apps.App, target string) (*MapOutput, error) {
+	blocks, err := fs.Blocks(file)
+	if err != nil {
+		return nil, err
+	}
+	mo := &MapOutput{app: app.Name(), target: target, blocks: make([]blockOutput, len(blocks))}
+	for i, b := range blocks {
+		c := newCollector(app, true)
+		c.mapRecords(b.Records, app, target)
+		mo.blocks[i] = blockOutput{len(b.Records), b.Bytes, c.groups}
+	}
+	return mo, nil
+}
+
+// matches reports whether mo was computed for the job's app, target and blocks.
+func (mo *MapOutput) matches(cfg Config, blocks []*hdfs.Block) bool {
+	ok := mo.app == cfg.App.Name() && mo.target == cfg.TargetSub && len(mo.blocks) == len(blocks)
+	for i := 0; ok && i < len(blocks); i++ {
+		ok = mo.blocks[i].records == len(blocks[i].Records) && mo.blocks[i].bytes == blocks[i].Bytes
+	}
+	return ok
+}
+
+// source feeds one block's stored groups into c.
+func (mo *MapOutput) source(block int, c *collector) {
+	for k, sg := range mo.blocks[block].groups {
+		g := c.at(k)
+		g.bytes += sg.bytes
+		for i := 0; c.keep && i < len(sg.vals); i++ {
+			c.hold(g, k, sg.vals[i])
+		}
+	}
+}
+
+// Output reduces mo folded over a commit ledger (live commits per block):
+// the Output of an executed job whose simulation ended with that ledger.
+func (mo *MapOutput) Output(app apps.App, ledger []int) map[string]string {
+	c := newCollector(app, true)
+	foldLedger(ledger, mo.source, c)
+	return c.reduce(app, nil)
+}
+
+// foldLedger produces the executed output as a fold over the commit ledger:
+// each systematic filter unit, in block order, has src feed its pairs into c
+// once per live commit — so a unit lost or committed twice changes Output.
+func foldLedger(ledger []int, src func(unit int, c *collector), c *collector) {
+	for u, commits := range ledger {
+		for ; commits > 0; commits-- {
+			src(u, c)
+		}
 	}
 }
 
@@ -577,8 +644,8 @@ func (c *collector) runRecords(recs []records.Record, cfg Config) {
 // ordering.
 func (c *collector) reduce(app apps.App, part partition.Partitioner) map[string]string {
 	out := make(map[string]string, len(c.groups))
-	for k, buf := range c.groups {
-		vs := *buf
+	for k, g := range c.groups {
+		vs := g.vals
 		if part != nil {
 			if splits := part.Splits(k); len(splits) > 1 {
 				shards := make([][]string, len(splits))

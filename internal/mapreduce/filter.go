@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"datanet/internal/cluster"
@@ -154,9 +155,9 @@ type filterSim struct {
 	attempts  []int
 	dupTries  []int  // li -> how many of its attempts were duplicates
 	handed    []bool // li -> the picker has handed the task out
-	done      []bool
-	doneCount int
-	trackStat []int // li -> position of its live stat in res.Tasks, -1 when none
+	live      []int  // li -> its committed outputs that still exist: the commit ledger
+	doneCount int    // sum of live
+	trackStat []int  // li -> position of its live stat in res.Tasks, -1 when none
 	retries   []retryItem
 	crashes   []faults.Crash
 	crashIdx  int
@@ -255,7 +256,7 @@ func newFilterSim(cfg Config, topo *cluster.Topology, inj *faults.Injector, retr
 		attempts:  make([]int, len(tasks)),
 		dupTries:  make([]int, len(tasks)),
 		handed:    make([]bool, len(tasks)),
-		done:      make([]bool, len(tasks)),
+		live:      make([]int, len(tasks)),
 		trackStat: make([]int, len(tasks)),
 		crashes:   inj.Crashes(),
 		nodeTasks: make(map[cluster.NodeID]int, topo.N()),
@@ -309,6 +310,11 @@ func (s *filterSim) phaseComplete() bool {
 	}
 	return s.doneCount >= len(s.tasks)
 }
+
+// done reports whether the unit has a live committed output. live is the
+// commit ledger — +1 at a commit or coded decode, −1 where a crash is found
+// to have destroyed the output; foldLedger makes any value but 0 or 1 show.
+func (s *filterSim) done(li int) bool { return s.live[li] > 0 }
 
 // replicasGone reports that no replica of the unit's block survives.
 // Parity units carry static synthetic placements the name-node does not
@@ -458,7 +464,7 @@ func (s *filterSim) anyRevivable() bool {
 func (s *filterSim) killDuplicates() {
 	for _, k := range sortedRunningKeys(s.running) {
 		r := s.running[k]
-		if !s.done[r.li] && !s.groupObsolete(r.li) {
+		if !s.done(r.li) && !s.groupObsolete(r.li) {
 			continue
 		}
 		r.ev.Hide()
@@ -595,7 +601,7 @@ func (s *filterSim) applyCrashPhysics(d cluster.NodeID, t0 float64) {
 			s.rec.Record(ve)
 			s.assigned[d] -= r.task.Weight
 		}
-		if !s.done[r.li] {
+		if !s.done(r.li) {
 			s.pendingVoided[d] = append(s.pendingVoided[d], r.li)
 		}
 	}
@@ -663,7 +669,7 @@ func (s *filterSim) respond(group []cluster.NodeID, t float64) error {
 		// The attempts that died with the node are requeued now — the master
 		// just learned they will never report back.
 		for _, li := range s.pendingVoided[d] {
-			if s.done[li] {
+			if s.done(li) {
 				continue // a duplicate finished the task in the meantime
 			}
 			if err := s.requeue(li, t, "crash-voided"); err != nil {
@@ -681,12 +687,10 @@ func (s *filterSim) respond(group []cluster.NodeID, t float64) error {
 				s.res.NodeWorkload[d] -= r.matched
 				s.nodeTasks[d]--
 			}
-			if s.done[r.li] {
-				s.done[r.li] = false
-				s.doneCount--
-				if s.coded != nil {
-					s.codedUncommit(r.li, t)
-				}
+			s.live[r.li]--
+			s.doneCount--
+			if s.coded != nil {
+				s.codedUncommit(r.li, t)
 			}
 			s.res.LostOutputs++
 			if s.rec.Enabled() {
@@ -708,7 +712,7 @@ func (s *filterSim) respond(group []cluster.NodeID, t float64) error {
 	// reconstructable from the code). Blocks skipped by the meta-data are
 	// not needed at all.
 	for _, b := range lost {
-		if li, ok := s.byBlock[b]; ok && !s.done[li] && !s.groupObsolete(li) {
+		if li, ok := s.byBlock[b]; ok && !s.done(li) && !s.groupObsolete(li) {
 			return &BlockFailure{Block: b, Attempts: s.attempts[li], Cause: ErrDataLost}
 		}
 	}
@@ -774,7 +778,7 @@ func (s *filterSim) onClear(id cluster.NodeID, t float64) error {
 // master simply declines to speculate — the original attempt is still
 // physically running and may yet finish.
 func (s *filterSim) requeueDup(li int, t float64) {
-	if s.done[li] || s.dupOutstanding[li] {
+	if s.done(li) || s.dupOutstanding[li] {
 		return
 	}
 	if s.attempts[li] >= s.retry.MaxAttempts || s.replicasGone(li) {
@@ -813,7 +817,7 @@ func (s *filterSim) onSpecCheck(ev *sim.Event) error {
 	projs := make([]straggle.Projection, 0, len(keys))
 	for _, k := range keys {
 		r := s.running[k]
-		if s.done[r.li] {
+		if s.done(r.li) {
 			continue
 		}
 		projs = append(projs, straggle.Projection{Unit: r.li, Projected: r.end})
@@ -833,7 +837,7 @@ func (s *filterSim) onSpecCheck(ev *sim.Event) error {
 // keys is the scan's sorted view of the running attempts (launching a
 // backup only queues a retry, so it stays current across one scan).
 func (s *filterSim) launchQuantileDup(li int, now float64, keys []slotKey) {
-	if s.done[li] || s.dupOutstanding[li] || !s.spec.Allow(li) {
+	if s.done(li) || s.dupOutstanding[li] || !s.spec.Allow(li) {
 		return
 	}
 	if s.attempts[li] >= s.retry.MaxAttempts || s.replicasGone(li) {
@@ -886,13 +890,13 @@ func (s *filterSim) onAttemptDone(ev *sim.Event) error {
 	}
 	now := ev.At
 	delete(s.running, key)
-	if s.done[r.li] || s.groupObsolete(r.li) {
+	if s.done(r.li) || s.groupObsolete(r.li) {
 		// Redundant: another attempt committed first (first-finisher-wins
 		// dedupe), or — coded — the unit's group satisfied in this very
 		// delivery instant, before killGroup's generation bump. The master
 		// kills it on arrival.
 		detail := "coded-k-of-n"
-		if s.done[r.li] {
+		if s.done(r.li) {
 			s.res.DuplicateKills++
 			detail = "duplicate-completion"
 		}
@@ -1028,7 +1032,7 @@ func (s *filterSim) takeRetry(node cluster.NodeID, now float64, localOnly bool) 
 		if it.readyAt > now {
 			break // sorted: nothing later is ready either
 		}
-		if s.done[it.li] || s.groupObsolete(it.li) {
+		if s.done(it.li) || s.groupObsolete(it.li) {
 			// A duplicate won while this retry waited (detector modes), or
 			// — coded mode — the unit's group satisfied; the task needs no
 			// further attempts. Drop the entry.
@@ -1040,7 +1044,7 @@ func (s *filterSim) takeRetry(node cluster.NodeID, now float64, localOnly bool) 
 		if it.quant && it.avoid == node {
 			continue // a backup beside the straggler gains nothing
 		}
-		if localOnly && !holdsReplica(s.locations(it.li), node) {
+		if localOnly && !slices.Contains(s.locations(it.li), node) {
 			continue
 		}
 		it.ev.Hide() // taken: its maturity no longer creates work
@@ -1102,7 +1106,7 @@ func (s *filterSim) dispatch(nid cluster.NodeID, slot, gen int, t sched.Task, li
 	if s.layoutDirty && !s.isParity(li) {
 		t.Locations = s.cfg.FS.Locations(t.Block)
 	}
-	local := holdsReplica(t.Locations, nid)
+	local := slices.Contains(t.Locations, nid)
 	matched := s.truth[t.Index]
 	scan := float64(t.Bytes) / s.inj.DiskRate(nid, node.DiskRate)
 	if !local {
@@ -1173,7 +1177,7 @@ func (s *filterSim) commit(id cluster.NodeID, r *runAttempt) {
 	if r.end > s.res.FilterEnd {
 		s.res.FilterEnd = r.end
 	}
-	s.done[r.li] = true
+	s.live[r.li]++
 	s.doneCount++
 	s.byNode[id] = append(s.byNode[id], r)
 	if s.rec.Enabled() {
@@ -1251,6 +1255,7 @@ func (s *filterSim) recoverAnalysis(analysisStart float64, durations map[cluster
 		}
 		var blockBytes int64
 		for _, r := range s.byNode[d] {
+			s.live[r.li]-- // destroyed with d; the helper's redo commits it again
 			if s.isParity(r.li) {
 				continue // parity blobs are not part of the analysis share
 			}
@@ -1307,7 +1312,10 @@ func (s *filterSim) recoverAnalysis(analysisStart float64, durations map[cluster
 		s.res.NodeWorkload[d] = 0
 		s.nodeTasks[helper] += nt
 		s.nodeTasks[d] = 0
-		s.byNode[helper] = append(s.byNode[helper], s.byNode[d]...)
+		for _, r := range s.byNode[d] {
+			s.live[r.li]++
+			s.byNode[helper] = append(s.byNode[helper], r)
+		}
 		s.byNode[d] = nil
 		s.res.TasksRetried += nt
 		s.res.LostOutputs += nt

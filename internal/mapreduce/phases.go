@@ -31,11 +31,8 @@ type jobContext struct {
 	fsim   *filterSim
 	coll   *collector
 
-	// part is the reduce partitioner (nil with partitioning off);
-	// mapBlocks lists the block indices of the pre-coded task list, the
-	// record set the key-frequency harvest replays.
-	part      partition.Partitioner
-	mapBlocks []int
+	// part is the reduce partitioner (nil with partitioning off).
+	part partition.Partitioner
 
 	// Shuffle → reduce hand-off. shares is each reducer's fraction of the
 	// map output volume (uniform 1/R with no partitioner).
@@ -97,20 +94,33 @@ func runFilter(jc *jobContext) error {
 		return err
 	}
 	jc.clock.AdvanceTo(jc.res.FilterEnd)
-	// The real application output is exactly-once per task regardless of
-	// how many attempts its block needed: the collector replays the task
-	// list (block order = file order) after the surviving outputs are
-	// known. Coded mode reconstructs decoded fragments with the real
-	// Reed–Solomon arithmetic instead of re-reading their blocks, so a
-	// decode bug surfaces as an output mismatch (see codedReplay).
-	if jc.cfg.ExecuteApp {
-		if jc.fsim.coded != nil {
-			return jc.fsim.codedReplay(jc.blocks, jc.coll)
-		}
-		for _, t := range jc.tasks {
-			jc.coll.runMap(jc.blocks[t.Index], jc.cfg)
-		}
+	return nil
+}
+
+// foldOutput fills the collector from what the simulation committed: the
+// executed output and a partitioner's key frequencies are one fold over the
+// commit ledger (see foldLedger). A unit's pairs are Config.MapOutput's
+// stored ones when the caller computed them, and otherwise its block's
+// records mapped straight into the collector; a fragment a coded run
+// decoded is mapped from its reconstructed bytes either way.
+func (jc *jobContext) foldOutput() error {
+	app, mo := jc.cfg.App, jc.cfg.MapOutput
+	if !jc.cfg.ExecuteApp && jc.part == nil {
+		return nil
 	}
+	units, rebuilt, err := jc.fsim.rebuildDecoded(jc.blocks)
+	if err != nil {
+		return err
+	}
+	foldLedger(jc.fsim.live[:units], func(u int, c *collector) {
+		if recs, ok := rebuilt[u]; ok {
+			c.mapRecords(recs, app, "") // filtered when it was encoded
+		} else if block := jc.tasks[u].Index; mo != nil {
+			mo.source(block, c)
+		} else {
+			c.mapRecords(jc.blocks[block].Records, app, jc.cfg.TargetSub)
+		}
+	}, jc.coll)
 	return nil
 }
 
@@ -208,7 +218,7 @@ func runAnalysis(jc *jobContext) error {
 	if res.MapEnd > jc.clock.Now() {
 		jc.clock.AdvanceTo(res.MapEnd)
 	}
-	return nil
+	return jc.foldOutput() // the last crash is applied: the ledger is final
 }
 
 // runShuffle: the shuffle window opens at the first analysis-map completion and cannot
@@ -284,6 +294,64 @@ func runShuffle(jc *jobContext) error {
 	}
 	res.ShuffleEnd = shuffleEnd
 	jc.clock.AdvanceTo(res.ShuffleEnd)
+	return nil
+}
+
+// planPartition fixes each reducer's share of the map output volume:
+// the uniform 1/R unless a partitioner is configured. With one, it fixes
+// the key → reducer assignment: plan from the per-key emitted bytes
+// foldOutput left in the collector (in a real cluster the map tasks report
+// these counts with their completion heartbeats, so no pass is charged on
+// the simulated clock), convert the planned per-reducer loads into shares,
+// and audit the plan into the Result and the trace.
+func (jc *jobContext) planPartition() error {
+	res, cfg := jc.res, jc.cfg
+	jc.shares = make([]float64, cfg.Reducers)
+	for r := range jc.shares {
+		jc.shares[r] = 1 / float64(cfg.Reducers)
+	}
+	if jc.part == nil {
+		return nil
+	}
+	freqs := make(map[string]int64, len(jc.coll.groups))
+	for k, g := range jc.coll.groups {
+		freqs[k] = g.bytes
+	}
+	if err := jc.part.Plan(freqs, cfg.Reducers); err != nil {
+		return err
+	}
+	loads := jc.part.Loads()
+	res.PartitionName = jc.part.Name()
+	res.PartitionLoads = append([]int64(nil), loads...)
+	for k := range freqs {
+		if len(jc.part.Splits(k)) > 1 {
+			res.PartitionSplitKeys++
+		}
+	}
+	// Planned key bytes → volume shares. A job with no intermediate keys
+	// has nothing to skew, so it keeps the uniform split.
+	var total int64
+	for _, l := range loads {
+		total += l
+	}
+	if total > 0 {
+		for r := range jc.shares {
+			jc.shares[r] = float64(loads[r]) / float64(total)
+		}
+	}
+	if jc.rec.Enabled() {
+		var max int64
+		for _, l := range loads {
+			if l > max {
+				max = l
+			}
+		}
+		ev := trace.At(res.MapEnd, trace.EvPartition)
+		ev.Detail = res.PartitionName
+		ev.Bytes = max
+		ev.Count = res.PartitionSplitKeys
+		jc.rec.Record(ev)
+	}
 	return nil
 }
 
