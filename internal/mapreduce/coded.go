@@ -1,9 +1,11 @@
 package mapreduce
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"datanet/internal/cluster"
 	"datanet/internal/hdfs"
@@ -69,7 +71,6 @@ func buildCoded(mit straggle.Config, cfg Config, numBlocks int, tasks []sched.Ta
 		abandoned:  make([]bool, layout.Total()),
 		decoded:    make([]bool, layout.Sys),
 	}
-	ids := topo.IDs()
 	ordinal := 0
 	for gi, g := range layout.Groups {
 		c.need[gi] = g.K
@@ -86,14 +87,12 @@ func buildCoded(mit straggle.Config, cfg Config, numBlocks int, tasks []sched.Ta
 				repl = len(tasks[u].Locations)
 			}
 		}
-		if repl > len(ids) {
-			repl = len(ids)
-		}
+		repl = min(repl, topo.N())
 		for j := 0; j < g.Par; j++ {
 			locs := make([]cluster.NodeID, repl)
-			base := (gi*7 + j*3) % len(ids)
+			base := gi*7 + j*3
 			for i := range locs {
-				locs[i] = ids[(base+i)%len(ids)]
+				locs[i] = cluster.NodeID((base + i) % topo.N()) // ids are dense
 			}
 			tasks = append(tasks, sched.Task{
 				Block:     parityBlockBase + hdfs.BlockID(ordinal),
@@ -181,28 +180,17 @@ func (s *filterSim) codedUncommit(li int, t float64) {
 // and when it is the un-committed unit itself (the caller requeues it,
 // with the failure backoff).
 func (s *filterSim) reviveGroup(g int, t float64, uncommitted int) {
-	grp := s.coded.layout.Groups[g]
-	units := make([]int, 0, grp.N())
-	for u := grp.SysStart; u < grp.SysStart+grp.K; u++ {
-		units = append(units, u)
-	}
-	for u := grp.ParStart; u < grp.ParStart+grp.Par; u++ {
-		units = append(units, u)
-	}
-	active := make(map[int]bool)
-	for _, r := range s.running {
-		active[r.li] = true
-	}
+	queued := make(map[int]bool)
 	for _, it := range s.retries {
-		active[it.li] = true
+		queued[it.li] = true
 	}
-	for _, voided := range s.pendingVoided {
-		for _, li := range voided {
-			active[li] = true
+	for _, crash := range s.pending {
+		for _, li := range crash.voided {
+			queued[li] = true
 		}
 	}
-	for _, u := range units {
-		if u == uncommitted || !s.handed[u] || s.done(u) || s.coded.abandoned[u] || active[u] {
+	for _, u := range s.coded.layout.Groups[g].Units() {
+		if u == uncommitted || !s.handed[u] || s.done(u) || s.coded.abandoned[u] || len(s.inflight[u]) > 0 || queued[u] {
 			continue
 		}
 		if s.exhausted(u) || s.replicasGone(u) {
@@ -220,16 +208,21 @@ func (s *filterSim) reviveGroup(g int, t float64, uncommitted int) {
 // immediately, and the burned time is charged to wasted work — exactly
 // the cost the makespan win is bought with.
 func (s *filterSim) killGroup(g int, now float64) {
-	for _, k := range sortedRunningKeys(s.running) {
-		r := s.running[k]
-		if s.coded.layout.GroupOf(r.li) != g || s.done(r.li) {
-			continue
+	var doomed []*runAttempt
+	for _, u := range s.coded.layout.Groups[g].Units() {
+		if !s.done(u) {
+			doomed = append(doomed, s.inflight[u]...)
 		}
+	}
+	// (node, slot) order, as a walk over every running attempt would find them.
+	slices.SortFunc(doomed, func(a, b *runAttempt) int { return cmp.Compare(s.ord(a), s.ord(b)) })
+	for _, r := range doomed {
+		ord := s.ord(r)
 		r.ev.Hide()
-		delete(s.running, k)
-		s.gens[k]++
-		s.kill(k.node, r, now, 0, "coded-k-of-n")
-		s.postSlotFree(now, k.node, k.slot, s.gens[k])
+		s.untrack(r)
+		s.gens[ord]++
+		s.kill(r.node, r, now, 0, "coded-k-of-n")
+		s.postSlotFree(now, r.node, r.slot, s.gens[ord])
 	}
 }
 

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -105,17 +106,22 @@ type runAttempt struct {
 	// quant marks a duplicate launched by the quantile trigger (its win is
 	// a SpeculativeWin; a suspicion-triggered dup's win is not).
 	quant bool
-	// gen guards against stale completions: a crash resets the slot and
-	// bumps its generation, orphaning whatever was still queued for it.
-	gen int
+	// node and slot are where the attempt runs; gen guards against stale
+	// completions: a crash resets the slot and bumps its generation,
+	// orphaning whatever was still queued for it.
+	node cluster.NodeID
+	slot int
+	gen  int
 	// ev is the queued completion event, hidden from the kernel horizon
 	// when a crash voids the attempt (a dead attempt no longer creates work).
 	ev *sim.Event
 }
 
-type slotKey struct {
-	node cluster.NodeID
-	slot int
+// pendingCrash is one physically crashed node the master has yet to respond to.
+type pendingCrash struct {
+	node   cluster.NodeID
+	at     float64 // the crash instant (the first, if it crashed again since)
+	voided []int   // tasks whose attempts died with it: requeued at the response
 }
 
 // retryItem is a task awaiting re-execution after a failure.
@@ -146,12 +152,18 @@ type filterSim struct {
 	picker sched.Picker
 	res    *Result
 
-	kern      *sim.Kernel
-	gens      map[slotKey]int
-	running   map[slotKey]*runAttempt
-	byNode    map[cluster.NodeID][]*runAttempt // live committed outputs per node
-	byIndex   map[int]int                      // task.Index -> li
-	byBlock   map[hdfs.BlockID]int             // block -> li
+	kern *sim.Kernel
+	// Per-node and per-slot state is dense. Slots are numbered node-major
+	// (slot k of node n is slotBase[n]+k), so walking running upwards *is*
+	// the (node, slot) order every deterministic scan promises; inflight[li]
+	// lists unit li's running attempts, for the paths that concern one unit.
+	slotBase  []int
+	gens      []int
+	running   []*runAttempt // nil: the slot is idle
+	inflight  [][]*runAttempt
+	byNode    [][]*runAttempt      // live committed outputs per node
+	byIndex   []int                // task.Index -> li
+	byBlock   map[hdfs.BlockID]int // block -> li
 	attempts  []int
 	dupTries  []int  // li -> how many of its attempts were duplicates
 	handed    []bool // li -> the picker has handed the task out
@@ -164,7 +176,7 @@ type filterSim struct {
 	// layoutDirty flips after the first crash: replica locations must then
 	// be re-read from the name-node instead of the job's snapshot.
 	layoutDirty bool
-	nodeTasks   map[cluster.NodeID]int
+	nodeTasks   []int // per node
 	// slotLive counts queued slot-free and attempt-done events (stale
 	// generations included). When it reaches zero no slot can ever serve
 	// again, so the kernel stops — undelivered crash instants then belong
@@ -184,19 +196,15 @@ type filterSim struct {
 	// detection latency; the oracle (det == nil) is its zero-latency case
 	// and responds inside the crash event.
 	det *detect.Detector
-	// pendingResp maps a physically crashed node to its crash instant
-	// while the master has not yet responded (always empty between events
-	// under the oracle). The phase cannot settle while a response is
-	// outstanding: it may still un-commit destroyed outputs.
-	pendingResp map[cluster.NodeID]float64
-	// pendingVoided lists, per crashed node, the task indices whose
-	// in-flight attempts died with it; the master requeues them only when
-	// it responds (it cannot requeue work it does not know was lost).
-	pendingVoided map[cluster.NodeID][]int
+	// pending lists, in node order, the physically crashed nodes the master
+	// has not yet responded to (always empty between events under the
+	// oracle). The phase cannot settle while a response is outstanding: it
+	// may still un-commit destroyed outputs.
+	pending []pendingCrash
 	// slotsDown marks nodes whose slots were physically killed by a crash;
 	// the node's re-registration beat revives them (detector modes — under
 	// the oracle a dead node's slots poll again at its rejoin instant).
-	slotsDown map[cluster.NodeID]bool
+	slotsDown []bool
 	// dupOutstanding caps speculative duplicates at one per task.
 	dupOutstanding []bool
 	// lastDup carries the acquire path's duplicate flag to dispatch,
@@ -248,10 +256,10 @@ func newFilterSim(cfg Config, topo *cluster.Topology, inj *faults.Injector, retr
 		spec:      spec,
 		coded:     coded,
 		kern:      sim.New(nil),
-		gens:      make(map[slotKey]int),
-		running:   make(map[slotKey]*runAttempt),
-		byNode:    make(map[cluster.NodeID][]*runAttempt),
-		byIndex:   make(map[int]int, len(tasks)),
+		slotBase:  make([]int, topo.N()+1),
+		inflight:  make([][]*runAttempt, len(tasks)),
+		byNode:    make([][]*runAttempt, topo.N()),
+		byIndex:   make([]int, len(truth)), // truth is indexed by task.Index too
 		byBlock:   make(map[hdfs.BlockID]int, len(tasks)),
 		attempts:  make([]int, len(tasks)),
 		dupTries:  make([]int, len(tasks)),
@@ -259,13 +267,16 @@ func newFilterSim(cfg Config, topo *cluster.Topology, inj *faults.Injector, retr
 		live:      make([]int, len(tasks)),
 		trackStat: make([]int, len(tasks)),
 		crashes:   inj.Crashes(),
-		nodeTasks: make(map[cluster.NodeID]int, topo.N()),
+		nodeTasks: make([]int, topo.N()),
 
-		pendingResp:    make(map[cluster.NodeID]float64),
-		pendingVoided:  make(map[cluster.NodeID][]int),
-		slotsDown:      make(map[cluster.NodeID]bool),
+		slotsDown:      make([]bool, topo.N()),
 		dupOutstanding: make([]bool, len(tasks)),
 	}
+	for id := range cluster.NodeID(topo.N()) {
+		s.slotBase[id+1] = s.slotBase[id] + topo.Node(id).Slots
+	}
+	s.gens = make([]int, s.slotBase[topo.N()])
+	s.running = make([]*runAttempt, s.slotBase[topo.N()])
 	for li, t := range tasks {
 		s.byIndex[t.Index] = li
 		s.byBlock[t.Block] = li
@@ -323,20 +334,27 @@ func (s *filterSim) replicasGone(li int) bool {
 	return s.layoutDirty && !s.isParity(li) && len(s.cfg.FS.Locations(s.tasks[li].Block)) == 0
 }
 
-// sortedRunningKeys returns the running-attempt keys in deterministic
-// (node, slot) order for iteration.
-func sortedRunningKeys(running map[slotKey]*runAttempt) []slotKey {
-	keys := make([]slotKey, 0, len(running))
-	for k := range running {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].node != keys[j].node {
-			return keys[i].node < keys[j].node
-		}
-		return keys[i].slot < keys[j].slot
+// ord is the attempt's slot ordinal.
+func (s *filterSim) ord(r *runAttempt) int { return s.slotBase[r.node] + r.slot }
+
+// track records a dispatched attempt as running on its slot and in flight
+// for its unit; untrack removes it when it ends, dies or is killed.
+func (s *filterSim) track(r *runAttempt) {
+	s.running[s.ord(r)] = r
+	s.inflight[r.li] = append(s.inflight[r.li], r)
+}
+
+func (s *filterSim) untrack(r *runAttempt) {
+	s.running[s.ord(r)] = nil
+	s.inflight[r.li] = slices.DeleteFunc(s.inflight[r.li], func(x *runAttempt) bool { return x == r })
+}
+
+// pendingAt finds the node's outstanding crash in s.pending (sorted by
+// node): its position, or where it would be inserted.
+func (s *filterSim) pendingAt(id cluster.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(s.pending, id, func(p pendingCrash, id cluster.NodeID) int {
+		return cmp.Compare(p.node, id)
 	})
-	return keys
 }
 
 // postRetry queues one retry item and its kernel maturity marker, keeping
@@ -379,7 +397,7 @@ func (s *filterSim) run() error {
 		s.kern.Handle(evSpecCheck, s.onSpecCheck)
 		s.postSpecCheck(s.spec.Interval())
 	}
-	for _, id := range s.topo.IDs() {
+	for id := range cluster.NodeID(s.topo.N()) {
 		for slot := 0; slot < s.topo.Node(id).Slots; slot++ {
 			s.postSlotFree(0, id, slot, 0)
 		}
@@ -420,10 +438,7 @@ func (s *filterSim) run() error {
 // outstanding and the phase is complete, or wedged — no slot can ever
 // request work again.
 func (s *filterSim) settled() bool {
-	if len(s.pendingResp) > 0 {
-		return false
-	}
-	return s.phaseComplete() || (s.slotLive == 0 && !s.anyRevivable())
+	return len(s.pending) == 0 && (s.phaseComplete() || (s.slotLive == 0 && !s.anyRevivable()))
 }
 
 // maybeSettle stops a detector-mode kernel once it is settled — its beat
@@ -441,10 +456,11 @@ func (s *filterSim) maybeSettle() {
 // has a rejoin scheduled.
 func (s *filterSim) anyRevivable() bool {
 	now := s.kern.Now()
-	for id, down := range s.slotsDown {
+	for n, down := range s.slotsDown {
 		if !down {
 			continue
 		}
+		id := cluster.NodeID(n)
 		if !s.inj.DeadAt(id, now) {
 			return true
 		}
@@ -462,15 +478,14 @@ func (s *filterSim) anyRevivable() bool {
 // from start until the barrier cut it off (or until its own end, if
 // earlier).
 func (s *filterSim) killDuplicates() {
-	for _, k := range sortedRunningKeys(s.running) {
-		r := s.running[k]
-		if !s.done(r.li) && !s.groupObsolete(r.li) {
+	for _, r := range s.running {
+		if r == nil || (!s.done(r.li) && !s.groupObsolete(r.li)) {
 			continue
 		}
 		r.ev.Hide()
-		delete(s.running, k)
+		s.untrack(r)
 		s.res.DuplicateKills++
-		s.kill(k.node, r, math.Min(s.res.FilterEnd, r.end), 0, "phase-end-kill")
+		s.kill(r.node, r, math.Min(s.res.FilterEnd, r.end), 0, "phase-end-kill")
 	}
 }
 
@@ -494,36 +509,27 @@ func (s *filterSim) kill(node cluster.NodeID, r *runAttempt, cut float64, bytes 
 // K1 is the node for slot events and the task index for retry markers,
 // K2 the slot).
 func translateKernelEvent(e *sim.Event) (trace.Event, bool) {
-	ev := trace.At(e.At, trace.EvKernelDeliver)
-	switch e.Kind {
-	case evCrash:
-		ev.Detail = "crash"
-	case evSlotFree:
-		ev.Detail = "slot-free"
-		ev.Node = int(e.K1)
-		ev.Count = int(e.K2)
-	case evAttemptDone:
-		ev.Detail = "attempt-done"
-		ev.Node = int(e.K1)
-		ev.Count = int(e.K2)
-		if r, ok := e.Payload.(*runAttempt); ok {
-			ev.Block = int(r.task.Block)
-			ev.Attempt = r.attempt
-		}
-	case evRetryReady:
-		ev.Detail = "retry-ready"
-	case evBeat:
-		ev.Detail = "heartbeat"
-		ev.Node = int(e.K1)
-	case evDetTimeout:
-		ev.Detail = "heartbeat-timeout"
-		ev.Node = int(e.K1)
-	case evSpecCheck:
-		ev.Detail = "spec-check"
-	default:
+	if int(e.Kind) >= len(kernelDetail) {
 		return trace.Event{}, false
 	}
+	ev := trace.At(e.At, trace.EvKernelDeliver)
+	ev.Detail = kernelDetail[e.Kind]
+	switch e.Kind {
+	case evSlotFree, evAttemptDone:
+		ev.Node, ev.Count = int(e.K1), int(e.K2)
+		if r, ok := e.Payload.(*runAttempt); ok {
+			ev.Block, ev.Attempt = int(r.task.Block), r.attempt
+		}
+	case evBeat, evDetTimeout:
+		ev.Node = int(e.K1)
+	}
 	return ev, true
+}
+
+// kernelDetail names each kernel event kind in the trace.
+var kernelDetail = [...]string{
+	evCrash: "crash", evSlotFree: "slot-free", evAttemptDone: "attempt-done", evRetryReady: "retry-ready",
+	evBeat: "heartbeat", evDetTimeout: "heartbeat-timeout", evSpecCheck: "spec-check",
 }
 
 // postSlotFree queues one slot-free request.
@@ -542,7 +548,7 @@ func (s *filterSim) postSlotFree(at float64, node cluster.NodeID, slot, gen int)
 // committed and no response can re-open the barrier, later crashes belong
 // to the analysis phase (recoverAnalysis) and are left unapplied for it.
 func (s *filterSim) onCrash(ev *sim.Event) error {
-	if s.phaseComplete() && len(s.pendingResp) == 0 {
+	if s.phaseComplete() && len(s.pending) == 0 {
 		return nil
 	}
 	t0 := ev.At
@@ -580,21 +586,25 @@ func (s *filterSim) applyCrashPhysics(d cluster.NodeID, t0 float64) {
 	// that lost an attempt asks for work again at the rejoin instant, and
 	// an idle slot finds its node dead on its next poll (serveSlot).
 	s.slotsDown[d] = s.det != nil
+	at, crashed := s.pendingAt(d)
+	if !crashed { // else latency keeps counting from the first unresponded crash
+		s.pending = slices.Insert(s.pending, at, pendingCrash{node: d, at: t0})
+	}
 	for slot := 0; slot < s.topo.Node(d).Slots; slot++ {
-		key := slotKey{d, slot}
-		r := s.running[key]
+		ord := s.slotBase[d] + slot
+		r := s.running[ord]
 		if r == nil && s.det == nil {
 			continue
 		}
-		s.gens[key]++ // every queued event of the slot is now stale
+		s.gens[ord]++ // every queued event of the slot is now stale
 		if r == nil {
 			continue
 		}
 		if s.det == nil && rejoins {
-			s.postSlotFree(rejoinAt, d, slot, s.gens[key])
+			s.postSlotFree(rejoinAt, d, slot, s.gens[ord])
 		}
 		r.ev.Hide() // a dead attempt's end no longer creates work
-		delete(s.running, key)
+		s.untrack(r)
 		if s.rec.Enabled() {
 			ve := trace.Event{T: t0, Type: trace.EvTaskVoided,
 				Node: int(d), Block: int(r.task.Block), Attempt: r.attempt}
@@ -602,11 +612,8 @@ func (s *filterSim) applyCrashPhysics(d cluster.NodeID, t0 float64) {
 			s.assigned[d] -= r.task.Weight
 		}
 		if !s.done(r.li) {
-			s.pendingVoided[d] = append(s.pendingVoided[d], r.li)
+			s.pending[at].voided = append(s.pending[at].voided, r.li)
 		}
-	}
-	if _, ok := s.pendingResp[d]; !ok {
-		s.pendingResp[d] = t0 // latency counts from the first unresponded crash
 	}
 }
 
@@ -654,21 +661,23 @@ func (s *filterSim) respond(group []cluster.NodeID, t float64) error {
 	// fails at the transport layer immediately, so the name-node skips them
 	// without needing to have suspected them yet.
 	var dead []cluster.NodeID
-	for _, id := range s.topo.IDs() {
-		if _, pending := s.pendingResp[id]; pending || s.believedDead(id, t) {
+	for id := range cluster.NodeID(s.topo.N()) {
+		if _, pending := s.pendingAt(id); pending || s.believedDead(id, t) {
 			dead = append(dead, id)
 		}
 	}
 	for _, d := range group {
-		s.noteLatency(d, s.pendingResp[d], t)
-		delete(s.pendingResp, d)
+		at, _ := s.pendingAt(d)
+		s.noteLatency(d, s.pending[at].at, t)
 	}
 	moved, lost := s.cfg.FS.FailNodes(dead)
 	s.res.ReplicasRepaired += moved
 	for _, d := range group {
 		// The attempts that died with the node are requeued now — the master
-		// just learned they will never report back.
-		for _, li := range s.pendingVoided[d] {
+		// just learned they will never report back. The rest of the group's
+		// stay pending: a coded group re-opened below leaves them their units.
+		at, _ := s.pendingAt(d)
+		for _, li := range s.pending[at].voided {
 			if s.done(li) {
 				continue // a duplicate finished the task in the meantime
 			}
@@ -676,7 +685,7 @@ func (s *filterSim) respond(group []cluster.NodeID, t float64) error {
 				return err
 			}
 		}
-		delete(s.pendingVoided, d)
+		s.pending = slices.Delete(s.pending, at, at+1)
 		// Committed outputs stored on the victim are discovered destroyed.
 		for _, r := range s.byNode[d] {
 			if s.trackStat[r.li] >= 0 {
@@ -725,7 +734,7 @@ func (s *filterSim) respond(group []cluster.NodeID, t float64) error {
 // the master learns what died with it. Downed slots revive here — the
 // rejoined tracker starts requesting work again.
 func (s *filterSim) onDetBeat(id cluster.NodeID, t float64) error {
-	if _, crashed := s.pendingResp[id]; crashed {
+	if _, crashed := s.pendingAt(id); crashed {
 		if err := s.respond([]cluster.NodeID{id}, t); err != nil {
 			return err
 		}
@@ -733,9 +742,9 @@ func (s *filterSim) onDetBeat(id cluster.NodeID, t float64) error {
 	if s.slotsDown[id] {
 		s.slotsDown[id] = false
 		for slot := 0; slot < s.topo.Node(id).Slots; slot++ {
-			key := slotKey{id, slot}
-			s.gens[key]++
-			s.postSlotFree(t, id, slot, s.gens[key])
+			ord := s.slotBase[id] + slot
+			s.gens[ord]++
+			s.postSlotFree(t, id, slot, s.gens[ord])
 		}
 	}
 	s.maybeSettle()
@@ -749,14 +758,14 @@ func (s *filterSim) onDetBeat(id cluster.NodeID, t float64) error {
 // lost in flight, first finisher wins.
 func (s *filterSim) onSuspect(id cluster.NodeID, t float64) error {
 	s.rec.Record(trace.Event{T: t, Type: trace.EvNodeSuspect, Node: int(id), Block: -1})
-	if _, crashed := s.pendingResp[id]; crashed {
+	if _, crashed := s.pendingAt(id); crashed {
 		if err := s.respond([]cluster.NodeID{id}, t); err != nil {
 			return err
 		}
 	} else {
 		s.res.FalseSuspicions++
-		for slot := 0; slot < s.topo.Node(id).Slots; slot++ {
-			if r := s.running[slotKey{id, slot}]; r != nil {
+		for _, r := range s.running[s.slotBase[id]:s.slotBase[id+1]] {
+			if r != nil {
 				s.requeueDup(r.li, t)
 			}
 		}
@@ -813,20 +822,35 @@ func (s *filterSim) onSpecCheck(ev *sim.Event) error {
 		return nil // chain ends; nothing left to speculate for
 	}
 	now := ev.At
-	keys := sortedRunningKeys(s.running)
-	projs := make([]straggle.Projection, 0, len(keys))
-	for _, k := range keys {
-		r := s.running[k]
-		if s.done(r.li) {
-			continue
-		}
-		projs = append(projs, straggle.Projection{Unit: r.li, Projected: r.end})
-	}
-	for _, li := range s.spec.Decide(now, projs) {
-		s.launchQuantileDup(li, now, keys)
+	for _, li := range s.spec.Decide(now, s.projections()) {
+		s.launchQuantileDup(li, now)
 	}
 	s.postSpecCheck(now + s.spec.Interval())
 	return nil
+}
+
+// projections lists the running attempts of unfinished units in (node,
+// slot) order, each projected to finish at its exact end.
+func (s *filterSim) projections() []straggle.Projection {
+	projs := make([]straggle.Projection, 0, len(s.running))
+	for _, r := range s.running {
+		if r != nil && !s.done(r.li) {
+			projs = append(projs, straggle.Projection{Unit: r.li, Projected: r.end})
+		}
+	}
+	return projs
+}
+
+// slowestNode is the node running the unit's slowest current attempt (the
+// first in (node, slot) order among equals), -1 when none is in flight.
+func (s *filterSim) slowestNode(li int) cluster.NodeID {
+	avoid, worst := cluster.NodeID(-1), (*runAttempt)(nil)
+	for _, r := range s.inflight[li] {
+		if worst == nil || r.end > worst.end || (r.end == worst.end && s.ord(r) < s.ord(worst)) {
+			avoid, worst = r.node, r
+		}
+	}
+	return avoid
 }
 
 // launchQuantileDup launches one quantile-trigger backup: a duplicate
@@ -834,26 +858,14 @@ func (s *filterSim) onSpecCheck(ev *sim.Event) error {
 // a failure backoff), that must land away from the straggling original.
 // Like the suspicion trigger it never fails the job — at the attempt
 // cap, with replicas gone, or over budget the master simply declines.
-// keys is the scan's sorted view of the running attempts (launching a
-// backup only queues a retry, so it stays current across one scan).
-func (s *filterSim) launchQuantileDup(li int, now float64, keys []slotKey) {
+func (s *filterSim) launchQuantileDup(li int, now float64) {
 	if s.done(li) || s.dupOutstanding[li] || !s.spec.Allow(li) {
 		return
 	}
 	if s.attempts[li] >= s.retry.MaxAttempts || s.replicasGone(li) {
 		return
 	}
-	// The backup avoids the node running the slowest current attempt of
-	// this task (deterministic scan order).
-	avoid := cluster.NodeID(-1)
-	worst := -1.0
-	for _, k := range keys {
-		r := s.running[k]
-		if r.li == li && r.end > worst {
-			worst = r.end
-			avoid = k.node
-		}
-	}
+	avoid := s.slowestNode(li)
 	s.dupOutstanding[li] = true
 	s.spec.NoteLaunch(li)
 	s.res.SpeculativeLaunches++
@@ -873,7 +885,7 @@ func (s *filterSim) launchQuantileDup(li int, now float64, keys []slotKey) {
 func (s *filterSim) onSlotFree(ev *sim.Event) error {
 	node, slot := cluster.NodeID(ev.K1), int(ev.K2)
 	gen := ev.Payload.(int)
-	if gen != s.gens[slotKey{node, slot}] {
+	if gen != s.gens[s.slotBase[node]+slot] {
 		return nil // the slot was reset by a crash; this event is stale
 	}
 	return s.serveSlot(node, slot, gen, ev.At)
@@ -882,14 +894,12 @@ func (s *filterSim) onSlotFree(ev *sim.Event) error {
 // onAttemptDone resolves one attempt (commit, or burn-and-retry on a read
 // error) and immediately serves the freed slot.
 func (s *filterSim) onAttemptDone(ev *sim.Event) error {
-	node, slot := cluster.NodeID(ev.K1), int(ev.K2)
 	r := ev.Payload.(*runAttempt)
-	key := slotKey{node, slot}
-	if r.gen != s.gens[key] {
+	if r.gen != s.gens[s.ord(r)] {
 		return nil // the slot was reset by a crash; this event is stale
 	}
-	now := ev.At
-	delete(s.running, key)
+	node, slot, now := r.node, r.slot, ev.At
+	s.untrack(r)
 	if s.done(r.li) || s.groupObsolete(r.li) {
 		// Redundant: another attempt committed first (first-finisher-wins
 		// dedupe), or — coded — the unit's group satisfied in this very
@@ -947,7 +957,7 @@ func (s *filterSim) serveSlot(node cluster.NodeID, slot, gen int, now float64) e
 		s.postSlotFree(now+s.det.Interval(), node, slot, gen)
 		return nil
 	}
-	if s.phaseComplete() && len(s.pendingResp) == 0 {
+	if s.phaseComplete() && len(s.pending) == 0 {
 		return nil // filter phase complete: the slot retires
 	}
 	if t, li, ok := s.acquire(node, now); ok {
@@ -1103,9 +1113,7 @@ func (s *filterSim) dispatch(nid cluster.NodeID, slot, gen int, t sched.Task, li
 	if s.lastDup {
 		s.dupTries[li]++
 	}
-	if s.layoutDirty && !s.isParity(li) {
-		t.Locations = s.cfg.FS.Locations(t.Block)
-	}
+	t.Locations = s.locations(li)
 	local := slices.Contains(t.Locations, nid)
 	matched := s.truth[t.Index]
 	scan := float64(t.Bytes) / s.inj.DiskRate(nid, node.DiskRate)
@@ -1128,7 +1136,8 @@ func (s *filterSim) dispatch(nid cluster.NodeID, slot, gen int, t sched.Task, li
 	run := &runAttempt{
 		li: li, task: t, start: now, end: now + s.cfg.TaskOverhead + scan + compute,
 		scan: scan, compute: compute, matched: matched, local: local,
-		attempt: attempt, failed: failed, gen: gen, dup: s.lastDup, quant: s.lastQuant,
+		attempt: attempt, failed: failed, dup: s.lastDup, quant: s.lastQuant,
+		node: nid, slot: slot, gen: gen,
 	}
 	if s.rec.Enabled() {
 		cand := make([]int, len(t.Locations))
@@ -1147,7 +1156,7 @@ func (s *filterSim) dispatch(nid cluster.NodeID, slot, gen int, t sched.Task, li
 		s.rec.Record(st)
 		s.assigned[nid] += t.Weight
 	}
-	s.running[slotKey{nid, slot}] = run
+	s.track(run)
 	run.ev = s.kern.Post(sim.Event{At: run.end, Kind: evAttemptDone,
 		K1: int64(nid), K2: int64(slot), Payload: run})
 	s.slotLive++
@@ -1226,7 +1235,7 @@ func (s *filterSim) recoverAnalysis(analysisStart float64, durations map[cluster
 		}
 		s.noteLatency(d, c.At, respAt)
 		var dead []cluster.NodeID
-		for _, id := range s.topo.IDs() {
+		for id := range cluster.NodeID(s.topo.N()) {
 			if s.inj.DeadAt(id, c.At) {
 				dead = append(dead, id)
 			}
@@ -1247,10 +1256,8 @@ func (s *filterSim) recoverAnalysis(analysisStart float64, durations map[cluster
 		}
 		// The fragments' source blocks must still exist somewhere.
 		for _, r := range s.byNode[d] {
-			for _, b := range lostBlocks {
-				if b == r.task.Block {
-					return &BlockFailure{Block: b, Attempts: s.attempts[r.li], Cause: ErrDataLost}
-				}
+			if slices.Contains(lostBlocks, r.task.Block) {
+				return &BlockFailure{Block: r.task.Block, Attempts: s.attempts[r.li], Cause: ErrDataLost}
 			}
 		}
 		var blockBytes int64
@@ -1263,7 +1270,7 @@ func (s *filterSim) recoverAnalysis(analysisStart float64, durations map[cluster
 		}
 		// Recovery node: the live node that frees up earliest.
 		helper := cluster.NodeID(-1)
-		for _, id := range s.topo.IDs() {
+		for id := range cluster.NodeID(s.topo.N()) {
 			if s.inj.DeadAt(id, c.At) {
 				continue
 			}

@@ -264,9 +264,8 @@ func TestTiedDuplicateCompletionLowestNodeWins(t *testing.T) {
 			// physics, identical end instants.
 			s.dispatch(a, 0, 0, task, 0, 0)
 			s.dispatch(b, 0, 0, task, 0, 0)
-			if s.running[slotKey{a, 0}].end != s.running[slotKey{b, 0}].end {
-				t.Fatalf("attempts not tied: %g vs %g",
-					s.running[slotKey{a, 0}].end, s.running[slotKey{b, 0}].end)
+			if ra, rb := s.running[s.slotBase[a]], s.running[s.slotBase[b]]; ra.end != rb.end {
+				t.Fatalf("attempts not tied: %g vs %g", ra.end, rb.end)
 			}
 			if err := s.kern.Run(); err != nil {
 				t.Fatal(err)

@@ -3,6 +3,9 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -33,6 +36,9 @@ type diffInstance struct {
 	nodes     int
 	weights   []int64
 	locations [][]int
+	// seed feeds what the pull-for-pull differential draws on top of the
+	// placement: node capacities and the order thieves arrive in.
+	seed int64
 }
 
 func (in *diffInstance) String() string {
@@ -42,6 +48,19 @@ func (in *diffInstance) String() string {
 		fmt.Fprintf(&sb, "  block %d: weight=%d replicas=%v\n", j, in.weights[j], in.locations[j])
 	}
 	return sb.String()
+}
+
+// tasks renders the instance as the picker's input.
+func (in *diffInstance) tasks() []Task {
+	tasks := make([]Task, len(in.weights))
+	for j, w := range in.weights {
+		locs := make([]cluster.NodeID, len(in.locations[j]))
+		for k, n := range in.locations[j] {
+			locs[k] = cluster.NodeID(n)
+		}
+		tasks[j] = Task{Block: hdfs.BlockID(j), Index: j, Weight: w, Bytes: w, Locations: locs}
+	}
+	return tasks
 }
 
 // randomInstance draws a skewed instance: Zipf-flavored weights (many
@@ -84,22 +103,14 @@ func evaluate(t *testing.T, in *diffInstance) diffResult {
 	if err != nil {
 		t.Fatalf("bad instance (%d nodes): %v", in.nodes, err)
 	}
-	tasks := make([]Task, len(in.weights))
-	for j, w := range in.weights {
-		locs := make([]cluster.NodeID, len(in.locations[j]))
-		for k, n := range in.locations[j] {
-			locs[k] = cluster.NodeID(n)
-		}
-		tasks[j] = Task{Block: hdfs.BlockID(j), Index: j, Weight: w, Bytes: w, Locations: locs}
-	}
-	p := NewDataNetPicker(tasks, topo).(*DataNetPicker)
+	p := NewDataNetPicker(in.tasks(), topo).(*DataNetPicker)
 	var res diffResult
 	for _, w := range p.Workloads() {
 		if w > res.algoMax {
 			res.algoMax = w
 		}
 	}
-	for _, rule := range p.ruleByIndex {
+	for _, rule := range p.rules {
 		if rule == "algo1.line12-assist" || rule == "algo1.no-local-replica" {
 			res.usedAssist = true
 		}
@@ -140,17 +151,17 @@ func propertyViolation(t *testing.T, in *diffInstance) string {
 	return ""
 }
 
-// shrink greedily minimizes a failing instance while it keeps failing.
-func shrink(t *testing.T, in *diffInstance) *diffInstance {
+// shrink greedily minimizes an instance while violation keeps reporting one.
+func shrink(in *diffInstance, violation func(*diffInstance) string) *diffInstance {
 	fails := func(c *diffInstance) bool {
-		return len(c.weights) > 0 && c.nodes >= 2 && propertyViolation(t, c) != ""
+		return len(c.weights) > 0 && c.nodes >= 2 && violation(c) != ""
 	}
 	for progress := true; progress; {
 		progress = false
 		// Drop one block at a time.
 		for j := 0; j < len(in.weights); j++ {
 			c := &diffInstance{
-				nodes:     in.nodes,
+				nodes: in.nodes, seed: in.seed,
 				weights:   append(append([]int64{}, in.weights[:j]...), in.weights[j+1:]...),
 				locations: append(append([][]int{}, in.locations[:j]...), in.locations[j+1:]...),
 			}
@@ -161,7 +172,7 @@ func shrink(t *testing.T, in *diffInstance) *diffInstance {
 		}
 		// Drop the last node, folding its replicas onto the rest.
 		if in.nodes > 2 {
-			c := &diffInstance{nodes: in.nodes - 1, weights: append([]int64{}, in.weights...)}
+			c := &diffInstance{nodes: in.nodes - 1, seed: in.seed, weights: append([]int64{}, in.weights...)}
 			for _, locs := range in.locations {
 				seen := map[int]bool{}
 				var folded []int
@@ -183,7 +194,7 @@ func shrink(t *testing.T, in *diffInstance) *diffInstance {
 			if in.weights[j] < 2 {
 				continue
 			}
-			c := &diffInstance{nodes: in.nodes, weights: append([]int64{}, in.weights...), locations: in.locations}
+			c := &diffInstance{nodes: in.nodes, seed: in.seed, weights: append([]int64{}, in.weights...), locations: in.locations}
 			c.weights[j] /= 2
 			if fails(c) {
 				in, progress = c, true
@@ -201,7 +212,7 @@ func TestAlgorithm1VsMaxFlowDifferential(t *testing.T) {
 	for i := 0; i < instances; i++ {
 		in := randomInstance(rng)
 		if msg := propertyViolation(t, in); msg != "" {
-			min := shrink(t, in)
+			min := shrink(in, func(c *diffInstance) string { return propertyViolation(t, c) })
 			t.Fatalf("instance %d: %s\nshrunken counterexample:\n%s(still fails with: %s)",
 				i, msg, min, propertyViolation(t, min))
 		}
@@ -250,5 +261,331 @@ func TestShrinkerMinimizes(t *testing.T) {
 	}
 	if r.algoMax >= r.flowMax {
 		t.Fatalf("expected assist to beat the flow optimum: algo %d, flow %d", r.algoMax, r.flowMax)
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Pull-for-pull differential: the indexed pickers against the scans they
+// replaced. The scans below are the previous implementations kept verbatim
+// as test-only references — an O(nodes) least-loaded rescan per planned
+// task, a walk over every remaining task of every queue per steal, a scan
+// for the longest queue per max-flow steal.
+
+// isLocal reports whether node holds a replica for t.
+func isLocal(t Task, node cluster.NodeID) bool {
+	for _, n := range t.Locations {
+		if n == node {
+			return true
+		}
+	}
+	return false
+}
+
+// scanDataNet is Algorithm 1 planned and served by scanning.
+type scanDataNet struct {
+	queues      map[cluster.NodeID][]Task
+	workload    map[cluster.NodeID]int64
+	ruleByIndex map[int]string
+	remain      int
+	lastRule    string
+}
+
+func newScanDataNet(tasks []Task, topo *cluster.Topology, capacityAware bool) *scanDataNet {
+	m := topo.N()
+	share := make([]float64, m)
+	for i, id := range topo.IDs() {
+		if capacityAware {
+			share[i] = topo.CapacityShare(id)
+		} else {
+			share[i] = 1 / float64(m)
+		}
+		if share[i] <= 0 {
+			share[i] = 1 / float64(m)
+		}
+	}
+	order := make([]int, len(tasks))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return tasks[order[a]].Weight > tasks[order[b]].Weight
+	})
+	load := make([]float64, m)
+	count := make([]int, m)
+	p := &scanDataNet{
+		queues:      make(map[cluster.NodeID][]Task, m),
+		workload:    make(map[cluster.NodeID]int64, m),
+		ruleByIndex: make(map[int]string, len(tasks)),
+		remain:      len(tasks),
+	}
+	better := func(a, b int) bool {
+		if b == -1 {
+			return true
+		}
+		if load[a] != load[b] {
+			return load[a] < load[b]
+		}
+		if count[a] != count[b] {
+			return count[a] < count[b]
+		}
+		return a < b
+	}
+	for i := 0; i < m; i++ {
+		p.workload[cluster.NodeID(i)] = 0
+	}
+	for _, ti := range order {
+		t := tasks[ti]
+		bestLocal := -1
+		for _, loc := range t.Locations {
+			if int(loc) >= 0 && int(loc) < m && better(int(loc), bestLocal) {
+				bestLocal = int(loc)
+			}
+		}
+		gmin := 0
+		for i := 1; i < m; i++ {
+			if better(i, gmin) {
+				gmin = i
+			}
+		}
+		pick := bestLocal
+		rule := "algo1.argmin-local"
+		if bestLocal == -1 {
+			pick = gmin
+			rule = "algo1.no-local-replica"
+		} else if t.Weight > 0 {
+			wNorm := float64(t.Weight) / (share[gmin] * float64(m))
+			if load[bestLocal]-load[gmin] > assistFactor*wNorm {
+				pick = gmin
+				rule = "algo1.line12-assist"
+			}
+		}
+		p.ruleByIndex[t.Index] = rule
+		load[pick] += float64(t.Weight) / (share[pick] * float64(m))
+		count[pick]++
+		p.workload[cluster.NodeID(pick)] += t.Weight
+		p.queues[cluster.NodeID(pick)] = append(p.queues[cluster.NodeID(pick)], t)
+	}
+	return p
+}
+
+func (p *scanDataNet) Next(node cluster.NodeID) (Task, bool) {
+	if p.remain == 0 {
+		return Task{}, false
+	}
+	if q := p.queues[node]; len(q) > 0 {
+		t := q[0]
+		p.queues[node] = q[1:]
+		p.remain--
+		p.lastRule = p.ruleByIndex[t.Index]
+		return t, true
+	}
+	pick := func(localOnly bool) (cluster.NodeID, int) {
+		var victim cluster.NodeID
+		idx := -1
+		var bestW int64 = -1
+		for id, q := range p.queues {
+			if len(q) == 0 {
+				continue
+			}
+			cand := -1
+			if localOnly {
+				for i := len(q) - 1; i >= 0; i-- {
+					if isLocal(q[i], node) {
+						cand = i
+						break
+					}
+				}
+			} else {
+				cand = len(q) - 1
+			}
+			if cand == -1 {
+				continue
+			}
+			w := q[cand].Weight
+			if idx == -1 || w < bestW || (w == bestW && id < victim) {
+				victim, idx, bestW = id, cand, w
+			}
+		}
+		return victim, idx
+	}
+	victim, idx := pick(true)
+	p.lastRule = "algo1.steal-local"
+	if idx == -1 {
+		victim, idx = pick(false)
+		p.lastRule = "algo1.steal-global"
+	}
+	if idx == -1 {
+		return Task{}, false
+	}
+	q := p.queues[victim]
+	t := q[idx]
+	p.queues[victim] = append(q[:idx:idx], q[idx+1:]...)
+	p.remain--
+	p.workload[victim] -= t.Weight
+	p.workload[node] += t.Weight
+	return t, true
+}
+
+// scanStatic is the max-flow picker's serving half with the longest queue
+// found by a scan.
+type scanStatic struct {
+	queues   map[cluster.NodeID][]Task
+	remain   int
+	lastRule string
+}
+
+func (p *scanStatic) Next(node cluster.NodeID) (Task, bool) {
+	if p.remain == 0 {
+		return Task{}, false
+	}
+	if q := p.queues[node]; len(q) > 0 {
+		t := q[0]
+		p.queues[node] = q[1:]
+		p.remain--
+		p.lastRule = "maxflow.plan"
+		return t, true
+	}
+	var victim cluster.NodeID
+	best := -1
+	for n, q := range p.queues {
+		if len(q) > best {
+			best, victim = len(q), n
+		} else if len(q) == best && n < victim {
+			victim = n
+		}
+	}
+	if best <= 0 {
+		return Task{}, false
+	}
+	q := p.queues[victim]
+	t := q[len(q)-1]
+	p.queues[victim] = q[:len(q)-1]
+	p.remain--
+	p.lastRule = "maxflow.steal"
+	return t, true
+}
+
+// topology builds the instance's cluster: homogeneous, or with per-node CPU
+// rates drawn from the instance seed (a node keeps its rate when the
+// shrinker drops others).
+func (in *diffInstance) topology(heterogeneous bool) *cluster.Topology {
+	specs := make([]cluster.Node, in.nodes)
+	for i := range specs {
+		if heterogeneous {
+			specs[i].CPURate = float64(1+rand.New(rand.NewSource(in.seed+int64(i))).Intn(4)) * 25e6
+		}
+	}
+	topo, err := cluster.NewHeterogeneous(specs, 1)
+	if err != nil {
+		panic(err)
+	}
+	return topo
+}
+
+// pullMismatch drives the indexed picker and the scan pull for pull, nodes
+// asking in seeded random order (so most pulls late in the run are steals),
+// and describes the first pull — or the final workloads — they disagree on.
+func pullMismatch(in *diffInstance, capacityAware bool) string {
+	topo := in.topology(capacityAware)
+	got := newDataNet(in.tasks(), topo, capacityAware).(*DataNetPicker)
+	want := newScanDataNet(in.tasks(), topo, capacityAware)
+	rng := rand.New(rand.NewSource(in.seed))
+	for pull := 0; want.remain > 0 || got.Remaining() > 0; pull++ {
+		node := cluster.NodeID(rng.Intn(in.nodes))
+		gt, gok := got.Next(node)
+		wt, wok := want.Next(node)
+		if gok != wok || gt.Index != wt.Index || (gok && got.Explain().Rule != want.lastRule) {
+			return fmt.Sprintf("pull %d by node %d: got task %d (%s, ok %v), scan gives task %d (%s, ok %v)",
+				pull, node, gt.Index, got.Explain().Rule, gok, wt.Index, want.lastRule, wok)
+		}
+		if got.Remaining() != want.remain {
+			return fmt.Sprintf("pull %d: %d remaining, scan has %d", pull, got.Remaining(), want.remain)
+		}
+	}
+	if !reflect.DeepEqual(got.Workloads(), want.workload) {
+		return fmt.Sprintf("final workloads differ: %v, scan has %v", got.Workloads(), want.workload)
+	}
+	return ""
+}
+
+// placementFamilies are the generated shapes the pull differential covers.
+var placementFamilies = []struct {
+	name   string
+	weight func(rng *rand.Rand) int64
+	// holders is the share of nodes that hold any replica at all.
+	holders float64
+}{
+	{"zipf", func(rng *rand.Rand) int64 {
+		if rng.Intn(4) == 0 {
+			return 500 + rng.Int63n(2000)
+		}
+		return rng.Int63n(120)
+	}, 1},
+	{"heavy ties", func(rng *rand.Rand) int64 { return int64(rng.Intn(3)) * 64 }, 1},
+	{"all zero", func(*rand.Rand) int64 { return 0 }, 1},
+	{"sparse holders", func(rng *rand.Rand) int64 { return int64(rng.Intn(5)) * 10 }, 0.25},
+}
+
+// TestIndexedDataNetMatchesScan is the equivalence proof of the indexed
+// Algorithm 1: every (Task.Index, rule) pair and the final workloads equal
+// the scanning reference's, from 16 to 1 024 nodes, replication 1–3,
+// uniform and capacity-aware targets.
+func TestIndexedDataNetMatchesScan(t *testing.T) {
+	for _, nodes := range []int{16, 100, 256, 1024} {
+		for fi, fam := range placementFamilies {
+			for repl := 1; repl <= 3; repl++ {
+				if nodes == 1024 && repl == 2 {
+					continue // the scans are quadratic: 1 and 3 bracket it
+				}
+				seed := int64(nodes*100 + fi*10 + repl)
+				rng := rand.New(rand.NewSource(seed))
+				in := &diffInstance{nodes: nodes, seed: seed}
+				holders := max(int(float64(nodes)*fam.holders), repl)
+				for j := 0; j < 2*nodes+rng.Intn(nodes); j++ {
+					in.weights = append(in.weights, fam.weight(rng))
+					in.locations = append(in.locations, rng.Perm(holders)[:repl])
+				}
+				for _, capacityAware := range []bool{false, true} {
+					if msg := pullMismatch(in, capacityAware); msg != "" {
+						small := shrink(in, func(c *diffInstance) string { return pullMismatch(c, capacityAware) })
+						t.Fatalf("%d nodes, %s, replication %d, capacity-aware %v: %s\nshrunken counterexample:\n%s(%s)",
+							nodes, fam.name, repl, capacityAware, msg, small, pullMismatch(small, capacityAware))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestIndexedStaticMatchesScan does the same for the max-flow picker's
+// serving half over generated assignments: many equal lengths, empty queues.
+func TestIndexedStaticMatchesScan(t *testing.T) {
+	for _, nodes := range []int{16, 256, 1024} {
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed * int64(nodes)))
+			queues := make([][]Task, nodes)
+			ref := &scanStatic{queues: map[cluster.NodeID][]Task{}}
+			for n, next := 0, 0; n < nodes; n++ {
+				for k := rng.Intn(5) * rng.Intn(2); k > 0; k-- {
+					queues[n] = append(queues[n], Task{Index: next})
+					next++
+				}
+				if len(queues[n]) > 0 { // the scan's map held only assigned nodes
+					ref.queues[cluster.NodeID(n)] = slices.Clone(queues[n])
+					ref.remain += len(queues[n])
+				}
+			}
+			got := newStaticPicker("static", queues)
+			for pull := 0; ref.remain > 0 || got.Remaining() > 0; pull++ {
+				node := cluster.NodeID(rng.Intn(nodes))
+				gt, gok := got.Next(node)
+				wt, wok := ref.Next(node)
+				if gok != wok || gt.Index != wt.Index || got.Explain().Rule != ref.lastRule || got.Remaining() != ref.remain {
+					t.Fatalf("%d nodes, seed %d, pull %d by node %d: got task %d (%s, ok %v, %d left), scan gives task %d (%s, ok %v, %d left)",
+						nodes, seed, pull, node, gt.Index, got.Explain().Rule, gok, got.Remaining(),
+						wt.Index, ref.lastRule, wok, ref.remain)
+				}
+			}
+		}
 	}
 }

@@ -17,7 +17,9 @@
 package sched
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"datanet/internal/cluster"
@@ -54,16 +56,6 @@ type Picker interface {
 
 // Factory builds a fresh Picker for a job.
 type Factory func(tasks []Task, topo *cluster.Topology) Picker
-
-// isLocal reports whether node holds a replica for t.
-func isLocal(t Task, node cluster.NodeID) bool {
-	for _, n := range t.Locations {
-		if n == node {
-			return true
-		}
-	}
-	return false
-}
 
 // ---------------------------------------------------------------------------
 // Hadoop locality baseline.
@@ -225,15 +217,41 @@ func (p *DelayedLocalityPicker) Next(node cluster.NodeID) (Task, bool) {
 //   - at execution time a node that drains its queue steals the lightest
 //     task from the heaviest remaining queue, keeping the pull protocol
 //     deadlock-free and self-correcting.
+//
+// Stealing is defined per queue — every non-empty queue offers its
+// tail-most candidate (for a local steal, its tail-most task with a replica
+// on the thief), the lightest offer wins, ties go to the lower victim id —
+// but it is served from orders fixed at plan time, sorted by the three keys
+// (weight ↑, victim id ↑, planned queue position ↓): one over every task,
+// and one per replica-holding node over the tasks it holds a replica of.
+// The first untaken entry of an order is that scan's answer: a queue is
+// planned heaviest-first, so the untaken entry of a queue that sorts first
+// under (weight ↑, position ↓) is its tail-most candidate, and (weight ↑,
+// victim ↑) across queues is the scan's own comparison. Tasks never move
+// between queues and a taken task stays taken, so each order is walked once
+// by a cursor and a steal costs amortized O(1) whatever the cluster size.
 type DataNetPicker struct {
-	queues   map[cluster.NodeID][]Task
-	workload map[cluster.NodeID]int64
+	// plan holds every task node-major — node n's planned queue, heaviest
+	// first, is plan[start[n]:start[n+1]] — with the planning rule that
+	// placed each one beside it for Explain. head[n] is the next position
+	// node n serves; taken marks what was served or stolen.
+	plan  []Task
+	rules []string
+	owner []int32 // planned position -> the node whose queue holds it
+	start []int
+	head  []int
+	taken []bool
+	// stealAll and stealLocal[n] are the steal orders (planned positions);
+	// allAt and localAt[n] are their cursors.
+	stealAll   []int32
+	stealLocal [][]int32
+	allAt      int
+	localAt    []int
+
+	workload []int64
 	remain   int
 	name     string
-	// ruleByIndex records which planning rule placed each task (by
-	// task.Index), so Explain can report it when the queue is served.
-	ruleByIndex map[int]string
-	lastRule    string
+	lastRule string
 }
 
 // assistFactor controls off-replica assignment: a task may go remote when
@@ -258,43 +276,38 @@ func NewCapacityAwarePicker(tasks []Task, topo *cluster.Topology) Picker {
 func newDataNet(tasks []Task, topo *cluster.Topology, capacityAware bool) Picker {
 	m := topo.N()
 	name := "datanet"
+	if capacityAware {
+		name = "datanet-capacity"
+	}
 	// Per-node capacity shares normalize projected loads on heterogeneous
 	// clusters ("according to the computing capability of computational
 	// nodes", §IV-B).
 	share := make([]float64, m)
-	for i, id := range topo.IDs() {
-		if capacityAware {
-			share[i] = topo.CapacityShare(id)
-			name = "datanet-capacity"
-		} else {
-			share[i] = 1 / float64(m)
+	total := topo.TotalCapacity()
+	for i := range share {
+		share[i] = 1 / float64(m)
+		if c := topo.Node(cluster.NodeID(i)).CPURate / total; capacityAware && c > 0 {
+			share[i] = c
 		}
-		if share[i] <= 0 {
-			share[i] = 1 / float64(m)
-		}
-		_ = id
 	}
 
-	// Place tasks in descending weight order (stable, so equal-weight
-	// blocks keep file order).
+	// Place tasks in descending weight order, equal-weight blocks in file
+	// order.
 	order := make([]int, len(tasks))
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return tasks[order[a]].Weight > tasks[order[b]].Weight
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(tasks[b].Weight, tasks[a].Weight), cmp.Compare(a, b))
 	})
 
 	load := make([]float64, m) // normalized: bytes / share
 	count := make([]int, m)
 	rawLoad := make([]int64, m)
-	queues := make(map[cluster.NodeID][]Task, m)
-	rules := make(map[int]string, len(tasks))
+	placed := make([]int, len(order)) // position in order -> node
+	why := make([]string, len(order)) // position in order -> planning rule
 
 	better := func(a, b int) bool { // is node a a better placement than b?
-		if b == -1 {
-			return true
-		}
 		if load[a] != load[b] {
 			return load[a] < load[b]
 		}
@@ -303,21 +316,24 @@ func newDataNet(tasks []Task, topo *cluster.Topology, capacityAware bool) Picker
 		}
 		return a < b
 	}
+	// The least-loaded node under better, kept current by one sift per
+	// placement: a placement only ever worsens the chosen node's key.
+	least := newNodeHeap(m, better)
 
-	for _, ti := range order {
+	holds := make([]int, m+1) // holds[n+1]: tasks with a replica on node n
+	for k, ti := range order {
 		t := tasks[ti]
 		bestLocal := -1
 		for _, loc := range t.Locations {
-			if int(loc) >= 0 && int(loc) < m && better(int(loc), bestLocal) {
+			if int(loc) < 0 || int(loc) >= m {
+				continue
+			}
+			holds[loc+1]++
+			if bestLocal == -1 || better(int(loc), bestLocal) {
 				bestLocal = int(loc)
 			}
 		}
-		gmin := 0
-		for i := 1; i < m; i++ {
-			if better(i, gmin) {
-				gmin = i
-			}
-		}
+		gmin := least.top()
 		pick := bestLocal
 		rule := "algo1.argmin-local"
 		if bestLocal == -1 {
@@ -334,23 +350,76 @@ func newDataNet(tasks []Task, topo *cluster.Topology, capacityAware bool) Picker
 				rule = "algo1.line12-assist"
 			}
 		}
-		rules[t.Index] = rule
+		placed[k], why[k] = pick, rule
 		load[pick] += float64(t.Weight) / (share[pick] * float64(m))
 		count[pick]++
 		rawLoad[pick] += t.Weight
-		id := cluster.NodeID(pick)
-		queues[id] = append(queues[id], t)
+		least.sink(pick)
 	}
 
 	p := &DataNetPicker{
-		queues:      queues,
-		workload:    make(map[cluster.NodeID]int64, m),
-		remain:      len(tasks),
-		name:        name,
-		ruleByIndex: rules,
+		plan:     make([]Task, len(tasks)),
+		rules:    make([]string, len(tasks)),
+		owner:    make([]int32, len(tasks)),
+		start:    make([]int, m+1),
+		taken:    make([]bool, len(tasks)),
+		stealAll: make([]int32, len(tasks)),
+		localAt:  make([]int, m),
+		workload: rawLoad,
+		remain:   len(tasks),
+		name:     name,
 	}
-	for i, w := range rawLoad {
-		p.workload[cluster.NodeID(i)] = w
+	for n, c := range count {
+		p.start[n+1] = p.start[n] + c
+	}
+	p.head = slices.Clone(p.start[:m])
+	next := slices.Clone(p.head)
+	// Placement order is queue order, and numbers the weight classes: class
+	// 0 is the heaviest weight, classOf a planned position's.
+	classOf := make([]int, len(tasks))
+	classes := 0
+	for k, ti := range order {
+		if k == 0 || tasks[ti].Weight != tasks[order[k-1]].Weight {
+			classes++
+		}
+		i := next[placed[k]]
+		next[placed[k]]++
+		p.plan[i], p.rules[i], p.owner[i] = tasks[ti], why[k], int32(placed[k])
+		classOf[i] = classes - 1
+	}
+	// The global steal order by a counting sort, lightest class first:
+	// walking the queues in node order, each from its tail, lays every
+	// class out by (victim ↑, position ↓).
+	at := make([]int, classes+1) // at[j]: where the j-th lightest class goes next
+	for _, c := range classOf {
+		at[classes-c]++
+	}
+	for j := 2; j <= classes; j++ {
+		at[j] += at[j-1]
+	}
+	for n := 0; n < m; n++ {
+		for i := p.start[n+1] - 1; i >= p.start[n]; i-- {
+			j := classes - 1 - classOf[i]
+			p.stealAll[at[j]] = int32(i)
+			at[j]++
+		}
+	}
+	// The per-holder orders are the global one filtered, carved from one
+	// backing array.
+	for n := 0; n < m; n++ {
+		holds[n+1] += holds[n]
+	}
+	backing := make([]int32, holds[m])
+	p.stealLocal = make([][]int32, m)
+	for n := range p.stealLocal {
+		p.stealLocal[n] = backing[holds[n]:holds[n]:holds[n+1]]
+	}
+	for _, i := range p.stealAll {
+		for _, loc := range p.plan[i].Locations {
+			if int(loc) >= 0 && int(loc) < m {
+				p.stealLocal[loc] = append(p.stealLocal[loc], i)
+			}
+		}
 	}
 	return p
 }
@@ -372,71 +441,93 @@ func (p *DataNetPicker) Next(node cluster.NodeID) (Task, bool) {
 	if p.remain == 0 {
 		return Task{}, false
 	}
-	if q := p.queues[node]; len(q) > 0 {
-		t := q[0]
-		p.queues[node] = q[1:]
-		p.remain--
-		p.lastRule = p.ruleByIndex[t.Index]
-		return t, true
-	}
-	// Steal. Queues are sorted heaviest-first, so each queue's candidate
-	// is its last element; among local-to-thief candidates (scanning each
-	// queue tail-first) pick the lightest, falling back to the lightest
-	// candidate overall. Ties break toward the lower victim id.
-	pick := func(localOnly bool) (cluster.NodeID, int) {
-		var victim cluster.NodeID
-		idx := -1
-		var bestW int64 = -1
-		for id, q := range p.queues {
-			if len(q) == 0 {
-				continue
-			}
-			cand := -1
-			if localOnly {
-				for i := len(q) - 1; i >= 0; i-- {
-					if isLocal(q[i], node) {
-						cand = i
-						break
-					}
-				}
-			} else {
-				cand = len(q) - 1
-			}
-			if cand == -1 {
-				continue
-			}
-			w := q[cand].Weight
-			if idx == -1 || w < bestW || (w == bestW && id < victim) {
-				victim, idx, bestW = id, cand, w
-			}
+	for end := p.start[node+1]; p.head[node] < end; {
+		i := p.head[node]
+		p.head[node]++
+		if !p.taken[i] { // else stolen from this queue
+			p.lastRule = p.rules[i]
+			return p.take(i), true
 		}
-		return victim, idx
 	}
-	victim, idx := pick(true)
+	i := p.firstLeft(p.stealLocal[node], &p.localAt[node])
 	p.lastRule = "algo1.steal-local"
-	if idx == -1 {
-		victim, idx = pick(false)
+	if i == -1 {
+		i = p.firstLeft(p.stealAll, &p.allAt)
 		p.lastRule = "algo1.steal-global"
 	}
-	if idx == -1 {
-		return Task{}, false
+	p.workload[p.owner[i]] -= p.plan[i].Weight
+	p.workload[node] += p.plan[i].Weight
+	return p.take(i), true
+}
+
+// firstLeft advances a steal order's cursor to its first untaken entry
+// and returns that planned position, -1 when the order is spent. While
+// tasks remain the global order is never spent.
+func (p *DataNetPicker) firstLeft(order []int32, at *int) int {
+	for ; *at < len(order); *at++ {
+		if i := int(order[*at]); !p.taken[i] {
+			return i
+		}
 	}
-	q := p.queues[victim]
-	t := q[idx]
-	p.queues[victim] = append(q[:idx:idx], q[idx+1:]...)
+	return -1
+}
+
+func (p *DataNetPicker) take(i int) Task {
+	p.taken[i] = true
 	p.remain--
-	p.workload[victim] -= t.Weight
-	p.workload[node] += t.Weight
-	return t, true
+	return p.plan[i]
 }
 
 // Workloads exposes the per-node accumulated weights (after a run).
 func (p *DataNetPicker) Workloads() map[cluster.NodeID]int64 {
 	out := make(map[cluster.NodeID]int64, len(p.workload))
-	for k, v := range p.workload {
-		out[k] = v
+	for n, w := range p.workload {
+		out[cluster.NodeID(n)] = w
 	}
 	return out
+}
+
+// nodeHeap is an indexed binary heap of the node ids 0..n-1 under a strict
+// total order the caller supplies: top is the order's first node, and sink
+// restores the heap in O(log n) after one node's key moved later in the
+// order — the only way a key moves in either picker that uses it.
+type nodeHeap struct {
+	before func(a, b int) bool
+	heap   []int // node ids in heap order
+	pos    []int // node id -> position in heap
+}
+
+func newNodeHeap(n int, before func(a, b int) bool) *nodeHeap {
+	h := &nodeHeap{before: before, heap: make([]int, n), pos: make([]int, n)}
+	for i := range h.heap {
+		h.heap[i], h.pos[i] = i, i
+	}
+	for i := n/2 - 1; i >= 0; i-- {
+		h.sink(h.heap[i])
+	}
+	return h
+}
+
+func (h *nodeHeap) top() int { return h.heap[0] }
+
+func (h *nodeHeap) sink(node int) {
+	i, n := h.pos[node], len(h.heap)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h.before(h.heap[r], h.heap[c]) {
+			c = r
+		}
+		if !h.before(h.heap[c], node) {
+			break
+		}
+		h.heap[i] = h.heap[c]
+		h.pos[h.heap[i]] = i
+		i = c
+	}
+	h.heap[i], h.pos[node] = node, i
 }
 
 // ---------------------------------------------------------------------------
@@ -587,8 +678,11 @@ func (p *RandomPicker) Next(node cluster.NodeID) (Task, bool) {
 // StaticPicker serves a precomputed node→tasks assignment; requests from a
 // node drain its own queue first, then steal from the most-loaded queue.
 type StaticPicker struct {
-	name     string
-	queues   map[cluster.NodeID][]Task
+	name   string
+	queues [][]Task // by NodeID: what is left of each node's planned queue
+	// longest orders the nodes by (remaining queue length ↓, id ↑); its top
+	// is the steal victim.
+	longest  *nodeHeap
 	remain   int
 	lastRule string
 }
@@ -607,13 +701,28 @@ func NewFlowPicker(tasks []Task, topo *cluster.Topology) Picker {
 	}
 	g := graph.NewBipartite(topo.N(), weights, locs)
 	assign := graph.BalancedAssignment(g)
-	queues := make(map[cluster.NodeID][]Task, len(assign))
+	queues := make([][]Task, len(assign))
 	for n, idxs := range assign {
-		for _, i := range idxs {
-			queues[cluster.NodeID(n)] = append(queues[cluster.NodeID(n)], tasks[i])
+		queues[n] = make([]Task, len(idxs))
+		for k, i := range idxs {
+			queues[n][k] = tasks[i]
 		}
 	}
-	return &StaticPicker{name: "maxflow-optimal", queues: queues, remain: len(tasks)}
+	return newStaticPicker("maxflow-optimal", queues)
+}
+
+func newStaticPicker(name string, queues [][]Task) *StaticPicker {
+	p := &StaticPicker{name: name, queues: queues}
+	for _, q := range queues {
+		p.remain += len(q)
+	}
+	p.longest = newNodeHeap(len(queues), func(a, b int) bool {
+		if len(p.queues[a]) != len(p.queues[b]) {
+			return len(p.queues[a]) > len(p.queues[b])
+		}
+		return a < b
+	})
+	return p
 }
 
 // Name implements Picker.
@@ -627,31 +736,19 @@ func (p *StaticPicker) Next(node cluster.NodeID) (Task, bool) {
 	if p.remain == 0 {
 		return Task{}, false
 	}
+	p.remain--
 	if q := p.queues[node]; len(q) > 0 {
-		t := q[0]
 		p.queues[node] = q[1:]
-		p.remain--
+		p.longest.sink(int(node))
 		p.lastRule = "maxflow.plan"
-		return t, true
+		return q[0], true
 	}
 	// Work stealing from the largest remaining queue keeps the simulation
 	// deadlock-free when a node finishes early.
-	var victim cluster.NodeID
-	best := -1
-	for n, q := range p.queues {
-		if len(q) > best {
-			best, victim = len(q), n
-		} else if len(q) == best && n < victim {
-			victim = n
-		}
-	}
-	if best <= 0 {
-		return Task{}, false
-	}
+	victim := p.longest.top()
 	q := p.queues[victim]
-	t := q[len(q)-1]
 	p.queues[victim] = q[:len(q)-1]
-	p.remain--
+	p.longest.sink(victim)
 	p.lastRule = "maxflow.steal"
-	return t, true
+	return q[len(q)-1], true
 }

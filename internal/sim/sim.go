@@ -38,7 +38,6 @@ type Event struct {
 	Payload any
 
 	seq       uint64
-	idx       int // position in the main heap, -1 once delivered
 	hidden    bool
 	delivered bool
 }
@@ -102,13 +101,15 @@ func (c *Clock) AdvanceTo(t float64) {
 }
 
 // Kernel is the event loop: a priority queue of future events plus the
-// clock they advance.
+// clock they advance. Kind is a uint8, so handlers and horizons are plain
+// arrays indexed by it — no lookup on the per-event path depends on how
+// many kinds, events or actors the embedding domain has.
 type Kernel struct {
 	clock    *Clock
-	heap     []*Event
+	queue    eventHeap
 	seq      uint64
-	handlers map[Kind]Handler
-	kinds    map[Kind]*horizon
+	handlers [256]Handler
+	horizons [256]eventHeap // per-kind NextAt queues, pruned lazily
 	observer Observer
 	stopped  bool
 	nlive    int // queued, undelivered events
@@ -119,11 +120,7 @@ func New(c *Clock) *Kernel {
 	if c == nil {
 		c = NewClock()
 	}
-	return &Kernel{
-		clock:    c,
-		handlers: make(map[Kind]Handler),
-		kinds:    make(map[Kind]*horizon),
-	}
+	return &Kernel{clock: c}
 }
 
 // Clock returns the kernel's clock.
@@ -143,37 +140,31 @@ func (k *Kernel) Handle(kind Kind, h Handler) { k.handlers[kind] = h }
 func (k *Kernel) Observe(o Observer) { k.observer = o }
 
 // Post schedules an event and returns its handle (for Hide). Posting into
-// the past violates causality and panics.
+// the past violates causality and panics; so does an instant that is not a
+// number, which no comparison could place in the delivery order.
 func (k *Kernel) Post(ev Event) *Event {
-	if ev.At < k.clock.now {
+	if !(ev.At >= k.clock.now) { // also catches NaN, which "<" would let through
 		panic(fmt.Sprintf("sim: Post at t=%v violates causality (now %v)", ev.At, k.clock.now))
 	}
 	e := &ev
 	e.seq = k.seq
 	k.seq++
-	k.push(e)
+	k.queue.push(e)
 	k.nlive++
-	hz, ok := k.kinds[e.Kind]
-	if !ok {
-		hz = &horizon{}
-		k.kinds[e.Kind] = hz
-	}
-	hz.push(e)
+	k.horizons[e.Kind].push(e)
 	return e
 }
 
 // NextAt returns the earliest instant at which a queued, unhidden event
 // of one of the given kinds fires; ok is false when none is queued. This
 // is the kernel-level replacement for domain "next wake" scans: idle
-// actors ask the queue itself when new work can possibly appear.
+// actors ask the queue itself when new work can possibly appear. Hidden
+// and delivered events are pruned here, so Hide stays O(1) and a query is
+// amortized O(log n).
 func (k *Kernel) NextAt(kinds ...Kind) (float64, bool) {
 	t, ok := 0.0, false
 	for _, kind := range kinds {
-		hz := k.kinds[kind]
-		if hz == nil {
-			continue
-		}
-		if e, found := hz.peek(); found && (!ok || e.At < t) {
+		if e := k.horizons[kind].live(); e != nil && (!ok || e.At < t) {
 			t, ok = e.At, true
 		}
 	}
@@ -189,8 +180,8 @@ func (k *Kernel) Stop() { k.stopped = true }
 // resume the remaining queue.
 func (k *Kernel) Run() error {
 	k.stopped = false
-	for len(k.heap) > 0 && !k.stopped {
-		e := k.pop()
+	for len(k.queue) > 0 && !k.stopped {
+		e := k.queue.pop()
 		e.delivered = true
 		k.nlive--
 		k.clock.AdvanceTo(e.At)
@@ -223,115 +214,66 @@ func less(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// Main heap: classic binary min-heap over *Event, hand-rolled so Push/Pop
-// stay boxing-free and O(log n).
+// eventHeap is a binary min-heap of events under less, hand-rolled so
+// push and pop stay boxing-free and O(log n). The main queue and every
+// per-kind horizon are one implementation; because less is a total order
+// (seq breaks every tie), the pop sequence is the sorted order whatever
+// the heap's shape.
+type eventHeap []*Event
 
-func (k *Kernel) push(e *Event) {
-	e.idx = len(k.heap)
-	k.heap = append(k.heap, e)
-	k.siftUp(e.idx)
+func (h *eventHeap) push(e *Event) {
+	q := append(*h, e)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !less(e, q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = e
+	*h = q
 }
 
-func (k *Kernel) pop() *Event {
-	top := k.heap[0]
-	last := len(k.heap) - 1
-	k.heap[0] = k.heap[last]
-	k.heap[0].idx = 0
-	k.heap = k.heap[:last]
-	if last > 0 {
-		k.siftDown(0)
+// live pops the hidden and delivered events off the top and returns the
+// first event that is neither, nil when none is queued.
+func (h *eventHeap) live() *Event {
+	for len(*h) > 0 {
+		if top := (*h)[0]; !top.hidden && !top.delivered {
+			return top
+		}
+		h.pop()
 	}
-	top.idx = -1
+	return nil
+}
+
+func (h *eventHeap) pop() *Event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	e := q[n]
+	q[n] = nil
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && less(q[r], q[c]) {
+			c = r
+		}
+		if !less(q[c], e) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = e
 	return top
-}
-
-func (k *Kernel) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !less(k.heap[i], k.heap[parent]) {
-			break
-		}
-		k.swap(i, parent)
-		i = parent
-	}
-}
-
-func (k *Kernel) siftDown(i int) {
-	n := len(k.heap)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && less(k.heap[l], k.heap[smallest]) {
-			smallest = l
-		}
-		if r < n && less(k.heap[r], k.heap[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		k.swap(i, smallest)
-		i = smallest
-	}
-}
-
-func (k *Kernel) swap(i, j int) {
-	k.heap[i], k.heap[j] = k.heap[j], k.heap[i]
-	k.heap[i].idx = i
-	k.heap[j].idx = j
-}
-
-// horizon is a per-kind min-heap used by NextAt. Hidden and delivered
-// events are pruned lazily at peek time, so Hide stays O(1) and peek is
-// amortized O(log n).
-type horizon struct {
-	heap []*Event
-}
-
-func (h *horizon) push(e *Event) {
-	h.heap = append(h.heap, e)
-	i := len(h.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !less(h.heap[i], h.heap[parent]) {
-			break
-		}
-		h.heap[i], h.heap[parent] = h.heap[parent], h.heap[i]
-		i = parent
-	}
-}
-
-func (h *horizon) peek() (*Event, bool) {
-	for len(h.heap) > 0 {
-		top := h.heap[0]
-		if !top.hidden && !top.delivered {
-			return top, true
-		}
-		last := len(h.heap) - 1
-		h.heap[0] = h.heap[last]
-		h.heap = h.heap[:last]
-		if last > 0 {
-			h.siftDown(0)
-		}
-	}
-	return nil, false
-}
-
-func (h *horizon) siftDown(i int) {
-	n := len(h.heap)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && less(h.heap[l], h.heap[smallest]) {
-			smallest = l
-		}
-		if r < n && less(h.heap[r], h.heap[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		h.heap[i], h.heap[smallest] = h.heap[smallest], h.heap[i]
-		i = smallest
-	}
 }

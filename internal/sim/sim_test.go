@@ -252,6 +252,22 @@ func TestCausalityViolationPanics(t *testing.T) {
 	}
 }
 
+// A NaN instant compares false against everything, so it used to slip past
+// the causality check and sit in the heap where no ordering could place it.
+func TestPostAtNaNPanics(t *testing.T) {
+	k := New(nil)
+	k.Post(Event{At: 1, Kind: kindA})
+	defer func() {
+		if recover() == nil {
+			t.Error("posting at NaN must panic")
+		}
+		if k.Len() != 1 {
+			t.Errorf("a rejected Post must not be queued: Len = %d", k.Len())
+		}
+	}()
+	k.Post(Event{At: math.NaN(), Kind: kindA})
+}
+
 func TestClockMonotonicity(t *testing.T) {
 	c := NewClock()
 	c.Advance(3)

@@ -22,6 +22,18 @@ type Group struct {
 // N is the group's total unit count.
 func (g Group) N() int { return g.K + g.Par }
 
+// Units lists the group's unit indices, systematic units first.
+func (g Group) Units() []int {
+	units := make([]int, 0, g.N())
+	for u := g.SysStart; u < g.SysStart+g.K; u++ {
+		units = append(units, u)
+	}
+	for u := g.ParStart; u < g.ParStart+g.Par; u++ {
+		units = append(units, u)
+	}
+	return units
+}
+
 // Layout maps a phase's T tasks onto coded groups: consecutive runs of
 // GroupSize tasks become one group each (the tail group is narrower),
 // every group encoded at rate ≈ k/n. Unit indices 0..Sys-1 are the
