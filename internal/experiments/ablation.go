@@ -3,32 +3,15 @@ package experiments
 import (
 	"fmt"
 
-	"datanet/internal/apps"
 	"datanet/internal/elasticmap"
 	"datanet/internal/metrics"
 	"datanet/internal/sched"
-	"datanet/internal/stats"
 )
 
-// BucketAblationResult compares bucket-bound shapes for the dominant
-// sub-dataset separator (DESIGN.md §5): the paper's Fibonacci intervals vs
-// uniform and power-of-two bounds, at identical α targets.
-type BucketAblationResult struct {
-	Env  *Env
-	Rows []BucketAblationRow
-}
-
-// BucketAblationRow is one bound shape's outcome.
-type BucketAblationRow struct {
-	Shape         string
-	Buckets       int
-	RealizedAlpha float64
-	Accuracy      float64
-	Ratio         float64
-}
-
-// BucketAblation runs the comparison at the default α.
-func BucketAblation(env *Env) (*BucketAblationResult, error) {
+// BucketAblation compares bucket-bound shapes for the dominant sub-dataset
+// separator (DESIGN.md §5): the paper's Fibonacci intervals vs uniform and
+// power-of-two bounds, at the default α target.
+func BucketAblation(env *Env) (*Report, error) {
 	perBlock, err := env.FS.BlockRecords(env.File)
 	if err != nil {
 		return nil, err
@@ -47,58 +30,30 @@ func BucketAblation(env *Env) (*BucketAblationResult, error) {
 		{"uniform-16", elasticmap.UniformBounds(bs, 16)},
 		{"uniform-64", elasticmap.UniformBounds(bs, 64)},
 	}
-	res := &BucketAblationResult{Env: env}
+	r := newReport()
+	t := metrics.NewTable("Ablation — bucket bounds for dominant-sub-dataset separation",
+		"shape", "buckets", "α realized", "accuracy χ", "repr. ratio")
 	for _, s := range shapes {
 		opts := env.Opts
 		opts.BucketBounds = s.bounds
 		arr := elasticmap.Build(perBlock, opts)
-		res.Rows = append(res.Rows, BucketAblationRow{
-			Shape:         s.name,
-			Buckets:       len(s.bounds),
-			RealizedAlpha: arr.MeanAlpha(),
-			Accuracy:      arr.OverallAccuracy(allSubs),
-			Ratio:         arr.RepresentationRatio(),
-		})
+		accuracy, ratio := arr.OverallAccuracy(allSubs), arr.RepresentationRatio()
+		t.Add(s.name, fmt.Sprint(len(s.bounds)), metrics.Pct(arr.MeanAlpha()),
+			metrics.Pct(accuracy), fmt.Sprintf("%.0f", ratio))
+		r.set(s.name+"/accuracy", accuracy)
+		r.set(s.name+"/ratio", ratio)
 	}
-	return res, nil
+	r.table(t)
+	return r, nil
 }
 
-// String renders the ablation.
-func (r *BucketAblationResult) String() string {
-	t := metrics.NewTable("Ablation — bucket bounds for dominant-sub-dataset separation",
-		"shape", "buckets", "α realized", "accuracy χ", "repr. ratio")
-	for _, row := range r.Rows {
-		t.Add(row.Shape, fmt.Sprint(row.Buckets), metrics.Pct(row.RealizedAlpha),
-			metrics.Pct(row.Accuracy), fmt.Sprintf("%.0f", row.Ratio))
-	}
-	return t.String()
-}
-
-// ---------------------------------------------------------------------------
-
-// SchedulerAblationResult compares the scheduler family on the same
-// environment and application: Hadoop locality, Algorithm 1, max-flow
-// optimal, LPT greedy and random-local.
-type SchedulerAblationResult struct {
-	Env  *Env
-	App  string
-	Rows []SchedulerAblationRow
-}
-
-// SchedulerAblationRow is one scheduler's outcome. JobTime is the analysis
-// job's execution time (excluding the shared filter pass, the paper's
-// metric).
-type SchedulerAblationRow struct {
-	Scheduler  string
-	JobTime    float64
-	MaxOverAvg float64
-	LocalFrac  float64
-}
-
-// SchedulerAblation runs the comparison with Top-K (the compute-heavy app
-// where scheduling matters most).
-func SchedulerAblation(env *Env) (*SchedulerAblationResult, error) {
-	app := apps.NewTopKSearch(10, "plot twist ending amazing director")
+// SchedulerAblation compares the scheduler family on the same environment
+// with Top-K (the compute-heavy app where scheduling matters most): Hadoop
+// locality, Algorithm 1, max-flow optimal, LPT greedy and random-local.
+// The time reported is the analysis job's execution time (excluding the
+// shared filter pass, the paper's metric).
+func SchedulerAblation(env *Env) (*Report, error) {
+	app := movieTopK()
 	weights := env.EstimatedWeights(env.Target)
 	factories := []struct {
 		f sched.Factory
@@ -112,34 +67,24 @@ func SchedulerAblation(env *Env) (*SchedulerAblationResult, error) {
 		{sched.NewLPTPicker, weights},
 		{sched.NewRandomPicker(1), nil},
 	}
-	res := &SchedulerAblationResult{Env: env, App: app.Name()}
+	r := newReport()
+	t := metrics.NewTable(fmt.Sprintf("Ablation — scheduler family (%s on %s)", app.Name(), env.describe()),
+		"scheduler", "analysis time", "workload max/avg", "local tasks")
 	for _, fc := range factories {
 		run, err := env.RunWith(app, fc.f, fc.w, false)
 		if err != nil {
 			return nil, err
 		}
-		loads := NodeSeries(env.Topo, run.NodeWorkload)
-		s := stats.Summarize(loads)
 		localFrac := 0.0
 		if run.LocalTasks+run.RemoteTasks > 0 {
 			localFrac = float64(run.LocalTasks) / float64(run.LocalTasks+run.RemoteTasks)
 		}
-		res.Rows = append(res.Rows, SchedulerAblationRow{
-			Scheduler:  run.SchedulerName,
-			JobTime:    run.AnalysisTime,
-			MaxOverAvg: s.ImbalanceRatio(),
-			LocalFrac:  localFrac,
-		})
+		imbalance := env.maxOverAvg(run)
+		t.Add(run.SchedulerName, metrics.Seconds(run.AnalysisTime),
+			fmt.Sprintf("%.2f", imbalance), metrics.Pct(localFrac))
+		r.set(run.SchedulerName, run.AnalysisTime)
+		r.set(run.SchedulerName+"/max_over_avg", imbalance)
 	}
-	return res, nil
-}
-
-// String renders the ablation.
-func (r *SchedulerAblationResult) String() string {
-	t := metrics.NewTable(fmt.Sprintf("Ablation — scheduler family (%s on %s)", r.App, r.Env.describe()),
-		"scheduler", "analysis time", "workload max/avg", "local tasks")
-	for _, row := range r.Rows {
-		t.Add(row.Scheduler, metrics.Seconds(row.JobTime), fmt.Sprintf("%.2f", row.MaxOverAvg), metrics.Pct(row.LocalFrac))
-	}
-	return t.String()
+	r.table(t)
+	return r, nil
 }

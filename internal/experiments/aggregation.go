@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"datanet/internal/apps"
 	"datanet/internal/mapreduce"
@@ -10,132 +9,66 @@ import (
 	"datanet/internal/sched"
 )
 
-// AggregationResult quantifies the paper's future-work extension: using
+// Aggregation quantifies the paper's future-work extension: using
 // ElasticMap's distribution knowledge to place reduce tasks where the map
 // output already sits, minimizing the shuffled volume ("for applications
 // with aggregation requirements … ElasticMap can also be used to minimize
-// the data transferred", §IV-B).
-type AggregationResult struct {
-	Env  *Env
-	Rows []AggregationRow
-}
-
-// AggregationRow is one (reducer count, placement) outcome.
-type AggregationRow struct {
-	Reducers     int
-	Placement    string
-	ShuffleBytes int64
-	ShuffleMax   float64
-	JobTime      float64
-}
-
-// Aggregation compares round-robin vs output-aware reducer placement for
-// several reducer counts. It runs under the locality baseline, where the
-// map output is concentrated on a few nodes — exactly the situation in
-// which knowing the distribution lets the placement keep the biggest
-// shares off the network. (Under DataNet's balanced scheduling every node
-// holds a similar share and placement hardly matters — itself a finding.)
-func Aggregation(env *Env, reducerCounts []int) (*AggregationResult, error) {
+// the data transferred", §IV-B). It compares round-robin vs output-aware
+// reducer placement for several reducer counts under the locality
+// baseline, where the map output is concentrated on a few nodes — exactly
+// the situation in which knowing the distribution lets the placement keep
+// the biggest shares off the network. (Under DataNet's balanced scheduling
+// every node holds a similar share and placement hardly matters — itself
+// a finding.) <reducers>/saving is the shuffled-bytes reduction of
+// output-aware placement at that reducer count.
+func Aggregation(env *Env, reducerCounts []int) (*Report, error) {
 	if len(reducerCounts) == 0 {
 		reducerCounts = []int{2, 4, 8}
 	}
-	app := apps.WordCount{}
-	res := &AggregationResult{Env: env}
+	r := newReport()
+	t := metrics.NewTable("Extension — aggregation-aware reducer placement (paper future work)",
+		"reducers", "placement", "shuffled", "max shuffle", "job time")
 	for _, rc := range reducerCounts {
-		for _, aware := range []bool{false, true} {
+		var shuffled [2]int64
+		for i, placement := range []string{"round-robin", "output-aware"} {
 			run, err := mapreduce.Run(mapreduce.Config{
 				FS: env.FS, File: env.File, TargetSub: env.Target,
-				App: app, Picker: sched.NewLocalityPicker,
-				Reducers: rc, OutputAwareReducers: aware,
+				App: apps.WordCount{}, Picker: sched.NewLocalityPicker,
+				Reducers: rc, OutputAwareReducers: placement == "output-aware",
 			})
 			if err != nil {
 				return nil, err
 			}
-			placement := "round-robin"
-			if aware {
-				placement = "output-aware"
-			}
 			maxShuffle := 0.0
 			for _, d := range run.ShuffleDurations {
-				if d > maxShuffle {
-					maxShuffle = d
-				}
+				maxShuffle = max(maxShuffle, d)
 			}
-			res.Rows = append(res.Rows, AggregationRow{
-				Reducers:     rc,
-				Placement:    placement,
-				ShuffleBytes: run.ShuffleBytes,
-				ShuffleMax:   maxShuffle,
-				JobTime:      run.JobTime,
-			})
+			t.Add(fmt.Sprint(rc), placement, metrics.Bytes(run.ShuffleBytes),
+				metrics.Seconds(maxShuffle), metrics.Seconds(run.JobTime))
+			r.set(fmt.Sprintf("%d/%s", rc, placement), run.JobTime)
+			shuffled[i] = run.ShuffleBytes
 		}
+		saving := 0.0
+		if shuffled[0] > 0 {
+			saving = float64(shuffled[0]-shuffled[1]) / float64(shuffled[0])
+		}
+		r.set(fmt.Sprintf("%d/saving", rc), saving)
 	}
-	return res, nil
+	r.table(t)
+	r.linef("  (placing reducers on the nodes already holding map output keeps that share off the network)")
+	return r, nil
 }
 
-// Saving returns the shuffled-bytes reduction of output-aware placement at
-// the given reducer count.
-func (r *AggregationResult) Saving(reducers int) float64 {
-	var rr, oa int64 = -1, -1
-	for _, row := range r.Rows {
-		if row.Reducers != reducers {
-			continue
-		}
-		if row.Placement == "round-robin" {
-			rr = row.ShuffleBytes
-		} else {
-			oa = row.ShuffleBytes
-		}
-	}
-	if rr <= 0 || oa < 0 {
-		return 0
-	}
-	return float64(rr-oa) / float64(rr)
-}
-
-// String renders the comparison.
-func (r *AggregationResult) String() string {
-	t := metrics.NewTable("Extension — aggregation-aware reducer placement (paper future work)",
-		"reducers", "placement", "shuffled", "max shuffle", "job time")
-	for _, row := range r.Rows {
-		t.Add(fmt.Sprint(row.Reducers), row.Placement, metrics.Bytes(row.ShuffleBytes),
-			metrics.Seconds(row.ShuffleMax), metrics.Seconds(row.JobTime))
-	}
-	var sb strings.Builder
-	sb.WriteString(t.String())
-	sb.WriteString("  (placing reducers on the nodes already holding map output keeps that share off the network)\n")
-	return sb.String()
-}
-
-// ---------------------------------------------------------------------------
-
-// AmortizationResult answers "when does the one-time meta-data scan pay for
+// Amortization answers "when does the one-time meta-data scan pay for
 // itself?" — the paper's efficiency argument (§V-A.4: DataNet scans once;
-// reactive schemes pay per job).
-type AmortizationResult struct {
-	Env *Env
-	// ScanSeconds is the simulated cost of the meta-data construction scan
-	// (one sequential pass over all blocks at disk rate, parallel over
-	// nodes).
-	ScanSeconds float64
-	// PerJobSaving is the analysis-time saving of one Top-K job.
-	PerJobSaving float64
-	// BreakEvenJobs is ⌈scan / saving⌉.
-	BreakEvenJobs int
-}
-
-// Amortization computes the break-even point.
-func Amortization(env *Env) (*AmortizationResult, error) {
-	app := apps.NewTopKSearch(10, "plot twist ending amazing director")
-	base, err := env.RunBaseline(app)
+// reactive schemes pay per job): the simulated cost of the construction
+// scan against one Top-K job's analysis-time saving, and the break-even
+// job count ⌈scan / saving⌉.
+func Amortization(env *Env) (*Report, error) {
+	c, err := env.compare(movieTopK())
 	if err != nil {
 		return nil, err
 	}
-	dn, err := env.RunDataNet(app)
-	if err != nil {
-		return nil, err
-	}
-	res := &AmortizationResult{Env: env}
 	// The construction scan reads every block once; spread over the
 	// cluster's data-local disks it costs ≈ totalBytes / (nodes·diskRate).
 	blocks, err := env.FS.Blocks(env.File)
@@ -146,21 +79,20 @@ func Amortization(env *Env) (*AmortizationResult, error) {
 	for _, b := range blocks {
 		raw += b.Bytes
 	}
-	node := env.Topo.Node(0)
-	res.ScanSeconds = float64(raw) / (float64(env.Topo.N()) * node.DiskRate)
-	res.PerJobSaving = base.AnalysisTime - dn.AnalysisTime
-	if res.PerJobSaving > 0 {
-		res.BreakEvenJobs = int(res.ScanSeconds/res.PerJobSaving) + 1
+	scan := float64(raw) / (float64(env.Topo.N()) * env.Topo.Node(0).DiskRate)
+	saving := c.without.AnalysisTime - c.with.AnalysisTime
+	breakEven := 0
+	if saving > 0 {
+		breakEven = int(scan/saving) + 1
 	}
-	return res, nil
-}
 
-// String renders the break-even analysis.
-func (r *AmortizationResult) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Extension — meta-data scan amortization (%s)\n", r.Env.describe())
-	fmt.Fprintf(&sb, "  one-time construction scan: %s (one pass over all blocks, data-local)\n", metrics.Seconds(r.ScanSeconds))
-	fmt.Fprintf(&sb, "  per-job saving (Top-K):     %s\n", metrics.Seconds(r.PerJobSaving))
-	fmt.Fprintf(&sb, "  break-even after %d job(s); every further sub-dataset analysis on the file rides the same meta-data\n", r.BreakEvenJobs)
-	return sb.String()
+	r := newReport()
+	r.linef("Extension — meta-data scan amortization (%s)", env.describe())
+	r.linef("  one-time construction scan: %s (one pass over all blocks, data-local)", metrics.Seconds(scan))
+	r.linef("  per-job saving (Top-K):     %s", metrics.Seconds(saving))
+	r.linef("  break-even after %d job(s); every further sub-dataset analysis on the file rides the same meta-data", breakEven)
+	r.set("scan_seconds", scan)
+	r.set("per_job_saving", saving)
+	r.set("break_even_jobs", float64(breakEven))
+	return r, nil
 }

@@ -1,52 +1,17 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 )
 
+// Output-aware placement never increases the shuffle, and with imbalanced
+// output and few reducers the saving is real: aggregation's gate rows.
 func TestAggregation(t *testing.T) {
-	env := smallEnv(t)
-	r, err := Aggregation(env, []int{2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 4 {
-		t.Fatalf("rows = %d", len(r.Rows))
-	}
-	for _, rc := range []int{2, 4} {
-		if s := r.Saving(rc); s < 0 {
-			t.Errorf("output-aware placement increased shuffle at %d reducers: %.1f%%", rc, s*100)
-		}
-	}
-	// With imbalanced output and few reducers, the saving must be real.
-	if r.Saving(2) <= 0 {
-		t.Errorf("no saving at 2 reducers: %.2f%%", r.Saving(2)*100)
-	}
-	if r.Saving(99) != 0 {
-		t.Error("unknown reducer count should report 0")
-	}
-	if !strings.Contains(r.String(), "aggregation-aware") {
-		t.Error("String() missing caption")
-	}
+	r := ran(t, "aggregation-aware")(Aggregation(smallEnv(t), []int{2, 4}))
+	wantRows(t, r, 4)
+	holdGates(t, "aggregation", r)
 }
 
 func TestAmortization(t *testing.T) {
-	env := smallEnv(t)
-	r, err := Amortization(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.ScanSeconds <= 0 {
-		t.Errorf("scan cost %g", r.ScanSeconds)
-	}
-	if r.PerJobSaving <= 0 {
-		t.Errorf("per-job saving %g — DataNet should win on this env", r.PerJobSaving)
-	}
-	if r.BreakEvenJobs < 1 || r.BreakEvenJobs > 1000 {
-		t.Errorf("break-even %d jobs implausible", r.BreakEvenJobs)
-	}
-	if !strings.Contains(r.String(), "amortization") {
-		t.Error("String() missing caption")
-	}
+	holdGates(t, "amortization", ran(t, "amortization")(Amortization(smallEnv(t))))
 }

@@ -2,38 +2,19 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
-	"datanet/internal/apps"
 	"datanet/internal/metrics"
-	"datanet/internal/stats"
 )
 
-// BlockSizeRow is one block-size setting's outcome.
-type BlockSizeRow struct {
-	BlockBytes int64
-	Blocks     int
-	// MaxBlockShare is the largest block's fraction of the target
-	// sub-dataset — the granularity Algorithm 1 must pack with.
-	MaxBlockShare                 float64
-	BaselineMaxAvg, DataNetMaxAvg float64
-	TopKImprovement               float64
-	MetaBytes                     int64
-}
-
-// BlockSizeResult sweeps the HDFS block size at a fixed dataset volume —
-// the deployment parameter the paper fixes at 64 MB. Bigger blocks mean
-// fewer, chunkier tasks: baseline imbalance worsens (one block carries a
-// bigger slice of the sub-dataset) while DataNet's packing gets harder
-// (coarser items); smaller blocks raise per-task overhead and meta-data
-// volume. The sweep shows where the trade-off lives.
-type BlockSizeResult struct {
-	Rows []BlockSizeRow
-}
-
-// BlockSize runs the sweep (default 64 KiB – 1 MiB at constant data
-// volume).
-func BlockSize(sizes []int64, p MovieParams) (*BlockSizeResult, error) {
+// BlockSize sweeps the HDFS block size at a fixed dataset volume (default
+// 64 KiB – 1 MiB) — the deployment parameter the paper fixes at 64 MB.
+// Bigger blocks mean fewer, chunkier tasks: baseline imbalance worsens (one
+// block carries a bigger slice of the sub-dataset) while DataNet's packing
+// gets harder (coarser items); smaller blocks raise per-task overhead and
+// meta-data volume. The sweep shows where the trade-off lives. The
+// max-block share is the largest block's fraction of the target
+// sub-dataset — the granularity Algorithm 1 must pack with.
+func BlockSize(sizes []int64, p MovieParams) (*Report, error) {
 	if p.Nodes == 0 {
 		p = DefaultMovieParams()
 	}
@@ -41,8 +22,9 @@ func BlockSize(sizes []int64, p MovieParams) (*BlockSizeResult, error) {
 		sizes = []int64{64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20}
 	}
 	totalBytes := p.BlockBytes * int64(p.Blocks)
-	app := apps.NewTopKSearch(10, "plot twist ending amazing director")
-	res := &BlockSizeResult{}
+	r := newReport()
+	t := metrics.NewTable("Extension — sensitivity to the HDFS block size (fixed data volume)",
+		"block size", "blocks", "max-block share", "baseline max/avg", "datanet max/avg", "TopK improvement", "meta-data")
 	for _, bs := range sizes {
 		q := p
 		q.BlockBytes = bs
@@ -51,46 +33,27 @@ func BlockSize(sizes []int64, p MovieParams) (*BlockSizeResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		base, err := env.RunBaseline(app)
+		c, err := env.compare(movieTopK())
 		if err != nil {
 			return nil, err
 		}
-		dn, err := env.RunDataNet(app)
-		if err != nil {
-			return nil, err
-		}
-		row := BlockSizeRow{BlockBytes: bs, Blocks: env.Array.Len(), MetaBytes: env.Array.MemoryBits() / 8}
-		var total, max int64
+		var total, largest int64
 		for _, b := range env.BlockTruth {
 			total += b
-			if b > max {
-				max = b
-			}
+			largest = max(largest, b)
 		}
+		share := 0.0
 		if total > 0 {
-			row.MaxBlockShare = float64(max) / float64(total)
+			share = float64(largest) / float64(total)
 		}
-		row.BaselineMaxAvg = stats.Summarize(NodeSeries(env.Topo, base.NodeWorkload)).ImbalanceRatio()
-		row.DataNetMaxAvg = stats.Summarize(NodeSeries(env.Topo, dn.NodeWorkload)).ImbalanceRatio()
-		if base.AnalysisTime > 0 {
-			row.TopKImprovement = (base.AnalysisTime - dn.AnalysisTime) / base.AnalysisTime
-		}
-		res.Rows = append(res.Rows, row)
+		key := metricsBytes(bs)
+		without, with, gain := r.balanceCells(key, env, c)
+		t.Add(metrics.Bytes(bs), fmt.Sprint(env.Array.Len()), metrics.Pct(share),
+			without, with, gain, metrics.Bytes(env.Array.MemoryBits()/8))
+		r.set(key+"/blocks", float64(env.Array.Len()))
+		r.set(key+"/max_block_share", share)
 	}
-	return res, nil
-}
-
-// String renders the sweep.
-func (r *BlockSizeResult) String() string {
-	t := metrics.NewTable("Extension — sensitivity to the HDFS block size (fixed data volume)",
-		"block size", "blocks", "max-block share", "baseline max/avg", "datanet max/avg", "TopK improvement", "meta-data")
-	for _, row := range r.Rows {
-		t.Add(metrics.Bytes(row.BlockBytes), fmt.Sprint(row.Blocks), metrics.Pct(row.MaxBlockShare),
-			fmt.Sprintf("%.2f", row.BaselineMaxAvg), fmt.Sprintf("%.2f", row.DataNetMaxAvg),
-			metrics.Pct(row.TopKImprovement), metrics.Bytes(row.MetaBytes))
-	}
-	var sb strings.Builder
-	sb.WriteString(t.String())
-	sb.WriteString("  (coarser blocks concentrate the sub-dataset into fewer, heavier tasks — harder for any scheduler to pack)\n")
-	return sb.String()
+	r.table(t)
+	r.linef("  (coarser blocks concentrate the sub-dataset into fewer, heavier tasks — harder for any scheduler to pack)")
+	return r, nil
 }

@@ -6,69 +6,38 @@ import (
 )
 
 func TestDetectorSweep(t *testing.T) {
-	res, err := DetectorSweep(MovieParams{})
-	if err != nil {
-		t.Fatal(err)
+	r := ran(t, "Failure detection")(DetectorSweep(MovieParams{}))
+	// No arm diverged and the counters recorded detection latencies: the
+	// section's gate rows.
+	holdGates(t, "detector-latency", r)
+	for _, want := range []string{"hb K=3", "phi", "oracle"} {
+		if !strings.Contains(r.String(), want) {
+			t.Errorf("rendered sweep lacks %q", want)
+		}
 	}
-	if len(res.Rows) == 0 {
-		t.Fatal("no rows")
-	}
-	perSched := map[string][]DetectRow{}
-	for _, row := range res.Rows {
-		if !row.OutputOK {
-			t.Errorf("%s/%s produced a diverged output", row.Scheduler, row.Mode)
+	for _, sched := range []string{"hadoop-locality", "datanet"} {
+		if val(t, r, sched+"/oracle/mean_latency") != 0 || val(t, r, sched+"/oracle/max_latency") != 0 {
+			t.Errorf("%s oracle row records latency", sched)
 		}
-		perSched[row.Scheduler] = append(perSched[row.Scheduler], row)
-	}
-	for sched, rows := range perSched {
-		var oracle *DetectRow
-		for i := range rows {
-			if rows[i].Mode == "oracle" {
-				oracle = &rows[i]
-			}
-		}
-		if oracle == nil {
-			t.Fatalf("%s has no oracle reference row", sched)
-		}
-		if oracle.MeanLatency != 0 || oracle.MaxLatency != 0 {
-			t.Errorf("%s oracle row records latency: %+v", sched, oracle)
-		}
-		for _, row := range rows {
-			if row.Mode == "oracle" {
-				continue
-			}
-			// Every detector arm pays strictly positive detection latency
-			// on a real crash plan — the headline claim of the sweep.
-			if row.MeanLatency <= 0 || row.MaxLatency < row.MeanLatency {
-				t.Errorf("%s/%s latency mean=%g max=%g, want positive and ordered",
-					sched, row.Mode, row.MeanLatency, row.MaxLatency)
-			}
-			// Note: makespan is NOT asserted against the oracle's — a
-			// delayed response changes re-dispatch placement, which can
-			// accidentally schedule better; only detection latency is
-			// guaranteed monotone.
-		}
-		// Longer fixed timeouts cannot detect faster: mean latency must be
+		// Every detector arm pays strictly positive detection latency on a
+		// real crash plan — the headline claim of the sweep. (Makespan is
+		// NOT asserted against the oracle's: a delayed response changes
+		// re-dispatch placement, which can accidentally schedule better;
+		// only detection latency is guaranteed monotone.) Longer fixed
+		// timeouts cannot detect faster: mean latency must be
 		// non-decreasing in K over the heartbeat arms.
 		var prev float64
-		for _, row := range rows {
-			if !strings.HasPrefix(row.Mode, "hb ") {
-				continue
+		for _, mode := range []string{"hb K=1", "hb K=2", "hb K=3", "hb K=5", "hb K=8", "phi"} {
+			mean, mx := val(t, r, sched+"/"+mode+"/mean_latency"), val(t, r, sched+"/"+mode+"/max_latency")
+			if mean <= 0 || mx < mean {
+				t.Errorf("%s/%s latency mean=%g max=%g, want positive and ordered", sched, mode, mean, mx)
 			}
-			if row.MeanLatency < prev {
-				t.Errorf("%s/%s mean latency %g dropped below the shorter timeout's %g",
-					sched, row.Mode, row.MeanLatency, prev)
+			if strings.HasPrefix(mode, "hb ") {
+				if mean < prev {
+					t.Errorf("%s/%s mean latency %g dropped below the shorter timeout's %g", sched, mode, mean, prev)
+				}
+				prev = mean
 			}
-			prev = row.MeanLatency
-		}
-	}
-	if res.Counters.DetectionLatency == nil || res.Counters.DetectionLatency.Count() == 0 {
-		t.Error("counters recorded no detection latencies")
-	}
-	out := res.String()
-	for _, want := range []string{"Failure detection", "hb K=3", "phi", "oracle"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("rendered sweep lacks %q", want)
 		}
 	}
 }

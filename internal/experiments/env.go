@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§II and §V) on the simulated substrate. Each experiment is a
-// pure function of its parameters (all randomness is seeded), returns a
-// structured result, and renders itself as text; cmd/datanet-bench runs
-// the full suite and EXPERIMENTS.md records paper-vs-measured values.
+// pure function of its parameters (all randomness is seeded) and returns a
+// Report — its text, figures, tables and named outcomes; cmd/datanet-bench
+// runs the full suite and EXPERIMENTS.md records paper-vs-measured values.
 //
 // Scaling note: the paper stores 64 MB blocks on a 128-node testbed. The
 // experiments here default to smaller blocks (256 KiB) so the suite runs
@@ -259,6 +259,32 @@ func NodeSeries[T int64 | float64](topo *cluster.Topology, m map[cluster.NodeID]
 	out := make([]float64, topo.N())
 	for id, v := range m {
 		out[int(id)] = float64(v)
+	}
+	return out
+}
+
+// paperMB converts bytes stored at this environment's block size to MB at
+// the paper's scale: the fraction of a block × 64 MB, i.e. what the same
+// shape looks like on 64 MB blocks.
+func (e *Env) paperMB(bytes float64) float64 {
+	blockScale := float64(64<<20) / float64(e.FS.Config().BlockSize)
+	return bytes * blockScale / (1 << 20)
+}
+
+// blockMB is the target sub-dataset's per-block footprint at paper scale.
+func (e *Env) blockMB() []float64 {
+	out := make([]float64, len(e.BlockTruth))
+	for i, b := range e.BlockTruth {
+		out[i] = e.paperMB(float64(b))
+	}
+	return out
+}
+
+// nodeMB is a run's per-node filtered workload at paper scale.
+func (e *Env) nodeMB(run *mapreduce.Result) []float64 {
+	out := NodeSeries(e.Topo, run.NodeWorkload)
+	for i, b := range out {
+		out[i] = e.paperMB(b)
 	}
 	return out
 }

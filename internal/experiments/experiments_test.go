@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
+	"datanet/internal/metrics"
 	"datanet/internal/stats"
 )
 
@@ -38,6 +41,81 @@ func smallEnv(t *testing.T) *Env {
 		t.Fatal(err)
 	}
 	return env
+}
+
+// ran unwraps an experiment's result and checks its rendering carries the
+// caption.
+func ran(t *testing.T, caption string) func(*Report, error) *Report {
+	t.Helper()
+	return func(r *Report, err error) *Report {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(r.String(), caption) {
+			t.Errorf("String() missing caption %q", caption)
+		}
+		return r
+	}
+}
+
+// val reads a named outcome that must exist.
+func val(t *testing.T, r *Report, key string) float64 {
+	t.Helper()
+	v, ok := r.Values[key]
+	if !ok {
+		t.Fatalf("report has no value %q (has %v)", key, keys(r))
+	}
+	return v
+}
+
+func keys(r *Report) []string {
+	out := make([]string, 0, len(r.Values))
+	for k := range r.Values {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// cells lists the keys of the cells that carry the given counter, without
+// the counter: cells(r, "/slowdown") → ["datanet/0@0.50", …].
+func cells(r *Report, counter string) []string {
+	var out []string
+	for _, k := range keys(r) {
+		if cell, ok := strings.CutSuffix(k, counter); ok {
+			out = append(out, cell)
+		}
+	}
+	return out
+}
+
+func tablesOf(r *Report) []*metrics.Table {
+	var out []*metrics.Table
+	for _, b := range r.blocks {
+		if b.table != nil {
+			out = append(out, b.table)
+		}
+	}
+	return out
+}
+
+func figuresOf(r *Report) []*metrics.Figure {
+	var out []*metrics.Figure
+	for _, b := range r.blocks {
+		if b.figure != nil {
+			out = append(out, b.figure)
+		}
+	}
+	return out
+}
+
+// wantRows checks the report's first table has n rows.
+func wantRows(t *testing.T, r *Report, n int) {
+	t.Helper()
+	if got := len(tablesOf(r)[0].Rows); got != n {
+		t.Fatalf("rows = %d, want %d", got, n)
+	}
 }
 
 func TestNewMovieEnvShape(t *testing.T) {
@@ -83,328 +161,159 @@ func TestEstimatedWeightsTrackTruth(t *testing.T) {
 	}
 }
 
+// Content clustering — the top 30 blocks hold the majority — and locality
+// scheduling leaves an imbalance: fig1's gate rows, on a small environment.
 func TestFig1(t *testing.T) {
 	p := smallMovie()
-	r, err := Fig1(p)
-	if err != nil {
-		t.Fatal(err)
+	r := ran(t, "Figure 1")(Fig1(p))
+	figs := figuresOf(r)
+	if len(figs[0].Series[0].Y) == 0 || len(figs[1].Series[0].Y) != p.Nodes {
+		t.Fatalf("series sizes: %d blocks, %d nodes", len(figs[0].Series[0].Y), len(figs[1].Series[0].Y))
 	}
-	if len(r.BlockMB) == 0 || len(r.NodeMB) != p.Nodes {
-		t.Fatalf("series sizes: %d blocks, %d nodes", len(r.BlockMB), len(r.NodeMB))
-	}
-	// Content clustering: the top 30 blocks hold the majority.
-	if r.Top30Share < 0.5 {
-		t.Errorf("Top30Share = %g, expected clustering", r.Top30Share)
-	}
-	// Locality scheduling leaves an imbalance.
-	if r.NodeSummary.ImbalanceRatio() < 1.1 {
-		t.Errorf("baseline imbalance = %.2f, expected > 1.1", r.NodeSummary.ImbalanceRatio())
-	}
-	if !strings.Contains(r.String(), "Figure 1") {
-		t.Error("String() missing caption")
-	}
+	holdGates(t, "fig1", r)
 }
 
 func TestFig2(t *testing.T) {
 	r := Fig2(stats.Gamma{}, 0, nil)
-	if len(r.Sizes) == 0 || len(r.AboveDouble) != len(r.Sizes) {
-		t.Fatal("empty series")
+	aboveDouble := figuresOf(r)[0].Series[2]
+	if aboveDouble.Name != "P(Z > 2 E)" || len(aboveDouble.Y) == 0 || len(aboveDouble.Y) != len(aboveDouble.X) {
+		t.Fatalf("series %q has %d points over %d sizes", aboveDouble.Name, len(aboveDouble.Y), len(aboveDouble.X))
 	}
 	// Monotone growth with cluster size (paper's core claim).
-	for i := 1; i < len(r.Sizes); i++ {
-		if r.AboveDouble[i] < r.AboveDouble[i-1]-1e-12 {
+	for i := 1; i < len(aboveDouble.Y); i++ {
+		if aboveDouble.Y[i] < aboveDouble.Y[i-1]-1e-12 {
 			t.Fatalf("P(Z>2E) not monotone at %d", i)
 		}
 	}
-	// The paper's quoted expectation at m=128.
-	if r.At128AboveDouble < 3 || r.At128AboveDouble > 5 {
-		t.Errorf("E[#nodes>2E] = %.2f, paper 4.0", r.At128AboveDouble)
-	}
+	// The paper's quoted expectation at m=128 is fig2's gate rows.
+	holdGates(t, "fig2", r)
 	if !strings.Contains(r.String(), "Figure 2") {
 		t.Error("String() missing caption")
 	}
 }
 
 func TestTable1(t *testing.T) {
-	env := smallEnv(t)
-	r, err := Table1(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Entries) == 0 {
+	r := ran(t, "Table I")(Table1(smallEnv(t)))
+	rows := tablesOf(r)[0].Rows
+	if len(rows) == 0 {
 		t.Fatal("no entries")
 	}
-	for i := 1; i < len(r.Entries); i++ {
-		if r.Entries[i].Reviews > r.Entries[i-1].Reviews {
-			t.Fatal("entries not sorted by reviews desc")
+	prev := int(^uint(0) >> 1)
+	for _, row := range rows {
+		reviews, err := strconv.Atoi(row[1])
+		if err != nil || reviews > prev {
+			t.Fatalf("entries not sorted by reviews desc: %v", rows)
 		}
-	}
-	if !strings.Contains(r.String(), "Table I") {
-		t.Error("String() missing caption")
+		prev = reviews
 	}
 }
 
+// DataNet wins on the compute-heavy app, and by more than on the light one
+// — the paper's Fig. 5(a) ordering, fig5's gate rows.
 func TestFig5CoreClaims(t *testing.T) {
-	env := smallEnv(t)
-	r, err := Fig5(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Apps) != 4 {
-		t.Fatalf("apps = %d", len(r.Apps))
-	}
-	topk := r.Comparison("TopKSearch")
-	ma := r.Comparison("MovingAverage")
-	if topk == nil || ma == nil {
-		t.Fatal("missing comparisons")
-	}
-	// DataNet wins on the compute-heavy app, and by more than on the light
-	// one — the paper's Fig. 5(a) ordering.
-	if topk.Improvement <= 0 {
-		t.Errorf("TopK improvement = %.1f%%, want positive", topk.Improvement*100)
-	}
-	if topk.Improvement <= ma.Improvement {
-		t.Errorf("TopK improvement (%.1f%%) should exceed MovingAverage (%.1f%%)",
-			topk.Improvement*100, ma.Improvement*100)
-	}
-	if r.Comparison("nope") != nil {
-		t.Error("unknown app should return nil")
-	}
-	if !strings.Contains(r.String(), "Figure 5") {
-		t.Error("String() missing caption")
-	}
+	r := ran(t, "Figure 5")(Fig5(smallEnv(t)))
+	wantRows(t, r, 4)
+	holdGates(t, "fig5", r)
 }
 
 func TestFig6GapOrdering(t *testing.T) {
 	env := smallEnv(t)
-	r, err := Fig6(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gap := func(app, variant string) float64 {
-		for _, b := range r.Bars {
-			if b.App == app && b.Variant == variant {
-				return b.Max - b.Min
-			}
-		}
-		t.Fatalf("bar %s/%s missing", app, variant)
-		return 0
-	}
-	// Paper: the MovingAverage min–max gap is much smaller than WordCount's
-	// (both without DataNet), and DataNet shrinks the TopK gap.
-	if gap("MovingAverage", "without") >= gap("WordCount", "without") {
-		t.Errorf("MA gap %.2f should undercut WC gap %.2f",
-			gap("MovingAverage", "without"), gap("WordCount", "without"))
-	}
-	if gap("TopKSearch", "with") >= gap("TopKSearch", "without") {
-		t.Errorf("DataNet did not shrink the TopK gap: %.2f vs %.2f",
-			gap("TopKSearch", "with"), gap("TopKSearch", "without"))
-	}
-	if len(r.TopKWithout) != env.Topo.N() {
-		t.Errorf("TopK series length %d", len(r.TopKWithout))
-	}
-	if !strings.Contains(r.String(), "Figure 6") {
-		t.Error("String() missing caption")
+	r := ran(t, "Figure 6")(Fig6(env))
+	holdGates(t, "fig6", r)
+	if n := len(figuresOf(r)[0].Series[0].Y); n != env.Topo.N() {
+		t.Errorf("TopK series length %d", n)
 	}
 }
 
 func TestFig7ShuffleSpeedup(t *testing.T) {
-	env := smallEnv(t)
-	r, err := Fig7(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 4 {
-		t.Fatalf("rows = %d", len(r.Rows))
-	}
-	// Paper: shuffle with DataNet is substantially faster.
-	if s := r.Speedup("TopKSearch"); s < 1.2 {
-		t.Errorf("TopK shuffle speedup = %.2f, want > 1.2", s)
-	}
-	if s := r.Speedup("WordCount"); s < 1.1 {
-		t.Errorf("WordCount shuffle speedup = %.2f, want > 1.1", s)
-	}
-	if r.Speedup("nope") != 0 {
-		t.Error("unknown app speedup should be 0")
-	}
-	if !strings.Contains(r.String(), "Figure 7") {
-		t.Error("String() missing caption")
-	}
+	r := ran(t, "Figure 7")(Fig7(smallEnv(t)))
+	wantRows(t, r, 4)
+	holdGates(t, "fig7", r)
 }
 
 func TestFig8(t *testing.T) {
-	r, err := Fig8(smallEvent())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.BlockMB) == 0 {
+	r := ran(t, "Figure 8")(Fig8(smallEvent()))
+	if len(figuresOf(r)[0].Series[0].Y) == 0 {
 		t.Fatal("no block series")
 	}
-	// The event data is NOT release-clustered: per-block CV well below the
-	// movie data's.
-	if r.ClusteringCV > 1.0 {
-		t.Errorf("event CV = %.2f, expected smooth distribution", r.ClusteringCV)
-	}
-	// DataNet still shortens the longest map (paper: 125 s → 107 s).
-	if r.LongestMapWith > r.LongestMapWithout*1.05 {
-		t.Errorf("longest map grew: %.2f → %.2f", r.LongestMapWithout, r.LongestMapWith)
-	}
-	if !strings.Contains(r.String(), "Figure 8") {
-		t.Error("String() missing caption")
-	}
+	holdGates(t, "fig8", r)
 }
 
 func TestTable2Trends(t *testing.T) {
-	env := smallEnv(t)
-	r, err := Table2(env, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != len(PaperAlphas) {
-		t.Fatalf("rows = %d", len(r.Rows))
-	}
-	for i := 1; i < len(r.Rows); i++ {
+	r := ran(t, "Table II")(Table2(smallEnv(t), nil))
+	wantRows(t, r, len(PaperAlphas))
+	holdGates(t, "table2", r)
+	for i, a := range PaperAlphas {
+		key := strconv.FormatFloat(a, 'f', 2, 64)
+		accuracy, ratio := val(t, r, key+"/accuracy"), val(t, r, key+"/ratio")
+		if accuracy < 0.5 || accuracy > 1 {
+			t.Errorf("accuracy %g out of plausible range", accuracy)
+		}
+		if val(t, r, key+"/meta_bytes") <= 0 {
+			t.Errorf("meta bytes = %g", val(t, r, key+"/meta_bytes"))
+		}
+		if i == 0 {
+			continue
+		}
 		// α decreases down the table: accuracy must not rise, ratio must
 		// not fall (allowing small noise from bucket granularity).
-		if r.Rows[i].Accuracy > r.Rows[i-1].Accuracy+0.02 {
+		prev := strconv.FormatFloat(PaperAlphas[i-1], 'f', 2, 64)
+		if accuracy > val(t, r, prev+"/accuracy")+0.02 {
 			t.Errorf("accuracy rose as α fell: row %d", i)
 		}
-		if r.Rows[i].Ratio < r.Rows[i-1].Ratio*0.95 {
+		if ratio < val(t, r, prev+"/ratio")*0.95 {
 			t.Errorf("ratio fell as α fell: row %d", i)
 		}
-	}
-	for _, row := range r.Rows {
-		if row.Accuracy < 0.5 || row.Accuracy > 1 {
-			t.Errorf("accuracy %g out of plausible range", row.Accuracy)
-		}
-		if row.MetaBytes <= 0 {
-			t.Errorf("meta bytes = %d", row.MetaBytes)
-		}
-	}
-	if !strings.Contains(r.String(), "Table II") {
-		t.Error("String() missing caption")
 	}
 }
 
 func TestFig9AccuracyBySize(t *testing.T) {
-	env := smallEnv(t)
-	r, err := Fig9(env, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Points) == 0 {
+	r := ran(t, "Figure 9")(Fig9(smallEnv(t), 30))
+	actual := figuresOf(r)[0].Series[0].Y
+	if len(actual) == 0 {
 		t.Fatal("no points")
 	}
-	for i := 1; i < len(r.Points); i++ {
-		if r.Points[i].ActualMB < r.Points[i-1].ActualMB {
-			t.Fatal("points not sorted by actual size")
-		}
+	if !sort.Float64sAreSorted(actual) {
+		t.Fatal("points not sorted by actual size")
 	}
-	// Paper: large sub-datasets are estimated accurately, small ones less so.
-	if r.LargeRelErr > 0.1 {
-		t.Errorf("large-sub error %.1f%% too high", r.LargeRelErr*100)
-	}
-	if r.LargeRelErr > r.SmallRelErr {
-		t.Errorf("large error (%.3f) should undercut small error (%.3f)", r.LargeRelErr, r.SmallRelErr)
-	}
-	if !strings.Contains(r.String(), "Figure 9") {
-		t.Error("String() missing caption")
-	}
+	holdGates(t, "fig9", r)
 }
 
 func TestFig10BalanceStableAcrossAlpha(t *testing.T) {
-	env := smallEnv(t)
-	r, err := Fig10(env, []float64{0.15, 0.5, 1.0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 3 {
-		t.Fatalf("rows = %d", len(r.Rows))
-	}
-	for _, row := range r.Rows {
-		if row.NormMax < 1 || row.NormMax > 2 {
-			t.Errorf("α=%.2f max/avg = %.2f implausible", row.Alpha, row.NormMax)
+	r := ran(t, "Figure 10")(Fig10(smallEnv(t), []float64{0.15, 0.5, 1.0}))
+	wantRows(t, r, 3)
+	for _, a := range []string{"0.15", "0.50", "1.00"} {
+		if mx := val(t, r, a+"/max_over_avg"); mx < 1 || mx > 2 {
+			t.Errorf("α=%s max/avg = %.2f implausible", a, mx)
 		}
-		if row.NormMin > 1 || row.NormMin < 0.3 {
-			t.Errorf("α=%.2f min/avg = %.2f implausible", row.Alpha, row.NormMin)
+		if mn := val(t, r, a+"/min_over_avg"); mn > 1 || mn < 0.3 {
+			t.Errorf("α=%s min/avg = %.2f implausible", a, mn)
 		}
 	}
 	// Paper: raising α beyond ~15% barely changes the balance.
-	if d := r.Rows[2].NormMax - r.Rows[0].NormMax; d > 0.25 || d < -0.25 {
-		t.Errorf("balance swings with α: %.2f → %.2f", r.Rows[0].NormMax, r.Rows[2].NormMax)
+	lo, hi := val(t, r, "0.15/max_over_avg"), val(t, r, "1.00/max_over_avg")
+	if d := hi - lo; d > 0.25 || d < -0.25 {
+		t.Errorf("balance swings with α: %.2f → %.2f", lo, hi)
 	}
-	if !strings.Contains(r.String(), "Figure 10") {
-		t.Error("String() missing caption")
-	}
+	holdGates(t, "fig10", r)
 }
 
 func TestMigrationComparison(t *testing.T) {
-	env := smallEnv(t)
-	r, err := Migration(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The reactive approach must move a real fraction of the data; DataNet
-	// leaves less residual imbalance.
-	if r.Plan.Fraction() <= 0 {
-		t.Error("baseline migration fraction should be positive")
-	}
-	if r.DataNetPlan.Fraction() >= r.Plan.Fraction() {
-		t.Errorf("DataNet residual (%.1f%%) should undercut baseline (%.1f%%)",
-			r.DataNetPlan.Fraction()*100, r.Plan.Fraction()*100)
-	}
-	if r.AggPlan.TotalBytes == 0 {
-		t.Error("aggregation plan empty")
-	}
-	if !strings.Contains(r.String(), "rebalancing") {
-		t.Error("String() missing caption")
-	}
+	holdGates(t, "migration", ran(t, "rebalancing")(Migration(smallEnv(t))))
 }
 
 func TestBucketAblation(t *testing.T) {
-	env := smallEnv(t)
-	r, err := BucketAblation(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 4 {
-		t.Fatalf("rows = %d", len(r.Rows))
-	}
-	for _, row := range r.Rows {
-		if row.Accuracy <= 0 || row.Ratio <= 0 {
-			t.Errorf("%s: degenerate row %+v", row.Shape, row)
+	r := ran(t, "Ablation")(BucketAblation(smallEnv(t)))
+	wantRows(t, r, 4)
+	for _, shape := range cells(r, "/accuracy") {
+		if val(t, r, shape+"/accuracy") <= 0 || val(t, r, shape+"/ratio") <= 0 {
+			t.Errorf("%s: degenerate row %v", shape, r.Values)
 		}
-	}
-	if !strings.Contains(r.String(), "Ablation") {
-		t.Error("String() missing caption")
 	}
 }
 
 func TestSchedulerAblation(t *testing.T) {
-	env := smallEnv(t)
-	r, err := SchedulerAblation(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 7 {
-		t.Fatalf("rows = %d", len(r.Rows))
-	}
-	var base, dn *SchedulerAblationRow
-	for i := range r.Rows {
-		switch r.Rows[i].Scheduler {
-		case "hadoop-locality":
-			base = &r.Rows[i]
-		case "datanet":
-			dn = &r.Rows[i]
-		}
-	}
-	if base == nil || dn == nil {
-		t.Fatal("missing baseline or datanet rows")
-	}
-	if dn.JobTime >= base.JobTime {
-		t.Errorf("datanet job time %.2f not better than locality %.2f", dn.JobTime, base.JobTime)
-	}
-	if dn.MaxOverAvg >= base.MaxOverAvg {
-		t.Errorf("datanet imbalance %.2f not better than locality %.2f", dn.MaxOverAvg, base.MaxOverAvg)
-	}
+	r := ran(t, "Ablation")(SchedulerAblation(smallEnv(t)))
+	wantRows(t, r, 7)
+	holdGates(t, "scheduler-ablation", r)
 }

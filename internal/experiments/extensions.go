@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"datanet/internal/apps"
 	"datanet/internal/cluster"
@@ -27,32 +26,18 @@ import (
 //     post-hoc migration vs speculative execution vs DataNet (§V-A.4);
 //   - IOSaving: the §V-B block-skipping benefit across target popularity.
 
-// ---------------------------------------------------------------------------
-
-// ClusterSweepRow is one cluster size's outcome.
-type ClusterSweepRow struct {
-	Nodes           int
-	BaselineMaxAvg  float64
-	DataNetMaxAvg   float64
-	TopKImprovement float64
-}
-
-// ClusterSweepResult sweeps the cluster size at a fixed dataset.
-type ClusterSweepResult struct {
-	Rows []ClusterSweepRow
-}
-
 // ClusterSweep measures imbalance vs cluster size (fixed 256-block movie
 // dataset, sizes default to 8..128).
-func ClusterSweep(sizes []int, p MovieParams) (*ClusterSweepResult, error) {
+func ClusterSweep(sizes []int, p MovieParams) (*Report, error) {
 	if len(sizes) == 0 {
 		sizes = []int{8, 16, 32, 64, 128}
 	}
 	if p.Nodes == 0 {
 		p = DefaultMovieParams()
 	}
-	res := &ClusterSweepResult{}
-	app := apps.NewTopKSearch(10, "plot twist ending amazing director")
+	r := newReport()
+	t := metrics.NewTable("Extension — imbalance vs cluster size (empirical Figure 2)",
+		"nodes", "baseline max/avg", "datanet max/avg", "TopK improvement")
 	for _, m := range sizes {
 		q := p
 		q.Nodes = m
@@ -60,60 +45,25 @@ func ClusterSweep(sizes []int, p MovieParams) (*ClusterSweepResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		base, err := env.RunBaseline(app)
+		c, err := env.compare(movieTopK())
 		if err != nil {
 			return nil, err
 		}
-		dn, err := env.RunDataNet(app)
-		if err != nil {
-			return nil, err
-		}
-		row := ClusterSweepRow{Nodes: m}
-		row.BaselineMaxAvg = stats.Summarize(NodeSeries(env.Topo, base.NodeWorkload)).ImbalanceRatio()
-		row.DataNetMaxAvg = stats.Summarize(NodeSeries(env.Topo, dn.NodeWorkload)).ImbalanceRatio()
-		if base.AnalysisTime > 0 {
-			row.TopKImprovement = (base.AnalysisTime - dn.AnalysisTime) / base.AnalysisTime
-		}
-		res.Rows = append(res.Rows, row)
+		without, with, gain := r.balanceCells(fmt.Sprint(m), env, c)
+		t.Add(fmt.Sprint(m), without, with, gain)
 	}
-	return res, nil
+	r.table(t)
+	r.linef("  (larger clusters → worse baseline imbalance, as §II-B predicts; DataNet stays near 1)")
+	return r, nil
 }
 
-// String renders the sweep.
-func (r *ClusterSweepResult) String() string {
-	t := metrics.NewTable("Extension — imbalance vs cluster size (empirical Figure 2)",
-		"nodes", "baseline max/avg", "datanet max/avg", "TopK improvement")
-	for _, row := range r.Rows {
-		t.Add(fmt.Sprint(row.Nodes), fmt.Sprintf("%.2f", row.BaselineMaxAvg),
-			fmt.Sprintf("%.2f", row.DataNetMaxAvg), metrics.Pct(row.TopKImprovement))
-	}
-	var sb strings.Builder
-	sb.WriteString(t.String())
-	sb.WriteString("  (larger clusters → worse baseline imbalance, as §II-B predicts; DataNet stays near 1)\n")
-	return sb.String()
-}
-
-// ---------------------------------------------------------------------------
-
-// HeterogeneityResult compares uniform-target Algorithm 1 with the
-// capacity-aware variant on a cluster where a quarter of the nodes run at
-// 40% speed.
-type HeterogeneityResult struct {
-	Nodes         int
-	SlowNodes     int
-	UniformTime   float64
-	CapacityTime  float64
-	UniformStall  float64 // slowest node's analysis time, uniform targets
-	CapacityStall float64
-	CapacityGain  float64
-}
-
-// Heterogeneity runs the comparison.
-func Heterogeneity(p MovieParams) (*HeterogeneityResult, error) {
+// Heterogeneity compares uniform-target Algorithm 1 with the
+// capacity-aware variant on a cluster where a quarter of the nodes (every
+// 4th) run at 40% CPU.
+func Heterogeneity(p MovieParams) (*Report, error) {
 	if p.Nodes == 0 {
 		p = DefaultMovieParams()
 	}
-	// Build a heterogeneous topology: every 4th node at 40% CPU.
 	scale := float64(p.BlockBytes) / float64(hdfs.DefaultBlockSize)
 	specs := make([]cluster.Node, p.Nodes)
 	slow := 0
@@ -139,8 +89,7 @@ func Heterogeneity(p MovieParams) (*HeterogeneityResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	recs := movieLog(p)
-	if _, err := fs.Write("data", recs); err != nil {
+	if _, err := fs.Write("data", movieLog(p)); err != nil {
 		return nil, err
 	}
 	perBlock, err := fs.BlockRecords("data")
@@ -152,151 +101,94 @@ func Heterogeneity(p MovieParams) (*HeterogeneityResult, error) {
 		BucketBounds: elasticmap.ScaledFibonacciBounds(p.BlockBytes),
 	})
 	target := gen.MovieID(0)
-	weights := arr.Weights(target)
+	app, weights := movieTopK(), arr.Weights(target)
 
-	app := apps.NewTopKSearch(10, "plot twist ending amazing director")
-	run := func(f sched.Factory) (*mapreduce.Result, error) {
-		return mapreduce.Run(mapreduce.Config{
-			FS: fs, File: "data", TargetSub: target,
-			App: app, Picker: f, Weights: weights,
-		})
-	}
-	uni, err := run(sched.NewDataNetPicker)
-	if err != nil {
-		return nil, err
-	}
-	cap, err := run(sched.NewCapacityAwarePicker)
-	if err != nil {
-		return nil, err
-	}
-	res := &HeterogeneityResult{
-		Nodes: p.Nodes, SlowNodes: slow,
-		UniformTime:  uni.AnalysisTime,
-		CapacityTime: cap.AnalysisTime,
-	}
-	res.UniformStall = stats.Summarize(NodeSeries(topo, uni.NodeCompute)).Max
-	res.CapacityStall = stats.Summarize(NodeSeries(topo, cap.NodeCompute)).Max
-	if res.UniformTime > 0 {
-		res.CapacityGain = (res.UniformTime - res.CapacityTime) / res.UniformTime
-	}
-	return res, nil
-}
-
-// String renders the heterogeneity comparison.
-func (r *HeterogeneityResult) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Extension — heterogeneous cluster (%d nodes, %d at 40%% CPU)\n", r.Nodes, r.SlowNodes)
+	r := newReport()
+	r.linef("Extension — heterogeneous cluster (%d nodes, %d at 40%% CPU)", p.Nodes, slow)
+	r.set("slow_nodes", float64(slow))
 	t := metrics.NewTable("", "variant", "analysis time", "slowest node")
-	t.Add("Algorithm 1, uniform W̄", metrics.Seconds(r.UniformTime), metrics.Seconds(r.UniformStall))
-	t.Add("Algorithm 1, capacity-aware", metrics.Seconds(r.CapacityTime), metrics.Seconds(r.CapacityStall))
-	sb.WriteString(t.String())
-	fmt.Fprintf(&sb, "  capacity-aware gain: %s (the §IV-B \"computing capability\" refinement)\n", metrics.Pct(r.CapacityGain))
-	return sb.String()
-}
-
-// ---------------------------------------------------------------------------
-
-// ReactiveResult is the four-way §V-A.4 comparison on one environment.
-type ReactiveResult struct {
-	Env  *Env
-	Rows []ReactiveRow
-}
-
-// ReactiveRow is one strategy's outcome.
-type ReactiveRow struct {
-	Strategy     string
-	AnalysisTime float64
-	MaxOverAvg   float64
-	Migrated     int64
-	Speculative  int
-}
-
-// Reactive compares: locality baseline, baseline + SkewTune-style
-// migration, baseline + speculative execution, and DataNet.
-func Reactive(env *Env) (*ReactiveResult, error) {
-	app := apps.NewTopKSearch(10, "plot twist ending amazing director")
-	res := &ReactiveResult{Env: env}
-	add := func(name string, cfg mapreduce.Config) error {
-		run, err := mapreduce.Run(cfg)
-		if err != nil {
-			return err
-		}
-		loads := stats.Summarize(NodeSeries(env.Topo, run.NodeWorkload))
-		res.Rows = append(res.Rows, ReactiveRow{
-			Strategy:     name,
-			AnalysisTime: run.AnalysisTime,
-			MaxOverAvg:   loads.ImbalanceRatio(),
-			Migrated:     run.MigratedBytes,
-			Speculative:  run.SpeculativeWins,
+	var times [2]float64
+	for i, v := range []struct {
+		name, key string
+		picker    sched.Factory
+	}{
+		{"Algorithm 1, uniform W̄", "uniform", sched.NewDataNetPicker},
+		{"Algorithm 1, capacity-aware", "capacity", sched.NewCapacityAwarePicker},
+	} {
+		run, err := mapreduce.Run(mapreduce.Config{
+			FS: fs, File: "data", TargetSub: target,
+			App: app, Picker: v.picker, Weights: weights,
 		})
-		return nil
+		if err != nil {
+			return nil, err
+		}
+		// The slowest node's analysis time is where slow nodes stall the job.
+		stall := stats.Summarize(NodeSeries(topo, run.NodeCompute)).Max
+		t.Add(v.name, metrics.Seconds(run.AnalysisTime), metrics.Seconds(stall))
+		r.set(v.key, run.AnalysisTime)
+		r.set(v.key+"/slowest_node", stall)
+		times[i] = run.AnalysisTime
 	}
+	r.table(t)
+	gain := 0.0
+	if times[0] > 0 {
+		gain = (times[0] - times[1]) / times[0]
+	}
+	r.linef("  capacity-aware gain: %s (the §IV-B \"computing capability\" refinement)", metrics.Pct(gain))
+	return r, nil
+}
+
+// Reactive is the four-way §V-A.4 comparison on one environment: locality
+// baseline, baseline + SkewTune-style migration, baseline + speculative
+// execution, and DataNet.
+func Reactive(env *Env) (*Report, error) {
 	base := mapreduce.Config{
 		FS: env.FS, File: env.File, TargetSub: env.Target,
-		App: app, Picker: sched.NewLocalityPicker,
-	}
-	if err := add("locality baseline", base); err != nil {
-		return nil, err
+		App: movieTopK(), Picker: sched.NewLocalityPicker,
 	}
 	mig := base
 	mig.RebalanceAfterFilter = true
-	if err := add("baseline + migration (SkewTune-style)", mig); err != nil {
-		return nil, err
-	}
 	spec := base
 	spec.Speculative = true
-	if err := add("baseline + speculative execution", spec); err != nil {
-		return nil, err
-	}
 	dn := base
 	dn.Picker = sched.NewDataNetPicker
 	dn.Weights = env.EstimatedWeights(env.Target)
-	if err := add("DataNet (Algorithm 1)", dn); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
 
-// String renders the comparison.
-func (r *ReactiveResult) String() string {
-	t := metrics.NewTable(fmt.Sprintf("Extension — proactive vs reactive (%s)", r.Env.describe()),
+	r := newReport()
+	t := metrics.NewTable(fmt.Sprintf("Extension — proactive vs reactive (%s)", env.describe()),
 		"strategy", "analysis time", "workload max/avg", "migrated", "backups")
-	for _, row := range r.Rows {
-		t.Add(row.Strategy, metrics.Seconds(row.AnalysisTime), fmt.Sprintf("%.2f", row.MaxOverAvg),
-			metrics.Bytes(row.Migrated), fmt.Sprint(row.Speculative))
+	for _, s := range []struct {
+		name string
+		cfg  mapreduce.Config
+	}{
+		{"locality baseline", base},
+		{"baseline + migration (SkewTune-style)", mig},
+		{"baseline + speculative execution", spec},
+		{"DataNet (Algorithm 1)", dn},
+	} {
+		run, err := mapreduce.Run(s.cfg)
+		if err != nil {
+			return nil, err
+		}
+		imbalance := env.maxOverAvg(run)
+		t.Add(s.name, metrics.Seconds(run.AnalysisTime), fmt.Sprintf("%.2f", imbalance),
+			metrics.Bytes(run.MigratedBytes), fmt.Sprint(run.SpeculativeWins))
+		r.set(s.name, run.AnalysisTime)
+		r.set(s.name+"/max_over_avg", imbalance)
+		r.set(s.name+"/migrated", float64(run.MigratedBytes))
 	}
-	var sb strings.Builder
-	sb.WriteString(t.String())
-	sb.WriteString("  (reactive schemes pay migration/backup costs at runtime; DataNet schedules the imbalance away)\n")
-	return sb.String()
+	r.table(t)
+	r.linef("  (reactive schemes pay migration/backup costs at runtime; DataNet schedules the imbalance away)")
+	return r, nil
 }
 
-// ---------------------------------------------------------------------------
-
-// IOSavingRow reports block skipping for one target popularity rank.
-type IOSavingRow struct {
-	Rank          int
-	TargetBytes   int64
-	SkippedBlocks int
-	TotalBlocks   int
-	ScanSaved     float64 // fraction of raw bytes never read
-}
-
-// IOSavingResult is the §V-B skipping benefit across popularity ranks.
-type IOSavingResult struct {
-	Env  *Env
-	Rows []IOSavingRow
-}
-
-// IOSaving measures how many blocks ElasticMap lets jobs skip as the
-// target sub-dataset shrinks ("we don't need to process blocks that don't
-// contain our target data").
-func IOSaving(env *Env, ranks []int) (*IOSavingResult, error) {
+// IOSaving measures the §V-B skipping benefit across popularity ranks: how
+// many blocks ElasticMap lets jobs skip as the target sub-dataset shrinks
+// ("we don't need to process blocks that don't contain our target data").
+func IOSaving(env *Env, ranks []int) (*Report, error) {
 	if len(ranks) == 0 {
 		ranks = []int{0, 5, 20, 100, 500}
 	}
-	app := apps.WordCount{}
-	res := &IOSavingResult{Env: env}
 	blocks, err := env.FS.Blocks(env.File)
 	if err != nil {
 		return nil, err
@@ -305,12 +197,15 @@ func IOSaving(env *Env, ranks []int) (*IOSavingResult, error) {
 	for _, b := range blocks {
 		rawTotal += b.Bytes
 	}
+	r := newReport()
+	t := metrics.NewTable("Extension — §V-B I/O saving via ElasticMap block skipping",
+		"movie rank", "sub-dataset size", "blocks skipped", "raw bytes never read")
 	for _, rank := range ranks {
 		sub := gen.MovieID(rank)
 		weights := env.EstimatedWeights(sub)
 		run, err := mapreduce.Run(mapreduce.Config{
 			FS: env.FS, File: env.File, TargetSub: sub,
-			App: app, Picker: sched.NewDataNetPicker,
+			App: apps.WordCount{}, Picker: sched.NewDataNetPicker,
 			Weights: weights, SkipEmpty: true,
 		})
 		if err != nil {
@@ -322,27 +217,14 @@ func IOSaving(env *Env, ranks []int) (*IOSavingResult, error) {
 				skippedBytes += blocks[i].Bytes
 			}
 		}
-		res.Rows = append(res.Rows, IOSavingRow{
-			Rank:          rank,
-			TargetBytes:   env.Truth[sub],
-			SkippedBlocks: run.SkippedBlocks,
-			TotalBlocks:   len(blocks),
-			ScanSaved:     float64(skippedBytes) / float64(rawTotal),
-		})
+		saved := float64(skippedBytes) / float64(rawTotal)
+		t.Add(fmt.Sprint(rank), metrics.Bytes(env.Truth[sub]),
+			fmt.Sprintf("%d/%d", run.SkippedBlocks, len(blocks)), metrics.Pct(saved))
+		r.set(fmt.Sprintf("%d/skipped_blocks", rank), float64(run.SkippedBlocks))
+		r.set(fmt.Sprintf("%d/scan_saved", rank), saved)
 	}
-	return res, nil
-}
-
-// String renders the I/O-saving table.
-func (r *IOSavingResult) String() string {
-	t := metrics.NewTable("Extension — §V-B I/O saving via ElasticMap block skipping",
-		"movie rank", "sub-dataset size", "blocks skipped", "raw bytes never read")
-	for _, row := range r.Rows {
-		t.Add(fmt.Sprint(row.Rank), metrics.Bytes(row.TargetBytes),
-			fmt.Sprintf("%d/%d", row.SkippedBlocks, row.TotalBlocks), metrics.Pct(row.ScanSaved))
-	}
-	var sb strings.Builder
-	sb.WriteString(t.String())
-	sb.WriteString("  (savings track the target's temporal footprint: short-lived or rare sub-datasets leave most blocks provably empty)\n")
-	return sb.String()
+	r.set("blocks", float64(len(blocks)))
+	r.table(t)
+	r.linef("  (savings track the target's temporal footprint: short-lived or rare sub-datasets leave most blocks provably empty)")
+	return r, nil
 }

@@ -1,145 +1,63 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"datanet/internal/stats"
 )
 
 func TestTheoryValidation(t *testing.T) {
-	// Small but meaningful: 128 blocks on 16 nodes, 2 layouts.
-	r, err := Theory(stats.Gamma{K: 1.2, Theta: 7}, 128, 16, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Parameter recovery within 25% at this sample size.
-	if d := (r.FitMoments.K - 1.2) / 1.2; d > 0.25 || d < -0.25 {
-		t.Errorf("moments k = %g, want ≈1.2", r.FitMoments.K)
-	}
-	if !r.FitMLE.Valid() {
-		t.Error("MLE failed")
-	}
-	// The Gamma model fits its own generator.
-	if r.KS > 2*r.KSCritical {
-		t.Errorf("KS %.3f far above critical %.3f", r.KS, r.KSCritical)
-	}
+	// Small but meaningful: 128 blocks on 16 nodes, 2 layouts. The gate
+	// rows hold parameter recovery within 25% at this sample size, a valid
+	// MLE, and the Gamma model fitting its own generator.
+	r := ran(t, "Theory validation")(Theory(stats.Gamma{K: 1.2, Theta: 7}, 128, 16, 2))
+	holdGates(t, "theory", r)
 	// Measured extreme-node counts in the analytic ballpark (loose: few
 	// layouts, discrete counts).
-	if r.ExpectedAboveDouble > 0.5 {
-		ratio := r.MeasuredAboveDouble / r.ExpectedAboveDouble
-		if ratio < 0.3 || ratio > 3 {
-			t.Errorf(">2E: measured %.2f vs analytic %.2f", r.MeasuredAboveDouble, r.ExpectedAboveDouble)
+	if expected := val(t, r, "above_double/analytic"); expected > 0.5 {
+		measured := val(t, r, "above_double/measured")
+		if ratio := measured / expected; ratio < 0.3 || ratio > 3 {
+			t.Errorf(">2E: measured %.2f vs analytic %.2f", measured, expected)
 		}
-	}
-	if !strings.Contains(r.String(), "Theory validation") {
-		t.Error("String() missing caption")
 	}
 }
 
 func TestClusterSweep(t *testing.T) {
-	p := smallMovie()
-	r, err := ClusterSweep([]int{4, 8, 16}, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 3 {
-		t.Fatalf("rows = %d", len(r.Rows))
-	}
+	r := ran(t, "cluster size")(ClusterSweep([]int{4, 8, 16}, smallMovie()))
+	wantRows(t, r, 3)
 	// §II-B: baseline imbalance grows with the cluster size.
-	if r.Rows[2].BaselineMaxAvg <= r.Rows[0].BaselineMaxAvg {
-		t.Errorf("imbalance not growing: %.2f (4 nodes) vs %.2f (16 nodes)",
-			r.Rows[0].BaselineMaxAvg, r.Rows[2].BaselineMaxAvg)
+	if small, large := val(t, r, "4/baseline_max_avg"), val(t, r, "16/baseline_max_avg"); large <= small {
+		t.Errorf("imbalance not growing: %.2f (4 nodes) vs %.2f (16 nodes)", small, large)
 	}
 	// DataNet tracks closer to 1 than the baseline at the largest size.
-	last := r.Rows[2]
-	if last.DataNetMaxAvg >= last.BaselineMaxAvg {
-		t.Errorf("DataNet (%.2f) not better than baseline (%.2f) at 16 nodes",
-			last.DataNetMaxAvg, last.BaselineMaxAvg)
-	}
-	if !strings.Contains(r.String(), "cluster size") {
-		t.Error("String() missing caption")
+	if dn, base := val(t, r, "16/datanet_max_avg"), val(t, r, "16/baseline_max_avg"); dn >= base {
+		t.Errorf("DataNet (%.2f) not better than baseline (%.2f) at 16 nodes", dn, base)
 	}
 }
 
 func TestHeterogeneity(t *testing.T) {
-	p := smallMovie()
-	r, err := Heterogeneity(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.SlowNodes == 0 {
-		t.Fatal("no slow nodes in fixture")
-	}
-	// Capacity-aware targets must not be worse, and should relieve the
-	// slow-node stall.
-	if r.CapacityTime > r.UniformTime*1.02 {
-		t.Errorf("capacity-aware slower: %.2f vs %.2f", r.CapacityTime, r.UniformTime)
-	}
-	if r.CapacityStall >= r.UniformStall {
-		t.Errorf("slow-node stall not relieved: %.2f vs %.2f", r.CapacityStall, r.UniformStall)
-	}
-	if !strings.Contains(r.String(), "heterogeneous") {
-		t.Error("String() missing caption")
-	}
+	holdGates(t, "heterogeneity", ran(t, "heterogeneous")(Heterogeneity(smallMovie())))
 }
 
 func TestReactiveComparison(t *testing.T) {
-	env := smallEnv(t)
-	r, err := Reactive(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 4 {
-		t.Fatalf("rows = %d", len(r.Rows))
-	}
-	byName := map[string]ReactiveRow{}
-	for _, row := range r.Rows {
-		byName[row.Strategy] = row
-	}
-	base := byName["locality baseline"]
-	mig := byName["baseline + migration (SkewTune-style)"]
-	dn := byName["DataNet (Algorithm 1)"]
-	if mig.Migrated == 0 {
-		t.Error("migration strategy moved nothing")
-	}
-	if dn.Migrated != 0 {
-		t.Error("DataNet should not migrate")
-	}
-	if dn.AnalysisTime > base.AnalysisTime {
-		t.Errorf("DataNet (%.2f) worse than baseline (%.2f)", dn.AnalysisTime, base.AnalysisTime)
-	}
-	if mig.MaxOverAvg > 1.01 {
-		t.Errorf("migration left imbalance %.2f", mig.MaxOverAvg)
-	}
-	if !strings.Contains(r.String(), "proactive vs reactive") {
-		t.Error("String() missing caption")
-	}
+	r := ran(t, "proactive vs reactive")(Reactive(smallEnv(t)))
+	wantRows(t, r, 4)
+	holdGates(t, "reactive", r)
 }
 
 func TestIOSaving(t *testing.T) {
-	env := smallEnv(t)
-	r, err := IOSaving(env, []int{0, 50, 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 3 {
-		t.Fatalf("rows = %d", len(r.Rows))
-	}
-	for _, row := range r.Rows {
-		if row.SkippedBlocks < 0 || row.SkippedBlocks > row.TotalBlocks {
-			t.Errorf("rank %d: skipped %d of %d", row.Rank, row.SkippedBlocks, row.TotalBlocks)
+	r := ran(t, "I/O saving")(IOSaving(smallEnv(t), []int{0, 50, 200}))
+	wantRows(t, r, 3)
+	for _, rank := range cells(r, "/skipped_blocks") {
+		if skipped := val(t, r, rank+"/skipped_blocks"); skipped < 0 || skipped > val(t, r, "blocks") {
+			t.Errorf("rank %s: skipped %g of %g", rank, skipped, val(t, r, "blocks"))
 		}
-		if row.ScanSaved < 0 || row.ScanSaved > 1 {
-			t.Errorf("rank %d: saved %g", row.Rank, row.ScanSaved)
+		if saved := val(t, r, rank+"/scan_saved"); saved < 0 || saved > 1 {
+			t.Errorf("rank %s: saved %g", rank, saved)
 		}
 	}
 	// A mid-tail movie leaves more blocks skippable than the blockbuster.
-	if r.Rows[2].SkippedBlocks <= r.Rows[0].SkippedBlocks {
-		t.Errorf("rarer target skipped fewer blocks: %d vs %d",
-			r.Rows[2].SkippedBlocks, r.Rows[0].SkippedBlocks)
-	}
-	if !strings.Contains(r.String(), "I/O saving") {
-		t.Error("String() missing caption")
+	if tail, top := val(t, r, "200/skipped_blocks"), val(t, r, "0/skipped_blocks"); tail <= top {
+		t.Errorf("rarer target skipped fewer blocks: %g vs %g", tail, top)
 	}
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"datanet/internal/cluster"
 	"datanet/internal/clusterd"
@@ -21,32 +20,6 @@ import (
 // staleness (the promoted follower may trail the acked high-water mark
 // until the next append). Sweeping detector aggressiveness × replication
 // factor on a logical clock shows how each knob moves those windows.
-
-// FailoverRow is one (detector, replicas) outcome.
-type FailoverRow struct {
-	// Mode names the detector arm ("hb K=1", "hb K=3", "phi").
-	Mode string
-	// Replicas is the follower count per shard.
-	Replicas int
-	// DetectTicks is crash → first suspicion; PromoteTicks crash → no
-	// shard led by the victim; ConvergeTicks crash → fully repaired
-	// (replica sets refilled and caught up).
-	DetectTicks, PromoteTicks, ConvergeTicks float64
-	// UnavailableOps counts client appends+reads refused with a typed
-	// routing error during the failover window.
-	UnavailableOps int
-	// StaleReads counts reads served below the acked mark (flagged).
-	StaleReads int
-	// Promotions is how many shards changed leader.
-	Promotions int
-	// DataIntact reports every array still queryable after convergence.
-	DataIntact bool
-}
-
-// FailoverSweepResult is the failover sweep across detector × replicas.
-type FailoverSweepResult struct {
-	Rows []FailoverRow
-}
 
 const (
 	failoverNodes  = 5
@@ -66,10 +39,11 @@ func failoverChunk(i, n int) *elasticmap.Array {
 }
 
 // FailoverSweep crashes a shard primary mid-traffic under every detector
-// arm × replication factor and reports the detection, unavailability and
-// staleness windows. Entirely on the logical clock — the output is a pure
-// function of the configuration.
-func FailoverSweep() (*FailoverSweepResult, error) {
+// arm × replication factor (followers per shard) and reports the detection,
+// unavailability and staleness windows under <detector>/<replicas>/….
+// Entirely on the logical clock — the output is a pure function of the
+// configuration.
+func FailoverSweep() (*Report, error) {
 	arms := []struct {
 		name string
 		det  detect.Config
@@ -78,34 +52,39 @@ func FailoverSweep() (*FailoverSweepResult, error) {
 		{"hb K=3", detect.Config{Mode: detect.Heartbeat, Interval: 1, Timeout: 3}},
 		{"phi", detect.Config{Mode: detect.Phi, Interval: 1}},
 	}
-	res := &FailoverSweepResult{}
+	r := newReport()
+	t := metrics.NewTable("Metadata failover — windows vs detector aggressiveness and replication (ticks)",
+		"detector", "replicas", "detect", "leader moved", "converged", "refused ops", "stale reads", "promotions", "data")
+	r.set("data_lost", 0)
 	for _, arm := range arms {
 		for _, replicas := range []int{1, 2, 3} {
-			row, err := failoverRun(arm.name, arm.det, replicas)
-			if err != nil {
+			if err := failoverRun(r, t, arm.name, arm.det, replicas); err != nil {
 				return nil, fmt.Errorf("failover sweep %s K=%d: %w", arm.name, replicas, err)
 			}
-			res.Rows = append(res.Rows, row)
 		}
 	}
-	return res, nil
+	r.table(t)
+	r.linef("  (detection closes after the suspicion timeout; the unavailability window is detection plus\n   promotion, and more replicas lengthen convergence — refills ship more snapshots — while\n   keeping a fresher best follower to promote)")
+	return r, nil
 }
 
 // failoverRun executes one arm: warm the cluster up, crash the primary of
 // shard 0, then drive one append and one read per array per tick until
-// the cluster converges again.
-func failoverRun(mode string, det detect.Config, replicas int) (FailoverRow, error) {
-	row := FailoverRow{Mode: mode, Replicas: replicas}
+// the cluster converges again. It adds the arm's row to t and its windows
+// to r, in ticks after the crash: detect is crash → first suspicion,
+// promote crash → no shard led by the victim, converge crash → fully
+// repaired (replica sets refilled and caught up).
+func failoverRun(r *Report, t *metrics.Table, mode string, det detect.Config, replicas int) error {
 	c, err := clusterd.New(clusterd.Config{
 		Shards: failoverShards, Replicas: replicas,
 		Detect: det, ShipDelay: 1, CacheSize: 16,
 	}, failoverNodes)
 	if err != nil {
-		return row, err
+		return err
 	}
 	for i := 0; i < failoverArrays; i++ {
 		if err := c.Load(failoverArrayName(i), failoverChunk(i, 10)); err != nil {
-			return row, err
+			return err
 		}
 	}
 	now := 0.0
@@ -116,14 +95,18 @@ func failoverRun(mode string, det detect.Config, replicas int) (FailoverRow, err
 		tick()
 	}
 	if err := c.Converged(); err != nil {
-		return row, fmt.Errorf("not converged after warmup: %w", err)
+		return fmt.Errorf("not converged after warmup: %w", err)
 	}
 	victim := cluster.NodeID(c.Topology().Map[0].Primary)
 	pre := c.Stats()
 	crashAt := now
 	if err := c.Crash(victim); err != nil {
-		return row, err
+		return err
 	}
+	// unavailableOps counts client appends+reads refused with a typed
+	// routing error during the failover window, staleReads the reads served
+	// below the acked mark (flagged).
+	var unavailableOps, staleReads int
 	detected, promoted, converged := -1.0, -1.0, -1.0
 	for i := 0; i < 60 && converged < 0; i++ {
 		tick()
@@ -136,18 +119,18 @@ func failoverRun(mode string, det detect.Config, replicas int) (FailoverRow, err
 				name := failoverArrayName(a)
 				if _, err := c.Append(name, failoverChunk(a, 1)); err != nil {
 					if !legalFailoverErr(err) {
-						return row, fmt.Errorf("append %s: %w", name, err)
+						return fmt.Errorf("append %s: %w", name, err)
 					}
-					row.UnavailableOps++
+					unavailableOps++
 				}
 				_, stale, err := c.Read(name)
 				switch {
 				case err == nil && stale:
-					row.StaleReads++
+					staleReads++
 				case err != nil && legalFailoverErr(err):
-					row.UnavailableOps++
+					unavailableOps++
 				case err != nil:
-					return row, fmt.Errorf("read %s: %w", name, err)
+					return fmt.Errorf("read %s: %w", name, err)
 				}
 			}
 		}
@@ -171,24 +154,35 @@ func failoverRun(mode string, det detect.Config, replicas int) (FailoverRow, err
 		}
 	}
 	if detected < 0 || promoted < 0 || converged < 0 {
-		return row, fmt.Errorf("windows never closed: detect=%g promote=%g converge=%g (%v)",
+		return fmt.Errorf("windows never closed: detect=%g promote=%g converge=%g (%v)",
 			detected, promoted, converged, c.Converged())
 	}
-	row.DetectTicks, row.PromoteTicks, row.ConvergeTicks = detected, promoted, converged
-	row.Promotions = c.Stats().Promotions - pre.Promotions
-	row.DataIntact = true
+	promotions := c.Stats().Promotions - pre.Promotions
+	// Every array must still be queryable after convergence.
+	data := "intact"
 	for i := 0; i < failoverArrays; i++ {
 		name := failoverArrayName(i)
 		sn, _, err := c.Read(name)
 		if err != nil {
-			row.DataIntact = false
+			data = "LOST"
 			continue
 		}
 		if total, _, _ := sn.Arr.EstimateDetailed(name); total <= 0 {
-			row.DataIntact = false
+			data = "LOST"
 		}
 	}
-	return row, nil
+	if data == "LOST" {
+		r.Values["data_lost"]++
+	}
+	t.Add(mode, fmt.Sprint(replicas),
+		fmt.Sprintf("%.0f", detected), fmt.Sprintf("%.0f", promoted), fmt.Sprintf("%.0f", converged),
+		fmt.Sprint(unavailableOps), fmt.Sprint(staleReads), fmt.Sprint(promotions), data)
+	key := fmt.Sprintf("%s/%d", mode, replicas)
+	r.set(key+"/detect_ticks", detected)
+	r.set(key+"/promote_ticks", promoted)
+	r.set(key+"/converge_ticks", converged)
+	r.set(key+"/promotions", float64(promotions))
+	return nil
 }
 
 // legalFailoverErr reports whether a client error is a permitted
@@ -197,26 +191,4 @@ func legalFailoverErr(err error) bool {
 	return errors.Is(err, clusterd.ErrNotLeader) ||
 		errors.Is(err, clusterd.ErrNoLeader) ||
 		errors.Is(err, clusterd.ErrNodeDown)
-}
-
-// String renders the sweep.
-func (r *FailoverSweepResult) String() string {
-	t := metrics.NewTable("Metadata failover — windows vs detector aggressiveness and replication (ticks)",
-		"detector", "replicas", "detect", "leader moved", "converged", "refused ops", "stale reads", "promotions", "data")
-	for _, row := range r.Rows {
-		data := "intact"
-		if !row.DataIntact {
-			data = "LOST"
-		}
-		t.Add(row.Mode, fmt.Sprint(row.Replicas),
-			fmt.Sprintf("%.0f", row.DetectTicks),
-			fmt.Sprintf("%.0f", row.PromoteTicks),
-			fmt.Sprintf("%.0f", row.ConvergeTicks),
-			fmt.Sprint(row.UnavailableOps), fmt.Sprint(row.StaleReads),
-			fmt.Sprint(row.Promotions), data)
-	}
-	var sb strings.Builder
-	sb.WriteString(t.String())
-	sb.WriteString("  (detection closes after the suspicion timeout; the unavailability window is detection plus\n   promotion, and more replicas lengthen convergence — refills ship more snapshots — while\n   keeping a fresher best follower to promote)\n")
-	return sb.String()
 }

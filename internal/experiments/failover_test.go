@@ -1,39 +1,22 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 )
 
 func TestFailoverSweep(t *testing.T) {
-	res, err := FailoverSweep()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 9 {
-		t.Fatalf("got %d rows, want 3 detector arms × 3 replication factors", len(res.Rows))
-	}
-	byMode := map[string][]FailoverRow{}
-	for _, row := range res.Rows {
-		if !row.DataIntact {
-			t.Errorf("%s K=%d lost data", row.Mode, row.Replicas)
+	r := ran(t, "Metadata failover")(FailoverSweep())
+	wantRows(t, r, 9) // 3 detector arms × 3 replication factors
+	// No arm lost data, and the aggressive heartbeat detects no slower than
+	// the lazy one at equal replication: the section's gate rows.
+	holdGates(t, "failover-sweep", r)
+	for _, cell := range cells(r, "/detect_ticks") {
+		detect, promote, converge := val(t, r, cell+"/detect_ticks"), val(t, r, cell+"/promote_ticks"), val(t, r, cell+"/converge_ticks")
+		if detect <= 0 || promote < detect || converge < promote {
+			t.Errorf("%s windows out of order: detect=%g promote=%g converge=%g", cell, detect, promote, converge)
 		}
-		if row.DetectTicks <= 0 || row.PromoteTicks < row.DetectTicks || row.ConvergeTicks < row.PromoteTicks {
-			t.Errorf("%s K=%d windows out of order: detect=%g promote=%g converge=%g",
-				row.Mode, row.Replicas, row.DetectTicks, row.PromoteTicks, row.ConvergeTicks)
-		}
-		if row.Promotions < 1 {
-			t.Errorf("%s K=%d recorded no promotions for a crashed primary", row.Mode, row.Replicas)
-		}
-		byMode[row.Mode] = append(byMode[row.Mode], row)
-	}
-	// The aggressive heartbeat cannot detect slower than the lazy one at
-	// equal replication.
-	for i := range byMode["hb K=1"] {
-		if byMode["hb K=1"][i].DetectTicks > byMode["hb K=3"][i].DetectTicks {
-			t.Errorf("replicas=%d: hb K=1 detected in %g ticks, slower than hb K=3's %g",
-				byMode["hb K=1"][i].Replicas,
-				byMode["hb K=1"][i].DetectTicks, byMode["hb K=3"][i].DetectTicks)
+		if val(t, r, cell+"/promotions") < 1 {
+			t.Errorf("%s recorded no promotions for a crashed primary", cell)
 		}
 	}
 }
@@ -41,18 +24,9 @@ func TestFailoverSweep(t *testing.T) {
 // The sweep runs on the logical clock only: identical runs must render
 // identically, or the suite golden flakes.
 func TestFailoverSweepDeterministic(t *testing.T) {
-	a, err := FailoverSweep()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := FailoverSweep()
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := ran(t, "Metadata failover")(FailoverSweep())
+	b := ran(t, "Metadata failover")(FailoverSweep())
 	if a.String() != b.String() {
 		t.Fatalf("non-deterministic render:\n%s\nvs\n%s", a, b)
-	}
-	if !strings.Contains(a.String(), "Metadata failover") {
-		t.Fatalf("unexpected render:\n%s", a)
 	}
 }

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"reflect"
-	"strings"
 
 	"datanet/internal/apps"
 	"datanet/internal/cluster"
@@ -13,7 +11,6 @@ import (
 	"datanet/internal/hdfs"
 	"datanet/internal/mapreduce"
 	"datanet/internal/metrics"
-	"datanet/internal/records"
 	"datanet/internal/sched"
 )
 
@@ -23,34 +20,6 @@ import (
 // hadoop-locality baseline, and speculative execution — plus the
 // degraded-metadata arm, where a corrupt ElasticMap encoding must demote
 // DataNet to the locality baseline rather than fail the job.
-
-// FaultTolRow is one (scheduler, fault plan) outcome.
-type FaultTolRow struct {
-	Scheduler string
-	// Crashes is the number of nodes killed; CrashFrac is when, as a
-	// fraction of the fault-free filter makespan.
-	Crashes   int
-	CrashFrac float64
-	JobTime   float64
-	// Slowdown is JobTime relative to the same scheduler's fault-free run.
-	Slowdown float64
-	Retried  int
-	Lost     int
-	Repaired int
-	// OutputOK reports the executed output matched the fault-free run —
-	// the correctness contract of crash recovery.
-	OutputOK bool
-}
-
-// FaultTolResult is the fault-tolerance sweep.
-type FaultTolResult struct {
-	Rows     []FaultTolRow
-	Counters metrics.FaultCounters
-	// FallbackSched is the scheduler name recorded by the
-	// degraded-metadata run; FallbackOK reports its output still matched.
-	FallbackSched string
-	FallbackOK    bool
-}
 
 // DefaultFaultParams sizes the fault-tolerance environment: 16 nodes in 2
 // racks, 64 blocks of 64 KiB — small enough that the ~20 runs of the
@@ -78,7 +47,7 @@ type faultFixture struct {
 	out *mapreduce.MapOutput
 }
 
-func newFaultFixture(recs []records.Record, p MovieParams) (*faultFixture, error) {
+func newFaultFixture(p MovieParams) (*faultFixture, error) {
 	topo, err := scaledTopology(p.Nodes, p.Racks, p.BlockBytes)
 	if err != nil {
 		return nil, err
@@ -87,7 +56,7 @@ func newFaultFixture(recs []records.Record, p MovieParams) (*faultFixture, error
 	if err != nil {
 		return nil, err
 	}
-	if _, err := fs.Write("dataset.log", recs); err != nil {
+	if _, err := fs.Write("dataset.log", movieLog(p)); err != nil {
 		return nil, err
 	}
 	out, err := mapreduce.MapFile(fs, "dataset.log", apps.WordCount{}, gen.MovieID(0))
@@ -107,39 +76,61 @@ func (f *faultFixture) config() mapreduce.Config {
 	}
 }
 
-// FaultTolerance sweeps crash count and timing across schedulers.
-func FaultTolerance(p MovieParams) (*FaultTolResult, error) {
-	if p.Nodes <= 0 {
-		p = DefaultFaultParams()
-	}
-	recs := movieLog(p)
-	target := gen.MovieID(0)
-	fix, err := newFaultFixture(recs, p)
+// faultScheduler is one scheduler arm of a fault sweep: a tweak applied to
+// the fixture's locality job.
+type faultScheduler struct {
+	name  string
+	tweak func(*mapreduce.Config)
+}
+
+// schedulers returns the arms the fault sweeps compare: the locality
+// baseline, DataNet on ElasticMap weights built once at hash share alpha
+// from the fixture's blocks, and speculative execution.
+func (f *faultFixture) schedulers(alpha float64) ([]faultScheduler, error) {
+	perBlock, err := f.fs.BlockRecords("dataset.log")
 	if err != nil {
 		return nil, err
 	}
-
-	// ElasticMap weights, built once: the block split is a pure function
-	// of block size and record stream, identical across fs instances.
-	env, err := buildEnv(recs, p.Nodes, p.Racks, hdfs.Config{BlockSize: p.BlockBytes, Seed: p.Seed}, p.Alpha, target)
-	if err != nil {
-		return nil, err
-	}
-	weights := env.EstimatedWeights(target)
-
-	schedulers := []struct {
-		name  string
-		tweak func(*mapreduce.Config)
-	}{
+	bounds := elasticmap.ScaledFibonacciBounds(f.fs.Config().BlockSize)
+	weights := elasticmap.Build(perBlock, elasticmap.Options{Alpha: alpha, BucketBounds: bounds}).Weights(gen.MovieID(0))
+	return []faultScheduler{
 		{"hadoop-locality", func(c *mapreduce.Config) {}},
 		{"datanet", func(c *mapreduce.Config) {
 			c.Picker = sched.NewDataNetPicker
 			c.Weights = weights
 		}},
 		{"speculative", func(c *mapreduce.Config) { c.Speculative = true }},
+	}, nil
+}
+
+// observe folds one run's fault-handling work into a sweep's totals.
+func observe(c *metrics.FaultCounters, r *mapreduce.Result) {
+	c.Observe(r.NodeCrashes, r.TasksRetried, r.TransientErrors,
+		r.LostOutputs, r.ReplicasRepaired, r.SpeculativeWins, r.MetadataFallback)
+}
+
+// FaultTolerance sweeps crash count and timing across schedulers. A cell's
+// key is <scheduler>/<crashes>@<when, as a fraction of the fault-free
+// filter makespan>; its slowdown is relative to the same scheduler's
+// fault-free run, and its output must match that run's — the correctness
+// contract of crash recovery.
+func FaultTolerance(p MovieParams) (*Report, error) {
+	if p.Nodes <= 0 {
+		p = DefaultFaultParams()
+	}
+	fix, err := newFaultFixture(p)
+	if err != nil {
+		return nil, err
+	}
+	schedulers, err := fix.schedulers(p.Alpha)
+	if err != nil {
+		return nil, err
 	}
 
-	res := &FaultTolResult{}
+	r := newReport()
+	t := metrics.NewTable("Robustness — crash recovery across schedulers (fault-injection sweep)",
+		"scheduler", "crashes", "at", "job time", "slowdown", "retried", "lost", "repaired", "output")
+	var counters metrics.FaultCounters
 	for _, s := range schedulers {
 		// Fault-free reference run (also calibrates the crash clock).
 		cfg := fix.config()
@@ -149,45 +140,41 @@ func FaultTolerance(p MovieParams) (*FaultTolResult, error) {
 			return nil, err
 		}
 		// Crash-count sweep at mid-filter, then a timing sweep at 2 crashes.
-		type arm struct {
+		for _, a := range []struct {
 			crashes int
 			frac    float64
-		}
-		arms := []arm{{0, 0.5}, {1, 0.5}, {2, 0.5}, {4, 0.5}, {2, 0.25}, {2, 0.75}}
-		for _, a := range arms {
+		}{{0, 0.5}, {1, 0.5}, {2, 0.5}, {4, 0.5}, {2, 0.25}, {2, 0.75}} {
 			cfg := fix.config()
 			s.tweak(&cfg)
 			plan := &faults.Plan{Seed: p.Seed}
-			at := clean.FilterEnd * a.frac
 			for k := 0; k < a.crashes; k++ {
 				// Victims spread over both racks (ids interleave racks).
 				plan.Crashes = append(plan.Crashes, faults.Crash{
-					Node: cluster.NodeID(2 + 3*k), At: at,
+					Node: cluster.NodeID(2 + 3*k), At: clean.FilterEnd * a.frac,
 				})
 			}
 			cfg.Faults = plan
-			r, err := mapreduce.Run(cfg)
+			run, err := mapreduce.Run(cfg)
 			if err != nil {
 				return nil, fmt.Errorf("faulttol %s crashes=%d: %w", s.name, a.crashes, err)
 			}
-			row := FaultTolRow{
-				Scheduler: s.name,
-				Crashes:   a.crashes,
-				CrashFrac: a.frac,
-				JobTime:   r.JobTime,
-				Retried:   r.TasksRetried,
-				Lost:      r.LostOutputs,
-				Repaired:  r.ReplicasRepaired,
-				OutputOK:  reflect.DeepEqual(r.Output, clean.Output),
-			}
+			slowdown := 0.0
 			if clean.JobTime > 0 {
-				row.Slowdown = r.JobTime / clean.JobTime
+				slowdown = run.JobTime / clean.JobTime
 			}
-			res.Rows = append(res.Rows, row)
-			res.Counters.Observe(r.NodeCrashes, r.TasksRetried, r.TransientErrors,
-				r.LostOutputs, r.ReplicasRepaired, r.SpeculativeWins, r.MetadataFallback)
+			t.Add(s.name, fmt.Sprint(a.crashes), fmt.Sprintf("%.0f%% filter", 100*a.frac),
+				metrics.Seconds(run.JobTime), fmt.Sprintf("%.2fx", slowdown),
+				fmt.Sprint(run.TasksRetried), fmt.Sprint(run.LostOutputs), fmt.Sprint(run.ReplicasRepaired),
+				r.outputCell(run.Output, clean.Output))
+			key := fmt.Sprintf("%s/%d@%.2f", s.name, a.crashes, a.frac)
+			r.set(key, run.JobTime)
+			r.set(key+"/slowdown", slowdown)
+			r.set(key+"/recovered", float64(run.TasksRetried+run.LostOutputs))
+			r.set(key+"/repaired", float64(run.ReplicasRepaired))
+			observe(&counters, run)
 		}
 	}
+	r.table(t)
 
 	// Degraded-metadata arm: the DataNet job's ElasticMap encoding is
 	// corrupt; the run must demote itself to the locality baseline,
@@ -203,31 +190,12 @@ func FaultTolerance(p MovieParams) (*FaultTolResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("faulttol metadata fallback: %w", err)
 	}
-	res.FallbackSched = fb.SchedulerName
-	res.FallbackOK = fb.MetadataFallback && reflect.DeepEqual(fb.Output, ref.Output)
-	res.Counters.Observe(fb.NodeCrashes, fb.TasksRetried, fb.TransientErrors,
-		fb.LostOutputs, fb.ReplicasRepaired, fb.SpeculativeWins, fb.MetadataFallback)
-	return res, nil
-}
-
-// String renders the sweep.
-func (r *FaultTolResult) String() string {
-	t := metrics.NewTable("Robustness — crash recovery across schedulers (fault-injection sweep)",
-		"scheduler", "crashes", "at", "job time", "slowdown", "retried", "lost", "repaired", "output")
-	for _, row := range r.Rows {
-		ok := "ok"
-		if !row.OutputOK {
-			ok = "DIVERGED"
-		}
-		t.Add(row.Scheduler, fmt.Sprint(row.Crashes),
-			fmt.Sprintf("%.0f%% filter", 100*row.CrashFrac),
-			metrics.Seconds(row.JobTime), fmt.Sprintf("%.2fx", row.Slowdown),
-			fmt.Sprint(row.Retried), fmt.Sprint(row.Lost), fmt.Sprint(row.Repaired), ok)
-	}
-	var sb strings.Builder
-	sb.WriteString(t.String())
-	sb.WriteString(r.Counters.Table("Fault-handling totals across the sweep").String())
-	fmt.Fprintf(&sb, "  degraded metadata: scheduler %q, output correct: %v\n", r.FallbackSched, r.FallbackOK)
-	sb.WriteString("  (crash recovery re-runs lost filter tasks on surviving replica holders; the job's answer must never change)\n")
-	return sb.String()
+	observe(&counters, fb)
+	fallbackOK := fb.MetadataFallback && r.outputCell(fb.Output, ref.Output) == "ok"
+	r.table(counters.Table("Fault-handling totals across the sweep"))
+	r.linef("  degraded metadata: scheduler %q, output correct: %v", fb.SchedulerName, fallbackOK)
+	r.linef("  (crash recovery re-runs lost filter tasks on surviving replica holders; the job's answer must never change)")
+	r.set("node_crashes", float64(counters.NodeCrashes))
+	r.set("metadata_fallbacks", float64(counters.MetadataFallbacks))
+	return r, nil
 }

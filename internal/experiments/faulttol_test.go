@@ -16,11 +16,11 @@ import (
 // crash-and-rejoin plan — and the crash's re-replication stays on the clone.
 func TestFixtureCloneIsAFreshFilesystem(t *testing.T) {
 	p := DefaultFaultParams()
-	fix, err := newFaultFixture(movieLog(p), p)
+	fix, err := newFaultFixture(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := newFaultFixture(movieLog(p), p)
+	fresh, err := newFaultFixture(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,48 +67,41 @@ func TestFixtureCloneIsAFreshFilesystem(t *testing.T) {
 }
 
 func TestFaultTolerance(t *testing.T) {
-	res, err := FaultTolerance(MovieParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) == 0 {
+	r := ran(t, "Robustness")(FaultTolerance(MovieParams{}))
+	rows := cells(r, "/slowdown")
+	if len(rows) == 0 {
 		t.Fatal("no rows")
 	}
 	sawCrash := false
-	for _, row := range res.Rows {
-		if !row.OutputOK {
-			t.Errorf("%s with %d crashes produced a diverged output", row.Scheduler, row.Crashes)
-		}
-		if row.Crashes == 0 {
-			if row.Slowdown != 1 {
-				t.Errorf("%s fault-free slowdown = %.2f, want 1", row.Scheduler, row.Slowdown)
+	for _, cell := range rows {
+		slowdown := val(t, r, cell+"/slowdown")
+		if strings.Contains(cell, "/0@") {
+			if slowdown != 1 {
+				t.Errorf("%s fault-free slowdown = %.2f, want 1", cell, slowdown)
 			}
 			continue
 		}
 		sawCrash = true
-		if row.Retried == 0 && row.Lost == 0 {
-			t.Errorf("%s with %d crashes reports no recovery work", row.Scheduler, row.Crashes)
+		if val(t, r, cell+"/recovered") == 0 {
+			t.Errorf("%s reports no recovery work", cell)
 		}
-		if row.Repaired == 0 {
-			t.Errorf("%s with %d crashes reports no re-replication", row.Scheduler, row.Crashes)
+		if val(t, r, cell+"/repaired") == 0 {
+			t.Errorf("%s reports no re-replication", cell)
 		}
-		if row.Slowdown < 1 {
-			t.Errorf("%s with %d crashes ran faster than fault-free (%.2fx)", row.Scheduler, row.Crashes, row.Slowdown)
+		if slowdown < 1 {
+			t.Errorf("%s ran faster than fault-free (%.2fx)", cell, slowdown)
 		}
 	}
 	if !sawCrash {
 		t.Fatal("sweep exercised no crashes")
 	}
-	if !res.Counters.Any() || res.Counters.NodeCrashes == 0 {
-		t.Errorf("counters did not record the sweep: %+v", res.Counters)
-	}
-	if !res.FallbackOK {
-		t.Error("degraded-metadata arm did not fall back correctly")
-	}
-	if !strings.Contains(res.FallbackSched, "fallback") {
-		t.Errorf("fallback scheduler name %q does not record degradation", res.FallbackSched)
-	}
-	if out := res.String(); !strings.Contains(out, "Robustness") || !strings.Contains(out, "metadata fallbacks") {
-		t.Error("rendering is missing expected sections")
+	// No row diverged, the counters recorded the crashes, and the
+	// degraded-metadata arm fell back with the right answer: the section's
+	// gate rows. The fallback is recorded in the scheduler's name.
+	holdGates(t, "fault-tolerance", r)
+	for _, want := range []string{`scheduler "hadoop-locality (fallback`, "output correct: true", "metadata fallbacks"} {
+		if !strings.Contains(r.String(), want) {
+			t.Errorf("rendering is missing %q", want)
+		}
 	}
 }

@@ -1,35 +1,20 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
+	"cmp"
+	"slices"
 
 	"datanet/internal/apps"
 	"datanet/internal/metrics"
 	"datanet/internal/stats"
 )
 
-// Fig1Result reproduces paper Figure 1: (a) the distribution of one
-// sub-dataset (a single movie) over HDFS blocks, and (b) the workload
-// distribution over cluster nodes that block-locality scheduling induces.
-type Fig1Result struct {
-	Env *Env
-	// BlockMB is the target movie's per-block footprint (MB-equivalents at
-	// paper scale: fraction of a block × 64 MB).
-	BlockMB []float64
-	// NodeMB is the per-node filtered workload under the Hadoop baseline.
-	NodeMB []float64
-	// BlockSummary and NodeSummary characterize the two distributions.
-	BlockSummary, NodeSummary stats.Summary
-	// Top30Share is the fraction of the sub-dataset inside the 30 fullest
-	// blocks (the paper: "the first 30 blocks contain the most of our
-	// desirable data").
-	Top30Share float64
-}
-
-// Fig1 runs the experiment. Pass a zero MovieParams for defaults (the
-// paper uses a 32-node cluster and 128 blocks here).
-func Fig1(p MovieParams) (*Fig1Result, error) {
+// Fig1 reproduces paper Figure 1: (a) the distribution of one sub-dataset
+// (a single movie) over HDFS blocks, and (b) the workload distribution over
+// cluster nodes that block-locality scheduling induces. Pass a zero
+// MovieParams for defaults (the paper uses a 32-node cluster and 128
+// blocks here).
+func Fig1(p MovieParams) (*Report, error) {
 	if p.Nodes == 0 {
 		p = DefaultMovieParams()
 		p.Blocks = 128
@@ -38,67 +23,44 @@ func Fig1(p MovieParams) (*Fig1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig1Result{Env: env}
+	r := newReport()
+	r.linef("Figure 1 — content clustering causes imbalanced computing (%s)", env.describe())
 
-	// (a) per-block distribution, reported at paper scale: fraction of the
-	// block × 64 MB, i.e. what the same shape looks like on 64 MB blocks.
-	blockScale := float64(64<<20) / float64(env.FS.Config().BlockSize)
-	res.BlockMB = make([]float64, len(env.BlockTruth))
-	for i, b := range env.BlockTruth {
-		res.BlockMB[i] = float64(b) * blockScale / (1 << 20)
-	}
-	res.BlockSummary = stats.Summarize(res.BlockMB)
-
-	// Top-30 share.
-	sorted := append([]float64(nil), res.BlockMB...)
-	insertionSortDesc(sorted)
-	var top float64
-	for i := 0; i < 30 && i < len(sorted); i++ {
-		top += sorted[i]
-	}
-	var all float64
-	for _, v := range sorted {
+	blockMB := env.blockMB()
+	// The fraction of the sub-dataset inside the 30 fullest blocks (the
+	// paper: "the first 30 blocks contain the most of our desirable data").
+	sorted := slices.Clone(blockMB)
+	slices.SortFunc(sorted, func(a, b float64) int { return cmp.Compare(b, a) })
+	var top, all float64
+	for i, v := range sorted {
+		if i < 30 {
+			top += v
+		}
 		all += v
 	}
+	top30 := 0.0
 	if all > 0 {
-		res.Top30Share = top / all
+		top30 = top / all
 	}
+	figA := &metrics.Figure{Caption: "(a) sub-dataset size over HDFS blocks (MB at 64MB-block scale)"}
+	figA.AddY("blocks", blockMB)
+	r.figure("a_blocks", barFigure, figA)
+	bs := stats.Summarize(blockMB)
+	r.linef("  block min/mean/max = %.2f / %.2f / %.2f MB; top-30 blocks hold %s of the sub-dataset",
+		bs.Min, bs.Mean, bs.Max, metrics.Pct(top30))
+	r.set("top30_share", top30)
 
-	// (b) per-node workload under the locality baseline.
 	run, err := env.RunBaseline(apps.WordCount{})
 	if err != nil {
 		return nil, err
 	}
-	nodeBytes := NodeSeries(env.Topo, run.NodeWorkload)
-	res.NodeMB = make([]float64, len(nodeBytes))
-	for i, b := range nodeBytes {
-		res.NodeMB[i] = b * blockScale / (1 << 20)
-	}
-	res.NodeSummary = stats.Summarize(res.NodeMB)
-	return res, nil
-}
-
-func insertionSortDesc(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] > xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
-// String renders the figure.
-func (r *Fig1Result) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Figure 1 — content clustering causes imbalanced computing (%s)\n", r.Env.describe())
-	fig := metrics.Figure{Caption: "(a) sub-dataset size over HDFS blocks (MB at 64MB-block scale)"}
-	fig.AddY("blocks", r.BlockMB)
-	sb.WriteString(fig.String())
-	fmt.Fprintf(&sb, "  block min/mean/max = %.2f / %.2f / %.2f MB; top-30 blocks hold %s of the sub-dataset\n",
-		r.BlockSummary.Min, r.BlockSummary.Mean, r.BlockSummary.Max, metrics.Pct(r.Top30Share))
-	fig2 := metrics.Figure{Caption: "(b) workload over cluster nodes, Hadoop locality scheduling (MB)"}
-	fig2.AddY("nodes", r.NodeMB)
-	sb.WriteString(fig2.String())
-	fmt.Fprintf(&sb, "  node min/mean/max = %.2f / %.2f / %.2f MB (max/mean = %.2fx)\n",
-		r.NodeSummary.Min, r.NodeSummary.Mean, r.NodeSummary.Max, r.NodeSummary.ImbalanceRatio())
-	return sb.String()
+	nodeMB := env.nodeMB(run)
+	figB := &metrics.Figure{Caption: "(b) workload over cluster nodes, Hadoop locality scheduling (MB)"}
+	figB.AddY("nodes", nodeMB)
+	r.figure("b_nodes", barFigure, figB)
+	ns := stats.Summarize(nodeMB)
+	r.linef("  node min/mean/max = %.2f / %.2f / %.2f MB (max/mean = %.2fx)",
+		ns.Min, ns.Mean, ns.Max, ns.ImbalanceRatio())
+	r.set("node_max_over_mean", ns.ImbalanceRatio())
+	return r, nil
 }

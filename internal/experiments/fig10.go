@@ -2,38 +2,20 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
-	"datanet/internal/apps"
 	"datanet/internal/elasticmap"
 	"datanet/internal/metrics"
 	"datanet/internal/sched"
 	"datanet/internal/stats"
 )
 
-// Fig10Result reproduces paper Figure 10: the degree of balanced computing
-// as α sweeps from ~10% to 100%. Per-node workloads (normalized by the
-// mean) are scheduled with Algorithm 1 using meta-data built at each α.
-// The paper's takeaway: ~15% of sub-datasets in the hash map already gives
+// Fig10 reproduces paper Figure 10: the degree of balanced computing as α
+// sweeps from ~10% to 100%. Per-node workloads (normalized by the mean)
+// are scheduled with Algorithm 1 using meta-data built at each α. The
+// paper's takeaway: ~15% of sub-datasets in the hash map already gives
 // max ≈ 0.9 / min ≈ 0.7 of ideal (normalized), and raising α further
 // barely helps — the clustered (dominant) data is what matters.
-type Fig10Result struct {
-	Env  *Env
-	Rows []Fig10Row
-}
-
-// Fig10Row is one α setting's normalized workload statistics.
-type Fig10Row struct {
-	Alpha         float64
-	RealizedAlpha float64
-	NormMax       float64
-	NormMin       float64
-	NormAvg       float64
-	Std           float64
-}
-
-// Fig10 sweeps α.
-func Fig10(env *Env, alphas []float64) (*Fig10Result, error) {
+func Fig10(env *Env, alphas []float64) (*Report, error) {
 	if len(alphas) == 0 {
 		for a := 0.10; a <= 1.0001; a += 0.05 {
 			alphas = append(alphas, a)
@@ -43,41 +25,36 @@ func Fig10(env *Env, alphas []float64) (*Fig10Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	app := apps.NewTopKSearch(10, "plot twist ending amazing director")
-	res := &Fig10Result{Env: env}
+	r := newReport()
+	r.linef("Figure 10 — balancing vs α (%s)", env.describe())
+	t := metrics.NewTable("", "α (target)", "α (realized)", "max/avg", "min/avg", "std/avg")
+	var normMax, normMin, normStd []float64
 	for _, a := range alphas {
 		opts := env.Opts
 		opts.Alpha = a
 		arr := elasticmap.Build(perBlock, opts)
-		weights := arr.Weights(env.Target)
-		run, err := env.RunWith(app, sched.NewDataNetPicker, weights, false)
+		run, err := env.RunWith(movieTopK(), sched.NewDataNetPicker, arr.Weights(env.Target), false)
 		if err != nil {
 			return nil, err
 		}
-		loads := NodeSeries(env.Topo, run.NodeWorkload)
-		s := stats.Summarize(loads)
-		row := Fig10Row{Alpha: a, RealizedAlpha: arr.MeanAlpha()}
+		s := stats.Summarize(NodeSeries(env.Topo, run.NodeWorkload))
+		var mx, mn, std float64
 		if s.Mean > 0 {
-			row.NormMax = s.Max / s.Mean
-			row.NormMin = s.Min / s.Mean
-			row.NormAvg = 1
-			row.Std = s.Std / s.Mean
+			mx, mn, std = s.Max/s.Mean, s.Min/s.Mean, s.Std/s.Mean
 		}
-		res.Rows = append(res.Rows, row)
+		t.Add(metrics.Pct(a), metrics.Pct(arr.MeanAlpha()),
+			fmt.Sprintf("%.2f", mx), fmt.Sprintf("%.2f", mn), fmt.Sprintf("%.3f", std))
+		key := fmt.Sprintf("%.2f", a)
+		r.set(key+"/max_over_avg", mx)
+		r.set(key+"/min_over_avg", mn)
+		normMax, normMin, normStd = append(normMax, mx), append(normMin, mn), append(normStd, std)
 	}
-	return res, nil
-}
-
-// String renders Figure 10.
-func (r *Fig10Result) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Figure 10 — balancing vs α (%s)\n", r.Env.describe())
-	t := metrics.NewTable("", "α (target)", "α (realized)", "max/avg", "min/avg", "std/avg")
-	for _, row := range r.Rows {
-		t.Add(metrics.Pct(row.Alpha), metrics.Pct(row.RealizedAlpha),
-			fmt.Sprintf("%.2f", row.NormMax), fmt.Sprintf("%.2f", row.NormMin), fmt.Sprintf("%.3f", row.Std))
-	}
-	sb.WriteString(t.String())
-	sb.WriteString("  (paper: ≈15% in the hash map already yields max≈0.9, min≈0.7; more barely changes balance)\n")
-	return sb.String()
+	r.table(t)
+	r.linef("  (paper: ≈15%% in the hash map already yields max≈0.9, min≈0.7; more barely changes balance)")
+	curves := &metrics.Figure{Caption: "workload balance vs α"}
+	curves.Add("max/avg", alphas, normMax)
+	curves.Add("min/avg", alphas, normMin)
+	curves.Add("std/avg", alphas, normStd)
+	r.figure("_balance", exportOnly, curves)
+	return r, nil
 }

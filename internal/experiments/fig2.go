@@ -1,34 +1,16 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"datanet/internal/metrics"
 	"datanet/internal/stats"
 )
 
-// Fig2Result reproduces paper Figure 2: the probability of extreme
-// per-node workloads as the cluster grows, under the §II-B model
-// Z ~ Γ(nk/m, θ) with k=1.2, θ=7, n=512 — plus the inset Γ density and
-// the §II-B expected-node counts quoted for a 128-node cluster.
-type Fig2Result struct {
-	Block   stats.Gamma
-	NBlocks int
-	// Sizes is the x-axis (cluster sizes).
-	Sizes []int
-	// Curves holds the four probability series.
-	BelowThird, BelowHalf, AboveDouble, AboveTriple []float64
-	// DensityX/DensityY sample the Γ(k,θ) density (the figure's inset).
-	DensityX, DensityY []float64
-	// At128 captures the expected extreme-node counts the paper quotes:
-	// E[#nodes < E/2] = 3.9, E[#nodes < E/3] = 1.5, E[#nodes > 2E] = 4.0.
-	At128BelowHalf, At128BelowThird, At128AboveDouble float64
-}
-
-// Fig2 evaluates the analytic model. Zero-value arguments use the paper's
-// parameters (k=1.2, θ=7, n=512, cluster sizes 2..448).
-func Fig2(block stats.Gamma, nBlocks int, sizes []int) *Fig2Result {
+// Fig2 reproduces paper Figure 2: the probability of extreme per-node
+// workloads as the cluster grows, under the §II-B model Z ~ Γ(nk/m, θ) —
+// plus the inset Γ density and the §II-B expected-node counts quoted for a
+// 128-node cluster. Zero-value arguments use the paper's parameters
+// (k=1.2, θ=7, n=512, cluster sizes 2..448).
+func Fig2(block stats.Gamma, nBlocks int, sizes []int) *Report {
 	if !block.Valid() {
 		block = stats.Gamma{K: 1.2, Theta: 7}
 	}
@@ -40,44 +22,40 @@ func Fig2(block stats.Gamma, nBlocks int, sizes []int) *Fig2Result {
 			sizes = append(sizes, m)
 		}
 	}
-	r := &Fig2Result{Block: block, NBlocks: nBlocks, Sizes: sizes}
-	for _, m := range sizes {
-		p := stats.Imbalance(block, nBlocks, m)
-		r.BelowThird = append(r.BelowThird, p.BelowThird)
-		r.BelowHalf = append(r.BelowHalf, p.BelowHalf)
-		r.AboveDouble = append(r.AboveDouble, p.AboveDouble)
-		r.AboveTriple = append(r.AboveTriple, p.AboveTriple)
-	}
-	for x := 0.0; x <= 30; x += 0.5 {
-		r.DensityX = append(r.DensityX, x)
-		r.DensityY = append(r.DensityY, block.PDF(x))
-	}
-	p128 := stats.Imbalance(block, nBlocks, 128)
-	r.At128BelowHalf = 128 * p128.BelowHalf
-	r.At128BelowThird = 128 * p128.BelowThird
-	r.At128AboveDouble = 128 * p128.AboveDouble
-	return r
-}
+	r := newReport()
+	r.linef("Figure 2 — imbalance probability vs cluster size (X ~ Γ(k=%.1f, θ=%.0f), n=%d blocks)",
+		block.K, block.Theta, nBlocks)
 
-// String renders the figure.
-func (r *Fig2Result) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Figure 2 — imbalance probability vs cluster size (X ~ Γ(k=%.1f, θ=%.0f), n=%d blocks)\n",
-		r.Block.K, r.Block.Theta, r.NBlocks)
-	x := make([]float64, len(r.Sizes))
-	for i, m := range r.Sizes {
+	x := make([]float64, len(sizes))
+	curves := make([][]float64, 4)
+	for i, m := range sizes {
 		x[i] = float64(m)
+		p := stats.Imbalance(block, nBlocks, m)
+		for c, v := range []float64{p.BelowThird, p.BelowHalf, p.AboveDouble, p.AboveTriple} {
+			curves[c] = append(curves[c], v)
+		}
 	}
-	fig := metrics.Figure{}
-	fig.Add("P(Z < 1/3 E)", x, r.BelowThird)
-	fig.Add("P(Z < 1/2 E)", x, r.BelowHalf)
-	fig.Add("P(Z > 2 E)", x, r.AboveDouble)
-	fig.Add("P(Z > 3 E)", x, r.AboveTriple)
-	sb.WriteString(fig.String())
-	inset := metrics.Figure{Caption: "  inset: Gamma density Γ(k, θ)"}
-	inset.Add("pdf", r.DensityX, r.DensityY)
-	sb.WriteString(inset.String())
-	fmt.Fprintf(&sb, "  at m=128: E[#nodes<E/2]=%.1f (paper 3.9), E[#nodes<E/3]=%.1f (paper 1.5), E[#nodes>2E]=%.1f (paper 4.0)\n",
-		r.At128BelowHalf, r.At128BelowThird, r.At128AboveDouble)
-	return sb.String()
+	fig := &metrics.Figure{}
+	for c, name := range []string{"P(Z < 1/3 E)", "P(Z < 1/2 E)", "P(Z > 2 E)", "P(Z > 3 E)"} {
+		fig.Add(name, x, curves[c])
+	}
+	r.figure("_probabilities", lineFigure, fig)
+
+	var densityX, densityY []float64
+	for v := 0.0; v <= 30; v += 0.5 {
+		densityX = append(densityX, v)
+		densityY = append(densityY, block.PDF(v))
+	}
+	inset := &metrics.Figure{Caption: "  inset: Gamma density Γ(k, θ)"}
+	inset.Add("pdf", densityX, densityY)
+	r.figure("_density", lineFigure, inset)
+
+	// The expected extreme-node counts the paper quotes at m=128.
+	p128 := stats.Imbalance(block, nBlocks, 128)
+	r.set("at128/below_half", 128*p128.BelowHalf)
+	r.set("at128/below_third", 128*p128.BelowThird)
+	r.set("at128/above_double", 128*p128.AboveDouble)
+	r.linef("  at m=128: E[#nodes<E/2]=%.1f (paper 3.9), E[#nodes<E/3]=%.1f (paper 1.5), E[#nodes>2E]=%.1f (paper 4.0)",
+		128*p128.BelowHalf, 128*p128.BelowThird, 128*p128.AboveDouble)
+	return r
 }

@@ -1,94 +1,49 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"datanet/internal/apps"
 	"datanet/internal/metrics"
 	"datanet/internal/stats"
 )
 
-// Fig8Result reproduces paper Figure 8 and the §V-A.4 discussion: the
-// GitHub "IssueEvent" sub-dataset is *not* content-clustered (its rate
-// drifts smoothly), yet its distribution over blocks is still imbalanced,
-// so DataNet still helps — just less than on the movie data (paper:
-// longest Top-K map 125 s without vs 107 s with DataNet).
-type Fig8Result struct {
-	Env *Env
-	// BlockMB is (a): per-block IssueEvent bytes at 64MB-block scale.
-	BlockMB []float64
-	// NodeWithout/NodeWith are (b): per-node workloads.
-	NodeWithout, NodeWith []float64
-	// LongestMapWithout/With are the §V-A.4 headline numbers.
-	LongestMapWithout, LongestMapWith float64
-	// Improvement is the Top-K makespan gain.
-	Improvement float64
-	// ClusteringCV contrasts the per-block coefficient of variation with a
-	// movie-style distribution (lower = less clustered).
-	ClusteringCV float64
-}
+// Fig8 reproduces paper Figure 8 and the §V-A.4 discussion: the GitHub
+// "IssueEvent" sub-dataset is *not* content-clustered (its rate drifts
+// smoothly), yet its distribution over blocks is still imbalanced, so
+// DataNet still helps — just less than on the movie data (paper: longest
+// Top-K map 125 s without vs 107 s with DataNet).
+func Fig8(p EventParams) (*Report, error) {
+	env, err := NewEventEnv(p)
+	if err != nil {
+		return nil, err
+	}
+	r := newReport()
+	r.linef("Figure 8 — GitHub IssueEvent (%s)", env.describe())
+	blockMB := env.blockMB()
+	figA := &metrics.Figure{Caption: "(a) IssueEvent size over HDFS blocks (MB at 64MB scale)"}
+	figA.AddY("blocks", blockMB)
+	r.figure("a_blocks", barFigure, figA)
+	// The per-block coefficient of variation contrasts with a movie-style
+	// distribution (lower = less clustered).
+	cv := stats.Summarize(blockMB).CV()
+	r.linef("  per-block CV = %.2f (no release-style clustering, but still uneven)", cv)
+	r.set("block_cv", cv)
 
-// Fig8 runs the GitHub-event experiment.
-func Fig8(p EventParams) (*Fig8Result, error) {
-	var env *Env
-	var err error
-	if p.Nodes == 0 {
-		env, err = NewEventEnv(DefaultEventParams())
-	} else {
-		env, err = NewEventEnv(p)
-	}
+	c, err := env.compare(apps.NewTopKSearch(10, "opened closed merged issue"))
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig8Result{Env: env}
-	blockScale := float64(64<<20) / float64(env.FS.Config().BlockSize)
-	var blocks []float64
-	for _, b := range env.BlockTruth {
-		v := float64(b) * blockScale / (1 << 20)
-		res.BlockMB = append(res.BlockMB, v)
-		blocks = append(blocks, v)
-	}
-	res.ClusteringCV = stats.Summarize(blocks).CV()
-
-	app := apps.NewTopKSearch(10, "opened closed merged issue")
-	without, err := env.RunBaseline(app)
-	if err != nil {
-		return nil, err
-	}
-	with, err := env.RunDataNet(app)
-	if err != nil {
-		return nil, err
-	}
-	res.NodeWithout = NodeSeries(env.Topo, without.NodeWorkload)
-	res.NodeWith = NodeSeries(env.Topo, with.NodeWorkload)
-	for i := range res.NodeWithout {
-		res.NodeWithout[i] *= blockScale / (1 << 20)
-		res.NodeWith[i] *= blockScale / (1 << 20)
-	}
+	figB := &metrics.Figure{Caption: "(b) workload over cluster nodes (MB at 64MB scale)"}
+	figB.AddY("without DataNet", env.nodeMB(c.without))
+	figB.AddY("with DataNet", env.nodeMB(c.with))
+	r.figure("b_workloads", lineFigure, figB)
 	// "The longest map execution time" (§V-A.4) is the analysis-map time
 	// on the filtered sub-dataset, as in Fig. 6.
-	res.LongestMapWithout = stats.Summarize(NodeSeries(env.Topo, without.NodeCompute)).Max
-	res.LongestMapWith = stats.Summarize(NodeSeries(env.Topo, with.NodeCompute)).Max
-	if without.AnalysisTime > 0 {
-		res.Improvement = (without.AnalysisTime - with.AnalysisTime) / without.AnalysisTime
-	}
-	return res, nil
-}
-
-// String renders Figure 8.
-func (r *Fig8Result) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Figure 8 — GitHub IssueEvent (%s)\n", r.Env.describe())
-	figA := metrics.Figure{Caption: "(a) IssueEvent size over HDFS blocks (MB at 64MB scale)"}
-	figA.AddY("blocks", r.BlockMB)
-	sb.WriteString(figA.String())
-	fmt.Fprintf(&sb, "  per-block CV = %.2f (no release-style clustering, but still uneven)\n", r.ClusteringCV)
-	figB := metrics.Figure{Caption: "(b) workload over cluster nodes (MB at 64MB scale)"}
-	figB.AddY("without DataNet", r.NodeWithout)
-	figB.AddY("with DataNet", r.NodeWith)
-	sb.WriteString(figB.String())
-	fmt.Fprintf(&sb, "  longest map: without=%.1fs, with=%.1fs (paper: 125s vs 107s); Top-K improvement %s (smaller than movie data, as in the paper)\n",
-		r.LongestMapWithout, r.LongestMapWith, metrics.Pct(r.Improvement))
-	return sb.String()
+	longestWithout := stats.Summarize(NodeSeries(env.Topo, c.without.NodeCompute)).Max
+	longestWith := stats.Summarize(NodeSeries(env.Topo, c.with.NodeCompute)).Max
+	r.linef("  longest map: without=%.1fs, with=%.1fs (paper: 125s vs 107s); Top-K improvement %s (smaller than movie data, as in the paper)",
+		longestWithout, longestWith, metrics.Pct(c.gain))
+	r.set("longest_map/baseline", longestWithout)
+	r.set("longest_map/datanet", longestWith)
+	r.set("improvement", c.gain)
+	return r, nil
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -10,40 +9,25 @@ import (
 	"datanet/internal/gen"
 )
 
-// suiteGate is one claim about the suite's simulated outcomes that must
-// keep holding: lhs op factor × rhs, where lhs and rhs name entries of the
-// section's SimMakespans() or Counters(). An empty rhs compares lhs with
-// factor alone.
+// suiteGate is one gate row with the section it is declared beside.
 type suiteGate struct {
 	section string
-	lhs     string
-	op      string // "<", "<=", ">" or "=="
-	factor  float64
-	rhs     string
+	gate
 }
 
-// suiteGates are the claims CI holds the sweeps to; suite.golden pins the
-// numbers themselves, these say which relations between them matter.
-var suiteGates = []suiteGate{
-	// Scheduler + placement beats the scheduler alone on the clustered
-	// workload, and pays for it in shipped bytes.
-	{"placement-sweep", "clustered/both", "<", 1, "clustered/scheduler-only"},
-	{"placement-sweep", "clustered/both/bytes_moved", ">", 0, ""},
-	// Both mitigations beat the unmitigated run under heavy slowdowns
-	// (coded execution after arXiv 1802.03049), each did real work, and no
-	// arm changed the job's output.
-	{"straggler-sweep", "128/slow-heavy/oracle/spec-q0.90", "<", 1, "128/slow-heavy/oracle/none"},
-	{"straggler-sweep", "128/slow-heavy/oracle/coded-r0.70", "<", 1, "128/slow-heavy/oracle/none"},
-	{"straggler-sweep", "speculative_wins", ">", 0, ""},
-	{"straggler-sweep", "wasted_task_seconds", ">", 0, ""},
-	{"straggler-sweep", "coded_decode_count", ">", 0, ""},
-	{"straggler-sweep", "output_divergences", "==", 0, ""},
-	// Skew-aware partitioning cuts the zipfian reduce makespan by at least
-	// a tenth against hashing (after arXiv 1401.0355) by splitting keys,
-	// with identical output.
-	{"partition-sweep", "zipfian/skew", "<=", 0.9, "zipfian/hash"},
-	{"partition-sweep", "zipfian/skew/split_keys", ">", 0, ""},
-	{"partition-sweep", "output_divergences", "==", 0, ""},
+// suiteGates is every section's gate rows, in suite order: the claims CI
+// holds the suite to. Passing section names keeps only their rows.
+func suiteGates(sections ...string) []suiteGate {
+	var all []suiteGate
+	for _, s := range suiteSections() {
+		if len(sections) > 0 && !slices.Contains(sections, s.name) {
+			continue
+		}
+		for _, g := range s.gates {
+			all = append(all, suiteGate{s.name, g})
+		}
+	}
+	return all
 }
 
 func (g suiteGate) String() string {
@@ -58,32 +42,22 @@ func (g suiteGate) String() string {
 func failedGates(rep *BenchReport, gates []suiteGate) []suiteGate {
 	var failed []suiteGate
 	for _, g := range gates {
-		if !g.holds(rep) {
+		i := slices.IndexFunc(rep.Sections, func(s BenchSection) bool { return s.Name == g.section })
+		if i < 0 || !g.holds(rep.Sections[i].Values) {
 			failed = append(failed, g)
 		}
 	}
 	return failed
 }
 
-func (g suiteGate) holds(rep *BenchReport) bool {
-	i := slices.IndexFunc(rep.Sections, func(s BenchSection) bool { return s.Name == g.section })
-	if i < 0 {
-		return false
-	}
-	value := func(key string) (float64, bool) {
-		if v, ok := rep.Sections[i].SimMakespans[key]; ok {
-			return v, true
-		}
-		c, ok := rep.Sections[i].Counters[key]
-		return float64(c), ok
-	}
-	lhs, ok := value(g.lhs)
+func (g gate) holds(values map[string]float64) bool {
+	lhs, ok := values[g.lhs]
 	if !ok {
 		return false
 	}
 	bound := g.factor
 	if g.rhs != "" {
-		rhs, ok := value(g.rhs)
+		rhs, ok := values[g.rhs]
 		if !ok {
 			return false
 		}
@@ -96,68 +70,84 @@ func (g suiteGate) holds(rep *BenchReport) bool {
 		return lhs <= bound
 	case ">":
 		return lhs > bound
+	case ">=":
+		return lhs >= bound
 	case "==":
 		return lhs == bound
 	}
 	return false
 }
 
+// holdGates checks the gate rows declared beside a section on a report of
+// that experiment run at other parameters: the claims that name cells both
+// runs have must hold at both scales.
+func holdGates(t *testing.T, section string, r *Report) {
+	t.Helper()
+	gates := suiteGates(section)
+	if len(gates) == 0 {
+		t.Fatalf("section %q declares no gates", section)
+	}
+	for _, g := range failedGates(&BenchReport{Sections: []BenchSection{{Name: section, Report: r}}}, gates) {
+		t.Errorf("gate does not hold: %v (values %v)", g, r.Values)
+	}
+}
+
 // The table, run against a report doctored in three ways, must name
 // exactly the three rows that no longer hold.
 func TestSuiteGatesCatchDoctoredReport(t *testing.T) {
+	section := func(name string, values map[string]float64) BenchSection {
+		return BenchSection{Name: name, Report: &Report{Values: values}}
+	}
 	report := func() *BenchReport {
 		return &BenchReport{Sections: []BenchSection{
-			{Name: "placement-sweep",
-				SimMakespans: map[string]float64{"clustered/both": 8.2, "clustered/scheduler-only": 8.9},
-				Counters:     map[string]int64{"clustered/both/bytes_moved": 69 << 20}},
-			{Name: "straggler-sweep",
-				SimMakespans: map[string]float64{
-					"128/slow-heavy/oracle/none":        30,
-					"128/slow-heavy/oracle/spec-q0.90":  21,
-					"128/slow-heavy/oracle/coded-r0.70": 24},
-				Counters: map[string]int64{"speculative_wins": 40, "wasted_task_seconds": 90,
-					"coded_decode_count": 12, "output_divergences": 0}},
-			{Name: "partition-sweep",
-				SimMakespans: map[string]float64{"zipfian/skew": 4.4, "zipfian/hash": 5},
-				Counters:     map[string]int64{"zipfian/skew/split_keys": 3, "output_divergences": 0}},
+			section("placement-sweep", map[string]float64{
+				"clustered/both": 8.2, "clustered/scheduler-only": 8.9, "clustered/both/bytes_moved": 69 << 20}),
+			section("straggler-sweep", map[string]float64{
+				"128/slow-heavy/oracle/none":        30,
+				"128/slow-heavy/oracle/spec-q0.90":  21,
+				"128/slow-heavy/oracle/coded-r0.70": 24,
+				"speculative_wins":                  40, "wasted_task_seconds": 90,
+				"coded_decode_count": 12, "output_divergences": 0}),
+			section("partition-sweep", map[string]float64{
+				"zipfian/skew": 4.4, "zipfian/hash": 5, "zipfian/skew/split_keys": 3, "output_divergences": 0}),
 		}}
 	}
-	if len(suiteGates) != 11 {
-		t.Errorf("gate table has %d rows, want the eleven CI assertions", len(suiteGates))
+	gates := suiteGates("placement-sweep", "straggler-sweep", "partition-sweep")
+	if len(gates) != 11 {
+		t.Fatalf("the three sweeps declare %d gate rows, want the eleven CI assertions", len(gates))
 	}
-	if failed := failedGates(report(), suiteGates); len(failed) != 0 {
+	if failed := failedGates(report(), gates); len(failed) != 0 {
 		t.Fatalf("gates fail on a report that satisfies them: %v", failed)
 	}
 
 	doctored := report()
-	placement, straggler, partition := doctored.Sections[0], doctored.Sections[1], doctored.Sections[2]
-	placement.SimMakespans["clustered/both"], placement.SimMakespans["clustered/scheduler-only"] =
-		placement.SimMakespans["clustered/scheduler-only"], placement.SimMakespans["clustered/both"]
-	straggler.Counters["coded_decode_count"] = 0
-	delete(partition.Counters, "output_divergences")
-	want := []suiteGate{suiteGates[0], suiteGates[6], suiteGates[10]}
-	if got := failedGates(doctored, suiteGates); !slices.Equal(got, want) {
+	placement, straggler, partition := doctored.Sections[0].Values, doctored.Sections[1].Values, doctored.Sections[2].Values
+	placement["clustered/both"], placement["clustered/scheduler-only"] =
+		placement["clustered/scheduler-only"], placement["clustered/both"]
+	straggler["coded_decode_count"] = 0
+	delete(partition, "output_divergences")
+	want := []suiteGate{gates[0], gates[6], gates[10]}
+	if got := failedGates(doctored, gates); !slices.Equal(got, want) {
 		t.Errorf("doctored report fails %v, want exactly %v", got, want)
 	}
 
 	// At the bound "<=" holds and "<" does not; a missing section fails.
 	edge := report()
 	edge.Sections = []BenchSection{edge.Sections[0], edge.Sections[2]}
-	edge.Sections[0].SimMakespans["clustered/both"] = 8.9
-	edge.Sections[1].SimMakespans["zipfian/skew"] = 0.9 * 5
-	want = append([]suiteGate{suiteGates[0]}, suiteGates[2:8]...)
-	if got := failedGates(edge, suiteGates); !slices.Equal(got, want) {
+	edge.Sections[0].Values["clustered/both"] = 8.9
+	edge.Sections[1].Values["zipfian/skew"] = 0.9 * 5
+	want = append([]suiteGate{gates[0]}, gates[2:8]...)
+	if got := failedGates(edge, gates); !slices.Equal(got, want) {
 		t.Errorf("edge report fails %v, want exactly %v", got, want)
 	}
 }
 
 // The sweeps' output column is a fold over the ids the simulation
-// committed, so exactly-once reaches the gate table: a straggler row whose
-// output was folded from a ledger with one committed id dropped, or one
-// doubled, trips the output_divergences row and nothing else.
+// committed, so exactly-once reaches the gate table: a one-cell report
+// whose output was folded from a ledger with one committed id dropped, or
+// one doubled, trips the output_divergences row and nothing else.
 func TestOutputGateCatchesLedgerMutation(t *testing.T) {
-	p := DefaultFaultParams()
-	fix, err := newFaultFixture(movieLog(p), p)
+	fix, err := newFaultFixture(DefaultFaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,16 +168,15 @@ func TestOutputGateCatchesLedgerMutation(t *testing.T) {
 		return l
 	}
 	reference := fix.out.Output(apps.WordCount{}, ledger(1))
-	gate := suiteGates[7:8]
+	all := suiteGates("straggler-sweep")
+	gate := all[len(all)-1:]
 	if gate[0].lhs != "output_divergences" {
-		t.Fatalf("gate row 7 is %v, want the straggler sweep's output_divergences row", gate[0])
+		t.Fatalf("the straggler sweep's last gate row is %v, want its output_divergences row", gate[0])
 	}
 	for commits, want := range map[int][]suiteGate{1: nil, 0: gate, 2: gate} {
-		row := StragglerRow{Nodes: 128, Plan: "slow-heavy", Detector: "oracle", Arm: "none",
-			OutputOK: reflect.DeepEqual(fix.out.Output(apps.WordCount{}, ledger(commits)), reference)}
-		sweep := &StragglerSweepResult{Rows: []StragglerRow{row}}
-		rep := &BenchReport{Sections: []BenchSection{{Name: "straggler-sweep",
-			SimMakespans: sweep.SimMakespans(), Counters: sweep.Counters()}}}
+		r := newReport()
+		r.outputCell(fix.out.Output(apps.WordCount{}, ledger(commits)), reference)
+		rep := &BenchReport{Sections: []BenchSection{{Name: "straggler-sweep", Report: r}}}
 		if got := failedGates(rep, gate); !slices.Equal(got, want) {
 			t.Errorf("unit %d committed %d times: failed gates %v, want %v", unit, commits, got, want)
 		}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"strings"
 
 	"datanet/internal/apps"
@@ -27,28 +26,6 @@ import (
 
 // partitionReducers is the reduce-task count every sweep cell runs with.
 const partitionReducers = 8
-
-// PartitionRow is one (distribution, strategy) outcome.
-type PartitionRow struct {
-	Dist     string
-	Strategy string
-	// ReduceMakespan is the reduce phase's duration (ReduceEnd − ShuffleEnd):
-	// with homogeneous reducers it is proportional to the max reducer share.
-	ReduceMakespan float64
-	// MaxLoad/MeanLoad summarize the per-reducer reduce workloads (bytes).
-	MaxLoad, MeanLoad float64
-	// ShuffleBytes is the total cross-network shuffle volume.
-	ShuffleBytes int64
-	// SplitKeys counts heavy keys the planner split across reducers.
-	SplitKeys int
-	// OutputOK reports the merged output matched the partitioning-off run.
-	OutputOK bool
-}
-
-// PartitionSweepResult is the full strategy × distribution grid.
-type PartitionSweepResult struct {
-	Rows []PartitionRow
-}
 
 // partitionDist is one synthetic intermediate-key shape: a vocabulary
 // with draw weights. Words within a distribution share a length so the
@@ -157,8 +134,14 @@ func partitionStrategies(seed int64) []struct {
 }
 
 // PartitionSweep runs the {off, hash, skew, range} × {uniform, zipfian,
-// clustered} grid. A zero p takes a compact 16-node environment.
-func PartitionSweep(p MovieParams) (*PartitionSweepResult, error) {
+// clustered} grid. A zero p takes a compact 16-node environment. A cell's
+// key is <distribution>/<strategy>: alone the reduce phase's duration
+// (ReduceEnd − ShuffleEnd; with homogeneous reducers it is proportional to
+// the max reducer share — a suite gate compares zipfian/skew against
+// zipfian/hash), with /max_load and /mean_load the per-reducer reduce
+// workloads in bytes and /split_keys the heavy keys the planner split
+// across reducers. Every merged output must match the partitioning-off run.
+func PartitionSweep(p MovieParams) (*Report, error) {
 	if p.Nodes == 0 {
 		p = MovieParams{Nodes: 16, Racks: 2, BlockBytes: 32 << 10, Seed: 42}
 	}
@@ -166,7 +149,9 @@ func PartitionSweep(p MovieParams) (*PartitionSweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &PartitionSweepResult{}
+	r := newReport()
+	t := metrics.NewTable("Extension — key-aware reduce partitioning (strategy × key distribution)",
+		"distribution", "strategy", "reduce", "max load", "mean load", "imbalance", "shuffle", "splits", "output")
 	for di, d := range partitionDists() {
 		fs, err := hdfs.NewFileSystem(topo, hdfs.Config{BlockSize: p.BlockBytes, Seed: p.Seed})
 		if err != nil {
@@ -182,7 +167,7 @@ func PartitionSweep(p MovieParams) (*PartitionSweepResult, error) {
 		}
 		var reference map[string]string
 		for _, s := range partitionStrategies(p.Seed) {
-			r, err := mapreduce.Run(mapreduce.Config{
+			run, err := mapreduce.Run(mapreduce.Config{
 				FS: fs, File: "dataset.log", TargetSub: "sub-main",
 				App: apps.WordCount{}, Picker: sched.NewDataNetPicker,
 				ExecuteApp: true, Reducers: partitionReducers,
@@ -192,75 +177,31 @@ func PartitionSweep(p MovieParams) (*PartitionSweepResult, error) {
 				return nil, fmt.Errorf("partition sweep %s/%s: %w", d.name, s.name, err)
 			}
 			if reference == nil {
-				reference = r.Output
+				reference = run.Output
 			}
-			var max, sum float64
-			for _, v := range r.ReduceWorkloads {
+			var maxLoad, sum float64
+			for _, v := range run.ReduceWorkloads {
 				sum += v
-				if v > max {
-					max = v
-				}
+				maxLoad = max(maxLoad, v)
 			}
-			res.Rows = append(res.Rows, PartitionRow{
-				Dist: d.name, Strategy: s.name,
-				ReduceMakespan: r.ReduceEnd - r.ShuffleEnd,
-				MaxLoad:        max,
-				MeanLoad:       sum / float64(len(r.ReduceWorkloads)),
-				ShuffleBytes:   r.ShuffleBytes,
-				SplitKeys:      r.PartitionSplitKeys,
-				OutputOK:       reflect.DeepEqual(r.Output, reference),
-			})
+			meanLoad := sum / float64(len(run.ReduceWorkloads))
+			imbalance := 0.0
+			if meanLoad > 0 {
+				imbalance = maxLoad / meanLoad
+			}
+			reduce := run.ReduceEnd - run.ShuffleEnd
+			t.Add(d.name, s.name, metrics.Seconds(reduce),
+				metrics.Bytes(int64(maxLoad)), metrics.Bytes(int64(meanLoad)),
+				fmt.Sprintf("%.2f×", imbalance), metrics.Bytes(run.ShuffleBytes),
+				fmt.Sprint(run.PartitionSplitKeys), r.outputCell(run.Output, reference))
+			key := d.name + "/" + s.name
+			r.set(key, reduce)
+			r.set(key+"/max_load", maxLoad)
+			r.set(key+"/mean_load", meanLoad)
+			r.set(key+"/split_keys", float64(run.PartitionSplitKeys))
 		}
 	}
-	return res, nil
-}
-
-// String renders the sweep.
-func (r *PartitionSweepResult) String() string {
-	t := metrics.NewTable("Extension — key-aware reduce partitioning (strategy × key distribution)",
-		"distribution", "strategy", "reduce", "max load", "mean load", "imbalance", "shuffle", "splits", "output")
-	for _, row := range r.Rows {
-		ok := "ok"
-		if !row.OutputOK {
-			ok = "DIVERGED"
-		}
-		imb := 0.0
-		if row.MeanLoad > 0 {
-			imb = row.MaxLoad / row.MeanLoad
-		}
-		t.Add(row.Dist, row.Strategy, metrics.Seconds(row.ReduceMakespan),
-			metrics.Bytes(int64(row.MaxLoad)), metrics.Bytes(int64(row.MeanLoad)),
-			fmt.Sprintf("%.2f×", imb), metrics.Bytes(row.ShuffleBytes),
-			fmt.Sprint(row.SplitKeys), ok)
-	}
-	var sb strings.Builder
-	sb.WriteString(t.String())
-	sb.WriteString("  (hash is balanced only when keys are; the skew-aware planner splits the zipfian head across\n   reducers, and sampled range cuts track the clustered mass — outputs byte-identical throughout)\n")
-	return sb.String()
-}
-
-// SimMakespans exposes each cell's reduce-phase makespan to the suite
-// report (a suite gate compares zipfian/skew against zipfian/hash).
-func (r *PartitionSweepResult) SimMakespans() map[string]float64 {
-	m := make(map[string]float64, len(r.Rows))
-	for _, row := range r.Rows {
-		m[row.Dist+"/"+row.Strategy] = row.ReduceMakespan
-	}
-	return m
-}
-
-// Counters exposes per-cell loads, split counts and the sweep-wide
-// divergence tally to the suite report.
-func (r *PartitionSweepResult) Counters() map[string]int64 {
-	c := make(map[string]int64, 2*len(r.Rows)+1)
-	var diverged int64
-	for _, row := range r.Rows {
-		c[row.Dist+"/"+row.Strategy+"/max_load"] = int64(row.MaxLoad)
-		c[row.Dist+"/"+row.Strategy+"/split_keys"] = int64(row.SplitKeys)
-		if !row.OutputOK {
-			diverged++
-		}
-	}
-	c["output_divergences"] = diverged
-	return c
+	r.table(t)
+	r.linef("  (hash is balanced only when keys are; the skew-aware planner splits the zipfian head across\n   reducers, and sampled range cuts track the clustered mass — outputs byte-identical throughout)")
+	return r, nil
 }

@@ -5,37 +5,20 @@ import (
 	"testing"
 )
 
-// The partition sweep's headline claims, the ones the suite gates assert
-// on the full suite's report: the skew-aware
-// planner beats hash by ≥10% on the zipfian reduce makespan, and no cell
-// ever diverges from the partitioning-off output.
+// The partition sweep's headline claims are the gate rows declared beside
+// it: the skew-aware planner beats hash by ≥10% on the zipfian reduce
+// makespan by splitting keys, and no cell ever diverges from the
+// partitioning-off output.
 func TestPartitionSweep(t *testing.T) {
-	r, err := PartitionSweep(MovieParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(r.Rows); got != 12 {
-		t.Fatalf("rows = %d, want 12 (3 distributions × 4 strategies)", got)
-	}
-	ms := r.SimMakespans()
-	if ms["zipfian/skew"] > 0.9*ms["zipfian/hash"] {
-		t.Errorf("zipfian reduce makespan: skew %.3f s vs hash %.3f s — want ≥10%% win",
-			ms["zipfian/skew"], ms["zipfian/hash"])
-	}
-	c := r.Counters()
-	if c["output_divergences"] != 0 {
-		t.Errorf("output_divergences = %d", c["output_divergences"])
-	}
-	if c["zipfian/skew/split_keys"] == 0 {
-		t.Error("skew-aware planner split no keys on the zipfian head")
-	}
-	for _, row := range r.Rows {
-		if row.MeanLoad <= 0 || row.MaxLoad < row.MeanLoad {
-			t.Errorf("%s/%s: degenerate loads max %.0f mean %.0f",
-				row.Dist, row.Strategy, row.MaxLoad, row.MeanLoad)
+	r := ran(t, "key-aware reduce partitioning")(PartitionSweep(MovieParams{}))
+	wantRows(t, r, 12) // 3 distributions × 4 strategies
+	holdGates(t, "partition-sweep", r)
+	for _, cell := range cells(r, "/mean_load") {
+		if mean, mx := val(t, r, cell+"/mean_load"), val(t, r, cell+"/max_load"); mean <= 0 || mx < mean {
+			t.Errorf("%s: degenerate loads max %.0f mean %.0f", cell, mx, mean)
 		}
-		if row.ReduceMakespan <= 0 {
-			t.Errorf("%s/%s: reduce makespan %.3f", row.Dist, row.Strategy, row.ReduceMakespan)
+		if val(t, r, cell) <= 0 {
+			t.Errorf("%s: reduce makespan %.3f", cell, val(t, r, cell))
 		}
 	}
 	out := r.String()
@@ -52,14 +35,8 @@ func TestPartitionSweep(t *testing.T) {
 // Determinism: the sweep is part of the byte-pinned suite golden, so two
 // runs must render identically.
 func TestPartitionSweepDeterministic(t *testing.T) {
-	a, err := PartitionSweep(MovieParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := PartitionSweep(MovieParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := ran(t, "partitioning")(PartitionSweep(MovieParams{}))
+	b := ran(t, "partitioning")(PartitionSweep(MovieParams{}))
 	if a.String() != b.String() {
 		t.Error("partition sweep is not deterministic")
 	}

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
-	"datanet/internal/apps"
 	"datanet/internal/gen"
 	"datanet/internal/hdfs"
 	"datanet/internal/mapreduce"
@@ -31,38 +29,12 @@ import (
 // + rebalancer), and both. Makespan is the summed job time of the whole
 // sequence; bytes moved is the rebalancer's network bill.
 
-// SweepJobs is the number of sequential jobs per workload.
-const SweepJobs = 5
-
-// SweepArm is one (scheduler, placement) combination's outcome over a
-// job sequence.
-type SweepArm struct {
-	Name string
-	// Makespan sums the simulated job times of the sequence.
-	Makespan float64
-	// FirstJob and LastJob expose the adaptation trend: rebalancing pays
-	// off on later jobs once replicas have followed the heat.
-	FirstJob, LastJob float64
-	// Moves and BytesMoved total the rebalancer's work (zero for arms
-	// without placement).
-	Moves      int
-	BytesMoved int64
-}
-
-// SweepWorkload is one workload shape's arm comparison.
-type SweepWorkload struct {
-	Name string
-	Arms []SweepArm
-}
-
-// PlacementSweepResult is the full sweep.
-type PlacementSweepResult struct {
-	Workloads []SweepWorkload
-}
+// sweepJobs is the number of sequential jobs per workload.
+const sweepJobs = 5
 
 // sweepTargets returns the job-sequence targets for a workload shape.
 func sweepTargets(shape string) []string {
-	out := make([]string, SweepJobs)
+	out := make([]string, sweepJobs)
 	for j := range out {
 		if shape == "clustered" {
 			out[j] = gen.MovieID(0)
@@ -88,20 +60,25 @@ func sweepRebalancer(fs *hdfs.FileSystem, seed int64) *hdfs.Rebalancer {
 	})
 }
 
-// runSweepArm runs one arm: SweepJobs sequential jobs on a fresh
+// runSweepArm runs one arm: sweepJobs sequential jobs on a fresh
 // environment, with the rebalancer (when present) observing each job's
-// heat profile and ticking on the sim clock between jobs.
-func runSweepArm(p MovieParams, name string, targets []string, factory sched.Factory, rebalance bool) (SweepArm, error) {
-	arm := SweepArm{Name: name}
+// heat profile and ticking on the sim clock between jobs. It adds the
+// arm's row to t and records under key the makespan — the summed simulated
+// job times of the sequence — and the rebalancer's total work (zero for
+// arms without placement). The first and last job's times expose the
+// adaptation trend: rebalancing pays off on later jobs once replicas have
+// followed the heat.
+func runSweepArm(r *Report, t *metrics.Table, p MovieParams, key, name string, targets []string, factory sched.Factory, rebalance bool) error {
 	env, err := NewMovieEnv(p)
 	if err != nil {
-		return arm, err
+		return err
 	}
 	var rb *hdfs.Rebalancer
 	if rebalance {
 		rb = sweepRebalancer(env.FS, p.Seed)
 	}
 	clock := sim.NewClock()
+	var makespan, firstJob, lastJob float64
 	for j, target := range targets {
 		// Every arm gets the ElasticMap weights and §V-B empty-block
 		// skipping, so the only differences between arms are the picker
@@ -113,128 +90,79 @@ func runSweepArm(p MovieParams, name string, targets []string, factory sched.Fac
 			FS:        env.FS,
 			File:      env.File,
 			TargetSub: target,
-			App:       apps.NewTopKSearch(10, "plot twist ending amazing director"),
+			App:       movieTopK(),
 			Picker:    factory,
 			Weights:   env.EstimatedWeights(target),
 			SkipEmpty: true,
 		})
 		if err != nil {
-			return arm, err
+			return err
 		}
-		arm.Makespan += res.JobTime
+		makespan += res.JobTime
 		if j == 0 {
-			arm.FirstJob = res.JobTime
+			firstJob = res.JobTime
 		}
-		arm.LastJob = res.JobTime
+		lastJob = res.JobTime
 		if rb != nil {
 			// Feed the job's access heat (per-block concentration of the
 			// queried sub-dataset, straight from ElasticMap) and let the
 			// maintenance loop tick twice before the next job arrives.
 			if err := rb.ObserveProfile(env.File, env.Array.HeatProfile(target)); err != nil {
-				return arm, err
+				return err
 			}
 			if err := rb.Drive(clock, clock.Now()+25); err != nil {
-				return arm, err
+				return err
 			}
 		}
 	}
+	var moved hdfs.RebalanceStats
 	if rb != nil {
-		st := rb.Stats()
-		arm.Moves = st.Moves
-		arm.BytesMoved = st.BytesMoved
+		moved = rb.Stats()
 	}
-	return arm, nil
+	t.Add(name, fmt.Sprintf("%.1f", makespan), fmt.Sprintf("%.1f", firstJob),
+		fmt.Sprintf("%.1f", lastJob), fmt.Sprintf("%d", moved.Moves), metricsBytes(moved.BytesMoved))
+	r.set(key, makespan)
+	r.set(key+"/first_job", firstJob)
+	r.set(key+"/last_job", lastJob)
+	r.set(key+"/moves", float64(moved.Moves))
+	r.set(key+"/bytes_moved", float64(moved.BytesMoved))
+	return nil
 }
 
 // PlacementSweep runs the full scheduler×placement sweep at the given
 // scale (default movie parameters when zero).
-func PlacementSweep(p MovieParams) (*PlacementSweepResult, error) {
+func PlacementSweep(p MovieParams) (*Report, error) {
 	if p.Nodes == 0 {
 		p = DefaultMovieParams()
 	}
-	type armSpec struct {
+	arms := []struct {
 		name      string
 		factory   sched.Factory
 		rebalance bool
-	}
-	arms := []armSpec{
+	}{
 		{"baseline", sched.NewLocalityPicker, false},
 		{"scheduler-only", sched.NewDataNetPicker, false},
 		{"placement-only", sched.NewLocalityPicker, true},
 		{"both", sched.NewDataNetPicker, true},
 	}
-	res := &PlacementSweepResult{}
-	for _, shape := range []string{"clustered", "drifting"} {
-		wl := SweepWorkload{Name: shape}
-		targets := sweepTargets(shape)
+	r := newReport()
+	for wi, shape := range []string{"clustered", "drifting"} {
+		if wi > 0 {
+			r.linef("")
+		}
+		t := metrics.NewTable(
+			fmt.Sprintf("Extension — placement sweep (%s workload, %d jobs)", shape, sweepJobs),
+			"arm", "makespan (s)", "first job", "last job", "moves", "bytes moved")
 		for _, a := range arms {
-			arm, err := runSweepArm(p, a.name, targets, a.factory, a.rebalance)
-			if err != nil {
+			if err := runSweepArm(r, t, p, shape+"/"+a.name, a.name, sweepTargets(shape), a.factory, a.rebalance); err != nil {
 				return nil, err
 			}
-			wl.Arms = append(wl.Arms, arm)
 		}
-		res.Workloads = append(res.Workloads, wl)
-	}
-	return res, nil
-}
-
-// arm returns the named arm of a workload (nil when absent).
-func (w *SweepWorkload) arm(name string) *SweepArm {
-	for i := range w.Arms {
-		if w.Arms[i].Name == name {
-			return &w.Arms[i]
+		r.table(t)
+		if sched, both := r.Values[shape+"/scheduler-only"], r.Values[shape+"/both"]; sched > 0 {
+			r.linef("  (%s: scheduler+placement vs scheduler-only: %s makespan, %s shipped)",
+				shape, metrics.Pct((sched-both)/sched), metricsBytes(int64(r.Values[shape+"/both/bytes_moved"])))
 		}
 	}
-	return nil
-}
-
-// String renders the sweep.
-func (r *PlacementSweepResult) String() string {
-	var sb strings.Builder
-	for wi, wl := range r.Workloads {
-		t := metrics.NewTable(
-			fmt.Sprintf("Extension — placement sweep (%s workload, %d jobs)", wl.Name, SweepJobs),
-			"arm", "makespan (s)", "first job", "last job", "moves", "bytes moved")
-		for _, a := range wl.Arms {
-			t.Add(a.Name, fmt.Sprintf("%.1f", a.Makespan), fmt.Sprintf("%.1f", a.FirstJob),
-				fmt.Sprintf("%.1f", a.LastJob), fmt.Sprintf("%d", a.Moves), metricsBytes(a.BytesMoved))
-		}
-		sb.WriteString(t.String())
-		if sched, both := wl.arm("scheduler-only"), wl.arm("both"); sched != nil && both != nil && sched.Makespan > 0 {
-			gain := (sched.Makespan - both.Makespan) / sched.Makespan
-			sb.WriteString(fmt.Sprintf("  (%s: scheduler+placement vs scheduler-only: %s makespan, %s shipped)\n",
-				wl.Name, metrics.Pct(gain), metricsBytes(both.BytesMoved)))
-		}
-		if wi < len(r.Workloads)-1 {
-			sb.WriteString("\n")
-		}
-	}
-	return sb.String()
-}
-
-// SimMakespans exposes per-workload, per-arm makespans to the suite
-// report.
-func (r *PlacementSweepResult) SimMakespans() map[string]float64 {
-	m := make(map[string]float64)
-	for _, wl := range r.Workloads {
-		for _, a := range wl.Arms {
-			m[wl.Name+"/"+a.Name] = a.Makespan
-		}
-	}
-	return m
-}
-
-// Counters exposes the data-movement bill to the suite report.
-func (r *PlacementSweepResult) Counters() map[string]int64 {
-	m := make(map[string]int64)
-	for _, wl := range r.Workloads {
-		for _, a := range wl.Arms {
-			if a.Moves > 0 {
-				m[wl.Name+"/"+a.Name+"/moves"] = int64(a.Moves)
-				m[wl.Name+"/"+a.Name+"/bytes_moved"] = a.BytesMoved
-			}
-		}
-	}
-	return m
+	return r, nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -19,65 +20,62 @@ func smallSweepParams() MovieParams {
 }
 
 func TestPlacementSweepStructure(t *testing.T) {
-	res, err := PlacementSweep(smallSweepParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Workloads) != 2 {
-		t.Fatalf("workloads = %d, want clustered + drifting", len(res.Workloads))
-	}
+	r := ran(t, "placement sweep")(PlacementSweep(smallSweepParams()))
 	wantArms := []string{"baseline", "scheduler-only", "placement-only", "both"}
-	for _, wl := range res.Workloads {
-		if wl.Name != "clustered" && wl.Name != "drifting" {
-			t.Errorf("unexpected workload %q", wl.Name)
+	tables := tablesOf(r)
+	if len(tables) != 2 {
+		t.Fatalf("workloads = %d, want clustered + drifting", len(tables))
+	}
+	for wi, wl := range []string{"clustered", "drifting"} {
+		if !strings.Contains(tables[wi].Title, wl+" workload") {
+			t.Errorf("table %d is %q, want the %s workload", wi, tables[wi].Title, wl)
 		}
-		if len(wl.Arms) != len(wantArms) {
-			t.Fatalf("%s: arms = %d, want %d", wl.Name, len(wl.Arms), len(wantArms))
+		if len(tables[wi].Rows) != len(wantArms) {
+			t.Fatalf("%s: arms = %d, want %d", wl, len(tables[wi].Rows), len(wantArms))
 		}
-		for i, a := range wl.Arms {
-			if a.Name != wantArms[i] {
-				t.Errorf("%s: arm[%d] = %q, want %q", wl.Name, i, a.Name, wantArms[i])
+		for i, arm := range wantArms {
+			row := tables[wi].Rows[i]
+			if row[0] != arm {
+				t.Errorf("%s: arm[%d] = %q, want %q", wl, i, row[0], arm)
 			}
-			if a.Makespan <= 0 || a.FirstJob <= 0 || a.LastJob <= 0 {
-				t.Errorf("%s/%s: non-positive times %+v", wl.Name, a.Name, a)
+			key := wl + "/" + arm
+			if val(t, r, key) <= 0 || val(t, r, key+"/first_job") <= 0 || val(t, r, key+"/last_job") <= 0 {
+				t.Errorf("%s: non-positive times %v", key, row)
 			}
-			rebalances := a.Name == "placement-only" || a.Name == "both"
-			if rebalances && (a.Moves == 0 || a.BytesMoved == 0) {
-				t.Errorf("%s/%s: rebalancing arm moved nothing: %+v", wl.Name, a.Name, a)
+			moves, bytesMoved := val(t, r, key+"/moves"), val(t, r, key+"/bytes_moved")
+			rebalances := arm == "placement-only" || arm == "both"
+			if rebalances && (moves == 0 || bytesMoved == 0) {
+				t.Errorf("%s: rebalancing arm moved nothing: %v", key, row)
 			}
-			if !rebalances && (a.Moves != 0 || a.BytesMoved != 0) {
-				t.Errorf("%s/%s: scheduler-only arm moved data: %+v", wl.Name, a.Name, a)
+			if !rebalances && (moves != 0 || bytesMoved != 0) {
+				t.Errorf("%s: scheduler-only arm moved data: %v", key, row)
 			}
 		}
 	}
 }
 
+// The table's makespan, moves and bytes-moved cells are the Values the
+// bench record and the gates read.
 func TestPlacementSweepBenchExports(t *testing.T) {
-	res, err := PlacementSweep(smallSweepParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms := res.SimMakespans()
-	cs := res.Counters()
-	for _, wl := range res.Workloads {
-		for _, a := range wl.Arms {
-			key := wl.Name + "/" + a.Name
-			if got, ok := ms[key]; !ok || got != a.Makespan {
-				t.Errorf("SimMakespans[%q] = %v (present %v), want %v", key, got, ok, a.Makespan)
+	r := ran(t, "bytes moved")(PlacementSweep(smallSweepParams()))
+	for _, table := range tablesOf(r) {
+		wl, _, _ := strings.Cut(strings.TrimPrefix(table.Title, "Extension — placement sweep ("), " ")
+		for _, row := range table.Rows {
+			key := wl + "/" + row[0]
+			if got := fmt.Sprintf("%.1f", val(t, r, key)); got != row[1] {
+				t.Errorf("Values[%q] = %s, the table prints %s", key, got, row[1])
 			}
-			if a.Moves > 0 {
-				if got := cs[key+"/moves"]; got != int64(a.Moves) {
-					t.Errorf("Counters[%q/moves] = %d, want %d", key, got, a.Moves)
-				}
-				if got := cs[key+"/bytes_moved"]; got != a.BytesMoved {
-					t.Errorf("Counters[%q/bytes_moved] = %d, want %d", key, got, a.BytesMoved)
-				}
+			if got := fmt.Sprint(val(t, r, key+"/moves")); got != row[4] {
+				t.Errorf("Values[%q/moves] = %s, the table prints %s", key, got, row[4])
+			}
+			if got := metricsBytes(int64(val(t, r, key+"/bytes_moved"))); got != row[5] {
+				t.Errorf("Values[%q/bytes_moved] = %s, the table prints %s", key, got, row[5])
 			}
 		}
 	}
-	out := res.String()
+	out := r.String()
 	for _, want := range []string{"placement sweep (clustered workload", "placement sweep (drifting workload",
-		"scheduler+placement vs scheduler-only", "bytes moved"} {
+		"scheduler+placement vs scheduler-only"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered sweep missing %q", want)
 		}

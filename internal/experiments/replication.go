@@ -2,36 +2,19 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
-	"datanet/internal/apps"
 	"datanet/internal/gen"
 	"datanet/internal/hdfs"
 	"datanet/internal/metrics"
-	"datanet/internal/stats"
 )
 
-// ReplicationRow is one replication factor's outcome.
-type ReplicationRow struct {
-	Replication     int
-	BaselineMaxAvg  float64
-	DataNetMaxAvg   float64
-	DataNetLocal    float64 // fraction of tasks run on a replica holder
-	TopKImprovement float64
-}
-
-// ReplicationResult sweeps the HDFS replication factor. Each extra replica
-// adds an edge per block to the bipartite graph (§IV-A), widening the
-// locality-preserving assignments Algorithm 1 can choose from: replication
-// 1 forces every block to one fixed node (scheduling is moot), 3 (the
-// paper's setting) already gives near-balanced local-only packings, and
-// higher factors buy little more.
-type ReplicationResult struct {
-	Rows []ReplicationRow
-}
-
-// Replication runs the sweep (default factors 1, 2, 3, 5).
-func Replication(factors []int, p MovieParams) (*ReplicationResult, error) {
+// Replication sweeps the HDFS replication factor (default 1, 2, 3, 5).
+// Each extra replica adds an edge per block to the bipartite graph
+// (§IV-A), widening the locality-preserving assignments Algorithm 1 can
+// choose from: replication 1 forces every block to one fixed node
+// (scheduling is moot), 3 (the paper's setting) already gives
+// near-balanced local-only packings, and higher factors buy little more.
+func Replication(factors []int, p MovieParams) (*Report, error) {
 	if p.Nodes == 0 {
 		p = DefaultMovieParams()
 	}
@@ -39,8 +22,9 @@ func Replication(factors []int, p MovieParams) (*ReplicationResult, error) {
 		factors = []int{1, 2, 3, 5}
 	}
 	recs := movieLog(p)
-	app := apps.NewTopKSearch(10, "plot twist ending amazing director")
-	res := &ReplicationResult{}
+	r := newReport()
+	t := metrics.NewTable("Extension — replication factor shapes the bipartite graph (§IV-A)",
+		"replication", "baseline max/avg", "datanet max/avg", "datanet local tasks", "TopK improvement")
 	for _, rf := range factors {
 		env, err := buildEnv(recs, p.Nodes, p.Racks, hdfs.Config{
 			BlockSize: p.BlockBytes, Replication: rf, Seed: p.Seed,
@@ -48,39 +32,20 @@ func Replication(factors []int, p MovieParams) (*ReplicationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		base, err := env.RunBaseline(app)
+		c, err := env.compare(movieTopK())
 		if err != nil {
 			return nil, err
 		}
-		dn, err := env.RunDataNet(app)
-		if err != nil {
-			return nil, err
+		// The fraction of DataNet's tasks run on a replica holder.
+		local := 0.0
+		if tasks := c.with.LocalTasks + c.with.RemoteTasks; tasks > 0 {
+			local = float64(c.with.LocalTasks) / float64(tasks)
 		}
-		row := ReplicationRow{Replication: rf}
-		row.BaselineMaxAvg = stats.Summarize(NodeSeries(env.Topo, base.NodeWorkload)).ImbalanceRatio()
-		row.DataNetMaxAvg = stats.Summarize(NodeSeries(env.Topo, dn.NodeWorkload)).ImbalanceRatio()
-		if dn.LocalTasks+dn.RemoteTasks > 0 {
-			row.DataNetLocal = float64(dn.LocalTasks) / float64(dn.LocalTasks+dn.RemoteTasks)
-		}
-		if base.AnalysisTime > 0 {
-			row.TopKImprovement = (base.AnalysisTime - dn.AnalysisTime) / base.AnalysisTime
-		}
-		res.Rows = append(res.Rows, row)
+		without, with, gain := r.balanceCells(fmt.Sprint(rf), env, c)
+		t.Add(fmt.Sprint(rf), without, with, metrics.Pct(local), gain)
+		r.set(fmt.Sprintf("%d/datanet_local", rf), local)
 	}
-	return res, nil
-}
-
-// String renders the sweep.
-func (r *ReplicationResult) String() string {
-	t := metrics.NewTable("Extension — replication factor shapes the bipartite graph (§IV-A)",
-		"replication", "baseline max/avg", "datanet max/avg", "datanet local tasks", "TopK improvement")
-	for _, row := range r.Rows {
-		t.Add(fmt.Sprint(row.Replication), fmt.Sprintf("%.2f", row.BaselineMaxAvg),
-			fmt.Sprintf("%.2f", row.DataNetMaxAvg), metrics.Pct(row.DataNetLocal),
-			metrics.Pct(row.TopKImprovement))
-	}
-	var sb strings.Builder
-	sb.WriteString(t.String())
-	sb.WriteString("  (each replica adds an edge per block: more placement freedom, better locality-preserving balance)\n")
-	return sb.String()
+	r.table(t)
+	r.linef("  (each replica adds an edge per block: more placement freedom, better locality-preserving balance)")
+	return r, nil
 }

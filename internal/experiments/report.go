@@ -2,187 +2,214 @@ package experiments
 
 import (
 	"fmt"
+	"html"
 	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 
+	"datanet/internal/apps"
+	"datanet/internal/mapreduce"
 	"datanet/internal/metrics"
 	"datanet/internal/stats"
 )
 
-// WriteHTMLReport regenerates the figure experiments and writes a single
-// self-contained HTML file (inline SVG, no external assets) so the
-// reproduction can be eyeballed against the paper's plots.
-func WriteHTMLReport(path string) error {
+// Report is the one shape every experiment produces, filled as it runs: an
+// ordered list of blocks (tables, figures, text lines) and the experiment's
+// named numeric outcomes. Everything downstream derives from it — String is
+// the suite text, the figure blocks are the CSV files, the figure and table
+// blocks are the HTML report, and Values feed the bench record and the
+// claim gates declared beside each section in suite.go.
+type Report struct {
+	// Values names the experiment's numeric outcomes. A key is the cell's
+	// axes joined by "/" (`128/slow-heavy/oracle/none`, `clustered/both`);
+	// alone it is the cell's simulated time, with a trailing counter name
+	// (`…/bytes_moved`, `…/improvement`) any other outcome of the cell.
+	// Experiment-wide outcomes have a bare name (`output_divergences`).
+	Values map[string]float64
+	blocks []block
+}
+
+// block is one piece of a report: a text line, a table, a figure, or a
+// ready-made chart that only the HTML report shows (a traced run's Gantt).
+type block struct {
+	text   string
+	table  *metrics.Table
+	figure *metrics.Figure
+	svg    string
+	// id completes a figure's CSV file name, <section><id>.csv.
+	id   string
+	kind figureKind
+}
+
+// figureKind says how a figure block is shown outside the CSV export.
+type figureKind int
+
+const (
+	lineFigure figureKind = iota // sparklines in the text, a line chart in HTML
+	barFigure                    // sparklines in the text, a bar chart in HTML
+	exportOnly                   // a line chart in HTML, absent from the text
+)
+
+func newReport() *Report { return &Report{Values: map[string]float64{}} }
+
+// linef appends one line of text (a header, a summary, a note).
+func (r *Report) linef(format string, args ...any) {
+	r.blocks = append(r.blocks, block{text: fmt.Sprintf(format, args...) + "\n"})
+}
+
+func (r *Report) table(t *metrics.Table) { r.blocks = append(r.blocks, block{table: t}) }
+
+func (r *Report) figure(id string, kind figureKind, f *metrics.Figure) {
+	r.blocks = append(r.blocks, block{figure: f, id: id, kind: kind})
+}
+
+func (r *Report) set(key string, v float64) { r.Values[key] = v }
+
+// outputCell renders a sweep's "output" column for one executed job and
+// counts a divergence from the reference output in
+// Values["output_divergences"], the cell every sweep's identity gate reads.
+func (r *Report) outputCell(got, want map[string]string) string {
+	if reflect.DeepEqual(got, want) {
+		r.Values["output_divergences"] += 0
+		return "ok"
+	}
+	r.Values["output_divergences"]++
+	return "DIVERGED"
+}
+
+// String renders the report as the suite prints it.
+func (r *Report) String() string {
 	var sb strings.Builder
-	sb.WriteString(`<!DOCTYPE html><html><head><meta charset="utf-8"><title>DataNet reproduction report</title></head><body style="font-family:sans-serif;max-width:760px;margin:2em auto">`)
-	sb.WriteString(`<h1>DataNet — reproduction report</h1>`)
-	sb.WriteString(`<p>Regenerated figures for "DataNet: A Data Distribution-aware Method for Sub-dataset Analysis on Distributed File Systems" (IPDPS 2016). See EXPERIMENTS.md for the paper-vs-measured commentary.</p>`)
-
-	section := func(title, body string) {
-		fmt.Fprintf(&sb, `<h2 style="margin-top:2em">%s</h2>%s`, title, body)
-	}
-
-	// Figure 1.
-	f1p := DefaultMovieParams()
-	f1p.Blocks = 128
-	r1, err := Fig1(f1p)
-	if err != nil {
-		return err
-	}
-	var fig1a metrics.Figure
-	fig1a.Caption = "Fig 1(a) — sub-dataset size over HDFS blocks (MB at 64MB scale)"
-	fig1a.AddY("block MB", r1.BlockMB)
-	var fig1b metrics.Figure
-	fig1b.Caption = "Fig 1(b) — workload over nodes, locality scheduling (MB)"
-	fig1b.AddY("node MB", r1.NodeMB)
-	section("Figure 1 — content clustering", fig1a.BarSVG()+fig1b.BarSVG())
-
-	// Figure 2.
-	r2 := Fig2(stats.Gamma{}, 0, nil)
-	x := make([]float64, len(r2.Sizes))
-	for i, m := range r2.Sizes {
-		x[i] = float64(m)
-	}
-	var fig2 metrics.Figure
-	fig2.Caption = "Fig 2 — imbalance probability vs cluster size"
-	fig2.Add("P(Z<E/3)", x, r2.BelowThird)
-	fig2.Add("P(Z<E/2)", x, r2.BelowHalf)
-	fig2.Add("P(Z>2E)", x, r2.AboveDouble)
-	fig2.Add("P(Z>3E)", x, r2.AboveTriple)
-	section("Figure 2 — analytic model", fig2.LineSVG())
-
-	// Figures 5–7 share the main environment.
-	env, err := NewMovieEnv(DefaultMovieParams())
-	if err != nil {
-		return err
-	}
-	r5, err := Fig5(env)
-	if err != nil {
-		return err
-	}
-	t5 := metrics.NewTable("Fig 5(a) — overall execution time", "application", "without", "with", "improvement")
-	for _, a := range r5.Apps {
-		t5.Add(a.App, metrics.Seconds(a.Without.AnalysisTime), metrics.Seconds(a.With.AnalysisTime), metrics.Pct(a.Improvement))
-	}
-	var fig5c metrics.Figure
-	fig5c.Caption = "Fig 5(c) — filtered workload per node (MB)"
-	fig5c.AddY("without DataNet", r5.NodeWithout)
-	fig5c.AddY("with DataNet", r5.NodeWith)
-	section("Figure 5 — overall comparison", t5.HTMLTable()+fig5c.LineSVG())
-
-	r6, err := Fig6(env)
-	if err != nil {
-		return err
-	}
-	var fig6 metrics.Figure
-	fig6.Caption = "Fig 6(a) — Top-K per-node map time (s)"
-	fig6.AddY("without DataNet", r6.TopKWithout)
-	fig6.AddY("with DataNet", r6.TopKWith)
-	section("Figure 6 — map time on the filtered sub-dataset", fig6.LineSVG())
-
-	r7, err := Fig7(env)
-	if err != nil {
-		return err
-	}
-	t7 := metrics.NewTable("Fig 7 — shuffle time (s)", "application", "variant", "max")
-	for _, row := range r7.Rows {
-		t7.Add(row.App, row.Variant, fmt.Sprintf("%.2f", row.Max))
-	}
-	section("Figure 7 — shuffle phase", t7.HTMLTable())
-
-	// Figure 8.
-	r8, err := Fig8(EventParams{})
-	if err != nil {
-		return err
-	}
-	var fig8 metrics.Figure
-	fig8.Caption = "Fig 8(a) — IssueEvent size over blocks (MB)"
-	fig8.AddY("block MB", r8.BlockMB)
-	section("Figure 8 — GitHub IssueEvent", fig8.BarSVG())
-
-	// Table II.
-	t2r, err := Table2(env, nil)
-	if err != nil {
-		return err
-	}
-	t2 := metrics.NewTable("Table II — ElasticMap efficiency", "α target", "α realized", "accuracy χ", "ratio")
-	for _, row := range t2r.Rows {
-		t2.Add(metrics.Pct(row.TargetAlpha), metrics.Pct(row.RealizedAlpha), metrics.Pct(row.Accuracy), fmt.Sprintf("%.0f", row.Ratio))
-	}
-	section("Table II — meta-data efficiency", t2.HTMLTable())
-
-	// Figure 9.
-	r9, err := Fig9(env, 50)
-	if err != nil {
-		return err
-	}
-	actual := make([]float64, len(r9.Points))
-	est := make([]float64, len(r9.Points))
-	for i, pnt := range r9.Points {
-		actual[i] = pnt.ActualMB
-		est[i] = pnt.EstimateMB
-	}
-	var fig9 metrics.Figure
-	fig9.Caption = "Fig 9 — actual vs estimated sub-dataset size (MB)"
-	fig9.AddY("actual", actual)
-	fig9.AddY("estimated", est)
-	section("Figure 9 — estimate accuracy", fig9.LineSVG())
-
-	// Figure 10.
-	r10, err := Fig10(env, nil)
-	if err != nil {
-		return err
-	}
-	ax := make([]float64, len(r10.Rows))
-	mx := make([]float64, len(r10.Rows))
-	mn := make([]float64, len(r10.Rows))
-	for i, row := range r10.Rows {
-		ax[i] = row.Alpha
-		mx[i] = row.NormMax
-		mn[i] = row.NormMin
-	}
-	var fig10 metrics.Figure
-	fig10.Caption = "Fig 10 — workload balance vs α"
-	fig10.Add("max/avg", ax, mx)
-	fig10.Add("min/avg", ax, mn)
-	section("Figure 10 — balance vs α", fig10.LineSVG())
-
-	// Fault tolerance (robustness extension: crash recovery sweep).
-	ft, err := FaultTolerance(MovieParams{})
-	if err != nil {
-		return err
-	}
-	tft := metrics.NewTable("Crash recovery across schedulers",
-		"scheduler", "crashes", "at", "job time", "slowdown", "retried", "repaired", "output")
-	for _, row := range ft.Rows {
-		ok := "ok"
-		if !row.OutputOK {
-			ok = "DIVERGED"
+	for _, b := range r.blocks {
+		switch {
+		case b.table != nil:
+			sb.WriteString(b.table.String())
+		case b.figure != nil && b.kind != exportOnly:
+			sb.WriteString(b.figure.String())
+		default:
+			sb.WriteString(b.text)
 		}
-		tft.Add(row.Scheduler, fmt.Sprint(row.Crashes),
-			metrics.Pct(row.CrashFrac), metrics.Seconds(row.JobTime),
-			fmt.Sprintf("%.2fx", row.Slowdown), fmt.Sprint(row.Retried),
-			fmt.Sprint(row.Repaired), ok)
 	}
-	ftBody := tft.HTMLTable() + ft.Counters.Table("Fault-handling totals").HTMLTable() +
-		fmt.Sprintf("<p>Degraded metadata demotes DataNet to %q (output correct: %v).</p>",
-			ft.FallbackSched, ft.FallbackOK)
-	section("Fault tolerance — crash recovery sweep", ftBody)
+	return sb.String()
+}
 
-	// Per-run timeline (observability extension): one traced run with a
-	// mid-filter crash, rendered as a Gantt chart plus its metrics digest.
+// comparison is one application's outcome on one environment under the
+// locality baseline ("without DataNet") and under Algorithm 1 ("with").
+type comparison struct {
+	without, with *mapreduce.Result
+	// gain is (without − with) / without on the analysis job's execution
+	// time (the filter pass is shared prep, as in the paper).
+	gain float64
+}
+
+func (e *Env) compare(app apps.App) (c comparison, err error) {
+	if c.without, err = e.RunBaseline(app); err != nil {
+		return c, err
+	}
+	if c.with, err = e.RunDataNet(app); err != nil {
+		return c, err
+	}
+	if c.without.AnalysisTime > 0 {
+		c.gain = (c.without.AnalysisTime - c.with.AnalysisTime) / c.without.AnalysisTime
+	}
+	return c, nil
+}
+
+// maxOverAvg is the imbalance of a run's filtered workload over the nodes.
+func (e *Env) maxOverAvg(run *mapreduce.Result) float64 {
+	return stats.Summarize(NodeSeries(e.Topo, run.NodeWorkload)).ImbalanceRatio()
+}
+
+// balanceCells records a comparison's two workload imbalances and its gain
+// under key and returns them as the three table cells most sweeps end on.
+func (r *Report) balanceCells(key string, e *Env, c comparison) (without, with, gain string) {
+	wo, wi := e.maxOverAvg(c.without), e.maxOverAvg(c.with)
+	r.set(key+"/baseline_max_avg", wo)
+	r.set(key+"/datanet_max_avg", wi)
+	r.set(key+"/improvement", c.gain)
+	return fmt.Sprintf("%.2f", wo), fmt.Sprintf("%.2f", wi), metrics.Pct(c.gain)
+}
+
+// movieTopK is the compute-heavy application of the movie experiments, the
+// one where scheduling matters most.
+func movieTopK() apps.App { return apps.NewTopKSearch(10, "plot twist ending amazing director") }
+
+// reportSections are the sections the CSV and HTML exports walk: the
+// paper's figures and tables plus the crash-recovery sweep.
+var reportSections = []string{"fig1", "fig2", "fig5", "fig6", "fig7", "fig8", "table2", "fig9", "fig10", "fault-tolerance"}
+
+// WriteCSVSuite runs the report sections and writes every figure block's
+// series as <section><id>.csv under dir (created if missing), so the
+// results can be re-plotted with any tool. It returns the file list.
+func WriteCSVSuite(dir string) ([]string, error) {
+	secs, err := runNamed(reportSections...)
+	if err != nil {
+		return nil, err
+	}
+	return writeCSVs(dir, secs)
+}
+
+func writeCSVs(dir string, secs []BenchSection) ([]string, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	var written []string
+	for _, sec := range secs {
+		for _, b := range sec.blocks {
+			if b.figure == nil {
+				continue
+			}
+			path := filepath.Join(dir, sec.Name+b.id+".csv")
+			if err := os.WriteFile(path, []byte(b.figure.CSV()), 0o644); err != nil {
+				return written, err
+			}
+			written = append(written, path)
+		}
+	}
+	return written, nil
+}
+
+// WriteHTMLReport runs the report sections plus one traced job and writes
+// a single self-contained HTML file (inline SVG, no external assets) so
+// the reproduction can be eyeballed against the paper's plots.
+func WriteHTMLReport(path string) error {
+	secs, err := runNamed(reportSections...)
+	if err != nil {
+		return err
+	}
 	tl, err := Timeline(MovieParams{})
 	if err != nil {
 		return err
 	}
-	tlBody := fmt.Sprintf(
-		"<p>One DataNet-scheduled TopKSearch run, traced: node 3 crashes at %.2f s (red line) and rejoins at %.2f s (green dashed). Spans show filter attempts per node; failed attempts and the recovery tail are visible directly. Export the same timeline with <code>datanet analyze -trace out.json -trace-format chrome</code> and load it in Perfetto for the interactive view.</p>",
-		tl.CrashAt, tl.RejoinAt) + tl.Rec.TimelineSVG()
-	for _, t := range tl.Snapshot.Tables("Run metrics") {
-		tlBody += t.HTMLTable()
-	}
-	section("Per-run timeline — traced execution", tlBody)
+	secs = append(secs, BenchSection{Name: "per-run timeline", Report: tl})
+	return os.WriteFile(path, []byte(htmlReport(secs)), 0o644)
+}
 
+// htmlReport renders each section's blocks in order: a figure as an SVG
+// chart, a table as an HTML table, a text line as a paragraph.
+func htmlReport(secs []BenchSection) string {
+	var sb strings.Builder
+	sb.WriteString(`<!DOCTYPE html><html><head><meta charset="utf-8"/><title>DataNet reproduction report</title></head><body style="font-family:sans-serif;max-width:760px;margin:2em auto">`)
+	sb.WriteString(`<h1>DataNet — reproduction report</h1>`)
+	sb.WriteString(`<p>Regenerated figures for "DataNet: A Data Distribution-aware Method for Sub-dataset Analysis on Distributed File Systems" (IPDPS 2016). See EXPERIMENTS.md for the paper-vs-measured commentary.</p>`)
+	for _, sec := range secs {
+		fmt.Fprintf(&sb, `<h2 style="margin-top:2em">%s</h2>`, sec.Name)
+		for _, b := range sec.blocks {
+			switch {
+			case b.table != nil:
+				sb.WriteString(b.table.HTMLTable())
+			case b.svg != "":
+				sb.WriteString(b.svg)
+			case b.figure == nil:
+				fmt.Fprintf(&sb, "<p>%s</p>", html.EscapeString(strings.TrimSpace(b.text)))
+			case b.kind == barFigure:
+				sb.WriteString(b.figure.BarSVG())
+			default:
+				sb.WriteString(b.figure.LineSVG())
+			}
+		}
+	}
 	sb.WriteString(`</body></html>`)
-	return os.WriteFile(path, []byte(sb.String()), 0o644)
+	return sb.String()
 }

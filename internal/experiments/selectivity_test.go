@@ -1,111 +1,61 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 )
 
 func TestSelectivity(t *testing.T) {
-	env := smallEnv(t)
-	r, err := Selectivity(env, []int{0, 2, 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 3 {
-		t.Fatalf("rows = %d", len(r.Rows))
-	}
-	// Sizes decrease down the popularity tail.
-	for i := 1; i < len(r.Rows); i++ {
-		if r.Rows[i].TargetBytes > r.Rows[i-1].TargetBytes {
-			t.Errorf("rank %d larger than rank %d", r.Rows[i].Rank, r.Rows[i-1].Rank)
+	ranks := []string{"0", "2", "20"}
+	r := ran(t, "popularity")(Selectivity(smallEnv(t), []int{0, 2, 20}))
+	wantRows(t, r, 3)
+	// The headline target gains substantially (selectivity's gate row);
+	// DataNet never leaves a worse balance than the baseline anywhere on
+	// the sweep, and sizes decrease down the popularity tail.
+	holdGates(t, "selectivity", r)
+	for i, rank := range ranks {
+		if i > 0 && val(t, r, rank+"/target_bytes") > val(t, r, ranks[i-1]+"/target_bytes") {
+			t.Errorf("rank %s larger than rank %s", rank, ranks[i-1])
 		}
-	}
-	// The headline target gains substantially; DataNet never leaves a
-	// worse balance than the baseline anywhere on the sweep.
-	if r.Rows[0].Improvement <= 0 {
-		t.Errorf("rank-0 improvement = %.1f%%", r.Rows[0].Improvement*100)
-	}
-	for _, row := range r.Rows {
-		if row.DataNetMaxAvg > row.BaselineMaxAvg*1.1 {
-			t.Errorf("rank %d: datanet %.2f worse than baseline %.2f",
-				row.Rank, row.DataNetMaxAvg, row.BaselineMaxAvg)
+		if dn, base := val(t, r, rank+"/datanet_max_avg"), val(t, r, rank+"/baseline_max_avg"); dn > base*1.1 {
+			t.Errorf("rank %s: datanet %.2f worse than baseline %.2f", rank, dn, base)
 		}
-		if row.ShareOfRaw < 0 || row.ShareOfRaw > 1 {
-			t.Errorf("rank %d: share %g", row.Rank, row.ShareOfRaw)
+		if share := val(t, r, rank+"/share_of_raw"); share < 0 || share > 1 {
+			t.Errorf("rank %s: share %g", rank, share)
 		}
-	}
-	if !strings.Contains(r.String(), "popularity") {
-		t.Error("String() missing caption")
 	}
 }
 
 func TestWebLog(t *testing.T) {
-	r, err := WebLog(WebLogParams{Nodes: 8, Racks: 2, Blocks: 32, BlockBytes: 64 << 10, Alpha: 0.3, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.BlockCV <= 0 {
-		t.Errorf("block CV = %g", r.BlockCV)
-	}
-	if r.DataNetMaxAvg > r.BaselineMaxAvg*1.1 {
-		t.Errorf("datanet balance %.2f worse than baseline %.2f", r.DataNetMaxAvg, r.BaselineMaxAvg)
-	}
-	if !strings.Contains(r.String(), "WorldCup") {
-		t.Error("String() missing caption")
-	}
+	p := WebLogParams{Nodes: 8, Racks: 2, Blocks: 32, BlockBytes: 64 << 10, Alpha: 0.3, Seed: 13}
+	holdGates(t, "weblog", ran(t, "WorldCup")(WebLog(p)))
 }
 
 func TestBlockSizeSweep(t *testing.T) {
-	p := smallMovie()
-	r, err := BlockSize([]int64{32 << 10, 128 << 10}, p)
-	if err != nil {
-		t.Fatal(err)
+	r := ran(t, "block size")(BlockSize([]int64{32 << 10, 128 << 10}, smallMovie()))
+	wantRows(t, r, 2)
+	fine, coarse := "32 KiB", "128 KiB"
+	if val(t, r, fine+"/blocks") <= val(t, r, coarse+"/blocks") {
+		t.Errorf("finer blocks should mean more of them: %g vs %g", val(t, r, fine+"/blocks"), val(t, r, coarse+"/blocks"))
 	}
-	if len(r.Rows) != 2 {
-		t.Fatalf("rows = %d", len(r.Rows))
-	}
-	fine, coarse := r.Rows[0], r.Rows[1]
-	if fine.Blocks <= coarse.Blocks {
-		t.Errorf("finer blocks should mean more of them: %d vs %d", fine.Blocks, coarse.Blocks)
-	}
-	if fine.MaxBlockShare >= coarse.MaxBlockShare {
+	if val(t, r, fine+"/max_block_share") >= val(t, r, coarse+"/max_block_share") {
 		t.Errorf("finer blocks should hold smaller shares: %.3f vs %.3f",
-			fine.MaxBlockShare, coarse.MaxBlockShare)
+			val(t, r, fine+"/max_block_share"), val(t, r, coarse+"/max_block_share"))
 	}
-	for _, row := range r.Rows {
-		if row.DataNetMaxAvg > row.BaselineMaxAvg*1.1 {
-			t.Errorf("block %d: datanet %.2f worse than baseline %.2f",
-				row.BlockBytes, row.DataNetMaxAvg, row.BaselineMaxAvg)
+	for _, size := range []string{fine, coarse} {
+		if dn, base := val(t, r, size+"/datanet_max_avg"), val(t, r, size+"/baseline_max_avg"); dn > base*1.1 {
+			t.Errorf("block %s: datanet %.2f worse than baseline %.2f", size, dn, base)
 		}
-	}
-	if !strings.Contains(r.String(), "block size") {
-		t.Error("String() missing caption")
 	}
 }
 
 func TestReplicationSweep(t *testing.T) {
-	p := smallMovie()
-	r, err := Replication([]int{1, 3}, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 2 {
-		t.Fatalf("rows = %d", len(r.Rows))
-	}
-	one, three := r.Rows[0], r.Rows[1]
-	// Replication 1 pins every block: locality-preserving balance is
-	// impossible, so DataNet's balance there cannot beat its 3-replica
-	// balance.
-	if three.DataNetMaxAvg > one.DataNetMaxAvg*1.05 {
-		t.Errorf("more replicas should not hurt balance: r=1 %.2f vs r=3 %.2f",
-			one.DataNetMaxAvg, three.DataNetMaxAvg)
-	}
-	for _, row := range r.Rows {
-		if row.DataNetLocal < 0 || row.DataNetLocal > 1 {
-			t.Errorf("r=%d: local fraction %g", row.Replication, row.DataNetLocal)
+	r := ran(t, "replication")(Replication([]int{1, 3}, smallMovie()))
+	wantRows(t, r, 2)
+	// More replicas should not hurt balance: replication's gate row.
+	holdGates(t, "replication", r)
+	for _, rf := range []string{"1", "3"} {
+		if local := val(t, r, rf+"/datanet_local"); local < 0 || local > 1 {
+			t.Errorf("r=%s: local fraction %g", rf, local)
 		}
-	}
-	if !strings.Contains(r.String(), "replication") {
-		t.Error("String() missing caption")
 	}
 }

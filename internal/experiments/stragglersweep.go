@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"sort"
-	"strings"
 
 	"datanet/internal/cluster"
 	"datanet/internal/detect"
@@ -25,31 +23,6 @@ import (
 // redundancy rates — across fault plans, failure detectors and cluster
 // scales, and reports both the gain (makespan, completion-tail quantiles)
 // and the bill (backup launches, wasted task-seconds, decode work).
-
-// StragglerRow is one (scale, plan, detector, arm) outcome.
-type StragglerRow struct {
-	Nodes    int
-	Plan     string
-	Detector string
-	Arm      string
-	// FilterEnd and JobTime are the filter-phase and end-to-end makespans.
-	FilterEnd, JobTime float64
-	// P50/P90/P99 summarize the filter-task completion-time CDF (seconds
-	// at which 50/90/99% of surviving task outputs had committed).
-	P50, P90, P99 float64
-	// Launches/Wins/Wasted bill the speculation arm; Decodes bills the
-	// coded arm's reconstruction work.
-	Launches, Wins int
-	Wasted         float64
-	Decodes        int
-	// OutputOK reports the run produced the fault-free reference output.
-	OutputOK bool
-}
-
-// StragglerSweepResult is the full mitigation sweep.
-type StragglerSweepResult struct {
-	Rows []StragglerRow
-}
 
 // stragglerArm names one mitigation configuration.
 type stragglerArm struct {
@@ -134,15 +107,23 @@ func taskEndQuantiles(res *mapreduce.Result) (p50, p90, p99 float64) {
 }
 
 // StragglerSweep runs the mitigation grid at each cluster scale (default
-// 128 and 1024 nodes, the paper testbed's size and 8× it).
-func StragglerSweep(scales []int, p MovieParams) (*StragglerSweepResult, error) {
+// 128 and 1024 nodes, the paper testbed's size and 8× it). A cell's key is
+// <nodes>/<plan>/<detector>/<arm>: alone its end-to-end makespan, with
+// /filter_end the filter phase's, /p50 /p90 /p99 the filter-task
+// completion-time CDF, /launches and /wasted the speculation arm's bill
+// and /decodes the coded arm's reconstruction work. The bare counters total
+// the mitigation bill over the sweep (the suite gates require wins, waste
+// and decodes, and no divergence from the fault-free reference output).
+func StragglerSweep(scales []int, p MovieParams) (*Report, error) {
 	if len(scales) == 0 {
 		scales = []int{128, 1024}
 	}
 	if p.Nodes == 0 {
 		p = DefaultFaultParams()
 	}
-	res := &StragglerSweepResult{}
+	r := newReport()
+	t := metrics.NewTable("Extension — straggler mitigation under heterogeneity (filter-tail CDF + wasted work)",
+		"nodes", "plan", "detector", "arm", "filter", "job time", "p50/p90/p99", "backups", "wins", "wasted", "decodes", "output")
 	for _, nodes := range scales {
 		q := p
 		q.Nodes = nodes
@@ -152,7 +133,7 @@ func StragglerSweep(scales []int, p MovieParams) (*StragglerSweepResult, error) 
 		// One block per node on average (×3 replicas keeps every node busy)
 		// so the completion tail is one task wave, not queueing noise.
 		q.Blocks = nodes
-		fix, err := newFaultFixture(movieLog(q), q)
+		fix, err := newFaultFixture(q)
 		if err != nil {
 			return nil, err
 		}
@@ -175,76 +156,35 @@ func StragglerSweep(scales []int, p MovieParams) (*StragglerSweepResult, error) 
 		for _, pl := range stragglerPlans(nodes, healthy.FilterEnd, q.Seed) {
 			for _, d := range detectors {
 				for _, arm := range stragglerArms() {
-					r, err := runOne(pl.plan, d.det, arm.mit)
+					key := fmt.Sprintf("%d/%s/%s/%s", nodes, pl.name, d.name, arm.name)
+					run, err := runOne(pl.plan, d.det, arm.mit)
 					if err != nil {
-						return nil, fmt.Errorf("straggler sweep %d/%s/%s/%s: %w",
-							nodes, pl.name, d.name, arm.name, err)
+						return nil, fmt.Errorf("straggler sweep %s: %w", key, err)
 					}
-					row := StragglerRow{
-						Nodes: nodes, Plan: pl.name, Detector: d.name, Arm: arm.name,
-						FilterEnd: r.FilterEnd, JobTime: r.JobTime,
-						Launches: r.SpeculativeLaunches, Wins: r.SpeculativeWins,
-						Wasted: r.WastedTaskSeconds, Decodes: r.CodedDecodes,
-						OutputOK: reflect.DeepEqual(r.Output, healthy.Output),
-					}
-					row.P50, row.P90, row.P99 = taskEndQuantiles(r)
-					res.Rows = append(res.Rows, row)
+					p50, p90, p99 := taskEndQuantiles(run)
+					t.Add(fmt.Sprint(nodes), pl.name, d.name, arm.name,
+						metrics.Seconds(run.FilterEnd), metrics.Seconds(run.JobTime),
+						fmt.Sprintf("%.1f/%.1f/%.1f s", p50, p90, p99),
+						fmt.Sprint(run.SpeculativeLaunches), fmt.Sprint(run.SpeculativeWins),
+						metrics.Seconds(run.WastedTaskSeconds), fmt.Sprint(run.CodedDecodes),
+						r.outputCell(run.Output, healthy.Output))
+					r.set(key, run.JobTime)
+					r.set(key+"/filter_end", run.FilterEnd)
+					r.set(key+"/p50", p50)
+					r.set(key+"/p90", p90)
+					r.set(key+"/p99", p99)
+					r.set(key+"/launches", float64(run.SpeculativeLaunches))
+					r.set(key+"/wasted", run.WastedTaskSeconds)
+					r.set(key+"/decodes", float64(run.CodedDecodes))
+					r.Values["speculative_launches"] += float64(run.SpeculativeLaunches)
+					r.Values["speculative_wins"] += float64(run.SpeculativeWins)
+					r.Values["wasted_task_seconds"] += run.WastedTaskSeconds
+					r.Values["coded_decode_count"] += float64(run.CodedDecodes)
 				}
 			}
 		}
 	}
-	return res, nil
-}
-
-// String renders the sweep.
-func (r *StragglerSweepResult) String() string {
-	t := metrics.NewTable("Extension — straggler mitigation under heterogeneity (filter-tail CDF + wasted work)",
-		"nodes", "plan", "detector", "arm", "filter", "job time", "p50/p90/p99", "backups", "wins", "wasted", "decodes", "output")
-	for _, row := range r.Rows {
-		ok := "ok"
-		if !row.OutputOK {
-			ok = "DIVERGED"
-		}
-		t.Add(fmt.Sprint(row.Nodes), row.Plan, row.Detector, row.Arm,
-			metrics.Seconds(row.FilterEnd), metrics.Seconds(row.JobTime),
-			fmt.Sprintf("%.1f/%.1f/%.1f s", row.P50, row.P90, row.P99),
-			fmt.Sprint(row.Launches), fmt.Sprint(row.Wins),
-			metrics.Seconds(row.Wasted), fmt.Sprint(row.Decodes), ok)
-	}
-	var sb strings.Builder
-	sb.WriteString(t.String())
-	sb.WriteString("  (speculation trims the tail for the cost of duplicate task-seconds; coding caps the tail\n   at the k-th completion per group for a fixed parity surcharge, decoding the stragglers' outputs)\n")
-	return sb.String()
-}
-
-// SimMakespans exposes every cell's job makespan to the suite report.
-func (r *StragglerSweepResult) SimMakespans() map[string]float64 {
-	m := make(map[string]float64, len(r.Rows))
-	for _, row := range r.Rows {
-		m[fmt.Sprintf("%d/%s/%s/%s", row.Nodes, row.Plan, row.Detector, row.Arm)] = row.JobTime
-	}
-	return m
-}
-
-// Counters exposes the sweep-wide mitigation bill to the suite report
-// (the suite gates require wins, waste and decodes, and no divergence).
-func (r *StragglerSweepResult) Counters() map[string]int64 {
-	var launches, wins, decodes, diverged int64
-	var wasted float64
-	for _, row := range r.Rows {
-		launches += int64(row.Launches)
-		wins += int64(row.Wins)
-		decodes += int64(row.Decodes)
-		wasted += row.Wasted
-		if !row.OutputOK {
-			diverged++
-		}
-	}
-	return map[string]int64{
-		"speculative_launches": launches,
-		"speculative_wins":     wins,
-		"wasted_task_seconds":  int64(math.Round(wasted)),
-		"coded_decode_count":   decodes,
-		"output_divergences":   diverged,
-	}
+	r.table(t)
+	r.linef("  (speculation trims the tail for the cost of duplicate task-seconds; coding caps the tail\n   at the k-th completion per group for a fixed parity surcharge, decoding the stragglers' outputs)")
+	return r, nil
 }

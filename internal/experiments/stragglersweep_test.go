@@ -5,47 +5,36 @@ import (
 	"testing"
 )
 
-// A reduced-scale sweep must show the headline effects the CI gate pins
+// A reduced-scale sweep must show the headline effects the gate rows pin
 // on the full run: both mitigations beat the unmitigated makespan under
 // the heavy-slowdown plan, backups win, decodes happen, and no cell ever
 // diverges from the fault-free output.
 func TestStragglerSweepSmall(t *testing.T) {
-	r, err := StragglerSweep([]int{32}, MovieParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRows := 2 * 2 * len(stragglerArms())
-	if len(r.Rows) != wantRows {
-		t.Fatalf("rows = %d, want %d", len(r.Rows), wantRows)
-	}
-	ms := r.SimMakespans()
-	none := ms["32/slow-heavy/oracle/none"]
+	r := ran(t, "straggler mitigation")(StragglerSweep([]int{32}, MovieParams{}))
+	wantRows(t, r, 2*2*len(stragglerArms()))
+	none := val(t, r, "32/slow-heavy/oracle/none")
 	if none <= 0 {
-		t.Fatalf("missing unmitigated cell: %v", ms)
+		t.Fatalf("missing unmitigated cell: %v", keys(r))
 	}
 	for _, arm := range []string{"spec-q0.90", "coded-r0.70"} {
-		if got := ms["32/slow-heavy/oracle/"+arm]; got >= none {
+		if got := val(t, r, "32/slow-heavy/oracle/"+arm); got >= none {
 			t.Errorf("%s makespan %.2f did not beat unmitigated %.2f", arm, got, none)
 		}
 	}
-	for _, row := range r.Rows {
-		if !row.OutputOK {
-			t.Errorf("%d/%s/%s/%s diverged from the fault-free output",
-				row.Nodes, row.Plan, row.Detector, row.Arm)
+	for _, cell := range cells(r, "/filter_end") {
+		p50, p90, p99, filterEnd := val(t, r, cell+"/p50"), val(t, r, cell+"/p90"), val(t, r, cell+"/p99"), val(t, r, cell+"/filter_end")
+		if !(p50 <= p90 && p90 <= p99 && p99 <= filterEnd) {
+			t.Errorf("%s: tail quantiles not monotone: %.2f/%.2f/%.2f vs filter %.2f", cell, p50, p90, p99, filterEnd)
 		}
-		if !(row.P50 <= row.P90 && row.P90 <= row.P99 && row.P99 <= row.FilterEnd) {
-			t.Errorf("%s/%s/%s: tail quantiles not monotone: %.2f/%.2f/%.2f vs filter %.2f",
-				row.Plan, row.Detector, row.Arm, row.P50, row.P90, row.P99, row.FilterEnd)
-		}
-		if strings.HasPrefix(row.Arm, "none") && (row.Launches != 0 || row.Decodes != 0 || row.Wasted != 0) {
-			t.Errorf("unmitigated cell billed mitigation work: %+v", row)
+		if strings.HasSuffix(cell, "/none") &&
+			(val(t, r, cell+"/launches") != 0 || val(t, r, cell+"/decodes") != 0 || val(t, r, cell+"/wasted") != 0) {
+			t.Errorf("unmitigated cell %s billed mitigation work", cell)
 		}
 	}
-	c := r.Counters()
-	if c["speculative_wins"] == 0 || c["coded_decode_count"] == 0 {
-		t.Errorf("sweep exercised no mitigation: %v", c)
+	if val(t, r, "speculative_wins") == 0 || val(t, r, "coded_decode_count") == 0 {
+		t.Errorf("sweep exercised no mitigation: %v", r.Values)
 	}
-	if c["output_divergences"] != 0 {
-		t.Errorf("output divergences: %v", c)
+	if val(t, r, "output_divergences") != 0 || strings.Contains(r.String(), "DIVERGED") {
+		t.Errorf("output divergences: %v", val(t, r, "output_divergences"))
 	}
 }

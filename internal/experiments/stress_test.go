@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"testing"
-
-	"datanet/internal/stats"
-)
+import "testing"
 
 // TestPaperScaleStress runs the headline comparison at the paper's full
 // cluster scale: 128 nodes (Marmot), 1024 blocks. Guarded by -short since
@@ -30,19 +26,16 @@ func TestPaperScaleStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	topk := r.Comparison("TopKSearch")
-	if topk == nil || topk.Improvement < 0.15 {
-		t.Fatalf("TopK improvement at 128 nodes = %+v", topk)
+	if imp := val(t, r, "TopKSearch/improvement"); imp < 0.15 {
+		t.Fatalf("TopK improvement at 128 nodes = %.3f", imp)
 	}
-	wo := stats.Summarize(r.NodeWithout)
-	wi := stats.Summarize(r.NodeWith)
-	if wi.ImbalanceRatio() >= wo.ImbalanceRatio() {
-		t.Errorf("DataNet imbalance %.2f not better than baseline %.2f at 128 nodes",
-			wi.ImbalanceRatio(), wo.ImbalanceRatio())
+	without, with := val(t, r, "workload/baseline_max_avg"), val(t, r, "workload/datanet_max_avg")
+	if with >= without {
+		t.Errorf("DataNet imbalance %.2f not better than baseline %.2f at 128 nodes", with, without)
 	}
 	// §II-B at scale: the baseline's imbalance at 128 nodes exceeds the
 	// 32-node default (cross-checked by ClusterSweep).
-	if wo.ImbalanceRatio() < 1.5 {
-		t.Errorf("128-node baseline imbalance only %.2f — clustering lost at scale", wo.ImbalanceRatio())
+	if without < 1.5 {
+		t.Errorf("128-node baseline imbalance only %.2f — clustering lost at scale", without)
 	}
 }

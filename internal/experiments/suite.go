@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,147 +17,213 @@ import (
 // I–II, Fig. 9–10, the migration analysis, …) and must run in their
 // declared order, since the paper derives them from the same runs;
 // independent sections build their own environments (or are analytic) and
-// may run concurrently.
+// may run concurrently. gates are the claims about the section's outcomes
+// that must keep holding: suite.golden pins the numbers themselves, these
+// say which relations between them matter.
 type suiteSection struct {
 	name   string
 	shared bool
-	run    func(env *Env) (fmt.Stringer, error)
+	run    func(env *Env) (*Report, error)
+	gates  []gate
+}
+
+// gate is one claim about a report's Values: lhs op factor × rhs. An empty
+// rhs compares lhs with factor alone. A key the report lacks fails the gate.
+type gate struct {
+	lhs    string
+	op     string // "<", "<=", ">", ">=" or "=="
+	factor float64
+	rhs    string
 }
 
 // suiteSections is the full paper suite in output order.
 func suiteSections() []suiteSection {
 	return []suiteSection{
-		// Figure 1 (its own 128-block env, as in the paper's intro example).
-		{"fig1", false, func(*Env) (fmt.Stringer, error) {
-			p := DefaultMovieParams()
-			p.Blocks = 128
-			r, err := Fig1(p)
-			return r, err
+		// Figure 1 (its own 128-block env, as in the paper's intro example):
+		// the sub-dataset is content-clustered and locality scheduling
+		// inherits the imbalance.
+		{"fig1", false, func(*Env) (*Report, error) { return Fig1(MovieParams{}) }, []gate{
+			{"top30_share", ">=", 0.5, ""},
+			{"node_max_over_mean", ">=", 1.1, ""},
 		}},
-		// Figure 2 (analytic).
-		{"fig2", false, func(*Env) (fmt.Stringer, error) {
-			return Fig2(stats.Gamma{}, 0, nil), nil
+		// Figure 2 (analytic): the paper quotes E[#nodes > 2E] = 4.0 at m=128.
+		{"fig2", false, func(*Env) (*Report, error) { return Fig2(stats.Gamma{}, 0, nil), nil }, []gate{
+			{"at128/above_double", ">=", 3, ""},
+			{"at128/above_double", "<=", 5, ""},
 		}},
-		{"table1", true, func(env *Env) (fmt.Stringer, error) {
-			r, err := Table1(env)
-			return r, err
+		{"table1", true, Table1, []gate{
+			{"subs", ">", 8, ""},
 		}},
-		{"fig5", true, func(env *Env) (fmt.Stringer, error) {
-			r, err := Fig5(env)
-			return r, err
+		// Fig. 5(a)'s ordering: DataNet wins on the compute-heavy app, and by
+		// more than on the light one; Fig. 5(c): it levels the workload.
+		{"fig5", true, Fig5, []gate{
+			{"TopKSearch/improvement", ">", 0, ""},
+			{"TopKSearch/improvement", ">", 1, "MovingAverage/improvement"},
+			{"workload/datanet_max_avg", "<", 1, "workload/baseline_max_avg"},
 		}},
-		{"fig6", true, func(env *Env) (fmt.Stringer, error) {
-			r, err := Fig6(env)
-			return r, err
+		// Fig. 6: the MovingAverage min–max gap is much smaller than
+		// WordCount's (both without DataNet), and DataNet shrinks the TopK gap.
+		{"fig6", true, Fig6, []gate{
+			{"MovingAverage/without/gap", "<", 1, "WordCount/without/gap"},
+			{"TopKSearch/with/gap", "<", 1, "TopKSearch/without/gap"},
 		}},
-		{"fig7", true, func(env *Env) (fmt.Stringer, error) {
-			r, err := Fig7(env)
-			return r, err
+		// Fig. 7: shuffle with DataNet is substantially faster.
+		{"fig7", true, Fig7, []gate{
+			{"TopKSearch/speedup", ">=", 1.2, ""},
+			{"WordCount/speedup", ">=", 1.1, ""},
 		}},
-		{"fig8", false, func(*Env) (fmt.Stringer, error) {
-			r, err := Fig8(EventParams{})
-			return r, err
+		// Fig. 8: the event data is not release-clustered, and DataNet still
+		// shortens the longest map (paper: 125 s → 107 s).
+		{"fig8", false, func(*Env) (*Report, error) { return Fig8(EventParams{}) }, []gate{
+			{"block_cv", "<=", 1, ""},
+			{"longest_map/datanet", "<=", 1.05, "longest_map/baseline"},
 		}},
-		{"table2", true, func(env *Env) (fmt.Stringer, error) {
-			r, err := Table2(env, nil)
-			return r, err
+		// Table II: a smaller hash share lowers accuracy and raises the ratio.
+		{"table2", true, func(env *Env) (*Report, error) { return Table2(env, nil) }, []gate{
+			{"0.21/accuracy", "<", 1, "0.51/accuracy"},
+			{"0.21/ratio", ">", 1, "0.51/ratio"},
 		}},
-		{"fig9", true, func(env *Env) (fmt.Stringer, error) {
-			r, err := Fig9(env, 50)
-			return r, err
+		// Fig. 9: large sub-datasets are estimated accurately, small ones less so.
+		{"fig9", true, func(env *Env) (*Report, error) { return Fig9(env, 50) }, []gate{
+			{"large/rel_err", "<=", 0.1, ""},
+			{"large/rel_err", "<=", 1, "small/rel_err"},
 		}},
-		{"fig10", true, func(env *Env) (fmt.Stringer, error) {
-			r, err := Fig10(env, nil)
-			return r, err
+		// Fig. 10: raising α beyond ~15% barely changes the balance.
+		{"fig10", true, func(env *Env) (*Report, error) { return Fig10(env, nil) }, []gate{
+			{"1.00/max_over_avg", "<=", 1.2, "0.15/max_over_avg"},
+			{"1.00/max_over_avg", ">=", 0.8, "0.15/max_over_avg"},
 		}},
-		{"migration", true, func(env *Env) (fmt.Stringer, error) {
-			r, err := Migration(env)
-			return r, err
+		// §V-A.4: the reactive approach must move a real fraction of the
+		// data; DataNet leaves less residual imbalance.
+		{"migration", true, Migration, []gate{
+			{"baseline/fraction", ">", 0, ""},
+			{"datanet/fraction", "<", 1, "baseline/fraction"},
+			{"aggregation/total_bytes", ">", 0, ""},
 		}},
-		{"bucket-ablation", true, func(env *Env) (fmt.Stringer, error) {
-			r, err := BucketAblation(env)
-			return r, err
-		}},
-		{"scheduler-ablation", true, func(env *Env) (fmt.Stringer, error) {
-			r, err := SchedulerAblation(env)
-			return r, err
+		{"bucket-ablation", true, BucketAblation, nil},
+		{"scheduler-ablation", true, SchedulerAblation, []gate{
+			{"datanet", "<", 1, "hadoop-locality"},
+			{"datanet/max_over_avg", "<", 1, "hadoop-locality/max_over_avg"},
 		}},
 		// Extension experiments (beyond the paper's figures; DESIGN.md §5-6).
-		{"theory", false, func(*Env) (fmt.Stringer, error) {
-			r, err := Theory(stats.Gamma{}, 0, 0, 3)
-			return r, err
+		// The Gamma model fits its own generator.
+		{"theory", false, func(*Env) (*Report, error) { return Theory(stats.Gamma{}, 0, 0, 3) }, []gate{
+			{"fit/moments_k", ">=", 0.9, ""},
+			{"fit/moments_k", "<=", 1.5, ""},
+			{"fit/mle_k", ">", 0, ""},
+			{"fit/mle_theta", ">", 0, ""},
+			{"ks", "<=", 2, "ks_critical"},
 		}},
-		{"cluster-sweep", false, func(*Env) (fmt.Stringer, error) {
-			r, err := ClusterSweep(nil, MovieParams{})
-			return r, err
+		// §II-B: baseline imbalance grows with the cluster size, and DataNet
+		// tracks closer to 1 at the largest.
+		{"cluster-sweep", false, func(*Env) (*Report, error) { return ClusterSweep(nil, MovieParams{}) }, []gate{
+			{"128/baseline_max_avg", ">", 1, "8/baseline_max_avg"},
+			{"128/datanet_max_avg", "<", 1, "128/baseline_max_avg"},
 		}},
-		{"heterogeneity", false, func(*Env) (fmt.Stringer, error) {
-			r, err := Heterogeneity(MovieParams{})
-			return r, err
+		// Capacity-aware targets must not be slower, and relieve the
+		// slow-node stall.
+		{"heterogeneity", false, func(*Env) (*Report, error) { return Heterogeneity(MovieParams{}) }, []gate{
+			{"slow_nodes", ">", 0, ""},
+			{"capacity", "<=", 1.02, "uniform"},
+			{"capacity/slowest_node", "<", 1, "uniform/slowest_node"},
 		}},
-		{"reactive", true, func(env *Env) (fmt.Stringer, error) {
-			r, err := Reactive(env)
-			return r, err
+		{"reactive", true, Reactive, []gate{
+			{"baseline + migration (SkewTune-style)/migrated", ">", 0, ""},
+			{"baseline + migration (SkewTune-style)/max_over_avg", "<=", 1.01, ""},
+			{"DataNet (Algorithm 1)/migrated", "==", 0, ""},
+			{"DataNet (Algorithm 1)", "<=", 1, "locality baseline"},
 		}},
-		{"io-saving", true, func(env *Env) (fmt.Stringer, error) {
-			r, err := IOSaving(env, nil)
-			return r, err
+		// A tail movie leaves more blocks skippable than the blockbuster.
+		{"io-saving", true, func(env *Env) (*Report, error) { return IOSaving(env, nil) }, []gate{
+			{"500/skipped_blocks", ">", 1, "0/skipped_blocks"},
 		}},
-		{"selectivity", true, func(env *Env) (fmt.Stringer, error) {
-			r, err := Selectivity(env, nil)
-			return r, err
+		{"selectivity", true, func(env *Env) (*Report, error) { return Selectivity(env, nil) }, []gate{
+			{"0/improvement", ">", 0, ""},
 		}},
-		{"weblog", false, func(*Env) (fmt.Stringer, error) {
-			r, err := WebLog(WebLogParams{})
-			return r, err
+		{"weblog", false, func(*Env) (*Report, error) { return WebLog(WebLogParams{}) }, []gate{
+			{"block_cv", ">", 0, ""},
+			{"datanet_max_avg", "<=", 1.1, "baseline_max_avg"},
 		}},
-		{"placement", false, func(*Env) (fmt.Stringer, error) {
-			r, err := Placement(MovieParams{})
-			return r, err
+		// DataNet must not be (meaningfully) worse than the baseline under any
+		// placement, and round-robin spreads storage most evenly.
+		{"placement", false, func(*Env) (*Report, error) { return Placement(MovieParams{}) }, []gate{
+			{"random/datanet_max_avg", "<=", 1.1, "random/baseline_max_avg"},
+			{"rack-aware/datanet_max_avg", "<=", 1.1, "rack-aware/baseline_max_avg"},
+			{"round-robin/datanet_max_avg", "<=", 1.1, "round-robin/baseline_max_avg"},
+			{"round-robin/storage_cv", "<", 1, "random/storage_cv"},
 		}},
-		{"model-check", true, func(env *Env) (fmt.Stringer, error) {
-			r, err := ModelCheck(env, nil)
-			return r, err
+		// Eq. 5 at the realized α matches the accounting to within rounding,
+		// and the paper-scale block reaches a Table-II-order ratio.
+		{"model-check", true, func(env *Env) (*Report, error) { return ModelCheck(env, nil) }, []gate{
+			{"1.00/rel_err", "<=", 0.05, ""},
+			{"paper_scale/ratio", ">=", 500, ""},
+			{"paper_scale/chi", ">=", 0.7, ""},
+			{"paper_scale/chi", "<=", 1, ""},
 		}},
-		{"aggregation", true, func(env *Env) (fmt.Stringer, error) {
-			r, err := Aggregation(env, nil)
-			return r, err
+		// With imbalanced output and few reducers the saving must be real.
+		{"aggregation", true, func(env *Env) (*Report, error) { return Aggregation(env, nil) }, []gate{
+			{"2/saving", ">", 0, ""},
+			{"4/saving", ">=", 0, ""},
 		}},
-		{"amortization", true, func(env *Env) (fmt.Stringer, error) {
-			r, err := Amortization(env)
-			return r, err
+		{"amortization", true, Amortization, []gate{
+			{"scan_seconds", ">", 0, ""},
+			{"per_job_saving", ">", 0, ""},
+			{"break_even_jobs", ">=", 1, ""},
+			{"break_even_jobs", "<=", 1000, ""},
 		}},
-		{"block-size", false, func(*Env) (fmt.Stringer, error) {
-			r, err := BlockSize(nil, MovieParams{})
-			return r, err
+		// Finer blocks are more numerous and each holds a smaller share.
+		{"block-size", false, func(*Env) (*Report, error) { return BlockSize(nil, MovieParams{}) }, []gate{
+			{"64 KiB/blocks", ">", 1, "1 MiB/blocks"},
+			{"64 KiB/max_block_share", "<", 1, "1 MiB/max_block_share"},
 		}},
-		{"replication", false, func(*Env) (fmt.Stringer, error) {
-			r, err := Replication(nil, MovieParams{})
-			return r, err
+		// Replication 1 pins every block, so DataNet's balance there cannot
+		// beat its 3-replica balance.
+		{"replication", false, func(*Env) (*Report, error) { return Replication(nil, MovieParams{}) }, []gate{
+			{"3/datanet_max_avg", "<=", 1.05, "1/datanet_max_avg"},
 		}},
-		{"fault-tolerance", false, func(*Env) (fmt.Stringer, error) {
-			r, err := FaultTolerance(MovieParams{})
-			return r, err
+		// Crash recovery never changes the job's answer, and corrupt
+		// metadata demotes exactly the one job that met it.
+		{"fault-tolerance", false, func(*Env) (*Report, error) { return FaultTolerance(MovieParams{}) }, []gate{
+			{"output_divergences", "==", 0, ""},
+			{"node_crashes", ">", 0, ""},
+			{"metadata_fallbacks", "==", 1, ""},
 		}},
-		{"detector-latency", false, func(*Env) (fmt.Stringer, error) {
-			r, err := DetectorSweep(MovieParams{})
-			return r, err
+		{"detector-latency", false, func(*Env) (*Report, error) { return DetectorSweep(MovieParams{}) }, []gate{
+			{"output_divergences", "==", 0, ""},
+			{"detection_latencies", ">", 0, ""},
 		}},
-		{"failover-sweep", false, func(*Env) (fmt.Stringer, error) {
-			r, err := FailoverSweep()
-			return r, err
+		// The aggressive heartbeat cannot detect slower than the lazy one at
+		// equal replication.
+		{"failover-sweep", false, func(*Env) (*Report, error) { return FailoverSweep() }, []gate{
+			{"data_lost", "==", 0, ""},
+			{"hb K=1/1/detect_ticks", "<=", 1, "hb K=3/1/detect_ticks"},
+			{"hb K=1/2/detect_ticks", "<=", 1, "hb K=3/2/detect_ticks"},
+			{"hb K=1/3/detect_ticks", "<=", 1, "hb K=3/3/detect_ticks"},
 		}},
-		{"placement-sweep", false, func(*Env) (fmt.Stringer, error) {
-			r, err := PlacementSweep(MovieParams{})
-			return r, err
+		// Scheduler + placement beats the scheduler alone on the clustered
+		// workload, and pays for it in shipped bytes.
+		{"placement-sweep", false, func(*Env) (*Report, error) { return PlacementSweep(MovieParams{}) }, []gate{
+			{"clustered/both", "<", 1, "clustered/scheduler-only"},
+			{"clustered/both/bytes_moved", ">", 0, ""},
 		}},
-		{"straggler-sweep", false, func(*Env) (fmt.Stringer, error) {
-			r, err := StragglerSweep(nil, MovieParams{})
-			return r, err
+		// Both mitigations beat the unmitigated run under heavy slowdowns
+		// (coded execution after arXiv 1802.03049), each did real work, and no
+		// arm changed the job's output.
+		{"straggler-sweep", false, func(*Env) (*Report, error) { return StragglerSweep(nil, MovieParams{}) }, []gate{
+			{"128/slow-heavy/oracle/spec-q0.90", "<", 1, "128/slow-heavy/oracle/none"},
+			{"128/slow-heavy/oracle/coded-r0.70", "<", 1, "128/slow-heavy/oracle/none"},
+			{"speculative_wins", ">", 0, ""},
+			{"wasted_task_seconds", ">", 0, ""},
+			{"coded_decode_count", ">", 0, ""},
+			{"output_divergences", "==", 0, ""},
 		}},
-		{"partition-sweep", false, func(*Env) (fmt.Stringer, error) {
-			r, err := PartitionSweep(MovieParams{})
-			return r, err
+		// Skew-aware partitioning cuts the zipfian reduce makespan by at least
+		// a tenth against hashing (after arXiv 1401.0355) by splitting keys,
+		// with identical output.
+		{"partition-sweep", false, func(*Env) (*Report, error) { return PartitionSweep(MovieParams{}) }, []gate{
+			{"zipfian/skew", "<=", 0.9, "zipfian/hash"},
+			{"zipfian/skew/split_keys", ">", 0, ""},
+			{"output_divergences", "==", 0, ""},
 		}},
 	}
 }
@@ -173,34 +240,52 @@ func SectionNames() []string {
 }
 
 // RunSection runs one experiment by its suite name and writes to w exactly
-// the bytes the full suite prints for it. The shared movie environment is
-// built only for the sections that consume it.
+// the bytes the full suite prints for it.
 func RunSection(w io.Writer, name string) error {
-	for _, s := range suiteSections() {
-		if s.name != name {
-			continue
-		}
-		var env *Env
-		if s.shared {
-			var err error
-			if env, err = NewMovieEnv(DefaultMovieParams()); err != nil {
-				return err
-			}
-		}
-		out, err := s.run(env)
-		if err != nil {
-			return err
-		}
-		_, err = fmt.Fprintln(w, out.String())
+	secs, env, err := selectSections(name)
+	if err != nil {
 		return err
 	}
-	return fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(SectionNames(), ", "))
+	_, err = runSections(w, secs, env, 1)
+	return err
+}
+
+// runNamed runs the named sections in suite order and returns their records.
+func runNamed(names ...string) ([]BenchSection, error) {
+	secs, env, err := selectSections(names...)
+	if err != nil {
+		return nil, err
+	}
+	rep, err := runSections(io.Discard, secs, env, 1)
+	return rep.Sections, err
+}
+
+// selectSections picks the named sections in suite order. The shared movie
+// environment is built only when one of them consumes it.
+func selectSections(names ...string) (secs []suiteSection, env *Env, err error) {
+	for _, name := range names {
+		if !slices.Contains(SectionNames(), name) {
+			return nil, nil, fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(SectionNames(), ", "))
+		}
+	}
+	for _, s := range suiteSections() {
+		if !slices.Contains(names, s.name) {
+			continue
+		}
+		if s.shared && env == nil {
+			if env, err = NewMovieEnv(DefaultMovieParams()); err != nil {
+				return nil, nil, err
+			}
+		}
+		secs = append(secs, s)
+	}
+	return secs, env, nil
 }
 
 // RunSuiteBench executes every paper experiment on up to workers
 // goroutines, streams the rendered results to w in the fixed suite order
-// and returns the per-section benchmark report (wall-clock seconds and,
-// where a section exposes them, simulated makespans and counters). The
+// and returns the per-section benchmark report (wall-clock seconds and
+// each section's Report). The
 // kernel-based engine is job-isolated (each job runs on its own event
 // queue and clock), so independent sections fan out freely; the sections
 // sharing the movie environment run one at a time in their declared order,
@@ -245,7 +330,7 @@ func runSections(w io.Writer, secs []suiteSection, env *Env, workers int) (*Benc
 	close(queue)
 
 	type result struct {
-		out  fmt.Stringer
+		out  *Report
 		err  error
 		wall time.Duration
 	}
@@ -292,7 +377,7 @@ func runSections(w io.Writer, secs []suiteSection, env *Env, workers int) (*Benc
 		if r.err != nil {
 			return rep, r.err
 		}
-		rep.Sections = append(rep.Sections, benchSection(s.name, r.wall, r.out))
+		rep.Sections = append(rep.Sections, BenchSection{s.name, r.wall.Seconds(), r.out})
 		if _, err := fmt.Fprintln(w, r.out.String()); err != nil {
 			return rep, err
 		}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -81,26 +80,15 @@ func TestSuiteGoldenAndParallel(t *testing.T) {
 	if rep == nil || rep.Workers != 4 || len(rep.Sections) != len(suiteSections()) {
 		t.Fatalf("bench report incomplete: %+v", rep)
 	}
-	haveMakespans := false
 	for _, s := range rep.Sections {
-		if s.Name == "" {
-			t.Error("bench section with empty name")
-		}
-		if len(s.SimMakespans) > 0 {
-			haveMakespans = true
+		if s.Name == "" || s.Report == nil || len(s.Values) == 0 {
+			t.Errorf("bench section %q reported no named outcomes", s.Name)
 		}
 	}
-	if !haveMakespans {
-		t.Error("no section reported simulated makespans")
-	}
-	for _, g := range failedGates(rep, suiteGates) {
+	for _, g := range failedGates(rep, suiteGates()) {
 		t.Errorf("suite gate does not hold: %v", g)
 	}
 }
-
-type fakeResult string
-
-func (f fakeResult) String() string { return string(f) }
 
 // One worker takes every section, shared or not, in suite order; more
 // workers run the shared chain in its declared order beside the
@@ -111,11 +99,13 @@ func TestOneWorkerRunsSectionsInSuiteOrder(t *testing.T) {
 	var secs []suiteSection
 	for _, sec := range []suiteSection{{name: "a"}, {name: "b", shared: true}, {name: "c"}, {name: "d", shared: true}} {
 		name := sec.name
-		sec.run = func(*Env) (fmt.Stringer, error) {
+		sec.run = func(*Env) (*Report, error) {
 			mu.Lock()
 			started = append(started, name)
 			mu.Unlock()
-			return fakeResult(name), nil
+			r := newReport()
+			r.linef(name)
+			return r, nil
 		}
 		secs = append(secs, sec)
 	}
@@ -126,7 +116,7 @@ func TestOneWorkerRunsSectionsInSuiteOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out.String() != "a\nb\nc\nd\n" || len(rep.Sections) != len(secs) {
+		if out.String() != "a\n\nb\n\nc\n\nd\n\n" || len(rep.Sections) != len(secs) {
 			t.Errorf("%d workers: output %q, %d report sections", workers, out.String(), len(rep.Sections))
 		}
 		order := strings.Join(started, "")

@@ -1,33 +1,17 @@
 package experiments
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"datanet/internal/metrics"
 )
 
-// Table1Result reproduces paper Table I: the size information of movies
-// within one block file (the per-block 〈id, quantity〉 pairs ElasticMap
-// stores). The block shown is the one holding the most target-movie data.
-type Table1Result struct {
-	Env      *Env
-	BlockIdx int
-	// Entries are the block's sub-datasets, largest first.
-	Entries []Table1Entry
-}
-
-// Table1Entry is one 〈id, reviews, bytes〉 row.
-type Table1Entry struct {
-	Sub     string
-	Reviews int
-	Bytes   int64
-}
-
-// Table1 runs the experiment (reusing an existing env when provided).
-func Table1(env *Env) (*Table1Result, error) {
-	// Pick the block with the most target data.
+// Table1 reproduces paper Table I: the size information of movies within
+// one block file (the per-block 〈id, quantity〉 pairs ElasticMap stores).
+// The block shown is the one holding the most target-movie data; the
+// table lists its top 8 sub-datasets plus the tail count, as the paper's
+// "movie 1 … movie m" row suggests.
+func Table1(env *Env) (*Report, error) {
 	best, bestVal := 0, int64(-1)
 	for i, v := range env.BlockTruth {
 		if v > bestVal {
@@ -44,34 +28,28 @@ func Table1(env *Env) (*Table1Result, error) {
 		counts[rec.Sub]++
 		bytes[rec.Sub] += rec.Size()
 	}
-	res := &Table1Result{Env: env, BlockIdx: best}
-	for sub, c := range counts {
-		res.Entries = append(res.Entries, Table1Entry{Sub: sub, Reviews: c, Bytes: bytes[sub]})
+	subs := make([]string, 0, len(counts))
+	for sub := range counts {
+		subs = append(subs, sub)
 	}
-	sort.Slice(res.Entries, func(i, j int) bool {
-		if res.Entries[i].Reviews != res.Entries[j].Reviews {
-			return res.Entries[i].Reviews > res.Entries[j].Reviews
+	sort.Slice(subs, func(i, j int) bool {
+		if counts[subs[i]] != counts[subs[j]] {
+			return counts[subs[i]] > counts[subs[j]]
 		}
-		return res.Entries[i].Sub < res.Entries[j].Sub
+		return subs[i] < subs[j]
 	})
-	return res, nil
-}
 
-// String renders the table (top 8 plus the tail count, as the paper's
-// "movie 1 … movie m" row suggests).
-func (r *Table1Result) String() string {
+	r := newReport()
 	t := metrics.NewTable("Table I — movie sizes within one block file", "id", "# of reviews", "bytes")
-	show := len(r.Entries)
-	if show > 8 {
-		show = 8
+	show := min(len(subs), 8)
+	for _, sub := range subs[:show] {
+		t.Addf(sub, counts[sub], metrics.Bytes(bytes[sub]))
 	}
-	for _, e := range r.Entries[:show] {
-		t.Addf(e.Sub, e.Reviews, metrics.Bytes(e.Bytes))
+	r.table(t)
+	if len(subs) > show {
+		r.linef("  … plus %d more sub-datasets in this block (long non-dominant tail)", len(subs)-show)
 	}
-	var sb strings.Builder
-	sb.WriteString(t.String())
-	if len(r.Entries) > show {
-		fmt.Fprintf(&sb, "  … plus %d more sub-datasets in this block (long non-dominant tail)\n", len(r.Entries)-show)
-	}
-	return sb.String()
+	r.set("block", float64(best))
+	r.set("subs", float64(len(subs)))
+	return r, nil
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"datanet/internal/apps"
 	"datanet/internal/gen"
@@ -13,36 +12,18 @@ import (
 	"datanet/internal/stats"
 )
 
-// TheoryResult validates §II-B end to end: a dataset is generated so each
-// block's target-sub-dataset bytes follow Γ(k, θ) exactly (the paper's
-// model), locality scheduling splits the blocks over the cluster, and the
-// measured number of extreme-workload nodes is compared with the analytic
-// expectation m·P(Z < lo·E) and m·P(Z > hi·E). It also fits a Gamma to the
-// generated per-block sizes (method of moments + MLE) and reports the
-// goodness of fit, closing the loop on the modeling assumption.
-type TheoryResult struct {
-	Model   stats.Gamma
-	NBlocks int
-	Nodes   int
-	Trials  int
-	// FitMoments/FitMLE are the recovered parameters.
-	FitMoments, FitMLE stats.Gamma
-	// KS is the Kolmogorov–Smirnov distance of the sample vs the model.
-	KS float64
-	// KSCritical is the 5% critical value 1.36/√n.
-	KSCritical float64
-	// Expected*/Measured* compare analytic and empirical extreme-node
-	// counts (averaged over Trials layouts).
-	ExpectedBelowHalf, MeasuredBelowHalf     float64
-	ExpectedAboveDouble, MeasuredAboveDouble float64
-	// P95Predicted/P95Measured compare the analytic 95th-percentile node
-	// workload (Z's quantile, normalized by E[Z]) with the empirical one.
-	P95Predicted, P95Measured float64
-}
-
-// Theory runs the validation. Zero params default to the paper's Γ(1.2, 7)
-// with 512 blocks on a 32-node cluster, averaged over 5 random layouts.
-func Theory(model stats.Gamma, nBlocks, nodes, trials int) (*TheoryResult, error) {
+// Theory validates §II-B end to end: a dataset is generated so each block's
+// target-sub-dataset bytes follow Γ(k, θ) exactly (the paper's model),
+// locality scheduling splits the blocks over the cluster, and the measured
+// number of extreme-workload nodes (averaged over trials layouts) is
+// compared with the analytic expectation m·P(Z < E/2) and m·P(Z > 2E), as
+// is the 95th-percentile node workload normalized by E[Z]. It also fits a
+// Gamma to the generated per-block sizes (method of moments + MLE) and
+// reports the Kolmogorov–Smirnov distance against its 5% critical value
+// 1.36/√n, closing the loop on the modeling assumption. Zero params default
+// to the paper's Γ(1.2, 7) with 512 blocks on a 128-node cluster (the
+// §II-B example quotes m=128), averaged over 5 random layouts.
+func Theory(model stats.Gamma, nBlocks, nodes, trials int) (*Report, error) {
 	if !model.Valid() {
 		model = stats.Gamma{K: 1.2, Theta: 7}
 	}
@@ -50,18 +31,13 @@ func Theory(model stats.Gamma, nBlocks, nodes, trials int) (*TheoryResult, error
 		nBlocks = 512
 	}
 	if nodes <= 0 {
-		nodes = 128 // the paper's §II-B example quotes m=128
+		nodes = 128
 	}
 	if trials <= 0 {
 		trials = 5
 	}
-	res := &TheoryResult{Model: model, NBlocks: nBlocks, Nodes: nodes, Trials: trials}
-
 	z := stats.NodeWorkload(model, nBlocks, nodes)
 	e := z.Mean()
-	res.ExpectedBelowHalf = float64(nodes) * z.CDF(e/2)
-	res.ExpectedAboveDouble = float64(nodes) * z.Tail(2*e)
-	res.P95Predicted = z.Quantile(0.95) / e
 
 	var belowSum, aboveSum float64
 	var normLoads []float64
@@ -103,29 +79,33 @@ func Theory(model stats.Gamma, nBlocks, nodes, trials int) (*TheoryResult, error
 			}
 		}
 	}
-	res.P95Measured = stats.Percentile(normLoads, 0.95)
-	res.MeasuredBelowHalf = belowSum / float64(trials)
-	res.MeasuredAboveDouble = aboveSum / float64(trials)
+	fitMoments, fitMLE := stats.FitGammaMoments(sample), stats.FitGammaMLE(sample)
+	ks, ksCritical := stats.KSStatistic(sample, model), 1.36/math.Sqrt(float64(len(sample)))
 
-	res.FitMoments = stats.FitGammaMoments(sample)
-	res.FitMLE = stats.FitGammaMLE(sample)
-	res.KS = stats.KSStatistic(sample, model)
-	res.KSCritical = 1.36 / math.Sqrt(float64(len(sample)))
-	return res, nil
-}
-
-// String renders the validation.
-func (r *TheoryResult) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Theory validation — §II-B model end to end (Γ(k=%.2f, θ=%.2f), %d blocks, %d nodes, %d layouts)\n",
-		r.Model.K, r.Model.Theta, r.NBlocks, r.Nodes, r.Trials)
+	r := newReport()
+	r.linef("Theory validation — §II-B model end to end (Γ(k=%.2f, θ=%.2f), %d blocks, %d nodes, %d layouts)",
+		model.K, model.Theta, nBlocks, nodes, trials)
 	t := metrics.NewTable("", "quantity", "analytic", "measured")
-	t.Add("E[#nodes < E/2]", fmt.Sprintf("%.2f", r.ExpectedBelowHalf), fmt.Sprintf("%.2f", r.MeasuredBelowHalf))
-	t.Add("E[#nodes > 2E]", fmt.Sprintf("%.2f", r.ExpectedAboveDouble), fmt.Sprintf("%.2f", r.MeasuredAboveDouble))
-	t.Add("P95 workload / mean", fmt.Sprintf("%.2f", r.P95Predicted), fmt.Sprintf("%.2f", r.P95Measured))
-	sb.WriteString(t.String())
-	fmt.Fprintf(&sb, "  parameter recovery: moments k=%.2f θ=%.2f; MLE k=%.2f θ=%.2f (true k=%.2f θ=%.2f)\n",
-		r.FitMoments.K, r.FitMoments.Theta, r.FitMLE.K, r.FitMLE.Theta, r.Model.K, r.Model.Theta)
-	fmt.Fprintf(&sb, "  goodness of fit: KS=%.3f (5%% critical %.3f)\n", r.KS, r.KSCritical)
-	return sb.String()
+	for _, q := range []struct {
+		name, key          string
+		analytic, measured float64
+	}{
+		{"E[#nodes < E/2]", "below_half", float64(nodes) * z.CDF(e/2), belowSum / float64(trials)},
+		{"E[#nodes > 2E]", "above_double", float64(nodes) * z.Tail(2*e), aboveSum / float64(trials)},
+		{"P95 workload / mean", "p95", z.Quantile(0.95) / e, stats.Percentile(normLoads, 0.95)},
+	} {
+		t.Add(q.name, fmt.Sprintf("%.2f", q.analytic), fmt.Sprintf("%.2f", q.measured))
+		r.set(q.key+"/analytic", q.analytic)
+		r.set(q.key+"/measured", q.measured)
+	}
+	r.table(t)
+	r.linef("  parameter recovery: moments k=%.2f θ=%.2f; MLE k=%.2f θ=%.2f (true k=%.2f θ=%.2f)",
+		fitMoments.K, fitMoments.Theta, fitMLE.K, fitMLE.Theta, model.K, model.Theta)
+	r.linef("  goodness of fit: KS=%.3f (5%% critical %.3f)", ks, ksCritical)
+	r.set("fit/moments_k", fitMoments.K)
+	r.set("fit/mle_k", fitMLE.K)
+	r.set("fit/mle_theta", fitMLE.Theta)
+	r.set("ks", ks)
+	r.set("ks_critical", ksCritical)
+	return r, nil
 }

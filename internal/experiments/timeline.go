@@ -4,29 +4,18 @@ import (
 	"datanet/internal/apps"
 	"datanet/internal/faults"
 	"datanet/internal/mapreduce"
-	"datanet/internal/metrics"
 	"datanet/internal/sched"
 	"datanet/internal/trace"
 )
 
-// Timeline records one fully traced run for the report's per-run timeline
-// section: a DataNet-scheduled TopKSearch job with a mid-filter crash (and
-// later rejoin), so the rendered Gantt chart shows scheduler decisions,
-// re-replication, retries on surviving replica holders and the recovery
-// tail — the per-run view the aggregate figures cannot give.
-
-// TimelineResult bundles the traced run's artifacts.
-type TimelineResult struct {
-	Rec      *trace.Recorder
-	Res      *mapreduce.Result
-	Snapshot *metrics.Snapshot
-	// CrashAt / RejoinAt echo the injected fault times (simulated s).
-	CrashAt, RejoinAt float64
-}
-
-// Timeline runs the traced job. Zero-value params take DefaultFaultParams
-// (the small fault-tolerance environment).
-func Timeline(p MovieParams) (*TimelineResult, error) {
+// Timeline records one fully traced run for the HTML report's per-run
+// timeline (it is not a suite section): a DataNet-scheduled TopKSearch job
+// with a mid-filter crash (and later rejoin), so the rendered Gantt chart
+// shows scheduler decisions, re-replication, retries on surviving replica
+// holders and the recovery tail — the per-run view the aggregate figures
+// cannot give — followed by the run's metrics digest. Zero-value params
+// take DefaultFaultParams (the small fault-tolerance environment).
+func Timeline(p MovieParams) (*Report, error) {
 	if p.Nodes <= 0 {
 		p = DefaultFaultParams()
 	}
@@ -60,12 +49,17 @@ func Timeline(p MovieParams) (*TimelineResult, error) {
 		Seed:    p.Seed,
 		Crashes: []faults.Crash{{Node: 3, At: crashAt, RejoinAt: rejoinAt}},
 	}
-	res, err := mapreduce.Run(cfg)
-	if err != nil {
+	if _, err := mapreduce.Run(cfg); err != nil {
 		return nil, err
 	}
-	return &TimelineResult{
-		Rec: rec, Res: res, Snapshot: rec.Snapshot(),
-		CrashAt: crashAt, RejoinAt: rejoinAt,
-	}, nil
+	r := newReport()
+	r.linef("One DataNet-scheduled TopKSearch run, traced: node 3 crashes at %.2f s (red line) and rejoins at %.2f s (green dashed). Spans show filter attempts per node; failed attempts and the recovery tail are visible directly. Export the same timeline with `datanet analyze -trace out.json -trace-format chrome` and load it in Perfetto for the interactive view.",
+		crashAt, rejoinAt)
+	r.blocks = append(r.blocks, block{svg: rec.TimelineSVG()})
+	for _, t := range rec.Snapshot().Tables("Run metrics") {
+		r.table(t)
+	}
+	r.set("crash_at", crashAt)
+	r.set("rejoin_at", rejoinAt)
+	return r, nil
 }
