@@ -5,8 +5,10 @@
 //
 // Usage:
 //
-//	datanet-bench            # run the full suite
-//	datanet-bench -only fig5 # run one experiment; -h lists the names
+//	datanet-bench                    # run the full suite
+//	datanet-bench -parallel 4        # the same bytes, on 4 workers
+//	datanet-bench -only fig5         # run one experiment; -h lists the names
+//	datanet-bench -csv DIR -html OUT # export the figures' series and an HTML report
 package main
 
 import (
@@ -36,6 +38,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
+		return 2
+	}
+	if *workers < 1 {
+		fmt.Fprintln(stderr, "datanet-bench: -parallel must be at least 1")
 		return 2
 	}
 	if err := bench(stdout, *only, *csvDir, *htmlOut, *workers); err != nil {

@@ -61,3 +61,14 @@ func TestUsageIsGeneratedFromTheRegistry(t *testing.T) {
 		t.Errorf("an unknown flag exited %d, want 2", code)
 	}
 }
+
+// -parallel 0 is a usage error, not a request silently clamped to one worker.
+func TestParallelZeroExitsTwo(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-parallel", "0", "-only", "fig2"}, &stdout, &stderr); code != 2 {
+		t.Errorf("-parallel 0 exited %d, want 2", code)
+	}
+	if stdout.Len() != 0 || !strings.Contains(stderr.String(), "-parallel must be at least 1") {
+		t.Errorf("-parallel 0 printed %q to stdout and %q to stderr", stdout.String(), stderr.String())
+	}
+}

@@ -10,7 +10,6 @@
 //	datanet query   -data reviews.dnr -sub movie-00000 [-meta reviews.em]
 //	datanet analyze -data reviews.dnr -sub movie-00000 -app wordcount [-sched datanet]
 //	datanet top     -data reviews.dnr [-n 10]
-//	datanet suite   [-parallel N]
 //	datanet chaos   [-runs 1000] [-seed 1] [-shrink]
 //	datanet chaos   -cluster 4 -replicas 2 [-runs 200] [-seed 1] [-detect heartbeat]
 //	datanet serve   -meta reviews=reviews.em [-addr 127.0.0.1:8080] [-cache 1024]
@@ -32,7 +31,6 @@ import (
 	"datanet"
 	"datanet/internal/chaos"
 	"datanet/internal/elasticmap"
-	"datanet/internal/experiments"
 	"datanet/internal/metrics"
 	"datanet/internal/records"
 )
@@ -57,8 +55,6 @@ func main() {
 		err = runTop(args)
 	case "verify":
 		err = runVerify(args)
-	case "suite":
-		err = runSuite(args)
 	case "chaos":
 		err = runChaos(args)
 	case "serve":
@@ -75,7 +71,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: datanet <build|query|analyze|top|verify|suite|chaos|serve|loadgen> [flags]
+	fmt.Fprintln(os.Stderr, `usage: datanet <build|query|analyze|top|verify|chaos|serve|loadgen> [flags]
   build   -data FILE -meta OUT [-alpha A] [-block BYTES] [-nodes N]
   query   -data FILE -sub KEY [-meta FILE]
   analyze -data FILE -sub KEY -app NAME [-join-sub KEY] [-sched locality|datanet|maxflow|lpt] [-skip]
@@ -87,7 +83,6 @@ func usage() {
           [-trace OUT [-trace-format jsonl|chrome]] [-json]
   top     -data FILE [-n N] | -meta FILE [-n N]
   verify  -data FILE -meta FILE [-samples N]
-  suite   [-parallel N]
   chaos   [-runs N] [-seed S] [-shrink]  (every seed draws its detector, rebalancer,
           mitigation and partitioner; all engine invariants armed)
           [-cluster N [-replicas K] [-shards S] [-detect heartbeat|phi|oracle]]
@@ -647,20 +642,6 @@ func runVerify(args []string) error {
 	}
 	fmt.Printf("verified: worst top-%d relative error %.2f%%\n", n, worst*100)
 	return nil
-}
-
-// runSuite executes the full paper experiment suite. -parallel fans
-// independent experiments out on a bounded worker pool (the output bytes
-// are identical regardless of the worker count).
-func runSuite(args []string) error {
-	fs := flag.NewFlagSet("suite", flag.ExitOnError)
-	workers := fs.Int("parallel", 1, "worker-pool size for independent experiments (1 = sequential)")
-	fs.Parse(args)
-	if *workers < 1 {
-		return fmt.Errorf("-parallel must be at least 1")
-	}
-	_, err := experiments.RunSuiteBench(stdout, *workers)
-	return err
 }
 
 // runChaos drives the randomized robustness harness: N seeds, each

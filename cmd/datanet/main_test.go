@@ -169,12 +169,6 @@ func TestRunVerify(t *testing.T) {
 	}
 }
 
-func TestRunSuiteFlagValidation(t *testing.T) {
-	if err := runSuite([]string{"-parallel", "0"}); err == nil {
-		t.Fatal("want error for -parallel 0")
-	}
-}
-
 // The engine campaign takes a seed and nothing else: its summary line
 // carries the census of the policy bundles the seeds drew.
 func TestRunChaosPrintsBundleCensus(t *testing.T) {
