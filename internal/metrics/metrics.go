@@ -5,6 +5,7 @@ package metrics
 import (
 	"fmt"
 	"strings"
+	"unicode"
 )
 
 // Table is a titled, aligned text table.
@@ -46,12 +47,12 @@ func (t *Table) Addf(values ...any) {
 func (t *Table) String() string {
 	widths := make([]int, len(t.Headers))
 	for i, h := range t.Headers {
-		widths[i] = len(h)
+		widths[i] = displayWidth(h)
 	}
 	for _, row := range t.Rows {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if i < len(widths) {
+				widths[i] = max(widths[i], displayWidth(c))
 			}
 		}
 	}
@@ -65,7 +66,8 @@ func (t *Table) String() string {
 			if i > 0 {
 				sb.WriteString("  ")
 			}
-			fmt.Fprintf(&sb, "%-*s", widths[i], c)
+			sb.WriteString(c)
+			sb.WriteString(strings.Repeat(" ", widths[i]-displayWidth(c)))
 		}
 		sb.WriteByte('\n')
 	}
@@ -79,6 +81,19 @@ func (t *Table) String() string {
 		line(row)
 	}
 	return sb.String()
+}
+
+// displayWidth is the number of columns s occupies in a terminal: its
+// runes, not its bytes, less the combining marks that stack on the rune
+// before them (W̄ is W + U+0304).
+func displayWidth(s string) int {
+	n := 0
+	for _, r := range s {
+		if !unicode.Is(unicode.Mn, r) {
+			n++
+		}
+	}
+	return n
 }
 
 // Series is one named data series of a figure.

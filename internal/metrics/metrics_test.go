@@ -33,6 +33,37 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
+// Columns are sized by display width, not bytes: every line of a table
+// whose widest cell holds a multi-byte rune or a combining mark still ends
+// in the same column, and the dash rule is as wide as that cell.
+func TestTableAlignsByDisplayWidth(t *testing.T) {
+	for _, c := range []struct {
+		cell  string
+		width int
+	}{
+		{"plain ascii", 11},
+		{"α realized", 10},
+		{"1.00×", 5},
+		{"uniform W̄", 9},
+	} {
+		if got := displayWidth(c.cell); got != c.width {
+			t.Errorf("displayWidth(%q) = %d, want %d", c.cell, got, c.width)
+		}
+		tb := NewTable("", c.cell, "next")
+		tb.Add("x", "1")
+		tb.Add(c.cell, "22")
+		lines := strings.Split(strings.TrimRight(tb.String(), "\n"), "\n")
+		if want := strings.Repeat("-", c.width) + "  ----"; lines[1] != want {
+			t.Errorf("%q: rule %q, want %q", c.cell, lines[1], want)
+		}
+		for _, l := range lines {
+			if got := displayWidth(l); got != c.width+2+4 {
+				t.Errorf("%q: line %q is %d columns wide, want %d", c.cell, l, got, c.width+6)
+			}
+		}
+	}
+}
+
 func TestTableShortRowPadded(t *testing.T) {
 	tb := NewTable("", "a", "b", "c")
 	tb.Add("only-one")
