@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"datanet/internal/gen"
 	"datanet/internal/hdfs"
 	"datanet/internal/mapreduce"
 	"datanet/internal/metrics"
@@ -16,35 +15,20 @@ import (
 // moves. Here the distribution-aware rebalancer (hdfs.Rebalancer over
 // internal/placement's hot-spot and annealing optimizers) runs between
 // jobs, and the sweep isolates the two levers — scheduler knowledge vs
-// placement knowledge — under two workload shapes:
-//
-//   - clustered: every job queries the same content-clustered
-//     sub-dataset (the most-reviewed movie, whose reviews concentrate
-//     around its release), so heat accumulates on the same few blocks.
-//   - drifting: each job queries a different movie, so yesterday's hot
-//     blocks are today's cold ones and heat decay must keep up.
+// placement knowledge — on the clustered workload: every job queries the
+// same content-clustered sub-dataset (the most-reviewed movie, whose
+// reviews concentrate around its release), so heat accumulates on the same
+// few blocks. (A drifting workload, a different movie per job, was measured
+// through PR 22 and retired: ≈ 0% gain for 67 MiB shipped; EXPERIMENTS.md
+// keeps the numbers.)
 //
 // Arms: baseline (locality scheduler, no data movement), scheduler-only
 // (Algorithm 1 + ElasticMap weights), placement-only (locality scheduler
 // + rebalancer), and both. Makespan is the summed job time of the whole
 // sequence; bytes moved is the rebalancer's network bill.
 
-// sweepJobs is the number of sequential jobs per workload.
+// sweepJobs is the number of sequential jobs of the workload.
 const sweepJobs = 5
-
-// sweepTargets returns the job-sequence targets for a workload shape.
-func sweepTargets(shape string) []string {
-	out := make([]string, sweepJobs)
-	for j := range out {
-		if shape == "clustered" {
-			out[j] = gen.MovieID(0)
-		} else {
-			// Drift across popularity ranks: a fresh target every job.
-			out[j] = gen.MovieID(j)
-		}
-	}
-	return out
-}
 
 // sweepRebalancer builds the between-jobs rebalancer for an arm that
 // moves data. Annealing runs on top of hot-spot additions ("both" mode),
@@ -63,12 +47,12 @@ func sweepRebalancer(fs *hdfs.FileSystem, seed int64) *hdfs.Rebalancer {
 // runSweepArm runs one arm: sweepJobs sequential jobs on a fresh
 // environment, with the rebalancer (when present) observing each job's
 // heat profile and ticking on the sim clock between jobs. It adds the
-// arm's row to t and records under key the makespan — the summed simulated
+// arm's row to t and records under clustered/<arm> the makespan — the summed simulated
 // job times of the sequence — and the rebalancer's total work (zero for
 // arms without placement). The first and last job's times expose the
 // adaptation trend: rebalancing pays off on later jobs once replicas have
 // followed the heat.
-func runSweepArm(r *Report, t *metrics.Table, p MovieParams, key, name string, targets []string, factory sched.Factory, rebalance bool) error {
+func runSweepArm(r *Report, t *metrics.Table, p MovieParams, name string, factory sched.Factory, rebalance bool) error {
 	env, err := NewMovieEnv(p)
 	if err != nil {
 		return err
@@ -79,7 +63,8 @@ func runSweepArm(r *Report, t *metrics.Table, p MovieParams, key, name string, t
 	}
 	clock := sim.NewClock()
 	var makespan, firstJob, lastJob float64
-	for j, target := range targets {
+	target := env.Target
+	for j := 0; j < sweepJobs; j++ {
 		// Every arm gets the ElasticMap weights and §V-B empty-block
 		// skipping, so the only differences between arms are the picker
 		// (does the *scheduler* use the distribution?) and the rebalancer
@@ -121,6 +106,7 @@ func runSweepArm(r *Report, t *metrics.Table, p MovieParams, key, name string, t
 	}
 	t.Add(name, fmt.Sprintf("%.1f", makespan), fmt.Sprintf("%.1f", firstJob),
 		fmt.Sprintf("%.1f", lastJob), fmt.Sprintf("%d", moved.Moves), metricsBytes(moved.BytesMoved))
+	key := "clustered/" + name
 	r.set(key, makespan)
 	r.set(key+"/first_job", firstJob)
 	r.set(key+"/last_job", lastJob)
@@ -146,23 +132,18 @@ func PlacementSweep(p MovieParams) (*Report, error) {
 		{"both", sched.NewDataNetPicker, true},
 	}
 	r := newReport()
-	for wi, shape := range []string{"clustered", "drifting"} {
-		if wi > 0 {
-			r.linef("")
+	t := metrics.NewTable(
+		fmt.Sprintf("Extension — placement sweep (clustered workload, %d jobs)", sweepJobs),
+		"arm", "makespan (s)", "first job", "last job", "moves", "bytes moved")
+	for _, a := range arms {
+		if err := runSweepArm(r, t, p, a.name, a.factory, a.rebalance); err != nil {
+			return nil, err
 		}
-		t := metrics.NewTable(
-			fmt.Sprintf("Extension — placement sweep (%s workload, %d jobs)", shape, sweepJobs),
-			"arm", "makespan (s)", "first job", "last job", "moves", "bytes moved")
-		for _, a := range arms {
-			if err := runSweepArm(r, t, p, shape+"/"+a.name, a.name, sweepTargets(shape), a.factory, a.rebalance); err != nil {
-				return nil, err
-			}
-		}
-		r.table(t)
-		if sched, both := r.Values[shape+"/scheduler-only"], r.Values[shape+"/both"]; sched > 0 {
-			r.linef("  (%s: scheduler+placement vs scheduler-only: %s makespan, %s shipped)",
-				shape, metrics.Pct((sched-both)/sched), metricsBytes(int64(r.Values[shape+"/both/bytes_moved"])))
-		}
+	}
+	r.table(t)
+	if sched, both := r.Values["clustered/scheduler-only"], r.Values["clustered/both"]; sched > 0 {
+		r.linef("  (clustered: scheduler+placement vs scheduler-only: %s makespan, %s shipped)",
+			metrics.Pct((sched-both)/sched), metricsBytes(int64(r.Values["clustered/both/bytes_moved"])))
 	}
 	return r, nil
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 )
 
@@ -20,36 +19,28 @@ func smallSweepParams() MovieParams {
 }
 
 func TestPlacementSweepStructure(t *testing.T) {
-	r := ran(t, "placement sweep")(PlacementSweep(smallSweepParams()))
+	r := ran(t, "placement sweep (clustered workload")(PlacementSweep(smallSweepParams()))
 	wantArms := []string{"baseline", "scheduler-only", "placement-only", "both"}
-	tables := tablesOf(r)
-	if len(tables) != 2 {
-		t.Fatalf("workloads = %d, want clustered + drifting", len(tables))
+	if len(tablesOf(r)) != 1 {
+		t.Fatalf("workloads = %d, want the clustered one", len(tablesOf(r)))
 	}
-	for wi, wl := range []string{"clustered", "drifting"} {
-		if !strings.Contains(tables[wi].Title, wl+" workload") {
-			t.Errorf("table %d is %q, want the %s workload", wi, tables[wi].Title, wl)
+	wantRows(t, r, len(wantArms))
+	for i, arm := range wantArms {
+		row := tablesOf(r)[0].Rows[i]
+		if row[0] != arm {
+			t.Errorf("arm[%d] = %q, want %q", i, row[0], arm)
 		}
-		if len(tables[wi].Rows) != len(wantArms) {
-			t.Fatalf("%s: arms = %d, want %d", wl, len(tables[wi].Rows), len(wantArms))
+		key := "clustered/" + arm
+		if val(t, r, key) <= 0 || val(t, r, key+"/first_job") <= 0 || val(t, r, key+"/last_job") <= 0 {
+			t.Errorf("%s: non-positive times %v", key, row)
 		}
-		for i, arm := range wantArms {
-			row := tables[wi].Rows[i]
-			if row[0] != arm {
-				t.Errorf("%s: arm[%d] = %q, want %q", wl, i, row[0], arm)
-			}
-			key := wl + "/" + arm
-			if val(t, r, key) <= 0 || val(t, r, key+"/first_job") <= 0 || val(t, r, key+"/last_job") <= 0 {
-				t.Errorf("%s: non-positive times %v", key, row)
-			}
-			moves, bytesMoved := val(t, r, key+"/moves"), val(t, r, key+"/bytes_moved")
-			rebalances := arm == "placement-only" || arm == "both"
-			if rebalances && (moves == 0 || bytesMoved == 0) {
-				t.Errorf("%s: rebalancing arm moved nothing: %v", key, row)
-			}
-			if !rebalances && (moves != 0 || bytesMoved != 0) {
-				t.Errorf("%s: scheduler-only arm moved data: %v", key, row)
-			}
+		moves, bytesMoved := val(t, r, key+"/moves"), val(t, r, key+"/bytes_moved")
+		rebalances := arm == "placement-only" || arm == "both"
+		if rebalances && (moves == 0 || bytesMoved == 0) {
+			t.Errorf("%s: rebalancing arm moved nothing: %v", key, row)
+		}
+		if !rebalances && (moves != 0 || bytesMoved != 0) {
+			t.Errorf("%s: scheduler-only arm moved data: %v", key, row)
 		}
 	}
 }
@@ -57,27 +48,17 @@ func TestPlacementSweepStructure(t *testing.T) {
 // The table's makespan, moves and bytes-moved cells are the Values the
 // bench record and the gates read.
 func TestPlacementSweepBenchExports(t *testing.T) {
-	r := ran(t, "bytes moved")(PlacementSweep(smallSweepParams()))
-	for _, table := range tablesOf(r) {
-		wl, _, _ := strings.Cut(strings.TrimPrefix(table.Title, "Extension — placement sweep ("), " ")
-		for _, row := range table.Rows {
-			key := wl + "/" + row[0]
-			if got := fmt.Sprintf("%.1f", val(t, r, key)); got != row[1] {
-				t.Errorf("Values[%q] = %s, the table prints %s", key, got, row[1])
-			}
-			if got := fmt.Sprint(val(t, r, key+"/moves")); got != row[4] {
-				t.Errorf("Values[%q/moves] = %s, the table prints %s", key, got, row[4])
-			}
-			if got := metricsBytes(int64(val(t, r, key+"/bytes_moved"))); got != row[5] {
-				t.Errorf("Values[%q/bytes_moved] = %s, the table prints %s", key, got, row[5])
-			}
+	r := ran(t, "scheduler+placement vs scheduler-only")(PlacementSweep(smallSweepParams()))
+	for _, row := range tablesOf(r)[0].Rows {
+		key := "clustered/" + row[0]
+		if got := fmt.Sprintf("%.1f", val(t, r, key)); got != row[1] {
+			t.Errorf("Values[%q] = %s, the table prints %s", key, got, row[1])
 		}
-	}
-	out := r.String()
-	for _, want := range []string{"placement sweep (clustered workload", "placement sweep (drifting workload",
-		"scheduler+placement vs scheduler-only"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("rendered sweep missing %q", want)
+		if got := fmt.Sprint(val(t, r, key+"/moves")); got != row[4] {
+			t.Errorf("Values[%q/moves] = %s, the table prints %s", key, got, row[4])
+		}
+		if got := metricsBytes(int64(val(t, r, key+"/bytes_moved"))); got != row[5] {
+			t.Errorf("Values[%q/bytes_moved] = %s, the table prints %s", key, got, row[5])
 		}
 	}
 }

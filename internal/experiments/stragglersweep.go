@@ -19,8 +19,9 @@ import (
 // tail from a wall of near-identical task times into a long tail whose
 // maximum is the makespan. The sweep compares doing nothing against the
 // two mitigations of internal/straggle — quantile-triggered speculation
-// at several trigger quantiles, and coded k-of-n execution at several
-// redundancy rates — across fault plans, failure detectors and cluster
+// at several trigger quantiles, and coded k-of-n execution at rate 0.70
+// (rate 0.85 was measured through PR 22 and retired: it loses to the
+// unmitigated run at 1 024 nodes under the oracle) — across fault plans, failure detectors and cluster
 // scales, and reports both the gain (makespan, completion-tail quantiles)
 // and the bill (backup launches, wasted task-seconds, decode work).
 
@@ -38,13 +39,7 @@ func stragglerArms() []stragglerArm {
 			&straggle.Config{Mode: straggle.ModeSpeculative, Quantile: q},
 		})
 	}
-	for _, rate := range []float64{0.70, 0.85} {
-		arms = append(arms, stragglerArm{
-			fmt.Sprintf("coded-r%.2f", rate),
-			&straggle.Config{Mode: straggle.ModeCoded, Rate: rate},
-		})
-	}
-	return arms
+	return append(arms, stragglerArm{"coded-r0.70", &straggle.Config{Mode: straggle.ModeCoded, Rate: 0.70}})
 }
 
 // stragglerPlans builds the fault plans for one scale: a pure-slowdown
