@@ -40,8 +40,8 @@ func BucketAblation(env *Env) (*Report, error) {
 		accuracy, ratio := arr.OverallAccuracy(allSubs), arr.RepresentationRatio()
 		t.Add(s.name, fmt.Sprint(len(s.bounds)), metrics.Pct(arr.MeanAlpha()),
 			metrics.Pct(accuracy), fmt.Sprintf("%.0f", ratio))
-		r.set(s.name+"/accuracy", accuracy)
-		r.set(s.name+"/ratio", ratio)
+		r.Values[s.name+"/accuracy"] = accuracy
+		r.Values[s.name+"/ratio"] = ratio
 	}
 	r.table(t)
 	return r, nil
@@ -82,8 +82,8 @@ func SchedulerAblation(env *Env) (*Report, error) {
 		imbalance := env.maxOverAvg(run)
 		t.Add(run.SchedulerName, metrics.Seconds(run.AnalysisTime),
 			fmt.Sprintf("%.2f", imbalance), metrics.Pct(localFrac))
-		r.set(run.SchedulerName, run.AnalysisTime)
-		r.set(run.SchedulerName+"/max_over_avg", imbalance)
+		r.Values[run.SchedulerName] = run.AnalysisTime
+		r.Values[run.SchedulerName+"/max_over_avg"] = imbalance
 	}
 	r.table(t)
 	return r, nil

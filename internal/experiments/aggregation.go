@@ -45,14 +45,14 @@ func Aggregation(env *Env, reducerCounts []int) (*Report, error) {
 			}
 			t.Add(fmt.Sprint(rc), placement, metrics.Bytes(run.ShuffleBytes),
 				metrics.Seconds(maxShuffle), metrics.Seconds(run.JobTime))
-			r.set(fmt.Sprintf("%d/%s", rc, placement), run.JobTime)
+			r.Values[fmt.Sprintf("%d/%s", rc, placement)] = run.JobTime
 			shuffled[i] = run.ShuffleBytes
 		}
 		saving := 0.0
 		if shuffled[0] > 0 {
 			saving = float64(shuffled[0]-shuffled[1]) / float64(shuffled[0])
 		}
-		r.set(fmt.Sprintf("%d/saving", rc), saving)
+		r.Values[fmt.Sprintf("%d/saving", rc)] = saving
 	}
 	r.table(t)
 	r.linef("  (placing reducers on the nodes already holding map output keeps that share off the network)")
@@ -91,8 +91,8 @@ func Amortization(env *Env) (*Report, error) {
 	r.linef("  one-time construction scan: %s (one pass over all blocks, data-local)", metrics.Seconds(scan))
 	r.linef("  per-job saving (Top-K):     %s", metrics.Seconds(saving))
 	r.linef("  break-even after %d job(s); every further sub-dataset analysis on the file rides the same meta-data", breakEven)
-	r.set("scan_seconds", scan)
-	r.set("per_job_saving", saving)
-	r.set("break_even_jobs", float64(breakEven))
+	r.Values["scan_seconds"] = scan
+	r.Values["per_job_saving"] = saving
+	r.Values["break_even_jobs"] = float64(breakEven)
 	return r, nil
 }

@@ -50,8 +50,8 @@ func BlockSize(sizes []int64, p MovieParams) (*Report, error) {
 		without, with, gain := r.balanceCells(key, env, c)
 		t.Add(metrics.Bytes(bs), fmt.Sprint(env.Array.Len()), metrics.Pct(share),
 			without, with, gain, metrics.Bytes(env.Array.MemoryBits()/8))
-		r.set(key+"/blocks", float64(env.Array.Len()))
-		r.set(key+"/max_block_share", share)
+		r.Values[key+"/blocks"] = float64(env.Array.Len())
+		r.Values[key+"/max_block_share"] = share
 	}
 	r.table(t)
 	r.linef("  (coarser blocks concentrate the sub-dataset into fewer, heavier tasks — harder for any scheduler to pack)")

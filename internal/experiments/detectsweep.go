@@ -109,9 +109,9 @@ func DetectorSweep(p MovieParams) (*Report, error) {
 				latency, fmt.Sprint(run.FalseSuspicions), fmt.Sprint(run.DuplicateKills),
 				r.outputCell(run.Output, clean.Output))
 			key := s.name + "/" + a.mode
-			r.set(key, run.JobTime)
-			r.set(key+"/mean_latency", meanLatency)
-			r.set(key+"/max_latency", maxLatency)
+			r.Values[key] = run.JobTime
+			r.Values[key+"/mean_latency"] = meanLatency
+			r.Values[key+"/max_latency"] = maxLatency
 			observe(&counters, run)
 			counters.ObserveDetection(run.FalseSuspicions, run.DuplicateKills, run.DetectionLatency)
 		}
@@ -120,7 +120,7 @@ func DetectorSweep(p MovieParams) (*Report, error) {
 	r.table(counters.Table("Detection totals across the sweep"))
 	r.linef("  (the oracle reacts at the crash instant; heartbeat modes pay K missed beats of latency\n   before re-dispatching, and φ-accrual adapts its timeout to observed beat jitter)")
 	if counters.DetectionLatency != nil {
-		r.set("detection_latencies", float64(counters.DetectionLatency.Count()))
+		r.Values["detection_latencies"] = float64(counters.DetectionLatency.Count())
 	}
 	return r, nil
 }

@@ -24,6 +24,7 @@ import (
 	"datanet/internal/mapreduce"
 	"datanet/internal/records"
 	"datanet/internal/sched"
+	"datanet/internal/stats"
 )
 
 // MovieParams sizes the movie-review environment (the paper's main
@@ -253,6 +254,37 @@ func (e *Env) RunWith(app apps.App, factory sched.Factory, weights []int64, skip
 		SkipEmpty: skipEmpty,
 	})
 }
+
+// comparison is one application's outcome on one environment under the
+// locality baseline ("without DataNet") and under Algorithm 1 ("with").
+type comparison struct {
+	without, with *mapreduce.Result
+	// gain is (without − with) / without on the analysis job's execution
+	// time (the filter pass is shared prep, as in the paper).
+	gain float64
+}
+
+func (e *Env) compare(app apps.App) (c comparison, err error) {
+	if c.without, err = e.RunBaseline(app); err != nil {
+		return c, err
+	}
+	if c.with, err = e.RunDataNet(app); err != nil {
+		return c, err
+	}
+	if c.without.AnalysisTime > 0 {
+		c.gain = (c.without.AnalysisTime - c.with.AnalysisTime) / c.without.AnalysisTime
+	}
+	return c, nil
+}
+
+// maxOverAvg is the imbalance of a run's filtered workload over the nodes.
+func (e *Env) maxOverAvg(run *mapreduce.Result) float64 {
+	return stats.Summarize(NodeSeries(e.Topo, run.NodeWorkload)).ImbalanceRatio()
+}
+
+// movieTopK is the compute-heavy application of the movie experiments, the
+// one where scheduling matters most.
+func movieTopK() apps.App { return apps.NewTopKSearch(10, "plot twist ending amazing director") }
 
 // NodeSeries converts a per-node map into a dense slice ordered by node id.
 func NodeSeries[T int64 | float64](topo *cluster.Topology, m map[cluster.NodeID]T) []float64 {

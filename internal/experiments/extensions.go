@@ -105,7 +105,7 @@ func Heterogeneity(p MovieParams) (*Report, error) {
 
 	r := newReport()
 	r.linef("Extension — heterogeneous cluster (%d nodes, %d at 40%% CPU)", p.Nodes, slow)
-	r.set("slow_nodes", float64(slow))
+	r.Values["slow_nodes"] = float64(slow)
 	t := metrics.NewTable("", "variant", "analysis time", "slowest node")
 	var times [2]float64
 	for i, v := range []struct {
@@ -125,8 +125,8 @@ func Heterogeneity(p MovieParams) (*Report, error) {
 		// The slowest node's analysis time is where slow nodes stall the job.
 		stall := stats.Summarize(NodeSeries(topo, run.NodeCompute)).Max
 		t.Add(v.name, metrics.Seconds(run.AnalysisTime), metrics.Seconds(stall))
-		r.set(v.key, run.AnalysisTime)
-		r.set(v.key+"/slowest_node", stall)
+		r.Values[v.key] = run.AnalysisTime
+		r.Values[v.key+"/slowest_node"] = stall
 		times[i] = run.AnalysisTime
 	}
 	r.table(t)
@@ -173,9 +173,9 @@ func Reactive(env *Env) (*Report, error) {
 		imbalance := env.maxOverAvg(run)
 		t.Add(s.name, metrics.Seconds(run.AnalysisTime), fmt.Sprintf("%.2f", imbalance),
 			metrics.Bytes(run.MigratedBytes), fmt.Sprint(run.SpeculativeWins))
-		r.set(s.name, run.AnalysisTime)
-		r.set(s.name+"/max_over_avg", imbalance)
-		r.set(s.name+"/migrated", float64(run.MigratedBytes))
+		r.Values[s.name] = run.AnalysisTime
+		r.Values[s.name+"/max_over_avg"] = imbalance
+		r.Values[s.name+"/migrated"] = float64(run.MigratedBytes)
 	}
 	r.table(t)
 	r.linef("  (reactive schemes pay migration/backup costs at runtime; DataNet schedules the imbalance away)")
@@ -220,10 +220,10 @@ func IOSaving(env *Env, ranks []int) (*Report, error) {
 		saved := float64(skippedBytes) / float64(rawTotal)
 		t.Add(fmt.Sprint(rank), metrics.Bytes(env.Truth[sub]),
 			fmt.Sprintf("%d/%d", run.SkippedBlocks, len(blocks)), metrics.Pct(saved))
-		r.set(fmt.Sprintf("%d/skipped_blocks", rank), float64(run.SkippedBlocks))
-		r.set(fmt.Sprintf("%d/scan_saved", rank), saved)
+		r.Values[fmt.Sprintf("%d/skipped_blocks", rank)] = float64(run.SkippedBlocks)
+		r.Values[fmt.Sprintf("%d/scan_saved", rank)] = saved
 	}
-	r.set("blocks", float64(len(blocks)))
+	r.Values["blocks"] = float64(len(blocks))
 	r.table(t)
 	r.linef("  (savings track the target's temporal footprint: short-lived or rare sub-datasets leave most blocks provably empty)")
 	return r, nil

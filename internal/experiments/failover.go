@@ -55,7 +55,7 @@ func FailoverSweep() (*Report, error) {
 	r := newReport()
 	t := metrics.NewTable("Metadata failover — windows vs detector aggressiveness and replication (ticks)",
 		"detector", "replicas", "detect", "leader moved", "converged", "refused ops", "stale reads", "promotions", "data")
-	r.set("data_lost", 0)
+	r.Values["data_lost"] = 0
 	for _, arm := range arms {
 		for _, replicas := range []int{1, 2, 3} {
 			if err := failoverRun(r, t, arm.name, arm.det, replicas); err != nil {
@@ -178,10 +178,10 @@ func failoverRun(r *Report, t *metrics.Table, mode string, det detect.Config, re
 		fmt.Sprintf("%.0f", detected), fmt.Sprintf("%.0f", promoted), fmt.Sprintf("%.0f", converged),
 		fmt.Sprint(unavailableOps), fmt.Sprint(staleReads), fmt.Sprint(promotions), data)
 	key := fmt.Sprintf("%s/%d", mode, replicas)
-	r.set(key+"/detect_ticks", detected)
-	r.set(key+"/promote_ticks", promoted)
-	r.set(key+"/converge_ticks", converged)
-	r.set(key+"/promotions", float64(promotions))
+	r.Values[key+"/detect_ticks"] = detected
+	r.Values[key+"/promote_ticks"] = promoted
+	r.Values[key+"/converge_ticks"] = converged
+	r.Values[key+"/promotions"] = float64(promotions)
 	return nil
 }
 

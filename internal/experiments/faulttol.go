@@ -85,7 +85,8 @@ type faultScheduler struct {
 
 // schedulers returns the arms the fault sweeps compare: the locality
 // baseline, DataNet on ElasticMap weights built once at hash share alpha
-// from the fixture's blocks, and speculative execution.
+// from the fixture's blocks, and speculative execution — in that order; the
+// detector sweep takes the first two.
 func (f *faultFixture) schedulers(alpha float64) ([]faultScheduler, error) {
 	perBlock, err := f.fs.BlockRecords("dataset.log")
 	if err != nil {
@@ -167,10 +168,10 @@ func FaultTolerance(p MovieParams) (*Report, error) {
 				fmt.Sprint(run.TasksRetried), fmt.Sprint(run.LostOutputs), fmt.Sprint(run.ReplicasRepaired),
 				r.outputCell(run.Output, clean.Output))
 			key := fmt.Sprintf("%s/%d@%.2f", s.name, a.crashes, a.frac)
-			r.set(key, run.JobTime)
-			r.set(key+"/slowdown", slowdown)
-			r.set(key+"/recovered", float64(run.TasksRetried+run.LostOutputs))
-			r.set(key+"/repaired", float64(run.ReplicasRepaired))
+			r.Values[key] = run.JobTime
+			r.Values[key+"/slowdown"] = slowdown
+			r.Values[key+"/recovered"] = float64(run.TasksRetried + run.LostOutputs)
+			r.Values[key+"/repaired"] = float64(run.ReplicasRepaired)
 			observe(&counters, run)
 		}
 	}
@@ -195,7 +196,7 @@ func FaultTolerance(p MovieParams) (*Report, error) {
 	r.table(counters.Table("Fault-handling totals across the sweep"))
 	r.linef("  degraded metadata: scheduler %q, output correct: %v", fb.SchedulerName, fallbackOK)
 	r.linef("  (crash recovery re-runs lost filter tasks on surviving replica holders; the job's answer must never change)")
-	r.set("node_crashes", float64(counters.NodeCrashes))
-	r.set("metadata_fallbacks", float64(counters.MetadataFallbacks))
+	r.Values["node_crashes"] = float64(counters.NodeCrashes)
+	r.Values["metadata_fallbacks"] = float64(counters.MetadataFallbacks)
 	return r, nil
 }

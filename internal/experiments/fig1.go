@@ -48,7 +48,7 @@ func Fig1(p MovieParams) (*Report, error) {
 	bs := stats.Summarize(blockMB)
 	r.linef("  block min/mean/max = %.2f / %.2f / %.2f MB; top-30 blocks hold %s of the sub-dataset",
 		bs.Min, bs.Mean, bs.Max, metrics.Pct(top30))
-	r.set("top30_share", top30)
+	r.Values["top30_share"] = top30
 
 	run, err := env.RunBaseline(apps.WordCount{})
 	if err != nil {
@@ -61,6 +61,6 @@ func Fig1(p MovieParams) (*Report, error) {
 	ns := stats.Summarize(nodeMB)
 	r.linef("  node min/mean/max = %.2f / %.2f / %.2f MB (max/mean = %.2fx)",
 		ns.Min, ns.Mean, ns.Max, ns.ImbalanceRatio())
-	r.set("node_max_over_mean", ns.ImbalanceRatio())
+	r.Values["node_max_over_mean"] = ns.ImbalanceRatio()
 	return r, nil
 }

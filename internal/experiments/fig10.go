@@ -45,8 +45,8 @@ func Fig10(env *Env, alphas []float64) (*Report, error) {
 		t.Add(metrics.Pct(a), metrics.Pct(arr.MeanAlpha()),
 			fmt.Sprintf("%.2f", mx), fmt.Sprintf("%.2f", mn), fmt.Sprintf("%.3f", std))
 		key := fmt.Sprintf("%.2f", a)
-		r.set(key+"/max_over_avg", mx)
-		r.set(key+"/min_over_avg", mn)
+		r.Values[key+"/max_over_avg"] = mx
+		r.Values[key+"/min_over_avg"] = mn
 		normMax, normMin, normStd = append(normMax, mx), append(normMin, mn), append(normStd, std)
 	}
 	r.table(t)

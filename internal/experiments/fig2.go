@@ -52,9 +52,9 @@ func Fig2(block stats.Gamma, nBlocks int, sizes []int) *Report {
 
 	// The expected extreme-node counts the paper quotes at m=128.
 	p128 := stats.Imbalance(block, nBlocks, 128)
-	r.set("at128/below_half", 128*p128.BelowHalf)
-	r.set("at128/below_third", 128*p128.BelowThird)
-	r.set("at128/above_double", 128*p128.AboveDouble)
+	r.Values["at128/below_half"] = 128 * p128.BelowHalf
+	r.Values["at128/below_third"] = 128 * p128.BelowThird
+	r.Values["at128/above_double"] = 128 * p128.AboveDouble
 	r.linef("  at m=128: E[#nodes<E/2]=%.1f (paper 3.9), E[#nodes<E/3]=%.1f (paper 1.5), E[#nodes>2E]=%.1f (paper 4.0)",
 		128*p128.BelowHalf, 128*p128.BelowThird, 128*p128.AboveDouble)
 	return r

@@ -32,9 +32,9 @@ func Fig5(env *Env) (*Report, error) {
 		}
 		t.Add(app.Name(), metrics.Seconds(c.without.AnalysisTime), metrics.Seconds(c.with.AnalysisTime),
 			metrics.Pct(c.gain), paper[app.Name()])
-		r.set(app.Name()+"/baseline", c.without.JobTime)
-		r.set(app.Name()+"/datanet", c.with.JobTime)
-		r.set(app.Name()+"/improvement", c.gain)
+		r.Values[app.Name()+"/baseline"] = c.without.JobTime
+		r.Values[app.Name()+"/datanet"] = c.with.JobTime
+		r.Values[app.Name()+"/improvement"] = c.gain
 		if app.Name() == "TopKSearch" {
 			nodeWithout, nodeWith = env.nodeMB(c.without), env.nodeMB(c.with)
 		}
@@ -52,8 +52,8 @@ func Fig5(env *Env) (*Report, error) {
 	wo, wi := stats.Summarize(nodeWithout), stats.Summarize(nodeWith)
 	r.linef("  workload max/mean: without=%.2fx  with=%.2fx; std: without=%.2f  with=%.2f",
 		wo.ImbalanceRatio(), wi.ImbalanceRatio(), wo.Std, wi.Std)
-	r.set("workload/baseline_max_avg", wo.ImbalanceRatio())
-	r.set("workload/datanet_max_avg", wi.ImbalanceRatio())
+	r.Values["workload/baseline_max_avg"] = wo.ImbalanceRatio()
+	r.Values["workload/datanet_max_avg"] = wi.ImbalanceRatio()
 	return r, nil
 }
 
@@ -89,7 +89,7 @@ func Fig6(env *Env) (*Report, error) {
 		}{{"without", so}, {"with", si}} {
 			t.Add(app.Name(), v.variant, fmt.Sprintf("%.1f", v.s.Min), fmt.Sprintf("%.1f", v.s.Mean),
 				fmt.Sprintf("%.1f", v.s.Max), fmt.Sprintf("%.1f", v.s.Max-v.s.Min))
-			r.set(app.Name()+"/"+v.variant+"/gap", v.s.Max-v.s.Min)
+			r.Values[app.Name()+"/"+v.variant+"/gap"] = v.s.Max - v.s.Min
 		}
 	}
 	r.table(t)
@@ -118,7 +118,7 @@ func Fig7(env *Env) (*Report, error) {
 		if si.Max != 0 {
 			speedup = so.Max / si.Max
 		}
-		r.set(app.Name()+"/speedup", speedup)
+		r.Values[app.Name()+"/speedup"] = speedup
 	}
 	r.table(t)
 	r.linef("  shuffle speedup with DataNet: WordCount %.1fx, TopKSearch %.1fx (paper: 4–5x)",

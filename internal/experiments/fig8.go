@@ -26,7 +26,7 @@ func Fig8(p EventParams) (*Report, error) {
 	// distribution (lower = less clustered).
 	cv := stats.Summarize(blockMB).CV()
 	r.linef("  per-block CV = %.2f (no release-style clustering, but still uneven)", cv)
-	r.set("block_cv", cv)
+	r.Values["block_cv"] = cv
 
 	c, err := env.compare(apps.NewTopKSearch(10, "opened closed merged issue"))
 	if err != nil {
@@ -42,8 +42,8 @@ func Fig8(p EventParams) (*Report, error) {
 	longestWith := stats.Summarize(NodeSeries(env.Topo, c.with.NodeCompute)).Max
 	r.linef("  longest map: without=%.1fs, with=%.1fs (paper: 125s vs 107s); Top-K improvement %s (smaller than movie data, as in the paper)",
 		longestWithout, longestWith, metrics.Pct(c.gain))
-	r.set("longest_map/baseline", longestWithout)
-	r.set("longest_map/datanet", longestWith)
-	r.set("improvement", c.gain)
+	r.Values["longest_map/baseline"] = longestWithout
+	r.Values["longest_map/datanet"] = longestWith
+	r.Values["improvement"] = c.gain
 	return r, nil
 }

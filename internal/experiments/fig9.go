@@ -68,7 +68,7 @@ func Fig9(env *Env, samples int) (*Report, error) {
 	r.figure("_accuracy", lineFigure, fig)
 	r.linef("  mean relative error: large sub-datasets %.1f%%, small sub-datasets %.1f%% (paper: small ones deviate, large ones track)",
 		100*largeErr, 100*smallErr)
-	r.set("large/rel_err", largeErr)
-	r.set("small/rel_err", smallErr)
+	r.Values["large/rel_err"] = largeErr
+	r.Values["small/rel_err"] = smallErr
 	return r, nil
 }

@@ -30,8 +30,8 @@ func Migration(env *Env) (*Report, error) {
 	r.linef("  residual migration after DataNet scheduling:   %s", metrics.Pct(residual.Fraction()))
 	r.linef("  future-work aggregation plan (4 sinks): %s of output crosses the network",
 		metrics.Pct(agg.TransferFraction()))
-	r.set("baseline/fraction", plan.Fraction())
-	r.set("datanet/fraction", residual.Fraction())
-	r.set("aggregation/total_bytes", float64(agg.TotalBytes))
+	r.Values["baseline/fraction"] = plan.Fraction()
+	r.Values["datanet/fraction"] = residual.Fraction()
+	r.Values["aggregation/total_bytes"] = float64(agg.TotalBytes)
 	return r, nil
 }

@@ -43,8 +43,8 @@ func ModelCheck(env *Env, alphas []float64) (*Report, error) {
 		t.Add(metrics.Pct(a), metrics.Pct(arr.MeanAlpha()),
 			fmt.Sprintf("%.1f", model/8192), fmt.Sprintf("%.1f", float64(actual)/8192), metrics.Pct(rel))
 		key := fmt.Sprintf("%.2f", a)
-		r.set(key+"/actual_bits", float64(actual))
-		r.set(key+"/rel_err", rel)
+		r.Values[key+"/actual_bits"] = float64(actual)
+		r.Values[key+"/rel_err"] = rel
 	}
 	r.table(t)
 
@@ -65,7 +65,7 @@ func ModelCheck(env *Env, alphas []float64) (*Report, error) {
 	ratio, chi := arr.RepresentationRatio(), arr.OverallAccuracy(subs)
 	r.linef("  paper-scale check: one genuine 64 MiB block with %d sub-datasets → %s meta-data, raw/meta ratio %.0f (paper Table II: 1857–3497), χ=%s",
 		arr.Block(0).NumSubs(), metrics.Bytes(arr.MemoryBits()/8), ratio, metrics.Pct(chi))
-	r.set("paper_scale/ratio", ratio)
-	r.set("paper_scale/chi", chi)
+	r.Values["paper_scale/ratio"] = ratio
+	r.Values["paper_scale/chi"] = chi
 	return r, nil
 }

@@ -195,10 +195,10 @@ func PartitionSweep(p MovieParams) (*Report, error) {
 				fmt.Sprintf("%.2f×", imbalance), metrics.Bytes(run.ShuffleBytes),
 				fmt.Sprint(run.PartitionSplitKeys), r.outputCell(run.Output, reference))
 			key := d.name + "/" + s.name
-			r.set(key, reduce)
-			r.set(key+"/max_load", maxLoad)
-			r.set(key+"/mean_load", meanLoad)
-			r.set(key+"/split_keys", float64(run.PartitionSplitKeys))
+			r.Values[key] = reduce
+			r.Values[key+"/max_load"] = maxLoad
+			r.Values[key+"/mean_load"] = meanLoad
+			r.Values[key+"/split_keys"] = float64(run.PartitionSplitKeys)
 		}
 	}
 	r.table(t)

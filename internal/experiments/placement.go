@@ -41,7 +41,7 @@ func Placement(p MovieParams) (*Report, error) {
 		storageCV := env.FS.Balance().CV
 		without, with, gain := r.balanceCells(pol.Name(), env, c)
 		t.Add(pol.Name(), fmt.Sprintf("%.3f", storageCV), without, with, gain)
-		r.set(pol.Name()+"/storage_cv", storageCV)
+		r.Values[pol.Name()+"/storage_cv"] = storageCV
 	}
 	r.table(t)
 	r.linef("  (placement shapes the bipartite graph Algorithm 1 schedules on; DataNet's gain holds across policies)")

@@ -107,11 +107,11 @@ func runSweepArm(r *Report, t *metrics.Table, p MovieParams, name string, factor
 	t.Add(name, fmt.Sprintf("%.1f", makespan), fmt.Sprintf("%.1f", firstJob),
 		fmt.Sprintf("%.1f", lastJob), fmt.Sprintf("%d", moved.Moves), metricsBytes(moved.BytesMoved))
 	key := "clustered/" + name
-	r.set(key, makespan)
-	r.set(key+"/first_job", firstJob)
-	r.set(key+"/last_job", lastJob)
-	r.set(key+"/moves", float64(moved.Moves))
-	r.set(key+"/bytes_moved", float64(moved.BytesMoved))
+	r.Values[key] = makespan
+	r.Values[key+"/first_job"] = firstJob
+	r.Values[key+"/last_job"] = lastJob
+	r.Values[key+"/moves"] = float64(moved.Moves)
+	r.Values[key+"/bytes_moved"] = float64(moved.BytesMoved)
 	return nil
 }
 

@@ -43,7 +43,7 @@ func Replication(factors []int, p MovieParams) (*Report, error) {
 		}
 		without, with, gain := r.balanceCells(fmt.Sprint(rf), env, c)
 		t.Add(fmt.Sprint(rf), without, with, metrics.Pct(local), gain)
-		r.set(fmt.Sprintf("%d/datanet_local", rf), local)
+		r.Values[fmt.Sprintf("%d/datanet_local", rf)] = local
 	}
 	r.table(t)
 	r.linef("  (each replica adds an edge per block: more placement freedom, better locality-preserving balance)")

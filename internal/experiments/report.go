@@ -3,15 +3,13 @@ package experiments
 import (
 	"fmt"
 	"html"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 
-	"datanet/internal/apps"
-	"datanet/internal/mapreduce"
 	"datanet/internal/metrics"
-	"datanet/internal/stats"
 )
 
 // Report is the one shape every experiment produces, filled as it runs: an
@@ -64,18 +62,16 @@ func (r *Report) figure(id string, kind figureKind, f *metrics.Figure) {
 	r.blocks = append(r.blocks, block{figure: f, id: id, kind: kind})
 }
 
-func (r *Report) set(key string, v float64) { r.Values[key] = v }
-
 // outputCell renders a sweep's "output" column for one executed job and
 // counts a divergence from the reference output in
 // Values["output_divergences"], the cell every sweep's identity gate reads.
 func (r *Report) outputCell(got, want map[string]string) string {
-	if reflect.DeepEqual(got, want) {
-		r.Values["output_divergences"] += 0
-		return "ok"
+	if !reflect.DeepEqual(got, want) {
+		r.Values["output_divergences"]++
+		return "DIVERGED"
 	}
-	r.Values["output_divergences"]++
-	return "DIVERGED"
+	r.Values["output_divergences"] += 0 // the key exists even at zero: a gate on a missing key fails
+	return "ok"
 }
 
 // String renders the report as the suite prints it.
@@ -94,46 +90,15 @@ func (r *Report) String() string {
 	return sb.String()
 }
 
-// comparison is one application's outcome on one environment under the
-// locality baseline ("without DataNet") and under Algorithm 1 ("with").
-type comparison struct {
-	without, with *mapreduce.Result
-	// gain is (without − with) / without on the analysis job's execution
-	// time (the filter pass is shared prep, as in the paper).
-	gain float64
-}
-
-func (e *Env) compare(app apps.App) (c comparison, err error) {
-	if c.without, err = e.RunBaseline(app); err != nil {
-		return c, err
-	}
-	if c.with, err = e.RunDataNet(app); err != nil {
-		return c, err
-	}
-	if c.without.AnalysisTime > 0 {
-		c.gain = (c.without.AnalysisTime - c.with.AnalysisTime) / c.without.AnalysisTime
-	}
-	return c, nil
-}
-
-// maxOverAvg is the imbalance of a run's filtered workload over the nodes.
-func (e *Env) maxOverAvg(run *mapreduce.Result) float64 {
-	return stats.Summarize(NodeSeries(e.Topo, run.NodeWorkload)).ImbalanceRatio()
-}
-
 // balanceCells records a comparison's two workload imbalances and its gain
 // under key and returns them as the three table cells most sweeps end on.
 func (r *Report) balanceCells(key string, e *Env, c comparison) (without, with, gain string) {
 	wo, wi := e.maxOverAvg(c.without), e.maxOverAvg(c.with)
-	r.set(key+"/baseline_max_avg", wo)
-	r.set(key+"/datanet_max_avg", wi)
-	r.set(key+"/improvement", c.gain)
+	r.Values[key+"/baseline_max_avg"] = wo
+	r.Values[key+"/datanet_max_avg"] = wi
+	r.Values[key+"/improvement"] = c.gain
 	return fmt.Sprintf("%.2f", wo), fmt.Sprintf("%.2f", wi), metrics.Pct(c.gain)
 }
-
-// movieTopK is the compute-heavy application of the movie experiments, the
-// one where scheduling matters most.
-func movieTopK() apps.App { return apps.NewTopKSearch(10, "plot twist ending amazing director") }
 
 // reportSections are the sections the CSV and HTML exports walk: the
 // paper's figures and tables plus the crash-recovery sweep.
@@ -143,7 +108,7 @@ var reportSections = []string{"fig1", "fig2", "fig5", "fig6", "fig7", "fig8", "t
 // series as <section><id>.csv under dir (created if missing), so the
 // results can be re-plotted with any tool. It returns the file list.
 func WriteCSVSuite(dir string) ([]string, error) {
-	secs, err := runNamed(reportSections...)
+	secs, err := runNamed(io.Discard, reportSections...)
 	if err != nil {
 		return nil, err
 	}
@@ -174,7 +139,7 @@ func writeCSVs(dir string, secs []BenchSection) ([]string, error) {
 // a single self-contained HTML file (inline SVG, no external assets) so
 // the reproduction can be eyeballed against the paper's plots.
 func WriteHTMLReport(path string) error {
-	secs, err := runNamed(reportSections...)
+	secs, err := runNamed(io.Discard, reportSections...)
 	if err != nil {
 		return err
 	}

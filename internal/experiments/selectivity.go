@@ -47,8 +47,8 @@ func Selectivity(env *Env, ranks []int) (*Report, error) {
 		}
 		without, with, gain := r.balanceCells(fmt.Sprint(rank), env, c)
 		t.Add(fmt.Sprint(rank), metrics.Bytes(size), metrics.Pct(share), without, with, gain)
-		r.set(fmt.Sprintf("%d/target_bytes", rank), float64(size))
-		r.set(fmt.Sprintf("%d/share_of_raw", rank), share)
+		r.Values[fmt.Sprintf("%d/target_bytes", rank)] = float64(size)
+		r.Values[fmt.Sprintf("%d/share_of_raw", rank)] = share
 	}
 	r.table(t)
 	r.linef("  (the paper evaluates rank 0 only; the benefit persists down the popularity tail while absolute stakes shrink)")
@@ -97,8 +97,8 @@ func WebLog(p WebLogParams) (*Report, error) {
 	r.linef("Extension — WorldCup'98-style web log (%s)", env.describe())
 	r.linef("  per-block CV of %s: %.2f (flash-crowd clustering)", env.Target, cv)
 	r.linef("  workload max/avg: baseline %.2f → datanet %.2f; Top-K improvement %s", without, with, metrics.Pct(c.gain))
-	r.set("block_cv", cv)
-	r.set("baseline_max_avg", without)
-	r.set("datanet_max_avg", with)
+	r.Values["block_cv"] = cv
+	r.Values["baseline_max_avg"] = without
+	r.Values["datanet_max_avg"] = with
 	return r, nil
 }

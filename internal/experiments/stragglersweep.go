@@ -163,14 +163,14 @@ func StragglerSweep(scales []int, p MovieParams) (*Report, error) {
 						fmt.Sprint(run.SpeculativeLaunches), fmt.Sprint(run.SpeculativeWins),
 						metrics.Seconds(run.WastedTaskSeconds), fmt.Sprint(run.CodedDecodes),
 						r.outputCell(run.Output, healthy.Output))
-					r.set(key, run.JobTime)
-					r.set(key+"/filter_end", run.FilterEnd)
-					r.set(key+"/p50", p50)
-					r.set(key+"/p90", p90)
-					r.set(key+"/p99", p99)
-					r.set(key+"/launches", float64(run.SpeculativeLaunches))
-					r.set(key+"/wasted", run.WastedTaskSeconds)
-					r.set(key+"/decodes", float64(run.CodedDecodes))
+					r.Values[key] = run.JobTime
+					r.Values[key+"/filter_end"] = run.FilterEnd
+					r.Values[key+"/p50"] = p50
+					r.Values[key+"/p90"] = p90
+					r.Values[key+"/p99"] = p99
+					r.Values[key+"/launches"] = float64(run.SpeculativeLaunches)
+					r.Values[key+"/wasted"] = run.WastedTaskSeconds
+					r.Values[key+"/decodes"] = float64(run.CodedDecodes)
 					r.Values["speculative_launches"] += float64(run.SpeculativeLaunches)
 					r.Values["speculative_wins"] += float64(run.SpeculativeWins)
 					r.Values["wasted_task_seconds"] += run.WastedTaskSeconds

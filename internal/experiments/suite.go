@@ -242,55 +242,45 @@ func SectionNames() []string {
 // RunSection runs one experiment by its suite name and writes to w exactly
 // the bytes the full suite prints for it.
 func RunSection(w io.Writer, name string) error {
-	secs, env, err := selectSections(name)
-	if err != nil {
-		return err
-	}
-	_, err = runSections(w, secs, env, 1)
+	_, err := runNamed(w, name)
 	return err
 }
 
-// runNamed runs the named sections in suite order and returns their records.
-func runNamed(names ...string) ([]BenchSection, error) {
-	secs, env, err := selectSections(names...)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := runSections(io.Discard, secs, env, 1)
-	return rep.Sections, err
-}
-
-// selectSections picks the named sections in suite order. The shared movie
-// environment is built only when one of them consumes it.
-func selectSections(names ...string) (secs []suiteSection, env *Env, err error) {
+// runNamed runs the named sections in suite order on one worker, writing
+// their text to w, and returns their records. The shared movie environment
+// is built only when one of them consumes it.
+func runNamed(w io.Writer, names ...string) ([]BenchSection, error) {
 	for _, name := range names {
 		if !slices.Contains(SectionNames(), name) {
-			return nil, nil, fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(SectionNames(), ", "))
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(SectionNames(), ", "))
 		}
 	}
+	var secs []suiteSection
+	var env *Env
 	for _, s := range suiteSections() {
 		if !slices.Contains(names, s.name) {
 			continue
 		}
 		if s.shared && env == nil {
+			var err error
 			if env, err = NewMovieEnv(DefaultMovieParams()); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		secs = append(secs, s)
 	}
-	return secs, env, nil
+	rep, err := runSections(w, secs, env, 1)
+	return rep.Sections, err
 }
 
 // RunSuiteBench executes every paper experiment on up to workers
 // goroutines, streams the rendered results to w in the fixed suite order
 // and returns the per-section benchmark report (wall-clock seconds and
-// each section's Report). The
-// kernel-based engine is job-isolated (each job runs on its own event
-// queue and clock), so independent sections fan out freely; the sections
-// sharing the movie environment run one at a time in their declared order,
-// exactly as the paper derives them from the same runs. The bytes written
-// to w are identical at any worker count.
+// each section's Report). The kernel-based engine is job-isolated (each job
+// runs on its own event queue and clock), so independent sections fan out
+// freely; the sections sharing the movie environment run one at a time in
+// their declared order, exactly as the paper derives them from the same
+// runs. The bytes written to w are identical at any worker count.
 func RunSuiteBench(w io.Writer, workers int) (*BenchReport, error) {
 	start := time.Now()
 	env, err := NewMovieEnv(DefaultMovieParams())

@@ -49,7 +49,7 @@ func Table1(env *Env) (*Report, error) {
 	if len(subs) > show {
 		r.linef("  … plus %d more sub-datasets in this block (long non-dominant tail)", len(subs)-show)
 	}
-	r.set("block", float64(best))
-	r.set("subs", float64(len(subs)))
+	r.Values["block"] = float64(best)
+	r.Values["subs"] = float64(len(subs))
 	return r, nil
 }

@@ -45,9 +45,9 @@ func Table2(env *Env, alphas []float64) (*Report, error) {
 		t.Add(metrics.Pct(a), metrics.Pct(arr.MeanAlpha()), metrics.Pct(accuracy),
 			fmt.Sprintf("%.0f", ratio), metrics.Bytes(metaBytes), paper[a][0], paper[a][1])
 		key := fmt.Sprintf("%.2f", a)
-		r.set(key+"/accuracy", accuracy)
-		r.set(key+"/ratio", ratio)
-		r.set(key+"/meta_bytes", float64(metaBytes))
+		r.Values[key+"/accuracy"] = accuracy
+		r.Values[key+"/ratio"] = ratio
+		r.Values[key+"/meta_bytes"] = float64(metaBytes)
 	}
 	r.table(t)
 	r.linef("  (ratio trend: smaller hash share → higher compression, lower accuracy — Bloom entries only witness existence)")

@@ -95,17 +95,17 @@ func Theory(model stats.Gamma, nBlocks, nodes, trials int) (*Report, error) {
 		{"P95 workload / mean", "p95", z.Quantile(0.95) / e, stats.Percentile(normLoads, 0.95)},
 	} {
 		t.Add(q.name, fmt.Sprintf("%.2f", q.analytic), fmt.Sprintf("%.2f", q.measured))
-		r.set(q.key+"/analytic", q.analytic)
-		r.set(q.key+"/measured", q.measured)
+		r.Values[q.key+"/analytic"] = q.analytic
+		r.Values[q.key+"/measured"] = q.measured
 	}
 	r.table(t)
 	r.linef("  parameter recovery: moments k=%.2f θ=%.2f; MLE k=%.2f θ=%.2f (true k=%.2f θ=%.2f)",
 		fitMoments.K, fitMoments.Theta, fitMLE.K, fitMLE.Theta, model.K, model.Theta)
 	r.linef("  goodness of fit: KS=%.3f (5%% critical %.3f)", ks, ksCritical)
-	r.set("fit/moments_k", fitMoments.K)
-	r.set("fit/mle_k", fitMLE.K)
-	r.set("fit/mle_theta", fitMLE.Theta)
-	r.set("ks", ks)
-	r.set("ks_critical", ksCritical)
+	r.Values["fit/moments_k"] = fitMoments.K
+	r.Values["fit/mle_k"] = fitMLE.K
+	r.Values["fit/mle_theta"] = fitMLE.Theta
+	r.Values["ks"] = ks
+	r.Values["ks_critical"] = ksCritical
 	return r, nil
 }

@@ -59,7 +59,7 @@ func Timeline(p MovieParams) (*Report, error) {
 	for _, t := range rec.Snapshot().Tables("Run metrics") {
 		r.table(t)
 	}
-	r.set("crash_at", crashAt)
-	r.set("rejoin_at", rejoinAt)
+	r.Values["crash_at"] = crashAt
+	r.Values["rejoin_at"] = rejoinAt
 	return r, nil
 }
