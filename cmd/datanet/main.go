@@ -510,7 +510,7 @@ func runTop(args []string) error {
 		if err != nil {
 			return err
 		}
-		idx := elasticmap.NewIndex(meta.Array())
+		idx := meta.Array().Index()
 		top := idx.Top(*n)
 		fmt.Printf("%d dominant sub-datasets in the meta-data; top %d by recorded volume (no raw scan):\n",
 			idx.DominantSubs(), len(top))

@@ -179,7 +179,7 @@ func TestSchedulingNeverChangesResults(t *testing.T) {
 }
 
 // TestGrowingLogIncrementalMeta: append new data to a new file, extend the
-// meta with Append, and verify estimates match a from-scratch build.
+// meta with Appended, and verify estimates match a from-scratch build.
 func TestGrowingLogIncrementalMeta(t *testing.T) {
 	topo := cluster.MustHomogeneous(4, 2)
 	fs, err := hdfs.NewFileSystem(topo, hdfs.Config{BlockSize: 32 << 10, Seed: 14})
@@ -198,13 +198,12 @@ func TestGrowingLogIncrementalMeta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr := meta1.Array()
 	blocks2, _ := fs.Blocks("day2")
 	per2 := make([][]records.Record, len(blocks2))
 	for i, b := range blocks2 {
 		per2[i] = b.Records
 	}
-	arr.Append(per2)
+	arr := meta1.Array().Appended(per2)
 
 	// Reference: both days' records as one stream of blocks.
 	blocks1, _ := fs.Blocks("day1")

@@ -8,9 +8,10 @@ package bloom
 import (
 	"encoding/binary"
 	"errors"
-	"hash/fnv"
 	"math"
 	"math/bits"
+
+	"datanet/internal/hashutil"
 )
 
 // Filter is a Bloom filter. The zero value is not usable; construct with
@@ -66,42 +67,48 @@ func BitsPerItem(fp float64) float64 {
 	return -math.Log(fp) / (math.Ln2 * math.Ln2)
 }
 
-// baseHashes returns two independent 64-bit digests of data; the k probe
-// positions are derived by double hashing h1 + i*h2.
-func baseHashes(data []byte) (uint64, uint64) {
-	h1 := fnv.New64a()
-	h1.Write(data)
-	a := h1.Sum64()
-	h2 := fnv.New64a()
+// Key is a precomputed probe key: the two base digests of one datum, from
+// which the k probe positions h1 + i·h2 are derived. Hashing a key once and
+// probing many filters with it (ElasticMap's Eq.-6 scan tests one key
+// against every block's filter) skips re-hashing per filter.
+type Key struct {
+	a, b uint64
+}
+
+// KeyOf digests s: FNV-1a of s, and FNV-1a of that digest's little-endian
+// bytes followed by s. Every filter ever encoded was built from exactly
+// these digests, so the formula is part of the on-disk format.
+func KeyOf(s string) Key {
+	a := hashutil.Sum64String(s)
 	var salt [8]byte
 	binary.LittleEndian.PutUint64(salt[:], a)
-	h2.Write(salt[:])
-	h2.Write(data)
-	b := h2.Sum64()
+	d := hashutil.New()
+	d.Write(salt[:])
+	d.WriteString(s)
+	return newKey(a, d.Sum64())
+}
+
+// newKey applies the zero fix-up: a zero stride would put all k probes on
+// one bit, so it is replaced by a fixed odd constant.
+func newKey(a, b uint64) Key {
 	if b == 0 {
 		b = 0x9e3779b97f4a7c15
 	}
-	return a, b
+	return Key{a: a, b: b}
 }
 
-// Add inserts data into the filter.
-func (f *Filter) Add(data []byte) {
-	a, b := baseHashes(data)
+func (f *Filter) add(key Key) {
 	for i := uint64(0); i < f.k; i++ {
-		pos := (a + i*b) % f.m
+		pos := (key.a + i*key.b) % f.m
 		f.bits[pos/64] |= 1 << (pos % 64)
 	}
 	f.count++
 }
 
-// AddString inserts a string key.
-func (f *Filter) AddString(s string) { f.Add([]byte(s)) }
-
-// Test reports whether data may be present (no false negatives).
-func (f *Filter) Test(data []byte) bool {
-	a, b := baseHashes(data)
+// TestKey reports whether a precomputed key may be present.
+func (f *Filter) TestKey(key Key) bool {
 	for i := uint64(0); i < f.k; i++ {
-		pos := (a + i*b) % f.m
+		pos := (key.a + i*key.b) % f.m
 		if f.bits[pos/64]&(1<<(pos%64)) == 0 {
 			return false
 		}
@@ -109,8 +116,17 @@ func (f *Filter) Test(data []byte) bool {
 	return true
 }
 
+// Add inserts data into the filter.
+func (f *Filter) Add(data []byte) { f.add(KeyOf(string(data))) }
+
+// AddString inserts a string key.
+func (f *Filter) AddString(s string) { f.add(KeyOf(s)) }
+
+// Test reports whether data may be present (no false negatives).
+func (f *Filter) Test(data []byte) bool { return f.TestKey(KeyOf(string(data))) }
+
 // TestString reports whether a string key may be present.
-func (f *Filter) TestString(s string) bool { return f.Test([]byte(s)) }
+func (f *Filter) TestString(s string) bool { return f.TestKey(KeyOf(s)) }
 
 // M returns the bit count, K the number of hash functions.
 func (f *Filter) M() uint64 { return f.m }
@@ -176,6 +192,9 @@ func (f *Filter) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary decodes a filter previously encoded by MarshalBinary.
+// The header must agree with the bitmap it ships with: m fills exactly the
+// bitmap's last word, and k ≤ m, which bounds every probe loop by the
+// input's own size.
 func (f *Filter) UnmarshalBinary(data []byte) error {
 	if len(data) < 24 {
 		return errors.New("bloom: short buffer")
@@ -183,8 +202,12 @@ func (f *Filter) UnmarshalBinary(data []byte) error {
 	m := binary.LittleEndian.Uint64(data[0:])
 	k := binary.LittleEndian.Uint64(data[8:])
 	count := binary.LittleEndian.Uint64(data[16:])
-	words := int((m + 63) / 64)
-	if len(data) != 24+8*words || m == 0 || k == 0 {
+	// ⌈m/64⌉ without the (m+63)/64 that wraps for m near 2^64.
+	words := m / 64
+	if m%64 != 0 {
+		words++
+	}
+	if body := uint64(len(data) - 24); body%8 != 0 || body/8 != words || m == 0 || k == 0 || k > m {
 		return errors.New("bloom: corrupt buffer")
 	}
 	bits := make([]uint64, words)

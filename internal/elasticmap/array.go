@@ -1,17 +1,26 @@
 package elasticmap
 
 import (
-	"sort"
+	"slices"
+	"sync"
+	"sync/atomic"
 
+	"datanet/internal/bloom"
 	"datanet/internal/records"
 )
 
 // Array is the ElasticMap array of paper Fig. 3: one BlockMeta per block
 // file, in block order. Querying it yields the (approximate) distribution
 // of any sub-dataset over all blocks without touching raw data.
+//
+// An Array is immutable once published and is always handled by pointer:
+// it owns its dominant-key Index, built at most once (idxOnce) or handed
+// over already extended by Merge.
 type Array struct {
-	metas []*BlockMeta
-	opts  Options
+	metas   []*BlockMeta
+	opts    Options
+	idxOnce sync.Once
+	idx     atomic.Pointer[Index]
 }
 
 // Build constructs the array from per-block record slices, scanning each
@@ -38,6 +47,35 @@ func (a *Array) Block(i int) *BlockMeta { return a.metas[i] }
 // Options returns the construction options.
 func (a *Array) Options() Options { return a.opts }
 
+// Index returns the array's inverted dominant-key index, building it on
+// first use. Concurrent first callers share one build.
+func (a *Array) Index() *Index {
+	a.idxOnce.Do(func() {
+		if a.idx.Load() == nil {
+			a.idx.Store(NewIndex(a))
+		}
+	})
+	return a.idx.Load()
+}
+
+// scan is the one Eq.-6 pass every per-sub query folds over. It calls
+// visit, in block order, for each block where sub is present: Hashed
+// blocks come from the index's block-sorted entries for sub, and every
+// other block costs one Bloom probe with a key digested once. The answers
+// are exactly BlockMeta.Query's, block by block.
+func (a *Array) scan(sub string, visit func(block int, size int64, class Class)) {
+	dom := a.Index().dominant[sub]
+	key := bloom.KeyOf(sub)
+	for i, m := range a.metas {
+		if len(dom) > 0 && dom[0].Block == i {
+			visit(i, dom[0].Size, Hashed)
+			dom = dom[1:]
+		} else if m.filter.TestKey(key) {
+			visit(i, m.delta, Bloomed)
+		}
+	}
+}
+
 // BlockEstimate is one block's contribution to a sub-dataset.
 type BlockEstimate struct {
 	Block int
@@ -51,13 +89,9 @@ type BlockEstimate struct {
 // with no record in hash map or Bloom filter need not be read at all).
 func (a *Array) Distribution(sub string) []BlockEstimate {
 	var out []BlockEstimate
-	for i, m := range a.metas {
-		sz, class := m.Query(sub)
-		if class == Absent {
-			continue
-		}
-		out = append(out, BlockEstimate{Block: i, Size: sz, Class: class})
-	}
+	a.scan(sub, func(i int, size int64, class Class) {
+		out = append(out, BlockEstimate{Block: i, Size: size, Class: class})
+	})
 	return out
 }
 
@@ -66,38 +100,27 @@ func (a *Array) Distribution(sub string) []BlockEstimate {
 // the scheduler's weight vector.
 func (a *Array) Weights(sub string) []int64 {
 	w := make([]int64, len(a.metas))
-	for _, be := range a.Distribution(sub) {
-		w[be.Block] = be.Size
-	}
+	a.scan(sub, func(i int, size int64, _ Class) { w[i] = size })
 	return w
 }
 
 // Estimate evaluates paper Eq. 6 for sub: the exact sizes of hash-resident
 // blocks (τ1) plus δ per Bloom-resident block (τ2).
 func (a *Array) Estimate(sub string) int64 {
-	var total int64
-	for _, m := range a.metas {
-		sz, class := m.Query(sub)
-		if class != Absent {
-			total += sz
-		}
-	}
+	total, _, _ := a.EstimateDetailed(sub)
 	return total
 }
 
 // EstimateDetailed also reports the τ1/τ2 split sizes.
 func (a *Array) EstimateDetailed(sub string) (total int64, hashedBlocks, bloomedBlocks int) {
-	for _, m := range a.metas {
-		sz, class := m.Query(sub)
-		switch class {
-		case Hashed:
-			total += sz
+	a.scan(sub, func(_ int, size int64, class Class) {
+		total += size
+		if class == Hashed {
 			hashedBlocks++
-		case Bloomed:
-			total += sz
+		} else {
 			bloomedBlocks++
 		}
-	}
+	})
 	return total, hashedBlocks, bloomedBlocks
 }
 
@@ -146,17 +169,12 @@ func (a *Array) MeanAlpha() float64 {
 // Subs returns the union of all sub-dataset keys recorded exactly (hash
 // maps only; Bloom filters cannot be enumerated), sorted.
 func (a *Array) Subs() []string {
-	set := make(map[string]struct{})
-	for _, m := range a.metas {
-		for sub := range m.hash {
-			set[sub] = struct{}{}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for sub := range set {
+	dominant := a.Index().dominant
+	out := make([]string, 0, len(dominant))
+	for sub := range dominant {
 		out = append(out, sub)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 

@@ -1,6 +1,7 @@
 package elasticmap
 
 import (
+	"math"
 	"testing"
 
 	"datanet/internal/records"
@@ -15,6 +16,8 @@ func FuzzDecodeNeverPanics(f *testing.F) {
 	f.Add([]byte("DNE1"))
 	f.Add([]byte("nope"))
 	f.Add([]byte{})
+	f.Add(withFilterBlob(math.MaxUint64, 1, nil))
+	f.Add(withFilterBlob(64, math.MaxUint64, []uint64{math.MaxUint64}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		arr, err := Decode(data)
 		if err != nil {
@@ -25,6 +28,8 @@ func FuzzDecodeNeverPanics(f *testing.F) {
 			arr.Block(i).Query("probe")
 		}
 		arr.Estimate("probe")
+		arr.HeatProfile("probe")
+		arr.Subs()
 		arr.MemoryBits()
 	})
 }

@@ -12,18 +12,19 @@ package elasticmap
 // the δ approximation for Bloom-resident ones, 0 when absent. The result
 // is clamped to [0, 1].
 func (b *BlockMeta) Concentration(sub string) float64 {
-	if b.rawBytes <= 0 {
-		return 0
-	}
 	sz, class := b.Query(sub)
 	if class == Absent {
 		return 0
 	}
-	c := float64(sz) / float64(b.rawBytes)
-	if c > 1 {
-		c = 1
+	return b.concentration(sz)
+}
+
+// concentration is size's share of the block's bytes, capped at 1.
+func (b *BlockMeta) concentration(size int64) float64 {
+	if b.rawBytes <= 0 {
+		return 0
 	}
-	return c
+	return min(float64(size)/float64(b.rawBytes), 1)
 }
 
 // DominantConcentration returns the largest hash-resident concentration
@@ -52,8 +53,6 @@ func (b *BlockMeta) DominantConcentration() float64 {
 // this is the heat signal placement.BlockInfo consumes.
 func (a *Array) HeatProfile(sub string) []float64 {
 	out := make([]float64, len(a.metas))
-	for i, m := range a.metas {
-		out[i] = m.Concentration(sub)
-	}
+	a.scan(sub, func(i int, size int64, _ Class) { out[i] = a.metas[i].concentration(size) })
 	return out
 }

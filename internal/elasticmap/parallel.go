@@ -1,6 +1,7 @@
 package elasticmap
 
 import (
+	"maps"
 	"runtime"
 	"sort"
 	"sync"
@@ -49,36 +50,33 @@ func BuildParallel(blocks [][]records.Record, opts Options, workers int) *Array 
 	return FromMetas(metas, opts)
 }
 
-// Append extends the array with meta-data for newly written blocks —
-// incremental maintenance as a log grows (new HDFS blocks are immutable
-// once closed, so existing metas never change).
-func (a *Array) Append(blocks [][]records.Record) {
-	for _, recs := range blocks {
-		a.metas = append(a.metas, BuildBlockMeta(recs, a.opts))
-	}
-}
-
-// Appended is the copy-on-write variant of Append: it returns a new array
-// covering a's blocks followed by meta-data for the new blocks, leaving a
-// untouched. BlockMeta values are immutable after construction, so the two
-// arrays may safely share them across goroutines — this is the primitive
-// the metadata service's snapshot store builds its epochs from.
+// Appended returns a new array covering a's blocks followed by meta-data
+// for newly written blocks, leaving a untouched — incremental maintenance
+// as a log grows (new HDFS blocks are immutable once closed, so existing
+// metas never change). BlockMeta values are immutable after construction,
+// so the two arrays may safely share them across goroutines — this is the
+// primitive the metadata service's snapshot store builds its epochs from.
 func (a *Array) Appended(blocks [][]records.Record) *Array {
-	metas := make([]*BlockMeta, 0, len(a.metas)+len(blocks))
-	metas = append(metas, a.metas...)
-	for _, recs := range blocks {
-		metas = append(metas, BuildBlockMeta(recs, a.opts))
+	metas := make([]*BlockMeta, len(blocks))
+	for i, recs := range blocks {
+		metas[i] = BuildBlockMeta(recs, a.opts)
 	}
-	return FromMetas(metas, a.opts)
+	return Merge(a, FromMetas(metas, a.opts))
 }
 
 // Merge concatenates two arrays built with compatible options (block order:
-// a's blocks then b's). It returns a new array; inputs are unchanged.
+// a's blocks then b's). It returns a new array; inputs are unchanged. When
+// a's index is already built, the merged array's index extends it with b's
+// entries instead of being rebuilt from every block.
 func Merge(a, b *Array) *Array {
 	metas := make([]*BlockMeta, 0, len(a.metas)+len(b.metas))
 	metas = append(metas, a.metas...)
 	metas = append(metas, b.metas...)
-	return FromMetas(metas, a.opts)
+	out := FromMetas(metas, a.opts)
+	if ix := a.idx.Load(); ix != nil {
+		out.idx.Store(ix.extended(b.metas, len(a.metas)))
+	}
+	return out
 }
 
 // Index is an inverted view of an Array: sub-dataset key → block estimates,
@@ -86,22 +84,39 @@ func Merge(a, b *Array) *Array {
 // scheduler's per-job query path touches one key; interactive exploration
 // touches thousands). Only hash-resident (dominant) entries can be
 // inverted — Bloom filters are not enumerable — so Index answers
-// DominantDistribution; callers needing Bloom-approximate tails fall back
-// to Array.Distribution.
+// DominantDistribution, and the array's Eq.-6 scan probes Bloom filters
+// only in the blocks the index does not list.
 type Index struct {
-	arr      *Array
 	dominant map[string][]BlockEstimate
 }
 
-// NewIndex builds the inverted index in one pass over the hash maps.
+// NewIndex builds a fresh inverted index in one pass over the hash maps.
+// Array.Index returns the array's own, built once.
 func NewIndex(arr *Array) *Index {
-	idx := &Index{arr: arr, dominant: make(map[string][]BlockEstimate)}
-	for i, m := range arr.metas {
+	return (&Index{}).extended(arr.metas, 0)
+}
+
+// extended returns ix with the dominant entries of metas added as blocks
+// offset, offset+1, …; ix itself is unchanged. An inherited slice is
+// extended through a full-slice expression, so the append reallocates
+// instead of writing into ix's backing array — two extensions of one
+// index never share storage.
+func (ix *Index) extended(metas []*BlockMeta, offset int) *Index {
+	fresh := make(map[string][]BlockEstimate)
+	for j, m := range metas {
 		for sub, sz := range m.hash {
-			idx.dominant[sub] = append(idx.dominant[sub], BlockEstimate{Block: i, Size: sz, Class: Hashed})
+			fresh[sub] = append(fresh[sub], BlockEstimate{Block: offset + j, Size: sz, Class: Hashed})
 		}
 	}
-	return idx
+	if len(ix.dominant) == 0 {
+		return &Index{dominant: fresh}
+	}
+	dominant := maps.Clone(ix.dominant)
+	for sub, add := range fresh {
+		prev := dominant[sub]
+		dominant[sub] = append(prev[:len(prev):len(prev)], add...)
+	}
+	return &Index{dominant: dominant}
 }
 
 // DominantDistribution returns the exactly-recorded per-block sizes of sub

@@ -49,8 +49,11 @@ func TestBuildParallelMatchesSequential(t *testing.T) {
 
 func TestAppendExtends(t *testing.T) {
 	blocks := manyBlocks(10)
-	arr := Build(blocks[:6], testOpts(0.3))
-	arr.Append(blocks[6:])
+	base := Build(blocks[:6], testOpts(0.3))
+	arr := base.Appended(blocks[6:])
+	if base.Len() != 6 {
+		t.Fatalf("Appended changed its receiver: Len = %d", base.Len())
+	}
 	if arr.Len() != 10 {
 		t.Fatalf("Len = %d after append", arr.Len())
 	}

@@ -1,10 +1,12 @@
 // Package hashutil holds the one FNV-1a implementation every layer
 // shares. The shard router (internal/clusterd), the loadgen response
-// digest and the chaos cluster replay digest all previously instantiated
-// hash/fnv separately; they now meet here so the constants and the
-// streaming semantics cannot drift apart. The digest is bit-compatible
+// digest, the chaos cluster replay digest and the Bloom filter's probe
+// digests (internal/bloom) all previously instantiated hash/fnv
+// separately; they now meet here so the constants and the streaming
+// semantics cannot drift apart. The digest is bit-compatible
 // with hash/fnv's New64a over the same byte stream, which is what keeps
-// pre-refactor loadgen summary lines and chaos corpus digests unchanged.
+// pre-refactor loadgen summary lines, chaos corpus digests and encoded
+// Bloom filters unchanged.
 package hashutil
 
 // FNV-64a parameters (FNV-1a, 64-bit variant).

@@ -46,7 +46,8 @@ type Snapshot struct {
 	Epoch uint64
 	// Arr is the ElasticMap array of this epoch.
 	Arr *elasticmap.Array
-	// Idx is the inverted dominant-key index over Arr.
+	// Idx is Arr's own inverted dominant-key index (Arr.Index()), the one
+	// its Eq.-6 scans walk.
 	Idx *elasticmap.Index
 	// cache memoizes query results for this epoch only.
 	cache *resultCache
@@ -200,7 +201,7 @@ func (s *Store) newSnapshot(name string, epoch uint64, arr *elasticmap.Array) *S
 		Name:  name,
 		Epoch: epoch,
 		Arr:   arr,
-		Idx:   elasticmap.NewIndex(arr),
+		Idx:   arr.Index(), // built here, on the write path, never by a reader
 		cache: newResultCache(s.cacheSize),
 	}
 }
