@@ -18,8 +18,9 @@ import (
 )
 
 func main() {
+	typ := gen.Kind("movies")
+	flag.Var(&typ, "type", "dataset type: movies | events | weblog")
 	var (
-		typ     = flag.String("type", "movies", "dataset type: movies | events | weblog")
 		out     = flag.String("out", "dataset.dnr", "output path")
 		n       = flag.Int("records", 100000, "record count")
 		movies  = flag.Int("movies", 2000, "movie catalogue size (movies type)")
@@ -28,32 +29,7 @@ func main() {
 		quietly = flag.Bool("q", false, "suppress the summary")
 	)
 	flag.Parse()
-
-	var recs []records.Record
-	switch *typ {
-	case "movies":
-		recs = gen.Movies(gen.MovieConfig{
-			Movies:   *movies,
-			Reviews:  *n,
-			SpanDays: *span,
-			Seed:     *seed,
-		})
-	case "events":
-		recs = gen.Events(gen.EventConfig{
-			Events:   *n,
-			SpanDays: *span,
-			Seed:     *seed,
-		})
-	case "weblog":
-		recs = gen.WorldCup(gen.WorldCupConfig{
-			Requests: *n,
-			SpanDays: *span,
-			Seed:     *seed,
-		})
-	default:
-		fmt.Fprintf(os.Stderr, "datagen: unknown type %q (want movies, events or weblog)\n", *typ)
-		os.Exit(2)
-	}
+	recs := typ.Generate(*n, *movies, *span, *seed)
 
 	f, err := os.Create(*out)
 	if err != nil {

@@ -11,14 +11,12 @@ import (
 	"os"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"datanet/internal/cluster"
 	"datanet/internal/clusterd"
 	"datanet/internal/detect"
-	"datanet/internal/elasticmap"
 	"datanet/internal/faults"
 	"datanet/internal/obs"
 	"datanet/internal/server"
@@ -108,43 +106,31 @@ func (cs *clusterServer) shutdown() error {
 // HTTP API behind a leadership gate, and an admin plane for topology,
 // node addition and decommissioning. The first node takes the requested
 // address; the rest bind ephemeral ports on the same host.
-func serveCluster(ctx context.Context, addr string, metas []string, cacheSize, nodes, replicas, shards int, ready func(addr string), o obsOptions) error {
+func serveCluster(ctx context.Context, f *serveFlags, ready func(addr string)) error {
 	c, err := clusterd.New(clusterd.Config{
-		Shards: shards, Replicas: replicas, CacheSize: cacheSize,
+		Shards: f.shards, Replicas: f.replicas, CacheSize: f.cache,
 		Detect: detect.Config{
 			Mode: detect.Heartbeat, Interval: clusterHBInterval, Timeout: clusterHBTimeout,
 		},
 		ShipDelay: clusterShipDelaySec,
-		Logger:    o.logger,
-	}, nodes)
+		Logger:    f.logger,
+	}, f.cluster)
 	if err != nil {
 		return err
 	}
-	for _, spec := range metas {
-		name, path, ok := strings.Cut(spec, "=")
-		if !ok || name == "" || path == "" {
-			return fmt.Errorf("bad -meta %q (want NAME=FILE)", spec)
-		}
-		blob, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		arr, err := elasticmap.Decode(blob)
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		if err := c.Load(name, arr); err != nil {
+	for _, m := range f.metas {
+		if err := c.Load(m.Name, m.Arr); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "serve: loaded %q from %s (%d blocks, shard %d)\n",
-			name, path, arr.Len(), clusterd.ShardOf(name, shards))
+			m.Name, m.Path, m.Arr.Len(), clusterd.ShardOf(m.Name, f.shards))
 	}
-	host, _, err := net.SplitHostPort(addr)
+	host, _, err := net.SplitHostPort(f.addr)
 	if err != nil {
-		return fmt.Errorf("bad -addr %q: %w", addr, err)
+		return fmt.Errorf("bad -addr %q: %w", f.addr, err)
 	}
 	cs := &clusterServer{
-		c: c, host: host, pprof: o.pprof,
+		c: c, host: host, pprof: f.pprof,
 		handlers: map[cluster.NodeID]*clusterd.Handler{},
 		srvs:     map[cluster.NodeID]*http.Server{},
 	}
@@ -153,7 +139,7 @@ func serveCluster(ctx context.Context, addr string, metas []string, cacheSize, n
 	for i, id := range c.MemberIDs() {
 		nodeAddr := net.JoinHostPort(host, "0")
 		if i == 0 {
-			nodeAddr = addr
+			nodeAddr = f.addr
 		}
 		bound, err := cs.bootNode(id, nodeAddr)
 		if err != nil {
@@ -165,7 +151,7 @@ func serveCluster(ctx context.Context, addr string, metas []string, cacheSize, n
 		fmt.Fprintf(stdout, "serve: node %d listening on http://%s\n", id, bound)
 	}
 	fmt.Fprintf(stdout, "serve: cluster of %d nodes, %d shards, %d replicas per shard; topology at http://%s/admin/topology\n",
-		nodes, shards, replicas, seedAddr)
+		f.cluster, f.shards, f.replicas, seedAddr)
 	if ready != nil {
 		ready(seedAddr)
 	}

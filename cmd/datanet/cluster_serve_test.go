@@ -43,8 +43,8 @@ func TestServeClusterLoadgenSmoke(t *testing.T) {
 	addrCh := make(chan string, 1)
 	serveErr := make(chan error, 1)
 	go func() {
-		serveErr <- serveCluster(ctx, "127.0.0.1:0", []string{"reviews=" + meta}, 64,
-			3, 1, 2, func(a string) { addrCh <- a }, obsOptions{})
+		serveErr <- serveCluster(ctx, serveArgs(t, "-addr", "127.0.0.1:0", "-meta", "reviews="+meta, "-cache", "64",
+			"-cluster", "3", "-replicas", "1", "-shards", "2"), func(a string) { addrCh <- a })
 	}()
 	var addr string
 	select {

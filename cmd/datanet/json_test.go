@@ -29,30 +29,26 @@ func analyzeJSON(t *testing.T, data string) []byte {
 	t.Helper()
 	buf := captureStdout(t)
 	if err := runAnalyze([]string{"-data", data, "-sub", gen.MovieID(0), "-app", "topk",
-		"-sched", "datanet", "-block", "32768", "-nodes", "8", "-racks", "2", "-json"}); err != nil {
+		"-sched", "datanet", "-block", "32768", "-nodes", "8", "-racks", "2", "-out", "json=-"}); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
 func TestAnalyzeJSONGolden(t *testing.T) {
-	got := analyzeJSON(t, writeDataset(t))
-	golden := filepath.Join("testdata", "analyze.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	compareGolden(t, "analyze.golden", analyzeJSON(t, writeDataset(t)))
+}
+
+// The text report of a run that exercises every optional line: faults,
+// heartbeat detection, speculation, skew partitioning and rebalancing.
+func TestAnalyzeTextGolden(t *testing.T) {
+	buf := captureStdout(t)
+	if err := runAnalyze([]string{"-data", writeDataset(t), "-sub", gen.MovieID(0), "-app", "wordcount",
+		"-block", "32768", "-nodes", "8", "-racks", "2", "-crash", "1@0.5:2", "-slow", "3x0.5",
+		"-detect", "heartbeat", "-mitigate", "speculative:0.75", "-partition", "skew", "-rebalance", "hotspot"}); err != nil {
+		t.Fatal(err)
 	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (rerun with -update to regenerate)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("-json output drifted from %s (rerun with -update if intended)\ngot:\n%s", golden, got)
-	}
+	compareGolden(t, "analyze_text.golden", buf.Bytes())
 }
 
 func TestAnalyzeJSONShape(t *testing.T) {
@@ -78,16 +74,24 @@ func TestAnalyzeJSONShape(t *testing.T) {
 }
 
 func TestAnalyzeTraceFiles(t *testing.T) {
+	if inChild() {
+		return
+	}
 	data := writeDataset(t)
 	dir := t.TempDir()
+	jsonl, chrome, doc := filepath.Join(dir, "run.jsonl"), filepath.Join(dir, "run.json"), filepath.Join(dir, "doc.json")
+	args := []string{"-data", data, "-sub", gen.MovieID(0), "-app", "wordcount",
+		"-sched", "datanet", "-block", "32768", "-nodes", "8", "-racks", "2"}
 
-	jsonl := filepath.Join(dir, "run.jsonl")
 	var first []byte
 	for i := 0; i < 2; i++ {
-		if err := runAnalyze([]string{"-data", data, "-sub", gen.MovieID(0), "-app", "wordcount",
-			"-sched", "datanet", "-block", "32768", "-nodes", "8", "-racks", "2",
-			"-trace", jsonl}); err != nil {
+		buf := captureStdout(t)
+		if err := runAnalyze(append(args, "-out", "jsonl="+jsonl, "-out", "chrome="+chrome, "-out", "json="+doc)); err != nil {
 			t.Fatal(err)
+		}
+		// Outputs to files leave the text report on stdout.
+		if !strings.Contains(buf.String(), "out: chrome written to "+chrome) {
+			t.Fatalf("text report does not list the outputs:\n%s", buf)
 		}
 		blob, err := os.ReadFile(jsonl)
 		if err != nil {
@@ -106,12 +110,6 @@ func TestAnalyzeTraceFiles(t *testing.T) {
 		}
 	}
 
-	chrome := filepath.Join(dir, "run.json")
-	if err := runAnalyze([]string{"-data", data, "-sub", gen.MovieID(0), "-app", "wordcount",
-		"-sched", "datanet", "-block", "32768", "-nodes", "8", "-racks", "2",
-		"-trace", chrome, "-trace-format", "chrome"}); err != nil {
-		t.Fatal(err)
-	}
 	blob, err := os.ReadFile(chrome)
 	if err != nil {
 		t.Fatal(err)
@@ -125,9 +123,24 @@ func TestAnalyzeTraceFiles(t *testing.T) {
 	if len(file.TraceEvents) == 0 {
 		t.Fatal("chrome trace has no events")
 	}
+	if blob, err = os.ReadFile(doc); err != nil {
+		t.Fatal(err)
+	}
+	var d analyzeDoc
+	if err := json.Unmarshal(blob, &d); err != nil || d.Result == nil {
+		t.Fatalf("json document invalid: %v", err)
+	}
 
-	if err := runAnalyze([]string{"-data", data, "-sub", gen.MovieID(0),
-		"-trace", chrome, "-trace-format", "nope"}); err == nil {
-		t.Error("bad -trace-format accepted")
+	// An output to stdout replaces the text report.
+	buf := captureStdout(t)
+	if err := runAnalyze(append(args, "-out", "jsonl=-")); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "total makespan") || !strings.HasPrefix(buf.String(), "{") {
+		t.Errorf("-out jsonl=- printed more than the timeline:\n%.200s", buf)
+	}
+
+	if got := exitStatus(t, append([]string{"analyze", "-out", "nope=" + chrome}, args...)...); got != 2 {
+		t.Errorf("-out nope=FILE: exit status %d, want 2", got)
 	}
 }

@@ -76,16 +76,23 @@ func TestRunAnalyze(t *testing.T) {
 }
 
 func TestRunAnalyzeErrors(t *testing.T) {
-	data := writeDataset(t)
-	if err := runAnalyze([]string{"-data", data, "-sub", "x", "-app", "nope"}); err == nil {
-		t.Error("unknown app accepted")
+	if inChild() {
+		return
 	}
-	// `*coded > 0` is false for NaN: without its own check the flag would
-	// silently run unmitigated.
-	for _, rate := range []string{"NaN", "-0.5"} {
-		if err := runAnalyze([]string{"-data", data, "-sub", "x", "-coded", rate}); err == nil {
-			t.Errorf("-coded %s accepted", rate)
+	data := writeDataset(t)
+	// An unknown app and an out-of-range mitigation parameter fail as the
+	// flag set reads them. `coded:NaN` is the case a `rate > 0` check
+	// would let through to an unmitigated run.
+	for _, bad := range [][]string{
+		{"-app", "nope"}, {"-mitigate", "coded:NaN"}, {"-mitigate", "coded:-0.5"}, {"-mitigate", "speculative:1"},
+		{"-crash", "2@x"}, {"-slow", "3"}, {"-out", "svg=run.svg"}, {"-out", "json="},
+	} {
+		if got := exitStatus(t, append([]string{"analyze", "-data", data, "-sub", "x"}, bad...)...); got != 2 {
+			t.Errorf("analyze %v: exit status %d, want 2", bad, got)
 		}
+	}
+	if err := runAnalyze([]string{"-data", data, "-sub", "x", "-app", "join"}); err == nil {
+		t.Error("-app join without -join-sub accepted")
 	}
 	if err := runAnalyze([]string{"-data", data}); err == nil {
 		t.Error("missing -sub accepted")
@@ -96,30 +103,34 @@ func TestRunAnalyzeErrors(t *testing.T) {
 }
 
 // The policy flags parse into their values as the flag set reads them, so
-// a name no policy knows is a usage error (exit status 2). The flag set
-// exits the process: the test re-executes its own binary with the flag's
-// name and value as arguments.
+// a name no policy knows is a usage error (exit status 2); so are the
+// spellings -mitigate and -out replaced.
 func TestRunAnalyzeRejectsPolicyNames(t *testing.T) {
-	if args := flag.Args(); len(args) == 2 {
-		runAnalyze([]string{"-" + args[0], args[1]})
+	if inChild() {
 		return
 	}
-	for _, name := range []string{"sched", "detect", "partition", "rebalance"} {
-		err := exec.Command(os.Args[0], "-test.run=^TestRunAnalyzeRejectsPolicyNames$", name, "nope").Run()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Errorf("analyze -%s nope: %v, want exit status 2", name, err)
+	for _, name := range []string{"sched", "detect", "partition", "rebalance", "mitigate",
+		"speculate", "spec-quantile", "coded", "trace", "trace-format", "json"} {
+		if got := exitStatus(t, "analyze", "-"+name, "nope"); got != 2 {
+			t.Errorf("analyze -%s nope: exit status %d, want 2", name, got)
 		}
 	}
 }
 
 func TestRunTop(t *testing.T) {
+	if inChild() {
+		return
+	}
 	data := writeDataset(t)
 	if err := runTop([]string{"-data", data, "-n", "3"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := runTop([]string{"-data", data, "-n", "99999"}); err != nil {
 		t.Fatal(err)
+	}
+	// A negative count once sliced past the list's start and panicked.
+	if got := exitStatus(t, "top", "-data", data, "-n", "-1"); got != 2 {
+		t.Errorf("top -n -1: exit status %d, want 2", got)
 	}
 }
 
@@ -172,6 +183,9 @@ func TestRunTopMetaOnly(t *testing.T) {
 }
 
 func TestRunVerify(t *testing.T) {
+	if inChild() {
+		return
+	}
 	data := writeDataset(t)
 	meta := filepath.Join(t.TempDir(), "meta.em")
 	if err := runBuild([]string{"-data", data, "-meta", meta, "-block", "32768", "-nodes", "8", "-racks", "2"}); err != nil {
@@ -188,6 +202,10 @@ func TestRunVerify(t *testing.T) {
 	}
 	if err := runVerify([]string{"-data", data}); err == nil {
 		t.Error("missing -meta accepted")
+	}
+	// A negative count once sliced past the list's start and panicked.
+	if got := exitStatus(t, "verify", "-data", data, "-meta", meta, "-samples", "-1"); got != 2 {
+		t.Errorf("verify -samples -1: exit status %d, want 2", got)
 	}
 }
 
@@ -209,18 +227,66 @@ func TestRunChaosPrintsBundleCensus(t *testing.T) {
 }
 
 // The per-policy switches are gone from the chaos subcommand: passing one
-// is a usage error (exit status 2). The flag set exits the process, so the
-// test re-executes its own binary with the flag's name as an argument.
+// is a usage error (exit status 2).
 func TestRunChaosRejectsPolicyFlags(t *testing.T) {
-	if args := flag.Args(); len(args) == 1 {
-		runChaos([]string{"-" + args[0], "x"})
+	if inChild() {
 		return
 	}
 	for _, name := range []string{"mitigate", "rebalance", "partition"} {
-		err := exec.Command(os.Args[0], "-test.run=^TestRunChaosRejectsPolicyFlags$", name).Run()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Errorf("chaos -%s x: %v, want exit status 2", name, err)
+		if got := exitStatus(t, "chaos", "-"+name, "x"); got != 2 {
+			t.Errorf("chaos -%s x: exit status %d, want 2", name, got)
 		}
 	}
+}
+
+// The help text of analyze and chaos is pinned, like serve's and loadgen's.
+func TestAnalyzeHelpGolden(t *testing.T) {
+	var buf bytes.Buffer
+	f := newAnalyzeFlags()
+	f.fs.SetOutput(&buf)
+	f.fs.Usage()
+	compareGolden(t, "analyze_help.golden", buf.Bytes())
+}
+
+func TestChaosHelpGolden(t *testing.T) {
+	var buf bytes.Buffer
+	f := newChaosFlags()
+	f.fs.SetOutput(&buf)
+	f.fs.Usage()
+	compareGolden(t, "chaos_help.golden", buf.Bytes())
+}
+
+// inChild runs `datanet ARGS...` when exitStatus started this test binary
+// with ARGS after its own flags, and reports whether it did.
+func inChild() bool {
+	if flag.NArg() == 0 {
+		return false
+	}
+	os.Args = append([]string{"datanet"}, flag.Args()...)
+	main()
+	return true
+}
+
+// exitStatus runs `datanet args...` in a child copy of the test binary and
+// returns its exit status: a flag set exits the process on a usage error.
+// The child re-enters the calling test, which must begin with
+// `if inChild() { return }`. A panic also exits with status 2, so a child
+// that panicked fails the test.
+func exitStatus(t *testing.T, args ...string) int {
+	t.Helper()
+	var stderr bytes.Buffer
+	cmd := exec.Command(os.Args[0], append([]string{"-test.run=^" + t.Name() + "$"}, args...)...)
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	if bytes.Contains(stderr.Bytes(), []byte("panic:")) {
+		t.Fatalf("datanet %v panicked:\n%s", args, stderr.Bytes())
+	}
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		return exit.ExitCode()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return 0
 }

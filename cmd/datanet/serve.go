@@ -13,82 +13,64 @@ import (
 	nhpprof "net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
-	rtpprof "runtime/pprof"
 	"sort"
 	"strings"
 	"sync"
 	"syscall"
 	"time"
 
-	"datanet/internal/elasticmap"
 	"datanet/internal/hashutil"
 	"datanet/internal/metrics"
 	"datanet/internal/obs"
 	"datanet/internal/server"
 )
 
-// multiFlag collects a repeatable string flag.
-type multiFlag []string
-
-func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
-func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
-
-// serveFlags holds the serve flag set; split out so tests can golden the
-// help text without the ExitOnError parse path terminating the process.
+// serveFlags is the serve flag set, bound into the values the daemon runs
+// with; split out so tests can golden the help text without the
+// ExitOnError parse path terminating the process.
 type serveFlags struct {
-	fs       *flag.FlagSet
-	addr     *string
-	cache    *int
-	cluster  *int
-	logLevel *string
-	pprof    *bool
-	replicas *int
-	shards   *int
-	metas    multiFlag
+	fs                               *flag.FlagSet
+	addr, logLevel                   string
+	cache, cluster, replicas, shards int
+	pprof                            bool
+	metas                            server.ArrayFiles
+	// logger is -log-level's logger; nil (off) is the deterministic
+	// default the loadgen and chaos goldens rely on.
+	logger *slog.Logger
 }
 
 func newServeFlags() *serveFlags {
 	f := &serveFlags{fs: flag.NewFlagSet("serve", flag.ExitOnError)}
-	f.addr = f.fs.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
-	f.cache = f.fs.Int("cache", server.DefaultCacheSize, "per-epoch result-cache entries per array")
-	f.cluster = f.fs.Int("cluster", 0, "serve as an N-node sharded cluster instead of a single process (0 = single)")
-	f.logLevel = f.fs.String("log-level", "off", "structured request/event log to stderr: off | debug | info | warn | error")
-	f.pprof = f.fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on every node")
-	f.replicas = f.fs.Int("replicas", 1, "followers per shard in cluster mode")
-	f.shards = f.fs.Int("shards", 4, "catalog shards in cluster mode")
+	f.fs.StringVar(&f.addr, "addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
+	f.fs.IntVar(&f.cache, "cache", server.DefaultCacheSize, "per-epoch result-cache entries per array")
+	f.fs.IntVar(&f.cluster, "cluster", 0, "serve as an N-node sharded cluster instead of a single process (0 = single)")
+	f.fs.StringVar(&f.logLevel, "log-level", "off", "structured request/event log to stderr: off | debug | info | warn | error")
+	f.fs.BoolVar(&f.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/ on every node")
+	f.fs.IntVar(&f.replicas, "replicas", 1, "followers per shard in cluster mode")
+	f.fs.IntVar(&f.shards, "shards", 4, "catalog shards in cluster mode")
 	f.fs.Var(&f.metas, "meta", "NAME=FILE: serve the encoded ElasticMap array FILE as NAME (repeatable)")
 	return f
 }
 
-// obsOptions carries the serving observability knobs. The zero value —
-// no logger, no pprof — is the deterministic default the loadgen/chaos
-// goldens rely on; tracing itself is always on (bounded ring, wall-clock
-// only, invisible to response bodies).
-type obsOptions struct {
-	logger *slog.Logger
-	pprof  bool
-}
-
 // runServe loads encoded ElasticMap arrays and serves the metadata query
-// API until interrupted.
+// API until interrupted. Tracing is always on (a bounded ring, wall-clock
+// only, invisible to response bodies); logging and pprof are opt-in.
 func runServe(args []string) error {
 	f := newServeFlags()
 	f.fs.Parse(args)
 	if len(f.metas) == 0 {
 		return fmt.Errorf("at least one -meta NAME=FILE is required")
 	}
-	logger, err := obs.NewLogger(*f.logLevel, os.Stderr)
-	if err != nil {
+	var err error
+	if f.logger, err = obs.NewLogger(f.logLevel, os.Stderr); err != nil {
 		return err
 	}
-	o := obsOptions{logger: logger, pprof: *f.pprof}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if *f.cluster > 0 {
-		return serveCluster(ctx, *f.addr, f.metas, *f.cache, *f.cluster, *f.replicas, *f.shards, nil, o)
+	if f.cluster > 0 {
+		return serveCluster(ctx, f, nil)
 	}
-	return serve(ctx, *f.addr, f.metas, *f.cache, nil, o)
+	return serve(ctx, f, nil)
 }
 
 // mountPprof exposes the standard net/http/pprof handlers on mux.
@@ -103,26 +85,14 @@ func mountPprof(mux *http.ServeMux) {
 // serve is the signal-free core of runServe: it blocks until ctx is
 // canceled or the listener fails. Tests pass a cancelable ctx and a ready
 // hook to learn the bound address when -addr ends in :0.
-func serve(ctx context.Context, addr string, metas []string, cacheSize int, ready func(addr string), o obsOptions) error {
-	store := server.NewStore(cacheSize)
-	for _, spec := range metas {
-		name, path, ok := strings.Cut(spec, "=")
-		if !ok || name == "" || path == "" {
-			return fmt.Errorf("bad -meta %q (want NAME=FILE)", spec)
-		}
-		blob, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		arr, err := elasticmap.Decode(blob)
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		sn := store.Put(name, arr)
+func serve(ctx context.Context, f *serveFlags, ready func(addr string)) error {
+	store := server.NewStore(f.cache)
+	for _, m := range f.metas {
+		sn := store.Put(m.Name, m.Arr)
 		fmt.Fprintf(stdout, "serve: loaded %q from %s (%d blocks, %d raw bytes, epoch %d)\n",
-			name, path, arr.Len(), arr.RawBytes(), sn.Epoch)
+			m.Name, m.Path, m.Arr.Len(), m.Arr.RawBytes(), sn.Epoch)
 	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", f.addr)
 	if err != nil {
 		return err
 	}
@@ -142,10 +112,10 @@ func serve(ctx context.Context, addr string, metas []string, cacheSize int, read
 		w.Header().Set("Content-Type", obs.PromContentType)
 		w.Write(server.RenderProm(api.DumpMetrics(), false))
 	})
-	if o.pprof {
+	if f.pprof {
 		mountPprof(mux)
 	}
-	mux.Handle("/", obs.Middleware(tracer, -1, o.logger, api))
+	mux.Handle("/", obs.Middleware(tracer, -1, f.logger, api))
 	srv := &http.Server{Handler: mux}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
@@ -175,66 +145,25 @@ type genRequest struct {
 // loadgenKinds is the fixed reporting order of the per-endpoint lines.
 var loadgenKinds = []string{"estimate", "distribution", "top", "info", "plan"}
 
-// loadgenFlags holds the loadgen flag set (see serveFlags).
+// loadgenFlags is the loadgen flag set (see serveFlags).
 type loadgenFlags struct {
-	fs        *flag.FlagSet
-	addr      *string
-	array     *string
-	clients   *int
-	profile   *string
-	requests  *int
-	seed      *int64
-	planNodes *int
+	fs                           *flag.FlagSet
+	addr, array                  string
+	clients, requests, planNodes int
+	seed                         int64
+	profile                      obs.Profile
 }
 
 func newLoadgenFlags() *loadgenFlags {
 	f := &loadgenFlags{fs: flag.NewFlagSet("loadgen", flag.ExitOnError)}
-	f.addr = f.fs.String("addr", "127.0.0.1:8080", "server address host:port")
-	f.array = f.fs.String("array", "", "array to query (default: first name in the server catalog)")
-	f.clients = f.fs.Int("clients", 8, "concurrent client goroutines")
-	f.profile = f.fs.String("profile", "", "cpu=FILE or heap=FILE: write a pprof profile of the loadgen run")
-	f.requests = f.fs.Int("requests", 1000, "total requests across all clients")
-	f.seed = f.fs.Int64("seed", 1, "query-mix seed; the summary line is a pure function of it")
-	f.planNodes = f.fs.Int("plan-nodes", 8, "cluster size used by generated plan requests")
+	f.fs.StringVar(&f.addr, "addr", "127.0.0.1:8080", "server address host:port")
+	f.fs.StringVar(&f.array, "array", "", "array to query (default: first name in the server catalog)")
+	f.fs.IntVar(&f.clients, "clients", 8, "concurrent client goroutines")
+	f.fs.Var(&f.profile, "profile", "cpu=FILE or heap=FILE: write a pprof profile of the loadgen run")
+	f.fs.IntVar(&f.requests, "requests", 1000, "total requests across all clients")
+	f.fs.Int64Var(&f.seed, "seed", 1, "query-mix seed; the summary line is a pure function of it")
+	f.fs.IntVar(&f.planNodes, "plan-nodes", 8, "cluster size used by generated plan requests")
 	return f
-}
-
-// startProfile interprets -profile: "cpu=FILE" profiles the whole run,
-// "heap=FILE" snapshots the heap after it. stop runs once the run ends.
-func startProfile(spec string) (stop func() error, err error) {
-	mode, path, ok := strings.Cut(spec, "=")
-	if !ok || path == "" {
-		return nil, fmt.Errorf("bad -profile %q (want cpu=FILE or heap=FILE)", spec)
-	}
-	switch mode {
-	case "cpu":
-		f, err := os.Create(path)
-		if err != nil {
-			return nil, err
-		}
-		if err := rtpprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		return func() error {
-			rtpprof.StopCPUProfile()
-			return f.Close()
-		}, nil
-	case "heap":
-		return func() error {
-			f, err := os.Create(path)
-			if err != nil {
-				return err
-			}
-			runtime.GC()
-			if err := rtpprof.WriteHeapProfile(f); err != nil {
-				f.Close()
-				return err
-			}
-			return f.Close()
-		}, nil
-	}
-	return nil, fmt.Errorf("unknown -profile mode %q (want cpu or heap)", mode)
 }
 
 // runLoadgen fires a seeded query mix at a running serve instance from N
@@ -244,11 +173,10 @@ func startProfile(spec string) (stop func() error, err error) {
 func runLoadgen(args []string) error {
 	f := newLoadgenFlags()
 	f.fs.Parse(args)
-	if *f.clients < 1 || *f.requests < 1 {
+	if f.clients < 1 || f.requests < 1 {
 		return fmt.Errorf("-clients and -requests must be at least 1")
 	}
-	clients, requests, seed, planNodes := f.clients, f.requests, f.seed, f.planNodes
-	base := "http://" + *f.addr
+	base := "http://" + f.addr
 	// One transport for every loadgen client, its idle connections closed
 	// on the way out: a keep-alive connection dialed but never used stays in
 	// StateNew on the server, and http.Server.Shutdown waits on those.
@@ -260,7 +188,7 @@ func runLoadgen(args []string) error {
 	// typed failover 503s; against a single server it is a passthrough.
 	router := newLoadgenRouter(client, base)
 
-	name := *f.array
+	name := f.array
 	if name == "" {
 		var names []string
 		if router.Clustered() {
@@ -283,7 +211,7 @@ func runLoadgen(args []string) error {
 			}
 		}
 		if len(names) == 0 {
-			return fmt.Errorf("server at %s has no arrays", *f.addr)
+			return fmt.Errorf("server at %s has no arrays", f.addr)
 		}
 		name = names[0]
 	}
@@ -305,19 +233,16 @@ func runLoadgen(args []string) error {
 		subs = []string{"loadgen-empty-pool"}
 	}
 
-	reqs := generateMix(rand.New(rand.NewSource(*seed)), name, subs, *requests, *planNodes)
+	reqs := generateMix(rand.New(rand.NewSource(f.seed)), name, subs, f.requests, f.planNodes)
 	// Request IDs propagate end to end (X-Datanet-Request-Id): a span in
 	// any node's /admin/trace names the loadgen request that caused it.
 	for i := range reqs {
-		reqs[i].id = fmt.Sprintf("lg%d-%04d", *seed, i)
+		reqs[i].id = fmt.Sprintf("lg%d-%04d", f.seed, i)
 	}
 
-	var stopProfile func() error
-	if *f.profile != "" {
-		var err error
-		if stopProfile, err = startProfile(*f.profile); err != nil {
-			return err
-		}
+	stopProfile, err := f.profile.Start()
+	if err != nil {
+		return err
 	}
 
 	type clientStats struct {
@@ -330,10 +255,10 @@ func runLoadgen(args []string) error {
 		perKind    map[string]*metrics.Histogram
 		retryKinds map[string]int
 	}
-	stats := make([]clientStats, *clients)
+	stats := make([]clientStats, f.clients)
 	var wg sync.WaitGroup
 	start := time.Now()
-	for c := 0; c < *clients; c++ {
+	for c := 0; c < f.clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
@@ -341,7 +266,7 @@ func runLoadgen(args []string) error {
 			st.lat = metrics.NewHistogram()
 			st.perKind = map[string]*metrics.Histogram{}
 			st.retryKinds = map[string]int{}
-			for i := c; i < len(reqs); i += *clients {
+			for i := c; i < len(reqs); i += f.clients {
 				q := reqs[i]
 				t0 := time.Now()
 				status, body, retryKinds, err := router.do(q, name)
@@ -380,10 +305,8 @@ func runLoadgen(args []string) error {
 	}
 	wg.Wait()
 	wall := time.Since(start)
-	if stopProfile != nil {
-		if err := stopProfile(); err != nil {
-			return err
-		}
+	if err := stopProfile(); err != nil {
+		return err
 	}
 
 	var digest uint64
@@ -412,7 +335,7 @@ func runLoadgen(args []string) error {
 	// measurements second. Retries are wall-clock noise (failover windows),
 	// so they live on the second line.
 	fmt.Fprintf(stdout, "loadgen: %d requests to %q (%d clients, seed %d): %d ok, %d http-errors, %d transport-errors, digest %016x\n",
-		len(reqs), name, *clients, *seed, ok, httpErr, transport, digest)
+		len(reqs), name, f.clients, f.seed, ok, httpErr, transport, digest)
 	fmt.Fprintf(stdout, "loadgen: wall %.2fs, %.0f req/s, %d retries; latency ms p50 %.3f p95 %.3f p99 %.3f max %.3f\n",
 		wall.Seconds(), float64(len(reqs))/wall.Seconds(), retried,
 		lat.Quantile(0.50), lat.Quantile(0.95), lat.Quantile(0.99), lat.Max())
@@ -436,9 +359,8 @@ func runLoadgen(args []string) error {
 		}
 		fmt.Fprintf(stdout, "loadgen: retries by kind: %s\n", strings.Join(parts, " "))
 	}
-	if *f.profile != "" {
-		mode, path, _ := strings.Cut(*f.profile, "=")
-		fmt.Fprintf(stdout, "loadgen: %s profile written to %s\n", mode, path)
+	if f.profile.Path != "" {
+		fmt.Fprintf(stdout, "loadgen: %s profile written to %s\n", f.profile.Mode, f.profile.Path)
 	}
 	if transport > 0 {
 		return fmt.Errorf("loadgen: %d transport errors", transport)

@@ -100,8 +100,8 @@ func TestServeLoadgenSmoke(t *testing.T) {
 	addrCh := make(chan string, 1)
 	serveErr := make(chan error, 1)
 	go func() {
-		serveErr <- serve(ctx, "127.0.0.1:0", []string{"reviews=" + meta}, 64,
-			func(a string) { addrCh <- a }, obsOptions{})
+		serveErr <- serve(ctx, serveArgs(t, "-addr", "127.0.0.1:0", "-meta", "reviews="+meta, "-cache", "64"),
+			func(a string) { addrCh <- a })
 	}()
 	var addr string
 	select {
@@ -229,25 +229,27 @@ func TestLoadgenLeavesNoOpenConnections(t *testing.T) {
 	}
 }
 
+// serveArgs parses serve flags as the command does.
+func serveArgs(t *testing.T, args ...string) *serveFlags {
+	t.Helper()
+	f := newServeFlags()
+	if err := f.fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // TestServeBadMeta covers the load-time failure paths: malformed specs,
-// missing files, and corrupt encodings must all refuse to start.
+// missing files, and corrupt encodings are all refused as -meta is parsed.
 func TestServeBadMeta(t *testing.T) {
-	ctx := context.Background()
-	for _, spec := range []string{"noequals", "=path", "name="} {
-		if err := serve(ctx, "127.0.0.1:0", []string{spec}, 8, nil, obsOptions{}); err == nil {
-			t.Errorf("serve accepted bad -meta %q", spec)
-		}
-	}
-	if err := serve(ctx, "127.0.0.1:0", []string{"x=" + filepath.Join(t.TempDir(), "nope.em")}, 8, nil, obsOptions{}); err == nil {
-		t.Error("serve accepted a missing meta file")
-	}
 	corrupt := filepath.Join(t.TempDir(), "bad.em")
 	if err := os.WriteFile(corrupt, []byte("not an elasticmap"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	stdout = &bytes.Buffer{}
-	defer func() { stdout = os.Stdout }()
-	if err := serve(ctx, "127.0.0.1:0", []string{"x=" + corrupt}, 8, nil, obsOptions{}); err == nil {
-		t.Error("serve accepted a corrupt meta file")
+	for _, spec := range []string{"noequals", "=path", "name=",
+		"x=" + filepath.Join(t.TempDir(), "nope.em"), "x=" + corrupt} {
+		if err := newServeFlags().fs.Set("meta", spec); err == nil {
+			t.Errorf("serve accepted bad -meta %q", spec)
+		}
 	}
 }

@@ -308,66 +308,29 @@ func DecodeMeta(data []byte, file string) (*Meta, error) {
 	return &Meta{arr: arr, file: file}, nil
 }
 
-// Scheduler selects the task-assignment policy for a job.
-type Scheduler int
+// Scheduler selects the task-assignment policy for a job; *Scheduler is a
+// flag.Value over the one scheduler table, which the plan endpoint reads
+// too.
+type Scheduler = sched.Policy
 
 // Available schedulers.
 const (
 	// SchedulerLocality is Hadoop's default block-locality scheduling
 	// (the paper's baseline).
-	SchedulerLocality Scheduler = iota
+	SchedulerLocality = sched.Locality
 	// SchedulerDataNet is the paper's Algorithm 1 (requires Meta).
-	SchedulerDataNet
+	SchedulerDataNet = sched.DataNet
 	// SchedulerCapacityAware is Algorithm 1 with capacity-proportional
 	// targets for heterogeneous clusters.
-	SchedulerCapacityAware
+	SchedulerCapacityAware = sched.CapacityAware
 	// SchedulerMaxFlow is the offline Ford–Fulkerson optimal assignment.
-	SchedulerMaxFlow
+	SchedulerMaxFlow = sched.MaxFlow
 	// SchedulerLPT is the longest-processing-time greedy ablation.
-	SchedulerLPT
+	SchedulerLPT = sched.LPT
 )
 
-// schedulerPolicy is one row of the scheduler table: the name String
-// reports and Set parses, an alias Set also accepts, and the picker.
-type schedulerPolicy struct {
-	name, alias string
-	factory     sched.Factory
-}
-
-// schedulers is the one table of scheduling policies, indexed by Scheduler.
-var schedulers = [...]schedulerPolicy{
-	SchedulerLocality:      {"locality", "", sched.NewLocalityPicker},
-	SchedulerDataNet:       {"datanet", "", sched.NewDataNetPicker},
-	SchedulerCapacityAware: {"datanet-capacity", "capacity", sched.NewCapacityAwarePicker},
-	SchedulerMaxFlow:       {"maxflow", "", sched.NewFlowPicker},
-	SchedulerLPT:           {"lpt", "", sched.NewLPTPicker},
-}
-
 // ErrUnknownScheduler reports a scheduler name Set does not know.
-var ErrUnknownScheduler = errors.New("datanet: unknown scheduler")
-
-// policy is the scheduler's table row; a value outside the table runs the
-// locality baseline.
-func (s Scheduler) policy() schedulerPolicy {
-	if s < 0 || int(s) >= len(schedulers) {
-		return schedulers[SchedulerLocality]
-	}
-	return schedulers[s]
-}
-
-// String names the scheduler.
-func (s Scheduler) String() string { return s.policy().name }
-
-// Set parses a scheduler name or alias, making *Scheduler a flag.Value.
-func (s *Scheduler) Set(name string) error {
-	for i, p := range schedulers {
-		if name == p.name || (name != "" && name == p.alias) {
-			*s = Scheduler(i)
-			return nil
-		}
-	}
-	return fmt.Errorf("%w %q (want locality, datanet, capacity, maxflow or lpt)", ErrUnknownScheduler, name)
-}
+var ErrUnknownScheduler = sched.ErrUnknownPolicy
 
 // Job describes one sub-dataset analysis run.
 type Job struct {
@@ -432,7 +395,7 @@ func (j Job) Run() (*Result, error) {
 		File:       j.File,
 		TargetSub:  j.Target,
 		App:        j.App,
-		Picker:     j.Scheduler.policy().factory,
+		Picker:     j.Scheduler.Factory(),
 		Weights:    weights,
 		SkipEmpty:  j.SkipEmpty && weights != nil,
 		Reducers:   j.Reducers,
@@ -469,6 +432,76 @@ func Sessionize(gapSeconds int64) App { return apps.NewSessionize(gapSeconds) }
 // with PartitionRange each reducer owns a contiguous key range, so the
 // concatenated reducer outputs are the sorted stream.
 func DistributedSort() App { return apps.DistributedSort{} }
+
+// AppName names a built-in application the way the CLI spells it, run at
+// the fixed parameters of its table row; *AppName is a flag.Value.
+type AppName int
+
+// The named applications, in table order.
+const (
+	AppWordCount AppName = iota
+	AppHistogram
+	AppMovingAverage
+	AppTopK
+	AppSort
+	AppJoin
+)
+
+// day is the moving-average and join window, in seconds.
+const day = 86400
+
+// appTable is the one table of named applications, indexed by AppName.
+// Join's row has no constructor: New builds it from its build side.
+var appTable = [...]struct {
+	name  string
+	build func() App
+}{
+	AppWordCount:     {"wordcount", WordCount},
+	AppHistogram:     {"histogram", WordHistogram},
+	AppMovingAverage: {"movingavg", func() App { return MovingAverage(day) }},
+	AppTopK:          {"topk", func() App { return TopKSearch(10, "plot twist ending amazing director") }},
+	AppSort:          {"sort", DistributedSort},
+	AppJoin:          {"join", nil},
+}
+
+// ErrUnknownApp reports an application name Set does not know.
+var ErrUnknownApp = errors.New("datanet: unknown app")
+
+// String names the application.
+func (a AppName) String() string { return appTable[a].name }
+
+// Set parses an application name.
+func (a *AppName) Set(name string) error {
+	for i, row := range appTable {
+		if name == row.name {
+			*a = AppName(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("%w %q (want wordcount, histogram, movingavg, topk, sort or join)", ErrUnknownApp, name)
+}
+
+// New builds the application. Join is the one row that needs more than its
+// name: it joins against sub-dataset joinSub, whose day windows
+// BuildJoinSide aggregates over file from the distribution of the meta-data
+// meta returns; meta is called for join only.
+func (a AppName) New(fs *FileSystem, file, joinSub string, meta func() (*Meta, error)) (App, error) {
+	if build := appTable[a].build; build != nil {
+		return build(), nil
+	}
+	if joinSub == "" {
+		return nil, fmt.Errorf("app %s needs a build-side sub-dataset", a)
+	}
+	m, err := meta()
+	if err != nil {
+		return nil, err
+	}
+	side, err := BuildJoinSide(fs, file, m, joinSub, day)
+	if err != nil {
+		return nil, err
+	}
+	return SubDatasetJoin(joinSub, day, side), nil
+}
 
 // SubDatasetJoin joins the analyzed sub-dataset's time-windowed rating
 // stream against a second sub-dataset's pre-aggregated windows (see

@@ -53,7 +53,7 @@ func Timeline(p MovieParams) (*Report, error) {
 		return nil, err
 	}
 	r := newReport()
-	r.linef("One DataNet-scheduled TopKSearch run, traced: node 3 crashes at %.2f s (red line) and rejoins at %.2f s (green dashed). Spans show filter attempts per node; failed attempts and the recovery tail are visible directly. Export the same timeline with `datanet analyze -trace out.json -trace-format chrome` and load it in Perfetto for the interactive view.",
+	r.linef("One DataNet-scheduled TopKSearch run, traced: node 3 crashes at %.2f s (red line) and rejoins at %.2f s (green dashed). Spans show filter attempts per node; failed attempts and the recovery tail are visible directly. Export the same timeline with `datanet analyze -out chrome=out.json` and load it in Perfetto for the interactive view.",
 		crashAt, rejoinAt)
 	r.blocks = append(r.blocks, block{svg: rec.TimelineSVG()})
 	for _, t := range rec.Snapshot().Tables("Run metrics") {

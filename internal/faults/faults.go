@@ -19,6 +19,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
+	"strings"
 
 	"datanet/internal/cluster"
 	"datanet/internal/sim"
@@ -71,11 +73,103 @@ type Plan struct {
 	// Seed drives the deterministic transient-error hash.
 	Seed int64
 	// Crashes lists node-crash events.
-	Crashes []Crash
+	Crashes Crashes
 	// Slow lists degraded nodes.
-	Slow []Slowdown
+	Slow Slowdowns
 	// Read configures transient read errors.
 	Read ReadErrors
+}
+
+// Crashes is a plan's crash list; *Crashes is a flag.Value spelled
+// N@T[:REJOIN],... — node N dies at T s and, given REJOIN, comes back at
+// REJOIN s.
+type Crashes []Crash
+
+// Slowdowns is a plan's slowdown list; *Slowdowns is a flag.Value spelled
+// NxF,... — node N runs its CPU, disk and NIC at factor F of full speed.
+// String spells each entry by its CPU factor.
+type Slowdowns []Slowdown
+
+// String spells the list as Set parses it.
+func (cs *Crashes) String() string {
+	parts := make([]string, len(*cs))
+	for i, c := range *cs {
+		parts[i] = fmt.Sprintf("%d@%g", c.Node, c.At)
+		if c.RejoinAt != 0 {
+			parts[i] += fmt.Sprintf(":%g", c.RejoinAt)
+		}
+	}
+	return strings.Join(parts, ",")
+}
+
+// Set replaces the list with the one s spells ("" is the empty list).
+func (cs *Crashes) Set(s string) error {
+	var out Crashes
+	for _, e := range entries(s) {
+		node, when, _ := strings.Cut(e, "@")
+		at, rejoin, ok := strings.Cut(when, ":")
+		if !ok {
+			rejoin = "0"
+		}
+		n, f, err := fields(node, at, rejoin)
+		if err != nil {
+			return fmt.Errorf("%w: bad crash %q (want N@T[:REJOIN])", ErrBadPlan, e)
+		}
+		out = append(out, Crash{Node: n, At: f[0], RejoinAt: f[1]})
+	}
+	*cs = out
+	return nil
+}
+
+// String spells the list as Set parses it.
+func (ss *Slowdowns) String() string {
+	parts := make([]string, len(*ss))
+	for i, s := range *ss {
+		parts[i] = fmt.Sprintf("%dx%g", s.Node, s.CPU)
+	}
+	return strings.Join(parts, ",")
+}
+
+// Set replaces the list with the one s spells ("" is the empty list).
+func (ss *Slowdowns) Set(s string) error {
+	var out Slowdowns
+	for _, e := range entries(s) {
+		node, factor, _ := strings.Cut(e, "x")
+		n, f, err := fields(node, factor)
+		if err != nil {
+			return fmt.Errorf("%w: bad slowdown %q (want NxF)", ErrBadPlan, e)
+		}
+		out = append(out, Slowdown{Node: n, CPU: f[0], Disk: f[0], Net: f[0]})
+	}
+	*ss = out
+	return nil
+}
+
+// entries splits a comma-separated list; "" has no entries.
+func entries(s string) []string {
+	if s == "" {
+		return nil
+	}
+	return strings.Split(s, ",")
+}
+
+// fields parses the node number and the numbers of one list entry.
+func fields(node string, nums ...string) (cluster.NodeID, []float64, error) {
+	n, err := strconv.Atoi(node)
+	f := make([]float64, len(nums))
+	for i := range nums {
+		if err == nil {
+			f[i], err = strconv.ParseFloat(nums[i], 64)
+		}
+	}
+	return cluster.NodeID(n), f, err
+}
+
+// Empty reports whether the plan injects nothing: no crash, no slowdown and
+// no read errors. A caller runs an empty plan as no plan at all, which
+// keeps the engine on its fault-free path.
+func (p *Plan) Empty() bool {
+	return len(p.Crashes) == 0 && len(p.Slow) == 0 && p.Read.Prob == 0
 }
 
 // Validate checks the plan against a cluster of n nodes.
@@ -151,7 +245,7 @@ func (p *Plan) TraceEvents() []trace.Event {
 		return nil
 	}
 	var out []trace.Event
-	if len(p.Crashes) > 0 || len(p.Slow) > 0 || p.Read.Prob > 0 {
+	if !p.Empty() {
 		ev := trace.At(0, trace.EvFaultPlan)
 		ev.Count = len(p.Crashes)
 		ev.Detail = fmt.Sprintf("crashes=%d slow=%d read-error-prob=%g seed=%d",

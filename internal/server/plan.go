@@ -24,13 +24,17 @@ type PlanRequest struct {
 	// Replication is the per-block replica count used when Locations is
 	// empty (default 3, clamped to Nodes).
 	Replication int `json:"replication,omitempty"`
-	// Scheduler picks the policy: "datanet" (Algorithm 1, default),
-	// "maxflow" (Ford–Fulkerson optimum), "locality" or "lpt".
+	// Scheduler picks the policy by a name or alias of the scheduler table
+	// (sched.Policy): "datanet" (Algorithm 1, default), "capacity",
+	// "maxflow" (Ford–Fulkerson optimum), "locality" or "lpt". Validation
+	// rewrites it to the canonical name, which the response echoes.
 	Scheduler string `json:"scheduler,omitempty"`
 	// Locations optionally gives explicit replica placements per block
 	// (len must equal the array's block count). When empty, a
 	// deterministic round-robin placement is synthesized.
 	Locations [][]int `json:"locations,omitempty"`
+
+	policy sched.Policy
 }
 
 // MaxPlanNodes bounds PlanRequest.Nodes so a malformed request cannot make
@@ -78,13 +82,12 @@ func (pr *PlanRequest) validate(blocks int) error {
 		pr.Replication = pr.Nodes
 	}
 	if pr.Scheduler == "" {
-		pr.Scheduler = "datanet"
+		pr.Scheduler = sched.DataNet.String()
 	}
-	switch pr.Scheduler {
-	case "datanet", "maxflow", "locality", "lpt":
-	default:
-		return fmt.Errorf("unknown scheduler %q", pr.Scheduler)
+	if err := pr.policy.Set(pr.Scheduler); err != nil {
+		return err
 	}
+	pr.Scheduler = pr.policy.String()
 	if len(pr.Locations) != 0 {
 		if len(pr.Locations) != blocks {
 			return fmt.Errorf("locations cover %d blocks, array has %d", len(pr.Locations), blocks)
@@ -147,7 +150,9 @@ func buildPlan(sn *Snapshot, req *PlanRequest) (*PlanResponse, error) {
 		perNode[node].Load += weights[block]
 	}
 
-	if req.Scheduler == "maxflow" {
+	// Max-flow assigns directly: its picker's drain would steal tasks and
+	// change the plan.
+	if req.policy == sched.MaxFlow {
 		g := graph.NewBipartite(req.Nodes, weights, locs)
 		for node, blocks := range graph.BalancedAssignment(g) {
 			for _, j := range blocks {
@@ -173,16 +178,7 @@ func buildPlan(sn *Snapshot, req *PlanRequest) (*PlanResponse, error) {
 				Locations: nodeIDs,
 			}
 		}
-		var factory sched.Factory
-		switch req.Scheduler {
-		case "locality":
-			factory = sched.NewLocalityPicker
-		case "lpt":
-			factory = sched.NewLPTPicker
-		default:
-			factory = sched.NewDataNetPicker
-		}
-		picker := factory(tasks, topo)
+		picker := req.policy.Factory()(tasks, topo)
 		// Drain under the pull protocol, one task per node per round —
 		// the deterministic equivalent of equally-fast single-slot nodes.
 		for picker.Remaining() > 0 {

@@ -132,11 +132,29 @@ func TestServerTop(t *testing.T) {
 
 func TestServerPlanEndpoint(t *testing.T) {
 	s, _ := newTestServer(t)
+	// The four names the endpoint served before it read the scheduler
+	// table plan byte for byte as they did then.
+	var pinned bytes.Buffer
 	for _, sched := range []string{"datanet", "maxflow", "locality", "lpt"} {
+		for _, nodes := range []int{3, 4} {
+			body := fmt.Sprintf(`{"sub":"heavy-0","nodes":%d,"scheduler":%q}`, nodes, sched)
+			rec, _ := doReq(t, s, "POST", "/v1/arrays/logs/plan", []byte(body))
+			fmt.Fprintf(&pinned, "%s\n%d %s\n", body, rec.Code, rec.Body.Bytes())
+		}
+	}
+	compareGolden(t, "plan_bodies.golden", pinned.Bytes())
+	// Every name and alias of the table plans and echoes its canonical name.
+	for sched, canonical := range map[string]string{
+		"datanet": "datanet", "maxflow": "maxflow", "locality": "locality", "lpt": "lpt",
+		"capacity": "datanet-capacity", "datanet-capacity": "datanet-capacity", "": "datanet",
+	} {
 		body := fmt.Sprintf(`{"sub":"heavy-0","nodes":4,"scheduler":%q}`, sched)
 		rec, doc := doReq(t, s, "POST", "/v1/arrays/logs/plan", []byte(body))
 		if rec.Code != 200 {
 			t.Fatalf("%s plan: %d %v", sched, rec.Code, doc)
+		}
+		if doc["scheduler"] != canonical {
+			t.Errorf("%q plan echoes scheduler %v, want %q", sched, doc["scheduler"], canonical)
 		}
 		perNode := doc["perNode"].([]any)
 		if len(perNode) != 4 {
@@ -169,6 +187,7 @@ func TestServerPlanEndpoint(t *testing.T) {
 		"no nodes":      `{"sub":"x"}`,
 		"huge nodes":    `{"sub":"x","nodes":999999}`,
 		"bad scheduler": `{"sub":"x","nodes":4,"scheduler":"zzz"}`,
+		"alias case":    `{"sub":"x","nodes":4,"scheduler":"Capacity"}`,
 		"bad locations": `{"sub":"x","nodes":4,"locations":[[9]]}`,
 		"racks>nodes":   `{"sub":"x","nodes":2,"racks":4}`,
 	} {

@@ -25,7 +25,9 @@ package server
 import (
 	"errors"
 	"fmt"
+	"os"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -109,6 +111,44 @@ func (s *Store) Names() []string {
 
 // Len returns the number of stored arrays.
 func (s *Store) Len() int { return len(*s.catalog.Load()) }
+
+// ArrayFile is one encoded ElasticMap array to serve under Name, read from
+// Path.
+type ArrayFile struct {
+	Name, Path string
+	Arr        *elasticmap.Array
+}
+
+// ArrayFiles is the arrays a daemon serves; *ArrayFiles is a repeatable
+// flag.Value spelled NAME=FILE that reads and decodes FILE as it parses.
+type ArrayFiles []ArrayFile
+
+// String spells the arrays as Set parses them, comma-separated.
+func (a *ArrayFiles) String() string {
+	parts := make([]string, len(*a))
+	for i, f := range *a {
+		parts[i] = f.Name + "=" + f.Path
+	}
+	return strings.Join(parts, ",")
+}
+
+// Set adds the array NAME=FILE.
+func (a *ArrayFiles) Set(s string) error {
+	name, path, _ := strings.Cut(s, "=")
+	if name == "" || path == "" {
+		return fmt.Errorf("server: bad array %q (want NAME=FILE)", s)
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	arr, err := elasticmap.Decode(blob)
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	*a = append(*a, ArrayFile{name, path, arr})
+	return nil
+}
 
 // Put installs arr under name, replacing any existing array. The new
 // snapshot's epoch continues the name's sequence (1 for a fresh name).

@@ -31,6 +31,8 @@ package straggle
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 )
 
 // Mode selects the mitigation strategy.
@@ -124,6 +126,42 @@ func (c Config) WithDefaults() Config {
 		c.Rate = 0.85
 	}
 	return c
+}
+
+// String spells the config as Set parses it: off, speculative:Q or
+// coded:RATE.
+func (c *Config) String() string {
+	switch d := c.WithDefaults(); c.Mode {
+	case ModeSpeculative:
+		return fmt.Sprintf("%s:%g", c.Mode, d.Quantile)
+	case ModeCoded:
+		return fmt.Sprintf("%s:%g", c.Mode, d.Rate)
+	}
+	return string(ModeOff)
+}
+
+// Set parses off, speculative[:Q] or coded[:RATE], making *Config a
+// flag.Value. A missing parameter takes its WithDefaults value, and the
+// result must Validate.
+func (c *Config) Set(s string) error {
+	name, param, hasParam := strings.Cut(s, ":")
+	v := Config{}.WithDefaults()
+	if err := v.Mode.Set(name); err != nil {
+		return fmt.Errorf("%w: %w", ErrConfig, err)
+	}
+	if hasParam {
+		knob := map[Mode]*float64{ModeSpeculative: &v.Quantile, ModeCoded: &v.Rate}[v.Mode]
+		f, err := strconv.ParseFloat(param, 64)
+		if knob == nil || err != nil {
+			return fmt.Errorf("%w: bad parameter in %q (want off, speculative[:Q] or coded[:RATE])", ErrConfig, s)
+		}
+		*knob = f
+	}
+	if err := v.Validate(); err != nil {
+		return err
+	}
+	*c = v
+	return nil
 }
 
 // Validate rejects out-of-range knobs (after WithDefaults). The range

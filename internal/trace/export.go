@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // Machine-readable exports. Both formats are pure functions of the event
@@ -118,6 +120,55 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	}
 	_, err = w.Write(b)
 	return err
+}
+
+// OutputKind names one export of a traced run.
+type OutputKind string
+
+// The export kinds.
+const (
+	// OutJSONL is the timeline, one event per line (WriteJSONL).
+	OutJSONL OutputKind = "jsonl"
+	// OutChrome is the timeline as Chrome trace-event JSON
+	// (WriteChromeTrace).
+	OutChrome OutputKind = "chrome"
+	// OutJSON is the run's document, its result beside the metrics
+	// digest, which the caller renders.
+	OutJSON OutputKind = "json"
+)
+
+// Output is one export to write: Path "-" means standard output.
+type Output struct {
+	Kind OutputKind
+	Path string
+}
+
+// Outputs is the exports of one run; *Outputs is a repeatable flag.Value
+// spelled KIND=FILE.
+type Outputs []Output
+
+// String spells the outputs as Set parses them, comma-separated.
+func (o *Outputs) String() string {
+	parts := make([]string, len(*o))
+	for i, out := range *o {
+		parts[i] = string(out.Kind) + "=" + out.Path
+	}
+	return strings.Join(parts, ",")
+}
+
+// Set adds one KIND=FILE output.
+func (o *Outputs) Set(s string) error {
+	kind, path, _ := strings.Cut(s, "=")
+	if k := OutputKind(kind); path != "" && (k == OutJSONL || k == OutChrome || k == OutJSON) {
+		*o = append(*o, Output{k, path})
+		return nil
+	}
+	return fmt.Errorf("trace: bad output %q (want KIND=FILE, KIND jsonl, chrome or json, FILE - for stdout)", s)
+}
+
+// Stdout reports whether any output goes to standard output.
+func (o Outputs) Stdout() bool {
+	return slices.ContainsFunc(o, func(out Output) bool { return out.Path == "-" })
 }
 
 // chromeName compresses an event into a viewer-friendly span/instant name.

@@ -8,20 +8,40 @@ import (
 
 	"datanet"
 	"datanet/internal/detect"
+	"datanet/internal/faults"
+	"datanet/internal/gen"
 	"datanet/internal/hdfs"
 	"datanet/internal/partition"
 	"datanet/internal/straggle"
 )
 
 // The five policy seams are flag.Values: the CLI binds them, the chaos
-// bundle draws them and the engine runs them, with one spelling each.
+// bundle draws them and the engine runs them, with one spelling each. So
+// are the other values the CLI runs with: the mitigation config with its
+// parameter, the fault lists, the application table and the generators.
 var (
 	_ flag.Value = new(datanet.Scheduler)
 	_ flag.Value = new(datanet.DetectorMode)
 	_ flag.Value = new(datanet.MitigationMode)
 	_ flag.Value = new(datanet.PartitionMode)
 	_ flag.Value = new(datanet.RebalanceMode)
+	_ flag.Value = new(datanet.MitigationConfig)
+	_ flag.Value = new(faults.Crashes)
+	_ flag.Value = new(faults.Slowdowns)
+	_ flag.Value = new(datanet.AppName)
+	_ flag.Value = new(gen.Kind)
 )
+
+// mit is a mitigation config as Set makes it: the WithDefaults knobs with
+// one overwritten.
+func mit(m datanet.MitigationMode, quantile, rate float64) datanet.MitigationConfig {
+	return datanet.MitigationConfig{Mode: m, Quantile: quantile, Rate: rate}
+}
+
+// slow is a slowdown as -slow spells it: one factor for every rate.
+func slow(node datanet.NodeID, f float64) datanet.Slowdown {
+	return datanet.Slowdown{Node: node, CPU: f, Disk: f, Net: f}
+}
 
 // val boxes a policy value as the flag.Value its pointer is.
 func val[T any, P interface {
@@ -112,6 +132,69 @@ func TestPolicyValues(t *testing.T) {
 			},
 			bad:   []string{"frobnicate", "Both"},
 			typed: hdfs.ErrRebalanceMode,
+		},
+		{
+			name:  "mitigation-config",
+			fresh: func() flag.Value { return new(datanet.MitigationConfig) },
+			values: vals([]datanet.MitigationConfig{mit(datanet.MitigateOff, 0.9, 0.85),
+				mit(datanet.MitigateSpeculative, 0.75, 0.85), mit(datanet.MitigateCoded, 0.9, 0.7)}),
+			spellings: map[string]flag.Value{
+				"": val(mit(datanet.MitigateOff, 0.9, 0.85)), "off": val(mit(datanet.MitigateOff, 0.9, 0.85)),
+				"speculative":      val(mit(datanet.MitigateSpeculative, 0.9, 0.85)),
+				"speculative:0.75": val(mit(datanet.MitigateSpeculative, 0.75, 0.85)),
+				"coded":            val(mit(datanet.MitigateCoded, 0.9, 0.85)),
+				"coded:0.7":        val(mit(datanet.MitigateCoded, 0.9, 0.7)),
+			},
+			// NaN fails every range check, and 0 is not "off" once spelled.
+			bad: []string{"spec", "speculative:NaN", "speculative:1", "coded:NaN", "coded:0",
+				"coded:-0.5", "coded:x", "off:0.5"},
+			typed: straggle.ErrConfig,
+		},
+		{
+			name:  "crashes",
+			fresh: func() flag.Value { return new(faults.Crashes) },
+			values: vals([]faults.Crashes{nil, {{Node: 2, At: 0.5}},
+				{{Node: 2, At: 0.5, RejoinAt: 2}, {Node: 11, At: 1e-3}}}),
+			spellings: map[string]flag.Value{
+				"":              val(faults.Crashes(nil)),
+				"4@10,11@10:25": val(faults.Crashes{{Node: 4, At: 10}, {Node: 11, At: 10, RejoinAt: 25}}),
+			},
+			bad:   []string{"4", "x@1", "4@", "4@1:x", "4@1,", "4@1;5@2"},
+			typed: faults.ErrBadPlan,
+		},
+		{
+			name:   "slowdowns",
+			fresh:  func() flag.Value { return new(faults.Slowdowns) },
+			values: vals([]faults.Slowdowns{nil, {slow(3, 0.5)}, {slow(3, 0.5), slow(7, 0.25)}}),
+			spellings: map[string]flag.Value{
+				"":            val(faults.Slowdowns(nil)),
+				"3x0.1,7x0.2": val(faults.Slowdowns{slow(3, 0.1), slow(7, 0.2)}),
+			},
+			bad:   []string{"3", "3x", "x0.5", "3x0.5x", "3*0.5", "3x0.5,"},
+			typed: faults.ErrBadPlan,
+		},
+		{
+			name:  "app",
+			fresh: func() flag.Value { return new(datanet.AppName) },
+			values: vals([]datanet.AppName{datanet.AppWordCount, datanet.AppHistogram,
+				datanet.AppMovingAverage, datanet.AppTopK, datanet.AppSort, datanet.AppJoin}),
+			spellings: map[string]flag.Value{
+				"wordcount": val(datanet.AppWordCount), "histogram": val(datanet.AppHistogram),
+				"movingavg": val(datanet.AppMovingAverage), "topk": val(datanet.AppTopK),
+				"sort": val(datanet.AppSort), "join": val(datanet.AppJoin),
+			},
+			bad:   []string{"nope", "", "WordCount", "movavg"},
+			typed: datanet.ErrUnknownApp,
+		},
+		{
+			name:   "dataset-kind",
+			fresh:  func() flag.Value { return new(gen.Kind) },
+			values: vals([]gen.Kind{"movies", "events", "weblog"}),
+			spellings: map[string]flag.Value{
+				"movies": val(gen.Kind("movies")), "events": val(gen.Kind("events")), "weblog": val(gen.Kind("weblog")),
+			},
+			bad:   []string{"nope", "", "Movies"},
+			typed: gen.ErrKind,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
