@@ -17,7 +17,7 @@ import (
 )
 
 // TestLifecycleWithNodeFailure: store → build meta → run; kill a node and
-// re-replicate; re-run. The job's *output* must be identical (the data
+// let the name-node re-replicate (the repair path the engine uses); re-run. The job's *output* must be identical (the data
 // never changed) even though the layout did.
 func TestLifecycleWithNodeFailure(t *testing.T) {
 	topo := cluster.MustHomogeneous(8, 2)
@@ -46,37 +46,21 @@ func TestLifecycleWithNodeFailure(t *testing.T) {
 	}
 	before := run()
 
-	moved, err := fs.DecommissionNode(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved == 0 {
-		t.Fatal("decommission moved nothing")
+	moved, lost := fs.FailNodes([]cluster.NodeID{2})
+	if moved == 0 || len(lost) != 0 {
+		t.Fatalf("repair moved %d replicas and lost %v", moved, lost)
 	}
 	if bad := fs.ReplicationHealth(); len(bad) != 0 {
 		t.Fatalf("replication broken: %v", bad)
+	}
+	if n := len(fs.NodeBlocks(2)); n != 0 {
+		t.Errorf("dead node still holds %d replicas", n)
 	}
 
 	after := run()
 	if !reflect.DeepEqual(before, after) {
 		t.Error("job output changed after re-replication — data integrity violated")
 	}
-	// The dead node must receive no tasks.
-	meta, _ := datanet.BuildMeta(fs, "log", datanet.MetaOptions{Alpha: 0.3})
-	res, err := datanet.Job{
-		FS: fs, File: "log", Target: gen.MovieID(0),
-		App: datanet.WordCount(), Scheduler: datanet.SchedulerLocality, Meta: meta,
-	}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Node 2 holds no replicas; with the locality baseline it can still
-	// get remote work, but its workload is whatever it scanned — verify
-	// the filesystem state instead: zero local blocks.
-	if len(fs.NodeBlocks(2)) != 0 {
-		t.Error("decommissioned node still holds replicas")
-	}
-	_ = res
 }
 
 // TestMetaPersistenceDrivesSameScheduling: an encoded+decoded ElasticMap

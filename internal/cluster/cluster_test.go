@@ -117,3 +117,41 @@ func TestNodesIsCopy(t *testing.T) {
 		t.Error("Nodes() must return a copy")
 	}
 }
+
+func TestHealth(t *testing.T) {
+	var none *Health
+	if none.Suspected(0) || none.Suspected(99) || none.Draining(3) || none.N() != 0 || none.Clone() != nil {
+		t.Error("a nil table must believe every node live and staying")
+	}
+	h := NewHealth(4)
+	for id := NodeID(0); id < 4; id++ {
+		if h.Suspected(id) || h.Draining(id) {
+			t.Errorf("fresh table: node %d not live and staying", id)
+		}
+	}
+	// Out of range is unknown, and unknown is believed dead.
+	for _, id := range []NodeID{-1, 4, 99} {
+		if !h.Suspected(id) || h.Draining(id) {
+			t.Errorf("unknown node %d: suspected %v draining %v", id, h.Suspected(id), h.Draining(id))
+		}
+	}
+	h.Suspect(1)
+	h.Drain(2)
+	h.Drain(1) // both draining and suspected
+	if !h.Suspected(1) || !h.Draining(1) || h.Suspected(2) || !h.Draining(2) {
+		t.Error("suspicion and draining are not independent bits")
+	}
+	h.Clear(1)
+	if h.Suspected(1) || !h.Draining(1) {
+		t.Error("a clearing beat must leave the draining bit")
+	}
+	c := h.Clone()
+	c.Suspect(0)
+	c.Clear(6) // grows the clone only; ids 4 and 5 stay unknown
+	if h.Suspected(0) || h.N() != 4 || !c.Suspected(0) || c.N() != 7 {
+		t.Error("Clone shares state with its source")
+	}
+	if c.Suspected(6) || !c.Suspected(5) || !c.Suspected(4) {
+		t.Error("growing the table must leave the ids it skipped unknown")
+	}
+}

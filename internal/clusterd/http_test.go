@@ -3,8 +3,12 @@ package clusterd
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"testing"
 
@@ -201,5 +205,76 @@ func TestHandlerAdminDecommission(t *testing.T) {
 		if id == victim {
 			t.Fatal("decommissioned node still a member")
 		}
+	}
+}
+
+var updateTopology = flag.Bool("update", false, "rewrite testdata/topology.golden")
+
+// The /admin/topology body through a crash, its suspicion and the node's
+// rejoin, then a second crash whose suspected victim is decommissioned (a
+// member both leaving and suspected) and the drain to convergence: every
+// distinct body is pinned byte for byte, so the belief behind the
+// "suspected" and "leaving" flags can change representation but not value.
+func TestAdminTopologyBytes(t *testing.T) {
+	c, err := New(testConfig(2, 1), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed(t, c, testNames(4))
+	h, err := NewHandler(c, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	last, now := "", 0.0
+	snap := func(step string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/admin/topology", nil))
+		if body := rec.Body.String(); body != last {
+			fmt.Fprintf(&got, "t=%g %s: %s", now, step, body)
+			last = body
+		}
+	}
+	tick := func(n int, step string) {
+		for i := 0; i < n; i++ {
+			now++
+			c.Tick(now)
+			snap(step)
+		}
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap("boot")
+	must(c.Crash(0))
+	tick(5, "crash 0")
+	must(c.Rejoin(0))
+	snap("rejoin 0")
+	tick(3, "after rejoin 0")
+	must(c.Crash(1))
+	tick(5, "crash 1")
+	// Appends in flight keep the staying followers behind, so the leaving
+	// suspected member stays listed until they land.
+	for _, name := range testNames(4) {
+		_, err := c.Append(name, tinyArray(name, 2))
+		must(err)
+	}
+	must(c.Decommission(1))
+	snap("decommission 1")
+	tick(30, "drain")
+	must(c.Converged())
+
+	path := filepath.Join("testdata", "topology.golden")
+	if *updateTopology {
+		must(os.MkdirAll("testdata", 0o755))
+		must(os.WriteFile(path, got.Bytes(), 0o644))
+	}
+	want, err := os.ReadFile(path)
+	must(err)
+	if got.String() != string(want) {
+		t.Errorf("/admin/topology bodies differ from %s:\n got:\n%s\nwant:\n%s", path, got.String(), want)
 	}
 }

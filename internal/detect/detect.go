@@ -19,9 +19,11 @@
 //
 // The detector owns *belief*, never truth: it reads the injector only the
 // way a real network would (a dead node's beats do not arrive; a slowed
-// node's beats arrive late). The engine reacts to the detector's Suspect/
-// Clear transitions; the gap between a crash and its Suspect call is the
-// detection latency the oracle mode never paid.
+// node's beats arrive late), and it writes what it believes into the one
+// node-health table (cluster.Health) every other layer reads. The engine
+// reacts to the detector's Suspect/Clear transitions; the gap between a
+// crash and its Suspect call is the detection latency the oracle mode
+// never paid.
 //
 // State machine per node:
 //
@@ -206,9 +208,9 @@ type Hooks struct {
 	Clear   func(id cluster.NodeID, t float64) error
 }
 
-// nodeState is the per-node detector bookkeeping.
+// nodeState is the per-node beat bookkeeping; the belief itself lives in
+// the health table.
 type nodeState struct {
-	state State
 	beats
 	// armGen invalidates stale timeout events: each arriving beat re-arms
 	// the timeout and bumps the generation.
@@ -220,6 +222,7 @@ type Detector struct {
 	cfg     Config
 	truth   Truth
 	ns      []nodeState
+	health  *cluster.Health
 	kern    *sim.Kernel
 	beat    sim.Kind
 	timeout sim.Kind
@@ -238,7 +241,7 @@ func New(cfg Config, truth Truth, n int) (*Detector, error) {
 	if cfg.Mode == Oracle {
 		return nil, fmt.Errorf("%w: oracle mode needs no detector", ErrBadConfig)
 	}
-	d := &Detector{cfg: cfg, truth: truth, ns: make([]nodeState, n)}
+	d := &Detector{cfg: cfg, truth: truth, ns: make([]nodeState, n), health: cluster.NewHealth(n)}
 	for i := range d.ns {
 		d.ns[i].meanGap = cfg.Interval
 	}
@@ -251,12 +254,28 @@ func (d *Detector) SetHooks(h Hooks) { d.hooks = h }
 // Interval returns the configured heartbeat period.
 func (d *Detector) Interval() float64 { return d.cfg.Interval }
 
+// Health is the table the detector writes its belief into; the nil
+// detector (the oracle) has none, which believes every node live.
+func (d *Detector) Health() *cluster.Health {
+	if d == nil {
+		return nil
+	}
+	return d.health
+}
+
 // State returns the master's belief about the node.
-func (d *Detector) State(id cluster.NodeID) State { return d.ns[id].state }
+func (d *Detector) State(id cluster.NodeID) State { return stateOf(d.health, id) }
 
 // Assignable reports whether the master will hand the node work: only
 // nodes believed live get assignments.
-func (d *Detector) Assignable(id cluster.NodeID) bool { return d.ns[id].state == Live }
+func (d *Detector) Assignable(id cluster.NodeID) bool { return !d.health.Suspected(id) }
+
+func stateOf(h *cluster.Health, id cluster.NodeID) State {
+	if h.Suspected(id) {
+		return Suspected
+	}
+	return Live
+}
 
 // period is the node's actual beat period: the configured interval
 // stretched by the node's CPU slowdown (a degraded machine runs its
@@ -309,8 +328,8 @@ func (d *Detector) onBeat(ev *sim.Event) error {
 	st.armGen++
 	d.kern.Post(sim.Event{At: t + d.cfg.timeout(st.meanGap), Kind: d.timeout, Prio: ev.Prio + 1,
 		K1: ev.K1, Payload: st.armGen})
-	wasSuspected := st.state == Suspected
-	st.state = Live
+	wasSuspected := d.health.Suspected(id)
+	d.health.Clear(id)
 	if d.hooks.Beat != nil {
 		if err := d.hooks.Beat(id, t); err != nil {
 			return err
@@ -330,14 +349,13 @@ func (d *Detector) onBeat(ev *sim.Event) error {
 // missed its deadline and is suspected.
 func (d *Detector) onTimeout(ev *sim.Event) error {
 	id := cluster.NodeID(ev.K1)
-	st := &d.ns[id]
-	if ev.Payload.(int) != st.armGen {
+	if ev.Payload.(int) != d.ns[id].armGen {
 		return nil // re-armed by a later beat
 	}
-	if st.state == Suspected {
+	if d.health.Suspected(id) {
 		return nil
 	}
-	st.state = Suspected
+	d.health.Suspect(id)
 	d.Suspicions++
 	if d.hooks.Suspect != nil {
 		return d.hooks.Suspect(id, ev.At)

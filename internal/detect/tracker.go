@@ -1,6 +1,10 @@
 package detect
 
-import "fmt"
+import (
+	"fmt"
+
+	"datanet/internal/cluster"
+)
 
 // Tracker is the kernel-free sibling of Detector: the same Live→Suspected
 // state machine and timeout policies (fixed K-missed-beats or φ-accrual
@@ -15,14 +19,11 @@ import "fmt"
 // Tracker is not usable; construct with NewTracker.
 type Tracker struct {
 	cfg Config
-	ns  map[int]*trackState
+	ns  map[int]*beats
+	// health holds the belief; the tracker writes only its suspicion bits.
+	health *cluster.Health
 	// Suspicions counts Live→Suspected transitions (true and false).
 	Suspicions int
-}
-
-type trackState struct {
-	state State
-	beats
 }
 
 // NewTracker builds an empty tracker. cfg must describe a non-oracle mode;
@@ -35,8 +36,11 @@ func NewTracker(cfg Config) (*Tracker, error) {
 	if cfg.Mode == Oracle {
 		return nil, fmt.Errorf("%w: oracle mode needs no tracker", ErrBadConfig)
 	}
-	return &Tracker{cfg: cfg, ns: map[int]*trackState{}}, nil
+	return &Tracker{cfg: cfg, ns: map[int]*beats{}, health: cluster.NewHealth(0)}, nil
 }
+
+// Health is the table the tracker writes its belief into.
+func (t *Tracker) Health() *cluster.Health { return t.health }
 
 // Watch starts tracking a node, believed live as of now (registration is
 // its first implicit beat). Watching an already-watched node is a no-op.
@@ -44,22 +48,27 @@ func (t *Tracker) Watch(id int, now float64) {
 	if _, ok := t.ns[id]; ok {
 		return
 	}
-	t.ns[id] = &trackState{state: Live, beats: beats{lastBeat: now, meanGap: t.cfg.Interval}}
+	t.ns[id] = &beats{lastBeat: now, meanGap: t.cfg.Interval}
+	t.health.Clear(cluster.NodeID(id))
 }
 
-// Forget stops tracking a node (decommission/removal).
-func (t *Tracker) Forget(id int) { delete(t.ns, id) }
+// Forget stops tracking a node (decommission/removal): it is no longer
+// believed live.
+func (t *Tracker) Forget(id int) {
+	delete(t.ns, id)
+	t.health.Suspect(cluster.NodeID(id))
+}
 
 // Beat records a heartbeat arrival and reports whether it cleared a
 // suspicion (the caller's rejoin/false-alarm hook).
 func (t *Tracker) Beat(id int, now float64) (cleared bool) {
-	st, ok := t.ns[id]
+	b, ok := t.ns[id]
 	if !ok {
 		return false
 	}
-	st.observe(now)
-	cleared = st.state == Suspected
-	st.state = Live
+	b.observe(now)
+	cleared = t.health.Suspected(cluster.NodeID(id))
+	t.health.Clear(cluster.NodeID(id))
 	return cleared
 }
 
@@ -68,9 +77,9 @@ func (t *Tracker) Beat(id int, now float64) (cleared bool) {
 // fixed order regardless of map iteration).
 func (t *Tracker) Sweep(now float64) []int {
 	var newly []int
-	for id, st := range t.ns {
-		if st.state == Live && now-st.lastBeat > t.cfg.timeout(st.meanGap) {
-			st.state = Suspected
+	for id, b := range t.ns {
+		if nid := cluster.NodeID(id); !t.health.Suspected(nid) && now-b.lastBeat > t.cfg.timeout(b.meanGap) {
+			t.health.Suspect(nid)
 			t.Suspicions++
 			newly = append(newly, id)
 		}
@@ -81,12 +90,7 @@ func (t *Tracker) Sweep(now float64) []int {
 
 // State returns the belief about a node; unwatched nodes report Suspected
 // (the caller should never schedule onto them).
-func (t *Tracker) State(id int) State {
-	if st, ok := t.ns[id]; ok {
-		return st.state
-	}
-	return Suspected
-}
+func (t *Tracker) State(id int) State { return stateOf(t.health, cluster.NodeID(id)) }
 
 // sortInts is a tiny insertion sort: suspicion batches are a handful of
 // IDs, not worth pulling in package sort's interface machinery.

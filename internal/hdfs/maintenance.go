@@ -11,124 +11,52 @@ import (
 	"datanet/internal/trace"
 )
 
-// This file models the name-node maintenance operations a long-lived
-// deployment needs: node decommissioning with re-replication (HDFS keeps
-// the replication factor invariant when a data-node dies) and a usage
-// balancer. They exist so failure-injection tests and heterogeneity
-// experiments run on realistic layouts, and because replica placement is
-// the input DataNet's bipartite graph is built from.
-
-// ErrNodeUnknown reports an out-of-range node id.
-var ErrNodeUnknown = errors.New("hdfs: unknown node")
+// This file models the name-node's maintenance: re-replication after
+// data-nodes die (HDFS keeps the replication factor invariant), the moves
+// the distribution-aware rebalancer applies, and the balance and
+// replication-health reports. The name-node decides where replicas may go
+// from its own node-health table (FileSystem.health): FailNodes records
+// which data-nodes it believes dead there, and both its re-replication
+// picks and the rebalancer's plan validation read it.
 
 // ErrBadMove reports a replica move the name-node cannot apply.
 var ErrBadMove = errors.New("hdfs: invalid replica move")
-
-// ErrNotEnoughNodes reports that re-replication cannot maintain the factor.
-var ErrNotEnoughNodes = errors.New("hdfs: not enough live nodes to re-replicate")
-
-// DecommissionNode removes every replica from the node and re-replicates
-// the affected blocks onto other nodes (fewest-bytes-first, mimicking the
-// name-node's preference for under-utilized targets). The node stays in
-// the topology — it simply holds no data — matching a dead or draining
-// data-node. It returns the number of block replicas moved.
-func (fs *FileSystem) DecommissionNode(id cluster.NodeID) (int, error) {
-	if int(id) < 0 || int(id) >= fs.topo.N() {
-		return 0, fmt.Errorf("%w: %d", ErrNodeUnknown, id)
-	}
-	usage := fs.Usage()
-	moved := 0
-	for _, b := range fs.blocks {
-		idx := -1
-		for i, n := range b.Replicas {
-			if n == id {
-				idx = i
-				break
-			}
-		}
-		if idx == -1 {
-			continue
-		}
-		target, ok := fs.pickTarget(b, usage, id)
-		if !ok {
-			return moved, ErrNotEnoughNodes
-		}
-		b.Replicas[idx] = target
-		usage[target] += b.Bytes
-		usage[id] -= b.Bytes
-		moved++
-	}
-	if fs.rec.Enabled() && moved > 0 {
-		ev := trace.At(fs.recNow, trace.EvRereplicate)
-		ev.Node = int(id)
-		ev.Count = moved
-		ev.Detail = "decommission"
-		fs.rec.Record(ev)
-	}
-	return moved, nil
-}
-
-// pickTarget returns the least-utilized live node that holds no replica of
-// b and is not the excluded node.
-func (fs *FileSystem) pickTarget(b *Block, usage map[cluster.NodeID]int64, exclude cluster.NodeID) (cluster.NodeID, bool) {
-	return fs.pickTargetExcluding(b, usage, map[cluster.NodeID]bool{exclude: true})
-}
-
-// pickTargetExcluding generalizes pickTarget to a set of excluded
-// (typically dead) nodes. It delegates to placement.LeastUsed, which
-// reproduces the historical scan (ascending ids, minimum usage, ties to
-// the lower id) bit-for-bit; the caller keeps charging usage between
-// picks exactly as before.
-func (fs *FileSystem) pickTargetExcluding(b *Block, usage map[cluster.NodeID]int64, exclude map[cluster.NodeID]bool) (cluster.NodeID, bool) {
-	out, _ := placement.LeastUsed{}.Choose(placement.Request{
-		Topo:    fs.topo,
-		Want:    1,
-		Partial: true,
-		Have:    b.Replicas,
-		Usage:   usage,
-		Veto: func(id cluster.NodeID) placement.VetoReason {
-			if exclude[id] {
-				return placement.VetoDead
-			}
-			return placement.VetoNone
-		},
-	})
-	if len(out) == 0 {
-		return -1, false
-	}
-	return out[0], true
-}
 
 // FailNodes models the simultaneous loss of a set of data-nodes — a rack
 // power event, or one crash while earlier victims are still down. Every
 // replica on a dead node is dropped; blocks that still have a surviving
 // copy are re-replicated back to the configured factor on live nodes
 // (fewest-bytes-first, like the name-node), while blocks whose replicas
-// all sat on dead nodes are unrecoverable and returned in lost. Unlike
-// DecommissionNode, failing to restore the full factor (too few live
-// nodes) leaves blocks under-replicated rather than erroring: that is the
-// degraded-but-running state a real name-node reports via fsck, and
-// ReplicationHealth surfaces it here.
+// all sat on dead nodes are unrecoverable and returned in lost. Failing to
+// restore the full factor (too few live nodes) leaves blocks
+// under-replicated rather than erroring: that is the degraded-but-running
+// state a real name-node reports via fsck, and ReplicationHealth surfaces
+// it here.
 //
-// Calling FailNodes again with a superset of dead nodes is idempotent for
-// the already-processed ones, which is how the engine applies crashes
+// dead is the name-node's whole current belief: it replaces the table's
+// suspicions, so a node left out of a later call is live again. Calling
+// FailNodes again with a superset of dead nodes is idempotent for the
+// already-processed ones, which is how the engine applies crashes
 // accumulating over a job's lifetime.
 func (fs *FileSystem) FailNodes(dead []cluster.NodeID) (moved int, lost []BlockID) {
-	deadSet := make(map[cluster.NodeID]bool, len(dead))
+	fs.health = cluster.NewHealth(fs.topo.N())
+	known := 0
 	for _, id := range dead {
 		if int(id) >= 0 && int(id) < fs.topo.N() {
-			deadSet[id] = true
+			fs.health.Suspect(id)
+			known++
 		}
 	}
-	if len(deadSet) == 0 {
+	if known == 0 {
 		return 0, nil
 	}
 	usage := fs.Usage()
+	veto := placement.HealthVeto(fs.health)
 	for _, b := range fs.blocks {
 		// Drop dead replicas in place, preserving order.
 		live := b.Replicas[:0]
 		for _, n := range b.Replicas {
-			if !deadSet[n] {
+			if !fs.health.Suspected(n) {
 				live = append(live, n)
 			}
 		}
@@ -142,12 +70,16 @@ func (fs *FileSystem) FailNodes(dead []cluster.NodeID) (moved int, lost []BlockI
 			continue
 		}
 		for len(b.Replicas) < fs.cfg.Replication {
-			target, ok := fs.pickTargetExcluding(b, usage, deadSet)
-			if !ok {
+			// The least-utilized live node without a replica, ties to the
+			// lower id; usage is charged between picks.
+			target, _ := placement.LeastUsed{}.Choose(placement.Request{
+				Topo: fs.topo, Want: 1, Partial: true, Have: b.Replicas, Usage: usage, Veto: veto,
+			})
+			if len(target) == 0 {
 				break // under-replicated; ReplicationHealth will report it
 			}
-			b.Replicas = append(b.Replicas, target)
-			usage[target] += b.Bytes
+			b.Replicas = append(b.Replicas, target[0])
+			usage[target[0]] += b.Bytes
 			moved++
 		}
 	}
@@ -240,52 +172,6 @@ func (fs *FileSystem) Balance() BalanceReport {
 		min = 0
 	}
 	return BalanceReport{MaxBytes: max, MinBytes: min, MeanBytes: mean, CV: cv}
-}
-
-// Rebalance moves replicas from over-utilized to under-utilized nodes until
-// every node is within `slack` (fraction, e.g. 0.1) of the mean — the
-// HDFS balancer's contract. Returns the number of replicas moved.
-func (fs *FileSystem) Rebalance(slack float64) int {
-	if slack <= 0 {
-		slack = 0.1
-	}
-	usage := fs.Usage()
-	var total int64
-	for _, id := range fs.topo.IDs() {
-		total += usage[id]
-	}
-	if fs.topo.N() == 0 {
-		return 0
-	}
-	mean := total / int64(fs.topo.N())
-	hi := mean + int64(float64(mean)*slack)
-	lo := mean - int64(float64(mean)*slack)
-
-	// Deterministic order: blocks by id; donors = nodes above hi.
-	moved := 0
-	for _, b := range fs.blocks {
-		for i, n := range b.Replicas {
-			if usage[n] <= hi {
-				continue
-			}
-			// Receiver: the least-utilized node below lo without a replica.
-			target, ok := fs.pickTarget(b, usage, n)
-			if !ok || usage[target] >= lo {
-				continue
-			}
-			b.Replicas[i] = target
-			usage[n] -= b.Bytes
-			usage[target] += b.Bytes
-			moved++
-		}
-	}
-	if fs.rec.Enabled() && moved > 0 {
-		ev := trace.At(fs.recNow, trace.EvRereplicate)
-		ev.Count = moved
-		ev.Detail = "balancer"
-		fs.rec.Record(ev)
-	}
-	return moved
 }
 
 // ReplicationHealth verifies every block still has the configured number

@@ -1,56 +1,10 @@
 package hdfs
 
 import (
-	"errors"
 	"testing"
 
 	"datanet/internal/cluster"
-	"datanet/internal/placement"
 )
-
-func TestDecommissionNode(t *testing.T) {
-	fs := newFS(t, 8, Config{BlockSize: 512, Seed: 9})
-	fs.Write("f", mkRecords(80, 40))
-	victim := cluster.NodeID(3)
-	before := len(fs.NodeBlocks(victim))
-	if before == 0 {
-		t.Fatal("fixture: victim holds no blocks")
-	}
-	moved, err := fs.DecommissionNode(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved != before {
-		t.Errorf("moved %d, want %d", moved, before)
-	}
-	if got := len(fs.NodeBlocks(victim)); got != 0 {
-		t.Errorf("victim still holds %d blocks", got)
-	}
-	// Replication invariant preserved.
-	if bad := fs.ReplicationHealth(); len(bad) != 0 {
-		t.Errorf("replication violated for blocks %v", bad)
-	}
-}
-
-func TestDecommissionUnknownNode(t *testing.T) {
-	fs := newFS(t, 4, Config{Seed: 1})
-	if _, err := fs.DecommissionNode(99); !errors.Is(err, ErrNodeUnknown) {
-		t.Errorf("err = %v", err)
-	}
-}
-
-func TestDecommissionImpossible(t *testing.T) {
-	// 3 nodes, replication 3: losing one node cannot keep the factor.
-	topo := cluster.MustHomogeneous(3, 1)
-	fs, err := NewFileSystem(topo, Config{BlockSize: 512, Replication: 3, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs.Write("f", mkRecords(10, 40))
-	if _, err := fs.DecommissionNode(0); !errors.Is(err, ErrNotEnoughNodes) {
-		t.Errorf("err = %v", err)
-	}
-}
 
 func TestFailNodesRepairs(t *testing.T) {
 	fs := newFS(t, 8, Config{BlockSize: 512, Seed: 9})
@@ -71,10 +25,19 @@ func TestFailNodesRepairs(t *testing.T) {
 	if bad := fs.ReplicationHealth(); len(bad) != 0 {
 		t.Errorf("replication violated for blocks %v", bad)
 	}
+	// The set is the name-node's belief until the next call replaces it.
+	for id := range cluster.NodeID(8) {
+		if want := id == 2 || id == 5; fs.health.Suspected(id) != want {
+			t.Errorf("node %d suspected %v after FailNodes(%v)", id, !want, dead)
+		}
+	}
 	// Idempotent for an already-processed superset.
 	moved2, lost2 := fs.FailNodes(dead)
 	if moved2 != 0 || len(lost2) != 0 {
 		t.Errorf("second FailNodes moved %d, lost %v; want 0, none", moved2, lost2)
+	}
+	if fs.FailNodes([]cluster.NodeID{5}); fs.health.Suspected(2) || !fs.health.Suspected(5) {
+		t.Error("a node left out of a later FailNodes must be believed live again")
 	}
 }
 
@@ -154,47 +117,4 @@ func TestBalanceReport(t *testing.T) {
 	if rep.MeanBytes <= 0 || rep.MaxBytes < rep.MeanBytes || rep.MinBytes > rep.MeanBytes {
 		t.Errorf("implausible report %+v", rep)
 	}
-}
-
-func TestRebalanceImproves(t *testing.T) {
-	// Round-robin placement starting heavily skewed: write with a policy
-	// that floods node 0.
-	topo := cluster.MustHomogeneous(8, 2)
-	fs, err := NewFileSystem(topo, Config{BlockSize: 512, Replication: 2, Placement: &floodPlacement{}, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs.Write("f", mkRecords(120, 40))
-	before := fs.Balance()
-	moved := fs.Rebalance(0.1)
-	after := fs.Balance()
-	if moved == 0 {
-		t.Fatal("nothing moved despite skew")
-	}
-	if after.CV >= before.CV {
-		t.Errorf("CV did not improve: %.3f → %.3f", before.CV, after.CV)
-	}
-	if bad := fs.ReplicationHealth(); len(bad) != 0 {
-		t.Errorf("rebalance broke replication: %v", bad)
-	}
-}
-
-// floodPlacement concentrates replicas on nodes 0 and 1, creating the skew
-// the balancer must fix.
-type floodPlacement struct{ i int }
-
-func (f *floodPlacement) Name() string { return "flood" }
-
-func (f *floodPlacement) Choose(req placement.Request) ([]cluster.NodeID, error) {
-	n := req.Topo.N()
-	out := make([]cluster.NodeID, req.Want)
-	out[0] = cluster.NodeID(f.i % 2) // always node 0 or 1
-	for k := 1; k < req.Want; k++ {
-		out[k] = cluster.NodeID((2 + f.i + k) % n)
-		if out[k] == out[0] {
-			out[k] = cluster.NodeID((int(out[k]) + 1) % n)
-		}
-	}
-	f.i++
-	return out, nil
 }

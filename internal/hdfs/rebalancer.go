@@ -98,39 +98,28 @@ type RebalanceStats struct {
 	// applied plan across all ticks.
 	Ticks, Moves int
 	BytesMoved   int64
-	// Rejected counts plans refused by view validation (typed veto).
+	// Rejected counts plans refused by health validation (typed veto).
 	Rejected int
 }
 
-// Rebalancer drives placement optimizers against one filesystem.
+// Rebalancer drives placement optimizers against one filesystem. It plans
+// over and validates against the name-node's node-health table: a move
+// toward a node the name-node believes dead or draining fails the tick
+// with a typed error.
 type Rebalancer struct {
 	fs    *FileSystem
 	cfg   RebalancerConfig
 	heat  map[BlockID]float64
-	view  placement.View
 	stats RebalanceStats
 }
 
-// NewRebalancer builds a rebalancer over fs. The view starts all-healthy;
-// callers with a failure detector or decommission plan install theirs via
-// SetView.
+// NewRebalancer builds a rebalancer over fs.
 func NewRebalancer(fs *FileSystem, cfg RebalancerConfig) *Rebalancer {
 	return &Rebalancer{
 		fs:   fs,
 		cfg:  cfg.withDefaults(fs.cfg.Replication),
 		heat: make(map[BlockID]float64),
-		view: placement.View{N: fs.topo.N()},
 	}
-}
-
-// SetView installs the control plane's current node-health belief. Plans
-// are validated against it: a move toward a dead, suspected or
-// decommissioned node fails the tick with a typed error.
-func (r *Rebalancer) SetView(v placement.View) {
-	if v.N == 0 {
-		v.N = r.fs.topo.N()
-	}
-	r.view = v
 }
 
 // ObserveAccess records one access of block id at the given sub-dataset
@@ -180,7 +169,7 @@ func (r *Rebalancer) blockInfos() []placement.BlockInfo {
 }
 
 // Tick runs one maintenance pass at simulated time now: plan under the
-// configured mode, validate against the health view, apply, trace. The
+// configured mode, validate against the health table, apply, trace. The
 // returned plan holds the applied moves (empty when the layout is already
 // good). A validation failure returns the typed *placement.VetoError and
 // applies nothing.
@@ -196,7 +185,7 @@ func (r *Rebalancer) Tick(now float64) (placement.Plan, error) {
 	}
 
 	if r.cfg.Mode == RebalanceHotSpot || r.cfg.Mode == RebalanceBoth {
-		plan := placement.PlanHotSpots(r.blockInfos(), r.fs.Usage(), r.view, placement.HotSpotConfig{
+		plan := placement.PlanHotSpots(r.blockInfos(), r.fs.Usage(), r.fs.health, placement.HotSpotConfig{
 			MaxReplicas: r.cfg.MaxReplicas,
 			MaxMoves:    r.cfg.MaxMovesPerTick,
 		})
@@ -205,7 +194,7 @@ func (r *Rebalancer) Tick(now float64) (placement.Plan, error) {
 		}
 	}
 	if r.cfg.Mode == RebalanceAnneal || r.cfg.Mode == RebalanceBoth {
-		plan := placement.Anneal(r.blockInfos(), r.view, placement.AnnealConfig{
+		plan := placement.Anneal(r.blockInfos(), r.fs.health, placement.AnnealConfig{
 			Seed:  r.cfg.AnnealSeed,
 			Steps: r.cfg.AnnealSteps,
 		})
@@ -227,7 +216,7 @@ func (r *Rebalancer) Tick(now float64) (placement.Plan, error) {
 
 // apply validates and executes one plan, folding it into out.
 func (r *Rebalancer) apply(plan placement.Plan, now float64, out *placement.Plan) error {
-	if err := plan.Validate(r.view); err != nil {
+	if err := plan.Validate(r.fs.health); err != nil {
 		r.stats.Rejected++
 		return err
 	}

@@ -2,6 +2,7 @@ package hdfs
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"datanet/internal/cluster"
@@ -108,11 +109,14 @@ func TestRebalancerHeatDecay(t *testing.T) {
 }
 
 func TestRebalancerRespectsView(t *testing.T) {
-	_, rb, _ := hotFixture(t, RebalancerConfig{
+	fs, rb, _ := hotFixture(t, RebalancerConfig{
 		Mode: RebalanceBoth, AnnealSteps: 500, MaxReplicas: 6, MaxMovesPerTick: 16,
 	})
+	// The name-node's table: node 5 failed (FailNodes suspects it and moves
+	// its replicas away), node 2 is draining.
+	fs.FailNodes([]cluster.NodeID{5})
+	fs.health.Drain(2)
 	vetoed := map[cluster.NodeID]bool{2: true, 5: true}
-	rb.SetView(placement.View{N: 8, Decommissioned: map[cluster.NodeID]bool{2: true}, Suspected: map[cluster.NodeID]bool{5: true}})
 	for tick := 0; tick < 3; tick++ {
 		plan, err := rb.Tick(float64(tick))
 		if err != nil {
@@ -126,6 +130,25 @@ func TestRebalancerRespectsView(t *testing.T) {
 	}
 	if rb.Stats().Rejected != 0 {
 		t.Errorf("optimizers planned vetoed targets %d times", rb.Stats().Rejected)
+	}
+	// A plan the table vetoes is refused whole, typed, and applies nothing.
+	b := fs.blocks[0]
+	for _, c := range []struct {
+		to     cluster.NodeID
+		reason placement.VetoReason
+	}{{2, placement.VetoDecommissioned}, {5, placement.VetoDead}} {
+		replicas := append([]cluster.NodeID(nil), b.Replicas...)
+		plan := placement.Plan{Moves: []placement.Move{{Block: int(b.ID), From: placement.AddReplica, To: c.to, Bytes: b.Bytes}}}
+		var ve *placement.VetoError
+		if err := rb.apply(plan, 9, &placement.Plan{}); !errors.As(err, &ve) || ve.Reason != c.reason {
+			t.Errorf("move to node %d: err %v, want a VetoError for %v", c.to, err, c.reason)
+		}
+		if !reflect.DeepEqual(b.Replicas, replicas) {
+			t.Errorf("a vetoed plan changed block %d's replicas %v -> %v", b.ID, replicas, b.Replicas)
+		}
+	}
+	if rb.Stats().Rejected != 2 {
+		t.Errorf("Rejected = %d, want 2", rb.Stats().Rejected)
 	}
 }
 

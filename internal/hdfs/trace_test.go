@@ -64,36 +64,28 @@ func TestFailNodesEmitsBlockLost(t *testing.T) {
 	}
 }
 
-func TestDecommissionAndRebalanceEmit(t *testing.T) {
-	fs := newFS(t, 8, Config{BlockSize: 512, Seed: 9})
-	fs.Write("f", mkRecords(80, 40))
+func TestRebalanceTickEmits(t *testing.T) {
+	_, rb, _ := hotFixture(t, RebalancerConfig{Mode: RebalanceHotSpot})
 	rec := trace.New()
-	fs.SetTrace(rec)
-	if _, err := fs.DecommissionNode(3); err != nil {
+	rb.fs.SetTrace(rec)
+	plan, err := rb.Tick(4)
+	if err != nil {
 		t.Fatal(err)
 	}
-	fs.Rebalance(0.05)
-	var details []string
-	for _, ev := range rec.Events() {
-		if ev.Type != trace.EvRereplicate {
-			t.Fatalf("unexpected event %+v", ev)
-		}
-		details = append(details, ev.Detail)
+	evs := rec.Events()
+	if len(plan.Moves) == 0 || len(evs) != 1 {
+		t.Fatalf("%d moves, %d events; want moves and one tick summary", len(plan.Moves), len(evs))
 	}
-	if len(details) == 0 || details[0] != "decommission" {
-		t.Fatalf("details = %v, want decommission first", details)
-	}
-	for _, d := range details[1:] {
-		if d != "balancer" {
-			t.Fatalf("details = %v", details)
-		}
+	if ev := evs[0]; ev.Type != trace.EvRebalance || ev.T != 4 || ev.Count != len(plan.Moves) || ev.Detail != "hotspot" {
+		t.Fatalf("event = %+v", ev)
 	}
 }
 
 func TestNoTraceNoEvents(t *testing.T) {
-	fs := newFS(t, 8, Config{BlockSize: 512, Seed: 9})
-	fs.Write("f", mkRecords(80, 40))
+	fs, rb, _ := hotFixture(t, RebalancerConfig{Mode: RebalanceBoth})
 	// No recorder installed: maintenance must not panic.
 	fs.FailNodes([]cluster.NodeID{2})
-	fs.Rebalance(0.05)
+	if _, err := rb.Tick(0); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"datanet/internal/cluster"
-	"datanet/internal/detect"
 	"datanet/internal/hdfs"
 	"datanet/internal/partition"
 	"datanet/internal/sched"
@@ -39,19 +38,6 @@ type jobContext struct {
 	totalOut    float64
 	reducerNode []cluster.NodeID
 	shares      []float64
-}
-
-// believedDeadAt reports whether the master would refuse to place work on
-// the node at time t. Under the oracle that is physical death; detector
-// modes additionally exclude nodes still suspected when the filter kernel
-// settled — the master cannot place reducers or backups on a node it
-// believes dead, even when the suspicion is false.
-func (jc *jobContext) believedDeadAt(id cluster.NodeID, t float64) bool {
-	if jc.inj.DeadAt(id, t) {
-		return true
-	}
-	det := jc.fsim.det
-	return det != nil && det.State(id) == detect.Suspected
 }
 
 // runPipeline runs the job's five phases in order on the shared clock.
@@ -187,7 +173,7 @@ func runAnalysis(jc *jobContext) error {
 	}
 	live := make([]cluster.NodeID, 0, topo.N())
 	for _, id := range topo.IDs() {
-		if !jc.believedDeadAt(id, analysisStart) {
+		if !jc.fsim.believedDead(id, analysisStart) {
 			live = append(live, id)
 		}
 	}
@@ -239,7 +225,7 @@ func runShuffle(jc *jobContext) error {
 	// shuffle opens.
 	liveAtShuffle := make([]cluster.NodeID, 0, topo.N())
 	for _, id := range topo.IDs() {
-		if !jc.believedDeadAt(id, res.MapEnd) {
+		if !jc.fsim.believedDead(id, res.MapEnd) {
 			liveAtShuffle = append(liveAtShuffle, id)
 		}
 	}
@@ -251,7 +237,7 @@ func runShuffle(jc *jobContext) error {
 		plan := sched.PlanAggregation(res.NodeWorkload, cfg.Reducers)
 		for r := range jc.reducerNode {
 			nid := plan.Aggregators[r%len(plan.Aggregators)]
-			if jc.believedDeadAt(nid, res.MapEnd) {
+			if jc.fsim.believedDead(nid, res.MapEnd) {
 				nid = liveAtShuffle[r%len(liveAtShuffle)]
 			}
 			jc.reducerNode[r] = nid

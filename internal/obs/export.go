@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 
 	"datanet/internal/trace"
@@ -43,27 +42,9 @@ func WriteSpansChrome(w io.Writer, spans []Span) error {
 func SpansChrome(spans []Span) trace.ChromeTraceFile {
 	maxNode := -1
 	for _, sp := range spans {
-		if sp.Node > maxNode {
-			maxNode = sp.Node
-		}
+		maxNode = max(maxNode, sp.Node)
 	}
-	soloTid := maxNode + 1
-
-	out := trace.ChromeTraceFile{DisplayTimeUnit: "ms"}
-	out.TraceEvents = append(out.TraceEvents, trace.ChromeEvent{
-		Name: "process_name", Ph: "M", Pid: 1, Tid: 0,
-		Args: map[string]any{"name": "datanet serving plane"},
-	})
-	for tid := 0; tid <= maxNode; tid++ {
-		out.TraceEvents = append(out.TraceEvents, trace.ChromeEvent{
-			Name: "thread_name", Ph: "M", Pid: 1, Tid: tid,
-			Args: map[string]any{"name": fmt.Sprintf("node-%d", tid)},
-		})
-	}
-	out.TraceEvents = append(out.TraceEvents, trace.ChromeEvent{
-		Name: "thread_name", Ph: "M", Pid: 1, Tid: soloTid,
-		Args: map[string]any{"name": "server"},
-	})
+	out, soloTid := trace.ChromeTracks("datanet serving plane", maxNode, "server")
 
 	for _, sp := range spans {
 		tid := sp.Node
@@ -98,7 +79,7 @@ func SpansChrome(spans []Span) trace.ChromeTraceFile {
 			Name: name, Ph: "X",
 			Ts:  sp.StartUnixMs * 1e3, // ms → µs
 			Dur: sp.DurMs * 1e3,
-			Pid: 1, Tid: tid,
+			Pid: trace.ChromePid, Tid: tid,
 			Cat:  "request",
 			Args: args,
 		})

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -175,8 +176,14 @@ func TestTraceHandlerFormats(t *testing.T) {
 			Dur  float64 `json:"dur"`
 		} `json:"traceEvents"`
 	}
-	if err := json.Unmarshal(get("/?format=chrome"), &ctf); err != nil {
+	chrome := get("/?format=chrome")
+	if err := json.Unmarshal(chrome, &ctf); err != nil {
 		t.Fatalf("chrome trace does not parse: %v", err)
+	}
+	// Byte for byte the export the serving plane has always written; the
+	// track metadata is trace.ChromeTracks', shared with the simulator.
+	if want, err := os.ReadFile("testdata/spans_chrome.golden"); err != nil || !bytes.Equal(chrome, want) {
+		t.Errorf("chrome trace differs from testdata/spans_chrome.golden (%v):\n%s", err, chrome)
 	}
 	var xs int
 	for _, ev := range ctf.TraceEvents {

@@ -88,21 +88,22 @@ func (s *annealState) objective(ids []cluster.NodeID) float64 {
 // un-improvable layout yields an empty plan. Only relocations are
 // proposed — replica counts per block are preserved — and proposals never
 // target vetoed nodes or co-locate two replicas of one block.
-func Anneal(blocks []BlockInfo, view View, cfg AnnealConfig) Plan {
+func Anneal(blocks []BlockInfo, h *cluster.Health, cfg AnnealConfig) Plan {
 	if cfg.Steps <= 0 {
 		cfg.Steps = 4000
 	}
 	plan := Plan{Policy: "anneal"}
 
 	var ids []cluster.NodeID // eligible universe
-	for i := 0; i < view.N; i++ {
-		if id := cluster.NodeID(i); view.Veto(id) == VetoNone {
+	veto := HealthVeto(h)
+	for id := range cluster.NodeID(h.N()) {
+		if veto(id) == VetoNone {
 			ids = append(ids, id)
 		}
 	}
 	cur := annealState{
 		assign:  make([][]cluster.NodeID, len(blocks)),
-		load:    make(map[cluster.NodeID]float64, view.N),
+		load:    make(map[cluster.NodeID]float64, h.N()),
 		weights: make([]float64, len(blocks)),
 	}
 	for i, b := range blocks {

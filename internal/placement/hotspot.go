@@ -77,7 +77,7 @@ func maxLoad(load map[cluster.NodeID]float64) float64 {
 // additions, so one pass spreads additions instead of dog-piling the
 // single emptiest node. The reported objective is the maximum per-node
 // heat load (heat split evenly across holders).
-func PlanHotSpots(blocks []BlockInfo, usage map[cluster.NodeID]int64, view View, cfg HotSpotConfig) Plan {
+func PlanHotSpots(blocks []BlockInfo, usage map[cluster.NodeID]int64, h *cluster.Health, cfg HotSpotConfig) Plan {
 	plan := Plan{Policy: "hotspot"}
 	before := heatLoad(blocks, nil)
 	plan.ObjectiveBefore = maxLoad(before)
@@ -102,11 +102,12 @@ func PlanHotSpots(blocks []BlockInfo, usage map[cluster.NodeID]int64, view View,
 		return a.Block < b.Block
 	})
 
-	// ids: the view's universe, ascending, matching LeastUsed's scan.
-	ids := make([]cluster.NodeID, view.N)
+	// ids: the table's universe, ascending, matching LeastUsed's scan.
+	ids := make([]cluster.NodeID, h.N())
 	for i := range ids {
 		ids[i] = cluster.NodeID(i)
 	}
+	veto := HealthVeto(h)
 	over := make(map[cluster.NodeID]int64, maxMoves)
 	added := make(map[int][]cluster.NodeID)
 	for _, idx := range order {
@@ -127,7 +128,7 @@ func PlanHotSpots(blocks []BlockInfo, usage map[cluster.NodeID]int64, view View,
 			Have:       b.Replicas,
 			Usage:      eff,
 			BlockBytes: b.Bytes,
-			Veto:       view.Veto,
+			Veto:       veto,
 		})
 		if err != nil || len(target) == 0 {
 			continue // no healthy node without a replica; block stays as-is

@@ -1,9 +1,8 @@
 // Package placement unifies every replica-placement decision in the
 // system behind one Policy interface. Before it existed, three layers
 // chose where bytes live with three private mechanisms: the HDFS model's
-// write-path policies (internal/hdfs/placement.go), the name-node's
-// re-replication target selection (least-utilized live node, used by
-// decommission, crash repair and the usage balancer), and the metadata
+// write-path policies, the name-node's re-replication target selection
+// (least-utilized live node, used by crash repair), and the metadata
 // cluster's rendezvous shard-replica ranking (internal/clusterd). None of
 // them could see ElasticMap's distribution knowledge. This package ports
 // all three behind Policy — bit-for-bit, so pre-refactor golden schedules
@@ -16,7 +15,8 @@
 //
 //   - Chosen nodes are distinct and never repeat a node in Request.Have
 //     (no block ever co-locates two replicas on one node).
-//   - A vetoed node (dead, suspected, decommissioning) is never chosen.
+//   - A vetoed node (suspected, unknown or draining in the node-health
+//     table, see HealthVeto) is never chosen.
 //   - Given identical inputs, Choose is deterministic (any randomness
 //     comes from the caller-owned Request.RNG).
 package placement

@@ -9,10 +9,10 @@ import (
 
 // A Plan is a batch of replica moves produced by an optimizer (hotspot
 // re-replicator, annealer) and applied by the hdfs rebalancer. Plans are
-// validated against a topology View before application: a move that
-// targets a dead, suspected or decommissioned node is a typed error, not
-// a silent skip — the control plane must know its view and the
-// optimizer's view diverged.
+// validated against the node-health table (cluster.Health) before
+// application: a move that targets a suspected, unknown or draining node
+// is a typed error, not a silent skip — the control plane must know its
+// view and the optimizer's view diverged.
 
 // AddReplica marks Move.From for moves that add a replica instead of
 // relocating one.
@@ -52,32 +52,18 @@ func (p Plan) BytesMoved() int64 {
 	return total
 }
 
-// View is the control plane's belief about node health at validation
-// time: which nodes exist, which are dead or suspected, which are
-// decommissioned or draining.
-type View struct {
-	// N is the node-id universe [0, N).
-	N int
-	// Dead marks crashed nodes.
-	Dead map[cluster.NodeID]bool
-	// Suspected marks nodes the failure detector currently suspects.
-	Suspected map[cluster.NodeID]bool
-	// Decommissioned marks draining or drained nodes.
-	Decommissioned map[cluster.NodeID]bool
-}
-
-// Veto reports why id must not receive replicas, VetoNone when healthy.
-// It satisfies Request.Veto so policies and plan validation share one
-// health predicate.
-func (v View) Veto(id cluster.NodeID) VetoReason {
-	switch {
-	case int(id) < 0 || int(id) >= v.N:
-		return VetoDead
-	case v.Dead[id] || v.Suspected[id]:
-		return VetoDead
-	case v.Decommissioned[id]:
-		return VetoDecommissioned
-	default:
+// HealthVeto is the one adapter from the node-health table to placement:
+// a suspected or unknown node is VetoDead, a draining one
+// VetoDecommissioned. It satisfies Request.Veto, so policies and plan
+// validation share one health predicate.
+func HealthVeto(h *cluster.Health) func(cluster.NodeID) VetoReason {
+	return func(id cluster.NodeID) VetoReason {
+		switch {
+		case h.Suspected(id):
+			return VetoDead
+		case h.Draining(id):
+			return VetoDecommissioned
+		}
 		return VetoNone
 	}
 }
@@ -102,13 +88,14 @@ func (e *VetoError) Error() string {
 // Unwrap lets errors.Is(err, ErrVetoedTarget) match.
 func (e *VetoError) Unwrap() error { return ErrVetoedTarget }
 
-// Validate rejects any move whose target the view vetoes — moves toward
-// decommissioned or suspected nodes must fail loudly with a typed error
+// Validate rejects any move whose target the health table vetoes — moves
+// toward draining or suspected nodes must fail loudly with a typed error
 // rather than being silently dropped. The first offending move is
 // reported; a nil error means every move targets a healthy node.
-func (p Plan) Validate(view View) error {
+func (p Plan) Validate(h *cluster.Health) error {
+	veto := HealthVeto(h)
 	for _, m := range p.Moves {
-		if r := view.Veto(m.To); r != VetoNone {
+		if r := veto(m.To); r != VetoNone {
 			return &VetoError{Move: m, Reason: r}
 		}
 	}

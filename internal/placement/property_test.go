@@ -177,26 +177,19 @@ func genBlocks(gen *rand.Rand, n, nodes int) []BlockInfo {
 	return blocks
 }
 
-// genView derives a random health view that keeps at least two nodes
+// genView derives a random health table that keeps at least two nodes
 // eligible.
-func genView(gen *rand.Rand, nodes int) View {
-	v := View{
-		N:              nodes,
-		Dead:           map[cluster.NodeID]bool{},
-		Decommissioned: map[cluster.NodeID]bool{},
-		Suspected:      map[cluster.NodeID]bool{},
-	}
-	for id := 0; id < nodes-2; id++ {
+func genView(gen *rand.Rand, nodes int) *cluster.Health {
+	h := cluster.NewHealth(nodes)
+	for id := range cluster.NodeID(nodes - 2) {
 		switch gen.Intn(8) {
-		case 0:
-			v.Dead[cluster.NodeID(id)] = true
+		case 0, 2:
+			h.Suspect(id)
 		case 1:
-			v.Decommissioned[cluster.NodeID(id)] = true
-		case 2:
-			v.Suspected[cluster.NodeID(id)] = true
+			h.Drain(id)
 		}
 	}
-	return v
+	return h
 }
 
 // applyPlan replays a plan against a replica-set model, failing on any

@@ -47,9 +47,6 @@ type Event struct {
 // only declares "this instant no longer creates work". Hiding is one-way.
 func (e *Event) Hide() { e.hidden = true }
 
-// Hidden reports whether Hide was called.
-func (e *Event) Hidden() bool { return e.hidden }
-
 // Delivered reports whether the kernel already delivered the event.
 func (e *Event) Delivered() bool { return e.delivered }
 

@@ -11,7 +11,6 @@
 package stats
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 )
@@ -24,9 +23,6 @@ type Gamma struct {
 	// Theta is the scale parameter (must be > 0).
 	Theta float64
 }
-
-// ErrInvalidParam reports a non-positive shape or scale.
-var ErrInvalidParam = errors.New("stats: gamma parameters must be positive")
 
 // Valid reports whether the distribution parameters are usable.
 func (g Gamma) Valid() bool { return g.K > 0 && g.Theta > 0 }

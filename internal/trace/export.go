@@ -51,7 +51,27 @@ type ChromeTraceFile struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-const chromePid = 1 // one simulated cluster = one "process"
+// ChromePid is the one "process" of every export: a simulated cluster or
+// a serving plane.
+const ChromePid = 1
+
+// ChromeTracks starts a Chrome trace file: the process name, one "node-N"
+// track for every node 0..maxNode, and after them one extra track for
+// events scoped to no node, whose tid it returns.
+func ChromeTracks(process string, maxNode int, extra string) (ChromeTraceFile, int) {
+	out := ChromeTraceFile{DisplayTimeUnit: "ms"}
+	meta := func(kind string, tid int, name string) {
+		out.TraceEvents = append(out.TraceEvents, ChromeEvent{
+			Name: kind, Ph: "M", Pid: ChromePid, Tid: tid, Args: map[string]any{"name": name},
+		})
+	}
+	meta("process_name", 0, process)
+	for tid := 0; tid <= maxNode; tid++ {
+		meta("thread_name", tid, fmt.Sprintf("node-%d", tid))
+	}
+	meta("thread_name", maxNode+1, extra)
+	return out, maxNode + 1
+}
 
 // ChromeTrace converts the timeline: one thread (track) per node, one
 // "X" span per task attempt and per phase execution, instants for faults
@@ -61,27 +81,9 @@ func (r *Recorder) ChromeTrace() ChromeTraceFile {
 	events := r.Events()
 	maxNode := -1
 	for _, ev := range events {
-		if ev.Node > maxNode {
-			maxNode = ev.Node
-		}
+		maxNode = max(maxNode, ev.Node)
 	}
-	jobTid := maxNode + 1
-
-	out := ChromeTraceFile{DisplayTimeUnit: "ms"}
-	out.TraceEvents = append(out.TraceEvents, ChromeEvent{
-		Name: "process_name", Ph: "M", Pid: chromePid, Tid: 0,
-		Args: map[string]any{"name": "datanet simulated cluster"},
-	})
-	for tid := 0; tid <= maxNode; tid++ {
-		out.TraceEvents = append(out.TraceEvents, ChromeEvent{
-			Name: "thread_name", Ph: "M", Pid: chromePid, Tid: tid,
-			Args: map[string]any{"name": fmt.Sprintf("node-%d", tid)},
-		})
-	}
-	out.TraceEvents = append(out.TraceEvents, ChromeEvent{
-		Name: "thread_name", Ph: "M", Pid: chromePid, Tid: jobTid,
-		Args: map[string]any{"name": "job"},
-	})
+	out, jobTid := ChromeTracks("datanet simulated cluster", maxNode, "job")
 
 	const usec = 1e6
 	for _, ev := range events {
@@ -92,7 +94,7 @@ func (r *Recorder) ChromeTrace() ChromeTraceFile {
 		ce := ChromeEvent{
 			Name: chromeName(ev),
 			Ts:   ev.T * usec,
-			Pid:  chromePid,
+			Pid:  ChromePid,
 			Tid:  tid,
 			Cat:  string(ev.Type),
 			Args: chromeArgs(ev),

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 )
@@ -109,6 +110,10 @@ func TestChromeTraceWellFormed(t *testing.T) {
 	if err := r.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
+	// Byte for byte the export `analyze -out chrome=` has always written.
+	if want, err := os.ReadFile("testdata/chrome.golden"); err != nil || !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("chrome trace differs from testdata/chrome.golden (%v):\n%s", err, buf.Bytes())
+	}
 	var file ChromeTraceFile
 	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
 		t.Fatalf("chrome trace is not valid JSON: %v", err)
@@ -119,7 +124,7 @@ func TestChromeTraceWellFormed(t *testing.T) {
 	spans, instants, meta := 0, 0, 0
 	threadNames := map[int]string{}
 	for _, ce := range file.TraceEvents {
-		if ce.Pid != chromePid {
+		if ce.Pid != ChromePid {
 			t.Fatalf("event %q has pid %d", ce.Name, ce.Pid)
 		}
 		switch ce.Ph {
