@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"datanet/internal/detect"
@@ -13,6 +14,7 @@ import (
 	"datanet/internal/mapreduce"
 	"datanet/internal/partition"
 	"datanet/internal/straggle"
+	"datanet/internal/trace"
 )
 
 // Every generated plan must pass the hardened faults.Plan.Validate: the
@@ -169,7 +171,7 @@ func TestMitigationCorpusBackupNodeCrash(t *testing.T) {
 	// The plan must actually exercise the scenario, or the zero
 	// violations above prove nothing: run the mitigated arm directly and
 	// demand live backups plus exactly one surviving output per block.
-	res, err := h.runArm(mitigatedArm(b), 77, plan, b, nil)
+	res, err := h.runArm(mitigatedArm(b), 77, plan, b, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,12 +232,43 @@ func TestMitigationCorpusReadErrorReroll(t *testing.T) {
 	for _, v := range h.check(seed, plan, b) {
 		t.Errorf("violation: %s", v)
 	}
-	if _, err := h.runArm(baseline, seed, plan, b, nil); err != nil {
+	if _, err := h.runArm(baseline, seed, plan, b, nil, nil); err != nil {
 		t.Fatalf("corpus seed lost its shape: the baseline fails: %v", err)
 	}
-	_, err = h.runArm(mitigatedArm(b), seed, plan, b, nil)
+	_, err = h.runArm(mitigatedArm(b), seed, plan, b, nil, nil)
 	if !errors.Is(err, mapreduce.ErrRetriesExhausted) || plan.Read.Prob == 0 {
 		t.Fatalf("corpus seed lost its shape: mitigated run %v under read-error probability %g", err, plan.Read.Prob)
+	}
+}
+
+// Corpus (analysis-phase recovery against belief): runs 351 and 875 of the
+// CI smoke, `chaos -runs 1000 -seed 1`. Each draws a detector and coded
+// mitigation: the filter kernel stops while a crashed node that has since
+// rejoined is still suspected, and a later analysis-phase crash needs a
+// helper to redo its share. Recovery used to pick by physics alone and
+// handed the share to the suspected node; it must pick one the master
+// believes live, as reducer placement always did.
+func TestRecoveryCorpusSuspectedHelper(t *testing.T) {
+	h, err := NewHarness(DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []uint64{18288763091816709512, 186926793898305595} {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			plan := GenPlan(seed, h.horizon, h.p)
+			for _, v := range h.CheckPlan(seed, plan) {
+				t.Errorf("violation: %s", v)
+			}
+			b := drawBundle(seed)
+			as := arms(b)
+			rec := trace.New()
+			if _, err := h.runArm(as[len(as)-1], seed, plan, b, nil, rec); err != nil || b.detect == detect.Oracle {
+				t.Fatalf("corpus seed lost its shape: detector %s, run error %v", b.detect, err)
+			}
+			if !slices.ContainsFunc(rec.Events(), func(ev trace.Event) bool { return ev.Type == trace.EvAnalysisRecover }) {
+				t.Fatal("corpus seed lost its shape: no analysis share was redone")
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package chaos
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"datanet/internal/cluster"
@@ -21,6 +22,9 @@ import (
 //   - unflagged-stale: a read that is not flagged stale never returns an
 //     epoch below the highest one any client was acked.
 //   - one-primary: at most one reachable node believes it leads a shard.
+//   - acted-on-believed-dead: after every tick no shard is led by a
+//     suspected member, and no follower the tick enlisted is suspected or
+//     draining.
 //   - convergence: within a bounded number of ticks after the last fault
 //     the cluster is fully repaired and quiescent.
 //   - replay: the same plan produces a bit-identical final state.
@@ -468,10 +472,29 @@ func runClusterPlan(seed uint64, plan *ClusterPlan, p ClusterParams) clusterRunR
 		}
 	}
 
-	census := func(now float64) {
+	// tick advances the clock and checks the online invariants.
+	tick := func(now float64) {
+		prev := c.Topology()
+		c.Tick(now)
 		for si, owners := range c.PrimaryCensus() {
 			if len(owners) > 1 {
 				fail("one-primary", "t=%g shard %d claimed by %v", now, si, owners)
+			}
+		}
+		tv := c.Topology()
+		nodes := map[int]clusterd.NodeView{}
+		for _, n := range tv.Nodes {
+			nodes[n.ID] = n
+		}
+		for si, sv := range tv.Map {
+			if nodes[sv.Primary].Suspected {
+				fail("acted-on-believed-dead", "t=%g shard %d led by suspected node %d", now, si, sv.Primary)
+			}
+			for _, f := range sv.Followers {
+				if n := nodes[f]; (n.Suspected || n.Leaving) && !slices.Contains(prev.Map[si].Followers, f) {
+					fail("acted-on-believed-dead", "t=%g shard %d enlisted node %d (suspected %v, leaving %v)",
+						now, si, f, n.Suspected, n.Leaving)
+				}
 			}
 		}
 	}
@@ -484,15 +507,13 @@ func runClusterPlan(seed uint64, plan *ClusterPlan, p ClusterParams) clusterRunR
 			doOp(plan.Ops[idx])
 			idx++
 		}
-		c.Tick(now)
-		census(now)
+		tick(now)
 	}
 	// Drive to convergence within the bound.
 	converged := false
 	for i := 0; i < p.ConvergenceTicks; i++ {
 		now++
-		c.Tick(now)
-		census(now)
+		tick(now)
 		if c.Converged() == nil {
 			converged = true
 			break

@@ -37,7 +37,7 @@ func oracleDigest(t *testing.T, mitigate straggle.Mode, plans int) string {
 		plan := GenPlan(seed, h.horizon, h.p)
 		b := oracleBundle(seed, mitigate)
 		for _, a := range arms(b) {
-			res, err := h.runArm(a, seed, plan, b, nil)
+			res, err := h.runArm(a, seed, plan, b, nil, nil)
 			if err != nil {
 				fmt.Fprintf(sum, "%d %s error %v\n", seed, a.name, err)
 				continue
@@ -87,7 +87,7 @@ func TestCodedUnitCommitsOnce(t *testing.T) {
 	plan := GenPlan(seed, h.horizon, h.p)
 	b := oracleBundle(seed, straggle.ModeCoded)
 	for _, s := range arms(b) {
-		res, err := h.runArm(s, seed, plan, b, nil)
+		res, err := h.runArm(s, seed, plan, b, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}
