@@ -188,6 +188,7 @@ type filterSim struct {
 	// asks again after a heartbeat interval (delay scheduling relies on
 	// this).
 	idleRetries int
+	readErrs    int // in-flight non-duplicate attempts with a read error: each will requeue
 
 	// Failure handling separates *truth* (the injector's physics, applied
 	// at the crash instant) from *belief* (the master's response: requeues,
@@ -239,6 +240,10 @@ type filterSim struct {
 }
 
 const maxIdleRetries = 1 << 20
+
+// filterEndCheck, when set, sees every filter phase after its barrier kills
+// (the package's tests check end-of-phase invariants there).
+var filterEndCheck func(*filterSim)
 
 // wakeKinds is the parked-slot horizon: every event kind that can create
 // new work — all but a slot's own poll (a beat's, a timeout's or a
@@ -346,11 +351,17 @@ func (s *filterSim) ord(r *runAttempt) int { return s.slotBase[r.node] + r.slot 
 func (s *filterSim) track(r *runAttempt) {
 	s.running[s.ord(r)] = r
 	s.inflight[r.li] = append(s.inflight[r.li], r)
+	if r.failed && !r.dup {
+		s.readErrs++
+	}
 }
 
 func (s *filterSim) untrack(r *runAttempt) {
 	s.running[s.ord(r)] = nil
 	s.inflight[r.li] = slices.DeleteFunc(s.inflight[r.li], func(x *runAttempt) bool { return x == r })
+	if r.failed && !r.dup {
+		s.readErrs--
+	}
 }
 
 // pendingAt finds the node's outstanding crash in s.pending (sorted by
@@ -362,16 +373,14 @@ func (s *filterSim) pendingAt(id cluster.NodeID) (int, bool) {
 }
 
 // postRetry queues one retry item and its kernel maturity marker, keeping
-// the queue sorted by (readyAt, li).
+// the queue sorted by (readyAt, li); an item goes after any equal keys.
 func (s *filterSim) postRetry(it retryItem) {
 	it.ev = s.kern.Post(sim.Event{At: it.readyAt, Kind: evRetryReady, Prio: 1, K1: int64(it.li)})
-	s.retries = append(s.retries, it)
-	sort.Slice(s.retries, func(a, b int) bool {
-		if s.retries[a].readyAt != s.retries[b].readyAt {
-			return s.retries[a].readyAt < s.retries[b].readyAt
-		}
-		return s.retries[a].li < s.retries[b].li
+	at := sort.Search(len(s.retries), func(i int) bool {
+		q := s.retries[i]
+		return q.readyAt > it.readyAt || (q.readyAt == it.readyAt && q.li > it.li)
 	})
+	s.retries = slices.Insert(s.retries, at, it)
 }
 
 // noteWasted charges one redundant completed attempt to the wasted-work
@@ -425,6 +434,9 @@ func (s *filterSim) run() error {
 		}
 	}
 	s.killDuplicates()
+	if filterEndCheck != nil {
+		filterEndCheck(s)
+	}
 	if s.coded != nil {
 		if n := len(s.coded.layout.Groups) - s.coded.satCount; n > 0 {
 			return fmt.Errorf("%w: %d coded groups unsatisfied", ErrNoLiveNodes, n)
@@ -944,9 +956,9 @@ func (s *filterSim) onAttemptDone(ev *sim.Event) error {
 }
 
 // serveSlot is the pull protocol for one freed slot: retire it if its node
-// is dead (waking again at rejoin) or the phase is complete, dispatch the
-// next task if the scheduler serves one, otherwise park until the kernel
-// horizon says new work can appear.
+// is dead (waking again at rejoin), the phase is complete or no work can
+// appear any more, dispatch the next task if the scheduler serves one,
+// otherwise park until the kernel horizon says new work can appear.
 func (s *filterSim) serveSlot(node cluster.NodeID, slot, gen int, now float64) error {
 	if s.inj.DeadAt(node, now) {
 		if s.det != nil {
@@ -977,6 +989,9 @@ func (s *filterSim) serveSlot(node cluster.NodeID, slot, gen int, now float64) e
 	s.idleRetries++
 	next := now + s.cfg.TaskOverhead // heartbeat interval
 	if s.picker.Remaining() == 0 {
+		if !s.workMayAppear() {
+			return nil // every later poll would find nothing: the slot retires
+		}
 		// Nothing to pull; sleep until the kernel's horizon — the
 		// earliest queued retry maturity, in-flight completion, crash or
 		// (detector modes) beat/timeout whose response may requeue work —
@@ -991,6 +1006,16 @@ func (s *filterSim) serveSlot(node cluster.NodeID, slot, gen int, now float64) e
 	}
 	s.postSlotFree(next, node, slot, gen)
 	return nil
+}
+
+// workMayAppear reports whether work can still follow a drained scheduler:
+// a queued retry, a crash to deliver or respond to, a detector (a false
+// suspicion queues duplicates), speculation, or an in-flight read error (it
+// requeues its task); coded groups revive only in respond. Once false it
+// stays false, as no dispatch can happen: a retired slot skips empty polls.
+func (s *filterSim) workMayAppear() bool {
+	return len(s.retries) > 0 || len(s.pending) > 0 || s.crashIdx < len(s.crashes) ||
+		s.det != nil || s.spec != nil || s.readErrs > 0
 }
 
 // locations returns the block's current replica holders, consulting the

@@ -107,6 +107,7 @@ type Kernel struct {
 	seq      uint64
 	handlers [256]Handler
 	horizons [256]eventHeap // per-kind NextAt queues, pruned lazily
+	queried  [256]bool      // kinds NextAt has asked for: only they have a horizon
 	observer Observer
 	stopped  bool
 	nlive    int // queued, undelivered events
@@ -148,7 +149,9 @@ func (k *Kernel) Post(ev Event) *Event {
 	k.seq++
 	k.queue.push(e)
 	k.nlive++
-	k.horizons[e.Kind].push(e)
+	if k.queried[e.Kind] {
+		k.horizons[e.Kind].push(e)
+	}
 	return e
 }
 
@@ -157,10 +160,19 @@ func (k *Kernel) Post(ev Event) *Event {
 // is the kernel-level replacement for domain "next wake" scans: idle
 // actors ask the queue itself when new work can possibly appear. Hidden
 // and delivered events are pruned here, so Hide stays O(1) and a query is
-// amortized O(log n).
+// amortized O(log n); a kind's first query builds its horizon from the
+// undelivered queue in O(n log n).
 func (k *Kernel) NextAt(kinds ...Kind) (float64, bool) {
 	t, ok := 0.0, false
 	for _, kind := range kinds {
+		if !k.queried[kind] {
+			k.queried[kind] = true
+			for _, e := range k.queue {
+				if e.Kind == kind && !e.hidden {
+					k.horizons[kind].push(e)
+				}
+			}
+		}
 		if e := k.horizons[kind].live(); e != nil && (!ok || e.At < t) {
 			t, ok = e.At, true
 		}

@@ -148,6 +148,51 @@ func TestNextAtHorizon(t *testing.T) {
 	}
 }
 
+// A kind's horizon is built on its first NextAt: a kind first queried after
+// its events were posted, some hidden and some delivered, must answer from
+// what is still queued and unhidden, and must see events posted later.
+func TestNextAtFirstQueryAfterDeliveries(t *testing.T) {
+	k := New(nil)
+	var evs []*Event
+	for i := 1; i <= 6; i++ {
+		evs = append(evs, k.Post(Event{At: float64(i), Kind: kindA}))
+		k.Post(Event{At: float64(i) + 0.5, Kind: kindB})
+	}
+	evs[3].Hide() // At 4, still queued after the partial run
+	evs[4].Hide() // At 5
+	k.Handle(kindA, func(e *Event) error {
+		if e.At == 2 {
+			k.Stop()
+		}
+		return nil
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// A at 1 and 2 and B at 1.5 were delivered: 3 is the earliest live A,
+	// 2.5 the earliest live B.
+	if at, ok := k.NextAt(kindA); !ok || at != 3 {
+		t.Fatalf("first NextAt(A) = %g,%v want 3", at, ok)
+	}
+	if at, ok := k.NextAt(kindB, kindA); !ok || at != 2.5 {
+		t.Fatalf("first NextAt(B, A) = %g,%v want 2.5", at, ok)
+	}
+	evs[2].Hide()
+	if at, ok := k.NextAt(kindA); !ok || at != 6 {
+		t.Fatalf("NextAt(A) with 3, 4 and 5 hidden = %g,%v want 6", at, ok)
+	}
+	k.Post(Event{At: 5.5, Kind: kindA})
+	if at, ok := k.NextAt(kindA); !ok || at != 5.5 {
+		t.Fatalf("NextAt(A) after a later Post = %g,%v want 5.5", at, ok)
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := k.NextAt(kindA, kindB, kindC); ok {
+		t.Fatal("drained kernel should have empty horizon")
+	}
+}
+
 func TestStopAndResume(t *testing.T) {
 	k := New(nil)
 	var got []float64
