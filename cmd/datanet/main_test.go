@@ -239,6 +239,24 @@ func TestRunChaosRejectsPolicyFlags(t *testing.T) {
 	}
 }
 
+// Counts are unsigned and at least 1, and the cluster campaign's flags
+// apply only with -cluster: anything else is a usage error (exit status
+// 2), never a campaign run with other values than the ones asked for.
+func TestRunChaosRejectsBadCounts(t *testing.T) {
+	if inChild() {
+		return
+	}
+	for _, bad := range [][]string{
+		{"-cluster", "4", "-replicas", "0"}, {"-cluster", "4", "-replicas", "-3"},
+		{"-cluster", "4", "-shards", "0"}, {"-cluster", "-2"}, {"-runs", "0"},
+		{"-detect", "phi"}, {"-replicas", "9"}, {"-shards", "2"},
+	} {
+		if got := exitStatus(t, append([]string{"chaos"}, bad...)...); got != 2 {
+			t.Errorf("chaos %v: exit status %d, want 2", bad, got)
+		}
+	}
+}
+
 // The help text of analyze and chaos is pinned, like serve's and loadgen's.
 func TestAnalyzeHelpGolden(t *testing.T) {
 	var buf bytes.Buffer

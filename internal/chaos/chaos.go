@@ -6,9 +6,11 @@
 // execution invariants that must hold no matter what the plan did — no
 // records silently lost, workload conserved, phase timestamps monotonic,
 // runs bit-identical on replay, makespan bounded relative to the healthy
-// run, and no work placed on a node the master believed dead. A violating
-// seed is a bug; the shrinker (see shrink.go) reduces its plan to a
-// minimal counterexample before a human ever looks at it.
+// run, and no work placed on a node the master believed dead. The same
+// generic campaign (see campaign.go) also checks the sharded metadata
+// cluster (see cluster.go). A violating seed is a bug; the campaign's shrinker
+// reduces its plan to a minimal counterexample before a human ever looks
+// at it.
 package chaos
 
 import (
@@ -137,49 +139,6 @@ func (b bundle) String() string {
 		b.detect, b.rebalance, b.mitigate, b.partition, b.reducers)
 }
 
-// Violation is one invariant breach: the seed to replay it (which also
-// fixes the bundle it ran under), the scheduler arm it broke under, which
-// invariant, and the plan that provoked it.
-type Violation struct {
-	Seed      uint64
-	Bundle    string
-	Scheduler string
-	Invariant string
-	Detail    string
-	Plan      *faults.Plan
-}
-
-func (v Violation) String() string {
-	return fmt.Sprintf("seed=%d [%s] scheduler=%s invariant=%s: %s",
-		v.Seed, v.Bundle, v.Scheduler, v.Invariant, v.Detail)
-}
-
-// Report summarizes one chaos campaign.
-type Report struct {
-	Runs       int
-	Violations []Violation
-	// Census of what the generated plans contained.
-	Crashes, Slowdowns, ReadErrorRuns int
-	// Bundles counts the runs per drawn policy value, keyed "axis=value".
-	Bundles map[string]int
-}
-
-// Census renders Bundles in axis order, every value of every axis listed,
-// so a value the campaign never drew shows as a zero.
-func (r *Report) Census() string {
-	var sb strings.Builder
-	for a, ax := range axes {
-		if a > 0 {
-			sb.WriteString("; ")
-		}
-		sb.WriteString(ax.name)
-		for _, v := range ax.values {
-			fmt.Fprintf(&sb, " %s=%d", v, r.Bundles[ax.name+"="+v])
-		}
-	}
-	return sb.String()
-}
-
 // Harness holds the precomputed fixture — the written filesystem (every
 // run gets a Clone: crashes and rebalancing mutate replica placement), its
 // per-block map output, the healthy reference result of every arm any
@@ -283,9 +242,6 @@ func (h *Harness) config(a arm) mapreduce.Config {
 // NewHarness builds the fixture and runs the fault-free reference of
 // every arm any bundle can select.
 func NewHarness(p Params) (*Harness, error) {
-	if p.Nodes == 0 {
-		p = DefaultParams()
-	}
 	h := &Harness{p: p, healthy: map[arm]*mapreduce.Result{}}
 
 	var err error
@@ -335,18 +291,41 @@ func NewHarness(p Params) (*Harness, error) {
 	return h, nil
 }
 
-// CheckSeed generates the seed's plan and checks it under the seed's
-// bundle, returning any violations.
-func (h *Harness) CheckSeed(seed uint64) ([]Violation, *faults.Plan) {
-	plan := GenPlan(seed, h.horizon, h.p)
-	return h.CheckPlan(seed, plan), plan
+// Campaign is the engine campaign on the harness's fixture: every seed
+// draws a fault plan and a policy bundle and runs every arm of the bundle.
+func (h *Harness) Campaign() *Campaign[*faults.Plan] {
+	return &Campaign[*faults.Plan]{
+		Gen: func(seed uint64) *faults.Plan { return GenPlan(seed, h.horizon, h.p) },
+		Check: func(seed uint64, plan *faults.Plan, census Census) []Violation {
+			b := drawBundle(seed)
+			census["crashes"] += len(plan.Crashes)
+			census["slowdowns"] += len(plan.Slow)
+			if plan.Read.Prob > 0 {
+				census["read-error runs"]++
+			}
+			for a, v := range b.values() {
+				census[axes[a].name+"="+v]++
+			}
+			return h.check(seed, plan, b)
+		},
+		Edits:   planEdits,
+		Summary: engineSummary,
+	}
 }
 
-// CheckPlan checks one fault plan under the seed's bundle. It is the
-// predicate the shrinker re-runs — the seed holds the bundle fixed while
-// the plan shrinks — so it must be deterministic.
-func (h *Harness) CheckPlan(seed uint64, plan *faults.Plan) []Violation {
-	return h.check(seed, plan, drawBundle(seed))
+// engineSummary renders the plan census, then every value of every policy
+// axis in axis order, so a value the campaign never drew shows as a zero.
+func engineSummary(c Census) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "runs (%d crashes, %d slowdowns, %d read-error runs",
+		c["crashes"], c["slowdowns"], c["read-error runs"])
+	for _, ax := range axes {
+		sb.WriteString("; " + ax.name)
+		for _, v := range ax.values {
+			fmt.Fprintf(&sb, " %s=%d", v, c[ax.name+"="+v])
+		}
+	}
+	return sb.String() + ")"
 }
 
 // typedFailure reports whether err is one of the engine's declared
@@ -386,8 +365,8 @@ func (h *Harness) check(seed uint64, plan *faults.Plan, b bundle) []Violation {
 	var out []Violation
 	fail := func(sched, inv, format string, args ...any) {
 		out = append(out, Violation{
-			Seed: seed, Bundle: b.String(), Scheduler: sched, Invariant: inv,
-			Detail: fmt.Sprintf(format, args...), Plan: plan,
+			Seed: seed, Arm: sched + " [" + b.String() + "]", Invariant: inv,
+			Detail: fmt.Sprintf(format, args...),
 		})
 	}
 	if err := plan.Validate(h.p.Nodes); err != nil {
@@ -639,30 +618,4 @@ func (h *Harness) rebalance(fs *hdfs.FileSystem, seed uint64, mode hdfs.Rebalanc
 		}
 	}
 	return nil
-}
-
-// Run executes a chaos campaign: runs seeds derived from the base seed,
-// each checking every invariant under every arm of the bundle it draws.
-func Run(runs int, seed uint64, p Params) (*Report, error) {
-	h, err := NewHarness(p)
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{Bundles: map[string]int{}}
-	r := newRNG(seed)
-	for i := 0; i < runs; i++ {
-		runSeed := r.next()
-		vs, plan := h.CheckSeed(runSeed)
-		rep.Runs++
-		rep.Crashes += len(plan.Crashes)
-		rep.Slowdowns += len(plan.Slow)
-		if plan.Read.Prob > 0 {
-			rep.ReadErrorRuns++
-		}
-		rep.Violations = append(rep.Violations, vs...)
-		for a, v := range drawBundle(runSeed).values() {
-			rep.Bundles[axes[a].name+"="+v]++
-		}
-	}
-	return rep, nil
 }

@@ -13,6 +13,7 @@ import (
 	"datanet/internal/hdfs"
 	"datanet/internal/mapreduce"
 	"datanet/internal/partition"
+	"datanet/internal/shrink"
 	"datanet/internal/straggle"
 	"datanet/internal/trace"
 )
@@ -46,21 +47,24 @@ func TestGenPlanDeterministic(t *testing.T) {
 // must find zero violations. TestBundleDraw proves these seeds cover every
 // axis value and the pairs the per-switch campaigns used to pin.
 func TestChaosCampaignComposed(t *testing.T) {
-	rep, err := Run(campaignRuns, campaignSeed, DefaultParams())
+	h, err := NewHarness(DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := h.Campaign()
+	rep := c.Run(campaignRuns, campaignSeed)
 	if rep.Runs != campaignRuns {
 		t.Errorf("Runs = %d, want %d", rep.Runs, campaignRuns)
 	}
 	for _, v := range rep.Violations {
-		t.Errorf("violation: %s\nplan: %+v", v, v.Plan)
+		t.Errorf("violation: %s\nplan: %+v", v, c.Gen(v.Seed))
 	}
 	// The campaign must actually have exercised faults, or zero
 	// violations proves nothing.
-	if rep.Crashes == 0 || rep.Slowdowns == 0 || rep.ReadErrorRuns == 0 {
-		t.Errorf("campaign census %d crashes / %d slowdowns / %d read-error runs: a fault kind is missing",
-			rep.Crashes, rep.Slowdowns, rep.ReadErrorRuns)
+	for _, kind := range []string{"crashes", "slowdowns", "read-error runs"} {
+		if rep.Census[kind] == 0 {
+			t.Errorf("campaign census has no %s: %s", kind, c.Summary(rep.Census))
+		}
 	}
 }
 
@@ -256,10 +260,10 @@ func TestRecoveryCorpusSuspectedHelper(t *testing.T) {
 	for _, seed := range []uint64{18288763091816709512, 186926793898305595} {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
 			plan := GenPlan(seed, h.horizon, h.p)
-			for _, v := range h.CheckPlan(seed, plan) {
+			b := drawBundle(seed)
+			for _, v := range h.check(seed, plan, b) {
 				t.Errorf("violation: %s", v)
 			}
-			b := drawBundle(seed)
 			as := arms(b)
 			rec := trace.New()
 			if _, err := h.runArm(as[len(as)-1], seed, plan, b, nil, rec); err != nil || b.detect == detect.Oracle {
@@ -272,28 +276,39 @@ func TestRecoveryCorpusSuspectedHelper(t *testing.T) {
 	}
 }
 
-// CheckSeed must be deterministic — the property that makes a reported
-// seed replayable and the shrinker's predicate stable.
+// A seed's plan and verdict must be deterministic — the property that
+// makes a reported seed replayable and the shrinker's predicate stable.
 func TestCheckSeedReplayable(t *testing.T) {
 	h, err := NewHarness(DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, p1 := h.CheckSeed(7)
-	v2, p2 := h.CheckSeed(7)
+	c := h.Campaign()
+	p1, p2 := c.Gen(7), c.Gen(7)
 	if !reflect.DeepEqual(p1, p2) {
-		t.Fatal("CheckSeed generated different plans for the same seed")
+		t.Fatal("Gen generated different plans for the same seed")
 	}
-	if !reflect.DeepEqual(v1, v2) {
-		t.Fatalf("CheckSeed verdicts diverge: %v vs %v", v1, v2)
+	if v1, v2 := c.Check(7, p1, Census{}), c.Check(7, p2, Census{}); !reflect.DeepEqual(v1, v2) {
+		t.Fatalf("Check verdicts diverge: %v vs %v", v1, v2)
 	}
 }
 
+// planEntries counts the independent entries of a plan: crashes,
+// slowdowns and the read-error clause.
+func planEntries(p *faults.Plan) int {
+	n := len(p.Crashes) + len(p.Slow)
+	if p.Read.Prob > 0 {
+		n++
+	}
+	return n
+}
+
 // The shrinker must reduce a seeded violating plan to a minimal
-// counterexample. The engine currently upholds every invariant, so the
-// "violation" here is a synthetic predicate with a known minimal core:
-// a crash on node 3 together with any read errors. Whatever else the
-// seeded plan contains must be stripped.
+// counterexample through the engine campaign's edits. The engine
+// currently upholds every invariant, so the "violation" here is a
+// synthetic predicate with a known minimal core: a crash on node 3
+// together with any read errors. Whatever else the seeded plan contains
+// must be stripped.
 func TestShrinkToMinimalCounterexample(t *testing.T) {
 	p := DefaultParams()
 	// Find a seeded plan that actually contains the core (plus noise).
@@ -327,7 +342,7 @@ func TestShrinkToMinimalCounterexample(t *testing.T) {
 		return false
 	}
 	calls := 0
-	min := Shrink(plan, func(q *faults.Plan) bool { calls++; return fails(q) })
+	min := shrink.Greedy(plan, planEdits, func(q *faults.Plan) bool { calls++; return fails(q) })
 	if !fails(min) {
 		t.Fatal("shrunk plan no longer fails")
 	}
@@ -346,18 +361,23 @@ func TestShrinkToMinimalCounterexample(t *testing.T) {
 	if calls == 0 {
 		t.Error("predicate never invoked")
 	}
-	// The original plan must be untouched (shrinking works on clones).
+	// The original plan must be untouched (the edits build fresh plans).
 	if planEntries(plan) < 4 {
-		t.Error("Shrink mutated its input plan")
+		t.Error("shrinking mutated its input plan")
 	}
 }
 
-// A plan that does not fail is returned unchanged.
+// The engine campaign's Shrink of a violation its seed's plan does not
+// reproduce returns that plan as generated.
 func TestShrinkPassThrough(t *testing.T) {
-	plan := GenPlan(1, 0.2, DefaultParams())
-	got := Shrink(plan, func(*faults.Plan) bool { return false })
-	if got != plan {
-		t.Error("Shrink of a non-failing plan should return it unchanged")
+	h, err := NewHarness(DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := h.Campaign()
+	got := c.Shrink(Violation{Seed: 1, Arm: "datanet", Invariant: "records-lost"})
+	if !reflect.DeepEqual(got, c.Gen(1)) {
+		t.Errorf("Shrink of a non-failing plan = %+v, want the generated plan %+v", got, c.Gen(1))
 	}
 }
 

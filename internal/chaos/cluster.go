@@ -32,8 +32,9 @@ import (
 // Plans are *legitimate by construction*: destructive events are spaced
 // at least a repair window apart and never take the live membership below
 // Replicas+1, so asynchronous replication always has somewhere to put a
-// surviving copy. A violation under a legitimate plan is a bug, and
-// ShrinkCluster minimizes it within the same legitimacy envelope.
+// surviving copy. A violation under a legitimate plan is a bug, and the
+// campaign's shrinker minimizes it within the same legitimacy envelope: a
+// candidate outside it breaks plan-validate, never the invariant shrunk.
 
 // Cluster op kinds.
 const (
@@ -69,7 +70,8 @@ type ClusterParams struct {
 	Nodes, Shards, Replicas int
 	// Arrays is the seeded catalog size.
 	Arrays int
-	// MaxOps caps a plan's length.
+	// MaxOps caps a plan's length, but for one op: a crash drawn in the
+	// last slot still brings its rejoin along.
 	MaxOps int
 	// RepairWindow is the tick spacing between destructive events — wide
 	// enough for detection plus re-replication, so plans never ask the
@@ -92,58 +94,44 @@ func DefaultClusterParams() ClusterParams {
 	}
 }
 
-func (p ClusterParams) withDefaults() ClusterParams {
-	if p.Nodes == 0 {
-		return DefaultClusterParams()
+// Campaign is the cluster campaign: every seed draws a legitimate plan
+// and checks it against fresh clusters of this shape.
+func (p ClusterParams) Campaign() *Campaign[*ClusterPlan] {
+	return &Campaign[*ClusterPlan]{
+		Gen: func(seed uint64) *ClusterPlan { return GenClusterPlan(seed, p) },
+		Check: func(seed uint64, plan *ClusterPlan, census Census) []Violation {
+			for _, op := range plan.Ops {
+				census[op.Kind]++
+			}
+			vs, retries := CheckClusterPlan(seed, plan, p)
+			census["retries"] += retries
+			return vs
+		},
+		Edits: clusterEdits,
+		Summary: func(c Census) string {
+			return fmt.Sprintf("cluster runs (%d nodes, %d shards, %d replicas) under %s detection: "+
+				"%d crashes, %d rejoins, %d decommissions, %d adds, %d appends, %d reads, %d retries",
+				p.Nodes, p.Shards, p.Replicas, p.Detect.Mode, c[OpCrash], c[OpRejoin],
+				c[OpDecommission], c[OpAddNode], c[OpAppend], c[OpRead], c["retries"])
+		},
 	}
-	d := DefaultClusterParams()
-	if p.Shards <= 0 {
-		p.Shards = d.Shards
-	}
-	if p.Replicas <= 0 {
-		p.Replicas = d.Replicas
-	}
-	if p.Arrays <= 0 {
-		p.Arrays = d.Arrays
-	}
-	if p.MaxOps <= 0 {
-		p.MaxOps = d.MaxOps
-	}
-	if p.RepairWindow <= 0 {
-		p.RepairWindow = d.RepairWindow
-	}
-	if p.ConvergenceTicks <= 0 {
-		p.ConvergenceTicks = d.ConvergenceTicks
-	}
-	if p.Detect.Mode == detect.Oracle && p.Detect.Interval == 0 {
-		p.Detect = d.Detect
-	}
-	if p.ShipDelay <= 0 {
-		p.ShipDelay = d.ShipDelay
-	}
-	return p
 }
 
-// ClusterViolation is one cluster invariant breach.
-type ClusterViolation struct {
-	Seed      uint64
-	Invariant string
-	Detail    string
-	Plan      *ClusterPlan
-}
-
-func (v ClusterViolation) String() string {
-	return fmt.Sprintf("seed=%d invariant=%s: %s", v.Seed, v.Invariant, v.Detail)
-}
-
-// ClusterReport summarizes a cluster chaos campaign.
-type ClusterReport struct {
-	Runs       int
-	Violations []ClusterViolation
-	// Census of what the plans contained.
-	Crashes, Rejoins, Decommissions, AddNodes, Appends, Reads int
-	// Retries counts client ops that hit a legal unavailability window.
-	Retries int
+// clusterEdits lists a plan's one-step simplifications: drop one op, a
+// crash together with its paired rejoin (the first rejoin of the same
+// node after it), or the candidate would be trivially invalid.
+func clusterEdits(plan *ClusterPlan) []*ClusterPlan {
+	out := make([]*ClusterPlan, len(plan.Ops))
+	for i, op := range plan.Ops {
+		ops := slices.Delete(slices.Clone(plan.Ops), i, i+1)
+		if op.Kind == OpCrash {
+			if j := slices.IndexFunc(ops[i:], func(o ClusterOp) bool { return o.Kind == OpRejoin && o.Node == op.Node }); j >= 0 {
+				ops = slices.Delete(ops, i+j, i+j+1)
+			}
+		}
+		out[i] = &ClusterPlan{Seed: plan.Seed, Nodes: plan.Nodes, Ops: ops}
+	}
+	return out
 }
 
 // planState tracks membership truth while generating or validating a
@@ -168,18 +156,8 @@ func newPlanState(p ClusterParams) *planState {
 	return st
 }
 
-// liveStaying counts members that are up and not leaving.
-func (st *planState) liveStaying() int {
-	n := 0
-	for id := range st.up {
-		if !st.leaving[id] {
-			n++
-		}
-	}
-	return n
-}
-
-// sortedUpStaying lists crash/decommission candidates deterministically.
+// sortedUpStaying lists the members that are up and not leaving — the
+// crash/decommission candidates — deterministically.
 func (st *planState) sortedUpStaying() []int {
 	var out []int
 	for id := range st.up {
@@ -195,38 +173,32 @@ func (st *planState) sortedUpStaying() []int {
 // at its instant under the spacing and survivability rules.
 func (st *planState) apply(op ClusterOp) error {
 	switch op.Kind {
-	case OpCrash:
-		if !st.up[op.Node] || st.leaving[op.Node] {
-			return fmt.Errorf("crash target %d not an up staying member", op.Node)
+	case OpCrash, OpDecommission:
+		// Both hurt: the target must be up and staying, a repair window
+		// after the previous hurt, and Replicas+1 staying members must remain.
+		staying := st.sortedUpStaying()
+		switch {
+		case !slices.Contains(staying, op.Node):
+			return fmt.Errorf("%s target %d not an up staying member", op.Kind, op.Node)
+		case op.At-st.lastHurt < st.p.RepairWindow:
+			return fmt.Errorf("%s at %g within repair window of previous fault", op.Kind, op.At)
+		case len(staying)-1 < st.p.Replicas+1:
+			return fmt.Errorf("%s at %g would leave %d live nodes, need %d",
+				op.Kind, op.At, len(staying)-1, st.p.Replicas+1)
 		}
-		if op.At-st.lastHurt < st.p.RepairWindow {
-			return fmt.Errorf("crash at %g within repair window of previous fault", op.At)
-		}
-		if st.liveStaying()-1 < st.p.Replicas+1 {
-			return fmt.Errorf("crash at %g would leave %d live nodes, need %d",
-				op.At, st.liveStaying()-1, st.p.Replicas+1)
+		st.lastHurt = op.At
+		if op.Kind == OpDecommission {
+			st.leaving[op.Node] = true
+			break
 		}
 		delete(st.up, op.Node)
 		st.down[op.Node] = true
-		st.lastHurt = op.At
 	case OpRejoin:
 		if !st.down[op.Node] {
 			return fmt.Errorf("rejoin target %d is not down", op.Node)
 		}
 		delete(st.down, op.Node)
 		st.up[op.Node] = true
-	case OpDecommission:
-		if !st.up[op.Node] || st.leaving[op.Node] {
-			return fmt.Errorf("decommission target %d not an up staying member", op.Node)
-		}
-		if op.At-st.lastHurt < st.p.RepairWindow {
-			return fmt.Errorf("decommission at %g within repair window", op.At)
-		}
-		if st.liveStaying()-1 < st.p.Replicas+1 {
-			return fmt.Errorf("decommission at %g would leave too few nodes", op.At)
-		}
-		st.leaving[op.Node] = true
-		st.lastHurt = op.At
 	case OpAddNode:
 		st.up[st.nextID] = true
 		st.nextID++
@@ -244,7 +216,6 @@ func (st *planState) apply(op ClusterOp) error {
 // generator always passes; the shrinker uses it to reject candidate
 // plans that would make data loss legal (and the violation meaningless).
 func ValidateClusterPlan(plan *ClusterPlan, p ClusterParams) error {
-	p = p.withDefaults()
 	if plan.Nodes != p.Nodes {
 		return fmt.Errorf("plan sized for %d nodes, params say %d", plan.Nodes, p.Nodes)
 	}
@@ -267,7 +238,6 @@ func ValidateClusterPlan(plan *ClusterPlan, p ClusterParams) error {
 // node additions spaced so the cluster is never asked to survive more
 // loss than its replication factor covers.
 func GenClusterPlan(seed uint64, p ClusterParams) *ClusterPlan {
-	p = p.withDefaults()
 	r := newRNG(seed)
 	plan := &ClusterPlan{Seed: seed, Nodes: p.Nodes}
 	st := newPlanState(p)
@@ -366,28 +336,27 @@ func legalUnavailability(err error) bool {
 type clusterRunResult struct {
 	digest     uint64
 	retries    int
-	violations []ClusterViolation
+	violations []Violation
 }
+
+// clusterArm is the arm every cluster violation breaks under: the
+// campaign runs one configuration.
+const clusterArm = "cluster"
 
 // CheckClusterPlan executes a plan twice against fresh clusters and
 // checks every invariant, including replay equality of the final state.
 // retries counts client ops that hit a legal unavailability window.
-func CheckClusterPlan(seed uint64, plan *ClusterPlan, p ClusterParams) (violations []ClusterViolation, retries int) {
-	p = p.withDefaults()
+func CheckClusterPlan(seed uint64, plan *ClusterPlan, p ClusterParams) (violations []Violation, retries int) {
 	if err := ValidateClusterPlan(plan, p); err != nil {
-		return []ClusterViolation{{
-			Seed: seed, Invariant: "plan-validate",
-			Detail: err.Error(), Plan: plan,
-		}}, 0
+		return []Violation{{Seed: seed, Arm: clusterArm, Invariant: "plan-validate", Detail: err.Error()}}, 0
 	}
 	a := runClusterPlan(seed, plan, p)
 	b := runClusterPlan(seed, plan, p)
 	out := a.violations
 	if a.digest != b.digest {
-		out = append(out, ClusterViolation{
-			Seed: seed, Invariant: "replay",
+		out = append(out, Violation{
+			Seed: seed, Arm: clusterArm, Invariant: "replay",
 			Detail: fmt.Sprintf("final state digests diverge: %x vs %x", a.digest, b.digest),
-			Plan:   plan,
 		})
 	}
 	return out, a.retries
@@ -399,8 +368,8 @@ func CheckClusterPlan(seed uint64, plan *ClusterPlan, p ClusterParams) (violatio
 func runClusterPlan(seed uint64, plan *ClusterPlan, p ClusterParams) clusterRunResult {
 	res := clusterRunResult{}
 	fail := func(inv, format string, args ...any) {
-		res.violations = append(res.violations, ClusterViolation{
-			Seed: seed, Invariant: inv, Detail: fmt.Sprintf(format, args...), Plan: plan,
+		res.violations = append(res.violations, Violation{
+			Seed: seed, Arm: clusterArm, Invariant: inv, Detail: fmt.Sprintf(format, args...),
 		})
 	}
 	c, err := clusterd.New(clusterd.Config{
@@ -546,98 +515,4 @@ func runClusterPlan(seed uint64, plan *ClusterPlan, p ClusterParams) clusterRunR
 		st.Promotions, st.Handoffs, st.DroppedShips, st.ShipsDelivered, st.Suspicions)
 	res.digest = h.Sum64()
 	return res
-}
-
-// ShrinkCluster minimizes a violating plan within the legitimacy
-// envelope: it greedily removes ops (a crash drags its rejoin along) as
-// long as the candidate stays valid and still provokes a violation of
-// the same invariant.
-func ShrinkCluster(plan *ClusterPlan, p ClusterParams, invariant string) *ClusterPlan {
-	p = p.withDefaults()
-	fails := func(cand *ClusterPlan) bool {
-		if ValidateClusterPlan(cand, p) != nil {
-			return false
-		}
-		vs, _ := CheckClusterPlan(cand.Seed, cand, p)
-		for _, v := range vs {
-			if v.Invariant == invariant {
-				return true
-			}
-		}
-		return false
-	}
-	if !fails(plan) {
-		return plan
-	}
-	cur := cloneClusterPlan(plan)
-	for {
-		next, ok := shrinkClusterStep(cur, fails)
-		if !ok {
-			return cur
-		}
-		cur = next
-	}
-}
-
-func cloneClusterPlan(p *ClusterPlan) *ClusterPlan {
-	q := &ClusterPlan{Seed: p.Seed, Nodes: p.Nodes}
-	q.Ops = append([]ClusterOp(nil), p.Ops...)
-	return q
-}
-
-// shrinkClusterStep tries every single-removal candidate; the first that
-// still fails wins.
-func shrinkClusterStep(cur *ClusterPlan, fails func(*ClusterPlan) bool) (*ClusterPlan, bool) {
-	for i := range cur.Ops {
-		cand := cloneClusterPlan(cur)
-		removed := cand.Ops[i]
-		cand.Ops = append(cand.Ops[:i], cand.Ops[i+1:]...)
-		if removed.Kind == OpCrash {
-			// The paired rejoin (first rejoin of the same node after the
-			// crash) goes with it, or the candidate is trivially invalid.
-			for j := i; j < len(cand.Ops); j++ {
-				if cand.Ops[j].Kind == OpRejoin && cand.Ops[j].Node == removed.Node {
-					cand.Ops = append(cand.Ops[:j], cand.Ops[j+1:]...)
-					break
-				}
-			}
-		}
-		if fails(cand) {
-			return cand, true
-		}
-	}
-	return nil, false
-}
-
-// RunCluster executes a cluster chaos campaign of runs seeds derived
-// from the base seed.
-func RunCluster(runs int, seed uint64, p ClusterParams) (*ClusterReport, error) {
-	p = p.withDefaults()
-	rep := &ClusterReport{}
-	r := newRNG(seed)
-	for i := 0; i < runs; i++ {
-		runSeed := r.next()
-		plan := GenClusterPlan(runSeed, p)
-		for _, op := range plan.Ops {
-			switch op.Kind {
-			case OpCrash:
-				rep.Crashes++
-			case OpRejoin:
-				rep.Rejoins++
-			case OpDecommission:
-				rep.Decommissions++
-			case OpAddNode:
-				rep.AddNodes++
-			case OpAppend:
-				rep.Appends++
-			case OpRead:
-				rep.Reads++
-			}
-		}
-		vs, retries := CheckClusterPlan(runSeed, plan, p)
-		rep.Runs++
-		rep.Retries += retries
-		rep.Violations = append(rep.Violations, vs...)
-	}
-	return rep, nil
 }

@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	"datanet/internal/shrink"
 )
 
 func TestGenClusterPlanAlwaysValid(t *testing.T) {
@@ -36,10 +39,7 @@ func TestClusterChaosCampaign(t *testing.T) {
 	if testing.Short() {
 		runs = 8
 	}
-	rep, err := RunCluster(runs, 7, DefaultClusterParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := DefaultClusterParams().Campaign().Run(runs, 7)
 	if len(rep.Violations) != 0 {
 		for _, v := range rep.Violations {
 			t.Error(v)
@@ -50,8 +50,8 @@ func TestClusterChaosCampaign(t *testing.T) {
 		t.Fatalf("ran %d plans, want %d", rep.Runs, runs)
 	}
 	// The envelope should actually exercise faults, not just traffic.
-	if rep.Crashes == 0 || rep.Appends == 0 || rep.Reads == 0 {
-		t.Fatalf("campaign census too tame: %+v", rep)
+	if rep.Census[OpCrash] == 0 || rep.Census[OpAppend] == 0 || rep.Census[OpRead] == 0 {
+		t.Fatalf("campaign census too tame: %v", rep.Census)
 	}
 }
 
@@ -100,20 +100,20 @@ func TestValidateClusterPlanRejectsIllegitimate(t *testing.T) {
 	}
 }
 
-func TestShrinkClusterPassThrough(t *testing.T) {
+func TestClusterShrinkPassThrough(t *testing.T) {
 	// A clean plan shrinks to itself: no invariant to reproduce.
-	p := DefaultClusterParams()
-	plan := GenClusterPlan(5, p)
-	got := ShrinkCluster(plan, p, "no-lost-arrays")
-	if len(got.Ops) != len(plan.Ops) {
-		t.Fatalf("shrink altered a non-violating plan: %d -> %d ops", len(plan.Ops), len(got.Ops))
+	c := DefaultClusterParams().Campaign()
+	got := c.Shrink(Violation{Seed: 5, Arm: clusterArm, Invariant: "no-lost-arrays"})
+	if !reflect.DeepEqual(got, c.Gen(5)) {
+		t.Fatalf("shrink altered a non-violating plan: %d -> %d ops", len(c.Gen(5).Ops), len(got.Ops))
 	}
 }
 
-func TestShrinkClusterDropsNoise(t *testing.T) {
+func TestClusterShrinkDropsNoise(t *testing.T) {
 	// Synthetic failure: the invariant trips iff a specific append is
-	// present, so the shrinker should strip everything else while keeping
-	// candidates inside the legitimacy envelope.
+	// present, so shrinking through the cluster campaign's edits should
+	// strip everything else while keeping candidates inside the legitimacy
+	// envelope.
 	p := DefaultClusterParams()
 	plan := &ClusterPlan{Seed: 9, Nodes: p.Nodes, Ops: []ClusterOp{
 		{At: 1, Kind: OpRead, Array: 0},
@@ -133,16 +133,12 @@ func TestShrinkClusterDropsNoise(t *testing.T) {
 		}
 		return false
 	}
-	cur := cloneClusterPlan(plan)
-	for {
-		next, ok := shrinkClusterStep(cur, fails)
-		if !ok {
-			break
-		}
-		cur = next
-	}
+	cur := shrink.Greedy(plan, clusterEdits, fails)
 	if len(cur.Ops) != 1 || cur.Ops[0].Kind != OpAppend || cur.Ops[0].Array != 3 {
 		t.Fatalf("shrink kept noise: %+v", cur.Ops)
+	}
+	if len(plan.Ops) != 5 {
+		t.Fatalf("shrinking mutated its input plan: %+v", plan.Ops)
 	}
 }
 
@@ -155,12 +151,10 @@ func TestClusterCorpusRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 	var corpus []struct {
-		Name   string `json:"name"`
-		Params struct {
-			Nodes, Shards, Replicas int
-			ShipDelay               float64
-		} `json:"params"`
-		Plan ClusterPlan `json:"plan"`
+		Name string `json:"name"`
+		// Params overrides fields of DefaultClusterParams by name.
+		Params json.RawMessage `json:"params"`
+		Plan   ClusterPlan     `json:"plan"`
 	}
 	if err := json.Unmarshal(blob, &corpus); err != nil {
 		t.Fatal(err)
@@ -170,17 +164,8 @@ func TestClusterCorpusRegression(t *testing.T) {
 	}
 	for _, entry := range corpus {
 		p := DefaultClusterParams()
-		if entry.Params.Nodes > 0 {
-			p.Nodes = entry.Params.Nodes
-		}
-		if entry.Params.Shards > 0 {
-			p.Shards = entry.Params.Shards
-		}
-		if entry.Params.Replicas > 0 {
-			p.Replicas = entry.Params.Replicas
-		}
-		if entry.Params.ShipDelay > 0 {
-			p.ShipDelay = entry.Params.ShipDelay
+		if err := json.Unmarshal(entry.Params, &p); err != nil {
+			t.Fatalf("corpus %q: %v", entry.Name, err)
 		}
 		vs, _ := CheckClusterPlan(entry.Plan.Seed, &entry.Plan, p)
 		for _, v := range vs {

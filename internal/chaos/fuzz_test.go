@@ -1,55 +1,51 @@
 package chaos
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"datanet/internal/faults"
 )
 
-// FuzzPlan drives the plan generator with arbitrary seeds and horizons:
-// every output must pass the hardened faults.Plan.Validate, respect the
-// configured entry caps, and regenerate identically from the same seed.
+// FuzzPlan drives both campaigns' plan generators with arbitrary seeds
+// (and the engine's with arbitrary horizons): every plan must validate,
+// respect its campaign's caps, and regenerate identically from its seed.
 func FuzzPlan(f *testing.F) {
 	f.Add(uint64(1), 0.2)
 	f.Add(uint64(0), 0.0)
 	f.Add(uint64(0xdeadbeef), 1e6)
 	f.Add(^uint64(0), 1e-9)
-	p := DefaultParams()
+	p, cp := DefaultParams(), DefaultClusterParams()
 	f.Fuzz(func(t *testing.T, seed uint64, horizon float64) {
 		if horizon < 0 || horizon > 1e9 || horizon != horizon {
 			t.Skip("horizon outside the domain the harness derives")
 		}
-		plan := GenPlan(seed, horizon, p)
-		if err := plan.Validate(p.Nodes); err != nil {
-			t.Fatalf("seed %d horizon %g: invalid plan: %v\n%+v", seed, horizon, err, plan)
-		}
-		if len(plan.Crashes) > p.MaxCrashes || len(plan.Slow) > p.MaxSlow {
-			t.Fatalf("plan exceeds entry caps: %+v", plan)
-		}
-		if plan.Read.Prob >= 1 {
-			t.Fatalf("read-error probability %g out of range", plan.Read.Prob)
-		}
-		again := GenPlan(seed, horizon, p)
-		if !plansEqual(plan, again) {
-			t.Fatalf("plan generation not deterministic for seed %d", seed)
-		}
+		// Gen reads only the params and the horizon, not the fixture.
+		checkGen(t, (&Harness{p: p, horizon: horizon}).Campaign(), seed, func(plan *faults.Plan) error {
+			if len(plan.Crashes) > p.MaxCrashes || len(plan.Slow) > p.MaxSlow {
+				return fmt.Errorf("plan exceeds entry caps")
+			}
+			return plan.Validate(p.Nodes)
+		})
+		checkGen(t, cp.Campaign(), seed, func(plan *ClusterPlan) error {
+			if len(plan.Ops) > cp.MaxOps+1 {
+				return fmt.Errorf("plan has %d ops, cap %d plus a trailing rejoin", len(plan.Ops), cp.MaxOps)
+			}
+			return ValidateClusterPlan(plan, cp)
+		})
 	})
 }
 
-func plansEqual(a, b *faults.Plan) bool {
-	if a.Seed != b.Seed || a.Read != b.Read ||
-		len(a.Crashes) != len(b.Crashes) || len(a.Slow) != len(b.Slow) {
-		return false
+// checkGen generates seed's plan through the campaign's Gen, checks it
+// with valid, and regenerates it.
+func checkGen[P any](t *testing.T, c *Campaign[P], seed uint64, valid func(P) error) {
+	t.Helper()
+	plan := c.Gen(seed)
+	if err := valid(plan); err != nil {
+		t.Fatalf("seed %d: invalid plan: %v\n%+v", seed, err, plan)
 	}
-	for i := range a.Crashes {
-		if a.Crashes[i] != b.Crashes[i] {
-			return false
-		}
+	if !reflect.DeepEqual(plan, c.Gen(seed)) {
+		t.Fatalf("seed %d: plan generation not deterministic", seed)
 	}
-	for i := range a.Slow {
-		if a.Slow[i] != b.Slow[i] {
-			return false
-		}
-	}
-	return true
 }

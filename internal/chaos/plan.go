@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"slices"
+
 	"datanet/internal/cluster"
 	"datanet/internal/faults"
 )
@@ -64,12 +66,30 @@ func GenPlan(seed uint64, horizon float64, p Params) *faults.Plan {
 	return plan
 }
 
-// planEntries counts the independent entries of a plan — the unit the
-// shrinker removes one at a time.
-func planEntries(p *faults.Plan) int {
-	n := len(p.Crashes) + len(p.Slow)
-	if p.Read.Prob > 0 {
-		n++
+// planEdits lists a plan's one-step simplifications in the order the
+// shrinker tries them: drop one crash, drop one slowdown, drop the
+// read-error clause, and once no entry can go, drop one crash's rejoin (a
+// permanent kill is the simpler fault).
+func planEdits(p *faults.Plan) []*faults.Plan {
+	var out []*faults.Plan
+	edit := func(change func(q *faults.Plan)) {
+		q := &faults.Plan{Seed: p.Seed, Crashes: slices.Clone(p.Crashes), Slow: slices.Clone(p.Slow), Read: p.Read}
+		change(q)
+		out = append(out, q)
 	}
-	return n
+	for i := range p.Crashes {
+		edit(func(q *faults.Plan) { q.Crashes = slices.Delete(q.Crashes, i, i+1) })
+	}
+	for i := range p.Slow {
+		edit(func(q *faults.Plan) { q.Slow = slices.Delete(q.Slow, i, i+1) })
+	}
+	if p.Read.Prob > 0 {
+		edit(func(q *faults.Plan) { q.Read.Prob = 0 })
+	}
+	for i, c := range p.Crashes {
+		if c.RejoinAt != 0 {
+			edit(func(q *faults.Plan) { q.Crashes[i].RejoinAt = 0 })
+		}
+	}
+	return out
 }

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"datanet/internal/shrink"
 )
 
 // The partitioner property, mirroring the sched differential suite: on
@@ -92,42 +94,28 @@ func partitionViolation(in *freqInstance) string {
 	return ""
 }
 
-// shrinkFreqInstance greedily minimizes a failing instance.
-func shrinkFreqInstance(in *freqInstance) *freqInstance {
-	fails := func(c *freqInstance) bool {
-		return c.reducers >= 1 && partitionViolation(c) != ""
+// freqEdits lists an instance's one-step simplifications for the
+// shrinker: drop one key, halve one frequency, drop a reducer.
+func freqEdits(in *freqInstance) []*freqInstance {
+	var out []*freqInstance
+	for _, k := range sortedKeys(in.freqs) {
+		c := in.clone()
+		delete(c.freqs, k)
+		out = append(out, c)
 	}
-	for progress := true; progress; {
-		progress = false
-		// Drop one key at a time.
-		for _, k := range sortedKeys(in.freqs) {
-			c := in.clone()
-			delete(c.freqs, k)
-			if fails(c) {
-				in, progress = c, true
-			}
-		}
-		// Halve frequencies.
-		for _, k := range sortedKeys(in.freqs) {
-			if in.freqs[k] < 2 {
-				continue
-			}
+	for _, k := range sortedKeys(in.freqs) {
+		if in.freqs[k] >= 2 {
 			c := in.clone()
 			c.freqs[k] /= 2
-			if fails(c) {
-				in, progress = c, true
-			}
-		}
-		// Drop a reducer.
-		if in.reducers > 1 {
-			c := in.clone()
-			c.reducers--
-			if fails(c) {
-				in, progress = c, true
-			}
+			out = append(out, c)
 		}
 	}
-	return in
+	if in.reducers > 1 {
+		c := in.clone()
+		c.reducers--
+		out = append(out, c)
+	}
+	return out
 }
 
 // TestSkewNeverExceedsHashMaxLoad sweeps seeded random frequency vectors
@@ -138,7 +126,7 @@ func TestSkewNeverExceedsHashMaxLoad(t *testing.T) {
 	for i := 0; i < instances; i++ {
 		in := randomFreqInstance(rng)
 		if msg := partitionViolation(in); msg != "" {
-			min := shrinkFreqInstance(in)
+			min := shrink.Greedy(in, freqEdits, func(c *freqInstance) bool { return partitionViolation(c) != "" })
 			t.Fatalf("instance %d: %s\nshrunken counterexample:\n%s(still fails with: %s)",
 				i, msg, min, partitionViolation(min))
 		}
@@ -196,50 +184,34 @@ func TestSkewNonEmptyWherePossible(t *testing.T) {
 	}
 }
 
-// TestShrinkerOutputIsMinimal exercises the shrinker on an artificially
-// failing predicate (a fake violation: "some key has frequency > 10") to
-// prove it reaches a one-key instance — so when a real property failure
-// appears, the reported counterexample is trustworthy.
+// TestShrinkerOutputIsMinimal exercises the shrinker through freqEdits on
+// an artificially failing predicate (a fake violation: "some key has
+// frequency > 10") to prove it reaches a one-key, one-reducer instance —
+// so when a real property failure appears, the reported counterexample is
+// trustworthy.
 func TestShrinkerOutputIsMinimal(t *testing.T) {
 	in := &freqInstance{reducers: 7, freqs: map[string]int64{
 		"a": 3, "b": 400, "c": 12, "d": 0, "e": 77,
 	}}
-	fails := func(c *freqInstance) bool {
+	min := shrink.Greedy(in, freqEdits, func(c *freqInstance) bool {
 		for _, f := range c.freqs {
 			if f > 10 {
 				return true
 			}
 		}
 		return false
-	}
-	for progress := true; progress; {
-		progress = false
-		for _, k := range sortedKeys(in.freqs) {
-			c := in.clone()
-			delete(c.freqs, k)
-			if fails(c) {
-				in, progress = c, true
-			}
-		}
-		for _, k := range sortedKeys(in.freqs) {
-			if in.freqs[k] < 2 {
-				continue
-			}
-			c := in.clone()
-			c.freqs[k] /= 2
-			if fails(c) {
-				in, progress = c, true
-			}
-		}
-	}
-	if len(in.freqs) != 1 {
-		t.Fatalf("shrinker left %d keys, want 1: %v", len(in.freqs), in.freqs)
+	})
+	if len(min.freqs) != 1 || min.reducers != 1 {
+		t.Fatalf("shrinker left %d keys over %d reducers, want 1 and 1: %v", len(min.freqs), min.reducers, min)
 	}
 	// Halving stops once half the value no longer fails, so the residue
 	// lands in (10, 21] — a fixed point of the shrink loop, one halving
 	// above the minimal failing frequency 11.
-	keys := sortedKeys(in.freqs)
-	if f := in.freqs[keys[0]]; f <= 10 || f > 21 {
+	keys := sortedKeys(min.freqs)
+	if f := min.freqs[keys[0]]; f <= 10 || f > 21 {
 		t.Fatalf("shrinker left frequency %d, want a value in (10, 21]", f)
+	}
+	if len(in.freqs) != 5 || in.reducers != 7 {
+		t.Fatalf("shrinker mutated its input: %v", in)
 	}
 }

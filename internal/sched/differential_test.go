@@ -12,6 +12,7 @@ import (
 	"datanet/internal/cluster"
 	"datanet/internal/graph"
 	"datanet/internal/hdfs"
+	"datanet/internal/shrink"
 )
 
 // The differential property: on any cluster/block instance, Algorithm 1's
@@ -151,57 +152,39 @@ func propertyViolation(t *testing.T, in *diffInstance) string {
 	return ""
 }
 
-// shrink greedily minimizes an instance while violation keeps reporting one.
-func shrink(in *diffInstance, violation func(*diffInstance) string) *diffInstance {
-	fails := func(c *diffInstance) bool {
-		return len(c.weights) > 0 && c.nodes >= 2 && violation(c) != ""
+// diffEdits lists an instance's one-step simplifications for the
+// shrinker: drop one block (never the last), fold the last node's replicas
+// onto the rest (never below two nodes), halve one weight.
+func diffEdits(in *diffInstance) []*diffInstance {
+	var out []*diffInstance
+	for j := 0; j < len(in.weights) && len(in.weights) > 1; j++ {
+		out = append(out, &diffInstance{
+			nodes: in.nodes, seed: in.seed,
+			weights:   slices.Delete(slices.Clone(in.weights), j, j+1),
+			locations: slices.Delete(slices.Clone(in.locations), j, j+1),
+		})
 	}
-	for progress := true; progress; {
-		progress = false
-		// Drop one block at a time.
-		for j := 0; j < len(in.weights); j++ {
-			c := &diffInstance{
-				nodes: in.nodes, seed: in.seed,
-				weights:   append(append([]int64{}, in.weights[:j]...), in.weights[j+1:]...),
-				locations: append(append([][]int{}, in.locations[:j]...), in.locations[j+1:]...),
-			}
-			if fails(c) {
-				in, progress = c, true
-				j--
-			}
-		}
-		// Drop the last node, folding its replicas onto the rest.
-		if in.nodes > 2 {
-			c := &diffInstance{nodes: in.nodes - 1, seed: in.seed, weights: append([]int64{}, in.weights...)}
-			for _, locs := range in.locations {
-				seen := map[int]bool{}
-				var folded []int
-				for _, n := range locs {
-					n %= c.nodes
-					if !seen[n] {
-						seen[n] = true
-						folded = append(folded, n)
-					}
+	if in.nodes > 2 {
+		c := &diffInstance{nodes: in.nodes - 1, seed: in.seed, weights: slices.Clone(in.weights)}
+		for _, locs := range in.locations {
+			var folded []int
+			for _, n := range locs {
+				if n %= c.nodes; !slices.Contains(folded, n) {
+					folded = append(folded, n)
 				}
-				c.locations = append(c.locations, folded)
 			}
-			if fails(c) {
-				in, progress = c, true
-			}
+			c.locations = append(c.locations, folded)
 		}
-		// Halve weights.
-		for j := 0; j < len(in.weights); j++ {
-			if in.weights[j] < 2 {
-				continue
-			}
-			c := &diffInstance{nodes: in.nodes, seed: in.seed, weights: append([]int64{}, in.weights...), locations: in.locations}
-			c.weights[j] /= 2
-			if fails(c) {
-				in, progress = c, true
-			}
+		out = append(out, c)
+	}
+	for j, w := range in.weights {
+		if w >= 2 {
+			c := &diffInstance{nodes: in.nodes, seed: in.seed, weights: slices.Clone(in.weights), locations: in.locations}
+			c.weights[j] = w / 2
+			out = append(out, c)
 		}
 	}
-	return in
+	return out
 }
 
 // TestAlgorithm1VsMaxFlowDifferential sweeps seeded random instances
@@ -212,7 +195,7 @@ func TestAlgorithm1VsMaxFlowDifferential(t *testing.T) {
 	for i := 0; i < instances; i++ {
 		in := randomInstance(rng)
 		if msg := propertyViolation(t, in); msg != "" {
-			min := shrink(in, func(c *diffInstance) string { return propertyViolation(t, c) })
+			min := shrink.Greedy(in, diffEdits, func(c *diffInstance) bool { return propertyViolation(t, c) != "" })
 			t.Fatalf("instance %d: %s\nshrunken counterexample:\n%s(still fails with: %s)",
 				i, msg, min, propertyViolation(t, min))
 		}
@@ -261,6 +244,16 @@ func TestShrinkerMinimizes(t *testing.T) {
 	}
 	if r.algoMax >= r.flowMax {
 		t.Fatalf("expected assist to beat the flow optimum: algo %d, flow %d", r.algoMax, r.flowMax)
+	}
+	// Shrinking through diffEdits keeps the phenomenon and strips the rest:
+	// two blocks are the minimum, since a lone block's max load is its own
+	// weight wherever it runs.
+	beats := func(c *diffInstance) bool {
+		r := evaluate(t, c)
+		return r.usedAssist && r.algoMax < r.flowMax
+	}
+	if min := shrink.Greedy(in, diffEdits, beats); !beats(min) || len(min.weights) != 2 {
+		t.Fatalf("shrunk instance (still beats the optimum: %v), want 2 blocks:\n%s", beats(min), min)
 	}
 }
 
@@ -547,7 +540,7 @@ func TestIndexedDataNetMatchesScan(t *testing.T) {
 				}
 				for _, capacityAware := range []bool{false, true} {
 					if msg := pullMismatch(in, capacityAware); msg != "" {
-						small := shrink(in, func(c *diffInstance) string { return pullMismatch(c, capacityAware) })
+						small := shrink.Greedy(in, diffEdits, func(c *diffInstance) bool { return pullMismatch(c, capacityAware) != "" })
 						t.Fatalf("%d nodes, %s, replication %d, capacity-aware %v: %s\nshrunken counterexample:\n%s(%s)",
 							nodes, fam.name, repl, capacityAware, msg, small, pullMismatch(small, capacityAware))
 					}
