@@ -27,6 +27,7 @@ package datanet
 import (
 	"errors"
 	"fmt"
+	"runtime"
 
 	"datanet/internal/apps"
 	"datanet/internal/cluster"
@@ -264,10 +265,11 @@ type Meta struct {
 	file string
 }
 
-// BuildMeta scans file's blocks once and constructs its ElasticMap array.
-// When opts.BucketBounds is nil, Fibonacci bucket bounds scaled to the
-// filesystem's block size are used (the paper's 1 kb unit corresponds to
-// 64 MB blocks).
+// BuildMeta scans file's blocks once and constructs its ElasticMap array,
+// building the blocks' meta-data in parallel on GOMAXPROCS goroutines (the
+// array is identical to a sequential build). When opts.BucketBounds is nil,
+// Fibonacci bucket bounds scaled to the filesystem's block size are used
+// (the paper's 1 kb unit corresponds to 64 MB blocks).
 func BuildMeta(fs *FileSystem, file string, opts MetaOptions) (*Meta, error) {
 	perBlock, err := fs.BlockRecords(file)
 	if err != nil {
@@ -276,7 +278,7 @@ func BuildMeta(fs *FileSystem, file string, opts MetaOptions) (*Meta, error) {
 	if opts.BucketBounds == nil {
 		opts.BucketBounds = elasticmap.ScaledFibonacciBounds(fs.Config().BlockSize)
 	}
-	return &Meta{arr: elasticmap.Build(perBlock, opts), file: file}, nil
+	return &Meta{arr: elasticmap.BuildParallel(perBlock, opts, runtime.GOMAXPROCS(0)), file: file}, nil
 }
 
 // Array exposes the underlying ElasticMap array.

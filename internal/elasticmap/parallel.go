@@ -10,16 +10,17 @@ import (
 )
 
 // BuildParallel constructs the ElasticMap array scanning blocks
-// concurrently with up to `workers` goroutines (NumCPU when workers <= 0).
-// Each block's meta-data is independent, so the build parallelizes
-// embarrassingly; results are identical to Build for the same inputs.
+// concurrently with up to `workers` goroutines (GOMAXPROCS when
+// workers <= 0). Each block's meta-data is independent, so the build
+// parallelizes embarrassingly; results are identical to Build for the same
+// inputs.
 //
-// On the master node of a real deployment this is the construction path:
-// the single sequential scan the paper counts (O(records) work) spread
-// over cores.
+// This is the construction path datanet.BuildMeta takes: the single scan
+// the paper counts (O(records) work) spread over the cores the process may
+// use.
 func BuildParallel(blocks [][]records.Record, opts Options, workers int) *Array {
 	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(blocks) {
 		workers = len(blocks)

@@ -3,11 +3,15 @@ package records
 import (
 	"bytes"
 	"io"
+	"reflect"
 	"testing"
 )
 
 // FuzzReaderNeverPanics feeds arbitrary bytes to the record decoder: it
-// must return records or an error, never panic or read out of bounds.
+// must return records or an error, never panic or read out of bounds. On
+// every input it must agree with the streaming reference decoder record for
+// record and on the class of the error that ends the stream, and ReadAll
+// must equal a loop of Read.
 func FuzzReaderNeverPanics(f *testing.F) {
 	// Seed corpus: valid stream, truncations, bad magic, huge lengths.
 	var buf bytes.Buffer
@@ -21,17 +25,45 @@ func FuzzReaderNeverPanics(f *testing.F) {
 	f.Add([]byte("XXXX"))
 	f.Add([]byte{'D', 'N', 'R', '1', 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
 	f.Add([]byte{})
+	// A record whose Time is a 10-byte varint: the last byte may be at most
+	// 1 (math.MinInt64), 2 overflows, and an 11th byte always does.
+	long := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
+	for _, last := range [][]byte{{0x01}, {0x02}, {0xff, 0x00}} {
+		rec := append(append([]byte("DNR1\x00"), long...), last...)
+		f.Add(append(rec, 0x00, 0x00))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(bytes.NewReader(data))
-		for i := 0; i < 1000; i++ {
-			_, err := r.Read()
-			if err == io.EOF || err == ErrCorrupt {
-				return
+		ref := newBufioReader(bytes.NewReader(data))
+		var recs []Record
+		var end error
+		for i := 0; i < 1000 && end == nil; i++ {
+			got, err := r.Read()
+			want, refErr := ref.Read()
+			if err != refErr {
+				t.Fatalf("record %d: error %v, reference decoder %v", i, err, refErr)
 			}
-			if err != nil {
+			if err == nil && got != want {
+				t.Fatalf("record %d: %+v, reference decoder %+v", i, got, want)
+			}
+			if err != nil && err != io.EOF && err != ErrCorrupt {
 				t.Fatalf("unexpected error type: %v", err)
 			}
+			if err == nil {
+				recs = append(recs, got)
+			}
+			end = err
+		}
+		if end == nil {
+			return // more records than the loop reads
+		}
+		all, err := NewReader(bytes.NewReader(data)).ReadAll()
+		if end == io.EOF {
+			end = nil
+		}
+		if err != end || len(all) != len(recs) || len(all) > 0 && !reflect.DeepEqual(all, recs) {
+			t.Fatalf("ReadAll = %d records, %v; Read loop = %d records, %v", len(all), err, len(recs), end)
 		}
 	})
 }

@@ -14,7 +14,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
+	"strings"
 )
 
 // Record is one log entry.
@@ -162,100 +164,172 @@ func (w *Writer) putString(s string) error {
 	return err
 }
 
-// Reader streams records back.
+// maxField bounds any sane record field (16 MiB). A longer declared length
+// is corruption, whatever the stream holds after it.
+const maxField = 1 << 24
+
+// Reader decodes records from a stream. On first use it reads the rest of
+// the stream once into one private string; every decoded record's Sub and
+// Payload are substrings of that copy. Records therefore never alias the
+// caller's buffer, but all of them share the one copy: it stays alive while
+// any of them does, so a caller that keeps a Sub (say, as a map key) longer
+// than its records should strings.Clone it.
+//
+// An empty stream is io.EOF. A stream that does not start with the magic,
+// or that ends or overflows a varint inside a record, is ErrCorrupt. An
+// error reading the source is returned as is. Once Read returns an error it
+// returns that error again.
 type Reader struct {
-	r       *bufio.Reader
-	started bool
+	src  io.Reader // nil once the stream is loaded
+	data string    // the stream after the magic
+	off  int       // decode position in data
+	err  error     // sticky: the error Read last returned
 }
 
 // NewReader wraps r.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReader(r)}
+	return &Reader{src: r}
 }
 
 // Read returns the next record or io.EOF.
 func (r *Reader) Read() (Record, error) {
-	if !r.started {
-		var hdr [4]byte
-		if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
-			if err == io.ErrUnexpectedEOF {
-				return Record{}, ErrCorrupt
-			}
-			return Record{}, err
-		}
-		if hdr != magic {
-			return Record{}, ErrCorrupt
-		}
-		r.started = true
+	r.load()
+	if r.err != nil {
+		return Record{}, r.err
 	}
-	sub, err := r.getString()
-	if err == io.EOF {
-		return Record{}, io.EOF // a clean end between records
-	}
+	rec, next, err := decodeAt(r.data, r.off)
 	if err != nil {
-		// Any mid-record truncation (partial varint, short payload) is
-		// corruption, not a clean end.
-		return Record{}, eofIsCorrupt(err)
+		r.err = err
+		return Record{}, err
 	}
-	t, err := r.getVarint()
-	if err != nil {
-		return Record{}, eofIsCorrupt(err)
-	}
-	rat, err := r.getVarint()
-	if err != nil {
-		return Record{}, eofIsCorrupt(err)
-	}
-	payload, err := r.getString()
-	if err != nil {
-		return Record{}, eofIsCorrupt(err)
-	}
-	return Record{Sub: sub, Time: t, Rating: float64(rat) / 1000, Payload: payload}, nil
+	r.off = next
+	return rec, nil
 }
 
-// ReadAll drains the stream.
+// ReadAll drains the stream: the records up to the first error, and that
+// error unless it is the clean end.
 func (r *Reader) ReadAll() ([]Record, error) {
-	var out []Record
-	for {
-		rec, err := r.Read()
-		if err == io.EOF {
-			return out, nil
-		}
+	r.load()
+	// A counting pass finds how many records precede the first error, so
+	// the slice is sized once.
+	n := 0
+	for off := r.off; r.err == nil; n++ {
+		_, next, err := decodeAt(r.data, off)
 		if err != nil {
-			return out, err
+			break
 		}
-		out = append(out, rec)
+		off = next
+	}
+	out := make([]Record, n)
+	for i := range out {
+		out[i], r.off, _ = decodeAt(r.data, r.off)
+	}
+	if _, err := r.Read(); err != io.EOF {
+		return out, err
+	}
+	return out, nil
+}
+
+// load copies the rest of the source into r.data and checks the magic,
+// once. A source that reports its size grows the copy once.
+func (r *Reader) load() {
+	if r.src == nil {
+		return
+	}
+	var b strings.Builder
+	if n := sizeHint(r.src); n > 0 {
+		b.Grow(n)
+	}
+	_, err := io.Copy(&b, r.src)
+	r.src = nil
+	s := b.String()
+	switch {
+	case err != nil:
+		r.err = err
+	case len(s) == 0:
+		r.err = io.EOF
+	case len(s) < len(magic) || s[:len(magic)] != string(magic[:]):
+		r.err = ErrCorrupt
+	default:
+		r.data = s[len(magic):]
 	}
 }
 
-func eofIsCorrupt(err error) error {
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return ErrCorrupt
+// sizeHint returns how many bytes src says it holds, or 0 when it cannot
+// tell: Len on in-memory readers, Stat on files.
+func sizeHint(src io.Reader) int {
+	switch s := src.(type) {
+	case interface{ Len() int }:
+		return s.Len()
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := s.Stat(); err == nil && fi.Mode().IsRegular() {
+			return int(fi.Size())
+		}
 	}
-	return err
+	return 0
 }
 
-func (r *Reader) getVarint() (int64, error) {
-	v, err := binary.ReadVarint(r.r)
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		// Varint overflow and friends are corruption, not I/O conditions.
-		return v, ErrCorrupt
+// decodeAt decodes the record at data[off:] and returns it with the offset
+// after it. At the end of data it returns io.EOF; a record cut short, a
+// varint overflow or an out-of-range length is ErrCorrupt.
+func decodeAt(data string, off int) (Record, int, error) {
+	if off == len(data) {
+		return Record{}, off, io.EOF // a clean end between records
 	}
-	return v, err
+	sub, off, ok := stringAt(data, off)
+	if !ok {
+		return Record{}, off, ErrCorrupt
+	}
+	t, off, ok := varintAt(data, off)
+	if !ok {
+		return Record{}, off, ErrCorrupt
+	}
+	rat, off, ok := varintAt(data, off)
+	if !ok {
+		return Record{}, off, ErrCorrupt
+	}
+	payload, off, ok := stringAt(data, off)
+	if !ok {
+		return Record{}, off, ErrCorrupt
+	}
+	return Record{Sub: sub, Time: t, Rating: float64(rat) / 1000, Payload: payload}, off, nil
 }
 
-func (r *Reader) getString() (string, error) {
-	n, err := r.getVarint()
-	if err != nil {
-		return "", err
+// varintAt parses a zig-zag varint at data[off:] with binary.ReadVarint's
+// overflow rule: at most MaxVarintLen64 bytes, the last of them ≤ 1. A
+// one-byte varint (every short field length) takes the inlined fast path.
+func varintAt(data string, off int) (int64, int, bool) {
+	if off < len(data) && data[off] < 0x80 {
+		return unzigzag(uint64(data[off])), off + 1, true
 	}
-	// 16 MiB bounds any sane record field and keeps a hostile 5-byte
-	// stream from demanding a gigabyte allocation.
-	if n < 0 || n > 1<<24 {
-		return "", ErrCorrupt
+	return varintLong(data, off)
+}
+
+func varintLong(data string, off int) (int64, int, bool) {
+	var ux uint64
+	for i, shift := 0, uint(0); i < binary.MaxVarintLen64 && off < len(data); i, shift = i+1, shift+7 {
+		b := data[off]
+		off++
+		if b < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				return 0, off, false
+			}
+			return unzigzag(ux | uint64(b)<<shift), off, true
+		}
+		ux |= uint64(b&0x7f) << shift
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r.r, buf); err != nil {
-		return "", eofIsCorrupt(err)
+	return 0, off, false
+}
+
+func unzigzag(ux uint64) int64 { return int64(ux>>1) ^ -int64(ux&1) }
+
+// stringAt parses a length-prefixed field at data[off:] as a substring of
+// data; the length is checked against maxField before anything else.
+func stringAt(data string, off int) (string, int, bool) {
+	n, off, ok := varintAt(data, off)
+	if !ok || n < 0 || n > maxField || n > int64(len(data)-off) {
+		return "", off, false
 	}
-	return string(buf), nil
+	end := off + int(n)
+	return data[off:end], end, true
 }
