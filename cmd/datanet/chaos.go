@@ -32,7 +32,7 @@ func newChaosFlags() *chaosFlags {
 
 // runChaos drives a chaos campaign: the job engine's by default, where
 // every seed draws its own fault plan and policy bundle (detector,
-// rebalancer, mitigation, partitioner) and runs every arm; with -cluster,
+// mitigation, partitioner) and runs every arm; with -cluster,
 // the sharded metadata cluster's crash/rejoin/decommission/addnode plans
 // against its failover invariants. Violations print with their replay
 // seed and fail the command; -shrink also prints the first violating plan

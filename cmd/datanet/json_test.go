@@ -40,12 +40,12 @@ func TestAnalyzeJSONGolden(t *testing.T) {
 }
 
 // The text report of a run that exercises every optional line: faults,
-// heartbeat detection, speculation, skew partitioning and rebalancing.
+// heartbeat detection, speculation and skew partitioning.
 func TestAnalyzeTextGolden(t *testing.T) {
 	buf := captureStdout(t)
 	if err := runAnalyze([]string{"-data", writeDataset(t), "-sub", gen.MovieID(0), "-app", "wordcount",
 		"-block", "32768", "-nodes", "8", "-racks", "2", "-crash", "1@0.5:2", "-slow", "3x0.5",
-		"-detect", "heartbeat", "-mitigate", "speculative:0.75", "-partition", "skew", "-rebalance", "hotspot"}); err != nil {
+		"-detect", "heartbeat", "-mitigate", "speculative:0.75", "-partition", "skew"}); err != nil {
 		t.Fatal(err)
 	}
 	compareGolden(t, "analyze_text.golden", buf.Bytes())

@@ -67,12 +67,11 @@ func usage() {
           [-detect oracle|heartbeat|phi] [-hb-interval S] [-hb-timeout S]
           [-mitigate off|speculative[:Q]|coded[:RATE]]  (straggler mitigation)
           [-partition off|hash|skew|range]  (key-aware reduce partitioning)
-          [-rebalance off|hotspot|anneal|both [-rebalance-ticks N]]
           [-out jsonl|chrome|json=FILE ...]  (FILE - is stdout and replaces the text report)
   top     -data FILE [-n N] | -meta FILE [-n N]
   verify  -data FILE -meta FILE [-samples N]
-  chaos   [-runs N] [-seed S] [-shrink]  (every seed draws its detector, rebalancer,
-          mitigation and partitioner; all engine invariants armed)
+  chaos   [-runs N] [-seed S] [-shrink]  (every seed draws its detector, mitigation
+          and partitioner; all engine invariants armed)
           [-cluster N [-replicas K] [-shards S] [-detect heartbeat|phi|oracle]]
           (sharded-cluster invariants)
   serve   -meta NAME=FILE [-meta NAME=FILE ...] [-addr HOST:PORT] [-cache N]
@@ -240,15 +239,13 @@ type analyzeFlags struct {
 	plan    datanet.FaultPlan
 	mit     datanet.MitigationConfig
 	part    datanet.PartitionConfig
-	rb      datanet.RebalancerConfig
-	rbTicks int
 	outs    trace.Outputs
 }
 
 func newAnalyzeFlags() *analyzeFlags {
 	f := &analyzeFlags{common: newCommon("analyze")}
 	f.job = datanet.Job{File: "data", Scheduler: datanet.SchedulerDataNet}
-	f.part.Mode, f.rb.Mode = datanet.PartitionOff, datanet.RebalanceOff
+	f.part.Mode = datanet.PartitionOff
 	fs := f.fs
 	fs.StringVar(&f.job.Target, "sub", "", "sub-dataset key")
 	fs.Var(&f.app, "app", "wordcount (default) | histogram | movingavg | topk | sort | join")
@@ -262,14 +259,12 @@ func newAnalyzeFlags() *analyzeFlags {
 	fs.Var(&f.plan.Slow, "slow", "degrade nodes: NxF,... (node N runs at factor F of full speed)")
 	fs.Float64Var(&f.plan.Read.Prob, "readerr", 0, "transient block-read failure probability per attempt")
 	fs.IntVar(&f.job.Retry.MaxAttempts, "retries", 0, "max attempts per task under faults (0 = default 4)")
-	fs.Int64Var(&f.plan.Seed, "faultseed", 1, "seed for deterministic transient errors, partition sampling and annealing")
+	fs.Int64Var(&f.plan.Seed, "faultseed", 1, "seed for deterministic transient errors and partition sampling")
 	fs.Var(&f.job.Detect.Mode, "detect", "failure detector: oracle (default) | heartbeat | phi")
 	fs.Float64Var(&f.job.Detect.Interval, "hb-interval", 0, "heartbeat interval in simulated seconds (0 = default 0.5)")
 	fs.Float64Var(&f.job.Detect.Timeout, "hb-timeout", 0, "suspicion timeout in simulated seconds (0 = 3 × interval)")
 	fs.Var(&f.mit, "mitigate", "straggler mitigation: off (default) | speculative[:Q] (budgeted backups past the Q completion quantile, default 0.9) | coded[:RATE] (k-of-n execution at rate k/n, default 0.85)")
 	fs.Var(&f.part.Mode, "partition", "key-aware reduce partitioning: off | hash | skew | range")
-	fs.Var(&f.rb.Mode, "rebalance", "distribution-aware replica rebalancing before the run: off | hotspot | anneal | both")
-	fs.IntVar(&f.rbTicks, "rebalance-ticks", 2, "maintenance ticks to run when -rebalance is enabled")
 	fs.Var(&f.outs, "out", "KIND=FILE: write jsonl or chrome (the event timeline; chrome loads in Perfetto) or json (result + metrics) to FILE; - is stdout and replaces the text report (repeatable)")
 	return f
 }
@@ -288,8 +283,8 @@ func runAnalyze(args []string) error {
 	job.FS = hfs
 	if job.Scheduler != datanet.SchedulerLocality {
 		// Lenient load: a corrupt ElasticMap file demotes the job to the
-		// locality baseline instead of aborting the analysis; a join or the
-		// rebalancer then builds its meta-data afresh.
+		// locality baseline instead of aborting the analysis; a join then
+		// builds its meta-data afresh.
 		job.Meta, err = f.meta()
 		if errors.Is(err, elasticmap.ErrCodec) {
 			fmt.Fprintf(os.Stderr, "datanet: warning: %v — falling back to locality scheduling\n", err)
@@ -300,27 +295,6 @@ func runAnalyze(args []string) error {
 	}
 	if job.App, err = f.app.New(hfs, "data", f.joinSub, f.meta); err != nil {
 		return err
-	}
-	var rebalanced datanet.RebalanceStats
-	if f.rb.Mode != datanet.RebalanceOff {
-		// Pre-run maintenance: let the distribution-aware rebalancer move
-		// replicas toward the queried sub-dataset's heat before the job is
-		// scheduled.
-		meta, err := f.meta()
-		if err != nil {
-			return err
-		}
-		f.rb.AnnealSeed = f.plan.Seed
-		rb := datanet.NewRebalancer(hfs, f.rb)
-		if err := rb.ObserveProfile("data", meta.HeatProfile(job.Target)); err != nil {
-			return err
-		}
-		for i := 0; i < f.rbTicks; i++ {
-			if _, err := rb.Tick(float64(i)); err != nil {
-				return err
-			}
-		}
-		rebalanced = rb.Stats()
 	}
 	f.part.Seed = f.plan.Seed
 	job.Mitigate, job.Partition = &f.mit, &f.part
@@ -347,7 +321,7 @@ func runAnalyze(args []string) error {
 		}
 	}
 	if !f.outs.Stdout() {
-		f.report(res, rebalanced)
+		f.report(res)
 	}
 	return nil
 }
@@ -387,16 +361,12 @@ func writeTo(path string, write func(io.Writer) error) error {
 }
 
 // report prints the analyze text report.
-func (f *analyzeFlags) report(res *datanet.Result, rebalanced datanet.RebalanceStats) {
+func (f *analyzeFlags) report(res *datanet.Result) {
 	w := stdout
 	fmt.Fprintf(w, "%s on %q with %s scheduling\n", f.job.App.Name(), f.job.Target, res.SchedulerName)
 	fmt.Fprintf(w, "  filter phase:   %8.2f s (%d local, %d remote, %d skipped)\n",
 		res.FilterEnd, res.LocalTasks, res.RemoteTasks, res.SkippedBlocks)
 	fmt.Fprintf(w, "  analysis job:   %8.2f s\n", res.AnalysisTime)
-	if f.rb.Mode != datanet.RebalanceOff {
-		fmt.Fprintf(w, "  rebalance:      %d moves, %s shipped in %d ticks (%s)\n",
-			rebalanced.Moves, metrics.Bytes(rebalanced.BytesMoved), rebalanced.Ticks, f.rb.Mode)
-	}
 	fmt.Fprintf(w, "  total makespan: %8.2f s\n", res.JobTime)
 	if res.NodeCrashes > 0 || res.TasksRetried > 0 || res.TransientErrors > 0 {
 		fmt.Fprintf(w, "  fault handling: %d node crashes, %d tasks retried, %d transient read errors, %d outputs lost, %d replicas repaired\n",

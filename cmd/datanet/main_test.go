@@ -104,7 +104,7 @@ func TestRunAnalyzeErrors(t *testing.T) {
 
 // The policy flags parse into their values as the flag set reads them, so
 // a name no policy knows is a usage error (exit status 2); so are the
-// spellings -mitigate and -out replaced.
+// spellings -mitigate and -out replaced, and the retired -rebalance.
 func TestRunAnalyzeRejectsPolicyNames(t *testing.T) {
 	if inChild() {
 		return
@@ -219,7 +219,7 @@ func TestRunChaosPrintsBundleCensus(t *testing.T) {
 		t.Fatalf("chaos: %v\n%s", err, buf)
 	}
 	census := regexp.MustCompile(`^chaos: 12 runs \(\d+ crashes, \d+ slowdowns, \d+ read-error runs; ` +
-		`detect oracle=\d+ heartbeat=\d+ phi=\d+; rebalance off=\d+ hotspot=\d+ anneal=\d+ both=\d+; ` +
+		`detect oracle=\d+ heartbeat=\d+ phi=\d+; ` +
 		`mitigate off=\d+ speculative=\d+ coded=\d+; partition off=\d+ hash=\d+ skew=\d+ range=\d+\): 0 violations\n$`)
 	if !census.Match(buf.Bytes()) {
 		t.Fatalf("unexpected chaos output: %s", buf)

@@ -159,39 +159,6 @@ const (
 	PartitionRange = partition.ModeRange
 )
 
-// Rebalancer is the distribution-aware replica maintenance loop: hot
-// blocks (high access count × sub-dataset concentration, straight from
-// ElasticMap) gain replicas on underloaded nodes, and a simulated-
-// annealing pass relocates replicas toward a lower-imbalance layout.
-type Rebalancer = hdfs.Rebalancer
-
-// RebalancerConfig shapes the maintenance loop (mode, replica and
-// per-tick move caps, annealing steps and seed).
-type RebalancerConfig = hdfs.RebalancerConfig
-
-// RebalanceStats accumulates what the loop did (ticks, moves, bytes).
-type RebalanceStats = hdfs.RebalanceStats
-
-// RebalanceMode enumerates the rebalancer's optimizers.
-type RebalanceMode = hdfs.RebalanceMode
-
-// Rebalance modes for RebalancerConfig.Mode.
-const (
-	// RebalanceOff disables the rebalancer (the default).
-	RebalanceOff = hdfs.RebalanceOff
-	// RebalanceHotSpot adds replicas of hot blocks.
-	RebalanceHotSpot = hdfs.RebalanceHotSpot
-	// RebalanceAnneal relocates replicas by simulated annealing.
-	RebalanceAnneal = hdfs.RebalanceAnneal
-	// RebalanceBoth runs the hot-spot pass, then annealing.
-	RebalanceBoth = hdfs.RebalanceBoth
-)
-
-// NewRebalancer builds a maintenance loop over fs.
-func NewRebalancer(fs *FileSystem, cfg RebalancerConfig) *Rebalancer {
-	return hdfs.NewRebalancer(fs, cfg)
-}
-
 // Trace records a run's full event timeline on the simulated clock:
 // scheduler decision audits (candidates, locality, workload vs the
 // cluster-average W̄, which rule fired), task attempts, fault deliveries,
@@ -290,10 +257,6 @@ func (m *Meta) Estimate(sub string) int64 { return m.arr.Estimate(sub) }
 // Weights returns per-block |b ∩ sub| estimates in block order — the
 // scheduler input.
 func (m *Meta) Weights(sub string) []int64 { return m.arr.Weights(sub) }
-
-// HeatProfile returns the per-block concentration of sub in block order —
-// the access-heat signal the distribution-aware rebalancer consumes.
-func (m *Meta) HeatProfile(sub string) []float64 { return m.arr.HeatProfile(sub) }
 
 // MemoryBytes returns the meta-data footprint.
 func (m *Meta) MemoryBytes() int64 { return m.arr.MemoryBits() / 8 }

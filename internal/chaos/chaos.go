@@ -1,8 +1,8 @@
 // Package chaos is a randomized robustness harness for the simulated
 // MapReduce engine: from one seed it derives a reproducible fault plan
 // (crashes, rejoins, degraded hardware, transient read errors) and a
-// policy bundle (failure detector, rebalancer, straggler mitigation,
-// reduce partitioning), runs every scheduler arm under both, and checks
+// policy bundle (failure detector, straggler mitigation, reduce
+// partitioning), runs every scheduler arm under both, and checks
 // execution invariants that must hold no matter what the plan did — no
 // records silently lost, workload conserved, phase timestamps monotonic,
 // runs bit-identical on replay, makespan bounded relative to the healthy
@@ -73,16 +73,13 @@ func DefaultParams() Params {
 const beatInterval = 0.02
 
 // bundle is the policy configuration every arm of one seed runs under:
-// the failure detector, the distribution-aware rebalancer run on the
-// filesystem before the job (no-lost-blocks invariant), the straggler
-// mitigation (adds the mitigated arm and its invariants) and the reduce
-// partitioner (adds the partition arm, which inherits the mitigation,
-// runs with `reducers` reduce tasks and must reproduce the
-// partitioning-off output byte for byte). It holds the very values the
-// engine takes.
+// the failure detector, the straggler mitigation (adds the mitigated arm
+// and its invariants) and the reduce partitioner (adds the partition arm,
+// which inherits the mitigation, runs with `reducers` reduce tasks and
+// must reproduce the partitioning-off output byte for byte). It holds the
+// very values the engine takes.
 type bundle struct {
 	detect    detect.Mode
-	rebalance hdfs.RebalanceMode
 	mitigate  straggle.Mode
 	partition partition.Mode
 	reducers  int
@@ -95,7 +92,6 @@ var axes = [...]struct {
 	values []string
 }{
 	{"detect", names(detect.Modes)},
-	{"rebalance", names(hdfs.RebalanceModes)},
 	{"mitigate", names(straggle.Modes)},
 	{"partition", names(partition.Modes)},
 }
@@ -119,7 +115,6 @@ func drawBundle(seed uint64) bundle {
 	r := newRNG(seed ^ bundleStream)
 	var b bundle
 	b.detect = draw(r, detect.Modes)
-	b.rebalance = draw(r, hdfs.RebalanceModes)
 	b.mitigate = draw(r, straggle.Modes)
 	b.partition = draw(r, partition.Modes)
 	// Partition independence must hold at any reducer width, not just the
@@ -131,19 +126,19 @@ func drawBundle(seed uint64) bundle {
 func draw[T any](r *rng, values []T) T { return values[r.intn(len(values))] }
 
 func (b bundle) values() [len(axes)]string {
-	return [len(axes)]string{b.detect.String(), b.rebalance.String(), b.mitigate.String(), b.partition.String()}
+	return [len(axes)]string{b.detect.String(), b.mitigate.String(), b.partition.String()}
 }
 
 func (b bundle) String() string {
-	return fmt.Sprintf("detect=%s rebalance=%s mitigate=%s partition=%s/%d",
-		b.detect, b.rebalance, b.mitigate, b.partition, b.reducers)
+	return fmt.Sprintf("detect=%s mitigate=%s partition=%s/%d",
+		b.detect, b.mitigate, b.partition, b.reducers)
 }
 
 // Harness holds the precomputed fixture — the written filesystem (every
-// run gets a Clone: crashes and rebalancing mutate replica placement), its
-// per-block map output, the healthy reference result of every arm any
-// bundle can select and the ground-truth scheduling weights — so each seed
-// only pays for its own faulted simulations.
+// run gets a Clone: crashes mutate replica placement), its per-block map
+// output, the healthy reference result of every arm any bundle can select
+// and the ground-truth scheduling weights — so each seed only pays for its
+// own faulted simulations.
 type Harness struct {
 	p       Params
 	fs      *hdfs.FileSystem
@@ -337,20 +332,11 @@ func typedFailure(err error) bool {
 		errors.Is(err, mapreduce.ErrNoLiveNodes)
 }
 
-// failFunc records one invariant breach.
-type failFunc func(sched, inv, format string, args ...any)
-
 // runArm executes the plan under one arm of the bundle on a fresh clone of
-// the fixture. fail receives the rebalance invariant's breaches; rec, when
-// non-nil, receives the run's timeline.
-func (h *Harness) runArm(a arm, seed uint64, plan *faults.Plan, b bundle, fail failFunc, rec *trace.Recorder) (*mapreduce.Result, error) {
+// the fixture. rec, when non-nil, receives the run's timeline.
+func (h *Harness) runArm(a arm, plan *faults.Plan, b bundle, rec *trace.Recorder) (*mapreduce.Result, error) {
 	cfg := h.config(a)
 	cfg.Trace = rec
-	if b.rebalance != hdfs.RebalanceOff {
-		if err := h.rebalance(cfg.FS, seed, b.rebalance, fail, a.name); err != nil {
-			return nil, err
-		}
-	}
 	if a.partition != partition.ModeOff {
 		cfg.Reducers = b.reducers
 	}
@@ -373,7 +359,6 @@ func (h *Harness) check(seed uint64, plan *faults.Plan, b bundle) []Violation {
 		fail("-", "plan-validate", "generated plan invalid: %v", err)
 		return out
 	}
-	discard := func(string, string, string, ...any) {}
 	inj, _ := faults.NewInjector(plan, h.p.Nodes) // validated above
 	var baseErr error
 	for _, a := range arms(b) {
@@ -381,11 +366,9 @@ func (h *Harness) check(seed uint64, plan *faults.Plan, b bundle) []Violation {
 		// but runs under another scheduler, so the locality baseline is not
 		// its counterfactual.
 		mitigated := a.mitigate != straggle.ModeOff && a.partition == partition.ModeOff
-		// The rebalance invariant is checked once; the replay run still
-		// rebalances so both runs see the same layout.
 		rec := trace.New()
-		res, err := h.runArm(a, seed, plan, b, fail, rec)
-		res2, err2 := h.runArm(a, seed, plan, b, discard, nil)
+		res, err := h.runArm(a, plan, b, rec)
+		res2, err2 := h.runArm(a, plan, b, nil)
 		if a == baseline {
 			baseErr = err
 		}
@@ -576,46 +559,4 @@ func duplicateLiveBlocks(res *mapreduce.Result) []hdfs.BlockID {
 		}
 	}
 	return dup
-}
-
-// rebalance runs the distribution-aware maintenance loop on one fixture
-// instance and checks the no-lost-blocks invariant: every block keeps at
-// least one replica and no block ends with two replicas on one node. The
-// annealing seed derives from the run seed, so replays are identical.
-func (h *Harness) rebalance(fs *hdfs.FileSystem, seed uint64, mode hdfs.RebalanceMode, fail failFunc, schedName string) error {
-	rb := hdfs.NewRebalancer(fs, hdfs.RebalancerConfig{
-		Mode:       mode,
-		AnnealSeed: int64(seed),
-	})
-	profile := make([]float64, len(h.weights))
-	for i, w := range h.weights {
-		profile[i] = float64(w)
-	}
-	if err := rb.ObserveProfile("log", profile); err != nil {
-		return err
-	}
-	for tick := 0; tick < 2; tick++ {
-		if _, err := rb.Tick(float64(tick)); err != nil {
-			return err
-		}
-	}
-	blocks, err := fs.Blocks("log")
-	if err != nil {
-		return err
-	}
-	for _, b := range blocks {
-		if len(b.Replicas) == 0 {
-			fail(schedName, "rebalance-no-lost-blocks", "block %d has no replicas after rebalancing", b.ID)
-			continue
-		}
-		seen := make(map[cluster.NodeID]bool, len(b.Replicas))
-		for _, n := range b.Replicas {
-			if seen[n] {
-				fail(schedName, "rebalance-no-lost-blocks", "block %d has co-located replicas on node %d", b.ID, n)
-				break
-			}
-			seen[n] = true
-		}
-	}
-	return nil
 }

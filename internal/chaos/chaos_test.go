@@ -10,7 +10,6 @@ import (
 
 	"datanet/internal/detect"
 	"datanet/internal/faults"
-	"datanet/internal/hdfs"
 	"datanet/internal/mapreduce"
 	"datanet/internal/partition"
 	"datanet/internal/shrink"
@@ -42,8 +41,8 @@ func TestGenPlanDeterministic(t *testing.T) {
 }
 
 // The composed campaign: every seed draws its whole policy bundle, so one
-// run of the default fixture exercises the detectors, the rebalancer, both
-// mitigations and every partitioner together, all invariants armed, and
+// run of the default fixture exercises the detectors, both mitigations
+// and every partitioner together, all invariants armed, and
 // must find zero violations. TestBundleDraw proves these seeds cover every
 // axis value and the pairs the per-switch campaigns used to pin.
 func TestChaosCampaignComposed(t *testing.T) {
@@ -168,14 +167,14 @@ func TestMitigationCorpusBackupNodeCrash(t *testing.T) {
 			{Node: 6, At: 0.008, RejoinAt: 0.2},
 		},
 	}
-	b := bundle{detect.Heartbeat, hdfs.RebalanceOff, straggle.ModeSpeculative, partition.ModeOff, 0}
+	b := bundle{detect.Heartbeat, straggle.ModeSpeculative, partition.ModeOff, 0}
 	for _, v := range h.check(77, plan, b) {
 		t.Errorf("violation: %s", v)
 	}
 	// The plan must actually exercise the scenario, or the zero
 	// violations above prove nothing: run the mitigated arm directly and
 	// demand live backups plus exactly one surviving output per block.
-	res, err := h.runArm(mitigatedArm(b), 77, plan, b, nil, nil)
+	res, err := h.runArm(mitigatedArm(b), plan, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +209,7 @@ func TestMitigationCorpusSuspectedParityUnit(t *testing.T) {
 	}
 	const seed = 0x497305c5d1aab99f
 	plan := GenPlan(seed, h.horizon, h.p)
-	for _, v := range h.check(seed, plan, bundle{detect.Heartbeat, hdfs.RebalanceOff, straggle.ModeCoded, partition.ModeOff, 0}) {
+	for _, v := range h.check(seed, plan, bundle{detect.Heartbeat, straggle.ModeCoded, partition.ModeOff, 0}) {
 		t.Errorf("violation: %s", v)
 	}
 	if len(plan.Crashes) == 0 || len(plan.Slow) == 0 {
@@ -232,44 +231,54 @@ func TestMitigationCorpusReadErrorReroll(t *testing.T) {
 	}
 	const seed = 6984485933356600607
 	plan := GenPlan(seed, h.horizon, h.p)
-	b := bundle{detect.Oracle, hdfs.RebalanceOff, straggle.ModeSpeculative, partition.ModeOff, 0}
+	b := bundle{detect.Oracle, straggle.ModeSpeculative, partition.ModeOff, 0}
 	for _, v := range h.check(seed, plan, b) {
 		t.Errorf("violation: %s", v)
 	}
-	if _, err := h.runArm(baseline, seed, plan, b, nil, nil); err != nil {
+	if _, err := h.runArm(baseline, plan, b, nil); err != nil {
 		t.Fatalf("corpus seed lost its shape: the baseline fails: %v", err)
 	}
-	_, err = h.runArm(mitigatedArm(b), seed, plan, b, nil, nil)
+	_, err = h.runArm(mitigatedArm(b), plan, b, nil)
 	if !errors.Is(err, mapreduce.ErrRetriesExhausted) || plan.Read.Prob == 0 {
 		t.Fatalf("corpus seed lost its shape: mitigated run %v under read-error probability %g", err, plan.Read.Prob)
 	}
 }
 
-// Corpus (analysis-phase recovery against belief): runs 351 and 875 of the
-// CI smoke, `chaos -runs 1000 -seed 1`. Each draws a detector and coded
-// mitigation: the filter kernel stops while a crashed node that has since
-// rejoined is still suspected, and a later analysis-phase crash needs a
-// helper to redo its share. Recovery used to pick by physics alone and
-// handed the share to the suspected node; it must pick one the master
-// believes live, as reducer placement always did.
+// Corpus (analysis-phase recovery against belief): runs 351 and 348 of
+// the CI smoke, `chaos -runs 1000 -seed 1`, each pinned with the bundle it
+// exposed the bug under — the phi detector and coded mitigation — so a
+// later change to the draw cannot reshape it. The filter kernel stops
+// while a crashed node that has since rejoined is still suspected, and a
+// later analysis-phase crash needs a helper to redo its share. Recovery
+// used to pick by physics alone and handed the share to the suspected
+// node; it must pick one the master believes live, as reducer placement
+// always did.
 func TestRecoveryCorpusSuspectedHelper(t *testing.T) {
 	h, err := NewHarness(DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, seed := range []uint64{18288763091816709512, 186926793898305595} {
-		t.Run(fmt.Sprint(seed), func(t *testing.T) {
-			plan := GenPlan(seed, h.horizon, h.p)
-			b := drawBundle(seed)
-			for _, v := range h.check(seed, plan, b) {
+	for _, c := range []struct {
+		seed uint64
+		b    bundle
+	}{
+		{18288763091816709512, bundle{detect.Phi, straggle.ModeCoded, partition.ModeRange, 3}},
+		{12602372298903531417, bundle{detect.Phi, straggle.ModeCoded, partition.ModeSkew, 9}},
+	} {
+		t.Run(fmt.Sprint(c.seed), func(t *testing.T) {
+			plan := GenPlan(c.seed, h.horizon, h.p)
+			for _, v := range h.check(c.seed, plan, c.b) {
 				t.Errorf("violation: %s", v)
 			}
-			as := arms(b)
-			rec := trace.New()
-			if _, err := h.runArm(as[len(as)-1], seed, plan, b, nil, rec); err != nil || b.detect == detect.Oracle {
-				t.Fatalf("corpus seed lost its shape: detector %s, run error %v", b.detect, err)
+			redone := false
+			for _, a := range arms(c.b) {
+				rec := trace.New()
+				if _, err := h.runArm(a, plan, c.b, rec); err != nil {
+					t.Fatalf("corpus seed lost its shape: %s arm: %v", a.name, err)
+				}
+				redone = redone || slices.ContainsFunc(rec.Events(), func(ev trace.Event) bool { return ev.Type == trace.EvAnalysisRecover })
 			}
-			if !slices.ContainsFunc(rec.Events(), func(ev trace.Event) bool { return ev.Type == trace.EvAnalysisRecover }) {
+			if !redone {
 				t.Fatal("corpus seed lost its shape: no analysis share was redone")
 			}
 		})

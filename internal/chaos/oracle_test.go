@@ -6,18 +6,17 @@ import (
 	"testing"
 
 	"datanet/internal/detect"
-	"datanet/internal/hdfs"
 	"datanet/internal/partition"
 	"datanet/internal/straggle"
 )
 
 // oracleBundle is the configuration the digests below were recorded
-// under: the oracle detector (the master reacts at the crash instant), no
-// rebalancer, one mitigation for the whole corpus, and the partitioner and
-// reducer count rotating with the seed — so every arm the harness knows
-// runs on every seed.
+// under: the oracle detector (the master reacts at the crash instant),
+// one mitigation for the whole corpus, and the partitioner and reducer
+// count rotating with the seed — so every arm the harness knows runs on
+// every seed.
 func oracleBundle(seed uint64, mitigate straggle.Mode) bundle {
-	return bundle{detect.Oracle, hdfs.RebalanceOff, mitigate,
+	return bundle{detect.Oracle, mitigate,
 		[]partition.Mode{partition.ModeHash, partition.ModeSkew, partition.ModeRange}[seed%3], 1 + int(seed>>3%13)}
 }
 
@@ -37,7 +36,7 @@ func oracleDigest(t *testing.T, mitigate straggle.Mode, plans int) string {
 		plan := GenPlan(seed, h.horizon, h.p)
 		b := oracleBundle(seed, mitigate)
 		for _, a := range arms(b) {
-			res, err := h.runArm(a, seed, plan, b, nil, nil)
+			res, err := h.runArm(a, plan, b, nil)
 			if err != nil {
 				fmt.Fprintf(sum, "%d %s error %v\n", seed, a.name, err)
 				continue
@@ -87,7 +86,7 @@ func TestCodedUnitCommitsOnce(t *testing.T) {
 	plan := GenPlan(seed, h.horizon, h.p)
 	b := oracleBundle(seed, straggle.ModeCoded)
 	for _, s := range arms(b) {
-		res, err := h.runArm(s, seed, plan, b, nil, nil)
+		res, err := h.runArm(s, plan, b, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}

@@ -1,7 +1,5 @@
 package cluster
 
-import "slices"
-
 // Health is the one node-health table every layer acts on: per node a
 // suspected bit (believed dead) and a draining bit independent of it (a
 // member on its way out can also stop beating). Failure detectors and
@@ -62,12 +60,4 @@ func (h *Health) set(id NodeID, bit uint8, on bool) {
 	} else {
 		h.bits[id] &^= bit
 	}
-}
-
-// Clone returns an independent copy (nil for nil).
-func (h *Health) Clone() *Health {
-	if h == nil {
-		return nil
-	}
-	return &Health{bits: slices.Clone(h.bits)}
 }

@@ -28,7 +28,6 @@ func FuzzDecodeNeverPanics(f *testing.F) {
 			arr.Block(i).Query("probe")
 		}
 		arr.Estimate("probe")
-		arr.HeatProfile("probe")
 		arr.Subs()
 		arr.MemoryBits()
 	})

@@ -43,17 +43,15 @@ func lossyOpts() Options {
 type perBlock struct {
 	dist            []BlockEstimate
 	weights         []int64
-	heat            []float64
 	total           int64
 	hashed, bloomed int
 }
 
 func queryLoop(a *Array, sub string) perBlock {
-	p := perBlock{weights: make([]int64, a.Len()), heat: make([]float64, a.Len())}
+	p := perBlock{weights: make([]int64, a.Len())}
 	for i := 0; i < a.Len(); i++ {
 		m := a.Block(i)
 		sz, class := m.Query(sub)
-		p.heat[i] = m.Concentration(sub)
 		if class == Absent {
 			continue
 		}
@@ -75,7 +73,7 @@ func scanned(t *testing.T, a *Array, sub string) perBlock {
 	if est := a.Estimate(sub); est != total {
 		t.Fatalf("%s: Estimate %d != EstimateDetailed %d", sub, est, total)
 	}
-	return perBlock{a.Distribution(sub), a.Weights(sub), a.HeatProfile(sub), total, hashed, bloomed}
+	return perBlock{a.Distribution(sub), a.Weights(sub), total, hashed, bloomed}
 }
 
 // Every per-sub query equals the per-block Query loop, over arrays built,

@@ -101,7 +101,7 @@ func TestSuiteGatesCatchDoctoredReport(t *testing.T) {
 	report := func() *BenchReport {
 		return &BenchReport{Sections: []BenchSection{
 			section("placement-sweep", map[string]float64{
-				"clustered/both": 8.2, "clustered/scheduler-only": 8.9, "clustered/both/bytes_moved": 69 << 20}),
+				"clustered/scheduler-only": 8.2, "clustered/baseline": 8.9}),
 			section("straggler-sweep", map[string]float64{
 				"128/slow-heavy/oracle/none":        30,
 				"128/slow-heavy/oracle/spec-q0.90":  21,
@@ -113,8 +113,8 @@ func TestSuiteGatesCatchDoctoredReport(t *testing.T) {
 		}}
 	}
 	gates := suiteGates("placement-sweep", "straggler-sweep", "partition-sweep")
-	if len(gates) != 11 {
-		t.Fatalf("the three sweeps declare %d gate rows, want the eleven CI assertions", len(gates))
+	if len(gates) != 10 {
+		t.Fatalf("the three sweeps declare %d gate rows, want the ten CI assertions", len(gates))
 	}
 	if failed := failedGates(report(), gates); len(failed) != 0 {
 		t.Fatalf("gates fail on a report that satisfies them: %v", failed)
@@ -122,21 +122,22 @@ func TestSuiteGatesCatchDoctoredReport(t *testing.T) {
 
 	doctored := report()
 	placement, straggler, partition := doctored.Sections[0].Values, doctored.Sections[1].Values, doctored.Sections[2].Values
-	placement["clustered/both"], placement["clustered/scheduler-only"] =
-		placement["clustered/scheduler-only"], placement["clustered/both"]
+	placement["clustered/scheduler-only"], placement["clustered/baseline"] =
+		placement["clustered/baseline"], placement["clustered/scheduler-only"]
 	straggler["coded_decode_count"] = 0
 	delete(partition, "output_divergences")
-	want := []suiteGate{gates[0], gates[6], gates[10]}
+	want := []suiteGate{gates[0], gates[5], gates[9]}
 	if got := failedGates(doctored, gates); !slices.Equal(got, want) {
 		t.Errorf("doctored report fails %v, want exactly %v", got, want)
 	}
 
 	// At the bound "<=" holds and "<" does not; a missing section fails.
 	edge := report()
-	edge.Sections = []BenchSection{edge.Sections[0], edge.Sections[2]}
-	edge.Sections[0].Values["clustered/both"] = 8.9
-	edge.Sections[1].Values["zipfian/skew"] = 0.9 * 5
-	want = append([]suiteGate{gates[0]}, gates[2:8]...)
+	edge.Sections = edge.Sections[:2]
+	placement = edge.Sections[0].Values
+	placement["clustered/scheduler-only"] = 1.05 * placement["clustered/baseline"]
+	edge.Sections[1].Values["128/slow-heavy/oracle/spec-q0.90"] = 30
+	want = append([]suiteGate{gates[1]}, gates[7:10]...)
 	if got := failedGates(edge, gates); !slices.Equal(got, want) {
 		t.Errorf("edge report fails %v, want exactly %v", got, want)
 	}

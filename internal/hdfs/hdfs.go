@@ -89,9 +89,6 @@ type FileSystem struct {
 	rng    *rand.Rand // placement draws of Write; nil on a Clone
 	blocks []*Block
 	files  map[string]*FileInfo
-	// health is the name-node's belief about its data-nodes: FailNodes
-	// writes it, re-replication and the rebalancer's validation read it.
-	health *cluster.Health
 	// rec, when non-nil, receives maintenance events (re-replication,
 	// lost blocks) stamped with recNow on the simulated clock.
 	rec    *trace.Recorder
@@ -119,18 +116,16 @@ func NewFileSystem(topo *cluster.Topology, cfg Config) (*FileSystem, error) {
 		return nil, ErrReplication
 	}
 	return &FileSystem{
-		cfg:    cfg,
-		topo:   topo,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		files:  make(map[string]*FileInfo),
-		health: cluster.NewHealth(topo.N()),
+		cfg:   cfg,
+		topo:  topo,
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		files: make(map[string]*FileInfo),
 	}, nil
 }
 
 // Clone returns an independent name-node view of the same stored data:
-// block headers, replica lists, file infos and the node-health table are
-// copied, so maintenance on the clone (FailNodes, rebalancing) leaves fs
-// untouched, while the immutable record slices are shared. It lets many
+// block headers, replica lists and file infos are copied, so maintenance
+// on the clone (FailNodes) leaves fs untouched, while the immutable record slices are shared. It lets many
 // jobs that crash nodes run over one written fixture without re-placing
 // every block. A clone is complete as written: Write on it fails with
 // ErrCloneWrite, and no trace recorder is carried over.
@@ -140,7 +135,6 @@ func (fs *FileSystem) Clone() *FileSystem {
 		topo:   fs.topo,
 		blocks: make([]*Block, len(fs.blocks)),
 		files:  make(map[string]*FileInfo, len(fs.files)),
-		health: fs.health.Clone(),
 	}
 	for i, b := range fs.blocks {
 		nb := *b

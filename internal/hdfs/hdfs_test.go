@@ -422,10 +422,6 @@ func TestCloneIsIndependent(t *testing.T) {
 	if !reflect.DeepEqual(layout(fs), before) {
 		t.Error("FailNodes on a clone changed the original's replica map")
 	}
-	if !c.health.Suspected(4) || fs.health.Suspected(4) {
-		t.Error("the clone's health table is shared with the original")
-	}
-
 	// A later Write is refused, typed; the original still accepts it.
 	if _, err := c.Write("g", mkRecords(10, 60)); !errors.Is(err, ErrCloneWrite) {
 		t.Errorf("Write on a clone: err = %v, want ErrCloneWrite", err)

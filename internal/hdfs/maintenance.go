@@ -1,8 +1,6 @@
 package hdfs
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"sort"
 
@@ -12,15 +10,10 @@ import (
 )
 
 // This file models the name-node's maintenance: re-replication after
-// data-nodes die (HDFS keeps the replication factor invariant), the moves
-// the distribution-aware rebalancer applies, and the balance and
-// replication-health reports. The name-node decides where replicas may go
-// from its own node-health table (FileSystem.health): FailNodes records
-// which data-nodes it believes dead there, and both its re-replication
-// picks and the rebalancer's plan validation read it.
-
-// ErrBadMove reports a replica move the name-node cannot apply.
-var ErrBadMove = errors.New("hdfs: invalid replica move")
+// data-nodes die (HDFS keeps the replication factor invariant), and the
+// balance and replication-health reports. FailNodes decides where replicas
+// may go from a node-health table (cluster.Health) of the data-nodes it
+// believes dead.
 
 // FailNodes models the simultaneous loss of a set of data-nodes — a rack
 // power event, or one crash while earlier victims are still down. Every
@@ -33,17 +26,16 @@ var ErrBadMove = errors.New("hdfs: invalid replica move")
 // state a real name-node reports via fsck, and ReplicationHealth surfaces
 // it here.
 //
-// dead is the name-node's whole current belief: it replaces the table's
-// suspicions, so a node left out of a later call is live again. Calling
-// FailNodes again with a superset of dead nodes is idempotent for the
-// already-processed ones, which is how the engine applies crashes
-// accumulating over a job's lifetime.
+// dead is the name-node's whole current belief, so a node left out of a
+// later call is live again. Calling FailNodes again with a superset of
+// dead nodes is idempotent for the already-processed ones, which is how
+// the engine applies crashes accumulating over a job's lifetime.
 func (fs *FileSystem) FailNodes(dead []cluster.NodeID) (moved int, lost []BlockID) {
-	fs.health = cluster.NewHealth(fs.topo.N())
+	health := cluster.NewHealth(fs.topo.N())
 	known := 0
 	for _, id := range dead {
 		if int(id) >= 0 && int(id) < fs.topo.N() {
-			fs.health.Suspect(id)
+			health.Suspect(id)
 			known++
 		}
 	}
@@ -51,12 +43,12 @@ func (fs *FileSystem) FailNodes(dead []cluster.NodeID) (moved int, lost []BlockI
 		return 0, nil
 	}
 	usage := fs.Usage()
-	veto := placement.HealthVeto(fs.health)
+	veto := placement.HealthVeto(health)
 	for _, b := range fs.blocks {
 		// Drop dead replicas in place, preserving order.
 		live := b.Replicas[:0]
 		for _, n := range b.Replicas {
-			if !fs.health.Suspected(n) {
+			if !health.Suspected(n) {
 				live = append(live, n)
 			}
 		}
@@ -98,38 +90,6 @@ func (fs *FileSystem) FailNodes(dead []cluster.NodeID) (moved int, lost []BlockI
 		}
 	}
 	return moved, lost
-}
-
-// ApplyMove executes one validated placement move: relocate a replica of
-// m.Block from m.From to m.To, or — when m.From is placement.AddReplica —
-// create an additional replica on m.To (the hot-block path, which may
-// push a block above the configured factor on purpose). The co-location
-// invariant is enforced here as the last line of defense: a move whose
-// target already holds the block is ErrBadMove.
-func (fs *FileSystem) ApplyMove(m placement.Move) error {
-	if m.Block < 0 || m.Block >= len(fs.blocks) {
-		return fmt.Errorf("%w: block %d out of range", ErrBadMove, m.Block)
-	}
-	if int(m.To) < 0 || int(m.To) >= fs.topo.N() {
-		return fmt.Errorf("%w: target node %d unknown", ErrBadMove, m.To)
-	}
-	b := fs.blocks[m.Block]
-	for _, n := range b.Replicas {
-		if n == m.To {
-			return fmt.Errorf("%w: node %d already holds block %d", ErrBadMove, m.To, m.Block)
-		}
-	}
-	if m.From == placement.AddReplica {
-		b.Replicas = append(b.Replicas, m.To)
-		return nil
-	}
-	for i, n := range b.Replicas {
-		if n == m.From {
-			b.Replicas[i] = m.To
-			return nil
-		}
-	}
-	return fmt.Errorf("%w: node %d holds no replica of block %d", ErrBadMove, m.From, m.Block)
 }
 
 // BalanceReport summarizes replica distribution over nodes.

@@ -25,18 +25,14 @@ func TestFailNodesRepairs(t *testing.T) {
 	if bad := fs.ReplicationHealth(); len(bad) != 0 {
 		t.Errorf("replication violated for blocks %v", bad)
 	}
-	// The set is the name-node's belief until the next call replaces it.
-	for id := range cluster.NodeID(8) {
-		if want := id == 2 || id == 5; fs.health.Suspected(id) != want {
-			t.Errorf("node %d suspected %v after FailNodes(%v)", id, !want, dead)
-		}
-	}
 	// Idempotent for an already-processed superset.
 	moved2, lost2 := fs.FailNodes(dead)
 	if moved2 != 0 || len(lost2) != 0 {
 		t.Errorf("second FailNodes moved %d, lost %v; want 0, none", moved2, lost2)
 	}
-	if fs.FailNodes([]cluster.NodeID{5}); fs.health.Suspected(2) || !fs.health.Suspected(5) {
+	// The set is the name-node's whole belief: node 2, left out of a later
+	// call, is live again, and as the emptiest node it takes the repairs.
+	if moved, _ := fs.FailNodes([]cluster.NodeID{5, 0}); moved == 0 || len(fs.NodeBlocks(2)) == 0 {
 		t.Error("a node left out of a later FailNodes must be believed live again")
 	}
 }

@@ -64,28 +64,11 @@ func TestFailNodesEmitsBlockLost(t *testing.T) {
 	}
 }
 
-func TestRebalanceTickEmits(t *testing.T) {
-	_, rb, _ := hotFixture(t, RebalancerConfig{Mode: RebalanceHotSpot})
-	rec := trace.New()
-	rb.fs.SetTrace(rec)
-	plan, err := rb.Tick(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs := rec.Events()
-	if len(plan.Moves) == 0 || len(evs) != 1 {
-		t.Fatalf("%d moves, %d events; want moves and one tick summary", len(plan.Moves), len(evs))
-	}
-	if ev := evs[0]; ev.Type != trace.EvRebalance || ev.T != 4 || ev.Count != len(plan.Moves) || ev.Detail != "hotspot" {
-		t.Fatalf("event = %+v", ev)
-	}
-}
-
 func TestNoTraceNoEvents(t *testing.T) {
-	fs, rb, _ := hotFixture(t, RebalancerConfig{Mode: RebalanceBoth})
+	fs := newFS(t, 8, Config{BlockSize: 512, Seed: 9})
+	fs.Write("f", mkRecords(80, 40))
 	// No recorder installed: maintenance must not panic.
-	fs.FailNodes([]cluster.NodeID{2})
-	if _, err := rb.Tick(0); err != nil {
-		t.Fatal(err)
+	if moved, _ := fs.FailNodes([]cluster.NodeID{2}); moved == 0 {
+		t.Fatal("fixture: nothing re-replicated")
 	}
 }

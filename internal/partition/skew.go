@@ -19,8 +19,7 @@ import (
 // plan is discarded. Greedy-with-splitting essentially always wins, but
 // the guard makes "skew-aware never exceeds hash's max reducer load" an
 // unconditional invariant rather than a probabilistic one — the property
-// test in property_test.go leans on it the same way the placement layer's
-// annealer leans on best-ever state.
+// test in property_test.go leans on it.
 type SkewAware struct {
 	// MaxSplit caps how many reducers one key may be split across
 	// (default: the reducer count).

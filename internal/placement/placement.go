@@ -4,12 +4,10 @@
 // write-path policies, the name-node's re-replication target selection
 // (least-utilized live node, used by crash repair), and the metadata
 // cluster's rendezvous shard-replica ranking (internal/clusterd). None of
-// them could see ElasticMap's distribution knowledge. This package ports
-// all three behind Policy — bit-for-bit, so pre-refactor golden schedules
-// and chaos corpora are unchanged — and adds the distribution-aware
-// machinery the paper enables on top: a hot-block re-replicator
-// (hotspot.go) and a simulated-annealing global optimizer (anneal.go),
-// both emitting validated Plans (plan.go) the hdfs rebalancer applies.
+// them shared a veto rule. This package ports all three behind Policy —
+// bit-for-bit, so pre-refactor golden schedules and chaos corpora are
+// unchanged — and adapts the node-health table to every policy's veto
+// (HealthVeto).
 //
 // The contract every policy honors:
 //
@@ -89,11 +87,24 @@ type Request struct {
 	// Usage is the stored bytes per node; load-aware policies prefer the
 	// least-utilized targets.
 	Usage map[cluster.NodeID]int64
-	// BlockBytes is the size of the block being placed (advisory).
-	BlockBytes int64
 	// Veto, when non-nil, reports nodes that must not be chosen
 	// (liveness and decommission state from the caller's control plane).
 	Veto func(cluster.NodeID) VetoReason
+}
+
+// HealthVeto is the one adapter from the node-health table to placement:
+// a suspected or unknown node is VetoDead, a draining one
+// VetoDecommissioned. It satisfies Request.Veto.
+func HealthVeto(h *cluster.Health) func(cluster.NodeID) VetoReason {
+	return func(id cluster.NodeID) VetoReason {
+		switch {
+		case h.Suspected(id):
+			return VetoDead
+		case h.Draining(id):
+			return VetoDecommissioned
+		}
+		return VetoNone
+	}
 }
 
 // universe returns the candidate node ids in canonical order.

@@ -168,28 +168,25 @@ func (p *RoundRobin) Choose(req Request) ([]cluster.NodeID, error) {
 // id — the name-node's re-replication target selection ported from
 // internal/hdfs/maintenance.go. Scanning the universe in ascending id
 // order with a strict-less comparison reproduces the legacy pick
-// bit-for-bit. For Want > 1 the pick repeats, charging BlockBytes to each
-// chosen node so a multi-replica request spreads out.
+// bit-for-bit. For Want > 1 it returns the Want least-utilized eligible
+// nodes; a caller that places several blocks charges Usage between calls.
 type LeastUsed struct{}
 
 // Name implements Policy.
 func (LeastUsed) Name() string { return "least-used" }
 
-// Choose implements Policy. The caller's Usage map is never mutated;
-// intra-request charging happens on a private overlay.
+// Choose implements Policy. The caller's Usage map is never mutated.
 func (LeastUsed) Choose(req Request) ([]cluster.NodeID, error) {
 	ids := req.universe()
 	out := make([]cluster.NodeID, 0, req.Want)
 	chosen := make(map[cluster.NodeID]bool, req.Want)
-	over := make(map[cluster.NodeID]int64, req.Want)
-	eff := func(id cluster.NodeID) int64 { return req.Usage[id] + over[id] }
 	for len(out) < req.Want {
 		best := cluster.NodeID(-1)
 		for _, id := range ids {
 			if chosen[id] || !req.eligible(id) {
 				continue
 			}
-			if best == -1 || eff(id) < eff(best) || (eff(id) == eff(best) && id < best) {
+			if best == -1 || req.Usage[id] < req.Usage[best] || (req.Usage[id] == req.Usage[best] && id < best) {
 				best = id
 			}
 		}
@@ -198,7 +195,6 @@ func (LeastUsed) Choose(req Request) ([]cluster.NodeID, error) {
 		}
 		out = append(out, best)
 		chosen[best] = true
-		over[best] += req.BlockBytes
 	}
 	return req.done(out)
 }

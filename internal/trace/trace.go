@@ -75,9 +75,6 @@ const (
 	EvRereplicate EventType = "hdfs.rereplicate"
 	// EvBlockLost marks a block whose every replica is gone.
 	EvBlockLost EventType = "hdfs.block-lost"
-	// EvRebalance is one distribution-aware rebalancer tick (Count moves
-	// applied, Detail = policy name).
-	EvRebalance EventType = "hdfs.rebalance"
 	// EvPhase is a phase barrier or transition of the pipeline.
 	EvPhase EventType = "phase"
 	// EvAnalysisSpan is one node's analysis-phase execution span.

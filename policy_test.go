@@ -10,12 +10,11 @@ import (
 	"datanet/internal/detect"
 	"datanet/internal/faults"
 	"datanet/internal/gen"
-	"datanet/internal/hdfs"
 	"datanet/internal/partition"
 	"datanet/internal/straggle"
 )
 
-// The five policy seams are flag.Values: the CLI binds them, the chaos
+// The four policy seams are flag.Values: the CLI binds them, the chaos
 // bundle draws them and the engine runs them, with one spelling each. So
 // are the other values the CLI runs with: the mitigation config with its
 // parameter, the fault lists, the application table and the generators.
@@ -24,7 +23,6 @@ var (
 	_ flag.Value = new(datanet.DetectorMode)
 	_ flag.Value = new(datanet.MitigationMode)
 	_ flag.Value = new(datanet.PartitionMode)
-	_ flag.Value = new(datanet.RebalanceMode)
 	_ flag.Value = new(datanet.MitigationConfig)
 	_ flag.Value = new(faults.Crashes)
 	_ flag.Value = new(faults.Slowdowns)
@@ -120,18 +118,6 @@ func TestPolicyValues(t *testing.T) {
 			},
 			bad:   []string{"zipf", "HASH"},
 			typed: partition.ErrMode,
-		},
-		{
-			name:   "rebalance",
-			fresh:  func() flag.Value { return new(datanet.RebalanceMode) },
-			values: vals(hdfs.RebalanceModes),
-			spellings: map[string]flag.Value{
-				"": val(datanet.RebalanceOff), "off": val(datanet.RebalanceOff),
-				"hotspot": val(datanet.RebalanceHotSpot), "anneal": val(datanet.RebalanceAnneal),
-				"both": val(datanet.RebalanceBoth),
-			},
-			bad:   []string{"frobnicate", "Both"},
-			typed: hdfs.ErrRebalanceMode,
 		},
 		{
 			name:  "mitigation-config",
