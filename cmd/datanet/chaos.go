@@ -26,7 +26,7 @@ func newChaosFlags() *chaosFlags {
 	f.fs.UintVar(&f.cluster, "cluster", 0, "check the sharded metadata cluster with N nodes instead of the job engine (0 = engine)")
 	f.fs.UintVar(&f.replicas, "replicas", uint(f.cp.Replicas), "followers per shard in cluster chaos")
 	f.fs.UintVar(&f.shards, "shards", uint(f.cp.Shards), "catalog shards in cluster chaos")
-	f.fs.Var(&f.cp.Detect.Mode, "detect", "failure detector in cluster chaos: oracle | heartbeat | phi")
+	f.fs.Var(&f.cp.Detect.Mode, "detect", "failure detector in cluster chaos: oracle | heartbeat")
 	return f
 }
 

@@ -64,7 +64,7 @@ func usage() {
   query   -data FILE -sub KEY [-meta FILE]
   analyze -data FILE -sub KEY [-app NAME [-join-sub KEY]] [-sched locality|datanet|capacity|maxflow|lpt] [-skip]
           [-meta FILE] [-crash N@T[:REJOIN],...] [-slow NxF,...] [-readerr P] [-retries N]
-          [-detect oracle|heartbeat|phi] [-hb-interval S] [-hb-timeout S]
+          [-detect oracle|heartbeat] [-hb-interval S] [-hb-timeout S]
           [-mitigate off|speculative[:Q]|coded[:RATE]]  (straggler mitigation)
           [-partition off|hash|skew|range]  (key-aware reduce partitioning)
           [-out jsonl|chrome|json=FILE ...]  (FILE - is stdout and replaces the text report)
@@ -72,7 +72,7 @@ func usage() {
   verify  -data FILE -meta FILE [-samples N]
   chaos   [-runs N] [-seed S] [-shrink]  (every seed draws its detector, mitigation
           and partitioner; all engine invariants armed)
-          [-cluster N [-replicas K] [-shards S] [-detect heartbeat|phi|oracle]]
+          [-cluster N [-replicas K] [-shards S] [-detect heartbeat|oracle]]
           (sharded-cluster invariants)
   serve   -meta NAME=FILE [-meta NAME=FILE ...] [-addr HOST:PORT] [-cache N]
           [-cluster N [-replicas K] [-shards S]]  (sharded, replicated serving)
@@ -260,7 +260,7 @@ func newAnalyzeFlags() *analyzeFlags {
 	fs.Float64Var(&f.plan.Read.Prob, "readerr", 0, "transient block-read failure probability per attempt")
 	fs.IntVar(&f.job.Retry.MaxAttempts, "retries", 0, "max attempts per task under faults (0 = default 4)")
 	fs.Int64Var(&f.plan.Seed, "faultseed", 1, "seed for deterministic transient errors and partition sampling")
-	fs.Var(&f.job.Detect.Mode, "detect", "failure detector: oracle (default) | heartbeat | phi")
+	fs.Var(&f.job.Detect.Mode, "detect", "failure detector: oracle (default) | heartbeat")
 	fs.Float64Var(&f.job.Detect.Interval, "hb-interval", 0, "heartbeat interval in simulated seconds (0 = default 0.5)")
 	fs.Float64Var(&f.job.Detect.Timeout, "hb-timeout", 0, "suspicion timeout in simulated seconds (0 = 3 × interval)")
 	fs.Var(&f.mit, "mitigate", "straggler mitigation: off (default) | speculative[:Q] (budgeted backups past the Q completion quantile, default 0.9) | coded[:RATE] (k-of-n execution at rate k/n, default 0.85)")

@@ -115,6 +115,10 @@ func TestRunAnalyzeRejectsPolicyNames(t *testing.T) {
 			t.Errorf("analyze -%s nope: exit status %d, want 2", name, got)
 		}
 	}
+	// The φ detector is gone; its name is an unknown value like any other.
+	if got := exitStatus(t, "analyze", "-detect", "phi"); got != 2 {
+		t.Errorf("analyze -detect phi: exit status %d, want 2", got)
+	}
 }
 
 func TestRunTop(t *testing.T) {
@@ -219,7 +223,7 @@ func TestRunChaosPrintsBundleCensus(t *testing.T) {
 		t.Fatalf("chaos: %v\n%s", err, buf)
 	}
 	census := regexp.MustCompile(`^chaos: 12 runs \(\d+ crashes, \d+ slowdowns, \d+ read-error runs; ` +
-		`detect oracle=\d+ heartbeat=\d+ phi=\d+; ` +
+		`detect oracle=\d+ heartbeat=\d+; ` +
 		`mitigate off=\d+ speculative=\d+ coded=\d+; partition off=\d+ hash=\d+ skew=\d+ range=\d+\): 0 violations\n$`)
 	if !census.Match(buf.Bytes()) {
 		t.Fatalf("unexpected chaos output: %s", buf)
@@ -249,7 +253,8 @@ func TestRunChaosRejectsBadCounts(t *testing.T) {
 	for _, bad := range [][]string{
 		{"-cluster", "4", "-replicas", "0"}, {"-cluster", "4", "-replicas", "-3"},
 		{"-cluster", "4", "-shards", "0"}, {"-cluster", "-2"}, {"-runs", "0"},
-		{"-detect", "phi"}, {"-replicas", "9"}, {"-shards", "2"},
+		{"-detect", "hb"}, {"-replicas", "9"}, {"-shards", "2"},
+		{"-cluster", "4", "-detect", "phi"},
 	} {
 		if got := exitStatus(t, append([]string{"chaos"}, bad...)...); got != 2 {
 			t.Errorf("chaos %v: exit status %d, want 2", bad, got)

@@ -93,9 +93,9 @@ type ReadErrors = faults.ReadErrors
 type RetryPolicy = faults.RetryPolicy
 
 // DetectorConfig selects how the master learns about node crashes: the
-// historical oracle (instant knowledge), a fixed-timeout heartbeat
-// detector, or the φ-accrual adaptive variant. The zero value is the
-// oracle, preserving pre-detector behavior exactly.
+// historical oracle (instant knowledge) or a fixed-timeout heartbeat
+// detector. The zero value is the oracle, preserving pre-detector behavior
+// exactly.
 type DetectorConfig = detect.Config
 
 // DetectorMode enumerates failure-detection strategies.
@@ -109,9 +109,6 @@ const (
 	// DetectHeartbeat suspects a node after a fixed number of missed
 	// heartbeats (timeout = 3 × interval unless overridden).
 	DetectHeartbeat = detect.Heartbeat
-	// DetectPhi adapts the suspicion timeout to observed heartbeat
-	// jitter (φ-accrual style).
-	DetectPhi = detect.Phi
 )
 
 // MitigationConfig configures the straggler-mitigation layer: quantile-
@@ -326,9 +323,8 @@ type Job struct {
 	Retry RetryPolicy
 	// Detect selects the failure detector. The zero value is the oracle:
 	// the master reacts to crashes instantly, as before detectors
-	// existed. Heartbeat and φ-accrual modes pay a detection delay and
-	// may falsely suspect slow nodes (reconciled by duplicate-completion
-	// dedupe).
+	// existed. Heartbeat mode pays a detection delay and may falsely
+	// suspect slow nodes (reconciled by duplicate-completion dedupe).
 	Detect DetectorConfig
 	// Mitigate, when non-nil and not off, turns on straggler mitigation:
 	// quantile-triggered speculative backups or coded k-of-n execution.

@@ -9,7 +9,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
-	"math/bits"
 
 	"datanet/internal/hashutil"
 )
@@ -128,56 +127,14 @@ func (f *Filter) Test(data []byte) bool { return f.TestKey(KeyOf(string(data))) 
 // TestString reports whether a string key may be present.
 func (f *Filter) TestString(s string) bool { return f.TestKey(KeyOf(s)) }
 
-// M returns the bit count, K the number of hash functions.
-func (f *Filter) M() uint64 { return f.m }
-
 // K returns the number of hash functions.
 func (f *Filter) K() uint64 { return f.k }
 
 // Count returns the number of Add calls.
 func (f *Filter) Count() uint64 { return f.count }
 
-// FillRatio returns the fraction of set bits.
-func (f *Filter) FillRatio() float64 {
-	var set int
-	for _, w := range f.bits {
-		set += popcount(w)
-	}
-	return float64(set) / float64(f.m)
-}
-
-// EstimatedFPRate returns (1 - e^{-kn/m})^k for the current item count.
-func (f *Filter) EstimatedFPRate() float64 {
-	if f.count == 0 {
-		return 0
-	}
-	return math.Pow(1-math.Exp(-float64(f.k)*float64(f.count)/float64(f.m)), float64(f.k))
-}
-
 // SizeBits returns the memory footprint of the bitmap in bits.
 func (f *Filter) SizeBits() uint64 { return f.m }
-
-// Reset clears the filter for reuse.
-func (f *Filter) Reset() {
-	for i := range f.bits {
-		f.bits[i] = 0
-	}
-	f.count = 0
-}
-
-// Union merges other into f. Both filters must share m and k.
-func (f *Filter) Union(other *Filter) error {
-	if other == nil || f.m != other.m || f.k != other.k {
-		return ErrBadParams
-	}
-	for i := range f.bits {
-		f.bits[i] |= other.bits[i]
-	}
-	f.count += other.count
-	return nil
-}
-
-func popcount(x uint64) int { return bits.OnesCount64(x) }
 
 // MarshalBinary encodes the filter (m, k, count, bitmap) for persistence.
 func (f *Filter) MarshalBinary() ([]byte, error) {

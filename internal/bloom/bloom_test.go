@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/bits"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -18,7 +19,7 @@ func TestNewValidation(t *testing.T) {
 		t.Errorf("New(64,0) err = %v, want ErrBadParams", err)
 	}
 	f, err := New(128, 3)
-	if err != nil || f.M() != 128 || f.K() != 3 {
+	if err != nil || f.SizeBits() != 128 || f.K() != 3 {
 		t.Fatalf("New(128,3) = %v, %v", f, err)
 	}
 }
@@ -70,7 +71,9 @@ func TestFalsePositiveRateNearTarget(t *testing.T) {
 	if rate > 3*fp {
 		t.Errorf("observed FP rate %g exceeds 3× target %g", rate, fp)
 	}
-	if est := f.EstimatedFPRate(); math.Abs(est-rate) > 0.02 {
+	// The textbook estimate (1 - e^{-kn/m})^k at the filter's own k and m.
+	k, m := float64(f.K()), float64(f.SizeBits())
+	if est := math.Pow(1-math.Exp(-k*n/m), k); math.Abs(est-rate) > 0.02 {
 		t.Errorf("estimated FP %g vs observed %g", est, rate)
 	}
 }
@@ -92,15 +95,24 @@ func TestNewWithEstimatesDegenerate(t *testing.T) {
 		fp float64
 	}{{0, 0.01}, {10, 0}, {10, 2}} {
 		f := NewWithEstimates(c.n, c.fp)
-		if f == nil || f.M() == 0 || f.K() == 0 {
+		if f == nil || f.SizeBits() == 0 || f.K() == 0 {
 			t.Errorf("NewWithEstimates(%d, %g) produced unusable filter", c.n, c.fp)
 		}
 	}
 }
 
+// fillRatio is the fraction of f's bits that are set.
+func fillRatio(f *Filter) float64 {
+	var set int
+	for _, w := range f.bits {
+		set += bits.OnesCount64(w)
+	}
+	return float64(set) / float64(f.m)
+}
+
 func TestCountAndFillRatio(t *testing.T) {
 	f := NewWithEstimates(100, 0.01)
-	if f.Count() != 0 || f.FillRatio() != 0 {
+	if f.Count() != 0 || fillRatio(f) != 0 {
 		t.Error("fresh filter should be empty")
 	}
 	f.AddString("a")
@@ -108,37 +120,8 @@ func TestCountAndFillRatio(t *testing.T) {
 	if f.Count() != 2 {
 		t.Errorf("Count = %d, want 2", f.Count())
 	}
-	if fr := f.FillRatio(); fr <= 0 || fr > float64(2*f.K())/float64(f.M()) {
+	if fr := fillRatio(f); fr <= 0 || fr > float64(2*f.K())/float64(f.SizeBits()) {
 		t.Errorf("FillRatio = %g out of expected bounds", fr)
-	}
-}
-
-func TestReset(t *testing.T) {
-	f := NewWithEstimates(10, 0.01)
-	f.AddString("x")
-	f.Reset()
-	if f.Count() != 0 || f.FillRatio() != 0 || f.TestString("x") {
-		t.Error("Reset did not clear the filter")
-	}
-}
-
-func TestUnion(t *testing.T) {
-	a := NewWithEstimates(100, 0.01)
-	b, _ := New(a.M(), a.K())
-	a.AddString("left")
-	b.AddString("right")
-	if err := a.Union(b); err != nil {
-		t.Fatal(err)
-	}
-	if !a.TestString("left") || !a.TestString("right") {
-		t.Error("union lost elements")
-	}
-	mismatch, _ := New(64, 2)
-	if err := a.Union(mismatch); err == nil {
-		t.Error("union of mismatched filters must fail")
-	}
-	if err := a.Union(nil); err == nil {
-		t.Error("union with nil must fail")
 	}
 }
 
@@ -156,8 +139,8 @@ func TestMarshalRoundtrip(t *testing.T) {
 	if err := g.UnmarshalBinary(data); err != nil {
 		t.Fatal(err)
 	}
-	if g.M() != f.M() || g.K() != f.K() || g.Count() != f.Count() {
-		t.Fatalf("roundtrip mismatch: %d/%d/%d vs %d/%d/%d", g.M(), g.K(), g.Count(), f.M(), f.K(), f.Count())
+	if g.SizeBits() != f.SizeBits() || g.K() != f.K() || g.Count() != f.Count() {
+		t.Fatalf("roundtrip mismatch: %d/%d/%d vs %d/%d/%d", g.SizeBits(), g.K(), g.Count(), f.SizeBits(), f.K(), f.Count())
 	}
 	for _, k := range keys {
 		if !g.TestString(k) {
@@ -315,6 +298,6 @@ func FuzzFilterDecode(f *testing.F) {
 		g.TestString("probe")
 		g.Test(data)
 		g.TestKey(KeyOf("seed"))
-		g.FillRatio()
+		fillRatio(&g)
 	})
 }

@@ -245,9 +245,9 @@ func TestMitigationCorpusReadErrorReroll(t *testing.T) {
 }
 
 // Corpus (analysis-phase recovery against belief): runs 351 and 348 of
-// the CI smoke, `chaos -runs 1000 -seed 1`, each pinned with the bundle it
-// exposed the bug under — the phi detector and coded mitigation — so a
-// later change to the draw cannot reshape it. The filter kernel stops
+// the CI smoke, `chaos -runs 1000 -seed 1`, each pinned with a literal
+// bundle (heartbeat detector, coded mitigation) so a later change to the
+// draw cannot reshape it. The filter kernel stops
 // while a crashed node that has since rejoined is still suspected, and a
 // later analysis-phase crash needs a helper to redo its share. Recovery
 // used to pick by physics alone and handed the share to the suspected
@@ -262,8 +262,8 @@ func TestRecoveryCorpusSuspectedHelper(t *testing.T) {
 		seed uint64
 		b    bundle
 	}{
-		{18288763091816709512, bundle{detect.Phi, straggle.ModeCoded, partition.ModeRange, 3}},
-		{12602372298903531417, bundle{detect.Phi, straggle.ModeCoded, partition.ModeSkew, 9}},
+		{18288763091816709512, bundle{detect.Heartbeat, straggle.ModeCoded, partition.ModeRange, 3}},
+		{12602372298903531417, bundle{detect.Heartbeat, straggle.ModeCoded, partition.ModeSkew, 9}},
 	} {
 		t.Run(fmt.Sprint(c.seed), func(t *testing.T) {
 			plan := GenPlan(c.seed, h.horizon, h.p)

@@ -149,15 +149,6 @@ func (t *Topology) TotalCapacity() float64 {
 	return s
 }
 
-// CapacityShare returns node id's fraction of total CPU capacity.
-func (t *Topology) CapacityShare(id NodeID) float64 {
-	tc := t.TotalCapacity()
-	if tc == 0 {
-		return 0
-	}
-	return t.Node(id).CPURate / tc
-}
-
 // SameRack reports whether two nodes share a rack.
 func (t *Topology) SameRack(a, b NodeID) bool {
 	return t.Node(a).Rack == t.Node(b).Rack

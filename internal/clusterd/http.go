@@ -57,9 +57,6 @@ func NewHandler(c *Cluster, id cluster.NodeID) (*Handler, error) {
 // Server exposes the embedded single-process server (metrics, drain).
 func (h *Handler) Server() *server.Server { return h.srv }
 
-// Tracer exposes the node's span ring (CLI trace dumps, tests).
-func (h *Handler) Tracer() *obs.Tracer { return h.tracer }
-
 // ServeHTTP runs every request through the observability middleware and
 // into the cluster-aware router.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {

@@ -6,16 +6,10 @@
 // package models that honestly, on the same deterministic sim kernel the
 // filter phase runs on.
 //
-// Two detector variants share one state machine:
-//
-//   - Heartbeat: a fixed timeout of K missed beats (Timeout = K·Interval).
-//     A node whose hardware runs slower than 1/K of rated speed beats less
-//     often than the timeout allows and is falsely suspected — the classic
-//     straggler/failure ambiguity.
-//   - Phi: a φ-accrual-style adaptive timeout. The detector tracks each
-//     node's observed inter-arrival gap (EWMA) and suspects only after
-//     PhiFactor times that gap, so a consistently slow node earns a longer
-//     leash after a warmup beat or two instead of being condemned forever.
+// The detector suspects a node after a fixed timeout of K missed beats
+// (Timeout = K·Interval). A node whose hardware runs slower than 1/K of
+// rated speed beats less often than the timeout allows and is falsely
+// suspected — the classic straggler/failure ambiguity.
 //
 // The detector owns *belief*, never truth: it reads the injector only the
 // way a real network would (a dead node's beats do not arrive; a slowed
@@ -54,12 +48,10 @@ const (
 	Oracle Mode = iota
 	// Heartbeat suspects after a fixed timeout of K missed beats.
 	Heartbeat
-	// Phi adapts the timeout to each node's observed beat cadence.
-	Phi
 )
 
 // Modes lists every detection mode, in the order the CLI documents them.
-var Modes = []Mode{Oracle, Heartbeat, Phi}
+var Modes = []Mode{Oracle, Heartbeat}
 
 // String names the mode as the CLI spells it.
 func (m Mode) String() string {
@@ -68,8 +60,6 @@ func (m Mode) String() string {
 		return "oracle"
 	case Heartbeat:
 		return "heartbeat"
-	case Phi:
-		return "phi"
 	}
 	return fmt.Sprintf("mode(%d)", int(m))
 }
@@ -92,7 +82,7 @@ func (m *Mode) Set(s string) error {
 			return nil
 		}
 	}
-	return fmt.Errorf("%w: unknown mode %q (want oracle, heartbeat or phi)", ErrBadConfig, s)
+	return fmt.Errorf("%w: unknown mode %q (want oracle or heartbeat)", ErrBadConfig, s)
 }
 
 // Default detector parameters: beats every half second of simulated time,
@@ -103,21 +93,16 @@ const (
 	DefaultMissed   = 3
 )
 
-// PhiFactor scales the adaptive timeout of Phi mode: a node is suspected
-// when PhiFactor × its observed mean beat gap elapses since its last beat.
-const PhiFactor = 3
-
 // Config parameterizes the detector.
 type Config struct {
-	// Mode selects oracle, heartbeat or phi detection.
+	// Mode selects oracle or heartbeat detection.
 	Mode Mode
 	// Interval is the heartbeat period of a healthy node, in simulated
 	// seconds. Slowed nodes beat proportionally less often (their CPU runs
 	// the heartbeat loop too). Zero selects DefaultInterval.
 	Interval float64
-	// Timeout is the fixed suspicion timeout of Heartbeat mode: a node is
-	// suspected when Timeout elapses since its last beat. Zero selects
-	// DefaultMissed × Interval.
+	// Timeout is the suspicion timeout: a node is suspected when Timeout
+	// elapses since its last beat. Zero selects DefaultMissed × Interval.
 	Timeout float64
 }
 
@@ -132,32 +117,6 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// timeout is the one suspicion-timeout rule Detector and Tracker share,
-// for a node whose observed mean beat gap is meanGap: the fixed Timeout in
-// Heartbeat mode, PhiFactor × meanGap floored at one Interval in Phi mode.
-func (c Config) timeout(meanGap float64) float64 {
-	if c.Mode == Phi {
-		return max(PhiFactor*meanGap, c.Interval)
-	}
-	return c.Timeout
-}
-
-// beats is one node's arrival history: the last beat and the EWMA of the
-// gaps between beats (phi mode's jitter estimate), seeded with the
-// configured interval.
-type beats struct {
-	lastBeat, meanGap float64
-}
-
-// observe records a beat arriving at now. EWMA with α=1/2: adapts within
-// a couple of beats, still smooths one-off hiccups.
-func (b *beats) observe(now float64) {
-	if gap := now - b.lastBeat; gap > 0 {
-		b.meanGap = (b.meanGap + gap) / 2
-	}
-	b.lastBeat = now
-}
-
 // Validate rejects non-finite or non-positive parameters.
 func (c Config) Validate() error {
 	for _, v := range []struct {
@@ -168,7 +127,7 @@ func (c Config) Validate() error {
 			return fmt.Errorf("%w: %s %v must be positive and finite", ErrBadConfig, v.name, v.v)
 		}
 	}
-	if c.Mode != Oracle && c.Mode != Heartbeat && c.Mode != Phi {
+	if c.Mode != Oracle && c.Mode != Heartbeat {
 		return fmt.Errorf("%w: unknown mode %d", ErrBadConfig, int(c.Mode))
 	}
 	return nil
@@ -185,17 +144,6 @@ type Truth interface {
 	CPURate(id cluster.NodeID, base float64) float64
 }
 
-// State is a node's belief state at the master.
-type State uint8
-
-const (
-	// Live means beats are arriving on time.
-	Live State = iota
-	// Suspected means the node's timeout matured with no beat; the master
-	// treats it as dead until a beat proves otherwise.
-	Suspected
-)
-
 // Hooks are the engine's reactions to detector transitions. All are
 // optional; a non-nil error aborts the kernel run. Beat fires on every
 // arriving beat (after the node's belief state is updated, before Clear),
@@ -211,7 +159,7 @@ type Hooks struct {
 // nodeState is the per-node beat bookkeeping; the belief itself lives in
 // the health table.
 type nodeState struct {
-	beats
+	lastBeat float64
 	// armGen invalidates stale timeout events: each arriving beat re-arms
 	// the timeout and bumps the generation.
 	armGen int
@@ -241,11 +189,7 @@ func New(cfg Config, truth Truth, n int) (*Detector, error) {
 	if cfg.Mode == Oracle {
 		return nil, fmt.Errorf("%w: oracle mode needs no detector", ErrBadConfig)
 	}
-	d := &Detector{cfg: cfg, truth: truth, ns: make([]nodeState, n), health: cluster.NewHealth(n)}
-	for i := range d.ns {
-		d.ns[i].meanGap = cfg.Interval
-	}
-	return d, nil
+	return &Detector{cfg: cfg, truth: truth, ns: make([]nodeState, n), health: cluster.NewHealth(n)}, nil
 }
 
 // SetHooks installs the engine's transition callbacks.
@@ -263,24 +207,10 @@ func (d *Detector) Health() *cluster.Health {
 	return d.health
 }
 
-// State returns the master's belief about the node.
-func (d *Detector) State(id cluster.NodeID) State { return stateOf(d.health, id) }
-
-// Assignable reports whether the master will hand the node work: only
-// nodes believed live get assignments.
-func (d *Detector) Assignable(id cluster.NodeID) bool { return !d.health.Suspected(id) }
-
-func stateOf(h *cluster.Health, id cluster.NodeID) State {
-	if h.Suspected(id) {
-		return Suspected
-	}
-	return Live
-}
-
 // period is the node's actual beat period: the configured interval
 // stretched by the node's CPU slowdown (a degraded machine runs its
-// heartbeat loop slower too — that is exactly the ambiguity the φ
-// variant exists to absorb).
+// heartbeat loop slower too, which is how a slow node earns a false
+// suspicion).
 func (d *Detector) period(id cluster.NodeID) float64 {
 	f := d.truth.CPURate(id, 1)
 	if f <= 0 || f > 1 {
@@ -304,7 +234,7 @@ func (d *Detector) Bind(k *sim.Kernel, beatKind, timeoutKind sim.Kind, prio int8
 	for i := range d.ns {
 		id := cluster.NodeID(i)
 		k.Post(sim.Event{At: d.period(id), Kind: beatKind, Prio: prio, K1: int64(id)})
-		k.Post(sim.Event{At: d.cfg.timeout(d.ns[i].meanGap), Kind: timeoutKind, Prio: prio + 1,
+		k.Post(sim.Event{At: d.cfg.Timeout, Kind: timeoutKind, Prio: prio + 1,
 			K1: int64(id), Payload: 0})
 	}
 }
@@ -312,7 +242,7 @@ func (d *Detector) Bind(k *sim.Kernel, beatKind, timeoutKind sim.Kind, prio int8
 // onBeat delivers one node's heartbeat instant. If the node is physically
 // dead the beat never arrives; the chain re-anchors at the node's restart
 // (its first beat after rejoining doubles as re-registration). A live
-// node's beat updates the gap estimate, re-arms the timeout, clears any
+// node's beat records its arrival, re-arms the timeout, clears any
 // suspicion, and schedules the next beat.
 func (d *Detector) onBeat(ev *sim.Event) error {
 	id := cluster.NodeID(ev.K1)
@@ -324,9 +254,9 @@ func (d *Detector) onBeat(ev *sim.Event) error {
 		return nil // the beat was never sent; the timeout will mature
 	}
 	st := &d.ns[id]
-	st.observe(t)
+	st.lastBeat = t
 	st.armGen++
-	d.kern.Post(sim.Event{At: t + d.cfg.timeout(st.meanGap), Kind: d.timeout, Prio: ev.Prio + 1,
+	d.kern.Post(sim.Event{At: t + d.cfg.Timeout, Kind: d.timeout, Prio: ev.Prio + 1,
 		K1: ev.K1, Payload: st.armGen})
 	wasSuspected := d.health.Suspected(id)
 	d.health.Clear(id)
@@ -367,22 +297,21 @@ func (d *Detector) onTimeout(ev *sim.Event) error {
 // for crashes striking after the kernel loop has drained (the analysis
 // phase runs on closed-form durations, not events). The node's beat chain
 // continues at its period from the last observed beat; the last beat
-// strictly before the crash plus the node's current timeout is the
-// suspicion instant. The result never precedes the crash.
+// strictly before the crash plus the timeout is the suspicion instant.
+// The result never precedes the crash.
 func (d *Detector) ResponseAt(id cluster.NodeID, crashAt float64) float64 {
 	if d == nil {
 		return crashAt // oracle: the master reacts instantly
 	}
-	st := d.ns[id]
 	p := d.period(id)
-	last := st.lastBeat
+	last := d.ns[id].lastBeat
 	if crashAt > last {
 		last += math.Floor((crashAt-last)/p) * p
 		if last >= crashAt {
 			last -= p // a beat at the crash instant is never sent
 		}
 	}
-	rt := last + d.cfg.timeout(st.meanGap)
+	rt := last + d.cfg.Timeout
 	if rt < crashAt {
 		rt = crashAt
 	}

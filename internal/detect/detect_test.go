@@ -105,8 +105,8 @@ func TestHealthyClusterNeverSuspected(t *testing.T) {
 		t.Fatal("no beats delivered")
 	}
 	for id := 0; id < 4; id++ {
-		if !h.det.Assignable(cluster.NodeID(id)) {
-			t.Fatalf("node %d not assignable on a healthy cluster", id)
+		if h.det.Health().Suspected(cluster.NodeID(id)) {
+			t.Fatalf("node %d suspected on a healthy cluster", id)
 		}
 	}
 }
@@ -129,11 +129,11 @@ func TestCrashSuspectedAfterTimeout(t *testing.T) {
 	if s.t <= truth.crashAt {
 		t.Fatalf("suspicion at %v not strictly after the crash at %v", s.t, truth.crashAt)
 	}
-	if h.det.Assignable(1) {
-		t.Fatal("suspected node still assignable")
+	if !h.det.Health().Suspected(1) {
+		t.Fatal("crashed node not suspected")
 	}
-	if !h.det.Assignable(0) || !h.det.Assignable(2) {
-		t.Fatal("healthy nodes lost assignability")
+	if h.det.Health().Suspected(0) || h.det.Health().Suspected(2) {
+		t.Fatal("healthy nodes suspected")
 	}
 }
 
@@ -150,22 +150,16 @@ func TestRejoinClearsSuspicion(t *testing.T) {
 	if want := 4.0; math.Abs(h.clears[0].t-want) > 1e-9 {
 		t.Fatalf("cleared at %v, want %v", h.clears[0].t, want)
 	}
-	if !h.det.Assignable(2) {
-		t.Fatal("rejoined node not assignable")
+	if h.det.Health().Suspected(2) {
+		t.Fatal("rejoined node still suspected")
 	}
 }
 
-// TestPhiAdaptsToSlowNode is the detector's reason to exist: a node at 20%
-// CPU beats every 2.5 s against a fixed 1.5 s timeout, so the fixed
-// detector condemns it again after every beat, while φ-accrual widens its
-// leash after the warmup and stops flapping.
-func TestPhiAdaptsToSlowNode(t *testing.T) {
-	slow := func() Truth {
-		return &fakeTruth{cpu: map[cluster.NodeID]float64{1: 0.2}}
-	}
-	fixed := newHarness(t, Config{Mode: Heartbeat}, slow(), 3, 30)
-	phi := newHarness(t, Config{Mode: Phi}, slow(), 3, 30)
-
+// TestFixedTimeoutFlapsOnSlowNode pins the straggler/failure ambiguity: a
+// node at 20% CPU beats every 2.5 s against a fixed 1.5 s timeout, so the
+// detector condemns it again after every beat.
+func TestFixedTimeoutFlapsOnSlowNode(t *testing.T) {
+	fixed := newHarness(t, Config{Mode: Heartbeat}, &fakeTruth{cpu: map[cluster.NodeID]float64{1: 0.2}}, 3, 30)
 	for _, s := range fixed.suspects {
 		if s.id != 1 {
 			t.Fatalf("fixed detector suspected healthy node %d", s.id)
@@ -173,14 +167,6 @@ func TestPhiAdaptsToSlowNode(t *testing.T) {
 	}
 	if len(fixed.suspects) < 3 {
 		t.Fatalf("fixed detector should flap on the slow node, got %d suspicions", len(fixed.suspects))
-	}
-	// φ pays at most the warmup false alarm (the prior gap estimate is the
-	// healthy interval), then adapts and stays quiet.
-	if len(phi.suspects) > 1 {
-		t.Fatalf("phi detector flapped %d times on a merely slow node: %+v", len(phi.suspects), phi.suspects)
-	}
-	if len(phi.suspects) == 1 && len(phi.clears) != 1 {
-		t.Fatalf("phi warmup suspicion never cleared: %+v", phi.clears)
 	}
 }
 
@@ -212,7 +198,9 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Mode: Heartbeat, Interval: math.Inf(1)}, &fakeTruth{}, 2); err == nil {
 		t.Fatal("infinite interval accepted")
 	}
-	if _, err := New(Config{Mode: Mode(7)}, &fakeTruth{}, 2); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("mode built without Set: %v, want ErrBadConfig", err)
+	for _, m := range []Mode{2, 7} {
+		if _, err := New(Config{Mode: m}, &fakeTruth{}, 2); !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("mode %d built without Set: %v, want ErrBadConfig", m, err)
+		}
 	}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // Tracker is the kernel-free sibling of Detector: the same Live→Suspected
-// state machine and timeout policies (fixed K-missed-beats or φ-accrual
-// EWMA), but driven by explicit Beat/Sweep calls instead of sim events.
+// state machine and fixed K-missed-beats timeout, but driven by explicit
+// Beat/Sweep calls instead of sim events.
 // The metadata cluster uses it in two regimes with one code path — the
 // chaos harness advances a logical clock tick by tick, and the serving
 // daemon feeds it wall-clock timestamps — so failover behavior proved
@@ -19,7 +19,7 @@ import (
 // Tracker is not usable; construct with NewTracker.
 type Tracker struct {
 	cfg Config
-	ns  map[int]*beats
+	ns  map[int]float64 // last beat of each watched node
 	// health holds the belief; the tracker writes only its suspicion bits.
 	health *cluster.Health
 	// Suspicions counts Live→Suspected transitions (true and false).
@@ -36,7 +36,7 @@ func NewTracker(cfg Config) (*Tracker, error) {
 	if cfg.Mode == Oracle {
 		return nil, fmt.Errorf("%w: oracle mode needs no tracker", ErrBadConfig)
 	}
-	return &Tracker{cfg: cfg, ns: map[int]*beats{}, health: cluster.NewHealth(0)}, nil
+	return &Tracker{cfg: cfg, ns: map[int]float64{}, health: cluster.NewHealth(0)}, nil
 }
 
 // Health is the table the tracker writes its belief into.
@@ -48,7 +48,7 @@ func (t *Tracker) Watch(id int, now float64) {
 	if _, ok := t.ns[id]; ok {
 		return
 	}
-	t.ns[id] = &beats{lastBeat: now, meanGap: t.cfg.Interval}
+	t.ns[id] = now
 	t.health.Clear(cluster.NodeID(id))
 }
 
@@ -62,11 +62,10 @@ func (t *Tracker) Forget(id int) {
 // Beat records a heartbeat arrival and reports whether it cleared a
 // suspicion (the caller's rejoin/false-alarm hook).
 func (t *Tracker) Beat(id int, now float64) (cleared bool) {
-	b, ok := t.ns[id]
-	if !ok {
+	if _, ok := t.ns[id]; !ok {
 		return false
 	}
-	b.observe(now)
+	t.ns[id] = now
 	cleared = t.health.Suspected(cluster.NodeID(id))
 	t.health.Clear(cluster.NodeID(id))
 	return cleared
@@ -77,8 +76,8 @@ func (t *Tracker) Beat(id int, now float64) (cleared bool) {
 // fixed order regardless of map iteration).
 func (t *Tracker) Sweep(now float64) []int {
 	var newly []int
-	for id, b := range t.ns {
-		if nid := cluster.NodeID(id); !t.health.Suspected(nid) && now-b.lastBeat > t.cfg.timeout(b.meanGap) {
+	for id, last := range t.ns {
+		if nid := cluster.NodeID(id); !t.health.Suspected(nid) && now-last > t.cfg.Timeout {
 			t.health.Suspect(nid)
 			t.Suspicions++
 			newly = append(newly, id)
@@ -87,10 +86,6 @@ func (t *Tracker) Sweep(now float64) []int {
 	sortInts(newly)
 	return newly
 }
-
-// State returns the belief about a node; unwatched nodes report Suspected
-// (the caller should never schedule onto them).
-func (t *Tracker) State(id int) State { return stateOf(t.health, cluster.NodeID(id)) }
 
 // sortInts is a tiny insertion sort: suspicion batches are a handful of
 // IDs, not worth pulling in package sort's interface machinery.

@@ -74,7 +74,7 @@ func TestArrayEstimateEq6(t *testing.T) {
 	if hashed != 1 || bloomed != 1 {
 		t.Fatalf("τ1=%d τ2=%d, want 1 and 1", hashed, bloomed)
 	}
-	want := records.BySub(blocks[0])["hero"] + arr.Block(1).Delta()
+	want := records.BySub(blocks[0])["hero"] + arr.Block(1).delta
 	if total != want {
 		t.Errorf("Eq.6 estimate = %d, want %d", total, want)
 	}

@@ -139,20 +139,6 @@ func (s *Separator) Observe(sub string, bytes int64) {
 // NumSubs returns the number of distinct sub-datasets observed.
 func (s *Separator) NumSubs() int { return len(s.sizes) }
 
-// Sizes exposes the accumulated per-sub byte counts (shared map; callers
-// must not mutate it).
-func (s *Separator) Sizes() map[string]int64 { return s.sizes }
-
-// BucketCounts returns a copy of the per-bucket sub-dataset counts.
-func (s *Separator) BucketCounts() []int {
-	return append([]int(nil), s.counts...)
-}
-
-// Bounds returns a copy of the bucket lower bounds.
-func (s *Separator) Bounds() []int64 {
-	return append([]int64(nil), s.bounds...)
-}
-
 // ThresholdForCount returns the smallest bucket lower bound such that the
 // buckets at or above it contain at most target sub-datasets, walking the
 // bucket statistics from the top (no sorting of sub-datasets, the paper's

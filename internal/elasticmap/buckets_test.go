@@ -86,25 +86,25 @@ func TestSeparatorObserve(t *testing.T) {
 	if s.NumSubs() != 3 {
 		t.Fatalf("NumSubs = %d", s.NumSubs())
 	}
-	counts := s.BucketCounts()
+	counts := s.counts
 	if counts[0] != 1 || counts[1] != 0 || counts[2] != 1 || counts[3] != 1 {
 		t.Errorf("counts = %v", counts)
 	}
-	if s.Sizes()["b"] != 110 {
-		t.Errorf("size[b] = %d", s.Sizes()["b"])
+	if s.sizes["b"] != 110 {
+		t.Errorf("size[b] = %d", s.sizes["b"])
 	}
 }
 
 func TestSeparatorBoundsNormalized(t *testing.T) {
 	// Unsorted bounds without 0 are sorted and prefixed with 0.
 	s := NewSeparator([]int64{100, 10})
-	b := s.Bounds()
+	b := s.bounds
 	if b[0] != 0 || b[1] != 10 || b[2] != 100 {
 		t.Errorf("normalized bounds = %v", b)
 	}
 	// Nil bounds default to Fibonacci.
-	if d := NewSeparator(nil); d.Bounds()[1] != KiB {
-		t.Errorf("default bounds = %v", d.Bounds()[:3])
+	if d := NewSeparator(nil); d.bounds[1] != KiB {
+		t.Errorf("default bounds = %v", d.bounds[:3])
 	}
 }
 
@@ -224,7 +224,7 @@ func TestBucketCountsSumQuick(t *testing.T) {
 			s.Observe(fmt.Sprintf("k%d", o%17), int64(o%100)+1)
 		}
 		sum := 0
-		for _, c := range s.BucketCounts() {
+		for _, c := range s.counts {
 			if c < 0 {
 				return false
 			}

@@ -43,7 +43,7 @@ func FuzzSeparator(f *testing.F) {
 			sep.Observe(string(rune('a'+i%7)), int64(s)+1)
 		}
 		sum := 0
-		for _, c := range sep.BucketCounts() {
+		for _, c := range sep.counts {
 			if c < 0 {
 				t.Fatal("negative bucket count")
 			}

@@ -210,10 +210,6 @@ func (b *BlockMeta) Query(sub string) (int64, Class) {
 	return 0, Absent
 }
 
-// Delta returns the per-block approximation δ used for Bloom-resident
-// sub-datasets.
-func (b *BlockMeta) Delta() int64 { return b.delta }
-
 // RawBytes returns the block's total record footprint.
 func (b *BlockMeta) RawBytes() int64 { return b.rawBytes }
 
@@ -222,9 +218,6 @@ func (b *BlockMeta) NumSubs() int { return b.numSubs }
 
 // NumHashed returns how many sub-datasets were classified dominant.
 func (b *BlockMeta) NumHashed() int { return b.numHashed }
-
-// Threshold returns the dominance cut in bytes.
-func (b *BlockMeta) Threshold() int64 { return b.threshold }
 
 // HashedAlpha returns the realized hash-map share.
 func (b *BlockMeta) HashedAlpha() float64 {
@@ -240,18 +233,4 @@ func (b *BlockMeta) MemoryBits() int64 {
 	opts := b.opts.withDefaults()
 	hashBits := int64(float64(b.numHashed) * float64(opts.HashEntryBits) / opts.LoadFactor)
 	return hashBits + int64(b.filter.SizeBits())
-}
-
-// ModelCostBits returns the Eq.-5 prediction for this block's realized α.
-func (b *BlockMeta) ModelCostBits() float64 {
-	return b.opts.CostBits(b.numSubs, b.HashedAlpha())
-}
-
-// Hashed returns a copy of the dominant sub-dataset sizes.
-func (b *BlockMeta) Hashed() map[string]int64 {
-	out := make(map[string]int64, len(b.hash))
-	for k, v := range b.hash {
-		out[k] = v
-	}
-	return out
 }

@@ -60,8 +60,8 @@ func TestBuildBlockMetaSplit(t *testing.T) {
 		if class != Bloomed {
 			t.Errorf("%s class = %v, want Bloomed", sub, class)
 		}
-		if sz != meta.Delta() {
-			t.Errorf("%s size = %d, want δ=%d", sub, sz, meta.Delta())
+		if sz != meta.delta {
+			t.Errorf("%s size = %d, want δ=%d", sub, sz, meta.delta)
 		}
 	}
 }
@@ -107,8 +107,8 @@ func TestDeltaIsMinNonDominant(t *testing.T) {
 			min = sz
 		}
 	}
-	if meta.Delta() != min {
-		t.Errorf("Delta = %d, want smallest non-dominant %d", meta.Delta(), min)
+	if meta.delta != min {
+		t.Errorf("Delta = %d, want smallest non-dominant %d", meta.delta, min)
 	}
 }
 
@@ -122,8 +122,8 @@ func TestDeltaFallsBackToHashedMin(t *testing.T) {
 			min = sz
 		}
 	}
-	if meta.Delta() != min {
-		t.Errorf("Delta = %d, want hashed min %d", meta.Delta(), min)
+	if meta.delta != min {
+		t.Errorf("Delta = %d, want hashed min %d", meta.delta, min)
 	}
 }
 
@@ -144,7 +144,7 @@ func TestQueryAbsent(t *testing.T) {
 
 func TestEmptyBlock(t *testing.T) {
 	meta := BuildBlockMeta(nil, testOpts(0.3))
-	if meta.NumSubs() != 0 || meta.RawBytes() != 0 || meta.Delta() != 0 {
+	if meta.NumSubs() != 0 || meta.RawBytes() != 0 || meta.delta != 0 {
 		t.Errorf("empty block meta: %+v", meta)
 	}
 	if _, class := meta.Query("anything"); class == Hashed {
@@ -195,7 +195,7 @@ func TestMemoryBudgetPicksAlpha(t *testing.T) {
 	}
 	// Budget respected by the Eq.-5 model for the realized α.
 	mid := BuildBlockMeta(recs, Options{MemoryBudgetBits: 2000, BucketBounds: testOpts(0).BucketBounds})
-	if model := mid.ModelCostBits(); model > 2000*1.25 {
+	if model := mid.opts.CostBits(mid.numSubs, mid.HashedAlpha()); model > 2000*1.25 {
 		t.Errorf("model cost %g blows the 2000-bit budget", model)
 	}
 }
@@ -248,11 +248,11 @@ func TestHashedExactQuick(t *testing.T) {
 			sz, class := meta.Query(sub)
 			switch class {
 			case Hashed:
-				if sz != want || want < meta.Threshold() {
+				if sz != want || want < meta.threshold {
 					return false
 				}
 			case Bloomed:
-				if want >= meta.Threshold() {
+				if want >= meta.threshold {
 					return false
 				}
 			case Absent:

@@ -85,8 +85,8 @@ func Merge(a, b *Array) *Array {
 // scheduler's per-job query path touches one key; interactive exploration
 // touches thousands). Only hash-resident (dominant) entries can be
 // inverted — Bloom filters are not enumerable — so Index answers
-// DominantDistribution, and the array's Eq.-6 scan probes Bloom filters
-// only in the blocks the index does not list.
+// EstimateDominant and Top, and the array's Eq.-6 scan probes Bloom
+// filters only in the blocks the index does not list.
 type Index struct {
 	dominant map[string][]BlockEstimate
 }
@@ -118,12 +118,6 @@ func (ix *Index) extended(metas []*BlockMeta, offset int) *Index {
 		dominant[sub] = append(prev[:len(prev):len(prev)], add...)
 	}
 	return &Index{dominant: dominant}
-}
-
-// DominantDistribution returns the exactly-recorded per-block sizes of sub
-// (ascending block order — hash maps are scanned in block order).
-func (ix *Index) DominantDistribution(sub string) []BlockEstimate {
-	return ix.dominant[sub]
 }
 
 // DominantSubs returns the number of distinct dominant keys indexed.

@@ -110,15 +110,15 @@ func TestIndex(t *testing.T) {
 		if got != want {
 			t.Errorf("%s: EstimateDominant %d, want %d", sub, got, want)
 		}
-		if len(idx.DominantDistribution(sub)) != wantBlocks {
-			t.Errorf("%s: distribution blocks %d, want %d", sub, len(idx.DominantDistribution(sub)), wantBlocks)
+		if len(idx.dominant[sub]) != wantBlocks {
+			t.Errorf("%s: distribution blocks %d, want %d", sub, len(idx.dominant[sub]), wantBlocks)
 		}
 		// Dominant estimate is a lower bound on Eq. 6.
 		if got > arr.Estimate(sub) {
 			t.Errorf("%s: dominant %d exceeds Eq.6 %d", sub, got, arr.Estimate(sub))
 		}
 	}
-	if idx.DominantDistribution("nope") != nil {
+	if idx.dominant["nope"] != nil {
 		t.Error("unknown sub should return nil")
 	}
 }

@@ -159,11 +159,11 @@ func TestMergeExtendsIndex(t *testing.T) {
 	small := three.Appended([][]records.Record{hot(100)})
 	large := three.Appended([][]records.Record{hot(900)})
 	for _, arr := range []*Array{small, large} {
-		if got, want := arr.Index().DominantDistribution("hot"), NewIndex(arr).DominantDistribution("hot"); !reflect.DeepEqual(got, want) {
+		if got, want := arr.Index().dominant["hot"], NewIndex(arr).dominant["hot"]; !reflect.DeepEqual(got, want) {
 			t.Errorf("a sibling extension overwrote hot's entries: %v, want %v", got, want)
 		}
 	}
-	if n := len(three.Index().DominantDistribution("hot")); n != 3 {
+	if n := len(three.Index().dominant["hot"]); n != 3 {
 		t.Errorf("parent hot entries = %d, want 3", n)
 	}
 }

@@ -13,14 +13,14 @@ import (
 // This experiment measures what failure *detection* costs: the oracle
 // engine reacts to a crash at the crash instant, but a real master only
 // learns of it after missed heartbeats. Sweeping the suspicion timeout
-// (K missed beats) shows the trade the φ-accrual literature formalizes —
-// short timeouts recover fast but risk false suspicions and duplicate
-// work; long timeouts leave crashed nodes' tasks undiscovered.
+// (K missed beats) shows the trade: short timeouts recover fast but risk
+// false suspicions and duplicate work; long timeouts leave crashed nodes'
+// tasks undiscovered.
 
-// DetectorSweep runs a fixed two-crash plan under the oracle, a heartbeat
-// detector at several timeout multiples, and the φ-accrual detector, for
-// both the locality baseline and DataNet scheduling. A cell's key is
-// <scheduler>/<detector arm> ("oracle", "hb K=3", "phi"); its slowdown is
+// DetectorSweep runs a fixed two-crash plan under the oracle and a
+// heartbeat detector at several timeout multiples, for both the locality
+// baseline and DataNet scheduling. A cell's key is
+// <scheduler>/<detector arm> ("oracle", "hb K=3"); its slowdown is
 // relative to the same scheduler's oracle run on the same crash plan — the
 // pure price of not knowing instantly — and its latencies summarize the
 // crash→response gaps.
@@ -70,7 +70,6 @@ func DetectorSweep(p MovieParams) (*Report, error) {
 				detect.Config{Mode: detect.Heartbeat, Interval: interval, Timeout: float64(k) * interval},
 			})
 		}
-		arms = append(arms, arm{"phi", detect.Config{Mode: detect.Phi, Interval: interval}})
 
 		var oracleTime float64
 		for _, a := range arms {
@@ -118,7 +117,7 @@ func DetectorSweep(p MovieParams) (*Report, error) {
 	}
 	r.table(t)
 	r.table(counters.Table("Detection totals across the sweep"))
-	r.linef("  (the oracle reacts at the crash instant; heartbeat modes pay K missed beats of latency\n   before re-dispatching, and φ-accrual adapts its timeout to observed beat jitter)")
+	r.linef("  (the oracle reacts at the crash instant; heartbeat modes pay K missed beats of latency\n   before re-dispatching)")
 	if counters.DetectionLatency != nil {
 		r.Values["detection_latencies"] = float64(counters.DetectionLatency.Count())
 	}

@@ -211,11 +211,6 @@ func NewEventEnv(p EventParams) (*Env, error) {
 // ElasticMap array — the knowledge DataNet's scheduler consumes.
 func (e *Env) EstimatedWeights(sub string) []int64 { return e.Array.Weights(sub) }
 
-// TruthWeights returns the ground-truth per-block sizes of sub.
-func (e *Env) TruthWeights(sub string) ([]int64, error) {
-	return e.FS.SubDistribution(e.File, sub)
-}
-
 // RunBaseline runs app on the target sub-dataset under Hadoop's locality
 // scheduler with no distribution knowledge ("without DataNet").
 func (e *Env) RunBaseline(app apps.App) (*mapreduce.Result, error) {

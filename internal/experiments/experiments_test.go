@@ -143,7 +143,7 @@ func TestNewMovieEnvShape(t *testing.T) {
 func TestEstimatedWeightsTrackTruth(t *testing.T) {
 	env := smallEnv(t)
 	est := env.EstimatedWeights(env.Target)
-	truth, err := env.TruthWeights(env.Target)
+	truth, err := env.FS.SubDistribution(env.File, env.Target)
 	if err != nil {
 		t.Fatal(err)
 	}

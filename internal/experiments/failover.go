@@ -18,8 +18,8 @@ import (
 // declare the primary dead, so three windows open at a crash: detection
 // (missed beats), unavailability (the shard has no serving leader) and
 // staleness (the promoted follower may trail the acked high-water mark
-// until the next append). Sweeping detector aggressiveness × replication
-// factor on a logical clock shows how each knob moves those windows.
+// until the next append). Sweeping detector aggressiveness on a logical
+// clock shows how the suspicion timeout moves those windows.
 
 const (
 	failoverNodes  = 5
@@ -38,11 +38,16 @@ func failoverChunk(i, n int) *elasticmap.Array {
 	return elasticmap.Build([][]records.Record{recs}, elasticmap.Options{Alpha: 0.5})
 }
 
+// failoverReplicas is the one follower count per shard the sweep runs at.
+// It is not an axis: shipping is delay-only (each shipment lands ShipDelay
+// after it is cut, with no per-link or per-primary bandwidth), so the
+// follower count moves no window.
+const failoverReplicas = 2
+
 // FailoverSweep crashes a shard primary mid-traffic under every detector
-// arm × replication factor (followers per shard) and reports the detection,
-// unavailability and staleness windows under <detector>/<replicas>/….
-// Entirely on the logical clock — the output is a pure function of the
-// configuration.
+// arm and reports the detection, unavailability and staleness windows
+// under <detector>/…. Entirely on the logical clock — the output is a pure
+// function of the configuration.
 func FailoverSweep() (*Report, error) {
 	arms := []struct {
 		name string
@@ -50,21 +55,18 @@ func FailoverSweep() (*Report, error) {
 	}{
 		{"hb K=1", detect.Config{Mode: detect.Heartbeat, Interval: 1, Timeout: 1}},
 		{"hb K=3", detect.Config{Mode: detect.Heartbeat, Interval: 1, Timeout: 3}},
-		{"phi", detect.Config{Mode: detect.Phi, Interval: 1}},
 	}
 	r := newReport()
-	t := metrics.NewTable("Metadata failover — windows vs detector aggressiveness and replication (ticks)",
-		"detector", "replicas", "detect", "leader moved", "converged", "refused ops", "stale reads", "promotions", "data")
+	t := metrics.NewTable("Metadata failover — windows vs detector aggressiveness (ticks)",
+		"detector", "detect", "leader moved", "converged", "refused ops", "stale reads", "promotions", "data")
 	r.Values["data_lost"] = 0
 	for _, arm := range arms {
-		for _, replicas := range []int{1, 2, 3} {
-			if err := failoverRun(r, t, arm.name, arm.det, replicas); err != nil {
-				return nil, fmt.Errorf("failover sweep %s K=%d: %w", arm.name, replicas, err)
-			}
+		if err := failoverRun(r, t, arm.name, arm.det); err != nil {
+			return nil, fmt.Errorf("failover sweep %s: %w", arm.name, err)
 		}
 	}
 	r.table(t)
-	r.linef("  (detection closes after the suspicion timeout; the unavailability window is detection plus\n   promotion, and more replicas lengthen convergence — refills ship more snapshots — while\n   keeping a fresher best follower to promote)")
+	r.linef("  (detection closes after the suspicion timeout; the unavailability window is detection plus\n   promotion, and the leader moves on the tick detection closes)")
 	return r, nil
 }
 
@@ -74,9 +76,9 @@ func FailoverSweep() (*Report, error) {
 // to r, in ticks after the crash: detect is crash → first suspicion,
 // promote crash → no shard led by the victim, converge crash → fully
 // repaired (replica sets refilled and caught up).
-func failoverRun(r *Report, t *metrics.Table, mode string, det detect.Config, replicas int) error {
+func failoverRun(r *Report, t *metrics.Table, mode string, det detect.Config) error {
 	c, err := clusterd.New(clusterd.Config{
-		Shards: failoverShards, Replicas: replicas,
+		Shards: failoverShards, Replicas: failoverReplicas,
 		Detect: det, ShipDelay: 1, CacheSize: 16,
 	}, failoverNodes)
 	if err != nil {
@@ -89,8 +91,7 @@ func failoverRun(r *Report, t *metrics.Table, mode string, det detect.Config, re
 	}
 	now := 0.0
 	tick := func() { now++; c.Tick(now) }
-	// Warmup establishes the φ detector's beat-gap baseline and ships the
-	// bootstrap replicas.
+	// Warmup ships the bootstrap replicas.
 	for i := 0; i < 5; i++ {
 		tick()
 	}
@@ -174,14 +175,13 @@ func failoverRun(r *Report, t *metrics.Table, mode string, det detect.Config, re
 	if data == "LOST" {
 		r.Values["data_lost"]++
 	}
-	t.Add(mode, fmt.Sprint(replicas),
+	t.Add(mode,
 		fmt.Sprintf("%.0f", detected), fmt.Sprintf("%.0f", promoted), fmt.Sprintf("%.0f", converged),
 		fmt.Sprint(unavailableOps), fmt.Sprint(staleReads), fmt.Sprint(promotions), data)
-	key := fmt.Sprintf("%s/%d", mode, replicas)
-	r.Values[key+"/detect_ticks"] = detected
-	r.Values[key+"/promote_ticks"] = promoted
-	r.Values[key+"/converge_ticks"] = converged
-	r.Values[key+"/promotions"] = float64(promotions)
+	r.Values[mode+"/detect_ticks"] = detected
+	r.Values[mode+"/promote_ticks"] = promoted
+	r.Values[mode+"/converge_ticks"] = converged
+	r.Values[mode+"/promotions"] = float64(promotions)
 	return nil
 }
 

@@ -323,7 +323,6 @@ type Injector struct {
 	slow    map[cluster.NodeID]Slowdown
 	prob    float64
 	seed    int64
-	active  bool
 }
 
 // NewInjector validates the plan against n nodes and builds the injector.
@@ -336,7 +335,6 @@ func NewInjector(p *Plan, n int) (*Injector, error) {
 	if err := p.Validate(n); err != nil {
 		return nil, err
 	}
-	in.active = true
 	in.seed = p.Seed
 	in.prob = p.Read.Prob
 	in.crashes = append(in.crashes, p.Crashes...)
@@ -351,9 +349,6 @@ func NewInjector(p *Plan, n int) (*Injector, error) {
 	}
 	return in, nil
 }
-
-// Active reports whether any fault source is configured.
-func (in *Injector) Active() bool { return in.active }
 
 // Crashes returns the crash events sorted by time (callers must not
 // mutate the slice).

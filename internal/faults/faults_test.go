@@ -172,7 +172,7 @@ func TestInertInjector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.Active() || in.DeadAt(0, 100) || in.ReadFails(0, 0, 1) || len(in.Crashes()) != 0 {
+	if in.DeadAt(0, 100) || in.ReadFails(0, 0, 1) || len(in.Crashes()) != 0 {
 		t.Error("nil-plan injector must be inert")
 	}
 	if got := in.CPURate(0, 42); got != 42 {

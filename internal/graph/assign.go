@@ -119,25 +119,3 @@ func BalancedAssignment(g *Bipartite) [][]int {
 	}
 	return assign
 }
-
-// Loads returns the per-node workload of an assignment.
-func Loads(g *Bipartite, assign [][]int) []int64 {
-	out := make([]int64, len(assign))
-	for i, blocks := range assign {
-		for _, j := range blocks {
-			out[i] += g.Weight(j)
-		}
-	}
-	return out
-}
-
-// MaxLoad returns the largest per-node workload of an assignment.
-func MaxLoad(g *Bipartite, assign [][]int) int64 {
-	var mx int64
-	for _, l := range Loads(g, assign) {
-		if l > mx {
-			mx = l
-		}
-	}
-	return mx
-}

@@ -13,7 +13,6 @@ type Bipartite struct {
 	nNodes    int
 	weights   []int64 // per block: |b ∩ s|
 	locations [][]int // per block: replica-holding node indices
-	byNode    [][]int // per node: indices of local blocks
 }
 
 // NewBipartite builds the graph. weights[j] is block j's sub-dataset bytes;
@@ -24,7 +23,6 @@ func NewBipartite(nNodes int, weights []int64, locations [][]int) *Bipartite {
 		nNodes:    nNodes,
 		weights:   append([]int64(nil), weights...),
 		locations: make([][]int, len(locations)),
-		byNode:    make([][]int, nNodes),
 	}
 	for j, locs := range locations {
 		for _, n := range locs {
@@ -32,7 +30,6 @@ func NewBipartite(nNodes int, weights []int64, locations [][]int) *Bipartite {
 				continue
 			}
 			g.locations[j] = append(g.locations[j], n)
-			g.byNode[n] = append(g.byNode[n], j)
 		}
 	}
 	return g
@@ -59,25 +56,3 @@ func (g *Bipartite) TotalWeight() int64 {
 // Locations returns the replica nodes of block j (shared slice; do not
 // mutate).
 func (g *Bipartite) Locations(j int) []int { return g.locations[j] }
-
-// LocalBlocks returns the blocks local to node i (shared slice; do not
-// mutate).
-func (g *Bipartite) LocalBlocks(i int) []int { return g.byNode[i] }
-
-// IsLocal reports whether node i holds a replica of block j.
-func (g *Bipartite) IsLocal(i, j int) bool {
-	for _, n := range g.locations[j] {
-		if n == i {
-			return true
-		}
-	}
-	return false
-}
-
-// AverageLoad returns the balanced per-node workload W̄ = Σw / m.
-func (g *Bipartite) AverageLoad() float64 {
-	if g.nNodes == 0 {
-		return 0
-	}
-	return float64(g.TotalWeight()) / float64(g.nNodes)
-}

@@ -2,9 +2,21 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
+
+// loads returns the per-node workload of an assignment.
+func loads(g *Bipartite, assign [][]int) []int64 {
+	out := make([]int64, len(assign))
+	for i, blocks := range assign {
+		for _, j := range blocks {
+			out[i] += g.Weight(j)
+		}
+	}
+	return out
+}
 
 func TestBipartiteBasics(t *testing.T) {
 	g := NewBipartite(3,
@@ -17,17 +29,11 @@ func TestBipartiteBasics(t *testing.T) {
 	if g.TotalWeight() != 60 {
 		t.Errorf("TotalWeight = %d", g.TotalWeight())
 	}
-	if g.AverageLoad() != 20 {
-		t.Errorf("AverageLoad = %g", g.AverageLoad())
-	}
-	if !g.IsLocal(0, 0) || g.IsLocal(2, 0) {
-		t.Error("IsLocal wrong")
+	if !slices.Contains(g.Locations(0), 0) || slices.Contains(g.Locations(0), 2) {
+		t.Errorf("Locations(0) = %v", g.Locations(0))
 	}
 	if len(g.Locations(2)) != 2 {
 		t.Errorf("out-of-range location not dropped: %v", g.Locations(2))
-	}
-	if got := g.LocalBlocks(1); len(got) != 2 {
-		t.Errorf("LocalBlocks(1) = %v", got)
 	}
 	if g.Weight(1) != 20 {
 		t.Errorf("Weight(1) = %d", g.Weight(1))
@@ -93,7 +99,7 @@ func TestBalancedAssignmentCoversAllBlocks(t *testing.T) {
 		for _, j := range blks {
 			seen[j]++
 			// Every assignment must be a replica holder (locality).
-			if !g.IsLocal(n, j) {
+			if !slices.Contains(g.Locations(j), n) {
 				t.Errorf("block %d assigned off-replica to %d", j, n)
 			}
 		}
@@ -116,11 +122,11 @@ func TestBalancedAssignmentBeatsWorstCase(t *testing.T) {
 	locs := [][]int{{0, 1}, {0, 1}, {2, 3}, {2, 3}}
 	g := NewBipartite(nodes, weights, locs)
 	assign := BalancedAssignment(g)
-	if got := MaxLoad(g, assign); got != 100 {
+	if got := slices.Max(loads(g, assign)); got != 100 {
 		t.Errorf("MaxLoad = %d, want 100 (one block per node)", got)
 	}
-	loads := Loads(g, assign)
-	for i, l := range loads {
+	perNode := loads(g, assign)
+	for i, l := range perNode {
 		if l != 100 {
 			t.Errorf("node %d load = %d, want 100", i, l)
 		}
@@ -186,7 +192,7 @@ func TestBalancedAssignmentQualityQuick(t *testing.T) {
 		if lower == 0 {
 			return true
 		}
-		return MaxLoad(g, assign) <= 2*lower+1
+		return slices.Max(loads(g, assign)) <= 2*lower+1
 	}
 	cfg := &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(13))}
 	if err := quick.Check(f, cfg); err != nil {

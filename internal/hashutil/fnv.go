@@ -57,10 +57,3 @@ func Sum64String(s string) uint64 {
 	d.WriteString(s)
 	return d.h
 }
-
-// Sum64 is the one-shot byte-slice hash: FNV-64a(b).
-func Sum64(b []byte) uint64 {
-	d := Digest{h: fnvOffset64}
-	d.Write(b)
-	return d.h
-}

@@ -20,8 +20,10 @@ func TestSum64MatchesStdlib(t *testing.T) {
 	for _, in := range inputs {
 		std := fnv.New64a()
 		std.Write([]byte(in))
-		if got := Sum64([]byte(in)); got != std.Sum64() {
-			t.Errorf("Sum64(%q) = %#x, stdlib %#x", in, got, std.Sum64())
+		d := New()
+		d.Write([]byte(in))
+		if got := d.Sum64(); got != std.Sum64() {
+			t.Errorf("Digest.Sum64(%q) = %#x, stdlib %#x", in, got, std.Sum64())
 		}
 		if got := Sum64String(in); got != std.Sum64() {
 			t.Errorf("Sum64String(%q) = %#x, stdlib %#x", in, got, std.Sum64())

@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"datanet/internal/cluster"
 	"datanet/internal/placement"
@@ -227,16 +226,6 @@ func (fs *FileSystem) Stat(name string) (*FileInfo, error) {
 	return info, nil
 }
 
-// Files lists stored file names in sorted order.
-func (fs *FileSystem) Files() []string {
-	out := make([]string, 0, len(fs.files))
-	for name := range fs.files {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Block returns block id; it panics on an out-of-range id (programming
 // error: BlockIDs only come from this filesystem).
 func (fs *FileSystem) Block(id BlockID) *Block {
@@ -281,16 +270,6 @@ func (fs *FileSystem) Locations(id BlockID) []cluster.NodeID {
 	out := make([]cluster.NodeID, len(fs.Block(id).Replicas))
 	copy(out, fs.Block(id).Replicas)
 	return out
-}
-
-// IsLocal reports whether node holds a replica of block id.
-func (fs *FileSystem) IsLocal(node cluster.NodeID, id BlockID) bool {
-	for _, n := range fs.Block(id).Replicas {
-		if n == node {
-			return true
-		}
-	}
-	return false
 }
 
 // NodeBlocks returns the blocks for which node holds a replica, in id

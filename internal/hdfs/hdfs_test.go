@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -148,22 +149,13 @@ func TestLocationsAndLocality(t *testing.T) {
 		if len(locs) != DefaultReplication {
 			t.Fatalf("locations = %v", locs)
 		}
+		// Replicas are distinct nodes of the cluster.
+		seen := map[cluster.NodeID]bool{}
 		for _, n := range locs {
-			if !fs.IsLocal(n, b.ID) {
-				t.Errorf("IsLocal(%d, %d) = false for replica", n, b.ID)
+			if n < 0 || n >= 8 || seen[n] {
+				t.Errorf("block %d locations %v: bad or repeated node %d", b.ID, locs, n)
 			}
-		}
-		// A node not in the replica list must not be local.
-		for n := 0; n < 8; n++ {
-			isReplica := false
-			for _, l := range locs {
-				if l == cluster.NodeID(n) {
-					isReplica = true
-				}
-			}
-			if fs.IsLocal(cluster.NodeID(n), b.ID) != isReplica {
-				t.Errorf("IsLocal(%d) inconsistent", n)
-			}
+			seen[n] = true
 		}
 	}
 }
@@ -174,7 +166,7 @@ func TestNodeBlocksMatchesLocations(t *testing.T) {
 	count := 0
 	for n := 0; n < 6; n++ {
 		for _, id := range fs.NodeBlocks(cluster.NodeID(n)) {
-			if !fs.IsLocal(cluster.NodeID(n), id) {
+			if !slices.Contains(fs.Locations(id), cluster.NodeID(n)) {
 				t.Errorf("NodeBlocks lists non-local block %d for node %d", id, n)
 			}
 			count++
@@ -214,16 +206,6 @@ func TestSubDistribution(t *testing.T) {
 	}
 	if _, err := fs.SubDistribution("missing", "x"); err == nil {
 		t.Error("missing file should error")
-	}
-}
-
-func TestFilesSorted(t *testing.T) {
-	fs := newFS(t, 4, Config{Seed: 7})
-	fs.Write("zeta", mkRecords(1, 5))
-	fs.Write("alpha", mkRecords(1, 5))
-	got := fs.Files()
-	if !reflect.DeepEqual(got, []string{"alpha", "zeta"}) {
-		t.Errorf("Files = %v", got)
 	}
 }
 

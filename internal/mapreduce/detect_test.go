@@ -78,35 +78,6 @@ func TestHeartbeatStrictlyLaterThanOracle(t *testing.T) {
 	}
 }
 
-// φ-accrual mode must also survive real crashes with correct output and
-// positive detection latency.
-func TestPhiDetectorCompletes(t *testing.T) {
-	clean := detectConfig(t)
-	want, err := Run(clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := midFilterTime(t, clean, 0.5)
-	cfg := detectConfig(t)
-	cfg.Faults = &faults.Plan{Crashes: []faults.Crash{{Node: 2, At: at}}}
-	cfg.Detect = detect.Config{Mode: detect.Phi, Interval: 0.5}
-	got, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("phi run: %v", err)
-	}
-	if !reflect.DeepEqual(got.Output, want.Output) {
-		t.Error("phi-mode output diverges from fault-free run")
-	}
-	if len(got.DetectionLatency) == 0 {
-		t.Fatal("phi mode recorded no detection latency for a real crash")
-	}
-	for _, l := range got.DetectionLatency {
-		if l <= 0 {
-			t.Errorf("phi latency %g not strictly positive", l)
-		}
-	}
-}
-
 // A live-but-slow node misses its fixed heartbeat deadline: the detector
 // falsely suspects it, its in-flight work is speculatively re-dispatched,
 // and whichever attempt finishes second is killed. The job must still

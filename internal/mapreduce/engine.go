@@ -116,7 +116,7 @@ type Config struct {
 	Retry faults.RetryPolicy
 	// Detect selects how the master learns of node failures. The zero value
 	// (detect.Oracle) is the zero-latency detector: the master responds to a
-	// crash at the crash instant. Heartbeat/Phi modes run a failure detector
+	// crash at the crash instant. Heartbeat mode runs a failure detector
 	// on the filter kernel — the master pays real detection latency, may
 	// falsely suspect slowed nodes, and reconciles duplicate completions
 	// first-finisher-wins.
@@ -654,23 +654,4 @@ func (c *collector) reduce(app apps.App, part partition.Partitioner) map[string]
 		out[k] = app.Reduce(k, vs)
 	}
 	return out
-}
-
-// FilteredRecords extracts the target sub-dataset from a file — the
-// paper's first-stage "filter and store locally" result, used by examples
-// and tests to validate outputs independently of the engine.
-func FilteredRecords(fs *hdfs.FileSystem, file, sub string) ([]records.Record, error) {
-	blocks, err := fs.Blocks(file)
-	if err != nil {
-		return nil, err
-	}
-	var out []records.Record
-	for _, b := range blocks {
-		for _, r := range b.Records {
-			if sub == "" || r.Sub == sub {
-				out = append(out, r)
-			}
-		}
-	}
-	return out, nil
 }

@@ -326,6 +326,26 @@ func TestShuffleDurations(t *testing.T) {
 	}
 }
 
+// FilteredRecords extracts the target sub-dataset from a file (every record
+// when sub is ""): the paper's first-stage "filter and store locally"
+// result, the reference tests validate outputs against independently of
+// the engine.
+func FilteredRecords(fs *hdfs.FileSystem, file, sub string) ([]records.Record, error) {
+	blocks, err := fs.Blocks(file)
+	if err != nil {
+		return nil, err
+	}
+	var out []records.Record
+	for _, b := range blocks {
+		for _, r := range b.Records {
+			if sub == "" || r.Sub == sub {
+				out = append(out, r)
+			}
+		}
+	}
+	return out, nil
+}
+
 func TestFilteredRecords(t *testing.T) {
 	fs, recs := testEnv(t)
 	got, err := FilteredRecords(fs, "log", "movie-A")

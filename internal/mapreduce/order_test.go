@@ -161,7 +161,7 @@ func TestKillGroupOrder(t *testing.T) {
 		}
 		reordered = reordered || !reflect.DeepEqual(chain, want)
 
-		s.rec.Reset()
+		s.rec = trace.New()
 		now := s.kern.Now() + 1
 		from := s.kern.Post(sim.Event{At: now, Kind: evRetryReady}).Seq()
 		s.killGroup(g, now)

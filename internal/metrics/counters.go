@@ -81,13 +81,6 @@ func (c *FaultCounters) Merge(o FaultCounters) {
 	}
 }
 
-// Any reports whether any fault handling actually happened.
-func (c *FaultCounters) Any() bool {
-	return c.NodeCrashes+c.TasksRetried+c.TransientErrors+c.LostOutputs+
-		c.ReplicasRepaired+c.SpeculativeWins+c.MetadataFallbacks+
-		c.FalseSuspicions+c.DuplicateKills > 0
-}
-
 // Table renders the counters.
 func (c *FaultCounters) Table(title string) *Table {
 	t := NewTable(title, "counter", "total")

@@ -17,8 +17,8 @@ import (
 
 func TestRingBoundedAndOrdered(t *testing.T) {
 	r := NewRing(8)
-	if r.Cap() != 8 {
-		t.Fatalf("cap %d, want 8", r.Cap())
+	if len(r.slots) != 8 {
+		t.Fatalf("cap %d, want 8", len(r.slots))
 	}
 	for i := 0; i < 20; i++ {
 		r.Put(&Span{RequestID: fmt.Sprintf("r%d", i)})

@@ -31,9 +31,6 @@ func NewRing(capacity int) *Ring {
 	return &Ring{slots: make([]atomic.Pointer[Span], n), mask: uint64(n - 1)}
 }
 
-// Cap returns the ring capacity.
-func (r *Ring) Cap() int { return len(r.slots) }
-
 // Len returns the number of spans currently retained.
 func (r *Ring) Len() int {
 	n := r.next.Load()

@@ -41,7 +41,7 @@ func FuzzPartitionPlan(f *testing.F) {
 					p.Name(), len(freqs), reducers, err)
 			}
 			// Totality, disjointness, determinism, load conservation.
-			if err := CheckAssignment(p, freqs, reducers); err != nil {
+			if err := checkAssignment(p, freqs, reducers); err != nil {
 				t.Fatal(err)
 			}
 			// Unknown keys must still route into range.
@@ -68,7 +68,7 @@ func FuzzPartitionPlan(f *testing.F) {
 				positive++
 			}
 		}
-		if !skew.FellBack() && positive >= reducers {
+		if !skew.fellBack && positive >= reducers {
 			for r, l := range skew.Loads() {
 				if l == 0 {
 					t.Fatalf("skew: reducer %d idle with %d positive keys for %d reducers\nloads=%v",
@@ -84,7 +84,7 @@ func FuzzPartitionPlan(f *testing.F) {
 			for r, ok := range owned {
 				if !ok {
 					t.Fatalf("range: reducer %d owns no keys with %d distinct keys for %d reducers\ncuts=%v",
-						r, len(freqs), reducers, rng.Cuts())
+						r, len(freqs), reducers, rng.cuts)
 				}
 			}
 		}

@@ -25,8 +25,8 @@
 //     distributed sort needs for its concatenated output to be globally
 //     ordered.
 //
-// All three implement the same contract, verified by CheckAssignment and
-// fuzzed by FuzzPartitionPlan: every key maps to exactly one reducer in
+// All three implement the same contract, checked by the tests'
+// checkAssignment and fuzzed by FuzzPartitionPlan: every key maps to exactly one reducer in
 // [0, R) (splits excepted — a split key maps to a fixed, duplicate-free
 // set), the assignment is deterministic, and planned per-reducer loads
 // conserve the total key frequency.
@@ -206,61 +206,6 @@ func hashAssign(key string, reducers int) int {
 		return 0
 	}
 	return int(hashutil.Sum64String(key) % uint64(reducers))
-}
-
-// ---------------------------------------------------------------------------
-// Assignment contract checking.
-
-// CheckAssignment verifies a planned partitioner against the contract the
-// engine (and the fuzz target) rely on: every key assigned to exactly one
-// reducer in [0, reducers); Assign deterministic across calls; Splits a
-// duplicate-free in-range set whose first element is Assign's answer; and
-// planned Loads conserving the total key frequency. It returns the first
-// violation found, or nil.
-func CheckAssignment(p Partitioner, keyFreqs map[string]int64, reducers int) error {
-	var total, planned int64
-	for _, f := range keyFreqs {
-		total += f
-	}
-	for _, l := range p.Loads() {
-		if l < 0 {
-			return fmt.Errorf("partition %s: negative planned load %d", p.Name(), l)
-		}
-		planned += l
-	}
-	if len(p.Loads()) != reducers {
-		return fmt.Errorf("partition %s: %d planned loads for %d reducers", p.Name(), len(p.Loads()), reducers)
-	}
-	if planned != total {
-		return fmt.Errorf("partition %s: planned loads sum to %d, key frequencies to %d", p.Name(), planned, total)
-	}
-	for _, k := range sortedKeys(keyFreqs) {
-		r := p.Assign(k)
-		if r < 0 || r >= reducers {
-			return fmt.Errorf("partition %s: key %q assigned to reducer %d of %d", p.Name(), k, r, reducers)
-		}
-		if again := p.Assign(k); again != r {
-			return fmt.Errorf("partition %s: key %q assignment flapped %d → %d", p.Name(), k, r, again)
-		}
-		splits := p.Splits(k)
-		if len(splits) == 0 {
-			return fmt.Errorf("partition %s: key %q has no split set", p.Name(), k)
-		}
-		if splits[0] != r {
-			return fmt.Errorf("partition %s: key %q split set starts at %d, Assign says %d", p.Name(), k, splits[0], r)
-		}
-		seen := make(map[int]bool, len(splits))
-		for _, s := range splits {
-			if s < 0 || s >= reducers {
-				return fmt.Errorf("partition %s: key %q split reducer %d of %d", p.Name(), k, s, reducers)
-			}
-			if seen[s] {
-				return fmt.Errorf("partition %s: key %q split set repeats reducer %d", p.Name(), k, s)
-			}
-			seen[s] = true
-		}
-	}
-	return nil
 }
 
 // MaxLoad returns the largest planned per-reducer load.

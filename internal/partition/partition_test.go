@@ -7,6 +7,58 @@ import (
 	"testing"
 )
 
+// checkAssignment verifies a planned partitioner against the contract the
+// engine (and the fuzz target) rely on: every key assigned to exactly one
+// reducer in [0, reducers); Assign deterministic across calls; Splits a
+// duplicate-free in-range set whose first element is Assign's answer; and
+// planned Loads conserving the total key frequency. It returns the first
+// violation found, or nil.
+func checkAssignment(p Partitioner, keyFreqs map[string]int64, reducers int) error {
+	var total, planned int64
+	for _, f := range keyFreqs {
+		total += f
+	}
+	for _, l := range p.Loads() {
+		if l < 0 {
+			return fmt.Errorf("partition %s: negative planned load %d", p.Name(), l)
+		}
+		planned += l
+	}
+	if len(p.Loads()) != reducers {
+		return fmt.Errorf("partition %s: %d planned loads for %d reducers", p.Name(), len(p.Loads()), reducers)
+	}
+	if planned != total {
+		return fmt.Errorf("partition %s: planned loads sum to %d, key frequencies to %d", p.Name(), planned, total)
+	}
+	for _, k := range sortedKeys(keyFreqs) {
+		r := p.Assign(k)
+		if r < 0 || r >= reducers {
+			return fmt.Errorf("partition %s: key %q assigned to reducer %d of %d", p.Name(), k, r, reducers)
+		}
+		if again := p.Assign(k); again != r {
+			return fmt.Errorf("partition %s: key %q assignment flapped %d → %d", p.Name(), k, r, again)
+		}
+		splits := p.Splits(k)
+		if len(splits) == 0 {
+			return fmt.Errorf("partition %s: key %q has no split set", p.Name(), k)
+		}
+		if splits[0] != r {
+			return fmt.Errorf("partition %s: key %q split set starts at %d, Assign says %d", p.Name(), k, splits[0], r)
+		}
+		seen := make(map[int]bool, len(splits))
+		for _, s := range splits {
+			if s < 0 || s >= reducers {
+				return fmt.Errorf("partition %s: key %q split reducer %d of %d", p.Name(), k, s, reducers)
+			}
+			if seen[s] {
+				return fmt.Errorf("partition %s: key %q split set repeats reducer %d", p.Name(), k, s)
+			}
+			seen[s] = true
+		}
+	}
+	return nil
+}
+
 func TestConfigEnabled(t *testing.T) {
 	var nilCfg *Config
 	if nilCfg.Enabled() {
@@ -45,7 +97,7 @@ func TestContractAcrossStrategies(t *testing.T) {
 					if err := p.Plan(freqs, reducers); err != nil {
 						t.Fatalf("Plan: %v", err)
 					}
-					if err := CheckAssignment(p, freqs, reducers); err != nil {
+					if err := checkAssignment(p, freqs, reducers); err != nil {
 						t.Fatal(err)
 					}
 				})
@@ -105,7 +157,7 @@ func TestSkewSplitsHeavyKey(t *testing.T) {
 	if MaxLoad(s) > 500 {
 		t.Errorf("max load %d far above balanced target 250", MaxLoad(s))
 	}
-	if err := CheckAssignment(s, freqs, 4); err != nil {
+	if err := checkAssignment(s, freqs, 4); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -164,7 +216,7 @@ func TestRangeMonotone(t *testing.T) {
 		}
 		prev = cur
 	}
-	if err := CheckAssignment(r, freqs, 8); err != nil {
+	if err := checkAssignment(r, freqs, 8); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -208,10 +260,10 @@ func TestRangeSeedDeterminism(t *testing.T) {
 	if err := b.Plan(freqs, 6); err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(a.Cuts()) != fmt.Sprint(b.Cuts()) {
-		t.Fatalf("same seed, different cuts:\n%v\n%v", a.Cuts(), b.Cuts())
+	if fmt.Sprint(a.cuts) != fmt.Sprint(b.cuts) {
+		t.Fatalf("same seed, different cuts:\n%v\n%v", a.cuts, b.cuts)
 	}
-	if !sort.StringsAreSorted(a.Cuts()) {
-		t.Fatalf("cuts not sorted: %v", a.Cuts())
+	if !sort.StringsAreSorted(a.cuts) {
+		t.Fatalf("cuts not sorted: %v", a.cuts)
 	}
 }

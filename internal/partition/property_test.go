@@ -78,7 +78,7 @@ func partitionViolation(in *freqInstance) string {
 		return fmt.Sprintf("skew max load %d exceeds hash max load %d", MaxLoad(skew), MaxLoad(hash))
 	}
 	for _, p := range []Partitioner{skew, hash} {
-		if err := CheckAssignment(p, in.freqs, in.reducers); err != nil {
+		if err := checkAssignment(p, in.freqs, in.reducers); err != nil {
 			return err.Error()
 		}
 	}
@@ -172,7 +172,7 @@ func TestSkewNonEmptyWherePossible(t *testing.T) {
 		if err := s.Plan(freqs, reducers); err != nil {
 			t.Fatal(err)
 		}
-		if s.FellBack() {
+		if s.fellBack {
 			continue
 		}
 		for r, l := range s.Loads() {

@@ -154,6 +154,3 @@ func (r *Range) Splits(key string) []int { return []int{r.Assign(key)} }
 
 // Loads implements Partitioner.
 func (r *Range) Loads() []int64 { return r.loads }
-
-// Cuts exposes the planned boundary keys (for the decision audit).
-func (r *Range) Cuts() []string { return r.cuts }

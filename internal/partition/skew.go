@@ -28,6 +28,8 @@ type SkewAware struct {
 	reducers int
 	splits   map[string][]int
 	loads    []int64
+	// fellBack records whether the guard discarded the greedy plan for
+	// the hash baseline.
 	fellBack bool
 }
 
@@ -142,7 +144,3 @@ func (s *SkewAware) Splits(key string) []int {
 
 // Loads implements Partitioner.
 func (s *SkewAware) Loads() []int64 { return s.loads }
-
-// FellBack reports whether the guard discarded the greedy plan for the
-// hash baseline (the pathological case the property test hunts for).
-func (s *SkewAware) FellBack() bool { return s.fellBack }

@@ -118,7 +118,13 @@ func evaluate(t *testing.T, in *diffInstance) diffResult {
 	}
 
 	g := graph.NewBipartite(in.nodes, in.weights, in.locations)
-	res.flowMax = graph.MaxLoad(g, graph.BalancedAssignment(g))
+	for _, blocks := range graph.BalancedAssignment(g) {
+		var load int64
+		for _, j := range blocks {
+			load += g.Weight(j)
+		}
+		res.flowMax = max(res.flowMax, load)
+	}
 
 	var total int64
 	for _, w := range in.weights {
@@ -288,7 +294,7 @@ func newScanDataNet(tasks []Task, topo *cluster.Topology, capacityAware bool) *s
 	share := make([]float64, m)
 	for i, id := range topo.IDs() {
 		if capacityAware {
-			share[i] = topo.CapacityShare(id)
+			share[i] = topo.Node(id).CPURate / topo.TotalCapacity()
 		} else {
 			share[i] = 1 / float64(m)
 		}

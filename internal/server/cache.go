@@ -62,10 +62,3 @@ func (c *resultCache) put(key string, val []byte) {
 		delete(c.items, last.Value.(*cacheItem).key)
 	}
 }
-
-// len returns the number of cached entries.
-func (c *resultCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}

@@ -14,8 +14,8 @@ func TestResultCacheLRU(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		c.put(fmt.Sprintf("k%d", i), []byte{byte(i)})
 	}
-	if c.len() != 3 {
-		t.Fatalf("len = %d, want 3", c.len())
+	if c.ll.Len() != 3 {
+		t.Fatalf("len = %d, want 3", c.ll.Len())
 	}
 	// Touch k0, making k1 the least recently used.
 	if v, ok := c.get("k0"); !ok || v[0] != 0 {
@@ -35,8 +35,8 @@ func TestResultCacheLRU(t *testing.T) {
 	if v, _ := c.get("k2"); v[0] != 42 {
 		t.Fatalf("overwrite lost: %v", v)
 	}
-	if c.len() != 3 {
-		t.Fatalf("len after overwrite = %d, want 3", c.len())
+	if c.ll.Len() != 3 {
+		t.Fatalf("len after overwrite = %d, want 3", c.ll.Len())
 	}
 }
 
@@ -58,8 +58,8 @@ func TestResultCacheConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if c.len() > 16 {
-		t.Fatalf("cache exceeded capacity: %d", c.len())
+	if c.ll.Len() > 16 {
+		t.Fatalf("cache exceeded capacity: %d", c.ll.Len())
 	}
 }
 
@@ -79,7 +79,7 @@ func TestSnapshotCachedColdAfterAppend(t *testing.T) {
 		t.Fatalf("compute ran %d times", calls)
 	}
 	// A new epoch starts with a cold cache: that is the invalidation rule.
-	if _, err := s.AppendBlocks("logs", [][]records.Record{blockOf("new")}); err != nil {
+	if _, err := s.Append("logs", elasticmap.Build([][]records.Record{blockOf("new")}, testOpts)); err != nil {
 		t.Fatal(err)
 	}
 	sn2, _ := s.Get("logs")

@@ -32,7 +32,6 @@ import (
 	"sync/atomic"
 
 	"datanet/internal/elasticmap"
-	"datanet/internal/records"
 )
 
 // ErrUnknownArray reports a query against a name the store does not hold.
@@ -216,22 +215,6 @@ func (s *Store) Append(name string, more *elasticmap.Array) (*Snapshot, error) {
 	}
 	prev := e.snap.Load()
 	snap := s.newSnapshot(name, prev.Epoch+1, elasticmap.Merge(prev.Arr, more))
-	e.snap.Store(snap)
-	return snap, nil
-}
-
-// AppendBlocks builds meta-data for raw record blocks with the array's own
-// options and appends it — the incremental-maintenance path a log-ingesting
-// deployment would use.
-func (s *Store) AppendBlocks(name string, blocks [][]records.Record) (*Snapshot, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := (*s.catalog.Load())[name]
-	if !ok {
-		return nil, ErrUnknownArray
-	}
-	prev := e.snap.Load()
-	snap := s.newSnapshot(name, prev.Epoch+1, prev.Arr.Appended(blocks))
 	e.snap.Store(snap)
 	return snap, nil
 }

@@ -71,7 +71,7 @@ func TestStoreAppendIsolation(t *testing.T) {
 	before, _ := s.Get("logs")
 	wantBase := before.Arr.Estimate("base-0")
 
-	sn, err := s.AppendBlocks("logs", [][]records.Record{blockOf("new-0")})
+	sn, err := s.Append("logs", elasticmap.Build([][]records.Record{blockOf("new-0")}, testOpts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,9 +84,6 @@ func TestStoreAppendIsolation(t *testing.T) {
 	}
 	if before.Arr.Estimate("base-0") != wantBase {
 		t.Fatal("old snapshot estimate changed")
-	}
-	if _, err := s.AppendBlocks("nope", nil); err != ErrUnknownArray {
-		t.Fatalf("append to unknown array: %v", err)
 	}
 	if _, err := s.Append("nope", sn.Arr); err != ErrUnknownArray {
 		t.Fatalf("Append to unknown array: %v", err)
@@ -106,7 +103,7 @@ func TestStoreAppendMatchesFreshBuild(t *testing.T) {
 	s := NewStore(8)
 	s.Put("logs", elasticmap.Build(base, testOpts))
 	for _, b := range extra {
-		if _, err := s.AppendBlocks("logs", [][]records.Record{b}); err != nil {
+		if _, err := s.Append("logs", elasticmap.Build([][]records.Record{b}, testOpts)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -169,8 +166,8 @@ func TestStoreConcurrentAppendQuery(t *testing.T) {
 	for a := range appended {
 		for i := range appended[a] {
 			m := elasticmap.BuildBlockMeta(appended[a][i], testOpts)
-			for sub, sz := range m.Hashed() {
-				expectEstimate[sub] = sz
+			for _, sub := range []string{subFor(a, i), subFor(a, i) + "-extra"} {
+				expectEstimate[sub], _ = m.Query(sub)
 			}
 		}
 	}
@@ -194,7 +191,7 @@ func TestStoreConcurrentAppendQuery(t *testing.T) {
 		go func(a int) {
 			defer wg.Done()
 			for i := 0; i < appendsPerWorker; i++ {
-				if _, err := s.AppendBlocks("logs", [][]records.Record{appended[a][i]}); err != nil {
+				if _, err := s.Append("logs", elasticmap.Build([][]records.Record{appended[a][i]}, testOpts)); err != nil {
 					report("append %d/%d: %v", a, i, err)
 					return
 				}
@@ -276,15 +273,15 @@ func TestStoreConcurrentAppendQuery(t *testing.T) {
 	// incremental array against a fresh batch Build of the same sequence.
 	inOrder := append([][]records.Record{}, base...)
 	for bi := len(base); bi < final.Arr.Len(); bi++ {
-		var a, i int
-		found := false
-		for sub := range final.Arr.Block(bi).Hashed() {
-			if n, _ := fmt.Sscanf(sub, "a%02di%02d", &a, &i); n == 2 {
-				found = true
-				break
+		a, i := -1, -1
+		for ca := range appended {
+			for ci := range appended[ca] {
+				if _, c := final.Arr.Block(bi).Query(subFor(ca, ci)); c == elasticmap.Hashed {
+					a, i = ca, ci
+				}
 			}
 		}
-		if !found || a < 0 || a >= appenders || i < 0 || i >= appendsPerWorker {
+		if a < 0 {
 			t.Fatalf("block %d is not an appended block", bi)
 		}
 		inOrder = append(inOrder, appended[a][i])

@@ -143,7 +143,7 @@ func TestKernelAgainstModel(t *testing.T) {
 			if want == nil || e.Seq() != want.seq {
 				t.Fatalf("seed %d op %d: delivered seq %d (t=%v), model wants %+v", seed, ops, e.Seq(), e.At, want)
 			}
-			if !e.Delivered() || k.Now() != e.At {
+			if !e.delivered || k.Now() != e.At {
 				t.Fatalf("seed %d: observer ran before the clock/flag update", seed)
 			}
 			want.delivered = true

@@ -47,9 +47,6 @@ type Event struct {
 // only declares "this instant no longer creates work". Hiding is one-way.
 func (e *Event) Hide() { e.hidden = true }
 
-// Delivered reports whether the kernel already delivered the event.
-func (e *Event) Delivered() bool { return e.delivered }
-
 // Seq is the kernel-assigned insertion sequence number (the final
 // tie-break of the delivery order).
 func (e *Event) Seq() uint64 { return e.seq }
@@ -120,9 +117,6 @@ func New(c *Clock) *Kernel {
 	}
 	return &Kernel{clock: c}
 }
-
-// Clock returns the kernel's clock.
-func (k *Kernel) Clock() *Clock { return k.clock }
 
 // Now returns the current simulated time.
 func (k *Kernel) Now() float64 { return k.clock.now }

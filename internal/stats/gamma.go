@@ -99,15 +99,6 @@ func (g Gamma) Sample(rng *rand.Rand) float64 {
 	}
 }
 
-// SampleN draws n variates.
-func (g Gamma) SampleN(rng *rand.Rand, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = g.Sample(rng)
-	}
-	return out
-}
-
 // RegularizedGammaP computes P(a, x) = γ(a, x) / Γ(a), the regularized
 // lower incomplete gamma function, using the series expansion for
 // x < a+1 and the continued fraction for x >= a+1 (Numerical Recipes
@@ -122,20 +113,6 @@ func RegularizedGammaP(a, x float64) float64 {
 		return gammaPSeries(a, x)
 	default:
 		return 1 - gammaQContinuedFraction(a, x)
-	}
-}
-
-// RegularizedGammaQ computes Q(a, x) = 1 - P(a, x).
-func RegularizedGammaQ(a, x float64) float64 {
-	switch {
-	case a <= 0 || math.IsNaN(a) || math.IsNaN(x):
-		return math.NaN()
-	case x <= 0:
-		return 1
-	case x < a+1:
-		return 1 - gammaPSeries(a, x)
-	default:
-		return gammaQContinuedFraction(a, x)
 	}
 }
 
@@ -222,13 +199,4 @@ func Imbalance(block Gamma, nBlocks, mNodes int) ImbalanceProbabilities {
 		AboveTriple:  z.Tail(3 * e),
 		ExpectedLoad: e,
 	}
-}
-
-// ExpectedExtremeNodes returns the expected number of nodes whose workload
-// falls below lo*E or above hi*E (paper §II-B uses lo=1/2,1/3 and hi=2,3).
-func ExpectedExtremeNodes(block Gamma, nBlocks, mNodes int, lo, hi float64) (below, above float64) {
-	z := NodeWorkload(block, nBlocks, mNodes)
-	e := z.Mean()
-	m := float64(mNodes)
-	return m * z.CDF(lo*e), m * z.Tail(hi*e)
 }

@@ -130,17 +130,19 @@ func TestGammaSampleMoments(t *testing.T) {
 }
 
 func TestRegularizedGammaIdentities(t *testing.T) {
-	// P + Q = 1 across the series/continued-fraction switchover.
+	// P stays in [0, 1] and non-decreasing in x across the
+	// series/continued-fraction switchover at x = a+1.
 	for _, a := range []float64{0.3, 1, 2.7, 10, 48} {
-		for _, x := range []float64{0.01, 0.5, a, a + 1, 3 * a, 10 * a} {
+		prev := 0.0
+		for _, x := range []float64{0.01 * a, 0.5 * a, a, a + 1, 3*a + 1, 10*a + 1} {
 			p := RegularizedGammaP(a, x)
-			q := RegularizedGammaQ(a, x)
-			if math.Abs(p+q-1) > 1e-9 {
-				t.Errorf("P+Q != 1 at a=%g x=%g: %g", a, x, p+q)
-			}
 			if p < 0 || p > 1 {
 				t.Errorf("P(%g,%g) = %g out of range", a, x, p)
 			}
+			if p < prev-1e-12 {
+				t.Errorf("P(%g,%g) = %g below P at a smaller x (%g)", a, x, p, prev)
+			}
+			prev = p
 		}
 	}
 	if !math.IsNaN(RegularizedGammaP(-1, 1)) {
@@ -148,9 +150,6 @@ func TestRegularizedGammaIdentities(t *testing.T) {
 	}
 	if RegularizedGammaP(2, 0) != 0 {
 		t.Error("P(a,0) should be 0")
-	}
-	if RegularizedGammaQ(2, 0) != 1 {
-		t.Error("Q(a,0) should be 1")
 	}
 }
 
@@ -185,8 +184,11 @@ func TestImbalanceGrowsWithClusterSize(t *testing.T) {
 	}
 }
 
+// Paper §II-B counts extreme nodes: m·P(Z < E/2) nodes below half the
+// balanced workload and m·P(Z > 2E) above twice it, ≈ 4 at m = 128.
 func TestExpectedExtremeNodes(t *testing.T) {
-	below, above := ExpectedExtremeNodes(Gamma{K: 1.2, Theta: 7}, 512, 128, 0.5, 2)
+	im := Imbalance(Gamma{K: 1.2, Theta: 7}, 512, 128)
+	below, above := 128*im.BelowHalf, 128*im.AboveDouble
 	if below <= 0 || above <= 0 {
 		t.Fatalf("expected positive extreme-node counts, got %g, %g", below, above)
 	}

@@ -38,21 +38,6 @@ func (g Gamma) Quantile(p float64) float64 {
 	return (lo + hi) / 2
 }
 
-// PercentileOf returns the empirical percentile (0..1 rank fraction) that
-// value x occupies within the sample xs.
-func PercentileOf(xs []float64, x float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	below := 0
-	for _, v := range xs {
-		if v <= x {
-			below++
-		}
-	}
-	return float64(below) / float64(len(xs))
-}
-
 // Percentile returns the p-th (0..1) empirical percentile of xs using the
 // nearest-rank method.
 func Percentile(xs []float64, p float64) float64 {

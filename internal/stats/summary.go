@@ -49,15 +49,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// SummarizeInts converts to float64 and summarizes.
-func SummarizeInts(xs []int64) Summary {
-	fs := make([]float64, len(xs))
-	for i, x := range xs {
-		fs[i] = float64(x)
-	}
-	return Summarize(fs)
-}
-
 // CV returns the coefficient of variation (Std/Mean), 0 when the mean is 0.
 func (s Summary) CV() float64 {
 	if s.Mean == 0 {
@@ -73,54 +64,4 @@ func (s Summary) ImbalanceRatio() float64 {
 		return 0
 	}
 	return s.Max / s.Mean
-}
-
-// Histogram is a fixed-bin histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	Under  int // samples < Lo
-	Over   int // samples >= Hi
-}
-
-// NewHistogram creates a histogram with the given bounds and bin count.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 {
-		bins = 1
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-		if i >= len(h.Counts) {
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of observations including out-of-range ones.
-func (h *Histogram) Total() int {
-	t := h.Under + h.Over
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
 }

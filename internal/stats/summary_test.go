@@ -37,13 +37,6 @@ func TestSummarizeOddMedian(t *testing.T) {
 	}
 }
 
-func TestSummarizeInts(t *testing.T) {
-	s := SummarizeInts([]int64{10, 20, 30})
-	if s.Mean != 20 || s.N != 3 {
-		t.Errorf("SummarizeInts = %+v", s)
-	}
-}
-
 func TestSummaryRatios(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3})
 	if got := s.ImbalanceRatio(); math.Abs(got-1.5) > 1e-12 {
@@ -76,36 +69,6 @@ func TestSummarizeInvariantsQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 42} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Errorf("under/over = %d/%d, want 1/2", h.Under, h.Over)
-	}
-	if h.Total() != 7 {
-		t.Errorf("total = %d, want 7", h.Total())
-	}
-	if h.Counts[0] != 2 { // 0 and 1.9 land in [0,2)
-		t.Errorf("bin0 = %d, want 2", h.Counts[0])
-	}
-	if h.Counts[1] != 1 || h.Counts[4] != 1 {
-		t.Errorf("bins = %v", h.Counts)
-	}
-	if got := h.BinCenter(0); got != 1 {
-		t.Errorf("BinCenter(0) = %g, want 1", got)
-	}
-}
-
-func TestHistogramDegenerateArgs(t *testing.T) {
-	h := NewHistogram(5, 5, 0) // hi<=lo and bins<=0 corrected
-	h.Add(5)
-	if h.Total() != 1 {
-		t.Errorf("total = %d", h.Total())
 	}
 }
 
@@ -159,28 +122,6 @@ func TestZipfDegenerate(t *testing.T) {
 	u := NewZipf(10, 0) // uniform
 	if math.Abs(u.Weight(0)-0.1) > 1e-12 || math.Abs(u.Weight(9)-0.1) > 1e-12 {
 		t.Errorf("uniform weights: %g, %g", u.Weight(0), u.Weight(9))
-	}
-}
-
-func TestPoisson(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, lambda := range []float64{0.5, 4, 25, 100} {
-		const n = 50000
-		var sum float64
-		for i := 0; i < n; i++ {
-			k := Poisson(rng, lambda)
-			if k < 0 {
-				t.Fatalf("negative Poisson draw %d", k)
-			}
-			sum += float64(k)
-		}
-		mean := sum / n
-		if math.Abs(mean-lambda)/lambda > 0.05 {
-			t.Errorf("Poisson(%g) mean = %g", lambda, mean)
-		}
-	}
-	if Poisson(rng, 0) != 0 || Poisson(rng, -1) != 0 {
-		t.Error("non-positive lambda must give 0")
 	}
 }
 

@@ -186,11 +186,3 @@ func (r *Recorder) Events() []Event {
 	}
 	return r.events
 }
-
-// Reset drops all recorded events so the recorder can serve another run.
-func (r *Recorder) Reset() {
-	if r == nil {
-		return
-	}
-	r.events = r.events[:0]
-}

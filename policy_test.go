@@ -91,9 +91,8 @@ func TestPolicyValues(t *testing.T) {
 			spellings: map[string]flag.Value{
 				"": val(datanet.DetectOracle), "oracle": val(datanet.DetectOracle),
 				"heartbeat": val(datanet.DetectHeartbeat), "hb": val(datanet.DetectHeartbeat),
-				"phi": val(datanet.DetectPhi),
 			},
-			bad:   []string{"nope", "HB"},
+			bad:   []string{"nope", "HB", "phi"},
 			typed: detect.ErrBadConfig,
 		},
 		{
