@@ -1,12 +1,17 @@
 package datanet_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
+	"io"
+	"os"
+	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -27,104 +32,197 @@ var testHelpers = map[string]string{
 	"hdfs.FileSystem.ReplicationHealth": "the re-replication invariant of the mapreduce fault tests and the root integration test",
 	"hdfs.FileSystem.NodeBlocks":        "the data-node block report those same tests read to see a failed node emptied",
 	"apps.Extended":                     "the full app set the mapreduce collector and partition-independence tests sweep",
+	"mapreduce.MapOutput.Output":        "the ledger-fold reference output of the mapreduce collector test and the suite's output-gate test",
+	"sim.Event.Seq":                     "the kernel posting order the mapreduce kill-order test and the sim model test compare",
+}
+
+// listedPackage is the part of `go list -json` output the scan reads.
+type listedPackage struct {
+	ImportPath, Dir, Export string
+	GoFiles                 []string
+	Standard                bool
 }
 
 // TestNoUncalledFunctions fails on any function or method declared under
-// internal/ that no non-test file of the module refers to. A method counts
-// as used when a selector on a value names it (method values included); a
-// function when it is named as pkg.Name through an import of its package,
-// or by a bare identifier inside its own package.
+// internal/ — interface methods included — that no non-test file of the
+// module refers to. It type-checks the module's non-test sources in one
+// type universe (standard-library imports come from the export data `go
+// list -export` points at), so a use resolves to the one declaration it
+// names: same-named methods of other types do not shield each other. A
+// method selected through an interface counts every module method that
+// implements it as used.
 func TestNoUncalledFunctions(t *testing.T) {
-	type decl struct {
-		pos        token.Position
-		pkg, recv  string
-		name, self string
+	out, err := exec.Command("go", "list", "-deps", "-export",
+		"-json=ImportPath,Dir,Export,GoFiles,Standard", "./...").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
 	}
+	var pkgs []listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var p listedPackage
+		if err := dec.Decode(&p); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, p)
+	}
+
 	fset := token.NewFileSet()
-	var decls []decl
-	selected := map[string]bool{} // method names seen in any selector
-	named := map[string]bool{}    // "importpath.Name" of functions referred to
-	helpers := map[string]bool{}  // testHelpers keys that matched an uncalled declaration
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	exports := map[string]string{}
+	for _, p := range pkgs {
+		exports[p.ImportPath] = p.Export
+	}
+	imp := moduleImporter{
+		src: map[string]*types.Package{},
+		std: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+			return os.Open(exports[path])
+		}),
+	}
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	var files []*ast.File    // the non-test files under internal/
+	var named []*types.Named // the module's named types
+	for _, p := range pkgs { // -deps lists every package after its imports
+		if p.Standard {
+			continue
+		}
+		var pf []*ast.File
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pf = append(pf, f)
+		}
+		conf := types.Config{Importer: imp}
+		tp, err := conf.Check(p.ImportPath, fset, pf, info)
 		if err != nil {
-			return err
+			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
 		}
-		if d.IsDir() {
-			if n := d.Name(); n == "testdata" || (len(n) > 1 && n[0] == '.') {
-				return filepath.SkipDir
-			}
-			return nil
+		imp.src[p.ImportPath] = tp
+		if strings.HasPrefix(p.ImportPath, "datanet/internal/") {
+			files = append(files, pf...)
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		self := filepath.ToSlash(filepath.Join("datanet", filepath.Dir(path)))
-		imports := map[string]string{}
-		for _, im := range f.Imports {
-			p, _ := strconv.Unquote(im.Path.Value)
-			name := p[strings.LastIndex(p, "/")+1:]
-			if im.Name != nil {
-				name = im.Name.Name
-			}
-			imports[name] = p
-		}
-		skip := map[*ast.Ident]bool{}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				skip[n.Name] = true
-				if !strings.HasPrefix(self, "datanet/internal/") || (n.Recv == nil && n.Name.Name == "init") {
-					break
-				}
-				dc := decl{pos: fset.Position(n.Pos()), pkg: f.Name.Name, name: n.Name.Name, self: self}
-				if n.Recv != nil {
-					dc.recv = recvName(n.Recv.List[0].Type)
-				}
-				decls = append(decls, dc)
-			case *ast.SelectorExpr:
-				skip[n.Sel] = true
-				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-					named[imports[x.Name]+"."+n.Sel.Name] = true
-				} else {
-					selected[n.Sel.Name] = true
-				}
-			case *ast.Ident:
-				if !skip[n] {
-					named[self+"."+n.Name] = true
+		for _, name := range tp.Scope().Names() {
+			if tn, ok := tp.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				if n, ok := tn.Type().(*types.Named); ok {
+					named = append(named, n)
 				}
 			}
-			return true
-		})
-		return nil
-	})
+		}
+	}
+
+	// Every function or method a non-test file refers to, and every
+	// interface method it selects.
+	used := map[*types.Func]bool{}
+	var ifaceUses []*types.Func
+	for _, obj := range info.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			continue
+		}
+		fn = fn.Origin()
+		if !used[fn] && isInterfaceMethod(fn) {
+			ifaceUses = append(ifaceUses, fn)
+		}
+		used[fn] = true
+	}
+	for _, m := range ifaceUses {
+		iface := m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+		for _, n := range named {
+			if types.IsInterface(n) || n.TypeParams().Len() > 0 {
+				continue
+			}
+			for _, v := range []types.Type{n, types.NewPointer(n)} {
+				if !types.Implements(v, iface) {
+					continue
+				}
+				if impl, _, _ := types.LookupFieldOrMethod(v, true, m.Pkg(), m.Name()); impl != nil {
+					used[impl.(*types.Func).Origin()] = true
+				}
+			}
+		}
+	}
+
+	wd, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range decls {
-		key := d.pkg + "." + d.name
-		if d.recv != "" {
-			key = d.pkg + "." + d.recv + "." + d.name
-			if selected[d.name] || interfaceMethods[d.name] {
-				continue
-			}
-		} else if named[d.self+"."+d.name] {
-			continue
+	helpers := map[string]bool{} // testHelpers keys that matched an uncalled declaration
+	report := func(id *ast.Ident, recv string) {
+		fn := info.Defs[id].(*types.Func)
+		if used[fn] || (recv != "" && interfaceMethods[id.Name]) {
+			return
 		}
-		if testHelpers[key] != "" {
+		name := id.Name
+		if recv != "" {
+			name = recv + "." + name
+		}
+		if key := fn.Pkg().Name() + "." + name; testHelpers[key] != "" {
 			helpers[key] = true
-			continue
+			return
 		}
-		t.Errorf("%s:%d %s is called by no non-test code", d.pos.Filename, d.pos.Line, strings.TrimPrefix(key, d.pkg+"."))
+		pos := fset.Position(id.Pos())
+		rel, _ := filepath.Rel(wd, pos.Filename)
+		t.Errorf("%s:%d %s is called by no non-test code", filepath.ToSlash(rel), pos.Line, name)
+	}
+	for _, f := range files {
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil && d.Name.Name == "init" {
+					continue
+				}
+				var recv string
+				if d.Recv != nil {
+					recv = recvName(d.Recv.List[0].Type)
+				}
+				report(d.Name, recv)
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					ts, ok := s.(*ast.TypeSpec)
+					if !ok {
+						continue
+					}
+					it, ok := ts.Type.(*ast.InterfaceType)
+					if !ok {
+						continue
+					}
+					for _, m := range it.Methods.List {
+						for _, id := range m.Names {
+							report(id, ts.Name.Name)
+						}
+					}
+				}
+			}
+		}
 	}
 	for key := range testHelpers {
 		if !helpers[key] {
 			t.Errorf("allow-listed %s is gone or has a non-test caller: drop it from testHelpers", key)
 		}
 	}
+}
+
+// moduleImporter resolves the module's own packages to their
+// source-checked types and everything else to compiler export data, so
+// all of them share one type universe.
+type moduleImporter struct {
+	src map[string]*types.Package
+	std types.Importer
+}
+
+func (m moduleImporter) Import(path string) (*types.Package, error) {
+	if p := m.src[path]; p != nil {
+		return p, nil
+	}
+	return m.std.Import(path)
+}
+
+// isInterfaceMethod reports whether fn is declared by an interface.
+func isInterfaceMethod(fn *types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && types.IsInterface(recv.Type())
 }
 
 // recvName is the receiver's type name, without pointer or type parameters.

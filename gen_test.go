@@ -47,8 +47,8 @@ func TestGenerateWebLogFacade(t *testing.T) {
 func TestNewScaledCluster(t *testing.T) {
 	full := datanet.NewCluster(4, 2)
 	scaled := datanet.NewScaledCluster(4, 2, 256<<10)
-	if scaled.N() != 4 || scaled.Racks() != 2 {
-		t.Fatalf("scaled topology: %d nodes, %d racks", scaled.N(), scaled.Racks())
+	if scaled.N() != 4 || scaled.Node(3).Rack != 1 {
+		t.Fatalf("scaled topology: %d nodes, the last on rack %d", scaled.N(), scaled.Node(3).Rack)
 	}
 	// Rates shrink by blockSize / 64 MiB.
 	ratio := scaled.Node(0).CPURate / full.Node(0).CPURate

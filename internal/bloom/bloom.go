@@ -127,12 +127,6 @@ func (f *Filter) Test(data []byte) bool { return f.TestKey(KeyOf(string(data))) 
 // TestString reports whether a string key may be present.
 func (f *Filter) TestString(s string) bool { return f.TestKey(KeyOf(s)) }
 
-// K returns the number of hash functions.
-func (f *Filter) K() uint64 { return f.k }
-
-// Count returns the number of Add calls.
-func (f *Filter) Count() uint64 { return f.count }
-
 // SizeBits returns the memory footprint of the bitmap in bits.
 func (f *Filter) SizeBits() uint64 { return f.m }
 

@@ -19,7 +19,7 @@ func TestNewValidation(t *testing.T) {
 		t.Errorf("New(64,0) err = %v, want ErrBadParams", err)
 	}
 	f, err := New(128, 3)
-	if err != nil || f.SizeBits() != 128 || f.K() != 3 {
+	if err != nil || f.SizeBits() != 128 || f.k != 3 {
 		t.Fatalf("New(128,3) = %v, %v", f, err)
 	}
 }
@@ -72,7 +72,7 @@ func TestFalsePositiveRateNearTarget(t *testing.T) {
 		t.Errorf("observed FP rate %g exceeds 3× target %g", rate, fp)
 	}
 	// The textbook estimate (1 - e^{-kn/m})^k at the filter's own k and m.
-	k, m := float64(f.K()), float64(f.SizeBits())
+	k, m := float64(f.k), float64(f.SizeBits())
 	if est := math.Pow(1-math.Exp(-k*n/m), k); math.Abs(est-rate) > 0.02 {
 		t.Errorf("estimated FP %g vs observed %g", est, rate)
 	}
@@ -95,7 +95,7 @@ func TestNewWithEstimatesDegenerate(t *testing.T) {
 		fp float64
 	}{{0, 0.01}, {10, 0}, {10, 2}} {
 		f := NewWithEstimates(c.n, c.fp)
-		if f == nil || f.SizeBits() == 0 || f.K() == 0 {
+		if f == nil || f.SizeBits() == 0 || f.k == 0 {
 			t.Errorf("NewWithEstimates(%d, %g) produced unusable filter", c.n, c.fp)
 		}
 	}
@@ -112,15 +112,15 @@ func fillRatio(f *Filter) float64 {
 
 func TestCountAndFillRatio(t *testing.T) {
 	f := NewWithEstimates(100, 0.01)
-	if f.Count() != 0 || fillRatio(f) != 0 {
+	if f.count != 0 || fillRatio(f) != 0 {
 		t.Error("fresh filter should be empty")
 	}
 	f.AddString("a")
 	f.AddString("b")
-	if f.Count() != 2 {
-		t.Errorf("Count = %d, want 2", f.Count())
+	if f.count != 2 {
+		t.Errorf("Count = %d, want 2", f.count)
 	}
-	if fr := fillRatio(f); fr <= 0 || fr > float64(2*f.K())/float64(f.SizeBits()) {
+	if fr := fillRatio(f); fr <= 0 || fr > float64(2*f.k)/float64(f.SizeBits()) {
 		t.Errorf("FillRatio = %g out of expected bounds", fr)
 	}
 }
@@ -139,8 +139,8 @@ func TestMarshalRoundtrip(t *testing.T) {
 	if err := g.UnmarshalBinary(data); err != nil {
 		t.Fatal(err)
 	}
-	if g.SizeBits() != f.SizeBits() || g.K() != f.K() || g.Count() != f.Count() {
-		t.Fatalf("roundtrip mismatch: %d/%d/%d vs %d/%d/%d", g.SizeBits(), g.K(), g.Count(), f.SizeBits(), f.K(), f.Count())
+	if g.SizeBits() != f.SizeBits() || g.k != f.k || g.count != f.count {
+		t.Fatalf("roundtrip mismatch: %d/%d/%d vs %d/%d/%d", g.SizeBits(), g.k, g.count, f.SizeBits(), f.k, f.count)
 	}
 	for _, k := range keys {
 		if !g.TestString(k) {

@@ -111,9 +111,6 @@ func NewHeterogeneous(specs []Node, racks int) (*Topology, error) {
 // N returns the node count.
 func (t *Topology) N() int { return len(t.nodes) }
 
-// Racks returns the rack count.
-func (t *Topology) Racks() int { return t.racks }
-
 // Node returns node i; it panics on an out-of-range id, which is always a
 // programming error in this codebase.
 func (t *Topology) Node(id NodeID) Node {
@@ -121,13 +118,6 @@ func (t *Topology) Node(id NodeID) Node {
 		panic(fmt.Sprintf("cluster: node %d out of range [0,%d)", id, len(t.nodes)))
 	}
 	return t.nodes[id]
-}
-
-// Nodes returns a copy of all node descriptors.
-func (t *Topology) Nodes() []Node {
-	out := make([]Node, len(t.nodes))
-	copy(out, t.nodes)
-	return out
 }
 
 // IDs returns all node ids in order.

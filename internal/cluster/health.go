@@ -21,14 +21,6 @@ const (
 // NewHealth returns a table of n live, staying nodes.
 func NewHealth(n int) *Health { return &Health{bits: make([]uint8, n)} }
 
-// N is the size of the id range the table knows.
-func (h *Health) N() int {
-	if h == nil {
-		return 0
-	}
-	return len(h.bits)
-}
-
 // Suspected reports whether the table believes the node dead: a detector
 // suspects it, or the table does not know it.
 func (h *Health) Suspected(id NodeID) bool {

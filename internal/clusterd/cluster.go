@@ -266,21 +266,6 @@ func (c *Cluster) MetricsDumps() []server.MetricsDump {
 // heartbeat interval, the granularity at which routing state changes.
 func (c *Cluster) RetryHint() float64 { return c.cfg.Detect.Interval }
 
-// Now returns the last Tick instant.
-func (c *Cluster) Now() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-// Gen returns the topology generation; it bumps on every role or
-// membership change, so clients know when to refresh their shard map.
-func (c *Cluster) Gen() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gen
-}
-
 // Node returns a member's data-plane handle (HTTP wiring, chaos census).
 func (c *Cluster) Node(id cluster.NodeID) (*Node, bool) {
 	c.mu.Lock()
@@ -329,14 +314,9 @@ func (c *Cluster) Load(name string, arr *elasticmap.Array) error {
 	if s.primary < 0 {
 		return fmt.Errorf("%w: shard %d", ErrNoLeader, si)
 	}
-	pm := c.members[s.primary]
-	sn, err := pm.node.putLocal(si, s.fence, name, arr)
+	sn, err := c.writeAt(s.primary, name, replaceWith(arr), false)
 	if err != nil {
 		return err
-	}
-	s.published[name] = sn.Epoch
-	if sn.Epoch > s.acked[name] {
-		s.acked[name] = sn.Epoch
 	}
 	for _, f := range s.followers {
 		fm, ok := c.members[f]
@@ -358,7 +338,7 @@ func (c *Cluster) Append(name string, more *elasticmap.Array) (*server.Snapshot,
 	if s.primary < 0 {
 		return nil, fmt.Errorf("%w: %q", ErrNoLeader, name)
 	}
-	return c.appendAt(s.primary, name, more)
+	return c.writeAt(s.primary, name, appendTo(name, more), true)
 }
 
 // AppendAt sends a write to a specific node, as a client with a possibly
@@ -366,25 +346,7 @@ func (c *Cluster) Append(name string, more *elasticmap.Array) (*server.Snapshot,
 func (c *Cluster) AppendAt(id cluster.NodeID, name string, more *elasticmap.Array) (*server.Snapshot, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.appendAt(id, name, more)
-}
-
-func (c *Cluster) appendAt(id cluster.NodeID, name string, more *elasticmap.Array) (*server.Snapshot, error) {
-	m, ok := c.members[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: node %d not a member", ErrNodeDown, id)
-	}
-	si := ShardOf(name, c.cfg.Shards)
-	r, ok := m.node.Role(si)
-	if !ok || !r.Primary {
-		return nil, fmt.Errorf("%w: shard %d at node %d", ErrNotLeader, si, id)
-	}
-	sn, err := m.node.appendLocal(si, r.Fence, name, more)
-	if err != nil {
-		return nil, err
-	}
-	c.publish(si, id, r.Fence, name, sn)
-	return sn, nil
+	return c.writeAt(id, name, appendTo(name, more), true)
 }
 
 // PutAt installs an array wholesale at a specific node — the cluster PUT
@@ -392,6 +354,17 @@ func (c *Cluster) appendAt(id cluster.NodeID, name string, more *elasticmap.Arra
 func (c *Cluster) PutAt(id cluster.NodeID, name string, arr *elasticmap.Array) (*server.Snapshot, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.writeAt(id, name, replaceWith(arr), true)
+}
+
+// writeAt is the one write path: node id, which must lead name's shard,
+// installs the array next forms (Node.writeLocal). The new epoch is the
+// write's ack point: booked as published (followers must reach it) and
+// acked (a client has seen it), then, when ship is set, fanned out
+// asynchronously. A write that raced a re-fence is not booked — its
+// node-side effect is superseded by the new lineage's floors. Caller holds
+// the cluster lock.
+func (c *Cluster) writeAt(id cluster.NodeID, name string, next func(*server.Snapshot) (*elasticmap.Array, error), ship bool) (*server.Snapshot, error) {
 	m, ok := c.members[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: node %d not a member", ErrNodeDown, id)
@@ -401,28 +374,26 @@ func (c *Cluster) PutAt(id cluster.NodeID, name string, arr *elasticmap.Array) (
 	if !ok || !r.Primary {
 		return nil, fmt.Errorf("%w: shard %d at node %d", ErrNotLeader, si, id)
 	}
-	sn, err := m.node.putLocal(si, r.Fence, name, arr)
+	sn, err := m.node.writeLocal(si, r.Fence, name, next)
 	if err != nil {
 		return nil, err
 	}
-	c.publish(si, id, r.Fence, name, sn)
-	return sn, nil
-}
-
-// publish is the ack point of a write: record the epoch as published
-// (followers must reach it) and acked (a client has seen it), then fan it
-// out asynchronously. A write that raced a re-fence is not booked — its
-// node-side effect is superseded by the new lineage's floors.
-func (c *Cluster) publish(si int, id cluster.NodeID, fence uint64, name string, sn *server.Snapshot) {
 	s := c.shards[si]
-	if s.primary != id || fence != s.fence {
-		return
+	if s.primary != id || r.Fence != s.fence {
+		return sn, nil
 	}
 	s.published[name] = sn.Epoch
 	if sn.Epoch > s.acked[name] {
 		s.acked[name] = sn.Epoch
 	}
-	c.ship(si, name, sn)
+	if ship {
+		for _, f := range s.followers {
+			if _, ok := c.members[f]; ok && !c.health.Suspected(f) {
+				c.enqueueShip(si, f, name, sn)
+			}
+		}
+	}
+	return sn, nil
 }
 
 // Read routes a query through the shard map to the current primary.
@@ -462,25 +433,19 @@ func (c *Cluster) readAt(id cluster.NodeID, name string) (*server.Snapshot, bool
 	return sn, stale, nil
 }
 
-// ship enqueues sn to every reachable follower of shard si, capped at one
+// enqueueShip queues sn for follower f of shard si, capped at one
 // in-flight shipment per (follower, array); repair re-ships any gap left
 // by the cap once the in-flight one lands.
-func (c *Cluster) ship(si int, name string, sn *server.Snapshot) {
-	s := c.shards[si]
-	for _, f := range s.followers {
-		if _, ok := c.members[f]; !ok || c.health.Suspected(f) {
-			continue
-		}
-		key := shipKey{shard: si, to: f, name: name}
-		if c.pending[key] {
-			continue
-		}
-		c.pending[key] = true
-		c.ships = append(c.ships, shipment{
-			due: c.now + c.cfg.ShipDelay, shard: si, fence: s.fence,
-			to: f, name: name, arr: sn.Arr, epoch: sn.Epoch,
-		})
+func (c *Cluster) enqueueShip(si int, f cluster.NodeID, name string, sn *server.Snapshot) {
+	key := shipKey{shard: si, to: f, name: name}
+	if c.pending[key] {
+		return
 	}
+	c.pending[key] = true
+	c.ships = append(c.ships, shipment{
+		due: c.now + c.cfg.ShipDelay, shard: si, fence: c.shards[si].fence,
+		to: f, name: name, arr: sn.Arr, epoch: sn.Epoch,
+	})
 }
 
 // deliverShips lands every shipment due by now, in FIFO order. A shipment
@@ -966,19 +931,9 @@ func (c *Cluster) reship(si int) {
 			if s.acks[f][name] >= s.published[name] {
 				continue
 			}
-			key := shipKey{shard: si, to: f, name: name}
-			if c.pending[key] {
-				continue
+			if sn, ok := pm.node.Store().Get(name); ok {
+				c.enqueueShip(si, f, name, sn)
 			}
-			sn, ok := pm.node.Store().Get(name)
-			if !ok {
-				continue
-			}
-			c.pending[key] = true
-			c.ships = append(c.ships, shipment{
-				due: c.now + c.cfg.ShipDelay, shard: si, fence: s.fence,
-				to: f, name: name, arr: sn.Arr, epoch: sn.Epoch,
-			})
 		}
 	}
 }

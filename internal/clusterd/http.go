@@ -94,7 +94,7 @@ func (h *Handler) serve(w http.ResponseWriter, r *http.Request) {
 	}
 	if name, rest, ok := splitArrayPath(r.URL.Path); ok {
 		if sp := obs.SpanFrom(r.Context()); sp != nil {
-			sp.Shard = ShardOf(name, h.c.Shards())
+			sp.Request.Shard = ShardOf(name, h.c.Shards())
 		}
 		switch {
 		case r.Method == http.MethodPost && rest == "/append":
@@ -114,7 +114,7 @@ func (h *Handler) serve(w http.ResponseWriter, r *http.Request) {
 			if stale {
 				w.Header().Set(StaleHeader, "true")
 				if sp := obs.SpanFrom(r.Context()); sp != nil {
-					sp.Stale = true
+					sp.Request.Stale = true
 				}
 			}
 			_ = sn

@@ -203,11 +203,11 @@ func (n *Node) Lookup(name string, shards int) (sn *server.Snapshot, stale bool,
 	return sn, sn.Epoch < floor, nil
 }
 
-// appendLocal merges more into name at the next epoch above both the
-// current snapshot and the promotion floor, under a fence check: a
-// deposed primary whose shard re-fenced refuses the write. Caller holds
-// the cluster lock.
-func (n *Node) appendLocal(shard int, fence uint64, name string, more *elasticmap.Array) (*server.Snapshot, error) {
+// writeLocal installs the array next forms from name's current snapshot
+// (nil when name is absent) at the next epoch above both that snapshot
+// and the promotion floor, under a fence check: a deposed primary whose
+// shard re-fenced refuses the write. Caller holds the cluster lock.
+func (n *Node) writeLocal(shard int, fence uint64, name string, next func(prev *server.Snapshot) (*elasticmap.Array, error)) (*server.Snapshot, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.down {
@@ -217,15 +217,19 @@ func (n *Node) appendLocal(shard int, fence uint64, name string, more *elasticma
 	if !ok || !r.Primary || r.Fence != fence {
 		return nil, fmt.Errorf("%w: shard %d fenced", ErrNotLeader, shard)
 	}
-	prev, ok := n.store.Get(name)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownArray, name)
+	prev, _ := n.store.Get(name)
+	arr, err := next(prev)
+	if err != nil {
+		return nil, err
 	}
-	epoch := prev.Epoch
+	var epoch uint64
+	if prev != nil {
+		epoch = prev.Epoch
+	}
 	if f := n.next[name]; f > epoch {
 		epoch = f
 	}
-	sn, err := n.store.PutEpoch(name, elasticmap.Merge(prev.Arr, more), epoch+1)
+	sn, err := n.store.PutEpoch(name, arr, epoch+1)
 	if err != nil {
 		return nil, err
 	}
@@ -237,34 +241,20 @@ func (n *Node) appendLocal(shard int, fence uint64, name string, more *elasticma
 	return sn, nil
 }
 
-// putLocal installs (or replaces) an array wholesale at the next epoch
-// above the floors, under the same fence discipline as appendLocal.
-func (n *Node) putLocal(shard int, fence uint64, name string, arr *elasticmap.Array) (*server.Snapshot, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.down {
-		return nil, ErrNodeDown
+// appendTo forms an append's next array: more merged onto the current
+// one, which must exist.
+func appendTo(name string, more *elasticmap.Array) func(*server.Snapshot) (*elasticmap.Array, error) {
+	return func(prev *server.Snapshot) (*elasticmap.Array, error) {
+		if prev == nil {
+			return nil, fmt.Errorf("%w: %q", ErrUnknownArray, name)
+		}
+		return elasticmap.Merge(prev.Arr, more), nil
 	}
-	r, ok := n.roles[shard]
-	if !ok || !r.Primary || r.Fence != fence {
-		return nil, fmt.Errorf("%w: shard %d fenced", ErrNotLeader, shard)
-	}
-	var epoch uint64
-	if prev, ok := n.store.Get(name); ok {
-		epoch = prev.Epoch
-	}
-	if f := n.next[name]; f > epoch {
-		epoch = f
-	}
-	sn, err := n.store.PutEpoch(name, arr, epoch+1)
-	if err != nil {
-		return nil, err
-	}
-	delete(n.next, name)
-	if sn.Epoch >= n.expect[name] {
-		delete(n.expect, name)
-	}
-	return sn, nil
+}
+
+// replaceWith forms a put's next array: arr, whatever was there.
+func replaceWith(arr *elasticmap.Array) func(*server.Snapshot) (*elasticmap.Array, error) {
+	return func(*server.Snapshot) (*elasticmap.Array, error) { return arr, nil }
 }
 
 // applyReplica is the follower side of snapshot shipping: install the

@@ -12,6 +12,7 @@ import (
 
 	"datanet/internal/cluster"
 	"datanet/internal/obs"
+	"datanet/internal/trace"
 )
 
 // promSamples parses exposition text into sample → value, skipping
@@ -145,22 +146,22 @@ func TestHandlerTraceSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var found *obs.Span
+	var found *trace.Event
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
-		var sp obs.Span
-		if err := json.Unmarshal(sc.Bytes(), &sp); err != nil {
+		var sp trace.Event
+		if err := json.Unmarshal(sc.Bytes(), &sp); err != nil || sp.Request == nil {
 			t.Fatalf("bad trace line %q: %v", sc.Text(), err)
 		}
-		if sp.RequestID == "trace-test-1" {
+		if sp.Request.ID == "trace-test-1" {
 			found = &sp
 		}
 	}
 	if found == nil {
 		t.Fatal("traced request not in span ring")
 	}
-	if found.Node != int(primary) || found.Shard != si || found.Status != 200 ||
-		found.Route != "estimate" || found.Stale {
-		t.Errorf("span annotations wrong: %+v", found)
+	if q := found.Request; found.Type != trace.EvRequest || found.Node != int(primary) || q.Shard != si ||
+		q.Status != 200 || found.Detail != "estimate" || q.Stale {
+		t.Errorf("span annotations wrong: %+v %+v", found, q)
 	}
 }

@@ -25,9 +25,13 @@ func TestFixtureCloneIsAFreshFilesystem(t *testing.T) {
 		t.Fatal(err)
 	}
 	layout := func(fs *hdfs.FileSystem) [][]cluster.NodeID {
-		out := make([][]cluster.NodeID, fs.NumBlocks())
-		for i := range out {
-			out[i] = fs.Locations(hdfs.BlockID(i))
+		blocks, err := fs.Blocks("dataset.log")
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([][]cluster.NodeID, len(blocks))
+		for i, b := range blocks {
+			out[i] = fs.Locations(b.ID)
 		}
 		return out
 	}

@@ -18,7 +18,6 @@ import (
 	"datanet/internal/cluster"
 	"datanet/internal/placement"
 	"datanet/internal/records"
-	"datanet/internal/trace"
 )
 
 // BlockID identifies a block (dense, filesystem-wide).
@@ -88,10 +87,6 @@ type FileSystem struct {
 	rng    *rand.Rand // placement draws of Write; nil on a Clone
 	blocks []*Block
 	files  map[string]*FileInfo
-	// rec, when non-nil, receives maintenance events (re-replication,
-	// lost blocks) stamped with recNow on the simulated clock.
-	rec    *trace.Recorder
-	recNow float64
 }
 
 // Errors returned by the filesystem API.
@@ -150,19 +145,6 @@ func (fs *FileSystem) Clone() *FileSystem {
 
 // Config returns the effective configuration.
 func (fs *FileSystem) Config() Config { return fs.cfg }
-
-// SetTrace attaches a recorder for name-node maintenance events (nil
-// detaches) and returns the previous one, so a caller that threads its
-// own recorder for the duration of a job can restore the prior state.
-func (fs *FileSystem) SetTrace(r *trace.Recorder) *trace.Recorder {
-	prev := fs.rec
-	fs.rec = r
-	return prev
-}
-
-// SetTraceTime moves the simulated clock maintenance events are stamped
-// with. The filesystem has no clock of its own — the engine drives it.
-func (fs *FileSystem) SetTraceTime(t float64) { fs.recNow = t }
 
 // Topology returns the underlying cluster.
 func (fs *FileSystem) Topology() *cluster.Topology { return fs.topo }
@@ -261,9 +243,6 @@ func (fs *FileSystem) BlockRecords(name string) ([][]records.Record, error) {
 	}
 	return out, nil
 }
-
-// NumBlocks returns the filesystem-wide block count.
-func (fs *FileSystem) NumBlocks() int { return len(fs.blocks) }
 
 // Locations returns the replica nodes of a block (name-node query).
 func (fs *FileSystem) Locations(id BlockID) []cluster.NodeID {

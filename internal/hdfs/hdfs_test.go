@@ -172,7 +172,7 @@ func TestNodeBlocksMatchesLocations(t *testing.T) {
 			count++
 		}
 	}
-	if want := fs.NumBlocks() * DefaultReplication; count != want {
+	if want := len(fs.blocks) * DefaultReplication; count != want {
 		t.Errorf("total replica count %d, want %d", count, want)
 	}
 }
@@ -374,7 +374,7 @@ func TestCloneIsIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	layout := func(fs *FileSystem) [][]cluster.NodeID {
-		out := make([][]cluster.NodeID, fs.NumBlocks())
+		out := make([][]cluster.NodeID, len(fs.blocks))
 		for i := range out {
 			out[i] = fs.Locations(BlockID(i))
 		}

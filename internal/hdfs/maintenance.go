@@ -6,7 +6,6 @@ import (
 
 	"datanet/internal/cluster"
 	"datanet/internal/placement"
-	"datanet/internal/trace"
 )
 
 // This file models the name-node's maintenance: re-replication after
@@ -76,19 +75,6 @@ func (fs *FileSystem) FailNodes(dead []cluster.NodeID) (moved int, lost []BlockI
 		}
 	}
 	sort.Slice(lost, func(i, j int) bool { return lost[i] < lost[j] })
-	if fs.rec.Enabled() {
-		if moved > 0 {
-			ev := trace.At(fs.recNow, trace.EvRereplicate)
-			ev.Count = moved
-			ev.Detail = "crash-repair"
-			fs.rec.Record(ev)
-		}
-		for _, id := range lost {
-			ev := trace.At(fs.recNow, trace.EvBlockLost)
-			ev.Block = int(id)
-			fs.rec.Record(ev)
-		}
-	}
 	return moved, lost
 }
 

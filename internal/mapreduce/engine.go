@@ -359,12 +359,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	rec := cfg.Trace
 	if rec.Enabled() {
-		// The name-node reports maintenance (re-replication, lost blocks)
-		// into the same timeline while this job runs; restore whatever
-		// recorder was attached before, even on error paths.
-		prev := cfg.FS.SetTrace(rec)
-		cfg.FS.SetTraceTime(0)
-		defer cfg.FS.SetTrace(prev)
 		for _, ev := range cfg.Faults.TraceEvents() {
 			rec.Record(ev)
 		}

@@ -659,6 +659,17 @@ func (s *filterSim) noteLatency(d cluster.NodeID, crashAt, respAt float64) {
 	}
 }
 
+// recordRepair records the name-node's repair pass at t: a summary of the
+// replicas it re-created and one event per block it found lost.
+func (s *filterSim) recordRepair(t float64, moved int, lost []hdfs.BlockID) {
+	if moved > 0 {
+		s.rec.Record(trace.Event{T: t, Type: trace.EvRereplicate, Node: -1, Block: -1, Count: moved, Detail: "crash-repair"})
+	}
+	for _, id := range lost {
+		s.rec.Record(trace.Event{T: t, Type: trace.EvBlockLost, Node: -1, Block: int(id)})
+	}
+}
+
 // respond is the master's reaction to nodes it now believes dead (or, for
 // a re-registration, knows rebooted): the name-node repairs replication —
 // once for the whole group, so blocks losing all replicas at once are
@@ -670,9 +681,6 @@ func (s *filterSim) respond(group []cluster.NodeID, t float64) error {
 		return nil
 	}
 	s.layoutDirty = true
-	if s.rec.Enabled() {
-		s.cfg.FS.SetTraceTime(t)
-	}
 	// The repair pass excludes every node that cannot hold replicas right
 	// now: the ones the master believes dead plus crashed nodes whose
 	// response is pending (the group included) — a copy targeted at a corpse
@@ -689,6 +697,7 @@ func (s *filterSim) respond(group []cluster.NodeID, t float64) error {
 		s.noteLatency(d, s.pending[at].at, t)
 	}
 	moved, lost := s.cfg.FS.FailNodes(dead)
+	s.recordRepair(t, moved, lost)
 	s.res.ReplicasRepaired += moved
 	for _, d := range group {
 		// The attempts that died with the node are requeued now — the master
@@ -1258,7 +1267,6 @@ func (s *filterSim) recoverAnalysis(analysisStart float64, durations map[cluster
 		// instant).
 		respAt := s.det.ResponseAt(d, c.At)
 		if s.rec.Enabled() {
-			s.cfg.FS.SetTraceTime(c.At)
 			ev := trace.At(c.At, trace.EvNodeCrash)
 			ev.Node = int(d)
 			ev.Detail = "analysis-phase"
@@ -1272,6 +1280,7 @@ func (s *filterSim) recoverAnalysis(analysisStart float64, durations map[cluster
 			}
 		}
 		moved, lostBlocks := s.cfg.FS.FailNodes(dead)
+		s.recordRepair(c.At, moved, lostBlocks)
 		s.res.ReplicasRepaired += moved
 		s.res.NodeCrashes++
 		if c.At >= analysisStart+durations[d] {

@@ -7,8 +7,12 @@ import (
 	"strings"
 	"testing"
 
+	"datanet/internal/apps"
+	"datanet/internal/cluster"
+	"datanet/internal/detect"
 	"datanet/internal/faults"
 	"datanet/internal/hdfs"
+	"datanet/internal/records"
 	"datanet/internal/sched"
 	"datanet/internal/trace"
 )
@@ -210,5 +214,58 @@ func TestTraceMetaFallbackEvent(t *testing.T) {
 	}
 	if rec.Snapshot().Faults.MetadataFallbacks != 1 {
 		t.Fatal("snapshot missed the fallback")
+	}
+}
+
+// A traced job that loses every replica of a needed block records one
+// hdfs.block-lost event at the master's response instant — the moment
+// the name-node's repair pass finds the block gone — and fails typed.
+func TestFailNodesEmitsBlockLost(t *testing.T) {
+	topo := cluster.MustHomogeneous(4, 1)
+	fs, err := hdfs.NewFileSystem(topo, hdfs.Config{BlockSize: 2048, Replication: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []records.Record
+	for i := 0; i < 400; i++ {
+		recs = append(recs, records.Record{Sub: "movie-A", Time: int64(i), Payload: strings.Repeat("w ", 20)})
+	}
+	if _, err := fs.Write("log", recs); err != nil {
+		t.Fatal(err)
+	}
+	blocks, _ := fs.Blocks("log")
+	holders := fs.Locations(blocks[0].ID)
+	rec := trace.New()
+	_, err = Run(Config{
+		FS: fs, File: "log", App: apps.WordCount{}, Picker: sched.NewLocalityPicker,
+		Detect: detect.Config{Mode: detect.Heartbeat, Interval: 0.02},
+		Faults: &faults.Plan{Crashes: []faults.Crash{{Node: holders[0], At: 0}, {Node: holders[1], At: 0}}},
+		Trace:  rec,
+	})
+	if !errors.Is(err, ErrDataLost) {
+		t.Fatalf("err = %v, want ErrDataLost", err)
+	}
+	respAt := -1.0
+	for _, ev := range rec.Events() {
+		if ev.Type == trace.EvDetectLatency {
+			respAt = ev.T
+		}
+	}
+	var lost []trace.Event
+	for _, ev := range rec.Events() {
+		if ev.Type == trace.EvBlockLost {
+			lost = append(lost, ev)
+		}
+	}
+	if respAt <= 0 || len(lost) == 0 {
+		t.Fatalf("response at %g, %d block-lost events", respAt, len(lost))
+	}
+	for _, ev := range lost {
+		if ev.T != respAt || ev.Node != -1 {
+			t.Errorf("block-lost %+v, want at the response instant %g", ev, respAt)
+		}
+	}
+	if lost[0].Block != int(blocks[0].ID) {
+		t.Errorf("first lost block %d, want %d", lost[0].Block, blocks[0].ID)
 	}
 }

@@ -60,27 +60,6 @@ func (c *FaultCounters) ObserveDetection(falseSuspicions, duplicateKills int, la
 	}
 }
 
-// Merge folds another set of counters in (sweeps accumulate per-run
-// snapshots this way).
-func (c *FaultCounters) Merge(o FaultCounters) {
-	c.Runs += o.Runs
-	c.NodeCrashes += o.NodeCrashes
-	c.TasksRetried += o.TasksRetried
-	c.TransientErrors += o.TransientErrors
-	c.LostOutputs += o.LostOutputs
-	c.ReplicasRepaired += o.ReplicasRepaired
-	c.SpeculativeWins += o.SpeculativeWins
-	c.MetadataFallbacks += o.MetadataFallbacks
-	c.FalseSuspicions += o.FalseSuspicions
-	c.DuplicateKills += o.DuplicateKills
-	if o.DetectionLatency != nil {
-		if c.DetectionLatency == nil {
-			c.DetectionLatency = NewHistogram()
-		}
-		c.DetectionLatency.Merge(o.DetectionLatency)
-	}
-}
-
 // Table renders the counters.
 func (c *FaultCounters) Table(title string) *Table {
 	t := NewTable(title, "counter", "total")

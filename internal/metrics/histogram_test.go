@@ -80,34 +80,6 @@ func TestHistogramMarshalJSONIsSummary(t *testing.T) {
 	}
 }
 
-func TestSnapshotMerge(t *testing.T) {
-	a, b := NewSnapshot(), NewSnapshot()
-	a.Inc("x", 1)
-	a.SetGauge("g", 1)
-	a.Histogram("h").Observe(1)
-	a.Faults.Runs = 1
-	b.Inc("x", 2)
-	b.Inc("y", 5)
-	b.SetGauge("g", 9)
-	b.Histogram("h").Observe(3)
-	b.Faults.Runs = 2
-	b.Faults.NodeCrashes = 4
-	a.Merge(b)
-	if a.Counters["x"] != 3 || a.Counters["y"] != 5 {
-		t.Fatalf("counters: %v", a.Counters)
-	}
-	if a.Gauges["g"] != 9 {
-		t.Fatalf("gauge not last-wins: %v", a.Gauges["g"])
-	}
-	if a.Histogram("h").Count() != 2 {
-		t.Fatalf("histograms not merged: %d", a.Histogram("h").Count())
-	}
-	if a.Faults.Runs != 3 || a.Faults.NodeCrashes != 4 {
-		t.Fatalf("faults: %+v", a.Faults)
-	}
-	a.Merge(nil) // no-op
-}
-
 func TestSnapshotTables(t *testing.T) {
 	s := NewSnapshot()
 	s.Inc("b-counter", 2)
@@ -134,13 +106,8 @@ func TestSnapshotTables(t *testing.T) {
 	}
 }
 
-func TestFaultCountersMergeAndTable(t *testing.T) {
-	a := FaultCounters{Runs: 1, NodeCrashes: 2, TasksRetried: 3}
-	a.Merge(FaultCounters{Runs: 1, NodeCrashes: 1, SpeculativeWins: 7, MetadataFallbacks: 1})
-	if a.Runs != 2 || a.NodeCrashes != 3 || a.TasksRetried != 3 ||
-		a.SpeculativeWins != 7 || a.MetadataFallbacks != 1 {
-		t.Fatalf("merged: %+v", a)
-	}
+func TestFaultCountersTable(t *testing.T) {
+	a := FaultCounters{Runs: 2, NodeCrashes: 3, TasksRetried: 3, SpeculativeWins: 7, MetadataFallbacks: 1}
 	text := a.Table("faults").String()
 	for _, want := range []string{"runs observed", "node crashes", "3", "speculation wins", "7"} {
 		if !strings.Contains(text, want) {

@@ -115,7 +115,7 @@ func TestSyncHistogramConcurrentObserveSnapshot(t *testing.T) {
 	var sh SyncHistogram
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	// Snapshot/Summary readers race the writers.
+	// Snapshot readers race the writers.
 	var readers sync.WaitGroup
 	for r := 0; r < 4; r++ {
 		readers.Add(1)
@@ -132,7 +132,7 @@ func TestSyncHistogramConcurrentObserveSnapshot(t *testing.T) {
 					t.Errorf("snapshot +Inf bucket %d != count %d", got[0], sn.Count())
 					return
 				}
-				sum := sh.Summary()
+				sum := sn.Summary()
 				if sum.Count > 0 && sum.Max < sum.Min {
 					t.Errorf("summary max %v < min %v", sum.Max, sum.Min)
 					return
@@ -152,13 +152,13 @@ func TestSyncHistogramConcurrentObserveSnapshot(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	readers.Wait()
-	if got := sh.Count(); got != writers*perW {
+	if got := sh.Snapshot().Count(); got != writers*perW {
 		t.Fatalf("final count %d, want %d", got, writers*perW)
 	}
 	// Mutating a snapshot must not leak back into the live histogram.
 	sn := sh.Snapshot()
 	sn.Observe(math.Pi)
-	if got := sh.Count(); got != writers*perW {
+	if got := sh.Snapshot().Count(); got != writers*perW {
 		t.Fatalf("snapshot mutation leaked: count %d, want %d", got, writers*perW)
 	}
 }

@@ -42,25 +42,6 @@ func (s *Snapshot) Histogram(name string) *Histogram {
 	return h
 }
 
-// Merge folds other into s: counters and fault counters add, histograms
-// merge, gauges take other's value (last writer wins — gauges are
-// point-in-time readings, not totals). Merging nil is a no-op.
-func (s *Snapshot) Merge(other *Snapshot) {
-	if other == nil {
-		return
-	}
-	for k, v := range other.Counters {
-		s.Counters[k] += v
-	}
-	for k, v := range other.Gauges {
-		s.Gauges[k] = v
-	}
-	for k, h := range other.Histograms {
-		s.Histogram(k).Merge(h)
-	}
-	s.Faults.Merge(other.Faults)
-}
-
 // Tables renders the snapshot as aligned text tables (counters+gauges,
 // then histograms), for the same report surfaces FaultCounters.Table
 // feeds. Keys are sorted so output is deterministic.

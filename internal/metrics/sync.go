@@ -1,25 +1,6 @@
 package metrics
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-// Counter is a monotonically increasing counter safe for concurrent use.
-// The zero value is ready. Serving-path code (internal/server) increments
-// these on every request; experiment code keeps using plain ints.
-type Counter struct {
-	n atomic.Uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.n.Add(1) }
-
-// Add adds d.
-func (c *Counter) Add(d uint64) { c.n.Add(d) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n.Load() }
+import "sync"
 
 // SyncHistogram is a Histogram safe for concurrent observation. It guards
 // a plain Histogram with a mutex rather than sharding: the serving paths
@@ -37,13 +18,6 @@ func (s *SyncHistogram) Observe(v float64) {
 	s.mu.Unlock()
 }
 
-// Count returns the number of observations.
-func (s *SyncHistogram) Count() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.h.Count()
-}
-
 // Snapshot returns an independent copy of the underlying histogram,
 // taken under the lock: safe to merge, bucket and quantile while
 // observations keep arriving.
@@ -51,18 +25,4 @@ func (s *SyncHistogram) Snapshot() *Histogram {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.h.Clone()
-}
-
-// Summary digests the histogram (count, sum, min/max, mean, quantiles).
-func (s *SyncHistogram) Summary() HistogramSummary {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.h.Summary()
-}
-
-// MarshalJSON serializes as the summary, like Histogram.
-func (s *SyncHistogram) MarshalJSON() ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.h.MarshalJSON()
 }

@@ -6,25 +6,6 @@ import (
 	"testing"
 )
 
-func TestCounterConcurrent(t *testing.T) {
-	var c Counter
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				c.Inc()
-			}
-			c.Add(10)
-		}()
-	}
-	wg.Wait()
-	if got := c.Value(); got != 8*1000+8*10 {
-		t.Fatalf("Counter = %d, want %d", got, 8*1000+8*10)
-	}
-}
-
 func TestSyncHistogramConcurrent(t *testing.T) {
 	var h SyncHistogram
 	var wg sync.WaitGroup
@@ -38,14 +19,15 @@ func TestSyncHistogramConcurrent(t *testing.T) {
 		}(float64(i))
 	}
 	wg.Wait()
-	if h.Count() != 8*500 {
-		t.Fatalf("Count = %d, want %d", h.Count(), 8*500)
+	snap := h.Snapshot()
+	if snap.Count() != 8*500 {
+		t.Fatalf("Count = %d, want %d", snap.Count(), 8*500)
 	}
-	sum := h.Summary()
+	sum := snap.Summary()
 	if sum.Min != 0 || sum.Max != 7+499 {
 		t.Fatalf("Summary min/max = %g/%g, want 0/506", sum.Min, sum.Max)
 	}
-	blob, err := json.Marshal(&h)
+	blob, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatal(err)
 	}

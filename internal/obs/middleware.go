@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"datanet/internal/trace"
 )
 
 // statusWriter captures the status code a handler wrote.
@@ -20,8 +22,9 @@ func (w *statusWriter) WriteHeader(code int) {
 
 // Middleware wraps next with the request-tracing protocol: it reuses or
 // mints the X-Datanet-Request-Id header (echoed on the response so the
-// client can correlate), opens a span carried down via the request
-// context for handlers to annotate (route, epoch, cache, shard, stale),
+// client can correlate), opens a span — a trace.EvRequest event — carried
+// down via the request context for handlers to annotate (route in
+// Detail; epoch, cache, shard and stale in its Request payload),
 // and records the finished span into tracer. When log is non-nil every
 // request is also logged as one structured line keyed by request ID.
 //
@@ -33,39 +36,42 @@ func Middleware(tracer *Tracer, node int, log *slog.Logger, next http.Handler) h
 			id = NewRequestID()
 		}
 		w.Header().Set(RequestIDHeader, id)
-		sp := &Span{
-			RequestID: id,
-			Method:    r.Method,
-			Path:      r.URL.Path,
-			Node:      node,
-			Shard:     -1,
+		// The event and its payload share one allocation.
+		span := &struct {
+			ev  trace.Event
+			req trace.Request
+		}{
+			ev:  trace.Event{Type: trace.EvRequest, Node: node, Block: -1},
+			req: trace.Request{ID: id, Method: r.Method, Path: r.URL.Path, Shard: -1},
 		}
+		sp, req := &span.ev, &span.req
+		sp.Request = req
 		if a := r.Header.Get(AttemptHeader); a != "" {
 			if n, err := strconv.Atoi(a); err == nil && n > 1 {
-				sp.Retries = n - 1
+				sp.Count = n - 1
 			}
 		}
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
-		sp.StartUnixMs = float64(start.UnixMicro()) / 1e3
+		sp.T = float64(start.UnixMicro()) / 1e6
 		next.ServeHTTP(sw, r.WithContext(WithSpan(r.Context(), sp)))
-		sp.DurMs = float64(time.Since(start).Microseconds()) / 1e3
-		sp.Status = sw.status
+		sp.Dur = time.Since(start).Seconds()
+		req.Status = sw.status
 		tracer.Record(sp)
 		if log != nil {
 			log.LogAttrs(r.Context(), slog.LevelInfo, "request",
-				slog.String("requestId", sp.RequestID),
-				slog.String("method", sp.Method),
-				slog.String("path", sp.Path),
-				slog.String("route", sp.Route),
+				slog.String("requestId", req.ID),
+				slog.String("method", req.Method),
+				slog.String("path", req.Path),
+				slog.String("route", sp.Detail),
 				slog.Int("node", sp.Node),
-				slog.Int("shard", sp.Shard),
-				slog.Uint64("epoch", sp.Epoch),
-				slog.Int("status", sp.Status),
-				slog.String("cache", sp.Cache),
-				slog.Bool("stale", sp.Stale),
-				slog.Int("retries", sp.Retries),
-				slog.Float64("durMs", sp.DurMs),
+				slog.Int("shard", req.Shard),
+				slog.Uint64("epoch", req.Epoch),
+				slog.Int("status", req.Status),
+				slog.String("cache", req.Cache),
+				slog.Bool("stale", req.Stale),
+				slog.Int("retries", sp.Count),
+				slog.Float64("durMs", sp.Dur*1e3),
 			)
 		}
 	})
@@ -85,10 +91,10 @@ func TraceHandler(tracer *Tracer) http.Handler {
 		switch f := r.URL.Query().Get("format"); f {
 		case "", "jsonl":
 			w.Header().Set("Content-Type", "application/x-ndjson")
-			WriteSpansJSONL(w, spans)
+			trace.WriteJSONL(w, spans)
 		case "chrome":
 			w.Header().Set("Content-Type", "application/json")
-			WriteSpansChrome(w, spans)
+			trace.WriteChrome(w, spans, "datanet serving plane", "server")
 		default:
 			http.Error(w, `unknown format (want "jsonl" or "chrome")`, http.StatusBadRequest)
 		}

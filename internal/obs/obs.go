@@ -1,9 +1,9 @@
 // Package obs is the wall-clock observability plane of the serving
-// stack: request-scoped spans in a bounded lock-free ring with a top-K
-// slow-request log, an HTTP middleware that stamps and propagates
-// request IDs, Prometheus text-format exposition of the live metrics,
-// JSONL / Chrome trace-event span exports (the same viewer formats
-// internal/trace emits for simulated time), and structured log/slog
+// stack: request spans (trace.EvRequest events on the Unix clock) in a
+// bounded lock-free ring with a top-K slow-request log, an HTTP
+// middleware that stamps and propagates request IDs, the /admin/trace
+// view of them through internal/trace's exporters, Prometheus
+// text-format exposition of the live metrics, and structured log/slog
 // setup for the serve and cluster daemons.
 //
 // Everything here is wall-clock and therefore off the determinism
@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sync/atomic"
+
+	"datanet/internal/trace"
 )
 
 // Header names of the request-correlation protocol. Loadgen stamps both;
@@ -30,41 +32,6 @@ const (
 	// request, so the owning node's span records the retry count.
 	AttemptHeader = "X-Datanet-Attempt"
 )
-
-// Span is one request's record: who asked for what, which node and shard
-// answered, how the cache behaved, and how long it took. Wall-clock
-// fields only — spans never feed a deterministic digest.
-type Span struct {
-	// Seq is the tracer-assigned record sequence (ring position claim).
-	Seq uint64 `json:"seq"`
-	// RequestID correlates the span with client logs and slog lines.
-	RequestID string `json:"requestId"`
-	Method    string `json:"method"`
-	Path      string `json:"path"`
-	// Route is the endpoint label the server resolved ("estimate",
-	// "plan", …); empty when the request missed every route.
-	Route string `json:"route,omitempty"`
-	// Node is the serving cluster node, -1 in single-process mode.
-	Node int `json:"node"`
-	// Shard is the array's catalog shard, -1 when unsharded/unknown.
-	Shard int `json:"shard"`
-	// Epoch is the snapshot epoch the read was served from (0 when the
-	// request never resolved a snapshot).
-	Epoch uint64 `json:"epoch,omitempty"`
-	// Status is the final HTTP status code.
-	Status int `json:"status"`
-	// Cache is "hit" or "miss" for cacheable reads, empty otherwise.
-	Cache string `json:"cache,omitempty"`
-	// Stale flags a read served below the shard's acked high-water mark.
-	Stale bool `json:"stale,omitempty"`
-	// Retries counts prior attempts of the same logical request (from
-	// AttemptHeader): 0 for a first try.
-	Retries int `json:"retries,omitempty"`
-	// StartUnixMs is the wall-clock start (Unix epoch milliseconds).
-	StartUnixMs float64 `json:"startUnixMs"`
-	// DurMs is the request latency in milliseconds.
-	DurMs float64 `json:"durMs"`
-}
 
 // Defaults for the tracer's bounded state.
 const (
@@ -96,7 +63,7 @@ func NewTracer(ringSize, slowK int) *Tracer {
 }
 
 // Record stores one finished span. Nil-safe: a nil tracer drops it.
-func (t *Tracer) Record(sp *Span) {
+func (t *Tracer) Record(sp *trace.Event) {
 	if t == nil || sp == nil {
 		return
 	}
@@ -105,7 +72,7 @@ func (t *Tracer) Record(sp *Span) {
 }
 
 // Spans snapshots the ring in sequence order (oldest retained first).
-func (t *Tracer) Spans() []Span {
+func (t *Tracer) Spans() []trace.Event {
 	if t == nil {
 		return nil
 	}
@@ -113,7 +80,7 @@ func (t *Tracer) Spans() []Span {
 }
 
 // Slowest returns the slow log, slowest first.
-func (t *Tracer) Slowest() []Span {
+func (t *Tracer) Slowest() []trace.Event {
 	if t == nil {
 		return nil
 	}
@@ -137,13 +104,13 @@ func NewRequestID() string {
 type spanKey struct{}
 
 // WithSpan returns ctx carrying sp, for handlers to annotate.
-func WithSpan(ctx context.Context, sp *Span) context.Context {
+func WithSpan(ctx context.Context, sp *trace.Event) context.Context {
 	return context.WithValue(ctx, spanKey{}, sp)
 }
 
 // SpanFrom returns the in-flight span, or nil outside the middleware.
 // Annotating the returned span is safe only before the handler returns.
-func SpanFrom(ctx context.Context) *Span {
-	sp, _ := ctx.Value(spanKey{}).(*Span)
+func SpanFrom(ctx context.Context) *trace.Event {
+	sp, _ := ctx.Value(spanKey{}).(*trace.Event)
 	return sp
 }

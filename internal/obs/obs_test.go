@@ -13,7 +13,14 @@ import (
 	"testing"
 
 	"datanet/internal/metrics"
+	"datanet/internal/trace"
 )
+
+// reqSpan builds a recorded request span the way Middleware does.
+func reqSpan(id string, d float64) *trace.Event {
+	return &trace.Event{Type: trace.EvRequest, Node: -1, Block: -1, Dur: d,
+		Request: &trace.Request{ID: id, Shard: -1}}
+}
 
 func TestRingBoundedAndOrdered(t *testing.T) {
 	r := NewRing(8)
@@ -21,14 +28,14 @@ func TestRingBoundedAndOrdered(t *testing.T) {
 		t.Fatalf("cap %d, want 8", len(r.slots))
 	}
 	for i := 0; i < 20; i++ {
-		r.Put(&Span{RequestID: fmt.Sprintf("r%d", i)})
+		r.Put(reqSpan(fmt.Sprintf("r%d", i), 0))
 	}
 	got := r.Snapshot()
 	if len(got) != 8 {
 		t.Fatalf("snapshot holds %d spans, want 8", len(got))
 	}
 	for i, sp := range got {
-		if want := uint64(12 + i); sp.Seq != want {
+		if want := 12 + i; sp.Seq != want {
 			t.Errorf("span %d: seq %d, want %d (oldest retained first)", i, sp.Seq, want)
 		}
 	}
@@ -42,7 +49,7 @@ func TestRingConcurrentWriters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				r.Put(&Span{})
+				r.Put(&trace.Event{})
 				if i%50 == 0 {
 					r.Snapshot()
 				}
@@ -64,20 +71,20 @@ func TestRingConcurrentWriters(t *testing.T) {
 func TestSlowLogKeepsTopK(t *testing.T) {
 	l := NewSlowLog(3)
 	for _, d := range []float64{5, 1, 9, 2, 7, 3, 8} {
-		l.Offer(&Span{DurMs: d})
+		l.Offer(reqSpan("", d))
 	}
 	top := l.Top()
 	if len(top) != 3 {
 		t.Fatalf("slow log holds %d, want 3", len(top))
 	}
 	for i, want := range []float64{9, 8, 7} {
-		if top[i].DurMs != want {
-			t.Errorf("slow[%d] = %v, want %v", i, top[i].DurMs, want)
+		if top[i].Dur != want {
+			t.Errorf("slow[%d] = %v, want %v", i, top[i].Dur, want)
 		}
 	}
 	// A fast request after the log filled must not displace anything.
-	l.Offer(&Span{DurMs: 0.1})
-	if got := l.Top(); len(got) != 3 || got[2].DurMs != 7 {
+	l.Offer(reqSpan("", 0.1))
+	if got := l.Top(); len(got) != 3 || got[2].Dur != 7 {
 		t.Errorf("fast request displaced the slow log: %+v", got)
 	}
 }
@@ -89,9 +96,9 @@ func TestMiddlewareSpanAndRequestID(t *testing.T) {
 		if sp == nil {
 			t.Fatal("no span in handler context")
 		}
-		sp.Route = "estimate"
-		sp.Epoch = 7
-		sp.Cache = "hit"
+		sp.Detail = "estimate"
+		sp.Request.Epoch = 7
+		sp.Request.Cache = "hit"
 		w.WriteHeader(http.StatusTeapot)
 	}))
 	ts := httptest.NewServer(h)
@@ -114,11 +121,11 @@ func TestMiddlewareSpanAndRequestID(t *testing.T) {
 		t.Fatalf("%d spans recorded, want 1", len(spans))
 	}
 	sp := spans[0]
-	if sp.RequestID != "client-42" || sp.Route != "estimate" || sp.Status != http.StatusTeapot ||
-		sp.Node != 2 || sp.Epoch != 7 || sp.Cache != "hit" || sp.Retries != 2 {
-		t.Errorf("span fields wrong: %+v", sp)
+	if q := sp.Request; sp.Type != trace.EvRequest || q.ID != "client-42" || sp.Detail != "estimate" ||
+		q.Status != http.StatusTeapot || sp.Node != 2 || q.Epoch != 7 || q.Cache != "hit" || sp.Count != 2 {
+		t.Errorf("span fields wrong: %+v %+v", sp, q)
 	}
-	if sp.DurMs < 0 || sp.StartUnixMs <= 0 {
+	if sp.Dur < 0 || sp.T <= 0 {
 		t.Errorf("span timing wrong: %+v", sp)
 	}
 
@@ -135,8 +142,13 @@ func TestMiddlewareSpanAndRequestID(t *testing.T) {
 
 func TestTraceHandlerFormats(t *testing.T) {
 	tr := NewTracer(16, 4)
-	tr.Record(&Span{RequestID: "a", Route: "estimate", Node: -1, Shard: -1, Status: 200, StartUnixMs: 1000, DurMs: 2})
-	tr.Record(&Span{RequestID: "b", Route: "plan", Node: 1, Shard: 3, Status: 200, StartUnixMs: 1003, DurMs: 9, Stale: true})
+	a := reqSpan("a", 0.002)
+	a.T, a.Detail, a.Request.Status = 1, "estimate", 200
+	tr.Record(a)
+	b := reqSpan("b", 0.009)
+	b.T, b.Detail, b.Node = 1.003, "plan", 1
+	b.Request.Shard, b.Request.Status, b.Request.Stale = 3, 200, true
+	tr.Record(b)
 	ts := httptest.NewServer(TraceHandler(tr))
 	defer ts.Close()
 
@@ -158,11 +170,11 @@ func TestTraceHandlerFormats(t *testing.T) {
 	sc := bufio.NewScanner(bytes.NewReader(get("/")))
 	var ids []string
 	for sc.Scan() {
-		var sp Span
-		if err := json.Unmarshal(sc.Bytes(), &sp); err != nil {
+		var sp trace.Event
+		if err := json.Unmarshal(sc.Bytes(), &sp); err != nil || sp.Request == nil {
 			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
 		}
-		ids = append(ids, sp.RequestID)
+		ids = append(ids, sp.Request.ID)
 	}
 	if len(ids) != 2 || ids[0] != "a" || ids[1] != "b" {
 		t.Errorf("JSONL ids %v, want [a b]", ids)
@@ -180,8 +192,8 @@ func TestTraceHandlerFormats(t *testing.T) {
 	if err := json.Unmarshal(chrome, &ctf); err != nil {
 		t.Fatalf("chrome trace does not parse: %v", err)
 	}
-	// Byte for byte the export the serving plane has always written; the
-	// track metadata is trace.ChromeTracks', shared with the simulator.
+	// Byte for byte the serving plane's export, written by the converter
+	// the simulator's timeline goes through too.
 	if want, err := os.ReadFile("testdata/spans_chrome.golden"); err != nil || !bytes.Equal(chrome, want) {
 		t.Errorf("chrome trace differs from testdata/spans_chrome.golden (%v):\n%s", err, chrome)
 	}
@@ -199,9 +211,9 @@ func TestTraceHandlerFormats(t *testing.T) {
 	sc = bufio.NewScanner(bytes.NewReader(get("/?slow=true")))
 	ids = ids[:0]
 	for sc.Scan() {
-		var sp Span
+		var sp trace.Event
 		json.Unmarshal(sc.Bytes(), &sp)
-		ids = append(ids, sp.RequestID)
+		ids = append(ids, sp.Request.ID)
 	}
 	if len(ids) != 2 || ids[0] != "b" {
 		t.Errorf("slow view ids %v, want b first", ids)

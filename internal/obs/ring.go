@@ -3,6 +3,8 @@ package obs
 import (
 	"sort"
 	"sync/atomic"
+
+	"datanet/internal/trace"
 )
 
 // Ring is a bounded lock-free span buffer: writers claim a slot with one
@@ -16,7 +18,7 @@ import (
 // diagnostic surface, and each published span is observed exactly once
 // per slot generation.
 type Ring struct {
-	slots []atomic.Pointer[Span]
+	slots []atomic.Pointer[trace.Event]
 	mask  uint64
 	next  atomic.Uint64
 }
@@ -28,7 +30,7 @@ func NewRing(capacity int) *Ring {
 	for n < capacity {
 		n <<= 1
 	}
-	return &Ring{slots: make([]atomic.Pointer[Span], n), mask: uint64(n - 1)}
+	return &Ring{slots: make([]atomic.Pointer[trace.Event], n), mask: uint64(n - 1)}
 }
 
 // Len returns the number of spans currently retained.
@@ -42,17 +44,17 @@ func (r *Ring) Len() int {
 
 // Put publishes one span, overwriting the oldest once full. The span's
 // Seq is assigned here; the caller must not mutate sp afterwards.
-func (r *Ring) Put(sp *Span) {
+func (r *Ring) Put(sp *trace.Event) {
 	seq := r.next.Add(1) - 1
-	sp.Seq = seq
+	sp.Seq = int(seq)
 	r.slots[seq&r.mask].Store(sp)
 }
 
 // Snapshot copies the retained spans, ordered by sequence (oldest
 // first). Spans overwritten or mid-publish during the scan are simply
 // absent — the snapshot is a diagnostic view, not a transaction.
-func (r *Ring) Snapshot() []Span {
-	out := make([]Span, 0, len(r.slots))
+func (r *Ring) Snapshot() []trace.Event {
+	out := make([]trace.Event, 0, len(r.slots))
 	for i := range r.slots {
 		if sp := r.slots[i].Load(); sp != nil {
 			out = append(out, *sp)

@@ -2,9 +2,12 @@ package obs
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"datanet/internal/trace"
 )
 
 // SlowLog keeps the K slowest requests seen so far. A lock-free floor
@@ -18,7 +21,7 @@ type SlowLog struct {
 
 	mu    sync.Mutex
 	k     int
-	spans []Span // sorted slowest-first
+	spans []trace.Event // sorted slowest-first
 }
 
 // NewSlowLog builds a slow log of depth k.
@@ -30,34 +33,32 @@ func NewSlowLog(k int) *SlowLog {
 }
 
 // Offer considers one finished span for the log.
-func (l *SlowLog) Offer(sp *Span) {
-	if sp.DurMs <= l.floorBits.load() {
+func (l *SlowLog) Offer(sp *trace.Event) {
+	if sp.Dur <= l.floorBits.load() {
 		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.spans) == l.k && sp.DurMs <= l.spans[l.k-1].DurMs {
+	if len(l.spans) == l.k && sp.Dur <= l.spans[l.k-1].Dur {
 		return // raced: another slow span raised the floor first
 	}
-	i := sort.Search(len(l.spans), func(i int) bool { return l.spans[i].DurMs < sp.DurMs })
-	l.spans = append(l.spans, Span{})
+	i := sort.Search(len(l.spans), func(i int) bool { return l.spans[i].Dur < sp.Dur })
+	l.spans = append(l.spans, trace.Event{})
 	copy(l.spans[i+1:], l.spans[i:])
 	l.spans[i] = *sp
 	if len(l.spans) > l.k {
 		l.spans = l.spans[:l.k]
 	}
 	if len(l.spans) == l.k {
-		l.floorBits.store(l.spans[l.k-1].DurMs)
+		l.floorBits.store(l.spans[l.k-1].Dur)
 	}
 }
 
 // Top returns the log, slowest first.
-func (l *SlowLog) Top() []Span {
+func (l *SlowLog) Top() []trace.Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Span, len(l.spans))
-	copy(out, l.spans)
-	return out
+	return slices.Clone(l.spans)
 }
 
 // atomicFloat is a float64 behind a uint64 atomic. Durations are

@@ -125,7 +125,7 @@ func New(c *Config) Partitioner {
 
 // Partitioner maps intermediate keys to reduce tasks. Plan is called once
 // per job with the key frequencies (output bytes per key) harvested
-// during the analysis-map phase; Assign answers per-key routing
+// during the analysis-map phase; Splits answers per-key routing
 // afterwards. Implementations must be deterministic: the same
 // (keyFreqs, reducers) plan must produce the same assignment on every
 // call and every replay.
@@ -136,13 +136,9 @@ type Partitioner interface {
 	// each intermediate key to its observed map-output bytes; reducers is
 	// the reduce-task count.
 	Plan(keyFreqs map[string]int64, reducers int) error
-	// Assign returns the reducer in [0, reducers) that owns key. For a
-	// key split across several reducers (skew mode), Assign returns the
-	// first (merge) reducer; Splits lists them all.
-	Assign(key string) int
-	// Splits returns the full reducer set a key's values are spread
-	// across, in fixed order. Unsplit keys return a one-element set
-	// containing Assign(key).
+	// Splits returns the reducer set in [0, reducers) a key's values are
+	// spread across, in fixed order; the first is the key's merge
+	// reducer. Unsplit keys return the one reducer that owns them.
 	Splits(key string) []int
 	// Loads returns the planned per-reducer key bytes (length = reducers,
 	// summing to the total planned frequency). Unplanned keys assigned

@@ -3,6 +3,7 @@ package partition
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -31,19 +32,12 @@ func checkAssignment(p Partitioner, keyFreqs map[string]int64, reducers int) err
 		return fmt.Errorf("partition %s: planned loads sum to %d, key frequencies to %d", p.Name(), planned, total)
 	}
 	for _, k := range sortedKeys(keyFreqs) {
-		r := p.Assign(k)
-		if r < 0 || r >= reducers {
-			return fmt.Errorf("partition %s: key %q assigned to reducer %d of %d", p.Name(), k, r, reducers)
-		}
-		if again := p.Assign(k); again != r {
-			return fmt.Errorf("partition %s: key %q assignment flapped %d → %d", p.Name(), k, r, again)
-		}
 		splits := p.Splits(k)
 		if len(splits) == 0 {
 			return fmt.Errorf("partition %s: key %q has no split set", p.Name(), k)
 		}
-		if splits[0] != r {
-			return fmt.Errorf("partition %s: key %q split set starts at %d, Assign says %d", p.Name(), k, splits[0], r)
+		if again := p.Splits(k); !slices.Equal(again, splits) {
+			return fmt.Errorf("partition %s: key %q assignment flapped %v → %v", p.Name(), k, splits, again)
 		}
 		seen := make(map[int]bool, len(splits))
 		for _, s := range splits {

@@ -125,15 +125,6 @@ func (s *SkewAware) leastLoaded(used map[int]bool) int {
 	return best
 }
 
-// Assign implements Partitioner. Keys never seen at plan time route by
-// hash — the blind rule is the only one that needs no frequency.
-func (s *SkewAware) Assign(key string) int {
-	if set, ok := s.splits[key]; ok {
-		return set[0]
-	}
-	return hashAssign(key, s.reducers)
-}
-
 // Splits implements Partitioner.
 func (s *SkewAware) Splits(key string) []int {
 	if set, ok := s.splits[key]; ok {

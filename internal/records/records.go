@@ -136,9 +136,6 @@ func (w *Writer) Write(r Record) error {
 	return nil
 }
 
-// Count returns how many records were written.
-func (w *Writer) Count() int64 { return w.n }
-
 // Flush flushes buffered output; call before closing the sink.
 func (w *Writer) Flush() error {
 	if !w.started {

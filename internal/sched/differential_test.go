@@ -98,6 +98,15 @@ type diffResult struct {
 	usedAssist bool
 }
 
+// Workloads is the per-node accumulated weights of the picker's plan.
+func (p *DataNetPicker) Workloads() map[cluster.NodeID]int64 {
+	out := make(map[cluster.NodeID]int64, len(p.workload))
+	for n, w := range p.workload {
+		out[cluster.NodeID(n)] = w
+	}
+	return out
+}
+
 func evaluate(t *testing.T, in *diffInstance) diffResult {
 	t.Helper()
 	topo, err := cluster.NewHomogeneous(in.nodes, 1)

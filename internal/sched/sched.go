@@ -478,15 +478,6 @@ func (p *DataNetPicker) take(i int) Task {
 	return p.plan[i]
 }
 
-// Workloads exposes the per-node accumulated weights (after a run).
-func (p *DataNetPicker) Workloads() map[cluster.NodeID]int64 {
-	out := make(map[cluster.NodeID]int64, len(p.workload))
-	for n, w := range p.workload {
-		out[cluster.NodeID(n)] = w
-	}
-	return out
-}
-
 // nodeHeap is an indexed binary heap of the node ids 0..n-1 under a strict
 // total order the caller supplies: top is the order's first node, and sink
 // restores the heap in O(log n) after one node's key moved later in the

@@ -69,7 +69,7 @@ func FuzzServeRequest(f *testing.F) {
 		}
 
 		s := New(NewStore(16))
-		s.Store().Put("logs", elasticmap.Build([][]records.Record{blockOf("a")}, elasticmap.Options{Alpha: 0.5}))
+		s.store.Put("logs", elasticmap.Build([][]records.Record{blockOf("a")}, elasticmap.Options{Alpha: 0.5}))
 		req := httptest.NewRequest(method, target, bytes.NewReader(body))
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, req)

@@ -17,20 +17,21 @@ var LatencyBuckets = []float64{
 }
 
 // EndpointDump is one route's raw metric state: counters plus the full
-// latency histogram (not a summary), so dumps merge losslessly.
+// latency histogram (not a summary), so dumps merge losslessly. Its JSON
+// (a /v1/metrics row) writes the histogram as its summary.
 type EndpointDump struct {
-	Requests uint64
-	Errors   uint64
-	Latency  *metrics.Histogram
+	Requests uint64             `json:"requests"`
+	Errors   uint64             `json:"errors"`
+	Latency  *metrics.Histogram `json:"latency"`
 }
 
 // MetricsDump is the server's raw metric state. The cluster rollup
 // merges per-node dumps through Histogram.Merge, which is exact —
 // quantiles of the merged dump equal quantiles of the union stream.
 type MetricsDump struct {
-	Endpoints   map[string]EndpointDump
-	CacheHits   uint64
-	CacheMisses uint64
+	Endpoints   map[string]EndpointDump `json:"endpoints"`
+	CacheHits   uint64                  `json:"cacheHits"`
+	CacheMisses uint64                  `json:"cacheMisses"`
 }
 
 // DumpMetrics snapshots the server's counters and latency histograms in
@@ -38,13 +39,13 @@ type MetricsDump struct {
 func (s *Server) DumpMetrics() MetricsDump {
 	d := MetricsDump{
 		Endpoints:   make(map[string]EndpointDump, len(s.byEndpoint)),
-		CacheHits:   s.cacheHits.Value(),
-		CacheMisses: s.cacheMiss.Value(),
+		CacheHits:   s.cacheHits.Load(),
+		CacheMisses: s.cacheMiss.Load(),
 	}
 	for l, em := range s.byEndpoint {
 		d.Endpoints[l] = EndpointDump{
-			Requests: em.requests.Value(),
-			Errors:   em.errors.Value(),
+			Requests: em.requests.Load(),
+			Errors:   em.errors.Load(),
 			Latency:  em.latency.Snapshot(),
 		}
 	}

@@ -75,7 +75,7 @@ func TestHealthzReadyzSplit(t *testing.T) {
 // typed draining error.
 func TestDrainWaitsForWriters(t *testing.T) {
 	srv := New(NewStore(8))
-	if err := srv.beginWrite(); err != nil {
+	if err := srv.BeginWrite(); err != nil {
 		t.Fatal(err)
 	}
 	var mu sync.Mutex
@@ -101,10 +101,10 @@ func TestDrainWaitsForWriters(t *testing.T) {
 		t.Fatal("Drain returned while a write was in flight")
 	}
 	mu.Unlock()
-	if err := srv.beginWrite(); err == nil {
+	if err := srv.BeginWrite(); err == nil {
 		t.Fatal("beginWrite admitted a new write while draining")
 	}
-	srv.endWrite()
+	srv.EndWrite()
 	deadline = time.Now().Add(time.Second)
 	for {
 		mu.Lock()

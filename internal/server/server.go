@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -25,8 +24,8 @@ const MaxBodyBytes = 64 << 20
 
 // endpointMetrics counts one route's traffic.
 type endpointMetrics struct {
-	requests metrics.Counter
-	errors   metrics.Counter
+	requests atomic.Uint64
+	errors   atomic.Uint64
 	latency  metrics.SyncHistogram // seconds
 }
 
@@ -37,8 +36,8 @@ type Server struct {
 	// byEndpoint maps route label → metrics; fixed at construction so the
 	// hot path never locks a map.
 	byEndpoint map[string]*endpointMetrics
-	cacheHits  metrics.Counter
-	cacheMiss  metrics.Counter
+	cacheHits  atomic.Uint64
+	cacheMiss  atomic.Uint64
 	// ready gates /readyz; nil means "ready once the catalog holds an
 	// array" (the single-process default). Cluster nodes install a check
 	// that also requires a known shard role.
@@ -78,9 +77,6 @@ func New(store *Store) *Server {
 	return s
 }
 
-// Store exposes the underlying snapshot store (CLI wiring, tests).
-func (s *Server) Store() *Store { return s.store }
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
@@ -105,14 +101,10 @@ func badRequest(format string, args ...any) error {
 	return &httpError{code: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
-func notFound(format string, args ...any) error {
-	return &httpError{code: http.StatusNotFound, msg: fmt.Sprintf(format, args...)}
-}
-
 // NotFound builds a typed 404. Exported for the cluster layer's handlers,
 // which sit outside this mux but must speak the same error shape.
 func NotFound(format string, args ...any) error {
-	return notFound(format, args...)
+	return &httpError{code: http.StatusNotFound, msg: fmt.Sprintf(format, args...)}
 }
 
 // Unavailable builds a typed 503 with a retry hint: the not-leader /
@@ -158,14 +150,14 @@ func (s *Server) instrument(label string, h func(r *http.Request) ([]byte, error
 	em := s.byEndpoint[label]
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		em.requests.Inc()
+		em.requests.Add(1)
 		if sp := obs.SpanFrom(r.Context()); sp != nil {
-			sp.Route = label
+			sp.Detail = label
 		}
 		body, err := h(r)
 		em.latency.Observe(time.Since(start).Seconds())
 		if err != nil {
-			em.errors.Inc()
+			em.errors.Add(1)
 			WriteError(w, err)
 			return
 		}
@@ -201,10 +193,10 @@ func (s *Server) snapshot(r *http.Request) (*Snapshot, error) {
 	name := r.PathValue("name")
 	sn, ok := s.store.Get(name)
 	if !ok {
-		return nil, notFound("unknown array %q", name)
+		return nil, NotFound("unknown array %q", name)
 	}
 	if sp := obs.SpanFrom(r.Context()); sp != nil {
-		sp.Epoch = sn.Epoch
+		sp.Request.Epoch = sn.Epoch
 	}
 	return sn, nil
 }
@@ -214,15 +206,15 @@ func (s *Server) snapshot(r *http.Request) (*Snapshot, error) {
 func (s *Server) cached(r *http.Request, sn *Snapshot, key string, compute func() []byte) []byte {
 	body, hit := sn.Cached(key, compute)
 	if hit {
-		s.cacheHits.Inc()
+		s.cacheHits.Add(1)
 	} else {
-		s.cacheMiss.Inc()
+		s.cacheMiss.Add(1)
 	}
 	if sp := obs.SpanFrom(r.Context()); sp != nil {
 		if hit {
-			sp.Cache = "hit"
+			sp.Request.Cache = "hit"
 		} else {
-			sp.Cache = "miss"
+			sp.Request.Cache = "miss"
 		}
 	}
 	return body
@@ -262,9 +254,11 @@ func (s *Server) handleReadyz(*http.Request) ([]byte, error) {
 	return marshal(map[string]bool{"ready": true}), nil
 }
 
-// beginWrite gates one mutating request: refused while draining, counted
-// otherwise so Drain can wait for it. endWrite is its release.
-func (s *Server) beginWrite() error {
+// BeginWrite gates one mutating request: refused while draining, counted
+// otherwise so Drain can wait for it. EndWrite is its release. Exported
+// for the cluster layer, whose append path routes around the embedded mux
+// handlers but must still be waited out by Drain.
+func (s *Server) BeginWrite() error {
 	if s.draining.Load() {
 		return Unavailable("draining", 1, "shutting down")
 	}
@@ -279,15 +273,8 @@ func (s *Server) beginWrite() error {
 	return nil
 }
 
-func (s *Server) endWrite() { s.writers.Done() }
-
-// BeginWrite and EndWrite expose the drain gate to the cluster layer,
-// whose append path routes around the embedded mux handlers but must
-// still be waited out by Drain.
-func (s *Server) BeginWrite() error { return s.beginWrite() }
-
 // EndWrite releases a BeginWrite.
-func (s *Server) EndWrite() { s.endWrite() }
+func (s *Server) EndWrite() { s.writers.Done() }
 
 // Drain stops admitting appends/puts and blocks until every in-flight one
 // has published its snapshot, or ctx expires. Call before releasing the
@@ -450,9 +437,9 @@ func (s *Server) handlePlan(r *http.Request) ([]byte, error) {
 	key := "plan\x00" + string(marshal(req))
 	sp := obs.SpanFrom(r.Context())
 	if body, ok := sn.cache.get(key); ok {
-		s.cacheHits.Inc()
+		s.cacheHits.Add(1)
 		if sp != nil {
-			sp.Cache = "hit"
+			sp.Request.Cache = "hit"
 		}
 		return body, nil
 	}
@@ -462,9 +449,9 @@ func (s *Server) handlePlan(r *http.Request) ([]byte, error) {
 	}
 	body := marshal(resp)
 	sn.cache.put(key, body)
-	s.cacheMiss.Inc()
+	s.cacheMiss.Add(1)
 	if sp != nil {
-		sp.Cache = "miss"
+		sp.Request.Cache = "miss"
 	}
 	return body, nil
 }
@@ -491,13 +478,13 @@ func (s *Server) handleAppend(r *http.Request) ([]byte, error) {
 	if err != nil {
 		return nil, badRequest("decoding appended array: %v", err)
 	}
-	if err := s.beginWrite(); err != nil {
+	if err := s.BeginWrite(); err != nil {
 		return nil, err
 	}
-	defer s.endWrite()
+	defer s.EndWrite()
 	sn, err := s.store.Append(name, more)
 	if errors.Is(err, ErrUnknownArray) {
-		return nil, notFound("unknown array %q", name)
+		return nil, NotFound("unknown array %q", name)
 	} else if err != nil {
 		return nil, badRequest("append: %v", err)
 	}
@@ -517,52 +504,16 @@ func (s *Server) handlePut(r *http.Request) ([]byte, error) {
 	if err != nil {
 		return nil, badRequest("decoding array: %v", err)
 	}
-	if err := s.beginWrite(); err != nil {
+	if err := s.BeginWrite(); err != nil {
 		return nil, err
 	}
-	defer s.endWrite()
+	defer s.EndWrite()
 	sn := s.store.Put(name, arr)
 	return marshal(map[string]any{"name": name, "epoch": sn.Epoch, "blocks": sn.Arr.Len()}), nil
 }
 
-// endpointStats is one route's row in /v1/metrics.
-type endpointStats struct {
-	Requests uint64                   `json:"requests"`
-	Errors   uint64                   `json:"errors"`
-	Latency  metrics.HistogramSummary `json:"latency"`
-}
-
-// MetricsSnapshot digests the server's counters. Exported so the CLI can
-// print it on shutdown.
-type MetricsSnapshot struct {
-	Endpoints   map[string]endpointStats `json:"endpoints"`
-	CacheHits   uint64                   `json:"cacheHits"`
-	CacheMisses uint64                   `json:"cacheMisses"`
-}
-
-// Metrics snapshots the per-endpoint counters.
-func (s *Server) Metrics() MetricsSnapshot {
-	out := MetricsSnapshot{
-		Endpoints:   make(map[string]endpointStats, len(s.byEndpoint)),
-		CacheHits:   s.cacheHits.Value(),
-		CacheMisses: s.cacheMiss.Value(),
-	}
-	labels := make([]string, 0, len(s.byEndpoint))
-	for l := range s.byEndpoint {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	for _, l := range labels {
-		em := s.byEndpoint[l]
-		out.Endpoints[l] = endpointStats{
-			Requests: em.requests.Value(),
-			Errors:   em.errors.Value(),
-			Latency:  em.latency.Summary(),
-		}
-	}
-	return out
-}
-
+// handleMetrics is GET /v1/metrics: the JSON view of DumpMetrics, each
+// latency histogram written as its summary.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Metrics())
+	writeJSON(w, http.StatusOK, s.DumpMetrics())
 }

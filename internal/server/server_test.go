@@ -26,7 +26,7 @@ func newTestServer(t *testing.T) (*Server, *elasticmap.Array) {
 	}
 	arr := elasticmap.Build(blocks, elasticmap.Options{Alpha: 0.5})
 	s := New(NewStore(32))
-	s.Store().Put("logs", arr)
+	s.store.Put("logs", arr)
 	return s, arr
 }
 
@@ -205,7 +205,7 @@ func TestServerPlanDeterministicAndCached(t *testing.T) {
 	if rec1.Body.String() != rec2.Body.String() {
 		t.Fatal("plan responses differ between identical requests")
 	}
-	m := s.Metrics()
+	m := s.DumpMetrics()
 	if m.CacheHits == 0 {
 		t.Fatalf("second plan request did not hit the cache: %+v", m)
 	}
@@ -232,7 +232,7 @@ func TestServerPutAndAppend(t *testing.T) {
 	if rec.Code != 200 || doc["epoch"] != float64(1) {
 		t.Fatalf("put: %d %v", rec.Code, doc)
 	}
-	if names := s.Store().Names(); strings.Join(names, ",") != "fresh,logs" {
+	if names := s.store.Names(); strings.Join(names, ",") != "fresh,logs" {
 		t.Fatalf("names = %v", names)
 	}
 	// Corrupt and misdirected writes are client errors.
@@ -267,9 +267,9 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	if doc["cacheHits"] != float64(1) || doc["cacheMisses"] != float64(1) {
 		t.Fatalf("cache stats = %v/%v", doc["cacheHits"], doc["cacheMisses"])
 	}
-	m := s.Metrics()
+	m := s.DumpMetrics()
 	if m.Endpoints["estimate"].Requests != 3 {
-		t.Fatalf("Metrics() = %+v", m.Endpoints["estimate"])
+		t.Fatalf("DumpMetrics() = %+v", m.Endpoints["estimate"])
 	}
 }
 

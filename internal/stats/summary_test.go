@@ -72,6 +72,21 @@ func TestSummarizeInvariantsQuick(t *testing.T) {
 	}
 }
 
+// N returns the number of ranks.
+func (z *Zipf) N() int { return len(z.cdf) }
+
+// Weight returns the probability mass of rank i: the analytic reference
+// the draw tests compare frequencies against.
+func (z *Zipf) Weight(i int) float64 {
+	if i < 0 || i >= len(z.cdf) {
+		return 0
+	}
+	if i == 0 {
+		return z.cdf[0]
+	}
+	return z.cdf[i] - z.cdf[i-1]
+}
+
 func TestZipfWeightsAndDraw(t *testing.T) {
 	z := NewZipf(100, 1.0)
 	if z.N() != 100 {

@@ -33,20 +33,6 @@ func NewZipf(n int, s float64) *Zipf {
 	return &Zipf{cdf: cdf}
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
-
-// Weight returns the probability mass of rank i.
-func (z *Zipf) Weight(i int) float64 {
-	if i < 0 || i >= len(z.cdf) {
-		return 0
-	}
-	if i == 0 {
-		return z.cdf[0]
-	}
-	return z.cdf[i] - z.cdf[i-1]
-}
-
 // Draw samples one rank.
 func (z *Zipf) Draw(rng *rand.Rand) int {
 	u := rng.Float64()

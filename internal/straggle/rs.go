@@ -78,12 +78,6 @@ func NewCode(k, n int) (*Code, error) {
 	return &Code{k: k, n: n, parity: parity}, nil
 }
 
-// K and N report the code geometry.
-func (c *Code) K() int { return c.k }
-
-// N reports the total shard count.
-func (c *Code) N() int { return c.n }
-
 // ParityShards computes the m parity shards from the k data shards. All
 // data shards must share one length; the parity shards match it.
 func (c *Code) ParityShards(data [][]byte) ([][]byte, error) {

@@ -9,15 +9,16 @@ import (
 	"strings"
 )
 
-// Machine-readable exports. Both formats are pure functions of the event
-// list, and the event list is a pure function of (config, seed), so
-// exports are byte-identical across identical runs.
+// Machine-readable exports of either clock. Both formats are pure
+// functions of the event list, and a simulated event list is a pure
+// function of (config, seed), so simulated exports are byte-identical
+// across identical runs.
 
-// WriteJSONL writes one JSON object per event, in append (simulation)
-// order — the grep/jq-friendly format.
-func (r *Recorder) WriteJSONL(w io.Writer) error {
-	for _, ev := range r.Events() {
-		b, err := json.Marshal(ev)
+// WriteJSONL writes one JSON object per event, in the given order — the
+// grep/jq-friendly format.
+func WriteJSONL(w io.Writer, events []Event) error {
+	for i := range events {
+		b, err := json.Marshal(&events[i])
 		if err != nil {
 			return err
 		}
@@ -28,6 +29,9 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 	}
 	return nil
 }
+
+// WriteJSONL writes the timeline in append (simulation) order.
+func (r *Recorder) WriteJSONL(w io.Writer) error { return WriteJSONL(w, r.Events()) }
 
 // ChromeEvent is one entry of the Chrome trace-event format ("JSON Array
 // Format" with an object wrapper), the subset Perfetto and
@@ -55,10 +59,17 @@ type ChromeTraceFile struct {
 // a serving plane.
 const ChromePid = 1
 
-// ChromeTracks starts a Chrome trace file: the process name, one "node-N"
-// track for every node 0..maxNode, and after them one extra track for
-// events scoped to no node, whose tid it returns.
-func ChromeTracks(process string, maxNode int, extra string) (ChromeTraceFile, int) {
+// Chrome converts a timeline into one "process" of the given name: one
+// "node-N" thread (track) per node, one "X" span per event with a
+// duration (task attempt, phase execution, request) and an instant for
+// every other. Events scoped to no node land on the extra track after
+// the last node.
+func Chrome(events []Event, process, extra string) ChromeTraceFile {
+	const usec = 1e6
+	maxNode := -1
+	for _, ev := range events {
+		maxNode = max(maxNode, ev.Node)
+	}
 	out := ChromeTraceFile{DisplayTimeUnit: "ms"}
 	meta := func(kind string, tid int, name string) {
 		out.TraceEvents = append(out.TraceEvents, ChromeEvent{
@@ -69,27 +80,13 @@ func ChromeTracks(process string, maxNode int, extra string) (ChromeTraceFile, i
 	for tid := 0; tid <= maxNode; tid++ {
 		meta("thread_name", tid, fmt.Sprintf("node-%d", tid))
 	}
-	meta("thread_name", maxNode+1, extra)
-	return out, maxNode + 1
-}
+	extraTid := maxNode + 1
+	meta("thread_name", extraTid, extra)
 
-// ChromeTrace converts the timeline: one thread (track) per node, one
-// "X" span per task attempt and per phase execution, instants for faults
-// and barriers. Cluster-wide events land on a synthetic "job" track after
-// the last node.
-func (r *Recorder) ChromeTrace() ChromeTraceFile {
-	events := r.Events()
-	maxNode := -1
-	for _, ev := range events {
-		maxNode = max(maxNode, ev.Node)
-	}
-	out, jobTid := ChromeTracks("datanet simulated cluster", maxNode, "job")
-
-	const usec = 1e6
 	for _, ev := range events {
 		tid := ev.Node
 		if tid < 0 {
-			tid = jobTid
+			tid = extraTid
 		}
 		ce := ChromeEvent{
 			Name: chromeName(ev),
@@ -114,14 +111,29 @@ func (r *Recorder) ChromeTrace() ChromeTraceFile {
 	return out
 }
 
-// WriteChromeTrace writes the Chrome trace-event JSON.
-func (r *Recorder) WriteChromeTrace(w io.Writer) error {
-	b, err := json.Marshal(r.ChromeTrace())
+// WriteChrome writes Chrome(events, process, extra) as JSON.
+func WriteChrome(w io.Writer, events []Event, process, extra string) error {
+	return writeJSON(w, Chrome(events, process, extra))
+}
+
+func writeJSON(w io.Writer, v any) error {
+	b, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
 	_, err = w.Write(b)
 	return err
+}
+
+// ChromeTrace converts the simulated timeline; cluster-wide events land
+// on a synthetic "job" track after the last node.
+func (r *Recorder) ChromeTrace() ChromeTraceFile {
+	return Chrome(r.Events(), "datanet simulated cluster", "job")
+}
+
+// WriteChromeTrace writes the Chrome trace-event JSON.
+func (r *Recorder) WriteChromeTrace(w io.Writer) error {
+	return writeJSON(w, r.ChromeTrace())
 }
 
 // OutputKind names one export of a traced run.
@@ -194,6 +206,11 @@ func chromeName(ev Event) string {
 		return fmt.Sprintf("reduce r%d", ev.Attempt)
 	case EvPhase:
 		return "phase: " + ev.Detail
+	case EvRequest:
+		if ev.Detail != "" || ev.Request == nil {
+			return ev.Detail
+		}
+		return ev.Request.Method + " " + ev.Request.Path
 	case EvDecision:
 		rule := ""
 		if ev.Decision != nil {
@@ -208,6 +225,27 @@ func chromeName(ev Event) string {
 // chromeArgs surfaces the event payload in the viewer's detail pane.
 func chromeArgs(ev Event) map[string]any {
 	args := map[string]any{"seq": ev.Seq}
+	if q := ev.Request; q != nil {
+		args["requestId"] = q.ID
+		args["path"] = q.Path
+		args["status"] = q.Status
+		if q.Shard >= 0 {
+			args["shard"] = q.Shard
+		}
+		if q.Epoch > 0 {
+			args["epoch"] = q.Epoch
+		}
+		if q.Cache != "" {
+			args["cache"] = q.Cache
+		}
+		if q.Stale {
+			args["stale"] = true
+		}
+		if ev.Count > 0 {
+			args["retries"] = ev.Count
+		}
+		return args
+	}
 	if ev.Block >= 0 {
 		args["block"] = ev.Block
 	}

@@ -1,10 +1,10 @@
-// Package trace records what a simulated run actually did, on the
-// simulated clock: every scheduler decision (with the evidence it was made
-// on — candidate replica holders, locality hit or miss, the node's
-// workload versus the cluster average W̄, and which rule of Algorithm 1
-// fired), every task attempt, every fault the injector delivered, every
-// re-replication the name-node performed, and the phase barriers between
-// filter, analysis, shuffle and reduce.
+// Package trace is the one timeline model of both clocks. On the
+// simulated clock it records what a run actually did: every scheduler
+// decision (with the evidence it was made on — candidate replica holders,
+// locality hit or miss, the node's workload versus the cluster average W̄,
+// and which rule of Algorithm 1 fired), every task attempt, every fault
+// the injector delivered, every re-replication the name-node performed,
+// and the phase barriers between filter, analysis, shuffle and reduce.
 //
 // The paper's whole argument is about *where* time and bytes go (Figs.
 // 5–8: per-node workload convergence to W̄, locality rates, straggler
@@ -13,6 +13,10 @@
 // trace-event JSON loadable in Perfetto or chrome://tracing (one track
 // per node, spans per task), and as a metrics.Snapshot of
 // counters/gauges/histograms.
+//
+// On the Unix clock the serving plane records each HTTP request as one
+// EvRequest span (internal/obs keeps them in its ring and slow log), so the
+// same JSONL writer and Chrome converter export both timelines.
 //
 // Recording is opt-in and nil-safe: every method on a nil *Recorder is a
 // no-op, so the engine threads a recorder unconditionally and pays nothing
@@ -91,6 +95,12 @@ const (
 	// reducers). Never recorded with partitioning off, so legacy traces
 	// stay byte-identical.
 	EvPartition EventType = "partition.plan"
+	// EvRequest is one HTTP request of the serving plane, on the Unix
+	// clock: T is its start and Dur its latency in seconds, Node the
+	// serving cluster node (-1 in single-process mode), Detail the route
+	// the server resolved (empty when it missed every route) and Count
+	// the retries before this attempt. Request carries the rest.
+	EvRequest EventType = "request"
 )
 
 // Decision is the scheduler audit payload of an EvDecision event: the
@@ -113,13 +123,33 @@ type Decision struct {
 	WBar float64 `json:"wbar"`
 }
 
+// Request is the payload of an EvRequest event: who asked for what,
+// which shard answered from which epoch, and how the cache behaved.
+type Request struct {
+	// ID correlates the request with client logs and slog lines.
+	ID     string `json:"requestId"`
+	Method string `json:"method"`
+	Path   string `json:"path"`
+	// Shard is the array's catalog shard, -1 when unsharded or unknown.
+	Shard int `json:"shard"`
+	// Epoch is the snapshot epoch the read was served from (0 when the
+	// request never resolved a snapshot).
+	Epoch uint64 `json:"epoch,omitempty"`
+	// Status is the final HTTP status code.
+	Status int `json:"status"`
+	// Cache is "hit" or "miss" for cacheable reads, empty otherwise.
+	Cache string `json:"cache,omitempty"`
+	// Stale flags a read served below the shard's acked high-water mark.
+	Stale bool `json:"stale,omitempty"`
+}
+
 // Event is one timeline entry. Node and Block are -1 when the event is not
 // scoped to a node or block (0 is a valid id for both).
 type Event struct {
 	// Seq is the append-order sequence number (assigned by Record).
 	Seq int `json:"seq"`
-	// T is the simulated time in seconds; for span events it is the span
-	// start and Dur its length.
+	// T is the time in seconds (simulated, or Unix for EvRequest); for
+	// span events it is the span start and Dur its length.
 	T    float64   `json:"t"`
 	Type EventType `json:"type"`
 	// Node is the node the event happened on, -1 when cluster-wide.
@@ -129,7 +159,7 @@ type Event struct {
 	// Attempt is the 1-based task attempt (or reducer index for
 	// shuffle/reduce spans); 0 when not applicable.
 	Attempt int `json:"attempt,omitempty"`
-	// Dur is the span length in simulated seconds (0 for instants).
+	// Dur is the span length in seconds (0 for instants).
 	Dur float64 `json:"dur,omitempty"`
 	// Bytes is the data volume involved, when meaningful.
 	Bytes int64 `json:"bytes,omitempty"`
@@ -141,6 +171,8 @@ type Event struct {
 	Detail string `json:"detail,omitempty"`
 	// Decision carries the scheduler audit for EvDecision events.
 	Decision *Decision `json:"decision,omitempty"`
+	// Request carries the HTTP request facts for EvRequest events.
+	Request *Request `json:"request,omitempty"`
 }
 
 // At returns an unscoped instant event, ready for Record.
