@@ -184,6 +184,7 @@ type loadgenRouter struct {
 	clustered bool
 	shards    int
 	primaries map[int]string // shard -> base URL of its primary
+	nodes     []string       // base URL of every addressed member
 }
 
 // newLoadgenRouter probes the target: a /admin/topology answer makes it
@@ -205,9 +206,11 @@ func (r *loadgenRouter) refresh() {
 		return
 	}
 	addrs := map[int]string{}
+	var nodes []string
 	for _, nv := range tv.Nodes {
 		if nv.Addr != "" {
 			addrs[nv.ID] = "http://" + nv.Addr
+			nodes = append(nodes, addrs[nv.ID])
 		}
 	}
 	primaries := map[int]string{}
@@ -219,15 +222,44 @@ func (r *loadgenRouter) refresh() {
 		}
 	}
 	r.mu.Lock()
-	r.clustered, r.shards, r.primaries = true, tv.Shards, primaries
+	r.clustered, r.shards, r.primaries, r.nodes = true, tv.Shards, primaries, nodes
 	r.mu.Unlock()
 }
 
-// Clustered reports whether the target is a cluster.
-func (r *loadgenRouter) Clustered() bool {
+// listArrays unions the /v1/arrays listings of every node in the topology
+// (each lists only the shards it leads) into one sorted name list, or
+// lists the seed alone when it has no topology. A cluster node failing
+// mid-failover is skipped; a single server's failure is an error.
+func (r *loadgenRouter) listArrays() ([]string, error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.clustered
+	clustered, bases := r.clustered, r.nodes
+	r.mu.Unlock()
+	if !clustered {
+		bases = []string{r.seed}
+	}
+	seen := map[string]bool{}
+	for _, base := range bases {
+		var catalog struct {
+			Arrays []struct {
+				Name string `json:"name"`
+			} `json:"arrays"`
+		}
+		if err := getJSON(r.client, base+"/v1/arrays", &catalog); err != nil {
+			if !clustered {
+				return nil, err
+			}
+			continue
+		}
+		for _, a := range catalog.Arrays {
+			seen[a.Name] = true
+		}
+	}
+	names := make([]string, 0, len(seen))
+	for n := range seen {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names, nil
 }
 
 // baseFor returns the base URL serving array name right now.
@@ -295,36 +327,4 @@ func retryable503(status int, body []byte) (string, bool) {
 		return eb.Kind, true
 	}
 	return "", false
-}
-
-// clusterCatalog unions the per-node catalogs (each node lists only the
-// shards it leads) into one sorted name list.
-func clusterCatalog(client *http.Client, seed string) ([]string, error) {
-	var tv clusterd.TopologyView
-	if err := getJSON(client, seed+"/admin/topology", &tv); err != nil {
-		return nil, err
-	}
-	seen := map[string]bool{}
-	for _, nv := range tv.Nodes {
-		if nv.Addr == "" {
-			continue
-		}
-		var catalog struct {
-			Arrays []struct {
-				Name string `json:"name"`
-			} `json:"arrays"`
-		}
-		if err := getJSON(client, "http://"+nv.Addr+"/v1/arrays", &catalog); err != nil {
-			continue // a node mid-failover is not a listing failure
-		}
-		for _, a := range catalog.Arrays {
-			seen[a.Name] = true
-		}
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names, nil
 }

@@ -190,25 +190,9 @@ func runLoadgen(args []string) error {
 
 	name := f.array
 	if name == "" {
-		var names []string
-		if router.Clustered() {
-			// Per-node listings only cover led shards; union them.
-			var err error
-			if names, err = clusterCatalog(client, base); err != nil {
-				return fmt.Errorf("listing cluster arrays: %w", err)
-			}
-		} else {
-			var catalog struct {
-				Arrays []struct {
-					Name string `json:"name"`
-				} `json:"arrays"`
-			}
-			if err := getJSON(client, base+"/v1/arrays", &catalog); err != nil {
-				return fmt.Errorf("listing arrays: %w", err)
-			}
-			for _, a := range catalog.Arrays {
-				names = append(names, a.Name)
-			}
+		names, err := router.listArrays()
+		if err != nil {
+			return fmt.Errorf("listing arrays: %w", err)
 		}
 		if len(names) == 0 {
 			return fmt.Errorf("server at %s has no arrays", f.addr)

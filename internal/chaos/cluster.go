@@ -12,6 +12,7 @@ import (
 	"datanet/internal/elasticmap"
 	"datanet/internal/hashutil"
 	"datanet/internal/records"
+	"datanet/internal/server"
 )
 
 // Cluster chaos: randomized crash/rejoin/decommission/add plans against
@@ -413,7 +414,7 @@ func runClusterPlan(seed uint64, plan *ClusterPlan, p ClusterParams) clusterRunR
 				if sn.Epoch > acked[op.Array] {
 					acked[op.Array] = sn.Epoch
 				}
-			case errors.Is(err, clusterd.ErrUnknownArray):
+			case errors.Is(err, server.ErrUnknownArray):
 				fail("no-lost-arrays", "append found %s missing: %v", clusterArrayName(op.Array), err)
 			case legalUnavailability(err):
 				res.retries++
@@ -431,7 +432,7 @@ func runClusterPlan(seed uint64, plan *ClusterPlan, p ClusterParams) clusterRunR
 				if sn.Epoch > acked[op.Array] {
 					acked[op.Array] = sn.Epoch
 				}
-			case errors.Is(err, clusterd.ErrUnknownArray):
+			case errors.Is(err, server.ErrUnknownArray):
 				fail("no-lost-arrays", "read found %s missing: %v", clusterArrayName(op.Array), err)
 			case legalUnavailability(err):
 				res.retries++

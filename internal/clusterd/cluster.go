@@ -262,9 +262,21 @@ func (c *Cluster) MetricsDumps() []server.MetricsDump {
 	return out
 }
 
-// RetryHint is the backoff the typed 503s suggest to clients: one
-// heartbeat interval, the granularity at which routing state changes.
-func (c *Cluster) RetryHint() float64 { return c.cfg.Detect.Interval }
+// unavailable maps the typed routing errors to the 503 shapes clients
+// retry on, hinting one heartbeat interval (the granularity at which
+// routing state changes); any other error passes through.
+func (c *Cluster) unavailable(err error) error {
+	hint := c.cfg.Detect.Interval
+	switch {
+	case errors.Is(err, ErrNotLeader):
+		return server.Unavailable("not_leader", hint, "%v", err)
+	case errors.Is(err, ErrNoLeader):
+		return server.Unavailable("no_leader", hint, "%v", err)
+	case errors.Is(err, ErrNodeDown):
+		return server.Unavailable("node_down", hint, "%v", err)
+	}
+	return err
+}
 
 // Node returns a member's data-plane handle (HTTP wiring, chaos census).
 func (c *Cluster) Node(id cluster.NodeID) (*Node, bool) {
@@ -314,7 +326,7 @@ func (c *Cluster) Load(name string, arr *elasticmap.Array) error {
 	if s.primary < 0 {
 		return fmt.Errorf("%w: shard %d", ErrNoLeader, si)
 	}
-	sn, err := c.writeAt(s.primary, name, replaceWith(arr), false)
+	sn, err := c.writeAt(s.primary, name, server.Replace(arr), false)
 	if err != nil {
 		return err
 	}
@@ -338,23 +350,7 @@ func (c *Cluster) Append(name string, more *elasticmap.Array) (*server.Snapshot,
 	if s.primary < 0 {
 		return nil, fmt.Errorf("%w: %q", ErrNoLeader, name)
 	}
-	return c.writeAt(s.primary, name, appendTo(name, more), true)
-}
-
-// AppendAt sends a write to a specific node, as a client with a possibly
-// stale shard map would. Non-leaders refuse with ErrNotLeader.
-func (c *Cluster) AppendAt(id cluster.NodeID, name string, more *elasticmap.Array) (*server.Snapshot, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.writeAt(id, name, appendTo(name, more), true)
-}
-
-// PutAt installs an array wholesale at a specific node — the cluster PUT
-// path. Like appends it publishes the new epoch and ships it out.
-func (c *Cluster) PutAt(id cluster.NodeID, name string, arr *elasticmap.Array) (*server.Snapshot, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.writeAt(id, name, replaceWith(arr), true)
+	return c.writeAt(s.primary, name, server.AppendTo(more), true)
 }
 
 // writeAt is the one write path: node id, which must lead name's shard,

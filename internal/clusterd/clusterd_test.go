@@ -12,6 +12,7 @@ import (
 	"datanet/internal/detect"
 	"datanet/internal/elasticmap"
 	"datanet/internal/records"
+	"datanet/internal/server"
 )
 
 // testConfig is the canonical small-cluster shape: heartbeats every
@@ -136,7 +137,10 @@ func TestNotLeaderRouting(t *testing.T) {
 		if id == primary {
 			continue
 		}
-		if _, err := c.AppendAt(id, names[0], tinyArray(names[0], 1)); !errors.Is(err, ErrNotLeader) {
+		c.mu.Lock()
+		_, err := c.writeAt(id, names[0], server.AppendTo(tinyArray(names[0], 1)), true)
+		c.mu.Unlock()
+		if !errors.Is(err, ErrNotLeader) {
 			t.Fatalf("append at non-leader %d: %v, want ErrNotLeader", id, err)
 		}
 		if _, _, err := c.ReadAt(id, names[0]); !errors.Is(err, ErrNotLeader) {

@@ -23,8 +23,6 @@ var (
 	// ErrNodeDown reports a request to a crashed node (the chaos analog
 	// of a connection refused).
 	ErrNodeDown = errors.New("clusterd: node is down")
-	// ErrUnknownArray mirrors server.ErrUnknownArray at cluster scope.
-	ErrUnknownArray = errors.New("clusterd: unknown array")
 )
 
 // Role is a node's duty for one shard, stamped with the fence it was
@@ -75,8 +73,7 @@ func newNode(id cluster.NodeID, cacheSize int) *Node {
 	}
 }
 
-// Store exposes the node's snapshot store (the embedded query API serves
-// straight from it).
+// Store exposes the node's current snapshot store (a restart replaces it).
 func (n *Node) Store() *server.Store {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -198,7 +195,7 @@ func (n *Node) Lookup(name string, shards int) (sn *server.Snapshot, stale bool,
 	n.mu.Unlock()
 	sn, ok = store.Get(name)
 	if !ok {
-		return nil, false, fmt.Errorf("%w: %q", ErrUnknownArray, name)
+		return nil, false, fmt.Errorf("%w: %q", server.ErrUnknownArray, name)
 	}
 	return sn, sn.Epoch < floor, nil
 }
@@ -241,22 +238,6 @@ func (n *Node) writeLocal(shard int, fence uint64, name string, next func(prev *
 	return sn, nil
 }
 
-// appendTo forms an append's next array: more merged onto the current
-// one, which must exist.
-func appendTo(name string, more *elasticmap.Array) func(*server.Snapshot) (*elasticmap.Array, error) {
-	return func(prev *server.Snapshot) (*elasticmap.Array, error) {
-		if prev == nil {
-			return nil, fmt.Errorf("%w: %q", ErrUnknownArray, name)
-		}
-		return elasticmap.Merge(prev.Arr, more), nil
-	}
-}
-
-// replaceWith forms a put's next array: arr, whatever was there.
-func replaceWith(arr *elasticmap.Array) func(*server.Snapshot) (*elasticmap.Array, error) {
-	return func(*server.Snapshot) (*elasticmap.Array, error) { return arr, nil }
-}
-
 // applyReplica is the follower side of snapshot shipping: install the
 // shipped epoch if it advances the local copy. It returns the epoch the
 // follower now holds (its ack). A down node acks nothing.
@@ -282,10 +263,59 @@ func (n *Node) localEpochs() map[string]uint64 {
 	store := n.store
 	n.mu.Unlock()
 	out := map[string]uint64{}
-	for _, name := range store.Names() {
-		if sn, ok := store.Get(name); ok {
-			out[name] = sn.Epoch
+	for _, sn := range store.List() {
+		out[sn.Name] = sn.Epoch
+	}
+	return out
+}
+
+// ledList is the node's catalog listing: the snapshots of the shards it
+// leads. Follower replicas live on the same store but are not served.
+func (n *Node) ledList(shards int) []*server.Snapshot {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	var out []*server.Snapshot
+	for _, sn := range n.store.List() {
+		if n.roles[ShardOf(sn.Name, shards)].Primary {
+			out = append(out, sn)
 		}
 	}
 	return out
+}
+
+// nodeCatalog is node id's server.Catalog: reads pass the leadership gate
+// (Cluster.ReadAt), the listing holds the shards the node leads, writes
+// take the fenced cluster write path, and the node is ready while it is a
+// registered, live member. Each call resolves the node afresh, so a
+// handler built at boot serves a restarted node's new store.
+type nodeCatalog struct {
+	c  *Cluster
+	id cluster.NodeID
+}
+
+func (nc nodeCatalog) Lookup(name string) (*server.Snapshot, bool, error) {
+	sn, stale, err := nc.c.ReadAt(nc.id, name)
+	return sn, stale, nc.c.unavailable(err)
+}
+
+func (nc nodeCatalog) List() []*server.Snapshot {
+	if n, ok := nc.c.Node(nc.id); ok {
+		return n.ledList(nc.c.Shards())
+	}
+	return nil
+}
+
+func (nc nodeCatalog) Write(name string, next func(*server.Snapshot) (*elasticmap.Array, error)) (*server.Snapshot, error) {
+	nc.c.mu.Lock()
+	defer nc.c.mu.Unlock()
+	sn, err := nc.c.writeAt(nc.id, name, next, true)
+	return sn, nc.c.unavailable(err)
+}
+
+func (nc nodeCatalog) Ready() error {
+	n, ok := nc.c.Node(nc.id)
+	if !ok {
+		return errors.New("not a cluster member")
+	}
+	return n.Ready()
 }

@@ -79,7 +79,7 @@ func TestSnapshotCachedColdAfterAppend(t *testing.T) {
 		t.Fatalf("compute ran %d times", calls)
 	}
 	// A new epoch starts with a cold cache: that is the invalidation rule.
-	if _, err := s.Append("logs", elasticmap.Build([][]records.Record{blockOf("new")}, testOpts)); err != nil {
+	if _, err := s.Write("logs", AppendTo(elasticmap.Build([][]records.Record{blockOf("new")}, testOpts))); err != nil {
 		t.Fatal(err)
 	}
 	sn2, _ := s.Get("logs")

@@ -68,8 +68,9 @@ func FuzzServeRequest(f *testing.F) {
 			t.Skip()
 		}
 
-		s := New(NewStore(16))
-		s.store.Put("logs", elasticmap.Build([][]records.Record{blockOf("a")}, elasticmap.Options{Alpha: 0.5}))
+		store := NewStore(16)
+		store.Put("logs", elasticmap.Build([][]records.Record{blockOf("a")}, elasticmap.Options{Alpha: 0.5}))
+		s := New(store)
 		req := httptest.NewRequest(method, target, bytes.NewReader(body))
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, req)

@@ -48,15 +48,13 @@ func TestHealthzReadyzSplit(t *testing.T) {
 		t.Fatalf("readyz with loaded catalog = %d, want 200", code)
 	}
 
-	// A custom check (the cluster node's "do I know my role yet") overrides
-	// the catalog default.
-	srv.SetReady(func() error { return errors.New("no shard role yet") })
-	if code, body := get("/readyz"); code != 503 || body.Kind != "not_ready" {
-		t.Fatalf("readyz under failing custom check = %d kind %q", code, body.Kind)
-	}
-	srv.SetReady(nil)
-	if code, _ := get("/readyz"); code != 200 {
-		t.Fatal("readyz did not recover after clearing the custom check")
+	// Readiness is the catalog's own check (a cluster node's "am I a live
+	// member"), whatever the catalog holds.
+	w := httptest.NewRecorder()
+	New(notReady{store}).ServeHTTP(w, httptest.NewRequest("GET", "/readyz", nil))
+	var body ErrorBody
+	if json.Unmarshal(w.Body.Bytes(), &body); w.Code != 503 || body.Kind != "not_ready" {
+		t.Fatalf("readyz under a failing catalog check = %d kind %q", w.Code, body.Kind)
 	}
 
 	if err := srv.Drain(context.Background()); err != nil {
@@ -71,11 +69,16 @@ func TestHealthzReadyzSplit(t *testing.T) {
 	}
 }
 
+// notReady is a loaded catalog whose own readiness check fails.
+type notReady struct{ *Store }
+
+func (notReady) Ready() error { return errors.New("no shard role yet") }
+
 // Drain must wait for in-flight appends and refuse new ones with the
 // typed draining error.
 func TestDrainWaitsForWriters(t *testing.T) {
 	srv := New(NewStore(8))
-	if err := srv.BeginWrite(); err != nil {
+	if err := srv.beginWrite(); err != nil {
 		t.Fatal(err)
 	}
 	var mu sync.Mutex
@@ -101,10 +104,10 @@ func TestDrainWaitsForWriters(t *testing.T) {
 		t.Fatal("Drain returned while a write was in flight")
 	}
 	mu.Unlock()
-	if err := srv.BeginWrite(); err == nil {
+	if err := srv.beginWrite(); err == nil {
 		t.Fatal("beginWrite admitted a new write while draining")
 	}
-	srv.EndWrite()
+	srv.endWrite()
 	deadline = time.Now().Add(time.Second)
 	for {
 		mu.Lock()
@@ -148,9 +151,9 @@ func TestPutEpoch(t *testing.T) {
 		t.Fatalf("PutEpoch forward: %v, epoch %d", err, sn.Epoch)
 	}
 	// The normal sequence continues from the jumped epoch.
-	sn2, err := store.Append("a", tinyArray("x", 5))
+	sn2, err := store.Write("a", AppendTo(tinyArray("x", 5)))
 	if err != nil || sn2.Epoch != 13 {
-		t.Fatalf("Append after PutEpoch: %v, epoch %d, want 13", err, sn2.Epoch)
+		t.Fatalf("append after PutEpoch: %v, epoch %d, want 13", err, sn2.Epoch)
 	}
 }
 

@@ -29,19 +29,35 @@ type endpointMetrics struct {
 	latency  metrics.SyncHistogram // seconds
 }
 
-// Server is the HTTP metadata service over a Store.
+// StaleHeader marks a read served below what a client may already have
+// been acked: real data, but older than something a client has seen.
+const StaleHeader = "X-Datanet-Stale"
+
+// Catalog is what a Server answers from: a *Store in a single process, or
+// one cluster node's view of its store behind the leadership gate.
+type Catalog interface {
+	// Lookup resolves name's current snapshot; stale flags an epoch below
+	// one a client may already have been acked. An absent name's error
+	// wraps ErrUnknownArray.
+	Lookup(name string) (sn *Snapshot, stale bool, err error)
+	// List returns the snapshots the catalog serves, sorted by name.
+	List() []*Snapshot
+	// Write publishes the array next forms from name's current snapshot
+	// (nil when absent); AppendTo and Replace build next.
+	Write(name string, next func(prev *Snapshot) (*elasticmap.Array, error)) (*Snapshot, error)
+	// Ready reports nil once the catalog can serve.
+	Ready() error
+}
+
+// Server is the HTTP metadata service over a Catalog.
 type Server struct {
-	store *Store
-	mux   *http.ServeMux
+	cat Catalog
+	mux *http.ServeMux
 	// byEndpoint maps route label → metrics; fixed at construction so the
 	// hot path never locks a map.
 	byEndpoint map[string]*endpointMetrics
 	cacheHits  atomic.Uint64
 	cacheMiss  atomic.Uint64
-	// ready gates /readyz; nil means "ready once the catalog holds an
-	// array" (the single-process default). Cluster nodes install a check
-	// that also requires a known shard role.
-	ready atomic.Pointer[func() error]
 	// draining refuses new writes while Drain waits out in-flight ones.
 	draining atomic.Bool
 	writers  sync.WaitGroup
@@ -52,10 +68,10 @@ var endpointLabels = []string{
 	"append", "arrays", "distribution", "estimate", "healthz", "info", "plan", "put", "readyz", "top",
 }
 
-// New builds the service over store.
-func New(store *Store) *Server {
+// New builds the service over cat.
+func New(cat Catalog) *Server {
 	s := &Server{
-		store:      store,
+		cat:        cat,
 		mux:        http.NewServeMux(),
 		byEndpoint: make(map[string]*endpointMetrics, len(endpointLabels)),
 	}
@@ -70,9 +86,11 @@ func New(store *Store) *Server {
 	s.mux.HandleFunc("GET /v1/arrays/{name}/distribution", s.instrument("distribution", s.handleDistribution))
 	s.mux.HandleFunc("GET /v1/arrays/{name}/top", s.instrument("top", s.handleTop))
 	s.mux.HandleFunc("POST /v1/arrays/{name}/plan", s.instrument("plan", s.handlePlan))
-	s.mux.HandleFunc("POST /v1/arrays/{name}/append", s.instrument("append", s.handleAppend))
-	s.mux.HandleFunc("PUT /v1/arrays/{name}", s.instrument("put", s.handlePut))
-	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
+	s.mux.HandleFunc("POST /v1/arrays/{name}/append", s.instrument("append", s.write(AppendTo)))
+	s.mux.HandleFunc("PUT /v1/arrays/{name}", s.instrument("put", s.write(Replace)))
+	s.mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, s.DumpMetrics())
+	})
 	s.mux.HandleFunc("GET /metrics", s.handleProm)
 	return s
 }
@@ -101,12 +119,6 @@ func badRequest(format string, args ...any) error {
 	return &httpError{code: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
-// NotFound builds a typed 404. Exported for the cluster layer's handlers,
-// which sit outside this mux but must speak the same error shape.
-func NotFound(format string, args ...any) error {
-	return &httpError{code: http.StatusNotFound, msg: fmt.Sprintf(format, args...)}
-}
-
 // Unavailable builds a typed 503 with a retry hint: the not-leader /
 // mid-failover / draining responses the cluster layer returns so clients
 // can tell a retryable routing miss from a real failure.
@@ -126,8 +138,8 @@ type ErrorBody struct {
 }
 
 // WriteError renders err as its JSON body (with Retry-After header when
-// the error carries a hint). Exported for the cluster layer's handlers,
-// which sit outside this mux but must speak the same error shape.
+// the error carries a hint). Exported for the cluster layer's admin
+// routes, which sit beside this mux but speak the same error shape.
 func WriteError(w http.ResponseWriter, err error) {
 	code := http.StatusBadRequest
 	body := ErrorBody{Error: err.Error()}
@@ -140,13 +152,13 @@ func WriteError(w http.ResponseWriter, err error) {
 			w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(he.retryAfter))))
 		}
 	}
-	writeJSON(w, code, body)
+	WriteJSON(w, code, body)
 }
 
 // instrument wraps a handler with per-endpoint counting and latency
 // observation, and renders returned errors as JSON with a 4xx status.
 // Handlers return pre-marshaled bodies so cached responses skip encoding.
-func (s *Server) instrument(label string, h func(r *http.Request) ([]byte, error)) http.HandlerFunc {
+func (s *Server) instrument(label string, h func(w http.ResponseWriter, r *http.Request) ([]byte, error)) http.HandlerFunc {
 	em := s.byEndpoint[label]
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -154,7 +166,7 @@ func (s *Server) instrument(label string, h func(r *http.Request) ([]byte, error
 		if sp := obs.SpanFrom(r.Context()); sp != nil {
 			sp.Detail = label
 		}
-		body, err := h(r)
+		body, err := h(w, r)
 		em.latency.Observe(time.Since(start).Seconds())
 		if err != nil {
 			em.errors.Add(1)
@@ -167,7 +179,9 @@ func (s *Server) instrument(label string, h func(r *http.Request) ([]byte, error
 	}
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as a JSON body with status code. Exported for the
+// cluster layer's admin routes.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	blob, err := json.Marshal(v)
 	if err != nil {
 		// Marshal of the fixed response shapes cannot fail; guard anyway
@@ -187,18 +201,31 @@ func marshal(v any) []byte {
 	return append(blob, '\n')
 }
 
-// snapshot resolves the {name} path wildcard to a store snapshot and
-// stamps the served epoch onto the request's span.
-func (s *Server) snapshot(r *http.Request) (*Snapshot, error) {
+// snapshot resolves the {name} path wildcard with one catalog lookup,
+// flags a stale answer on the response, and stamps the served epoch and
+// the stale flag onto the request's span.
+func (s *Server) snapshot(w http.ResponseWriter, r *http.Request) (*Snapshot, error) {
 	name := r.PathValue("name")
-	sn, ok := s.store.Get(name)
-	if !ok {
-		return nil, NotFound("unknown array %q", name)
+	sn, stale, err := s.cat.Lookup(name)
+	if err != nil {
+		return nil, catalogError(name, err)
+	}
+	if stale {
+		w.Header().Set(StaleHeader, "true")
 	}
 	if sp := obs.SpanFrom(r.Context()); sp != nil {
-		sp.Request.Epoch = sn.Epoch
+		sp.Request.Epoch, sp.Request.Stale = sn.Epoch, stale
 	}
 	return sn, nil
+}
+
+// catalogError renders a catalog's refusal: an unknown array is a 404,
+// and anything else keeps its own shape (a typed 503 stays one).
+func catalogError(name string, err error) error {
+	if errors.Is(err, ErrUnknownArray) {
+		return &httpError{code: http.StatusNotFound, msg: fmt.Sprintf("unknown array %q", name)}
+	}
+	return err
 }
 
 // cached answers from the snapshot's per-epoch cache, counting hits and
@@ -222,43 +249,27 @@ func (s *Server) cached(r *http.Request, sn *Snapshot, key string, compute func(
 
 // handleHealthz is pure liveness: the process is up and serving HTTP.
 // Orchestrators restart on healthz failure; they route on readyz.
-func (s *Server) handleHealthz(*http.Request) ([]byte, error) {
+func (s *Server) handleHealthz(http.ResponseWriter, *http.Request) ([]byte, error) {
 	return marshal(map[string]bool{"ok": true}), nil
 }
 
-// SetReady installs the readiness check /readyz consults. A nil check
-// restores the default (catalog non-empty).
-func (s *Server) SetReady(check func() error) {
-	if check == nil {
-		s.ready.Store(nil)
-		return
-	}
-	s.ready.Store(&check)
-}
-
-// handleReadyz is readiness: 503 until the catalog is loaded and — when a
-// cluster node installed its own check — the node knows its shard role.
+// handleReadyz is readiness: 503 until the catalog's Ready passes (a
+// store holds an array; a cluster node is a registered, live member).
 // Draining flips it back to 503 so load balancers stop sending traffic
 // before shutdown completes.
-func (s *Server) handleReadyz(*http.Request) ([]byte, error) {
+func (s *Server) handleReadyz(http.ResponseWriter, *http.Request) ([]byte, error) {
 	if s.draining.Load() {
 		return nil, Unavailable("draining", 1, "shutting down")
 	}
-	if check := s.ready.Load(); check != nil {
-		if err := (*check)(); err != nil {
-			return nil, Unavailable("not_ready", 1, "not ready: %v", err)
-		}
-	} else if s.store.Len() == 0 {
-		return nil, Unavailable("not_ready", 1, "not ready: catalog empty")
+	if err := s.cat.Ready(); err != nil {
+		return nil, Unavailable("not_ready", 1, "not ready: %v", err)
 	}
 	return marshal(map[string]bool{"ready": true}), nil
 }
 
-// BeginWrite gates one mutating request: refused while draining, counted
-// otherwise so Drain can wait for it. EndWrite is its release. Exported
-// for the cluster layer, whose append path routes around the embedded mux
-// handlers but must still be waited out by Drain.
-func (s *Server) BeginWrite() error {
+// beginWrite gates one mutating request: refused while draining, counted
+// otherwise so Drain can wait for it. endWrite is its release.
+func (s *Server) beginWrite() error {
 	if s.draining.Load() {
 		return Unavailable("draining", 1, "shutting down")
 	}
@@ -273,8 +284,8 @@ func (s *Server) BeginWrite() error {
 	return nil
 }
 
-// EndWrite releases a BeginWrite.
-func (s *Server) EndWrite() { s.writers.Done() }
+// endWrite releases a beginWrite.
+func (s *Server) endWrite() { s.writers.Done() }
 
 // Drain stops admitting appends/puts and blocks until every in-flight one
 // has published its snapshot, or ctx expires. Call before releasing the
@@ -294,9 +305,8 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// ArrayInfo is the catalog row of one array. Exported for the cluster
-// layer, whose listing filters a node's catalog to the shards it leads.
-type ArrayInfo struct {
+// arrayInfo is the catalog row of one array.
+type arrayInfo struct {
 	Name         string  `json:"name"`
 	Epoch        uint64  `json:"epoch"`
 	Blocks       int     `json:"blocks"`
@@ -306,8 +316,8 @@ type ArrayInfo struct {
 	MeanAlpha    float64 `json:"meanAlpha"`
 }
 
-func InfoOf(sn *Snapshot) ArrayInfo {
-	return ArrayInfo{
+func infoOf(sn *Snapshot) arrayInfo {
+	return arrayInfo{
 		Name:         sn.Name,
 		Epoch:        sn.Epoch,
 		Blocks:       sn.Arr.Len(),
@@ -318,23 +328,21 @@ func InfoOf(sn *Snapshot) ArrayInfo {
 	}
 }
 
-func (s *Server) handleArrays(*http.Request) ([]byte, error) {
-	names := s.store.Names()
-	infos := make([]ArrayInfo, 0, len(names))
-	for _, name := range names {
-		if sn, ok := s.store.Get(name); ok {
-			infos = append(infos, InfoOf(sn))
-		}
+func (s *Server) handleArrays(http.ResponseWriter, *http.Request) ([]byte, error) {
+	list := s.cat.List()
+	infos := make([]arrayInfo, len(list))
+	for i, sn := range list {
+		infos[i] = infoOf(sn)
 	}
 	return marshal(map[string]any{"arrays": infos}), nil
 }
 
-func (s *Server) handleInfo(r *http.Request) ([]byte, error) {
-	sn, err := s.snapshot(r)
+func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	sn, err := s.snapshot(w, r)
 	if err != nil {
 		return nil, err
 	}
-	return marshal(InfoOf(sn)), nil
+	return marshal(infoOf(sn)), nil
 }
 
 // estimateResponse answers Eq. 6 for one sub-dataset.
@@ -346,8 +354,8 @@ type estimateResponse struct {
 	BloomedBlocks int    `json:"bloomedBlocks"`
 }
 
-func (s *Server) handleEstimate(r *http.Request) ([]byte, error) {
-	sn, err := s.snapshot(r)
+func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	sn, err := s.snapshot(w, r)
 	if err != nil {
 		return nil, err
 	}
@@ -371,8 +379,8 @@ type blockEstimate struct {
 	Class string `json:"class"`
 }
 
-func (s *Server) handleDistribution(r *http.Request) ([]byte, error) {
-	sn, err := s.snapshot(r)
+func (s *Server) handleDistribution(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	sn, err := s.snapshot(w, r)
 	if err != nil {
 		return nil, err
 	}
@@ -392,8 +400,8 @@ func (s *Server) handleDistribution(r *http.Request) ([]byte, error) {
 	}), nil
 }
 
-func (s *Server) handleTop(r *http.Request) ([]byte, error) {
-	sn, err := s.snapshot(r)
+func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	sn, err := s.snapshot(w, r)
 	if err != nil {
 		return nil, err
 	}
@@ -415,8 +423,8 @@ func (s *Server) handleTop(r *http.Request) ([]byte, error) {
 	}), nil
 }
 
-func (s *Server) handlePlan(r *http.Request) ([]byte, error) {
-	sn, err := s.snapshot(r)
+func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	sn, err := s.snapshot(w, r)
 	if err != nil {
 		return nil, err
 	}
@@ -468,52 +476,28 @@ func readBody(r *http.Request) ([]byte, error) {
 	return blob, nil
 }
 
-func (s *Server) handleAppend(r *http.Request) ([]byte, error) {
-	name := r.PathValue("name")
-	blob, err := readBody(r)
-	if err != nil {
-		return nil, err
+// write is the one write route, append or put by how form turns the
+// decoded body into the catalog write: decode, pass the drain gate, write
+// through the catalog, answer with the published epoch.
+func (s *Server) write(form func(*elasticmap.Array) func(*Snapshot) (*elasticmap.Array, error)) func(http.ResponseWriter, *http.Request) ([]byte, error) {
+	return func(_ http.ResponseWriter, r *http.Request) ([]byte, error) {
+		name := r.PathValue("name")
+		blob, err := readBody(r)
+		if err != nil {
+			return nil, err
+		}
+		arr, err := elasticmap.Decode(blob)
+		if err != nil {
+			return nil, badRequest("decoding array: %v", err)
+		}
+		if err := s.beginWrite(); err != nil {
+			return nil, err
+		}
+		defer s.endWrite()
+		sn, err := s.cat.Write(name, form(arr))
+		if err != nil {
+			return nil, catalogError(name, err)
+		}
+		return marshal(map[string]any{"name": name, "epoch": sn.Epoch, "blocks": sn.Arr.Len()}), nil
 	}
-	more, err := elasticmap.Decode(blob)
-	if err != nil {
-		return nil, badRequest("decoding appended array: %v", err)
-	}
-	if err := s.BeginWrite(); err != nil {
-		return nil, err
-	}
-	defer s.EndWrite()
-	sn, err := s.store.Append(name, more)
-	if errors.Is(err, ErrUnknownArray) {
-		return nil, NotFound("unknown array %q", name)
-	} else if err != nil {
-		return nil, badRequest("append: %v", err)
-	}
-	return marshal(map[string]any{"name": name, "epoch": sn.Epoch, "blocks": sn.Arr.Len()}), nil
-}
-
-func (s *Server) handlePut(r *http.Request) ([]byte, error) {
-	name := r.PathValue("name")
-	if name == "" {
-		return nil, badRequest("missing array name")
-	}
-	blob, err := readBody(r)
-	if err != nil {
-		return nil, err
-	}
-	arr, err := elasticmap.Decode(blob)
-	if err != nil {
-		return nil, badRequest("decoding array: %v", err)
-	}
-	if err := s.BeginWrite(); err != nil {
-		return nil, err
-	}
-	defer s.EndWrite()
-	sn := s.store.Put(name, arr)
-	return marshal(map[string]any{"name": name, "epoch": sn.Epoch, "blocks": sn.Arr.Len()}), nil
-}
-
-// handleMetrics is GET /v1/metrics: the JSON view of DumpMetrics, each
-// latency histogram written as its summary.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.DumpMetrics())
 }

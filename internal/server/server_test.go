@@ -25,9 +25,9 @@ func newTestServer(t *testing.T) (*Server, *elasticmap.Array) {
 		blockOf("heavy-2"),
 	}
 	arr := elasticmap.Build(blocks, elasticmap.Options{Alpha: 0.5})
-	s := New(NewStore(32))
-	s.store.Put("logs", arr)
-	return s, arr
+	store := NewStore(32)
+	store.Put("logs", arr)
+	return New(store), arr
 }
 
 func doReq(t *testing.T, s *Server, method, target string, body []byte) (*httptest.ResponseRecorder, map[string]any) {
@@ -232,7 +232,7 @@ func TestServerPutAndAppend(t *testing.T) {
 	if rec.Code != 200 || doc["epoch"] != float64(1) {
 		t.Fatalf("put: %d %v", rec.Code, doc)
 	}
-	if names := s.store.Names(); strings.Join(names, ",") != "fresh,logs" {
+	if names := s.cat.(*Store).Names(); strings.Join(names, ",") != "fresh,logs" {
 		t.Fatalf("names = %v", names)
 	}
 	// Corrupt and misdirected writes are client errors.

@@ -13,7 +13,7 @@
 //   - Readers resolve a snapshot with two atomic pointer loads (catalog,
 //     then array) and answer the whole request from it — no locks, no torn
 //     reads, exactly one epoch per response.
-//   - Writers (Put/Append) serialize on a mutex, build the next epoch
+//   - Writers (Write, PutEpoch) serialize on a mutex, build the next epoch
 //     copy-on-write (BlockMeta values are immutable and shared), and
 //     publish it with a single atomic store. In-flight readers keep their
 //     old snapshot; new requests see the new epoch.
@@ -43,7 +43,7 @@ type Snapshot struct {
 	// Name is the array's catalog key.
 	Name string
 	// Epoch numbers the array's versions, starting at 1 when first loaded
-	// and incremented by every Append/Put.
+	// and incremented by every Write.
 	Epoch uint64
 	// Arr is the ElasticMap array of this epoch.
 	Arr *elasticmap.Array
@@ -54,7 +54,7 @@ type Snapshot struct {
 	cache *resultCache
 }
 
-// entry is the per-name publication point. It outlives snapshots: Append
+// entry is the per-name publication point. It outlives snapshots: a write
 // swings entry.snap, never the catalog, so concurrent appends to different
 // arrays don't contend on the catalog pointer.
 type entry struct {
@@ -152,28 +152,26 @@ func (a *ArrayFiles) Set(s string) error {
 // Put installs arr under name, replacing any existing array. The new
 // snapshot's epoch continues the name's sequence (1 for a fresh name).
 func (s *Store) Put(name string, arr *elasticmap.Array) *Snapshot {
+	sn, _ := s.Write(name, Replace(arr))
+	return sn
+}
+
+// Write publishes the array next forms from name's current snapshot (nil
+// for a fresh name) at the next epoch of the name's sequence. Concurrent
+// readers keep answering from the previous epoch until it is published.
+func (s *Store) Write(name string, next func(prev *Snapshot) (*elasticmap.Array, error)) (*Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cat := *s.catalog.Load()
-	e, ok := cat[name]
-	if !ok {
-		// Copy-on-write catalog extension: readers holding the old map
-		// simply don't see the new name yet.
-		next := make(map[string]*entry, len(cat)+1)
-		for k, v := range cat {
-			next[k] = v
-		}
-		e = &entry{}
-		next[name] = e
-		defer s.catalog.Store(&next)
+	prev, _ := s.Get(name)
+	arr, err := next(prev)
+	if err != nil {
+		return nil, err
 	}
 	var epoch uint64 = 1
-	if prev := e.snap.Load(); prev != nil {
+	if prev != nil {
 		epoch = prev.Epoch + 1
 	}
-	snap := s.newSnapshot(name, epoch, arr)
-	e.snap.Store(snap)
-	return snap
+	return s.publish(name, arr, epoch), nil
 }
 
 // PutEpoch installs arr under name at an exact epoch instead of the
@@ -185,48 +183,82 @@ func (s *Store) Put(name string, arr *elasticmap.Array) *Snapshot {
 func (s *Store) PutEpoch(name string, arr *elasticmap.Array, epoch uint64) (*Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cat := *s.catalog.Load()
-	e, ok := cat[name]
-	if !ok {
-		next := make(map[string]*entry, len(cat)+1)
-		for k, v := range cat {
-			next[k] = v
-		}
-		e = &entry{}
-		next[name] = e
-		defer s.catalog.Store(&next)
-	} else if prev := e.snap.Load(); prev != nil && prev.Epoch >= epoch {
+	if prev, ok := s.Get(name); ok && prev.Epoch >= epoch {
 		return nil, fmt.Errorf("server: PutEpoch %q epoch %d not above current %d", name, epoch, prev.Epoch)
 	}
-	snap := s.newSnapshot(name, epoch, arr)
-	e.snap.Store(snap)
-	return snap, nil
+	return s.publish(name, arr, epoch), nil
 }
 
-// Append extends name's array with the blocks of more (an encoded-array
-// payload decoded by the caller), publishing a new epoch. Concurrent
-// readers keep answering from the previous epoch until the store succeeds.
-func (s *Store) Append(name string, more *elasticmap.Array) (*Snapshot, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := (*s.catalog.Load())[name]
-	if !ok {
-		return nil, ErrUnknownArray
-	}
-	prev := e.snap.Load()
-	snap := s.newSnapshot(name, prev.Epoch+1, elasticmap.Merge(prev.Arr, more))
-	e.snap.Store(snap)
-	return snap, nil
-}
-
-func (s *Store) newSnapshot(name string, epoch uint64, arr *elasticmap.Array) *Snapshot {
-	return &Snapshot{
+// publish is the one copy-on-write step: build arr's snapshot at epoch and
+// swing name's entry to it, extending the catalog for a fresh name only
+// after the entry holds its snapshot, so readers never see an empty entry.
+// Caller holds s.mu.
+func (s *Store) publish(name string, arr *elasticmap.Array, epoch uint64) *Snapshot {
+	sn := &Snapshot{
 		Name:  name,
 		Epoch: epoch,
 		Arr:   arr,
 		Idx:   arr.Index(), // built here, on the write path, never by a reader
 		cache: newResultCache(s.cacheSize),
 	}
+	cat := *s.catalog.Load()
+	if e, ok := cat[name]; ok {
+		e.snap.Store(sn)
+		return sn
+	}
+	next := make(map[string]*entry, len(cat)+1)
+	for k, v := range cat {
+		next[k] = v
+	}
+	e := &entry{}
+	e.snap.Store(sn)
+	next[name] = e
+	s.catalog.Store(&next)
+	return sn
+}
+
+// AppendTo forms an append's next array: more merged onto the current
+// one, which must exist.
+func AppendTo(more *elasticmap.Array) func(prev *Snapshot) (*elasticmap.Array, error) {
+	return func(prev *Snapshot) (*elasticmap.Array, error) {
+		if prev == nil {
+			return nil, ErrUnknownArray
+		}
+		return elasticmap.Merge(prev.Arr, more), nil
+	}
+}
+
+// Replace forms a put's next array: arr, whatever was there.
+func Replace(arr *elasticmap.Array) func(prev *Snapshot) (*elasticmap.Array, error) {
+	return func(*Snapshot) (*elasticmap.Array, error) { return arr, nil }
+}
+
+// Lookup is the single-process read path: every held array is served and
+// none is ever stale.
+func (s *Store) Lookup(name string) (*Snapshot, bool, error) {
+	sn, ok := s.Get(name)
+	if !ok {
+		return nil, false, ErrUnknownArray
+	}
+	return sn, false, nil
+}
+
+// List returns every held array's current snapshot, sorted by name.
+func (s *Store) List() []*Snapshot {
+	names := s.Names()
+	out := make([]*Snapshot, len(names))
+	for i, name := range names {
+		out[i], _ = s.Get(name) // names are never removed
+	}
+	return out
+}
+
+// Ready reports an empty store as not ready to serve.
+func (s *Store) Ready() error {
+	if s.Len() == 0 {
+		return errors.New("catalog empty")
+	}
+	return nil
 }
 
 // Cached memoizes the result of compute under key in the snapshot's

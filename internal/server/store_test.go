@@ -71,7 +71,7 @@ func TestStoreAppendIsolation(t *testing.T) {
 	before, _ := s.Get("logs")
 	wantBase := before.Arr.Estimate("base-0")
 
-	sn, err := s.Append("logs", elasticmap.Build([][]records.Record{blockOf("new-0")}, testOpts))
+	sn, err := s.Write("logs", AppendTo(elasticmap.Build([][]records.Record{blockOf("new-0")}, testOpts)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +85,8 @@ func TestStoreAppendIsolation(t *testing.T) {
 	if before.Arr.Estimate("base-0") != wantBase {
 		t.Fatal("old snapshot estimate changed")
 	}
-	if _, err := s.Append("nope", sn.Arr); err != ErrUnknownArray {
-		t.Fatalf("Append to unknown array: %v", err)
+	if _, err := s.Write("nope", AppendTo(sn.Arr)); err != ErrUnknownArray {
+		t.Fatalf("append to unknown array: %v", err)
 	}
 }
 
@@ -103,7 +103,7 @@ func TestStoreAppendMatchesFreshBuild(t *testing.T) {
 	s := NewStore(8)
 	s.Put("logs", elasticmap.Build(base, testOpts))
 	for _, b := range extra {
-		if _, err := s.Append("logs", elasticmap.Build([][]records.Record{b}, testOpts)); err != nil {
+		if _, err := s.Write("logs", AppendTo(elasticmap.Build([][]records.Record{b}, testOpts))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -191,7 +191,7 @@ func TestStoreConcurrentAppendQuery(t *testing.T) {
 		go func(a int) {
 			defer wg.Done()
 			for i := 0; i < appendsPerWorker; i++ {
-				if _, err := s.Append("logs", elasticmap.Build([][]records.Record{appended[a][i]}, testOpts)); err != nil {
+				if _, err := s.Write("logs", AppendTo(elasticmap.Build([][]records.Record{appended[a][i]}, testOpts))); err != nil {
 					report("append %d/%d: %v", a, i, err)
 					return
 				}
