@@ -63,14 +63,7 @@ func (cs *clusterServer) bootNode(id cluster.NodeID, addr string) (string, error
 	if err != nil {
 		return "", err
 	}
-	var handler http.Handler = h
-	if cs.pprof {
-		mux := http.NewServeMux()
-		mountPprof(mux)
-		mux.Handle("/", h)
-		handler = mux
-	}
-	srv := &http.Server{Handler: handler}
+	srv := &http.Server{Handler: withPprof(h, cs.pprof)}
 	go srv.Serve(ln)
 	cs.c.SetAddr(id, ln.Addr().String())
 	cs.mu.Lock()

@@ -73,13 +73,20 @@ func runServe(args []string) error {
 	return serve(ctx, f, nil)
 }
 
-// mountPprof exposes the standard net/http/pprof handlers on mux.
-func mountPprof(mux *http.ServeMux) {
+// withPprof serves h, with the standard net/http/pprof handlers beside it
+// under /debug/pprof/ when on is set.
+func withPprof(h http.Handler, on bool) http.Handler {
+	if !on {
+		return h
+	}
+	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", nhpprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", nhpprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", nhpprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", nhpprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", nhpprof.Trace)
+	mux.Handle("/", h)
+	return mux
 }
 
 // serve is the signal-free core of runServe: it blocks until ctx is
@@ -100,23 +107,12 @@ func serve(ctx context.Context, f *serveFlags, ready func(addr string)) error {
 	if ready != nil {
 		ready(ln.Addr().String())
 	}
-	// Observability plane: every request flows through the tracing
-	// middleware into the API server; the admin routes (span dumps, the
-	// Prometheus view without runtime gauges, optional pprof) bypass it so
-	// scraping never perturbs the numbers being scraped.
+	// The server spans every request; its admin routes (span dumps, the
+	// Prometheus view without runtime gauges) and optional pprof are not
+	// spanned, so scraping never perturbs the numbers being scraped.
 	api := server.New(store)
-	tracer := obs.NewTracer(obs.DefaultRingSize, obs.DefaultSlowK)
-	mux := http.NewServeMux()
-	mux.Handle("/admin/trace", obs.TraceHandler(tracer))
-	mux.HandleFunc("/admin/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", obs.PromContentType)
-		w.Write(server.RenderProm(api.DumpMetrics(), false))
-	})
-	if f.pprof {
-		mountPprof(mux)
-	}
-	mux.Handle("/", obs.Middleware(tracer, -1, f.logger, api))
-	srv := &http.Server{Handler: mux}
+	api.Logger = f.logger
+	srv := &http.Server{Handler: withPprof(api, f.pprof)}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"datanet/internal/cluster"
 	"datanet/internal/obs"
@@ -13,14 +12,12 @@ import (
 
 // Handler is one cluster node's HTTP face: the single-process query API
 // (internal/server) answering from the node's catalog — the leadership
-// gate, the led-shard listing and the fenced write path — behind the
-// observability middleware, and beside it an admin plane for topology
-// inspection, node addition and decommissioning.
+// gate, the led-shard listing and the fenced write path — and beside it
+// the cluster admin plane for topology inspection, the metrics rollup,
+// node addition and decommissioning.
 type Handler struct {
-	c      *Cluster
-	srv    *server.Server
-	tracer *obs.Tracer
-	api    http.Handler
+	c   *Cluster
+	srv *server.Server
 	// OnAddNode, when set, is called (outside the cluster lock) after
 	// /admin/addnode registers a member, so the serving layer can boot a
 	// listener for it and record its address.
@@ -29,42 +26,31 @@ type Handler struct {
 
 // NewHandler wires node id's handler. The embedded server answers from
 // the node's catalog, so a handler built at boot follows the node through
-// a restart's fresh store. Every /v1 request passes the observability
-// middleware (request IDs, span ring, optional slog), annotated with its
-// array's shard; the node's metrics feed the cluster rollup.
+// a restart's fresh store, and spans every request with the node and its
+// array's shard (logged through the cluster's logger); the node's metrics
+// feed the cluster rollup.
 func NewHandler(c *Cluster, id cluster.NodeID) (*Handler, error) {
 	if _, ok := c.Node(id); !ok {
 		return nil, errors.New("clusterd: handler for unknown node")
 	}
 	srv := server.New(nodeCatalog{c: c, id: id})
-	h := &Handler{c: c, srv: srv, tracer: obs.NewTracer(obs.DefaultRingSize, obs.DefaultSlowK)}
-	h.api = obs.Middleware(h.tracer, int(id), c.Logger(), http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		tail, ok := strings.CutPrefix(r.URL.Path, "/v1/arrays/")
-		if name, _, _ := strings.Cut(tail, "/"); ok && name != "" {
-			if sp := obs.SpanFrom(r.Context()); sp != nil {
-				sp.Request.Shard = ShardOf(name, c.Shards())
-			}
-		}
-		srv.ServeHTTP(w, r)
-	}))
+	srv.Logger = c.Logger()
 	c.RegisterMetricsSource(id, srv.DumpMetrics)
-	return h, nil
+	return &Handler{c: c, srv: srv}, nil
 }
 
 // Server exposes the embedded single-process server (metrics, drain).
 func (h *Handler) Server() *server.Server { return h.srv }
 
-// ServeHTTP answers the admin routes beside the middleware, so scraping
-// never perturbs the numbers being scraped, and passes everything else
-// through it into the embedded server.
+// ServeHTTP answers the cluster admin routes unspanned, so scraping never
+// perturbs the numbers being scraped, and passes everything else to the
+// embedded server (which answers /admin/trace unspanned too).
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {
 	case "/admin/topology":
 		server.WriteJSON(w, http.StatusOK, h.c.Topology())
 	case "/admin/stats":
 		server.WriteJSON(w, http.StatusOK, h.c.Stats())
-	case "/admin/trace":
-		obs.TraceHandler(h.tracer).ServeHTTP(w, r)
 	case "/admin/metrics":
 		h.handleRollup(w)
 	case "/admin/addnode":
@@ -72,7 +58,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case "/admin/decommission":
 		h.handleDecommission(w, r)
 	default:
-		h.api.ServeHTTP(w, r)
+		h.srv.ServeHTTP(w, r)
 	}
 }
 

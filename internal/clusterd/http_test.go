@@ -455,8 +455,8 @@ func TestHandlerOversizeAppend(t *testing.T) {
 	}
 }
 
-// Admin routes sit beside the request middleware: scraping a node leaves
-// no span of its own in the node's ring.
+// Admin routes sit beside the span wrapper: scraping a node leaves no
+// span of its own in the node's ring.
 func TestAdminScrapesLeaveNoSpans(t *testing.T) {
 	c, srvs := httpCluster(t, testConfig(2, 1), 3)
 	seed(t, c, testNames(2))

@@ -285,9 +285,10 @@ func (n *Node) ledList(shards int) []*server.Snapshot {
 
 // nodeCatalog is node id's server.Catalog: reads pass the leadership gate
 // (Cluster.ReadAt), the listing holds the shards the node leads, writes
-// take the fenced cluster write path, and the node is ready while it is a
-// registered, live member. Each call resolves the node afresh, so a
-// handler built at boot serves a restarted node's new store.
+// take the fenced cluster write path, the node is ready while it is a
+// registered, live member, and spans carry the node and the array's
+// shard. Each call resolves the node afresh, so a handler built at boot
+// serves a restarted node's new store.
 type nodeCatalog struct {
 	c  *Cluster
 	id cluster.NodeID
@@ -319,3 +320,7 @@ func (nc nodeCatalog) Ready() error {
 	}
 	return n.Ready()
 }
+
+func (nc nodeCatalog) Node() int { return int(nc.id) }
+
+func (nc nodeCatalog) Shard(name string) int { return ShardOf(name, nc.c.Shards()) }

@@ -6,11 +6,15 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"datanet/internal/cluster"
+	"datanet/internal/elasticmap"
+	"datanet/internal/metrics"
 	"datanet/internal/obs"
 	"datanet/internal/trace"
 )
@@ -132,6 +136,7 @@ func TestHandlerTraceSpans(t *testing.T) {
 
 	req, _ := http.NewRequest("GET", srvs[primary].URL+"/v1/arrays/"+name+"/estimate?sub="+name, nil)
 	req.Header.Set(obs.RequestIDHeader, "trace-test-1")
+	req.Header.Set(obs.AttemptHeader, "3")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +166,139 @@ func TestHandlerTraceSpans(t *testing.T) {
 		t.Fatal("traced request not in span ring")
 	}
 	if q := found.Request; found.Type != trace.EvRequest || found.Node != int(primary) || q.Shard != si ||
-		q.Status != 200 || found.Detail != "estimate" || q.Stale {
+		q.Status != 200 || found.Detail != "estimate" || q.Stale || found.Count != 2 || q.Epoch != 1 || q.Cache != "miss" {
 		t.Errorf("span annotations wrong: %+v %+v", found, q)
+	}
+
+	// Without a client ID the node mints one, echoes it and spans it.
+	code, _ := call(t, "GET", srvs[primary].URL+"/healthz", nil)
+	evs := spans(t, srvs[primary].URL)
+	if last := evs[len(evs)-1]; code != 200 || !strings.HasPrefix(last.Request.ID, "r-") ||
+		last.Detail != "healthz" || last.Node != int(primary) || last.Request.Shard != -1 {
+		t.Errorf("minted-id span wrong: %d %+v %+v", code, last, last.Request)
+	}
+}
+
+// sameMultiset reports whether h holds exactly the observations vs: the
+// counts of h's values at and just below every distinct value of vs, and
+// h's total, match those of vs.
+func sameMultiset(h *metrics.Histogram, vs []float64) bool {
+	want := metrics.NewHistogram()
+	for _, v := range vs {
+		want.Observe(v)
+	}
+	distinct := slices.Clone(vs)
+	slices.Sort(distinct)
+	var bounds []float64
+	for _, v := range slices.Compact(distinct) {
+		bounds = append(bounds, math.Nextafter(v, math.Inf(-1)), v)
+	}
+	return slices.Equal(h.Buckets(bounds), want.Buckets(bounds))
+}
+
+// On a cluster node too, every counted route's latency histogram holds
+// exactly its spans' durations, leadership refusals included.
+func TestNodeSpanDurIsRouteLatency(t *testing.T) {
+	c, err := New(testConfig(1, 1), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed(t, c, []string{"a"})
+	primary := cluster.NodeID(c.Topology().Map[0].Primary)
+	h, err := NewHandler(c, primary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	blob, err := elasticmap.Encode(tinyArray("a", 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []struct {
+		method, path string
+		body         []byte
+	}{
+		{"GET", "/healthz", nil},
+		{"GET", "/readyz", nil},
+		{"GET", "/v1/arrays", nil},
+		{"GET", "/v1/arrays/a", nil},
+		{"GET", "/v1/arrays/missing", nil},
+		{"GET", "/v1/arrays/a/estimate?sub=a", nil},
+		{"GET", "/v1/arrays/a/estimate?sub=a", nil},
+		{"GET", "/v1/arrays/a/estimate", nil},
+		{"GET", "/v1/arrays/a/distribution?sub=a", nil},
+		{"GET", "/v1/arrays/a/top?n=2", nil},
+		{"POST", "/v1/arrays/a/plan", []byte(`{"sub":"a","nodes":3}`)},
+		{"POST", "/v1/arrays/a/plan", []byte(`{`)},
+		{"POST", "/v1/arrays/a/append", blob},
+		{"PUT", "/v1/arrays/a", blob},
+	} {
+		call(t, q.method, ts.URL+q.path, q.body)
+	}
+	evs, m := spans(t, ts.URL), h.Server().DumpMetrics()
+	for label, ed := range m.Endpoints {
+		var durs []float64
+		for _, ev := range evs {
+			if ev.Detail == label {
+				durs = append(durs, ev.Dur)
+				if ev.Node != int(primary) {
+					t.Errorf("%s span on node %d, want %d", label, ev.Node, primary)
+				}
+			}
+		}
+		if len(durs) == 0 || ed.Requests != uint64(len(durs)) || !sameMultiset(ed.Latency, durs) {
+			t.Errorf("%s: %d spans %v, metrics count %d requests, latency not the spans' durations",
+				label, len(durs), durs, ed.Requests)
+		}
+	}
+}
+
+// A cluster node's mux 404 and 405 answers are each one span with an
+// empty route and an echoed ID, and move no endpoint count.
+func TestNodeUnmatchedRequestSpan(t *testing.T) {
+	c, err := New(testConfig(1, 1), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed(t, c, []string{"x"})
+	h, err := NewHandler(c, cluster.NodeID(c.Topology().Map[0].Primary))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []struct {
+		method, path string
+		code         int
+	}{
+		{"GET", "/v1/nope", 404},
+		{"DELETE", "/v1/arrays/x", 405},
+	} {
+		req := httptest.NewRequest(q.method, q.path, nil)
+		req.Header.Set(obs.RequestIDHeader, q.path)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != q.code || rec.Header().Get(obs.RequestIDHeader) != q.path {
+			t.Errorf("%s %s: %d, request-id %q; want %d and the echo", q.method, q.path,
+				rec.Code, rec.Header().Get(obs.RequestIDHeader), q.code)
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/admin/trace", nil))
+	var evs []trace.Event
+	for _, line := range bytes.Split(bytes.TrimSpace(rec.Body.Bytes()), []byte("\n")) {
+		var ev trace.Event
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatalf("bad trace line %q: %v", line, err)
+		}
+		evs = append(evs, ev)
+	}
+	if len(evs) != 2 || evs[0].Request.Status != 404 || evs[1].Request.Status != 405 ||
+		evs[0].Detail != "" || evs[1].Detail != "" {
+		t.Fatalf("unmatched spans: %+v", evs)
+	}
+	for label, ed := range h.Server().DumpMetrics().Endpoints {
+		if ed.Requests != 0 || ed.Errors != 0 || ed.Latency.Count() != 0 {
+			t.Errorf("%s counted an unmatched request: %+v", label, ed)
+		}
 	}
 }

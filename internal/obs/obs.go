@@ -1,8 +1,8 @@
 // Package obs is the wall-clock observability plane of the serving
 // stack: request spans (trace.EvRequest events on the Unix clock) in a
-// bounded lock-free ring with a top-K slow-request log, an HTTP
-// middleware that stamps and propagates request IDs, the /admin/trace
-// view of them through internal/trace's exporters, Prometheus
+// bounded lock-free ring with a top-K slow-request log, the
+// request-correlation headers and ID minting, the /admin/trace view of
+// the spans through internal/trace's exporters, Prometheus
 // text-format exposition of the live metrics, and structured log/slog
 // setup for the serve and cluster daemons.
 //
@@ -13,16 +13,17 @@
 package obs
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"strconv"
 	"sync/atomic"
 
 	"datanet/internal/trace"
 )
 
 // Header names of the request-correlation protocol. Loadgen stamps both;
-// the middleware echoes the request ID on the response and generates one
+// the serving node echoes the request ID on the response and mints one
 // when the client sent none.
 const (
 	// RequestIDHeader carries the request-scoped correlation ID from the
@@ -33,57 +34,40 @@ const (
 	AttemptHeader = "X-Datanet-Attempt"
 )
 
-// Defaults for the tracer's bounded state.
+// The tracer's bounded state.
 const (
-	// DefaultRingSize is the span-ring capacity (rounded up to a power of
-	// two; ~1 MB of spans at steady state).
-	DefaultRingSize = 4096
-	// DefaultSlowK is the slow-log depth.
-	DefaultSlowK = 32
+	// RingSize is the span-ring capacity (a power of two; ~1 MB of spans
+	// at steady state).
+	RingSize = 4096
+	// SlowK is the slow-log depth.
+	SlowK = 32
 )
 
-// Tracer owns one process's (or one cluster node's) span state: the
-// bounded ring and the slow log. The zero Tracer is not usable; a nil
-// *Tracer is a no-op recorder.
+// Tracer owns one serving node's span state: the bounded ring and the
+// slow log. The zero Tracer is not usable.
 type Tracer struct {
 	ring *Ring
 	slow *SlowLog
 }
 
-// NewTracer builds a tracer with the given ring capacity and slow-log
-// depth (zeros select the defaults).
-func NewTracer(ringSize, slowK int) *Tracer {
-	if ringSize <= 0 {
-		ringSize = DefaultRingSize
-	}
-	if slowK <= 0 {
-		slowK = DefaultSlowK
-	}
-	return &Tracer{ring: NewRing(ringSize), slow: NewSlowLog(slowK)}
+// NewTracer builds a tracer of RingSize spans and a SlowK-deep slow log.
+func NewTracer() *Tracer {
+	return &Tracer{ring: NewRing(RingSize), slow: NewSlowLog(SlowK)}
 }
 
-// Record stores one finished span. Nil-safe: a nil tracer drops it.
+// Record stores one finished span.
 func (t *Tracer) Record(sp *trace.Event) {
-	if t == nil || sp == nil {
-		return
-	}
 	t.ring.Put(sp)
 	t.slow.Offer(sp)
 }
 
 // Spans snapshots the ring in sequence order (oldest retained first).
 func (t *Tracer) Spans() []trace.Event {
-	if t == nil {
-		return nil
-	}
 	return t.ring.Snapshot()
 }
 
 // Slowest returns the slow log, slowest first.
 func (t *Tracer) Slowest() []trace.Event {
-	if t == nil {
-		return nil
-	}
 	return t.slow.Top()
 }
 
@@ -91,26 +75,33 @@ func (t *Tracer) Slowest() []trace.Event {
 // counter. Unique across the nodes of one cluster process (they share
 // the counter) and almost surely across processes.
 var (
-	ridPrefix = rand.Uint32()
+	ridPrefix = fmt.Sprintf("r-%08x-", rand.Uint32())
 	ridSeq    atomic.Uint64
 )
 
 // NewRequestID mints a fresh request ID ("r-xxxxxxxx-n").
 func NewRequestID() string {
-	return fmt.Sprintf("r-%08x-%d", ridPrefix, ridSeq.Add(1))
+	return ridPrefix + strconv.FormatUint(ridSeq.Add(1), 10)
 }
 
-// spanKey is the context key carrying the in-flight span.
-type spanKey struct{}
-
-// WithSpan returns ctx carrying sp, for handlers to annotate.
-func WithSpan(ctx context.Context, sp *trace.Event) context.Context {
-	return context.WithValue(ctx, spanKey{}, sp)
-}
-
-// SpanFrom returns the in-flight span, or nil outside the middleware.
-// Annotating the returned span is safe only before the handler returns.
-func SpanFrom(ctx context.Context) *trace.Event {
-	sp, _ := ctx.Value(spanKey{}).(*trace.Event)
-	return sp
+// ServeHTTP serves the tracer's state at /admin/trace:
+//
+//	GET /admin/trace                  spans as JSONL (ring order)
+//	GET /admin/trace?format=chrome    Chrome trace-event JSON (Perfetto)
+//	GET /admin/trace?slow=true        slow log only, slowest first
+func (t *Tracer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	spans := t.Spans()
+	if r.URL.Query().Get("slow") == "true" {
+		spans = t.Slowest()
+	}
+	switch f := r.URL.Query().Get("format"); f {
+	case "", "jsonl":
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		trace.WriteJSONL(w, spans)
+	case "chrome":
+		w.Header().Set("Content-Type", "application/json")
+		trace.WriteChrome(w, spans, "datanet serving plane", "server")
+	default:
+		http.Error(w, `unknown format (want "jsonl" or "chrome")`, http.StatusBadRequest)
+	}
 }

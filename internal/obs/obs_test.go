@@ -16,7 +16,7 @@ import (
 	"datanet/internal/trace"
 )
 
-// reqSpan builds a recorded request span the way Middleware does.
+// reqSpan builds a recorded request span the way server.Server does.
 func reqSpan(id string, d float64) *trace.Event {
 	return &trace.Event{Type: trace.EvRequest, Node: -1, Block: -1, Dur: d,
 		Request: &trace.Request{ID: id, Shard: -1}}
@@ -89,59 +89,8 @@ func TestSlowLogKeepsTopK(t *testing.T) {
 	}
 }
 
-func TestMiddlewareSpanAndRequestID(t *testing.T) {
-	tr := NewTracer(16, 4)
-	h := Middleware(tr, 2, nil, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sp := SpanFrom(r.Context())
-		if sp == nil {
-			t.Fatal("no span in handler context")
-		}
-		sp.Detail = "estimate"
-		sp.Request.Epoch = 7
-		sp.Request.Cache = "hit"
-		w.WriteHeader(http.StatusTeapot)
-	}))
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-
-	req, _ := http.NewRequest("GET", ts.URL+"/v1/arrays/x/estimate", nil)
-	req.Header.Set(RequestIDHeader, "client-42")
-	req.Header.Set(AttemptHeader, "3")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if got := resp.Header.Get(RequestIDHeader); got != "client-42" {
-		t.Errorf("response request-id %q, want echo of client-42", got)
-	}
-
-	spans := tr.Spans()
-	if len(spans) != 1 {
-		t.Fatalf("%d spans recorded, want 1", len(spans))
-	}
-	sp := spans[0]
-	if q := sp.Request; sp.Type != trace.EvRequest || q.ID != "client-42" || sp.Detail != "estimate" ||
-		q.Status != http.StatusTeapot || sp.Node != 2 || q.Epoch != 7 || q.Cache != "hit" || sp.Count != 2 {
-		t.Errorf("span fields wrong: %+v %+v", sp, q)
-	}
-	if sp.Dur < 0 || sp.T <= 0 {
-		t.Errorf("span timing wrong: %+v", sp)
-	}
-
-	// Without a client ID the middleware mints one and echoes it.
-	resp2, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if got := resp2.Header.Get(RequestIDHeader); !strings.HasPrefix(got, "r-") {
-		t.Errorf("minted request id %q, want r- prefix", got)
-	}
-}
-
 func TestTraceHandlerFormats(t *testing.T) {
-	tr := NewTracer(16, 4)
+	tr := NewTracer()
 	a := reqSpan("a", 0.002)
 	a.T, a.Detail, a.Request.Status = 1, "estimate", 200
 	tr.Record(a)
@@ -149,7 +98,7 @@ func TestTraceHandlerFormats(t *testing.T) {
 	b.T, b.Detail, b.Node = 1.003, "plan", 1
 	b.Request.Shard, b.Request.Status, b.Request.Stale = 3, 200, true
 	tr.Record(b)
-	ts := httptest.NewServer(TraceHandler(tr))
+	ts := httptest.NewServer(tr)
 	defer ts.Close()
 
 	get := func(path string) []byte {

@@ -26,9 +26,6 @@ type SlowLog struct {
 
 // NewSlowLog builds a slow log of depth k.
 func NewSlowLog(k int) *SlowLog {
-	if k <= 0 {
-		k = DefaultSlowK
-	}
 	return &SlowLog{k: k}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -68,11 +69,11 @@ func TestSnapshotCachedColdAfterAppend(t *testing.T) {
 	s.Put("logs", elasticmap.Build(baseBlocks(), testOpts))
 	sn, _ := s.Get("logs")
 	calls := 0
-	compute := func() []byte { calls++; return []byte("v") }
-	if _, hit := sn.Cached("k", compute); hit {
+	compute := func() ([]byte, error) { calls++; return []byte("v"), nil }
+	if _, hit, _ := sn.Cached("k", compute); hit {
 		t.Fatal("first lookup hit")
 	}
-	if _, hit := sn.Cached("k", compute); !hit {
+	if _, hit, _ := sn.Cached("k", compute); !hit {
 		t.Fatal("second lookup missed")
 	}
 	if calls != 1 {
@@ -83,10 +84,20 @@ func TestSnapshotCachedColdAfterAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	sn2, _ := s.Get("logs")
-	if _, hit := sn2.Cached("k", compute); hit {
+	if _, hit, _ := sn2.Cached("k", compute); hit {
 		t.Fatal("new epoch served the old epoch's cache entry")
 	}
 	if calls != 2 {
 		t.Fatalf("compute ran %d times, want 2", calls)
+	}
+	// A failed compute stores nothing: the next lookup computes again.
+	fail := func() ([]byte, error) { calls++; return nil, errors.New("no answer") }
+	for range 2 {
+		if _, hit, err := sn2.Cached("bad", fail); hit || err == nil {
+			t.Fatalf("failed compute: hit %v, err %v", hit, err)
+		}
+	}
+	if calls != 4 {
+		t.Fatalf("compute ran %d times, want 4", calls)
 	}
 }

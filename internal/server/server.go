@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"strconv"
@@ -16,6 +17,7 @@ import (
 	"datanet/internal/elasticmap"
 	"datanet/internal/metrics"
 	"datanet/internal/obs"
+	"datanet/internal/trace"
 )
 
 // MaxBodyBytes bounds request bodies (encoded arrays, plan requests): a
@@ -47,12 +49,22 @@ type Catalog interface {
 	Write(name string, next func(prev *Snapshot) (*elasticmap.Array, error)) (*Snapshot, error)
 	// Ready reports nil once the catalog can serve.
 	Ready() error
+	// Node is the serving cluster node's ID, -1 in a single process.
+	Node() int
+	// Shard is the catalog shard holding name, -1 in a single process.
+	Shard(name string) int
 }
 
-// Server is the HTTP metadata service over a Catalog.
+// Server is the HTTP metadata service over a Catalog, and the one
+// per-request wrapper of a serving node: every request it answers is a
+// span in its tracer.
 type Server struct {
-	cat Catalog
-	mux *http.ServeMux
+	cat    Catalog
+	mux    *http.ServeMux
+	tracer *obs.Tracer
+	// Logger, when non-nil, writes one structured line per span. Set it
+	// before serving; nil (no logging) is the default.
+	Logger *slog.Logger
 	// byEndpoint maps route label → metrics; fixed at construction so the
 	// hot path never locks a map.
 	byEndpoint map[string]*endpointMetrics
@@ -73,6 +85,7 @@ func New(cat Catalog) *Server {
 	s := &Server{
 		cat:        cat,
 		mux:        http.NewServeMux(),
+		tracer:     obs.NewTracer(),
 		byEndpoint: make(map[string]*endpointMetrics, len(endpointLabels)),
 	}
 	for _, l := range endpointLabels {
@@ -95,9 +108,87 @@ func New(cat Catalog) *Server {
 	return s
 }
 
-// ServeHTTP implements http.Handler.
+// span is one request in flight: its trace event, the event's Request
+// payload and the writer that captures the answered status, in one
+// allocation. Route handlers get it as an argument and annotate it.
+type span struct {
+	http.ResponseWriter
+	status int
+	// em is the matched route's metrics, nil for an uncounted request.
+	em  *endpointMetrics
+	ev  trace.Event
+	req trace.Request
+}
+
+func (sp *span) WriteHeader(code int) {
+	sp.status = code
+	sp.ResponseWriter.WriteHeader(code)
+}
+
+// ServeHTTP answers the node-local admin routes unspanned, so a scrape
+// never perturbs what it scrapes, and every other request as a span: it
+// echoes or mints the request ID, reads the attempt header, dispatches,
+// and records the one measured duration in the tracer and in the matched
+// route's metrics.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
+	switch r.URL.Path {
+	case "/admin/trace":
+		s.tracer.ServeHTTP(w, r)
+		return
+	case "/admin/metrics":
+		w.Header().Set("Content-Type", obs.PromContentType)
+		w.Write(RenderProm(s.DumpMetrics(), false))
+		return
+	}
+	id := r.Header.Get(obs.RequestIDHeader)
+	if id == "" {
+		id = obs.NewRequestID()
+	}
+	w.Header().Set(obs.RequestIDHeader, id)
+	sp := &span{
+		ResponseWriter: w,
+		status:         http.StatusOK,
+		ev:             trace.Event{Type: trace.EvRequest, Node: s.cat.Node(), Block: -1},
+		req:            trace.Request{ID: id, Method: r.Method, Path: r.URL.Path, Shard: -1},
+	}
+	sp.ev.Request = &sp.req
+	if a := r.Header.Get(obs.AttemptHeader); a != "" {
+		if n, err := strconv.Atoi(a); err == nil && n > 1 {
+			sp.ev.Count = n - 1
+		}
+	}
+	start := time.Now()
+	sp.ev.T = float64(start.UnixMicro()) / 1e6
+	s.mux.ServeHTTP(sp, r)
+	sp.ev.Dur = time.Since(start).Seconds()
+	sp.req.Status = sp.status
+	// The ring keeps the span for thousands of requests more: let go of
+	// the writer, which holds the request and its response.
+	sp.ResponseWriter = nil
+	if em := sp.em; em != nil {
+		em.requests.Add(1)
+		if sp.status >= http.StatusBadRequest {
+			em.errors.Add(1)
+		}
+		em.latency.Observe(sp.ev.Dur)
+	}
+	s.tracer.Record(&sp.ev)
+	if s.Logger != nil {
+		s.Logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
+			slog.String("requestId", sp.req.ID),
+			slog.String("method", sp.req.Method),
+			slog.String("path", sp.req.Path),
+			slog.String("route", sp.ev.Detail),
+			slog.Int("node", sp.ev.Node),
+			slog.Int("shard", sp.req.Shard),
+			slog.Uint64("epoch", sp.req.Epoch),
+			slog.Int("status", sp.req.Status),
+			slog.String("cache", sp.req.Cache),
+			slog.Bool("stale", sp.req.Stale),
+			slog.Int("retries", sp.ev.Count),
+			slog.Float64("durMs", sp.ev.Dur*1e3),
+		)
+	}
 }
 
 // httpError carries a status code — and, for typed 503s, a
@@ -155,27 +246,26 @@ func WriteError(w http.ResponseWriter, err error) {
 	WriteJSON(w, code, body)
 }
 
-// instrument wraps a handler with per-endpoint counting and latency
-// observation, and renders returned errors as JSON with a 4xx status.
-// Handlers return pre-marshaled bodies so cached responses skip encoding.
-func (s *Server) instrument(label string, h func(w http.ResponseWriter, r *http.Request) ([]byte, error)) http.HandlerFunc {
+// instrument makes h the counted route label: it names the span's route
+// and the array's shard, hands the span to h, and renders h's returned
+// error as JSON with a 4xx/5xx status. Handlers return pre-marshaled
+// bodies so cached responses skip encoding.
+func (s *Server) instrument(label string, h func(sp *span, r *http.Request) ([]byte, error)) http.HandlerFunc {
 	em := s.byEndpoint[label]
 	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		em.requests.Add(1)
-		if sp := obs.SpanFrom(r.Context()); sp != nil {
-			sp.Detail = label
+		sp := w.(*span) // the mux is only reached through ServeHTTP
+		sp.em, sp.ev.Detail = em, label
+		if name := r.PathValue("name"); name != "" {
+			sp.req.Shard = s.cat.Shard(name)
 		}
-		body, err := h(w, r)
-		em.latency.Observe(time.Since(start).Seconds())
+		body, err := h(sp, r)
 		if err != nil {
-			em.errors.Add(1)
-			WriteError(w, err)
+			WriteError(sp, err)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		w.Write(body)
+		sp.Header().Set("Content-Type", "application/json")
+		sp.WriteHeader(http.StatusOK)
+		sp.Write(body)
 	}
 }
 
@@ -204,18 +294,16 @@ func marshal(v any) []byte {
 // snapshot resolves the {name} path wildcard with one catalog lookup,
 // flags a stale answer on the response, and stamps the served epoch and
 // the stale flag onto the request's span.
-func (s *Server) snapshot(w http.ResponseWriter, r *http.Request) (*Snapshot, error) {
+func (s *Server) snapshot(sp *span, r *http.Request) (*Snapshot, error) {
 	name := r.PathValue("name")
 	sn, stale, err := s.cat.Lookup(name)
 	if err != nil {
 		return nil, catalogError(name, err)
 	}
 	if stale {
-		w.Header().Set(StaleHeader, "true")
+		sp.Header().Set(StaleHeader, "true")
 	}
-	if sp := obs.SpanFrom(r.Context()); sp != nil {
-		sp.Request.Epoch, sp.Request.Stale = sn.Epoch, stale
-	}
+	sp.req.Epoch, sp.req.Stale = sn.Epoch, stale
 	return sn, nil
 }
 
@@ -229,27 +317,26 @@ func catalogError(name string, err error) error {
 }
 
 // cached answers from the snapshot's per-epoch cache, counting hits and
-// misses on the server and on the request's span.
-func (s *Server) cached(r *http.Request, sn *Snapshot, key string, compute func() []byte) []byte {
-	body, hit := sn.Cached(key, compute)
-	if hit {
+// misses on the server and on the request's span. A failed compute is
+// neither stored nor counted.
+func (s *Server) cached(sp *span, sn *Snapshot, key string, compute func() ([]byte, error)) ([]byte, error) {
+	body, hit, err := sn.Cached(key, compute)
+	switch {
+	case err != nil:
+		return nil, err
+	case hit:
 		s.cacheHits.Add(1)
-	} else {
+		sp.req.Cache = "hit"
+	default:
 		s.cacheMiss.Add(1)
+		sp.req.Cache = "miss"
 	}
-	if sp := obs.SpanFrom(r.Context()); sp != nil {
-		if hit {
-			sp.Request.Cache = "hit"
-		} else {
-			sp.Request.Cache = "miss"
-		}
-	}
-	return body
+	return body, nil
 }
 
 // handleHealthz is pure liveness: the process is up and serving HTTP.
 // Orchestrators restart on healthz failure; they route on readyz.
-func (s *Server) handleHealthz(http.ResponseWriter, *http.Request) ([]byte, error) {
+func (s *Server) handleHealthz(*span, *http.Request) ([]byte, error) {
 	return marshal(map[string]bool{"ok": true}), nil
 }
 
@@ -257,7 +344,7 @@ func (s *Server) handleHealthz(http.ResponseWriter, *http.Request) ([]byte, erro
 // store holds an array; a cluster node is a registered, live member).
 // Draining flips it back to 503 so load balancers stop sending traffic
 // before shutdown completes.
-func (s *Server) handleReadyz(http.ResponseWriter, *http.Request) ([]byte, error) {
+func (s *Server) handleReadyz(*span, *http.Request) ([]byte, error) {
 	if s.draining.Load() {
 		return nil, Unavailable("draining", 1, "shutting down")
 	}
@@ -328,7 +415,7 @@ func infoOf(sn *Snapshot) arrayInfo {
 	}
 }
 
-func (s *Server) handleArrays(http.ResponseWriter, *http.Request) ([]byte, error) {
+func (s *Server) handleArrays(*span, *http.Request) ([]byte, error) {
 	list := s.cat.List()
 	infos := make([]arrayInfo, len(list))
 	for i, sn := range list {
@@ -337,8 +424,8 @@ func (s *Server) handleArrays(http.ResponseWriter, *http.Request) ([]byte, error
 	return marshal(map[string]any{"arrays": infos}), nil
 }
 
-func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	sn, err := s.snapshot(w, r)
+func (s *Server) handleInfo(sp *span, r *http.Request) ([]byte, error) {
+	sn, err := s.snapshot(sp, r)
 	if err != nil {
 		return nil, err
 	}
@@ -354,8 +441,8 @@ type estimateResponse struct {
 	BloomedBlocks int    `json:"bloomedBlocks"`
 }
 
-func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	sn, err := s.snapshot(w, r)
+func (s *Server) handleEstimate(sp *span, r *http.Request) ([]byte, error) {
+	sn, err := s.snapshot(sp, r)
 	if err != nil {
 		return nil, err
 	}
@@ -363,13 +450,13 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) ([]byte,
 	if sub == "" {
 		return nil, badRequest("missing sub parameter")
 	}
-	return s.cached(r, sn, "estimate\x00"+sub, func() []byte {
+	return s.cached(sp, sn, "estimate\x00"+sub, func() ([]byte, error) {
 		total, hashed, bloomed := sn.Arr.EstimateDetailed(sub)
 		return marshal(estimateResponse{
 			Epoch: sn.Epoch, Sub: sub,
 			Estimate: total, HashedBlocks: hashed, BloomedBlocks: bloomed,
-		})
-	}), nil
+		}), nil
+	})
 }
 
 // blockEstimate mirrors elasticmap.BlockEstimate with a JSON class name.
@@ -379,8 +466,8 @@ type blockEstimate struct {
 	Class string `json:"class"`
 }
 
-func (s *Server) handleDistribution(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	sn, err := s.snapshot(w, r)
+func (s *Server) handleDistribution(sp *span, r *http.Request) ([]byte, error) {
+	sn, err := s.snapshot(sp, r)
 	if err != nil {
 		return nil, err
 	}
@@ -388,7 +475,7 @@ func (s *Server) handleDistribution(w http.ResponseWriter, r *http.Request) ([]b
 	if sub == "" {
 		return nil, badRequest("missing sub parameter")
 	}
-	return s.cached(r, sn, "distribution\x00"+sub, func() []byte {
+	return s.cached(sp, sn, "distribution\x00"+sub, func() ([]byte, error) {
 		dist := sn.Arr.Distribution(sub)
 		blocks := make([]blockEstimate, len(dist))
 		for i, be := range dist {
@@ -396,12 +483,12 @@ func (s *Server) handleDistribution(w http.ResponseWriter, r *http.Request) ([]b
 		}
 		return marshal(map[string]any{
 			"epoch": sn.Epoch, "sub": sub, "blocks": blocks,
-		})
-	}), nil
+		}), nil
+	})
 }
 
-func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	sn, err := s.snapshot(w, r)
+func (s *Server) handleTop(sp *span, r *http.Request) ([]byte, error) {
+	sn, err := s.snapshot(sp, r)
 	if err != nil {
 		return nil, err
 	}
@@ -413,18 +500,18 @@ func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) ([]byte, erro
 		}
 		n = v
 	}
-	return s.cached(r, sn, "top\x00"+strconv.Itoa(n), func() []byte {
+	return s.cached(sp, sn, "top\x00"+strconv.Itoa(n), func() ([]byte, error) {
 		top := sn.Idx.Top(n)
 		entries := make([]map[string]any, len(top))
 		for i, e := range top {
 			entries[i] = map[string]any{"sub": e.Sub, "bytes": e.Bytes}
 		}
-		return marshal(map[string]any{"epoch": sn.Epoch, "entries": entries})
-	}), nil
+		return marshal(map[string]any{"epoch": sn.Epoch, "entries": entries}), nil
+	})
 }
 
-func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	sn, err := s.snapshot(w, r)
+func (s *Server) handlePlan(sp *span, r *http.Request) ([]byte, error) {
+	sn, err := s.snapshot(sp, r)
 	if err != nil {
 		return nil, err
 	}
@@ -440,28 +527,14 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) ([]byte, err
 		return nil, badRequest("bad plan request: %v", err)
 	}
 	// Canonical cache key: the validated request re-marshaled, so
-	// semantically identical requests share an entry. Only successful
-	// plans are cached; errors recompute.
-	key := "plan\x00" + string(marshal(req))
-	sp := obs.SpanFrom(r.Context())
-	if body, ok := sn.cache.get(key); ok {
-		s.cacheHits.Add(1)
-		if sp != nil {
-			sp.Request.Cache = "hit"
+	// semantically identical requests share an entry.
+	return s.cached(sp, sn, "plan\x00"+string(marshal(req)), func() ([]byte, error) {
+		resp, err := buildPlan(sn, &req)
+		if err != nil {
+			return nil, badRequest("plan: %v", err)
 		}
-		return body, nil
-	}
-	resp, err := buildPlan(sn, &req)
-	if err != nil {
-		return nil, badRequest("plan: %v", err)
-	}
-	body := marshal(resp)
-	sn.cache.put(key, body)
-	s.cacheMiss.Add(1)
-	if sp != nil {
-		sp.Request.Cache = "miss"
-	}
-	return body, nil
+		return marshal(resp), nil
+	})
 }
 
 // readBody drains a bounded request body.
@@ -479,8 +552,8 @@ func readBody(r *http.Request) ([]byte, error) {
 // write is the one write route, append or put by how form turns the
 // decoded body into the catalog write: decode, pass the drain gate, write
 // through the catalog, answer with the published epoch.
-func (s *Server) write(form func(*elasticmap.Array) func(*Snapshot) (*elasticmap.Array, error)) func(http.ResponseWriter, *http.Request) ([]byte, error) {
-	return func(_ http.ResponseWriter, r *http.Request) ([]byte, error) {
+func (s *Server) write(form func(*elasticmap.Array) func(*Snapshot) (*elasticmap.Array, error)) func(*span, *http.Request) ([]byte, error) {
+	return func(_ *span, r *http.Request) ([]byte, error) {
 		name := r.PathValue("name")
 		blob, err := readBody(r)
 		if err != nil {

@@ -253,6 +253,12 @@ func (s *Store) List() []*Snapshot {
 	return out
 }
 
+// Node reports a single process: no cluster node.
+func (s *Store) Node() int { return -1 }
+
+// Shard reports a single process: the catalog is not sharded.
+func (s *Store) Shard(string) int { return -1 }
+
 // Ready reports an empty store as not ready to serve.
 func (s *Store) Ready() error {
 	if s.Len() == 0 {
@@ -265,12 +271,15 @@ func (s *Store) Ready() error {
 // per-epoch cache and reports whether it was a hit. compute runs at most
 // once per key per epoch in the common case; under a concurrent miss race
 // both callers compute and one result wins (the values are deterministic
-// functions of the immutable snapshot, so either is correct).
-func (sn *Snapshot) Cached(key string, compute func() []byte) (val []byte, hit bool) {
+// functions of the immutable snapshot, so either is correct). A failed
+// compute stores nothing, so the next call computes again.
+func (sn *Snapshot) Cached(key string, compute func() ([]byte, error)) (val []byte, hit bool, err error) {
 	if v, ok := sn.cache.get(key); ok {
-		return v, true
+		return v, true, nil
 	}
-	v := compute()
-	sn.cache.put(key, v)
-	return v, false
+	if val, err = compute(); err != nil {
+		return nil, false, err
+	}
+	sn.cache.put(key, val)
+	return val, false, nil
 }
