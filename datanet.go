@@ -337,7 +337,8 @@ type Job struct {
 	Partition *PartitionConfig
 	// MetaErr records that meta-data for this job failed to load (e.g. a
 	// corrupt ElasticMap encoding). The job then degrades to the locality
-	// baseline and sets Result.MetadataFallback instead of failing.
+	// baseline and sets Result.MetadataFallback instead of failing, as it
+	// does when Meta was built over a file other than File.
 	MetaErr error
 	// Trace, when non-nil, records the run's event timeline and scheduler
 	// decision audit (see NewTrace). Nil runs record nothing and are
@@ -348,8 +349,13 @@ type Job struct {
 // Run executes the job on the simulated engine.
 func (j Job) Run() (*Result, error) {
 	var weights []int64
+	weightsErr := j.MetaErr
 	if j.Meta != nil && j.Scheduler != SchedulerLocality {
-		weights = j.Meta.Weights(j.Target)
+		if j.Meta.file == j.File {
+			weights = j.Meta.Weights(j.Target)
+		} else if weightsErr == nil {
+			weightsErr = fmt.Errorf("meta-data describes file %q, not the job's %q", j.Meta.file, j.File)
+		}
 	}
 	return mapreduce.Run(mapreduce.Config{
 		FS:         j.FS,
@@ -366,7 +372,7 @@ func (j Job) Run() (*Result, error) {
 		Detect:     j.Detect,
 		Mitigate:   j.Mitigate,
 		Partition:  j.Partition,
-		WeightsErr: j.MetaErr,
+		WeightsErr: weightsErr,
 		Trace:      j.Trace,
 	})
 }

@@ -2,6 +2,7 @@ package datanet_test
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -296,5 +297,53 @@ func TestJobWithFaults(t *testing.T) {
 	}
 	if dr.Output["movie"] != clean.Output["movie"] {
 		t.Errorf("fallback output diverged: %q vs %q", dr.Output["movie"], clean.Output["movie"])
+	}
+}
+
+// A Meta built over one file must not drive a job over another file of
+// the same block count: with SkipEmpty its estimates would drop blocks
+// that hold the target. The job degrades to the locality baseline instead,
+// names both files, and computes the same output as a run without Meta.
+func TestJobRejectsAnotherFilesMeta(t *testing.T) {
+	fs, err := datanet.NewFileSystem(datanet.NewCluster(8, 2), datanet.FSConfig{BlockSize: 64 << 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := map[string]int{}
+	for i, name := range []string{"day1.log", "day2.log"} {
+		info, err := fs.Write(name, gen.Movies(gen.MovieConfig{Movies: 200, Reviews: 8000, Seed: int64(4 + i)}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks[name] = len(info.Blocks)
+	}
+	if blocks["day1.log"] != blocks["day2.log"] {
+		t.Fatalf("fixture files differ in block count: %v", blocks)
+	}
+	meta1, err := datanet.BuildMeta(fs, "day1.log", datanet.MetaOptions{Alpha: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		job := datanet.Job{
+			FS: fs, File: "day2.log", Target: gen.MovieID(i),
+			App: datanet.WordCount(), Scheduler: datanet.SchedulerDataNet,
+			SkipEmpty: true, Execute: true,
+		}
+		plain, err := job.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		job.Meta = meta1
+		got, err := job.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.MetadataFallback || !strings.Contains(got.SchedulerName, "day1.log") || !strings.Contains(got.SchedulerName, "day2.log") {
+			t.Errorf("%s: scheduler %q, MetadataFallback %v: another file's meta was not refused", job.Target, got.SchedulerName, got.MetadataFallback)
+		}
+		if !reflect.DeepEqual(got.Output, plain.Output) {
+			t.Errorf("%s: output under another file's meta differs from the run without meta", job.Target)
+		}
 	}
 }

@@ -209,8 +209,6 @@ func meanOfParsed(values []string) (n int, avg string) {
 type TopKSearch struct {
 	// K is the result count.
 	K int
-	// Query is the target sequence.
-	Query string
 
 	queryTokens map[string]bool
 }
@@ -220,7 +218,7 @@ func NewTopKSearch(k int, query string) TopKSearch {
 	if k <= 0 {
 		k = 10
 	}
-	t := TopKSearch{K: k, Query: query, queryTokens: make(map[string]bool)}
+	t := TopKSearch{K: k, queryTokens: make(map[string]bool)}
 	for _, tok := range strings.Fields(query) {
 		t.queryTokens[tok] = true
 	}

@@ -18,7 +18,6 @@ type NodeID int
 // simulated time; they calibrate the MapReduce engine's cost model rather
 // than promise wall-clock fidelity.
 type Node struct {
-	ID   NodeID
 	Rack int
 	// CPURate is the bytes/second a map function processes at unit
 	// application cost (apps scale it by their CostPerByte).
@@ -35,7 +34,6 @@ type Node struct {
 // Topology is an immutable cluster description.
 type Topology struct {
 	nodes []Node
-	racks int
 }
 
 // Marmot-like defaults (per node): 2 map slots, ~80 MB/s disk, ~110 MB/s
@@ -58,7 +56,6 @@ func NewHomogeneous(n, racks int) (*Topology, error) {
 	nodes := make([]Node, n)
 	for i := range nodes {
 		nodes[i] = Node{
-			ID:       NodeID(i),
 			Rack:     i % racks,
 			CPURate:  DefaultCPURate,
 			DiskRate: DefaultDiskRate,
@@ -66,7 +63,7 @@ func NewHomogeneous(n, racks int) (*Topology, error) {
 			Slots:    DefaultSlots,
 		}
 	}
-	return &Topology{nodes: nodes, racks: racks}, nil
+	return &Topology{nodes: nodes}, nil
 }
 
 // MustHomogeneous is NewHomogeneous for known-good literals in tests and
@@ -79,8 +76,8 @@ func MustHomogeneous(n, racks int) *Topology {
 	return t
 }
 
-// NewHeterogeneous builds a topology from explicit node specs, assigning
-// dense IDs in order. Used by heterogeneity ablations.
+// NewHeterogeneous builds a topology from explicit node specs; node i is
+// specs[i]. Used by heterogeneity ablations.
 func NewHeterogeneous(specs []Node, racks int) (*Topology, error) {
 	if len(specs) == 0 || racks <= 0 {
 		return nil, ErrBadTopology
@@ -88,7 +85,6 @@ func NewHeterogeneous(specs []Node, racks int) (*Topology, error) {
 	nodes := make([]Node, len(specs))
 	copy(nodes, specs)
 	for i := range nodes {
-		nodes[i].ID = NodeID(i)
 		if nodes[i].Rack < 0 || nodes[i].Rack >= racks {
 			nodes[i].Rack = i % racks
 		}
@@ -105,7 +101,7 @@ func NewHeterogeneous(specs []Node, racks int) (*Topology, error) {
 			nodes[i].NetRate = DefaultNetRate
 		}
 	}
-	return &Topology{nodes: nodes, racks: racks}, nil
+	return &Topology{nodes: nodes}, nil
 }
 
 // N returns the node count.

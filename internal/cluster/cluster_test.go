@@ -10,14 +10,11 @@ func TestNewHomogeneous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if topo.N() != 8 || topo.racks != 2 {
-		t.Fatalf("N=%d racks=%d", topo.N(), topo.racks)
+	if topo.N() != 8 {
+		t.Fatalf("N=%d", topo.N())
 	}
 	for i := range topo.N() {
 		n := topo.Node(NodeID(i))
-		if n.ID != NodeID(i) {
-			t.Errorf("node %d has ID %d", i, n.ID)
-		}
 		if n.Rack != i%2 {
 			t.Errorf("node %d rack %d, want %d", i, n.Rack, i%2)
 		}

@@ -185,7 +185,7 @@ func New(cfg Config, n int) (*Cluster, error) {
 	for i := 0; i < n; i++ {
 		id := cluster.NodeID(i)
 		ids[i] = id
-		nd := newNode(id, cfg.CacheSize)
+		nd := newNode(cfg.CacheSize)
 		nd.markRegistered()
 		c.members[id] = &member{node: nd}
 		c.tracker.Watch(int(id), 0)
@@ -710,7 +710,7 @@ func (c *Cluster) AddNode() cluster.NodeID {
 	defer c.mu.Unlock()
 	id := c.nextID
 	c.nextID++
-	nd := newNode(id, c.cfg.CacheSize)
+	nd := newNode(c.cfg.CacheSize)
 	nd.markRegistered()
 	c.members[id] = &member{node: nd}
 	c.tracker.Watch(int(id), c.now)

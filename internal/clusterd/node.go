@@ -39,8 +39,6 @@ type Role struct {
 // role check); all mutations arrive via the Cluster, which holds its own
 // lock first — the lock order is always Cluster.mu → Node.mu.
 type Node struct {
-	ID cluster.NodeID
-
 	mu    sync.Mutex
 	store *server.Store
 	roles map[int]Role
@@ -62,9 +60,8 @@ type Node struct {
 	cacheSize int
 }
 
-func newNode(id cluster.NodeID, cacheSize int) *Node {
+func newNode(cacheSize int) *Node {
 	return &Node{
-		ID:        id,
 		store:     server.NewStore(cacheSize),
 		roles:     map[int]Role{},
 		expect:    map[string]uint64{},

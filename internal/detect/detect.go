@@ -175,8 +175,6 @@ type Detector struct {
 	beat    sim.Kind
 	timeout sim.Kind
 	hooks   Hooks
-	// Suspicions counts Live→Suspected transitions (true and false).
-	Suspicions int
 }
 
 // New builds a detector for n nodes. cfg must describe a non-oracle mode
@@ -286,7 +284,6 @@ func (d *Detector) onTimeout(ev *sim.Event) error {
 		return nil
 	}
 	d.health.Suspect(id)
-	d.Suspicions++
 	if d.hooks.Suspect != nil {
 		return d.hooks.Suspect(id, ev.At)
 	}

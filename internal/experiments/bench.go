@@ -4,10 +4,6 @@ package experiments
 // per-section wall-clock cost (what bench/ times) plus each section's
 // report, whose Values the gate table checks.
 type BenchReport struct {
-	// Workers is the worker-pool size the suite ran with.
-	Workers int
-	// WallSeconds is the whole suite's wall-clock time.
-	WallSeconds float64
 	// Sections lists every experiment in suite order.
 	Sections []BenchSection
 }

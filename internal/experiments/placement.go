@@ -39,7 +39,7 @@ func Placement(p MovieParams) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		storageCV := env.FS.Balance().CV
+		storageCV := env.FS.Balance()
 		without, with, gain := r.balanceCells(pol.Name(), env, c)
 		t.Add(pol.Name(), fmt.Sprintf("%.3f", storageCV), without, with, gain)
 		r.Values[pol.Name()+"/storage_cv"] = storageCV

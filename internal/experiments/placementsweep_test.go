@@ -36,9 +36,8 @@ func TestPlacementSweepStructure(t *testing.T) {
 	}
 }
 
-// The table's job-time cells are the Values the bench record and the
-// gates read.
-func TestPlacementSweepBenchExports(t *testing.T) {
+// The table's job-time cells are the Values the gates read.
+func TestPlacementSweepValuesMatchTable(t *testing.T) {
 	r := ran(t, "placement sweep (clustered workload")(PlacementSweep(smallSweepParams()))
 	for _, row := range tablesOf(r)[0].Rows {
 		key := "clustered/" + row[0]

@@ -16,8 +16,8 @@ import (
 // ordered list of blocks (tables, figures, text lines) and the experiment's
 // named numeric outcomes. Everything downstream derives from it — String is
 // the suite text, the figure blocks are the CSV files, the figure and table
-// blocks are the HTML report, and Values feed the bench record and the
-// claim gates declared beside each section in suite.go.
+// blocks are the HTML report, and Values feed the claim gates declared
+// beside each section in suite.go.
 type Report struct {
 	// Values names the experiment's numeric outcomes. A key is the cell's
 	// axes joined by "/" (`128/slow-heavy/oracle/none`, `clustered/both`);

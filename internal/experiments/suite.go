@@ -282,17 +282,11 @@ func runNamed(w io.Writer, names ...string) ([]BenchSection, error) {
 // their declared order, exactly as the paper derives them from the same
 // runs. The bytes written to w are identical at any worker count.
 func RunSuiteBench(w io.Writer, workers int) (*BenchReport, error) {
-	start := time.Now()
 	env, err := NewMovieEnv(DefaultMovieParams())
 	if err != nil {
 		return nil, err
 	}
-	rep, err := runSections(w, suiteSections(), env, workers)
-	if err != nil {
-		return rep, err
-	}
-	rep.WallSeconds = time.Since(start).Seconds()
-	return rep, nil
+	return runSections(w, suiteSections(), env, workers)
 }
 
 // runSections is RunSuiteBench over a given section list and shared
@@ -360,7 +354,7 @@ func runSections(w io.Writer, secs []suiteSection, env *Env, workers int) (*Benc
 		wg.Wait()
 	}()
 
-	rep := &BenchReport{Workers: workers}
+	rep := &BenchReport{}
 	for i, s := range secs {
 		<-done[i]
 		r := results[i]

@@ -77,7 +77,7 @@ func TestSuiteGoldenAndParallel(t *testing.T) {
 		t.Errorf("suite memoised %d review logs, want its six configurations", len(logs))
 	}
 
-	if rep == nil || rep.Workers != 4 || len(rep.Sections) != len(suiteSections()) {
+	if rep == nil || len(rep.Sections) != len(suiteSections()) {
 		t.Fatalf("bench report incomplete: %+v", rep)
 	}
 	for _, s := range rep.Sections {

@@ -32,9 +32,7 @@ const DefaultReplication = 3
 // Block is one HDFS block: a contiguous run of records from a file plus
 // its replica locations.
 type Block struct {
-	ID    BlockID
-	File  string
-	Index int // position within the file
+	ID BlockID
 	// Records is the block content in file order.
 	Records []records.Record
 	// Bytes is the total record footprint (≤ the configured block size,
@@ -74,9 +72,7 @@ func (c Config) withDefaults() Config {
 
 // FileInfo summarizes a stored file.
 type FileInfo struct {
-	Name    string
 	Blocks  []BlockID
-	Bytes   int64
 	Records int64
 }
 
@@ -163,7 +159,7 @@ func (fs *FileSystem) Write(name string, recs []records.Record) (*FileInfo, erro
 	if _, ok := fs.files[name]; ok {
 		return nil, ErrExists
 	}
-	info := &FileInfo{Name: name, Records: int64(len(recs))}
+	info := &FileInfo{Records: int64(len(recs))}
 	start := 0
 	var curBytes int64
 	flush := func(end int) {
@@ -172,8 +168,6 @@ func (fs *FileSystem) Write(name string, recs []records.Record) (*FileInfo, erro
 		}
 		b := &Block{
 			ID:      BlockID(len(fs.blocks)),
-			File:    name,
-			Index:   len(info.Blocks),
 			Records: recs[start:end:end],
 			Bytes:   curBytes,
 		}
@@ -184,7 +178,6 @@ func (fs *FileSystem) Write(name string, recs []records.Record) (*FileInfo, erro
 		})
 		fs.blocks = append(fs.blocks, b)
 		info.Blocks = append(info.Blocks, b.ID)
-		info.Bytes += curBytes
 		start, curBytes = end, 0
 	}
 	for i := range recs {

@@ -46,9 +46,6 @@ func TestWriteSplitsIntoBlocks(t *testing.T) {
 	if info.Records != 100 {
 		t.Errorf("Records = %d", info.Records)
 	}
-	if info.Bytes != records.TotalSize(recs) {
-		t.Errorf("Bytes = %d, want %d", info.Bytes, records.TotalSize(recs))
-	}
 	blocks, err := fs.Blocks("f")
 	if err != nil {
 		t.Fatal(err)
@@ -61,9 +58,6 @@ func TestWriteSplitsIntoBlocks(t *testing.T) {
 	for i, b := range blocks {
 		if b.Bytes > 1024 {
 			t.Errorf("block %d overflows: %d bytes", i, b.Bytes)
-		}
-		if b.Index != i || b.File != "f" {
-			t.Errorf("block %d metadata wrong: %+v", i, b)
 		}
 		if len(b.Replicas) != DefaultReplication {
 			t.Errorf("block %d has %d replicas", i, len(b.Replicas))
@@ -179,12 +173,13 @@ func TestNodeBlocksMatchesLocations(t *testing.T) {
 
 func TestUsageAccounting(t *testing.T) {
 	fs := newFS(t, 5, Config{BlockSize: 512, Seed: 5})
-	info, _ := fs.Write("f", mkRecords(40, 40))
+	recs := mkRecords(40, 40)
+	fs.Write("f", recs)
 	var total int64
 	for _, u := range fs.Usage() {
 		total += u
 	}
-	if want := info.Bytes * int64(DefaultReplication); total != want {
+	if want := records.TotalSize(recs) * int64(DefaultReplication); total != want {
 		t.Errorf("usage total %d, want %d", total, want)
 	}
 }
@@ -259,20 +254,19 @@ func TestWritePreservesRecordsQuick(t *testing.T) {
 // of the records by append; the aliasing Write must cut the same blocks
 // and draw the same replicas.
 func referenceWrite(fs *FileSystem, name string, recs []records.Record) {
-	info := &FileInfo{Name: name}
+	info := &FileInfo{}
 	var cur []records.Record
 	var curBytes int64
 	flush := func() {
 		if len(cur) == 0 {
 			return
 		}
-		b := &Block{ID: BlockID(len(fs.blocks)), File: name, Index: len(info.Blocks), Records: cur, Bytes: curBytes}
+		b := &Block{ID: BlockID(len(fs.blocks)), Records: cur, Bytes: curBytes}
 		b.Replicas, _ = fs.cfg.Placement.Choose(placement.Request{
 			Topo: fs.topo, RNG: fs.rng, Want: fs.cfg.Replication, Partial: true,
 		})
 		fs.blocks = append(fs.blocks, b)
 		info.Blocks = append(info.Blocks, b.ID)
-		info.Bytes += curBytes
 		cur, curBytes = nil, 0
 	}
 	for _, r := range recs {

@@ -78,46 +78,25 @@ func (fs *FileSystem) FailNodes(dead []cluster.NodeID) (moved int, lost []BlockI
 	return moved, lost
 }
 
-// BalanceReport summarizes replica distribution over nodes.
-type BalanceReport struct {
-	MaxBytes, MinBytes, MeanBytes int64
-	// CV is the coefficient of variation of per-node stored bytes.
-	CV float64
-}
-
-// Balance reports how evenly replicas are spread.
-func (fs *FileSystem) Balance() BalanceReport {
+// Balance returns the coefficient of variation of per-node stored bytes:
+// how evenly replicas are spread.
+func (fs *FileSystem) Balance() float64 {
 	usage := fs.Usage()
 	n := fs.topo.N()
-	var total, max int64
-	min := int64(1) << 62
+	var total int64
 	for _, id := range fs.topo.IDs() {
-		u := usage[id]
-		total += u
-		if u > max {
-			max = u
-		}
-		if u < min {
-			min = u
-		}
-	}
-	if n == 0 {
-		return BalanceReport{}
+		total += usage[id]
 	}
 	mean := total / int64(n)
+	if mean == 0 {
+		return 0
+	}
 	var ss float64
 	for _, id := range fs.topo.IDs() {
 		d := float64(usage[id] - mean)
 		ss += d * d
 	}
-	cv := 0.0
-	if mean > 0 {
-		cv = math.Sqrt(ss/float64(n)) / float64(mean)
-	}
-	if min == int64(1)<<62 {
-		min = 0
-	}
-	return BalanceReport{MaxBytes: max, MinBytes: min, MeanBytes: mean, CV: cv}
+	return math.Sqrt(ss/float64(n)) / float64(mean)
 }
 
 // ReplicationHealth verifies every block still has the configured number

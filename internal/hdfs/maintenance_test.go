@@ -1,6 +1,7 @@
 package hdfs
 
 import (
+	"math"
 	"testing"
 
 	"datanet/internal/cluster"
@@ -108,9 +109,11 @@ func TestFailNodesUnderReplicated(t *testing.T) {
 
 func TestBalanceReport(t *testing.T) {
 	fs := newFS(t, 6, Config{BlockSize: 512, Seed: 3})
+	if cv := fs.Balance(); cv != 0 {
+		t.Errorf("empty filesystem CV = %g, want 0", cv)
+	}
 	fs.Write("f", mkRecords(60, 40))
-	rep := fs.Balance()
-	if rep.MeanBytes <= 0 || rep.MaxBytes < rep.MeanBytes || rep.MinBytes > rep.MeanBytes {
-		t.Errorf("implausible report %+v", rep)
+	if cv := fs.Balance(); !(cv > 0) || math.IsInf(cv, 0) {
+		t.Errorf("implausible CV %g", cv)
 	}
 }

@@ -101,7 +101,6 @@ type Writer struct {
 	w       *bufio.Writer
 	scratch []byte
 	started bool
-	n       int64
 }
 
 // NewWriter wraps w.
@@ -132,7 +131,6 @@ func (w *Writer) Write(r Record) error {
 	if err := w.putString(r.Payload); err != nil {
 		return err
 	}
-	w.n++
 	return nil
 }
 

@@ -79,9 +79,6 @@ func TestCodecRoundtrip(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if w.n != int64(len(recs)) {
-		t.Errorf("Count = %d", w.n)
-	}
 	got, err := NewReader(&buf).ReadAll()
 	if err != nil {
 		t.Fatal(err)

@@ -179,12 +179,10 @@ func NodeWorkload(block Gamma, nBlocks, mNodes int) Gamma {
 // given cluster size: P(Z < E/3), P(Z < E/2), P(Z > 2E) and P(Z > 3E),
 // where E = E[Z] is the balanced (expected) per-node workload.
 type ImbalanceProbabilities struct {
-	Nodes        int
-	BelowThird   float64 // P(Z < E/3)
-	BelowHalf    float64 // P(Z < E/2)
-	AboveDouble  float64 // P(Z > 2E)
-	AboveTriple  float64 // P(Z > 3E)
-	ExpectedLoad float64 // E[Z]
+	BelowThird  float64 // P(Z < E/3)
+	BelowHalf   float64 // P(Z < E/2)
+	AboveDouble float64 // P(Z > 2E)
+	AboveTriple float64 // P(Z > 3E)
 }
 
 // Imbalance computes the Figure-2 probabilities for cluster size m.
@@ -192,11 +190,9 @@ func Imbalance(block Gamma, nBlocks, mNodes int) ImbalanceProbabilities {
 	z := NodeWorkload(block, nBlocks, mNodes)
 	e := z.Mean()
 	return ImbalanceProbabilities{
-		Nodes:        mNodes,
-		BelowThird:   z.CDF(e / 3),
-		BelowHalf:    z.CDF(e / 2),
-		AboveDouble:  z.Tail(2 * e),
-		AboveTriple:  z.Tail(3 * e),
-		ExpectedLoad: e,
+		BelowThird:  z.CDF(e / 3),
+		BelowHalf:   z.CDF(e / 2),
+		AboveDouble: z.Tail(2 * e),
+		AboveTriple: z.Tail(3 * e),
 	}
 }

@@ -1,19 +1,15 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Summary holds descriptive statistics of a sample.
 type Summary struct {
-	N      int
-	Min    float64
-	Max    float64
-	Mean   float64
-	Std    float64 // population standard deviation
-	Sum    float64
-	Median float64
+	N    int
+	Min  float64
+	Max  float64
+	Mean float64
+	Std  float64 // population standard deviation
+	Sum  float64
 }
 
 // Summarize computes a Summary over xs. An empty slice yields a zero Summary.
@@ -38,14 +34,6 @@ func Summarize(xs []float64) Summary {
 		ss += d * d
 	}
 	s.Std = math.Sqrt(ss / float64(s.N))
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	mid := len(sorted) / 2
-	if len(sorted)%2 == 1 {
-		s.Median = sorted[mid]
-	} else {
-		s.Median = (sorted[mid-1] + sorted[mid]) / 2
-	}
 	return s
 }
 
