@@ -41,12 +41,12 @@ func runChaos(args []string) error {
 	f := newChaosFlags()
 	f.fs.Parse(args)
 	if f.runs == 0 {
-		f.usageError("-runs must be at least 1")
+		usageError(f.fs, "-runs must be at least 1")
 	}
 	if f.cluster == 0 {
 		f.fs.Visit(func(fl *flag.Flag) {
 			if fl.Name == "replicas" || fl.Name == "shards" || fl.Name == "detect" {
-				f.usageError("-%s applies only with -cluster", fl.Name)
+				usageError(f.fs, "-%s applies only with -cluster", fl.Name)
 			}
 		})
 		h, err := chaos.NewHarness(chaos.DefaultParams())
@@ -56,17 +56,17 @@ func runChaos(args []string) error {
 		return runCampaign(h.Campaign(), f)
 	}
 	if f.replicas == 0 || f.shards == 0 {
-		f.usageError("-replicas and -shards must be at least 1")
+		usageError(f.fs, "-replicas and -shards must be at least 1")
 	}
 	f.cp.Nodes, f.cp.Replicas, f.cp.Shards = int(f.cluster), int(f.replicas), int(f.shards)
 	return runCampaign(f.cp.Campaign(), f)
 }
 
-// usageError rejects input the flag set parsed but the command cannot run
-// the way a parse error is rejected: message, usage, exit status 2.
-func (f *chaosFlags) usageError(format string, args ...any) {
-	fmt.Fprintf(f.fs.Output(), format+"\n", args...)
-	f.fs.Usage()
+// usageError rejects input fs parsed but the command cannot run the way a
+// parse error is rejected: message, usage, exit status 2.
+func usageError(fs *flag.FlagSet, format string, args ...any) {
+	fmt.Fprintf(fs.Output(), format+"\n", args...)
+	fs.Usage()
 	os.Exit(2)
 }
 

@@ -34,6 +34,7 @@ import (
 
 	"datanet"
 	"datanet/internal/elasticmap"
+	"datanet/internal/mapreduce"
 	"datanet/internal/metrics"
 	"datanet/internal/records"
 	"datanet/internal/trace"
@@ -237,20 +238,18 @@ type analyzeFlags struct {
 	app     datanet.AppName
 	joinSub string
 	plan    datanet.FaultPlan
-	mit     datanet.MitigationConfig
-	part    datanet.PartitionConfig
+	policy  mapreduce.Bundle
 	outs    trace.Outputs
 }
 
 func newAnalyzeFlags() *analyzeFlags {
 	f := &analyzeFlags{common: newCommon("analyze")}
-	f.job = datanet.Job{File: "data", Scheduler: datanet.SchedulerDataNet}
-	f.part.Mode = datanet.PartitionOff
+	f.job = datanet.Job{File: "data"}
 	fs := f.fs
+	f.policy.Flags(fs)
 	fs.StringVar(&f.job.Target, "sub", "", "sub-dataset key")
 	fs.Var(&f.app, "app", "wordcount (default) | histogram | movingavg | topk | sort | join")
 	fs.StringVar(&f.joinSub, "join-sub", "", "build-side sub-dataset key for -app join (its windows come from the meta-data distribution)")
-	fs.Var(&f.job.Scheduler, "sched", "locality | datanet | capacity | maxflow | lpt")
 	fs.BoolVar(&f.job.SkipEmpty, "skip", false, "skip blocks proven empty of the target")
 	fs.BoolVar(&f.job.Execute, "exec", false, "execute the application and print the top output pairs")
 	f.alphaFlag()
@@ -260,11 +259,6 @@ func newAnalyzeFlags() *analyzeFlags {
 	fs.Float64Var(&f.plan.Read.Prob, "readerr", 0, "transient block-read failure probability per attempt")
 	fs.IntVar(&f.job.Retry.MaxAttempts, "retries", 0, "max attempts per task under faults (0 = default 4)")
 	fs.Int64Var(&f.plan.Seed, "faultseed", 1, "seed for deterministic transient errors and partition sampling")
-	fs.Var(&f.job.Detect.Mode, "detect", "failure detector: oracle (default) | heartbeat")
-	fs.Float64Var(&f.job.Detect.Interval, "hb-interval", 0, "heartbeat interval in simulated seconds (0 = default 0.5)")
-	fs.Float64Var(&f.job.Detect.Timeout, "hb-timeout", 0, "suspicion timeout in simulated seconds (0 = 3 × interval)")
-	fs.Var(&f.mit, "mitigate", "straggler mitigation: off (default) | speculative[:Q] (budgeted backups past the Q completion quantile, default 0.9) | coded[:RATE] (k-of-n execution at rate k/n, default 0.85)")
-	fs.Var(&f.part.Mode, "partition", "key-aware reduce partitioning: off | hash | skew | range")
 	fs.Var(&f.outs, "out", "KIND=FILE: write jsonl or chrome (the event timeline; chrome loads in Perfetto) or json (result + metrics) to FILE; - is stdout and replaces the text report (repeatable)")
 	return f
 }
@@ -272,10 +266,15 @@ func newAnalyzeFlags() *analyzeFlags {
 func runAnalyze(args []string) error {
 	f := newAnalyzeFlags()
 	f.fs.Parse(args)
+	if err := f.policy.Validate(); err != nil {
+		usageError(f.fs, "%v", err)
+	}
 	job := &f.job
 	if job.Target == "" {
 		return fmt.Errorf("-sub is required")
 	}
+	job.Scheduler, job.Detect, job.Mitigate = f.policy.Sched, f.policy.Detect, &f.policy.Mitigate
+	job.Partition = &datanet.PartitionConfig{Mode: f.policy.Partition, Seed: f.plan.Seed}
 	hfs, err := f.load()
 	if err != nil {
 		return err
@@ -296,8 +295,6 @@ func runAnalyze(args []string) error {
 	if job.App, err = f.app.New(hfs, "data", f.joinSub, f.meta); err != nil {
 		return err
 	}
-	f.part.Seed = f.plan.Seed
-	job.Mitigate, job.Partition = &f.mit, &f.part
 	if !f.plan.Empty() {
 		job.Faults = &f.plan
 	}
@@ -380,13 +377,13 @@ func (f *analyzeFlags) report(res *datanet.Result) {
 		fmt.Fprintf(w, "  failure detection: %d responses (mean %.2f s, max %.2f s), %d false suspicions, %d duplicate kills\n",
 			len(lat), h.Mean(), h.Max(), res.FalseSuspicions, res.DuplicateKills)
 	}
-	switch f.mit.Mode {
+	switch mit := f.policy.Mitigate; mit.Mode {
 	case datanet.MitigateSpeculative:
 		fmt.Fprintf(w, "  speculation: %d backups launched (quantile %.2f), %d won, %s of duplicate work\n",
-			res.SpeculativeLaunches, f.mit.Quantile, res.SpeculativeWins, metrics.Seconds(res.WastedTaskSeconds))
+			res.SpeculativeLaunches, mit.Quantile, res.SpeculativeWins, metrics.Seconds(res.WastedTaskSeconds))
 	case datanet.MitigateCoded:
 		fmt.Fprintf(w, "  coded execution: %d groups + %d parity tasks (rate %.2f), %d decodes rebuilt %s\n",
-			res.CodedGroups, res.CodedParityUnits, f.mit.Rate, res.CodedDecodes, metrics.Bytes(res.CodedDecodedBytes))
+			res.CodedGroups, res.CodedParityUnits, mit.Rate, res.CodedDecodes, metrics.Bytes(res.CodedDecodedBytes))
 	}
 	if res.PartitionName != "" {
 		var maxLoad, total int64

@@ -8,9 +8,11 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 
 	"datanet/internal/gen"
+	"datanet/internal/mapreduce"
 	"datanet/internal/records"
 )
 
@@ -116,8 +118,42 @@ func TestRunAnalyzeRejectsPolicyNames(t *testing.T) {
 		}
 	}
 	// The φ detector is gone; its name is an unknown value like any other.
-	if got := exitStatus(t, "analyze", "-detect", "phi"); got != 2 {
-		t.Errorf("analyze -detect phi: exit status %d, want 2", got)
+	// A negative detector duration fails the policy bundle's validation
+	// instead of running as the default.
+	for _, bad := range [][]string{{"-detect", "phi"}, {"-hb-interval", "-5"}, {"-hb-timeout", "-1"},
+		{"-detect", "heartbeat", "-crash", "1@0.5", "-hb-interval", "-5"}} {
+		if got := exitStatus(t, append([]string{"analyze"}, bad...)...); got != 2 {
+			t.Errorf("analyze %v: exit status %d, want 2", bad, got)
+		}
+	}
+}
+
+// The CLI and the sweeps read a policy line the same way: a sample of the
+// experiments' and the chaos corpus's static arm lines, parsed by the
+// analyze flag set, selects the bundle mapreduce.Bundle.Set gives.
+func TestAnalyzeParsesSweepLines(t *testing.T) {
+	for _, line := range []string{
+		"-sched locality",
+		"-sched datanet",
+		"-sched capacity",
+		"-sched locality -mitigate speculative:0.75",
+		"-sched locality -mitigate coded:0.7",
+		"-sched locality -detect heartbeat",
+		"-partition range",
+		"-partition off",
+		"-detect heartbeat -hb-interval 0.02 -mitigate coded -partition range",
+	} {
+		var want mapreduce.Bundle
+		if err := want.Set(line); err != nil {
+			t.Fatalf("Set(%q): %v", line, err)
+		}
+		f := newAnalyzeFlags()
+		if err := f.fs.Parse(strings.Fields(line)); err != nil {
+			t.Fatalf("analyze %s: %v", line, err)
+		}
+		if f.policy != want {
+			t.Errorf("analyze %s selects %+v, Set gives %+v", line, f.policy, want)
+		}
 	}
 }
 

@@ -291,7 +291,8 @@ const (
 	SchedulerLPT = sched.LPT
 )
 
-// ErrUnknownScheduler reports a scheduler name Set does not know.
+// ErrUnknownScheduler reports a scheduler name Set does not know, or a
+// Scheduler value outside the table.
 var ErrUnknownScheduler = sched.ErrUnknownPolicy
 
 // Job describes one sub-dataset analysis run.
@@ -346,8 +347,12 @@ type Job struct {
 	Trace *Trace
 }
 
-// Run executes the job on the simulated engine.
+// Run executes the job on the simulated engine. A Scheduler no constant
+// names fails with ErrUnknownScheduler.
 func (j Job) Run() (*Result, error) {
+	if err := j.Scheduler.Validate(); err != nil {
+		return nil, err
+	}
 	var weights []int64
 	weightsErr := j.MetaErr
 	if j.Meta != nil && j.Scheduler != SchedulerLocality {

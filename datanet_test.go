@@ -1,12 +1,14 @@
 package datanet_test
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"datanet"
+	"datanet/internal/detect"
 	"datanet/internal/gen"
 )
 
@@ -344,6 +346,43 @@ func TestJobRejectsAnotherFilesMeta(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got.Output, plain.Output) {
 			t.Errorf("%s: output under another file's meta differs from the run without meta", job.Target)
+		}
+	}
+}
+
+// A Scheduler value outside the table is refused with ErrUnknownScheduler.
+// It used to run the locality baseline under the name "locality", so a
+// job built without Set silently measured the wrong policy.
+func TestJobRejectsUnknownScheduler(t *testing.T) {
+	fs, meta, target := buildFixture(t)
+	for _, s := range []datanet.Scheduler{99, -1, datanet.SchedulerLPT + 1} {
+		_, err := datanet.Job{
+			FS: fs, File: "reviews.log", Target: target,
+			App: datanet.WordCount(), Scheduler: s, Meta: meta,
+		}.Run()
+		if !errors.Is(err, datanet.ErrUnknownScheduler) {
+			t.Errorf("Scheduler(%d): Run() error %v, want ErrUnknownScheduler", int(s), err)
+		}
+	}
+}
+
+// A negative detector duration is refused with detect.ErrBadConfig, under
+// the oracle too. It used to run as the default, so `-hb-interval -5` ran
+// exactly what `-hb-interval 0.5` ran.
+func TestJobRejectsNegativeDetectorDurations(t *testing.T) {
+	fs, _, target := buildFixture(t)
+	for _, d := range []datanet.DetectorConfig{
+		{Interval: -1},
+		{Timeout: -1},
+		{Mode: datanet.DetectHeartbeat, Interval: -5},
+		{Mode: datanet.DetectHeartbeat, Interval: 0.5, Timeout: -1},
+	} {
+		_, err := datanet.Job{
+			FS: fs, File: "reviews.log", Target: target,
+			App: datanet.WordCount(), Scheduler: datanet.SchedulerLocality, Detect: d,
+		}.Run()
+		if !errors.Is(err, detect.ErrBadConfig) {
+			t.Errorf("Detect %+v: Run() error %v, want detect.ErrBadConfig", d, err)
 		}
 	}
 }

@@ -72,17 +72,15 @@ func DefaultParams() Params {
 // beatInterval is the heartbeat period the detector modes run at.
 const beatInterval = 0.02
 
-// bundle is the policy configuration every arm of one seed runs under:
-// the failure detector, the straggler mitigation (adds the mitigated arm
-// and its invariants) and the reduce partitioner (adds the partition arm,
+// drawn is the policy every arm of one seed runs under: the bundle's
+// failure detector, its straggler mitigation (adds the mitigated arm and
+// its invariants) and its reduce partitioner (adds the partition arm,
 // which inherits the mitigation, runs with `reducers` reduce tasks and
-// must reproduce the partitioning-off output byte for byte). It holds the
-// very values the engine takes.
-type bundle struct {
-	detect    detect.Mode
-	mitigate  straggle.Mode
-	partition partition.Mode
-	reducers  int
+// must reproduce the partitioning-off output byte for byte). The reducer
+// count is drawn beside the bundle: no analyze flag spells it.
+type drawn struct {
+	mapreduce.Bundle
+	reducers int
 }
 
 // axes names the bundle's policy axes in draw order, each with every
@@ -108,15 +106,16 @@ func names[T fmt.Stringer](modes []T) []string {
 // bundle draw never disturbs the fault plan a seed has always produced.
 const bundleStream = 0x62756e646c65 // "bundle"
 
-// drawBundle derives the seed's policy bundle — a pure function of the
-// seed, so a violation replays from the seed alone. Every axis is drawn
-// uniformly, in axes order.
-func drawBundle(seed uint64) bundle {
+// drawBundle derives the seed's policy — a pure function of the seed, so
+// a violation replays from the seed alone. Every axis is drawn uniformly,
+// in axes order, into the bundle `-sched locality -detect D -hb-interval
+// 0.02 -mitigate M -partition P` parses to; each arm sets its scheduler.
+func drawBundle(seed uint64) drawn {
 	r := newRNG(seed ^ bundleStream)
-	var b bundle
-	b.detect = draw(r, detect.Modes)
-	b.mitigate = draw(r, straggle.Modes)
-	b.partition = draw(r, partition.Modes)
+	var b drawn
+	b.Detect = detect.Config{Mode: draw(r, detect.Modes), Interval: beatInterval}
+	b.Mitigate = straggle.Config{Mode: draw(r, straggle.Modes)}.WithDefaults()
+	b.Partition = draw(r, partition.Modes)
 	// Partition independence must hold at any reducer width, not just the
 	// default one-per-node.
 	b.reducers = 1 + r.intn(13)
@@ -125,13 +124,13 @@ func drawBundle(seed uint64) bundle {
 
 func draw[T any](r *rng, values []T) T { return values[r.intn(len(values))] }
 
-func (b bundle) values() [len(axes)]string {
-	return [len(axes)]string{b.detect.String(), b.mitigate.String(), b.partition.String()}
+func (b drawn) values() [len(axes)]string {
+	return [len(axes)]string{b.Detect.Mode.String(), b.Mitigate.Mode.String(), b.Partition.String()}
 }
 
-func (b bundle) String() string {
+func (b drawn) String() string {
 	return fmt.Sprintf("detect=%s mitigate=%s partition=%s/%d",
-		b.detect, b.mitigate, b.partition, b.reducers)
+		b.Detect.Mode, b.Mitigate.Mode, b.Partition, b.reducers)
 }
 
 // Harness holds the precomputed fixture — the written filesystem (every
@@ -148,37 +147,36 @@ type Harness struct {
 	horizon float64
 }
 
-// arm is one engine configuration a seed's plan runs under. Arms are
-// comparable: an arm is its own key into the healthy references.
+// arm is one engine configuration a seed's plan runs under: a policy
+// bundle whose detector the seed's draw overrides, and barrier adds
+// Hadoop's analysis-barrier backups. Arms are comparable: an arm is its
+// own key into the healthy references.
 type arm struct {
-	name string
-	// datanet selects the DataNet scheduler (the paper's configuration)
-	// over Hadoop locality; barrier adds Hadoop's analysis-barrier backups.
-	datanet, barrier bool
-	// mitigate and partition are the arm's filter-phase mitigation and
-	// reduce partitioner (off on the three scheduler arms).
-	mitigate  straggle.Mode
-	partition partition.Mode
+	name    string
+	barrier bool
+	policy  mapreduce.Bundle
 }
 
-var baseline = arm{name: "hadoop-locality", mitigate: straggle.ModeOff, partition: partition.ModeOff}
+var baseline = arm{name: "hadoop-locality", policy: mapreduce.Bundle{Sched: sched.Locality, Partition: partition.ModeOff}}
 
-// arms lists the arms a bundle runs: the three scheduler arms, the
-// mitigated arm when the bundle mitigates, and the partition arm when it
+// arms lists the arms a draw runs: the three scheduler arms, the
+// mitigated arm when the draw mitigates, and the partition arm when it
 // partitions — under DataNet scheduling and inheriting the mitigation, so
 // independence must survive speculative backups and coded recovery, not
 // just plain crash/slowdown plans.
-func arms(b bundle) []arm {
+func arms(b drawn) []arm {
 	out := []arm{
 		baseline,
-		{name: "datanet", datanet: true, mitigate: straggle.ModeOff, partition: partition.ModeOff},
-		{name: "speculative", barrier: true, mitigate: straggle.ModeOff, partition: partition.ModeOff},
+		{name: "datanet", policy: mapreduce.Bundle{Sched: sched.DataNet, Partition: partition.ModeOff}},
+		{name: "speculative", barrier: true, policy: baseline.policy},
 	}
-	if b.mitigate != straggle.ModeOff {
-		out = append(out, arm{name: "mitigate-" + b.mitigate.String(), mitigate: b.mitigate, partition: partition.ModeOff})
+	if b.Mitigate.Enabled() {
+		out = append(out, arm{name: "mitigate-" + b.Mitigate.Mode.String(),
+			policy: mapreduce.Bundle{Sched: sched.Locality, Mitigate: b.Mitigate, Partition: partition.ModeOff}})
 	}
-	if b.partition != partition.ModeOff {
-		out = append(out, arm{name: "partition-" + b.partition.String(), datanet: true, mitigate: b.mitigate, partition: b.partition})
+	if b.Partition != partition.ModeOff {
+		out = append(out, arm{name: "partition-" + b.Partition.String(),
+			policy: mapreduce.Bundle{Sched: sched.DataNet, Mitigate: b.Mitigate, Partition: b.Partition}})
 	}
 	return out
 }
@@ -216,24 +214,6 @@ func chaosFS(p Params) (*hdfs.FileSystem, error) {
 	return fs, nil
 }
 
-// config builds the arm's engine configuration over a fresh clone of the
-// fixture. The range sampler's seed is fixed so replays are bit-identical.
-func (h *Harness) config(a arm) mapreduce.Config {
-	cfg := mapreduce.Config{
-		FS: h.fs.Clone(), File: "log", TargetSub: "movie-A",
-		App: apps.WordCount{}, Picker: sched.NewLocalityPicker,
-		ExecuteApp: true, MapOutput: h.out, TaskOverhead: h.p.TaskOverhead,
-		Speculative: a.barrier,
-		Mitigate:    &straggle.Config{Mode: a.mitigate},
-		Partition:   &partition.Config{Mode: a.partition, Seed: 20160523},
-	}
-	if a.datanet {
-		cfg.Picker = sched.NewDataNetPicker
-		cfg.Weights = h.weights
-	}
-	return cfg
-}
-
 // NewHarness builds the fixture and runs the fault-free reference of
 // every arm any bundle can select.
 func NewHarness(p Params) (*Harness, error) {
@@ -262,11 +242,12 @@ func NewHarness(p Params) (*Harness, error) {
 
 	for _, mit := range straggle.Modes {
 		for _, part := range partition.Modes {
-			for _, a := range arms(bundle{mitigate: mit, partition: part}) {
+			b := drawn{Bundle: mapreduce.Bundle{Mitigate: straggle.Config{Mode: mit}.WithDefaults(), Partition: part}}
+			for _, a := range arms(b) {
 				if h.healthy[a] != nil {
 					continue
 				}
-				res, err := mapreduce.Run(h.config(a))
+				res, err := h.runArm(a, nil, drawn{}, nil)
 				if err != nil {
 					return nil, fmt.Errorf("chaos: healthy reference (%s): %w", a.name, err)
 				}
@@ -279,7 +260,7 @@ func NewHarness(p Params) (*Harness, error) {
 	// schedule, never the answer.
 	for a, res := range h.healthy {
 		if !reflect.DeepEqual(res.Output, h.healthy[baseline].Output) {
-			return nil, fmt.Errorf("chaos: healthy %s (mitigate %s) output diverges from the baseline", a.name, a.mitigate)
+			return nil, fmt.Errorf("chaos: healthy %s (%s) output diverges from the baseline", a.name, a.policy)
 		}
 	}
 	h.horizon = h.healthy[baseline].FilterEnd
@@ -332,22 +313,30 @@ func typedFailure(err error) bool {
 		errors.Is(err, mapreduce.ErrNoLiveNodes)
 }
 
-// runArm executes the plan under one arm of the bundle on a fresh clone of
-// the fixture. rec, when non-nil, receives the run's timeline.
-func (h *Harness) runArm(a arm, plan *faults.Plan, b bundle, rec *trace.Recorder) (*mapreduce.Result, error) {
-	cfg := h.config(a)
-	cfg.Trace = rec
-	if a.partition != partition.ModeOff {
+// runArm executes the plan under one arm of the draw on a fresh clone of
+// the fixture; a nil plan and the zero draw give the healthy reference.
+// The range sampler's seed is fixed so replays are bit-identical. rec,
+// when non-nil, receives the run's timeline.
+func (h *Harness) runArm(a arm, plan *faults.Plan, b drawn, rec *trace.Recorder) (*mapreduce.Result, error) {
+	cfg := mapreduce.Config{
+		FS: h.fs.Clone(), File: "log", TargetSub: "movie-A", App: apps.WordCount{},
+		ExecuteApp: true, MapOutput: h.out, TaskOverhead: h.p.TaskOverhead,
+		Speculative: a.barrier, Faults: plan, Trace: rec,
+	}
+	a.policy.Apply(&cfg)
+	cfg.Detect, cfg.Partition.Seed = b.Detect, 20160523
+	if a.policy.Sched == sched.DataNet {
+		cfg.Weights = h.weights
+	}
+	if a.policy.Partition != partition.ModeOff {
 		cfg.Reducers = b.reducers
 	}
-	cfg.Faults = plan
-	cfg.Detect = detect.Config{Mode: b.detect, Interval: beatInterval}
 	return mapreduce.Run(cfg)
 }
 
 // check runs one fault plan under every arm of the bundle (twice each,
 // for the replay invariant) and returns every invariant breach.
-func (h *Harness) check(seed uint64, plan *faults.Plan, b bundle) []Violation {
+func (h *Harness) check(seed uint64, plan *faults.Plan, b drawn) []Violation {
 	var out []Violation
 	fail := func(sched, inv, format string, args ...any) {
 		out = append(out, Violation{
@@ -365,14 +354,14 @@ func (h *Harness) check(seed uint64, plan *faults.Plan, b bundle) []Violation {
 		// The mitigated arm proper: the partition arm inherits the mitigation
 		// but runs under another scheduler, so the locality baseline is not
 		// its counterfactual.
-		mitigated := a.mitigate != straggle.ModeOff && a.partition == partition.ModeOff
+		mitigated := a.policy.Mitigate.Enabled() && a.policy.Partition == partition.ModeOff
 		rec := trace.New()
 		res, err := h.runArm(a, plan, b, rec)
 		res2, err2 := h.runArm(a, plan, b, nil)
 		if a == baseline {
 			baseErr = err
 		}
-		if ev, ok := actedOnBelievedDead(rec.Events(), inj, b.detect == detect.Oracle); ok {
+		if ev, ok := actedOnBelievedDead(rec.Events(), inj, b.Detect.Mode == detect.Oracle); ok {
 			fail(a.name, "acted-on-believed-dead", "%s at t=%g (seq %d) on node %d", ev.Type, ev.T, ev.Seq, ev.Node)
 		}
 
@@ -412,7 +401,7 @@ func (h *Harness) check(seed uint64, plan *faults.Plan, b bundle) []Violation {
 		// independence — the partitioning-off baseline's merged output byte
 		// for byte, since NewHarness proved every healthy output equal.
 		lost := "records-lost"
-		if a.partition != partition.ModeOff {
+		if a.policy.Partition != partition.ModeOff {
 			lost = "partition-independence"
 		}
 		if !reflect.DeepEqual(res.Output, healthy.Output) {
@@ -451,7 +440,7 @@ func (h *Harness) check(seed uint64, plan *faults.Plan, b bundle) []Violation {
 		// they cannot be negative, and under a non-oracle detector they
 		// cannot be zero.
 		for _, l := range res.DetectionLatency {
-			if l < 0 || (b.detect != detect.Oracle && l == 0) {
+			if l < 0 || (b.Detect.Mode != detect.Oracle && l == 0) {
 				fail(a.name, "detect-latency", "latency %g out of range", l)
 			}
 		}
@@ -473,15 +462,15 @@ func (h *Harness) check(seed uint64, plan *faults.Plan, b bundle) []Violation {
 				perReducer, res.ShuffleBytes)
 		}
 		// A key-aware arm must report the strategy the bundle asked for.
-		if a.partition != partition.ModeOff && res.PartitionName != a.partition.String() {
+		if part := a.policy.Partition; part != partition.ModeOff && res.PartitionName != part.String() {
 			fail(a.name, "partition-independence", "run reports partitioner %q, want %q",
-				res.PartitionName, a.partition)
+				res.PartitionName, part)
 		}
 		// Mitigated arm: work amplification stays within the declared
 		// budget — the launch cap for speculation, the fixed parity
 		// layout for coding (faults must never inflate redundancy).
 		if mitigated {
-			switch a.mitigate {
+			switch a.policy.Mitigate.Mode {
 			case straggle.ModeSpeculative:
 				budget := len(healthy.Tasks) / 4
 				if budget < 1 {

@@ -8,12 +8,9 @@ import (
 	"slices"
 	"testing"
 
-	"datanet/internal/detect"
 	"datanet/internal/faults"
 	"datanet/internal/mapreduce"
-	"datanet/internal/partition"
 	"datanet/internal/shrink"
-	"datanet/internal/straggle"
 	"datanet/internal/trace"
 )
 
@@ -107,8 +104,8 @@ func TestBundleDraw(t *testing.T) {
 			for a, v := range b.values() {
 				seen[axes[a].name+"="+v] = true
 			}
-			seen[b.detect.String()+"×"+b.mitigate.String()] = true
-			seen[b.mitigate.String()+"×"+b.partition.String()] = true
+			seen[b.Detect.Mode.String()+"×"+b.Mitigate.Mode.String()] = true
+			seen[b.Mitigate.Mode.String()+"×"+b.Partition.String()] = true
 			if b.reducers < 1 || b.reducers > 13 {
 				t.Fatalf("%s: reducer count %d out of range", c.name, b.reducers)
 			}
@@ -130,9 +127,33 @@ func TestBundleDraw(t *testing.T) {
 	}
 }
 
+// Every draw is the bundle its own analyze line parses to, so a reported
+// seed's policy can be re-run with `datanet analyze`.
+func TestDrawIsAPolicyLine(t *testing.T) {
+	r := newRNG(smokeSeed)
+	for i := 0; i < smokeRuns; i++ {
+		b := drawBundle(r.next())
+		var got mapreduce.Bundle
+		if err := got.Set(b.Bundle.String()); err != nil || got != b.Bundle {
+			t.Fatalf("Set(%q) = %+v, %v; want %+v", b.Bundle.String(), got, err, b.Bundle)
+		}
+	}
+}
+
 // mitigatedArm is the arm a mitigating, non-partitioning bundle adds to the
 // three scheduler arms.
-func mitigatedArm(b bundle) arm { return arms(b)[3] }
+func mitigatedArm(b drawn) arm { return arms(b)[3] }
+
+// pinned is a corpus seed's policy: the bundle its analyze line parses to,
+// and the partition arm's reducer count.
+func pinned(t *testing.T, line string, reducers int) drawn {
+	t.Helper()
+	b := drawn{reducers: reducers}
+	if err := b.Set(line); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
 
 // stragglerParams sizes a fixture whose filter tasks are scan-dominated,
 // so hard slowdown plans create genuine stragglers and quantile backups
@@ -167,7 +188,7 @@ func TestMitigationCorpusBackupNodeCrash(t *testing.T) {
 			{Node: 6, At: 0.008, RejoinAt: 0.2},
 		},
 	}
-	b := bundle{detect.Heartbeat, straggle.ModeSpeculative, partition.ModeOff, 0}
+	b := pinned(t, "-detect heartbeat -hb-interval 0.02 -mitigate speculative", 0)
 	for _, v := range h.check(77, plan, b) {
 		t.Errorf("violation: %s", v)
 	}
@@ -209,7 +230,7 @@ func TestMitigationCorpusSuspectedParityUnit(t *testing.T) {
 	}
 	const seed = 0x497305c5d1aab99f
 	plan := GenPlan(seed, h.horizon, h.p)
-	for _, v := range h.check(seed, plan, bundle{detect.Heartbeat, straggle.ModeCoded, partition.ModeOff, 0}) {
+	for _, v := range h.check(seed, plan, pinned(t, "-detect heartbeat -hb-interval 0.02 -mitigate coded", 0)) {
 		t.Errorf("violation: %s", v)
 	}
 	if len(plan.Crashes) == 0 || len(plan.Slow) == 0 {
@@ -231,7 +252,7 @@ func TestMitigationCorpusReadErrorReroll(t *testing.T) {
 	}
 	const seed = 6984485933356600607
 	plan := GenPlan(seed, h.horizon, h.p)
-	b := bundle{detect.Oracle, straggle.ModeSpeculative, partition.ModeOff, 0}
+	b := pinned(t, "-hb-interval 0.02 -mitigate speculative", 0)
 	for _, v := range h.check(seed, plan, b) {
 		t.Errorf("violation: %s", v)
 	}
@@ -260,20 +281,22 @@ func TestRecoveryCorpusSuspectedHelper(t *testing.T) {
 	}
 	for _, c := range []struct {
 		seed uint64
-		b    bundle
+		line string
+		reds int
 	}{
-		{18288763091816709512, bundle{detect.Heartbeat, straggle.ModeCoded, partition.ModeRange, 3}},
-		{12602372298903531417, bundle{detect.Heartbeat, straggle.ModeCoded, partition.ModeSkew, 9}},
+		{18288763091816709512, "-detect heartbeat -hb-interval 0.02 -mitigate coded -partition range", 3},
+		{12602372298903531417, "-detect heartbeat -hb-interval 0.02 -mitigate coded -partition skew", 9},
 	} {
 		t.Run(fmt.Sprint(c.seed), func(t *testing.T) {
+			b := pinned(t, c.line, c.reds)
 			plan := GenPlan(c.seed, h.horizon, h.p)
-			for _, v := range h.check(c.seed, plan, c.b) {
+			for _, v := range h.check(c.seed, plan, b) {
 				t.Errorf("violation: %s", v)
 			}
 			redone := false
-			for _, a := range arms(c.b) {
+			for _, a := range arms(b) {
 				rec := trace.New()
-				if _, err := h.runArm(a, plan, c.b, rec); err != nil {
+				if _, err := h.runArm(a, plan, b, rec); err != nil {
 					t.Fatalf("corpus seed lost its shape: %s arm: %v", a.name, err)
 				}
 				redone = redone || slices.ContainsFunc(rec.Events(), func(ev trace.Event) bool { return ev.Type == trace.EvAnalysisRecover })

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"datanet/internal/detect"
 	"datanet/internal/partition"
 	"datanet/internal/straggle"
 )
@@ -15,9 +14,11 @@ import (
 // one mitigation for the whole corpus, and the partitioner and reducer
 // count rotating with the seed — so every arm the harness knows runs on
 // every seed.
-func oracleBundle(seed uint64, mitigate straggle.Mode) bundle {
-	return bundle{detect.Oracle, mitigate,
-		[]partition.Mode{partition.ModeHash, partition.ModeSkew, partition.ModeRange}[seed%3], 1 + int(seed>>3%13)}
+func oracleBundle(seed uint64, mitigate straggle.Mode) drawn {
+	b := drawn{reducers: 1 + int(seed>>3%13)}
+	b.Mitigate = straggle.Config{Mode: mitigate}.WithDefaults()
+	b.Partition = []partition.Mode{partition.ModeHash, partition.ModeSkew, partition.ModeRange}[seed%3]
+	return b
 }
 
 // oracleDigest hashes the full Result (or the error text) of every arm

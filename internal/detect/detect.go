@@ -106,12 +106,12 @@ type Config struct {
 	Timeout float64
 }
 
-// WithDefaults fills zero fields.
+// WithDefaults fills exact-zero fields (Validate rejects a negative one).
 func (c Config) WithDefaults() Config {
-	if c.Interval <= 0 {
+	if c.Interval == 0 {
 		c.Interval = DefaultInterval
 	}
-	if c.Timeout <= 0 {
+	if c.Timeout == 0 {
 		c.Timeout = DefaultMissed * c.Interval
 	}
 	return c

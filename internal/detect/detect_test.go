@@ -203,4 +203,18 @@ func TestConfigValidation(t *testing.T) {
 			t.Fatalf("mode %d built without Set: %v, want ErrBadConfig", m, err)
 		}
 	}
+	// Only an exact zero takes the default: a negative, NaN or infinite
+	// duration fails Validate in either mode.
+	if got := (Config{}).WithDefaults(); got.Interval != DefaultInterval || got.Timeout != DefaultMissed*DefaultInterval {
+		t.Errorf("zero config defaults to %+v", got)
+	}
+	for _, m := range Modes {
+		for _, c := range []Config{{Interval: -1}, {Timeout: -1}, {Interval: -5, Timeout: 1},
+			{Interval: math.NaN()}, {Timeout: math.Inf(1)}, {Interval: math.Inf(-1)}} {
+			c.Mode = m
+			if err := c.WithDefaults().Validate(); !errors.Is(err, ErrBadConfig) {
+				t.Errorf("%+v: Validate after WithDefaults = %v, want ErrBadConfig", c, err)
+			}
+		}
+	}
 }

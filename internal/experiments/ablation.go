@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"datanet/internal/elasticmap"
+	"datanet/internal/mapreduce"
 	"datanet/internal/metrics"
 	"datanet/internal/sched"
 )
@@ -54,24 +55,26 @@ func BucketAblation(env *Env) (*Report, error) {
 // shared filter pass, the paper's metric).
 func SchedulerAblation(env *Env) (*Report, error) {
 	app := movieTopK()
-	weights := env.EstimatedWeights(env.Target)
-	factories := []struct {
-		f sched.Factory
-		w []int64
-	}{
-		{sched.NewLocalityPicker, nil},
-		{sched.NewDelayedLocalityPicker(3), nil},
-		{sched.NewDataNetPicker, weights},
-		{sched.NewCapacityAwarePicker, weights},
-		{sched.NewFlowPicker, weights},
-		{sched.NewLPTPicker, weights},
-		{sched.NewRandomPicker(1), nil},
-	}
 	r := newReport()
 	t := metrics.NewTable(fmt.Sprintf("Ablation — scheduler family (%s on %s)", app.Name(), env.describe()),
 		"scheduler", "analysis time", "workload max/avg", "local tasks")
-	for _, fc := range factories {
-		run, err := env.RunWith(app, fc.f, fc.w, false)
+	for _, a := range []struct {
+		line   string
+		picker sched.Factory // a picker with no sched.Policy row replaces the line's
+	}{
+		{"-sched locality", nil},
+		{"-sched locality", sched.NewDelayedLocalityPicker(3)},
+		{"-sched datanet", nil},
+		{"-sched capacity", nil},
+		{"-sched maxflow", nil},
+		{"-sched lpt", nil},
+		{"-sched locality", sched.NewRandomPicker(1)},
+	} {
+		cfg := env.job(app, policy(a.line))
+		if a.picker != nil {
+			cfg.Picker = a.picker
+		}
+		run, err := mapreduce.Run(cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -6,7 +6,6 @@ import (
 	"datanet/internal/apps"
 	"datanet/internal/mapreduce"
 	"datanet/internal/metrics"
-	"datanet/internal/sched"
 )
 
 // Aggregation quantifies the paper's future-work extension: using
@@ -31,11 +30,9 @@ func Aggregation(env *Env, reducerCounts []int) (*Report, error) {
 	for _, rc := range reducerCounts {
 		var shuffled [2]int64
 		for i, placement := range []string{"round-robin", "output-aware"} {
-			run, err := mapreduce.Run(mapreduce.Config{
-				FS: env.FS, File: env.File, TargetSub: env.Target,
-				App: apps.WordCount{}, Picker: sched.NewLocalityPicker,
-				Reducers: rc, OutputAwareReducers: placement == "output-aware",
-			})
+			cfg := env.job(apps.WordCount{}, locality)
+			cfg.Reducers, cfg.OutputAwareReducers = rc, placement == "output-aware"
+			run, err := mapreduce.Run(cfg)
 			if err != nil {
 				return nil, err
 			}

@@ -32,8 +32,7 @@ func DetectorSweep(p MovieParams) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	schedulers, err := fix.schedulers(p.Alpha)
-	if err != nil {
+	if err := fix.estimate(p.Alpha); err != nil {
 		return nil, err
 	}
 
@@ -41,10 +40,8 @@ func DetectorSweep(p MovieParams) (*Report, error) {
 	t := metrics.NewTable("Failure detection — makespan vs suspicion timeout (same crash plan)",
 		"scheduler", "detector", "timeout", "job time", "vs oracle", "latency mean/max", "false susp", "dup kills", "output")
 	var counters metrics.FaultCounters
-	for _, s := range schedulers[:2] {
-		cfg := fix.config()
-		s.tweak(&cfg)
-		clean, err := mapreduce.Run(cfg)
+	for _, s := range faultArms[:2] {
+		clean, err := mapreduce.Run(fix.job(s.policy))
 		if err != nil {
 			return nil, err
 		}
@@ -59,29 +56,24 @@ func DetectorSweep(p MovieParams) (*Report, error) {
 		// beats then land between 2% and 16% of the filter phase.
 		interval := clean.FilterEnd * 0.02
 
-		type arm struct {
-			mode string
-			det  detect.Config
-		}
-		arms := []arm{{"oracle", detect.Config{}}}
+		// The detector arms are the scheduler's line with the oracle, then
+		// with a heartbeat detector at each timeout of K beats.
+		arms := []arm{{"oracle", s.policy}}
 		for _, k := range []int{1, 2, 3, 5, 8} {
-			arms = append(arms, arm{
-				fmt.Sprintf("hb K=%d", k),
-				detect.Config{Mode: detect.Heartbeat, Interval: interval, Timeout: float64(k) * interval},
-			})
+			hb := s.policy
+			hb.Detect = detect.Config{Mode: detect.Heartbeat, Interval: interval, Timeout: float64(k) * interval}
+			arms = append(arms, arm{fmt.Sprintf("hb K=%d", k), hb})
 		}
 
 		var oracleTime float64
 		for _, a := range arms {
-			cfg := fix.config()
-			s.tweak(&cfg)
+			cfg := fix.job(a.policy)
 			cfg.Faults = plan
-			cfg.Detect = a.det
 			run, err := mapreduce.Run(cfg)
 			if err != nil {
-				return nil, fmt.Errorf("detector sweep %s %s: %w", s.name, a.mode, err)
+				return nil, fmt.Errorf("detector sweep %s %s: %w", s.name, a.name, err)
 			}
-			if a.mode == "oracle" {
+			if a.name == "oracle" {
 				oracleTime = run.JobTime
 			}
 			slowdown := 0.0
@@ -97,17 +89,17 @@ func DetectorSweep(p MovieParams) (*Report, error) {
 				meanLatency /= float64(n)
 			}
 			timeout, latency := "-", "-"
-			if a.det.Timeout > 0 {
-				timeout = metrics.Seconds(a.det.Timeout)
+			if d := a.policy.Detect; d.Timeout > 0 {
+				timeout = metrics.Seconds(d.Timeout)
 			}
 			if maxLatency > 0 {
 				latency = fmt.Sprintf("%.2f / %.2f s", meanLatency, maxLatency)
 			}
-			t.Add(s.name, a.mode, timeout,
+			t.Add(s.name, a.name, timeout,
 				metrics.Seconds(run.JobTime), fmt.Sprintf("%.2fx", slowdown),
 				latency, fmt.Sprint(run.FalseSuspicions), fmt.Sprint(run.DuplicateKills),
 				r.outputCell(run.Output, clean.Output))
-			key := s.name + "/" + a.mode
+			key := s.name + "/" + a.name
 			r.Values[key] = run.JobTime
 			r.Values[key+"/mean_latency"] = meanLatency
 			r.Values[key+"/max_latency"] = maxLatency

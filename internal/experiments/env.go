@@ -93,9 +93,10 @@ type Env struct {
 	Opts elasticmap.Options
 }
 
-// scaledTopology builds n nodes whose rates are scaled so a block of
-// blockBytes takes as long as a 64 MiB block would on default hardware.
-func scaledTopology(n, racks int, blockBytes int64) (*cluster.Topology, error) {
+// scaledNodes specifies n nodes over racks whose rates are scaled so a
+// block of blockBytes takes as long as a 64 MiB block would on default
+// hardware.
+func scaledNodes(n, racks int, blockBytes int64) []cluster.Node {
 	scale := float64(blockBytes) / float64(hdfs.DefaultBlockSize)
 	specs := make([]cluster.Node, n)
 	for i := range specs {
@@ -107,14 +108,19 @@ func scaledTopology(n, racks int, blockBytes int64) (*cluster.Topology, error) {
 			Slots:    cluster.DefaultSlots,
 		}
 	}
-	return cluster.NewHeterogeneous(specs, racks)
+	return specs
 }
 
 // buildEnv stores recs on a fresh filesystem (cfg's zero fields take the
-// HDFS defaults: 3 replicas, random placement) and constructs the
-// ElasticMap array plus ground truth.
+// HDFS defaults: 3 replicas, random placement) over nodes scaled to its
+// block size and constructs the ElasticMap array plus ground truth.
 func buildEnv(recs []records.Record, nodes, racks int, cfg hdfs.Config, alpha float64, target string) (*Env, error) {
-	topo, err := scaledTopology(nodes, racks, cfg.BlockSize)
+	return buildEnvOn(recs, scaledNodes(nodes, racks, cfg.BlockSize), racks, cfg, alpha, target)
+}
+
+// buildEnvOn is buildEnv over the given node specs.
+func buildEnvOn(recs []records.Record, specs []cluster.Node, racks int, cfg hdfs.Config, alpha float64, target string) (*Env, error) {
+	topo, err := cluster.NewHeterogeneous(specs, racks)
 	if err != nil {
 		return nil, err
 	}
@@ -207,47 +213,51 @@ func NewEventEnv(p EventParams) (*Env, error) {
 	return buildEnv(recs, p.Nodes, p.Racks, hdfs.Config{BlockSize: p.BlockBytes, Seed: p.Seed}, p.Alpha, "IssueEvent")
 }
 
-// EstimatedWeights returns the per-block |b ∩ sub| estimates from the
-// ElasticMap array — the knowledge DataNet's scheduler consumes.
-func (e *Env) EstimatedWeights(sub string) []int64 { return e.Array.Weights(sub) }
-
-// RunBaseline runs app on the target sub-dataset under Hadoop's locality
-// scheduler with no distribution knowledge ("without DataNet").
-func (e *Env) RunBaseline(app apps.App) (*mapreduce.Result, error) {
-	return mapreduce.Run(mapreduce.Config{
-		FS:        e.FS,
-		File:      e.File,
-		TargetSub: e.Target,
-		App:       app,
-		Picker:    sched.NewLocalityPicker,
-	})
+// arm is one policy cell of a sweep: the name its table row and report
+// values go under, and the bundle its `datanet analyze` line selects.
+type arm struct {
+	name   string
+	policy mapreduce.Bundle
 }
 
-// RunDataNet runs app under Algorithm 1 with ElasticMap-estimated weights
-// ("with DataNet"). Empty-block skipping (§V-B's I/O saving) is off here
-// to match the paper's main comparison; use RunWith for skip-enabled runs.
-func (e *Env) RunDataNet(app apps.App) (*mapreduce.Result, error) {
-	return mapreduce.Run(mapreduce.Config{
-		FS:        e.FS,
-		File:      e.File,
-		TargetSub: e.Target,
-		App:       app,
-		Picker:    sched.NewDataNetPicker,
-		Weights:   e.EstimatedWeights(e.Target),
-	})
+// The scheduler arms of the paper's main comparison: Hadoop's locality
+// baseline ("without DataNet") and Algorithm 1 ("with").
+var (
+	locality = policy("-sched locality")
+	dataNet  = policy("-sched datanet")
+)
+
+// policy parses a sweep's static `datanet analyze` policy line. The lines
+// are declarations, so a malformed one is a bug and panics.
+func policy(line string) mapreduce.Bundle {
+	var b mapreduce.Bundle
+	if err := b.Set(line); err != nil {
+		panic(err)
+	}
+	return b
 }
 
-// RunWith runs app with an arbitrary picker factory and optional weights.
-func (e *Env) RunWith(app apps.App, factory sched.Factory, weights []int64, skipEmpty bool) (*mapreduce.Result, error) {
-	return mapreduce.Run(mapreduce.Config{
-		FS:        e.FS,
-		File:      e.File,
-		TargetSub: e.Target,
-		App:       app,
-		Picker:    factory,
-		Weights:   weights,
-		SkipEmpty: skipEmpty,
-	})
+// job is the one engine configuration the experiments build: app over
+// target in fs's file under policy bundle b. A distribution-aware
+// scheduler sees the estimates, as in datanet.Job; the locality baseline
+// sees none. Callers set what no policy line spells.
+func job(fs *hdfs.FileSystem, file, target string, app apps.App, b mapreduce.Bundle, estimates []int64) mapreduce.Config {
+	cfg := mapreduce.Config{FS: fs, File: file, TargetSub: target, App: app}
+	if b.Sched != sched.Locality {
+		cfg.Weights = estimates
+	}
+	b.Apply(&cfg)
+	return cfg
+}
+
+// job configures app over the environment's target under b.
+func (e *Env) job(app apps.App, b mapreduce.Bundle) mapreduce.Config {
+	return job(e.FS, e.File, e.Target, app, b, e.Array.Weights(e.Target))
+}
+
+// run runs app over the environment's target under b.
+func (e *Env) run(app apps.App, b mapreduce.Bundle) (*mapreduce.Result, error) {
+	return mapreduce.Run(e.job(app, b))
 }
 
 // comparison is one application's outcome on one environment under the
@@ -260,10 +270,10 @@ type comparison struct {
 }
 
 func (e *Env) compare(app apps.App) (c comparison, err error) {
-	if c.without, err = e.RunBaseline(app); err != nil {
+	if c.without, err = e.run(app, locality); err != nil {
 		return c, err
 	}
-	if c.with, err = e.RunDataNet(app); err != nil {
+	if c.with, err = e.run(app, dataNet); err != nil {
 		return c, err
 	}
 	if c.without.AnalysisTime > 0 {

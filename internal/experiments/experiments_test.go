@@ -142,7 +142,7 @@ func TestNewMovieEnvShape(t *testing.T) {
 
 func TestEstimatedWeightsTrackTruth(t *testing.T) {
 	env := smallEnv(t)
-	est := env.EstimatedWeights(env.Target)
+	est := env.Array.Weights(env.Target)
 	truth, err := env.FS.SubDistribution(env.File, env.Target)
 	if err != nil {
 		t.Fatal(err)

@@ -4,13 +4,10 @@ import (
 	"fmt"
 
 	"datanet/internal/apps"
-	"datanet/internal/cluster"
-	"datanet/internal/elasticmap"
 	"datanet/internal/gen"
 	"datanet/internal/hdfs"
 	"datanet/internal/mapreduce"
 	"datanet/internal/metrics"
-	"datanet/internal/sched"
 	"datanet/internal/stats"
 )
 
@@ -64,69 +61,33 @@ func Heterogeneity(p MovieParams) (*Report, error) {
 	if p.Nodes == 0 {
 		p = DefaultMovieParams()
 	}
-	scale := float64(p.BlockBytes) / float64(hdfs.DefaultBlockSize)
-	specs := make([]cluster.Node, p.Nodes)
+	specs := scaledNodes(p.Nodes, p.Racks, p.BlockBytes)
 	slow := 0
-	for i := range specs {
-		cpu := cluster.DefaultCPURate * scale
-		if i%4 == 0 {
-			cpu *= 0.4
-			slow++
-		}
-		specs[i] = cluster.Node{
-			Rack:     i % p.Racks,
-			CPURate:  cpu,
-			DiskRate: cluster.DefaultDiskRate * scale,
-			NetRate:  cluster.DefaultNetRate * scale,
-			Slots:    cluster.DefaultSlots,
-		}
+	for i := 0; i < len(specs); i += 4 {
+		specs[i].CPURate *= 0.4
+		slow++
 	}
-	topo, err := cluster.NewHeterogeneous(specs, p.Racks)
+	env, err := buildEnvOn(movieLog(p), specs, p.Racks, hdfs.Config{BlockSize: p.BlockBytes, Seed: p.Seed}, p.Alpha, gen.MovieID(0))
 	if err != nil {
 		return nil, err
 	}
-	fs, err := hdfs.NewFileSystem(topo, hdfs.Config{BlockSize: p.BlockBytes, Seed: p.Seed})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := fs.Write("data", movieLog(p)); err != nil {
-		return nil, err
-	}
-	perBlock, err := fs.BlockRecords("data")
-	if err != nil {
-		return nil, err
-	}
-	arr := elasticmap.Build(perBlock, elasticmap.Options{
-		Alpha:        p.Alpha,
-		BucketBounds: elasticmap.ScaledFibonacciBounds(p.BlockBytes),
-	})
-	target := gen.MovieID(0)
-	app, weights := movieTopK(), arr.Weights(target)
 
 	r := newReport()
 	r.linef("Extension — heterogeneous cluster (%d nodes, %d at 40%% CPU)", p.Nodes, slow)
 	r.Values["slow_nodes"] = float64(slow)
 	t := metrics.NewTable("", "variant", "analysis time", "slowest node")
 	var times [2]float64
-	for i, v := range []struct {
-		name, key string
-		picker    sched.Factory
-	}{
-		{"Algorithm 1, uniform W̄", "uniform", sched.NewDataNetPicker},
-		{"Algorithm 1, capacity-aware", "capacity", sched.NewCapacityAwarePicker},
-	} {
-		run, err := mapreduce.Run(mapreduce.Config{
-			FS: fs, File: "data", TargetSub: target,
-			App: app, Picker: v.picker, Weights: weights,
-		})
+	variants := [...]string{"Algorithm 1, uniform W̄", "Algorithm 1, capacity-aware"}
+	for i, a := range []arm{{"uniform", dataNet}, {"capacity", policy("-sched capacity")}} {
+		run, err := env.run(movieTopK(), a.policy)
 		if err != nil {
 			return nil, err
 		}
 		// The slowest node's analysis time is where slow nodes stall the job.
-		stall := stats.Summarize(NodeSeries(topo, run.NodeCompute)).Max
-		t.Add(v.name, metrics.Seconds(run.AnalysisTime), metrics.Seconds(stall))
-		r.Values[v.key] = run.AnalysisTime
-		r.Values[v.key+"/slowest_node"] = stall
+		stall := stats.Summarize(NodeSeries(env.Topo, run.NodeCompute)).Max
+		t.Add(variants[i], metrics.Seconds(run.AnalysisTime), metrics.Seconds(stall))
+		r.Values[a.name] = run.AnalysisTime
+		r.Values[a.name+"/slowest_node"] = stall
 		times[i] = run.AnalysisTime
 	}
 	r.table(t)
@@ -142,17 +103,13 @@ func Heterogeneity(p MovieParams) (*Report, error) {
 // baseline, baseline + SkewTune-style migration, baseline + speculative
 // execution, and DataNet.
 func Reactive(env *Env) (*Report, error) {
-	base := mapreduce.Config{
-		FS: env.FS, File: env.File, TargetSub: env.Target,
-		App: movieTopK(), Picker: sched.NewLocalityPicker,
-	}
+	// Migration and speculation are reactive switches no policy line
+	// spells: they ride on the locality arm.
+	base := env.job(movieTopK(), locality)
 	mig := base
 	mig.RebalanceAfterFilter = true
 	spec := base
 	spec.Speculative = true
-	dn := base
-	dn.Picker = sched.NewDataNetPicker
-	dn.Weights = env.EstimatedWeights(env.Target)
 
 	r := newReport()
 	t := metrics.NewTable(fmt.Sprintf("Extension — proactive vs reactive (%s)", env.describe()),
@@ -164,7 +121,7 @@ func Reactive(env *Env) (*Report, error) {
 		{"locality baseline", base},
 		{"baseline + migration (SkewTune-style)", mig},
 		{"baseline + speculative execution", spec},
-		{"DataNet (Algorithm 1)", dn},
+		{"DataNet (Algorithm 1)", env.job(movieTopK(), dataNet)},
 	} {
 		run, err := mapreduce.Run(s.cfg)
 		if err != nil {
@@ -202,12 +159,10 @@ func IOSaving(env *Env, ranks []int) (*Report, error) {
 		"movie rank", "sub-dataset size", "blocks skipped", "raw bytes never read")
 	for _, rank := range ranks {
 		sub := gen.MovieID(rank)
-		weights := env.EstimatedWeights(sub)
-		run, err := mapreduce.Run(mapreduce.Config{
-			FS: env.FS, File: env.File, TargetSub: sub,
-			App: apps.WordCount{}, Picker: sched.NewDataNetPicker,
-			Weights: weights, SkipEmpty: true,
-		})
+		weights := env.Array.Weights(sub)
+		cfg := job(env.FS, env.File, sub, apps.WordCount{}, dataNet, weights)
+		cfg.SkipEmpty = true
+		run, err := mapreduce.Run(cfg)
 		if err != nil {
 			return nil, err
 		}

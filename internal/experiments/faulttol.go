@@ -11,7 +11,6 @@ import (
 	"datanet/internal/hdfs"
 	"datanet/internal/mapreduce"
 	"datanet/internal/metrics"
-	"datanet/internal/sched"
 )
 
 // This experiment evaluates the failure-aware execution paths the paper's
@@ -39,16 +38,17 @@ func DefaultFaultParams() MovieParams {
 // faultFixture is the dataset a fault sweep runs its many executed jobs
 // over, built once: the written filesystem and WordCount's per-block map
 // output for the analysed movie (a block's content is a fixed property of
-// the stored data, as ElasticMap's is). Crashes mutate the replica map, so
-// each job runs on its own Clone of the filesystem; the record slices and
-// the map output are immutable and shared.
+// the stored data, as ElasticMap's is) and, once estimated, its ElasticMap
+// weights. Crashes mutate the replica map, so each job runs on its own
+// Clone of the filesystem; the rest is immutable and shared.
 type faultFixture struct {
-	fs  *hdfs.FileSystem
-	out *mapreduce.MapOutput
+	fs      *hdfs.FileSystem
+	out     *mapreduce.MapOutput
+	weights []int64
 }
 
 func newFaultFixture(p MovieParams) (*faultFixture, error) {
-	topo, err := scaledTopology(p.Nodes, p.Racks, p.BlockBytes)
+	topo, err := cluster.NewHeterogeneous(scaledNodes(p.Nodes, p.Racks, p.BlockBytes), p.Racks)
 	if err != nil {
 		return nil, err
 	}
@@ -63,45 +63,36 @@ func newFaultFixture(p MovieParams) (*faultFixture, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &faultFixture{fs, out}, nil
+	return &faultFixture{fs: fs, out: out}, nil
 }
 
-// config is the executed locality job every sweep cell starts from, over a
-// fresh clone of the fixture.
-func (f *faultFixture) config() mapreduce.Config {
-	return mapreduce.Config{
-		FS: f.fs.Clone(), File: "dataset.log", TargetSub: gen.MovieID(0),
-		App: apps.WordCount{}, Picker: sched.NewLocalityPicker, ExecuteApp: true,
-		MapOutput: f.out,
-	}
-}
-
-// faultScheduler is one scheduler arm of a fault sweep: a tweak applied to
-// the fixture's locality job.
-type faultScheduler struct {
-	name  string
-	tweak func(*mapreduce.Config)
-}
-
-// schedulers returns the arms the fault sweeps compare: the locality
-// baseline, DataNet on ElasticMap weights built once at hash share alpha
-// from the fixture's blocks, and speculative execution — in that order; the
-// detector sweep takes the first two.
-func (f *faultFixture) schedulers(alpha float64) ([]faultScheduler, error) {
+// estimate builds the fixture's ElasticMap at hash share alpha, once, for
+// the sweeps with a DataNet arm.
+func (f *faultFixture) estimate(alpha float64) error {
 	perBlock, err := f.fs.BlockRecords("dataset.log")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	bounds := elasticmap.ScaledFibonacciBounds(f.fs.Config().BlockSize)
-	weights := elasticmap.Build(perBlock, elasticmap.Options{Alpha: alpha, BucketBounds: bounds}).Weights(gen.MovieID(0))
-	return []faultScheduler{
-		{"hadoop-locality", func(c *mapreduce.Config) {}},
-		{"datanet", func(c *mapreduce.Config) {
-			c.Picker = sched.NewDataNetPicker
-			c.Weights = weights
-		}},
-		{"speculative", func(c *mapreduce.Config) { c.Speculative = true }},
-	}, nil
+	f.weights = elasticmap.Build(perBlock, elasticmap.Options{Alpha: alpha, BucketBounds: bounds}).Weights(gen.MovieID(0))
+	return nil
+}
+
+// job is the executed job of a sweep cell under b, over a fresh clone of
+// the fixture.
+func (f *faultFixture) job(b mapreduce.Bundle) mapreduce.Config {
+	cfg := job(f.fs.Clone(), "dataset.log", gen.MovieID(0), apps.WordCount{}, b, f.weights)
+	cfg.ExecuteApp, cfg.MapOutput = true, f.out
+	return cfg
+}
+
+// faultArms are the scheduler arms the fault sweeps compare, in order; the
+// detector sweep takes the first two. The speculative arm adds Hadoop's
+// analysis-barrier backups to the locality baseline: no line spells them.
+var faultArms = []arm{
+	{"hadoop-locality", locality},
+	{"datanet", dataNet},
+	{"speculative", locality},
 }
 
 // observe folds one run's fault-handling work into a sweep's totals.
@@ -123,8 +114,7 @@ func FaultTolerance(p MovieParams) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	schedulers, err := fix.schedulers(p.Alpha)
-	if err != nil {
+	if err := fix.estimate(p.Alpha); err != nil {
 		return nil, err
 	}
 
@@ -132,10 +122,10 @@ func FaultTolerance(p MovieParams) (*Report, error) {
 	t := metrics.NewTable("Robustness — crash recovery across schedulers (fault-injection sweep)",
 		"scheduler", "crashes", "at", "job time", "slowdown", "retried", "lost", "repaired", "output")
 	var counters metrics.FaultCounters
-	for _, s := range schedulers {
+	for _, s := range faultArms {
 		// Fault-free reference run (also calibrates the crash clock).
-		cfg := fix.config()
-		s.tweak(&cfg)
+		cfg := fix.job(s.policy)
+		cfg.Speculative = s.name == "speculative"
 		clean, err := mapreduce.Run(cfg)
 		if err != nil {
 			return nil, err
@@ -145,8 +135,8 @@ func FaultTolerance(p MovieParams) (*Report, error) {
 			crashes int
 			frac    float64
 		}{{0, 0.5}, {1, 0.5}, {2, 0.5}, {4, 0.5}, {2, 0.25}, {2, 0.75}} {
-			cfg := fix.config()
-			s.tweak(&cfg)
+			cfg := fix.job(s.policy)
+			cfg.Speculative = s.name == "speculative"
 			plan := &faults.Plan{Seed: p.Seed}
 			for k := 0; k < a.crashes; k++ {
 				// Victims spread over both racks (ids interleave racks).
@@ -180,12 +170,11 @@ func FaultTolerance(p MovieParams) (*Report, error) {
 	// Degraded-metadata arm: the DataNet job's ElasticMap encoding is
 	// corrupt; the run must demote itself to the locality baseline,
 	// record the fallback, and still produce the right answer.
-	ref, err := mapreduce.Run(fix.config())
+	ref, err := mapreduce.Run(fix.job(locality))
 	if err != nil {
 		return nil, err
 	}
-	cfg := fix.config()
-	cfg.Picker = sched.NewDataNetPicker
+	cfg := fix.job(dataNet)
 	cfg.WeightsErr = elasticmap.ErrCodec
 	fb, err := mapreduce.Run(cfg)
 	if err != nil {

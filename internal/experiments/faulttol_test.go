@@ -36,13 +36,13 @@ func TestFixtureCloneIsAFreshFilesystem(t *testing.T) {
 		return out
 	}
 	written := layout(fix.fs)
-	healthy, err := mapreduce.Run(fix.config())
+	healthy, err := mapreduce.Run(fix.job(locality))
 	if err != nil {
 		t.Fatal(err)
 	}
 	plan := &faults.Plan{Seed: p.Seed, Crashes: []faults.Crash{
 		{Node: 1, At: healthy.FilterEnd * 0.4, RejoinAt: healthy.FilterEnd * 1.2}}}
-	onClone, onFresh := fix.config(), fix.config()
+	onClone, onFresh := fix.job(locality), fix.job(locality)
 	onFresh.FS = fresh.fs // a filesystem written for this one job, as the sweeps did before
 	if !reflect.DeepEqual(layout(onClone.FS), layout(onFresh.FS)) {
 		t.Fatal("a clone places some block differently from a fresh write")

@@ -50,7 +50,7 @@ func Fig1(p MovieParams) (*Report, error) {
 		bs.Min, bs.Mean, bs.Max, metrics.Pct(top30))
 	r.Values["top30_share"] = top30
 
-	run, err := env.RunBaseline(apps.WordCount{})
+	run, err := env.run(apps.WordCount{}, locality)
 	if err != nil {
 		return nil, err
 	}

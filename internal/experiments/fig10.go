@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"datanet/internal/elasticmap"
+	"datanet/internal/mapreduce"
 	"datanet/internal/metrics"
-	"datanet/internal/sched"
 	"datanet/internal/stats"
 )
 
@@ -33,7 +33,9 @@ func Fig10(env *Env, alphas []float64) (*Report, error) {
 		opts := env.Opts
 		opts.Alpha = a
 		arr := elasticmap.Build(perBlock, opts)
-		run, err := env.RunWith(movieTopK(), sched.NewDataNetPicker, arr.Weights(env.Target), false)
+		cfg := env.job(movieTopK(), dataNet)
+		cfg.Weights = arr.Weights(env.Target)
+		run, err := mapreduce.Run(cfg)
 		if err != nil {
 			return nil, err
 		}

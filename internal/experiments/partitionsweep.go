@@ -6,12 +6,11 @@ import (
 	"strings"
 
 	"datanet/internal/apps"
+	"datanet/internal/cluster"
 	"datanet/internal/hdfs"
 	"datanet/internal/mapreduce"
 	"datanet/internal/metrics"
-	"datanet/internal/partition"
 	"datanet/internal/records"
-	"datanet/internal/sched"
 )
 
 // The partition sweep measures what key-aware reduce partitioning buys on
@@ -116,23 +115,6 @@ func partitionRecords(d partitionDist, seed int64) []records.Record {
 	return recs
 }
 
-// partitionStrategies is the sweep's strategy axis; "off" is the
-// reference both for output identity and for the legacy uniform split.
-func partitionStrategies(seed int64) []struct {
-	name string
-	cfg  *partition.Config
-} {
-	return []struct {
-		name string
-		cfg  *partition.Config
-	}{
-		{"off", nil},
-		{"hash", &partition.Config{Mode: partition.ModeHash}},
-		{"skew", &partition.Config{Mode: partition.ModeSkew}},
-		{"range", &partition.Config{Mode: partition.ModeRange, Seed: seed}},
-	}
-}
-
 // PartitionSweep runs the {off, hash, skew, range} × {uniform, zipfian,
 // clustered} grid. A zero p takes a compact 16-node environment. A cell's
 // key is <distribution>/<strategy>: alone the reduce phase's duration
@@ -145,7 +127,7 @@ func PartitionSweep(p MovieParams) (*Report, error) {
 	if p.Nodes == 0 {
 		p = MovieParams{Nodes: 16, Racks: 2, BlockBytes: 32 << 10, Seed: 42}
 	}
-	topo, err := scaledTopology(p.Nodes, p.Racks, p.BlockBytes)
+	topo, err := cluster.NewHeterogeneous(scaledNodes(p.Nodes, p.Racks, p.BlockBytes), p.Racks)
 	if err != nil {
 		return nil, err
 	}
@@ -166,15 +148,17 @@ func PartitionSweep(p MovieParams) (*Report, error) {
 			return nil, err
 		}
 		var reference map[string]string
-		for _, s := range partitionStrategies(p.Seed) {
-			run, err := mapreduce.Run(mapreduce.Config{
-				FS: fs, File: "dataset.log", TargetSub: "sub-main",
-				App: apps.WordCount{}, Picker: sched.NewDataNetPicker,
-				ExecuteApp: true, Reducers: partitionReducers,
-				Partition: s.cfg, MapOutput: out,
-			})
+		// The strategy axis under Algorithm 1, each arm named by its
+		// partitioner; "off" is the reference both for output identity and
+		// for the legacy uniform split.
+		for _, line := range []string{"-partition off", "-partition hash", "-partition skew", "-partition range"} {
+			a := policy(line)
+			cfg := job(fs, "dataset.log", "sub-main", apps.WordCount{}, a, nil)
+			cfg.ExecuteApp, cfg.Reducers, cfg.MapOutput = true, partitionReducers, out
+			cfg.Partition.Seed = p.Seed
+			run, err := mapreduce.Run(cfg)
 			if err != nil {
-				return nil, fmt.Errorf("partition sweep %s/%s: %w", d.name, s.name, err)
+				return nil, fmt.Errorf("partition sweep %s/%s: %w", d.name, a.Partition, err)
 			}
 			if reference == nil {
 				reference = run.Output
@@ -190,11 +174,11 @@ func PartitionSweep(p MovieParams) (*Report, error) {
 				imbalance = maxLoad / meanLoad
 			}
 			reduce := run.ReduceEnd - run.ShuffleEnd
-			t.Add(d.name, s.name, metrics.Seconds(reduce),
+			t.Add(d.name, a.Partition.String(), metrics.Seconds(reduce),
 				metrics.Bytes(int64(maxLoad)), metrics.Bytes(int64(meanLoad)),
 				fmt.Sprintf("%.2f×", imbalance), metrics.Bytes(run.ShuffleBytes),
 				fmt.Sprint(run.PartitionSplitKeys), r.outputCell(run.Output, reference))
-			key := d.name + "/" + s.name
+			key := d.name + "/" + a.Partition.String()
 			r.Values[key] = reduce
 			r.Values[key+"/max_load"] = maxLoad
 			r.Values[key+"/mean_load"] = meanLoad

@@ -5,7 +5,6 @@ import (
 
 	"datanet/internal/mapreduce"
 	"datanet/internal/metrics"
-	"datanet/internal/sched"
 )
 
 // The placement sweep isolates scheduler knowledge on the clustered
@@ -18,7 +17,7 @@ import (
 
 // runSweepArm runs one arm's job on a fresh environment, adds its row to t
 // and records its simulated job time under clustered/<arm>.
-func runSweepArm(r *Report, t *metrics.Table, p MovieParams, name string, factory sched.Factory) error {
+func runSweepArm(r *Report, t *metrics.Table, p MovieParams, a arm) error {
 	env, err := NewMovieEnv(p)
 	if err != nil {
 		return err
@@ -27,20 +26,14 @@ func runSweepArm(r *Report, t *metrics.Table, p MovieParams, name string, factor
 	// so the only difference between them is the picker. The locality arm
 	// still skips empties — otherwise full-file scan time swamps the
 	// comparison.
-	res, err := mapreduce.Run(mapreduce.Config{
-		FS:        env.FS,
-		File:      env.File,
-		TargetSub: env.Target,
-		App:       movieTopK(),
-		Picker:    factory,
-		Weights:   env.EstimatedWeights(env.Target),
-		SkipEmpty: true,
-	})
+	cfg := env.job(movieTopK(), a.policy)
+	cfg.Weights, cfg.SkipEmpty = env.Array.Weights(env.Target), true
+	res, err := mapreduce.Run(cfg)
 	if err != nil {
 		return err
 	}
-	t.Add(name, fmt.Sprintf("%.1f", res.JobTime))
-	r.Values["clustered/"+name] = res.JobTime
+	t.Add(a.name, fmt.Sprintf("%.1f", res.JobTime))
+	r.Values["clustered/"+a.name] = res.JobTime
 	return nil
 }
 
@@ -50,17 +43,10 @@ func PlacementSweep(p MovieParams) (*Report, error) {
 	if p.Nodes == 0 {
 		p = DefaultMovieParams()
 	}
-	arms := []struct {
-		name    string
-		factory sched.Factory
-	}{
-		{"baseline", sched.NewLocalityPicker},
-		{"scheduler-only", sched.NewDataNetPicker},
-	}
 	r := newReport()
 	t := metrics.NewTable("Extension — placement sweep (clustered workload)", "arm", "job time (s)")
-	for _, a := range arms {
-		if err := runSweepArm(r, t, p, a.name, a.factory); err != nil {
+	for _, a := range []arm{{"baseline", locality}, {"scheduler-only", dataNet}} {
+		if err := runSweepArm(r, t, p, a); err != nil {
 			return nil, err
 		}
 	}

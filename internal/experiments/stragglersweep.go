@@ -6,11 +6,9 @@ import (
 	"sort"
 
 	"datanet/internal/cluster"
-	"datanet/internal/detect"
 	"datanet/internal/faults"
 	"datanet/internal/mapreduce"
 	"datanet/internal/metrics"
-	"datanet/internal/straggle"
 )
 
 // The straggler sweep measures what straggler *mitigation* buys under
@@ -25,21 +23,14 @@ import (
 // scales, and reports both the gain (makespan, completion-tail quantiles)
 // and the bill (backup launches, wasted task-seconds, decode work).
 
-// stragglerArm names one mitigation configuration.
-type stragglerArm struct {
-	name string
-	mit  *straggle.Config
-}
-
-func stragglerArms() []stragglerArm {
-	arms := []stragglerArm{{"none", nil}}
-	for _, q := range []float64{0.75, 0.90, 0.95} {
-		arms = append(arms, stragglerArm{
-			fmt.Sprintf("spec-q%.2f", q),
-			&straggle.Config{Mode: straggle.ModeSpeculative, Quantile: q},
-		})
-	}
-	return append(arms, stragglerArm{"coded-r0.70", &straggle.Config{Mode: straggle.ModeCoded, Rate: 0.70}})
+// stragglerArms are the mitigation arms, over the fixture's locality
+// scheduler.
+var stragglerArms = []arm{
+	{"none", locality},
+	{"spec-q0.75", policy("-sched locality -mitigate speculative:0.75")},
+	{"spec-q0.90", policy("-sched locality -mitigate speculative:0.9")},
+	{"spec-q0.95", policy("-sched locality -mitigate speculative:0.95")},
+	{"coded-r0.70", policy("-sched locality -mitigate coded:0.7")},
 }
 
 // stragglerPlans builds the fault plans for one scale: a pure-slowdown
@@ -132,32 +123,27 @@ func StragglerSweep(scales []int, p MovieParams) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		runOne := func(plan *faults.Plan, det detect.Config, mit *straggle.Config) (*mapreduce.Result, error) {
-			cfg := fix.config()
-			cfg.Faults, cfg.Detect, cfg.Mitigate = plan, det, mit
-			return mapreduce.Run(cfg)
-		}
-		healthy, err := runOne(nil, detect.Config{}, nil)
+		healthy, err := mapreduce.Run(fix.job(locality))
 		if err != nil {
 			return nil, fmt.Errorf("straggler sweep healthy %d nodes: %w", nodes, err)
 		}
-		detectors := []struct {
-			name string
-			det  detect.Config
-		}{
-			{"oracle", detect.Config{}},
-			{"heartbeat", detect.Config{Mode: detect.Heartbeat, Interval: healthy.FilterEnd * 0.02}},
-		}
+		// Beats every 2% of the healthy filter makespan.
+		hb := policy("-sched locality -detect heartbeat")
+		hb.Detect.Interval = healthy.FilterEnd * 0.02
 		for _, pl := range stragglerPlans(nodes, healthy.FilterEnd, q.Seed) {
-			for _, d := range detectors {
-				for _, arm := range stragglerArms() {
-					key := fmt.Sprintf("%d/%s/%s/%s", nodes, pl.name, d.name, arm.name)
-					run, err := runOne(pl.plan, d.det, arm.mit)
+			for _, d := range []arm{{"oracle", locality}, {"heartbeat", hb}} {
+				for _, mit := range stragglerArms {
+					key := fmt.Sprintf("%d/%s/%s/%s", nodes, pl.name, d.name, mit.name)
+					b := mit.policy
+					b.Detect = d.policy.Detect
+					cfg := fix.job(b)
+					cfg.Faults = pl.plan
+					run, err := mapreduce.Run(cfg)
 					if err != nil {
 						return nil, fmt.Errorf("straggler sweep %s: %w", key, err)
 					}
 					p50, p90, p99 := taskEndQuantiles(run)
-					t.Add(fmt.Sprint(nodes), pl.name, d.name, arm.name,
+					t.Add(fmt.Sprint(nodes), pl.name, d.name, mit.name,
 						metrics.Seconds(run.FilterEnd), metrics.Seconds(run.JobTime),
 						fmt.Sprintf("%.1f/%.1f/%.1f s", p50, p90, p99),
 						fmt.Sprint(run.SpeculativeLaunches), fmt.Sprint(run.SpeculativeWins),

@@ -11,7 +11,7 @@ import (
 // diverges from the fault-free output.
 func TestStragglerSweepSmall(t *testing.T) {
 	r := ran(t, "straggler mitigation")(StragglerSweep([]int{32}, MovieParams{}))
-	wantRows(t, r, 2*2*len(stragglerArms()))
+	wantRows(t, r, 2*2*len(stragglerArms))
 	none := val(t, r, "32/slow-heavy/oracle/none")
 	if none <= 0 {
 		t.Fatalf("missing unmitigated cell: %v", keys(r))

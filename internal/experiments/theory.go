@@ -61,7 +61,7 @@ func Theory(model stats.Gamma, nBlocks, nodes, trials int) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		run, err := env.RunBaseline(apps.WordCount{})
+		run, err := env.run(apps.WordCount{}, locality)
 		if err != nil {
 			return nil, err
 		}

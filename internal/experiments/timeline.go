@@ -4,7 +4,6 @@ import (
 	"datanet/internal/apps"
 	"datanet/internal/faults"
 	"datanet/internal/mapreduce"
-	"datanet/internal/sched"
 	"datanet/internal/trace"
 )
 
@@ -23,15 +22,7 @@ func Timeline(p MovieParams) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	weights := env.EstimatedWeights(env.Target)
-	base := mapreduce.Config{
-		FS:        env.FS,
-		File:      env.File,
-		TargetSub: env.Target,
-		App:       apps.NewTopKSearch(10, "plot twist ending"),
-		Picker:    sched.NewDataNetPicker,
-		Weights:   weights,
-	}
+	base := env.job(apps.NewTopKSearch(10, "plot twist ending"), dataNet)
 	// Scale the crash to the run: a fault-free pass fixes the filter
 	// makespan, then the traced run kills one node at 40% of it (rejoining
 	// at 160%, mid-analysis). The fault-free pass does not mutate the

@@ -324,7 +324,10 @@ func Run(cfg Config) (*Result, error) {
 	}
 	retry := cfg.Retry.WithDefaults()
 	// Heartbeat modes run a failure detector on the filter kernel; the
-	// oracle (zero value) builds none.
+	// oracle (zero value) builds none, but its durations must be valid too.
+	if err := cfg.Detect.WithDefaults().Validate(); err != nil {
+		return nil, err
+	}
 	var det *detect.Detector
 	if cfg.Detect.Mode != detect.Oracle {
 		det, err = detect.New(cfg.Detect, inj, topo.N())

@@ -34,23 +34,29 @@ var policies = [...]struct {
 	LPT:           {"lpt", "", NewLPTPicker},
 }
 
-// ErrUnknownPolicy reports a scheduler name Set does not know.
+// ErrUnknownPolicy reports a scheduler name Set does not know, or a value
+// outside the table.
 var ErrUnknownPolicy = errors.New("sched: unknown scheduler")
 
-// row is the policy's table row; a value outside the table runs the
-// locality baseline.
-func (p Policy) row() int {
+// Validate rejects a value outside the table, which no constant names and
+// Set never makes.
+func (p Policy) Validate() error {
 	if p < 0 || int(p) >= len(policies) {
-		return int(Locality)
+		return fmt.Errorf("%w policy(%d)", ErrUnknownPolicy, int(p))
 	}
-	return int(p)
+	return nil
 }
 
 // String names the policy.
-func (p Policy) String() string { return policies[p.row()].name }
+func (p Policy) String() string {
+	if p.Validate() != nil {
+		return fmt.Sprintf("policy(%d)", int(p))
+	}
+	return policies[p].name
+}
 
-// Factory returns the policy's picker constructor.
-func (p Policy) Factory() Factory { return policies[p.row()].factory }
+// Factory returns the policy's picker constructor; p must Validate.
+func (p Policy) Factory() Factory { return policies[p].factory }
 
 // Set parses a policy name or alias.
 func (p *Policy) Set(name string) error {

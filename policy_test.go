@@ -3,21 +3,25 @@ package datanet_test
 import (
 	"errors"
 	"flag"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"datanet"
 	"datanet/internal/detect"
 	"datanet/internal/faults"
 	"datanet/internal/gen"
+	"datanet/internal/mapreduce"
 	"datanet/internal/partition"
 	"datanet/internal/straggle"
 )
 
 // The four policy seams are flag.Values: the CLI binds them, the chaos
-// bundle draws them and the engine runs them, with one spelling each. So
-// are the other values the CLI runs with: the mitigation config with its
-// parameter, the fault lists, the application table and the generators.
+// harness draws them and the engine runs them, with one spelling each. So
+// are their combination, the policy bundle, and the other values the CLI
+// runs with: the mitigation config with its parameter, the fault lists,
+// the application table and the generators.
 var (
 	_ flag.Value = new(datanet.Scheduler)
 	_ flag.Value = new(datanet.DetectorMode)
@@ -28,6 +32,7 @@ var (
 	_ flag.Value = new(faults.Slowdowns)
 	_ flag.Value = new(datanet.AppName)
 	_ flag.Value = new(gen.Kind)
+	_ flag.Value = new(mapreduce.Bundle)
 )
 
 // mit is a mitigation config as Set makes it: the WithDefaults knobs with
@@ -201,5 +206,106 @@ func TestPolicyValues(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// bundle parses a policy line, failing the test on an error.
+func bundle(t *testing.T, line string) mapreduce.Bundle {
+	t.Helper()
+	var b mapreduce.Bundle
+	if err := b.Set(line); err != nil {
+		t.Fatalf("Set(%q): %v", line, err)
+	}
+	return b
+}
+
+// The policy bundle is one `datanet analyze` line: Set(String(b)) == b
+// for every bundle Set produces. The sample spans the chaos draw space
+// (every detector × mitigation × partitioner at the harness's beat
+// interval, plus a non-default quantile and rate), all five schedulers,
+// and heartbeat durations a sweep derives from a healthy run, which are
+// not short decimals.
+func TestBundleRoundTrip(t *testing.T) {
+	var bundles []mapreduce.Bundle
+	for _, d := range detect.Modes {
+		for _, m := range []string{"off", "speculative", "coded", "speculative:0.75", "coded:0.7"} {
+			for _, p := range partition.Modes {
+				bundles = append(bundles, bundle(t, fmt.Sprintf("-detect %s -hb-interval 0.02 -mitigate %s -partition %s", d, m, p)))
+			}
+		}
+	}
+	for _, s := range []datanet.Scheduler{datanet.SchedulerLocality, datanet.SchedulerDataNet,
+		datanet.SchedulerCapacityAware, datanet.SchedulerMaxFlow, datanet.SchedulerLPT} {
+		bundles = append(bundles, bundle(t, "-sched "+s.String()))
+	}
+	const filterEnd = 0.7044240190000001
+	for _, k := range []float64{1, 2, 3, 5, 8} {
+		b := bundle(t, "-sched locality -detect heartbeat")
+		b.Detect.Interval = filterEnd * 0.02
+		b.Detect.Timeout = k * b.Detect.Interval
+		bundles = append(bundles, b)
+	}
+	for _, b := range bundles {
+		var got mapreduce.Bundle
+		if err := got.Set(b.String()); err != nil || got != b {
+			t.Errorf("Set(%q) = %+v, %v; want %+v", b.String(), got, err, b)
+		}
+	}
+
+	// String is exactly the flags that select the bundle: none for the
+	// analyze defaults, in flag order otherwise.
+	for line, want := range map[string]string{
+		"": "",
+		"-sched datanet -mitigate off -partition off -detect oracle":   "",
+		"-mitigate speculative:0.75 -sched locality":                   "-mitigate speculative:0.75 -sched locality",
+		"-partition skew -detect hb -hb-interval 0.02 -mitigate coded": "-detect heartbeat -hb-interval 0.02 -mitigate coded:0.85 -partition skew",
+		"-sched capacity -hb-timeout 1.5":                              "-hb-timeout 1.5 -sched datanet-capacity",
+	} {
+		if got := bundle(t, line).String(); got != want {
+			t.Errorf("Set(%q).String() = %q, want %q", line, got, want)
+		}
+	}
+}
+
+// A malformed line is rejected with its seam's typed error or a flag
+// error, and a bundle Set never makes fails Validate with the typed error.
+func TestBundleRejectsMalformedLines(t *testing.T) {
+	for line, want := range map[string]string{
+		"-sub x":                             "flag provided but not defined: -sub",
+		"x":                                  `unexpected argument "x"`,
+		"-sched datanet x":                   `unexpected argument "x"`,
+		"-sched nope":                        `invalid value "nope" for flag -sched`,
+		"-detect phi":                        `invalid value "phi" for flag -detect`,
+		"-mitigate coded:0":                  `invalid value "coded:0" for flag -mitigate`,
+		"-partition zipf":                    `invalid value "zipf" for flag -partition`,
+		"-hb-interval x":                     `invalid value "x" for flag -hb-interval`,
+		"-h":                                 flag.ErrHelp.Error(),
+		"-hb-interval -5":                    detect.ErrBadConfig.Error(),
+		"-hb-timeout -1":                     detect.ErrBadConfig.Error(),
+		"-detect heartbeat -hb-interval NaN": detect.ErrBadConfig.Error(),
+	} {
+		b := bundle(t, "-sched lpt")
+		if err := b.Set(line); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Set(%q) = %v, want an error containing %q", line, err, want)
+		}
+		if b != bundle(t, "-sched lpt") {
+			t.Errorf("a rejected Set(%q) changed the bundle to %+v", line, b)
+		}
+	}
+	for _, tc := range []struct {
+		b    mapreduce.Bundle
+		want error
+	}{
+		{mapreduce.Bundle{Sched: 99}, datanet.ErrUnknownScheduler},
+		{mapreduce.Bundle{Sched: -1}, datanet.ErrUnknownScheduler},
+		{mapreduce.Bundle{Detect: datanet.DetectorConfig{Mode: 7}}, detect.ErrBadConfig},
+		{mapreduce.Bundle{Detect: datanet.DetectorConfig{Interval: -1}}, detect.ErrBadConfig},
+		{mapreduce.Bundle{Mitigate: mit(datanet.MitigateCoded, 0.9, 2)}, straggle.ErrConfig},
+		{mapreduce.Bundle{Mitigate: mit("spec", 0.9, 0.85)}, straggle.ErrMode},
+		{mapreduce.Bundle{Partition: "zipf"}, partition.ErrMode},
+	} {
+		if err := tc.b.Validate(); !errors.Is(err, tc.want) {
+			t.Errorf("%+v.Validate() = %v, want an error wrapping %v", tc.b, err, tc.want)
+		}
 	}
 }
