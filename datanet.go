@@ -68,7 +68,9 @@ type Block = hdfs.Block
 // rate, bucket bounds, or a memory budget).
 type MetaOptions = elasticmap.Options
 
-// App is a MapReduce analysis application.
+// App is a MapReduce analysis application. An executed job calls Map from
+// several goroutines at once, on distinct records, so Map must be safe for
+// concurrent use (see apps.App).
 type App = apps.App
 
 // Result is a completed job's outcome.

@@ -13,7 +13,8 @@ package apps
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -34,6 +35,11 @@ type App interface {
 	// OutputRatio is map output volume per matched input byte.
 	OutputRatio() float64
 	// Map processes one record.
+	//
+	// Contract: Map must be safe for concurrent calls on distinct records,
+	// each with its own emit. The engine folds a job's committed units on
+	// GOMAXPROCS goroutines at once. Every registered app is safe: each has
+	// value receivers and state that only its constructor writes.
 	Map(r records.Record, emit Emit)
 	// Reduce folds all values of one key into a final value.
 	//
@@ -61,6 +67,7 @@ type App interface {
 // which, with Reduce's own multiset contract, also covers partials of
 // partials and partials dealt across a split key's shards. Counting folds
 // satisfy it; an average (of averages) or a truncated top-K does not.
+// Like Map, Combine is called from several goroutines at once.
 type Combiner interface {
 	Combine(key string, values []string) string
 }
@@ -69,13 +76,53 @@ type Combiner interface {
 var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
 // eachField calls fn with every token of s, in order — exactly the
-// sequence strings.Fields(s) returns, without building the slice. The
-// index walk covers ASCII; the first byte outside it hands the unconsumed
-// tail (from the start of the token in progress) to strings.Fields, so
-// Unicode spaces and invalid UTF-8 split precisely as they do there.
+// sequence strings.Fields(s) returns, without building the slice. The walk
+// covers ASCII, eight bytes at a time where it can; the first byte outside
+// ASCII hands the unconsumed tail (from the start of the token in
+// progress) to strings.Fields, so Unicode spaces and invalid UTF-8 split
+// precisely as they do there.
 func eachField(s string, fn func(tok string)) {
-	start := -1
-	for i := 0; i < len(s); i++ {
+	const (
+		lows  = 0x0101010101010101
+		highs = 0x8080808080808080
+	)
+	start, i := -1, 0
+	for ; i+8 <= len(s); i += 8 {
+		_ = s[i+7]
+		w := uint64(s[i]) | uint64(s[i+1])<<8 | uint64(s[i+2])<<16 | uint64(s[i+3])<<24 |
+			uint64(s[i+4])<<32 | uint64(s[i+5])<<40 | uint64(s[i+6])<<48 | uint64(s[i+7])<<56
+		if w&highs != 0 {
+			break // the byte walk below meets the non-ASCII byte and hands off
+		}
+		// An ASCII byte b ≤ 0x20 is the one whose b + 0x5f stays below 0x80;
+		// no byte's sum carries into the next. Only those can be spaces.
+		low := ^(w + (0x80-0x21)*lows) & highs
+		if low == 0 {
+			if start < 0 {
+				start = i
+			}
+			continue
+		}
+		p := i // the first byte not yet placed in a token or skipped
+		for ; low != 0; low &= low - 1 {
+			j := i + bits.TrailingZeros64(low)>>3
+			if !asciiSpace[s[j]] {
+				continue // a control byte, part of a token like any other
+			}
+			if start < 0 && p < j {
+				start = p
+			}
+			if start >= 0 {
+				fn(s[start:j])
+				start = -1
+			}
+			p = j + 1
+		}
+		if start < 0 && p < i+8 {
+			start = p
+		}
+	}
+	for ; i < len(s); i++ {
 		c := s[i]
 		switch {
 		case c >= utf8.RuneSelf:
@@ -210,7 +257,9 @@ type TopKSearch struct {
 	// K is the result count.
 	K int
 
-	queryTokens map[string]bool
+	// queryTokens are the query's distinct tokens: a handful, so a linear
+	// scan beats hashing every payload token.
+	queryTokens []string
 }
 
 // NewTopKSearch creates the app.
@@ -218,9 +267,11 @@ func NewTopKSearch(k int, query string) TopKSearch {
 	if k <= 0 {
 		k = 10
 	}
-	t := TopKSearch{K: k, queryTokens: make(map[string]bool)}
+	t := TopKSearch{K: k}
 	for _, tok := range strings.Fields(query) {
-		t.queryTokens[tok] = true
+		if !slices.Contains(t.queryTokens, tok) {
+			t.queryTokens = append(t.queryTokens, tok)
+		}
 	}
 	return t
 }
@@ -240,7 +291,7 @@ func (TopKSearch) OutputRatio() float64 { return 0.02 }
 func (a TopKSearch) Map(r records.Record, emit Emit) {
 	score := 0
 	eachField(r.Payload, func(tok string) {
-		if a.queryTokens[tok] {
+		if slices.Contains(a.queryTokens, tok) {
 			score++
 		}
 	})
@@ -254,15 +305,29 @@ func (a TopKSearch) Map(r records.Record, emit Emit) {
 }
 
 // Reduce implements App: keep the K highest-scoring candidates, rendered
-// as "score|ref" joined by commas, best first.
+// as "score|ref" joined by commas, best first (zero-padded scores sort
+// lexically). The candidates live in a buffer of at most 2K: the best K
+// seen so far, descending, then newcomers that beat the K-th; a full
+// buffer is sorted and cut back to K.
 func (a TopKSearch) Reduce(key string, values []string) string {
-	sorted := append([]string(nil), values...)
-	sort.Sort(sort.Reverse(sort.StringSlice(sorted))) // zero-padded scores sort lexically
-	k := a.K
-	if k > len(sorted) {
-		k = len(sorted)
+	k := min(a.K, len(values))
+	if k <= 0 {
+		return ""
 	}
-	return strings.Join(sorted[:k], ",")
+	top := make([]string, 0, min(2*k, len(values)))
+	descending := func() { slices.SortFunc(top, func(x, y string) int { return strings.Compare(y, x) }) }
+	floor, cut := "", false
+	for _, v := range values {
+		if len(top) == cap(top) {
+			descending()
+			top, floor, cut = top[:k], top[k-1], true
+		}
+		if !cut || v > floor {
+			top = append(top, v)
+		}
+	}
+	descending()
+	return strings.Join(top[:k], ",")
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -27,12 +28,16 @@ func checkEachField(t *testing.T, s string) {
 	}
 }
 
-// fieldAlphabet mixes letters with every ASCII space, the Latin-1 and
-// multi-byte Unicode spaces strings.Fields honours (U+0085, U+00A0,
-// U+2003), a non-space multi-byte rune and a lone invalid byte.
+// fieldAlphabet mixes letters with every ASCII space, the control bytes
+// that share the word walk's ≤ 0x20 test with them but are token bytes
+// (0x00, 0x01, 0x1f), DEL and '!' (0x21, the first byte past that test),
+// the Latin-1 and multi-byte Unicode spaces strings.Fields honours
+// (U+0085, U+00A0, U+2003), a non-space multi-byte rune and a lone invalid
+// byte.
 var fieldAlphabet = []string{
 	"a", "b", "z", "Q", "7", "-",
 	" ", " ", "\t", "\n", "\v", "\f", "\r",
+	"\x00", "\x01", "\x1f", "\x7f", "!",
 	"\u0085", "\u00a0", "\u2003", "é", "\xff",
 }
 
@@ -40,10 +45,12 @@ func TestEachFieldMatchesStringsFields(t *testing.T) {
 	for _, s := range []string{"", " ", "a", " a ", "a  b", "\u2003", "ab\u00a0c", "ab\xffcd e", "é", "x é\u0085y"} {
 		checkEachField(t, s)
 	}
+	// Up to 40 pieces: every byte class lands on every offset of the first
+	// two 8-byte words, and on the byte walk's tail after them.
 	rng := rand.New(rand.NewSource(20))
-	for i := 0; i < 5000; i++ {
+	for i := 0; i < 20000; i++ {
 		var b strings.Builder
-		for n := rng.Intn(24); n > 0; n-- {
+		for n := rng.Intn(41); n > 0; n-- {
 			b.WriteString(fieldAlphabet[rng.Intn(len(fieldAlphabet))])
 		}
 		checkEachField(t, b.String())
@@ -51,7 +58,10 @@ func TestEachFieldMatchesStringsFields(t *testing.T) {
 }
 
 func FuzzEachField(f *testing.F) {
-	for _, s := range []string{"", "the plot  twist", " lead\ttrail\n", "a\u00a0b\u2003c", "café au lait", "\xff \xc3", "x\u0085"} {
+	for _, s := range []string{"", "the plot  twist", " lead\ttrail\n", "a\u00a0b\u2003c", "café au lait", "\xff \xc3", "x\u0085",
+		// Tokens and spaces straddling the 8- and 16-byte word edges.
+		"abcdefgh ijklmnop qrstuvwx", "abcdefg hijklmno pqrstuvw", "abcdefghi\x01jklmnopq!rs",
+		"       a       b\x00      c  ", "sevench\u00a0eight16bytesXX é", "word1234word5678\x7f\x1f\t\vend"} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) { checkEachField(t, s) })
@@ -130,5 +140,66 @@ func TestMapAllocations(t *testing.T) {
 		if got := testing.AllocsPerRun(200, func() { tc.app.Map(r, discard) }); got > tc.max {
 			t.Errorf("%s.Map allocates %.0f per record, want at most %.0f", tc.app.Name(), got, tc.max)
 		}
+	}
+}
+
+// topKSortAll is TopKSearch.Reduce as it was before the bounded buffer:
+// copy every value, sort descending, keep the first K.
+func topKSortAll(k int, values []string) string {
+	sorted := append([]string(nil), values...)
+	sort.Sort(sort.Reverse(sort.StringSlice(sorted)))
+	return strings.Join(sorted[:min(k, len(sorted))], ",")
+}
+
+// TestTopKReduceMatchesSortAll: the bounded top-K renders what sorting
+// every value did, over random multisets heavy with ties (few scores,
+// few refs), with K from 1 past the value count, and over sorted and
+// reverse-sorted input, which enter the buffer most and least often.
+func TestTopKReduceMatchesSortAll(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	check := func(k int, vals []string) {
+		t.Helper()
+		if got, want := NewTopKSearch(k, "q").Reduce("topk", vals), topKSortAll(k, vals); got != want {
+			t.Fatalf("K=%d over %q:\n got %q\nwant %q", k, vals, got, want)
+		}
+	}
+	for i := 0; i < 3000; i++ {
+		vals := make([]string, rng.Intn(70))
+		for j := range vals {
+			vals[j] = fmt.Sprintf("%06d|movie-%d@%d", rng.Intn(6), rng.Intn(3), rng.Intn(3))
+		}
+		for _, k := range []int{1, 2, 3, 10, len(vals) - 1, len(vals), len(vals) + 5} {
+			if k > 0 {
+				check(k, vals)
+				up := slices.Clone(vals)
+				slices.Sort(up)
+				check(k, up)
+				slices.Reverse(up)
+				check(k, up)
+			}
+		}
+	}
+}
+
+// sortRenderAll is DistributedSort.Reduce as it was: copy, sort, join,
+// even for a lone value.
+func sortRenderAll(values []string) string {
+	sorted := append([]string(nil), values...)
+	sort.Strings(sorted)
+	return strings.Join(sorted, ",")
+}
+
+// TestSortReduceLoneValue: DistributedSort renders what it did for every
+// value count, and a key's lone value (every key of generated data, whose
+// sort keys are distinct) is returned without a copy.
+func TestSortReduceLoneValue(t *testing.T) {
+	for _, vals := range [][]string{nil, {"3.500"}, {"4.000", "1.500"}, {"2.000", "2.000", "0.500"}} {
+		if got, want := (DistributedSort{}).Reduce("k", vals), sortRenderAll(vals); got != want {
+			t.Errorf("Reduce(%q) = %q, want %q", vals, got, want)
+		}
+	}
+	lone := []string{"3.500"}
+	if n := testing.AllocsPerRun(100, func() { DistributedSort{}.Reduce("k", lone) }); n != 0 {
+		t.Errorf("Reduce of a lone value allocates %.0f times, want 0", n)
 	}
 }

@@ -50,8 +50,11 @@ func (DistributedSort) Map(r records.Record, emit Emit) {
 
 // Reduce implements App: ascending render of the key's ratings. Sorting
 // first makes the fold a pure multiset function (order- and
-// split-insensitive, per the App contract).
+// split-insensitive, per the App contract); a lone value is its own render.
 func (DistributedSort) Reduce(key string, values []string) string {
+	if len(values) == 1 {
+		return values[0]
+	}
 	sorted := append([]string(nil), values...)
 	sort.Strings(sorted)
 	return strings.Join(sorted, ",")

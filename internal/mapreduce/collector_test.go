@@ -2,7 +2,10 @@ package mapreduce
 
 import (
 	"errors"
+	"math/rand"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"datanet/internal/apps"
@@ -61,6 +64,44 @@ func foldEnv(t *testing.T) *hdfs.FileSystem {
 // also leave the partition plan untouched.
 func TestExecutedOutputMatchesNaivePath(t *testing.T) {
 	fs := foldEnv(t)
+	for _, app := range apps.Extended() {
+		t.Run(app.Name(), func(t *testing.T) { executedModes(t, fs, app) })
+	}
+}
+
+// TestLedgerFoldIndependentOfWorkers: the ledger fold cuts the units into
+// GOMAXPROCS runs, so every Result TestExecutedOutputMatchesNaivePath
+// checks is run at 1, 2, 3 and 8 and must be the same at each — deeply
+// equal, and equal to the naive path. It sets GOMAXPROCS itself, so the
+// runs fold concurrently (and -race sees them) on a one-core machine too.
+func TestLedgerFoldIndependentOfWorkers(t *testing.T) {
+	fs := foldEnv(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, app := range apps.Extended() {
+		t.Run(app.Name(), func(t *testing.T) {
+			var ref []*Result
+			for _, procs := range []int{1, 2, 3, 8} {
+				runtime.GOMAXPROCS(procs)
+				got := executedModes(t, fs, app)
+				if ref == nil {
+					ref = got
+					continue
+				}
+				for i := range got {
+					if !reflect.DeepEqual(got[i], ref[i]) {
+						t.Errorf("GOMAXPROCS %d: Result %d differs from the one-worker fold", procs, i)
+					}
+				}
+			}
+		})
+	}
+}
+
+// executedModes runs app in every mode TestExecutedOutputMatchesNaivePath
+// covers, once mapping the records and once folding a MapOutput, checks
+// each Result against the naive path, and returns them in mode order.
+func executedModes(t *testing.T, fs *hdfs.FileSystem, app apps.App) []*Result {
+	t.Helper()
 	target, err := FilteredRecords(fs, "log", "movie-A")
 	if err != nil {
 		t.Fatal(err)
@@ -81,93 +122,93 @@ func TestExecutedOutputMatchesNaivePath(t *testing.T) {
 		{"coded-decoded", Config{Mitigate: &straggle.Config{Mode: straggle.ModeCoded, Rate: 0.7}, Faults: slow, TaskOverhead: 0.001},
 			func(res *Result, _ bool) bool { return res.CodedDecodes > 0 }},
 	}
-	for _, app := range apps.Extended() {
-		t.Run(app.Name(), func(t *testing.T) {
-			groups := make(map[string][]string)
-			for _, r := range target {
-				app.Map(r, func(k, v string) { groups[k] = append(groups[k], v) })
-			}
-			want := make(map[string]string, len(groups))
-			var below, exact, several bool
-			for k, vs := range groups {
-				want[k] = app.Reduce(k, vs)
-				below = below || len(vs) < combineAt
-				exact = exact || len(vs) == combineAt
-				several = several || len(vs) >= 3*combineAt
-			}
-			_, folds := app.(apps.Combiner)
-			if folds && !(below && exact && several) {
-				t.Fatalf("fixture lacks a key below (%v), at (%v) or several times (%v) combineAt", below, exact, several)
-			}
-			mo, err := MapFile(fs, "log", app, "movie-A")
-			if err != nil {
-				t.Fatal(err)
-			}
-			run := func(m mode, mo *MapOutput) *Result {
-				cfg := m.cfg
-				cfg.FS, cfg.File, cfg.TargetSub = fs.Clone(), "log", "movie-A" // crashes mutate the replica map
-				cfg.App, cfg.Picker, cfg.ExecuteApp, cfg.MapOutput = app, sched.NewLocalityPicker, true, mo
-				res, err := Run(cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", m.name, err)
-				}
-				return res
-			}
-			// The crash modes are timed off this app's own runs. Mid-filter: the
-			// slowed nodes stretch the phase, so late in it a healthy node holds
-			// committed outputs for its crash to destroy.
-			// Post-barrier: half-way through the analysis of the node that
-			// computes longest, so only recoverAnalysis can commit again what
-			// the crash destroys.
-			slowed := run(mode{cfg: Config{Faults: slow, TaskOverhead: 0.001}}, nil)
-			midFilter := &faults.Plan{Slow: slow.Slow, Crashes: []faults.Crash{{Node: 2, At: 0.8 * slowed.FilterEnd}}}
-			healthy := run(modes[0], nil)
-			busiest := cluster.NodeID(0)
-			for id, d := range healthy.NodeCompute {
-				if d > healthy.NodeCompute[busiest] || (d == healthy.NodeCompute[busiest] && id < busiest) {
-					busiest = id
-				}
-			}
-			postBarrier := &faults.Plan{Crashes: []faults.Crash{{Node: busiest, At: healthy.FilterEnd + healthy.NodeCompute[busiest]/2}}}
-			all := append(modes[:len(modes):len(modes)],
-				mode{"mid-filter-crash", Config{Faults: midFilter, TaskOverhead: 0.001},
-					func(res *Result, _ bool) bool { return res.LostOutputs > 0 && res.FilterEnd > 0.8*slowed.FilterEnd }},
-				mode{"post-barrier-crash", Config{Faults: postBarrier},
-					func(res *Result, _ bool) bool { return res.LostOutputs > 0 && res.FilterEnd == healthy.FilterEnd }})
-			for _, m := range all {
-				mapped, folded := run(m, nil), run(m, mo)
-				for _, res := range []*Result{mapped, folded} {
-					if !m.ran(res, folds) {
-						t.Errorf("%s: the run never took the path under test (split keys %d, decodes %d, lost outputs %d)",
-							m.name, res.PartitionSplitKeys, res.CodedDecodes, res.LostOutputs)
-					}
-					if !reflect.DeepEqual(res.Output, want) {
-						t.Errorf("%s: executed output differs from the naive path (%d keys vs %d)", m.name, len(res.Output), len(want))
-					}
-				}
-				// The MapOutput is an input, not a model change: every other
-				// field — the partition plan from the pre-fold key bytes among
-				// them — is the same.
-				if !reflect.DeepEqual(folded.PartitionLoads, mapped.PartitionLoads) || folded.PartitionSplitKeys != mapped.PartitionSplitKeys {
-					t.Errorf("%s: partition plan differs with a MapOutput: loads %v vs %v, split keys %d vs %d", m.name,
-						folded.PartitionLoads, mapped.PartitionLoads, folded.PartitionSplitKeys, mapped.PartitionSplitKeys)
-				}
-				if !reflect.DeepEqual(folded, mapped) {
-					t.Errorf("%s: Result differs between a folded MapOutput and mapped records", m.name)
-				}
-			}
-		})
+	var results []*Result
+	groups := make(map[string][]string)
+	for _, r := range target {
+		app.Map(r, func(k, v string) { groups[k] = append(groups[k], v) })
 	}
+	want := make(map[string]string, len(groups))
+	var below, exact, several bool
+	for k, vs := range groups {
+		want[k] = app.Reduce(k, vs)
+		below = below || len(vs) < combineAt
+		exact = exact || len(vs) == combineAt
+		several = several || len(vs) >= 3*combineAt
+	}
+	_, folds := app.(apps.Combiner)
+	if folds && !(below && exact && several) {
+		t.Fatalf("fixture lacks a key below (%v), at (%v) or several times (%v) combineAt", below, exact, several)
+	}
+	mo, err := MapFile(fs, "log", app, "movie-A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(m mode, mo *MapOutput) *Result {
+		cfg := m.cfg
+		cfg.FS, cfg.File, cfg.TargetSub = fs.Clone(), "log", "movie-A" // crashes mutate the replica map
+		cfg.App, cfg.Picker, cfg.ExecuteApp, cfg.MapOutput = app, sched.NewLocalityPicker, true, mo
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		return res
+	}
+	// The crash modes are timed off this app's own runs. Mid-filter: the
+	// slowed nodes stretch the phase, so late in it a healthy node holds
+	// committed outputs for its crash to destroy.
+	// Post-barrier: half-way through the analysis of the node that
+	// computes longest, so only recoverAnalysis can commit again what
+	// the crash destroys.
+	slowed := run(mode{cfg: Config{Faults: slow, TaskOverhead: 0.001}}, nil)
+	midFilter := &faults.Plan{Slow: slow.Slow, Crashes: []faults.Crash{{Node: 2, At: 0.8 * slowed.FilterEnd}}}
+	healthy := run(modes[0], nil)
+	busiest := cluster.NodeID(0)
+	for id, d := range healthy.NodeCompute {
+		if d > healthy.NodeCompute[busiest] || (d == healthy.NodeCompute[busiest] && id < busiest) {
+			busiest = id
+		}
+	}
+	postBarrier := &faults.Plan{Crashes: []faults.Crash{{Node: busiest, At: healthy.FilterEnd + healthy.NodeCompute[busiest]/2}}}
+	all := append(modes[:len(modes):len(modes)],
+		mode{"mid-filter-crash", Config{Faults: midFilter, TaskOverhead: 0.001},
+			func(res *Result, _ bool) bool { return res.LostOutputs > 0 && res.FilterEnd > 0.8*slowed.FilterEnd }},
+		mode{"post-barrier-crash", Config{Faults: postBarrier},
+			func(res *Result, _ bool) bool { return res.LostOutputs > 0 && res.FilterEnd == healthy.FilterEnd }})
+	for _, m := range all {
+		mapped, folded := run(m, nil), run(m, mo)
+		for _, res := range []*Result{mapped, folded} {
+			if !m.ran(res, folds) {
+				t.Errorf("%s: the run never took the path under test (split keys %d, decodes %d, lost outputs %d)",
+					m.name, res.PartitionSplitKeys, res.CodedDecodes, res.LostOutputs)
+			}
+			if !reflect.DeepEqual(res.Output, want) {
+				t.Errorf("%s: executed output differs from the naive path (%d keys vs %d)", m.name, len(res.Output), len(want))
+			}
+		}
+		// The MapOutput is an input, not a model change: every other
+		// field — the partition plan from the pre-fold key bytes among
+		// them — is the same.
+		if !reflect.DeepEqual(folded.PartitionLoads, mapped.PartitionLoads) || folded.PartitionSplitKeys != mapped.PartitionSplitKeys {
+			t.Errorf("%s: partition plan differs with a MapOutput: loads %v vs %v, split keys %d vs %d", m.name,
+				folded.PartitionLoads, mapped.PartitionLoads, folded.PartitionSplitKeys, mapped.PartitionSplitKeys)
+		}
+		if !reflect.DeepEqual(folded, mapped) {
+			t.Errorf("%s: Result differs between a folded MapOutput and mapped records", m.name)
+		}
+		results = append(results, mapped, folded)
+	}
+	return results
 }
 
-// countingApp counts Map invocations of the application it wraps.
+// countingApp counts Map invocations of the application it wraps; the
+// ledger fold calls Map from several goroutines at once.
 type countingApp struct {
 	apps.App
-	maps *int
+	maps *atomic.Int64
 }
 
 func (a countingApp) Map(r records.Record, emit apps.Emit) {
-	*a.maps++
+	a.maps.Add(1)
 	a.App.Map(r, emit)
 }
 
@@ -188,7 +229,7 @@ func TestSharedMapOutputMapsOnce(t *testing.T) {
 	jobs := make([]Config, 8)
 	jobs[2] = Config{Mitigate: &straggle.Config{Mode: straggle.ModeCoded, Rate: 0.7}, Faults: slow, TaskOverhead: 0.001}
 	jobs[5] = Config{Reducers: 5, Partition: &partition.Config{Mode: partition.ModeSkew}}
-	var maps int
+	var maps atomic.Int64
 	app := countingApp{apps.WordCount{}, &maps}
 	runAll := func(mo *MapOutput) (decoded int) {
 		for i, cfg := range jobs {
@@ -219,23 +260,23 @@ func TestSharedMapOutputMapsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if maps != len(target) {
-		t.Fatalf("MapFile invoked Map %d times, want once per matching record (%d)", maps, len(target))
+	if n := maps.Load(); n != int64(len(target)) {
+		t.Fatalf("MapFile invoked Map %d times, want once per matching record (%d)", n, len(target))
 	}
-	maps = 0
+	maps.Store(0)
 	decoded := runAll(mo)
 	if decoded == 0 {
 		t.Fatal("the coded job decoded nothing; the guard has no decoded records to count")
 	}
-	if maps != decoded {
-		t.Errorf("%d jobs sharing a MapOutput invoked Map %d times, want only the %d decoded records", len(jobs), maps, decoded)
+	if n := maps.Load(); n != int64(decoded) {
+		t.Errorf("%d jobs sharing a MapOutput invoked Map %d times, want only the %d decoded records", len(jobs), n, decoded)
 	}
-	maps = 0
+	maps.Store(0)
 	if runAll(nil) != decoded {
 		t.Error("the coded job decoded different units without a MapOutput")
 	}
-	if want := len(jobs) * len(target); maps != want {
-		t.Errorf("%d jobs without a MapOutput invoked Map %d times, want one pass each (%d)", len(jobs), maps, want)
+	if n, want := maps.Load(), int64(len(jobs)*len(target)); n != want {
+		t.Errorf("%d jobs without a MapOutput invoked Map %d times, want one pass each (%d)", len(jobs), n, want)
 	}
 }
 
@@ -325,6 +366,87 @@ func TestLedgerFoldSeesLostAndDoubleCommits(t *testing.T) {
 				if got := mo.Output(app, ledger(unit, commits)); reflect.DeepEqual(got, res.Output) {
 					t.Errorf("%s: unit %d committed %d times still folds to the reference output", app.Name(), unit, commits)
 				}
+			}
+		}
+	}
+}
+
+// TestLedgerFoldKeepsValueOrder: merged in run order, the runs hand an
+// application without a Combiner exactly the serial fold's groups — every
+// key's values in the serial order, its bytes summed — at any number of
+// runs, over a ledger with a lost and a doubled unit. A Combiner
+// application's groups hold the same bytes and reduce to the same values.
+func TestLedgerFoldKeepsValueOrder(t *testing.T) {
+	fs := foldEnv(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, app := range apps.Extended() {
+		mo, err := MapFile(fs, "log", app, "") // both sub-datasets: keys in every run
+		if err != nil {
+			t.Fatal(err)
+		}
+		ledger := make([]int, len(mo.blocks))
+		for i := range ledger {
+			ledger[i] = 1
+		}
+		ledger[1], ledger[2] = 2, 0
+		fold := func(procs int) *collector {
+			runtime.GOMAXPROCS(procs)
+			c := newCollector(app, true)
+			foldLedger(ledger, func(u int) int64 { return mo.blocks[u].bytes }, mo.source, c)
+			return c
+		}
+		serial := fold(1)
+		_, folds := app.(apps.Combiner)
+		for _, procs := range []int{2, 3, 8} {
+			c := fold(procs)
+			if !folds {
+				if !reflect.DeepEqual(c.groups, serial.groups) {
+					t.Errorf("%s: %d runs merge to other groups than the serial fold", app.Name(), procs)
+				}
+				continue
+			}
+			if len(c.groups) != len(serial.groups) {
+				t.Errorf("%s: %d runs merge to %d keys, the serial fold has %d", app.Name(), procs, len(c.groups), len(serial.groups))
+			}
+			for k, sg := range serial.groups {
+				g := c.groups[k]
+				if g == nil || g.bytes != sg.bytes || app.Reduce(k, g.vals) != app.Reduce(k, sg.vals) {
+					t.Errorf("%s: %d runs: key %q merges to %+v, the serial fold has %+v", app.Name(), procs, k, g, sg)
+				}
+			}
+		}
+	}
+}
+
+// TestRunBounds: the runs are contiguous, non-empty and cover every unit;
+// no run outweighs its share by more than one unit; there are never more
+// runs than workers or units, and a ledger with nothing to weigh is one run.
+func TestRunBounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for i := 0; i < 2000; i++ {
+		ledger, sizes := make([]int, rng.Intn(40)), make([]int64, 0, 40)
+		var total, heaviest int64
+		for u := range ledger {
+			ledger[u] = rng.Intn(3)
+			sizes = append(sizes, int64(rng.Intn(4)*rng.Intn(1000)))
+			total += sizes[u] * int64(ledger[u])
+			heaviest = max(heaviest, sizes[u]*int64(ledger[u]))
+		}
+		w := 1 + rng.Intn(9)
+		b := runBounds(ledger, func(u int) int64 { return sizes[u] }, w)
+		if b[0] != 0 || b[len(b)-1] != len(ledger) || len(b)-1 > max(w, 1) || (len(ledger) > 0 && len(b)-1 > len(ledger)) {
+			t.Fatalf("ledger %v sizes %v, %d workers: bounds %v", ledger, sizes, w, b)
+		}
+		if total == 0 && len(b) != 2 {
+			t.Fatalf("nothing to weigh, %d workers: bounds %v, want one run", w, b)
+		}
+		for r := 1; r < len(b); r++ {
+			var run int64
+			for u := b[r-1]; u < b[r]; u++ {
+				run += sizes[u] * int64(ledger[u])
+			}
+			if (b[r] <= b[r-1] && len(ledger) > 0) || run > total/int64(w)+heaviest {
+				t.Fatalf("ledger %v sizes %v, %d workers: run %d of bounds %v weighs %d (total %d)", ledger, sizes, w, r, b, run, total)
 			}
 		}
 	}

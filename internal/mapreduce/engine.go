@@ -29,7 +29,9 @@ package mapreduce
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 
 	"datanet/internal/apps"
 	"datanet/internal/cluster"
@@ -456,6 +458,9 @@ func Run(cfg Config) (*Result, error) {
 
 	picker := factory(tasks, topo)
 	res.SchedulerName = picker.Name()
+	if len(tasks) > 0 {
+		res.Tasks = make([]TaskStat, 0, len(tasks)) // one stat per commit; a task-less job reports nil
+	}
 
 	// Run the phase pipeline (see phases.go) on one simulated clock: the
 	// event-driven filter simulation, the optional reactive rebalance, the
@@ -534,10 +539,16 @@ func (c *collector) at(k string) *group {
 
 // hold appends one value to an executed job's group.
 func (c *collector) hold(g *group, k, v string) {
-	g.vals = append(g.vals, v)
-	if c.combiner != nil && len(g.vals) >= combineAt {
-		g.vals = append(g.vals[:0], c.combiner.Combine(k, g.vals))
+	g.vals = c.fold(k, append(g.vals, v))
+}
+
+// fold folds a key's buffer into one partial value once it holds
+// combineAt values, for a Combiner application.
+func (c *collector) fold(k string, vals []string) []string {
+	if c.combiner != nil && len(vals) >= combineAt {
+		return append(vals[:0], c.combiner.Combine(k, vals))
 	}
+	return vals
 }
 
 // mapRecords maps the target sub-dataset's records (all, if target is empty).
@@ -605,19 +616,114 @@ func (mo *MapOutput) source(block int, c *collector) {
 // the Output of an executed job whose simulation ended with that ledger.
 func (mo *MapOutput) Output(app apps.App, ledger []int) map[string]string {
 	c := newCollector(app, true)
-	foldLedger(ledger, mo.source, c)
+	foldLedger(ledger, func(u int) int64 { return mo.blocks[u].bytes }, mo.source, c)
 	return c.reduce(app, nil)
 }
 
 // foldLedger produces the executed output as a fold over the commit ledger:
-// each systematic filter unit, in block order, has src feed its pairs into c
-// once per live commit — so a unit lost or committed twice changes Output.
-func foldLedger(ledger []int, src func(unit int, c *collector), c *collector) {
-	for u, commits := range ledger {
-		for ; commits > 0; commits-- {
-			src(u, c)
+// each systematic filter unit, in block order, has src feed its pairs into
+// a collector once per live commit — so a unit lost or committed twice
+// changes Output. The units are cut into GOMAXPROCS contiguous runs of
+// about equal size(unit) × commits, each folded on its own goroutine into
+// its own collector, and c receives the runs merged in run order: a key's
+// values are exactly the serial fold's, in the serial fold's order, except
+// that a Combiner application may hold its partials at other points (which
+// its contract allows). src must be safe for concurrent calls on distinct
+// collectors.
+func foldLedger(ledger []int, size func(unit int) int64, src func(unit int, c *collector), c *collector) {
+	bounds := runBounds(ledger, size, runtime.GOMAXPROCS(0))
+	runs := make([]*collector, len(bounds)-1)
+	var wg sync.WaitGroup
+	for i := range runs {
+		runs[i] = &collector{groups: make(map[string]*group), combiner: c.combiner, keep: c.keep}
+		wg.Add(1)
+		go func(run *collector, lo, hi int) {
+			defer wg.Done()
+			for u := lo; u < hi; u++ {
+				for commits := ledger[u]; commits > 0; commits-- {
+					src(u, run)
+				}
+			}
+		}(runs[i], bounds[i], bounds[i+1])
+	}
+	wg.Wait()
+	c.merge(runs)
+}
+
+// runBounds cuts the units [0, len(ledger)) into at most w contiguous runs
+// of about equal size(unit) × commits and returns the cut points, 0 and
+// len(ledger) included. A run is empty only when the ledger is, and a
+// ledger with nothing to weigh is one run.
+func runBounds(ledger []int, size func(unit int) int64, w int) []int {
+	weight := func(u int) int64 { return size(u) * int64(ledger[u]) }
+	var total int64
+	for u := range ledger {
+		total += weight(u)
+	}
+	bounds := make([]int, 1, w+1)
+	var acc int64
+	for u := 0; u+1 < len(ledger); u++ {
+		acc += weight(u)
+		if k := int64(len(bounds)); k < int64(w) && acc > 0 && acc*int64(w) >= total*k {
+			bounds = append(bounds, u+1)
 		}
 	}
+	return append(bounds, len(ledger))
+}
+
+// merge sets c's groups to the runs' groups concatenated in run order: per
+// key the bytes summed and the values in one exactly sized slice, folded
+// once through the Combiner if that reaches combineAt. A lone run is taken
+// as it is, and a key one run alone holds keeps that run's group.
+func (c *collector) merge(runs []*collector) {
+	if len(runs) == 1 {
+		c.groups = runs[0].groups
+		return
+	}
+	// The union of the runs' keys, counted so the map is built at its size.
+	union := 0
+	for r, run := range runs {
+		for k := range run.groups {
+			if !heldBefore(runs[:r], k) {
+				union++
+			}
+		}
+	}
+	c.groups = make(map[string]*group, union)
+	for r, run := range runs {
+		for k, g := range run.groups {
+			if c.groups[k] != nil {
+				continue // merged when its first run was
+			}
+			n, later := len(g.vals), runs[r+1:]
+			for _, lr := range later {
+				if lg := lr.groups[k]; lg != nil {
+					g.bytes += lg.bytes
+					n += len(lg.vals)
+				}
+			}
+			if c.keep && n > len(g.vals) {
+				vals := append(make([]string, 0, n), g.vals...)
+				for _, lr := range later {
+					if lg := lr.groups[k]; lg != nil {
+						vals = append(vals, lg.vals...)
+					}
+				}
+				g.vals = c.fold(k, vals)
+			}
+			c.groups[k] = g
+		}
+	}
+}
+
+// heldBefore reports whether any of runs holds key k.
+func heldBefore(runs []*collector, k string) bool {
+	for _, run := range runs {
+		if run.groups[k] != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // reduce runs the final reduce over the grouped pairs. When a partitioner

@@ -9,6 +9,7 @@ import (
 
 	"datanet/internal/apps"
 	"datanet/internal/cluster"
+	"datanet/internal/faults"
 	"datanet/internal/hdfs"
 	"datanet/internal/records"
 	"datanet/internal/sched"
@@ -158,6 +159,39 @@ func TestRunWholeDataset(t *testing.T) {
 	}
 	if want := records.TotalSize(recs); got != want {
 		t.Errorf("whole-dataset workload = %d, want %d", got, want)
+	}
+}
+
+// TestTaskStatsPresized: Result.Tasks is sized to the task list up front,
+// but only when there is a task — a job whose every block was skipped
+// reports nil, exactly as when the stats grew by append from nil — and a
+// job keeps one stat per commit, retried and lost ones included (the
+// engine goldens pin their contents and order).
+func TestTaskStatsPresized(t *testing.T) {
+	fs, _ := testEnv(t)
+	cfg := baseConfig(fs)
+	cfg.TargetSub, cfg.SkipEmpty, cfg.ExecuteApp = "movie-absent", true, true
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks, _ := fs.Blocks("log")
+	if res.SkippedBlocks != len(blocks) || res.Tasks != nil {
+		t.Errorf("task-less job: %d of %d blocks skipped, Tasks = %#v, want nil", res.SkippedBlocks, len(blocks), res.Tasks)
+	}
+	cfg = baseConfig(fs.Clone())
+	cfg.Faults = &faults.Plan{Crashes: []faults.Crash{{Node: 1, At: 0.05}}}
+	if res, err = Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	lost := 0
+	for _, ts := range res.Tasks {
+		if ts.Lost {
+			lost++
+		}
+	}
+	if len(res.Tasks)-lost != len(blocks) {
+		t.Errorf("%d task stats (%d lost), want one live stat per block (%d)", len(res.Tasks), lost, len(blocks))
 	}
 }
 

@@ -85,10 +85,11 @@ func runFilter(jc *jobContext) error {
 
 // foldOutput fills the collector from what the simulation committed: the
 // executed output and a partitioner's key frequencies are one fold over the
-// commit ledger (see foldLedger). A unit's pairs are Config.MapOutput's
-// stored ones when the caller computed them, and otherwise its block's
-// records mapped straight into the collector; a fragment a coded run
-// decoded is mapped from its reconstructed bytes either way.
+// commit ledger (see foldLedger), its runs balanced by matched bytes. A
+// unit's pairs are Config.MapOutput's stored ones when the caller computed
+// them, and otherwise its block's records mapped straight into the
+// collector; a fragment a coded run decoded is mapped from its
+// reconstructed bytes either way.
 func (jc *jobContext) foldOutput() error {
 	app, mo := jc.cfg.App, jc.cfg.MapOutput
 	if !jc.cfg.ExecuteApp && jc.part == nil {
@@ -98,7 +99,8 @@ func (jc *jobContext) foldOutput() error {
 	if err != nil {
 		return err
 	}
-	foldLedger(jc.fsim.live[:units], func(u int, c *collector) {
+	matched := func(u int) int64 { return jc.fsim.truth[jc.tasks[u].Index] }
+	foldLedger(jc.fsim.live[:units], matched, func(u int, c *collector) {
 		if recs, ok := rebuilt[u]; ok {
 			c.mapRecords(recs, app, "") // filtered when it was encoded
 		} else if block := jc.tasks[u].Index; mo != nil {
