@@ -14,7 +14,9 @@ type MovieLogConfig = gen.MovieConfig
 type EventLogConfig = gen.EventConfig
 
 // GenerateMovieLog produces a chronological review log. The sub-dataset
-// key of movie rank i is MovieID(i); rank 0 is the most popular.
+// key of movie rank i is MovieID(i); rank 0 is the most popular. The
+// payloads share arena chunks of up to 1 MiB: keeping one Payload keeps
+// its chunk alive (clone it to keep it alone).
 func GenerateMovieLog(cfg MovieLogConfig) []Record { return gen.Movies(cfg) }
 
 // GenerateEventLog produces a chronological event log whose sub-dataset

@@ -1,7 +1,6 @@
 package gen
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -56,10 +55,13 @@ func (c EventConfig) withDefaults() EventConfig {
 // fixed head-heavy base popularity (PushEvent dominates, as in the real
 // archive) plus smooth sinusoidal drift, so a type's share differs from
 // block to block (imbalanced) without the bursty clustering of the movie
-// log — reproducing the paper's Fig. 8 contrast.
+// log — reproducing the paper's Fig. 8 contrast. The payloads share
+// arena chunks of up to 1 MiB: keeping one Payload keeps its chunk alive,
+// as with records.Reader.
 func Events(cfg EventConfig) []records.Record {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	src := rand.NewSource(cfg.Seed)
+	rng := rand.New(src)
 
 	nTypes := len(EventTypes)
 	base := make([]float64, nTypes)
@@ -78,7 +80,13 @@ func Events(cfg EventConfig) []records.Record {
 	if step <= 0 {
 		step = 1
 	}
-	vocab := eventVocabulary()
+	// A type's tag token is its lowercase name.
+	typeTokens := make([]token, nTypes)
+	for i, typ := range EventTypes {
+		typeTokens[i] = newToken(strings.ToLower(typ))
+	}
+	maxText := len("repo00000 user00000") + (cfg.PayloadWords/2+cfg.PayloadWords)*tokenCap
+	text, payloads := newLine(maxText), newArena(cfg.Events*maxText)
 	recs := make([]records.Record, 0, cfg.Events)
 	weights := make([]float64, nTypes)
 	var t int64
@@ -105,8 +113,8 @@ func Events(cfg EventConfig) []records.Record {
 		recs = append(recs, records.Record{
 			Sub:     EventTypes[typ],
 			Time:    t,
-			Rating:  float64(1 + rng.Intn(5)),
-			Payload: eventText(rng, vocab, EventTypes[typ], cfg.PayloadWords),
+			Rating:  float64(1 + intn(src, 5)),
+			Payload: payloads.cut(eventText(rng, src, text, &typeTokens[typ], cfg.PayloadWords)),
 		})
 		// Jittered arrival spacing keeps the log chronological by
 		// construction (no sort needed).
@@ -118,30 +126,35 @@ func Events(cfg EventConfig) []records.Record {
 	return recs
 }
 
-func eventText(rng *rand.Rand, vocab []string, typ string, meanWords int) string {
+// eventText writes one event's log line into text and returns it: its
+// repository and user, then words mixed with the type's tag token.
+func eventText(rng *rand.Rand, src rand.Source, text *line, typ *token, meanWords int) []byte {
 	n := meanWords/2 + rng.Intn(meanWords+1)
-	var sb strings.Builder
-	sb.Grow(n * 8)
-	fmt.Fprintf(&sb, "repo%05d user%05d", rng.Intn(50000), rng.Intn(20000))
+	repo, user := intn(src, 50000), intn(src, 20000)
+	text.n = 0
+	text.str("repo")
+	text.padded(repo, 5)
+	text.str(" user")
+	text.padded(user, 5)
 	for i := 0; i < n; i++ {
-		sb.WriteByte(' ')
-		if rng.Intn(10) == 0 {
-			sb.WriteString(strings.ToLower(typ))
+		if intn(src, 10) == 0 {
+			text.word(typ)
 			continue
 		}
-		sb.WriteString(vocab[rng.Intn(len(vocab))])
+		text.word(&eventTokens[intn(src, len(eventVocab))])
 	}
-	return sb.String()
+	return text.buf[:text.n]
 }
 
-func eventVocabulary() []string {
-	return []string{
-		"opened", "closed", "merged", "pushed", "commit", "branch", "master",
-		"main", "fix", "bug", "feature", "refactor", "test", "ci", "build",
-		"deploy", "review", "comment", "issue", "pull", "request", "tag",
-		"release", "version", "update", "remove", "add", "change", "docs",
-		"readme", "license", "merge", "conflict", "rebase", "squash",
-		"label", "milestone", "assign", "mention", "thread", "diff",
-		"patch", "hotfix", "revert", "upstream", "fork", "clone", "remote",
-	}
+// eventVocab is the word list of event and access-log lines.
+var eventVocab = [...]string{
+	"opened", "closed", "merged", "pushed", "commit", "branch", "master",
+	"main", "fix", "bug", "feature", "refactor", "test", "ci", "build",
+	"deploy", "review", "comment", "issue", "pull", "request", "tag",
+	"release", "version", "update", "remove", "add", "change", "docs",
+	"readme", "license", "merge", "conflict", "rebase", "squash",
+	"label", "milestone", "assign", "mention", "thread", "diff",
+	"patch", "hotfix", "revert", "upstream", "fork", "clone", "remote",
 }
+
+var eventTokens = tokens(eventVocab[:])

@@ -13,11 +13,8 @@
 package gen
 
 import (
-	"cmp"
 	"fmt"
 	"math/rand"
-	"slices"
-	"strings"
 
 	"datanet/internal/records"
 	"datanet/internal/stats"
@@ -88,10 +85,13 @@ func MovieID(i int) string { return fmt.Sprintf("movie-%05d", i) }
 // Movies generates a chronologically ordered review log. Each review
 // belongs to one movie (its sub-dataset); review times decay exponentially
 // after the movie's release, producing the content clustering the paper
-// analyzes.
+// analyzes. The payloads share arena chunks of up to 1 MiB: keeping one
+// Payload keeps its chunk alive (clone it to keep it alone), as with
+// records.Reader.
 func Movies(cfg MovieConfig) []records.Record {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	src := rand.NewSource(cfg.Seed)
+	rng := rand.New(src)
 	zipf := stats.NewZipf(cfg.Movies, cfg.ZipfS)
 
 	// Release dates: uniform over the span, but held fixed per movie.
@@ -100,12 +100,13 @@ func Movies(cfg MovieConfig) []records.Record {
 		release[i] = int64(rng.Intn(cfg.SpanDays)) * secondsPerDay
 	}
 
-	vocab := buildVocabulary()
 	// A movie's key and tag token are formatted on its first review and
 	// shared by the rest.
 	ids := make([]string, cfg.Movies)
-	tags := make([]string, cfg.Movies)
+	tags := make([]token, cfg.Movies)
 	recs := make([]records.Record, 0, cfg.Reviews)
+	maxText := (cfg.PayloadWords/2 + cfg.PayloadWords) * tokenCap
+	text, payloads := newLine(maxText), newArena(cfg.Reviews*maxText)
 	horizon := int64(cfg.SpanDays) * secondsPerDay
 	for len(recs) < cfg.Reviews {
 		m := zipf.Draw(rng)
@@ -128,52 +129,110 @@ func Movies(cfg MovieConfig) []records.Record {
 		}
 		if ids[m] == "" {
 			ids[m] = MovieID(m)
-			tags[m] = fmt.Sprintf("tag%04d", m%10000)
+			tags[m] = tagToken(m)
 		}
 		recs = append(recs, records.Record{
 			Sub:     ids[m],
 			Time:    t,
-			Rating:  1 + float64(rng.Intn(9))/2, // 1.0 .. 5.0 in 0.5 steps
-			Payload: reviewText(rng, vocab, tags[m], cfg.PayloadWords),
+			Rating:  1 + float64(intn(src, 9))/2, // 1.0 .. 5.0 in 0.5 steps
+			Payload: payloads.cut(reviewText(rng, src, text, &tags[m], cfg.PayloadWords)),
 		})
 	}
-	slices.SortStableFunc(recs, func(a, b records.Record) int { return cmp.Compare(a.Time, b.Time) })
+	sortByTime(recs)
 	return recs
 }
 
-// reviewText produces a pseudo-review. The movie's tag token is mixed in
-// so Top-K similarity search has genuine signal to find.
-func reviewText(rng *rand.Rand, vocab []string, tag string, meanWords int) string {
-	n := meanWords/2 + rng.Intn(meanWords+1)
-	var sb strings.Builder
-	sb.Grow(n * 7)
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			sb.WriteByte(' ')
+// sortByTime orders recs by Time and, among equal times, by position,
+// which is the order a stable sort gives, for times ≥ 0. It radix-sorts
+// (Time, position) keys a byte at a time, each pass stable, over the
+// bytes the largest time uses, and then moves each record once.
+func sortByTime(recs []records.Record) {
+	type key struct {
+		t uint64
+		i int
+	}
+	keys, next := make([]key, len(recs)), make([]key, len(recs))
+	var bits uint64
+	for i, r := range recs {
+		keys[i] = key{uint64(r.Time), i}
+		bits |= uint64(r.Time)
+	}
+	for shift := 0; bits>>shift != 0; shift += 8 {
+		var at [256]int
+		for _, k := range keys {
+			at[byte(k.t>>shift)]++
 		}
-		if rng.Intn(8) == 0 {
-			sb.WriteString(tag)
+		sum := 0
+		for d, c := range at {
+			at[d], sum = sum, sum+c
+		}
+		for _, k := range keys {
+			d := byte(k.t >> shift)
+			next[at[d]] = k
+			at[d]++
+		}
+		keys, next = next, keys
+	}
+	// recs[k] takes the record at keys[k].i: follow each cycle of that
+	// permutation once, marking a done position as its own source.
+	for s := range keys {
+		if keys[s].i == s {
 			continue
 		}
-		sb.WriteString(vocab[rng.Intn(len(vocab))])
+		first, k := recs[s], s
+		for {
+			j := keys[k].i
+			keys[k].i = k
+			if j == s {
+				recs[k] = first
+				break
+			}
+			recs[k] = recs[j]
+			k = j
+		}
 	}
-	return sb.String()
 }
 
-// buildVocabulary returns the shared word list used for payload text.
-func buildVocabulary() []string {
-	base := []string{
-		"the", "a", "plot", "film", "movie", "scene", "actor", "story",
-		"great", "terrible", "boring", "amazing", "director", "script",
-		"music", "score", "visuals", "ending", "beginning", "character",
-		"love", "hate", "watch", "again", "never", "always", "classic",
-		"modern", "slow", "fast", "deep", "shallow", "funny", "sad",
-		"epic", "quiet", "loud", "bright", "dark", "twist", "sequel",
-		"original", "remake", "cast", "dialogue", "pacing", "camera",
-		"editing", "costume", "effects", "drama", "comedy", "thriller",
-		"horror", "romance", "action", "family", "cult", "indie",
-		"blockbuster", "masterpiece", "disaster", "average", "decent",
-		"brilliant", "weak", "strong", "tense", "flat", "vivid",
+// reviewText writes a pseudo-review into text and returns it. The
+// movie's tag token is mixed in so Top-K similarity search has genuine
+// signal to find.
+func reviewText(rng *rand.Rand, src rand.Source, text *line, tag *token, meanWords int) []byte {
+	n := meanWords/2 + rng.Intn(meanWords+1)
+	text.n = 0
+	for i := 0; i < n; i++ {
+		if intn(src, 8) == 0 {
+			text.word(tag)
+			continue
+		}
+		text.word(&movieTokens[intn(src, len(movieVocab))])
 	}
-	return base
+	// The first token's space does not belong to the review.
+	return text.buf[min(1, text.n):text.n]
+}
+
+// movieVocab is the word list of review text.
+var movieVocab = [...]string{
+	"the", "a", "plot", "film", "movie", "scene", "actor", "story",
+	"great", "terrible", "boring", "amazing", "director", "script",
+	"music", "score", "visuals", "ending", "beginning", "character",
+	"love", "hate", "watch", "again", "never", "always", "classic",
+	"modern", "slow", "fast", "deep", "shallow", "funny", "sad",
+	"epic", "quiet", "loud", "bright", "dark", "twist", "sequel",
+	"original", "remake", "cast", "dialogue", "pacing", "camera",
+	"editing", "costume", "effects", "drama", "comedy", "thriller",
+	"horror", "romance", "action", "family", "cult", "indie",
+	"blockbuster", "masterpiece", "disaster", "average", "decent",
+	"brilliant", "weak", "strong", "tense", "flat", "vivid",
+}
+
+var movieTokens = tokens(movieVocab[:])
+
+// tagToken returns the token of movie m's tag: "tag" and m%10000 in four
+// digits.
+func tagToken(m int) token {
+	t := newToken("tag0000")
+	for i, v := t.n-1, m%10000; v > 0; i, v = i-1, v/10 {
+		t.b[i] += byte(v % 10)
+	}
+	return t
 }

@@ -73,7 +73,7 @@ func referenceMovies(cfg MovieConfig) []records.Record {
 	for i := range release {
 		release[i] = int64(rng.Intn(cfg.SpanDays)) * secondsPerDay
 	}
-	vocab := buildVocabulary()
+	vocab := movieVocab[:]
 	recs := make([]records.Record, 0, cfg.Reviews)
 	horizon := int64(cfg.SpanDays) * secondsPerDay
 	for len(recs) < cfg.Reviews {

@@ -57,18 +57,23 @@ func (c GammaBlockConfig) withDefaults() GammaBlockConfig {
 
 // GammaBlocks returns one record slice per block. Feed each slice to
 // hdfs.FileSystem.Write via a concatenation with matching block size, or
-// use the slices directly in unit tests.
+// use the slices directly in unit tests. The payloads share arena chunks
+// of up to 1 MiB, as Movies' do.
 func GammaBlocks(cfg GammaBlockConfig) [][]records.Record {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	src := rand.NewSource(cfg.Seed)
+	rng := rand.New(src)
 	g := stats.Gamma{K: cfg.Shape, Theta: cfg.Scale}
-	payload := func(n int) string {
-		b := make([]byte, n)
-		for i := range b {
-			b[i] = byte('a' + rng.Intn(26))
+	letters, payloads := make([]byte, cfg.RecordBytes), newArena(cfg.Blocks*int(cfg.BlockBytes))
+	payload := func() string {
+		for i := range letters {
+			letters[i] = byte('a' + intn(src, 26))
 		}
-		return string(b)
+		return payloads.cut(letters)
 	}
+	// A background key is formatted on its first record and shared by the
+	// rest.
+	background := make([]string, cfg.BackgroundSubs)
 	out := make([][]records.Record, cfg.Blocks)
 	for bi := range out {
 		targetKB := g.Sample(rng)
@@ -83,17 +88,21 @@ func GammaBlocks(cfg GammaBlockConfig) [][]records.Record {
 				Sub:     cfg.TargetSub,
 				Time:    int64(bi),
 				Rating:  1,
-				Payload: payload(cfg.RecordBytes),
+				Payload: payload(),
 			}
 			blk = append(blk, r)
 			used += r.Size()
 		}
 		for used < cfg.BlockBytes {
+			k := rng.Intn(cfg.BackgroundSubs)
+			if background[k] == "" {
+				background[k] = fmt.Sprintf("bg-%04d", k)
+			}
 			r := records.Record{
-				Sub:     fmt.Sprintf("bg-%04d", rng.Intn(cfg.BackgroundSubs)),
+				Sub:     background[k],
 				Time:    int64(bi),
 				Rating:  1,
-				Payload: payload(cfg.RecordBytes),
+				Payload: payload(),
 			}
 			if used+r.Size() > cfg.BlockBytes {
 				break

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 
 	"datanet/internal/records"
 	"datanet/internal/stats"
@@ -62,9 +61,12 @@ var worldCupSections = []string{
 // WorldCup generates the access log chronologically. Each match day gives
 // two teams a flash crowd whose request rate decays over a few hours; the
 // rest of the traffic is diurnal background over teams and site sections.
+// The payloads share arena chunks of up to 1 MiB: keeping one Payload
+// keeps its chunk alive, as with records.Reader.
 func WorldCup(cfg WorldCupConfig) []records.Record {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	src := rand.NewSource(cfg.Seed)
+	rng := rand.New(src)
 
 	// Match schedule: (time, teamA, teamB), spread over the span with a
 	// round-robin-ish team rotation so every team gets flash crowds.
@@ -82,7 +84,17 @@ func WorldCup(cfg WorldCupConfig) []records.Record {
 	}
 
 	zipfTeams := stats.NewZipf(cfg.Teams, 0.7)
-	vocab := eventVocabulary()
+	// A team's key is formatted on its first request and shared by the
+	// rest.
+	teams := make([]string, cfg.Teams)
+	team := func(i int) string {
+		if teams[i] == "" {
+			teams[i] = TeamID(i)
+		}
+		return teams[i]
+	}
+	maxText := len("GET /page0000 ip000.000") + (cfg.PayloadWords/2+cfg.PayloadWords)*tokenCap
+	text, payloads := newLine(maxText), newArena(cfg.Requests*maxText)
 	horizon := int64(cfg.SpanDays) * secondsPerDay
 	step := horizon / int64(cfg.Requests)
 	if step <= 0 {
@@ -107,10 +119,10 @@ func WorldCup(cfg WorldCupConfig) []records.Record {
 				// Flash traffic share decays linearly over the window.
 				share := 0.8 * (1 - float64(d)/flashWindow)
 				if rng.Float64() < share {
-					if rng.Intn(2) == 0 {
-						sub = TeamID(m.a)
+					if intn(src, 2) == 0 {
+						sub = team(m.a)
 					} else {
-						sub = TeamID(m.b)
+						sub = team(m.b)
 					}
 					inFlash = true
 				}
@@ -119,16 +131,16 @@ func WorldCup(cfg WorldCupConfig) []records.Record {
 		}
 		if !inFlash {
 			if rng.Float64() < 0.45 {
-				sub = worldCupSections[rng.Intn(len(worldCupSections))]
+				sub = worldCupSections[intn(src, len(worldCupSections))]
 			} else {
-				sub = TeamID(zipfTeams.Draw(rng))
+				sub = team(zipfTeams.Draw(rng))
 			}
 		}
 		recs = append(recs, records.Record{
 			Sub:     sub,
 			Time:    t,
-			Rating:  float64(200 + 50*rng.Intn(4)), // HTTP-ish status codes
-			Payload: accessLine(rng, vocab, cfg.PayloadWords),
+			Rating:  float64(200 + 50*intn(src, 4)), // HTTP-ish status codes
+			Payload: payloads.cut(accessLine(rng, src, text, cfg.PayloadWords)),
 		})
 		advance := float64(step) / diurnal
 		t += int64(advance/2) + rng.Int63n(int64(advance)+1)
@@ -139,14 +151,20 @@ func WorldCup(cfg WorldCupConfig) []records.Record {
 	return recs
 }
 
-func accessLine(rng *rand.Rand, vocab []string, meanWords int) string {
+// accessLine writes one request's log line into text and returns it: the
+// page and client address, then words.
+func accessLine(rng *rand.Rand, src rand.Source, text *line, meanWords int) []byte {
 	n := meanWords/2 + rng.Intn(meanWords+1)
-	var sb strings.Builder
-	sb.Grow(n*7 + 32)
-	fmt.Fprintf(&sb, "GET /page%04d ip%03d.%03d", rng.Intn(5000), rng.Intn(256), rng.Intn(256))
+	page, a, b := intn(src, 5000), intn(src, 256), intn(src, 256)
+	text.n = 0
+	text.str("GET /page")
+	text.padded(page, 4)
+	text.str(" ip")
+	text.padded(a, 3)
+	text.str(".")
+	text.padded(b, 3)
 	for i := 0; i < n; i++ {
-		sb.WriteByte(' ')
-		sb.WriteString(vocab[rng.Intn(len(vocab))])
+		text.word(&eventTokens[intn(src, len(eventVocab))])
 	}
-	return sb.String()
+	return text.buf[:text.n]
 }
