@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"datanet/internal/gen"
@@ -18,43 +20,57 @@ import (
 )
 
 func main() {
-	typ := gen.Kind("movies")
-	flag.Var(&typ, "type", "dataset type: movies | events | weblog")
-	var (
-		out     = flag.String("out", "dataset.dnr", "output path")
-		n       = flag.Int("records", 100000, "record count")
-		movies  = flag.Int("movies", 2000, "movie catalogue size (movies type)")
-		span    = flag.Int("span", 365, "time span in days")
-		seed    = flag.Int64("seed", 42, "generation seed")
-		quietly = flag.Bool("q", false, "suppress the summary")
-	)
-	flag.Parse()
-	recs := typ.Generate(*n, *movies, *span, *seed)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	f, err := os.Create(*out)
-	if err != nil {
-		fatal(err)
+// run is main without the process: it returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("datagen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	typ := gen.Kind("movies")
+	fs.Var(&typ, "type", "dataset type: movies | events | weblog")
+	var (
+		out     = fs.String("out", "dataset.dnr", "output path")
+		n       = fs.Int("records", 100000, "record count")
+		movies  = fs.Int("movies", 2000, "movie catalogue size (movies type)")
+		span    = fs.Int("span", 365, "time span in days")
+		seed    = fs.Int64("seed", 42, "generation seed")
+		quietly = fs.Bool("q", false, "suppress the summary")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
+	recs := typ.Generate(*n, *movies, *span, *seed)
+	if err := write(*out, recs); err != nil {
+		fmt.Fprintln(stderr, "datagen:", err)
+		return 1
+	}
+	if !*quietly {
+		fmt.Fprintf(stdout, "wrote %d records (%s) to %s\n", len(recs), bytesHuman(records.TotalSize(recs)), *out)
+	}
+	return 0
+}
+
+// write encodes recs into a new file at path.
+func write(path string, recs []records.Record) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
 	w := records.NewWriter(f)
 	for _, r := range recs {
 		if err := w.Write(r); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	if err := w.Flush(); err != nil {
-		fatal(err)
+		return err
 	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	if !*quietly {
-		fmt.Printf("wrote %d records (%s) to %s\n", len(recs), bytesHuman(records.TotalSize(recs)), *out)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "datagen:", err)
-	os.Exit(1)
+	return f.Close()
 }
 
 func bytesHuman(n int64) string {

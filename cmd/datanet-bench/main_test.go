@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -70,5 +72,31 @@ func TestParallelZeroExitsTwo(t *testing.T) {
 	}
 	if stdout.Len() != 0 || !strings.Contains(stderr.String(), "-parallel must be at least 1") {
 		t.Errorf("-parallel 0 printed %q to stdout and %q to stderr", stdout.String(), stderr.String())
+	}
+}
+
+// The exports derive from the same reports: one CSV per figure block of
+// the report sections (11) and an HTML report with one chart per figure
+// block plus the traced run's Gantt chart (12 <svg).
+func TestExportsWriteEveryFigure(t *testing.T) {
+	dir := t.TempDir()
+	csvDir, html := filepath.Join(dir, "csv"), filepath.Join(dir, "report.html")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-csv", csvDir, "-html", html}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-csv -html exited %d: %s", code, stderr.String())
+	}
+	files, err := os.ReadDir(csvDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 11 {
+		t.Errorf("-csv wrote %d files, want 11", len(files))
+	}
+	doc, err := os.ReadFile(html)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(doc), "<svg"); n != 12 {
+		t.Errorf("-html wrote %d <svg, want 12", n)
 	}
 }

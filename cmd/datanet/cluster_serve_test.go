@@ -1,11 +1,8 @@
 package main
 
 import (
-	"bytes"
-	"context"
 	"fmt"
 	"net/http"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -13,46 +10,19 @@ import (
 	"datanet/internal/clusterd"
 )
 
-// TestRunChaosClusterSmoke drives the chaos subcommand in cluster mode:
-// a small seeded campaign must pass every invariant and print its census.
-func TestRunChaosClusterSmoke(t *testing.T) {
-	buf := &bytes.Buffer{}
-	stdout = buf
-	defer func() { stdout = os.Stdout }()
-	if err := runChaos([]string{"-cluster", "4", "-replicas", "2", "-runs", "20", "-seed", "3"}); err != nil {
-		t.Fatalf("cluster chaos: %v\n%s", err, buf)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "20 cluster runs (4 nodes, 4 shards, 2 replicas)") ||
-		!strings.Contains(out, ": 0 violations") {
-		t.Fatalf("unexpected chaos output: %s", out)
-	}
-}
-
 // TestServeClusterLoadgenSmoke boots a 3-node, 2-shard cluster on random
 // ports and drives the load generator at it twice with the same seed: the
 // router must discover the topology, shard-route every request, and
-// produce the same deterministic summary line both times.
+// produce the same deterministic summary line both times. The cluster
+// shuts down cleanly when the test ends.
 func TestServeClusterLoadgenSmoke(t *testing.T) {
-	meta := writeEncodedMeta(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	serveOut := &bytes.Buffer{}
-	stdout = serveOut
-	addrCh := make(chan string, 1)
-	serveErr := make(chan error, 1)
-	go func() {
-		serveErr <- serveCluster(ctx, serveArgs(t, "-addr", "127.0.0.1:0", "-meta", "reviews="+meta, "-cache", "64",
-			"-cluster", "3", "-replicas", "1", "-shards", "2"), func(a string) { addrCh <- a })
-	}()
-	var addr string
-	select {
-	case addr = <-addrCh:
-	case err := <-serveErr:
-		t.Fatalf("serveCluster failed to start: %v", err)
-	case <-time.After(10 * time.Second):
-		t.Fatal("serveCluster never became ready")
+	serveOut := captureStdout(t)
+	addr := startServer(t, serveCluster, "-meta", "reviews="+writeEncodedMeta(t), "-cache", "64",
+		"-cluster", "3", "-replicas", "1", "-shards", "2")
+	if out := serveOut.String(); !strings.Contains(out, "serve: cluster of 3 nodes, 2 shards, 1 replicas per shard") ||
+		!strings.Contains(out, `serve: loaded "reviews"`) ||
+		strings.Count(out, "listening on http://") != 3 {
+		t.Fatalf("unexpected serveCluster output:\n%s", out)
 	}
 
 	// The admin plane answers on the seed node with the full shard map.
@@ -70,8 +40,7 @@ func TestServeClusterLoadgenSmoke(t *testing.T) {
 	}
 
 	runOnce := func(seed int64) string {
-		buf := &bytes.Buffer{}
-		stdout = buf
+		buf := captureStdout(t)
 		if err := runLoadgen([]string{"-addr", addr, "-clients", "4", "-requests", "80",
 			"-seed", fmt.Sprint(seed), "-plan-nodes", "4"}); err != nil {
 			t.Fatalf("loadgen: %v\n%s", err, buf)
@@ -90,22 +59,5 @@ func TestServeClusterLoadgenSmoke(t *testing.T) {
 	if !strings.Contains(first, `80 requests to "reviews" (4 clients, seed 7)`) ||
 		!strings.Contains(first, "0 transport-errors") {
 		t.Fatalf("unexpected summary line: %q", first)
-	}
-
-	stdout = os.Stdout
-	cancel()
-	select {
-	case err := <-serveErr:
-		if err != nil {
-			t.Fatalf("serveCluster shutdown: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("serveCluster did not shut down")
-	}
-	out := serveOut.String()
-	if !strings.Contains(out, "serve: cluster of 3 nodes, 2 shards, 1 replicas per shard") ||
-		!strings.Contains(out, `serve: loaded "reviews"`) ||
-		strings.Count(out, "listening on http://") != 3 {
-		t.Fatalf("unexpected serveCluster output:\n%s", out)
 	}
 }

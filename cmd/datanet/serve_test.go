@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"net"
 	"net/http"
@@ -89,32 +88,18 @@ func writeEncodedMeta(t *testing.T) string {
 // TestServeLoadgenSmoke boots a real server on a random port and runs the
 // load generator against it twice with the same seed: the deterministic
 // summary line (counts + order-independent digest) must be identical, and
-// the second output line must report wall-clock measurements.
+// the second output line must report wall-clock measurements. The server
+// shuts down cleanly when the test ends.
 func TestServeLoadgenSmoke(t *testing.T) {
-	meta := writeEncodedMeta(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	serveOut := &bytes.Buffer{}
-	stdout = serveOut
-	addrCh := make(chan string, 1)
-	serveErr := make(chan error, 1)
-	go func() {
-		serveErr <- serve(ctx, serveArgs(t, "-addr", "127.0.0.1:0", "-meta", "reviews="+meta, "-cache", "64"),
-			func(a string) { addrCh <- a })
-	}()
-	var addr string
-	select {
-	case addr = <-addrCh:
-	case err := <-serveErr:
-		t.Fatalf("serve failed to start: %v", err)
-	case <-time.After(10 * time.Second):
-		t.Fatal("serve never became ready")
+	serveOut := captureStdout(t)
+	addr := startServer(t, serve, "-meta", "reviews="+writeEncodedMeta(t), "-cache", "64")
+	if out := serveOut.String(); !strings.Contains(out, "serve: listening on http://") ||
+		!strings.Contains(out, `serve: loaded "reviews"`) {
+		t.Fatalf("unexpected serve output:\n%s", out)
 	}
 
 	runOnce := func(seed int64) string {
-		buf := &bytes.Buffer{}
-		stdout = buf
+		buf := captureStdout(t)
 		if err := runLoadgen([]string{"-addr", addr, "-clients", "4", "-requests", "80",
 			"-seed", fmt.Sprint(seed), "-plan-nodes", "4"}); err != nil {
 			t.Fatalf("loadgen: %v\n%s", err, buf)
@@ -145,21 +130,6 @@ func TestServeLoadgenSmoke(t *testing.T) {
 	if !strings.Contains(first, `80 requests to "reviews" (4 clients, seed 7)`) ||
 		!strings.Contains(first, "0 transport-errors") || !strings.Contains(first, "digest ") {
 		t.Fatalf("unexpected summary line: %q", first)
-	}
-
-	stdout = os.Stdout
-	cancel()
-	select {
-	case err := <-serveErr:
-		if err != nil {
-			t.Fatalf("serve shutdown: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("serve did not shut down")
-	}
-	if out := serveOut.String(); !strings.Contains(out, "serve: listening on http://") ||
-		!strings.Contains(out, `serve: loaded "reviews"`) {
-		t.Fatalf("unexpected serve output:\n%s", out)
 	}
 }
 

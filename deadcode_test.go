@@ -32,7 +32,7 @@ var interfaceMethods = map[string]bool{
 // testHelpers are called only by another package's tests, each for the
 // reason given.
 var testHelpers = map[string]string{
-	"obs.ValidatePromText":              "the exposition-format oracle of the server and clusterd /metrics tests",
+	"obs.ValidatePromText":              "the exposition-format oracle of the server, clusterd and cmd/datanet /metrics tests",
 	"hdfs.FileSystem.ReplicationHealth": "the re-replication invariant of the mapreduce fault tests and the root integration test",
 	"hdfs.FileSystem.NodeBlocks":        "the data-node block report those same tests read to see a failed node emptied",
 	"apps.Extended":                     "the full app set the mapreduce collector and partition-independence tests sweep",

@@ -2,7 +2,10 @@ package chaos
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"datanet/internal/shrink"
 )
@@ -18,7 +21,8 @@ type Campaign[P any] struct {
 	// Check runs a plan under the configuration its seed fixes and returns
 	// every invariant breach. It tallies what the plan contained and what
 	// the run saw into census. The shrinker re-runs it, so it must be
-	// deterministic.
+	// deterministic; Run calls it from several goroutines at once, each
+	// with its own census.
 	Check func(seed uint64, plan P, census Census) []Violation
 	// Edits lists a plan's one-step simplifications, fresh values in the
 	// order the shrinker tries them.
@@ -52,13 +56,40 @@ type Report struct {
 	Census     Census
 }
 
-// Run checks runs seeds derived from the base seed.
+// Run checks runs seeds derived from the base seed on GOMAXPROCS
+// workers. The seeds are drawn up front, in the order one loop would draw
+// them; each worker pulls the next index and tallies into its own census.
+// The censuses are summed and the violations concatenated in seed order,
+// so the report is the same at any worker count.
 func (c *Campaign[P]) Run(runs int, seed uint64) *Report {
-	rep := &Report{Census: Census{}}
 	r := newRNG(seed)
-	for ; rep.Runs < runs; rep.Runs++ {
-		s := r.next()
-		rep.Violations = append(rep.Violations, c.Check(s, c.Gen(s), rep.Census)...)
+	seeds := make([]uint64, runs)
+	for i := range seeds {
+		seeds[i] = r.next()
+	}
+	found := make([][]Violation, runs)
+	censuses := make([]Census, min(runtime.GOMAXPROCS(0), runs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := range censuses {
+		censuses[w] = Census{}
+		wg.Add(1)
+		go func(census Census) {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(runs); i = next.Add(1) - 1 {
+				found[i] = c.Check(seeds[i], c.Gen(seeds[i]), census)
+			}
+		}(censuses[w])
+	}
+	wg.Wait()
+	rep := &Report{Runs: runs, Census: Census{}}
+	for _, census := range censuses {
+		for k, n := range census {
+			rep.Census[k] += n
+		}
+	}
+	for _, vs := range found {
+		rep.Violations = append(rep.Violations, vs...)
 	}
 	return rep
 }

@@ -64,8 +64,8 @@ func TestChaosCampaignComposed(t *testing.T) {
 	}
 }
 
-// The tier-1 campaign above and the CI smoke (`datanet chaos -runs 1000
-// -seed 1`).
+// The campaign above and the pinned census run (`datanet chaos -runs 1000
+// -seed 1`, cmd/datanet's TestRunChaosEngineGolden).
 const (
 	campaignRuns, campaignSeed = 150, 2
 	smokeRuns, smokeSeed       = 1000, 1
@@ -266,7 +266,7 @@ func TestMitigationCorpusReadErrorReroll(t *testing.T) {
 }
 
 // Corpus (analysis-phase recovery against belief): runs 351 and 348 of
-// the CI smoke, `chaos -runs 1000 -seed 1`, each pinned with a literal
+// the pinned census run, `chaos -runs 1000 -seed 1`, each pinned with a literal
 // bundle (heartbeat detector, coded mitigation) so a later change to the
 // draw cannot reshape it. The filter kernel stops
 // while a crashed node that has since rejoined is still suspected, and a

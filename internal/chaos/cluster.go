@@ -325,14 +325,6 @@ func clusterArray(i, n int) *elasticmap.Array {
 	return elasticmap.Build([][]records.Record{recs}, elasticmap.Options{Alpha: 0.5})
 }
 
-// legalUnavailability reports whether a client error is a permitted
-// failover-window outcome rather than a correctness bug.
-func legalUnavailability(err error) bool {
-	return errors.Is(err, clusterd.ErrNotLeader) ||
-		errors.Is(err, clusterd.ErrNoLeader) ||
-		errors.Is(err, clusterd.ErrNodeDown)
-}
-
 // clusterRunResult is the digestible outcome of one plan execution.
 type clusterRunResult struct {
 	digest     uint64
@@ -416,7 +408,7 @@ func runClusterPlan(seed uint64, plan *ClusterPlan, p ClusterParams) clusterRunR
 				}
 			case errors.Is(err, server.ErrUnknownArray):
 				fail("no-lost-arrays", "append found %s missing: %v", clusterArrayName(op.Array), err)
-			case legalUnavailability(err):
+			case clusterd.IsFailoverRefusal(err):
 				res.retries++
 			default:
 				fail("typed-error", "append %s: %v", clusterArrayName(op.Array), err)
@@ -434,7 +426,7 @@ func runClusterPlan(seed uint64, plan *ClusterPlan, p ClusterParams) clusterRunR
 				}
 			case errors.Is(err, server.ErrUnknownArray):
 				fail("no-lost-arrays", "read found %s missing: %v", clusterArrayName(op.Array), err)
-			case legalUnavailability(err):
+			case clusterd.IsFailoverRefusal(err):
 				res.retries++
 			default:
 				fail("typed-error", "read %s: %v", clusterArrayName(op.Array), err)

@@ -1,5 +1,7 @@
 package chaos
 
+import "datanet/internal/hashutil"
+
 // rng is a splitmix64 stream: tiny, fast, and fully specified here so the
 // fault plans a seed generates never change underneath a recorded
 // counterexample (math/rand's stream is documented but its shuffling
@@ -11,10 +13,7 @@ func newRNG(seed uint64) *rng { return &rng{state: seed} }
 // next returns the next 64 random bits.
 func (r *rng) next() uint64 {
 	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return hashutil.Mix64(r.state)
 }
 
 // float returns a uniform float64 in [0, 1).

@@ -25,6 +25,12 @@ var (
 	ErrNodeDown = errors.New("clusterd: node is down")
 )
 
+// IsFailoverRefusal reports whether err is one of the typed routing
+// refusals above: a permitted failover-window outcome, not a bug.
+func IsFailoverRefusal(err error) bool {
+	return errors.Is(err, ErrNotLeader) || errors.Is(err, ErrNoLeader) || errors.Is(err, ErrNodeDown)
+}
+
 // Role is a node's duty for one shard, stamped with the fence it was
 // assigned under. A node refuses writes whose shard has re-fenced since.
 type Role struct {

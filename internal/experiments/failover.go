@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
 	"datanet/internal/cluster"
@@ -119,7 +118,7 @@ func failoverRun(r *Report, t *metrics.Table, mode string, det detect.Config) er
 			for a := 0; a < failoverArrays; a++ {
 				name := failoverArrayName(a)
 				if _, err := c.Append(name, failoverChunk(a, 1)); err != nil {
-					if !legalFailoverErr(err) {
+					if !clusterd.IsFailoverRefusal(err) {
 						return fmt.Errorf("append %s: %w", name, err)
 					}
 					unavailableOps++
@@ -128,7 +127,7 @@ func failoverRun(r *Report, t *metrics.Table, mode string, det detect.Config) er
 				switch {
 				case err == nil && stale:
 					staleReads++
-				case err != nil && legalFailoverErr(err):
+				case err != nil && clusterd.IsFailoverRefusal(err):
 					unavailableOps++
 				case err != nil:
 					return fmt.Errorf("read %s: %w", name, err)
@@ -183,12 +182,4 @@ func failoverRun(r *Report, t *metrics.Table, mode string, det detect.Config) er
 	r.Values[mode+"/converge_ticks"] = converged
 	r.Values[mode+"/promotions"] = float64(promotions)
 	return nil
-}
-
-// legalFailoverErr reports whether a client error is a permitted
-// failover-window refusal rather than a bug.
-func legalFailoverErr(err error) bool {
-	return errors.Is(err, clusterd.ErrNotLeader) ||
-		errors.Is(err, clusterd.ErrNoLeader) ||
-		errors.Is(err, clusterd.ErrNodeDown)
 }

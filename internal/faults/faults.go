@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"datanet/internal/cluster"
+	"datanet/internal/hashutil"
 	"datanet/internal/sim"
 	"datanet/internal/trace"
 )
@@ -454,10 +455,8 @@ func (in *Injector) ReadFails(block, node, attempt int) bool {
 	return u < in.prob
 }
 
-// splitmix64 is the SplitMix64 finalizer — a cheap, well-mixed hash.
+// splitmix64 is one SplitMix64 step: the golden-ratio increment, then
+// the shared finalizer.
 func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return hashutil.Mix64(x + 0x9e3779b97f4a7c15)
 }

@@ -57,3 +57,12 @@ func TestNewStartsAtOffsetBasis(t *testing.T) {
 		t.Errorf("empty digest = %#x, want offset basis %#x", got, fnvOffset64)
 	}
 }
+
+// Mix64 is the finalizer the chaos RNG, the read-error draw and the
+// rendezvous score share: one step of the chaos stream seeded at 1 is
+// Mix64(1 + gamma), pinned in internal/chaos's TestRNGStability.
+func TestMix64KnownAnswer(t *testing.T) {
+	if got := Mix64(1 + 0x9e3779b97f4a7c15); got != 0x910a2dec89025cc1 {
+		t.Errorf("Mix64(1+gamma) = %#x, want 0x910a2dec89025cc1", got)
+	}
+}

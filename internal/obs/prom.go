@@ -96,7 +96,7 @@ func formatPromValue(v float64) string {
 // this package emits: every line is a comment (# HELP / # TYPE) or a
 // sample `name{labels} value`, names and label keys are legal metric
 // identifiers, values parse as floats (+Inf allowed), and the text ends
-// with a newline. Tests and the CI smoke use it as a format gate.
+// with a newline. The server, clusterd and cmd/datanet tests gate on it.
 func ValidatePromText(text []byte) error {
 	if len(text) == 0 || text[len(text)-1] != '\n' {
 		return fmt.Errorf("prom: exposition must end with a newline")

@@ -20,13 +20,10 @@ func ShardOf(name string, shards int) int {
 }
 
 // RendezvousScore is the highest-random-weight score of (shard, node):
-// a splitmix64 finalizer over the pair. Deterministic across processes
-// and Go versions, like the chaos RNG it mirrors.
+// the SplitMix64 finalizer over the weighted pair. Deterministic across
+// processes and Go versions, like the chaos RNG that shares it.
 func RendezvousScore(shard int, id cluster.NodeID) uint64 {
-	z := uint64(shard)*0x9e3779b97f4a7c15 + uint64(id)*0xd1342543de82ef95 + 0x2545f4914f6cdd1d
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return hashutil.Mix64(uint64(shard)*0x9e3779b97f4a7c15 + uint64(id)*0xd1342543de82ef95 + 0x2545f4914f6cdd1d)
 }
 
 // RendezvousRank orders candidate nodes for a shard by descending score
