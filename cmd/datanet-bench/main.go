@@ -51,17 +51,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// bench writes the requested artifacts, then runs the named experiment;
-// with no artifact and no name it runs the whole suite.
+// bench writes the requested exports from one run of the report sections,
+// then runs the named experiment; with no export and no name it runs the
+// whole suite.
 func bench(stdout io.Writer, only, csvDir, htmlOut string, workers int) error {
-	if htmlOut != "" {
-		if err := experiments.WriteHTMLReport(htmlOut); err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, "wrote", htmlOut)
-	}
-	if csvDir != "" {
-		files, err := experiments.WriteCSVSuite(csvDir)
+	exporting := csvDir != "" || htmlOut != ""
+	if exporting {
+		files, err := experiments.Export(csvDir, htmlOut)
 		if err != nil {
 			return err
 		}
@@ -72,7 +68,7 @@ func bench(stdout io.Writer, only, csvDir, htmlOut string, workers int) error {
 	if only != "" {
 		return experiments.RunSection(stdout, only)
 	}
-	if htmlOut != "" || csvDir != "" {
+	if exporting {
 		return nil
 	}
 	_, err := experiments.RunSuiteBench(stdout, workers)

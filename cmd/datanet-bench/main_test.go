@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -77,7 +79,9 @@ func TestParallelZeroExitsTwo(t *testing.T) {
 
 // The exports derive from the same reports: one CSV per figure block of
 // the report sections (11) and an HTML report with one chart per figure
-// block plus the traced run's Gantt chart (12 <svg).
+// block plus the traced run's Gantt chart (12 <svg). The CSV files' bytes
+// are pinned by one sha256 over each file's name, length and bytes in
+// name order.
 func TestExportsWriteEveryFigure(t *testing.T) {
 	dir := t.TempDir()
 	csvDir, html := filepath.Join(dir, "csv"), filepath.Join(dir, "report.html")
@@ -91,6 +95,18 @@ func TestExportsWriteEveryFigure(t *testing.T) {
 	}
 	if len(files) != 11 {
 		t.Errorf("-csv wrote %d files, want 11", len(files))
+	}
+	h := sha256.New()
+	for _, f := range files {
+		data, err := os.ReadFile(filepath.Join(csvDir, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s %d\n", f.Name(), len(data))
+		h.Write(data)
+	}
+	if got, want := fmt.Sprintf("%x", h.Sum(nil)), "39c67462ac3aa5edac5e1340dcecc703a31ebef5fe880c0eadce17937d5aa7e2"; got != want {
+		t.Errorf("CSV digest %s, want %s", got, want)
 	}
 	doc, err := os.ReadFile(html)
 	if err != nil {

@@ -198,21 +198,7 @@ func NewCluster(n, racks int) *Topology {
 // paper's proportions instead of being swamped by fixed per-task
 // overheads; it panics on invalid sizes.
 func NewScaledCluster(n, racks int, blockSize int64) *Topology {
-	scale := float64(blockSize) / float64(hdfs.DefaultBlockSize)
-	if scale <= 0 {
-		scale = 1
-	}
-	specs := make([]cluster.Node, n)
-	for i := range specs {
-		specs[i] = cluster.Node{
-			Rack:     i % racks,
-			CPURate:  cluster.DefaultCPURate * scale,
-			DiskRate: cluster.DefaultDiskRate * scale,
-			NetRate:  cluster.DefaultNetRate * scale,
-			Slots:    cluster.DefaultSlots,
-		}
-	}
-	topo, err := cluster.NewHeterogeneous(specs, racks)
+	topo, err := cluster.NewHeterogeneous(hdfs.ScaledNodes(n, racks, blockSize), racks)
 	if err != nil {
 		panic(err)
 	}

@@ -93,29 +93,11 @@ type Env struct {
 	Opts elasticmap.Options
 }
 
-// scaledNodes specifies n nodes over racks whose rates are scaled so a
-// block of blockBytes takes as long as a 64 MiB block would on default
-// hardware.
-func scaledNodes(n, racks int, blockBytes int64) []cluster.Node {
-	scale := float64(blockBytes) / float64(hdfs.DefaultBlockSize)
-	specs := make([]cluster.Node, n)
-	for i := range specs {
-		specs[i] = cluster.Node{
-			Rack:     i % racks,
-			CPURate:  cluster.DefaultCPURate * scale,
-			DiskRate: cluster.DefaultDiskRate * scale,
-			NetRate:  cluster.DefaultNetRate * scale,
-			Slots:    cluster.DefaultSlots,
-		}
-	}
-	return specs
-}
-
 // buildEnv stores recs on a fresh filesystem (cfg's zero fields take the
 // HDFS defaults: 3 replicas, random placement) over nodes scaled to its
 // block size and constructs the ElasticMap array plus ground truth.
 func buildEnv(recs []records.Record, nodes, racks int, cfg hdfs.Config, alpha float64, target string) (*Env, error) {
-	return buildEnvOn(recs, scaledNodes(nodes, racks, cfg.BlockSize), racks, cfg, alpha, target)
+	return buildEnvOn(recs, hdfs.ScaledNodes(nodes, racks, cfg.BlockSize), racks, cfg, alpha, target)
 }
 
 // buildEnvOn is buildEnv over the given node specs.

@@ -61,7 +61,7 @@ func Heterogeneity(p MovieParams) (*Report, error) {
 	if p.Nodes == 0 {
 		p = DefaultMovieParams()
 	}
-	specs := scaledNodes(p.Nodes, p.Racks, p.BlockBytes)
+	specs := hdfs.ScaledNodes(p.Nodes, p.Racks, p.BlockBytes)
 	slow := 0
 	for i := 0; i < len(specs); i += 4 {
 		specs[i].CPURate *= 0.4

@@ -48,7 +48,7 @@ type faultFixture struct {
 }
 
 func newFaultFixture(p MovieParams) (*faultFixture, error) {
-	topo, err := cluster.NewHeterogeneous(scaledNodes(p.Nodes, p.Racks, p.BlockBytes), p.Racks)
+	topo, err := cluster.NewHeterogeneous(hdfs.ScaledNodes(p.Nodes, p.Racks, p.BlockBytes), p.Racks)
 	if err != nil {
 		return nil, err
 	}

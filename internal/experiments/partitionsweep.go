@@ -127,7 +127,7 @@ func PartitionSweep(p MovieParams) (*Report, error) {
 	if p.Nodes == 0 {
 		p = MovieParams{Nodes: 16, Racks: 2, BlockBytes: 32 << 10, Seed: 42}
 	}
-	topo, err := cluster.NewHeterogeneous(scaledNodes(p.Nodes, p.Racks, p.BlockBytes), p.Racks)
+	topo, err := cluster.NewHeterogeneous(hdfs.ScaledNodes(p.Nodes, p.Racks, p.BlockBytes), p.Racks)
 	if err != nil {
 		return nil, err
 	}

@@ -29,12 +29,12 @@ type Report struct {
 }
 
 // block is one piece of a report: a text line, a table, a figure, or a
-// ready-made chart that only the HTML report shows (a traced run's Gantt).
+// traced run's Gantt chart, which only the HTML report shows.
 type block struct {
 	text   string
 	table  *metrics.Table
 	figure *metrics.Figure
-	svg    string
+	gantt  *metrics.Gantt
 	// id completes a figure's CSV file name, <section><id>.csv.
 	id   string
 	kind figureKind
@@ -104,15 +104,35 @@ func (r *Report) balanceCells(key string, e *Env, c comparison) (without, with, 
 // paper's figures and tables plus the crash-recovery sweep.
 var reportSections = []string{"fig1", "fig2", "fig5", "fig6", "fig7", "fig8", "table2", "fig9", "fig10", "fault-tolerance"}
 
-// WriteCSVSuite runs the report sections and writes every figure block's
-// series as <section><id>.csv under dir (created if missing), so the
-// results can be re-plotted with any tool. It returns the file list.
-func WriteCSVSuite(dir string) ([]string, error) {
+// Export runs the report sections once and writes the exports asked for:
+// with htmlPath, a single self-contained HTML file (inline SVG, no
+// external assets) of the sections plus one traced job, so the
+// reproduction can be eyeballed against the paper's plots; with csvDir,
+// every figure block's series as <section><id>.csv under csvDir (created
+// if missing), so the results can be re-plotted with any tool. An empty
+// argument skips its export. It returns the files written.
+func Export(csvDir, htmlPath string) ([]string, error) {
 	secs, err := runNamed(io.Discard, reportSections...)
 	if err != nil {
 		return nil, err
 	}
-	return writeCSVs(dir, secs)
+	var written []string
+	if htmlPath != "" {
+		tl, err := Timeline(MovieParams{})
+		if err != nil {
+			return nil, err
+		}
+		doc := htmlReport(append(secs, BenchSection{Name: "per-run timeline", Report: tl}))
+		if err := os.WriteFile(htmlPath, []byte(doc), 0o644); err != nil {
+			return nil, err
+		}
+		written = append(written, htmlPath)
+	}
+	if csvDir == "" {
+		return written, nil
+	}
+	files, err := writeCSVs(csvDir, secs)
+	return append(written, files...), err
 }
 
 func writeCSVs(dir string, secs []BenchSection) ([]string, error) {
@@ -135,24 +155,8 @@ func writeCSVs(dir string, secs []BenchSection) ([]string, error) {
 	return written, nil
 }
 
-// WriteHTMLReport runs the report sections plus one traced job and writes
-// a single self-contained HTML file (inline SVG, no external assets) so
-// the reproduction can be eyeballed against the paper's plots.
-func WriteHTMLReport(path string) error {
-	secs, err := runNamed(io.Discard, reportSections...)
-	if err != nil {
-		return err
-	}
-	tl, err := Timeline(MovieParams{})
-	if err != nil {
-		return err
-	}
-	secs = append(secs, BenchSection{Name: "per-run timeline", Report: tl})
-	return os.WriteFile(path, []byte(htmlReport(secs)), 0o644)
-}
-
-// htmlReport renders each section's blocks in order: a figure as an SVG
-// chart, a table as an HTML table, a text line as a paragraph.
+// htmlReport renders each section's blocks in order: a figure or a Gantt
+// as an SVG chart, a table as an HTML table, a text line as a paragraph.
 func htmlReport(secs []BenchSection) string {
 	var sb strings.Builder
 	sb.WriteString(`<!DOCTYPE html><html><head><meta charset="utf-8"/><title>DataNet reproduction report</title></head><body style="font-family:sans-serif;max-width:760px;margin:2em auto">`)
@@ -164,8 +168,8 @@ func htmlReport(secs []BenchSection) string {
 			switch {
 			case b.table != nil:
 				sb.WriteString(b.table.HTMLTable())
-			case b.svg != "":
-				sb.WriteString(b.svg)
+			case b.gantt != nil:
+				sb.WriteString(b.gantt.SVG())
 			case b.figure == nil:
 				fmt.Fprintf(&sb, "<p>%s</p>", html.EscapeString(strings.TrimSpace(b.text)))
 			case b.kind == barFigure:

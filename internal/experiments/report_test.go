@@ -130,7 +130,7 @@ func TestWriteHTMLReport(t *testing.T) {
 		t.Errorf("the report sections hold %d figure and %d table blocks, want 11 and 7", figures, tables)
 	}
 	tl := ran(t, "traced")(Timeline(MovieParams{}))
-	if tl.blocks[1].svg == "" || strings.Contains(tl.String(), "<svg") {
+	if tl.blocks[1].gantt == nil || strings.Contains(tl.String(), "<svg") {
 		t.Errorf("the timeline's chart is not an HTML-only block after its text line")
 	}
 	secs = append(secs, BenchSection{Name: "per-run timeline", Report: tl})

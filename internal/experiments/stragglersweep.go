@@ -2,13 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"datanet/internal/cluster"
 	"datanet/internal/faults"
 	"datanet/internal/mapreduce"
 	"datanet/internal/metrics"
+	"datanet/internal/stats"
 )
 
 // The straggler sweep measures what straggler *mitigation* buys under
@@ -78,18 +78,8 @@ func taskEndQuantiles(res *mapreduce.Result) (p50, p90, p99 float64) {
 			ends = append(ends, st.End)
 		}
 	}
-	if len(ends) == 0 {
-		return 0, 0, 0
-	}
 	sort.Float64s(ends)
-	at := func(q float64) float64 {
-		i := int(math.Ceil(q*float64(len(ends)))) - 1
-		if i < 0 {
-			i = 0
-		}
-		return ends[i]
-	}
-	return at(0.50), at(0.90), at(0.99)
+	return stats.NearestRank(ends, 0.50), stats.NearestRank(ends, 0.90), stats.NearestRank(ends, 0.99)
 }
 
 // StragglerSweep runs the mitigation grid at each cluster scale (default

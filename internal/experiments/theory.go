@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"datanet/internal/apps"
 	"datanet/internal/gen"
@@ -79,6 +80,7 @@ func Theory(model stats.Gamma, nBlocks, nodes, trials int) (*Report, error) {
 			}
 		}
 	}
+	sort.Float64s(normLoads)
 	fitMoments, fitMLE := stats.FitGammaMoments(sample), stats.FitGammaMLE(sample)
 	ks, ksCritical := stats.KSStatistic(sample, model), 1.36/math.Sqrt(float64(len(sample)))
 
@@ -92,7 +94,7 @@ func Theory(model stats.Gamma, nBlocks, nodes, trials int) (*Report, error) {
 	}{
 		{"E[#nodes < E/2]", "below_half", float64(nodes) * z.CDF(e/2), belowSum / float64(trials)},
 		{"E[#nodes > 2E]", "above_double", float64(nodes) * z.Tail(2*e), aboveSum / float64(trials)},
-		{"P95 workload / mean", "p95", z.Quantile(0.95) / e, stats.Percentile(normLoads, 0.95)},
+		{"P95 workload / mean", "p95", z.Quantile(0.95) / e, stats.NearestRank(normLoads, 0.95)},
 	} {
 		t.Add(q.name, fmt.Sprintf("%.2f", q.analytic), fmt.Sprintf("%.2f", q.measured))
 		r.Values[q.key+"/analytic"] = q.analytic

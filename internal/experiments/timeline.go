@@ -46,7 +46,7 @@ func Timeline(p MovieParams) (*Report, error) {
 	r := newReport()
 	r.linef("One DataNet-scheduled TopKSearch run, traced: node 3 crashes at %.2f s (red line) and rejoins at %.2f s (green dashed). Spans show filter attempts per node; failed attempts and the recovery tail are visible directly. Export the same timeline with `datanet analyze -out chrome=out.json` and load it in Perfetto for the interactive view.",
 		crashAt, rejoinAt)
-	r.blocks = append(r.blocks, block{svg: rec.TimelineSVG()})
+	r.blocks = append(r.blocks, block{gantt: rec.Gantt()})
 	for _, t := range rec.Snapshot().Tables("Run metrics") {
 		r.table(t)
 	}

@@ -26,6 +26,28 @@ type BlockID int
 // DefaultBlockSize matches the paper's 64 MB chunk configuration.
 const DefaultBlockSize = 64 << 20
 
+// ScaledNodes specifies n nodes round-robin over racks whose disk, CPU and
+// network rates are scaled so a block of blockSize bytes takes as long as
+// a DefaultBlockSize block on default hardware; a blockSize ≤ 0 keeps the
+// default rates.
+func ScaledNodes(n, racks int, blockSize int64) []cluster.Node {
+	scale := float64(blockSize) / float64(DefaultBlockSize)
+	if scale <= 0 {
+		scale = 1
+	}
+	specs := make([]cluster.Node, n)
+	for i := range specs {
+		specs[i] = cluster.Node{
+			Rack:     i % racks,
+			CPURate:  cluster.DefaultCPURate * scale,
+			DiskRate: cluster.DefaultDiskRate * scale,
+			NetRate:  cluster.DefaultNetRate * scale,
+			Slots:    cluster.DefaultSlots,
+		}
+	}
+	return specs
+}
+
 // DefaultReplication matches the paper's 3-way replication.
 const DefaultReplication = 3
 

@@ -56,6 +56,35 @@ func TestSVGConstantSeries(t *testing.T) {
 	}
 }
 
+// A Gantt chart draws its rows as y-axis labels, each mark as a line with
+// its hover title, and its legend through the figures' frame and escaping;
+// a chart with no rows says so like an empty figure.
+func TestGanttSVG(t *testing.T) {
+	g := Gantt{
+		Rows:   []string{"node 0", "node 1"},
+		Spans:  []Span{{Row: 0, Dur: 1.5, Fill: "#1f6fb2", Title: "a <span>"}, {Row: 1, Start: 0.2, Dur: 0.5, Fill: "#e8a33d"}},
+		Marks:  []Mark{{At: 1, Stroke: "#c00", Dash: "none", Title: "crash node 1 @ 1.00s"}, {At: 2, Stroke: "#999", Dash: "1,3"}},
+		Legend: []Swatch{{Label: "filter (local)", Color: "#1f6fb2"}},
+	}
+	svg := g.SVG()
+	if !strings.HasPrefix(svg, `<svg xmlns="http://www.w3.org/2000/svg" width="640" `) || !strings.HasSuffix(svg, "</svg>") {
+		t.Fatalf("not a chart document: %.80s", svg)
+	}
+	for _, want := range []string{">node 0</text>", ">node 1</text>", "<title>crash node 1 @ 1.00s</title></line>",
+		`stroke-dasharray="1,3"`, ">filter (local)</text>", "<title>a &lt;span&gt;</title></rect>"} {
+		if !strings.Contains(svg, want) {
+			t.Errorf("Gantt SVG lacks %q", want)
+		}
+	}
+	if n := strings.Count(svg, "<rect"); n != 1+len(g.Spans)+len(g.Legend) {
+		t.Errorf("%d <rect, want the background, %d spans and %d swatches", n, len(g.Spans), len(g.Legend))
+	}
+	var fig Figure
+	if empty := (&Gantt{}).SVG(); empty != fig.LineSVG() || !strings.Contains(empty, "no data") {
+		t.Errorf("empty Gantt = %q", empty)
+	}
+}
+
 func TestHTMLTable(t *testing.T) {
 	tb := NewTable("T & Co", "col<1>", "col2")
 	tb.Add("a", "b")

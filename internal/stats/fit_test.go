@@ -140,18 +140,22 @@ func TestGammaQuantile(t *testing.T) {
 	}
 }
 
+// NearestRank reads the ⌈q·n⌉−1-th element of a sorted slice, clamped to
+// it: the speculation scan's leave-one-out quantile and the suite's
+// percentile rows.
 func TestEmpiricalPercentiles(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if got := Percentile(xs, 0.5); got != 5 {
-		t.Errorf("median = %g", got)
+	for _, c := range []struct{ q, want float64 }{
+		{0.5, 5}, {0.9, 9}, {0.999, 10}, {0, 1}, {1, 10}, {-1, 1}, {2, 10},
+	} {
+		if got := NearestRank(xs, c.q); got != c.want {
+			t.Errorf("NearestRank(1..10, %g) = %g, want %g", c.q, got, c.want)
+		}
 	}
-	if got := Percentile(xs, 0); got != 1 {
-		t.Errorf("P0 = %g", got)
+	if got := NearestRank(xs[:1], 0.75); got != 1 {
+		t.Errorf("single sample = %g", got)
 	}
-	if got := Percentile(xs, 1); got != 10 {
-		t.Errorf("P100 = %g", got)
-	}
-	if Percentile(nil, 0.5) != 0 {
+	if NearestRank(nil, 0.5) != 0 {
 		t.Error("empty samples should give 0")
 	}
 }

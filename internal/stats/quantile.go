@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Quantile returns the inverse CDF of the Gamma distribution at p ∈ (0,1),
 // computed by bisection on the monotone CDF (plenty fast for experiment
@@ -38,23 +35,14 @@ func (g Gamma) Quantile(p float64) float64 {
 	return (lo + hi) / 2
 }
 
-// Percentile returns the p-th (0..1) empirical percentile of xs using the
-// nearest-rank method.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
+// NearestRank returns the nearest-rank q-quantile (0..1) of an ascending
+// slice: the element at ⌈q·n⌉−1, clamped to the slice; 0 when it is empty.
+// The speculation scan calls it on the engine's hot path, so it stays
+// inlinable and does not copy.
+func NearestRank(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
 		return 0
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return sorted[rank]
+	i := int(math.Ceil(q*float64(len(sorted)))) - 1
+	return sorted[min(max(i, 0), len(sorted)-1)]
 }

@@ -2,11 +2,11 @@ package straggle
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"datanet/internal/cluster"
 	"datanet/internal/faults"
+	"datanet/internal/stats"
 	"datanet/internal/trace"
 )
 
@@ -103,7 +103,7 @@ func (e *SpecEngine) Decide(now float64, running []Projection) []int {
 		drop := sort.SearchFloat64s(ends, p.Projected)
 		copy(loo, ends[:drop])
 		copy(loo[drop:], ends[drop+1:])
-		if p.Projected <= quantileNearestRank(loo, e.quantile) {
+		if p.Projected <= stats.NearestRank(loo, e.quantile) {
 			continue
 		}
 		if e.launched[p.Unit] >= perTask {
@@ -113,19 +113,6 @@ func (e *SpecEngine) Decide(now float64, running []Projection) []int {
 		jobLeft--
 	}
 	return out
-}
-
-// quantileNearestRank is the deterministic nearest-rank quantile of a
-// sorted slice.
-func quantileNearestRank(sorted []float64, q float64) float64 {
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
 
 // BarrierSpeculate is the barrier trigger: Hadoop-style speculative

@@ -7,6 +7,8 @@ import (
 	"slices"
 	"sort"
 	"strings"
+
+	"datanet/internal/metrics"
 )
 
 // Machine-readable exports of either clock. Both formats are pure
@@ -286,4 +288,63 @@ func (r *Recorder) nodesOf() []int {
 	}
 	sort.Ints(nodes)
 	return nodes
+}
+
+// ganttLegend is the Gantt chart's legend, one entry per span kind.
+var ganttLegend = []metrics.Swatch{
+	{Label: "filter (local)", Color: "#1f6fb2"}, {Label: "filter (remote)", Color: "#d1495b"},
+	{Label: "failed attempt", Color: "#e8a33d"}, {Label: "analysis", Color: "#3a7d44"},
+	{Label: "recovery", Color: "#7bbf8a"}, {Label: "shuffle", Color: "#6b5b95"}, {Label: "reduce", Color: "#8a6d3b"},
+}
+
+// Gantt maps the trace onto a Gantt chart, the HTML report's per-run
+// timeline: one row per node, a span per filter attempt (local, remote or
+// failed), analysis, recovery, shuffle and reduce, and a mark per crash,
+// rejoin and phase barrier. Perfetto remains the interactive option.
+func (r *Recorder) Gantt() *metrics.Gantt {
+	g := &metrics.Gantt{Caption: "Per-node task spans (x: simulated seconds)", Legend: ganttLegend}
+	rowOf := map[int]int{}
+	for i, n := range r.nodesOf() {
+		rowOf[n] = i
+		g.Rows = append(g.Rows, fmt.Sprintf("node %d", n))
+	}
+	for _, ev := range r.Events() {
+		kind, title, where := -1, "", "local" // kind indexes ganttLegend
+		switch ev.Type {
+		case EvNodeCrash:
+			g.Marks = append(g.Marks, metrics.Mark{At: ev.T, Stroke: "#c00", Dash: "none",
+				Title: fmt.Sprintf("crash node %d @ %.2fs", ev.Node, ev.T)})
+		case EvNodeRejoin:
+			g.Marks = append(g.Marks, metrics.Mark{At: ev.T, Stroke: "#3a7d44", Dash: "3,2",
+				Title: fmt.Sprintf("rejoin node %d @ %.2fs", ev.Node, ev.T)})
+		case EvPhase:
+			g.Marks = append(g.Marks, metrics.Mark{At: ev.T, Stroke: "#999", Dash: "1,3",
+				Title: fmt.Sprintf("%s @ %.2fs", ev.Detail, ev.T)})
+		case EvTaskFinish:
+			kind = 0
+			if !ev.Local {
+				kind, where = 1, "remote"
+			}
+			title = fmt.Sprintf("filter block %d attempt %d (%s) %.2fs–%.2fs", ev.Block, ev.Attempt, where, ev.T, ev.T+ev.Dur)
+		case EvTaskFail:
+			kind, title = 2, fmt.Sprintf("failed attempt block %d attempt %d (%s)", ev.Block, ev.Attempt, ev.Detail)
+		case EvAnalysisSpan:
+			kind = 3
+		case EvAnalysisRecover:
+			kind, title = 4, fmt.Sprintf("analysis recovery (%s)", ev.Detail)
+		case EvShuffleSpan:
+			kind = 5
+		case EvReduceSpan:
+			kind = 6
+		}
+		if kind < 0 || ev.Dur <= 0 || ev.Node < 0 {
+			continue
+		}
+		if title == "" {
+			title = fmt.Sprintf("%s %.2fs–%.2fs", ev.Type, ev.T, ev.T+ev.Dur)
+		}
+		g.Spans = append(g.Spans, metrics.Span{Row: rowOf[ev.Node], Start: ev.T, Dur: ev.Dur,
+			Fill: ganttLegend[kind].Color, Title: title})
+	}
+	return g
 }

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"slices"
 	"strings"
 	"testing"
+
+	"datanet/internal/metrics"
 )
 
 // sampleTrace builds a small but representative timeline: decisions, task
@@ -190,15 +193,32 @@ func TestSnapshotDigestsEvents(t *testing.T) {
 	}
 }
 
-func TestTimelineSVG(t *testing.T) {
-	svg := sampleTrace().TimelineSVG()
-	for _, want := range []string{"<svg", "node 0", "node 1", "crash node 1", "filter (local)"} {
-		if !strings.Contains(svg, want) {
-			t.Fatalf("timeline SVG missing %q", want)
-		}
+// The trace's Gantt chart has a row per node, a span per span event in
+// its attempt's fill and hover text, and a mark per crash and barrier.
+func TestGanttChart(t *testing.T) {
+	g := sampleTrace().Gantt()
+	if want := []string{"node 0", "node 1"}; !slices.Equal(g.Rows, want) {
+		t.Fatalf("rows = %v, want %v", g.Rows, want)
 	}
-	empty := New().TimelineSVG()
-	if !strings.Contains(empty, "empty trace") {
-		t.Fatalf("empty trace SVG = %q", empty)
+	want := []metrics.Span{
+		{Row: 0, Start: 0, Dur: 1.5, Fill: "#1f6fb2", Title: "filter block 7 attempt 1 (local) 0.00s–1.50s"},
+		{Row: 1, Start: 0.2, Dur: 0.5, Fill: "#e8a33d", Title: "failed attempt block 9 attempt 1 (read-error)"},
+		{Row: 0, Start: 2, Dur: 1, Fill: "#3a7d44", Title: "analysis.span 2.00s–3.00s"},
+	}
+	if !slices.Equal(g.Spans, want) {
+		t.Fatalf("spans = %+v\nwant %+v", g.Spans, want)
+	}
+	marks := []metrics.Mark{
+		{At: 1, Stroke: "#c00", Dash: "none", Title: "crash node 1 @ 1.00s"},
+		{At: 2, Stroke: "#999", Dash: "1,3", Title: "filter-end @ 2.00s"},
+	}
+	if !slices.Equal(g.Marks, marks) {
+		t.Fatalf("marks = %+v\nwant %+v", g.Marks, marks)
+	}
+	if g.Legend[0].Label != "filter (local)" || g.Legend[0].Color != want[0].Fill {
+		t.Fatalf("legend starts with %+v", g.Legend[0])
+	}
+	if empty := New().Gantt(); len(empty.Rows)+len(empty.Spans)+len(empty.Marks) != 0 {
+		t.Fatalf("empty trace charts %+v", empty)
 	}
 }
