@@ -839,8 +839,10 @@ func (c *Cluster) handoffTarget(si int) (cluster.NodeID, bool) {
 }
 
 // fillFollowers tops shard si's staying, believed-live follower count up
-// to min(Replicas, eligible peers), enlisting nodes in rendezvous order.
-// Enlistment is a delivered message: down candidates are skipped.
+// to min(Replicas, eligible peers), enlisting nodes in rendezvous order
+// past the primary and the current followers. Enlistment is a delivered
+// message: down candidates are skipped, even before their suspicion
+// matures.
 func (c *Cluster) fillFollowers(si int, eligible []cluster.NodeID) {
 	s := c.shards[si]
 	desired := c.wantFollowers(s, eligible)
@@ -853,23 +855,14 @@ func (c *Cluster) fillFollowers(si int, eligible []cluster.NodeID) {
 	if have >= desired {
 		return
 	}
-	// The rendezvous Policy walks the ranking skipping the primary and
-	// current followers (Have) and down nodes (Veto) — the same candidate
-	// sequence the historical inline loop produced.
-	chosen, _ := placement.Rendezvous{Shard: si}.Choose(placement.Request{
-		Candidates: eligible,
-		Want:       desired - have,
-		Partial:    true,
-		Have:       append(append([]cluster.NodeID(nil), s.followers...), s.primary),
-		Veto: func(id cluster.NodeID) placement.VetoReason {
-			if m, ok := c.members[id]; !ok || m.node.isDown() {
-				return placement.VetoDead
-			}
-			return placement.VetoNone
-		},
-	})
-	for _, id := range chosen {
-		m := c.members[id]
+	for _, id := range placement.RendezvousRank(si, eligible) {
+		if have == desired {
+			return
+		}
+		m, ok := c.members[id]
+		if !ok || m.node.isDown() || id == s.primary || containsID(s.followers, id) {
+			continue
+		}
 		m.node.setRole(si, Role{Fence: s.fence}, nil)
 		s.followers = append(s.followers, id)
 		sortIDs(s.followers)
@@ -877,6 +870,7 @@ func (c *Cluster) fillFollowers(si int, eligible []cluster.NodeID) {
 			s.acks[id] = map[string]uint64{}
 		}
 		c.gen++
+		have++
 	}
 }
 

@@ -322,6 +322,51 @@ func TestAddNodeJoinsReplicaSets(t *testing.T) {
 	}
 }
 
+// A node that crashed but is not yet suspected still counts as eligible,
+// so a shard that needs a follower ranks it; enlistment must skip it
+// because the role message could not be delivered. Once the node rejoins,
+// it fills the slot.
+func TestEnlistmentSkipsDownNodeBeforeSuspicion(t *testing.T) {
+	c, err := New(testConfig(1, 1), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv := c.Topology().Map[0]
+	follower := cluster.NodeID(sv.Followers[0])
+	spare := cluster.NodeID(3 - sv.Primary - sv.Followers[0])
+	if err := c.Crash(spare); err != nil {
+		t.Fatal(err)
+	}
+	// Draining the follower leaves the shard one staying follower short;
+	// the spare is the only candidate.
+	if err := c.Decommission(follower); err != nil {
+		t.Fatal(err)
+	}
+	tv := c.Topology()
+	for _, nv := range tv.Nodes {
+		if cluster.NodeID(nv.ID) == spare && nv.Suspected {
+			t.Fatalf("spare %d already suspected; the test needs truth-only death", spare)
+		}
+	}
+	if containsID(followersOf(tv.Map[0]), spare) {
+		t.Fatalf("down node %d enlisted as follower: %+v", spare, tv.Map[0])
+	}
+	if err := c.Rejoin(spare); err != nil {
+		t.Fatal(err)
+	}
+	if sv := c.Topology().Map[0]; !containsID(followersOf(sv), spare) {
+		t.Fatalf("rejoined node %d not enlisted: %+v", spare, sv)
+	}
+}
+
+func followersOf(sv ShardView) []cluster.NodeID {
+	out := make([]cluster.NodeID, len(sv.Followers))
+	for i, f := range sv.Followers {
+		out[i] = cluster.NodeID(f)
+	}
+	return out
+}
+
 // Satellite: kill a shard primary mid-append-storm under -race and assert
 // the promoted follower converges to a query-equal catalog at a >= epoch.
 // Appends, reads, ticks and the crash run on separate goroutines — the

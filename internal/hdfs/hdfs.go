@@ -193,11 +193,7 @@ func (fs *FileSystem) Write(name string, recs []records.Record) (*FileInfo, erro
 			Records: recs[start:end:end],
 			Bytes:   curBytes,
 		}
-		// Partial keeps the legacy contract: NewFileSystem guarantees
-		// Replication <= N, so an unconstrained Choose cannot come up short.
-		b.Replicas, _ = fs.cfg.Placement.Choose(placement.Request{
-			Topo: fs.topo, RNG: fs.rng, Want: fs.cfg.Replication, Partial: true,
-		})
+		b.Replicas = fs.cfg.Placement.Choose(fs.topo, fs.rng, fs.cfg.Replication)
 		fs.blocks = append(fs.blocks, b)
 		info.Blocks = append(info.Blocks, b.ID)
 		start, curBytes = end, 0

@@ -262,9 +262,7 @@ func referenceWrite(fs *FileSystem, name string, recs []records.Record) {
 			return
 		}
 		b := &Block{ID: BlockID(len(fs.blocks)), Records: cur, Bytes: curBytes}
-		b.Replicas, _ = fs.cfg.Placement.Choose(placement.Request{
-			Topo: fs.topo, RNG: fs.rng, Want: fs.cfg.Replication, Partial: true,
-		})
+		b.Replicas = fs.cfg.Placement.Choose(fs.topo, fs.rng, fs.cfg.Replication)
 		fs.blocks = append(fs.blocks, b)
 		info.Blocks = append(info.Blocks, b.ID)
 		cur, curBytes = nil, 0

@@ -2,10 +2,10 @@ package hdfs
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"datanet/internal/cluster"
-	"datanet/internal/placement"
 )
 
 // This file models the name-node's maintenance: re-replication after
@@ -42,7 +42,7 @@ func (fs *FileSystem) FailNodes(dead []cluster.NodeID) (moved int, lost []BlockI
 		return 0, nil
 	}
 	usage := fs.Usage()
-	veto := placement.HealthVeto(health)
+	ids := fs.topo.IDs()
 	for _, b := range fs.blocks {
 		// Drop dead replicas in place, preserving order.
 		live := b.Replicas[:0]
@@ -62,15 +62,21 @@ func (fs *FileSystem) FailNodes(dead []cluster.NodeID) (moved int, lost []BlockI
 		}
 		for len(b.Replicas) < fs.cfg.Replication {
 			// The least-utilized live node without a replica, ties to the
-			// lower id; usage is charged between picks.
-			target, _ := placement.LeastUsed{}.Choose(placement.Request{
-				Topo: fs.topo, Want: 1, Partial: true, Have: b.Replicas, Usage: usage, Veto: veto,
-			})
-			if len(target) == 0 {
+			// lower id (the scan ascends); usage is charged between picks.
+			target := cluster.NodeID(-1)
+			for _, id := range ids {
+				if health.Suspected(id) || slices.Contains(b.Replicas, id) {
+					continue
+				}
+				if target == -1 || usage[id] < usage[target] {
+					target = id
+				}
+			}
+			if target == -1 {
 				break // under-replicated; ReplicationHealth will report it
 			}
-			b.Replicas = append(b.Replicas, target[0])
-			usage[target[0]] += b.Bytes
+			b.Replicas = append(b.Replicas, target)
+			usage[target] += b.Bytes
 			moved++
 		}
 	}

@@ -8,16 +8,6 @@ import (
 	"datanet/internal/placement"
 )
 
-// choose is one unconstrained write-path placement request.
-func choose(t *testing.T, p placement.Policy, rng *rand.Rand, topo *cluster.Topology, want int) []cluster.NodeID {
-	t.Helper()
-	got, err := p.Choose(placement.Request{Topo: topo, RNG: rng, Want: want})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return got
-}
-
 func distinct(ids []cluster.NodeID) bool {
 	seen := map[cluster.NodeID]bool{}
 	for _, id := range ids {
@@ -38,7 +28,7 @@ func TestRandomPlacement(t *testing.T) {
 	}
 	counts := make([]int, 10)
 	for i := 0; i < 2000; i++ {
-		got := choose(t, p, rng, topo, 3)
+		got := p.Choose(topo, rng, 3)
 		if len(got) != 3 || !distinct(got) {
 			t.Fatalf("bad placement %v", got)
 		}
@@ -62,7 +52,7 @@ func TestRackAwarePlacement(t *testing.T) {
 		t.Errorf("Name = %q", p.Name())
 	}
 	for i := 0; i < 500; i++ {
-		got := choose(t, p, rng, topo, 3)
+		got := p.Choose(topo, rng, 3)
 		if len(got) != 3 || !distinct(got) {
 			t.Fatalf("bad placement %v", got)
 		}
@@ -80,7 +70,7 @@ func TestRackAwarePlacement(t *testing.T) {
 func TestRackAwareSingleRackFallback(t *testing.T) {
 	topo := cluster.MustHomogeneous(4, 1) // no second rack exists
 	rng := rand.New(rand.NewSource(3))
-	got := choose(t, placement.RackAware{}, rng, topo, 3)
+	got := placement.RackAware{}.Choose(topo, rng, 3)
 	if len(got) != 3 || !distinct(got) {
 		t.Fatalf("fallback placement broken: %v", got)
 	}
@@ -89,7 +79,7 @@ func TestRackAwareSingleRackFallback(t *testing.T) {
 func TestRackAwareReplicationOne(t *testing.T) {
 	topo := cluster.MustHomogeneous(4, 2)
 	rng := rand.New(rand.NewSource(4))
-	if got := choose(t, placement.RackAware{}, rng, topo, 1); len(got) != 1 {
+	if got := (placement.RackAware{}).Choose(topo, rng, 1); len(got) != 1 {
 		t.Fatalf("replication 1 placement: %v", got)
 	}
 }
@@ -97,7 +87,7 @@ func TestRackAwareReplicationOne(t *testing.T) {
 func TestRackAwareFullCluster(t *testing.T) {
 	topo := cluster.MustHomogeneous(3, 2)
 	rng := rand.New(rand.NewSource(5))
-	got := choose(t, placement.RackAware{}, rng, topo, 3)
+	got := placement.RackAware{}.Choose(topo, rng, 3)
 	if len(got) != 3 || !distinct(got) {
 		t.Fatalf("full-cluster placement: %v", got)
 	}
@@ -109,8 +99,8 @@ func TestRoundRobinPlacement(t *testing.T) {
 	if p.Name() != "round-robin" {
 		t.Errorf("Name = %q", p.Name())
 	}
-	first := choose(t, p, nil, topo, 3)
-	second := choose(t, p, nil, topo, 3)
+	first := p.Choose(topo, nil, 3)
+	second := p.Choose(topo, nil, 3)
 	if first[0] != 0 || first[1] != 1 || first[2] != 2 {
 		t.Errorf("first placement = %v", first)
 	}
@@ -119,14 +109,5 @@ func TestRoundRobinPlacement(t *testing.T) {
 	}
 	if !distinct(first) || !distinct(second) {
 		t.Error("round-robin placements must be distinct")
-	}
-}
-
-func TestRoundRobinStride(t *testing.T) {
-	topo := cluster.MustHomogeneous(7, 1)
-	p := &placement.RoundRobin{Stride: 2}
-	got := choose(t, p, nil, topo, 3)
-	if got[0] != 0 || got[1] != 2 || got[2] != 4 {
-		t.Errorf("strided placement = %v", got)
 	}
 }

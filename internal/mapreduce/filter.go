@@ -1049,7 +1049,7 @@ func (s *filterSim) acquire(node cluster.NodeID, now float64) (sched.Task, int, 
 		return s.tasks[li], li, true
 	}
 	for {
-		t, ok := s.picker.Next(node)
+		t, rule, ok := s.picker.Next(node)
 		if !ok {
 			break
 		}
@@ -1058,12 +1058,7 @@ func (s *filterSim) acquire(node cluster.NodeID, now float64) (sched.Task, int, 
 		if s.groupObsolete(li) {
 			continue // coded: the unit's group is already satisfied
 		}
-		if s.rec.Enabled() {
-			s.lastRule = ""
-			if ex, ok := sched.Explain(s.picker); ok {
-				s.lastRule = ex.Rule
-			}
-		}
+		s.lastRule = rule
 		return t, li, true
 	}
 	if li, ok := s.takeRetry(node, now, false); ok {

@@ -7,10 +7,9 @@ import (
 	"datanet/internal/hashutil"
 )
 
-// The metadata cluster's shard-replica placement, ported from
-// internal/clusterd/shardmap.go. Exported here so clusterd routes its
-// primary/follower selection through the shared layer while loadgen keeps
-// computing the identical shard map client-side.
+// The metadata cluster's shard map. Exported here so clusterd ranks a
+// shard's primary and follower candidates with the same functions loadgen
+// uses to compute the identical shard map client-side.
 
 // ShardOf maps an array name to its shard: FNV-64a modulo the shard
 // count. Clients (loadgen) compute the same function from the topology
@@ -42,29 +41,4 @@ func RendezvousRank(shard int, ids []cluster.NodeID) []cluster.NodeID {
 		return out[i] < out[j]
 	})
 	return out
-}
-
-// Rendezvous chooses the highest-ranked eligible candidates for a fixed
-// shard — the cluster's follower-enlistment walk expressed as a Policy.
-type Rendezvous struct {
-	// Shard selects the ranking; each shard has its own.
-	Shard int
-}
-
-// Name implements Policy.
-func (p Rendezvous) Name() string { return "rendezvous" }
-
-// Choose implements Policy: walk the rendezvous ranking, skip holders and
-// vetoed nodes, stop at Want.
-func (p Rendezvous) Choose(req Request) ([]cluster.NodeID, error) {
-	out := make([]cluster.NodeID, 0, req.Want)
-	for _, id := range RendezvousRank(p.Shard, req.universe()) {
-		if len(out) == req.Want {
-			break
-		}
-		if req.eligible(id) {
-			out = append(out, id)
-		}
-	}
-	return req.done(out)
 }

@@ -22,18 +22,11 @@ func auditTasks() []Task {
 func TestExplainLocalityPicker(t *testing.T) {
 	topo := cluster.MustHomogeneous(2, 1)
 	p := NewLocalityPicker(auditTasks(), topo)
-	if _, ok := p.Next(0); !ok {
-		t.Fatal("no task for node 0")
+	if _, rule, ok := p.Next(0); !ok || rule != "locality.local-fifo" {
+		t.Fatalf("local pull: ok=%v rule=%q", ok, rule)
 	}
-	ex, ok := Explain(p)
-	if !ok || ex.Rule != "locality.local-fifo" {
-		t.Fatalf("local pull: ok=%v rule=%q", ok, ex.Rule)
-	}
-	if _, ok := p.Next(1); !ok {
-		t.Fatal("no task for node 1")
-	}
-	if ex, _ := Explain(p); ex.Rule != "locality.remote-fifo" {
-		t.Fatalf("remote pull rule = %q", ex.Rule)
+	if _, rule, ok := p.Next(1); !ok || rule != "locality.remote-fifo" {
+		t.Fatalf("remote pull: ok=%v rule=%q", ok, rule)
 	}
 }
 
@@ -42,19 +35,11 @@ func TestExplainDataNetPicker(t *testing.T) {
 	p := NewDataNetPicker(auditTasks(), topo)
 	// Node 0 holds all replicas; the planner puts its work there (or
 	// line-12-assists one task away) and node 1 can only steal.
-	if _, ok := p.Next(0); !ok {
-		t.Fatal("no task for node 0")
+	if _, rule, ok := p.Next(0); !ok || !strings.HasPrefix(rule, "algo1.") {
+		t.Fatalf("planned pull: ok=%v rule=%q", ok, rule)
 	}
-	ex, ok := Explain(p)
-	if !ok || !strings.HasPrefix(ex.Rule, "algo1.") {
-		t.Fatalf("planned pull: ok=%v rule=%q", ok, ex.Rule)
-	}
-	if _, ok := p.Next(1); !ok {
-		t.Fatal("no task for node 1")
-	}
-	if ex, _ := Explain(p); ex.Rule != "algo1.steal-global" &&
-		ex.Rule != "algo1.steal-local" && !strings.HasPrefix(ex.Rule, "algo1.") {
-		t.Fatalf("steal rule = %q", ex.Rule)
+	if _, rule, ok := p.Next(1); !ok || !strings.HasPrefix(rule, "algo1.") {
+		t.Fatalf("second pull: ok=%v rule=%q", ok, rule)
 	}
 }
 
@@ -63,36 +48,16 @@ func TestExplainDataNetStealRules(t *testing.T) {
 	p := NewDataNetPicker(auditTasks(), topo)
 	// Drain node 0's queue through node 1 first: every pull from node 1 is
 	// a steal, and node 1 holds no replicas, so the rule is steal-global.
-	if _, ok := p.Next(1); !ok {
-		t.Fatal("steal failed")
-	}
-	if ex, _ := Explain(p); ex.Rule != "algo1.steal-global" {
-		t.Fatalf("off-replica steal rule = %q", ex.Rule)
+	if _, rule, ok := p.Next(1); !ok || rule != "algo1.steal-global" {
+		t.Fatalf("off-replica steal: ok=%v rule=%q", ok, rule)
 	}
 }
 
 func TestExplainFallbackPrefixesRule(t *testing.T) {
 	topo := cluster.MustHomogeneous(2, 1)
 	p := NewFallbackLocality("meta corrupt")(auditTasks(), topo)
-	if _, ok := p.Next(0); !ok {
-		t.Fatal("no task")
-	}
-	ex, ok := Explain(p)
-	if !ok || ex.Rule != "fallback.locality.local-fifo" {
-		t.Fatalf("fallback rule = %q (ok=%v)", ex.Rule, ok)
-	}
-}
-
-// barePicker implements Picker without Explainer.
-type barePicker struct{}
-
-func (barePicker) Name() string                     { return "bare" }
-func (barePicker) Next(cluster.NodeID) (Task, bool) { return Task{}, false }
-func (barePicker) Remaining() int                   { return 0 }
-
-func TestExplainNonExplainer(t *testing.T) {
-	if ex, ok := Explain(barePicker{}); ok || ex.Rule != "" {
-		t.Fatalf("non-explainer: ok=%v rule=%q", ok, ex.Rule)
+	if _, rule, ok := p.Next(0); !ok || rule != "fallback.locality.local-fifo" {
+		t.Fatalf("fallback rule = %q (ok=%v)", rule, ok)
 	}
 }
 
@@ -106,12 +71,8 @@ func TestExplainLPTAndRandomPickers(t *testing.T) {
 		{NewRandomPicker(7), "random."},
 	} {
 		p := tc.factory(auditTasks(), topo)
-		if _, ok := p.Next(0); !ok {
-			t.Fatalf("%s: no task", tc.prefix)
-		}
-		ex, ok := Explain(p)
-		if !ok || !strings.HasPrefix(ex.Rule, tc.prefix) {
-			t.Fatalf("%s picker rule = %q (ok=%v)", tc.prefix, ex.Rule, ok)
+		if _, rule, ok := p.Next(0); !ok || !strings.HasPrefix(rule, tc.prefix) {
+			t.Fatalf("%s picker rule = %q (ok=%v)", tc.prefix, rule, ok)
 		}
 	}
 }

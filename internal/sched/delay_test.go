@@ -19,21 +19,21 @@ func TestDelayedLocalityDeclinesThenServes(t *testing.T) {
 	// Node 1 has no locals: it must decline exactly `delay` times, then
 	// accept remote work.
 	for i := 0; i < 2; i++ {
-		if _, ok := p.Next(1); ok {
+		if _, _, ok := p.Next(1); ok {
 			t.Fatalf("request %d should have been declined", i)
 		}
 	}
-	if task, ok := p.Next(1); !ok || task.Block != 0 {
+	if task, _, ok := p.Next(1); !ok || task.Block != 0 {
 		t.Fatalf("after the delay, node 1 should get remote block 0; got %v, %v", task, ok)
 	}
 	// Node 0 is served its local block immediately.
-	if task, ok := p.Next(0); !ok || task.Block != 1 {
+	if task, _, ok := p.Next(0); !ok || task.Block != 1 {
 		t.Fatalf("node 0 local pick = %v, %v", task, ok)
 	}
 	if p.Remaining() != 0 {
 		t.Errorf("Remaining = %d", p.Remaining())
 	}
-	if _, ok := p.Next(0); ok {
+	if _, _, ok := p.Next(0); ok {
 		t.Error("exhausted picker served a task")
 	}
 }
@@ -45,7 +45,7 @@ func TestDelayedLocalityImprovesLocality(t *testing.T) {
 		p := f(tasks, topo)
 		for i := 0; p.Remaining() > 0; i++ {
 			node := cluster.NodeID(i % 8)
-			task, ok := p.Next(node)
+			task, _, ok := p.Next(node)
 			if !ok {
 				continue
 			}
@@ -73,7 +73,7 @@ func TestDelayedLocalityDrainsEverything(t *testing.T) {
 		if i > 10000 {
 			t.Fatal("picker did not drain")
 		}
-		if _, ok := p.Next(cluster.NodeID(i % 4)); ok {
+		if _, _, ok := p.Next(cluster.NodeID(i % 4)); ok {
 			served++
 		}
 	}
@@ -95,17 +95,17 @@ func TestDataNetStealLightestFirst(t *testing.T) {
 	p := NewDataNetPicker(tasks, topo)
 	// Nodes 1 and 2 hold nothing: their steals must take the zero-weight
 	// tasks first, leaving the weighted plan on node 0 intact.
-	t1, ok := p.Next(1)
+	t1, _, ok := p.Next(1)
 	if !ok || t1.Weight != 0 {
 		t.Fatalf("first steal = %+v", t1)
 	}
-	t2, ok := p.Next(2)
+	t2, _, ok := p.Next(2)
 	if !ok || t2.Weight != 0 {
 		t.Fatalf("second steal = %+v", t2)
 	}
 	// Node 0 still serves its heavy tasks in descending order.
-	h1, _ := p.Next(0)
-	h2, _ := p.Next(0)
+	h1, _, _ := p.Next(0)
+	h2, _, _ := p.Next(0)
 	if h1.Weight != 1000 || h2.Weight != 500 {
 		t.Errorf("plan eroded: %d, %d", h1.Weight, h2.Weight)
 	}

@@ -500,11 +500,11 @@ func pullMismatch(in *diffInstance, capacityAware bool) string {
 	rng := rand.New(rand.NewSource(in.seed))
 	for pull := 0; want.remain > 0 || got.Remaining() > 0; pull++ {
 		node := cluster.NodeID(rng.Intn(in.nodes))
-		gt, gok := got.Next(node)
+		gt, rule, gok := got.Next(node)
 		wt, wok := want.Next(node)
-		if gok != wok || gt.Index != wt.Index || (gok && got.Explain().Rule != want.lastRule) {
+		if gok != wok || gt.Index != wt.Index || (gok && rule != want.lastRule) {
 			return fmt.Sprintf("pull %d by node %d: got task %d (%s, ok %v), scan gives task %d (%s, ok %v)",
-				pull, node, gt.Index, got.Explain().Rule, gok, wt.Index, want.lastRule, wok)
+				pull, node, gt.Index, rule, gok, wt.Index, want.lastRule, wok)
 		}
 		if got.Remaining() != want.remain {
 			return fmt.Sprintf("pull %d: %d remaining, scan has %d", pull, got.Remaining(), want.remain)
@@ -586,11 +586,11 @@ func TestIndexedStaticMatchesScan(t *testing.T) {
 			got := newStaticPicker("static", queues)
 			for pull := 0; ref.remain > 0 || got.Remaining() > 0; pull++ {
 				node := cluster.NodeID(rng.Intn(nodes))
-				gt, gok := got.Next(node)
+				gt, rule, gok := got.Next(node)
 				wt, wok := ref.Next(node)
-				if gok != wok || gt.Index != wt.Index || got.Explain().Rule != ref.lastRule || got.Remaining() != ref.remain {
+				if gok != wok || gt.Index != wt.Index || (gok && rule != ref.lastRule) || got.Remaining() != ref.remain {
 					t.Fatalf("%d nodes, seed %d, pull %d by node %d: got task %d (%s, ok %v, %d left), scan gives task %d (%s, ok %v, %d left)",
-						nodes, seed, pull, node, gt.Index, got.Explain().Rule, gok, got.Remaining(),
+						nodes, seed, pull, node, gt.Index, rule, gok, got.Remaining(),
 						wt.Index, ref.lastRule, wok, ref.remain)
 				}
 			}

@@ -57,3 +57,10 @@ type fallbackPicker struct {
 func (p *fallbackPicker) Name() string {
 	return p.Picker.Name() + " (fallback: " + p.reason + ")"
 }
+
+// Next implements Picker, tagging the baseline's rule so the audit shows
+// the job ran degraded.
+func (p *fallbackPicker) Next(node cluster.NodeID) (Task, string, bool) {
+	t, rule, ok := p.Picker.Next(node)
+	return t, "fallback." + rule, ok
+}

@@ -42,7 +42,7 @@ func TestFallbackLocalityServesAndReports(t *testing.T) {
 	}
 	served := 0
 	for p.Remaining() > 0 {
-		if _, ok := p.Next(0); !ok {
+		if _, _, ok := p.Next(0); !ok {
 			break
 		}
 		served++

@@ -13,14 +13,15 @@
 //   - a min-transfer aggregation planner (the paper's stated future work).
 //
 // All pickers implement the pull protocol Hadoop task trackers use: a node
-// with a free slot requests the next task.
+// with a free slot requests the next task, and the picker answers with the
+// rule that chose it, for the engine's per-assignment audit trail
+// (internal/trace).
 package sched
 
 import (
 	"cmp"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"datanet/internal/cluster"
 	"datanet/internal/graph"
@@ -47,9 +48,19 @@ type Task struct {
 type Picker interface {
 	// Name identifies the scheduling policy.
 	Name() string
-	// Next removes and returns a task for the requesting node. ok is false
-	// when no tasks remain.
-	Next(node cluster.NodeID) (t Task, ok bool)
+	// Next removes and returns a task for the requesting node, with the
+	// rule that chose it. ok is false when no tasks remain (or, for the
+	// delay picker, while the node waits). Rules are namespaced by policy:
+	// "algo1.argmin-local", "algo1.line12-assist",
+	// "algo1.no-local-replica", "algo1.steal-local", "algo1.steal-global",
+	// "locality.local-fifo", "locality.remote-fifo", "delay.local-fifo",
+	// "delay.remote-after-wait", "lpt.local", "lpt.remote",
+	// "random.local", "random.remote", "maxflow.plan", "maxflow.steal";
+	// the fallback picker prefixes "fallback.". For Algorithm 1 they tell
+	// the argmin placement on a local replica from the line-12 off-replica
+	// assist and from execution-time stealing — the difference between
+	// "the plan was balanced" and "stealing rescued an unbalanced plan".
+	Next(node cluster.NodeID) (t Task, rule string, ok bool)
 	// Remaining reports how many tasks are still unassigned.
 	Remaining() int
 }
@@ -64,23 +75,43 @@ type Factory func(tasks []Task, topo *cluster.Topology) Picker
 // a requesting node receives its first unprocessed local block (FIFO in
 // block order), falling back to the first remaining block when it has no
 // local work left. Sub-dataset weights are ignored entirely — this is the
-// paper's "without DataNet" configuration.
+// paper's "without DataNet" configuration. Over a heaviest-first order
+// the same picker is the LPT ablation (NewLPTPicker).
 type LocalityPicker struct {
-	tasks    []Task
-	taken    []bool
-	byNode   map[cluster.NodeID][]int
-	remain   int
-	nextRem  int
-	lastRule string
+	name                  string
+	localRule, remoteRule string
+	tasks                 []Task // in service order
+	taken                 []bool
+	byNode                map[cluster.NodeID][]int // local queues; taken heads dropped lazily
+	remain                int
+	nextRem               int
 }
 
 // NewLocalityPicker constructs the baseline picker.
 func NewLocalityPicker(tasks []Task, _ *cluster.Topology) Picker {
+	return newLocality(tasks, "hadoop-locality", "locality.local-fifo", "locality.remote-fifo")
+}
+
+// NewLPTPicker constructs a longest-processing-time greedy: a requesting
+// node takes its heaviest unprocessed local block (else the heaviest
+// remaining), equal weights in block order. Classic makespan heuristic;
+// an ablation contrast for Algorithm 1.
+func NewLPTPicker(tasks []Task, _ *cluster.Topology) Picker {
+	order := slices.Clone(tasks)
+	slices.SortStableFunc(order, func(a, b Task) int { return cmp.Compare(b.Weight, a.Weight) })
+	return newLocality(order, "lpt-greedy", "lpt.local", "lpt.remote")
+}
+
+// newLocality serves tasks in the given order, local blocks first.
+func newLocality(tasks []Task, name, localRule, remoteRule string) *LocalityPicker {
 	p := &LocalityPicker{
-		tasks:  tasks,
-		taken:  make([]bool, len(tasks)),
-		byNode: make(map[cluster.NodeID][]int),
-		remain: len(tasks),
+		name:       name,
+		localRule:  localRule,
+		remoteRule: remoteRule,
+		tasks:      tasks,
+		taken:      make([]bool, len(tasks)),
+		byNode:     make(map[cluster.NodeID][]int),
+		remain:     len(tasks),
 	}
 	for i, t := range tasks {
 		for _, n := range t.Locations {
@@ -91,37 +122,43 @@ func NewLocalityPicker(tasks []Task, _ *cluster.Topology) Picker {
 }
 
 // Name implements Picker.
-func (p *LocalityPicker) Name() string { return "hadoop-locality" }
+func (p *LocalityPicker) Name() string { return p.name }
 
 // Remaining implements Picker.
 func (p *LocalityPicker) Remaining() int { return p.remain }
 
 // Next implements Picker.
-func (p *LocalityPicker) Next(node cluster.NodeID) (Task, bool) {
+func (p *LocalityPicker) Next(node cluster.NodeID) (Task, string, bool) {
 	if p.remain == 0 {
-		return Task{}, false
+		return Task{}, "", false
 	}
-	// Local FIFO.
+	if i, ok := p.local(node); ok {
+		return p.take(i), p.localRule, true
+	}
+	return p.take(p.remote()), p.remoteRule, true
+}
+
+// local returns the node's first untaken local task, dropping the taken
+// ones ahead of it from its queue so no pull scans them again.
+func (p *LocalityPicker) local(node cluster.NodeID) (int, bool) {
 	queue := p.byNode[node]
-	for len(queue) > 0 {
-		i := queue[0]
+	for len(queue) > 0 && p.taken[queue[0]] {
 		queue = queue[1:]
-		if !p.taken[i] {
-			p.byNode[node] = queue
-			p.lastRule = "locality.local-fifo"
-			return p.take(i), true
-		}
 	}
 	p.byNode[node] = queue
-	// Remote FIFO.
-	for p.nextRem < len(p.tasks) && p.taken[p.nextRem] {
+	if len(queue) == 0 {
+		return 0, false
+	}
+	return queue[0], true
+}
+
+// remote returns the first untaken task in service order; a task must
+// remain.
+func (p *LocalityPicker) remote() int {
+	for p.taken[p.nextRem] {
 		p.nextRem++
 	}
-	if p.nextRem < len(p.tasks) {
-		p.lastRule = "locality.remote-fifo"
-		return p.take(p.nextRem), true
-	}
-	return Task{}, false
+	return p.nextRem
 }
 
 func (p *LocalityPicker) take(i int) Task {
@@ -137,10 +174,9 @@ func (p *LocalityPicker) take(i int) Task {
 // idle slots — the real Hadoop trade-off — and serves as a stronger
 // baseline ablation.
 type DelayedLocalityPicker struct {
-	inner    *LocalityPicker
-	delay    int
-	waiting  map[cluster.NodeID]int
-	lastRule string
+	inner   *LocalityPicker
+	delay   int
+	waiting map[cluster.NodeID]int
 }
 
 // NewDelayedLocalityPicker returns a Factory with the given maximum
@@ -165,30 +201,21 @@ func (p *DelayedLocalityPicker) Remaining() int { return p.inner.Remaining() }
 // indistinguishable from exhaustion to a naive caller, so the engine's
 // retry loop (slots keep requesting until Remaining()==0) provides the
 // "ask again later" semantics.
-func (p *DelayedLocalityPicker) Next(node cluster.NodeID) (Task, bool) {
+func (p *DelayedLocalityPicker) Next(node cluster.NodeID) (Task, string, bool) {
 	if p.inner.remain == 0 {
-		return Task{}, false
+		return Task{}, "", false
 	}
 	// Serve a local block if one exists (also resets the wait counter).
-	queue := p.inner.byNode[node]
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		if !p.inner.taken[i] {
-			p.inner.byNode[node] = queue
-			p.waiting[node] = 0
-			p.lastRule = "delay.local-fifo"
-			return p.inner.take(i), true
-		}
+	if i, ok := p.inner.local(node); ok {
+		p.waiting[node] = 0
+		return p.inner.take(i), "delay.local-fifo", true
 	}
-	p.inner.byNode[node] = queue
 	if p.waiting[node] < p.delay {
 		p.waiting[node]++
-		return Task{}, false // decline; the slot will ask again
+		return Task{}, "", false // decline; the slot will ask again
 	}
 	p.waiting[node] = 0
-	p.lastRule = "delay.remote-after-wait"
-	return p.inner.Next(node) // give up waiting: remote FIFO
+	return p.inner.take(p.inner.remote()), "delay.remote-after-wait", true // give up waiting: remote FIFO
 }
 
 // ---------------------------------------------------------------------------
@@ -233,7 +260,7 @@ func (p *DelayedLocalityPicker) Next(node cluster.NodeID) (Task, bool) {
 type DataNetPicker struct {
 	// plan holds every task node-major — node n's planned queue, heaviest
 	// first, is plan[start[n]:start[n+1]] — with the planning rule that
-	// placed each one beside it for Explain. head[n] is the next position
+	// placed each one beside it, which Next reports. head[n] is the next position
 	// node n serves; taken marks what was served or stolen.
 	plan  []Task
 	rules []string
@@ -251,7 +278,6 @@ type DataNetPicker struct {
 	workload []int64
 	remain   int
 	name     string
-	lastRule string
 }
 
 // assistFactor controls off-replica assignment: a task may go remote when
@@ -437,27 +463,26 @@ func (p *DataNetPicker) Remaining() int { return p.remain }
 // zero-weight blocks migrate freely while the weight plan, including
 // capacity-aware targets on heterogeneous clusters, stays intact; a heavy
 // task only moves when nothing lighter remains anywhere.
-func (p *DataNetPicker) Next(node cluster.NodeID) (Task, bool) {
+func (p *DataNetPicker) Next(node cluster.NodeID) (Task, string, bool) {
 	if p.remain == 0 {
-		return Task{}, false
+		return Task{}, "", false
 	}
 	for end := p.start[node+1]; p.head[node] < end; {
 		i := p.head[node]
 		p.head[node]++
 		if !p.taken[i] { // else stolen from this queue
-			p.lastRule = p.rules[i]
-			return p.take(i), true
+			return p.take(i), p.rules[i], true
 		}
 	}
 	i := p.firstLeft(p.stealLocal[node], &p.localAt[node])
-	p.lastRule = "algo1.steal-local"
+	rule := "algo1.steal-local"
 	if i == -1 {
 		i = p.firstLeft(p.stealAll, &p.allAt)
-		p.lastRule = "algo1.steal-global"
+		rule = "algo1.steal-global"
 	}
 	p.workload[p.owner[i]] -= p.plan[i].Weight
 	p.workload[node] += p.plan[i].Weight
-	return p.take(i), true
+	return p.take(i), rule, true
 }
 
 // firstLeft advances a steal order's cursor to its first untaken entry
@@ -524,89 +549,15 @@ func (h *nodeHeap) sink(node int) {
 // ---------------------------------------------------------------------------
 // Ablation pickers.
 
-// LPTPicker is a longest-processing-time greedy: a requesting node takes
-// its heaviest unprocessed local block (else the heaviest remaining).
-// Classic makespan heuristic; an ablation contrast for Algorithm 1.
-type LPTPicker struct {
-	tasks    []Task
-	taken    []bool
-	byNode   map[cluster.NodeID][]int
-	order    []int // all tasks, heaviest first
-	remain   int
-	lastRule string
-}
-
-// NewLPTPicker constructs the LPT picker.
-func NewLPTPicker(tasks []Task, _ *cluster.Topology) Picker {
-	p := &LPTPicker{
-		tasks:  tasks,
-		taken:  make([]bool, len(tasks)),
-		byNode: make(map[cluster.NodeID][]int),
-		remain: len(tasks),
-	}
-	for i, t := range tasks {
-		for _, n := range t.Locations {
-			p.byNode[n] = append(p.byNode[n], i)
-		}
-	}
-	p.order = make([]int, len(tasks))
-	for i := range p.order {
-		p.order[i] = i
-	}
-	sort.SliceStable(p.order, func(a, b int) bool {
-		return tasks[p.order[a]].Weight > tasks[p.order[b]].Weight
-	})
-	for n := range p.byNode {
-		idx := p.byNode[n]
-		sort.SliceStable(idx, func(a, b int) bool {
-			return tasks[idx[a]].Weight > tasks[idx[b]].Weight
-		})
-	}
-	return p
-}
-
-// Name implements Picker.
-func (p *LPTPicker) Name() string { return "lpt-greedy" }
-
-// Remaining implements Picker.
-func (p *LPTPicker) Remaining() int { return p.remain }
-
-// Next implements Picker.
-func (p *LPTPicker) Next(node cluster.NodeID) (Task, bool) {
-	if p.remain == 0 {
-		return Task{}, false
-	}
-	for _, i := range p.byNode[node] {
-		if !p.taken[i] {
-			p.lastRule = "lpt.local"
-			return p.take(i), true
-		}
-	}
-	for _, i := range p.order {
-		if !p.taken[i] {
-			p.lastRule = "lpt.remote"
-			return p.take(i), true
-		}
-	}
-	return Task{}, false
-}
-
-func (p *LPTPicker) take(i int) Task {
-	p.taken[i] = true
-	p.remain--
-	return p.tasks[i]
-}
-
 // RandomPicker assigns a uniformly random remaining local task (else a
 // random remaining task). It isolates how much of the imbalance is due to
 // FIFO order versus locality itself.
 type RandomPicker struct {
-	tasks    []Task
-	taken    []bool
-	byNode   map[cluster.NodeID][]int
-	rng      *rand.Rand
-	remain   int
-	lastRule string
+	tasks  []Task
+	taken  []bool
+	byNode map[cluster.NodeID][]int
+	rng    *rand.Rand
+	remain int
 }
 
 // NewRandomPicker returns a Factory seeded for reproducibility.
@@ -635,9 +586,9 @@ func (p *RandomPicker) Name() string { return "random-local" }
 func (p *RandomPicker) Remaining() int { return p.remain }
 
 // Next implements Picker.
-func (p *RandomPicker) Next(node cluster.NodeID) (Task, bool) {
+func (p *RandomPicker) Next(node cluster.NodeID) (Task, string, bool) {
 	if p.remain == 0 {
-		return Task{}, false
+		return Task{}, "", false
 	}
 	var cand []int
 	for _, i := range p.byNode[node] {
@@ -645,22 +596,19 @@ func (p *RandomPicker) Next(node cluster.NodeID) (Task, bool) {
 			cand = append(cand, i)
 		}
 	}
-	p.lastRule = "random.local"
+	rule := "random.local"
 	if len(cand) == 0 {
 		for i := range p.tasks {
 			if !p.taken[i] {
 				cand = append(cand, i)
 			}
 		}
-		p.lastRule = "random.remote"
-	}
-	if len(cand) == 0 {
-		return Task{}, false
+		rule = "random.remote"
 	}
 	i := cand[p.rng.Intn(len(cand))]
 	p.taken[i] = true
 	p.remain--
-	return p.tasks[i], true
+	return p.tasks[i], rule, true
 }
 
 // ---------------------------------------------------------------------------
@@ -673,9 +621,8 @@ type StaticPicker struct {
 	queues [][]Task // by NodeID: what is left of each node's planned queue
 	// longest orders the nodes by (remaining queue length ↓, id ↑); its top
 	// is the steal victim.
-	longest  *nodeHeap
-	remain   int
-	lastRule string
+	longest *nodeHeap
+	remain  int
 }
 
 // NewFlowPicker computes the max-flow balanced assignment (paper §IV-B,
@@ -723,16 +670,15 @@ func (p *StaticPicker) Name() string { return p.name }
 func (p *StaticPicker) Remaining() int { return p.remain }
 
 // Next implements Picker.
-func (p *StaticPicker) Next(node cluster.NodeID) (Task, bool) {
+func (p *StaticPicker) Next(node cluster.NodeID) (Task, string, bool) {
 	if p.remain == 0 {
-		return Task{}, false
+		return Task{}, "", false
 	}
 	p.remain--
 	if q := p.queues[node]; len(q) > 0 {
 		p.queues[node] = q[1:]
 		p.longest.sink(int(node))
-		p.lastRule = "maxflow.plan"
-		return q[0], true
+		return q[0], "maxflow.plan", true
 	}
 	// Work stealing from the largest remaining queue keeps the simulation
 	// deadlock-free when a node finishes early.
@@ -740,6 +686,5 @@ func (p *StaticPicker) Next(node cluster.NodeID) (Task, bool) {
 	q := p.queues[victim]
 	p.queues[victim] = q[:len(q)-1]
 	p.longest.sink(victim)
-	p.lastRule = "maxflow.steal"
-	return q[len(q)-1], true
+	return q[len(q)-1], "maxflow.steal", true
 }

@@ -43,7 +43,7 @@ func drain(p Picker, nNodes int) (map[cluster.NodeID]int64, map[cluster.NodeID]i
 	served := 0
 	for i := 0; ; i++ {
 		node := cluster.NodeID(i % nNodes)
-		t, ok := p.Next(node)
+		t, _, ok := p.Next(node)
 		if !ok {
 			if p.Remaining() == 0 {
 				break
@@ -89,7 +89,7 @@ func TestAllPickersServeEveryTaskOnce(t *testing.T) {
 		if p.Remaining() != 0 {
 			t.Errorf("%s: Remaining = %d after drain", name, p.Remaining())
 		}
-		if _, ok := p.Next(0); ok {
+		if _, _, ok := p.Next(0); ok {
 			t.Errorf("%s handed out a task after drain", name)
 		}
 	}
@@ -111,7 +111,7 @@ func TestAllPickersServeEveryTaskOnceQuick(t *testing.T) {
 			p := fac(tasks, topo)
 			seen := make(map[hdfs.BlockID]bool)
 			for {
-				task, ok := p.Next(cluster.NodeID(int(seed) & 3))
+				task, _, ok := p.Next(cluster.NodeID(int(seed) & 3))
 				if !ok {
 					break
 				}
@@ -141,14 +141,14 @@ func TestLocalityPickerPrefersLocalFIFO(t *testing.T) {
 		{Block: 2, Index: 2, Locations: []cluster.NodeID{0}},
 	}
 	p := NewLocalityPicker(tasks, topo)
-	if got, _ := p.Next(0); got.Block != 1 {
+	if got, _, _ := p.Next(0); got.Block != 1 {
 		t.Errorf("node 0 first pick = %d, want its first local block 1", got.Block)
 	}
-	if got, _ := p.Next(0); got.Block != 2 {
+	if got, _, _ := p.Next(0); got.Block != 2 {
 		t.Errorf("node 0 second pick = %d, want 2", got.Block)
 	}
 	// Node 0 has no locals left: falls back to remote FIFO (block 0).
-	if got, _ := p.Next(0); got.Block != 0 {
+	if got, _, _ := p.Next(0); got.Block != 0 {
 		t.Errorf("node 0 remote pick = %d, want 0", got.Block)
 	}
 	if p.Name() != "hadoop-locality" {
@@ -202,7 +202,7 @@ func TestDataNetPickerHonorsLocalityMostly(t *testing.T) {
 	local, remote := 0, 0
 	for i := 0; ; i++ {
 		node := cluster.NodeID(i % 8)
-		task, ok := p.Next(node)
+		task, _, ok := p.Next(node)
 		if !ok {
 			break
 		}
@@ -254,14 +254,14 @@ func TestLPTPickerServesHeaviestFirst(t *testing.T) {
 		{Block: 2, Index: 2, Weight: 50, Locations: []cluster.NodeID{0}},
 	}
 	p := NewLPTPicker(tasks, topo)
-	if got, _ := p.Next(0); got.Weight != 99 {
+	if got, _, _ := p.Next(0); got.Weight != 99 {
 		t.Errorf("first = %d, want 99", got.Weight)
 	}
-	if got, _ := p.Next(0); got.Weight != 50 {
+	if got, _, _ := p.Next(0); got.Weight != 50 {
 		t.Errorf("second = %d, want 50", got.Weight)
 	}
 	// A node with no locals takes the heaviest remaining global.
-	if got, _ := p.Next(1); got.Weight != 10 {
+	if got, _, _ := p.Next(1); got.Weight != 10 {
 		t.Errorf("remote pick = %d, want 10", got.Weight)
 	}
 	if p.Name() != "lpt-greedy" {
@@ -284,7 +284,7 @@ func TestRandomPickerDeterministicPerSeed(t *testing.T) {
 		p := NewRandomPicker(42)(tasks, topo)
 		var out []hdfs.BlockID
 		for i := 0; ; i++ {
-			task, ok := p.Next(cluster.NodeID(i % 4))
+			task, _, ok := p.Next(cluster.NodeID(i % 4))
 			if !ok {
 				break
 			}
@@ -314,7 +314,7 @@ func TestStaticPickerStealing(t *testing.T) {
 	p := NewFlowPicker(tasks, topo)
 	got := 0
 	for i := 0; i < 10 && p.Remaining() > 0; i++ {
-		if _, ok := p.Next(1); ok {
+		if _, _, ok := p.Next(1); ok {
 			got++
 		} else {
 			break

@@ -184,7 +184,7 @@ func buildPlan(sn *Snapshot, req *PlanRequest) (*PlanResponse, error) {
 		for picker.Remaining() > 0 {
 			progressed := false
 			for n := 0; n < req.Nodes && picker.Remaining() > 0; n++ {
-				if t, ok := picker.Next(cluster.NodeID(n)); ok {
+				if t, _, ok := picker.Next(cluster.NodeID(n)); ok {
 					assignTo(n, t.Index)
 					progressed = true
 				}
