@@ -12,6 +12,7 @@ package elasticmap
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -93,20 +94,47 @@ type Separator struct {
 // NewSeparator creates a separator over the given ascending lower bounds.
 // Passing nil uses FibonacciBounds(64 MiB).
 func NewSeparator(bounds []int64) *Separator {
-	if len(bounds) == 0 {
-		bounds = FibonacciBounds(64 << 20)
-	}
-	cp := append([]int64(nil), bounds...)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	if cp[0] != 0 {
-		cp = append([]int64{0}, cp...)
-	}
+	cp := normalBounds(bounds)
 	return &Separator{
 		bounds:   cp,
 		sizes:    make(map[string]int64),
 		bucketOf: make(map[string]int),
 		counts:   make([]int, len(cp)),
 	}
+}
+
+// normalBounds returns a sorted copy of bounds starting at 0 (nil:
+// FibonacciBounds(64 MiB)).
+func normalBounds(bounds []int64) []int64 {
+	if len(bounds) == 0 {
+		bounds = FibonacciBounds(64 << 20)
+	}
+	cp := slices.Clone(bounds)
+	slices.Sort(cp)
+	if cp[0] != 0 {
+		cp = append([]int64{0}, cp...)
+	}
+	return cp
+}
+
+// rebucketed returns the separator over bounds (nil: FibonacciBounds(64
+// MiB)): s itself when they are its own, else a view sharing s's sizes
+// with the bucket counts recounted from them. The recount equals the
+// counts a scan under bounds ends with, since Observe always moves a key
+// to the bucket its current size falls in. s is not modified.
+func (s *Separator) rebucketed(bounds []int64) *Separator {
+	nb := bounds
+	if len(nb) == 0 || nb[0] != 0 || !slices.IsSorted(nb) {
+		nb = normalBounds(bounds)
+	}
+	if slices.Equal(nb, s.bounds) {
+		return s
+	}
+	v := &Separator{bounds: nb, sizes: s.sizes, counts: make([]int, len(nb))}
+	for _, sz := range s.sizes {
+		v.counts[v.bucketIndex(sz)]++
+	}
+	return v
 }
 
 // bucketIndex returns the bucket holding size: the largest i with

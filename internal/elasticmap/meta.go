@@ -138,11 +138,24 @@ type BlockMeta struct {
 // during the scan, then a threshold chosen from the bucket counts (no
 // sort), then a split into hash map and Bloom filter.
 func BuildBlockMeta(recs []records.Record, opts Options) *BlockMeta {
-	opts = opts.withDefaults()
-	bounds := opts.BucketBounds
-	if bounds == nil {
-		bounds = FibonacciBounds(64 << 20)
-	}
+	return ScanBlock(recs, opts.BucketBounds).Meta(opts)
+}
+
+// BlockScan is one block's single pass: the separator's final per-key
+// sizes and bucket counts, and the block's raw byte count. The bucket
+// counts, threshold, dominant map, Bloom bits and δ of an ElasticMap are
+// all functions of the final per-key sizes, so Meta separates the block
+// under any α, memory budget, false-positive rate or bucket shape without
+// reading a record again. A BlockScan is immutable once made: any number
+// of goroutines may call its methods.
+type BlockScan struct {
+	sep *Separator
+	raw int64
+}
+
+// ScanBlock scans recs once under the given bucket lower bounds (nil:
+// FibonacciBounds(64 MiB)).
+func ScanBlock(recs []records.Record, bounds []int64) *BlockScan {
 	sep := NewSeparator(bounds)
 	var raw int64
 	for _, r := range recs {
@@ -150,7 +163,31 @@ func BuildBlockMeta(recs []records.Record, opts Options) *BlockMeta {
 		raw += sz
 		sep.Observe(r.Sub, sz)
 	}
-	return buildFromSeparator(sep, raw, opts)
+	// The scan is over: only the final sizes and bucket counts are read.
+	sep.bucketOf = nil
+	return &BlockScan{sep: sep, raw: raw}
+}
+
+// Meta separates the scanned block into its ElasticMap under opts: the
+// meta-data BuildBlockMeta(recs, opts) builds from the same records.
+func (s *BlockScan) Meta(opts Options) *BlockMeta {
+	opts = opts.withDefaults()
+	return buildFromSeparator(s.sep.rebucketed(opts.BucketBounds), s.raw, opts)
+}
+
+// Sizes returns the block's byte count per sub-dataset key, |b ∩ s| for
+// every s in the block: the ground truth records.BySub computes. The map
+// is the scan's own; callers only read it.
+func (s *BlockScan) Sizes() map[string]int64 { return s.sep.sizes }
+
+// FromScans separates every block's scan under opts, in block order: the
+// array Build makes from the scanned blocks' records.
+func FromScans(scans []*BlockScan, opts Options) *Array {
+	metas := make([]*BlockMeta, len(scans))
+	for i, s := range scans {
+		metas[i] = s.Meta(opts)
+	}
+	return FromMetas(metas, opts)
 }
 
 func buildFromSeparator(sep *Separator, rawBytes int64, opts Options) *BlockMeta {

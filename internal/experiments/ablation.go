@@ -13,10 +13,6 @@ import (
 // separator (DESIGN.md §5): the paper's Fibonacci intervals vs uniform and
 // power-of-two bounds, at the default α target.
 func BucketAblation(env *Env) (*Report, error) {
-	perBlock, err := env.FS.BlockRecords(env.File)
-	if err != nil {
-		return nil, err
-	}
 	allSubs := make([]string, 0, len(env.Truth))
 	for sub := range env.Truth {
 		allSubs = append(allSubs, sub)
@@ -37,7 +33,7 @@ func BucketAblation(env *Env) (*Report, error) {
 	for _, s := range shapes {
 		opts := env.Opts
 		opts.BucketBounds = s.bounds
-		arr := elasticmap.Build(perBlock, opts)
+		arr := elasticmap.FromScans(env.Scans, opts)
 		accuracy, ratio := arr.OverallAccuracy(allSubs), arr.RepresentationRatio()
 		t.Add(s.name, fmt.Sprint(len(s.bounds)), metrics.Pct(arr.MeanAlpha()),
 			metrics.Pct(accuracy), fmt.Sprintf("%.0f", ratio))

@@ -91,17 +91,22 @@ type Env struct {
 	BlockTruth []int64
 	// Opts is the ElasticMap configuration in force.
 	Opts elasticmap.Options
+	// Scans holds the one scan of each block, in block order: every
+	// ElasticMap and ground truth of the file is derived from them. Scans
+	// and Truth are shared by every environment over the same log and
+	// block size, and are read only.
+	Scans []*elasticmap.BlockScan
 }
 
-// buildEnv stores recs on a fresh filesystem (cfg's zero fields take the
+// buildEnv stores log on a fresh filesystem (cfg's zero fields take the
 // HDFS defaults: 3 replicas, random placement) over nodes scaled to its
 // block size and constructs the ElasticMap array plus ground truth.
-func buildEnv(recs []records.Record, nodes, racks int, cfg hdfs.Config, alpha float64, target string) (*Env, error) {
-	return buildEnvOn(recs, hdfs.ScaledNodes(nodes, racks, cfg.BlockSize), racks, cfg, alpha, target)
+func buildEnv(log *dataLog, nodes, racks int, cfg hdfs.Config, alpha float64, target string) (*Env, error) {
+	return buildEnvOn(log, hdfs.ScaledNodes(nodes, racks, cfg.BlockSize), racks, cfg, alpha, target)
 }
 
 // buildEnvOn is buildEnv over the given node specs.
-func buildEnvOn(recs []records.Record, specs []cluster.Node, racks int, cfg hdfs.Config, alpha float64, target string) (*Env, error) {
+func buildEnvOn(log *dataLog, specs []cluster.Node, racks int, cfg hdfs.Config, alpha float64, target string) (*Env, error) {
 	topo, err := cluster.NewHeterogeneous(specs, racks)
 	if err != nil {
 		return nil, err
@@ -111,30 +116,35 @@ func buildEnvOn(recs []records.Record, specs []cluster.Node, racks int, cfg hdfs
 		return nil, err
 	}
 	const file = "dataset.log"
-	if _, err := fs.Write(file, recs); err != nil {
+	if _, err := fs.Write(file, log.recs); err != nil {
 		return nil, err
 	}
 	perBlock, err := fs.BlockRecords(file)
 	if err != nil {
 		return nil, err
 	}
-	opts := elasticmap.Options{Alpha: alpha, BucketBounds: elasticmap.ScaledFibonacciBounds(cfg.BlockSize)}
-	arr := elasticmap.Build(perBlock, opts)
-
+	scans := log.scanned(perBlock, fs.Config().BlockSize)
 	env := &Env{
 		Topo:   topo,
 		FS:     fs,
 		File:   file,
-		Array:  arr,
 		Target: target,
-		Truth:  records.BySub(recs),
-		Opts:   opts,
+		Truth:  scans.truth,
+		Opts:   elasticmap.Options{Alpha: alpha, BucketBounds: scans.bounds},
+		Scans:  scans.blocks,
 	}
-	env.BlockTruth, err = fs.SubDistribution(file, target)
-	if err != nil {
-		return nil, err
-	}
+	env.Array = elasticmap.FromScans(env.Scans, env.Opts)
+	env.BlockTruth = env.blockTruth(target)
 	return env, nil
+}
+
+// blockTruth is sub's ground-truth size in each block.
+func (e *Env) blockTruth(sub string) []int64 {
+	out := make([]int64, len(e.Scans))
+	for i, s := range e.Scans {
+		out[i] = s.Sizes()[sub]
+	}
+	return out
 }
 
 // NewMovieEnv generates the movie-review dataset sized for p and builds
@@ -154,8 +164,8 @@ const meanMovieRecordBytes = 305
 
 // movieLog returns the review log that fills ~p.Blocks blocks of
 // p.BlockBytes, the dataset of every movie experiment.
-func movieLog(p MovieParams) []records.Record {
-	return movieRecords(gen.MovieConfig{
+func movieLog(p MovieParams) *dataLog {
+	return movieData(gen.MovieConfig{
 		Movies:   p.Movies,
 		Reviews:  int(p.BlockBytes) * p.Blocks / meanMovieRecordBytes,
 		SpanDays: 365,
@@ -164,19 +174,57 @@ func movieLog(p MovieParams) []records.Record {
 }
 
 // movieFixtures memoises generated review logs by configuration
-// (gen.MovieConfig -> func() []records.Record). The suite names six
-// distinct configurations and sweeps cluster shape, block size, placement
-// and fault plans over them, so each is generated once per process and
-// never evicted.
+// (gen.MovieConfig -> func() *dataLog). The suite names six distinct
+// configurations and sweeps cluster shape, block size, placement and
+// fault plans over them, so each is generated once per process and never
+// evicted, and so are its block scans at each block size it is stored at.
 var movieFixtures sync.Map
 
-// movieRecords returns gen.Movies(cfg), generated on first use. The slice
-// is shared by every caller and every filesystem it is written to
-// (hdfs.Write aliases its input), on any number of goroutines: it is
-// immutable, and nothing may write to, sort or append to it.
-func movieRecords(cfg gen.MovieConfig) []records.Record {
-	once, _ := movieFixtures.LoadOrStore(cfg, sync.OnceValue(func() []records.Record { return gen.Movies(cfg) }))
-	return once.(func() []records.Record)()
+// movieData returns the log of gen.Movies(cfg), generated on first use.
+// The log is shared by every caller and every filesystem it is written to
+// (hdfs.Write aliases its input), on any number of goroutines: its records
+// are immutable, and nothing may write to, sort or append to them.
+func movieData(cfg gen.MovieConfig) *dataLog {
+	once, _ := movieFixtures.LoadOrStore(cfg, sync.OnceValue(func() *dataLog { return &dataLog{recs: gen.Movies(cfg)} }))
+	return once.(func() *dataLog)()
+}
+
+// dataLog is a record log an environment stores, with the memo of its
+// block scans per block size. HDFS cuts a log into blocks by size alone
+// (hdfs.TestBlockBoundariesDependOnRecordsAndBlockSize), so every
+// filesystem storing the log at one block size holds the same blocks, and
+// their environments share one scan of each.
+type dataLog struct {
+	recs  []records.Record
+	scans sync.Map // block size (int64) -> func() *logScans
+}
+
+// logScans is a log's block scans at one block size, under the scaled
+// Fibonacci bounds of that size, and the ground truth they sum to.
+type logScans struct {
+	bounds []int64
+	blocks []*elasticmap.BlockScan
+	truth  map[string]int64 // sub-dataset -> total bytes
+}
+
+// scanned returns the scans of blocks, the log's blocks at blockSize,
+// made on first use.
+func (l *dataLog) scanned(blocks [][]records.Record, blockSize int64) *logScans {
+	once, _ := l.scans.LoadOrStore(blockSize, sync.OnceValue(func() *logScans {
+		s := &logScans{
+			bounds: elasticmap.ScaledFibonacciBounds(blockSize),
+			blocks: make([]*elasticmap.BlockScan, len(blocks)),
+			truth:  make(map[string]int64),
+		}
+		for i, recs := range blocks {
+			s.blocks[i] = elasticmap.ScanBlock(recs, s.bounds)
+			for sub, sz := range s.blocks[i].Sizes() {
+				s.truth[sub] += sz
+			}
+		}
+		return s
+	}))
+	return once.(func() *logScans)()
 }
 
 // NewEventEnv generates the GitHub-style event dataset and builds the
@@ -192,7 +240,7 @@ func NewEventEnv(p EventParams) (*Env, error) {
 		SpanDays: 120,
 		Seed:     p.Seed,
 	})
-	return buildEnv(recs, p.Nodes, p.Racks, hdfs.Config{BlockSize: p.BlockBytes, Seed: p.Seed}, p.Alpha, "IssueEvent")
+	return buildEnv(&dataLog{recs: recs}, p.Nodes, p.Racks, hdfs.Config{BlockSize: p.BlockBytes, Seed: p.Seed}, p.Alpha, "IssueEvent")
 }
 
 // arm is one policy cell of a sweep: the name its table row and report

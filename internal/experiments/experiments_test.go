@@ -1,12 +1,18 @@
 package experiments
 
 import (
+	"bytes"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
+	"datanet/internal/elasticmap"
+	"datanet/internal/gen"
+	"datanet/internal/hdfs"
 	"datanet/internal/metrics"
+	"datanet/internal/placement"
 	"datanet/internal/stats"
 )
 
@@ -137,6 +143,57 @@ func TestNewMovieEnvShape(t *testing.T) {
 	}
 	if total != env.Truth[env.Target] {
 		t.Errorf("BlockTruth sum %d != Truth %d", total, env.Truth[env.Target])
+	}
+}
+
+// Environments over one log at one block size share one scan of each block
+// and one ground truth, whatever their cluster, placement, replication and
+// α: the scans are made once per (log, block size), not once per
+// environment. Checked by identity, not by clock. Each environment's array
+// still encodes to the bytes a fresh build over its blocks gives.
+func TestEnvsShareTheLogsBlockScans(t *testing.T) {
+	p := smallMovie()
+	a := smallEnv(t)
+	q := p
+	q.Nodes, q.Racks = 16, 4
+	b, err := NewMovieEnv(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := buildEnv(movieLog(p), p.Nodes, p.Racks, hdfs.Config{
+		BlockSize: p.BlockBytes, Replication: 1, Placement: placement.RackAware{}, Seed: 9,
+	}, 0.5, gen.MovieID(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []*Env{b, c} {
+		if len(e.Scans) != len(a.Scans) {
+			t.Fatalf("%d scans, want the shared %d", len(e.Scans), len(a.Scans))
+		}
+		for i := range e.Scans {
+			if e.Scans[i] != a.Scans[i] {
+				t.Fatalf("block %d was scanned again", i)
+			}
+		}
+		if reflect.ValueOf(e.Truth).UnsafePointer() != reflect.ValueOf(a.Truth).UnsafePointer() {
+			t.Error("ground truth was summed again")
+		}
+		blocks, err := e.FS.BlockRecords(e.File)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := elasticmap.Encode(e.Array)
+		want, _ := elasticmap.Encode(elasticmap.Build(blocks, e.Opts))
+		if !bytes.Equal(got, want) {
+			t.Errorf("α=%.2f: the array separated from shared scans differs from a fresh build", e.Opts.Alpha)
+		}
+	}
+	d, err := buildEnv(movieLog(p), p.Nodes, p.Racks, hdfs.Config{BlockSize: 2 * p.BlockBytes, Seed: p.Seed}, p.Alpha, gen.MovieID(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Scans[0] == a.Scans[0] {
+		t.Error("another block size reused the scans")
 	}
 }
 

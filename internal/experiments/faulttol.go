@@ -42,6 +42,7 @@ func DefaultFaultParams() MovieParams {
 // weights. Crashes mutate the replica map, so each job runs on its own
 // Clone of the filesystem; the rest is immutable and shared.
 type faultFixture struct {
+	log     *dataLog
 	fs      *hdfs.FileSystem
 	out     *mapreduce.MapOutput
 	weights []int64
@@ -56,25 +57,26 @@ func newFaultFixture(p MovieParams) (*faultFixture, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := fs.Write("dataset.log", movieLog(p)); err != nil {
+	log := movieLog(p)
+	if _, err := fs.Write("dataset.log", log.recs); err != nil {
 		return nil, err
 	}
 	out, err := mapreduce.MapFile(fs, "dataset.log", apps.WordCount{}, gen.MovieID(0))
 	if err != nil {
 		return nil, err
 	}
-	return &faultFixture{fs: fs, out: out}, nil
+	return &faultFixture{log: log, fs: fs, out: out}, nil
 }
 
-// estimate builds the fixture's ElasticMap at hash share alpha, once, for
-// the sweeps with a DataNet arm.
+// estimate separates the fixture's ElasticMap at hash share alpha from
+// the log's block scans, once, for the sweeps with a DataNet arm.
 func (f *faultFixture) estimate(alpha float64) error {
 	perBlock, err := f.fs.BlockRecords("dataset.log")
 	if err != nil {
 		return err
 	}
-	bounds := elasticmap.ScaledFibonacciBounds(f.fs.Config().BlockSize)
-	f.weights = elasticmap.Build(perBlock, elasticmap.Options{Alpha: alpha, BucketBounds: bounds}).Weights(gen.MovieID(0))
+	scans := f.log.scanned(perBlock, f.fs.Config().BlockSize)
+	f.weights = elasticmap.FromScans(scans.blocks, elasticmap.Options{Alpha: alpha, BucketBounds: scans.bounds}).Weights(gen.MovieID(0))
 	return nil
 }
 

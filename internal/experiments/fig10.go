@@ -21,10 +21,6 @@ func Fig10(env *Env, alphas []float64) (*Report, error) {
 			alphas = append(alphas, a)
 		}
 	}
-	perBlock, err := env.FS.BlockRecords(env.File)
-	if err != nil {
-		return nil, err
-	}
 	r := newReport()
 	r.linef("Figure 10 — balancing vs α (%s)", env.describe())
 	t := metrics.NewTable("", "α (target)", "α (realized)", "max/avg", "min/avg", "std/avg")
@@ -32,7 +28,7 @@ func Fig10(env *Env, alphas []float64) (*Report, error) {
 	for _, a := range alphas {
 		opts := env.Opts
 		opts.Alpha = a
-		arr := elasticmap.Build(perBlock, opts)
+		arr := elasticmap.FromScans(env.Scans, opts)
 		cfg := env.job(movieTopK(), dataNet)
 		cfg.Weights = arr.Weights(env.Target)
 		run, err := mapreduce.Run(cfg)

@@ -7,7 +7,6 @@ import (
 	"datanet/internal/elasticmap"
 	"datanet/internal/gen"
 	"datanet/internal/metrics"
-	"datanet/internal/records"
 )
 
 // ModelCheck validates the paper's Eq.-5 memory model against the
@@ -19,17 +18,13 @@ func ModelCheck(env *Env, alphas []float64) (*Report, error) {
 	if len(alphas) == 0 {
 		alphas = []float64{0.1, 0.3, 0.5, 0.8, 1.0}
 	}
-	perBlock, err := env.FS.BlockRecords(env.File)
-	if err != nil {
-		return nil, err
-	}
 	r := newReport()
 	t := metrics.NewTable("Extension — Eq. 5 memory model vs implementation",
 		"α target", "α realized", "model (KiB)", "actual (KiB)", "rel. err")
 	for _, a := range alphas {
 		opts := env.Opts
 		opts.Alpha = a
-		arr := elasticmap.Build(perBlock, opts)
+		arr := elasticmap.FromScans(env.Scans, opts)
 		var model float64
 		for i := 0; i < arr.Len(); i++ {
 			m := arr.Block(i)
@@ -50,16 +45,17 @@ func ModelCheck(env *Env, alphas []float64) (*Report, error) {
 
 	// One genuine 64 MiB block: ~220k movie reviews in a single block.
 	const paperBlock = 64 << 20
-	recs := movieRecords(gen.MovieConfig{
+	recs := movieData(gen.MovieConfig{
 		Movies:   20000, // a big catalogue so the block holds many subs
 		Reviews:  paperBlock / meanMovieRecordBytes,
 		SpanDays: 7, // one block covers a short window of the log
 		Seed:     99,
-	})
-	arr := elasticmap.Build([][]records.Record{recs}, elasticmap.Options{
-		Alpha: elasticmap.DefaultAlpha, BucketBounds: elasticmap.FibonacciBounds(paperBlock)})
-	subs := make([]string, 0)
-	for sub := range records.BySub(recs) {
+	}).recs
+	bounds := elasticmap.FibonacciBounds(paperBlock)
+	scan := elasticmap.ScanBlock(recs, bounds)
+	arr := elasticmap.FromScans([]*elasticmap.BlockScan{scan}, elasticmap.Options{Alpha: elasticmap.DefaultAlpha, BucketBounds: bounds})
+	subs := make([]string, 0, len(scan.Sizes()))
+	for sub := range scan.Sizes() {
 		subs = append(subs, sub)
 	}
 	ratio, chi := arr.RepresentationRatio(), arr.OverallAccuracy(subs)

@@ -31,11 +31,7 @@ func Selectivity(env *Env, ranks []int) (*Report, error) {
 		// Re-target the environment for this rank.
 		retargeted := *env
 		retargeted.Target = gen.MovieID(rank)
-		var err error
-		retargeted.BlockTruth, err = env.FS.SubDistribution(env.File, retargeted.Target)
-		if err != nil {
-			return nil, err
-		}
+		retargeted.BlockTruth = env.blockTruth(retargeted.Target)
 		c, err := retargeted.compare(movieTopK())
 		if err != nil {
 			return nil, err
@@ -78,7 +74,7 @@ func WebLog(p WebLogParams) (*Report, error) {
 		Requests: int(p.BlockBytes) * p.Blocks / meanRecordBytes,
 		Seed:     p.Seed,
 	})
-	env, err := buildEnv(recs, p.Nodes, p.Racks, hdfs.Config{BlockSize: p.BlockBytes, Seed: p.Seed}, p.Alpha, gen.TeamID(0))
+	env, err := buildEnv(&dataLog{recs: recs}, p.Nodes, p.Racks, hdfs.Config{BlockSize: p.BlockBytes, Seed: p.Seed}, p.Alpha, gen.TeamID(0))
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"datanet/internal/cluster"
 	"datanet/internal/faults"
@@ -120,42 +123,75 @@ func StragglerSweep(scales []int, p MovieParams) (*Report, error) {
 		// Beats every 2% of the healthy filter makespan.
 		hb := policy("-sched locality -detect heartbeat")
 		hb.Detect.Interval = healthy.FilterEnd * 0.02
+		// The scale's cells run on every core, each on its own clone of
+		// the fixture; their rows and counters are added in cell order
+		// (float sums depend on order), so the report is the same at any
+		// worker count.
+		type cell struct {
+			plan, detector, arm, key string
+		}
+		var cells []cell
+		var cfgs []mapreduce.Config
 		for _, pl := range stragglerPlans(nodes, healthy.FilterEnd, q.Seed) {
 			for _, d := range []arm{{"oracle", locality}, {"heartbeat", hb}} {
 				for _, mit := range stragglerArms {
-					key := fmt.Sprintf("%d/%s/%s/%s", nodes, pl.name, d.name, mit.name)
+					cells = append(cells, cell{pl.name, d.name, mit.name, fmt.Sprintf("%d/%s/%s/%s", nodes, pl.name, d.name, mit.name)})
 					b := mit.policy
 					b.Detect = d.policy.Detect
 					cfg := fix.job(b)
 					cfg.Faults = pl.plan
-					run, err := mapreduce.Run(cfg)
-					if err != nil {
-						return nil, fmt.Errorf("straggler sweep %s: %w", key, err)
-					}
-					p50, p90, p99 := taskEndQuantiles(run)
-					t.Add(fmt.Sprint(nodes), pl.name, d.name, mit.name,
-						metrics.Seconds(run.FilterEnd), metrics.Seconds(run.JobTime),
-						fmt.Sprintf("%.1f/%.1f/%.1f s", p50, p90, p99),
-						fmt.Sprint(run.SpeculativeLaunches), fmt.Sprint(run.SpeculativeWins),
-						metrics.Seconds(run.WastedTaskSeconds), fmt.Sprint(run.CodedDecodes),
-						r.outputCell(run.Output, healthy.Output))
-					r.Values[key] = run.JobTime
-					r.Values[key+"/filter_end"] = run.FilterEnd
-					r.Values[key+"/p50"] = p50
-					r.Values[key+"/p90"] = p90
-					r.Values[key+"/p99"] = p99
-					r.Values[key+"/launches"] = float64(run.SpeculativeLaunches)
-					r.Values[key+"/wasted"] = run.WastedTaskSeconds
-					r.Values[key+"/decodes"] = float64(run.CodedDecodes)
-					r.Values["speculative_launches"] += float64(run.SpeculativeLaunches)
-					r.Values["speculative_wins"] += float64(run.SpeculativeWins)
-					r.Values["wasted_task_seconds"] += run.WastedTaskSeconds
-					r.Values["coded_decode_count"] += float64(run.CodedDecodes)
+					cfgs = append(cfgs, cfg)
 				}
 			}
+		}
+		runs, errs := runAll(cfgs)
+		for i, c := range cells {
+			run, key := runs[i], c.key
+			if errs[i] != nil {
+				return nil, fmt.Errorf("straggler sweep %s: %w", key, errs[i])
+			}
+			p50, p90, p99 := taskEndQuantiles(run)
+			t.Add(fmt.Sprint(nodes), c.plan, c.detector, c.arm,
+				metrics.Seconds(run.FilterEnd), metrics.Seconds(run.JobTime),
+				fmt.Sprintf("%.1f/%.1f/%.1f s", p50, p90, p99),
+				fmt.Sprint(run.SpeculativeLaunches), fmt.Sprint(run.SpeculativeWins),
+				metrics.Seconds(run.WastedTaskSeconds), fmt.Sprint(run.CodedDecodes),
+				r.outputCell(run.Output, healthy.Output))
+			r.Values[key] = run.JobTime
+			r.Values[key+"/filter_end"] = run.FilterEnd
+			r.Values[key+"/p50"] = p50
+			r.Values[key+"/p90"] = p90
+			r.Values[key+"/p99"] = p99
+			r.Values[key+"/launches"] = float64(run.SpeculativeLaunches)
+			r.Values[key+"/wasted"] = run.WastedTaskSeconds
+			r.Values[key+"/decodes"] = float64(run.CodedDecodes)
+			r.Values["speculative_launches"] += float64(run.SpeculativeLaunches)
+			r.Values["speculative_wins"] += float64(run.SpeculativeWins)
+			r.Values["wasted_task_seconds"] += run.WastedTaskSeconds
+			r.Values["coded_decode_count"] += float64(run.CodedDecodes)
 		}
 	}
 	r.table(t)
 	r.linef("  (speculation trims the tail for the cost of duplicate task-seconds; coding caps the tail\n   at the k-th completion per group for a fixed parity surcharge, decoding the stragglers' outputs)")
 	return r, nil
+}
+
+// runAll runs every job on GOMAXPROCS goroutines and returns the results
+// and errors in cfgs' order. Each job runs on its own event queue and
+// clock, so a result does not depend on what runs beside it.
+func runAll(cfgs []mapreduce.Config) ([]*mapreduce.Result, []error) {
+	runs, errs := make([]*mapreduce.Result, len(cfgs)), make([]error, len(cfgs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(cfgs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(cfgs)); i = next.Add(1) - 1 {
+				runs[i], errs[i] = mapreduce.Run(cfgs[i])
+			}
+		}()
+	}
+	wg.Wait()
+	return runs, errs
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -36,5 +38,23 @@ func TestStragglerSweepSmall(t *testing.T) {
 	}
 	if val(t, r, "output_divergences") != 0 || strings.Contains(r.String(), "DIVERGED") {
 		t.Errorf("output divergences: %v", val(t, r, "output_divergences"))
+	}
+}
+
+// Each scale's cells run on GOMAXPROCS goroutines and are reported in cell
+// order, so one worker and four give the same text and the same Values,
+// float sums included. Under -race this also checks the concurrent cells,
+// which share the fixture's map output and fault plans.
+func TestStragglerSweepSameAtAnyWorkerCount(t *testing.T) {
+	sweep := func(procs int) *Report {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return ran(t, "straggler mitigation")(StragglerSweep([]int{32}, MovieParams{}))
+	}
+	one, four := sweep(1), sweep(4)
+	if one.String() != four.String() {
+		t.Errorf("report text differs between 1 and 4 workers:\n%s\n---\n%s", one, four)
+	}
+	if !reflect.DeepEqual(one.Values, four.Values) {
+		t.Errorf("report values differ between 1 and 4 workers:\n%v\n%v", one.Values, four.Values)
 	}
 }

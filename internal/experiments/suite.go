@@ -298,10 +298,11 @@ func runSections(w io.Writer, secs []suiteSection, env *Env, workers int) (*Benc
 
 	// One worker takes every section in suite order, so output streams as
 	// it runs. More workers take the independent sections in suite order,
-	// and the first to find none left runs the shared chain by itself: the
-	// chain is serial anyway, and started last it fills the slot beside the
-	// last long independent sweep instead of delaying that sweep's start.
-	// No worker ever waits for another section to finish.
+	// and the first to find none left runs the shared chain by itself. The
+	// chain is serial anyway; started last, it runs beside the straggler
+	// sweep, the last long independent section (whose cells already run on
+	// every core), instead of delaying that sweep's start. No worker ever
+	// waits for another section to finish.
 	queue := make(chan int, len(secs))
 	var chain []int
 	for i, s := range secs {

@@ -20,7 +20,7 @@ var updateSuiteGolden = flag.Bool("update-suite", false, "rewrite testdata/suite
 func memoisedLogs() map[gen.MovieConfig][]records.Record {
 	out := map[gen.MovieConfig][]records.Record{}
 	movieFixtures.Range(func(k, _ any) bool {
-		out[k.(gen.MovieConfig)] = movieRecords(k.(gen.MovieConfig))
+		out[k.(gen.MovieConfig)] = movieData(k.(gen.MovieConfig)).recs
 		return true
 	})
 	return out
@@ -153,7 +153,7 @@ func TestRunSectionPrintsTheSuitesBytes(t *testing.T) {
 	}
 }
 
-// movieRecords is reached from every suite worker at once: concurrent
+// movieData is reached from every suite worker at once: concurrent
 // first uses of one configuration must all get the same single generation.
 func TestMovieRecordsGeneratesOncePerConfig(t *testing.T) {
 	cfg := gen.MovieConfig{Movies: 30, Reviews: 2000, SpanDays: 30, Seed: 1234}
@@ -164,7 +164,7 @@ func TestMovieRecordsGeneratesOncePerConfig(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i] = movieRecords(cfg)
+			got[i] = movieData(cfg).recs
 		}()
 	}
 	wg.Wait()
@@ -178,7 +178,7 @@ func TestMovieRecordsGeneratesOncePerConfig(t *testing.T) {
 	}
 	other := cfg
 	other.Seed++
-	if &movieRecords(other)[0] == &got[0][0] {
+	if &movieData(other).recs[0] == &got[0][0] {
 		t.Error("a different configuration returned the same log")
 	}
 }

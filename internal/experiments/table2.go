@@ -22,10 +22,6 @@ func Table2(env *Env, alphas []float64) (*Report, error) {
 	if len(alphas) == 0 {
 		alphas = PaperAlphas
 	}
-	perBlock, err := env.FS.BlockRecords(env.File)
-	if err != nil {
-		return nil, err
-	}
 	allSubs := make([]string, 0, len(env.Truth))
 	for sub := range env.Truth {
 		allSubs = append(allSubs, sub)
@@ -40,7 +36,7 @@ func Table2(env *Env, alphas []float64) (*Report, error) {
 	for _, a := range alphas {
 		opts := env.Opts
 		opts.Alpha = a
-		arr := elasticmap.Build(perBlock, opts)
+		arr := elasticmap.FromScans(env.Scans, opts)
 		accuracy, ratio, metaBytes := arr.OverallAccuracy(allSubs), arr.RepresentationRatio(), arr.MemoryBits()/8
 		t.Add(metrics.Pct(a), metrics.Pct(arr.MeanAlpha()), metrics.Pct(accuracy),
 			fmt.Sprintf("%.0f", ratio), metrics.Bytes(metaBytes), paper[a][0], paper[a][1])

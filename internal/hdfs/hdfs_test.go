@@ -407,3 +407,46 @@ func TestCloneIsIndependent(t *testing.T) {
 		t.Errorf("Write on the original after cloning: %v", err)
 	}
 }
+
+// A file's block boundaries depend on its records and the block size
+// alone: filesystems storing one log at one block size hold the same
+// blocks whatever their cluster, seed, placement policy and replication,
+// so anything derived from the blocks (an ElasticMap, per-block ground
+// truth) may be computed once per (log, block size) and shared.
+func TestBlockBoundariesDependOnRecordsAndBlockSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	recs := make([]records.Record, 5000)
+	for i := range recs {
+		recs[i] = records.Record{Sub: fmt.Sprintf("sub-%d", rng.Intn(30)), Time: int64(i), Payload: string(make([]byte, 50+rng.Intn(300)))}
+	}
+	blocksOf := func(nodes int, cfg Config) [][]records.Record {
+		t.Helper()
+		fs := newFS(t, nodes, cfg)
+		if _, err := fs.Write("log", recs); err != nil {
+			t.Fatal(err)
+		}
+		blocks, err := fs.BlockRecords("log")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blocks
+	}
+	want := blocksOf(8, Config{BlockSize: 16 << 10, Seed: 1})
+	for _, c := range []struct {
+		nodes int
+		cfg   Config
+	}{
+		{8, Config{BlockSize: 16 << 10, Seed: 99}},
+		{8, Config{BlockSize: 16 << 10, Seed: 1, Placement: placement.RackAware{}}},
+		{8, Config{BlockSize: 16 << 10, Seed: 1, Placement: &placement.RoundRobin{}, Replication: 1}},
+		{32, Config{BlockSize: 16 << 10, Seed: 7, Replication: 5}},
+	} {
+		if got := blocksOf(c.nodes, c.cfg); !reflect.DeepEqual(got, want) {
+			t.Errorf("%d nodes, seed %d, %s placement, replication %d: %d blocks differ from the reference's %d",
+				c.nodes, c.cfg.Seed, c.cfg.withDefaults().Placement.Name(), c.cfg.Replication, len(got), len(want))
+		}
+	}
+	if other := blocksOf(8, Config{BlockSize: 32 << 10, Seed: 1}); len(other) == len(want) {
+		t.Errorf("doubling the block size kept %d blocks", len(want))
+	}
+}
