@@ -107,27 +107,19 @@ func buildEnv(log *dataLog, nodes, racks int, cfg hdfs.Config, alpha float64, ta
 
 // buildEnvOn is buildEnv over the given node specs.
 func buildEnvOn(log *dataLog, specs []cluster.Node, racks int, cfg hdfs.Config, alpha float64, target string) (*Env, error) {
-	topo, err := cluster.NewHeterogeneous(specs, racks)
+	fs, err := storeLog(log, specs, racks, cfg)
 	if err != nil {
 		return nil, err
 	}
-	fs, err := hdfs.NewFileSystem(topo, cfg)
-	if err != nil {
-		return nil, err
-	}
-	const file = "dataset.log"
-	if _, err := fs.Write(file, log.recs); err != nil {
-		return nil, err
-	}
-	perBlock, err := fs.BlockRecords(file)
+	perBlock, err := fs.BlockRecords(logFile)
 	if err != nil {
 		return nil, err
 	}
 	scans := log.scanned(perBlock, fs.Config().BlockSize)
 	env := &Env{
-		Topo:   topo,
+		Topo:   fs.Topology(),
 		FS:     fs,
-		File:   file,
+		File:   logFile,
 		Target: target,
 		Truth:  scans.truth,
 		Opts:   elasticmap.Options{Alpha: alpha, BucketBounds: scans.bounds},
@@ -136,6 +128,26 @@ func buildEnvOn(log *dataLog, specs []cluster.Node, racks int, cfg hdfs.Config, 
 	env.Array = elasticmap.FromScans(env.Scans, env.Opts)
 	env.BlockTruth = env.blockTruth(target)
 	return env, nil
+}
+
+// logFile is the file an experiment's log is stored as.
+const logFile = "dataset.log"
+
+// storeLog writes log as logFile to a fresh filesystem over the node specs
+// in racks racks.
+func storeLog(log *dataLog, specs []cluster.Node, racks int, cfg hdfs.Config) (*hdfs.FileSystem, error) {
+	topo, err := cluster.NewHeterogeneous(specs, racks)
+	if err != nil {
+		return nil, err
+	}
+	fs, err := hdfs.NewFileSystem(topo, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := fs.Write(logFile, log.recs); err != nil {
+		return nil, err
+	}
+	return fs, nil
 }
 
 // blockTruth is sub's ground-truth size in each block.

@@ -49,19 +49,12 @@ type faultFixture struct {
 }
 
 func newFaultFixture(p MovieParams) (*faultFixture, error) {
-	topo, err := cluster.NewHeterogeneous(hdfs.ScaledNodes(p.Nodes, p.Racks, p.BlockBytes), p.Racks)
-	if err != nil {
-		return nil, err
-	}
-	fs, err := hdfs.NewFileSystem(topo, hdfs.Config{BlockSize: p.BlockBytes, Seed: p.Seed})
-	if err != nil {
-		return nil, err
-	}
 	log := movieLog(p)
-	if _, err := fs.Write("dataset.log", log.recs); err != nil {
+	fs, err := storeLog(log, hdfs.ScaledNodes(p.Nodes, p.Racks, p.BlockBytes), p.Racks, hdfs.Config{BlockSize: p.BlockBytes, Seed: p.Seed})
+	if err != nil {
 		return nil, err
 	}
-	out, err := mapreduce.MapFile(fs, "dataset.log", apps.WordCount{}, gen.MovieID(0))
+	out, err := mapreduce.MapFile(fs, logFile, apps.WordCount{}, gen.MovieID(0))
 	if err != nil {
 		return nil, err
 	}
@@ -71,7 +64,7 @@ func newFaultFixture(p MovieParams) (*faultFixture, error) {
 // estimate separates the fixture's ElasticMap at hash share alpha from
 // the log's block scans, once, for the sweeps with a DataNet arm.
 func (f *faultFixture) estimate(alpha float64) error {
-	perBlock, err := f.fs.BlockRecords("dataset.log")
+	perBlock, err := f.fs.BlockRecords(logFile)
 	if err != nil {
 		return err
 	}
@@ -83,7 +76,7 @@ func (f *faultFixture) estimate(alpha float64) error {
 // job is the executed job of a sweep cell under b, over a fresh clone of
 // the fixture.
 func (f *faultFixture) job(b mapreduce.Bundle) mapreduce.Config {
-	cfg := job(f.fs.Clone(), "dataset.log", gen.MovieID(0), apps.WordCount{}, b, f.weights)
+	cfg := job(f.fs.Clone(), logFile, gen.MovieID(0), apps.WordCount{}, b, f.weights)
 	cfg.ExecuteApp, cfg.MapOutput = true, f.out
 	return cfg
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"datanet/internal/apps"
-	"datanet/internal/cluster"
 	"datanet/internal/hdfs"
 	"datanet/internal/mapreduce"
 	"datanet/internal/metrics"
@@ -127,23 +126,17 @@ func PartitionSweep(p MovieParams) (*Report, error) {
 	if p.Nodes == 0 {
 		p = MovieParams{Nodes: 16, Racks: 2, BlockBytes: 32 << 10, Seed: 42}
 	}
-	topo, err := cluster.NewHeterogeneous(hdfs.ScaledNodes(p.Nodes, p.Racks, p.BlockBytes), p.Racks)
-	if err != nil {
-		return nil, err
-	}
 	r := newReport()
 	t := metrics.NewTable("Extension — key-aware reduce partitioning (strategy × key distribution)",
 		"distribution", "strategy", "reduce", "max load", "mean load", "imbalance", "shuffle", "splits", "output")
 	for di, d := range partitionDists() {
-		fs, err := hdfs.NewFileSystem(topo, hdfs.Config{BlockSize: p.BlockBytes, Seed: p.Seed})
+		recs := &dataLog{recs: partitionRecords(d, p.Seed+int64(di))}
+		fs, err := storeLog(recs, hdfs.ScaledNodes(p.Nodes, p.Racks, p.BlockBytes), p.Racks, hdfs.Config{BlockSize: p.BlockBytes, Seed: p.Seed})
 		if err != nil {
 			return nil, err
 		}
-		if _, err := fs.Write("dataset.log", partitionRecords(d, p.Seed+int64(di))); err != nil {
-			return nil, err
-		}
 		// One map pass per distribution: every strategy's job folds it.
-		out, err := mapreduce.MapFile(fs, "dataset.log", apps.WordCount{}, "sub-main")
+		out, err := mapreduce.MapFile(fs, logFile, apps.WordCount{}, "sub-main")
 		if err != nil {
 			return nil, err
 		}
@@ -153,7 +146,7 @@ func PartitionSweep(p MovieParams) (*Report, error) {
 		// for the legacy uniform split.
 		for _, line := range []string{"-partition off", "-partition hash", "-partition skew", "-partition range"} {
 			a := policy(line)
-			cfg := job(fs, "dataset.log", "sub-main", apps.WordCount{}, a, nil)
+			cfg := job(fs, logFile, "sub-main", apps.WordCount{}, a, nil)
 			cfg.ExecuteApp, cfg.Reducers, cfg.MapOutput = true, partitionReducers, out
 			cfg.Partition.Seed = p.Seed
 			run, err := mapreduce.Run(cfg)

@@ -8,6 +8,7 @@ import (
 	"datanet/internal/apps"
 	"datanet/internal/gen"
 	"datanet/internal/hdfs"
+	"datanet/internal/mapreduce"
 	"datanet/internal/metrics"
 	"datanet/internal/stats"
 )
@@ -66,15 +67,16 @@ func Theory(model stats.Gamma, nBlocks, nodes, trials int) (*Report, error) {
 				sample = append(sample, float64(target)/1024)
 			}
 		}
-		env, err := buildEnv(&dataLog{recs: gen.Flatten(blocks)}, nodes, 4, hdfs.Config{BlockSize: 64 << 10, Seed: int64(trial)}, 0.3, "target")
+		// The locality job reads no estimates: the stored log is all it needs.
+		fs, err := storeLog(&dataLog{recs: gen.Flatten(blocks)}, hdfs.ScaledNodes(nodes, 4, 64<<10), 4, hdfs.Config{BlockSize: 64 << 10, Seed: int64(trial)})
 		if err != nil {
 			return nil, err
 		}
-		run, err := env.run(apps.WordCount{}, locality)
+		run, err := mapreduce.Run(job(fs, logFile, "target", apps.WordCount{}, locality, nil))
 		if err != nil {
 			return nil, err
 		}
-		loads := NodeSeries(env.Topo, run.NodeWorkload)
+		loads := NodeSeries(fs.Topology(), run.NodeWorkload)
 		s := stats.Summarize(loads)
 		for _, l := range loads {
 			if l < s.Mean/2 {

@@ -56,9 +56,15 @@ type codedState struct {
 // and scheduling weight are the group's maxima, and its replicas are
 // spread deterministically across the cluster away from any single rack
 // hot spot. Returns the state plus the extended task and truth slices
-// (parity truth entries are indexed by the parity task's Index).
-func buildCoded(rate float64, numBlocks int, tasks []sched.Task, truth []int64, topo *cluster.Topology) (*codedState, []sched.Task, []int64) {
-	layout := straggle.NewLayout(len(tasks), straggle.GroupSize, rate)
+// (parity truth entries are indexed by the parity task's Index), and
+// reports the layout in res; under any other mode it returns a nil state
+// and the slices as they are.
+func buildCoded(mit straggle.Config, numBlocks int, tasks []sched.Task, truth []int64, topo *cluster.Topology, res *Result) (*codedState, []sched.Task, []int64) {
+	if mit.Mode != straggle.ModeCoded {
+		return nil, tasks, truth
+	}
+	layout := straggle.NewLayout(len(tasks), straggle.GroupSize, mit.Rate)
+	res.CodedGroups, res.CodedParityUnits = len(layout.Groups), layout.ParityUnits()
 	c := &codedState{
 		layout:    layout,
 		need:      make([]int, len(layout.Groups)),
@@ -69,21 +75,17 @@ func buildCoded(rate float64, numBlocks int, tasks []sched.Task, truth []int64, 
 		abandoned: make([]bool, layout.Total()),
 		decoded:   make([]bool, layout.Sys),
 	}
+	truth = slices.Clip(truth) // appends below never write the caller's array
 	ordinal := 0
 	for gi, g := range layout.Groups {
 		c.need[gi] = g.K
-		var maxW, maxB int64
+		// A parity unit's size, weight and matched volume are the group's
+		// worst case: an MDS combination is as large as its largest input.
+		var maxW, maxB, maxT int64
 		repl := 1
 		for u := g.SysStart; u < g.SysStart+g.K; u++ {
-			if tasks[u].Weight > maxW {
-				maxW = tasks[u].Weight
-			}
-			if tasks[u].Bytes > maxB {
-				maxB = tasks[u].Bytes
-			}
-			if len(tasks[u].Locations) > repl {
-				repl = len(tasks[u].Locations)
-			}
+			maxW, maxB = max(maxW, tasks[u].Weight), max(maxB, tasks[u].Bytes)
+			maxT, repl = max(maxT, truth[tasks[u].Index]), max(repl, len(tasks[u].Locations))
 		}
 		repl = min(repl, topo.N())
 		for j := 0; j < g.Par; j++ {
@@ -99,45 +101,63 @@ func buildCoded(rate float64, numBlocks int, tasks []sched.Task, truth []int64, 
 				Bytes:     maxB,
 				Locations: locs,
 			})
+			truth = append(truth, maxT)
 			ordinal++
 		}
 	}
-	// Parity truth: the coded fragment's matched volume is the group's
-	// worst case — an MDS combination is as large as the largest input.
-	parityTruth := make([]int64, ordinal)
-	for _, g := range layout.Groups {
-		var maxT int64
-		for u := g.SysStart; u < g.SysStart+g.K; u++ {
-			if t := truth[tasks[u].Index]; t > maxT {
-				maxT = t
-			}
-		}
-		for j := 0; j < g.Par; j++ {
-			parityTruth[tasks[g.ParStart+j].Index-numBlocks] = maxT
-		}
-	}
-	truth = append(append([]int64(nil), truth...), parityTruth...)
 	return c, tasks, truth
 }
 
-// isParity reports whether the unit is a parity unit (false when coded
-// mode is off).
-func (s *filterSim) isParity(li int) bool {
-	return s.coded != nil && s.coded.layout.IsParity(li)
+// The seam: every k-of-n decision the filter phase makes is a method on
+// *codedState, safe on a nil receiver (coded mode off), where it gives the
+// plain phase's answer.
+
+// groupKill is the trace detail of an attempt killed because its group
+// was satisfied without it.
+const groupKill = "coded-k-of-n"
+
+// isParity reports whether the unit is a parity unit.
+func (c *codedState) isParity(li int) bool { return c != nil && c.layout.IsParity(li) }
+
+// obsolete reports whether the unit's group is already satisfied, making
+// further attempts of an unfinished unit redundant.
+func (c *codedState) obsolete(li int) bool { return c != nil && c.satisfied[c.layout.GroupOf(li)] }
+
+// unfinished is the filter barrier: how many tasks are still missing — or,
+// coded, how many groups lack k completions — and what they are. The phase
+// is complete when it is zero.
+func (c *codedState) unfinished(s *filterSim) (int, string) {
+	if c == nil {
+		return len(s.tasks) - s.doneCount, "filter tasks unfinished"
+	}
+	return len(c.layout.Groups) - c.satCount, "coded groups unsatisfied"
 }
 
-// groupObsolete reports whether the unit's group is already satisfied,
-// making further attempts of the unit redundant.
-func (s *filterSim) groupObsolete(li int) bool {
-	return s.coded != nil && !s.done(li) && s.coded.satisfied[s.coded.layout.GroupOf(li)]
+// chargesWaste is the wasted-work gate: a killed attempt's time and bytes
+// count as wasted only under a mitigation mode — coded execution, or the
+// speculation engine spec. A detector-only run reports none.
+func (c *codedState) chargesWaste(spec *straggle.SpecEngine) bool { return c != nil || spec != nil }
+
+// abandon gives up a parity unit that has exhausted its attempts and
+// reports whether it did: parity units are pure redundancy, so running out
+// abandons the unit instead of failing the job — the group can still be
+// satisfied by its other units.
+func (c *codedState) abandon(li int, exhausted bool) bool {
+	if !exhausted || !c.isParity(li) {
+		return false
+	}
+	c.abandoned[li] = true
+	return true
 }
 
-// codedCommit is the commit hook: the unit's group gains one live
-// completion; the k-th completion satisfies the group, kills its
-// remaining in-flight attempts and records the satisfaction instant the
-// barrier decode will anchor to.
-func (s *filterSim) codedCommit(id cluster.NodeID, r *runAttempt) {
-	c := s.coded
+// commit is the commit hook: the unit's group gains one live completion;
+// the k-th completion satisfies the group, kills its remaining in-flight
+// attempts and records the satisfaction instant the barrier decode will
+// anchor to.
+func (c *codedState) commit(s *filterSim, r *runAttempt) {
+	if c == nil {
+		return
+	}
 	g := c.layout.GroupOf(r.li)
 	c.live[g]++
 	if c.satisfied[g] || c.live[g] < c.need[g] {
@@ -146,16 +166,18 @@ func (s *filterSim) codedCommit(id cluster.NodeID, r *runAttempt) {
 	c.satisfied[g] = true
 	c.satCount++
 	c.satAt[g] = r.end
-	c.satNode[g] = id
+	c.satNode[g] = r.node
 	s.killGroup(g, r.end)
 }
 
-// codedUncommit is the crash-uncommit hook: a destroyed unit output
-// drops the group's live count; falling below k re-opens the group and
-// revives whatever units can still run, so the phase cannot wedge on
-// work that was dropped while the group looked complete.
-func (s *filterSim) codedUncommit(li int, t float64) {
-	c := s.coded
+// uncommit is the crash-uncommit hook: a destroyed unit output drops the
+// group's live count; falling below k re-opens the group and revives
+// whatever units can still run, so the phase cannot wedge on work that was
+// dropped while the group looked complete.
+func (c *codedState) uncommit(s *filterSim, li int, t float64) {
+	if c == nil {
+		return
+	}
 	g := c.layout.GroupOf(li)
 	c.live[g]--
 	if !c.satisfied[g] || c.live[g] >= c.need[g] {
@@ -187,14 +209,13 @@ func (s *filterSim) reviveGroup(g int, t float64, uncommitted int) {
 			queued[li] = true
 		}
 	}
-	for _, u := range s.coded.layout.Groups[g].Units() {
-		if u == uncommitted || !s.handed[u] || s.done(u) || s.coded.abandoned[u] || len(s.inflight[u]) > 0 || queued[u] {
+	c := s.coded
+	for _, u := range c.layout.Groups[g].Units() {
+		if u == uncommitted || !s.handed[u] || s.done(u) || c.abandoned[u] || len(s.inflight[u]) > 0 || queued[u] {
 			continue
 		}
 		if s.exhausted(u) || s.replicasGone(u) {
-			if s.isParity(u) {
-				s.coded.abandoned[u] = true
-			}
+			c.abandon(u, true)
 			continue
 		}
 		s.postRetry(retryItem{readyAt: t, li: u})
@@ -216,23 +237,23 @@ func (s *filterSim) killGroup(g int, now float64) {
 	slices.SortFunc(doomed, func(a, b *runAttempt) int { return cmp.Compare(s.ord(a), s.ord(b)) })
 	for _, r := range doomed {
 		ord := s.ord(r)
-		r.ev.Hide()
-		s.untrack(r)
+		s.abort(r, now, groupKill)
 		s.gens[ord]++
-		s.kill(r.node, r, now, 0, "coded-k-of-n")
 		s.postSlotFree(now, r.node, r.slot, s.gens[ord])
 	}
 }
 
-// codedDecode runs the barrier decode pass after the kernel settles: for
-// every group with missing systematic fragments, the node that completed
-// the group fetches the surviving fragments and reconstructs the missing
-// ones, extending the filter barrier by the decode span. The
-// reconstructed fragments then live on the decode node like any other
-// filter output (the analysis phase processes them there; a later crash
-// of that node loses them like any other fragment).
-func (s *filterSim) codedDecode() {
-	c := s.coded
+// decode runs the barrier decode pass after the kernel settles: for every
+// group with missing systematic fragments, the node that completed the
+// group fetches the surviving fragments and reconstructs the missing ones,
+// extending the filter barrier by the decode span. The reconstructed
+// fragments then enter the commit ledger on the decode node like any other
+// filter output (the analysis phase processes them there; a later crash of
+// that node loses them like any other fragment).
+func (c *codedState) decode(s *filterSim) {
+	if c == nil {
+		return
+	}
 	for gi, g := range c.layout.Groups {
 		var missing []int
 		for u := g.SysStart; u < g.SysStart+g.K; u++ {
@@ -253,29 +274,12 @@ func (s *filterSim) codedDecode() {
 		dur := s.cfg.TaskOverhead +
 			float64(missingBytes)/s.inj.NetRate(id, node.NetRate) +
 			float64(missingBytes)*straggle.DecodeCostFactor/s.inj.CPURate(id, node.CPURate)
-		end := start + dur
 		for _, u := range missing {
-			matched := s.truth[s.tasks[u].Index]
-			s.res.Tasks = append(s.res.Tasks, TaskStat{
-				Task: s.tasks[u], Node: id, Start: start, End: end,
-				Compute: dur, Matched: matched, Local: false,
-				Attempt: s.attempts[u],
-			})
-			s.trackStat[u] = len(s.res.Tasks) - 1
-			s.res.NodeWorkload[id] += matched
-			s.nodeTasks[id]++
-			s.live[u]++
-			s.doneCount++
 			c.decoded[u] = true
-			s.byNode[id] = append(s.byNode[id], &runAttempt{
-				li: u, task: s.tasks[u], start: start, end: end,
-				matched: matched, attempt: s.attempts[u],
-			})
+			s.secure(&runAttempt{li: u, task: s.tasks[u], start: start, end: start + dur,
+				compute: dur, matched: s.truth[s.tasks[u].Index], attempt: s.attempts[u], node: id})
 		}
 		s.res.NodeBusy[id] += dur
-		if end > s.res.FilterEnd {
-			s.res.FilterEnd = end
-		}
 		s.res.CodedDecodes++
 		s.res.CodedDecodedBytes += missingBytes
 		if s.rec.Enabled() {
@@ -286,24 +290,24 @@ func (s *filterSim) codedDecode() {
 	}
 }
 
-// rebuildDecoded returns the systematic unit count (parity units follow and
-// carry no records) and, for a coded run, every fragment the simulation
-// decoded, rebuilt with the real Reed–Solomon arithmetic: the executed
-// output maps the reconstructed bytes, not the block, so a decode bug is an
-// output mismatch against the uncoded run, not a silently correct simulation.
-func (s *filterSim) rebuildDecoded(blocks []*hdfs.Block) (int, map[int][]records.Record, error) {
-	if s.coded == nil {
+// rebuild returns the systematic unit count (parity units follow and carry
+// no records) and, for a coded run, every fragment the simulation decoded,
+// rebuilt with the real Reed–Solomon arithmetic: the executed output maps
+// the reconstructed bytes, not the block, so a decode bug is an output
+// mismatch against the uncoded run, not a silently correct simulation.
+func (c *codedState) rebuild(s *filterSim, blocks []*hdfs.Block) (int, map[int][]records.Record, error) {
+	if c == nil {
 		return len(s.tasks), nil, nil
 	}
 	rebuilt := make(map[int][]records.Record)
-	for u, decoded := range s.coded.decoded {
+	for u, decoded := range c.decoded {
 		if _, ok := rebuilt[u]; decoded && !ok {
-			if err := s.reconstruct(blocks, s.coded.layout.GroupOf(u), rebuilt); err != nil {
+			if err := s.reconstruct(blocks, c.layout.GroupOf(u), rebuilt); err != nil {
 				return 0, nil, err
 			}
 		}
 	}
-	return s.coded.layout.Sys, rebuilt, nil
+	return c.layout.Sys, rebuilt, nil
 }
 
 // reconstruct rebuilds one group's decoded fragments into rebuilt: encode

@@ -29,9 +29,7 @@ package mapreduce
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"datanet/internal/apps"
 	"datanet/internal/cluster"
@@ -39,7 +37,6 @@ import (
 	"datanet/internal/faults"
 	"datanet/internal/hdfs"
 	"datanet/internal/partition"
-	"datanet/internal/records"
 	"datanet/internal/sched"
 	"datanet/internal/sim"
 	"datanet/internal/straggle"
@@ -87,7 +84,7 @@ type Config struct {
 	Speculative bool
 	// Mitigate, when enabled, turns on the straggler-mitigation layer for
 	// the filter phase: quantile-triggered speculative backups
-	// (straggle.ModeSpeculative) or coded k-of-n redundant execution
+	// (straggle.ModeSpeculative) or k-of-n redundant execution
 	// (straggle.ModeCoded). Nil or off leaves every schedule
 	// byte-identical to the unmitigated engine. See internal/straggle.
 	Mitigate *straggle.Config
@@ -252,12 +249,12 @@ type Result struct {
 	// speculation budgets — the work-amplification invariant).
 	SpeculativeLaunches int
 	// WastedTaskSeconds is slot time burned on attempts that were killed
-	// redundant: duplicate completions, phase-end kills and coded-group
+	// redundant: duplicate completions, phase-end kills and k-of-n group
 	// kills. WastedBytes is the matched bytes those completed-but-redundant
 	// attempts produced.
 	WastedTaskSeconds float64
 	WastedBytes       int64
-	// CodedGroups and CodedParityUnits describe the coded layout when
+	// CodedGroups and CodedParityUnits describe the k-of-n layout when
 	// straggle.ModeCoded is set; CodedDecodes counts groups whose missing
 	// fragments were reconstructed, CodedDecodedBytes the bytes rebuilt.
 	CodedGroups, CodedParityUnits, CodedDecodes int
@@ -441,16 +438,11 @@ func Run(cfg Config) (*Result, error) {
 		})
 	}
 
-	// Coded k-of-n execution rewrites the task list before scheduling:
-	// every group of k consecutive tasks gains parity units (redundant
-	// coded blocks pre-placed across the cluster), and the phase barrier
-	// becomes "any k completions per group" instead of "every task".
-	var coded *codedState
-	if mit.Mode == straggle.ModeCoded {
-		coded, tasks, truth = buildCoded(mit.Rate, len(blocks), tasks, truth, topo)
-		res.CodedGroups = len(coded.layout.Groups)
-		res.CodedParityUnits = coded.layout.ParityUnits()
-	}
+	// k-of-n execution rewrites the task list before scheduling: every
+	// group of k consecutive tasks gains parity units (redundant blocks
+	// pre-placed across the cluster), and the phase barrier becomes "any k
+	// completions per group" instead of "every task".
+	coded, tasks, truth := buildCoded(mit, len(blocks), tasks, truth, topo, res)
 	var spec *straggle.SpecEngine
 	if mit.Mode == straggle.ModeSpeculative {
 		spec = straggle.NewSpecEngine(mit.Quantile, len(tasks), cfg.TaskOverhead)
@@ -489,272 +481,4 @@ func Run(cfg Config) (*Result, error) {
 	}
 	sort.Slice(res.Tasks, func(i, j int) bool { return res.Tasks[i].End < res.Tasks[j].End })
 	return res, nil
-}
-
-// combineAt is the number of buffered values at which the collector folds
-// a key's buffer through the application's Combiner.
-const combineAt = 64
-
-// group is one key's intermediate state: the values Reduce will see, and
-// the bytes of every pair emitted under the key counted before any fold —
-// the key frequency a partitioner plans from.
-type group struct {
-	vals  []string
-	bytes int64
-}
-
-// collector accumulates intermediate pairs: one group per key, reached by
-// a single map lookup per emit. Only an executed job keeps the values; one
-// that merely partitions needs the bytes. For an apps.Combiner application
-// a full buffer is folded into one partial value, so a hot key holds at
-// most combineAt strings. The fold is an execution detail of producing
-// Result.Output — the shuffle volume is OutputRatio × matched bytes anyway.
-type collector struct {
-	groups   map[string]*group
-	combiner apps.Combiner // nil when the application's values cannot be folded
-	keep     bool
-}
-
-func newCollector(app apps.App, keep bool) *collector {
-	combiner, _ := app.(apps.Combiner)
-	return &collector{groups: make(map[string]*group), combiner: combiner, keep: keep}
-}
-
-func (c *collector) emit(k, v string) {
-	g := c.at(k)
-	g.bytes += int64(len(k) + len(v))
-	if c.keep {
-		c.hold(g, k, v)
-	}
-}
-
-func (c *collector) at(k string) *group {
-	g := c.groups[k]
-	if g == nil {
-		g = new(group)
-		c.groups[k] = g
-	}
-	return g
-}
-
-// hold appends one value to an executed job's group.
-func (c *collector) hold(g *group, k, v string) {
-	g.vals = c.fold(k, append(g.vals, v))
-}
-
-// fold folds a key's buffer into one partial value once it holds
-// combineAt values, for a Combiner application.
-func (c *collector) fold(k string, vals []string) []string {
-	if c.combiner != nil && len(vals) >= combineAt {
-		return append(vals[:0], c.combiner.Combine(k, vals))
-	}
-	return vals
-}
-
-// mapRecords maps the target sub-dataset's records (all, if target is empty).
-func (c *collector) mapRecords(recs []records.Record, app apps.App, target string) {
-	emit := c.emit // one method value per block, not one per record
-	for _, r := range recs {
-		if target == "" || r.Sub == target {
-			app.Map(r, emit)
-		}
-	}
-}
-
-// MapOutput is one file's map output under one (App, TargetSub), block by
-// block. A block's map output is a pure function of its immutable records,
-// so the caller that owns a fixture computes it once (MapFile) and every
-// job over the fixture folds it through Config.MapOutput. Read-only.
-type MapOutput struct {
-	app, target string
-	blocks      []blockOutput
-}
-
-// blockOutput is one block's groups plus what matches compares to the file.
-type blockOutput struct {
-	records int
-	bytes   int64
-	groups  map[string]*group
-}
-
-// MapFile maps every block of the file once.
-func MapFile(fs *hdfs.FileSystem, file string, app apps.App, target string) (*MapOutput, error) {
-	blocks, err := fs.Blocks(file)
-	if err != nil {
-		return nil, err
-	}
-	mo := &MapOutput{app: app.Name(), target: target, blocks: make([]blockOutput, len(blocks))}
-	for i, b := range blocks {
-		c := newCollector(app, true)
-		c.mapRecords(b.Records, app, target)
-		mo.blocks[i] = blockOutput{len(b.Records), b.Bytes, c.groups}
-	}
-	return mo, nil
-}
-
-// matches reports whether mo was computed for the job's app, target and blocks.
-func (mo *MapOutput) matches(cfg Config, blocks []*hdfs.Block) bool {
-	ok := mo.app == cfg.App.Name() && mo.target == cfg.TargetSub && len(mo.blocks) == len(blocks)
-	for i := 0; ok && i < len(blocks); i++ {
-		ok = mo.blocks[i].records == len(blocks[i].Records) && mo.blocks[i].bytes == blocks[i].Bytes
-	}
-	return ok
-}
-
-// source feeds one block's stored groups into c.
-func (mo *MapOutput) source(block int, c *collector) {
-	for k, sg := range mo.blocks[block].groups {
-		g := c.at(k)
-		g.bytes += sg.bytes
-		for i := 0; c.keep && i < len(sg.vals); i++ {
-			c.hold(g, k, sg.vals[i])
-		}
-	}
-}
-
-// Output reduces mo folded over a commit ledger (live commits per block):
-// the Output of an executed job whose simulation ended with that ledger.
-func (mo *MapOutput) Output(app apps.App, ledger []int) map[string]string {
-	c := newCollector(app, true)
-	foldLedger(ledger, func(u int) int64 { return mo.blocks[u].bytes }, mo.source, c)
-	return c.reduce(app, nil)
-}
-
-// foldLedger produces the executed output as a fold over the commit ledger:
-// each systematic filter unit, in block order, has src feed its pairs into
-// a collector once per live commit — so a unit lost or committed twice
-// changes Output. The units are cut into GOMAXPROCS contiguous runs of
-// about equal size(unit) × commits, each folded on its own goroutine into
-// its own collector, and c receives the runs merged in run order: a key's
-// values are exactly the serial fold's, in the serial fold's order, except
-// that a Combiner application may hold its partials at other points (which
-// its contract allows). src must be safe for concurrent calls on distinct
-// collectors.
-func foldLedger(ledger []int, size func(unit int) int64, src func(unit int, c *collector), c *collector) {
-	bounds := runBounds(ledger, size, runtime.GOMAXPROCS(0))
-	runs := make([]*collector, len(bounds)-1)
-	var wg sync.WaitGroup
-	for i := range runs {
-		runs[i] = &collector{groups: make(map[string]*group), combiner: c.combiner, keep: c.keep}
-		wg.Add(1)
-		go func(run *collector, lo, hi int) {
-			defer wg.Done()
-			for u := lo; u < hi; u++ {
-				for commits := ledger[u]; commits > 0; commits-- {
-					src(u, run)
-				}
-			}
-		}(runs[i], bounds[i], bounds[i+1])
-	}
-	wg.Wait()
-	c.merge(runs)
-}
-
-// runBounds cuts the units [0, len(ledger)) into at most w contiguous runs
-// of about equal size(unit) × commits and returns the cut points, 0 and
-// len(ledger) included. A run is empty only when the ledger is, and a
-// ledger with nothing to weigh is one run.
-func runBounds(ledger []int, size func(unit int) int64, w int) []int {
-	weight := func(u int) int64 { return size(u) * int64(ledger[u]) }
-	var total int64
-	for u := range ledger {
-		total += weight(u)
-	}
-	bounds := make([]int, 1, w+1)
-	var acc int64
-	for u := 0; u+1 < len(ledger); u++ {
-		acc += weight(u)
-		if k := int64(len(bounds)); k < int64(w) && acc > 0 && acc*int64(w) >= total*k {
-			bounds = append(bounds, u+1)
-		}
-	}
-	return append(bounds, len(ledger))
-}
-
-// merge sets c's groups to the runs' groups concatenated in run order: per
-// key the bytes summed and the values in one exactly sized slice, folded
-// once through the Combiner if that reaches combineAt. A lone run is taken
-// as it is, and a key one run alone holds keeps that run's group.
-func (c *collector) merge(runs []*collector) {
-	if len(runs) == 1 {
-		c.groups = runs[0].groups
-		return
-	}
-	// The union of the runs' keys, counted so the map is built at its size.
-	union := 0
-	for r, run := range runs {
-		for k := range run.groups {
-			if !heldBefore(runs[:r], k) {
-				union++
-			}
-		}
-	}
-	c.groups = make(map[string]*group, union)
-	for r, run := range runs {
-		for k, g := range run.groups {
-			if c.groups[k] != nil {
-				continue // merged when its first run was
-			}
-			n, later := len(g.vals), runs[r+1:]
-			for _, lr := range later {
-				if lg := lr.groups[k]; lg != nil {
-					g.bytes += lg.bytes
-					n += len(lg.vals)
-				}
-			}
-			if c.keep && n > len(g.vals) {
-				vals := append(make([]string, 0, n), g.vals...)
-				for _, lr := range later {
-					if lg := lr.groups[k]; lg != nil {
-						vals = append(vals, lg.vals...)
-					}
-				}
-				g.vals = c.fold(k, vals)
-			}
-			c.groups[k] = g
-		}
-	}
-}
-
-// heldBefore reports whether any of runs holds key k.
-func heldBefore(runs []*collector, k string) bool {
-	for _, run := range runs {
-		if run.groups[k] != nil {
-			return true
-		}
-	}
-	return false
-}
-
-// reduce runs the final reduce over the grouped pairs. When a partitioner
-// split a heavy key across reducers (skew mode), the key's values (folded
-// partials among them, for a Combiner app) are dealt round-robin to the
-// split shards exactly as the shuffle would deliver them, then the merge
-// reducer re-concatenates the shards in split order and reduces once — so
-// the value order the final Reduce sees genuinely depends on the split
-// layout. An order- or split-sensitive Reduce (violating the apps.App
-// contract) therefore surfaces as an output divergence in the
-// partition-independence harness instead of hiding behind a canonical
-// ordering.
-func (c *collector) reduce(app apps.App, part partition.Partitioner) map[string]string {
-	out := make(map[string]string, len(c.groups))
-	for k, g := range c.groups {
-		vs := g.vals
-		if part != nil {
-			if splits := part.Splits(k); len(splits) > 1 {
-				shards := make([][]string, len(splits))
-				for i, v := range vs {
-					shards[i%len(splits)] = append(shards[i%len(splits)], v)
-				}
-				merged := make([]string, 0, len(vs))
-				for _, shard := range shards {
-					merged = append(merged, shard...)
-				}
-				out[k] = app.Reduce(k, merged)
-				continue
-			}
-		}
-		out[k] = app.Reduce(k, vs)
-	}
-	return out
 }

@@ -23,8 +23,13 @@ import (
 // the replica layout and comparison runs need fresh, identical instances.
 func faultEnv(t *testing.T, nodes int) *hdfs.FileSystem {
 	t.Helper()
-	topo := cluster.MustHomogeneous(nodes, 2)
-	fs, err := hdfs.NewFileSystem(topo, hdfs.Config{BlockSize: 2048, Replication: 3, Seed: 7})
+	return faultLog(t, cluster.MustHomogeneous(nodes, 2), hdfs.Config{BlockSize: 2048, Replication: 3, Seed: 7})
+}
+
+// faultLog writes faultEnv's 800-record log over topo under cfg.
+func faultLog(t *testing.T, topo *cluster.Topology, cfg hdfs.Config) *hdfs.FileSystem {
+	t.Helper()
+	fs, err := hdfs.NewFileSystem(topo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,5 +522,29 @@ func TestSlowNodeStretchesJob(t *testing.T) {
 	}
 	if got.NodeCrashes != 0 || got.TasksRetried != 0 {
 		t.Error("slowdowns must not count as crashes or retries")
+	}
+}
+
+// TestAnalysisPairCrashLosesSharedBlock: two nodes crash at one instant
+// after the filter barrier, and on a 4-node, 2-replica layout some block
+// kept its only replicas on exactly that pair. The repair pass reports the
+// block lost once, to the first victim's iteration; the second victim's
+// fragments must still see it gone, so the job fails with ErrDataLost
+// instead of "re-reading" a block no node holds.
+func TestAnalysisPairCrashLosesSharedBlock(t *testing.T) {
+	env := func() *hdfs.FileSystem {
+		return faultLog(t, cluster.MustHomogeneous(4, 1), hdfs.Config{BlockSize: 2048, Replication: 2, Seed: 1})
+	}
+	cfg := Config{FS: env(), File: "log", TargetSub: "movie-A", App: apps.WordCount{}, Picker: sched.NewLocalityPicker}
+	healthy, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := healthy.FilterEnd + 1e-6
+	cfg.FS = env()
+	cfg.Faults = &faults.Plan{Crashes: []faults.Crash{{Node: 0, At: at}, {Node: 2, At: at}}}
+	_, err = Run(cfg)
+	if !errors.Is(err, ErrDataLost) {
+		t.Fatalf("pair crash at %g s (after the %g s filter barrier): err = %v, want ErrDataLost", at, healthy.FilterEnd, err)
 	}
 }

@@ -85,18 +85,15 @@ func midRunSim(t *testing.T, nodes, units int, mit straggle.Config, seed int64) 
 		truth[i] = 500
 	}
 	cfg := Config{TaskOverhead: 0.1, Trace: trace.New()}
-	var coded *codedState
-	var spec *straggle.SpecEngine
-	switch mit.Mode {
-	case straggle.ModeCoded:
-		coded, tasks, truth = buildCoded(mit.Rate, units, tasks, truth, topo)
-	case straggle.ModeSpeculative:
-		spec = straggle.NewSpecEngine(mit.Quantile, units, cfg.TaskOverhead)
-	}
 	res := &Result{
 		NodeBusy:     make(map[cluster.NodeID]float64),
 		NodeCompute:  make(map[cluster.NodeID]float64),
 		NodeWorkload: make(map[cluster.NodeID]int64),
+	}
+	coded, tasks, truth := buildCoded(mit, units, tasks, truth, topo, res)
+	var spec *straggle.SpecEngine
+	if mit.Mode == straggle.ModeSpeculative {
+		spec = straggle.NewSpecEngine(mit.Quantile, units, cfg.TaskOverhead)
 	}
 	s := newFilterSim(cfg, topo, inj, faults.RetryPolicy{}.WithDefaults(), tasks, truth,
 		sched.NewLocalityPicker(nil, topo), res, nil, spec, coded)
@@ -112,7 +109,7 @@ func midRunSim(t *testing.T, nodes, units int, mit straggle.Config, seed int64) 
 			continue // idle slot
 		}
 		li := rng.Intn(len(tasks) / 3) // a third of the units, so many run more than once
-		s.dispatch(p.node, p.slot, 0, s.tasks[li], li, 0)
+		s.dispatch(p.node, p.slot, 0, pick{li: li}, 0)
 	}
 	for li := range tasks {
 		if rng.Intn(10) == 0 {

@@ -88,14 +88,14 @@ func runFilter(jc *jobContext) error {
 // commit ledger (see foldLedger), its runs balanced by matched bytes. A
 // unit's pairs are Config.MapOutput's stored ones when the caller computed
 // them, and otherwise its block's records mapped straight into the
-// collector; a fragment a coded run decoded is mapped from its
-// reconstructed bytes either way.
+// collector; a fragment a k-of-n run rebuilt at its barrier is mapped from
+// its reconstructed bytes either way.
 func (jc *jobContext) foldOutput() error {
 	app, mo := jc.cfg.App, jc.cfg.MapOutput
 	if !jc.cfg.ExecuteApp && jc.part == nil {
 		return nil
 	}
-	units, rebuilt, err := jc.fsim.rebuildDecoded(jc.blocks)
+	units, rebuilt, err := jc.fsim.coded.rebuild(jc.fsim, jc.blocks)
 	if err != nil {
 		return err
 	}
@@ -173,14 +173,8 @@ func runAnalysis(jc *jobContext) error {
 	if err := jc.fsim.recoverAnalysis(analysisStart, durations); err != nil {
 		return err
 	}
-	live := make([]cluster.NodeID, 0, topo.N())
-	for _, id := range topo.IDs() {
-		if !jc.fsim.believedDead(id, analysisStart) {
-			live = append(live, id)
-		}
-	}
 	if cfg.Speculative {
-		res.SpeculativeWins += straggle.BarrierSpeculate(topo, live, res.NodeWorkload,
+		res.SpeculativeWins += straggle.BarrierSpeculate(topo, jc.fsim.believed(analysisStart, false), res.NodeWorkload,
 			durations, cfg.TaskOverhead, cfg.App.CostFactor(), inj, jc.rec, analysisStart)
 	}
 	res.FirstMapEnd = -1
@@ -225,12 +219,7 @@ func runShuffle(jc *jobContext) error {
 	jc.totalOut = float64(totalMatched) * cfg.App.OutputRatio()
 	// Reduce tasks only land on nodes the master believes alive when the
 	// shuffle opens.
-	liveAtShuffle := make([]cluster.NodeID, 0, topo.N())
-	for _, id := range topo.IDs() {
-		if !jc.fsim.believedDead(id, res.MapEnd) {
-			liveAtShuffle = append(liveAtShuffle, id)
-		}
-	}
+	liveAtShuffle := jc.fsim.believed(res.MapEnd, false)
 	if len(liveAtShuffle) == 0 {
 		return fmt.Errorf("%w: nowhere to place reduce tasks", ErrNoLiveNodes)
 	}

@@ -265,8 +265,8 @@ func TestTiedDuplicateCompletionLowestNodeWins(t *testing.T) {
 			s.kern.Handle(evAttemptDone, s.slotHandler(s.onAttemptDone))
 			// Both attempts are replica-local on homogeneous nodes: identical
 			// physics, identical end instants.
-			s.dispatch(a, 0, 0, task, 0, 0)
-			s.dispatch(b, 0, 0, task, 0, 0)
+			s.dispatch(a, 0, 0, pick{}, 0)
+			s.dispatch(b, 0, 0, pick{}, 0)
 			if ra, rb := s.running[s.slotBase[a]], s.running[s.slotBase[b]]; ra.end != rb.end {
 				t.Fatalf("attempts not tied: %g vs %g", ra.end, rb.end)
 			}
@@ -320,4 +320,46 @@ func TestBackupDoesNotSpendRetryBudget(t *testing.T) {
 		t.Error("no task committed beyond MaxAttempts: the plan no longer burns a backup")
 	}
 	exactlyOnce(t, res, -1)
+}
+
+// TestParityUnitAbandoned: with one attempt per task, a read error on a
+// parity unit abandons it instead of failing the job, since its group can
+// still be satisfied by its other units. The run completes with the
+// uncoded run's Output.
+func TestParityUnitAbandoned(t *testing.T) {
+	cfg := func(mit *straggle.Config) Config {
+		return Config{FS: faultEnv(t, 8), File: "log", TargetSub: "movie-A", App: apps.WordCount{},
+			Picker: sched.NewLocalityPicker, ExecuteApp: true, Mitigate: mit,
+			Faults: &faults.Plan{Seed: 115, Read: faults.ReadErrors{Prob: 0.05}},
+			Retry:  faults.RetryPolicy{MaxAttempts: 1}}
+	}
+	abandoned := 0
+	prev := filterEndCheck
+	t.Cleanup(func() { filterEndCheck = prev })
+	filterEndCheck = func(s *filterSim) {
+		prev(s)
+		for li, gone := range s.coded.abandoned {
+			if gone && !s.coded.layout.IsParity(li) {
+				t.Errorf("systematic unit %d abandoned", li)
+			}
+			if gone {
+				abandoned++
+			}
+		}
+	}
+	coded, err := Run(cfg(&straggle.Config{Mode: straggle.ModeCoded}))
+	if err != nil {
+		t.Fatalf("coded run: %v", err)
+	}
+	if abandoned != 1 {
+		t.Fatalf("%d parity units abandoned, want 1", abandoned)
+	}
+	filterEndCheck = prev
+	plain, err := Run(cfg(nil))
+	if err != nil {
+		t.Fatalf("uncoded run: %v", err)
+	}
+	if !reflect.DeepEqual(coded.Output, plain.Output) {
+		t.Fatal("coded Output differs from the uncoded run's")
+	}
 }
