@@ -64,7 +64,7 @@ func (a *Array) Index() *Index {
 // other block costs one Bloom probe with a key digested once. The answers
 // are exactly BlockMeta.Query's, block by block.
 func (a *Array) scan(sub string, visit func(block int, size int64, class Class)) {
-	dom := a.Index().dominant[sub]
+	dom := a.Index().dominant[sub].blocks
 	key := bloom.KeyOf(sub)
 	for i, m := range a.metas {
 		if len(dom) > 0 && dom[0].Block == i {

@@ -1,9 +1,11 @@
 package elasticmap
 
 import (
+	"cmp"
 	"maps"
 	"runtime"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"datanet/internal/records"
@@ -84,11 +86,19 @@ func Merge(a, b *Array) *Array {
 // for workloads that query many sub-datasets against the same array (the
 // scheduler's per-job query path touches one key; interactive exploration
 // touches thousands). Only hash-resident (dominant) entries can be
-// inverted — Bloom filters are not enumerable — so Index answers
-// EstimateDominant and Top, and the array's Eq.-6 scan probes Bloom
-// filters only in the blocks the index does not list.
+// inverted — Bloom filters are not enumerable — so Index answers Top, and
+// the array's Eq.-6 scan probes Bloom filters only in the blocks the index
+// does not list.
 type Index struct {
-	dominant map[string][]BlockEstimate
+	dominant map[string]dominantEntry
+}
+
+// dominantEntry is one key's hash-resident blocks, in block order, and the
+// exact sum of their sizes. Both live in one map entry, so an extension
+// clones one map.
+type dominantEntry struct {
+	blocks []BlockEstimate
+	total  int64
 }
 
 // NewIndex builds a fresh inverted index in one pass over the hash maps.
@@ -98,24 +108,33 @@ func NewIndex(arr *Array) *Index {
 }
 
 // extended returns ix with the dominant entries of metas added as blocks
-// offset, offset+1, …; ix itself is unchanged. An inherited slice is
+// offset, offset+1, …, each key's total grown by their sizes; ix itself is
+// unchanged. An inherited slice is
 // extended through a full-slice expression, so the append reallocates
 // instead of writing into ix's backing array — two extensions of one
 // index never share storage.
 func (ix *Index) extended(metas []*BlockMeta, offset int) *Index {
-	fresh := make(map[string][]BlockEstimate)
+	lists := make(map[string][]BlockEstimate)
 	for j, m := range metas {
 		for sub, sz := range m.hash {
-			fresh[sub] = append(fresh[sub], BlockEstimate{Block: offset + j, Size: sz, Class: Hashed})
+			lists[sub] = append(lists[sub], BlockEstimate{Block: offset + j, Size: sz, Class: Hashed})
 		}
 	}
-	if len(ix.dominant) == 0 {
-		return &Index{dominant: fresh}
-	}
 	dominant := maps.Clone(ix.dominant)
-	for sub, add := range fresh {
-		prev := dominant[sub]
-		dominant[sub] = append(prev[:len(prev):len(prev)], add...)
+	if dominant == nil {
+		dominant = make(map[string]dominantEntry, len(lists))
+	}
+	for sub, add := range lists {
+		e := dominant[sub]
+		if len(e.blocks) == 0 {
+			e.blocks = add
+		} else {
+			e.blocks = append(e.blocks[:len(e.blocks):len(e.blocks)], add...)
+		}
+		for _, be := range add {
+			e.total += be.Size
+		}
+		dominant[sub] = e
 	}
 	return &Index{dominant: dominant}
 }
@@ -123,41 +142,70 @@ func (ix *Index) extended(metas []*BlockMeta, offset int) *Index {
 // DominantSubs returns the number of distinct dominant keys indexed.
 func (ix *Index) DominantSubs() int { return len(ix.dominant) }
 
-// EstimateDominant sums the exactly-recorded sizes of sub (a lower bound
-// of the Eq.-6 estimate that skips Bloom probing entirely).
-func (ix *Index) EstimateDominant(sub string) int64 {
-	var t int64
-	for _, be := range ix.dominant[sub] {
-		t += be.Size
-	}
-	return t
-}
-
 // TopEntry is one row of Top.
 type TopEntry struct {
 	Sub   string
 	Bytes int64 // dominant (hash-resident) bytes
 }
 
+// compareTop is Top's order: bytes descending, ties by key ascending.
+func compareTop(a, b TopEntry) int {
+	if c := cmp.Compare(b.Bytes, a.Bytes); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Sub, b.Sub)
+}
+
 // Top returns the n largest sub-datasets by dominant volume — answering
 // "what's big in this file?" from meta-data alone, without touching raw
-// blocks. Ties break lexicographically for determinism.
+// blocks. Ties break lexicographically for determinism. It keeps the n
+// best keys seen so far in a heap whose root is the worst of them, so a
+// call costs O(K log n) over K keys and sorts only the n it returns.
 func (ix *Index) Top(n int) []TopEntry {
-	entries := make([]TopEntry, 0, len(ix.dominant))
-	for sub := range ix.dominant {
-		entries = append(entries, TopEntry{Sub: sub, Bytes: ix.EstimateDominant(sub)})
+	n = max(0, min(n, len(ix.dominant)))
+	h := make([]TopEntry, 0, n)
+	if n == 0 {
+		return h
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Bytes != entries[j].Bytes {
-			return entries[i].Bytes > entries[j].Bytes
+	for sub, e := range ix.dominant {
+		c := TopEntry{Sub: sub, Bytes: e.total}
+		if len(h) < n {
+			h = append(h, c)
+			siftUp(h, len(h)-1)
+		} else if compareTop(c, h[0]) < 0 {
+			h[0] = c
+			siftDown(h, 0)
 		}
-		return entries[i].Sub < entries[j].Sub
-	})
-	if n > len(entries) {
-		n = len(entries)
 	}
-	if n < 0 {
-		n = 0
+	slices.SortFunc(h, compareTop)
+	return h
+}
+
+// siftUp and siftDown keep h a heap under compareTop reversed: every
+// parent sorts after its children, so h[0] is the entry Top drops first.
+func siftUp(h []TopEntry, i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if compareTop(h[parent], h[i]) >= 0 {
+			return
+		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
 	}
-	return entries[:n]
+}
+
+func siftDown(h []TopEntry, i int) {
+	for {
+		worst := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(h) && compareTop(h[c], h[worst]) > 0 {
+				worst = c
+			}
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
 }

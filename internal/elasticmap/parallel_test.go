@@ -106,19 +106,19 @@ func TestIndex(t *testing.T) {
 				wantBlocks++
 			}
 		}
-		got := idx.EstimateDominant(sub)
+		got := idx.dominant[sub].total
 		if got != want {
-			t.Errorf("%s: EstimateDominant %d, want %d", sub, got, want)
+			t.Errorf("%s: dominant total %d, want %d", sub, got, want)
 		}
-		if len(idx.dominant[sub]) != wantBlocks {
-			t.Errorf("%s: distribution blocks %d, want %d", sub, len(idx.dominant[sub]), wantBlocks)
+		if len(idx.dominant[sub].blocks) != wantBlocks {
+			t.Errorf("%s: distribution blocks %d, want %d", sub, len(idx.dominant[sub].blocks), wantBlocks)
 		}
 		// Dominant estimate is a lower bound on Eq. 6.
 		if got > arr.Estimate(sub) {
 			t.Errorf("%s: dominant %d exceeds Eq.6 %d", sub, got, arr.Estimate(sub))
 		}
 	}
-	if idx.dominant["nope"] != nil {
+	if e, ok := idx.dominant["nope"]; ok || e.blocks != nil {
 		t.Error("unknown sub should return nil")
 	}
 }
@@ -136,8 +136,8 @@ func TestIndexTop(t *testing.T) {
 			t.Fatal("Top not sorted descending")
 		}
 	}
-	if top[0].Bytes != idx.EstimateDominant(top[0].Sub) {
-		t.Error("Top bytes disagree with EstimateDominant")
+	if top[0].Bytes != idx.dominant[top[0].Sub].total {
+		t.Error("Top bytes disagree with the indexed total")
 	}
 	if got := idx.Top(0); len(got) != 0 {
 		t.Errorf("Top(0) = %v", got)

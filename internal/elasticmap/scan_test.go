@@ -163,15 +163,15 @@ func TestMergeExtendsIndex(t *testing.T) {
 			t.Errorf("a sibling extension overwrote hot's entries: %v, want %v", got, want)
 		}
 	}
-	if n := len(three.Index().dominant["hot"]); n != 3 {
+	if n := len(three.Index().dominant["hot"].blocks); n != 3 {
 		t.Errorf("parent hot entries = %d, want 3", n)
 	}
 }
 
-func deepCopy(m map[string][]BlockEstimate) map[string][]BlockEstimate {
+func deepCopy(m map[string]dominantEntry) map[string]dominantEntry {
 	out := maps.Clone(m)
 	for k, v := range out {
-		out[k] = slices.Clone(v)
+		out[k] = dominantEntry{blocks: slices.Clone(v.blocks), total: v.total}
 	}
 	return out
 }

@@ -82,7 +82,7 @@ type LocalityPicker struct {
 	localRule, remoteRule string
 	tasks                 []Task // in service order
 	taken                 []bool
-	byNode                map[cluster.NodeID][]int // local queues; taken heads dropped lazily
+	queues                [][]int32 // local queues indexed by node; taken heads dropped lazily
 	remain                int
 	nextRem               int
 }
@@ -97,28 +97,60 @@ func NewLocalityPicker(tasks []Task, _ *cluster.Topology) Picker {
 // remaining), equal weights in block order. Classic makespan heuristic;
 // an ablation contrast for Algorithm 1.
 func NewLPTPicker(tasks []Task, _ *cluster.Topology) Picker {
-	order := slices.Clone(tasks)
-	slices.SortStableFunc(order, func(a, b Task) int { return cmp.Compare(b.Weight, a.Weight) })
+	idx := make([]int32, len(tasks))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	slices.SortFunc(idx, func(a, b int32) int {
+		if c := cmp.Compare(tasks[b].Weight, tasks[a].Weight); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	order := make([]Task, len(tasks))
+	for i, j := range idx {
+		order[i] = tasks[j]
+	}
 	return newLocality(order, "lpt-greedy", "lpt.local", "lpt.remote")
 }
 
-// newLocality serves tasks in the given order, local blocks first.
+// newLocality serves tasks in the given order, local blocks first. Each
+// node's queue lists the positions of the tasks it holds a replica of, in
+// service order; the queues are carved from one backing array sized by a
+// counting pass.
 func newLocality(tasks []Task, name, localRule, remoteRule string) *LocalityPicker {
-	p := &LocalityPicker{
+	var counts []int
+	total := 0
+	for _, t := range tasks {
+		for _, n := range t.Locations {
+			for int(n) >= len(counts) {
+				counts = append(counts, 0)
+			}
+			counts[n]++
+		}
+		total += len(t.Locations)
+	}
+	queues := make([][]int32, len(counts))
+	backing := make([]int32, total)
+	off := 0
+	for n, c := range counts {
+		queues[n] = backing[off : off : off+c]
+		off += c
+	}
+	for i, t := range tasks {
+		for _, n := range t.Locations {
+			queues[n] = append(queues[n], int32(i))
+		}
+	}
+	return &LocalityPicker{
 		name:       name,
 		localRule:  localRule,
 		remoteRule: remoteRule,
 		tasks:      tasks,
 		taken:      make([]bool, len(tasks)),
-		byNode:     make(map[cluster.NodeID][]int),
+		queues:     queues,
 		remain:     len(tasks),
 	}
-	for i, t := range tasks {
-		for _, n := range t.Locations {
-			p.byNode[n] = append(p.byNode[n], i)
-		}
-	}
-	return p
 }
 
 // Name implements Picker.
@@ -139,17 +171,21 @@ func (p *LocalityPicker) Next(node cluster.NodeID) (Task, string, bool) {
 }
 
 // local returns the node's first untaken local task, dropping the taken
-// ones ahead of it from its queue so no pull scans them again.
+// ones ahead of it from its queue so no pull scans them again. A node
+// past the last one any task names has no queue.
 func (p *LocalityPicker) local(node cluster.NodeID) (int, bool) {
-	queue := p.byNode[node]
+	if node < 0 || int(node) >= len(p.queues) {
+		return 0, false
+	}
+	queue := p.queues[node]
 	for len(queue) > 0 && p.taken[queue[0]] {
 		queue = queue[1:]
 	}
-	p.byNode[node] = queue
+	p.queues[node] = queue
 	if len(queue) == 0 {
 		return 0, false
 	}
-	return queue[0], true
+	return int(queue[0]), true
 }
 
 // remote returns the first untaken task in service order; a task must

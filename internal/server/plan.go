@@ -105,7 +105,7 @@ func (pr *PlanRequest) validate(blocks int) error {
 
 // locations returns the request's placements, synthesizing a deterministic
 // round-robin spread (replica k of block j on node (j+k·stride) mod nodes)
-// when none were given.
+// when none were given. The synthesized lists share one backing array.
 func (pr *PlanRequest) locations(blocks int) [][]int {
 	if len(pr.Locations) != 0 {
 		return pr.Locations
@@ -114,12 +114,13 @@ func (pr *PlanRequest) locations(blocks int) [][]int {
 	if stride == 0 {
 		stride = 1
 	}
+	r := pr.Replication
+	flat := make([]int, blocks*r)
 	out := make([][]int, blocks)
 	for j := range out {
-		locs := make([]int, 0, pr.Replication)
-		for k := 0; k < pr.Replication; k++ {
-			n := (j + k*stride) % pr.Nodes
-			locs = append(locs, n)
+		locs := flat[j*r : (j+1)*r : (j+1)*r]
+		for k := range locs {
+			locs[k] = (j + k*stride) % pr.Nodes
 		}
 		out[j] = locs
 	}
@@ -164,9 +165,15 @@ func buildPlan(sn *Snapshot, req *PlanRequest) (*PlanResponse, error) {
 		if err != nil {
 			return nil, err
 		}
+		replicas := 0
+		for _, l := range locs {
+			replicas += len(l)
+		}
+		ids := make([]cluster.NodeID, replicas)
 		tasks := make([]sched.Task, nb)
 		for j := 0; j < nb; j++ {
-			nodeIDs := make([]cluster.NodeID, len(locs[j]))
+			nodeIDs := ids[:len(locs[j]):len(locs[j])]
+			ids = ids[len(locs[j]):]
 			for k, n := range locs[j] {
 				nodeIDs[k] = cluster.NodeID(n)
 			}

@@ -415,13 +415,23 @@ func infoOf(sn *Snapshot) arrayInfo {
 	}
 }
 
+// arraysResponse, distributionResponse, topResponse and writeResponse
+// declare their JSON fields in sorted key order, the order encoding/json
+// gives a map's keys, so each body keeps the bytes of its map[string]any
+// rendering (TestResponseBytesMatchMapShapes).
+
+// arraysResponse is the catalog listing.
+type arraysResponse struct {
+	Arrays []arrayInfo `json:"arrays"`
+}
+
 func (s *Server) handleArrays(*span, *http.Request) ([]byte, error) {
 	list := s.cat.List()
 	infos := make([]arrayInfo, len(list))
 	for i, sn := range list {
 		infos[i] = infoOf(sn)
 	}
-	return marshal(map[string]any{"arrays": infos}), nil
+	return marshal(arraysResponse{Arrays: infos}), nil
 }
 
 func (s *Server) handleInfo(sp *span, r *http.Request) ([]byte, error) {
@@ -466,6 +476,13 @@ type blockEstimate struct {
 	Class string `json:"class"`
 }
 
+// distributionResponse lists sub's per-block estimates.
+type distributionResponse struct {
+	Blocks []blockEstimate `json:"blocks"`
+	Epoch  uint64          `json:"epoch"`
+	Sub    string          `json:"sub"`
+}
+
 func (s *Server) handleDistribution(sp *span, r *http.Request) ([]byte, error) {
 	sn, err := s.snapshot(sp, r)
 	if err != nil {
@@ -481,10 +498,20 @@ func (s *Server) handleDistribution(sp *span, r *http.Request) ([]byte, error) {
 		for i, be := range dist {
 			blocks[i] = blockEstimate{Block: be.Block, Size: be.Size, Class: be.Class.String()}
 		}
-		return marshal(map[string]any{
-			"epoch": sn.Epoch, "sub": sub, "blocks": blocks,
-		}), nil
+		return marshal(distributionResponse{Blocks: blocks, Epoch: sn.Epoch, Sub: sub}), nil
 	})
+}
+
+// topEntry is one row of topResponse.
+type topEntry struct {
+	Bytes int64  `json:"bytes"`
+	Sub   string `json:"sub"`
+}
+
+// topResponse lists the largest sub-datasets by dominant volume.
+type topResponse struct {
+	Entries []topEntry `json:"entries"`
+	Epoch   uint64     `json:"epoch"`
 }
 
 func (s *Server) handleTop(sp *span, r *http.Request) ([]byte, error) {
@@ -502,11 +529,11 @@ func (s *Server) handleTop(sp *span, r *http.Request) ([]byte, error) {
 	}
 	return s.cached(sp, sn, "top\x00"+strconv.Itoa(n), func() ([]byte, error) {
 		top := sn.Idx.Top(n)
-		entries := make([]map[string]any, len(top))
+		entries := make([]topEntry, len(top))
 		for i, e := range top {
-			entries[i] = map[string]any{"sub": e.Sub, "bytes": e.Bytes}
+			entries[i] = topEntry{Bytes: e.Bytes, Sub: e.Sub}
 		}
-		return marshal(map[string]any{"epoch": sn.Epoch, "entries": entries}), nil
+		return marshal(topResponse{Entries: entries, Epoch: sn.Epoch}), nil
 	})
 }
 
@@ -549,6 +576,13 @@ func readBody(r *http.Request) ([]byte, error) {
 	return blob, nil
 }
 
+// writeResponse answers a write with the epoch it published.
+type writeResponse struct {
+	Blocks int    `json:"blocks"`
+	Epoch  uint64 `json:"epoch"`
+	Name   string `json:"name"`
+}
+
 // write is the one write route, append or put by how form turns the
 // decoded body into the catalog write: decode, pass the drain gate, write
 // through the catalog, answer with the published epoch.
@@ -571,6 +605,6 @@ func (s *Server) write(form func(*elasticmap.Array) func(*Snapshot) (*elasticmap
 		if err != nil {
 			return nil, catalogError(name, err)
 		}
-		return marshal(map[string]any{"name": name, "epoch": sn.Epoch, "blocks": sn.Arr.Len()}), nil
+		return marshal(writeResponse{Blocks: sn.Arr.Len(), Epoch: sn.Epoch, Name: name}), nil
 	}
 }
