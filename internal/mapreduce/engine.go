@@ -448,6 +448,7 @@ func Run(cfg Config) (*Result, error) {
 		spec = straggle.NewSpecEngine(mit.Quantile, len(tasks), cfg.TaskOverhead)
 	}
 
+	// The picker may keep tasks: from here on the job only reads it.
 	picker := factory(tasks, topo)
 	res.SchedulerName = picker.Name()
 	if len(tasks) > 0 {

@@ -73,8 +73,9 @@ func (p *mapLocality) take(i int) Task {
 
 // pickerInstance draws tasks whose replicas sit on a few gapped node IDs
 // (up to 40), some with no replica and some naming one node twice, with
-// weights from a small set so LPT's order has many ties.
-func pickerInstance(r *rand.Rand) []Task {
+// weights from a small set so LPT's order has many ties. A sparse instance
+// has the serving shape instead: ≈ 94% zero weights, a few heavy ones.
+func pickerInstance(r *rand.Rand, sparse bool) []Task {
 	nodes := make([]cluster.NodeID, 1+r.Intn(6))
 	for i := range nodes {
 		nodes[i] = cluster.NodeID(r.Intn(41))
@@ -93,6 +94,12 @@ func pickerInstance(r *rand.Rand) []Task {
 			}
 		}
 		w := int64(r.Intn(4)) * 100
+		if sparse {
+			w = 0
+			if r.Intn(16) == 0 {
+				w = 1 + r.Int63n(3)*500
+			}
+		}
 		tasks[j] = Task{Block: hdfs.BlockID(j), Index: j, Weight: w, Bytes: w, Locations: locs}
 	}
 	return tasks
@@ -101,11 +108,11 @@ func pickerInstance(r *rand.Rand) []Task {
 // The array-queue locality and LPT pickers make exactly the picks, with
 // exactly the rules, of the map-based ones, under pulls from nodes that
 // hold replicas, nodes that hold none (inside the gaps and past the
-// largest ID) and negative IDs.
+// largest ID) and negative IDs. The last 300 trials are sparse.
 func TestLocalityPickerMatchesMapQueues(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 300; trial++ {
-		tasks := pickerInstance(r)
+	for trial := 0; trial < 600; trial++ {
+		tasks := pickerInstance(r, trial >= 300)
 		pulls := make([]cluster.NodeID, 4*len(tasks)+8)
 		for i := range pulls {
 			pulls[i] = cluster.NodeID(r.Intn(50) - 2)

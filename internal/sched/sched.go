@@ -65,7 +65,9 @@ type Picker interface {
 	Remaining() int
 }
 
-// Factory builds a fresh Picker for a job.
+// Factory builds a fresh Picker for a job. The picker may keep tasks and
+// hand out its elements by value: the caller must not modify the slice or
+// its elements while it picks.
 type Factory func(tasks []Task, topo *cluster.Topology) Picker
 
 // ---------------------------------------------------------------------------
@@ -80,16 +82,21 @@ type Factory func(tasks []Task, topo *cluster.Topology) Picker
 type LocalityPicker struct {
 	name                  string
 	localRule, remoteRule string
-	tasks                 []Task // in service order
-	taken                 []bool
-	queues                [][]int32 // local queues indexed by node; taken heads dropped lazily
+	tasks                 []Task    // the caller's, by position
+	order                 []int32   // service order: task positions
+	taken                 []bool    // by service position
+	queues                [][]int32 // local queues of service positions indexed by node; taken heads dropped lazily
 	remain                int
 	nextRem               int
 }
 
 // NewLocalityPicker constructs the baseline picker.
 func NewLocalityPicker(tasks []Task, _ *cluster.Topology) Picker {
-	return newLocality(tasks, "hadoop-locality", "locality.local-fifo", "locality.remote-fifo")
+	order := make([]int32, len(tasks))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	return newLocality(tasks, order, "hadoop-locality", "locality.local-fifo", "locality.remote-fifo")
 }
 
 // NewLPTPicker constructs a longest-processing-time greedy: a requesting
@@ -97,38 +104,61 @@ func NewLocalityPicker(tasks []Task, _ *cluster.Topology) Picker {
 // remaining), equal weights in block order. Classic makespan heuristic;
 // an ablation contrast for Algorithm 1.
 func NewLPTPicker(tasks []Task, _ *cluster.Topology) Picker {
-	idx := make([]int32, len(tasks))
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	slices.SortFunc(idx, func(a, b int32) int {
-		if c := cmp.Compare(tasks[b].Weight, tasks[a].Weight); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	order := make([]Task, len(tasks))
-	for i, j := range idx {
-		order[i] = tasks[j]
-	}
-	return newLocality(order, "lpt-greedy", "lpt.local", "lpt.remote")
+	return newLocality(tasks, heaviestFirst(tasks), "lpt-greedy", "lpt.local", "lpt.remote")
 }
 
-// newLocality serves tasks in the given order, local blocks first. Each
-// node's queue lists the positions of the tasks it holds a replica of, in
-// service order; the queues are carved from one backing array sized by a
-// counting pass.
-func newLocality(tasks []Task, name, localRule, remoteRule string) *LocalityPicker {
+// heaviestFirst returns the task positions by (weight ↓, position ↑). Only
+// the non-zero weights are sorted: the zero class, most of a sparse job,
+// is laid out in position order between the positive and the negative
+// weights, which is where the full sort would put it.
+func heaviestFirst(tasks []Task) []int32 {
+	pos, neg := 0, 0
+	for i := range tasks {
+		switch w := tasks[i].Weight; {
+		case w > 0:
+			pos++
+		case w < 0:
+			neg++
+		}
+	}
+	order := make([]int32, len(tasks))
+	p, z, n := 0, pos, len(tasks)-neg
+	for i := range tasks {
+		switch w := tasks[i].Weight; {
+		case w > 0:
+			order[p] = int32(i)
+			p++
+		case w < 0:
+			order[n] = int32(i)
+			n++
+		default:
+			order[z] = int32(i)
+			z++
+		}
+	}
+	byWeight := func(a, b int32) int {
+		return cmp.Or(cmp.Compare(tasks[b].Weight, tasks[a].Weight), cmp.Compare(a, b))
+	}
+	slices.SortFunc(order[:pos], byWeight)
+	slices.SortFunc(order[len(tasks)-neg:], byWeight)
+	return order
+}
+
+// newLocality serves tasks in the given service order, local blocks first.
+// Each node's queue lists the service positions of the tasks it holds a
+// replica of, ascending; the queues are carved from one backing array
+// sized by a counting pass.
+func newLocality(tasks []Task, order []int32, name, localRule, remoteRule string) *LocalityPicker {
 	var counts []int
 	total := 0
-	for _, t := range tasks {
-		for _, n := range t.Locations {
+	for i := range tasks {
+		for _, n := range tasks[i].Locations {
 			for int(n) >= len(counts) {
 				counts = append(counts, 0)
 			}
 			counts[n]++
 		}
-		total += len(t.Locations)
+		total += len(tasks[i].Locations)
 	}
 	queues := make([][]int32, len(counts))
 	backing := make([]int32, total)
@@ -137,8 +167,8 @@ func newLocality(tasks []Task, name, localRule, remoteRule string) *LocalityPick
 		queues[n] = backing[off : off : off+c]
 		off += c
 	}
-	for i, t := range tasks {
-		for _, n := range t.Locations {
+	for i, ti := range order {
+		for _, n := range tasks[ti].Locations {
 			queues[n] = append(queues[n], int32(i))
 		}
 	}
@@ -147,6 +177,7 @@ func newLocality(tasks []Task, name, localRule, remoteRule string) *LocalityPick
 		localRule:  localRule,
 		remoteRule: remoteRule,
 		tasks:      tasks,
+		order:      order,
 		taken:      make([]bool, len(tasks)),
 		queues:     queues,
 		remain:     len(tasks),
@@ -200,7 +231,7 @@ func (p *LocalityPicker) remote() int {
 func (p *LocalityPicker) take(i int) Task {
 	p.taken[i] = true
 	p.remain--
-	return p.tasks[i]
+	return p.tasks[p.order[i]]
 }
 
 // DelayedLocalityPicker refines the baseline with Hadoop's delay
@@ -294,12 +325,15 @@ func (p *DelayedLocalityPicker) Next(node cluster.NodeID) (Task, string, bool) {
 // between queues and a taken task stays taken, so each order is walked once
 // by a cursor and a steal costs amortized O(1) whatever the cluster size.
 type DataNetPicker struct {
-	// plan holds every task node-major — node n's planned queue, heaviest
-	// first, is plan[start[n]:start[n+1]] — with the planning rule that
-	// placed each one beside it, which Next reports. head[n] is the next position
-	// node n serves; taken marks what was served or stolen.
-	plan  []Task
-	rules []string
+	// plan holds every task's position in tasks, the caller's slice,
+	// node-major — node n's planned queue, heaviest first, is
+	// plan[start[n]:start[n+1]] — with the planning rule that placed each
+	// one beside it (an index into planRules), which Next reports. head[n]
+	// is the next position node n serves; taken marks what was served or
+	// stolen.
+	tasks []Task
+	plan  []int32
+	rules []uint8
 	owner []int32 // planned position -> the node whose queue holds it
 	start []int
 	head  []int
@@ -315,6 +349,16 @@ type DataNetPicker struct {
 	remain   int
 	name     string
 }
+
+// planRules are the rules Algorithm 1's placement records, by the index a
+// DataNetPicker keeps per planned position.
+var planRules = [...]string{"algo1.argmin-local", "algo1.no-local-replica", "algo1.line12-assist"}
+
+const (
+	ruleArgminLocal uint8 = iota
+	ruleNoLocalReplica
+	ruleLine12Assist
+)
 
 // assistFactor controls off-replica assignment: a task may go remote when
 // the best local holder is more than assistFactor×weight ahead of the
@@ -355,19 +399,13 @@ func newDataNet(tasks []Task, topo *cluster.Topology, capacityAware bool) Picker
 
 	// Place tasks in descending weight order, equal-weight blocks in file
 	// order.
-	order := make([]int, len(tasks))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(a, b int) int {
-		return cmp.Or(cmp.Compare(tasks[b].Weight, tasks[a].Weight), cmp.Compare(a, b))
-	})
+	order := heaviestFirst(tasks)
 
 	load := make([]float64, m) // normalized: bytes / share
 	count := make([]int, m)
 	rawLoad := make([]int64, m)
-	placed := make([]int, len(order)) // position in order -> node
-	why := make([]string, len(order)) // position in order -> planning rule
+	placed := make([]int32, len(order)) // position in order -> node
+	why := make([]uint8, len(order))    // position in order -> planning rule
 
 	better := func(a, b int) bool { // is node a a better placement than b?
 		if load[a] != load[b] {
@@ -379,12 +417,19 @@ func newDataNet(tasks []Task, topo *cluster.Topology, capacityAware bool) Picker
 		return a < b
 	}
 	// The least-loaded node under better, kept current by one sift per
-	// placement: a placement only ever worsens the chosen node's key.
+	// placement: a placement only ever worsens the chosen node's key. A
+	// zero weight needs it only when the task has no local replica, so
+	// from the first zero weight, the start of most of a sparse job, the
+	// sifts stop until a placement needs the heap again; it is rebuilt
+	// then, once, and sifted from there on. Its top is better's unique
+	// first node either way.
 	least := newNodeHeap(m, better)
+	stale, rebuilt := false, false
 
 	holds := make([]int, m+1) // holds[n+1]: tasks with a replica on node n
 	for k, ti := range order {
-		t := tasks[ti]
+		t := &tasks[ti]
+		stale = stale || (t.Weight == 0 && !rebuilt)
 		bestLocal := -1
 		for _, loc := range t.Locations {
 			if int(loc) < 0 || int(loc) >= m {
@@ -395,33 +440,40 @@ func newDataNet(tasks []Task, topo *cluster.Topology, capacityAware bool) Picker
 				bestLocal = int(loc)
 			}
 		}
-		gmin := least.top()
-		pick := bestLocal
-		rule := "algo1.argmin-local"
-		if bestLocal == -1 {
-			pick = gmin
-			rule = "algo1.no-local-replica"
-		} else if t.Weight > 0 {
-			// Off-replica assist (line-12 fallback): only when every local
-			// holder is far ahead of the least-loaded node. Loads are in
-			// normalized (capacity-adjusted) bytes, so the task's weight is
-			// normalized at the receiving node's scale for the comparison.
-			wNorm := float64(t.Weight) / (share[gmin] * float64(m))
-			if load[bestLocal]-load[gmin] > assistFactor*wNorm {
-				pick = gmin
-				rule = "algo1.line12-assist"
+		pick, rule := bestLocal, ruleArgminLocal
+		if bestLocal == -1 || t.Weight > 0 {
+			if stale {
+				least.heapify()
+				stale, rebuilt = false, true
+			}
+			gmin := least.top()
+			if bestLocal == -1 {
+				pick, rule = gmin, ruleNoLocalReplica
+			} else {
+				// Off-replica assist (line-12 fallback): only when every
+				// local holder is far ahead of the least-loaded node. Loads
+				// are in normalized (capacity-adjusted) bytes, so the task's
+				// weight is normalized at the receiving node's scale for the
+				// comparison.
+				wNorm := float64(t.Weight) / (share[gmin] * float64(m))
+				if load[bestLocal]-load[gmin] > assistFactor*wNorm {
+					pick, rule = gmin, ruleLine12Assist
+				}
 			}
 		}
-		placed[k], why[k] = pick, rule
+		placed[k], why[k] = int32(pick), rule
 		load[pick] += float64(t.Weight) / (share[pick] * float64(m))
 		count[pick]++
 		rawLoad[pick] += t.Weight
-		least.sink(pick)
+		if !stale {
+			least.sink(pick)
+		}
 	}
 
 	p := &DataNetPicker{
-		plan:     make([]Task, len(tasks)),
-		rules:    make([]string, len(tasks)),
+		tasks:    tasks,
+		plan:     make([]int32, len(tasks)),
+		rules:    make([]uint8, len(tasks)),
 		owner:    make([]int32, len(tasks)),
 		start:    make([]int, m+1),
 		taken:    make([]bool, len(tasks)),
@@ -438,7 +490,7 @@ func newDataNet(tasks []Task, topo *cluster.Topology, capacityAware bool) Picker
 	next := slices.Clone(p.head)
 	// Placement order is queue order, and numbers the weight classes: class
 	// 0 is the heaviest weight, classOf a planned position's.
-	classOf := make([]int, len(tasks))
+	classOf := make([]int32, len(tasks))
 	classes := 0
 	for k, ti := range order {
 		if k == 0 || tasks[ti].Weight != tasks[order[k-1]].Weight {
@@ -446,22 +498,22 @@ func newDataNet(tasks []Task, topo *cluster.Topology, capacityAware bool) Picker
 		}
 		i := next[placed[k]]
 		next[placed[k]]++
-		p.plan[i], p.rules[i], p.owner[i] = tasks[ti], why[k], int32(placed[k])
-		classOf[i] = classes - 1
+		p.plan[i], p.rules[i], p.owner[i] = ti, why[k], placed[k]
+		classOf[i] = int32(classes - 1)
 	}
 	// The global steal order by a counting sort, lightest class first:
 	// walking the queues in node order, each from its tail, lays every
 	// class out by (victim ↑, position ↓).
 	at := make([]int, classes+1) // at[j]: where the j-th lightest class goes next
 	for _, c := range classOf {
-		at[classes-c]++
+		at[classes-int(c)]++
 	}
 	for j := 2; j <= classes; j++ {
 		at[j] += at[j-1]
 	}
 	for n := 0; n < m; n++ {
 		for i := p.start[n+1] - 1; i >= p.start[n]; i-- {
-			j := classes - 1 - classOf[i]
+			j := classes - 1 - int(classOf[i])
 			p.stealAll[at[j]] = int32(i)
 			at[j]++
 		}
@@ -477,7 +529,7 @@ func newDataNet(tasks []Task, topo *cluster.Topology, capacityAware bool) Picker
 		p.stealLocal[n] = backing[holds[n]:holds[n]:holds[n+1]]
 	}
 	for _, i := range p.stealAll {
-		for _, loc := range p.plan[i].Locations {
+		for _, loc := range tasks[p.plan[i]].Locations {
 			if int(loc) >= 0 && int(loc) < m {
 				p.stealLocal[loc] = append(p.stealLocal[loc], i)
 			}
@@ -507,7 +559,7 @@ func (p *DataNetPicker) Next(node cluster.NodeID) (Task, string, bool) {
 		i := p.head[node]
 		p.head[node]++
 		if !p.taken[i] { // else stolen from this queue
-			return p.take(i), p.rules[i], true
+			return p.take(i), planRules[p.rules[i]], true
 		}
 	}
 	i := p.firstLeft(p.stealLocal[node], &p.localAt[node])
@@ -516,8 +568,9 @@ func (p *DataNetPicker) Next(node cluster.NodeID) (Task, string, bool) {
 		i = p.firstLeft(p.stealAll, &p.allAt)
 		rule = "algo1.steal-global"
 	}
-	p.workload[p.owner[i]] -= p.plan[i].Weight
-	p.workload[node] += p.plan[i].Weight
+	w := p.tasks[p.plan[i]].Weight
+	p.workload[p.owner[i]] -= w
+	p.workload[node] += w
 	return p.take(i), rule, true
 }
 
@@ -536,7 +589,7 @@ func (p *DataNetPicker) firstLeft(order []int32, at *int) int {
 func (p *DataNetPicker) take(i int) Task {
 	p.taken[i] = true
 	p.remain--
-	return p.plan[i]
+	return p.tasks[p.plan[i]]
 }
 
 // nodeHeap is an indexed binary heap of the node ids 0..n-1 under a strict
@@ -554,10 +607,16 @@ func newNodeHeap(n int, before func(a, b int) bool) *nodeHeap {
 	for i := range h.heap {
 		h.heap[i], h.pos[i] = i, i
 	}
-	for i := n/2 - 1; i >= 0; i-- {
+	h.heapify()
+	return h
+}
+
+// heapify restores the heap in O(n) whatever keys moved, and in whichever
+// direction.
+func (h *nodeHeap) heapify() {
+	for i := len(h.heap)/2 - 1; i >= 0; i-- {
 		h.sink(h.heap[i])
 	}
-	return h
 }
 
 func (h *nodeHeap) top() int { return h.heap[0] }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 
 	"datanet/internal/cluster"
 	"datanet/internal/graph"
@@ -103,28 +104,74 @@ func (pr *PlanRequest) validate(blocks int) error {
 	return nil
 }
 
-// locations returns the request's placements, synthesizing a deterministic
-// round-robin spread (replica k of block j on node (j+k·stride) mod nodes)
-// when none were given. The synthesized lists share one backing array.
+// spread fills flat with the synthesized placements, pr.Replication
+// entries per block in block order: a deterministic round-robin spread,
+// replica k of block j on node (j+k·stride) mod nodes.
+func spread[T ~int](pr *PlanRequest, flat []T) {
+	r, stride := pr.Replication, max(pr.Nodes/pr.Replication, 1)
+	first := 0 // the block's index mod nodes
+	for locs := flat; len(locs) >= r; locs = locs[r:] {
+		n := first
+		for k := range locs[:r] {
+			locs[k] = T(n)
+			if n += stride; n >= pr.Nodes {
+				n -= pr.Nodes
+			}
+		}
+		if first++; first == pr.Nodes {
+			first = 0
+		}
+	}
+}
+
+// locations returns the request's placements as graph.NewBipartite takes
+// them, synthesizing the replica spread when none were given; only
+// max-flow calls it. The synthesized lists share one backing array.
 func (pr *PlanRequest) locations(blocks int) [][]int {
 	if len(pr.Locations) != 0 {
 		return pr.Locations
 	}
-	stride := pr.Nodes / pr.Replication
-	if stride == 0 {
-		stride = 1
-	}
 	r := pr.Replication
 	flat := make([]int, blocks*r)
+	spread(pr, flat)
 	out := make([][]int, blocks)
 	for j := range out {
-		locs := flat[j*r : (j+1)*r : (j+1)*r]
-		for k := range locs {
-			locs[k] = (j + k*stride) % pr.Nodes
-		}
-		out[j] = locs
+		out[j] = flat[j*r : (j+1)*r : (j+1)*r]
 	}
 	return out
+}
+
+// tasks renders the blocks as a picker's input, one task per block at the
+// request's placements (synthesized when none were given). Every task's
+// replica NodeIDs are carved from one backing array.
+func (pr *PlanRequest) tasks(weights []int64) []sched.Task {
+	tasks := make([]sched.Task, len(weights))
+	for j, w := range weights {
+		tasks[j] = sched.Task{Block: hdfs.BlockID(j), Index: j, Weight: w, Bytes: w}
+	}
+	if len(pr.Locations) != 0 {
+		n := 0
+		for _, locs := range pr.Locations {
+			n += len(locs)
+		}
+		ids := make([]cluster.NodeID, n)
+		for j, locs := range pr.Locations {
+			nodeIDs := ids[:len(locs):len(locs)]
+			ids = ids[len(locs):]
+			for k, node := range locs {
+				nodeIDs[k] = cluster.NodeID(node)
+			}
+			tasks[j].Locations = nodeIDs
+		}
+		return tasks
+	}
+	r := pr.Replication
+	ids := make([]cluster.NodeID, len(tasks)*r)
+	spread(pr, ids)
+	for j := range tasks {
+		tasks[j].Locations = ids[j*r : (j+1)*r : (j+1)*r]
+	}
+	return tasks
 }
 
 // buildPlan computes the scheduling plan for req against one snapshot. It
@@ -136,28 +183,18 @@ func buildPlan(sn *Snapshot, req *PlanRequest) (*PlanResponse, error) {
 		return nil, err
 	}
 	weights := sn.Arr.Weights(req.Sub)
-	var total int64
-	for _, w := range weights {
-		total += w
-	}
-	locs := req.locations(nb)
 
-	perNode := make([]NodePlan, req.Nodes)
-	for i := range perNode {
-		perNode[i] = NodePlan{Node: i, Blocks: []int{}}
-	}
-	assignTo := func(node, block int) {
-		perNode[node].Blocks = append(perNode[node].Blocks, block)
-		perNode[node].Load += weights[block]
-	}
-
+	// The assignment in the order it was made: block seq[k] went to node
+	// to[k].
+	to := make([]int32, 0, nb)
+	seq := make([]int32, 0, nb)
 	// Max-flow assigns directly: its picker's drain would steal tasks and
 	// change the plan.
 	if req.policy == sched.MaxFlow {
-		g := graph.NewBipartite(req.Nodes, weights, locs)
+		g := graph.NewBipartite(req.Nodes, weights, req.locations(nb))
 		for node, blocks := range graph.BalancedAssignment(g) {
 			for _, j := range blocks {
-				assignTo(node, j)
+				to, seq = append(to, int32(node)), append(seq, int32(j))
 			}
 		}
 	} else {
@@ -165,34 +202,15 @@ func buildPlan(sn *Snapshot, req *PlanRequest) (*PlanResponse, error) {
 		if err != nil {
 			return nil, err
 		}
-		replicas := 0
-		for _, l := range locs {
-			replicas += len(l)
-		}
-		ids := make([]cluster.NodeID, replicas)
-		tasks := make([]sched.Task, nb)
-		for j := 0; j < nb; j++ {
-			nodeIDs := ids[:len(locs[j]):len(locs[j])]
-			ids = ids[len(locs[j]):]
-			for k, n := range locs[j] {
-				nodeIDs[k] = cluster.NodeID(n)
-			}
-			tasks[j] = sched.Task{
-				Block:     hdfs.BlockID(j),
-				Index:     j,
-				Weight:    weights[j],
-				Bytes:     weights[j],
-				Locations: nodeIDs,
-			}
-		}
-		picker := req.policy.Factory()(tasks, topo)
+		// The picker keeps tasks: nothing here writes to it while it picks.
+		picker := req.policy.Factory()(req.tasks(weights), topo)
 		// Drain under the pull protocol, one task per node per round —
 		// the deterministic equivalent of equally-fast single-slot nodes.
 		for picker.Remaining() > 0 {
 			progressed := false
 			for n := 0; n < req.Nodes && picker.Remaining() > 0; n++ {
 				if t, _, ok := picker.Next(cluster.NodeID(n)); ok {
-					assignTo(n, t.Index)
+					to, seq = append(to, int32(n)), append(seq, int32(t.Index))
 					progressed = true
 				}
 			}
@@ -203,19 +221,39 @@ func buildPlan(sn *Snapshot, req *PlanRequest) (*PlanResponse, error) {
 	}
 
 	resp := &PlanResponse{
-		Epoch:       sn.Epoch,
-		Sub:         req.Sub,
-		Scheduler:   req.Scheduler,
-		Nodes:       req.Nodes,
-		Blocks:      nb,
-		TotalWeight: total,
-		AvgLoad:     float64(total) / float64(req.Nodes),
-		PerNode:     perNode,
+		Epoch:     sn.Epoch,
+		Sub:       req.Sub,
+		Scheduler: req.Scheduler,
+		Nodes:     req.Nodes,
+		Blocks:    nb,
+		PerNode:   make([]NodePlan, req.Nodes),
 	}
-	for i := range perNode {
-		if perNode[i].Load > resp.MaxLoad {
-			resp.MaxLoad = perNode[i].Load
-		}
+	for _, w := range weights {
+		resp.TotalWeight += w
+	}
+	resp.AvgLoad = float64(resp.TotalWeight) / float64(req.Nodes)
+	// Each node's blocks, in the order it was assigned them, carved from
+	// one array by a counting pass over the assignment.
+	start := make([]int, req.Nodes+1)
+	for _, n := range to {
+		start[n+1]++
+	}
+	for n := 0; n < req.Nodes; n++ {
+		start[n+1] += start[n]
+	}
+	blocks := make([]int, len(seq))
+	next := slices.Clone(start[:req.Nodes])
+	for k, j := range seq {
+		n := to[k]
+		blocks[next[n]] = int(j)
+		next[n]++
+		resp.PerNode[n].Load += weights[j]
+	}
+	for n := range resp.PerNode {
+		np := &resp.PerNode[n]
+		np.Node = n
+		np.Blocks = blocks[start[n]:start[n+1]:start[n+1]]
+		resp.MaxLoad = max(resp.MaxLoad, np.Load)
 	}
 	return resp, nil
 }

@@ -415,10 +415,10 @@ func infoOf(sn *Snapshot) arrayInfo {
 	}
 }
 
-// arraysResponse, distributionResponse, topResponse and writeResponse
-// declare their JSON fields in sorted key order, the order encoding/json
-// gives a map's keys, so each body keeps the bytes of its map[string]any
-// rendering (TestResponseBytesMatchMapShapes).
+// arraysResponse, topResponse and writeResponse declare their JSON fields
+// in sorted key order, the order encoding/json gives a map's keys, so each
+// body keeps the bytes of its map[string]any rendering, as the appended
+// /distribution body does (TestResponseBytesMatchMapShapes).
 
 // arraysResponse is the catalog listing.
 type arraysResponse struct {
@@ -469,20 +469,6 @@ func (s *Server) handleEstimate(sp *span, r *http.Request) ([]byte, error) {
 	})
 }
 
-// blockEstimate mirrors elasticmap.BlockEstimate with a JSON class name.
-type blockEstimate struct {
-	Block int    `json:"block"`
-	Size  int64  `json:"size"`
-	Class string `json:"class"`
-}
-
-// distributionResponse lists sub's per-block estimates.
-type distributionResponse struct {
-	Blocks []blockEstimate `json:"blocks"`
-	Epoch  uint64          `json:"epoch"`
-	Sub    string          `json:"sub"`
-}
-
 func (s *Server) handleDistribution(sp *span, r *http.Request) ([]byte, error) {
 	sn, err := s.snapshot(sp, r)
 	if err != nil {
@@ -494,11 +480,7 @@ func (s *Server) handleDistribution(sp *span, r *http.Request) ([]byte, error) {
 	}
 	return s.cached(sp, sn, "distribution\x00"+sub, func() ([]byte, error) {
 		dist := sn.Arr.Distribution(sub)
-		blocks := make([]blockEstimate, len(dist))
-		for i, be := range dist {
-			blocks[i] = blockEstimate{Block: be.Block, Size: be.Size, Class: be.Class.String()}
-		}
-		return marshal(distributionResponse{Blocks: blocks, Epoch: sn.Epoch, Sub: sub}), nil
+		return appendDistribution(make([]byte, 0, 64+len(sub)+48*len(dist)), dist, sn.Epoch, sub), nil
 	})
 }
 
@@ -560,7 +542,7 @@ func (s *Server) handlePlan(sp *span, r *http.Request) ([]byte, error) {
 		if err != nil {
 			return nil, badRequest("plan: %v", err)
 		}
-		return marshal(resp), nil
+		return appendPlan(make([]byte, 0, 256+len(resp.Sub)+48*resp.Nodes+6*resp.Blocks), resp), nil
 	})
 }
 
