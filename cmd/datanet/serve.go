@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -225,51 +226,48 @@ func runLoadgen(args []string) error {
 		return err
 	}
 
-	type clientStats struct {
-		digest     uint64
-		ok         int
-		httpErr    int
-		transport  int
-		retries    int
-		lat        *metrics.Histogram
-		perKind    map[string]*metrics.Histogram
-		retryKinds map[string]int
+	// The clients share every tally: a digest and counts summed
+	// atomically, retries under a lock (they are rare), and lock-free
+	// latency histograms, one per request kind beside the total (the map
+	// is read-only once filled).
+	var digest atomic.Uint64
+	var ok, httpErr, transport atomic.Int64
+	var mu sync.Mutex
+	retried, retryKinds := 0, map[string]int{}
+	lat := new(metrics.Latency)
+	perKind := make(map[string]*metrics.Latency, len(loadgenKinds))
+	for _, k := range loadgenKinds {
+		perKind[k] = new(metrics.Latency)
 	}
-	stats := make([]clientStats, f.clients)
 	var wg sync.WaitGroup
 	start := time.Now()
 	for c := 0; c < f.clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			st := &stats[c]
-			st.lat = metrics.NewHistogram()
-			st.perKind = map[string]*metrics.Histogram{}
-			st.retryKinds = map[string]int{}
 			for i := c; i < len(reqs); i += f.clients {
 				q := reqs[i]
 				t0 := time.Now()
-				status, body, retryKinds, err := router.do(q, name)
+				status, body, kinds, err := router.do(q, name)
 				if err != nil {
-					st.transport++
+					transport.Add(1)
 					continue
 				}
-				ms := float64(time.Since(t0).Microseconds()) / 1e3
-				st.lat.Observe(ms)
-				kh := st.perKind[q.kind]
-				if kh == nil {
-					kh = metrics.NewHistogram()
-					st.perKind[q.kind] = kh
-				}
-				kh.Observe(ms)
-				st.retries += len(retryKinds)
-				for _, k := range retryKinds {
-					st.retryKinds[k]++
+				d := time.Since(t0).Seconds()
+				lat.Observe(d)
+				perKind[q.kind].Observe(d)
+				if len(kinds) > 0 {
+					mu.Lock()
+					retried += len(kinds)
+					for _, k := range kinds {
+						retryKinds[k]++
+					}
+					mu.Unlock()
 				}
 				if status < 300 {
-					st.ok++
+					ok.Add(1)
 				} else {
-					st.httpErr++
+					httpErr.Add(1)
 				}
 				// Commutative digest: summing per-exchange FNV-64a hashes
 				// makes the result independent of client interleaving. Each
@@ -279,7 +277,7 @@ func runLoadgen(args []string) error {
 				h.Write(q.body)
 				h.Write([]byte{0})
 				h.Write(body)
-				st.digest += h.Sum64()
+				digest.Add(h.Sum64())
 			}
 		}(c)
 	}
@@ -289,43 +287,21 @@ func runLoadgen(args []string) error {
 		return err
 	}
 
-	var digest uint64
-	var ok, httpErr, transport, retried int
-	lat := metrics.NewHistogram()
-	perKind := map[string]*metrics.Histogram{}
-	retryKinds := map[string]int{}
-	for i := range stats {
-		digest += stats[i].digest
-		ok += stats[i].ok
-		httpErr += stats[i].httpErr
-		transport += stats[i].transport
-		retried += stats[i].retries
-		lat.Merge(stats[i].lat)
-		for k, h := range stats[i].perKind {
-			if perKind[k] == nil {
-				perKind[k] = metrics.NewHistogram()
-			}
-			perKind[k].Merge(h)
-		}
-		for k, n := range stats[i].retryKinds {
-			retryKinds[k] += n
-		}
-	}
 	// Deterministic line first (compared across runs by tests), wall-clock
 	// measurements second. Retries are wall-clock noise (failover windows),
 	// so they live on the second line.
 	fmt.Fprintf(stdout, "loadgen: %d requests to %q (%d clients, seed %d): %d ok, %d http-errors, %d transport-errors, digest %016x\n",
-		len(reqs), name, f.clients, f.seed, ok, httpErr, transport, digest)
+		len(reqs), name, f.clients, f.seed, ok.Load(), httpErr.Load(), transport.Load(), digest.Load())
 	fmt.Fprintf(stdout, "loadgen: wall %.2fs, %.0f req/s, %d retries; latency ms p50 %.3f p95 %.3f p99 %.3f max %.3f\n",
 		wall.Seconds(), float64(len(reqs))/wall.Seconds(), retried,
-		lat.Quantile(0.50), lat.Quantile(0.95), lat.Quantile(0.99), lat.Max())
+		lat.Quantile(0.50)*1e3, lat.Quantile(0.95)*1e3, lat.Quantile(0.99)*1e3, lat.Max()*1e3)
 	for _, k := range loadgenKinds {
 		h := perKind[k]
-		if h == nil || h.Count() == 0 {
+		if h.Count() == 0 {
 			continue
 		}
 		fmt.Fprintf(stdout, "loadgen: endpoint %s: %d reqs; latency ms p50 %.3f p90 %.3f p99 %.3f max %.3f\n",
-			k, h.Count(), h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99), h.Max())
+			k, h.Count(), h.Quantile(0.50)*1e3, h.Quantile(0.90)*1e3, h.Quantile(0.99)*1e3, h.Max()*1e3)
 	}
 	if len(retryKinds) > 0 {
 		kinds := make([]string, 0, len(retryKinds))
@@ -342,8 +318,8 @@ func runLoadgen(args []string) error {
 	if f.profile.Path != "" {
 		fmt.Fprintf(stdout, "loadgen: %s profile written to %s\n", f.profile.Mode, f.profile.Path)
 	}
-	if transport > 0 {
-		return fmt.Errorf("loadgen: %d transport errors", transport)
+	if n := transport.Load(); n > 0 {
+		return fmt.Errorf("loadgen: %d transport errors", n)
 	}
 	return nil
 }

@@ -63,8 +63,8 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRollup is GET /admin/metrics: the cluster-wide Prometheus view.
-// Per-node dumps merge losslessly (counters sum, histograms merge
-// observation-exactly, ascending node order), so this exposition equals
+// Per-node dumps merge losslessly (counters sum, histograms add their
+// counters, ascending node order), so this exposition equals
 // what a scraper would compute by summing every node's /metrics — the
 // rollup-equality test pins that. Per-process Go runtime gauges are left
 // out (not mergeable); cluster control-plane counters and per-shard

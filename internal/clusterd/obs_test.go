@@ -7,7 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"slices"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -179,21 +179,15 @@ func TestHandlerTraceSpans(t *testing.T) {
 	}
 }
 
-// sameMultiset reports whether h holds exactly the observations vs: the
-// counts of h's values at and just below every distinct value of vs, and
-// h's total, match those of vs.
-func sameMultiset(h *metrics.Histogram, vs []float64) bool {
-	want := metrics.NewHistogram()
+// sameObservations reports whether h holds exactly the observations vs:
+// it equals, counter for counter (sum, min and max included), a fresh
+// histogram fed vs. Those counters are everything a Latency holds.
+func sameObservations(h *metrics.Latency, vs []float64) bool {
+	want := new(metrics.Latency)
 	for _, v := range vs {
 		want.Observe(v)
 	}
-	distinct := slices.Clone(vs)
-	slices.Sort(distinct)
-	var bounds []float64
-	for _, v := range slices.Compact(distinct) {
-		bounds = append(bounds, math.Nextafter(v, math.Inf(-1)), v)
-	}
-	return slices.Equal(h.Buckets(bounds), want.Buckets(bounds))
+	return reflect.DeepEqual(h, want)
 }
 
 // On a cluster node too, every counted route's latency histogram holds
@@ -247,7 +241,7 @@ func TestNodeSpanDurIsRouteLatency(t *testing.T) {
 				}
 			}
 		}
-		if len(durs) == 0 || ed.Requests != uint64(len(durs)) || !sameMultiset(ed.Latency, durs) {
+		if len(durs) == 0 || ed.Requests != uint64(len(durs)) || !sameObservations(ed.Latency, durs) {
 			t.Errorf("%s: %d spans %v, metrics count %d requests, latency not the spans' durations",
 				label, len(durs), durs, ed.Requests)
 		}

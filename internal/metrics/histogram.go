@@ -6,11 +6,13 @@ import (
 	"sort"
 )
 
-// Histogram is a mergeable distribution of float64 observations (task
-// durations, per-node busy times, …). Observations are retained exactly —
-// experiment runs observe thousands of values, not millions — so quantiles
-// are exact and merging two histograms loses nothing. The zero value is
-// ready to use.
+// Histogram is a distribution of float64 observations in simulated time
+// (task durations, per-node busy times, detection latencies, …).
+// Observations are retained exactly, so quantiles are exact and
+// interpolated: a run bounds how many values it observes (thousands, not
+// millions), and the suite's goldens pin those quantiles to the last
+// digit. Wall-clock latencies, which arrive without bound, go to Latency
+// instead. The zero value is ready to use.
 type Histogram struct {
 	values []float64
 	sum    float64
@@ -38,37 +40,11 @@ func (h *Histogram) Count() int { return len(h.values) }
 func (h *Histogram) Sum() float64 { return h.sum }
 
 // Mean returns the arithmetic mean (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if len(h.values) == 0 {
-		return 0
-	}
-	return h.sum / float64(len(h.values))
-}
+func (h *Histogram) Mean() float64 { return h.sum / float64(max(len(h.values), 1)) }
 
-func (h *Histogram) sort() {
-	if !h.sorted {
-		sort.Float64s(h.values)
-		h.sorted = true
-	}
-}
-
-// Min returns the smallest observation (0 when empty).
-func (h *Histogram) Min() float64 {
-	if len(h.values) == 0 {
-		return 0
-	}
-	h.sort()
-	return h.values[0]
-}
-
-// Max returns the largest observation (0 when empty).
-func (h *Histogram) Max() float64 {
-	if len(h.values) == 0 {
-		return 0
-	}
-	h.sort()
-	return h.values[len(h.values)-1]
-}
+// Min and Max return the smallest and largest observation (0 when empty).
+func (h *Histogram) Min() float64 { return h.Quantile(0) }
+func (h *Histogram) Max() float64 { return h.Quantile(1) }
 
 // Quantile returns the q-quantile (q in [0,1]) with linear interpolation
 // between order statistics; out-of-range q values are clamped. Empty
@@ -77,56 +53,17 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if len(h.values) == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
+	if !h.sorted {
+		sort.Float64s(h.values)
+		h.sorted = true
 	}
-	if q > 1 {
-		q = 1
-	}
-	h.sort()
-	pos := q * float64(len(h.values)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
+	pos := min(max(q, 0), 1) * float64(len(h.values)-1)
+	lo, hi := int(math.Floor(pos)), int(math.Ceil(pos))
 	if lo == hi {
 		return h.values[lo]
 	}
 	frac := pos - float64(lo)
 	return h.values[lo]*(1-frac) + h.values[hi]*frac
-}
-
-// Clone returns an independent copy of h.
-func (h *Histogram) Clone() *Histogram {
-	out := &Histogram{sum: h.sum, sorted: h.sorted}
-	out.values = append(out.values, h.values...)
-	return out
-}
-
-// Buckets returns cumulative observation counts at the given ascending
-// upper bounds (Prometheus "le" semantics: count of values <= bound),
-// with one extra trailing element for +Inf — always equal to Count().
-func (h *Histogram) Buckets(bounds []float64) []uint64 {
-	h.sort()
-	out := make([]uint64, len(bounds)+1)
-	i := 0
-	for bi, b := range bounds {
-		for i < len(h.values) && h.values[i] <= b {
-			i++
-		}
-		out[bi] = uint64(i)
-	}
-	out[len(bounds)] = uint64(len(h.values))
-	return out
-}
-
-// Merge folds other's observations into h. Other is unchanged; merging nil
-// is a no-op.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil || len(other.values) == 0 {
-		return
-	}
-	h.values = append(h.values, other.values...)
-	h.sum += other.sum
-	h.sorted = false
 }
 
 // HistogramSummary is the machine-readable digest of a histogram.

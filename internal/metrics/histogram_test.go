@@ -43,26 +43,6 @@ func TestHistogramDropsNaN(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	a.Observe(1)
-	a.Observe(2)
-	b.Observe(3)
-	b.Observe(4)
-	a.Merge(b)
-	if a.Count() != 4 || a.Sum() != 10 || a.Max() != 4 {
-		t.Fatalf("merged: %+v", a.Summary())
-	}
-	if b.Count() != 2 {
-		t.Fatalf("merge mutated other: %+v", b.Summary())
-	}
-	a.Merge(nil) // no-op
-	a.Merge(NewHistogram())
-	if a.Count() != 4 {
-		t.Fatalf("nil/empty merge changed count: %d", a.Count())
-	}
-}
-
 func TestHistogramMarshalJSONIsSummary(t *testing.T) {
 	h := NewHistogram()
 	h.Observe(1)

@@ -180,7 +180,7 @@ func TestTraceHandlerFormats(t *testing.T) {
 }
 
 func TestPromBuilderFormat(t *testing.T) {
-	h := metrics.NewHistogram()
+	h := new(metrics.Latency)
 	for _, v := range []float64{0.001, 0.02, 0.02, 5} {
 		h.Observe(v)
 	}
@@ -188,7 +188,7 @@ func TestPromBuilderFormat(t *testing.T) {
 	p.Family("x_total", "counter", "A counter.")
 	p.AddInt("x_total", []Label{{"endpoint", "estimate"}}, 3)
 	p.Family("lat_seconds", "histogram", "A histogram.")
-	p.Hist("lat_seconds", []Label{{"endpoint", "estimate"}}, h, []float64{0.01, 0.1})
+	p.Hist("lat_seconds", []Label{{"endpoint", "estimate"}}, h)
 	out := string(p.Bytes())
 
 	want := []string{

@@ -51,20 +51,22 @@ func (p *Prom) AddInt(name string, labels []Label, v uint64) {
 	p.buf.WriteByte('\n')
 }
 
-// Hist emits one histogram series: cumulative buckets at bounds plus
-// +Inf, then _sum and _count, all under the given labels.
-func (p *Prom) Hist(name string, labels []Label, h *metrics.Histogram, bounds []float64) {
-	counts := h.Buckets(bounds)
+// Hist emits one histogram series: cumulative buckets at
+// metrics.LatencyBounds plus +Inf, then _sum and _count (the +Inf
+// bucket's), all under the given labels.
+func (p *Prom) Hist(name string, labels []Label, h *metrics.Latency) {
+	counts := h.Buckets()
 	bl := make([]Label, len(labels)+1)
 	copy(bl, labels)
-	for i, b := range bounds {
+	for i, b := range metrics.LatencyBounds {
 		bl[len(labels)] = Label{K: "le", V: formatPromValue(b)}
 		p.AddInt(name+"_bucket", bl, counts[i])
 	}
+	n := counts[len(metrics.LatencyBounds)]
 	bl[len(labels)] = Label{K: "le", V: "+Inf"}
-	p.AddInt(name+"_bucket", bl, counts[len(bounds)])
+	p.AddInt(name+"_bucket", bl, n)
 	p.Add(name+"_sum", labels, h.Sum())
-	p.AddInt(name+"_count", labels, uint64(h.Count()))
+	p.AddInt(name+"_count", labels, n)
 }
 
 // Bytes returns the exposition text built so far.

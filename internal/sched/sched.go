@@ -720,9 +720,10 @@ type StaticPicker struct {
 	remain  int
 }
 
-// NewFlowPicker computes the max-flow balanced assignment (paper §IV-B,
-// Ford–Fulkerson) and serves it statically.
-func NewFlowPicker(tasks []Task, topo *cluster.Topology) Picker {
+// FlowAssignment is the max-flow balanced assignment (paper §IV-B,
+// Ford–Fulkerson) of tasks over nodes nodes: entry n lists the positions
+// in tasks that node n processes.
+func FlowAssignment(tasks []Task, nodes int) [][]int {
 	weights := make([]int64, len(tasks))
 	locs := make([][]int, len(tasks))
 	for i, t := range tasks {
@@ -732,8 +733,12 @@ func NewFlowPicker(tasks []Task, topo *cluster.Topology) Picker {
 			locs[i][k] = int(n)
 		}
 	}
-	g := graph.NewBipartite(topo.N(), weights, locs)
-	assign := graph.BalancedAssignment(g)
+	return graph.BalancedAssignment(graph.NewBipartite(nodes, weights, locs))
+}
+
+// NewFlowPicker serves FlowAssignment statically.
+func NewFlowPicker(tasks []Task, topo *cluster.Topology) Picker {
+	assign := FlowAssignment(tasks, topo.N())
 	queues := make([][]Task, len(assign))
 	for n, idxs := range assign {
 		queues[n] = make([]Task, len(idxs))

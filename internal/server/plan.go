@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"datanet/internal/cluster"
-	"datanet/internal/graph"
 	"datanet/internal/hdfs"
 	"datanet/internal/sched"
 )
@@ -104,16 +103,16 @@ func (pr *PlanRequest) validate(blocks int) error {
 	return nil
 }
 
-// spread fills flat with the synthesized placements, pr.Replication
+// spread fills ids with the synthesized placements, pr.Replication
 // entries per block in block order: a deterministic round-robin spread,
 // replica k of block j on node (j+k·stride) mod nodes.
-func spread[T ~int](pr *PlanRequest, flat []T) {
+func spread(pr *PlanRequest, ids []cluster.NodeID) {
 	r, stride := pr.Replication, max(pr.Nodes/pr.Replication, 1)
 	first := 0 // the block's index mod nodes
-	for locs := flat; len(locs) >= r; locs = locs[r:] {
+	for locs := ids; len(locs) >= r; locs = locs[r:] {
 		n := first
 		for k := range locs[:r] {
-			locs[k] = T(n)
+			locs[k] = cluster.NodeID(n)
 			if n += stride; n >= pr.Nodes {
 				n -= pr.Nodes
 			}
@@ -122,23 +121,6 @@ func spread[T ~int](pr *PlanRequest, flat []T) {
 			first = 0
 		}
 	}
-}
-
-// locations returns the request's placements as graph.NewBipartite takes
-// them, synthesizing the replica spread when none were given; only
-// max-flow calls it. The synthesized lists share one backing array.
-func (pr *PlanRequest) locations(blocks int) [][]int {
-	if len(pr.Locations) != 0 {
-		return pr.Locations
-	}
-	r := pr.Replication
-	flat := make([]int, blocks*r)
-	spread(pr, flat)
-	out := make([][]int, blocks)
-	for j := range out {
-		out[j] = flat[j*r : (j+1)*r : (j+1)*r]
-	}
-	return out
 }
 
 // tasks renders the blocks as a picker's input, one task per block at the
@@ -183,16 +165,16 @@ func buildPlan(sn *Snapshot, req *PlanRequest) (*PlanResponse, error) {
 		return nil, err
 	}
 	weights := sn.Arr.Weights(req.Sub)
+	tasks := req.tasks(weights)
 
 	// The assignment in the order it was made: block seq[k] went to node
 	// to[k].
 	to := make([]int32, 0, nb)
 	seq := make([]int32, 0, nb)
 	// Max-flow assigns directly: its picker's drain would steal tasks and
-	// change the plan.
+	// change the plan. Task j is block j.
 	if req.policy == sched.MaxFlow {
-		g := graph.NewBipartite(req.Nodes, weights, req.locations(nb))
-		for node, blocks := range graph.BalancedAssignment(g) {
+		for node, blocks := range sched.FlowAssignment(tasks, req.Nodes) {
 			for _, j := range blocks {
 				to, seq = append(to, int32(node)), append(seq, int32(j))
 			}
@@ -203,7 +185,7 @@ func buildPlan(sn *Snapshot, req *PlanRequest) (*PlanResponse, error) {
 			return nil, err
 		}
 		// The picker keeps tasks: nothing here writes to it while it picks.
-		picker := req.policy.Factory()(req.tasks(weights), topo)
+		picker := req.policy.Factory()(tasks, topo)
 		// Drain under the pull protocol, one task per node per round —
 		// the deterministic equivalent of equally-fast single-slot nodes.
 		for picker.Remaining() > 0 {

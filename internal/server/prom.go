@@ -8,26 +8,19 @@ import (
 	"datanet/internal/obs"
 )
 
-// LatencyBuckets are the explicit request-latency bucket bounds
-// (seconds) of the Prometheus exposition, spanning cache hits (tens of
-// microseconds) through cold scheduling plans.
-var LatencyBuckets = []float64{
-	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
-	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5,
-}
-
-// EndpointDump is one route's raw metric state: counters plus the full
-// latency histogram (not a summary), so dumps merge losslessly. Its JSON
-// (a /v1/metrics row) writes the histogram as its summary.
+// EndpointDump is one route's raw metric state: counters plus a copy of
+// the latency histogram's counters (not a summary), so dumps merge
+// losslessly. Its JSON (a /v1/metrics row) writes the histogram as its
+// summary.
 type EndpointDump struct {
-	Requests uint64             `json:"requests"`
-	Errors   uint64             `json:"errors"`
-	Latency  *metrics.Histogram `json:"latency"`
+	Requests uint64           `json:"requests"`
+	Errors   uint64           `json:"errors"`
+	Latency  *metrics.Latency `json:"latency"`
 }
 
 // MetricsDump is the server's raw metric state. The cluster rollup
-// merges per-node dumps through Histogram.Merge, which is exact —
-// quantiles of the merged dump equal quantiles of the union stream.
+// merges per-node dumps through Latency.Merge, which adds counters, so
+// the merged dump equals one that observed the union stream.
 type MetricsDump struct {
 	Endpoints   map[string]EndpointDump `json:"endpoints"`
 	CacheHits   uint64                  `json:"cacheHits"`
@@ -43,17 +36,15 @@ func (s *Server) DumpMetrics() MetricsDump {
 		CacheMisses: s.cacheMiss.Load(),
 	}
 	for l, em := range s.byEndpoint {
-		d.Endpoints[l] = EndpointDump{
-			Requests: em.requests.Load(),
-			Errors:   em.errors.Load(),
-			Latency:  em.latency.Snapshot(),
-		}
+		lat := new(metrics.Latency)
+		lat.Merge(&em.latency)
+		d.Endpoints[l] = EndpointDump{Requests: lat.Count(), Errors: em.errors.Load(), Latency: lat}
 	}
 	return d
 }
 
 // MergeDumps folds per-node dumps into one cluster-wide view: counters
-// sum, histograms merge observation-exactly. Dumps are merged in
+// sum, histograms add their counters. Dumps are merged in
 // argument order.
 func MergeDumps(dumps ...MetricsDump) MetricsDump {
 	out := MetricsDump{Endpoints: map[string]EndpointDump{}}
@@ -63,7 +54,7 @@ func MergeDumps(dumps ...MetricsDump) MetricsDump {
 		for l, ed := range d.Endpoints {
 			acc, ok := out.Endpoints[l]
 			if !ok {
-				acc = EndpointDump{Latency: metrics.NewHistogram()}
+				acc = EndpointDump{Latency: new(metrics.Latency)}
 			}
 			acc.Requests += ed.Requests
 			acc.Errors += ed.Errors
@@ -97,7 +88,7 @@ func RenderProm(d MetricsDump, withRuntime bool) []byte {
 	}
 	p.Family("datanet_http_request_duration_seconds", "histogram", "Request latency, by endpoint.")
 	for _, l := range labels {
-		p.Hist("datanet_http_request_duration_seconds", []obs.Label{{K: "endpoint", V: l}}, d.Endpoints[l].Latency, LatencyBuckets)
+		p.Hist("datanet_http_request_duration_seconds", []obs.Label{{K: "endpoint", V: l}}, d.Endpoints[l].Latency)
 	}
 	p.Family("datanet_cache_hits_total", "counter", "Per-epoch result-cache hits.")
 	p.AddInt("datanet_cache_hits_total", nil, d.CacheHits)

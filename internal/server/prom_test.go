@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -143,5 +145,55 @@ func TestDumpAndMergeDumps(t *testing.T) {
 	get(t, ts, "/v1/arrays/test/top?n=9")
 	if d.Endpoints["top"].Latency.Count() != before {
 		t.Error("dump histogram mutated by later traffic")
+	}
+}
+
+// A route's latency record is fixed-size: a million observations through
+// one endpoint's histogram leave the live heap where it was.
+func TestRouteLatencyHeapBounded(t *testing.T) {
+	srv, _ := newTestServer(t)
+	em := srv.byEndpoint["estimate"]
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range 1_000_000 {
+		em.latency.Observe(float64(i%5000) * 1e-6)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 64<<10 {
+		t.Errorf("live heap grew %d B over 10^6 observations, want < 64 KiB", grew)
+	}
+	if got := srv.DumpMetrics().Endpoints["estimate"].Requests; got != 1_000_000 {
+		t.Errorf("estimate requests %d, want 10^6", got)
+	}
+}
+
+// DumpMetrics allocates the same bytes however many requests the routes
+// have seen. A call's bytes are the least over 20 calls: the dump's map
+// takes an overflow bucket or not with its random hash seed.
+func TestDumpMetricsAllocIndependentOfTraffic(t *testing.T) {
+	srv, _ := newTestServer(t)
+	em := srv.byEndpoint["estimate"]
+	dumpBytes := func() uint64 {
+		least := uint64(math.MaxUint64)
+		for range 20 {
+			var a, b runtime.MemStats
+			runtime.ReadMemStats(&a)
+			srv.DumpMetrics()
+			runtime.ReadMemStats(&b)
+			least = min(least, b.TotalAlloc-a.TotalAlloc)
+		}
+		return least
+	}
+	var got []uint64
+	for i := range 100_000 {
+		em.latency.Observe(float64(i%5000) * 1e-6)
+		if i+1 == 1_000 || i+1 == 100_000 {
+			got = append(got, dumpBytes())
+		}
+	}
+	if got[0] != got[1] {
+		t.Errorf("DumpMetrics allocates %d B after 10^3 requests, %d B after 10^5", got[0], got[1])
 	}
 }

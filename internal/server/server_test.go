@@ -7,10 +7,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
 	"datanet/internal/elasticmap"
+	"datanet/internal/graph"
 	"datanet/internal/records"
 )
 
@@ -312,4 +314,36 @@ func (r *sizedReader) Read(p []byte) (int, error) {
 	}
 	r.n -= k
 	return int(k), nil
+}
+
+// Max-flow with explicit placements plans exactly the balanced
+// assignment graph.BalancedAssignment computes from the request's
+// weights and locations.
+func TestPlanMaxFlowExplicitLocations(t *testing.T) {
+	s, arr := newTestServer(t)
+	for _, c := range []struct {
+		sub   string
+		nodes int
+		locs  [][]int
+	}{
+		{"heavy-0", 3, [][]int{{0, 2}, {1}, {2, 0}, {1, 2}}},
+		{"heavy-2", 4, [][]int{{3}, {0, 1}, {3, 0}, {3}}},
+		{"light-1", 2, [][]int{{}, {1}, {0, 1}, {0}}},
+	} {
+		body, err := json.Marshal(PlanRequest{Sub: c.sub, Nodes: c.nodes, Scheduler: "maxflow", Locations: c.locs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, _ := doReq(t, s, "POST", "/v1/arrays/logs/plan", body)
+		var resp PlanResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); rec.Code != 200 || err != nil {
+			t.Fatalf("%s: %d %s (%v)", body, rec.Code, rec.Body, err)
+		}
+		want := graph.BalancedAssignment(graph.NewBipartite(c.nodes, arr.Weights(c.sub), c.locs))
+		for n, np := range resp.PerNode {
+			if !slices.Equal(np.Blocks, want[n]) {
+				t.Errorf("%s: node %d plans blocks %v, want %v", body, n, np.Blocks, want[n])
+			}
+		}
+	}
 }

@@ -4,9 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"log/slog"
-	"math"
 	"net/http/httptest"
-	"slices"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -16,21 +15,15 @@ import (
 	"datanet/internal/trace"
 )
 
-// sameMultiset reports whether h holds exactly the observations vs: the
-// counts of h's values at and just below every distinct value of vs, and
-// h's total, match those of vs.
-func sameMultiset(h *metrics.Histogram, vs []float64) bool {
-	want := metrics.NewHistogram()
+// sameObservations reports whether h holds exactly the observations vs:
+// it equals, counter for counter (sum, min and max included), a fresh
+// histogram fed vs. Those counters are everything a Latency holds.
+func sameObservations(h *metrics.Latency, vs []float64) bool {
+	want := new(metrics.Latency)
 	for _, v := range vs {
 		want.Observe(v)
 	}
-	distinct := slices.Clone(vs)
-	slices.Sort(distinct)
-	var bounds []float64
-	for _, v := range slices.Compact(distinct) {
-		bounds = append(bounds, math.Nextafter(v, math.Inf(-1)), v)
-	}
-	return slices.Equal(h.Buckets(bounds), want.Buckets(bounds))
+	return reflect.DeepEqual(h, want)
 }
 
 // Every counted route's latency histogram holds exactly its spans'
@@ -83,7 +76,7 @@ func TestSpanDurIsRouteLatency(t *testing.T) {
 			t.Errorf("%s: %d spans (%d errors), metrics count %d requests (%d errors)",
 				label, len(durs), errs, ed.Requests, ed.Errors)
 		}
-		if !sameMultiset(ed.Latency, durs) {
+		if !sameObservations(ed.Latency, durs) {
 			t.Errorf("%s: latency histogram is not the spans' durations %v", label, durs)
 		}
 	}
