@@ -64,6 +64,27 @@ func (in *diffInstance) tasks() []Task {
 	return tasks
 }
 
+// input renders the instance as the serving path hands it to a picker:
+// the non-zero weights listed, the zero class counted, and each block's
+// replicas read from the instance on demand. No Task exists.
+func (in *diffInstance) input() Input {
+	var buf []cluster.NodeID
+	out := Input{Replicas: func(j int) []cluster.NodeID {
+		buf = buf[:0]
+		for _, n := range in.locations[j] {
+			buf = append(buf, cluster.NodeID(n))
+		}
+		return buf
+	}}
+	for j, w := range in.weights {
+		if w != 0 {
+			out.Weighted = append(out.Weighted, Weighted{Pos: j, Weight: w})
+		}
+	}
+	out.Zeros = len(in.weights) - len(out.Weighted)
+	return out
+}
+
 // randomInstance draws a skewed instance: Zipf-flavored weights (many
 // light blocks, few heavy), some zero-weight blocks, 1–3 replicas spread
 // at random.
@@ -120,7 +141,7 @@ func evaluate(t *testing.T, in *diffInstance) diffResult {
 			res.algoMax = w
 		}
 	}
-	for _, rule := range p.rules {
+	for _, rule := range p.why {
 		if rule == ruleLine12Assist || rule == ruleNoLocalReplica {
 			res.usedAssist = true
 		}
@@ -490,21 +511,22 @@ func (in *diffInstance) topology(heterogeneous bool) *cluster.Topology {
 	return topo
 }
 
-// pullMismatch drives the indexed picker and the scan pull for pull, nodes
-// asking in seeded random order (so most pulls late in the run are steals),
-// and describes the first pull — or the final workloads — they disagree on.
+// pullMismatch drives the indexed picker, built from the instance's sparse
+// input, and the scan over its dense tasks pull for pull, nodes asking in
+// seeded random order (so most pulls late in the run are steals), and
+// describes the first pull — or the final workloads — they disagree on.
 func pullMismatch(in *diffInstance, capacityAware bool) string {
 	topo := in.topology(capacityAware)
-	got := newDataNet(in.tasks(), topo, capacityAware).(*DataNetPicker)
+	got := newDataNet(in.input(), topo, capacityAware)
 	want := newScanDataNet(in.tasks(), topo, capacityAware)
 	rng := rand.New(rand.NewSource(in.seed))
 	for pull := 0; want.remain > 0 || got.Remaining() > 0; pull++ {
 		node := cluster.NodeID(rng.Intn(in.nodes))
-		gt, rule, gok := got.Next(node)
+		pos, r, gok := got.pull(node)
 		wt, wok := want.Next(node)
-		if gok != wok || gt.Index != wt.Index || (gok && rule != want.lastRule) {
+		if gok != wok || (gok && (pos != wt.Index || ruleNames[r] != want.lastRule)) {
 			return fmt.Sprintf("pull %d by node %d: got task %d (%s, ok %v), scan gives task %d (%s, ok %v)",
-				pull, node, gt.Index, rule, gok, wt.Index, want.lastRule, wok)
+				pull, node, pos, ruleNames[r], gok, wt.Index, want.lastRule, wok)
 		}
 		if got.Remaining() != want.remain {
 			return fmt.Sprintf("pull %d: %d remaining, scan has %d", pull, got.Remaining(), want.remain)
@@ -545,34 +567,71 @@ var placementFamilies = []struct {
 	}, 1, 0.02},
 }
 
+// familyInstance draws a placementFamilies instance: two to three blocks
+// per node, each on repl distinct holders.
+func familyInstance(nodes, fi, repl int) *diffInstance {
+	fam := placementFamilies[fi]
+	seed := int64(nodes*100 + fi*10 + repl)
+	rng := rand.New(rand.NewSource(seed))
+	in := &diffInstance{nodes: nodes, seed: seed}
+	holders := max(int(float64(nodes)*fam.holders), repl)
+	for j := 0; j < 2*nodes+rng.Intn(nodes); j++ {
+		in.weights = append(in.weights, fam.weight(rng))
+		locs := rng.Perm(holders)[:repl]
+		if fam.orphans > 0 && rng.Float64() < fam.orphans {
+			locs = locs[:0]
+		}
+		in.locations = append(in.locations, locs)
+	}
+	return in
+}
+
 // TestIndexedDataNetMatchesScan is the equivalence proof of the indexed
-// Algorithm 1: every (Task.Index, rule) pair and the final workloads equal
-// the scanning reference's, from 16 to 1 024 nodes, replication 1–3,
-// uniform and capacity-aware targets.
+// Algorithm 1 over sparse input: every (position, rule) pair and the final
+// workloads equal the scanning reference's over the dense tasks, from 1 to
+// 1 024 nodes, replication 1–3, uniform and capacity-aware targets.
 func TestIndexedDataNetMatchesScan(t *testing.T) {
-	for _, nodes := range []int{16, 100, 256, 1024} {
+	for _, nodes := range []int{1, 2, 16, 100, 256, 1024} {
 		for fi, fam := range placementFamilies {
-			for repl := 1; repl <= 3; repl++ {
+			for repl := 1; repl <= min(3, nodes); repl++ {
 				if nodes == 1024 && repl == 2 {
 					continue // the scans are quadratic: 1 and 3 bracket it
 				}
-				seed := int64(nodes*100 + fi*10 + repl)
-				rng := rand.New(rand.NewSource(seed))
-				in := &diffInstance{nodes: nodes, seed: seed}
-				holders := max(int(float64(nodes)*fam.holders), repl)
-				for j := 0; j < 2*nodes+rng.Intn(nodes); j++ {
-					in.weights = append(in.weights, fam.weight(rng))
-					locs := rng.Perm(holders)[:repl]
-					if fam.orphans > 0 && rng.Float64() < fam.orphans {
-						locs = locs[:0]
-					}
-					in.locations = append(in.locations, locs)
-				}
+				in := familyInstance(nodes, fi, repl)
 				for _, capacityAware := range []bool{false, true} {
 					if msg := pullMismatch(in, capacityAware); msg != "" {
 						small := shrink.Greedy(in, diffEdits, func(c *diffInstance) bool { return pullMismatch(c, capacityAware) != "" })
 						t.Fatalf("%d nodes, %s, replication %d, capacity-aware %v: %s\nshrunken counterexample:\n%s(%s)",
 							nodes, fam.name, repl, capacityAware, msg, small, pullMismatch(small, capacityAware))
+					}
+				}
+			}
+		}
+	}
+}
+
+// The locality and LPT pickers over sparse input make the picks, with the
+// rules, of the map-queue references over the dense tasks, on every
+// placement family from 1 to 1 024 nodes, replication 1–3.
+func TestSparseLocalityMatchesMapQueues(t *testing.T) {
+	for _, nodes := range []int{1, 2, 16, 100, 256, 1024} {
+		for fi, fam := range placementFamilies {
+			for repl := 1; repl <= min(3, nodes); repl++ {
+				in := familyInstance(nodes, fi, repl)
+				for _, lpt := range []bool{false, true} {
+					got, want := newLocality(in.input(), lpt), newMapLocality(in.tasks(), "locality.local-fifo", "locality.remote-fifo")
+					if lpt {
+						want = newMapLPT(in.tasks())
+					}
+					rng := rand.New(rand.NewSource(in.seed))
+					for pull := 0; want.remain > 0 || got.Remaining() > 0; pull++ {
+						node := cluster.NodeID(rng.Intn(nodes))
+						pos, r, gok := got.pull(node)
+						wt, wrule, wok := want.Next(node)
+						if gok != wok || (gok && (pos != wt.Index || ruleNames[r] != wrule)) {
+							t.Fatalf("%d nodes, %s, replication %d, lpt %v, pull %d by node %d: got (%d, %s, %v), want (%d, %s, %v)",
+								nodes, fam.name, repl, lpt, pull, node, pos, ruleNames[r], gok, wt.Index, wrule, wok)
+						}
 					}
 				}
 			}

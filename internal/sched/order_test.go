@@ -28,9 +28,25 @@ func checkHeaviestFirst(t *testing.T, name string, weights []int64) {
 	for i, w := range weights {
 		tasks[i] = Task{Index: i, Weight: w}
 	}
-	got, want := heaviestFirst(tasks), stableHeaviestFirst(weights)
-	if !slices.Equal(got, want) {
-		t.Errorf("%s: weights %v\n got %v\nwant %v", name, weights, got, want)
+	rank, want := heaviestFirst(input(tasks)), stableHeaviestFirst(weights)
+	if !slices.Equal(rank.order, want) {
+		t.Errorf("%s: weights %v\n got %v\nwant %v", name, weights, rank.order, want)
+	}
+	for k, i := range rank.order {
+		if w := rank.weight(k); w != weights[i] {
+			t.Errorf("%s: weights %v: rank %d (position %d) weighs %d, want %d", name, weights, k, i, w, weights[i])
+		}
+		if k == 0 {
+			continue
+		}
+		// Classes number the weights heaviest first: a rank shares its
+		// predecessor's class exactly when it shares its weight.
+		if c, prev, same := rank.class(k), rank.class(k-1), weights[i] == weights[rank.order[k-1]]; c < prev || (c == prev) != same {
+			t.Errorf("%s: weights %v: ranks %d and %d are in classes %d and %d", name, weights, k-1, k, prev, c)
+		}
+	}
+	if n := len(rank.order); n > 0 && rank.class(n-1) >= rank.classes() {
+		t.Errorf("%s: weights %v: the last rank's class %d is not below the count %d", name, weights, rank.class(n-1), rank.classes())
 	}
 }
 

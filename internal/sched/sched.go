@@ -19,7 +19,6 @@
 package sched
 
 import (
-	"cmp"
 	"math/rand"
 	"slices"
 
@@ -81,22 +80,24 @@ type Factory func(tasks []Task, topo *cluster.Topology) Picker
 // the same picker is the LPT ablation (NewLPTPicker).
 type LocalityPicker struct {
 	name                  string
-	localRule, remoteRule string
-	tasks                 []Task    // the caller's, by position
-	order                 []int32   // service order: task positions
-	taken                 []bool    // by service position
-	queues                [][]int32 // local queues of service positions indexed by node; taken heads dropped lazily
-	remain                int
-	nextRem               int
+	localRule, remoteRule rule
+	tasks                 []Task  // the caller's, by position; nil when built from an Input
+	order                 []int32 // service order: task positions
+	taken                 []bool  // by service position
+	// queued holds each node's local queue of service positions,
+	// ascending, node-major: node n's is queued[head[n]:end[n]], its taken
+	// head entries dropped lazily.
+	queued    []int32
+	head, end []int32
+	remain    int
+	nextRem   int
 }
 
 // NewLocalityPicker constructs the baseline picker.
 func NewLocalityPicker(tasks []Task, _ *cluster.Topology) Picker {
-	order := make([]int32, len(tasks))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	return newLocality(tasks, order, "hadoop-locality", "locality.local-fifo", "locality.remote-fifo")
+	p := newLocality(input(tasks), false)
+	p.tasks = tasks
+	return p
 }
 
 // NewLPTPicker constructs a longest-processing-time greedy: a requesting
@@ -104,84 +105,51 @@ func NewLocalityPicker(tasks []Task, _ *cluster.Topology) Picker {
 // remaining), equal weights in block order. Classic makespan heuristic;
 // an ablation contrast for Algorithm 1.
 func NewLPTPicker(tasks []Task, _ *cluster.Topology) Picker {
-	return newLocality(tasks, heaviestFirst(tasks), "lpt-greedy", "lpt.local", "lpt.remote")
+	p := newLocality(input(tasks), true)
+	p.tasks = tasks
+	return p
 }
 
-// heaviestFirst returns the task positions by (weight ↓, position ↑). Only
-// the non-zero weights are sorted: the zero class, most of a sparse job,
-// is laid out in position order between the positive and the negative
-// weights, which is where the full sort would put it.
-func heaviestFirst(tasks []Task) []int32 {
-	pos, neg := 0, 0
-	for i := range tasks {
-		switch w := tasks[i].Weight; {
-		case w > 0:
-			pos++
-		case w < 0:
-			neg++
+// newLocality serves in's tasks in block order, or heaviest first for
+// LPT, local blocks first. The queues are laid out in one array by a
+// counting pass.
+func newLocality(in Input, lpt bool) *LocalityPicker {
+	p := &LocalityPicker{name: "hadoop-locality", localRule: ruleLocalityLocal, remoteRule: ruleLocalityRemote}
+	if lpt {
+		p.name, p.localRule, p.remoteRule = "lpt-greedy", ruleLPTLocal, ruleLPTRemote
+		p.order = heaviestFirst(in).order
+	} else {
+		p.order = make([]int32, in.len())
+		for i := range p.order {
+			p.order[i] = int32(i)
 		}
 	}
-	order := make([]int32, len(tasks))
-	p, z, n := 0, pos, len(tasks)-neg
-	for i := range tasks {
-		switch w := tasks[i].Weight; {
-		case w > 0:
-			order[p] = int32(i)
-			p++
-		case w < 0:
-			order[n] = int32(i)
-			n++
-		default:
-			order[z] = int32(i)
-			z++
-		}
-	}
-	byWeight := func(a, b int32) int {
-		return cmp.Or(cmp.Compare(tasks[b].Weight, tasks[a].Weight), cmp.Compare(a, b))
-	}
-	slices.SortFunc(order[:pos], byWeight)
-	slices.SortFunc(order[len(tasks)-neg:], byWeight)
-	return order
-}
-
-// newLocality serves tasks in the given service order, local blocks first.
-// Each node's queue lists the service positions of the tasks it holds a
-// replica of, ascending; the queues are carved from one backing array
-// sized by a counting pass.
-func newLocality(tasks []Task, order []int32, name, localRule, remoteRule string) *LocalityPicker {
-	var counts []int
-	total := 0
-	for i := range tasks {
-		for _, n := range tasks[i].Locations {
-			for int(n) >= len(counts) {
-				counts = append(counts, 0)
+	var end []int32 // replicas per node, then each queue's fill cursor
+	for i := range p.order {
+		for _, n := range in.Replicas(i) {
+			if int(n) >= len(end) {
+				end = append(end, make([]int32, int(n)+1-len(end))...)
 			}
-			counts[n]++
-		}
-		total += len(tasks[i].Locations)
-	}
-	queues := make([][]int32, len(counts))
-	backing := make([]int32, total)
-	off := 0
-	for n, c := range counts {
-		queues[n] = backing[off : off : off+c]
-		off += c
-	}
-	for i, ti := range order {
-		for _, n := range tasks[ti].Locations {
-			queues[n] = append(queues[n], int32(i))
+			end[n]++
 		}
 	}
-	return &LocalityPicker{
-		name:       name,
-		localRule:  localRule,
-		remoteRule: remoteRule,
-		tasks:      tasks,
-		order:      order,
-		taken:      make([]bool, len(tasks)),
-		queues:     queues,
-		remain:     len(tasks),
+	p.head = make([]int32, len(end))
+	var total int32
+	for n, c := range end {
+		p.head[n], end[n] = total, total
+		total += c
 	}
+	p.queued = make([]int32, total)
+	for i, ti := range p.order {
+		for _, n := range in.Replicas(int(ti)) {
+			p.queued[end[n]] = int32(i)
+			end[n]++
+		}
+	}
+	p.end = end
+	p.taken = make([]bool, len(p.order))
+	p.remain = len(p.order)
+	return p
 }
 
 // Name implements Picker.
@@ -192,8 +160,12 @@ func (p *LocalityPicker) Remaining() int { return p.remain }
 
 // Next implements Picker.
 func (p *LocalityPicker) Next(node cluster.NodeID) (Task, string, bool) {
+	return next(p, p.tasks, node)
+}
+
+func (p *LocalityPicker) pull(node cluster.NodeID) (int, rule, bool) {
 	if p.remain == 0 {
-		return Task{}, "", false
+		return 0, 0, false
 	}
 	if i, ok := p.local(node); ok {
 		return p.take(i), p.localRule, true
@@ -205,18 +177,18 @@ func (p *LocalityPicker) Next(node cluster.NodeID) (Task, string, bool) {
 // ones ahead of it from its queue so no pull scans them again. A node
 // past the last one any task names has no queue.
 func (p *LocalityPicker) local(node cluster.NodeID) (int, bool) {
-	if node < 0 || int(node) >= len(p.queues) {
+	if node < 0 || int(node) >= len(p.head) {
 		return 0, false
 	}
-	queue := p.queues[node]
-	for len(queue) > 0 && p.taken[queue[0]] {
-		queue = queue[1:]
+	h, end := p.head[node], p.end[node]
+	for h < end && p.taken[p.queued[h]] {
+		h++
 	}
-	p.queues[node] = queue
-	if len(queue) == 0 {
+	p.head[node] = h
+	if h == end {
 		return 0, false
 	}
-	return int(queue[0]), true
+	return int(p.queued[h]), true
 }
 
 // remote returns the first untaken task in service order; a task must
@@ -228,10 +200,11 @@ func (p *LocalityPicker) remote() int {
 	return p.nextRem
 }
 
-func (p *LocalityPicker) take(i int) Task {
+// take marks service position i taken and returns its task position.
+func (p *LocalityPicker) take(i int) int {
 	p.taken[i] = true
 	p.remain--
-	return p.tasks[p.order[i]]
+	return int(p.order[i])
 }
 
 // DelayedLocalityPicker refines the baseline with Hadoop's delay
@@ -275,14 +248,14 @@ func (p *DelayedLocalityPicker) Next(node cluster.NodeID) (Task, string, bool) {
 	// Serve a local block if one exists (also resets the wait counter).
 	if i, ok := p.inner.local(node); ok {
 		p.waiting[node] = 0
-		return p.inner.take(i), "delay.local-fifo", true
+		return p.inner.tasks[p.inner.take(i)], "delay.local-fifo", true
 	}
 	if p.waiting[node] < p.delay {
 		p.waiting[node]++
 		return Task{}, "", false // decline; the slot will ask again
 	}
 	p.waiting[node] = 0
-	return p.inner.take(p.inner.remote()), "delay.remote-after-wait", true // give up waiting: remote FIFO
+	return p.inner.tasks[p.inner.take(p.inner.remote())], "delay.remote-after-wait", true // give up waiting: remote FIFO
 }
 
 // ---------------------------------------------------------------------------
@@ -325,40 +298,31 @@ func (p *DelayedLocalityPicker) Next(node cluster.NodeID) (Task, string, bool) {
 // between queues and a taken task stays taken, so each order is walked once
 // by a cursor and a steal costs amortized O(1) whatever the cluster size.
 type DataNetPicker struct {
-	// plan holds every task's position in tasks, the caller's slice,
-	// node-major — node n's planned queue, heaviest first, is
-	// plan[start[n]:start[n+1]] — with the planning rule that placed each
-	// one beside it (an index into planRules), which Next reports. head[n]
-	// is the next position node n serves; taken marks what was served or
-	// stolen.
-	tasks []Task
-	plan  []int32
-	rules []uint8
-	owner []int32 // planned position -> the node whose queue holds it
-	start []int
-	head  []int
-	taken []bool
-	// stealAll and stealLocal[n] are the steal orders (planned positions);
-	// allAt and localAt[n] are their cursors.
-	stealAll   []int32
-	stealLocal [][]int32
-	allAt      int
-	localAt    []int
+	tasks []Task // the caller's, by position; nil when built from an Input
+	// rank orders the tasks heaviest first, the order they were placed
+	// in: the task of rank k went to node placed[k] by planning rule
+	// why[k].
+	rank   ranking
+	placed []int32
+	why    []rule
+	// plan holds the ranks node-major: node n's planned queue, heaviest
+	// first, is plan[start[n]:start[n+1]]. head[n] is the next planned
+	// position node n serves; taken marks what was served or stolen.
+	plan        []int32
+	start, head []int32
+	taken       []bool
+	// stealAll is the global steal order (planned positions) and allAt its
+	// cursor; node n's local order is local[localAt[n]:localEnd[n]], its
+	// cursor the start.
+	stealAll          []int32
+	allAt             int32
+	local             []int32
+	localAt, localEnd []int32
 
 	workload []int64
 	remain   int
 	name     string
 }
-
-// planRules are the rules Algorithm 1's placement records, by the index a
-// DataNetPicker keeps per planned position.
-var planRules = [...]string{"algo1.argmin-local", "algo1.no-local-replica", "algo1.line12-assist"}
-
-const (
-	ruleArgminLocal uint8 = iota
-	ruleNoLocalReplica
-	ruleLine12Assist
-)
 
 // assistFactor controls off-replica assignment: a task may go remote when
 // the best local holder is more than assistFactor×weight ahead of the
@@ -368,7 +332,9 @@ const assistFactor = 2.0
 // NewDataNetPicker constructs Algorithm 1 with a uniform workload target
 // W̄ (homogeneous clusters, as in the paper's evaluation).
 func NewDataNetPicker(tasks []Task, topo *cluster.Topology) Picker {
-	return newDataNet(tasks, topo, false)
+	p := newDataNet(input(tasks), topo, false)
+	p.tasks = tasks
+	return p
 }
 
 // NewCapacityAwarePicker is Algorithm 1 with per-node targets proportional
@@ -376,46 +342,43 @@ func NewDataNetPicker(tasks []Task, topo *cluster.Topology) Picker {
 // nodes, we can calculate the amount of sub-datasets to be assigned to
 // each node", §IV-B) — the heterogeneous-cluster variant.
 func NewCapacityAwarePicker(tasks []Task, topo *cluster.Topology) Picker {
-	return newDataNet(tasks, topo, true)
+	p := newDataNet(input(tasks), topo, true)
+	p.tasks = tasks
+	return p
 }
 
-func newDataNet(tasks []Task, topo *cluster.Topology, capacityAware bool) Picker {
+func newDataNet(in Input, topo *cluster.Topology, capacityAware bool) *DataNetPicker {
 	m := topo.N()
 	name := "datanet"
-	if capacityAware {
-		name = "datanet-capacity"
-	}
-	// Per-node capacity shares normalize projected loads on heterogeneous
-	// clusters ("according to the computing capability of computational
-	// nodes", §IV-B).
 	share := make([]float64, m)
-	total := topo.TotalCapacity()
 	for i := range share {
 		share[i] = 1 / float64(m)
-		if c := topo.Node(cluster.NodeID(i)).CPURate / total; capacityAware && c > 0 {
-			share[i] = c
+	}
+	if capacityAware {
+		// Per-node capacity shares normalize projected loads on
+		// heterogeneous clusters ("according to the computing capability
+		// of computational nodes", §IV-B).
+		name = "datanet-capacity"
+		total := topo.TotalCapacity()
+		for i := range share {
+			if c := topo.Node(cluster.NodeID(i)).CPURate / total; c > 0 {
+				share[i] = c
+			}
 		}
 	}
 
 	// Place tasks in descending weight order, equal-weight blocks in file
 	// order.
-	order := heaviestFirst(tasks)
+	rank := heaviestFirst(in)
+	n := len(rank.order)
 
 	load := make([]float64, m) // normalized: bytes / share
-	count := make([]int, m)
+	count := make([]int32, m)
 	rawLoad := make([]int64, m)
-	placed := make([]int32, len(order)) // position in order -> node
-	why := make([]uint8, len(order))    // position in order -> planning rule
+	placed := make([]int32, n) // rank -> node
+	why := make([]rule, n)     // rank -> planning rule
 
-	better := func(a, b int) bool { // is node a a better placement than b?
-		if load[a] != load[b] {
-			return load[a] < load[b]
-		}
-		if count[a] != count[b] {
-			return count[a] < count[b]
-		}
-		return a < b
-	}
+	better := func(a, b int) bool { return placesBefore(load, count, a, b) }
 	// The least-loaded node under better, kept current by one sift per
 	// placement: a placement only ever worsens the chosen node's key. A
 	// zero weight needs it only when the task has no local replica, so
@@ -426,116 +389,124 @@ func newDataNet(tasks []Task, topo *cluster.Topology, capacityAware bool) Picker
 	least := newNodeHeap(m, better)
 	stale, rebuilt := false, false
 
-	holds := make([]int, m+1) // holds[n+1]: tasks with a replica on node n
-	for k, ti := range order {
-		t := &tasks[ti]
-		stale = stale || (t.Weight == 0 && !rebuilt)
+	holds := make([]int32, m+1) // holds[n+1]: tasks with a replica on node n
+	for k, ti := range rank.order {
+		w := rank.weight(k)
+		stale = stale || (w == 0 && !rebuilt)
 		bestLocal := -1
-		for _, loc := range t.Locations {
+		for _, loc := range in.Replicas(int(ti)) {
 			if int(loc) < 0 || int(loc) >= m {
 				continue
 			}
 			holds[loc+1]++
-			if bestLocal == -1 || better(int(loc), bestLocal) {
+			if bestLocal == -1 || placesBefore(load, count, int(loc), bestLocal) {
 				bestLocal = int(loc)
 			}
 		}
-		pick, rule := bestLocal, ruleArgminLocal
-		if bestLocal == -1 || t.Weight > 0 {
+		pick, r := bestLocal, ruleArgminLocal
+		if bestLocal == -1 || w > 0 {
 			if stale {
 				least.heapify()
 				stale, rebuilt = false, true
 			}
 			gmin := least.top()
 			if bestLocal == -1 {
-				pick, rule = gmin, ruleNoLocalReplica
+				pick, r = gmin, ruleNoLocalReplica
 			} else {
 				// Off-replica assist (line-12 fallback): only when every
 				// local holder is far ahead of the least-loaded node. Loads
 				// are in normalized (capacity-adjusted) bytes, so the task's
 				// weight is normalized at the receiving node's scale for the
 				// comparison.
-				wNorm := float64(t.Weight) / (share[gmin] * float64(m))
+				wNorm := float64(w) / (share[gmin] * float64(m))
 				if load[bestLocal]-load[gmin] > assistFactor*wNorm {
-					pick, rule = gmin, ruleLine12Assist
+					pick, r = gmin, ruleLine12Assist
 				}
 			}
 		}
-		placed[k], why[k] = int32(pick), rule
-		load[pick] += float64(t.Weight) / (share[pick] * float64(m))
+		placed[k], why[k] = int32(pick), r
+		if w != 0 {
+			load[pick] += float64(w) / (share[pick] * float64(m))
+			rawLoad[pick] += w
+		}
 		count[pick]++
-		rawLoad[pick] += t.Weight
 		if !stale {
 			least.sink(pick)
 		}
 	}
 
+	for i := 0; i < m; i++ {
+		holds[i+1] += holds[i]
+	}
+	// The planned positions, the steal orders and the per-holder ones in
+	// one array.
+	slots := make([]int32, 2*n+int(holds[m]))
 	p := &DataNetPicker{
-		tasks:    tasks,
-		plan:     make([]int32, len(tasks)),
-		rules:    make([]uint8, len(tasks)),
-		owner:    make([]int32, len(tasks)),
-		start:    make([]int, m+1),
-		taken:    make([]bool, len(tasks)),
-		stealAll: make([]int32, len(tasks)),
-		localAt:  make([]int, m),
+		rank:     rank,
+		placed:   placed,
+		why:      why,
+		plan:     slots[:n:n],
+		stealAll: slots[n : 2*n : 2*n],
+		local:    slots[2*n:],
+		start:    make([]int32, m+1),
+		taken:    make([]bool, n),
+		localAt:  holds[:m],
+		localEnd: slices.Clone(holds[:m]), // the fill cursor until full
 		workload: rawLoad,
-		remain:   len(tasks),
+		remain:   n,
 		name:     name,
 	}
-	for n, c := range count {
-		p.start[n+1] = p.start[n] + c
+	for i, c := range count {
+		p.start[i+1] = p.start[i] + c
 	}
 	p.head = slices.Clone(p.start[:m])
-	next := slices.Clone(p.head)
-	// Placement order is queue order, and numbers the weight classes: class
-	// 0 is the heaviest weight, classOf a planned position's.
-	classOf := make([]int32, len(tasks))
-	classes := 0
-	for k, ti := range order {
-		if k == 0 || tasks[ti].Weight != tasks[order[k-1]].Weight {
-			classes++
-		}
-		i := next[placed[k]]
-		next[placed[k]]++
-		p.plan[i], p.rules[i], p.owner[i] = ti, why[k], placed[k]
-		classOf[i] = int32(classes - 1)
+	next := count // reused: node i's next planned position
+	copy(next, p.start)
+	for k, node := range placed {
+		p.plan[next[node]] = int32(k)
+		next[node]++
 	}
 	// The global steal order by a counting sort, lightest class first:
 	// walking the queues in node order, each from its tail, lays every
-	// class out by (victim ↑, position ↓).
-	at := make([]int, classes+1) // at[j]: where the j-th lightest class goes next
-	for _, c := range classOf {
-		at[classes-int(c)]++
+	// class out by (victim ↑, position ↓). Placement order numbers the
+	// classes, 0 the heaviest weight.
+	classes := rank.classes()
+	at := make([]int32, classes+1) // at[j]: where the j-th lightest class goes next
+	for k := range rank.order {
+		at[classes-rank.class(k)]++
 	}
 	for j := 2; j <= classes; j++ {
 		at[j] += at[j-1]
 	}
-	for n := 0; n < m; n++ {
-		for i := p.start[n+1] - 1; i >= p.start[n]; i-- {
-			j := classes - 1 - int(classOf[i])
-			p.stealAll[at[j]] = int32(i)
+	for node := 0; node < m; node++ {
+		for i := p.start[node+1] - 1; i >= p.start[node]; i-- {
+			j := classes - 1 - rank.class(int(p.plan[i]))
+			p.stealAll[at[j]] = i
 			at[j]++
 		}
 	}
-	// The per-holder orders are the global one filtered, carved from one
-	// backing array.
-	for n := 0; n < m; n++ {
-		holds[n+1] += holds[n]
-	}
-	backing := make([]int32, holds[m])
-	p.stealLocal = make([][]int32, m)
-	for n := range p.stealLocal {
-		p.stealLocal[n] = backing[holds[n]:holds[n]:holds[n+1]]
-	}
+	// The per-holder orders are the global one filtered.
 	for _, i := range p.stealAll {
-		for _, loc := range tasks[p.plan[i]].Locations {
+		for _, loc := range in.Replicas(int(rank.order[p.plan[i]])) {
 			if int(loc) >= 0 && int(loc) < m {
-				p.stealLocal[loc] = append(p.stealLocal[loc], i)
+				p.local[p.localEnd[loc]] = i
+				p.localEnd[loc]++
 			}
 		}
 	}
 	return p
+}
+
+// placesBefore reports whether node a is a better placement than node b:
+// a lower projected load, then fewer tasks, then the lower id.
+func placesBefore(load []float64, count []int32, a, b int) bool {
+	if load[a] != load[b] {
+		return load[a] < load[b]
+	}
+	if count[a] != count[b] {
+		return count[a] < count[b]
+	}
+	return a < b
 }
 
 // Name implements Picker.
@@ -552,44 +523,50 @@ func (p *DataNetPicker) Remaining() int { return p.remain }
 // capacity-aware targets on heterogeneous clusters, stays intact; a heavy
 // task only moves when nothing lighter remains anywhere.
 func (p *DataNetPicker) Next(node cluster.NodeID) (Task, string, bool) {
+	return next(p, p.tasks, node)
+}
+
+func (p *DataNetPicker) pull(node cluster.NodeID) (int, rule, bool) {
 	if p.remain == 0 {
-		return Task{}, "", false
+		return 0, 0, false
 	}
 	for end := p.start[node+1]; p.head[node] < end; {
 		i := p.head[node]
 		p.head[node]++
 		if !p.taken[i] { // else stolen from this queue
-			return p.take(i), planRules[p.rules[i]], true
+			return p.take(i), p.why[p.plan[i]], true
 		}
 	}
-	i := p.firstLeft(p.stealLocal[node], &p.localAt[node])
-	rule := "algo1.steal-local"
+	i := p.firstLeft(p.local[:p.localEnd[node]], &p.localAt[node])
+	r := ruleStealLocal
 	if i == -1 {
 		i = p.firstLeft(p.stealAll, &p.allAt)
-		rule = "algo1.steal-global"
+		r = ruleStealGlobal
 	}
-	w := p.tasks[p.plan[i]].Weight
-	p.workload[p.owner[i]] -= w
+	k := int(p.plan[i])
+	w := p.rank.weight(k)
+	p.workload[p.placed[k]] -= w
 	p.workload[node] += w
-	return p.take(i), rule, true
+	return p.take(i), r, true
 }
 
 // firstLeft advances a steal order's cursor to its first untaken entry
 // and returns that planned position, -1 when the order is spent. While
 // tasks remain the global order is never spent.
-func (p *DataNetPicker) firstLeft(order []int32, at *int) int {
-	for ; *at < len(order); *at++ {
-		if i := int(order[*at]); !p.taken[i] {
+func (p *DataNetPicker) firstLeft(order []int32, at *int32) int32 {
+	for ; int(*at) < len(order); *at++ {
+		if i := order[*at]; !p.taken[i] {
 			return i
 		}
 	}
 	return -1
 }
 
-func (p *DataNetPicker) take(i int) Task {
+// take marks planned position i taken and returns its task position.
+func (p *DataNetPicker) take(i int32) int {
 	p.taken[i] = true
 	p.remain--
-	return p.tasks[p.plan[i]]
+	return int(p.rank.order[p.plan[i]])
 }
 
 // nodeHeap is an indexed binary heap of the node ids 0..n-1 under a strict
@@ -720,25 +697,29 @@ type StaticPicker struct {
 	remain  int
 }
 
-// FlowAssignment is the max-flow balanced assignment (paper §IV-B,
-// Ford–Fulkerson) of tasks over nodes nodes: entry n lists the positions
-// in tasks that node n processes.
-func FlowAssignment(tasks []Task, nodes int) [][]int {
-	weights := make([]int64, len(tasks))
-	locs := make([][]int, len(tasks))
-	for i, t := range tasks {
-		weights[i] = t.Weight
-		locs[i] = make([]int, len(t.Locations))
-		for k, n := range t.Locations {
+// flowAssignment is the max-flow balanced assignment (paper §IV-B,
+// Ford–Fulkerson) of in over nodes nodes: entry n lists the positions
+// node n processes. Max-flow reads its input dense, every position's
+// weight and replicas.
+func flowAssignment(in Input, nodes int) [][]int {
+	weights := make([]int64, in.len())
+	for _, w := range in.Weighted {
+		weights[w.Pos] = w.Weight
+	}
+	locs := make([][]int, len(weights))
+	for i := range locs {
+		replicas := in.Replicas(i)
+		locs[i] = make([]int, len(replicas))
+		for k, n := range replicas {
 			locs[i][k] = int(n)
 		}
 	}
 	return graph.BalancedAssignment(graph.NewBipartite(nodes, weights, locs))
 }
 
-// NewFlowPicker serves FlowAssignment statically.
+// NewFlowPicker serves the max-flow assignment statically.
 func NewFlowPicker(tasks []Task, topo *cluster.Topology) Picker {
-	assign := FlowAssignment(tasks, topo.N())
+	assign := flowAssignment(input(tasks), topo.N())
 	queues := make([][]Task, len(assign))
 	for n, idxs := range assign {
 		queues[n] = make([]Task, len(idxs))

@@ -81,11 +81,28 @@ func appendPlan(b []byte, resp *PlanResponse) []byte {
 			if k > 0 {
 				b = append(b, ',')
 			}
-			b = strconv.AppendInt(b, int64(j), 10)
+			b = appendBlock(b, j)
 		}
 		b = append(b, "]}"...)
 	}
 	return append(b, "]}\n"...)
+}
+
+// appendBlock appends a block index in decimal, as strconv.AppendInt
+// does. A plan body lists every block of the array, so indexes below 10⁴
+// are written digit by digit.
+func appendBlock(b []byte, j int32) []byte {
+	switch {
+	case j < 0 || j >= 10000:
+		return strconv.AppendInt(b, int64(j), 10)
+	case j < 10:
+		return append(b, byte('0'+j))
+	case j < 100:
+		return append(b, byte('0'+j/10), byte('0'+j%10))
+	case j < 1000:
+		return append(b, byte('0'+j/100), byte('0'+j/10%10), byte('0'+j%10))
+	}
+	return append(b, byte('0'+j/1000), byte('0'+j/100%10), byte('0'+j/10%10), byte('0'+j%10))
 }
 
 // appendDistribution appends the /distribution body of sub at epoch: its

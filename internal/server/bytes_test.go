@@ -176,8 +176,11 @@ func TestPlanBytesMatchMarshal(t *testing.T) {
 					if rec.Code != 200 {
 						t.Fatalf("%s: %d %s", blob, rec.Code, rec.Body)
 					}
-					var served PlanRequest // as the handler decodes it
-					if err := json.Unmarshal(blob, &served); err != nil {
+					served, err := decodePlanRequest(blob) // as the handler reads it
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := served.validate(arr.Len()); err != nil {
 						t.Fatal(err)
 					}
 					resp, err := buildPlan(sn, &served)

@@ -34,6 +34,10 @@ func FuzzServeRequest(f *testing.F) {
 	f.Add("GET", "/v1/arrays/logs/top?n=99999999999999999999", []byte{})
 	f.Add("POST", "/v1/arrays/logs/plan", []byte(`{"sub":"a","nodes":4}`))
 	f.Add("POST", "/v1/arrays/logs/plan", []byte(`{"sub":"a","nodes":-1}`))
+	f.Add("POST", "/v1/arrays/logs/plan", []byte(`{"sub":"a","nodes":3,"scheduler":"lpt","locations":[[0,0,2]]}`))
+	f.Add("POST", "/v1/arrays/logs/plan", []byte(`{"sub":"a","nodes":2,"scheduler":"maxflow","locations":[[]]}`))
+	f.Add("POST", "/v1/arrays/logs/plan", []byte(`{"sub":"a","nodes":4,"schedular":"lpt"}`))
+	f.Add("POST", "/v1/arrays/logs/plan", []byte(`{"sub":"a","nodes":4}]`))
 	f.Add("PUT", "/v1/arrays/new", valid)
 	f.Add("POST", "/v1/arrays/logs/append", valid)
 	// Truncations and corruptions of a valid encoding.

@@ -1,11 +1,15 @@
 package server
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"slices"
 
 	"datanet/internal/cluster"
-	"datanet/internal/hdfs"
 	"datanet/internal/sched"
 )
 
@@ -43,9 +47,9 @@ const MaxPlanNodes = 4096
 
 // NodePlan is one node's share of a scheduling plan.
 type NodePlan struct {
-	Node   int   `json:"node"`
-	Load   int64 `json:"load"`
-	Blocks []int `json:"blocks"`
+	Node   int     `json:"node"`
+	Load   int64   `json:"load"`
+	Blocks []int32 `json:"blocks"`
 }
 
 // PlanResponse is a full scheduling plan.
@@ -103,133 +107,130 @@ func (pr *PlanRequest) validate(blocks int) error {
 	return nil
 }
 
-// spread fills ids with the synthesized placements, pr.Replication
-// entries per block in block order: a deterministic round-robin spread,
-// replica k of block j on node (j+k·stride) mod nodes.
-func spread(pr *PlanRequest, ids []cluster.NodeID) {
-	r, stride := pr.Replication, max(pr.Nodes/pr.Replication, 1)
-	first := 0 // the block's index mod nodes
-	for locs := ids; len(locs) >= r; locs = locs[r:] {
-		n := first
-		for k := range locs[:r] {
-			locs[k] = cluster.NodeID(n)
-			if n += stride; n >= pr.Nodes {
-				n -= pr.Nodes
-			}
-		}
-		if first++; first == pr.Nodes {
-			first = 0
-		}
+// decodePlanRequest reads one plan request object: a field PlanRequest
+// does not have, or anything after the object but white space, is an
+// error rather than ignored.
+func decodePlanRequest(blob []byte) (PlanRequest, error) {
+	var req PlanRequest
+	dec := json.NewDecoder(bytes.NewReader(blob))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, err
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		return req, errors.New("data after the request object")
+	}
+	return req, nil
 }
 
-// tasks renders the blocks as a picker's input, one task per block at the
-// request's placements (synthesized when none were given). Every task's
-// replica NodeIDs are carved from one backing array.
-func (pr *PlanRequest) tasks(weights []int64) []sched.Task {
-	tasks := make([]sched.Task, len(weights))
-	for j, w := range weights {
-		tasks[j] = sched.Task{Block: hdfs.BlockID(j), Index: j, Weight: w, Bytes: w}
+// appendKey appends the request's plan-cache key: every field validate
+// leaves, with the sub and each location list length-prefixed, so two
+// validated requests share a key exactly when they are equal.
+func (pr *PlanRequest) appendKey(b []byte) []byte {
+	b = append(b, "plan\x00"...)
+	b = binary.AppendUvarint(b, uint64(len(pr.Sub)))
+	b = append(b, pr.Sub...)
+	for _, v := range [...]int{pr.Nodes, pr.Racks, pr.Replication, int(pr.policy), len(pr.Locations)} {
+		b = binary.AppendVarint(b, int64(v))
 	}
+	for _, locs := range pr.Locations {
+		b = binary.AppendUvarint(b, uint64(len(locs)))
+		for _, n := range locs {
+			b = binary.AppendVarint(b, int64(n))
+		}
+	}
+	return b
+}
+
+// replicas returns each of blocks blocks' replica holders at the
+// request's placements. Given ones are copied into one buffer that each
+// call reuses. Synthesized ones are a deterministic round-robin spread,
+// replica k of block j on node (j+k·stride) mod nodes: a block's holders
+// depend on j mod nodes alone, so each such row is laid out once.
+func (pr *PlanRequest) replicas(blocks int) func(block int) []cluster.NodeID {
 	if len(pr.Locations) != 0 {
-		n := 0
-		for _, locs := range pr.Locations {
-			n += len(locs)
-		}
-		ids := make([]cluster.NodeID, n)
-		for j, locs := range pr.Locations {
-			nodeIDs := ids[:len(locs):len(locs)]
-			ids = ids[len(locs):]
-			for k, node := range locs {
-				nodeIDs[k] = cluster.NodeID(node)
+		var buf []cluster.NodeID
+		return func(j int) []cluster.NodeID {
+			buf = buf[:0]
+			for _, n := range pr.Locations[j] {
+				buf = append(buf, cluster.NodeID(n))
 			}
-			tasks[j].Locations = nodeIDs
+			return buf
 		}
-		return tasks
 	}
-	r := pr.Replication
-	ids := make([]cluster.NodeID, len(tasks)*r)
-	spread(pr, ids)
-	for j := range tasks {
-		tasks[j].Locations = ids[j*r : (j+1)*r : (j+1)*r]
+	nodes, r := pr.Nodes, pr.Replication
+	stride := max(nodes/r, 1)
+	rows := make([]cluster.NodeID, min(nodes, blocks)*r)
+	for first := 0; first*r < len(rows); first++ {
+		n := first
+		for k := range r {
+			rows[first*r+k] = cluster.NodeID(n)
+			if n += stride; n >= nodes {
+				n -= nodes
+			}
+		}
 	}
-	return tasks
+	return func(j int) []cluster.NodeID {
+		row := j % nodes * r
+		return rows[row : row+r : row+r]
+	}
 }
 
-// buildPlan computes the scheduling plan for req against one snapshot. It
-// is a pure function of (snapshot, request), so responses are cacheable
-// per epoch.
+// buildPlan computes the scheduling plan for req, which validate has
+// accepted, against one snapshot. It is a pure function of (snapshot,
+// request), so responses are cacheable per epoch. The picker reads the
+// sparse Eq. 6 answer: the blocks the sub-dataset weighs something in,
+// and the rest as a count.
 func buildPlan(sn *Snapshot, req *PlanRequest) (*PlanResponse, error) {
 	nb := sn.Arr.Len()
-	if err := req.validate(nb); err != nil {
+	dist := sn.Arr.Distribution(req.Sub)
+	in := sched.Input{Weighted: make([]sched.Weighted, 0, len(dist)), Replicas: req.replicas(nb)}
+	var total int64
+	for _, be := range dist {
+		total += be.Size
+		if be.Size != 0 {
+			in.Weighted = append(in.Weighted, sched.Weighted{Pos: be.Block, Weight: be.Size})
+		}
+	}
+	in.Zeros = nb - len(in.Weighted)
+	topo, err := cluster.NewHomogeneous(req.Nodes, req.Racks)
+	if err != nil {
 		return nil, err
 	}
-	weights := sn.Arr.Weights(req.Sub)
-	tasks := req.tasks(weights)
-
-	// The assignment in the order it was made: block seq[k] went to node
-	// to[k].
-	to := make([]int32, 0, nb)
-	seq := make([]int32, 0, nb)
-	// Max-flow assigns directly: its picker's drain would steal tasks and
-	// change the plan. Task j is block j.
-	if req.policy == sched.MaxFlow {
-		for node, blocks := range sched.FlowAssignment(tasks, req.Nodes) {
-			for _, j := range blocks {
-				to, seq = append(to, int32(node)), append(seq, int32(j))
-			}
-		}
-	} else {
-		topo, err := cluster.NewHomogeneous(req.Nodes, req.Racks)
-		if err != nil {
-			return nil, err
-		}
-		// The picker keeps tasks: nothing here writes to it while it picks.
-		picker := req.policy.Factory()(tasks, topo)
-		// Drain under the pull protocol, one task per node per round —
-		// the deterministic equivalent of equally-fast single-slot nodes.
-		for picker.Remaining() > 0 {
-			progressed := false
-			for n := 0; n < req.Nodes && picker.Remaining() > 0; n++ {
-				if t, _, ok := picker.Next(cluster.NodeID(n)); ok {
-					to, seq = append(to, int32(n)), append(seq, int32(t.Index))
-					progressed = true
-				}
-			}
-			if !progressed {
-				return nil, fmt.Errorf("scheduler %q stalled with %d tasks left", req.Scheduler, picker.Remaining())
-			}
-		}
+	// Block order[k] was the k-th assigned, to node[order[k]].
+	order, node, err := req.policy.Plan(in, topo)
+	if err != nil {
+		return nil, err
 	}
 
 	resp := &PlanResponse{
-		Epoch:     sn.Epoch,
-		Sub:       req.Sub,
-		Scheduler: req.Scheduler,
-		Nodes:     req.Nodes,
-		Blocks:    nb,
-		PerNode:   make([]NodePlan, req.Nodes),
+		Epoch:       sn.Epoch,
+		Sub:         req.Sub,
+		Scheduler:   req.Scheduler,
+		Nodes:       req.Nodes,
+		Blocks:      nb,
+		TotalWeight: total,
+		AvgLoad:     float64(total) / float64(req.Nodes),
+		PerNode:     make([]NodePlan, req.Nodes),
 	}
-	for _, w := range weights {
-		resp.TotalWeight += w
-	}
-	resp.AvgLoad = float64(resp.TotalWeight) / float64(req.Nodes)
 	// Each node's blocks, in the order it was assigned them, carved from
 	// one array by a counting pass over the assignment.
 	start := make([]int, req.Nodes+1)
-	for _, n := range to {
+	for _, n := range node {
 		start[n+1]++
 	}
 	for n := 0; n < req.Nodes; n++ {
 		start[n+1] += start[n]
 	}
-	blocks := make([]int, len(seq))
+	blocks := make([]int32, len(order))
 	next := slices.Clone(start[:req.Nodes])
-	for k, j := range seq {
-		n := to[k]
-		blocks[next[n]] = int(j)
+	for _, j := range order {
+		n := node[j]
+		blocks[next[n]] = j
 		next[n]++
-		resp.PerNode[n].Load += weights[j]
+	}
+	for _, w := range in.Weighted {
+		resp.PerNode[node[w.Pos]].Load += w.Weight
 	}
 	for n := range resp.PerNode {
 		np := &resp.PerNode[n]

@@ -524,16 +524,15 @@ func (s *Server) handlePlan(sp *span, r *http.Request) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var req PlanRequest
-	if err := json.Unmarshal(blob, &req); err != nil {
+	req, err := decodePlanRequest(blob)
+	if err != nil {
 		return nil, badRequest("bad plan request: %v", err)
 	}
 	if err := req.validate(sn.Arr.Len()); err != nil {
 		return nil, badRequest("bad plan request: %v", err)
 	}
-	// Canonical cache key: the validated request re-marshaled, so
-	// semantically identical requests share an entry.
-	return s.cached(sp, sn, "plan\x00"+string(marshal(req)), func() ([]byte, error) {
+	var key [128]byte
+	return s.cached(sp, sn, string(req.appendKey(key[:0])), func() ([]byte, error) {
 		resp, err := buildPlan(sn, &req)
 		if err != nil {
 			return nil, badRequest("plan: %v", err)

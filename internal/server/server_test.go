@@ -192,10 +192,16 @@ func TestServerPlanEndpoint(t *testing.T) {
 		"alias case":    `{"sub":"x","nodes":4,"scheduler":"Capacity"}`,
 		"bad locations": `{"sub":"x","nodes":4,"locations":[[9]]}`,
 		"racks>nodes":   `{"sub":"x","nodes":2,"racks":4}`,
+		"unknown field": `{"sub":"heavy-0","nodes":4,"schedular":"lpt"}`,
+		"trailing data": `{"sub":"heavy-0","nodes":4} x`,
+		"two objects":   `{"sub":"heavy-0","nodes":4}{"sub":"heavy-1","nodes":4}`,
 	} {
 		if rec, _ := doReq(t, s, "POST", "/v1/arrays/logs/plan", []byte(body)); rec.Code != 400 {
 			t.Fatalf("%s accepted: %d", name, rec.Code)
 		}
+	}
+	if rec, _ := doReq(t, s, "POST", "/v1/arrays/logs/plan", []byte("{\"sub\":\"heavy-0\",\"nodes\":4}\n\t ")); rec.Code != 200 {
+		t.Fatalf("white space after the request: %d %s", rec.Code, rec.Body)
 	}
 }
 
@@ -341,7 +347,7 @@ func TestPlanMaxFlowExplicitLocations(t *testing.T) {
 		}
 		want := graph.BalancedAssignment(graph.NewBipartite(c.nodes, arr.Weights(c.sub), c.locs))
 		for n, np := range resp.PerNode {
-			if !slices.Equal(np.Blocks, want[n]) {
+			if !slices.EqualFunc(np.Blocks, want[n], func(got int32, want int) bool { return int(got) == want }) {
 				t.Errorf("%s: node %d plans blocks %v, want %v", body, n, np.Blocks, want[n])
 			}
 		}
