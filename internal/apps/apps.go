@@ -13,6 +13,7 @@ package apps
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"strconv"
@@ -55,21 +56,17 @@ type App interface {
 	Reduce(key string, values []string) string
 }
 
-// Combiner is optionally implemented by an App whose partial results can
-// stand in for the values they cover: the engine's collector folds a key's
-// buffered values into one whenever the buffer fills, instead of holding
-// every emitted value until the final Reduce.
+// Counter is optionally implemented by an App whose values are counts: the
+// engine's collector then holds one integer per key, not a value string
+// per emitted pair, and reduces a key with ReduceCount instead of Reduce.
 //
-// Contract: for any split of a key's values into a and b,
-//
-//	Reduce(k, append([]string{Combine(k, a)}, b...)) == Reduce(k, append(a, b...))
-//
-// which, with Reduce's own multiset contract, also covers partials of
-// partials and partials dealt across a split key's shards. Counting folds
-// satisfy it; an average (of averages) or a truncated top-K does not.
-// Like Map, Combine is called from several goroutines at once.
-type Combiner interface {
-	Combine(key string, values []string) string
+// Contract: Map emits only the value "1", and ReduceCount(k, n) equals
+// Reduce(k, values) for any n values that are all "1". A count does not
+// depend on the order or the split of the values it covers, so ReduceCount
+// needs neither. An average, a truncated top-K or a sorted render is not a
+// count and must not implement it.
+type Counter interface {
+	ReduceCount(key string, n int64) string
 }
 
 // asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
@@ -170,10 +167,23 @@ func paddedKey(prefix string, v int64, width int) string {
 }
 
 // ratingValue renders a rating to three decimals, as the map value of the
-// rating-carrying apps, in one allocation.
+// rating-carrying apps, in one allocation: byte-identical to
+// strconv.FormatFloat(rating, 'f', 3, 64), whose fixed-precision 'f' form
+// always takes the slow multi-precision path. When m/1000 converts back to
+// the rating exactly, for m the rating's nearest thousandth (every
+// generated rating does: they step by 0.5), the rating lies within half an
+// ulp of m/1000, under 0.0005 while m < 1e15, so its correctly rounded
+// three-decimal form is m's digits with the point put in. Any other value
+// falls back to AppendFloat; so does −0, which m > 0 keeps out.
 func ratingValue(rating float64) string {
 	var buf [24]byte
-	return string(strconv.AppendFloat(buf[:0], rating, 'f', 3, 64))
+	m := math.Round(rating * 1000)
+	if !(m > 0 && m < 1e15 && m/1000 == rating) {
+		return string(strconv.AppendFloat(buf[:0], rating, 'f', 3, 64))
+	}
+	u := uint64(m)
+	d := strconv.AppendUint(buf[:0], u/1000, 10)
+	return string(append(d, '.', byte('0'+u/100%10), byte('0'+u/10%10), byte('0'+u%10)))
 }
 
 // All returns the four paper applications with their default settings.
@@ -364,9 +374,8 @@ func (WordCount) Reduce(key string, values []string) string {
 	return strconv.Itoa(total)
 }
 
-// Combine implements Combiner: a partial count parses as the sum of the
-// "1"s it replaced.
-func (a WordCount) Combine(key string, values []string) string { return a.Reduce(key, values) }
+// ReduceCount implements Counter.
+func (WordCount) ReduceCount(key string, n int64) string { return strconv.FormatInt(n, 10) }
 
 // ---------------------------------------------------------------------------
 // Aggregate Word Histogram
@@ -407,10 +416,8 @@ func (WordHistogram) Reduce(key string, values []string) string {
 	return WordCount{}.Reduce(key, values)
 }
 
-// Combine implements Combiner.
-func (WordHistogram) Combine(key string, values []string) string {
-	return WordCount{}.Reduce(key, values)
-}
+// ReduceCount implements Counter.
+func (WordHistogram) ReduceCount(key string, n int64) string { return strconv.FormatInt(n, 10) }
 
 // ---------------------------------------------------------------------------
 // Sessionization
@@ -455,7 +462,5 @@ func (Sessionize) Reduce(key string, values []string) string {
 	return WordCount{}.Reduce(key, values)
 }
 
-// Combine implements Combiner.
-func (Sessionize) Combine(key string, values []string) string {
-	return WordCount{}.Reduce(key, values)
-}
+// ReduceCount implements Counter.
+func (Sessionize) ReduceCount(key string, n int64) string { return strconv.FormatInt(n, 10) }

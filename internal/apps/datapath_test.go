@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -65,6 +66,43 @@ func FuzzEachField(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) { checkEachField(t, s) })
+}
+
+// checkRatingValue compares ratingValue with the strconv form it replaces.
+func checkRatingValue(t *testing.T, r float64) {
+	t.Helper()
+	if got, want := ratingValue(r), strconv.FormatFloat(r, 'f', 3, 64); got != want {
+		t.Fatalf("ratingValue(%v [%#016x]) = %q, want %q", r, math.Float64bits(r), got, want)
+	}
+}
+
+// TestRatingValueMatchesFormatFloat: ratingValue is FormatFloat's
+// three-decimal form on the thousandths grid and an ulp either side of it,
+// at every magnitude up to past the fast path's 1e12 edge, on both signs,
+// and on random bit patterns.
+func TestRatingValueMatchesFormatFloat(t *testing.T) {
+	rng := rand.New(rand.NewSource(58))
+	for i := 0; i < 40000; i++ {
+		m := float64(rng.Int63n(1_000_000))
+		if i%2 == 1 {
+			m = math.Floor(rng.Float64() * math.Pow(10, float64(rng.Intn(17))))
+		}
+		r := m / 1000
+		for _, v := range []float64{r, -r, math.Nextafter(r, 0), math.Nextafter(r, math.Inf(1))} {
+			checkRatingValue(t, v)
+		}
+		checkRatingValue(t, math.Float64frombits(rng.Uint64()))
+	}
+}
+
+// FuzzRatingValue: ratingValue equals FormatFloat(r, 'f', 3, 64) for every
+// float64 bit pattern.
+func FuzzRatingValue(f *testing.F) {
+	for _, r := range []float64{math.Copysign(0, -1), 0, math.NaN(), math.Inf(1), math.Inf(-1),
+		0.0005, 4.9995, 1e12, 1e15, 5e-324, -3.5} {
+		f.Add(math.Float64bits(r))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) { checkRatingValue(t, math.Float64frombits(bits)) })
 }
 
 // TestPaddedRenderMatchesFmt pins the strconv-based key renders to the

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"datanet/internal/elasticmap"
+	"datanet/internal/gen"
 	"datanet/internal/records"
 )
 
@@ -95,59 +96,62 @@ func TestReduceOrderAndSplitInsensitive(t *testing.T) {
 	}
 }
 
-// TestCombinerContract enforces apps.Combiner for every app that
-// implements it: a partial produced by Combine stands in for the values it
-// covered. For every key the app emits, Reduce stays byte-identical when
-// any prefix is combined, when every round-robin shard is combined (the
-// partials a split key's reducers would hold), and when partials are
-// combined again (a partial of partials, as a refilled collector buffer
-// produces).
-func TestCombinerContract(t *testing.T) {
-	recs := contractRecords()
+// TestCounterContract enforces apps.Counter for every app that implements
+// it: over generated movie and event records its Map emits only "1", and
+// for every n from 1 to 300, and one large n, ReduceCount(k, n) equals
+// Reduce over n "1"s — so the collector may hold a count in place of the
+// values it covers.
+func TestCounterContract(t *testing.T) {
+	recs := append(gen.Movies(gen.MovieConfig{Movies: 20, Reviews: 2000, Seed: 3}),
+		gen.Events(gen.EventConfig{Events: 2000, Seed: 3})...)
 	for _, app := range Extended() {
-		comb, ok := app.(Combiner)
+		counter, ok := app.(Counter)
 		if !ok {
 			continue
 		}
 		t.Run(app.Name(), func(t *testing.T) {
-			for key, vs := range collect(app, recs) {
-				want := app.Reduce(key, vs)
-				for cut := 0; cut <= len(vs); cut++ {
-					folded := append([]string{comb.Combine(key, vs[:cut])}, vs[cut:]...)
-					if got := app.Reduce(key, folded); got != want {
-						t.Fatalf("key %q: combining the first %d of %d values: Reduce = %q, want %q", key, cut, len(vs), got, want)
+			var keys []string // in order of first emission
+			seen := make(map[string]bool)
+			for _, r := range recs {
+				app.Map(r, func(k, v string) {
+					if v != "1" {
+						t.Fatalf("key %q: Map emitted %q, want only \"1\"", k, v)
 					}
+					if !seen[k] {
+						seen[k] = true
+						keys = append(keys, k)
+					}
+				})
+			}
+			if len(keys) == 0 {
+				t.Fatal("app emitted nothing")
+			}
+			var ones []string
+			check := func(n int) {
+				for len(ones) < n {
+					ones = append(ones, "1")
 				}
-				for _, shardsN := range []int{2, 3, 5} {
-					shards := make([][]string, shardsN)
-					for i, v := range vs {
-						shards[i%shardsN] = append(shards[i%shardsN], v)
-					}
-					partials := make([]string, shardsN)
-					for i, shard := range shards {
-						partials[i] = comb.Combine(key, shard)
-					}
-					if got := app.Reduce(key, partials); got != want {
-						t.Fatalf("key %q: %d combined shards: Reduce = %q, want %q", key, shardsN, got, want)
-					}
-					twice := []string{comb.Combine(key, partials[:2]), comb.Combine(key, partials[2:])}
-					if got := app.Reduce(key, twice); got != want {
-						t.Fatalf("key %q: partials of %d partials: Reduce = %q, want %q", key, shardsN, got, want)
-					}
+				key := keys[n%len(keys)]
+				if got, want := counter.ReduceCount(key, int64(n)), app.Reduce(key, ones[:n]); got != want {
+					t.Fatalf("key %q: ReduceCount(%d) = %q, Reduce over %d \"1\"s = %q", key, n, got, n, want)
 				}
 			}
+			for n := 1; n <= 300; n++ {
+				check(n)
+			}
+			check(1<<20 + 7)
 		})
 	}
 }
 
-// TestCombinerMembership pins which apps fold: the three counts do; an
-// average of averages, a truncated top-K, a sorted render or a count+mean
-// join would corrupt output, so those must not grow a Combine by accident.
-func TestCombinerMembership(t *testing.T) {
+// TestCounterMembership pins which apps count: the three counts do; an
+// average, a truncated top-K, a sorted render or a count+mean join is not
+// a count of "1"s, so those must not grow a ReduceCount by accident.
+func TestCounterMembership(t *testing.T) {
 	want := map[string]bool{"WordCount": true, "WordHistogram": true, "Sessionize": true}
 	for _, app := range Extended() {
-		if _, ok := app.(Combiner); ok != want[app.Name()] {
-			t.Errorf("%s implements Combiner = %v, want %v", app.Name(), ok, want[app.Name()])
+		if _, ok := app.(Counter); ok != want[app.Name()] {
+			t.Errorf("%s implements Counter = %v, want %v", app.Name(), ok, want[app.Name()])
 		}
 	}
 }

@@ -13,40 +13,38 @@ import (
 // The executed plane: the collector, the per-block map output a fixture
 // computes once, and the fold of the commit ledger into Result.Output.
 
-// combineAt is the number of buffered values at which the collector folds
-// a key's buffer through the application's Combiner.
-const combineAt = 64
-
-// group is one key's intermediate state: the values Reduce will see, and
-// the bytes of every pair emitted under the key counted before any fold —
+// group is one key's intermediate state: the values Reduce will see, how
+// many pairs were emitted under the key, and the bytes of those pairs —
 // the key frequency a partitioner plans from.
 type group struct {
 	vals  []string
+	n     int64
 	bytes int64
 }
 
 // collector accumulates intermediate pairs: one group per key, reached by
 // a single map lookup per emit. Only an executed job keeps the values; one
-// that merely partitions needs the bytes. For an apps.Combiner application
-// a full buffer is folded into one partial value, so a hot key holds at
-// most combineAt strings. The fold is an execution detail of producing
-// Result.Output — the shuffle volume is OutputRatio × matched bytes anyway.
+// that merely partitions needs the bytes. An apps.Counter application's
+// values are all "1", so its job keeps the count alone. Either way a
+// pair's bytes are len(k)+len(v) at the emit, so the partition plan does
+// not depend on what the collector keeps, and the shuffle volume is
+// OutputRatio × matched bytes anyway.
 type collector struct {
-	groups   map[string]*group
-	combiner apps.Combiner // nil when the application's values cannot be folded
-	keep     bool
+	groups map[string]*group
+	keep   bool // hold the value strings
 }
 
-func newCollector(app apps.App, keep bool) *collector {
-	combiner, _ := app.(apps.Combiner)
-	return &collector{groups: make(map[string]*group), combiner: combiner, keep: keep}
+func newCollector(app apps.App, execute bool) *collector {
+	_, counts := app.(apps.Counter)
+	return &collector{groups: make(map[string]*group), keep: execute && !counts}
 }
 
 func (c *collector) emit(k, v string) {
 	g := c.at(k)
 	g.bytes += int64(len(k) + len(v))
+	g.n++
 	if c.keep {
-		c.hold(g, k, v)
+		g.vals = append(g.vals, v)
 	}
 }
 
@@ -57,20 +55,6 @@ func (c *collector) at(k string) *group {
 		c.groups[k] = g
 	}
 	return g
-}
-
-// hold appends one value to an executed job's group.
-func (c *collector) hold(g *group, k, v string) {
-	g.vals = c.fold(k, append(g.vals, v))
-}
-
-// fold folds a key's buffer into one partial value once it holds
-// combineAt values, for a Combiner application.
-func (c *collector) fold(k string, vals []string) []string {
-	if c.combiner != nil && len(vals) >= combineAt {
-		return append(vals[:0], c.combiner.Combine(k, vals))
-	}
-	return vals
 }
 
 // mapRecords maps the target sub-dataset's records (all, if target is empty).
@@ -128,8 +112,9 @@ func (mo *MapOutput) source(block int, c *collector) {
 	for k, sg := range mo.blocks[block].groups {
 		g := c.at(k)
 		g.bytes += sg.bytes
-		for i := 0; c.keep && i < len(sg.vals); i++ {
-			c.hold(g, k, sg.vals[i])
+		g.n += sg.n
+		if c.keep {
+			g.vals = append(g.vals, sg.vals...)
 		}
 	}
 }
@@ -148,16 +133,15 @@ func (mo *MapOutput) Output(app apps.App, ledger []int) map[string]string {
 // changes Output. The units are cut into GOMAXPROCS contiguous runs of
 // about equal size(unit) × commits, each folded on its own goroutine into
 // its own collector, and c receives the runs merged in run order: a key's
-// values are exactly the serial fold's, in the serial fold's order, except
-// that a Combiner application may hold its partials at other points (which
-// its contract allows). src must be safe for concurrent calls on distinct
+// values, count and bytes are exactly the serial fold's, the values in the
+// serial fold's order. src must be safe for concurrent calls on distinct
 // collectors.
 func foldLedger(ledger []int, size func(unit int) int64, src func(unit int, c *collector), c *collector) {
 	bounds := runBounds(ledger, size, runtime.GOMAXPROCS(0))
 	runs := make([]*collector, len(bounds)-1)
 	var wg sync.WaitGroup
 	for i := range runs {
-		runs[i] = &collector{groups: make(map[string]*group), combiner: c.combiner, keep: c.keep}
+		runs[i] = &collector{groups: make(map[string]*group), keep: c.keep}
 		wg.Add(1)
 		go func(run *collector, lo, hi int) {
 			defer wg.Done()
@@ -194,9 +178,9 @@ func runBounds(ledger []int, size func(unit int) int64, w int) []int {
 }
 
 // merge sets c's groups to the runs' groups concatenated in run order: per
-// key the bytes summed and the values in one exactly sized slice, folded
-// once through the Combiner if that reaches combineAt. A lone run is taken
-// as it is, and a key one run alone holds keeps that run's group.
+// key the counts and bytes summed and the values in one exactly sized
+// slice. A lone run is taken as it is, and a key one run alone holds keeps
+// that run's group.
 func (c *collector) merge(runs []*collector) {
 	if len(runs) == 1 {
 		c.groups = runs[0].groups
@@ -217,21 +201,22 @@ func (c *collector) merge(runs []*collector) {
 			if c.groups[k] != nil {
 				continue // merged when its first run was
 			}
-			n, later := len(g.vals), runs[r+1:]
+			held, later := len(g.vals), runs[r+1:]
 			for _, lr := range later {
 				if lg := lr.groups[k]; lg != nil {
 					g.bytes += lg.bytes
-					n += len(lg.vals)
+					g.n += lg.n
+					held += len(lg.vals)
 				}
 			}
-			if c.keep && n > len(g.vals) {
-				vals := append(make([]string, 0, n), g.vals...)
+			if held > len(g.vals) {
+				vals := append(make([]string, 0, held), g.vals...)
 				for _, lr := range later {
 					if lg := lr.groups[k]; lg != nil {
 						vals = append(vals, lg.vals...)
 					}
 				}
-				g.vals = c.fold(k, vals)
+				g.vals = vals
 			}
 			c.groups[k] = g
 		}
@@ -248,19 +233,25 @@ func heldBefore(runs []*collector, k string) bool {
 	return false
 }
 
-// reduce runs the final reduce over the grouped pairs. When a partitioner
-// split a heavy key across reducers (skew mode), the key's values (folded
-// partials among them, for a Combiner app) are dealt round-robin to the
-// split shards exactly as the shuffle would deliver them, then the merge
-// reducer re-concatenates the shards in split order and reduces once — so
-// the value order the final Reduce sees genuinely depends on the split
-// layout. An order- or split-sensitive Reduce (violating the apps.App
-// contract) therefore surfaces as an output divergence in the
-// partition-independence harness instead of hiding behind a canonical
-// ordering.
+// reduce runs the final reduce over the grouped pairs. An apps.Counter
+// application reduces each key's count once: a count does not depend on
+// how a split key's values were dealt. Otherwise, when a partitioner split
+// a heavy key across reducers (skew mode), the key's values are dealt
+// round-robin to the split shards exactly as the shuffle would deliver
+// them, then the merge reducer re-concatenates the shards in split order
+// and reduces once — so the value order the final Reduce sees genuinely
+// depends on the split layout. An order- or split-sensitive Reduce
+// (violating the apps.App contract) therefore surfaces as an output
+// divergence in the partition-independence harness instead of hiding
+// behind a canonical ordering.
 func (c *collector) reduce(app apps.App, part partition.Partitioner) map[string]string {
 	out := make(map[string]string, len(c.groups))
+	counter, _ := app.(apps.Counter)
 	for k, g := range c.groups {
+		if counter != nil {
+			out[k] = counter.ReduceCount(k, g.n)
+			continue
+		}
 		vs := g.vals
 		if part != nil {
 			if splits := part.Splits(k); len(splits) > 1 {

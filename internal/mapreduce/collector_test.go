@@ -19,9 +19,9 @@ import (
 )
 
 // foldEnv builds a fixture whose target sub-dataset gives every counting
-// application a key below, exactly at and several times past combineAt
-// values: 5×combineAt+7 records saying "hot" in session window 0,
-// combineAt saying "exact" in window 1 and 3 saying "rare" in window 2.
+// application keys of a few, of 64 and of several hundred values:
+// 5×64+7 records saying "hot" in session window 0, 64 saying "exact" in
+// window 1 and 3 saying "rare" in window 2.
 // A few "hot" records also say "plot", so TopKSearch has candidates, and
 // another sub-dataset's records are interleaved so the filter predicate
 // matters.
@@ -43,8 +43,8 @@ func foldEnv(t *testing.T) *hdfs.FileSystem {
 				records.Record{Sub: "movie-B", Time: int64(i), Rating: 2, Payload: "hot exact rare noise"})
 		}
 	}
-	add(5*combineAt+7, 0, "hot")
-	add(combineAt, 1, "exact")
+	add(5*64+7, 0, "hot")
+	add(64, 1, "exact")
 	add(3, 2, "rare")
 	if _, err := fs.Write("log", recs); err != nil {
 		t.Fatal(err)
@@ -55,8 +55,10 @@ func foldEnv(t *testing.T) *hdfs.FileSystem {
 // TestExecutedOutputMatchesNaivePath: for every registered application an
 // executed job's Output is what the naive data path computes — every
 // emitted value of a key held in a map[string][]string, then one Reduce —
-// whether the collector's values reach Reduce directly, dealt across a
-// split heavy key's shards (where they are partials, for a Combiner app),
+// and each key's group holds the naive path's pair count and
+// len(k)+len(v) bytes; whether the collector's values reach Reduce
+// directly, dealt across a split heavy key's shards (or counted, for an
+// apps.Counter app),
 // partly through a decoded coded fragment, after a mid-filter crash
 // destroyed committed outputs, or after a post-barrier crash had the
 // analysis recovery commit a node's fragments again — and whether the job
@@ -111,37 +113,59 @@ func executedModes(t *testing.T, fs *hdfs.FileSystem, app apps.App) []*Result {
 		name string
 		cfg  Config
 		// ran reports whether the run exercised the path the mode is for;
-		// only an app that folds must have a split key (DistributedSort's
+		// only a counting app must have a split key (DistributedSort's
 		// keys are all distinct, so none of them is heavy).
-		ran func(res *Result, folds bool) bool
+		ran func(res *Result, counts bool) bool
 	}
 	modes := []mode{
 		{"plain", Config{}, func(*Result, bool) bool { return true }},
 		{"skew-split", Config{Reducers: 5, Partition: &partition.Config{Mode: partition.ModeSkew}},
-			func(res *Result, folds bool) bool { return !folds || res.PartitionSplitKeys > 0 }},
+			func(res *Result, counts bool) bool { return !counts || res.PartitionSplitKeys > 0 }},
 		{"coded-decoded", Config{Mitigate: &straggle.Config{Mode: straggle.ModeCoded, Rate: 0.7}, Faults: slow, TaskOverhead: 0.001},
 			func(res *Result, _ bool) bool { return res.CodedDecodes > 0 }},
 	}
 	var results []*Result
 	groups := make(map[string][]string)
+	bytes := make(map[string]int64)
 	for _, r := range target {
-		app.Map(r, func(k, v string) { groups[k] = append(groups[k], v) })
+		app.Map(r, func(k, v string) {
+			groups[k] = append(groups[k], v)
+			bytes[k] += int64(len(k) + len(v))
+		})
 	}
 	want := make(map[string]string, len(groups))
-	var below, exact, several bool
 	for k, vs := range groups {
 		want[k] = app.Reduce(k, vs)
-		below = below || len(vs) < combineAt
-		exact = exact || len(vs) == combineAt
-		several = several || len(vs) >= 3*combineAt
 	}
-	_, folds := app.(apps.Combiner)
-	if folds && !(below && exact && several) {
-		t.Fatalf("fixture lacks a key below (%v), at (%v) or several times (%v) combineAt", below, exact, several)
-	}
+	_, counts := app.(apps.Counter)
 	mo, err := MapFile(fs, "log", app, "movie-A")
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The groups a job folds, from its records or from the MapOutput, hold
+	// the naive path's count and bytes per key.
+	blocks, err := fs.Blocks("log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	once := make([]int, len(blocks))
+	for i := range once {
+		once[i] = 1
+	}
+	fromRecords := func(u int, c *collector) { c.mapRecords(blocks[u].Records, app, "movie-A") }
+	for _, src := range []func(int, *collector){fromRecords, mo.source} {
+		c := newCollector(app, true)
+		foldLedger(once, func(int) int64 { return 1 }, src, c)
+		if len(c.groups) != len(groups) {
+			t.Errorf("the fold holds %d keys, the naive path %d", len(c.groups), len(groups))
+		}
+		for k, vs := range groups {
+			if g := c.groups[k]; g == nil {
+				t.Errorf("key %q: no group", k)
+			} else if g.n != int64(len(vs)) || g.bytes != bytes[k] {
+				t.Errorf("key %q: %d pairs of %d bytes, want %d of %d", k, g.n, g.bytes, len(vs), bytes[k])
+			}
+		}
 	}
 	run := func(m mode, mo *MapOutput) *Result {
 		cfg := m.cfg
@@ -177,7 +201,7 @@ func executedModes(t *testing.T, fs *hdfs.FileSystem, app apps.App) []*Result {
 	for _, m := range all {
 		mapped, folded := run(m, nil), run(m, mo)
 		for _, res := range []*Result{mapped, folded} {
-			if !m.ran(res, folds) {
+			if !m.ran(res, counts) {
 				t.Errorf("%s: the run never took the path under test (split keys %d, decodes %d, lost outputs %d)",
 					m.name, res.PartitionSplitKeys, res.CodedDecodes, res.LostOutputs)
 			}
@@ -371,11 +395,10 @@ func TestLedgerFoldSeesLostAndDoubleCommits(t *testing.T) {
 	}
 }
 
-// TestLedgerFoldKeepsValueOrder: merged in run order, the runs hand an
-// application without a Combiner exactly the serial fold's groups — every
-// key's values in the serial order, its bytes summed — at any number of
-// runs, over a ledger with a lost and a doubled unit. A Combiner
-// application's groups hold the same bytes and reduce to the same values.
+// TestLedgerFoldKeepsValueOrder: merged in run order, the runs hand every
+// application exactly the serial fold's groups — every key's values in the
+// serial order, its count and bytes summed — at any number of runs, over a
+// ledger with a lost and a doubled unit.
 func TestLedgerFoldKeepsValueOrder(t *testing.T) {
 	fs := foldEnv(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -396,23 +419,9 @@ func TestLedgerFoldKeepsValueOrder(t *testing.T) {
 			return c
 		}
 		serial := fold(1)
-		_, folds := app.(apps.Combiner)
 		for _, procs := range []int{2, 3, 8} {
-			c := fold(procs)
-			if !folds {
-				if !reflect.DeepEqual(c.groups, serial.groups) {
-					t.Errorf("%s: %d runs merge to other groups than the serial fold", app.Name(), procs)
-				}
-				continue
-			}
-			if len(c.groups) != len(serial.groups) {
-				t.Errorf("%s: %d runs merge to %d keys, the serial fold has %d", app.Name(), procs, len(c.groups), len(serial.groups))
-			}
-			for k, sg := range serial.groups {
-				g := c.groups[k]
-				if g == nil || g.bytes != sg.bytes || app.Reduce(k, g.vals) != app.Reduce(k, sg.vals) {
-					t.Errorf("%s: %d runs: key %q merges to %+v, the serial fold has %+v", app.Name(), procs, k, g, sg)
-				}
+			if c := fold(procs); !reflect.DeepEqual(c.groups, serial.groups) {
+				t.Errorf("%s: %d runs merge to other groups than the serial fold", app.Name(), procs)
 			}
 		}
 	}
