@@ -64,7 +64,7 @@ func (a *Array) Index() *Index {
 // other block costs one Bloom probe with a key digested once. The answers
 // are exactly BlockMeta.Query's, block by block.
 func (a *Array) scan(sub string, visit func(block int, size int64, class Class)) {
-	dom := a.Index().dominant[sub].blocks
+	dom := a.Index().blocks(sub)
 	key := bloom.KeyOf(sub)
 	for i, m := range a.metas {
 		if len(dom) > 0 && dom[0].Block == i {
@@ -169,10 +169,15 @@ func (a *Array) MeanAlpha() float64 {
 // Subs returns the union of all sub-dataset keys recorded exactly (hash
 // maps only; Bloom filters cannot be enumerated), sorted.
 func (a *Array) Subs() []string {
-	dominant := a.Index().dominant
-	out := make([]string, 0, len(dominant))
-	for sub := range dominant {
+	ix := a.Index()
+	out := make([]string, 0, ix.subs)
+	for sub := range ix.base.dominant {
 		out = append(out, sub)
+	}
+	for sub := range ix.over {
+		if _, ok := ix.base.dominant[sub]; !ok {
+			out = append(out, sub)
+		}
 	}
 	slices.Sort(out)
 	return out

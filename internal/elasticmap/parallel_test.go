@@ -94,6 +94,7 @@ func TestIndex(t *testing.T) {
 	if idx.DominantSubs() == 0 {
 		t.Fatal("no dominant subs indexed")
 	}
+	entries := flat(idx)
 	for i := 0; i < 19; i++ {
 		sub := fmt.Sprintf("s%02d", i)
 		// The inverted view must agree with per-block queries on hashed
@@ -106,19 +107,19 @@ func TestIndex(t *testing.T) {
 				wantBlocks++
 			}
 		}
-		got := idx.dominant[sub].total
+		got := entries[sub].total
 		if got != want {
 			t.Errorf("%s: dominant total %d, want %d", sub, got, want)
 		}
-		if len(idx.dominant[sub].blocks) != wantBlocks {
-			t.Errorf("%s: distribution blocks %d, want %d", sub, len(idx.dominant[sub].blocks), wantBlocks)
+		if len(entries[sub].blocks) != wantBlocks {
+			t.Errorf("%s: distribution blocks %d, want %d", sub, len(entries[sub].blocks), wantBlocks)
 		}
 		// Dominant estimate is a lower bound on Eq. 6.
 		if got > arr.Estimate(sub) {
 			t.Errorf("%s: dominant %d exceeds Eq.6 %d", sub, got, arr.Estimate(sub))
 		}
 	}
-	if e, ok := idx.dominant["nope"]; ok || e.blocks != nil {
+	if e, ok := entries["nope"]; ok || e.blocks != nil {
 		t.Error("unknown sub should return nil")
 	}
 }
@@ -136,7 +137,7 @@ func TestIndexTop(t *testing.T) {
 			t.Fatal("Top not sorted descending")
 		}
 	}
-	if top[0].Bytes != idx.dominant[top[0].Sub].total {
+	if top[0].Bytes != flat(idx)[top[0].Sub].total {
 		t.Error("Top bytes disagree with the indexed total")
 	}
 	if got := idx.Top(0); len(got) != 0 {

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -130,18 +129,18 @@ func TestMergeExtendsIndex(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	blocks := randBlocks(r, 16)
 	parent := Build(blocks[:10], lossyOpts())
-	before := deepCopy(parent.Index().dominant)
+	before := flat(parent.Index())
 	first := Merge(parent, Build(blocks[10:13], lossyOpts()))
 	second := Merge(parent, Build(blocks[13:], lossyOpts()))
 	for name, arr := range map[string]*Array{"first": first, "second": second} {
 		if arr.idx.Load() == nil {
 			t.Fatalf("%s: Merge rebuilt nothing but handed over no index", name)
 		}
-		if got, want := arr.Index().dominant, NewIndex(arr).dominant; !reflect.DeepEqual(got, want) {
+		if got, want := flat(arr.Index()), flat(NewIndex(arr)); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: extended index differs from NewIndex", name)
 		}
 	}
-	if !reflect.DeepEqual(parent.Index().dominant, before) {
+	if !reflect.DeepEqual(flat(parent.Index()), before) {
 		t.Error("Merge wrote into the parent's index")
 	}
 	if Merge(Build(blocks[:4], lossyOpts()), parent).idx.Load() != nil {
@@ -159,19 +158,23 @@ func TestMergeExtendsIndex(t *testing.T) {
 	small := three.Appended([][]records.Record{hot(100)})
 	large := three.Appended([][]records.Record{hot(900)})
 	for _, arr := range []*Array{small, large} {
-		if got, want := arr.Index().dominant["hot"], NewIndex(arr).dominant["hot"]; !reflect.DeepEqual(got, want) {
+		if got, want := flat(arr.Index())["hot"], flat(NewIndex(arr))["hot"]; !reflect.DeepEqual(got, want) {
 			t.Errorf("a sibling extension overwrote hot's entries: %v, want %v", got, want)
 		}
 	}
-	if n := len(three.Index().dominant["hot"].blocks); n != 3 {
+	if n := len(flat(three.Index())["hot"].blocks); n != 3 {
 		t.Errorf("parent hot entries = %d, want 3", n)
 	}
 }
 
-func deepCopy(m map[string]dominantEntry) map[string]dominantEntry {
-	out := maps.Clone(m)
-	for k, v := range out {
-		out[k] = dominantEntry{blocks: slices.Clone(v.blocks), total: v.total}
+// flat is every key's entry, the overlay's over the base's, in fresh
+// slices: what a one-level index of the same blocks would hold.
+func flat(ix *Index) map[string]dominantEntry {
+	out := make(map[string]dominantEntry, ix.DominantSubs())
+	for _, level := range []map[string]dominantEntry{ix.base.dominant, ix.over} {
+		for sub, e := range level {
+			out[sub] = dominantEntry{blocks: slices.Clone(e.blocks), total: e.total}
+		}
 	}
 	return out
 }

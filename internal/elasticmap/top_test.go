@@ -66,14 +66,15 @@ func TestTopMatchesFullSort(t *testing.T) {
 		head := Build(blocks[:2], lossyOpts())
 		head.Index()
 		chained := Merge(head, Build(blocks[2:4], lossyOpts())).Appended(blocks[4:])
-		if !reflect.DeepEqual(chained.Index().dominant, NewIndex(chained).dominant) {
+		if !reflect.DeepEqual(flat(chained.Index()), flat(NewIndex(chained))) {
 			t.Fatalf("trial %d: extended index differs from NewIndex", trial)
 		}
 		for name, arr := range map[string]*Array{"built": Build(blocks, lossyOpts()), "chained": chained} {
 			totals := hashedTotals(arr)
 			ix := arr.Index()
+			entries := flat(ix)
 			for sub, want := range totals {
-				if got := ix.dominant[sub].total; got != want {
+				if got := entries[sub].total; got != want {
 					t.Fatalf("trial %d %s: %s total %d, want %d", trial, name, sub, got, want)
 				}
 			}
@@ -97,22 +98,31 @@ func TestTopMatchesFullSort(t *testing.T) {
 }
 
 // FuzzIndexTop: Top over arbitrary totals and any n equals the full sort.
-// Totals are one byte's low nibble, so most keys tie with another.
+// Byte i is block i: one hash entry, key k<high nibble> of size <low
+// nibble>, so keys recur across blocks and most totals tie with another.
+// The first half of the blocks is indexed whole and the rest appended one
+// block at a time, so Top reads a base, an overlay and folds.
 func FuzzIndexTop(f *testing.F) {
 	f.Add([]byte{3, 1, 3, 0, 200, 7}, 2)
 	f.Add([]byte{5, 5, 5, 5, 5}, 4)
 	f.Add([]byte{}, 0)
 	f.Add([]byte{9}, -1)
 	f.Add([]byte{1, 2, 3}, 1<<20)
+	f.Add([]byte{0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0x12, 0x23, 0x34}, 5)
 	f.Fuzz(func(t *testing.T, data []byte, n int) {
-		ix := &Index{dominant: make(map[string]dominantEntry, len(data))}
-		totals := make(map[string]int64, len(data))
+		metas := make([]*BlockMeta, len(data))
+		totals := make(map[string]int64)
 		for i, b := range data {
-			sub := fmt.Sprintf("k%d", i)
-			ix.dominant[sub] = dominantEntry{total: int64(b & 15)}
-			totals[sub] = int64(b & 15)
+			sub := fmt.Sprintf("k%d", b>>4)
+			metas[i] = &BlockMeta{hash: map[string]int64{sub: int64(b & 15)}}
+			totals[sub] += int64(b & 15)
 		}
-		if got, want := ix.Top(n), topReference(totals, n); !slices.Equal(got, want) {
+		arr := FromMetas(metas[:len(metas)/2], Options{})
+		arr.Index()
+		for _, m := range metas[len(metas)/2:] {
+			arr = Merge(arr, FromMetas([]*BlockMeta{m}, Options{}))
+		}
+		if got, want := arr.Index().Top(n), topReference(totals, n); !slices.Equal(got, want) {
 			t.Fatalf("Top(%d) = %v, want %v", n, got, want)
 		}
 	})

@@ -11,7 +11,8 @@ import (
 // EndpointDump is one route's raw metric state: counters plus a copy of
 // the latency histogram's counters (not a summary), so dumps merge
 // losslessly. Its JSON (a /v1/metrics row) writes the histogram as its
-// summary.
+// summary. Latency is read-only: every idle route of a dump shares one
+// empty histogram.
 type EndpointDump struct {
 	Requests uint64           `json:"requests"`
 	Errors   uint64           `json:"errors"`
@@ -27,8 +28,13 @@ type MetricsDump struct {
 	CacheMisses uint64                  `json:"cacheMisses"`
 }
 
+// idleLatency is the histogram a dump gives every route that has observed
+// no request. Nothing writes into it.
+var idleLatency metrics.Latency
+
 // DumpMetrics snapshots the server's counters and latency histograms in
-// mergeable form.
+// mergeable form. It copies the histograms of the routes that have
+// observed a request, and only those.
 func (s *Server) DumpMetrics() MetricsDump {
 	d := MetricsDump{
 		Endpoints:   make(map[string]EndpointDump, len(s.byEndpoint)),
@@ -36,8 +42,11 @@ func (s *Server) DumpMetrics() MetricsDump {
 		CacheMisses: s.cacheMiss.Load(),
 	}
 	for l, em := range s.byEndpoint {
-		lat := new(metrics.Latency)
-		lat.Merge(&em.latency)
+		lat := &idleLatency
+		if em.latency.Count() > 0 {
+			lat = new(metrics.Latency)
+			lat.Merge(&em.latency)
+		}
 		d.Endpoints[l] = EndpointDump{Requests: lat.Count(), Errors: em.errors.Load(), Latency: lat}
 	}
 	return d

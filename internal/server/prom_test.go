@@ -12,7 +12,9 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
+	"datanet/internal/metrics"
 	"datanet/internal/obs"
 )
 
@@ -195,5 +197,39 @@ func TestDumpMetricsAllocIndependentOfTraffic(t *testing.T) {
 	}
 	if got[0] != got[1] {
 		t.Errorf("DumpMetrics allocates %d B after 10^3 requests, %d B after 10^5", got[0], got[1])
+	}
+}
+
+// A dump of a server no request has reached copies no histogram: all of
+// its routes together allocate less than one route's histogram. After one
+// request, the dump copies that route's alone.
+func TestDumpMetricsCopiesOnlyBusyRoutes(t *testing.T) {
+	srv, _ := newTestServer(t)
+	dumpBytes := func() uint64 {
+		least := uint64(math.MaxUint64)
+		for range 20 {
+			var a, b runtime.MemStats
+			runtime.ReadMemStats(&a)
+			srv.DumpMetrics()
+			runtime.ReadMemStats(&b)
+			least = min(least, b.TotalAlloc-a.TotalAlloc)
+		}
+		return least
+	}
+	histogram := uint64(unsafe.Sizeof(metrics.Latency{}))
+	idle := dumpBytes()
+	if idle >= histogram {
+		t.Errorf("a dump of %d idle routes allocates %d B, one histogram is %d B", len(srv.byEndpoint), idle, histogram)
+	}
+	doReq(t, srv, "GET", "/v1/arrays/logs/estimate?sub=heavy-0", nil)
+	if busy := dumpBytes(); busy < idle+histogram || busy >= idle+2*histogram {
+		t.Errorf("after one request a dump allocates %d B, want one %d-B histogram over the idle %d B", busy, histogram, idle)
+	}
+	d := srv.DumpMetrics()
+	if est := d.Endpoints["estimate"]; est.Requests != 1 || est.Latency.Count() != 1 {
+		t.Errorf("estimate dumped %d requests, histogram count %d", est.Requests, est.Latency.Count())
+	}
+	if idle := d.Endpoints["top"]; idle.Requests != 0 || idle.Latency.Count() != 0 {
+		t.Errorf("idle top dumped %d requests, histogram count %d", idle.Requests, idle.Latency.Count())
 	}
 }
