@@ -292,15 +292,16 @@ type unreadField struct {
 // keys that matched no such field.
 //
 // A composite-literal key, the left side of = or op=, and the operand of
-// ++ or -- write the field they name; every other use reads it, and a
-// promoted selection also reads the embedded fields on its path. Three
-// kinds of field count as read with no such use: a JSON-tagged field;
-// every exported or embedded field of a type statically reachable from the
-// argument of json.Marshal, json.MarshalIndent or (*json.Encoder).Encode,
-// through pointers, arrays, slices, maps and struct fields (an argument of
-// interface or type-parameter type reaches nothing: its dynamic type is
-// not known statically); and every field of a struct used as a map key,
-// which map equality reads.
+// ++ or -- write the field they name, or the field they index (x.f[i] = v);
+// so does the first argument of x.f = append(x.f, …). Every other use
+// reads it, and a promoted selection also reads the embedded fields on its
+// path. Three kinds of field count as read with no such use: a JSON-tagged
+// field; every exported or embedded field of a type statically reachable
+// from the argument of json.Marshal, json.MarshalIndent or
+// (*json.Encoder).Encode, through pointers, arrays, slices, maps and
+// struct fields (an argument of interface or type-parameter type reaches
+// nothing: its dynamic type is not known statically); and every field of a
+// struct used as a map key, which map equality reads.
 func unreadFields(info *types.Info, all, scan []*ast.File, allow map[string]string) (unread []unreadField, stale []string) {
 	read := map[*types.Var]bool{}
 	readStruct := func(t types.Type, each func(f *types.Var)) {
@@ -353,7 +354,11 @@ func unreadFields(info *types.Info, all, scan []*ast.File, allow map[string]stri
 
 	written := map[*ast.Ident]bool{}
 	write := func(e ast.Expr) {
-		if s, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+		e = ast.Unparen(e)
+		for ix, ok := e.(*ast.IndexExpr); ok; ix, ok = e.(*ast.IndexExpr) {
+			e = ast.Unparen(ix.X)
+		}
+		if s, ok := e.(*ast.SelectorExpr); ok {
 			written[s.Sel] = true
 		}
 	}
@@ -373,6 +378,9 @@ func unreadFields(info *types.Info, all, scan []*ast.File, allow map[string]stri
 					for _, l := range n.Lhs {
 						write(l)
 					}
+				}
+				if len(n.Rhs) == 1 && isSelfAppend(info, n.Lhs[0], n.Rhs[0]) {
+					write(n.Rhs[0].(*ast.CallExpr).Args[0])
 				}
 			case *ast.IncDecStmt:
 				write(n.X)
@@ -443,6 +451,22 @@ func unreadFields(info *types.Info, all, scan []*ast.File, allow map[string]stri
 	return unread, stale
 }
 
+// isSelfAppend reports whether lhs = rhs is lhs = append(lhs, …).
+func isSelfAppend(info *types.Info, lhs, rhs ast.Expr) bool {
+	call, ok := ast.Unparen(rhs).(*ast.CallExpr)
+	if !ok || len(call.Args) == 0 {
+		return false
+	}
+	fn, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	if _, builtin := info.Uses[fn].(*types.Builtin); !builtin || fn.Name != "append" {
+		return false
+	}
+	return types.ExprString(ast.Unparen(lhs)) == types.ExprString(ast.Unparen(call.Args[0]))
+}
+
 // TestUnreadFieldsRules checks unreadFields' verdict for each kind of
 // read and write on a small source.
 func TestUnreadFieldsRules(t *testing.T) {
@@ -473,8 +497,14 @@ type encoded struct{ F int }
 type opaque struct{ F int }
 type key struct{ a, b int }
 type allowed struct{ f int }
+type elem struct{ f []int }
+type mapElem struct{ f map[string]int }
+type opElem struct{ f []int }
+type incElem struct{ f []int }
+type grown struct{ f []int }
+type readElem struct{ f []int }
 
-func use(a *assign, o opAssign, d *addr, x outer, g interface{}) {
+func use(a *assign, o opAssign, d *addr, x outer, g interface{}, e elem, m mapElem, oe opElem, ie incElem, gr *grown, re readElem) {
 	_ = lit{f: 1}
 	a.f = 1
 	o.f += 2
@@ -490,6 +520,12 @@ func use(a *assign, o opAssign, d *addr, x outer, g interface{}) {
 	json.Marshal(g)
 	_ = map[key]int{{a: 1, b: 2}: 3}
 	_ = allowed{f: 1}
+	e.f[0] = 1
+	m.f["k"] = 1
+	oe.f[0] += 2
+	ie.f[0]--
+	gr.f = append(gr.f, 1)
+	_ = re.f[0]
 }
 `
 	m := loadModule(t)
@@ -535,7 +571,13 @@ func use(a *assign, o opAssign, d *addr, x outer, g interface{}) {
 		{"p.opaque.F", true},     // behind an interface argument
 		{"p.key.a", false},       // map key
 		{"p.key.b", false},
-		{"p.allowed.f", false}, // allow-listed
+		{"p.allowed.f", false},  // allow-listed
+		{"p.elem.f", true},      // x.f[i] = v
+		{"p.mapElem.f", true},   // x.f[k] = v
+		{"p.opElem.f", true},    // x.f[i] += v
+		{"p.incElem.f", true},   // x.f[i]--
+		{"p.grown.f", true},     // x.f = append(x.f, v)
+		{"p.readElem.f", false}, // _ = x.f[0]
 	} {
 		if got[c.key] != c.unread {
 			t.Errorf("%s: unread = %v, want %v", c.key, got[c.key], c.unread)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"sync"
 
@@ -211,7 +212,7 @@ func New(cfg Config, n int) (*Cluster, error) {
 			s.followers = append(s.followers, f)
 			s.acks[f] = map[string]uint64{}
 		}
-		sortIDs(s.followers)
+		slices.Sort(s.followers)
 		c.shards[si] = s
 	}
 	return c, nil
@@ -249,7 +250,7 @@ func (c *Cluster) MetricsDumps() []server.MetricsDump {
 	for id := range c.metricsSources {
 		ids = append(ids, id)
 	}
-	sortIDs(ids)
+	slices.Sort(ids)
 	fns := make([]func() server.MetricsDump, 0, len(ids))
 	for _, id := range ids {
 		fns = append(fns, c.metricsSources[id])
@@ -301,7 +302,7 @@ func (c *Cluster) memberIDs() []cluster.NodeID {
 	for id := range c.members {
 		out = append(out, id)
 	}
-	sortIDs(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -456,7 +457,7 @@ func (c *Cluster) deliverShips(now float64) {
 		}
 		delete(c.pending, shipKey{shard: sh.shard, to: sh.to, name: sh.name})
 		s := c.shards[sh.shard]
-		if s.fence != sh.fence || !containsID(s.followers, sh.to) {
+		if s.fence != sh.fence || !slices.Contains(s.followers, sh.to) {
 			c.droppedShips++
 			continue
 		}
@@ -632,7 +633,7 @@ func (c *Cluster) promote(si int, winner, old cluster.NodeID, graceful bool) {
 		om.node.clearRole(si)
 		om.node.setRole(si, Role{Fence: s.fence}, nil)
 		s.followers = append(s.followers, old)
-		sortIDs(s.followers)
+		slices.Sort(s.followers)
 		oacks := map[string]uint64{}
 		for name, e := range om.node.localEpochs() {
 			if ShardOf(name, c.cfg.Shards) == si {
@@ -681,7 +682,7 @@ func (c *Cluster) Rejoin(id cluster.NodeID) error {
 		return fmt.Errorf("clusterd: rejoin of unknown node %d", id)
 	}
 	for _, s := range c.shards {
-		if containsID(s.followers, id) {
+		if slices.Contains(s.followers, id) {
 			s.followers = removeID(s.followers, id)
 			delete(s.acks, id)
 			c.gen++
@@ -757,7 +758,7 @@ func (c *Cluster) eligible() []cluster.NodeID {
 			out = append(out, id)
 		}
 	}
-	sortIDs(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -765,7 +766,7 @@ func (c *Cluster) eligible() []cluster.NodeID {
 // eligible members other than its primary.
 func (c *Cluster) wantFollowers(s *shardState, eligible []cluster.NodeID) int {
 	avail := len(eligible)
-	if containsID(eligible, s.primary) {
+	if slices.Contains(eligible, s.primary) {
 		avail--
 	}
 	return min(c.cfg.Replicas, avail)
@@ -860,12 +861,12 @@ func (c *Cluster) fillFollowers(si int, eligible []cluster.NodeID) {
 			return
 		}
 		m, ok := c.members[id]
-		if !ok || m.node.isDown() || id == s.primary || containsID(s.followers, id) {
+		if !ok || m.node.isDown() || id == s.primary || slices.Contains(s.followers, id) {
 			continue
 		}
 		m.node.setRole(si, Role{Fence: s.fence}, nil)
 		s.followers = append(s.followers, id)
-		sortIDs(s.followers)
+		slices.Sort(s.followers)
 		if s.acks[id] == nil {
 			s.acks[id] = map[string]uint64{}
 		}
@@ -932,7 +933,7 @@ func (c *Cluster) reship(si int) {
 // primary or follower anywhere.
 func (c *Cluster) holdsAnyRole(id cluster.NodeID) bool {
 	for _, s := range c.shards {
-		if s.primary == id || containsID(s.followers, id) {
+		if s.primary == id || slices.Contains(s.followers, id) {
 			return true
 		}
 	}
@@ -1070,19 +1071,6 @@ func (c *Cluster) Topology() TopologyView {
 	return tv
 }
 
-func sortIDs(ids []cluster.NodeID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-}
-
-func containsID(ids []cluster.NodeID, id cluster.NodeID) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
-}
-
 func removeID(ids []cluster.NodeID, id cluster.NodeID) []cluster.NodeID {
 	out := ids[:0]
 	for _, x := range ids {
@@ -1093,11 +1081,12 @@ func removeID(ids []cluster.NodeID, id cluster.NodeID) []cluster.NodeID {
 	return out
 }
 
+// sortedNames returns m's keys in order.
 func sortedNames(m map[string]uint64) []string {
 	out := make([]string, 0, len(m))
 	for name := range m {
 		out = append(out, name)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }

@@ -3,6 +3,7 @@ package clusterd
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -348,13 +349,13 @@ func TestEnlistmentSkipsDownNodeBeforeSuspicion(t *testing.T) {
 			t.Fatalf("spare %d already suspected; the test needs truth-only death", spare)
 		}
 	}
-	if containsID(followersOf(tv.Map[0]), spare) {
+	if slices.Contains(followersOf(tv.Map[0]), spare) {
 		t.Fatalf("down node %d enlisted as follower: %+v", spare, tv.Map[0])
 	}
 	if err := c.Rejoin(spare); err != nil {
 		t.Fatal(err)
 	}
-	if sv := c.Topology().Map[0]; !containsID(followersOf(sv), spare) {
+	if sv := c.Topology().Map[0]; !slices.Contains(followersOf(sv), spare) {
 		t.Fatalf("rejoined node %d not enlisted: %+v", spare, sv)
 	}
 }

@@ -2,6 +2,7 @@ package detect
 
 import (
 	"fmt"
+	"slices"
 
 	"datanet/internal/cluster"
 )
@@ -83,16 +84,6 @@ func (t *Tracker) Sweep(now float64) []int {
 			newly = append(newly, id)
 		}
 	}
-	sortInts(newly)
+	slices.Sort(newly)
 	return newly
-}
-
-// sortInts is a tiny insertion sort: suspicion batches are a handful of
-// IDs, not worth pulling in package sort's interface machinery.
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

@@ -119,11 +119,15 @@ type diffResult struct {
 	usedAssist bool
 }
 
-// Workloads is the per-node accumulated weights of the picker's plan.
-func (p *DataNetPicker) Workloads() map[cluster.NodeID]int64 {
-	out := make(map[cluster.NodeID]int64, len(p.workload))
-	for n, w := range p.workload {
-		out[cluster.NodeID(n)] = w
+// plannedLoads sums the weights of each node's planned queue, the ranks
+// plan[start[n]:start[n+1]], over the tasks p was built from.
+func plannedLoads(p *dataNet, tasks []Task) map[cluster.NodeID]int64 {
+	out := make(map[cluster.NodeID]int64, len(p.start)-1)
+	for n := range len(p.start) - 1 {
+		out[cluster.NodeID(n)] = 0
+		for _, k := range p.plan[p.start[n]:p.start[n+1]] {
+			out[cluster.NodeID(n)] += tasks[p.order[k]].Weight
+		}
 	}
 	return out
 }
@@ -134,9 +138,10 @@ func evaluate(t *testing.T, in *diffInstance) diffResult {
 	if err != nil {
 		t.Fatalf("bad instance (%d nodes): %v", in.nodes, err)
 	}
-	p := NewDataNetPicker(in.tasks(), topo).(*DataNetPicker)
+	tasks := in.tasks()
+	p := newDataNet(input(tasks), topo, false)
 	var res diffResult
-	for _, w := range p.Workloads() {
+	for _, w := range plannedLoads(p, tasks) {
 		if w > res.algoMax {
 			res.algoMax = w
 		}
@@ -511,29 +516,35 @@ func (in *diffInstance) topology(heterogeneous bool) *cluster.Topology {
 	return topo
 }
 
-// pullMismatch drives the indexed picker, built from the instance's sparse
-// input, and the scan over its dense tasks pull for pull, nodes asking in
-// seeded random order (so most pulls late in the run are steals), and
-// describes the first pull — or the final workloads — they disagree on.
+// pullMismatch drives the indexed puller, built from the instance's sparse
+// input and served over its dense tasks, and the scan over those tasks
+// pull for pull, nodes asking in seeded random order (so most pulls late
+// in the run are steals), and describes the first pull — or the final
+// per-node weights pulled — they disagree on.
 func pullMismatch(in *diffInstance, capacityAware bool) string {
 	topo := in.topology(capacityAware)
-	got := newDataNet(in.input(), topo, capacityAware)
+	got := serve("datanet", newDataNet(in.input(), topo, capacityAware), in.tasks())
 	want := newScanDataNet(in.tasks(), topo, capacityAware)
+	pulled := make(map[cluster.NodeID]int64, in.nodes)
+	for n := range in.nodes {
+		pulled[cluster.NodeID(n)] = 0
+	}
 	rng := rand.New(rand.NewSource(in.seed))
 	for pull := 0; want.remain > 0 || got.Remaining() > 0; pull++ {
 		node := cluster.NodeID(rng.Intn(in.nodes))
-		pos, r, gok := got.pull(node)
+		gt, grule, gok := got.Next(node)
 		wt, wok := want.Next(node)
-		if gok != wok || (gok && (pos != wt.Index || ruleNames[r] != want.lastRule)) {
+		if gok != wok || (gok && (gt.Index != wt.Index || grule != want.lastRule)) {
 			return fmt.Sprintf("pull %d by node %d: got task %d (%s, ok %v), scan gives task %d (%s, ok %v)",
-				pull, node, pos, ruleNames[r], gok, wt.Index, want.lastRule, wok)
+				pull, node, gt.Index, grule, gok, wt.Index, want.lastRule, wok)
 		}
 		if got.Remaining() != want.remain {
 			return fmt.Sprintf("pull %d: %d remaining, scan has %d", pull, got.Remaining(), want.remain)
 		}
+		pulled[node] += gt.Weight
 	}
-	if !reflect.DeepEqual(got.Workloads(), want.workload) {
-		return fmt.Sprintf("final workloads differ: %v, scan has %v", got.Workloads(), want.workload)
+	if !reflect.DeepEqual(pulled, want.workload) {
+		return fmt.Sprintf("final workloads differ: %v, scan has %v", pulled, want.workload)
 	}
 	return ""
 }
@@ -619,18 +630,18 @@ func TestSparseLocalityMatchesMapQueues(t *testing.T) {
 			for repl := 1; repl <= min(3, nodes); repl++ {
 				in := familyInstance(nodes, fi, repl)
 				for _, lpt := range []bool{false, true} {
-					got, want := newLocality(in.input(), lpt), newMapLocality(in.tasks(), "locality.local-fifo", "locality.remote-fifo")
+					got, want := serve("", newLocality(in.input(), lpt), in.tasks()), newMapLocality(in.tasks(), "locality.local-fifo", "locality.remote-fifo")
 					if lpt {
 						want = newMapLPT(in.tasks())
 					}
 					rng := rand.New(rand.NewSource(in.seed))
 					for pull := 0; want.remain > 0 || got.Remaining() > 0; pull++ {
 						node := cluster.NodeID(rng.Intn(nodes))
-						pos, r, gok := got.pull(node)
+						gt, grule, gok := got.Next(node)
 						wt, wrule, wok := want.Next(node)
-						if gok != wok || (gok && (pos != wt.Index || ruleNames[r] != wrule)) {
+						if gok != wok || (gok && (gt.Index != wt.Index || grule != wrule)) {
 							t.Fatalf("%d nodes, %s, replication %d, lpt %v, pull %d by node %d: got (%d, %s, %v), want (%d, %s, %v)",
-								nodes, fam.name, repl, lpt, pull, node, pos, ruleNames[r], gok, wt.Index, wrule, wok)
+								nodes, fam.name, repl, lpt, pull, node, gt.Index, grule, gok, wt.Index, wrule, wok)
 						}
 					}
 				}
@@ -639,25 +650,25 @@ func TestSparseLocalityMatchesMapQueues(t *testing.T) {
 	}
 }
 
-// TestIndexedStaticMatchesScan does the same for the max-flow picker's
-// serving half over generated assignments: many equal lengths, empty queues.
+// TestIndexedStaticMatchesScan does the same for the max-flow puller,
+// served through the picker, over generated assignments: many equal
+// lengths, empty queues.
 func TestIndexedStaticMatchesScan(t *testing.T) {
 	for _, nodes := range []int{16, 256, 1024} {
 		for seed := int64(1); seed <= 4; seed++ {
 			rng := rand.New(rand.NewSource(seed * int64(nodes)))
-			queues := make([][]Task, nodes)
+			queues := make([][]int, nodes)
+			var tasks []Task
 			ref := &scanStatic{queues: map[cluster.NodeID][]Task{}}
-			for n, next := 0, 0; n < nodes; n++ {
+			for n := 0; n < nodes; n++ {
 				for k := rng.Intn(5) * rng.Intn(2); k > 0; k-- {
-					queues[n] = append(queues[n], Task{Index: next})
-					next++
-				}
-				if len(queues[n]) > 0 { // the scan's map held only assigned nodes
-					ref.queues[cluster.NodeID(n)] = slices.Clone(queues[n])
-					ref.remain += len(queues[n])
+					queues[n] = append(queues[n], len(tasks))
+					tasks = append(tasks, Task{Index: len(tasks)})
+					ref.queues[cluster.NodeID(n)] = append(ref.queues[cluster.NodeID(n)], tasks[len(tasks)-1])
+					ref.remain++
 				}
 			}
-			got := newStaticPicker("static", queues)
+			got := serve("static", newStatic(queues), tasks)
 			for pull := 0; ref.remain > 0 || got.Remaining() > 0; pull++ {
 				node := cluster.NodeID(rng.Intn(nodes))
 				gt, rule, gok := got.Next(node)

@@ -38,29 +38,14 @@ func ValidateWeights(weights []int64, blocks int) error {
 }
 
 // NewFallbackLocality returns a Factory producing the locality baseline
-// tagged with the degradation reason, so Result.SchedulerName records that
+// tagged with the degradation reason, in its name and as a "fallback."
+// prefix on every rule, so Result.SchedulerName and the audit record that
 // the job ran degraded rather than silently pretending the requested
 // policy was in force.
 func NewFallbackLocality(reason string) Factory {
-	return func(tasks []Task, topo *cluster.Topology) Picker {
-		return &fallbackPicker{Picker: NewLocalityPicker(tasks, topo), reason: reason}
+	return func(tasks []Task, _ *cluster.Topology) Picker {
+		p := serve("hadoop-locality (fallback: "+reason+")", newLocality(input(tasks), false), tasks)
+		p.prefix = "fallback."
+		return p
 	}
-}
-
-// fallbackPicker decorates the baseline with the degradation reason.
-type fallbackPicker struct {
-	Picker
-	reason string
-}
-
-// Name implements Picker.
-func (p *fallbackPicker) Name() string {
-	return p.Picker.Name() + " (fallback: " + p.reason + ")"
-}
-
-// Next implements Picker, tagging the baseline's rule so the audit shows
-// the job ran degraded.
-func (p *fallbackPicker) Next(node cluster.NodeID) (Task, string, bool) {
-	t, rule, ok := p.Picker.Next(node)
-	return t, "fallback." + rule, ok
 }

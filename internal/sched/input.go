@@ -9,11 +9,11 @@ import (
 )
 
 // Input is a job's tasks in the form the locality, LPT and Algorithm 1
-// pickers are built from: the tasks that weigh something, listed, and the
+// pullers are built from: the tasks that weigh something, listed, and the
 // zero class, counted. A sub-dataset is absent from most blocks (§V-B), so
 // most of a job's tasks are in the zero class, and no Task need exist for
-// them: a picker hands out task positions, and only a picker built over
-// a []Task (the exported constructors) looks the Task up.
+// them: a puller hands out task positions, and only the picker over a
+// []Task (the exported constructors) looks the Task up.
 type Input struct {
 	// Weighted lists the positions whose weight is not zero, ascending.
 	Weighted []Weighted
@@ -52,7 +52,7 @@ func input(tasks []Task) Input {
 }
 
 // rule indexes ruleNames: the rule a pull reports, one byte per planned
-// task where a picker records it.
+// task where a puller records it.
 type rule uint8
 
 const (
@@ -65,6 +65,12 @@ const (
 	ruleLocalityRemote
 	ruleLPTLocal
 	ruleLPTRemote
+	ruleDelayLocal
+	ruleDelayRemote
+	ruleRandomLocal
+	ruleRandomRemote
+	ruleMaxflowPlan
+	ruleMaxflowSteal
 )
 
 var ruleNames = [...]string{
@@ -77,28 +83,55 @@ var ruleNames = [...]string{
 	ruleLocalityRemote: "locality.remote-fifo",
 	ruleLPTLocal:       "lpt.local",
 	ruleLPTRemote:      "lpt.remote",
+	ruleDelayLocal:     "delay.local-fifo",
+	ruleDelayRemote:    "delay.remote-after-wait",
+	ruleRandomLocal:    "random.local",
+	ruleRandomRemote:   "random.remote",
+	ruleMaxflowPlan:    "maxflow.plan",
+	ruleMaxflowSteal:   "maxflow.steal",
 }
 
-// puller is the pull of a picker built from an Input: it answers with a
-// task position and the rule that chose it.
+// puller is a scheduler: it answers a node's pull with a task position and
+// the rule that chose it. A task is left whenever it is asked; ok is false
+// only when it declines the node for now (delay scheduling).
 type puller interface {
 	pull(node cluster.NodeID) (pos int, r rule, ok bool)
 }
 
-// next is Next for a picker built over tasks: its pull, looked up.
-func next(p puller, tasks []Task, node cluster.NodeID) (Task, string, bool) {
-	i, r, ok := p.pull(node)
+// picker is the one Picker: it serves a puller's positions as the
+// caller's Tasks, counts what is left, and names the rule, behind prefix.
+type picker struct {
+	name, prefix string
+	puller       puller
+	tasks        []Task
+	remain       int
+}
+
+// serve returns the Picker named name over p's pulls of tasks.
+func serve(name string, p puller, tasks []Task) *picker {
+	return &picker{name: name, puller: p, tasks: tasks, remain: len(tasks)}
+}
+
+func (p *picker) Name() string   { return p.name }
+func (p *picker) Remaining() int { return p.remain }
+
+func (p *picker) Next(node cluster.NodeID) (Task, string, bool) {
+	if p.remain == 0 {
+		return Task{}, "", false
+	}
+	i, r, ok := p.puller.pull(node)
 	if !ok {
 		return Task{}, "", false
 	}
-	return tasks[i], ruleNames[r], true
+	p.remain--
+	return p.tasks[i], p.prefix + ruleNames[r], true
 }
 
 // Plan is the policy's assignment of in over topo's nodes. The locality,
-// LPT and Algorithm 1 pickers are drained under the pull protocol, one
+// LPT and Algorithm 1 pullers are drained under the pull protocol, one
 // pull per node per round in node order — the deterministic equivalent of
 // equally-fast single-slot nodes. Max-flow's assignment is taken as
-// computed, node by node: draining its picker would steal and change it.
+// computed, node by node: draining its puller would steal and change it.
 // order lists the task positions in the order they were assigned, and
 // node[pos] is the node a position went to.
 func (p Policy) Plan(in Input, topo *cluster.Topology) (order, node []int32, err error) {

@@ -107,24 +107,22 @@ func PlanRebalance(loads map[cluster.NodeID]int64) MigrationPlan {
 // ---------------------------------------------------------------------------
 // Future-work extension: minimizing aggregation transfer with ElasticMap.
 
-// AggregationPlan assigns every node's filtered output to an aggregator so
+// AggregationPlan chooses the aggregators of the nodes' filtered output so
 // cross-node transfer is minimized (the paper defers "optimization of the
 // sub-dataset transfer problem" to future work; ElasticMap makes the
 // per-node volumes known in advance, enabling this plan).
 type AggregationPlan struct {
 	// Aggregators lists the chosen sink nodes.
 	Aggregators []cluster.NodeID
-	// Sink maps every node to its aggregator.
-	Sink map[cluster.NodeID]cluster.NodeID
 	// BytesTransferred is the total cross-node volume.
 	BytesTransferred int64
 	// TotalBytes is the total output volume.
 	TotalBytes int64
 }
 
-// PlanAggregation picks the k nodes holding the most output as aggregators
-// (their own bytes never cross the network) and assigns every other node
-// to the aggregator with the least incoming volume so sinks stay balanced.
+// PlanAggregation picks the k nodes holding the most output as aggregators:
+// their own bytes never cross the network, and every other node's output
+// does, whichever aggregator it goes to.
 func PlanAggregation(loads map[cluster.NodeID]int64, k int) AggregationPlan {
 	if k <= 0 {
 		k = 1
@@ -146,25 +144,9 @@ func PlanAggregation(loads map[cluster.NodeID]int64, k int) AggregationPlan {
 	}
 	plan := AggregationPlan{
 		Aggregators: append([]cluster.NodeID(nil), ids[:k]...),
-		Sink:        make(map[cluster.NodeID]cluster.NodeID, len(ids)),
 		TotalBytes:  total,
 	}
-	incoming := make(map[cluster.NodeID]int64, k)
-	for _, a := range plan.Aggregators {
-		plan.Sink[a] = a
-		incoming[a] = loads[a] // local bytes count toward balance, not transfer
-	}
 	for _, id := range ids[k:] {
-		var best cluster.NodeID
-		first := true
-		for _, a := range plan.Aggregators {
-			if first || incoming[a] < incoming[best] || (incoming[a] == incoming[best] && a < best) {
-				best = a
-				first = false
-			}
-		}
-		plan.Sink[id] = best
-		incoming[best] += loads[id]
 		plan.BytesTransferred += loads[id]
 	}
 	return plan

@@ -7,15 +7,16 @@
 //     the cluster average W̄, preferring local replicas;
 //   - an offline max-flow optimal assignment (paper §IV-B, via
 //     internal/graph);
-//   - ablation pickers (LPT greedy, random);
+//   - ablation schedulers (LPT greedy, random);
 //   - a dynamic-rebalance comparator modeling SkewTune-style runtime
 //     migration, used for the §V-A.4 ">30% of data migrated" analysis;
 //   - a min-transfer aggregation planner (the paper's stated future work).
 //
-// All pickers implement the pull protocol Hadoop task trackers use: a node
-// with a free slot requests the next task, and the picker answers with the
-// rule that chose it, for the engine's per-assignment audit trail
-// (internal/trace).
+// Every scheduler answers the pull protocol Hadoop task trackers use: a
+// node with a free slot requests the next task. Each is a puller of task
+// positions, and one adapter (picker) serves them to the engine as Tasks
+// with the rule that chose each, for the engine's per-assignment audit
+// trail (internal/trace).
 package sched
 
 import (
@@ -72,16 +73,14 @@ type Factory func(tasks []Task, topo *cluster.Topology) Picker
 // ---------------------------------------------------------------------------
 // Hadoop locality baseline.
 
-// LocalityPicker models Hadoop's default block-locality-driven scheduling:
-// a requesting node receives its first unprocessed local block (FIFO in
+// locality models Hadoop's default block-locality-driven scheduling: a
+// requesting node receives its first unprocessed local block (FIFO in
 // block order), falling back to the first remaining block when it has no
 // local work left. Sub-dataset weights are ignored entirely — this is the
 // paper's "without DataNet" configuration. Over a heaviest-first order
-// the same picker is the LPT ablation (NewLPTPicker).
-type LocalityPicker struct {
-	name                  string
+// the same puller is the LPT ablation (NewLPTPicker).
+type locality struct {
 	localRule, remoteRule rule
-	tasks                 []Task  // the caller's, by position; nil when built from an Input
 	order                 []int32 // service order: task positions
 	taken                 []bool  // by service position
 	// queued holds each node's local queue of service positions,
@@ -89,15 +88,12 @@ type LocalityPicker struct {
 	// head entries dropped lazily.
 	queued    []int32
 	head, end []int32
-	remain    int
 	nextRem   int
 }
 
 // NewLocalityPicker constructs the baseline picker.
 func NewLocalityPicker(tasks []Task, _ *cluster.Topology) Picker {
-	p := newLocality(input(tasks), false)
-	p.tasks = tasks
-	return p
+	return serve("hadoop-locality", newLocality(input(tasks), false), tasks)
 }
 
 // NewLPTPicker constructs a longest-processing-time greedy: a requesting
@@ -105,18 +101,16 @@ func NewLocalityPicker(tasks []Task, _ *cluster.Topology) Picker {
 // remaining), equal weights in block order. Classic makespan heuristic;
 // an ablation contrast for Algorithm 1.
 func NewLPTPicker(tasks []Task, _ *cluster.Topology) Picker {
-	p := newLocality(input(tasks), true)
-	p.tasks = tasks
-	return p
+	return serve("lpt-greedy", newLocality(input(tasks), true), tasks)
 }
 
 // newLocality serves in's tasks in block order, or heaviest first for
 // LPT, local blocks first. The queues are laid out in one array by a
 // counting pass.
-func newLocality(in Input, lpt bool) *LocalityPicker {
-	p := &LocalityPicker{name: "hadoop-locality", localRule: ruleLocalityLocal, remoteRule: ruleLocalityRemote}
+func newLocality(in Input, lpt bool) *locality {
+	p := &locality{localRule: ruleLocalityLocal, remoteRule: ruleLocalityRemote}
 	if lpt {
-		p.name, p.localRule, p.remoteRule = "lpt-greedy", ruleLPTLocal, ruleLPTRemote
+		p.localRule, p.remoteRule = ruleLPTLocal, ruleLPTRemote
 		p.order = heaviestFirst(in).order
 	} else {
 		p.order = make([]int32, in.len())
@@ -148,25 +142,10 @@ func newLocality(in Input, lpt bool) *LocalityPicker {
 	}
 	p.end = end
 	p.taken = make([]bool, len(p.order))
-	p.remain = len(p.order)
 	return p
 }
 
-// Name implements Picker.
-func (p *LocalityPicker) Name() string { return p.name }
-
-// Remaining implements Picker.
-func (p *LocalityPicker) Remaining() int { return p.remain }
-
-// Next implements Picker.
-func (p *LocalityPicker) Next(node cluster.NodeID) (Task, string, bool) {
-	return next(p, p.tasks, node)
-}
-
-func (p *LocalityPicker) pull(node cluster.NodeID) (int, rule, bool) {
-	if p.remain == 0 {
-		return 0, 0, false
-	}
+func (p *locality) pull(node cluster.NodeID) (int, rule, bool) {
 	if i, ok := p.local(node); ok {
 		return p.take(i), p.localRule, true
 	}
@@ -176,7 +155,7 @@ func (p *LocalityPicker) pull(node cluster.NodeID) (int, rule, bool) {
 // local returns the node's first untaken local task, dropping the taken
 // ones ahead of it from its queue so no pull scans them again. A node
 // past the last one any task names has no queue.
-func (p *LocalityPicker) local(node cluster.NodeID) (int, bool) {
+func (p *locality) local(node cluster.NodeID) (int, bool) {
 	if node < 0 || int(node) >= len(p.head) {
 		return 0, false
 	}
@@ -193,7 +172,7 @@ func (p *LocalityPicker) local(node cluster.NodeID) (int, bool) {
 
 // remote returns the first untaken task in service order; a task must
 // remain.
-func (p *LocalityPicker) remote() int {
+func (p *locality) remote() int {
 	for p.taken[p.nextRem] {
 		p.nextRem++
 	}
@@ -201,72 +180,56 @@ func (p *LocalityPicker) remote() int {
 }
 
 // take marks service position i taken and returns its task position.
-func (p *LocalityPicker) take(i int) int {
+func (p *locality) take(i int) int {
 	p.taken[i] = true
-	p.remain--
 	return int(p.order[i])
 }
 
-// DelayedLocalityPicker refines the baseline with Hadoop's delay
-// scheduling: a node with no local work declines up to Delay consecutive
-// requests (hoping a local block frees up as other nodes drain the queue)
-// before accepting a remote block. It raises data-locality at the cost of
-// idle slots — the real Hadoop trade-off — and serves as a stronger
-// baseline ablation.
-type DelayedLocalityPicker struct {
-	inner   *LocalityPicker
+// delayed refines the baseline with Hadoop's delay scheduling: a node with
+// no local work declines up to delay consecutive requests (hoping a local
+// block frees up as other nodes drain the queue) before accepting a remote
+// block. It raises data-locality at the cost of idle slots — the real
+// Hadoop trade-off — and serves as a stronger baseline ablation.
+type delayed struct {
+	*locality
 	delay   int
 	waiting map[cluster.NodeID]int
 }
 
 // NewDelayedLocalityPicker returns a Factory with the given maximum
-// number of declined requests per node.
+// number of declined requests per node. A declined request returns
+// ok=false with tasks still Remaining, so the engine's slots keep asking
+// until Remaining()==0.
 func NewDelayedLocalityPicker(delay int) Factory {
-	return func(tasks []Task, topo *cluster.Topology) Picker {
-		return &DelayedLocalityPicker{
-			inner:   NewLocalityPicker(tasks, topo).(*LocalityPicker),
-			delay:   delay,
-			waiting: make(map[cluster.NodeID]int),
-		}
+	return func(tasks []Task, _ *cluster.Topology) Picker {
+		p := &delayed{locality: newLocality(input(tasks), false), delay: delay, waiting: make(map[cluster.NodeID]int)}
+		return serve("hadoop-delay", p, tasks)
 	}
 }
 
-// Name implements Picker.
-func (p *DelayedLocalityPicker) Name() string { return "hadoop-delay" }
-
-// Remaining implements Picker.
-func (p *DelayedLocalityPicker) Remaining() int { return p.inner.Remaining() }
-
-// Next implements Picker. The ok=false return while waiting is
-// indistinguishable from exhaustion to a naive caller, so the engine's
-// retry loop (slots keep requesting until Remaining()==0) provides the
-// "ask again later" semantics.
-func (p *DelayedLocalityPicker) Next(node cluster.NodeID) (Task, string, bool) {
-	if p.inner.remain == 0 {
-		return Task{}, "", false
-	}
+func (p *delayed) pull(node cluster.NodeID) (int, rule, bool) {
 	// Serve a local block if one exists (also resets the wait counter).
-	if i, ok := p.inner.local(node); ok {
+	if i, ok := p.local(node); ok {
 		p.waiting[node] = 0
-		return p.inner.tasks[p.inner.take(i)], "delay.local-fifo", true
+		return p.take(i), ruleDelayLocal, true
 	}
 	if p.waiting[node] < p.delay {
 		p.waiting[node]++
-		return Task{}, "", false // decline; the slot will ask again
+		return 0, 0, false // decline; the slot will ask again
 	}
 	p.waiting[node] = 0
-	return p.inner.tasks[p.inner.take(p.inner.remote())], "delay.remote-after-wait", true // give up waiting: remote FIFO
+	return p.take(p.remote()), ruleDelayRemote, true // give up waiting: remote FIFO
 }
 
 // ---------------------------------------------------------------------------
 // DataNet Algorithm 1.
 
-// DataNetPicker implements the paper's Algorithm 1: distribution-aware,
+// dataNet implements the paper's Algorithm 1: distribution-aware,
 // workload-balanced assignment of block tasks using the ElasticMap
 // weights. Because DataNet's defining property is that the sub-dataset
 // distribution is known *before* the job launches (§IV: "we could identify
 // the imbalanced distribution of sub-datasets before launching the actual
-// analysis tasks"), the picker materializes the balanced assignment up
+// analysis tasks"), the puller materializes the balanced assignment up
 // front and serves it through the pull protocol:
 //
 //   - tasks are placed in descending weight order, each on the
@@ -297,14 +260,11 @@ func (p *DelayedLocalityPicker) Next(node cluster.NodeID) (Task, string, bool) {
 // victim ↑) across queues is the scan's own comparison. Tasks never move
 // between queues and a taken task stays taken, so each order is walked once
 // by a cursor and a steal costs amortized O(1) whatever the cluster size.
-type DataNetPicker struct {
-	tasks []Task // the caller's, by position; nil when built from an Input
-	// rank orders the tasks heaviest first, the order they were placed
-	// in: the task of rank k went to node placed[k] by planning rule
-	// why[k].
-	rank   ranking
-	placed []int32
-	why    []rule
+type dataNet struct {
+	// order is the task positions heaviest first, the order they were
+	// placed in; the task of rank k was placed by planning rule why[k].
+	order []int32
+	why   []rule
 	// plan holds the ranks node-major: node n's planned queue, heaviest
 	// first, is plan[start[n]:start[n+1]]. head[n] is the next planned
 	// position node n serves; taken marks what was served or stolen.
@@ -318,10 +278,6 @@ type DataNetPicker struct {
 	allAt             int32
 	local             []int32
 	localAt, localEnd []int32
-
-	workload []int64
-	remain   int
-	name     string
 }
 
 // assistFactor controls off-replica assignment: a task may go remote when
@@ -332,9 +288,7 @@ const assistFactor = 2.0
 // NewDataNetPicker constructs Algorithm 1 with a uniform workload target
 // W̄ (homogeneous clusters, as in the paper's evaluation).
 func NewDataNetPicker(tasks []Task, topo *cluster.Topology) Picker {
-	p := newDataNet(input(tasks), topo, false)
-	p.tasks = tasks
-	return p
+	return serve("datanet", newDataNet(input(tasks), topo, false), tasks)
 }
 
 // NewCapacityAwarePicker is Algorithm 1 with per-node targets proportional
@@ -342,14 +296,11 @@ func NewDataNetPicker(tasks []Task, topo *cluster.Topology) Picker {
 // nodes, we can calculate the amount of sub-datasets to be assigned to
 // each node", §IV-B) — the heterogeneous-cluster variant.
 func NewCapacityAwarePicker(tasks []Task, topo *cluster.Topology) Picker {
-	p := newDataNet(input(tasks), topo, true)
-	p.tasks = tasks
-	return p
+	return serve("datanet-capacity", newDataNet(input(tasks), topo, true), tasks)
 }
 
-func newDataNet(in Input, topo *cluster.Topology, capacityAware bool) *DataNetPicker {
+func newDataNet(in Input, topo *cluster.Topology, capacityAware bool) *dataNet {
 	m := topo.N()
-	name := "datanet"
 	share := make([]float64, m)
 	for i := range share {
 		share[i] = 1 / float64(m)
@@ -358,7 +309,6 @@ func newDataNet(in Input, topo *cluster.Topology, capacityAware bool) *DataNetPi
 		// Per-node capacity shares normalize projected loads on
 		// heterogeneous clusters ("according to the computing capability
 		// of computational nodes", §IV-B).
-		name = "datanet-capacity"
 		total := topo.TotalCapacity()
 		for i := range share {
 			if c := topo.Node(cluster.NodeID(i)).CPURate / total; c > 0 {
@@ -374,7 +324,6 @@ func newDataNet(in Input, topo *cluster.Topology, capacityAware bool) *DataNetPi
 
 	load := make([]float64, m) // normalized: bytes / share
 	count := make([]int32, m)
-	rawLoad := make([]int64, m)
 	placed := make([]int32, n) // rank -> node
 	why := make([]rule, n)     // rank -> planning rule
 
@@ -427,7 +376,6 @@ func newDataNet(in Input, topo *cluster.Topology, capacityAware bool) *DataNetPi
 		placed[k], why[k] = int32(pick), r
 		if w != 0 {
 			load[pick] += float64(w) / (share[pick] * float64(m))
-			rawLoad[pick] += w
 		}
 		count[pick]++
 		if !stale {
@@ -441,9 +389,8 @@ func newDataNet(in Input, topo *cluster.Topology, capacityAware bool) *DataNetPi
 	// The planned positions, the steal orders and the per-holder ones in
 	// one array.
 	slots := make([]int32, 2*n+int(holds[m]))
-	p := &DataNetPicker{
-		rank:     rank,
-		placed:   placed,
+	p := &dataNet{
+		order:    rank.order,
 		why:      why,
 		plan:     slots[:n:n],
 		stealAll: slots[n : 2*n : 2*n],
@@ -452,9 +399,6 @@ func newDataNet(in Input, topo *cluster.Topology, capacityAware bool) *DataNetPi
 		taken:    make([]bool, n),
 		localAt:  holds[:m],
 		localEnd: slices.Clone(holds[:m]), // the fill cursor until full
-		workload: rawLoad,
-		remain:   n,
-		name:     name,
 	}
 	for i, c := range count {
 		p.start[i+1] = p.start[i] + c
@@ -509,27 +453,14 @@ func placesBefore(load []float64, count []int32, a, b int) bool {
 	return a < b
 }
 
-// Name implements Picker.
-func (p *DataNetPicker) Name() string { return p.name }
-
-// Remaining implements Picker.
-func (p *DataNetPicker) Remaining() int { return p.remain }
-
-// Next implements Picker: serve the node's precomputed queue
-// heaviest-first; when the queue is empty, steal so early finishers absorb
-// slack instead of idling. Stealing takes the *globally lightest*
-// remaining task (preferring one whose replica the thief already holds) —
-// zero-weight blocks migrate freely while the weight plan, including
-// capacity-aware targets on heterogeneous clusters, stays intact; a heavy
-// task only moves when nothing lighter remains anywhere.
-func (p *DataNetPicker) Next(node cluster.NodeID) (Task, string, bool) {
-	return next(p, p.tasks, node)
-}
-
-func (p *DataNetPicker) pull(node cluster.NodeID) (int, rule, bool) {
-	if p.remain == 0 {
-		return 0, 0, false
-	}
+// pull serves the node's precomputed queue heaviest-first; when the queue
+// is empty, it steals so early finishers absorb slack instead of idling.
+// Stealing takes the *globally lightest* remaining task (preferring one
+// whose replica the thief already holds) — zero-weight blocks migrate
+// freely while the weight plan, including capacity-aware targets on
+// heterogeneous clusters, stays intact; a heavy task only moves when
+// nothing lighter remains anywhere.
+func (p *dataNet) pull(node cluster.NodeID) (int, rule, bool) {
 	for end := p.start[node+1]; p.head[node] < end; {
 		i := p.head[node]
 		p.head[node]++
@@ -537,23 +468,16 @@ func (p *DataNetPicker) pull(node cluster.NodeID) (int, rule, bool) {
 			return p.take(i), p.why[p.plan[i]], true
 		}
 	}
-	i := p.firstLeft(p.local[:p.localEnd[node]], &p.localAt[node])
-	r := ruleStealLocal
-	if i == -1 {
-		i = p.firstLeft(p.stealAll, &p.allAt)
-		r = ruleStealGlobal
+	if i := p.firstLeft(p.local[:p.localEnd[node]], &p.localAt[node]); i != -1 {
+		return p.take(i), ruleStealLocal, true
 	}
-	k := int(p.plan[i])
-	w := p.rank.weight(k)
-	p.workload[p.placed[k]] -= w
-	p.workload[node] += w
-	return p.take(i), r, true
+	return p.take(p.firstLeft(p.stealAll, &p.allAt)), ruleStealGlobal, true
 }
 
 // firstLeft advances a steal order's cursor to its first untaken entry
 // and returns that planned position, -1 when the order is spent. While
 // tasks remain the global order is never spent.
-func (p *DataNetPicker) firstLeft(order []int32, at *int32) int32 {
+func (p *dataNet) firstLeft(order []int32, at *int32) int32 {
 	for ; int(*at) < len(order); *at++ {
 		if i := order[*at]; !p.taken[i] {
 			return i
@@ -563,16 +487,15 @@ func (p *DataNetPicker) firstLeft(order []int32, at *int32) int32 {
 }
 
 // take marks planned position i taken and returns its task position.
-func (p *DataNetPicker) take(i int32) int {
+func (p *dataNet) take(i int32) int {
 	p.taken[i] = true
-	p.remain--
-	return int(p.rank.order[p.plan[i]])
+	return int(p.order[p.plan[i]])
 }
 
 // nodeHeap is an indexed binary heap of the node ids 0..n-1 under a strict
 // total order the caller supplies: top is the order's first node, and sink
 // restores the heap in O(log n) after one node's key moved later in the
-// order — the only way a key moves in either picker that uses it.
+// order — the only way a key moves in either puller that uses it.
 type nodeHeap struct {
 	before func(a, b int) bool
 	heap   []int // node ids in heap order
@@ -619,82 +542,62 @@ func (h *nodeHeap) sink(node int) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablation pickers.
+// Ablation: random local choice.
 
-// RandomPicker assigns a uniformly random remaining local task (else a
-// random remaining task). It isolates how much of the imbalance is due to
-// FIFO order versus locality itself.
-type RandomPicker struct {
-	tasks  []Task
+// random assigns a uniformly random remaining local task (else a random
+// remaining task). It isolates how much of the imbalance is due to FIFO
+// order versus locality itself.
+type random struct {
 	taken  []bool
 	byNode map[cluster.NodeID][]int
 	rng    *rand.Rand
-	remain int
+	cand   []int // the pull's candidates, reused
 }
 
 // NewRandomPicker returns a Factory seeded for reproducibility.
 func NewRandomPicker(seed int64) Factory {
 	return func(tasks []Task, _ *cluster.Topology) Picker {
-		p := &RandomPicker{
-			tasks:  tasks,
-			taken:  make([]bool, len(tasks)),
-			byNode: make(map[cluster.NodeID][]int),
-			rng:    rand.New(rand.NewSource(seed)),
-			remain: len(tasks),
-		}
+		p := &random{taken: make([]bool, len(tasks)), byNode: make(map[cluster.NodeID][]int), rng: rand.New(rand.NewSource(seed))}
 		for i, t := range tasks {
 			for _, n := range t.Locations {
 				p.byNode[n] = append(p.byNode[n], i)
 			}
 		}
-		return p
+		return serve("random-local", p, tasks)
 	}
 }
 
-// Name implements Picker.
-func (p *RandomPicker) Name() string { return "random-local" }
-
-// Remaining implements Picker.
-func (p *RandomPicker) Remaining() int { return p.remain }
-
-// Next implements Picker.
-func (p *RandomPicker) Next(node cluster.NodeID) (Task, string, bool) {
-	if p.remain == 0 {
-		return Task{}, "", false
-	}
-	var cand []int
+func (p *random) pull(node cluster.NodeID) (int, rule, bool) {
+	p.cand = p.cand[:0]
 	for _, i := range p.byNode[node] {
 		if !p.taken[i] {
-			cand = append(cand, i)
+			p.cand = append(p.cand, i)
 		}
 	}
-	rule := "random.local"
-	if len(cand) == 0 {
-		for i := range p.tasks {
-			if !p.taken[i] {
-				cand = append(cand, i)
+	r := ruleRandomLocal
+	if len(p.cand) == 0 {
+		for i, taken := range p.taken {
+			if !taken {
+				p.cand = append(p.cand, i)
 			}
 		}
-		rule = "random.remote"
+		r = ruleRandomRemote
 	}
-	i := cand[p.rng.Intn(len(cand))]
+	i := p.cand[p.rng.Intn(len(p.cand))]
 	p.taken[i] = true
-	p.remain--
-	return p.tasks[i], rule, true
+	return i, r, true
 }
 
 // ---------------------------------------------------------------------------
-// Offline max-flow assignment wrapped in the pull interface.
+// Offline max-flow assignment served under the pull protocol.
 
-// StaticPicker serves a precomputed node→tasks assignment; requests from a
+// static serves a precomputed node→positions assignment; requests from a
 // node drain its own queue first, then steal from the most-loaded queue.
-type StaticPicker struct {
-	name   string
-	queues [][]Task // by NodeID: what is left of each node's planned queue
+type static struct {
+	queues [][]int // by NodeID: what is left of each node's planned queue
 	// longest orders the nodes by (remaining queue length ↓, id ↑); its top
 	// is the steal victim.
 	longest *nodeHeap
-	remain  int
 }
 
 // flowAssignment is the max-flow balanced assignment (paper §IV-B,
@@ -719,22 +622,11 @@ func flowAssignment(in Input, nodes int) [][]int {
 
 // NewFlowPicker serves the max-flow assignment statically.
 func NewFlowPicker(tasks []Task, topo *cluster.Topology) Picker {
-	assign := flowAssignment(input(tasks), topo.N())
-	queues := make([][]Task, len(assign))
-	for n, idxs := range assign {
-		queues[n] = make([]Task, len(idxs))
-		for k, i := range idxs {
-			queues[n][k] = tasks[i]
-		}
-	}
-	return newStaticPicker("maxflow-optimal", queues)
+	return serve("maxflow-optimal", newStatic(flowAssignment(input(tasks), topo.N())), tasks)
 }
 
-func newStaticPicker(name string, queues [][]Task) *StaticPicker {
-	p := &StaticPicker{name: name, queues: queues}
-	for _, q := range queues {
-		p.remain += len(q)
-	}
+func newStatic(queues [][]int) *static {
+	p := &static{queues: queues}
 	p.longest = newNodeHeap(len(queues), func(a, b int) bool {
 		if len(p.queues[a]) != len(p.queues[b]) {
 			return len(p.queues[a]) > len(p.queues[b])
@@ -744,22 +636,11 @@ func newStaticPicker(name string, queues [][]Task) *StaticPicker {
 	return p
 }
 
-// Name implements Picker.
-func (p *StaticPicker) Name() string { return p.name }
-
-// Remaining implements Picker.
-func (p *StaticPicker) Remaining() int { return p.remain }
-
-// Next implements Picker.
-func (p *StaticPicker) Next(node cluster.NodeID) (Task, string, bool) {
-	if p.remain == 0 {
-		return Task{}, "", false
-	}
-	p.remain--
+func (p *static) pull(node cluster.NodeID) (int, rule, bool) {
 	if q := p.queues[node]; len(q) > 0 {
 		p.queues[node] = q[1:]
 		p.longest.sink(int(node))
-		return q[0], "maxflow.plan", true
+		return q[0], ruleMaxflowPlan, true
 	}
 	// Work stealing from the largest remaining queue keeps the simulation
 	// deadlock-free when a node finishes early.
@@ -767,5 +648,5 @@ func (p *StaticPicker) Next(node cluster.NodeID) (Task, string, bool) {
 	q := p.queues[victim]
 	p.queues[victim] = q[:len(q)-1]
 	p.longest.sink(victim)
-	return q[len(q)-1], "maxflow.steal", true
+	return q[len(q)-1], ruleMaxflowSteal, true
 }

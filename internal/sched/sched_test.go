@@ -60,7 +60,7 @@ func drain(p Picker, nNodes int) (map[cluster.NodeID]int64, map[cluster.NodeID]i
 	return loads, counts, served
 }
 
-// allFactories enumerates every picker under test.
+// allFactories enumerates every picker constructor.
 func allFactories() map[string]Factory {
 	return map[string]Factory{
 		"locality": NewLocalityPicker,
@@ -69,6 +69,8 @@ func allFactories() map[string]Factory {
 		"flow":     NewFlowPicker,
 		"lpt":      NewLPTPicker,
 		"random":   NewRandomPicker(99),
+		"delay":    NewDelayedLocalityPicker(2),
+		"fallback": NewFallbackLocality("x"),
 	}
 }
 
@@ -110,10 +112,13 @@ func TestAllPickersServeEveryTaskOnceQuick(t *testing.T) {
 		for _, fac := range allFactories() {
 			p := fac(tasks, topo)
 			seen := make(map[hdfs.BlockID]bool)
-			for {
+			for asks := 0; p.Remaining() > 0; asks++ {
+				if asks > 10*len(tasks) {
+					return false
+				}
 				task, _, ok := p.Next(cluster.NodeID(int(seed) & 3))
 				if !ok {
-					break
+					continue // declined: the delay picker's node asks again
 				}
 				if seen[task.Block] {
 					return false
@@ -121,7 +126,7 @@ func TestAllPickersServeEveryTaskOnceQuick(t *testing.T) {
 				seen[task.Block] = true
 				seed++
 			}
-			if len(seen) != len(tasks) {
+			if _, _, ok := p.Next(0); ok || len(seen) != len(tasks) {
 				return false
 			}
 		}
@@ -234,15 +239,14 @@ func TestCapacityAwareTargets(t *testing.T) {
 	// The capacity preference lives in the precomputed assignment (served
 	// queues); execution-time stealing would re-equalize under an
 	// artificial round-robin drain, so inspect the assignment directly.
-	p := NewCapacityAwarePicker(tasks, topo).(*DataNetPicker)
-	loads := p.Workloads()
+	loads := plannedLoads(newDataNet(input(tasks), topo, true), tasks)
 	fast := float64(loads[0])
 	rest := float64(loads[1]+loads[2]+loads[3]) / 3
 	if ratio := fast / rest; ratio < 1.8 || ratio > 4.5 {
 		t.Errorf("fast-node load ratio = %.2f, want ≈3", ratio)
 	}
-	if p.Name() != "datanet-capacity" {
-		t.Errorf("Name = %q", p.Name())
+	if name := NewCapacityAwarePicker(tasks, topo).Name(); name != "datanet-capacity" {
+		t.Errorf("Name = %q", name)
 	}
 }
 
@@ -328,16 +332,16 @@ func TestStaticPickerStealing(t *testing.T) {
 func TestDataNetWorkloadsAccessor(t *testing.T) {
 	topo := cluster.MustHomogeneous(4, 2)
 	tasks := mkTasks(16, 4, []int64{100, 0, 50}, 11)
-	p := NewDataNetPicker(tasks, topo).(*DataNetPicker)
+	p := newDataNet(input(tasks), topo, false)
 	var want int64
 	for _, task := range tasks {
 		want += task.Weight
 	}
 	var got int64
-	for _, w := range p.Workloads() {
+	for _, w := range plannedLoads(p, tasks) {
 		got += w
 	}
 	if got != want {
-		t.Errorf("Workloads sum = %d, want %d", got, want)
+		t.Errorf("planned loads sum = %d, want %d", got, want)
 	}
 }
