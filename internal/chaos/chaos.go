@@ -284,7 +284,7 @@ func (h *Harness) Campaign() *Campaign[*faults.Plan] {
 			}
 			return h.check(seed, plan, b)
 		},
-		Edits:   planEdits,
+		Edits:   PlanEdits,
 		Summary: engineSummary,
 	}
 }

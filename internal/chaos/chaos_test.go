@@ -374,7 +374,7 @@ func TestShrinkToMinimalCounterexample(t *testing.T) {
 		return false
 	}
 	calls := 0
-	min := shrink.Greedy(plan, planEdits, func(q *faults.Plan) bool { calls++; return fails(q) })
+	min := shrink.Greedy(plan, PlanEdits, func(q *faults.Plan) bool { calls++; return fails(q) })
 	if !fails(min) {
 		t.Fatal("shrunk plan no longer fails")
 	}

@@ -66,11 +66,11 @@ func GenPlan(seed uint64, horizon float64, p Params) *faults.Plan {
 	return plan
 }
 
-// planEdits lists a plan's one-step simplifications in the order the
+// PlanEdits lists a plan's one-step simplifications in the order the
 // shrinker tries them: drop one crash, drop one slowdown, drop the
 // read-error clause, and once no entry can go, drop one crash's rejoin (a
 // permanent kill is the simpler fault).
-func planEdits(p *faults.Plan) []*faults.Plan {
+func PlanEdits(p *faults.Plan) []*faults.Plan {
 	var out []*faults.Plan
 	edit := func(change func(q *faults.Plan)) {
 		q := &faults.Plan{Seed: p.Seed, Crashes: slices.Clone(p.Crashes), Slow: slices.Clone(p.Slow), Read: p.Read}

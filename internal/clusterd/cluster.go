@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -918,7 +919,7 @@ func (c *Cluster) reship(si int) {
 		if _, ok := c.members[f]; !ok || c.health.Suspected(f) {
 			continue
 		}
-		for _, name := range sortedNames(s.published) {
+		for _, name := range slices.Sorted(maps.Keys(s.published)) {
 			if s.acks[f][name] >= s.published[name] {
 				continue
 			}
@@ -1078,15 +1079,5 @@ func removeID(ids []cluster.NodeID, id cluster.NodeID) []cluster.NodeID {
 			out = append(out, x)
 		}
 	}
-	return out
-}
-
-// sortedNames returns m's keys in order.
-func sortedNames(m map[string]uint64) []string {
-	out := make([]string, 0, len(m))
-	for name := range m {
-		out = append(out, name)
-	}
-	slices.Sort(out)
 	return out
 }

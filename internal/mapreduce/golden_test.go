@@ -2,12 +2,10 @@ package mapreduce
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,19 +17,18 @@ import (
 	"datanet/internal/hdfs"
 	"datanet/internal/records"
 	"datanet/internal/sched"
-	"datanet/internal/trace"
 )
 
-// The golden matrix pins the engine's exact output — every float bit, every
-// trace line — for each scheduler × fault-plan combination, captured from
-// the pre-kernel engine. The discrete-event kernel refactor changes *how*
-// simulated time advances, not *what* happens, so these files must never
-// change without an explicit -update accompanied by a justification.
+// The golden files pin the engine's exact output — every float bit, every
+// trace line — for each scheduler × fault-plan combination (the matrix in
+// agreement_test.go, where the reference model stands in for the task lines
+// it reproduces) and each engine mode. They must never change without an
+// explicit -update accompanied by a justification.
 var updateGolden = flag.Bool("update", false, "rewrite golden files from the current engine")
 
 // goldenEnv builds a deterministic 12-node, 2-rack filesystem; crashes
 // mutate the replica layout, so every run gets a fresh identical instance.
-func goldenEnv(t *testing.T) *hdfs.FileSystem {
+func goldenEnv(t testing.TB) *hdfs.FileSystem {
 	t.Helper()
 	topo := cluster.MustHomogeneous(12, 2)
 	fs, err := hdfs.NewFileSystem(topo, hdfs.Config{BlockSize: 2048, Replication: 3, Seed: 7})
@@ -58,9 +55,9 @@ func goldenEnv(t *testing.T) *hdfs.FileSystem {
 }
 
 type goldenSched struct {
-	name    string
-	factory sched.Factory
-	weights bool // pass oracle weights to the picker
+	Name    string
+	Factory sched.Factory
+	Weights bool // pass oracle weights to the picker
 }
 
 func goldenSchedulers() []goldenSched {
@@ -77,8 +74,8 @@ func goldenSchedulers() []goldenSched {
 // goldenPlan builds a fault plan given the scheduler's healthy filter
 // makespan, so crash instants land at known phase fractions.
 type goldenPlan struct {
-	name string
-	plan func(filterEnd float64) *faults.Plan
+	Name string
+	Plan func(filterEnd float64) *faults.Plan
 }
 
 func goldenPlans() []goldenPlan {
@@ -126,16 +123,6 @@ func goldenPlans() []goldenPlan {
 	}
 }
 
-// tracedGoldens names the scheduler×plan combinations whose full JSONL
-// timeline is also golden-pinned (a subset, to bound testdata size).
-var tracedGoldens = map[string]bool{
-	"datanet_healthy":    true,
-	"datanet_crash2":     true,
-	"datanet_combo":      true,
-	"datanet_late-crash": true,
-	"locality_rejoin":    true,
-}
-
 func goldenConfig(t *testing.T, gs goldenSched) Config {
 	t.Helper()
 	fs := goldenEnv(t)
@@ -144,126 +131,12 @@ func goldenConfig(t *testing.T, gs goldenSched) Config {
 		File:      "log",
 		TargetSub: "movie-A",
 		App:       apps.WordCount{},
-		Picker:    gs.factory,
+		Picker:    gs.Factory,
 	}
-	if gs.weights {
+	if gs.Weights {
 		cfg.Weights = oracleWeights(t, fs, "movie-A")
 	}
 	return cfg
-}
-
-func TestGoldenSchedulerFaultMatrix(t *testing.T) {
-	for _, gs := range goldenSchedulers() {
-		// Healthy probe fixes the crash instants for this scheduler.
-		probe, err := Run(goldenConfig(t, gs))
-		if err != nil {
-			t.Fatalf("%s probe: %v", gs.name, err)
-		}
-		fe := probe.FilterEnd
-		for _, gp := range goldenPlans() {
-			name := gs.name + "_" + gp.name
-			t.Run(name, func(t *testing.T) {
-				cfg := goldenConfig(t, gs)
-				cfg.Faults = gp.plan(fe)
-				res, err := Run(cfg)
-				if err != nil {
-					t.Fatalf("run: %v", err)
-				}
-				dump := dumpResult(res)
-				checkGolden(t, name+".golden", []byte(dump))
-
-				// Traced re-run: the result must be bit-identical to the
-				// untraced run, and (for pinned combos) the JSONL timeline
-				// byte-identical to its golden.
-				cfg = goldenConfig(t, gs)
-				cfg.Faults = gp.plan(fe)
-				rec := trace.New()
-				cfg.Trace = rec
-				tres, err := Run(cfg)
-				if err != nil {
-					t.Fatalf("traced run: %v", err)
-				}
-				if td := dumpResult(tres); td != dump {
-					t.Errorf("traced result differs from untraced")
-				}
-				if tracedGoldens[name] {
-					var buf bytes.Buffer
-					if err := rec.WriteJSONL(&buf); err != nil {
-						t.Fatal(err)
-					}
-					checkGolden(t, name+".trace.golden", buf.Bytes())
-				}
-			})
-		}
-	}
-}
-
-// The crash-path collapse (PR 18) re-blessed two traced goldens: the
-// oracle now runs the same physics → respond sequence as the detectors,
-// so inside a crash instant every victim attempt is voided before the
-// name-node repairs and the master requeues, where the old handler
-// interleaved them. testdata/pre_collapse keeps the previous files; this
-// is the equivalence argument — same events (equal as multisets once the
-// recorder's sequence number is dropped), and every line that moved is
-// stamped with a crash instant, so no event changed its time or its order
-// relative to any other instant.
-func TestCrashInstantReorderIsAPermutation(t *testing.T) {
-	type line struct {
-		T    float64 `json:"t"`
-		Type string  `json:"type"`
-		text string
-	}
-	seq := regexp.MustCompile(`^\{"seq":\d+,`)
-	load := func(path string) []line {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out []line
-		for _, l := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-			var ln line
-			if err := json.Unmarshal([]byte(l), &ln); err != nil {
-				t.Fatalf("%s: %v", path, err)
-			}
-			ln.text = seq.ReplaceAllString(l, "{")
-			out = append(out, ln)
-		}
-		return out
-	}
-	for _, name := range []string{"datanet_crash2", "locality_rejoin"} {
-		old := load(filepath.Join("testdata", "pre_collapse", name+".trace.golden"))
-		cur := load(filepath.Join("testdata", "golden", name+".trace.golden"))
-		if len(old) != len(cur) {
-			t.Fatalf("%s: %d lines, was %d", name, len(cur), len(old))
-		}
-		count := map[string]int{}
-		crashAt := map[float64]bool{}
-		for i := range old {
-			count[old[i].text]++
-			count[cur[i].text]--
-			if old[i].Type == string(trace.EvNodeCrash) {
-				crashAt[old[i].T] = true
-			}
-		}
-		for text, n := range count {
-			if n != 0 {
-				t.Errorf("%s: line count differs by %d: %s", name, n, text)
-			}
-		}
-		moved := 0
-		for i := range old {
-			if old[i].text == cur[i].text {
-				continue
-			}
-			moved++
-			if !crashAt[old[i].T] || !crashAt[cur[i].T] {
-				t.Errorf("%s line %d moved outside a crash instant:\n old %s\n new %s", name, i, old[i].text, cur[i].text)
-			}
-		}
-		if moved == 0 {
-			t.Errorf("%s: identical to its pre-collapse copy; delete the copy", name)
-		}
-	}
 }
 
 // TestGoldenEngineModes pins the comparator and execution modes the paper

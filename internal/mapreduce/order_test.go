@@ -287,35 +287,8 @@ func TestSpecScanOrder(t *testing.T) {
 // does).
 func TestHeterogeneousSlotsCrashRejoin(t *testing.T) {
 	const want = "a8e7bd9d6670f83d77ffb4847330b107921be2a195047c406ae195269af1a3e3"
-	env := func() *hdfs.FileSystem {
-		specs := make([]cluster.Node, 12)
-		for i := range specs {
-			specs[i].Slots = []int{1, 2, 4}[i%3]
-			specs[i].Rack = i % 3
-		}
-		topo, err := cluster.NewHeterogeneous(specs, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fs, err := hdfs.NewFileSystem(topo, hdfs.Config{BlockSize: 2048, Replication: 3, Seed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var recs []records.Record
-		for i := 0; i < 1600; i++ {
-			sub := fmt.Sprintf("bg-%d", i%9)
-			if i%4 == 0 {
-				sub = "movie-A"
-			}
-			recs = append(recs, records.Record{Sub: sub, Time: int64(i), Rating: 3, Payload: strings.Repeat("w ", 20)})
-		}
-		if _, err := fs.Write("log", recs); err != nil {
-			t.Fatal(err)
-		}
-		return fs
-	}
 	base := func() Config {
-		return Config{FS: env(), File: "log", TargetSub: "movie-A", App: apps.WordCount{},
+		return Config{FS: heteroSlotsEnv(t), File: "log", TargetSub: "movie-A", App: apps.WordCount{},
 			Picker: sched.NewDataNetPicker, ExecuteApp: true}
 	}
 	healthy, err := Run(base())
@@ -323,16 +296,7 @@ func TestHeterogeneousSlotsCrashRejoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	end := healthy.FilterEnd
-	plan := &faults.Plan{
-		Seed: 5,
-		Crashes: []faults.Crash{
-			{Node: 2, At: end * 0.3, RejoinAt: end * 0.7}, // 4 slots
-			{Node: 7, At: end * 0.3, RejoinAt: end * 1.5}, // 2 slots, same instant
-			{Node: 2, At: end * 0.9, RejoinAt: end * 2},   // again after its rejoin
-			{Node: 9, At: end * 2.5},                      // 1 slot, for good
-		},
-		Slow: []faults.Slowdown{{Node: 5, CPU: 0.1, Disk: 0.1}},
-	}
+	plan := heteroSlotsPlan(end)
 	sum := sha256.New()
 	for _, det := range []detect.Config{{}, {Mode: detect.Heartbeat, Interval: end * 0.05}} {
 		for _, mit := range []*straggle.Config{nil,
@@ -356,5 +320,52 @@ func TestHeterogeneousSlotsCrashRejoin(t *testing.T) {
 	}
 	if got := fmt.Sprintf("%x", sum.Sum(nil)); got != want {
 		t.Errorf("digest = %s, want %s", got, want)
+	}
+}
+
+// heteroSlotsEnv is a 12-node, 3-rack cluster whose nodes run 1, 2 and 4
+// slots in turn, over a 1 600-record log.
+func heteroSlotsEnv(t testing.TB) *hdfs.FileSystem {
+	t.Helper()
+	specs := make([]cluster.Node, 12)
+	for i := range specs {
+		specs[i].Slots = []int{1, 2, 4}[i%3]
+		specs[i].Rack = i % 3
+	}
+	topo, err := cluster.NewHeterogeneous(specs, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := hdfs.NewFileSystem(topo, hdfs.Config{BlockSize: 2048, Replication: 3, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []records.Record
+	for i := 0; i < 1600; i++ {
+		sub := fmt.Sprintf("bg-%d", i%9)
+		if i%4 == 0 {
+			sub = "movie-A"
+		}
+		recs = append(recs, records.Record{Sub: sub, Time: int64(i), Rating: 3, Payload: strings.Repeat("w ", 20)})
+	}
+	if _, err := fs.Write("log", recs); err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
+
+// heteroSlotsPlan crashes a 4-slot node twice (rejoining in between), a
+// 2-slot node at its first crash instant, and a 1-slot node for good, at
+// fractions of the healthy filter makespan end; one node runs slow.
+func heteroSlotsPlan(end float64) *faults.Plan {
+	return &faults.Plan{
+		Seed: 5,
+		Crashes: []faults.Crash{
+			{Node: 2, At: end * 0.3, RejoinAt: end * 0.7}, // 4 slots
+			{Node: 7, At: end * 0.3, RejoinAt: end * 1.5}, // 2 slots, same instant
+			{Node: 2, At: end * 0.9, RejoinAt: end * 2},   // again after its rejoin
+			{Node: 9, At: end * 2.5},                      // 1 slot, for good
+		},
+		Slow: []faults.Slowdown{{Node: 5, CPU: 0.1, Disk: 0.1}},
 	}
 }
