@@ -37,6 +37,7 @@ import (
 	"datanet/internal/mapreduce"
 	"datanet/internal/metrics"
 	"datanet/internal/records"
+	"datanet/internal/stats"
 	"datanet/internal/trace"
 )
 
@@ -370,12 +371,9 @@ func (f *analyzeFlags) report(res *datanet.Result) {
 			res.NodeCrashes, res.TasksRetried, res.TransientErrors, res.LostOutputs, res.ReplicasRepaired)
 	}
 	if lat := res.DetectionLatency; len(lat) > 0 || res.FalseSuspicions > 0 || res.DuplicateKills > 0 {
-		h := metrics.NewHistogram()
-		for _, l := range lat {
-			h.Observe(l)
-		}
+		s := stats.Summarize(lat)
 		fmt.Fprintf(w, "  failure detection: %d responses (mean %.2f s, max %.2f s), %d false suspicions, %d duplicate kills\n",
-			len(lat), h.Mean(), h.Max(), res.FalseSuspicions, res.DuplicateKills)
+			s.N, s.Mean, s.Max, res.FalseSuspicions, res.DuplicateKills)
 	}
 	switch mit := f.policy.Mitigate; mit.Mode {
 	case datanet.MitigateSpeculative:

@@ -77,10 +77,12 @@ const beatInterval = 0.02
 // its invariants) and its reduce partitioner (adds the partition arm,
 // which inherits the mitigation, runs with `reducers` reduce tasks and
 // must reproduce the partitioning-off output byte for byte). The reducer
-// count is drawn beside the bundle: no analyze flag spells it.
+// count and the retry policy are drawn beside the bundle: no analyze flag
+// spells them.
 type drawn struct {
 	mapreduce.Bundle
 	reducers int
+	retry    faults.RetryPolicy
 }
 
 // axes names the bundle's policy axes in draw order, each with every
@@ -119,6 +121,10 @@ func drawBundle(seed uint64) drawn {
 	// Partition independence must hold at any reducer width, not just the
 	// default one-per-node.
 	b.reducers = 1 + r.intn(13)
+	// A first backoff of 0.01–0.5 s under the default attempt cap, so
+	// retries run and mature while the plan's crashes still land (the
+	// default 0.5 s backoff outlasts this fixture's whole job).
+	b.retry = faults.RetryPolicy{Backoff: 0.01 * float64(1+r.intn(50))}
 	return b
 }
 
@@ -129,8 +135,8 @@ func (b drawn) values() [len(axes)]string {
 }
 
 func (b drawn) String() string {
-	return fmt.Sprintf("detect=%s mitigate=%s partition=%s/%d",
-		b.Detect.Mode, b.Mitigate.Mode, b.Partition, b.reducers)
+	return fmt.Sprintf("detect=%s mitigate=%s partition=%s/%d backoff=%g",
+		b.Detect.Mode, b.Mitigate.Mode, b.Partition, b.reducers, b.retry.Backoff)
 }
 
 // Harness holds the precomputed fixture — the written filesystem (every
@@ -324,7 +330,7 @@ func (h *Harness) runArm(a arm, plan *faults.Plan, b drawn, rec *trace.Recorder)
 		Speculative: a.barrier, Faults: plan, Trace: rec,
 	}
 	a.policy.Apply(&cfg)
-	cfg.Detect, cfg.Partition.Seed = b.Detect, 20160523
+	cfg.Detect, cfg.Retry, cfg.Partition.Seed = b.Detect, b.retry, 20160523
 	if a.policy.Sched == sched.DataNet {
 		cfg.Weights = h.weights
 	}

@@ -8,6 +8,7 @@ import (
 	"datanet/internal/faults"
 	"datanet/internal/mapreduce"
 	"datanet/internal/metrics"
+	"datanet/internal/stats"
 )
 
 // This experiment measures what failure *detection* costs: the oracle
@@ -80,20 +81,13 @@ func DetectorSweep(p MovieParams) (*Report, error) {
 			if oracleTime > 0 {
 				slowdown = run.JobTime / oracleTime
 			}
-			var meanLatency, maxLatency float64
-			for _, l := range run.DetectionLatency {
-				meanLatency += l
-				maxLatency = max(maxLatency, l)
-			}
-			if n := len(run.DetectionLatency); n > 0 {
-				meanLatency /= float64(n)
-			}
+			lat := stats.Summarize(run.DetectionLatency)
 			timeout, latency := "-", "-"
 			if d := a.policy.Detect; d.Timeout > 0 {
 				timeout = metrics.Seconds(d.Timeout)
 			}
-			if maxLatency > 0 {
-				latency = fmt.Sprintf("%.2f / %.2f s", meanLatency, maxLatency)
+			if lat.Max > 0 {
+				latency = fmt.Sprintf("%.2f / %.2f s", lat.Mean, lat.Max)
 			}
 			t.Add(s.name, a.name, timeout,
 				metrics.Seconds(run.JobTime), fmt.Sprintf("%.2fx", slowdown),
@@ -101,8 +95,8 @@ func DetectorSweep(p MovieParams) (*Report, error) {
 				r.outputCell(run.Output, clean.Output))
 			key := s.name + "/" + a.name
 			r.Values[key] = run.JobTime
-			r.Values[key+"/mean_latency"] = meanLatency
-			r.Values[key+"/max_latency"] = maxLatency
+			r.Values[key+"/mean_latency"] = lat.Mean
+			r.Values[key+"/max_latency"] = lat.Max
 			observe(&counters, run)
 			counters.ObserveDetection(run.FalseSuspicions, run.DuplicateKills, run.DetectionLatency)
 		}

@@ -2,10 +2,8 @@ package mapreduce_test
 
 import (
 	"bytes"
-	"cmp"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -28,16 +26,9 @@ var tracedGoldens = map[string]bool{
 	"locality_rejoin":    true,
 }
 
-// taskLinesModelled names the plans whose result goldens keep only their
-// summary lines: the model reproduces each committed attempt's task line.
-// late-crash keeps its task lines with readerr and combo: its crash lands
-// after the barrier, where recovery is beyond the model.
-var taskLinesModelled = map[string]bool{"healthy": true, "crash2": true, "rejoin": true, "simultaneous": true, "slow": true}
-
-// The golden matrix pins the engine's output for each scheduler × fault
-// plan: the summary lines of every cell, and the task lines of the cells
-// the model does not reproduce. A traced re-run must give the same result,
-// and each cell without read errors must agree with the model.
+// The golden matrix runs each scheduler × fault plan: every cell must
+// agree with the reference model, a traced re-run must give the same
+// result, and the cells in tracedGoldens must replay their timeline.
 func TestGoldenSchedulerFaultMatrix(t *testing.T) {
 	for _, gs := range mapreduce.GoldenSchedulers() {
 		// Healthy probe fixes the crash instants for this scheduler.
@@ -55,23 +46,17 @@ func TestGoldenSchedulerFaultMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("run: %v", err)
 				}
-				dump := mapreduce.DumpResult(res)
-				pinned := dump
-				if taskLinesModelled[gp.Name] {
-					lines := strings.SplitAfter(dump, "\n")
-					pinned = strings.Join(slices.DeleteFunc(lines, func(l string) bool { return strings.HasPrefix(l, "task ") }), "")
-				}
-				mapreduce.CheckGolden(t, name+".golden", []byte(pinned))
-
 				cfg = mapreduce.GoldenConfig(t, gs)
-				cfg.Faults = gp.Plan(fe)
 				rec := trace.New()
-				cfg.Trace = rec
-				tres, err := mapreduce.Run(cfg)
+				cfg.Faults, cfg.Trace = gp.Plan(fe), rec
+				diff, tres, err := againstModel(cfg)
 				if err != nil {
 					t.Fatalf("traced run: %v", err)
 				}
-				if mapreduce.DumpResult(tres) != dump {
+				if diff != "" {
+					t.Errorf("engine and model disagree: %s", diff)
+				}
+				if mapreduce.DumpResult(tres) != mapreduce.DumpResult(res) {
 					t.Errorf("traced result differs from untraced")
 				}
 				if tracedGoldens[name] {
@@ -80,14 +65,6 @@ func TestGoldenSchedulerFaultMatrix(t *testing.T) {
 						t.Fatal(err)
 					}
 					mapreduce.CheckGolden(t, name+".trace.golden", buf.Bytes())
-				}
-
-				if cfg.Faults == nil || cfg.Faults.Read.Prob == 0 {
-					cfg = mapreduce.GoldenConfig(t, gs)
-					cfg.Faults = gp.Plan(fe)
-					if diff, _, _ := againstModel(cfg); diff != "" {
-						t.Errorf("engine and model disagree: %s", diff)
-					}
 				}
 			})
 		}
@@ -145,10 +122,10 @@ func FuzzFilterAgainstModel(f *testing.F) {
 }
 
 // modelCampaign checks GenPlan plans on the golden fixture, over horizons
-// of its locality makespan, with read errors zero: they are outside the
-// model. Each seed draws a scheduler and a retry policy — an attempt cap of
-// 1 to 4, so some jobs spend a task's attempts, and a first backoff of
-// 0.01 to 0.5 s, so retries run while crashes still land.
+// of its locality makespan, read errors included. Each seed draws a
+// scheduler and a retry policy — an attempt cap of 1 to 4, so some jobs
+// spend a task's attempts, and a first backoff of 0.01 to 0.5 s, so
+// retries run while crashes still land.
 func modelCampaign(t testing.TB) *chaos.Campaign[*faults.Plan] {
 	fs, scheds := mapreduce.GoldenEnv(t), mapreduce.GoldenSchedulers()
 	probe, err := mapreduce.Run(mapreduce.Config{FS: fs.Clone(), File: "log", TargetSub: "movie-A",
@@ -156,7 +133,7 @@ func modelCampaign(t testing.TB) *chaos.Campaign[*faults.Plan] {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := chaos.Params{Nodes: fs.Topology().N(), MaxCrashes: 4, MaxSlow: 3, RejoinProb: 0.5}
+	params := chaos.Params{Nodes: fs.Topology().N(), MaxCrashes: 4, MaxSlow: 3, RejoinProb: 0.5, MaxReadErrProb: 0.15}
 	return &chaos.Campaign[*faults.Plan]{
 		Gen: func(seed uint64) *faults.Plan { return chaos.GenPlan(seed, probe.FilterEnd, params) },
 		Check: func(seed uint64, plan *faults.Plan, census chaos.Census) []chaos.Violation {
@@ -177,13 +154,24 @@ func modelCampaign(t testing.TB) *chaos.Campaign[*faults.Plan] {
 	}
 }
 
-// againstModel runs cfg, traced, on the engine and on the model, and
-// returns the first line where their accounts differ ("" when none) and
-// the model's result and error.
+func init() {
+	mapreduce.ModelDiff = func(cfg mapreduce.Config) (string, error) {
+		diff, _, err := againstModel(cfg)
+		return diff, err
+	}
+}
+
+// againstModel runs cfg, traced (on cfg.Trace when set), on the engine and
+// on the model, and returns the first line where their accounts differ
+// ("" when none) and the engine's result and error.
 func againstModel(cfg mapreduce.Config) (diff string, res *mapreduce.Result, err error) {
-	m := &model{picker: cfg.Picker, fs: cfg.FS.Clone(), retry: cfg.Retry.WithDefaults(), overhead: cfg.TaskOverhead}
+	m := &model{picker: cfg.Picker, app: cfg.App, reducers: cfg.Reducers, fs: cfg.FS.Clone(),
+		retry: cfg.Retry.WithDefaults(), overhead: cfg.TaskOverhead}
 	if m.overhead <= 0 {
 		m.overhead = 0.1 // Run's default
+	}
+	if m.reducers <= 0 {
+		m.reducers = m.fs.Topology().N() // one per node
 	}
 	if m.inj, err = faults.NewInjector(cfg.Faults, m.fs.Topology().N()); err != nil {
 		return err.Error(), nil, err
@@ -202,17 +190,17 @@ func againstModel(cfg mapreduce.Config) (diff string, res *mapreduce.Result, err
 		}
 		m.tasks, m.matched = append(m.tasks, t), append(m.matched, matched)
 	}
-	rec := trace.New()
-	cfg.Trace = rec
-	_, atBarrier, engineErr := mapreduce.RunAtBarrier(cfg)
+	if cfg.Trace == nil {
+		cfg.Trace = trace.New()
+	}
+	res, err = mapreduce.Run(cfg)
 	var decisions []string
-	for _, ev := range rec.Events() {
+	for _, ev := range cfg.Trace.Events() {
 		if ev.Type == trace.EvDecision {
 			decisions = append(decisions, fmt.Sprintf("%d %d %s", ev.Node, ev.Block, ev.Decision.Rule))
 		}
 	}
-	res, modelDecisions, err := m.run()
-	got, want := account(atBarrier, decisions, engineErr), account(res, modelDecisions, err)
+	got, want := account(res, decisions, err), account(m.run())
 	for i := range min(len(got), len(want)) {
 		if got[i] != want[i] {
 			return fmt.Sprintf("engine %s, model %s", got[i], want[i]), res, err
@@ -224,11 +212,11 @@ func againstModel(cfg mapreduce.Config) (diff string, res *mapreduce.Result, err
 	return "", res, err
 }
 
-// account renders the filter phase one fact a line: the decisions in
-// order, then a failing job's error, or else every committed attempt by
-// (task, attempt), the barrier's counters and the per-node workload.
-// Floats print in their shortest exact form, so equal lines mean equal
-// bits.
+// account renders a job one fact a line: the decisions in order, then a
+// failing job's error, or else the result as dumpResult prints it, its
+// task lines sorted — the engine lists them by end time, ties in no set
+// order. The cells checked leave Output nil. Floats print in their
+// shortest exact form, so equal lines mean equal bits.
 func account(res *mapreduce.Result, decisions []string, err error) []string {
 	var out []string
 	for i, d := range decisions {
@@ -237,17 +225,9 @@ func account(res *mapreduce.Result, decisions []string, err error) []string {
 	if err != nil {
 		return append(out, "error "+err.Error())
 	}
-	stats := slices.SortedFunc(slices.Values(res.Tasks), func(a, b mapreduce.TaskStat) int {
-		return cmp.Or(cmp.Compare(a.Task.Index, b.Task.Index), cmp.Compare(a.Attempt, b.Attempt))
-	})
-	for _, st := range stats {
-		out = append(out, fmt.Sprintf("task idx=%d attempt=%d node=%d start=%v end=%v scan=%v compute=%v matched=%d local=%v lost=%v",
-			st.Task.Index, st.Attempt, st.Node, st.Start, st.End, st.Scan, st.Compute, st.Matched, st.Local, st.Lost))
+	lines := strings.Split(strings.TrimSuffix(mapreduce.DumpResult(res), "\n"), "\n")
+	if i := slices.IndexFunc(lines, func(l string) bool { return strings.HasPrefix(l, "task ") }); i >= 0 {
+		slices.Sort(lines[i:]) // the task lines close the dump
 	}
-	out = append(out, fmt.Sprintf("filterEnd=%v local=%d remote=%d crashes=%d retried=%d lostOutputs=%d repaired=%d",
-		res.FilterEnd, res.LocalTasks, res.RemoteTasks, res.NodeCrashes, res.TasksRetried, res.LostOutputs, res.ReplicasRepaired))
-	for _, id := range slices.Sorted(maps.Keys(res.NodeWorkload)) {
-		out = append(out, fmt.Sprintf("workload node=%d bytes=%d", id, res.NodeWorkload[id]))
-	}
-	return out
+	return append(out, lines...)
 }

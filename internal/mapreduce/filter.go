@@ -234,8 +234,10 @@ type filterSim struct {
 
 const maxIdleRetries = 1 << 20
 
-// filterEndCheck, when set, sees every filter phase after its barrier kills
-// (the package's tests check end-of-phase invariants there).
+// filterEndCheck, when set, sees every filter phase after its barrier kills.
+// The package's tests check end-of-phase invariants there (no read-errored
+// attempt still counted in flight, which k-of-n units were abandoned); the
+// Result itself they compare whole, after the job, with the reference model.
 var filterEndCheck func(*filterSim)
 
 func newFilterSim(cfg Config, topo *cluster.Topology, inj *faults.Injector, retry faults.RetryPolicy, tasks []sched.Task, truth []int64, picker sched.Picker, res *Result, det *detect.Detector, spec *straggle.SpecEngine, coded *codedState) *filterSim {

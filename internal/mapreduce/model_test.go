@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 
+	"datanet/internal/apps"
 	"datanet/internal/cluster"
 	"datanet/internal/faults"
 	"datanet/internal/hdfs"
@@ -13,13 +14,14 @@ import (
 	"datanet/internal/sched"
 )
 
-// The engine reference model: the filter phase under the oracle detector,
-// mitigation off, restated as plainly as it can be said — one loop over a
-// flat event list, no kernel, heap or per-slot index — by the written rules
-// of the pull protocol (Algorithm 1's "a worker on cn_i asks for a task"),
-// the cost model and the oracle's crash response. It shares with the engine
-// only its inputs, so an engine that agrees with it bit for bit schedules
-// by these rules, however it is built.
+// The engine reference model: a whole job under the oracle detector,
+// mitigation off, restated as plainly as it can be said — the filter phase
+// as one loop over a flat event list (no kernel, heap or per-slot index),
+// the phases after its barrier as sums over the nodes — by the written
+// rules of the pull protocol (Algorithm 1's "a worker on cn_i asks for a
+// task"), the cost model, transient read errors and the oracle's crash
+// response. It shares with the engine only its inputs, so an engine that
+// agrees with it bit for bit runs jobs by these rules, however it is built.
 
 // modelEvent is one pending event: a slot's poll (run nil), an attempt's
 // end, or a crash instant. Events are taken in (at, prio, node, slot)
@@ -30,6 +32,7 @@ type modelEvent struct {
 	node         cluster.NodeID
 	slot         int
 	run          *mapreduce.TaskStat
+	failed       bool // the attempt's read fails: it ends with no output
 	crash, stale bool // stale: the end of an attempt a crash voided
 }
 
@@ -39,13 +42,14 @@ type modelRetry struct {
 	idx     int
 }
 
-// model is one run of the filter phase: its inputs — what Run hands the
-// phase — and its state. res gathers the phase's part of a Result: the
-// committed attempts in commit order and the barrier's counters.
+// model is one run of a job: its inputs — what Run hands the phases — and
+// its state.
 type model struct {
 	tasks    []sched.Task // one per block, in block order: a task's Index is its position
 	matched  []int64      // the target sub-dataset's bytes per block
 	picker   sched.Factory
+	app      apps.App
+	reducers int
 	inj      *faults.Injector
 	fs       *hdfs.FileSystem // the model's own clone: its repair passes mutate it
 	retry    faults.RetryPolicy
@@ -56,16 +60,18 @@ type model struct {
 	events    []*modelEvent
 	retries   []modelRetry
 	attempts  []int // per task
+	applied   int   // the crashes the filter phase applied: the rest strike the analysis
 	res       mapreduce.Result
 	decisions []string // every dispatch as "node block rule"
 }
 
-// run runs the phase. It returns the phase's part of a Result and the
-// decisions, or the job's error and the decisions made until it failed.
+// run runs the job. It returns its Result and the decisions, or the job's
+// error and the decisions made until it failed.
 func (m *model) run() (*mapreduce.Result, []string, error) {
 	m.topo, m.attempts = m.fs.Topology(), make([]int, len(m.tasks))
-	m.res.NodeWorkload = map[cluster.NodeID]int64{}
 	m.pick = m.picker(slices.Clone(m.tasks), m.topo)
+	m.res = mapreduce.Result{SchedulerName: m.pick.Name(), NodeBusy: map[cluster.NodeID]float64{},
+		NodeCompute: map[cluster.NodeID]float64{}, NodeWorkload: map[cluster.NodeID]int64{}}
 	for id := range cluster.NodeID(m.topo.N()) {
 		for slot := range m.topo.Node(id).Slots {
 			m.post(&modelEvent{node: id, slot: slot})
@@ -77,8 +83,9 @@ func (m *model) run() (*mapreduce.Result, []string, error) {
 			m.post(&modelEvent{at: c.At, prio: -1, crash: true})
 		}
 	}
-	// The phase runs while some slot event is pending; crash instants left
-	// over then belong to the analysis phase.
+	// The filter phase runs while some slot event is pending; crash instants
+	// left over then, or landing once every task is done, strike the
+	// analysis.
 	var err error
 	for err == nil && slices.ContainsFunc(m.events, func(e *modelEvent) bool { return !e.crash }) {
 		e := m.next()
@@ -89,13 +96,18 @@ func (m *model) run() (*mapreduce.Result, []string, error) {
 			}
 		case !e.stale:
 			if e.run != nil {
-				m.commit(*e.run)
+				err = m.finish(e)
 			}
-			m.serve(e.node, e.slot, e.at)
+			if err == nil {
+				m.serve(e.node, e.slot, e.at)
+			}
 		}
 	}
 	if n := m.unfinished(); err == nil && n > 0 {
 		err = fmt.Errorf("%w: %d filter tasks unfinished", mapreduce.ErrNoLiveNodes, n)
+	}
+	if err == nil {
+		err = m.analyse()
 	}
 	return &m.res, m.decisions, err
 }
@@ -110,6 +122,16 @@ func (m *model) next() *modelEvent {
 	})
 	m.events = slices.DeleteFunc(m.events, func(x *modelEvent) bool { return x == e })
 	return e
+}
+
+// nodes lists, in node order, the nodes that are (dead) or are not down at t.
+func (m *model) nodes(t float64, dead bool) (ids []cluster.NodeID) {
+	for id := range cluster.NodeID(m.topo.N()) {
+		if m.inj.DeadAt(id, t) == dead {
+			ids = append(ids, id)
+		}
+	}
+	return ids
 }
 
 // done reports whether task li has a committed output that still exists;
@@ -145,7 +167,8 @@ func (m *model) serve(node cluster.NodeID, slot int, now float64) {
 	next := now + m.overhead // a declined pull asks again one heartbeat later
 	if m.pick.Remaining() == 0 {
 		// A drained picker parks until a retry matures, an attempt ends or
-		// a crash lands; with no retry or crash to come, it retires.
+		// a crash lands; with no retry, crash or failing read to come, it
+		// retires.
 		wake, coming := math.Inf(1), len(m.retries) > 0
 		for _, r := range m.retries {
 			wake = min(wake, r.readyAt)
@@ -154,7 +177,7 @@ func (m *model) serve(node cluster.NodeID, slot int, now float64) {
 			if e.crash || e.run != nil && !e.stale {
 				wake = min(wake, e.at)
 			}
-			coming = coming || e.crash
+			coming = coming || e.crash || e.failed && !e.stale
 		}
 		if !coming {
 			return
@@ -196,8 +219,9 @@ func (m *model) takeRetry(now float64, suits func(li int) bool) (int, bool) {
 
 // dispatch starts an attempt of task li on the slot. It costs the task
 // overhead, the block's bytes at the disk rate — plus the NIC rate when
-// no replica is local, halved when none shares the rack — and the matched
-// bytes' filter cost at the CPU rate, every rate as the faults leave it.
+// no replica is local, halved when none shares the rack — and, unless the
+// read fails, the matched bytes' filter cost at the CPU rate, every rate
+// as the faults leave it.
 func (m *model) dispatch(node cluster.NodeID, slot, li int, rule string, now float64) {
 	t, n, locs := m.tasks[li], m.topo.Node(node), m.fs.Locations(m.tasks[li].Block)
 	m.attempts[li]++
@@ -211,14 +235,24 @@ func (m *model) dispatch(node cluster.NodeID, slot, li int, rule string, now flo
 		}
 		st.Scan += float64(t.Bytes) / rate
 	}
-	st.Compute = float64(st.Matched) * mapreduce.FilterCostFactor / m.inj.CPURate(node, n.CPURate)
+	failed := m.inj.ReadFails(int(t.Block), int(node), st.Attempt)
+	if !failed {
+		st.Compute = float64(st.Matched) * mapreduce.FilterCostFactor / m.inj.CPURate(node, n.CPURate)
+	}
 	st.End = now + m.overhead + st.Scan + st.Compute
 	m.decisions = append(m.decisions, fmt.Sprintf("%d %d %s", node, t.Block, rule))
-	m.post(&modelEvent{at: st.End, node: node, slot: slot, run: st})
+	m.post(&modelEvent{at: st.End, node: node, slot: slot, run: st, failed: failed})
 }
 
-// commit stores the attempt's output on its node.
-func (m *model) commit(st mapreduce.TaskStat) {
+// finish ends an attempt, its slot time billed to its node: a failed read
+// requeues the task; otherwise the output is stored on the node.
+func (m *model) finish(e *modelEvent) error {
+	st := *e.run
+	m.res.NodeBusy[st.Node] += st.End - st.Start
+	if e.failed {
+		m.res.TransientErrors++
+		return m.requeue(st.Task.Index, e.at)
+	}
 	m.res.Tasks = append(m.res.Tasks, st)
 	m.res.NodeWorkload[st.Node] += st.Matched
 	m.res.FilterEnd = max(m.res.FilterEnd, st.End)
@@ -227,6 +261,7 @@ func (m *model) commit(st mapreduce.TaskStat) {
 	} else {
 		m.res.RemoteTasks++
 	}
+	return nil
 }
 
 // crash applies one crash instant: one repair pass runs over every node
@@ -235,19 +270,15 @@ func (m *model) commit(st mapreduce.TaskStat) {
 // with the outputs stored on it. A block left with no replica fails the
 // job unless its output survives.
 func (m *model) crash(t float64) error {
-	var group, dead []cluster.NodeID
+	var group []cluster.NodeID
 	for _, c := range m.inj.Crashes() {
 		if c.At == t {
 			group = append(group, c.Node)
 		}
 	}
 	slices.Sort(group)
-	for id := range cluster.NodeID(m.topo.N()) {
-		if m.inj.DeadAt(id, t) {
-			dead = append(dead, id)
-		}
-	}
-	moved, lost := m.fs.FailNodes(dead)
+	m.applied += len(group)
+	moved, lost := m.fs.FailNodes(m.nodes(t, true))
 	m.res.ReplicasRepaired += moved
 	for _, d := range group {
 		m.res.NodeCrashes++
@@ -293,5 +324,97 @@ func (m *model) requeue(li int, now float64) error {
 	}
 	m.res.TasksRetried++
 	m.retries = append(m.retries, modelRetry{now + m.retry.Delay(m.attempts[li]), li})
+	return nil
+}
+
+// analyse runs the phases after the filter barrier. From the barrier on,
+// each node analyses the outputs it stores: one task overhead each, and
+// their matched bytes at the app's cost and the node's CPU rate. Each
+// crash left over strikes in turn: a repair pass over every node dead at
+// its instant, then, if the victim was still analysing, its outputs go to
+// the live node that frees up first (the lower id of equals), which redoes
+// them after its own share, not before the crash: an overhead each, their
+// blocks read at its NIC rate, their matched bytes filtered and analysed
+// at its CPU rate. Reducers go round-robin to the nodes alive when the
+// last map ends. Each fetches 1/R of the output of the other nodes at its
+// NIC rate from the first map end, finishing no sooner than the last, and
+// then reduces 1/R of all output at its CPU rate.
+func (m *model) analyse() error {
+	start, n := m.res.FilterEnd, m.topo.N()
+	cpu := func(id cluster.NodeID) float64 { return m.inj.CPURate(id, m.topo.Node(id).CPURate) }
+	nic := func(id cluster.NodeID) float64 { return m.inj.NetRate(id, m.topo.Node(id).NetRate) }
+	stored, dur := make([][]int, n), make([]float64, n) // per node: its outputs' tasks in commit order, its analysis time
+	for _, st := range m.res.Tasks {
+		if !st.Lost {
+			stored[st.Node] = append(stored[st.Node], st.Task.Index)
+		}
+	}
+	for id := range cluster.NodeID(n) {
+		dur[id] = float64(len(stored[id]))*m.overhead + float64(m.res.NodeWorkload[id])*m.app.CostFactor()/cpu(id)
+	}
+	for _, c := range m.inj.Crashes()[m.applied:] {
+		d := c.Node
+		moved, _ := m.fs.FailNodes(m.nodes(c.At, true))
+		m.res.ReplicasRepaired += moved
+		m.res.NodeCrashes++
+		if c.At >= start+dur[d] || len(stored[d]) == 0 {
+			continue
+		}
+		var bytes int64
+		for _, li := range stored[d] {
+			if len(m.fs.Locations(m.tasks[li].Block)) == 0 {
+				return &mapreduce.BlockFailure{Block: m.tasks[li].Block, Attempts: m.attempts[li], Cause: mapreduce.ErrDataLost}
+			}
+			bytes += m.tasks[li].Bytes
+		}
+		h := cluster.NodeID(-1)
+		for _, id := range m.nodes(c.At, false) {
+			if h < 0 || dur[id] < dur[h] {
+				h = id
+			}
+		}
+		if h < 0 {
+			return fmt.Errorf("%w: analysis workload of node %d unrecoverable", mapreduce.ErrNoLiveNodes, d)
+		}
+		w, redone := m.res.NodeWorkload[d], len(stored[d])
+		redo := float64(redone)*m.overhead + float64(bytes)/nic(h) +
+			float64(w)*mapreduce.FilterCostFactor/cpu(h) + float64(w)*m.app.CostFactor()/cpu(h)
+		dur[h] = max(c.At, start+dur[h]) + redo - start
+		dur[d] = min(dur[d], max(c.At-start, 0))
+		m.res.NodeWorkload[h] += w
+		m.res.NodeWorkload[d] = 0
+		stored[h], stored[d] = append(stored[h], stored[d]...), nil
+		m.res.TasksRetried += redone
+		m.res.LostOutputs += redone
+	}
+	for id := range cluster.NodeID(n) {
+		m.res.NodeCompute[id] = dur[id]
+		m.res.NodeBusy[id] += dur[id]
+	}
+	m.res.FirstMapEnd, m.res.MapEnd = start+slices.Min(dur), start+slices.Max(dur)
+
+	live := m.nodes(m.res.MapEnd, false)
+	if len(live) == 0 {
+		return fmt.Errorf("%w: nowhere to place reduce tasks", mapreduce.ErrNoLiveNodes)
+	}
+	var total int64
+	for _, w := range m.res.NodeWorkload {
+		total += w
+	}
+	out, share := float64(total)*m.app.OutputRatio(), 1/float64(m.reducers)
+	m.res.ShuffleEnd = m.res.MapEnd
+	for r := range m.reducers {
+		id := live[r%len(live)]
+		remote := max((out-float64(m.res.NodeWorkload[id])*m.app.OutputRatio())*share, 0)
+		end := max(m.res.FirstMapEnd+remote/nic(id), m.res.MapEnd)
+		m.res.ShuffleBytes += int64(remote)
+		m.res.ShuffleDurations = append(m.res.ShuffleDurations, end-m.res.FirstMapEnd)
+		m.res.ShuffleEnd = max(m.res.ShuffleEnd, end)
+	}
+	m.res.ReduceEnd = m.res.ShuffleEnd
+	for r := range m.reducers {
+		m.res.ReduceEnd = max(m.res.ReduceEnd, m.res.ShuffleEnd+out*share*mapreduce.ReduceCostFactor/cpu(live[r%len(live)]))
+	}
+	m.res.JobTime, m.res.AnalysisTime = m.res.ReduceEnd, m.res.ReduceEnd-m.res.FilterEnd
 	return nil
 }

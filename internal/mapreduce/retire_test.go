@@ -15,14 +15,12 @@ import (
 // tests run: once the kernel has stopped and the barrier kills are done, no
 // read-errored attempt may still be counted in flight. That count decides
 // whether drained slots may retire: left high it keeps them polling for
-// nothing, left low it retires them while a requeue is still coming. The
-// same hook takes RunAtBarrier's copy of the Result.
+// nothing, left low it retires them while a requeue is still coming.
 func TestMain(m *testing.M) {
 	filterEndCheck = func(s *filterSim) {
 		if s.readErrs != 0 {
 			panic(fmt.Sprintf("filter phase ended with %d read-errored attempts counted in flight", s.readErrs))
 		}
-		noteBarrier(s)
 	}
 	os.Exit(m.Run())
 }
