@@ -96,9 +96,12 @@ func newKey(a, b uint64) Key {
 	return Key{a: a, b: b}
 }
 
+// pos is the bit position of key's probe i: (a + i·b) mod m.
+func (f *Filter) pos(key Key, i uint64) uint64 { return (key.a + i*key.b) % f.m }
+
 func (f *Filter) add(key Key) {
 	for i := uint64(0); i < f.k; i++ {
-		pos := (key.a + i*key.b) % f.m
+		pos := f.pos(key, i)
 		f.bits[pos/64] |= 1 << (pos % 64)
 	}
 	f.count++
@@ -107,13 +110,29 @@ func (f *Filter) add(key Key) {
 // TestKey reports whether a precomputed key may be present.
 func (f *Filter) TestKey(key Key) bool {
 	for i := uint64(0); i < f.k; i++ {
-		pos := (key.a + i*key.b) % f.m
+		pos := f.pos(key, i)
 		if f.bits[pos/64]&(1<<(pos%64)) == 0 {
 			return false
 		}
 	}
 	return true
 }
+
+// Probe returns key's probe i as a number, without branching on the bit:
+// 1 when its bit is set, else 0, and 1 for every i ≥ K() (the filter has
+// no such probe to fail). TestKey(key) holds exactly when Probe(key, i) is
+// 1 for every i < K(), so a caller may test many filters a probe round at
+// a time, each round over the survivors of the last.
+func (f *Filter) Probe(key Key, i uint64) uint64 {
+	if i >= f.k {
+		return 1
+	}
+	pos := f.pos(key, i)
+	return f.bits[pos/64] >> (pos % 64) & 1
+}
+
+// K returns the number of probes a key is tested with.
+func (f *Filter) K() uint64 { return f.k }
 
 // Add inserts data into the filter.
 func (f *Filter) Add(data []byte) { f.add(KeyOf(string(data))) }

@@ -222,7 +222,7 @@ func TestKeyEntryPointsAgree(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		s := fmt.Sprintf("k%d", i)
 		want := f.TestKey(KeyOf(s))
-		if f.TestString(s) != want || f.Test([]byte(s)) != want {
+		if f.TestString(s) != want || f.Test([]byte(s)) != want || probed(f, KeyOf(s)) != want {
 			t.Fatalf("entry points disagree on %q", s)
 		}
 		if i < 50 && !want {
@@ -232,6 +232,17 @@ func TestKeyEntryPointsAgree(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { f.Test([]byte("key-12345")) }); n != 0 {
 		t.Errorf("Test allocates %g times per call", n)
 	}
+}
+
+// probed is TestKey restated over Probe: every probe i < K() is 1, and so
+// is the one past the last.
+func probed(f *Filter, key Key) bool {
+	for i := uint64(0); i < f.K(); i++ {
+		if f.Probe(key, i) != 1 {
+			return false
+		}
+	}
+	return f.Probe(key, f.K()) == 1
 }
 
 // header encodes a filter header with an explicit bitmap.
@@ -280,7 +291,8 @@ func TestUnmarshalRejectsHugeK(t *testing.T) {
 }
 
 // FuzzFilterDecode: arbitrary bytes decode to a filter or an error; a
-// decoded filter answers probes without panicking and in bounded time.
+// decoded filter answers probes without panicking and in bounded time, and
+// Probe, taken round by round, agrees with TestKey.
 func FuzzFilterDecode(f *testing.F) {
 	good := NewWithEstimates(20, 0.01)
 	good.AddString("seed")
@@ -297,7 +309,11 @@ func FuzzFilterDecode(f *testing.F) {
 		}
 		g.TestString("probe")
 		g.Test(data)
-		g.TestKey(KeyOf("seed"))
+		for _, s := range []string{"seed", "probe", "absent"} {
+			if probed(&g, KeyOf(s)) != g.TestKey(KeyOf(s)) {
+				t.Fatalf("Probe and TestKey disagree on %q", s)
+			}
+		}
 		fillRatio(&g)
 	})
 }

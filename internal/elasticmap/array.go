@@ -15,9 +15,12 @@ import (
 //
 // An Array is immutable once published and is always handled by pointer:
 // it owns its dominant-key Index, built at most once (idxOnce) or handed
-// over already extended by Merge.
+// over already extended by Merge. The arrays of one Merge chain share
+// metas' backing array: used counts the elements of it that some array
+// lists (nil: metas is not shared that way, and Merge copies it).
 type Array struct {
 	metas   []*BlockMeta
+	used    *atomic.Int64
 	opts    Options
 	idxOnce sync.Once
 	idx     atomic.Pointer[Index]
@@ -58,22 +61,71 @@ func (a *Array) Index() *Index {
 	return a.idx.Load()
 }
 
+// scanChunk is how many blocks one round of Bloom probes covers.
+const scanChunk = 64
+
 // scan is the one Eq.-6 pass every per-sub query folds over. It calls
 // visit, in block order, for each block where sub is present: Hashed
 // blocks come from the index's block-sorted entries for sub, and every
-// other block costs one Bloom probe with a key digested once. The answers
-// are exactly BlockMeta.Query's, block by block.
+// other block is Bloomed when its filter passes a key digested once. The
+// answers are exactly BlockMeta.Query's, block by block.
+//
+// The filters are tested scanChunk blocks at a time, in probe rounds:
+// round 0 takes probe 0 of every block in the chunk, round i probe i of
+// the blocks that passed round i−1, until none is left or none has a
+// probe i. A block is kept by adding its bit to the write index, not by
+// branching on it, so the probes of one round do not wait on each other.
+// Each block still passes exactly when all its k probes do, as in
+// TestKey; the survivors are then merged with the dominant entries, and
+// a block listed there is Hashed whatever its filter says.
 func (a *Array) scan(sub string, visit func(block int, size int64, class Class)) {
 	dom := a.Index().blocks(sub)
 	key := bloom.KeyOf(sub)
-	for i, m := range a.metas {
-		if len(dom) > 0 && dom[0].Block == i {
-			visit(i, dom[0].Size, Hashed)
-			dom = dom[1:]
-		} else if m.filter.TestKey(key) {
-			visit(i, m.delta, Bloomed)
+	var live [scanChunk]int32
+	for lo := 0; lo < len(a.metas); lo += scanChunk {
+		metas := a.metas[lo:min(lo+scanChunk, len(a.metas))]
+		for _, j := range live[:passing(metas, key, &live)] {
+			block := lo + int(j)
+			for len(dom) > 0 && dom[0].Block < block {
+				visit(dom[0].Block, dom[0].Size, Hashed)
+				dom = dom[1:]
+			}
+			if len(dom) > 0 && dom[0].Block == block {
+				visit(block, dom[0].Size, Hashed)
+				dom = dom[1:]
+			} else {
+				visit(block, metas[j].delta, Bloomed)
+			}
+		}
+		for end := lo + len(metas); len(dom) > 0 && dom[0].Block < end; dom = dom[1:] {
+			visit(dom[0].Block, dom[0].Size, Hashed)
 		}
 	}
+}
+
+// passing writes into live, in order, the positions in metas (at most
+// scanChunk of them) of the blocks whose filters pass key, and returns
+// how many it wrote.
+func passing(metas []*BlockMeta, key bloom.Key, live *[scanChunk]int32) int {
+	n, k := 0, uint64(0)
+	for j, m := range metas {
+		bit := m.filter.Probe(key, 0)
+		live[n] = int32(j)
+		n += int(bit)
+		k = max(k, bit*m.filter.K())
+	}
+	for i := uint64(1); n > 0 && i < k; i++ {
+		kept, next := 0, uint64(0)
+		for _, j := range live[:n] {
+			f := metas[j].filter
+			bit := f.Probe(key, i)
+			live[kept] = j
+			kept += int(bit)
+			next = max(next, bit*f.K())
+		}
+		n, k = kept, next
+	}
+	return n
 }
 
 // BlockEstimate is one block's contribution to a sub-dataset.

@@ -44,8 +44,8 @@ func matchesFresh(t *testing.T, arr *Array) {
 // recur and keys that are new, equals a fresh index at every epoch, across
 // several folds and epochs with an overlay — scans included. Each epoch
 // is also extended a second time, concurrently with the first (run under
-// -race): neither sibling sees the other's blocks, and the parent keeps
-// its own.
+// -race): neither sibling sees the other's blocks or index entries, and
+// the parent keeps its own.
 func TestIndexChainMatchesFresh(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	universe := 0
@@ -71,7 +71,7 @@ func TestIndexChainMatchesFresh(t *testing.T) {
 		for epoch := 0; epoch < 25; epoch++ {
 			universe += r.Intn(6)
 			mine, theirs := draw(1+r.Intn(10)), draw(1+r.Intn(10))
-			before := flat(arr.Index())
+			before, blocks := flat(arr.Index()), slices.Clone(arr.metas)
 			var next, sibling *Array
 			var wg sync.WaitGroup
 			wg.Add(2)
@@ -90,6 +90,20 @@ func TestIndexChainMatchesFresh(t *testing.T) {
 			wg.Wait()
 			if !reflect.DeepEqual(flat(arr.Index()), before) {
 				t.Fatalf("trial %d epoch %d: an extension wrote into its parent's index", trial, epoch)
+			}
+			for name, c := range map[string]struct {
+				arr   *Array
+				added [][]records.Record
+			}{"parent": {arr, nil}, "next": {next, mine}, "sibling": {sibling, theirs}} {
+				want := FromMetas(append(slices.Clone(blocks), Build(c.added, lossyOpts()).metas...), lossyOpts())
+				if c.arr.Len() != want.Len() {
+					t.Fatalf("trial %d epoch %d: %s has %d blocks, want %d", trial, epoch, name, c.arr.Len(), want.Len())
+				}
+				for i := 0; i < want.Len(); i++ {
+					if !reflect.DeepEqual(c.arr.Block(i), want.Block(i)) {
+						t.Fatalf("trial %d epoch %d: %s block %d differs from a fresh FromMetas", trial, epoch, name, i)
+					}
+				}
 			}
 			matchesFresh(t, sibling)
 			matchesFresh(t, next)

@@ -71,16 +71,36 @@ func (a *Array) Appended(blocks [][]records.Record) *Array {
 // Merge concatenates two arrays built with compatible options (block order:
 // a's blocks then b's). It returns a new array; inputs are unchanged. When
 // a's index is already built, the merged array's index extends it with b's
-// entries instead of being rebuilt from every block.
+// entries instead of being rebuilt from every block. The block list grows
+// as an index entry's does (grown): in place when a is the last array of
+// its chain, so a chain of merges costs O(1) per block, amortised.
 func Merge(a, b *Array) *Array {
-	metas := make([]*BlockMeta, 0, len(a.metas)+len(b.metas))
-	metas = append(metas, a.metas...)
-	metas = append(metas, b.metas...)
-	out := FromMetas(metas, a.opts)
+	metas, used := grown(a.metas, a.used, b.metas...)
+	out := &Array{metas: metas, used: used, opts: a.opts}
 	if ix := a.idx.Load(); ix != nil {
 		out.idx.Store(ix.extended(b.metas, len(a.metas)))
 	}
 	return out
+}
+
+// grown returns s followed by xs. Slices of one chain share a backing
+// array and used, the count of its elements that some slice lists. grown
+// writes past s's end only after claiming those elements with a
+// compare-and-swap on used; when used is nil or another extension of s
+// (a sibling) claimed them first, it copies s into a new array with room
+// to grow. So no slice ever lists an element that another slice's
+// extension appended, and a chain of extensions costs O(1) per element,
+// amortised.
+func grown[T any](s []T, used *atomic.Int64, xs ...T) ([]T, *atomic.Int64) {
+	n, m := len(s), len(s)+len(xs)
+	if m <= cap(s) && used != nil && used.CompareAndSwap(int64(n), int64(m)) {
+		return append(s, xs...), used
+	}
+	out := make([]T, m, 2*m)
+	copy(out[copy(out, s):], xs)
+	used = new(atomic.Int64)
+	used.Store(int64(m))
+	return out, used
 }
 
 // Index is an inverted view of an Array: sub-dataset key → block estimates,
@@ -124,32 +144,18 @@ type indexBase struct {
 
 // dominantEntry is one key's hash-resident blocks, in block order, and the
 // exact sum of their sizes. Indexes of one chain share the backing array
-// of blocks: used counts the elements of it that some index lists, and an
-// extension appends in place only by claiming the next ones (nil: never in
-// place, the list is copied first).
+// of blocks, and used counts the elements of it that some index lists
+// (nil: never in place, the list is copied first); see grown.
 type dominantEntry struct {
 	blocks []BlockEstimate
 	used   *atomic.Int64
 	total  int64
 }
 
-// appended returns e with be listed after its blocks. It writes into e's
-// backing array only when no other index lists past e's end, and claims
-// the element first; otherwise it copies e's blocks into a new array with
-// room to grow. So an index never sees a block that another index's
-// extension appended, and a chain of extensions costs O(1) per block,
-// amortised.
+// appended returns e with be listed after its blocks, in place only when
+// no other index lists past e's end (grown).
 func (e dominantEntry) appended(be BlockEstimate) dominantEntry {
-	n := len(e.blocks)
-	if n < cap(e.blocks) && e.used != nil && e.used.CompareAndSwap(int64(n), int64(n+1)) {
-		e.blocks = append(e.blocks, be)
-	} else {
-		blocks := make([]BlockEstimate, n+1, 2*n+2)
-		copy(blocks, e.blocks)
-		blocks[n] = be
-		e.blocks, e.used = blocks, new(atomic.Int64)
-		e.used.Store(int64(n + 1))
-	}
+	e.blocks, e.used = grown(e.blocks, e.used, be)
 	e.total += be.Size
 	return e
 }

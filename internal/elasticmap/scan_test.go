@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"datanet/internal/gen"
 	"datanet/internal/records"
 )
 
@@ -78,10 +79,14 @@ func scanned(t *testing.T, a *Array, sub string) perBlock {
 // Every per-sub query equals the per-block Query loop, over arrays built,
 // decoded, merged (with and without the parent's index), appended and
 // empty, for every recorded key, absent keys and Bloom false positives.
+// The scan probes scanChunk blocks a round, so arrays of 0, 1, 63, 64, 65
+// and 130 blocks cross none, one and two chunk edges; one array mixes
+// filters of different k, and one holds an all-ones filter whose k is
+// its m, so its dominant key also passes its filter.
 func TestScanMatchesPerBlockQuery(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	blocks := randBlocks(r, 24)
-	built := Build(blocks, lossyOpts())
+	blocks := randBlocks(r, 130)
+	built := Build(blocks[:24], lossyOpts())
 	blob, err := Encode(built)
 	if err != nil {
 		t.Fatal(err)
@@ -95,18 +100,23 @@ func TestScanMatchesPerBlockQuery(t *testing.T) {
 	arrays := map[string]*Array{
 		"built":          built,
 		"decoded":        decoded,
-		"merged":         Merge(Build(blocks[:9], lossyOpts()), Build(blocks[9:], lossyOpts())),
-		"merged-indexed": Merge(indexedHead, Build(blocks[15:], lossyOpts())),
+		"merged":         Merge(Build(blocks[:9], lossyOpts()), Build(blocks[9:24], lossyOpts())),
+		"merged-indexed": Merge(indexedHead, Build(blocks[15:24], lossyOpts())),
 		"merged-twice":   Merge(Merge(indexedHead, Build(blocks[15:20], lossyOpts())), decoded),
-		"appended":       indexedHead.Appended(blocks[15:]),
+		"appended":       indexedHead.Appended(blocks[15:24]),
 		"empty":          Build(nil, lossyOpts()),
+		"mixed-k":        mixedFPRates(blocks),
+		"all-ones":       withAllOnesFilter(t, blocks[:70], 3, 64),
 	}
-	probes := built.Subs()
-	for i := 0; i < 200; i++ {
-		probes = append(probes, fmt.Sprintf("absent-%d", i))
+	for _, n := range []int{0, 1, 63, 64, 65, 130} {
+		arrays[fmt.Sprintf("blocks-%d", n)] = Build(blocks[:n], lossyOpts())
 	}
-	falsePositives := 0
+	falsePositives, dominantPasses := 0, 0
 	for name, arr := range arrays {
+		probes := arr.Subs()
+		for i := 0; i < 200; i++ {
+			probes = append(probes, fmt.Sprintf("absent-%d", i))
+		}
 		for _, sub := range probes {
 			want := queryLoop(arr, sub)
 			if got := scanned(t, arr, sub); !reflect.DeepEqual(got, want) {
@@ -115,10 +125,104 @@ func TestScanMatchesPerBlockQuery(t *testing.T) {
 			if strings.HasPrefix(sub, "absent-") && want.bloomed > 0 {
 				falsePositives++
 			}
+			for i := 0; i < arr.Len(); i++ {
+				if m := arr.Block(i); m.hash[sub] > 0 && m.filter.TestString(sub) {
+					dominantPasses++
+				}
+			}
 		}
 	}
 	if falsePositives == 0 {
 		t.Fatal("no absent key hit a filter: the false-positive path went untested")
+	}
+	if dominantPasses == 0 {
+		t.Fatal("no dominant key passed its block's filter: the tie went untested")
+	}
+}
+
+// mixedFPRates builds each block at false-positive rate 0.05, 0.01 or
+// 0.001 in turn, so the filters' k differ from block to block.
+func mixedFPRates(blocks [][]records.Record) *Array {
+	metas := make([]*BlockMeta, len(blocks))
+	for i, recs := range blocks {
+		opts := lossyOpts()
+		opts.FPRate = []float64{0.05, 0.01, 0.001}[i%3]
+		metas[i] = BuildBlockMeta(recs, opts)
+	}
+	return FromMetas(metas, lossyOpts())
+}
+
+// withAllOnesFilter builds blocks and puts, before block i for each i in
+// at, a decoded block whose filter is all ones with k = m = 64: every
+// key passes it, after 64 probe rounds, and its dominant key "hero" too.
+func withAllOnesFilter(t *testing.T, blocks [][]records.Record, at ...int) *Array {
+	t.Helper()
+	ones, err := Decode(withFilterBlob(64, 64, []uint64{math.MaxUint64}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	metas := Build(blocks, lossyOpts()).metas
+	for _, i := range slices.Backward(at) {
+		metas = slices.Insert(metas, i, ones.Block(0))
+	}
+	return FromMetas(metas, lossyOpts())
+}
+
+// FuzzScanMatchesQuery: every per-sub query of an array of fuzzed blocks
+// equals the per-block Query loop. The first byte picks the block count
+// (0–139, so up to two chunk edges); then, reading the bytes round and
+// round, each block takes a header byte h (false-positive rate 0.2, 0.05,
+// 0.01 or 0.001 by h&3, so k varies by block; 1 + h>>2&7 records) and a
+// (key, size) byte pair per record, over 32 keys. The queries are those
+// keys and 100 that no block holds.
+func FuzzScanMatchesQuery(f *testing.F) {
+	f.Add([]byte{130, 0x1d, 1, 200, 2, 90, 3, 10, 4, 60, 0x0e, 5, 255, 6, 1, 0x13, 7, 150})
+	f.Add([]byte{64, 0xff, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8})
+	f.Add([]byte{65})
+	f.Add([]byte{100, 0x1c, 1, 250, 2, 240, 3, 9, 4, 8, 5, 7, 6, 6, 7, 5, 8, 4, 0x1c, 9, 200, 10, 3, 11, 2, 12, 1, 13, 9, 14, 8, 15, 7, 16, 6})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		pos := 1
+		next := func() byte {
+			b := data[pos%len(data)]
+			pos++
+			return b
+		}
+		metas := make([]*BlockMeta, int(data[0])%140)
+		for i := range metas {
+			h := next()
+			recs := make([]records.Record, 1+int(h>>2&7))
+			for j := range recs {
+				recs[j] = records.Record{Sub: fmt.Sprintf("z%02d", next()%32), Payload: strings.Repeat("p", int(next()))}
+			}
+			opts := lossyOpts()
+			opts.FPRate = []float64{0.2, 0.05, 0.01, 0.001}[h&3]
+			metas[i] = BuildBlockMeta(recs, opts)
+		}
+		arr := FromMetas(metas, lossyOpts())
+		for k := 0; k < 32+100; k++ {
+			sub := fmt.Sprintf("z%02d", k)
+			if got, want := scanned(t, arr, sub), queryLoop(arr, sub); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d blocks, %s: scan %+v, per-block Query %+v", len(metas), sub, got, want)
+			}
+		}
+	})
+}
+
+// The scan's round buffer stays on the stack: over more than one chunk of
+// blocks, EstimateDetailed allocates nothing and Weights only its result.
+func TestScanAllocations(t *testing.T) {
+	arr := Build(randBlocks(rand.New(rand.NewSource(7)), 130), lossyOpts())
+	sub := arr.Subs()[0]
+	arr.Index()
+	if n := testing.AllocsPerRun(100, func() { arr.EstimateDetailed(sub) }); n != 0 {
+		t.Errorf("EstimateDetailed allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { arr.Weights(sub) }); n != 1 {
+		t.Errorf("Weights allocates %v times, want 1", n)
 	}
 }
 
@@ -279,5 +383,44 @@ func TestDecodeRejectsBadFilterHeader(t *testing.T) {
 		if _, err := Decode(data); err == nil {
 			t.Errorf("%s: Decode accepted a corrupt filter", name)
 		}
+	}
+}
+
+// BenchmarkScan times one Eq.-6 scan (EstimateDetailed) over about 1 000
+// blocks cut from a generated review log at the bench's M1 shape: 2 000
+// movies, 64 MiB of reviews, 64 KiB blocks, default options. "present"
+// scans the recorded keys in turn, each dominant in a few blocks and
+// Bloom-resident in some more; "absent" scans keys that no block holds.
+// Each op takes the next key: one key scanned over and over lets the
+// branch predictor learn its every pass and fail, which a server that
+// answers a different key each request never sees.
+func BenchmarkScan(b *testing.B) {
+	recs := gen.Movies(gen.MovieConfig{Movies: 2000, Reviews: 64 << 20 / 305, SpanDays: 365, Seed: 42})
+	var blocks [][]records.Record
+	var size int64
+	for i, rec := range recs {
+		if size+rec.Size() > 64<<10 || i == 0 {
+			blocks, size = append(blocks, nil), 0
+		}
+		blocks[len(blocks)-1] = append(blocks[len(blocks)-1], rec)
+		size += rec.Size()
+	}
+	arr := BuildParallel(blocks, Options{}, 0)
+	absent := make([]string, 1000)
+	for i := range absent {
+		absent[i] = fmt.Sprintf("absent-%d", i)
+	}
+	for _, c := range []struct {
+		name string
+		subs []string
+	}{{"present", arr.Subs()}, {"absent", absent}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			i := 0
+			for b.Loop() {
+				arr.EstimateDetailed(c.subs[i%len(c.subs)])
+				i++
+			}
+		})
 	}
 }
